@@ -413,6 +413,9 @@ func runDurable(dataDir string, pools, epochs, daily, committee int, seed int64,
 	fmt.Printf("epochs (total incl. recovered): %d\n", rep.EpochsRun)
 	fmt.Printf("pools x shards:                 %d x %d\n", rep.NumPools, rep.NumShards)
 	fmt.Printf("syncs confirmed (incl. replayed): %d\n", rep.SyncsOK)
+	sp := rep.SyncParts
+	fmt.Printf("sync parts (this process):      %d applied in %d executions (%d deferred for gas); TSQC checks: %d computed, %d from cache\n",
+		sp.PartsApplied, sp.PartExecs, sp.PartsDeferred, sp.SigVerifies, sp.SigCacheHits)
 	fmt.Printf("event drops (slow subscribers): %d\n", rep.Collector.EventDrops())
 	for e := uint64(1); e <= uint64(rep.EpochsRun); e++ {
 		if root, ok := rep.SummaryRoots[e]; ok && verbose {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"ammboost/internal/mainchain"
 	"ammboost/internal/trace"
 )
 
@@ -41,6 +42,7 @@ type Admin struct {
 	recovered   bool
 	runDone     bool
 	laggedDrops int
+	syncParts   mainchain.SyncStats
 	counts      map[string]uint64
 }
 
@@ -76,6 +78,7 @@ func (a *Admin) watch() {
 			if ev.Epoch > a.synced {
 				a.synced = ev.Epoch
 			}
+			a.syncParts = ev.SyncParts
 		case EventHalted:
 			a.halted = true
 			if ev.Err != nil {
@@ -153,7 +156,7 @@ func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	a.mu.Lock()
 	epoch, synced := a.epoch, a.synced
 	halted, recovered, done := a.halted, a.recovered, a.runDone
-	lagged := a.laggedDrops
+	lagged, sp := a.laggedDrops, a.syncParts
 	counts := make(map[string]uint64, len(a.counts))
 	for k, v := range a.counts {
 		counts[k] = v
@@ -167,6 +170,12 @@ func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ammboost_recovered %d\n", b2i(recovered))
 	fmt.Fprintf(w, "ammboost_run_done %d\n", b2i(done))
 	fmt.Fprintf(w, "ammboost_events_lagged_dropped %d\n", lagged)
+	fmt.Fprintf(w, "ammboost_sync_part_execs_total %d\n", sp.PartExecs)
+	fmt.Fprintf(w, "ammboost_sync_parts_applied_total %d\n", sp.PartsApplied)
+	fmt.Fprintf(w, "ammboost_sync_parts_deferred_total %d\n", sp.PartsDeferred)
+	fmt.Fprintf(w, "ammboost_sync_sig_verifies_total %d\n", sp.SigVerifies)
+	fmt.Fprintf(w, "ammboost_sync_sig_cache_hits_total %d\n", sp.SigCacheHits)
+	fmt.Fprintf(w, "ammboost_sync_sig_cache_size %d\n", sp.SigCacheSize)
 	for _, k := range sortedKeys(counts) {
 		fmt.Fprintf(w, "ammboost_event_total{type=%q} %d\n", k, counts[k])
 	}

@@ -481,6 +481,11 @@ type Report struct {
 	ViewChanges int
 	Rejected    int
 	QueuePeak   int
+	// SyncParts counts the multi-pool bank's sync-part executions behind
+	// SyncsOK: attempted vs applied (the chain re-executes a part in every
+	// block until it fits), deferrals, and how many TSQC checks the
+	// verified-signature cache answered.
+	SyncParts mainchain.SyncStats
 
 	// Ingest front-end telemetry: admission outcomes across the run
 	// (producer-side counters folded in at report time) and the peak

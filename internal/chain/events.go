@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"ammboost/internal/mainchain"
 )
 
 // EventType enumerates the observable epoch lifecycle stages.
@@ -115,6 +117,10 @@ type Event struct {
 	Dropped int
 	Root    [32]byte
 	Err     error
+	// SyncParts is the multi-pool bank's cumulative sync-part execution
+	// counters as of this confirmation (EventSyncConfirmed, multi-pool
+	// backend only).
+	SyncParts mainchain.SyncStats
 }
 
 // DefaultEventBuffer is the per-subscriber buffered-event bound applied

@@ -249,12 +249,11 @@ func (lc *LiveCommittee) finish() error {
 	lc.Summary = sb
 
 	// TSQC over the sync payload: a quorum of members signs for real.
-	_, threshold := pbft.Quorum(lc.F)
-	partials := make([]tsig.PartialSig, threshold)
-	for i := 0; i < threshold; i++ {
-		partials[i] = tsig.PartialSign(lc.members[i].Share, digest[:])
+	shares := make([]tsig.Share, len(lc.members))
+	for i, m := range lc.members {
+		shares[i] = m.Share
 	}
-	sig, err := tsig.Combine(lc.GroupKey, partials)
+	sig, err := newSyncSigner(lc.GroupKey, shares).signDigest(digest)
 	if err != nil {
 		return err
 	}

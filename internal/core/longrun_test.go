@@ -57,6 +57,14 @@ func TestLongRunBoundedHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	// The bank's verified-signature cache must be empty every time an
+	// epoch's sync completes — it may never grow with the run.
+	cacheLeft := 0
+	sys.OnEvent(func(ev chain.Event) {
+		if ev.Type == chain.EventSyncConfirmed {
+			cacheLeft += ev.SyncParts.SigCacheSize
+		}
+	})
 	var warmHeap uint64
 	sys.OnEpochStart = func(epoch uint64) {
 		if epoch == warmEpochs {
@@ -103,6 +111,9 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	}
 	if n := len(sys.bank.SummaryRoots); n > retain+8 {
 		t.Errorf("bank retained %d summary roots, want <= %d", n, retain)
+	}
+	if cacheLeft != 0 {
+		t.Errorf("signature cache held %d entries across the run's sync confirmations, want 0", cacheLeft)
 	}
 	// The tracer recorded through all 10k epochs but retains only its
 	// window — the bounded-memory half of the "leave it on in

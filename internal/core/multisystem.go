@@ -1070,7 +1070,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 			return
 		}
 		block.MinedAt = s.sim.Now()
-		block.CommitVotes = ck.threshold
+		block.CommitVotes = ck.group.Threshold
 		if viewChanges > 0 {
 			s.ViewChanges += viewChanges
 			s.bus.Publish(chain.Event{
@@ -1557,6 +1557,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 			s.bus.Publish(chain.Event{
 				Type: chain.EventSyncConfirmed, At: tx.ConfirmedAt, Epoch: e,
 				Parts: numParts, Bytes: totalSize, Gas: totalGas,
+				SyncParts: s.bank.SyncStats(),
 			})
 			spPrune := s.tr.Start(trace.StagePrune, e)
 			if err := s.ledger.Prune(e, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
@@ -1856,6 +1857,7 @@ func (s *MultiSystem) report() *chain.Report {
 		NumPools:               len(s.eng.PoolIDs()),
 		NumShards:              s.eng.NumShards(),
 		SyncsOK:                s.SyncsOK,
+		SyncParts:              s.bank.SyncStats(),
 		ViewChanges:            s.ViewChanges,
 		Rejected:               s.Rejected,
 		QueuePeak:              s.queuePeak,

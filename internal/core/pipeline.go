@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,14 +227,15 @@ func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 		}
 		spSign.End()
 	}()
-	parts := make([]*mainchain.MultiSyncArgs, 0, len(chunks))
-	sizes := make([]int, 0, len(chunks))
-	for i, chunk := range chunks {
+	parts := make([]*mainchain.MultiSyncArgs, len(chunks))
+	sizes := make([]int, len(chunks))
+	errs := make([]error, len(chunks))
+	signPart := func(i int) {
 		args := &mainchain.MultiSyncArgs{
 			Epoch:       epoch,
 			Part:        i + 1,
 			NumParts:    len(chunks),
-			Payloads:    chunk,
+			Payloads:    chunks[i],
 			SummaryRoot: res.SummaryRoot,
 			NextKey:     nextKey,
 		}
@@ -243,17 +245,39 @@ func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 			// MultiBank's TSQC verification rejects the part on-chain.
 			digest[0] ^= 0xff
 		}
-		sig, err := ck.signDigest(digest)
+		if args.Sig, errs[i] = ck.signer.signDigest(digest); errs[i] != nil {
+			return
+		}
+		size := 32
+		for _, p := range chunks[i] {
+			size += p.MainchainBytes()
+		}
+		parts[i], sizes[i] = args, size
+	}
+	// Parts are independent (each signs its own digest into its own slot),
+	// so they are striped over the CPUs; the output does not depend on how.
+	// This goroutine takes the first stripe — all of them when there is
+	// one part or one CPU.
+	workers := min(runtime.GOMAXPROCS(0), len(chunks))
+	stripe := func(w int) {
+		for i := w; i < len(chunks); i += workers {
+			signPart(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(w)
+		}()
+	}
+	stripe(0)
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: part %d/%d: %v", chain.ErrSignFailed, i+1, len(chunks), err)
 		}
-		args.Sig = sig
-		size := 32
-		for _, p := range chunk {
-			size += p.MainchainBytes()
-		}
-		parts = append(parts, args)
-		sizes = append(sizes, size)
 	}
 	return parts, sizes, nil
 }

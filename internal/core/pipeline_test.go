@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/mainchain"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
@@ -334,5 +336,95 @@ func TestPipelineSealedUntouchedPools(t *testing.T) {
 	}
 	if rep.SummaryRoots[3] != rep.SummaryRoots[2] {
 		t.Error("idle epoch 3 root should equal epoch 2's")
+	}
+}
+
+// runPackedSyncs runs a pipelined deployment whose epochs split into many
+// sync parts on a mainchain whose blocks hold only a couple of them, so
+// most parts are re-executed over several blocks before they fit. It
+// returns the run's report and error, the parts submitted, and the
+// largest verified-signature cache size seen at an epoch's confirmation.
+func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (rep *chain.Report, submitted, cacheAtConfirm int, runErr error) {
+	t.Helper()
+	const epochs, pools = 3, 32
+	sysCfg, _ := multiTestConfigs(5, pools, 4, epochs)
+	sysCfg.PipelineDepth = 2
+	sysCfg.SyncGasBudget = 1_000_000
+	sysCfg.Mainchain = mainchain.DefaultConfig()
+	sysCfg.Mainchain.GasLimit = 2_500_000
+	sysCfg.Faults.CorruptSyncEpochs = corrupt
+	wcfg := workload.DefaultMultiConfig(5, pools)
+	wcfg.NumUsers = 20
+	gen := workload.NewMulti(wcfg)
+	sys, err := NewMultiSystem(sysCfg, gen.Users())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.OnEvent(func(ev chain.Event) {
+		switch ev.Type {
+		case chain.EventSyncSubmitted:
+			submitted += ev.Parts
+		case chain.EventSyncConfirmed:
+			if ev.SyncParts.SigCacheSize > cacheAtConfirm {
+				cacheAtConfirm = ev.SyncParts.SigCacheSize
+			}
+		}
+	})
+	sys.OnEpochStart = func(uint64) {
+		for i := 0; i < 4*pools; i++ {
+			// A halted node refuses further submissions; the corrupt run
+			// asserts on the run error instead.
+			_, _ = sys.Submit(context.Background(), gen.Next())
+		}
+	}
+	rep, runErr = sys.Run(epochs)
+	return rep, submitted, cacheAtConfirm, runErr
+}
+
+// TestPackedSyncPartsVerifyOncePerPart: when block packing re-executes
+// sync parts, every part is still verified exactly once (the rest are
+// cache hits), every part applies, and the cache is empty each time an
+// epoch's sync confirms.
+func TestPackedSyncPartsVerifyOncePerPart(t *testing.T) {
+	rep, submitted, cacheAtConfirm, err := runPackedSyncs(t, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	sp := rep.SyncParts
+	if rep.SyncsOK != rep.EpochsRun || int(sp.PartsApplied) != submitted {
+		t.Fatalf("%d syncs over %d epochs, %d of %d parts applied", rep.SyncsOK, rep.EpochsRun, sp.PartsApplied, submitted)
+	}
+	if submitted < 3*rep.EpochsRun {
+		t.Fatalf("only %d parts over %d epochs: the deployment no longer splits its syncs", submitted, rep.EpochsRun)
+	}
+	if sp.PartsDeferred == 0 || sp.SigCacheHits == 0 {
+		t.Fatalf("no part was re-executed (%+v): the deployment no longer packs its blocks full", sp)
+	}
+	if sp.PartExecs != sp.PartsApplied+sp.PartsDeferred {
+		t.Errorf("%d executions != %d applied + %d deferred", sp.PartExecs, sp.PartsApplied, sp.PartsDeferred)
+	}
+	if sp.SigVerifies != sp.PartsApplied {
+		t.Errorf("%d verifications for %d parts, want one each (%+v)", sp.SigVerifies, sp.PartsApplied, sp)
+	}
+	if cacheAtConfirm != 0 || sp.SigCacheSize != 0 {
+		t.Errorf("cache held %d entries at a sync confirmation, %d at the end, want 0", cacheAtConfirm, sp.SigCacheSize)
+	}
+}
+
+// TestPackedCorruptSyncStillReverts: the same packed deployment with an
+// equivocating epoch-2 committee still halts on ErrBadSyncSignature —
+// a signature that fails is recomputed on every execution, never served
+// from the cache.
+func TestPackedCorruptSyncStillReverts(t *testing.T) {
+	rep, _, _, err := runPackedSyncs(t, map[uint64]bool{2: true})
+	if !errors.Is(err, chain.ErrSyncReverted) || !strings.Contains(err.Error(), mainchain.ErrBadSyncSignature.Error()) {
+		t.Fatalf("err = %v, want ErrSyncReverted carrying %v", err, mainchain.ErrBadSyncSignature)
+	}
+	if rep.SyncsOK != 1 {
+		t.Errorf("SyncsOK = %d, want 1 (only epoch 1 synced)", rep.SyncsOK)
+	}
+	sp := rep.SyncParts
+	if sp.SigVerifies <= sp.PartsApplied {
+		t.Errorf("%d verifications for %d applied parts: the rejected parts were not verified (%+v)", sp.SigVerifies, sp.PartsApplied, sp)
 	}
 }

@@ -1,0 +1,103 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"ammboost/internal/chain"
+	"ammboost/internal/crypto/tsig"
+	"ammboost/internal/engine"
+	"ammboost/internal/summary"
+	"ammboost/internal/u256"
+)
+
+// dealtSigner deals a t-of-n committee key and returns its sync signer.
+func dealtSigner(t *testing.T, seed int64, th, n int) (*syncSigner, tsig.GroupKey, []tsig.Share) {
+	t.Helper()
+	d, err := tsig.Deal(rand.New(rand.NewSource(seed)), th, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tsig.GroupKey{PK: d.Commitments[0], Threshold: th, N: n}
+	return newSyncSigner(g, d.Shares), g, d.Shares
+}
+
+// TestSyncSignerMatchesCombine: the signer every backend shares produces
+// the signature the general combiner does — from many goroutines at once,
+// the first of which builds the weighting — and the bank's check accepts
+// it.
+func TestSyncSignerMatchesCombine(t *testing.T) {
+	signer, g, shares := dealtSigner(t, 3, 7, 10)
+	digest := [32]byte{1, 2, 3}
+	partials := make([]tsig.PartialSig, g.Threshold)
+	for i := range partials {
+		partials[i] = tsig.PartialSign(shares[i], digest[:])
+	}
+	want, err := tsig.Combine(g, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := signer.signDigest(digest)
+			if err != nil || !got.Equal(want) {
+				t.Errorf("signDigest = %v, %v; want Combine's signature", got, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := tsig.Verify(g, digest[:], want); err != nil {
+		t.Fatal(err)
+	}
+
+	short := newSyncSigner(g, shares[:g.Threshold-1])
+	if _, err := short.signDigest(digest); !errors.Is(err, tsig.ErrNotEnoughShares) {
+		t.Errorf("signer one share short: %v, want ErrNotEnoughShares", err)
+	}
+}
+
+// TestSignSyncPartsOrderAndFailure: parts come back slotted by index
+// whatever the fan-out, each carrying a signature over its own digest,
+// and a signing failure is reported for the lowest-numbered part.
+func TestSignSyncPartsOrderAndFailure(t *testing.T) {
+	signer, g, shares := dealtSigner(t, 4, 3, 4)
+	res := &engine.EpochResult{Epoch: 9, SummaryRoot: [32]byte{9}}
+	for i := 0; i < 12; i++ {
+		res.Payloads = append(res.Payloads, &summary.SyncPayload{
+			Epoch: 9, PoolID: fmt.Sprintf("pool-%02d", i), PoolReserve0: u256.FromUint64(uint64(i + 1)),
+		})
+	}
+	ck := &committeeKeys{group: g, signer: signer}
+	// A budget of one gas puts every pool in its own part.
+	parts, sizes, err := signSyncParts(9, res, ck, g, false, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != len(res.Payloads) || len(sizes) != len(parts) {
+		t.Fatalf("%d parts, %d sizes for %d pools", len(parts), len(sizes), len(res.Payloads))
+	}
+	for i, a := range parts {
+		if a.Part != i+1 || a.NumParts != len(parts) || a.Payloads[0] != res.Payloads[i] {
+			t.Errorf("slot %d holds part %d/%d of pool %s", i, a.Part, a.NumParts, a.Payloads[0].PoolID)
+		}
+		digest := a.Digest()
+		if err := tsig.Verify(g, digest[:], a.Sig); err != nil {
+			t.Errorf("part %d: %v", i+1, err)
+		}
+		if sizes[i] != 32+a.Payloads[0].MainchainBytes() {
+			t.Errorf("part %d size %d", i+1, sizes[i])
+		}
+	}
+
+	ck.signer = newSyncSigner(g, shares[:2])
+	_, _, err = signSyncParts(9, res, ck, g, false, 1, nil, nil)
+	if !errors.Is(err, chain.ErrSignFailed) || err.Error() != fmt.Sprintf("%v: part 1/12: %v: have 2, need 3", chain.ErrSignFailed, tsig.ErrNotEnoughShares) {
+		t.Errorf("failing signer: %v, want ErrSignFailed for part 1/12", err)
+	}
+}

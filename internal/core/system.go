@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,9 +52,63 @@ var (
 // DKG.
 type committeeKeys struct {
 	committee *election.Committee
-	shares    []tsig.Share
 	group     tsig.GroupKey
-	threshold int
+	signer    *syncSigner
+}
+
+// syncSigner is a committee's sync signer set — its first Threshold
+// members, fixed when the committee is provisioned — and the one way a
+// sync signature is produced: System, MultiSystem and LiveCommittee all
+// sign through signDigest, so the three cannot drift.
+//
+// The signer-side weighting (the quorum's Lagrange table and each
+// member's coefficient folded into its share, see tsig.Quorum) is built
+// on the first signature, not at construction: provisioning runs on the
+// simulator goroutine at node setup and at every epoch start, the first
+// signature on whichever goroutine signs — the commit-stage worker in a
+// pipelined run.
+type syncSigner struct {
+	group  tsig.GroupKey
+	shares []tsig.Share // the signer set's own shares, one per member
+
+	once     sync.Once
+	quorum   *tsig.Quorum
+	weighted []tsig.Share // shares[i] with its coefficient folded in
+	err      error
+}
+
+// newSyncSigner fixes the signer set to the first group.Threshold of the
+// committee's shares (a shorter list is reported by the first signDigest).
+func newSyncSigner(group tsig.GroupKey, shares []tsig.Share) *syncSigner {
+	if len(shares) > group.Threshold {
+		shares = shares[:group.Threshold]
+	}
+	return &syncSigner{group: group, shares: shares}
+}
+
+// signDigest produces the committee's TSQC signature over a digest (a
+// payload digest, a mass-sync's combined digest, or a multi-pool sync
+// part's). Safe for concurrent use.
+func (s *syncSigner) signDigest(digest [32]byte) (tsig.Point, error) {
+	s.once.Do(func() {
+		indices := make([]int, len(s.shares))
+		for i, sh := range s.shares {
+			indices[i] = sh.Index
+		}
+		if s.quorum, s.err = tsig.NewQuorum(s.group, indices); s.err != nil {
+			return
+		}
+		s.weighted = make([]tsig.Share, len(s.shares))
+		for i, sh := range s.shares {
+			if s.weighted[i], s.err = s.quorum.Weight(sh); s.err != nil {
+				return
+			}
+		}
+	})
+	if s.err != nil {
+		return tsig.Point{}, s.err
+	}
+	return s.quorum.Sign(s.weighted, digest[:])
 }
 
 // txRecord tracks one sidechain transaction through its lifecycle,
@@ -371,19 +426,7 @@ func provisionCommittee(reg *election.Registry, chainSeed [32]byte, epoch uint64
 		return nil, err
 	}
 	group := tsig.GroupKey{PK: dealing.Commitments[0], Threshold: threshold, N: size}
-	return &committeeKeys{committee: com, shares: dealingShares(dealing), group: group, threshold: threshold}, nil
-}
-
-func dealingShares(d *tsig.Dealing) []tsig.Share { return d.Shares }
-
-// signDigest produces the committee's TSQC signature over an arbitrary
-// digest (multi-pool syncs sign the folded summary root).
-func (ck *committeeKeys) signDigest(digest [32]byte) (tsig.Point, error) {
-	partials := make([]tsig.PartialSig, ck.threshold)
-	for i := 0; i < ck.threshold; i++ {
-		partials[i] = tsig.PartialSign(ck.shares[i], digest[:])
-	}
-	return tsig.Combine(ck.group, partials)
+	return &committeeKeys{committee: com, group: group, signer: newSyncSigner(group, dealing.Shares)}, nil
 }
 
 func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
@@ -753,7 +796,7 @@ func (s *System) runRound(e, r uint64) {
 			return
 		}
 		block.MinedAt = s.sim.Now()
-		block.CommitVotes = ck.threshold
+		block.CommitVotes = ck.group.Threshold
 		if err := s.ledger.AppendMeta(block); err != nil {
 			s.fail(fmt.Errorf("%w: meta %d/%d: %v", chain.ErrLedgerAppend, e, r, err))
 			return
@@ -846,7 +889,7 @@ func (s *System) submitSync(e uint64, payloads []*summary.SyncPayload) {
 		// so the bank's TSQC verification rejects the Sync on-chain.
 		digest[0] ^= 0xff
 	}
-	sig, err := ck.signDigest(digest)
+	sig, err := ck.signer.signDigest(digest)
 	if err != nil {
 		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrSignFailed, e, err))
 		return

@@ -14,6 +14,25 @@
 // has a known discrete log — irrelevant to the performance and correctness
 // behaviour this reproduction measures, and gas for verification is charged
 // at the paper's BN256 precompile prices.
+//
+// There are two ways to the same group signature, chosen by when the
+// signer set is known:
+//
+//   - Combine(g, partials) interpolates over whoever's partials are handed
+//     in: it computes their Lagrange coefficients and does one
+//     variable-base multiplication per signer. PBFT certificates use it —
+//     the quorum there is the first 2f+2 replicas to answer.
+//   - A Quorum fixes the signer set up front (a committee's sync signers
+//     are known when it is provisioned), computes the coefficients once,
+//     and has each member fold its own coefficient into its own share
+//     (Weight). Weighted partials are fixed-base multiplications and
+//     combine by point addition alone (CombineWeighted). The coefficients
+//     are public and each is applied by the member it belongs to, so
+//     nothing about a share leaves its owner.
+//
+// Both reach σ = sk·h·G, which is unique, so they are interchangeable
+// bit for bit and Verify is the same check either way. Both take their
+// coefficients from the one lagrangeAtZero routine.
 package tsig
 
 import (
@@ -31,6 +50,7 @@ var (
 	ErrNotEnoughShares = errors.New("tsig: not enough partial signatures")
 	ErrInvalid         = errors.New("tsig: signature verification failed")
 	ErrDuplicateIndex  = errors.New("tsig: duplicate share index")
+	ErrNotInQuorum     = errors.New("tsig: partial signature from outside the quorum or out of order")
 )
 
 var curve = elliptic.P256()
@@ -251,10 +271,13 @@ type PartialSig struct {
 
 // PartialSign produces a member's signature share over msg.
 func PartialSign(share Share, msg []byte) PartialSig {
-	q := curve.Params().N
-	h := hashToScalar(msg)
+	return partialSign(share, hashToScalar(msg))
+}
+
+// partialSign signs an already-hashed message.
+func partialSign(share Share, h *big.Int) PartialSig {
 	k := new(big.Int).Mul(h, share.Value)
-	k.Mod(k, q)
+	k.Mod(k, curve.Params().N)
 	return PartialSig{Index: share.Index, Sig: scalarBase(k)}
 }
 
@@ -269,46 +292,150 @@ func VerifyPartial(pkShare Point, msg []byte, ps PartialSig) error {
 }
 
 // Combine aggregates at least g.Threshold partial signatures into the group
-// signature via Lagrange interpolation at zero.
+// signature via Lagrange interpolation at zero. It is the general combiner
+// for a signer set known only once the partials are in (PBFT certificates:
+// whoever answered first); a signer set fixed in advance uses a Quorum,
+// which pays for the coefficients once instead of per signature.
 func Combine(g GroupKey, partials []PartialSig) (Point, error) {
 	if len(partials) < g.Threshold {
 		return Point{}, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughShares, len(partials), g.Threshold)
 	}
 	use := partials[:g.Threshold]
-	q := curve.Params().N
-	seen := make(map[int]bool, len(use))
+	indices := make([]int, len(use))
+	for i, ps := range use {
+		indices[i] = ps.Index
+	}
+	lambda, err := lagrangeAtZero(indices)
+	if err != nil {
+		return Point{}, err
+	}
 	sig := Point{}
 	for i, ps := range use {
-		if seen[ps.Index] {
-			return Point{}, ErrDuplicateIndex
-		}
-		seen[ps.Index] = true
-		lambda := lagrangeAtZero(use, i, q)
-		sig = addPoints(sig, scalarMult(ps.Sig, lambda))
+		sig = addPoints(sig, scalarMult(ps.Sig, lambda[i]))
 	}
 	return sig, nil
 }
 
-// lagrangeAtZero computes λ_i = Π_{j≠i} x_j / (x_j - x_i) mod q.
-func lagrangeAtZero(ps []PartialSig, i int, q *big.Int) *big.Int {
-	num := big.NewInt(1)
-	den := big.NewInt(1)
-	xi := big.NewInt(int64(ps[i].Index))
-	for j, pj := range ps {
-		if j == i {
+// lagrangeAtZero computes, for every i, λ_i = Π_{j≠i} x_j / (x_j - x_i)
+// mod q over the given share indices. It is the package's one Lagrange
+// routine (Combine and NewQuorum both go through it) and the one place a
+// repeated index is detected: x_j - x_i = 0 has no inverse.
+func lagrangeAtZero(indices []int) ([]*big.Int, error) {
+	q := curve.Params().N
+	xs := make([]*big.Int, len(indices))
+	for i, x := range indices {
+		xs[i] = big.NewInt(int64(x))
+	}
+	lambda := make([]*big.Int, len(indices))
+	d := new(big.Int)
+	for i, xi := range xs {
+		num := big.NewInt(1)
+		den := big.NewInt(1)
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			if indices[j] == indices[i] {
+				return nil, ErrDuplicateIndex
+			}
+			num.Mul(num, xj)
+			num.Mod(num, q)
+			den.Mul(den, d.Sub(xj, xi))
+			den.Mod(den, q)
+		}
+		den.ModInverse(den, q)
+		num.Mul(num, den)
+		lambda[i] = num.Mod(num, q)
+	}
+	return lambda, nil
+}
+
+// Quorum is a signer set fixed before anything is signed — a committee's
+// sync signers are known from the moment it is provisioned — with its
+// Lagrange coefficients computed once. Each member folds its own
+// coefficient into its own share (Weight: wᵢ = λᵢ·skᵢ mod q) and signs
+// with that, so its partial is σ′ᵢ = wᵢ·h·G = λᵢ·σᵢ: a fixed-base
+// multiplication by a scalar only that member knows. The combiner then
+// only adds points, Σ σ′ᵢ = Σ λᵢ·σᵢ = sk·h·G — the very point Combine
+// reaches with one variable-base multiplication per signer (the group
+// signature is unique, so the two are bit-identical and Verify cannot
+// tell them apart). No member learns another's share; a Quorum holds no
+// secret. A Quorum is immutable after NewQuorum and safe for concurrent
+// use.
+type Quorum struct {
+	indices []int
+	lambda  []*big.Int
+}
+
+// NewQuorum fixes the signer set to the first g.Threshold of the given
+// share indices, rejecting too few or repeated indices exactly as Combine
+// does.
+func NewQuorum(g GroupKey, indices []int) (*Quorum, error) {
+	if len(indices) < g.Threshold {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughShares, len(indices), g.Threshold)
+	}
+	use := append([]int(nil), indices[:g.Threshold]...)
+	lambda, err := lagrangeAtZero(use)
+	if err != nil {
+		return nil, err
+	}
+	return &Quorum{indices: use, lambda: lambda}, nil
+}
+
+// Weight folds the quorum's coefficient for share.Index into the share:
+// the result signs through PartialSign like any share and is combined by
+// CombineWeighted. A member runs it once per quorum, on its own share.
+func (q *Quorum) Weight(share Share) (Share, error) {
+	for i, x := range q.indices {
+		if x == share.Index {
+			w := new(big.Int).Mul(q.lambda[i], share.Value)
+			return Share{Index: share.Index, Value: w.Mod(w, curve.Params().N)}, nil
+		}
+	}
+	return Share{}, fmt.Errorf("%w: index %d", ErrNotInQuorum, share.Index)
+}
+
+// CombineWeighted sums the quorum's weighted partials into the group
+// signature. It wants exactly one partial per signer, in the quorum's
+// order: a missing signer is ErrNotEnoughShares, a repeated, foreign or
+// misplaced one ErrDuplicateIndex / ErrNotInQuorum — summing anything
+// else would silently produce a signature that fails Verify.
+func (q *Quorum) CombineWeighted(partials []PartialSig) (Point, error) {
+	if len(partials) < len(q.indices) {
+		return Point{}, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughShares, len(partials), len(q.indices))
+	}
+	if len(partials) > len(q.indices) {
+		return Point{}, fmt.Errorf("%w: %d partials for %d signers", ErrNotInQuorum, len(partials), len(q.indices))
+	}
+	for i, ps := range partials {
+		if ps.Index == q.indices[i] {
 			continue
 		}
-		xj := big.NewInt(int64(pj.Index))
-		num.Mul(num, xj)
-		num.Mod(num, q)
-		d := new(big.Int).Sub(xj, xi)
-		d.Mod(d, q)
-		den.Mul(den, d)
-		den.Mod(den, q)
+		for _, prev := range partials[:i] {
+			if prev.Index == ps.Index {
+				return Point{}, ErrDuplicateIndex
+			}
+		}
+		return Point{}, fmt.Errorf("%w: index %d in slot %d, want %d", ErrNotInQuorum, ps.Index, i, q.indices[i])
 	}
-	den.ModInverse(den, q)
-	num.Mul(num, den)
-	return num.Mod(num, q)
+	sig := Point{}
+	for _, ps := range partials {
+		sig = addPoints(sig, ps.Sig)
+	}
+	return sig, nil
+}
+
+// Sign is the whole quorum signing msg inside one process — what the
+// simulator's committees do, since every member's (weighted) share lives
+// in the same address space: each signer's PartialSign over one shared
+// hash of msg, then CombineWeighted with all of its checks.
+func (q *Quorum) Sign(weighted []Share, msg []byte) (Point, error) {
+	h := hashToScalar(msg)
+	partials := make([]PartialSig, len(weighted))
+	for i, sh := range weighted {
+		partials[i] = partialSign(sh, h)
+	}
+	return q.CombineWeighted(partials)
 }
 
 // Verify checks the combined signature against the group key:

@@ -22,6 +22,7 @@ package ingest
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,16 @@ type Policy struct {
 	// round duration, the mempool's drain cadence.
 	RetryHint time.Duration
 }
+
+// Admission gate states. poolClosing is CloseIfEmpty's undecided window:
+// the consumer has raised the gate but not yet looked at occupancy, so a
+// producer that sees it waits for the verdict instead of reporting a
+// closure that may not happen.
+const (
+	poolOpen int32 = iota
+	poolClosing
+	poolClosed
+)
 
 // Default policy values (New fills zeroes with these).
 const (
@@ -95,8 +106,9 @@ type Pool struct {
 	// its high-water mark.
 	occ  atomic.Int64
 	peak atomic.Int64
-	// closed gates admission; see CloseIfEmpty for the race protocol.
-	closed atomic.Bool
+	// state gates admission (poolOpen / poolClosing / poolClosed); see
+	// CloseIfEmpty for the race protocol.
+	state atomic.Int32
 
 	// Admission outcome counters.
 	admitted  atomic.Uint64
@@ -232,7 +244,7 @@ func (p *Pool) Admit(ctx context.Context, entries []Entry) (int, []error, error)
 	if len(entries) == 0 {
 		return 0, nil, nil
 	}
-	if p.closed.Load() {
+	if p.Closed() {
 		return 0, nil, p.admission(chain.ErrClosed)
 	}
 	if ctx != nil && ctx.Err() != nil {
@@ -269,7 +281,7 @@ func (p *Pool) Admit(ctx context.Context, entries []Entry) (int, []error, error)
 // caller's MaxWait budget.
 func (p *Pool) admitOne(ctx context.Context, e Entry, timer **time.Timer) error {
 	for {
-		if p.closed.Load() {
+		if p.Closed() {
 			return p.admission(chain.ErrClosed)
 		}
 		cur := p.occ.Load()
@@ -285,8 +297,10 @@ func (p *Pool) admitOne(ctx context.Context, e Entry, timer **time.Timer) error 
 	}
 	// Close race: CloseIfEmpty may have observed occ == 0 and committed
 	// between our closed-check and the reservation. Re-check and roll
-	// back — the reservation never becomes visible.
-	if p.closed.Load() {
+	// back — the reservation never becomes visible. (A closer still
+	// deciding either saw this reservation and reopens, or did not and
+	// closes; Closed waits for whichever it is.)
+	if p.Closed() {
 		p.occ.Add(-1)
 		return p.admission(chain.ErrClosed)
 	}
@@ -324,7 +338,7 @@ func (p *Pool) waitRoom(ctx context.Context, timer **time.Timer) error {
 	// Re-check AFTER capturing the wait channel: a drain that ran
 	// between the occupancy check and here already closed-and-replaced
 	// the old channel, and sleeping on the new one would miss it.
-	if int(p.occ.Load()) < p.pol.Capacity || p.closed.Load() {
+	if int(p.occ.Load()) < p.pol.Capacity || p.state.Load() != poolOpen {
 		return nil
 	}
 	var done <-chan struct{}
@@ -413,23 +427,34 @@ func (p *Pool) Drain() []Entry {
 // gated before reservation and rolled back after), false means entries
 // exist or arrived mid-decision — run a drain epoch and decide again.
 //
-// The race protocol: store closed=true FIRST, then check occupancy.
-// A producer reserves occupancy first, then re-checks closed. Whatever
-// the interleaving, either the producer sees closed and rolls back, or
-// the closer sees the reservation and reopens — a transaction is never
-// stranded in a closed pool. (The benign worst case: the closer sees a
-// reservation that is about to roll back, reopens, and the next
-// boundary closes for real — one extra empty drain epoch.)
+// The race protocol: raise the gate (poolClosing) FIRST, then check
+// occupancy. A producer reserves occupancy first, then re-checks the
+// gate. Whatever the interleaving, either the producer sees the gate up
+// and — once the verdict is closed — rolls back, or the closer sees the
+// reservation and reopens: a transaction is never stranded in a closed
+// pool. (The benign worst case: the closer sees a reservation that is
+// about to roll back, reopens, and the next boundary closes for real —
+// one extra empty drain epoch.) The gate is only ever read as closed
+// once the verdict is in: a producer that finds it at poolClosing waits
+// out the two atomic operations between the store above and the verdict
+// (see Closed), so a pool that stays open never reports ErrClosed.
+//
+// Every transition out of poolClosing is a compare-and-swap, so a Close
+// from another goroutine (Kill, MultiSystem.Close) landing inside the
+// window is never undone: the verdict simply finds the pool closed.
 func (p *Pool) CloseIfEmpty() bool {
-	if p.closed.Load() {
-		return true
+	if !p.state.CompareAndSwap(poolOpen, poolClosing) {
+		return p.Closed()
 	}
-	p.closed.Store(true)
 	if p.occ.Load() != 0 {
-		p.closed.Store(false)
+		// Not empty: reopen — unless a concurrent Close won, in which case
+		// the entries stay drainable and the next boundary reports closed.
+		p.state.CompareAndSwap(poolClosing, poolOpen)
 		return false
 	}
-	p.wake()
+	if p.state.CompareAndSwap(poolClosing, poolClosed) {
+		p.wake()
+	}
 	return true
 }
 
@@ -437,11 +462,24 @@ func (p *Pool) CloseIfEmpty() bool {
 // with chain.ErrClosed and blocked producers wake. Buffered entries
 // remain drainable.
 func (p *Pool) Close() {
-	if p.closed.Swap(true) {
+	if p.state.Swap(poolClosed) == poolClosed {
 		return
 	}
 	p.wake()
 }
 
-// Closed reports whether admission is closed.
-func (p *Pool) Closed() bool { return p.closed.Load() }
+// Closed reports whether admission is closed. While the consumer is
+// inside CloseIfEmpty's decision it yields until the verdict: that
+// window is a store, a load and a store on the consumer's side, and the
+// consumer never waits on a producer inside it.
+func (p *Pool) Closed() bool {
+	for {
+		switch p.state.Load() {
+		case poolOpen:
+			return false
+		case poolClosed:
+			return true
+		}
+		runtime.Gosched()
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,6 +340,98 @@ func TestCloseIfEmptyRace(t *testing.T) {
 		drained += int64(len(p.Drain())) // sweep any post-close stragglers (there must be none)
 		if drained != admitted {
 			t.Fatalf("iter %d: drained %d != admitted %d (rejected %d)", iter, drained, admitted, rejected)
+		}
+	}
+}
+
+// TestCloseIfEmptyNeverReportsLivePoolClosed: a pool that is never empty
+// never closes, so no producer may ever be told it did — CloseIfEmpty's
+// undecided window (gate raised, occupancy not yet checked) must not be
+// observable as chain.ErrClosed. One resident entry keeps the pool
+// occupied; the consumer loops CloseIfEmpty while producers hammer Admit.
+func TestCloseIfEmptyNeverReportsLivePoolClosed(t *testing.T) {
+	const producers, batches, batchLen = 4, 2000, 4
+	p := New(Policy{}) // default capacity: far above what is admitted here
+	if err := p.AdmitOne(context.Background(), mkEntry("resident")); err != nil {
+		t.Fatal(err)
+	}
+	var spurious, admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]Entry, batchLen)
+			for i := 0; i < batches; i++ {
+				for j := range batch {
+					batch[j] = mkEntry(fmt.Sprintf("p%d-%d-%d", g, i, j))
+				}
+				n, errs, err := p.Admit(context.Background(), batch)
+				admitted.Add(int64(n))
+				if errors.Is(err, chain.ErrClosed) {
+					spurious.Add(1)
+				}
+				for _, e := range errs {
+					if errors.Is(e, chain.ErrClosed) {
+						spurious.Add(1)
+					}
+				}
+			}
+		}(g)
+	}
+	producersDone := make(chan struct{})
+	go func() { wg.Wait(); close(producersDone) }()
+	closes := 0
+	for done := false; !done; {
+		select {
+		case <-producersDone:
+			done = true
+		default:
+		}
+		if p.CloseIfEmpty() {
+			t.Fatal("CloseIfEmpty closed an occupied pool")
+		}
+		closes++
+	}
+	if n := spurious.Load(); n != 0 {
+		t.Errorf("%d admissions saw ErrClosed on a pool that never closed (%d CloseIfEmpty calls)", n, closes)
+	}
+	const want = producers * batches * batchLen
+	if got := admitted.Load(); got != want {
+		t.Errorf("admitted %d, want %d", got, want)
+	}
+	if st := p.Stats(); st.Admitted != want+1 || p.Len() != want+1 {
+		t.Errorf("stats admitted %d, len %d, want %d", st.Admitted, p.Len(), want+1)
+	}
+	if got := len(p.Drain()); got != want+1 {
+		t.Errorf("drained %d, want %d", got, want+1)
+	}
+}
+
+// TestCloseIfEmptyNeverReopensClosedPool: a Close from another goroutine
+// that lands inside CloseIfEmpty's undecided window must stick — the
+// "not empty, reopen" verdict may not overwrite it.
+func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		p := New(Policy{})
+		if err := p.AdmitOne(context.Background(), mkEntry("resident")); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() { p.Close(); close(closed) }()
+		for done := false; !done; {
+			select {
+			case <-closed:
+				done = true
+			default:
+			}
+			p.CloseIfEmpty() // occupied: always the reopen branch
+		}
+		if !p.Closed() {
+			t.Fatalf("iter %d: pool open after Close returned", iter)
+		}
+		if err := p.AdmitOne(context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
+			t.Fatalf("iter %d: admit after Close = %v, want ErrClosed", iter, err)
 		}
 	}
 }

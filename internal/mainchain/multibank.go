@@ -61,6 +61,12 @@ type MultiBank struct {
 	// LastSyncedEpoch is the highest epoch whose summary was fully applied.
 	LastSyncedEpoch uint64
 
+	// verified remembers sync parts whose TSQC signature checked out in an
+	// execution that was then deferred for gas; see verifiedSig.
+	verified map[[32]byte]verifiedSig
+	// stats counts sync-part executions; see SyncStats.
+	stats SyncStats
+
 	// Retain, when > 0, compacts per-epoch bookkeeping (group keys,
 	// synced markers, summary roots) older than LastSyncedEpoch-Retain
 	// each time an epoch completes, bounding the bank's footprint on
@@ -88,6 +94,7 @@ func NewMultiBank(poolIDs []string, genesisKey tsig.GroupKey) *MultiBank {
 		groupKeys:    map[uint64]tsig.GroupKey{1: genesisKey},
 		synced:       make(map[uint64]bool),
 		partsApplied: make(map[uint64]map[int]bool),
+		verified:     make(map[[32]byte]verifiedSig),
 	}
 	for _, id := range poolIDs {
 		b.Reserves[id] = PoolReserves{}
@@ -169,6 +176,55 @@ func (b *MultiBank) sync(env *Env, a *MultiSyncArgs) error {
 	return b.applySync(env, a)
 }
 
+// SyncStats counts what the bank did with the sync parts handed to it.
+// The chain re-executes a part from scratch in every block until it fits
+// the block's remaining gas, so PartExecs/PartsApplied is the
+// re-execution factor and SigCacheHits/(SigCacheHits+SigVerifies) the
+// share of TSQC checks the verified-signature cache answered.
+type SyncStats struct {
+	// PartExecs is every sync-part execution started, on-chain or replayed.
+	PartExecs uint64
+	// PartsApplied is the executions that applied their part.
+	PartsApplied uint64
+	// PartsDeferred is the on-chain executions that ran out of the
+	// block's remaining gas and left no trace.
+	PartsDeferred uint64
+	// SigVerifies is the TSQC verifications actually computed (one scalar
+	// multiplication each); SigCacheHits the ones served from the cache.
+	SigVerifies  uint64
+	SigCacheHits uint64
+	// SigCacheSize is the cache's current entry count (a gauge: deferred
+	// parts still waiting in the mempool).
+	SigCacheSize int
+}
+
+// SyncStats returns the bank's sync-part execution counters.
+func (b *MultiBank) SyncStats() SyncStats {
+	st := b.stats
+	st.SigCacheSize = len(b.verified)
+	return st
+}
+
+// verifiedSig is one entry of the verified-signature cache, which
+// memoises applySync's TSQC check across the re-executions of a deferred
+// part. tsig.Verify is a pure predicate of (key, digest, signature), so a
+// record that one such triple verified answers the next execution that
+// presents the same triple — and only that. The map key is the part
+// digest, recomputed on every execution from the arguments in hand
+// (nothing is remembered on the caller's mutable MultiSyncArgs); the
+// entry is the rest of the triple — the epoch's group key and the
+// signature, as bytes — and a hit needs it to match in full. An entry is
+// written only after a successful Verify, when the execution is then
+// deferred for gas (the one kind that comes back); a failed check is
+// recomputed every time. It goes when its part applies, anything left of
+// an epoch goes when the epoch completes, so the cache never outgrows
+// the sync parts waiting in the mempool.
+type verifiedSig struct {
+	epoch uint64
+	pk    [64]byte
+	sig   [64]byte
+}
+
 // applySync is the one implementation of the sync verification chain —
 // epoch key lookup, TSQC signature over the part digest, part
 // bookkeeping, root consistency, payload application, completion — used
@@ -176,6 +232,7 @@ func (b *MultiBank) sync(env *Env, a *MultiSyncArgs) error {
 // replay (env == nil: the original execution already paid the gas). One
 // body, so the two paths cannot drift: a check added here guards both.
 func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
+	b.stats.PartExecs++
 	key, ok := b.groupKeys[a.Epoch]
 	if !ok {
 		return fmt.Errorf("%w: epoch %d", ErrUnknownEpochKey, a.Epoch)
@@ -192,12 +249,19 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 			sumBytes += p.MainchainBytes()
 		}
 		if err := env.Gas.Charge(gasmodel.TxBaseGas + gasmodel.SyncAuthGas(sumBytes)); err != nil {
+			b.stats.PartsDeferred++
 			return err
 		}
 	}
 	digest := a.Digest()
-	if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
-		return ErrBadSyncSignature
+	proof := verifiedSig{epoch: a.Epoch, pk: [64]byte(key.PK.Bytes()), sig: [64]byte(a.Sig.Bytes())}
+	if seen, ok := b.verified[digest]; ok && seen == proof {
+		b.stats.SigCacheHits++
+	} else {
+		b.stats.SigVerifies++
+		if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
+			return ErrBadSyncSignature
+		}
 	}
 	if b.synced[a.Epoch] {
 		return fmt.Errorf("%w: epoch %d", ErrEpochAlreadySync, a.Epoch)
@@ -251,12 +315,16 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	}
 	if env != nil {
 		if err := env.Gas.Charge(bill); err != nil {
+			b.stats.PartsDeferred++
+			b.verified[digest] = proof
 			return err
 		}
 	}
 	for _, p := range a.Payloads {
 		b.applyPoolPayload(p)
 	}
+	b.stats.PartsApplied++
+	delete(b.verified, digest)
 	applied[part] = true
 	b.SummaryRoots[a.Epoch] = a.SummaryRoot
 	if !completing {
@@ -272,6 +340,11 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 func (b *MultiBank) complete(a *MultiSyncArgs) {
 	b.synced[a.Epoch] = true
 	delete(b.partsApplied, a.Epoch)
+	for d, v := range b.verified {
+		if v.epoch <= a.Epoch {
+			delete(b.verified, d)
+		}
+	}
 	if a.Epoch > b.LastSyncedEpoch {
 		b.LastSyncedEpoch = a.Epoch
 	}
