@@ -414,8 +414,8 @@ func runDurable(dataDir string, pools, epochs, daily, committee int, seed int64,
 	fmt.Printf("pools x shards:                 %d x %d\n", rep.NumPools, rep.NumShards)
 	fmt.Printf("syncs confirmed (incl. replayed): %d\n", rep.SyncsOK)
 	sp := rep.SyncParts
-	fmt.Printf("sync parts (this process):      %d applied in %d executions (%d deferred for gas); TSQC checks: %d computed, %d from cache\n",
-		sp.PartsApplied, sp.PartExecs, sp.PartsDeferred, sp.SigVerifies, sp.SigCacheHits)
+	fmt.Printf("sync parts (this process):      %d applied in %d executions; TSQC checks: %d\n",
+		sp.PartsApplied, sp.PartExecs, sp.SigVerifies)
 	fmt.Printf("event drops (slow subscribers): %d\n", rep.Collector.EventDrops())
 	for e := uint64(1); e <= uint64(rep.EpochsRun); e++ {
 		if root, ok := rep.SummaryRoots[e]; ok && verbose {

@@ -172,10 +172,7 @@ func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ammboost_events_lagged_dropped %d\n", lagged)
 	fmt.Fprintf(w, "ammboost_sync_part_execs_total %d\n", sp.PartExecs)
 	fmt.Fprintf(w, "ammboost_sync_parts_applied_total %d\n", sp.PartsApplied)
-	fmt.Fprintf(w, "ammboost_sync_parts_deferred_total %d\n", sp.PartsDeferred)
 	fmt.Fprintf(w, "ammboost_sync_sig_verifies_total %d\n", sp.SigVerifies)
-	fmt.Fprintf(w, "ammboost_sync_sig_cache_hits_total %d\n", sp.SigCacheHits)
-	fmt.Fprintf(w, "ammboost_sync_sig_cache_size %d\n", sp.SigCacheSize)
 	for _, k := range sortedKeys(counts) {
 		fmt.Fprintf(w, "ammboost_event_total{type=%q} %d\n", k, counts[k])
 	}

@@ -90,7 +90,7 @@ func TestAdminHealthzAndMetrics(t *testing.T) {
 	publishAndSettle(t, a, bus,
 		Event{Type: EventEpochStart, Epoch: 3},
 		Event{Type: EventSyncConfirmed, Epoch: 2, SyncParts: mainchain.SyncStats{
-			PartExecs: 11, PartsApplied: 4, PartsDeferred: 7, SigVerifies: 5, SigCacheHits: 6, SigCacheSize: 1}},
+			PartExecs: 11, PartsApplied: 4, SigVerifies: 5}},
 		Event{Type: EventMetaBlock, Epoch: 3, Round: 1},
 	)
 
@@ -123,10 +123,7 @@ func TestAdminHealthzAndMetrics(t *testing.T) {
 		"ammboost_halted 0\n",
 		"ammboost_sync_part_execs_total 11\n",
 		"ammboost_sync_parts_applied_total 4\n",
-		"ammboost_sync_parts_deferred_total 7\n",
 		"ammboost_sync_sig_verifies_total 5\n",
-		"ammboost_sync_sig_cache_hits_total 6\n",
-		"ammboost_sync_sig_cache_size 1\n",
 		`ammboost_event_total{type="meta-block"} 1`,
 		"ammboost_trace_spans_total 1\n",
 		`ammboost_stage_seconds{stage="seal",q="0.50"}`,

@@ -124,7 +124,7 @@ type Config struct {
 	// DepositPerUserPerPool funds a (user, pool) pair the first time the
 	// user trades on that pool in an epoch.
 	DepositPerUserPerPool u256.Int
-	// SyncGasBudget caps one sync transaction's estimated gas; an epoch
+	// SyncGasBudget caps one sync transaction's declared gas; an epoch
 	// whose payloads exceed it splits into multiple sync parts (default
 	// 20M, comfortably under the 30M block limit).
 	SyncGasBudget uint64
@@ -482,9 +482,9 @@ type Report struct {
 	Rejected    int
 	QueuePeak   int
 	// SyncParts counts the multi-pool bank's sync-part executions behind
-	// SyncsOK: attempted vs applied (the chain re-executes a part in every
-	// block until it fits), deferrals, and how many TSQC checks the
-	// verified-signature cache answered.
+	// SyncsOK: attempted vs applied (equal unless parts were rejected —
+	// blocks pack a part by its declared gas, so it executes once) and the
+	// TSQC checks computed.
 	SyncParts mainchain.SyncStats
 
 	// Ingest front-end telemetry: admission outcomes across the run

@@ -57,12 +57,12 @@ func TestLongRunBoundedHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	// The bank's verified-signature cache must be empty every time an
-	// epoch's sync completes — it may never grow with the run.
-	cacheLeft := 0
+	// Every sync part executes once: at each sync confirmation the bank
+	// has started exactly as many executions as it has applied parts.
+	reExecuted := 0
 	sys.OnEvent(func(ev chain.Event) {
-		if ev.Type == chain.EventSyncConfirmed {
-			cacheLeft += ev.SyncParts.SigCacheSize
+		if ev.Type == chain.EventSyncConfirmed && ev.SyncParts.PartExecs != ev.SyncParts.PartsApplied {
+			reExecuted++
 		}
 	})
 	var warmHeap uint64
@@ -112,8 +112,8 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	if n := len(sys.bank.SummaryRoots); n > retain+8 {
 		t.Errorf("bank retained %d summary roots, want <= %d", n, retain)
 	}
-	if cacheLeft != 0 {
-		t.Errorf("signature cache held %d entries across the run's sync confirmations, want 0", cacheLeft)
+	if reExecuted != 0 {
+		t.Errorf("PartExecs != PartsApplied at %d sync confirmations, want every part executed once", reExecuted)
 	}
 	// The tracer recorded through all 10k epochs but retains only its
 	// window — the bounded-memory half of the "leave it on in

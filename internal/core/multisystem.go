@@ -11,7 +11,6 @@ import (
 
 	"ammboost/internal/chain"
 	"ammboost/internal/engine"
-	"ammboost/internal/gasmodel"
 	"ammboost/internal/ingest"
 	"ammboost/internal/mainchain"
 	"ammboost/internal/metrics"
@@ -1453,27 +1452,24 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 }
 
 // chunkPayloads splits the epoch's per-pool payloads into sync parts
-// whose estimated gas stays under the budget. Pools with nothing to
-// report still carry their reserve update; pools are never split across
-// parts, preserving per-pool payload integrity.
+// whose declared gas (mainchain.SyncGas, the bill the bank charges) stays
+// within the budget. Pools with nothing to report still carry their
+// reserve update; pools are never split across parts, preserving per-pool
+// payload integrity, so a pool over the budget on its own travels alone.
 func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.SyncPayload {
 	var chunks [][]*summary.SyncPayload
 	var cur []*summary.SyncPayload
-	var curGas uint64
+	var gas mainchain.SyncGas
 	for _, p := range payloads {
-		live := 0
-		for _, e := range p.Positions {
-			if !e.Deleted {
-				live++
-			}
-		}
-		gas := gasmodel.SyncGas(len(p.Payouts), live, p.MainchainBytes())
-		if len(cur) > 0 && curGas+gas > budget {
+		with := gas
+		with.Add(p)
+		if len(cur) > 0 && with.Declared() > budget {
 			chunks = append(chunks, cur)
-			cur, curGas = nil, 0
+			cur, with = nil, mainchain.SyncGas{}
+			with.Add(p)
 		}
 		cur = append(cur, p)
-		curGas += gas
+		gas = with
 	}
 	if len(cur) > 0 {
 		chunks = append(chunks, cur)
@@ -1507,9 +1503,9 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 	// Every part verifies against the epoch's group key, which the
 	// PREVIOUS epoch registers on-chain only once ALL its parts have
 	// landed — so parts carry an explicit dependency on every part of
-	// the previous epoch. Without this, a block that defers one of the
-	// previous epoch's parts for gas could pack this epoch's parts first
-	// and revert them with an unknown-key error (reachable once the
+	// the previous epoch. Without this, a block that leaves one of the
+	// previous epoch's parts waiting for gas could pack this epoch's parts
+	// first and revert them with an unknown-key error (reachable once the
 	// pipeline keeps several epochs' syncs in flight; harmless in the
 	// serial schedule where syncs are an epoch apart).
 	deps := s.lastSyncTxIDs
@@ -1517,7 +1513,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 		tx := &mainchain.Tx{
 			ID: s.syncTxID(e, i+1), From: s.syncCommitteeID(),
 			To: s.bank.Name(), Method: "sync", Size: sizes[i], Args: args,
-			DependsOn: deps,
+			GasLimit: args.Gas().Declared(), DependsOn: deps,
 		}
 		tx.OnConfirmed = func(tx *mainchain.Tx) {
 			if tx.Status != mainchain.TxConfirmed {

@@ -248,11 +248,7 @@ func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 		if args.Sig, errs[i] = ck.signer.signDigest(digest); errs[i] != nil {
 			return
 		}
-		size := 32
-		for _, p := range chunks[i] {
-			size += p.MainchainBytes()
-		}
-		parts[i], sizes[i] = args, size
+		parts[i], sizes[i] = args, 32+args.Gas().Bytes
 	}
 	// Parts are independent (each signs its own digest into its own slot),
 	// so they are striped over the CPUs; the output does not depend on how.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -339,12 +340,29 @@ func TestPipelineSealedUntouchedPools(t *testing.T) {
 	}
 }
 
+// packedPart is what the mainchain recorded for one sync part.
+type packedPart struct {
+	id     string
+	block  uint64
+	status mainchain.TxStatus
+	gas    uint64
+}
+
+// packedRun is what runPackedSyncs observed on the mainchain.
+type packedRun struct {
+	rep       *chain.Report
+	submitted int // sync parts submitted
+	// waited counts the parts included in a later block than their
+	// epoch's first: an epoch's parts become eligible together, so those
+	// were left in the mempool for want of gas.
+	waited int
+	parts  []packedPart // in confirmation order
+}
+
 // runPackedSyncs runs a pipelined deployment whose epochs split into many
 // sync parts on a mainchain whose blocks hold only a couple of them, so
-// most parts are re-executed over several blocks before they fit. It
-// returns the run's report and error, the parts submitted, and the
-// largest verified-signature cache size seen at an epoch's confirmation.
-func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (rep *chain.Report, submitted, cacheAtConfirm int, runErr error) {
+// most parts wait several blocks for room.
+func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (packedRun, error) {
 	t.Helper()
 	const epochs, pools = 3, 32
 	sysCfg, _ := multiTestConfigs(5, pools, 4, epochs)
@@ -360,14 +378,28 @@ func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (rep *chain.Report, s
 	if err != nil {
 		t.Fatal(err)
 	}
+	var run packedRun
 	sys.OnEvent(func(ev chain.Event) {
-		switch ev.Type {
-		case chain.EventSyncSubmitted:
-			submitted += ev.Parts
-		case chain.EventSyncConfirmed:
-			if ev.SyncParts.SigCacheSize > cacheAtConfirm {
-				cacheAtConfirm = ev.SyncParts.SigCacheSize
+		if ev.Type == chain.EventSyncSubmitted {
+			run.submitted += ev.Parts
+		}
+	})
+	firstBlock := make(map[uint64]uint64)
+	sys.mc.OnBlock = append(sys.mc.OnBlock, func(blk *mainchain.Block) {
+		for _, tx := range blk.Txs {
+			args, ok := tx.Args.(*mainchain.MultiSyncArgs)
+			if !ok {
+				continue
 			}
+			if tx.GasLimit == 0 || tx.GasUsed > tx.GasLimit {
+				t.Errorf("%s: used %d of a declared %d gas", tx.ID, tx.GasUsed, tx.GasLimit)
+			}
+			if first, seen := firstBlock[args.Epoch]; !seen {
+				firstBlock[args.Epoch] = blk.Number
+			} else if blk.Number > first {
+				run.waited++
+			}
+			run.parts = append(run.parts, packedPart{tx.ID, tx.BlockNum, tx.Status, tx.GasUsed})
 		}
 	})
 	sys.OnEpochStart = func(uint64) {
@@ -377,46 +409,46 @@ func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (rep *chain.Report, s
 			_, _ = sys.Submit(context.Background(), gen.Next())
 		}
 	}
-	rep, runErr = sys.Run(epochs)
-	return rep, submitted, cacheAtConfirm, runErr
+	run.rep, err = sys.Run(epochs)
+	return run, err
 }
 
-// TestPackedSyncPartsVerifyOncePerPart: when block packing re-executes
-// sync parts, every part is still verified exactly once (the rest are
-// cache hits), every part applies, and the cache is empty each time an
-// epoch's sync confirms.
+// TestPackedSyncPartsVerifyOncePerPart: when blocks fill up, parts wait
+// for room without being executed — every part is executed, verified and
+// applied exactly once — and what the chain records (block, status, gas
+// per part) is identical on a second run.
 func TestPackedSyncPartsVerifyOncePerPart(t *testing.T) {
-	rep, submitted, cacheAtConfirm, err := runPackedSyncs(t, nil)
+	run, err := runPackedSyncs(t, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	sp := rep.SyncParts
-	if rep.SyncsOK != rep.EpochsRun || int(sp.PartsApplied) != submitted {
-		t.Fatalf("%d syncs over %d epochs, %d of %d parts applied", rep.SyncsOK, rep.EpochsRun, sp.PartsApplied, submitted)
+	rep, sp := run.rep, run.rep.SyncParts
+	if rep.SyncsOK != rep.EpochsRun || int(sp.PartsApplied) != run.submitted {
+		t.Fatalf("%d syncs over %d epochs, %d of %d parts applied", rep.SyncsOK, rep.EpochsRun, sp.PartsApplied, run.submitted)
 	}
-	if submitted < 3*rep.EpochsRun {
-		t.Fatalf("only %d parts over %d epochs: the deployment no longer splits its syncs", submitted, rep.EpochsRun)
+	if run.submitted < 3*rep.EpochsRun {
+		t.Fatalf("only %d parts over %d epochs: the deployment no longer splits its syncs", run.submitted, rep.EpochsRun)
 	}
-	if sp.PartsDeferred == 0 || sp.SigCacheHits == 0 {
-		t.Fatalf("no part was re-executed (%+v): the deployment no longer packs its blocks full", sp)
+	if run.waited == 0 {
+		t.Fatalf("no part ever waited for gas: the deployment no longer packs its blocks full")
 	}
-	if sp.PartExecs != sp.PartsApplied+sp.PartsDeferred {
-		t.Errorf("%d executions != %d applied + %d deferred", sp.PartExecs, sp.PartsApplied, sp.PartsDeferred)
+	if sp.PartExecs != sp.PartsApplied || sp.SigVerifies != sp.PartsApplied {
+		t.Errorf("%d executions and %d verifications for %d parts, want one each", sp.PartExecs, sp.SigVerifies, sp.PartsApplied)
 	}
-	if sp.SigVerifies != sp.PartsApplied {
-		t.Errorf("%d verifications for %d parts, want one each (%+v)", sp.SigVerifies, sp.PartsApplied, sp)
+	again, err := runPackedSyncs(t, nil)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
 	}
-	if cacheAtConfirm != 0 || sp.SigCacheSize != 0 {
-		t.Errorf("cache held %d entries at a sync confirmation, %d at the end, want 0", cacheAtConfirm, sp.SigCacheSize)
+	if !slices.Equal(run.parts, again.parts) {
+		t.Errorf("sync parts differ between two runs of the same deployment:\n%v\n%v", run.parts, again.parts)
 	}
 }
 
 // TestPackedCorruptSyncStillReverts: the same packed deployment with an
-// equivocating epoch-2 committee still halts on ErrBadSyncSignature —
-// a signature that fails is recomputed on every execution, never served
-// from the cache.
+// equivocating epoch-2 committee still halts on ErrBadSyncSignature.
 func TestPackedCorruptSyncStillReverts(t *testing.T) {
-	rep, _, _, err := runPackedSyncs(t, map[uint64]bool{2: true})
+	run, err := runPackedSyncs(t, map[uint64]bool{2: true})
+	rep := run.rep
 	if !errors.Is(err, chain.ErrSyncReverted) || !strings.Contains(err.Error(), mainchain.ErrBadSyncSignature.Error()) {
 		t.Fatalf("err = %v, want ErrSyncReverted carrying %v", err, mainchain.ErrBadSyncSignature)
 	}

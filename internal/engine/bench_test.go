@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ammboost/internal/amm"
-	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
@@ -66,8 +65,8 @@ func BenchmarkStateRoot(b *testing.B) {
 	})
 }
 
-// BenchmarkFoldRoots compares folding 256 pool roots through the
-// fixed-width merkle path against the generic byte-slice tree.
+// BenchmarkFoldRoots folds 256 pool roots through the fixed-width merkle
+// path (merkle's TestNew32MatchesNew pins it to the generic tree).
 func BenchmarkFoldRoots(b *testing.B) {
 	roots := make([][32]byte, 256)
 	for i := range roots {
@@ -78,16 +77,6 @@ func BenchmarkFoldRoots(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = FoldRoots(roots)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			leaves := make([][]byte, len(roots))
-			for j := range roots {
-				leaves[j] = roots[j][:]
-			}
-			_ = merkle.New(leaves).Root()
 		}
 	})
 }

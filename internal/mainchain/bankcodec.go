@@ -195,7 +195,6 @@ func (b *MultiBank) RestoreState(data []byte) error {
 	b.groupKeys = groupKeys
 	b.synced = synced
 	b.partsApplied = make(map[uint64]map[int]bool)
-	b.verified = make(map[[32]byte]verifiedSig)
 	b.LastSyncedEpoch = lastSynced
 	b.compacted = compacted
 	return nil

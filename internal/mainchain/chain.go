@@ -69,6 +69,13 @@ type Tx struct {
 	Args   any
 	// Size is the calldata byte footprint added to chain growth.
 	Size int
+	// GasLimit is the gas the sender declares the transaction may use. A
+	// block includes the transaction only when that much gas is left in
+	// it, and execution is metered against it: running out of one's own
+	// declared gas is a revert. 0 is undeclared — the transaction takes
+	// whatever the block has left and, when that runs out in a non-empty
+	// block, is retried in the next one.
+	GasLimit uint64
 	// DependsOn lists transaction IDs that must be confirmed before this
 	// transaction becomes eligible (models sequential approve→transfer
 	// flows, which is what stretches deposit latency to ~4 blocks).
@@ -319,6 +326,14 @@ func (c *Chain) produceBlock() {
 			remaining = append(remaining, tx)
 			continue
 		}
+		// A declared transaction that does not fit waits for a block with
+		// room, unexecuted, as a miner packing by gas limit would leave it.
+		// (One larger than a whole block gets its turn in an empty block
+		// and fails there.)
+		if tx.GasLimit > c.cfg.GasLimit-blk.GasUsed && blk.GasUsed > 0 {
+			remaining = append(remaining, tx)
+			continue
+		}
 		if deferred := c.executeTx(tx, blk); deferred {
 			remaining = append(remaining, tx)
 		}
@@ -344,6 +359,9 @@ func (c *Chain) produceBlock() {
 
 func (c *Chain) executeTx(tx *Tx, blk *Block) (deferToNext bool) {
 	meter := &GasMeter{limit: c.cfg.GasLimit - blk.GasUsed}
+	if tx.GasLimit != 0 {
+		meter.limit = min(meter.limit, tx.GasLimit)
+	}
 	env := &Env{Chain: c, Caller: tx.From, BlockNum: blk.Number, Now: blk.MinedAt, Gas: meter}
 	contract := c.contracts[tx.To]
 	var err error
@@ -352,10 +370,11 @@ func (c *Chain) executeTx(tx *Tx, blk *Block) (deferToNext bool) {
 	} else {
 		err = contract.Execute(env, tx.Method, tx.Args)
 	}
-	if errors.Is(err, ErrOutOfGas) && blk.GasUsed > 0 {
-		// Didn't fit in the remaining block space: a real miner would not
-		// have included it. Retry in the next block. (A transaction that
-		// exceeds even an empty block's limit fails permanently below.)
+	if errors.Is(err, ErrOutOfGas) && blk.GasUsed > 0 && tx.GasLimit == 0 {
+		// An undeclared transaction didn't fit in the remaining block
+		// space: a real miner would not have included it. Retry in the next
+		// block. (A transaction that exceeds even an empty block's limit, or
+		// its own declared one, fails permanently below.)
 		return true
 	}
 	tx.GasUsed = meter.Used()

@@ -166,6 +166,100 @@ func TestGasLimitDefersTxs(t *testing.T) {
 	}
 }
 
+// gasBurner is a contract that charges exactly the gas it is asked to and
+// counts how often it ran.
+type gasBurner struct{ calls int }
+
+func (b *gasBurner) Name() string { return "burner" }
+func (b *gasBurner) Execute(env *Env, _ string, args any) error {
+	b.calls++
+	return env.Gas.Charge(args.(uint64))
+}
+
+// TestDeclaredTxWaitsUnexecuted: a transaction whose declared gas exceeds
+// what the block has left is not run — the contract is never called — and
+// lands in the next block with room, while a smaller one behind it still
+// fills the gap.
+func TestDeclaredTxWaitsUnexecuted(t *testing.T) {
+	s, c := newTestChain(t)
+	burner := &gasBurner{}
+	c.Deploy(burner)
+	var callsAfterBlock []int
+	c.OnBlock = append(c.OnBlock, func(*Block) { callsAfterBlock = append(callsAfterBlock, burner.calls) })
+	filler := &Tx{ID: "filler", From: "a", To: "burner", Args: uint64(20_000_000)}
+	big := &Tx{ID: "big", From: "a", To: "burner", Args: uint64(12_000_000), GasLimit: 15_000_000}
+	small := &Tx{ID: "small", From: "a", To: "burner", Args: uint64(5_000_000), GasLimit: 5_000_000}
+	s.After(time.Second, func() {
+		c.Submit(filler)
+		c.Submit(big)
+		c.Submit(small)
+	})
+	s.RunUntil(30 * time.Second)
+	c.Stop()
+	if len(callsAfterBlock) != 2 || callsAfterBlock[0] != 2 || callsAfterBlock[1] != 3 {
+		t.Fatalf("contract calls after each block = %v, want [2 3]: the waiting transaction must not execute", callsAfterBlock)
+	}
+	for _, want := range []struct {
+		tx    *Tx
+		block uint64
+		gas   uint64
+	}{{filler, 1, 20_000_000}, {small, 1, 5_000_000}, {big, 2, 12_000_000}} {
+		if tx := want.tx; tx.Status != TxConfirmed || tx.BlockNum != want.block || tx.GasUsed != want.gas {
+			t.Errorf("%s: status %v block %d gas %d (err %v), want confirmed in block %d using %d",
+				tx.ID, tx.Status, tx.BlockNum, tx.GasUsed, tx.Err, want.block, want.gas)
+		}
+	}
+}
+
+// TestUnderDeclaredTxRevertsOnce: running out of one's own declared gas is
+// a final revert the first time the transaction runs — even in a
+// non-empty block, where an undeclared transaction would be retried — and
+// the transaction is never queued again.
+func TestUnderDeclaredTxRevertsOnce(t *testing.T) {
+	s, c := newTestChain(t)
+	burner := &gasBurner{}
+	c.Deploy(burner)
+	tx := &Tx{ID: "short", From: "a", To: "burner", Args: uint64(3_000_000), GasLimit: 2_000_000}
+	s.After(time.Second, func() {
+		c.Submit(&Tx{ID: "filler", From: "a", To: "burner", Args: uint64(1_000_000)})
+		c.Submit(tx)
+	})
+	s.RunUntil(40 * time.Second)
+	c.Stop()
+	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrOutOfGas) || tx.BlockNum != 1 {
+		t.Fatalf("status %v err %v block %d, want an out-of-gas revert in block 1", tx.Status, tx.Err, tx.BlockNum)
+	}
+	if burner.calls != 2 || c.PendingTxs() != 0 {
+		t.Errorf("%d contract calls over 3 blocks, %d pending: the reverted transaction ran again", burner.calls, c.PendingTxs())
+	}
+}
+
+// TestReorgKeepsDeclaredGas: a reorged transaction returns to the mempool
+// with its declared limit and is packed and metered by it again.
+func TestReorgKeepsDeclaredGas(t *testing.T) {
+	s, c := newTestChain(t)
+	c.Deploy(&gasBurner{})
+	tx := &Tx{ID: "t1", From: "a", To: "burner", Args: uint64(4_000_000), GasLimit: 5_000_000}
+	s.After(time.Second, func() { c.Submit(tx) })
+	s.After(20*time.Second, func() {
+		// Queued ahead of the returning transaction: the re-mined block 1
+		// has no room left for a declared 5M.
+		c.Submit(&Tx{ID: "filler", From: "a", To: "burner", Args: uint64(26_000_000)})
+		if err := c.Reorg(1); err != nil {
+			t.Errorf("Reorg: %v", err)
+		}
+		if tx.Status != TxPending || tx.GasLimit != 5_000_000 {
+			t.Errorf("after reorg: status %v, declared gas %d", tx.Status, tx.GasLimit)
+		}
+	})
+	s.RunUntil(50 * time.Second)
+	c.Stop()
+	if tx.Status != TxConfirmed || tx.BlockNum != 2 || tx.GasUsed != 4_000_000 {
+		t.Errorf("status %v block %d gas %d, want re-confirmed in block 2 (block 1 had no room for the declared 5M)",
+			tx.Status, tx.BlockNum, tx.GasUsed)
+	}
+}
+
 func TestChainGrowthAccounting(t *testing.T) {
 	s, c := newTestChain(t)
 	c.Deploy(&counter{})

@@ -61,9 +61,6 @@ type MultiBank struct {
 	// LastSyncedEpoch is the highest epoch whose summary was fully applied.
 	LastSyncedEpoch uint64
 
-	// verified remembers sync parts whose TSQC signature checked out in an
-	// execution that was then deferred for gas; see verifiedSig.
-	verified map[[32]byte]verifiedSig
 	// stats counts sync-part executions; see SyncStats.
 	stats SyncStats
 
@@ -94,7 +91,6 @@ func NewMultiBank(poolIDs []string, genesisKey tsig.GroupKey) *MultiBank {
 		groupKeys:    map[uint64]tsig.GroupKey{1: genesisKey},
 		synced:       make(map[uint64]bool),
 		partsApplied: make(map[uint64]map[int]bool),
-		verified:     make(map[[32]byte]verifiedSig),
 	}
 	for _, id := range poolIDs {
 		b.Reserves[id] = PoolReserves{}
@@ -155,6 +151,65 @@ func (a *MultiSyncArgs) Digest() [32]byte {
 	return sha256Digest(acc)
 }
 
+// SyncGas is a sync part's gas bill, accumulated pool by pool. It is the
+// one place a part's gas is computed: the chunker sizes parts by it, the
+// sender declares it as the transaction's gas limit, and applySync
+// charges it.
+type SyncGas struct {
+	// Storage is the pools' storage writes: payout entries, live position
+	// entries, cleared positions and each pool's balance words.
+	Storage uint64
+	// Bytes is the pools' calldata (Σ MainchainBytes), which the TSQC
+	// check hashes.
+	Bytes int
+}
+
+// Add accounts one pool's payload.
+func (g *SyncGas) Add(p *summary.SyncPayload) {
+	g.Storage += uint64(len(p.Payouts)) * gasmodel.PayoutEntryGas
+	for _, e := range p.Positions {
+		if e.Deleted {
+			g.Storage += gasmodel.SstoreClearGas
+		} else {
+			g.Storage += uint64(gasmodel.PositionEntryWords) * gasmodel.SstoreWordGas
+		}
+	}
+	g.Storage += uint64(gasmodel.PoolBalanceWords) * gasmodel.SstoreWordGas
+	g.Bytes += p.MainchainBytes()
+}
+
+// Auth is charged before the TSQC check: the transaction's intrinsic gas
+// plus the signature verification over the part's calldata.
+func (g SyncGas) Auth() uint64 {
+	return gasmodel.TxBaseGas + gasmodel.SyncAuthGas(g.Bytes)
+}
+
+// Bill is charged after every check and before any write: the pools'
+// storage, the summary-root word and — on the part that completes the
+// epoch — the next committee key's registration.
+func (g SyncGas) Bill(completing bool) uint64 {
+	bill := g.Storage + gasmodel.SstoreGas(32)
+	if completing {
+		bill += gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
+	}
+	return bill
+}
+
+// Declared is the gas limit a sender declares for the part. Which part
+// lands last is the chain's decision, not the sender's, so every part
+// declares the key registration: declared == used on the completing part
+// and exceeds it by SstoreGas(ABIGroupKeyBytes) on the others.
+func (g SyncGas) Declared() uint64 { return g.Auth() + g.Bill(true) }
+
+// Gas returns the part's gas bill.
+func (a *MultiSyncArgs) Gas() SyncGas {
+	var g SyncGas
+	for _, p := range a.Payloads {
+		g.Add(p)
+	}
+	return g
+}
+
 // Execute implements Contract.
 func (b *MultiBank) Execute(env *Env, method string, args any) error {
 	switch method {
@@ -163,67 +218,29 @@ func (b *MultiBank) Execute(env *Env, method string, args any) error {
 		if !ok {
 			return ErrBadArgs
 		}
-		return b.sync(env, a)
+		return b.applySync(env, a)
 	default:
 		return fmt.Errorf("%w: multibank has no method %q", ErrBadArgs, method)
 	}
 }
 
-// sync executes an on-chain sync part under gas metering; the
-// verification chain itself is shared with crash-recovery replay
-// (applySync).
-func (b *MultiBank) sync(env *Env, a *MultiSyncArgs) error {
-	return b.applySync(env, a)
-}
-
 // SyncStats counts what the bank did with the sync parts handed to it.
-// The chain re-executes a part from scratch in every block until it fits
-// the block's remaining gas, so PartExecs/PartsApplied is the
-// re-execution factor and SigCacheHits/(SigCacheHits+SigVerifies) the
-// share of TSQC checks the verified-signature cache answered.
+// The chain packs a part by its declared gas and so executes it once:
+// PartExecs/PartsApplied is the re-execution factor (1.0 unless parts
+// were rejected), and SigVerifies equals PartExecs less the executions
+// refused before the TSQC check.
 type SyncStats struct {
 	// PartExecs is every sync-part execution started, on-chain or replayed.
 	PartExecs uint64
 	// PartsApplied is the executions that applied their part.
 	PartsApplied uint64
-	// PartsDeferred is the on-chain executions that ran out of the
-	// block's remaining gas and left no trace.
-	PartsDeferred uint64
-	// SigVerifies is the TSQC verifications actually computed (one scalar
-	// multiplication each); SigCacheHits the ones served from the cache.
-	SigVerifies  uint64
-	SigCacheHits uint64
-	// SigCacheSize is the cache's current entry count (a gauge: deferred
-	// parts still waiting in the mempool).
-	SigCacheSize int
+	// SigVerifies is the TSQC verifications computed (one scalar
+	// multiplication each).
+	SigVerifies uint64
 }
 
 // SyncStats returns the bank's sync-part execution counters.
-func (b *MultiBank) SyncStats() SyncStats {
-	st := b.stats
-	st.SigCacheSize = len(b.verified)
-	return st
-}
-
-// verifiedSig is one entry of the verified-signature cache, which
-// memoises applySync's TSQC check across the re-executions of a deferred
-// part. tsig.Verify is a pure predicate of (key, digest, signature), so a
-// record that one such triple verified answers the next execution that
-// presents the same triple — and only that. The map key is the part
-// digest, recomputed on every execution from the arguments in hand
-// (nothing is remembered on the caller's mutable MultiSyncArgs); the
-// entry is the rest of the triple — the epoch's group key and the
-// signature, as bytes — and a hit needs it to match in full. An entry is
-// written only after a successful Verify, when the execution is then
-// deferred for gas (the one kind that comes back); a failed check is
-// recomputed every time. It goes when its part applies, anything left of
-// an epoch goes when the epoch completes, so the cache never outgrows
-// the sync parts waiting in the mempool.
-type verifiedSig struct {
-	epoch uint64
-	pk    [64]byte
-	sig   [64]byte
-}
+func (b *MultiBank) SyncStats() SyncStats { return b.stats }
 
 // applySync is the one implementation of the sync verification chain —
 // epoch key lookup, TSQC signature over the part digest, part
@@ -243,25 +260,17 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	if a.SummaryRoot == ([32]byte{}) {
 		return ErrNoSummaryRoot
 	}
+	var gas SyncGas
 	if env != nil {
-		sumBytes := 0
-		for _, p := range a.Payloads {
-			sumBytes += p.MainchainBytes()
-		}
-		if err := env.Gas.Charge(gasmodel.TxBaseGas + gasmodel.SyncAuthGas(sumBytes)); err != nil {
-			b.stats.PartsDeferred++
+		gas = a.Gas()
+		if err := env.Gas.Charge(gas.Auth()); err != nil {
 			return err
 		}
 	}
 	digest := a.Digest()
-	proof := verifiedSig{epoch: a.Epoch, pk: [64]byte(key.PK.Bytes()), sig: [64]byte(a.Sig.Bytes())}
-	if seen, ok := b.verified[digest]; ok && seen == proof {
-		b.stats.SigCacheHits++
-	} else {
-		b.stats.SigVerifies++
-		if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
-			return ErrBadSyncSignature
-		}
+	b.stats.SigVerifies++
+	if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
+		return ErrBadSyncSignature
 	}
 	if b.synced[a.Epoch] {
 		return fmt.Errorf("%w: epoch %d", ErrEpochAlreadySync, a.Epoch)
@@ -285,38 +294,19 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 		return ErrRootMismatch
 	}
 	// Validate every payload's pool — and, on-chain, charge the full
-	// storage bill — before mutating ANY state. The chain defers a
-	// transaction that runs out of the block's remaining gas and
-	// re-executes it from scratch in the next block without rolling back
-	// contract writes — so a sync part must be atomic: either it fits and
-	// applies completely, or it leaves no trace. (The pipelined lifecycle
-	// keeps several epochs' sync parts in flight at once, which is when
-	// blocks actually fill up and the deferral path starts running.)
+	// storage bill — before mutating ANY state. The chain does not roll
+	// back contract writes when a transaction runs out of gas (and
+	// re-executes an undeclared one from scratch in the next block), so a
+	// sync part must be atomic: either it applies completely, or it leaves
+	// no trace.
 	completing := len(applied)+1 == numParts
-	var bill uint64
 	for _, p := range a.Payloads {
 		if _, ok := b.Positions[p.PoolID]; !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownBankPool, p.PoolID)
 		}
-		bill += uint64(len(p.Payouts)) * gasmodel.PayoutEntryGas
-		for _, e := range p.Positions {
-			if e.Deleted {
-				bill += gasmodel.SstoreClearGas
-			} else {
-				bill += uint64(gasmodel.PositionEntryWords) * gasmodel.SstoreWordGas
-			}
-		}
-		bill += uint64(gasmodel.PoolBalanceWords) * gasmodel.SstoreWordGas
-	}
-	bill += gasmodel.SstoreGas(32)
-	if completing {
-		// Next committee key registration (vk_c) on the completing part.
-		bill += gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
 	}
 	if env != nil {
-		if err := env.Gas.Charge(bill); err != nil {
-			b.stats.PartsDeferred++
-			b.verified[digest] = proof
+		if err := env.Gas.Charge(gas.Bill(completing)); err != nil {
 			return err
 		}
 	}
@@ -324,7 +314,6 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 		b.applyPoolPayload(p)
 	}
 	b.stats.PartsApplied++
-	delete(b.verified, digest)
 	applied[part] = true
 	b.SummaryRoots[a.Epoch] = a.SummaryRoot
 	if !completing {
@@ -340,11 +329,6 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 func (b *MultiBank) complete(a *MultiSyncArgs) {
 	b.synced[a.Epoch] = true
 	delete(b.partsApplied, a.Epoch)
-	for d, v := range b.verified {
-		if v.epoch <= a.Epoch {
-			delete(b.verified, d)
-		}
-	}
 	if a.Epoch > b.LastSyncedEpoch {
 		b.LastSyncedEpoch = a.Epoch
 	}
@@ -370,7 +354,7 @@ func (b *MultiBank) ReplaySync(a *MultiSyncArgs) error {
 }
 
 // applyPoolPayload writes one pool's synced state; gas was charged up
-// front by sync, so application cannot fail partway.
+// front by applySync, so application cannot fail partway.
 func (b *MultiBank) applyPoolPayload(p *summary.SyncPayload) {
 	positions := b.Positions[p.PoolID]
 	for _, e := range p.Positions {

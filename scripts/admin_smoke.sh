@@ -74,7 +74,7 @@ check /metrics "$DIR/metrics" \
   'ammboost_event_total{type="epoch-start"} 3' \
   'ammboost_event_total{type="sync-confirmed"} 3' \
   'ammboost_sync_parts_applied_total 3' \
-  'ammboost_sync_sig_cache_size 0' \
+  'ammboost_sync_part_execs_total 3' \
   'ammboost_trace_spans_total' \
   'ammboost_stage_seconds{stage="execute-shard",q="0.50"}' \
   'ammboost_stage_seconds{stage="commit-build",q="0.99"}' \
