@@ -136,8 +136,7 @@ func (p *Pool) Clone() *Pool {
 	}
 	c.posList = append([]string(nil), p.posList...)
 	// Dirty state is preserved: a clone of a half-dirty pool must commit
-	// the same pending changes (the executor's swap-rollback snapshot
-	// relies on restoring the dirty sets along with the state).
+	// the same pending changes.
 	c.dirtyTicks = nil
 	c.dirtyPositions = nil
 	if len(p.dirtyTicks) > 0 {
@@ -604,6 +603,13 @@ type SwapResult struct {
 	TicksCrossed int
 }
 
+// tickFlip is a crossed tick's new fee growth outside, pending commit.
+type tickFlip struct {
+	tick     int32
+	info     *TickInfo
+	fg0, fg1 u256.Int
+}
+
 // Swap executes a swap against the pool.
 //
 //   - zeroForOne: true to sell token0 for token1 (price decreases).
@@ -612,6 +618,13 @@ type SwapResult struct {
 //   - sqrtPriceLimitX96: the price beyond which the swap will not proceed
 //     (u256.Zero selects the widest permissible limit).
 func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96 u256.Int) (SwapResult, error) {
+	return p.SwapIf(zeroForOne, exactIn, amountSpecified, sqrtPriceLimitX96, nil)
+}
+
+// SwapIf is Swap with the caller's post-conditions: accept, when non-nil,
+// sees the complete result before anything is written and may refuse it.
+// On any error the pool, dirty tracking included, is untouched.
+func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96 u256.Int, accept func(SwapResult) error) (SwapResult, error) {
 	var res SwapResult
 	if amountSpecified.IsZero() {
 		return res, ErrZeroAmount
@@ -641,6 +654,9 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 	if !zeroForOne {
 		fgGlobal = p.FeeGrowthGlobal1X128
 	}
+	// Crossings are applied at commit. A swap moves monotonically, so it
+	// never reads back the fee growth of a tick it has crossed.
+	flips := make([]tickFlip, 0, 4)
 
 	for !remaining.IsZero() && !sqrtPrice.Eq(sqrtPriceLimitX96) {
 		nextTick, found := p.nextInitializedTick(tick, zeroForOne)
@@ -686,10 +702,8 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 				res.AmountIn = u256.Add(res.AmountIn, u256.Add(step.AmountIn, step.FeeAmount))
 			}
 			res.FeeAmount = u256.Add(res.FeeAmount, step.FeeAmount)
-			if !liquidity.IsZero() {
-				growth, _ := u256.MulDiv(step.FeeAmount, u256.Q128, liquidity)
-				fgGlobal = u256.Add(fgGlobal, growth)
-			}
+			growth, _ := u256.MulDiv(step.FeeAmount, u256.Q128, liquidity)
+			fgGlobal = u256.Add(fgGlobal, growth)
 		}
 
 		if sqrtPrice.Eq(SqrtRatioAtTick(nextTick)) && found {
@@ -697,20 +711,18 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 			// apply the net liquidity change.
 			info := p.ticks[nextTick]
 			if info != nil {
-				p.markTickDirty(nextTick)
+				flip := tickFlip{tick: nextTick, info: info}
 				if zeroForOne {
-					info.FeeGrowthOutside0X128 = u256.Sub(fgGlobal, info.FeeGrowthOutside0X128)
-					info.FeeGrowthOutside1X128 = u256.Sub(p.FeeGrowthGlobal1X128, info.FeeGrowthOutside1X128)
-				} else {
-					info.FeeGrowthOutside0X128 = u256.Sub(p.FeeGrowthGlobal0X128, info.FeeGrowthOutside0X128)
-					info.FeeGrowthOutside1X128 = u256.Sub(fgGlobal, info.FeeGrowthOutside1X128)
-				}
-				if zeroForOne {
+					flip.fg0 = u256.Sub(fgGlobal, info.FeeGrowthOutside0X128)
+					flip.fg1 = u256.Sub(p.FeeGrowthGlobal1X128, info.FeeGrowthOutside1X128)
 					// Crossing right-to-left: subtract the net.
 					liquidity = u256.Sub(u256.Add(liquidity, info.LiquidityNetSub), info.LiquidityNetAdd)
 				} else {
+					flip.fg0 = u256.Sub(p.FeeGrowthGlobal0X128, info.FeeGrowthOutside0X128)
+					flip.fg1 = u256.Sub(fgGlobal, info.FeeGrowthOutside1X128)
 					liquidity = u256.Sub(u256.Add(liquidity, info.LiquidityNetAdd), info.LiquidityNetSub)
 				}
+				flips = append(flips, flip)
 			}
 			res.TicksCrossed++
 			if zeroForOne {
@@ -727,7 +739,19 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 		}
 	}
 
+	res.SqrtPriceX96 = sqrtPrice
+	res.Tick = tick
+	if accept != nil {
+		if err := accept(res); err != nil {
+			return res, err
+		}
+	}
+
 	// Commit state.
+	for _, f := range flips {
+		f.info.FeeGrowthOutside0X128, f.info.FeeGrowthOutside1X128 = f.fg0, f.fg1
+		p.markTickDirty(f.tick)
+	}
 	p.markHeaderDirty()
 	p.SqrtPriceX96 = sqrtPrice
 	p.Tick = tick
@@ -741,8 +765,6 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 		p.Reserve1 = u256.Add(p.Reserve1, res.AmountIn)
 		p.Reserve0 = u256.Sub(p.Reserve0, res.AmountOut)
 	}
-	res.SqrtPriceX96 = sqrtPrice
-	res.Tick = tick
 	return res, nil
 }
 

@@ -1,7 +1,10 @@
 package amm
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ammboost/internal/u256"
@@ -628,4 +631,85 @@ func TestClonePreservesDirtyState(t *testing.T) {
 	if _, ok := p.DirtyPositions()["pos1"]; !ok {
 		t.Error("original dirty set mutated through clone")
 	}
+}
+
+// samePool reports deep equality of two pools, dirty tracking included;
+// an empty set and a nil one are the same set.
+func samePool(a, b *Pool) bool {
+	x, y := *a, *b
+	for _, p := range []*Pool{&x, &y} {
+		if len(p.dirtyTicks) == 0 {
+			p.dirtyTicks = nil
+		}
+		if len(p.dirtyPositions) == 0 {
+			p.dirtyPositions = nil
+		}
+	}
+	return reflect.DeepEqual(&x, &y)
+}
+
+// TestSwapCommitsOrDoesNothing pins SwapIf against the unconditional Swap
+// on random pools: an accepted swap is that Swap, byte for byte; a
+// rejected or failed one leaves the pool — ticks, header, dirty sets —
+// exactly as it was.
+func TestSwapCommitsOrDoesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	errRejected := errors.New("rejected")
+	var accepted, rejectedAfterCross, failedAfterCross int
+	for n := 0; n < 1500; n++ {
+		p := newTestPool(t)
+		for i, k := 0, 1+r.Intn(6); i < k; i++ {
+			lower, upper := int32(-887220), int32(887220)
+			if r.Intn(3) > 0 {
+				lower = int32(r.Intn(40)-30) * 60
+				upper = lower + int32(1+r.Intn(20))*60
+			}
+			l := u256.Shl(u256.One, uint(r.Intn(51)))
+			if _, err := p.Mint(fmt.Sprintf("p%d", i), "lp", lower, upper, l); err != nil {
+				t.Fatalf("pool %d mint: %v", n, err)
+			}
+		}
+		for s := 0; s < 8; s++ {
+			if r.Intn(4) == 0 {
+				p.ClearDirty()
+			}
+			zeroForOne, exactIn, reject := r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0
+			amount := u256.Shl(u256.One, uint(r.Intn(63)))
+			before, ref := p.Clone(), p.Clone()
+			want, wantErr := ref.Swap(zeroForOne, exactIn, amount, u256.Zero)
+			var seen SwapResult
+			got, err := p.SwapIf(zeroForOne, exactIn, amount, u256.Zero, func(res SwapResult) error {
+				seen = res
+				if reject {
+					return errRejected
+				}
+				return nil
+			})
+			switch {
+			case wantErr != nil:
+				if want.TicksCrossed > 0 {
+					failedAfterCross++
+				}
+				if err != wantErr || !samePool(p, before) {
+					t.Fatalf("pool %d swap %d: failed swap (%v, want %v) changed the pool", n, s, err, wantErr)
+				}
+			case reject:
+				if want.TicksCrossed > 0 {
+					rejectedAfterCross++
+				}
+				if err != errRejected || seen != want || !samePool(p, before) {
+					t.Fatalf("pool %d swap %d: rejected swap (%v) changed the pool or saw %+v, want %+v", n, s, err, seen, want)
+				}
+			default:
+				accepted++
+				if err != nil || got != want || !samePool(p, ref) {
+					t.Fatalf("pool %d swap %d: accepted swap differs from Swap: %v, %+v, want %+v", n, s, err, got, want)
+				}
+			}
+		}
+	}
+	if accepted == 0 || rejectedAfterCross == 0 || failedAfterCross == 0 {
+		t.Fatalf("cases not covered: accepted %d, rejected after a crossing %d, failed after one %d", accepted, rejectedAfterCross, failedAfterCross)
+	}
+	t.Logf("accepted %d, rejected after a crossing %d, failed after one %d", accepted, rejectedAfterCross, failedAfterCross)
 }

@@ -187,14 +187,10 @@ type Config struct {
 	// typed ErrMempoolFull with a retry hint. IngestSoftMark, when set
 	// below capacity, sheds whole batches arriving above it with
 	// ErrThrottled — load shedding before the hard wall (default:
-	// disabled). IngestSegments spreads producer append contention
-	// across that many mempool segments (default 8); segmentation never
-	// affects ordering — a global admission sequence fixes the canonical
-	// order regardless of segment count.
+	// disabled).
 	IngestCapacity int
 	IngestSoftMark int
 	IngestMaxWait  time.Duration
-	IngestSegments int
 	// ArrivalLog, when non-nil, records the canonical arrival order at
 	// every drain boundary for single-producer replay (invariant 13).
 	ArrivalLog *ArrivalLog
@@ -216,12 +212,6 @@ type Config struct {
 	// analytic cost model (default) or real PBFT replicas over the
 	// simulated network. The single-pool backend ignores it.
 	ConsensusFidelity ConsensusFidelity
-	// LiveFaultBudget is f for the live committee: 3f+2 replicas carry
-	// the message-level protocol (default 1 → 5 replicas). The full
-	// CommitteeSize still parameterizes key provisioning and the round
-	// cadence; the live replica set is the protocol core whose decisions
-	// the wider committee follows, keeping wall-clock cost bounded.
-	LiveFaultBudget int
 	// LiveNet parameterizes the live committee's network fabric
 	// (defaults to netsim.DefaultConfig: the paper's 1 Gbps cluster).
 	LiveNet netsim.Config
@@ -306,17 +296,11 @@ func (c Config) WithDefaults() Config {
 	if c.IngestMaxWait == 0 {
 		c.IngestMaxWait = 10 * time.Millisecond
 	}
-	if c.IngestSegments <= 0 {
-		c.IngestSegments = 8
-	}
 	if c.TraceBuffer <= 0 {
 		c.TraceBuffer = trace.DefaultRetention
 	}
 	if c.ConsensusFidelity == "" {
 		c.ConsensusFidelity = FidelityModel
-	}
-	if c.LiveFaultBudget == 0 {
-		c.LiveFaultBudget = 1
 	}
 	if c.LiveNet.BaseLatency == 0 && c.LiveNet.BandwidthBps == 0 {
 		c.LiveNet = netsim.DefaultConfig()
@@ -401,9 +385,6 @@ func WithConsensusFidelity(f ConsensusFidelity) Option {
 	return func(c *Config) { c.ConsensusFidelity = f }
 }
 
-// WithLiveFaultBudget sets f for the live committee (3f+2 replicas).
-func WithLiveFaultBudget(f int) Option { return func(c *Config) { c.LiveFaultBudget = f } }
-
 // WithLiveNet overrides the live committee's network fabric.
 func WithLiveNet(nc netsim.Config) Option { return func(c *Config) { c.LiveNet = nc } }
 
@@ -442,10 +423,6 @@ func WithIngestSoftMark(n int) Option { return func(c *Config) { c.IngestSoftMar
 // WithIngestMaxWait bounds how long a producer blocks on a full mempool
 // before ErrMempoolFull (wall-clock; negative disables blocking).
 func WithIngestMaxWait(d time.Duration) Option { return func(c *Config) { c.IngestMaxWait = d } }
-
-// WithIngestSegments sets the mempool segment count producers spread
-// their append contention across.
-func WithIngestSegments(n int) Option { return func(c *Config) { c.IngestSegments = n } }
 
 // WithArrivalLog records the canonical drain-boundary arrival order for
 // single-producer replay (invariant 13).

@@ -13,6 +13,12 @@ import (
 	"ammboost/internal/sim"
 )
 
+// liveFaultBudget is f for the live committee: 3f+2 = 5 replicas carry
+// the message-level protocol, the core whose decisions the full
+// CommitteeSize (key provisioning, round cadence) follows; a small core
+// keeps wall-clock cost bounded.
+const liveFaultBudget = 1
+
 // liveConsensus routes MultiSystem committee rounds through real PBFT
 // replicas over the (optionally faulted) simulated network instead of the
 // analytic cost model — chain.FidelityLive. A core of 3f+2 replicas with
@@ -29,7 +35,6 @@ type liveConsensus struct {
 	sys *MultiSystem
 	net *netsim.Network
 
-	f, n     int
 	ids      []string
 	replicas []*pbft.Replica
 	epoch    uint64
@@ -97,12 +102,10 @@ func liveDigest(p any) ([32]byte, bool) {
 // fault schedule (windows are scheduled at absolute sim times; the
 // constructor runs at time zero).
 func newLiveConsensus(sys *MultiSystem) *liveConsensus {
-	n, _ := pbft.Quorum(sys.cfg.LiveFaultBudget)
+	n, _ := pbft.Quorum(liveFaultBudget)
 	lv := &liveConsensus{
 		sys: sys,
 		net: netsim.New(sys.sim, sys.cfg.LiveNet),
-		f:   sys.cfg.LiveFaultBudget,
-		n:   n,
 	}
 	lv.ids = make([]string, n)
 	for i := range lv.ids {
@@ -123,19 +126,19 @@ func (lv *liveConsensus) beginEpoch(e uint64) error {
 	lv.stopReplicas()
 	lv.epoch = e
 	dkgRng := rand.New(rand.NewSource(lv.sys.cfg.Seed ^ int64(e*0x9E3779B97F4A7C15)))
-	_, threshold := pbft.Quorum(lv.f)
-	members, err := tsig.RunDKG(dkgRng, threshold, lv.n)
+	n, threshold := pbft.Quorum(liveFaultBudget)
+	members, err := tsig.RunDKG(dkgRng, threshold, n)
 	if err != nil {
 		return err
 	}
-	pubs := make([]tsig.Point, lv.n)
+	pubs := make([]tsig.Point, n)
 	for i := range pubs {
 		pubs[i] = tsig.PublicShare(members[i].Share)
 	}
 	lv.replicas = lv.replicas[:0]
-	for i := 0; i < lv.n; i++ {
+	for i := 0; i < n; i++ {
 		cfg := pbft.Config{
-			ID: lv.ids[i], Index: i, Members: lv.ids, F: lv.f,
+			ID: lv.ids[i], Index: i, Members: lv.ids, F: liveFaultBudget,
 			Share: members[i].Share, Group: members[i].Group, PubShares: pubs,
 			Timeout:  lv.sys.cfg.ViewChangeTimeout,
 			Validate: liveValidate,

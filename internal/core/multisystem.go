@@ -228,7 +228,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 			return nil, fmt.Errorf("%w: NetFaults requires ConsensusFidelity live", ErrUnsupportedFault)
 		}
 	} else {
-		liveN, _ := pbft.Quorum(cfg.LiveFaultBudget)
+		liveN, _ := pbft.Quorum(liveFaultBudget)
 		for idx := range cfg.Faults.ByzantineReplicas {
 			if idx < 0 || idx >= liveN {
 				return nil, fmt.Errorf("%w: byzantine replica index %d outside live committee [0,%d)",
@@ -277,7 +277,6 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	s.ingest = ingest.New(ingest.Policy{
 		Capacity:  cfg.IngestCapacity,
 		SoftMark:  cfg.IngestSoftMark,
-		Segments:  cfg.IngestSegments,
 		MaxWait:   cfg.IngestMaxWait,
 		RetryHint: cfg.RoundDuration,
 	})
@@ -1269,8 +1268,7 @@ func (s *MultiSystem) retireOldest() bool {
 // reference and the pipelined path can never drift apart. The caller
 // submits the epoch's sync immediately after.
 func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload, metas []*sidechain.MetaBlock, scBytes int, root [32]byte) {
-	for _, p := range payloads {
-		sb := sidechain.NewSummaryBlock(e, p, metas)
+	for _, sb := range sidechain.NewSummaryBlocks(e, payloads, metas) {
 		sb.MinedAt = s.sim.Now()
 		s.ledger.AppendSummary(sb)
 	}

@@ -222,7 +222,6 @@ func NewSystem(cfg chain.Config, users []string, lps map[string]bool) (*System, 
 	s.ingest = ingest.New(ingest.Policy{
 		Capacity:  cfg.IngestCapacity,
 		SoftMark:  cfg.IngestSoftMark,
-		Segments:  cfg.IngestSegments,
 		MaxWait:   cfg.IngestMaxWait,
 		RetryHint: cfg.RoundDuration,
 	})

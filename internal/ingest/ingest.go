@@ -106,6 +106,8 @@ type Pool struct {
 	// its high-water mark.
 	occ  atomic.Int64
 	peak atomic.Int64
+	// admitting counts producers inside Admit/AdmitOne (see CloseIfEmpty).
+	admitting atomic.Int64
 	// state gates admission (poolOpen / poolClosing / poolClosed); see
 	// CloseIfEmpty for the race protocol.
 	state atomic.Int32
@@ -220,8 +222,10 @@ func errorsAs(err error, target **chain.AdmissionError) bool {
 // AdmitOne admits a single entry (assigning Entry.Seq), blocking up to
 // MaxWait when the mempool is full. Safe for concurrent producers.
 func (p *Pool) AdmitOne(ctx context.Context, e Entry) error {
+	p.admitting.Add(1)
 	var timer *time.Timer
 	err := p.admitOne(ctx, e, &timer)
+	p.admitting.Add(-1)
 	if timer != nil {
 		timer.Stop()
 	}
@@ -244,6 +248,8 @@ func (p *Pool) Admit(ctx context.Context, entries []Entry) (int, []error, error)
 	if len(entries) == 0 {
 		return 0, nil, nil
 	}
+	p.admitting.Add(1)
+	defer p.admitting.Add(-1)
 	if p.Closed() {
 		return 0, nil, p.admission(chain.ErrClosed)
 	}
@@ -420,12 +426,12 @@ func (p *Pool) Drain() []Entry {
 	return out
 }
 
-// CloseIfEmpty atomically closes the pool if nothing is buffered or
-// reserved, and reports whether it is now closed. The lifecycle's
-// end-of-run decision calls it at the round boundary: true means no
-// producer can sneak a transaction in after the decision (admission is
-// gated before reservation and rolled back after), false means entries
-// exist or arrived mid-decision — run a drain epoch and decide again.
+// CloseIfEmpty atomically closes the pool if nothing is buffered,
+// reserved or mid-admission, and reports whether it is now closed. The
+// lifecycle's end-of-run decision calls it at the round boundary: true
+// means no producer can sneak a transaction in after the decision
+// (admission is gated before reservation and rolled back after), false
+// means something is or was on its way in — drain an epoch, decide again.
 //
 // The race protocol: raise the gate (poolClosing) FIRST, then check
 // occupancy. A producer reserves occupancy first, then re-checks the
@@ -434,10 +440,12 @@ func (p *Pool) Drain() []Entry {
 // reservation and reopens: a transaction is never stranded in a closed
 // pool. (The benign worst case: the closer sees a reservation that is
 // about to roll back, reopens, and the next boundary closes for real —
-// one extra empty drain epoch.) The gate is only ever read as closed
+// one extra empty drain epoch.) A producer parked at the capacity wall
+// holds no reservation; the closer sees it in the admitting count, raised
+// before its first look at the gate. The gate is only ever read as closed
 // once the verdict is in: a producer that finds it at poolClosing waits
-// out the two atomic operations between the store above and the verdict
-// (see Closed), so a pool that stays open never reports ErrClosed.
+// out the atomic operations between the store above and the verdict (see
+// Closed), so a pool that stays open never reports ErrClosed.
 //
 // Every transition out of poolClosing is a compare-and-swap, so a Close
 // from another goroutine (Kill, MultiSystem.Close) landing inside the
@@ -446,7 +454,7 @@ func (p *Pool) CloseIfEmpty() bool {
 	if !p.state.CompareAndSwap(poolOpen, poolClosing) {
 		return p.Closed()
 	}
-	if p.occ.Load() != 0 {
+	if p.occ.Load() != 0 || p.admitting.Load() != 0 {
 		// Not empty: reopen — unless a concurrent Close won, in which case
 		// the entries stay drainable and the next boundary reports closed.
 		p.state.CompareAndSwap(poolClosing, poolOpen)
@@ -470,8 +478,8 @@ func (p *Pool) Close() {
 
 // Closed reports whether admission is closed. While the consumer is
 // inside CloseIfEmpty's decision it yields until the verdict: that
-// window is a store, a load and a store on the consumer's side, and the
-// consumer never waits on a producer inside it.
+// window is a store, two loads and a store on the consumer's side, and
+// the consumer never waits on a producer inside it.
 func (p *Pool) Closed() bool {
 	for {
 		switch p.state.Load() {

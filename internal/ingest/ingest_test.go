@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -432,6 +433,45 @@ func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
 		}
 		if err := p.AdmitOne(context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
 			t.Fatalf("iter %d: admit after Close = %v, want ErrClosed", iter, err)
+		}
+	}
+}
+
+// TestCloseIfEmptyWaitsForParkedProducer: a producer parked at the
+// capacity wall holds no reservation, and the drain that empties the pool
+// is what wakes it — the pool must not close between that wake-up and the
+// producer's reservation, or the rest of a batch offered before the
+// decision to stop is refused.
+func TestCloseIfEmptyWaitsForParkedProducer(t *testing.T) {
+	for iter := 0; iter < 1000; iter++ {
+		p := New(Policy{Capacity: 1, MaxWait: time.Minute})
+		type result struct {
+			n    int
+			errs []error
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			n, errs, err := p.Admit(context.Background(), []Entry{mkEntry("a"), mkEntry("b")})
+			done <- result{n, errs, err}
+		}()
+		for p.Len() != 1 {
+			runtime.Gosched()
+		}
+		drained := 0
+		for {
+			drained += len(p.Drain())
+			if p.CloseIfEmpty() {
+				break
+			}
+			runtime.Gosched()
+		}
+		r := <-done
+		if r.n != 2 || r.err != nil || r.errs != nil {
+			t.Fatalf("iter %d: admitted %d of 2 (errs %v, err %v)", iter, r.n, r.errs, r.err)
+		}
+		if drained != 2 {
+			t.Fatalf("iter %d: drained %d of 2 before closing", iter, drained)
 		}
 	}
 }

@@ -95,18 +95,28 @@ type SummaryBlock struct {
 
 // NewSummaryBlock builds the permanent summary over the epoch's meta-blocks.
 func NewSummaryBlock(epoch uint64, payload *summary.SyncPayload, metas []*MetaBlock) *SummaryBlock {
-	leaves := make([][]byte, len(metas))
+	return NewSummaryBlocks(epoch, []*summary.SyncPayload{payload}, metas)[0]
+}
+
+// NewSummaryBlocks builds a multi-pool epoch's summary-blocks, one per
+// payload; they share the MetaRoot, which is computed once.
+func NewSummaryBlocks(epoch uint64, payloads []*summary.SyncPayload, metas []*MetaBlock) []*SummaryBlock {
+	hashes := make([][32]byte, len(metas))
 	for i, m := range metas {
-		h := m.Hash()
-		leaves[i] = h[:]
+		hashes[i] = m.Hash()
 	}
-	return &SummaryBlock{
-		Epoch:     epoch,
-		Payload:   payload,
-		MetaRoot:  merkle.New(leaves).Root(),
-		NumMeta:   len(metas),
-		SizeBytes: payload.SidechainBytes(),
+	metaRoot := merkle.New32(hashes)
+	blocks := make([]*SummaryBlock, len(payloads))
+	for i, payload := range payloads {
+		blocks[i] = &SummaryBlock{
+			Epoch:     epoch,
+			Payload:   payload,
+			MetaRoot:  metaRoot,
+			NumMeta:   len(metas),
+			SizeBytes: payload.SidechainBytes(),
+		}
 	}
+	return blocks
 }
 
 // Ledger is the sidechain state: per-epoch meta-blocks (until pruned) and

@@ -149,8 +149,8 @@ func (e *Executor) applySwap(tx *Tx) error {
 	if err != nil {
 		return err
 	}
-	// The deposit must cover the input side. For exact-out we bound by the
-	// whole remaining deposit and check afterwards.
+	// The deposit must cover the input side; exact-out learns its input
+	// from the swap and checks it there.
 	inBal := d.Amount0
 	if !tx.ZeroForOne {
 		inBal = d.Amount1
@@ -158,37 +158,20 @@ func (e *Executor) applySwap(tx *Tx) error {
 	if tx.ExactIn && inBal.Lt(tx.Amount) {
 		return fmt.Errorf("%w: swap input %s exceeds deposit %s", ErrInsufficientDeposit, tx.Amount, inBal)
 	}
-	// Trial-execute on a lightweight basis: the amm engine mutates state,
-	// so validate afterwards and roll back via clone only when bounds are
-	// set. Bounds are checked post-hoc; failures are rare in generated
-	// workloads, so clone-on-demand keeps the hot path cheap.
-	var snapshot *amm.Pool
-	if !tx.OutBound.IsZero() || !tx.ExactIn {
-		snapshot = e.Pool.Clone()
-	}
-	res, err := e.Pool.Swap(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit)
-	if err != nil {
-		return err
-	}
-	rollback := func() {
-		if snapshot != nil {
-			*e.Pool = *snapshot
-		}
-	}
-	if tx.ExactIn {
-		if !tx.OutBound.IsZero() && res.AmountOut.Lt(tx.OutBound) {
-			rollback()
+	// Post-conditions on the computed result; the pool commits only if met.
+	res, err := e.Pool.SwapIf(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit, func(res amm.SwapResult) error {
+		switch {
+		case tx.ExactIn && !tx.OutBound.IsZero() && res.AmountOut.Lt(tx.OutBound):
 			return fmt.Errorf("%w: out %s < min %s", ErrSlippage, res.AmountOut, tx.OutBound)
-		}
-	} else {
-		if !tx.OutBound.IsZero() && res.AmountIn.Gt(tx.OutBound) {
-			rollback()
+		case !tx.ExactIn && !tx.OutBound.IsZero() && res.AmountIn.Gt(tx.OutBound):
 			return fmt.Errorf("%w: in %s > max %s", ErrSlippage, res.AmountIn, tx.OutBound)
-		}
-		if inBal.Lt(res.AmountIn) {
-			rollback()
+		case !tx.ExactIn && inBal.Lt(res.AmountIn):
 			return fmt.Errorf("%w: swap input %s exceeds deposit %s", ErrInsufficientDeposit, res.AmountIn, inBal)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Fig. 4: Deposits[user].amnt[in] -= amountIn; amnt[out] += amountOut.
 	if tx.ZeroForOne {

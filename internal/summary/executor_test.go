@@ -3,6 +3,7 @@ package summary
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ammboost/internal/amm"
@@ -88,20 +89,90 @@ func TestSwapDeadline(t *testing.T) {
 }
 
 func TestSwapSlippageBoundRollsBack(t *testing.T) {
-	p := newPool(t)
-	seedLiquidity(t, p)
-	ex := NewExecutor(1, p, map[string]Deposit{"alice": dep(1_000_000, 0)})
-	price := ex.Pool.SqrtPriceX96
-	tx := &Tx{ID: "t1", Kind: gasmodel.KindSwap, User: "alice", ZeroForOne: true, ExactIn: true,
-		Amount: u256.FromUint64(100_000), OutBound: u256.FromUint64(200_000)} // impossible min-out
-	if err := ex.Apply(tx, 1); !errors.Is(err, ErrSlippage) {
-		t.Fatalf("want ErrSlippage, got %v", err)
+	for _, tc := range []struct {
+		name    string
+		deposit Deposit
+		tx      Tx
+		want    error
+		crosses bool
+	}{
+		{"exact-in below min-out", dep(1_000_000, 0),
+			Tx{ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(100_000), OutBound: u256.FromUint64(200_000)},
+			ErrSlippage, false},
+		{"exact-out above max-in", dep(1_000_000, 0),
+			Tx{ZeroForOne: true, Amount: u256.FromUint64(50_000), OutBound: u256.FromUint64(1_000)},
+			ErrSlippage, false},
+		{"exact-out past the deposit after crossing a tick", dep(1_000_000, 0),
+			Tx{ZeroForOne: true, Amount: u256.FromUint64(1_000_000_000_000)},
+			ErrInsufficientDeposit, true},
+		// More than the pool holds: the swap crosses every tick up to the
+		// top of the price range and only there fails, inside amm.
+		{"exact-out the pool cannot fill", dep(0, 1<<62),
+			Tx{Amount: u256.FromUint64(1 << 62)},
+			amm.ErrPriceOverflow, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Full-range depth plus a range ending at tick 0, with the
+			// price nudged just below it: swaps either way meet a tick.
+			p := newPool(t)
+			depth := u256.Shl(u256.One, 42)
+			if _, err := p.Mint("full", "lp0", -887220, 887220, depth); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Mint("narrow", "lp0", -300, 0, depth); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Swap(true, true, u256.FromUint64(64), u256.Zero); err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutor(1, p, map[string]Deposit{"alice": tc.deposit})
+			ex.Pool.TakeDirty() // a leaked dirty mark must show
+			before := ex.Pool.Clone()
+			tx := tc.tx
+			tx.ID, tx.Kind, tx.User = "t1", gasmodel.KindSwap, "alice"
+			res, _ := before.Clone().Swap(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit)
+			if (res.TicksCrossed > 0) != tc.crosses {
+				t.Fatalf("unchecked swap crossed %d ticks, want crossing %v", res.TicksCrossed, tc.crosses)
+			}
+			if err := ex.Apply(&tx, 1); !errors.Is(err, tc.want) {
+				t.Fatalf("want %v, got %v", tc.want, err)
+			}
+			if !reflect.DeepEqual(ex.Pool, before) {
+				t.Error("failed swap must leave the pool, dirty tracking included, untouched")
+			}
+			if *ex.Deposits["alice"] != tc.deposit {
+				t.Error("failed swap must not touch the deposit")
+			}
+		})
 	}
-	if !ex.Pool.SqrtPriceX96.Eq(price) {
-		t.Error("failed swap must not move the pool price")
+}
+
+// TestExactOutSwapAllocsIndependentOfPositions: what one exact-out swap
+// allocates does not depend on how much state the pool holds.
+func TestExactOutSwapAllocsIndependentOfPositions(t *testing.T) {
+	allocs := func(positions int) float64 {
+		p := newPool(t)
+		// Same in-range liquidity either way, so the swap arithmetic is
+		// the same and only the amount of state differs.
+		each := u256.FromUint64(20_000_000_000_000 / uint64(positions))
+		for i := 0; i < positions; i++ {
+			if _, err := p.Mint(fmt.Sprintf("pos%d", i), "lp0", -12000, 12000, each); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex := NewExecutor(1, p, map[string]Deposit{"alice": dep(1<<40, 1<<40)})
+		tx := &Tx{ID: "t1", Kind: gasmodel.KindSwap, User: "alice", Amount: u256.FromUint64(50_000)}
+		return testing.AllocsPerRun(50, func() {
+			tx.ZeroForOne = !tx.ZeroForOne // alternate to keep the price centred
+			if err := ex.Apply(tx, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if !ex.Deposits["alice"].Amount0.Eq(u256.FromUint64(1_000_000)) {
-		t.Error("failed swap must not touch the deposit")
+	// A whole-pool copy costs an allocation per position; math/big's
+	// scratch pool moves the count by one or two between runs.
+	if few, many := allocs(4), allocs(400); many > few+4 {
+		t.Errorf("exact-out swap allocates %.0f with 4 positions, %.0f with 400", few, many)
 	}
 }
 
