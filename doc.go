@@ -109,6 +109,6 @@
 // layer, the sharded multi-pool engine, its incremental state-commitment
 // subsystem, the pipelined lifecycle, the durable store, and the
 // observability surface) and EXPERIMENTS.md for the paper-vs-measured
-// results plus the BENCH_PR2.json–BENCH_PR10.json perf records and the
-// CI perf-regression gate.
+// results and the serving-path benchmark (bench/, BENCHMARK.json)
+// measurements.
 package ammboost

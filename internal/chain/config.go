@@ -332,21 +332,11 @@ func NewConfig(opts ...Option) Config {
 // WithSeed pins the deterministic run seed.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithChainID names this sidechain inside a federation.
-func WithChainID(id string) Option { return func(c *Config) { c.ChainID = id } }
-
-// WithSyncFaults installs a deterministic fault schedule on the
-// sidechain→mainchain sync submission path.
-func WithSyncFaults(fs *netsim.FaultSchedule) Option { return func(c *Config) { c.SyncFaults = fs } }
-
 // WithEpochRounds sets ω, the rounds per epoch.
 func WithEpochRounds(n int) Option { return func(c *Config) { c.EpochRounds = n } }
 
 // WithRoundDuration sets the sidechain round length.
 func WithRoundDuration(d time.Duration) Option { return func(c *Config) { c.RoundDuration = d } }
-
-// WithMetaBlockBytes caps the meta-block size.
-func WithMetaBlockBytes(n int) Option { return func(c *Config) { c.MetaBlockBytes = n } }
 
 // WithCommittee sets the PBFT committee size.
 func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize = size } }
@@ -369,10 +359,6 @@ func WithPipelineDepth(n int) Option { return func(c *Config) { c.PipelineDepth 
 // opening a durable node without a workload generator).
 func WithUsers(users []string) Option { return func(c *Config) { c.Users = users } }
 
-// WithRetainEpochs bounds per-epoch bookkeeping to the prune horizon
-// plus n epochs (0 retains everything).
-func WithRetainEpochs(n int) Option { return func(c *Config) { c.RetainEpochs = n } }
-
 // WithCompactEvery compacts the durable store every n confirmed epochs
 // (0 never compacts).
 func WithCompactEvery(n int) Option { return func(c *Config) { c.CompactEvery = n } }
@@ -380,36 +366,9 @@ func WithCompactEvery(n int) Option { return func(c *Config) { c.CompactEvery = 
 // WithFaults installs the fault-injection plan.
 func WithFaults(f FaultPlan) Option { return func(c *Config) { c.Faults = f } }
 
-// WithConsensusFidelity selects model or live committee rounds.
-func WithConsensusFidelity(f ConsensusFidelity) Option {
-	return func(c *Config) { c.ConsensusFidelity = f }
-}
-
-// WithLiveNet overrides the live committee's network fabric.
-func WithLiveNet(nc netsim.Config) Option { return func(c *Config) { c.LiveNet = nc } }
-
-// WithNetFaults installs a deterministic network fault schedule on the
-// live committee's fabric.
-func WithNetFaults(fs *netsim.FaultSchedule) Option { return func(c *Config) { c.NetFaults = fs } }
-
-// WithLiveRoundTimeout bounds one live round's simulated duration before
-// the node halts with ErrConsensusStalled.
-func WithLiveRoundTimeout(d time.Duration) Option {
-	return func(c *Config) { c.LiveRoundTimeout = d }
-}
-
-// WithMainchain overrides the layer-1 parameters.
-func WithMainchain(mc mainchain.Config) Option { return func(c *Config) { c.Mainchain = mc } }
-
-// WithModel overrides the PBFT cost model.
-func WithModel(m pbft.Model) Option { return func(c *Config) { c.Model = m } }
-
 // WithTracer attaches an epoch-lifecycle span tracer (nil leaves
 // tracing disabled).
 func WithTracer(tr *trace.Tracer) Option { return func(c *Config) { c.Tracer = tr } }
-
-// WithTraceBuffer bounds the tracer's retained-epoch window.
-func WithTraceBuffer(epochs int) Option { return func(c *Config) { c.TraceBuffer = epochs } }
 
 // WithIngestCapacity bounds the concurrent mempool (hard admission
 // wall).

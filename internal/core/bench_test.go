@@ -40,9 +40,7 @@ func benchSystem(b *testing.B) (*System, []*summary.Tx) {
 // mempool, with the periodic drain a running lifecycle performs at
 // round boundaries amortized in (without it occupancy only grows and
 // the benchmark measures a mempool at the capacity wall, a state no
-// healthy node serves from). BENCH_PR3.json records it against
-// BenchmarkSubmitBaseline (the PR 2 fire-and-forget append) to pin the
-// receipt + admission overhead.
+// healthy node serves from).
 func BenchmarkSubmitReceipt(b *testing.B) {
 	sys, txs := benchSystem(b)
 	b.ReportAllocs()
@@ -53,26 +51,6 @@ func BenchmarkSubmitReceipt(b *testing.B) {
 		}
 		if sys.ingest.Len() >= 4096 {
 			sys.ingest.Drain()
-		}
-	}
-}
-
-// BenchmarkSubmitBaseline measures the PR 2 submit path — timestamp and
-// queue append, no validation, no receipt — as the reference the receipt
-// redesign is compared against.
-func BenchmarkSubmitBaseline(b *testing.B) {
-	sys, txs := benchSystem(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := txs[i%len(txs)]
-		tx.SubmittedAt = sys.sim.Now()
-		sys.queue = append(sys.queue, queuedTx{tx: tx})
-		if len(sys.queue) > sys.queuePeak {
-			sys.queuePeak = len(sys.queue)
-		}
-		if len(sys.queue) == cap(sys.queue) && len(sys.queue) >= 1<<16 {
-			sys.queue = sys.queue[:0]
 		}
 	}
 }
@@ -139,9 +117,7 @@ func benchPipelineSystem(b testing.TB, depth int) *MultiSystem {
 // multi-pool lifecycle — sharded execution, commitment build, chunked
 // TSQC-signed sync, confirmation, pruning — at PipelineDepth 1 (the
 // serial reference) and 2 (commit/sync overlapped with next-epoch
-// execution). One op is a complete 6-epoch run; scripts/bench.sh derives
-// pipeline_speedup_depth2 = ns(depth=1)/ns(depth=2), and the CI
-// bench-regression gate enforces the redesign's >= 1.3x target.
+// execution). One op is a complete 6-epoch run.
 func BenchmarkEpochPipeline(b *testing.B) {
 	for _, depth := range []int{1, 2} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -235,10 +211,7 @@ func benchPersistSystem(b *testing.B, dir string, compactEvery int) *MultiSystem
 // persists every retired epoch (snapshot record, sync-part log, receipt
 // table, one fsync per epoch) to a real directory, and store=compact
 // additionally rewrites the log at a 2-epoch compaction cadence — the
-// steady-state restart-at-scale configuration. scripts/bench.sh derives
-// persist_overhead_pct = 100*(on-off)/off (PR 2's < 10% epoch-close
-// bound) and compact_overhead_pct = 100*(compact-on)/on (PR 10's
-// compaction-cadence bound).
+// steady-state restart-at-scale configuration.
 func BenchmarkEpochPersist(b *testing.B) {
 	for _, variant := range []string{"off", "on", "compact"} {
 		b.Run("store="+variant, func(b *testing.B) {
@@ -297,7 +270,7 @@ func BenchmarkSubmitExecutePath(b *testing.B) {
 }
 
 // benchConcurrentSystem builds the multi-pool deployment the ingest
-// front-end benchmarks share, plus one fixed pre-generated transaction
+// front-end benchmark drives, plus one fixed pre-generated transaction
 // stream per producer (disjoint ID spaces, identical across runs).
 func benchConcurrentSystem(b *testing.B, producers int) (*MultiSystem, [][]*summary.Tx) {
 	b.Helper()
@@ -338,10 +311,7 @@ const benchConcurrentBatch = 64
 // N goroutines push 64-transaction SubmitBatch calls through validation
 // and the sharded ingest pool while a consumer drains round boundaries,
 // exactly the shape of a node taking live traffic. One op is one
-// transaction. scripts/bench.sh derives concurrent_submit_txs_per_sec
-// at 1 and 8 producers plus their scaling ratio, and compares the
-// 1-producer cost against BenchmarkSubmitDirect to pin the ingest
-// front end's overhead (< 10% gate in bench_check.sh).
+// transaction.
 func BenchmarkConcurrentSubmit(b *testing.B) {
 	for _, producers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
@@ -409,31 +379,6 @@ func BenchmarkConcurrentSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitDirect is the ingest-overhead reference: the same
-// up-front validation and receipt allocation as the serving path, but a
-// plain single-owner queue append instead of admission control and the
-// sharded pool — what a lone producer paid before the concurrent front
-// end existed. One op is one transaction.
-func BenchmarkSubmitDirect(b *testing.B) {
-	sys, streams := benchConcurrentSystem(b, 1)
-	txs := streams[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := txs[i%len(txs)]
-		if err := sys.checkSubmit(tx); err != nil {
-			b.Fatal(err)
-		}
-		rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-		tx.SubmittedAt = sys.sim.Now()
-		rc.SubmittedAt = tx.SubmittedAt
-		sys.queue = append(sys.queue, queuedTx{tx: tx, rc: rc})
-		if len(sys.queue) >= 1<<16 {
-			sys.queue = sys.queue[:0]
-		}
-	}
-}
-
 // benchFidelity sizes BenchmarkConsensusFidelity: a deliberately small
 // deployment (the live variant's cost is per-agreement threshold crypto
 // and message fan-out, not throughput), run once per op at each fidelity.
@@ -475,9 +420,7 @@ func benchFidelitySystem(b *testing.B, fidelity chain.ConsensusFidelity) *MultiS
 // through real PBFT over the simulated network (FidelityLive) costs the
 // host relative to the analytic agreement model (FidelityModel): per
 // round, a DKG-keyed 3f+2 replica core exchanges threshold-signed
-// prepare/commit shares instead of one scheduled callback. scripts/
-// bench.sh derives live_fidelity_slowdown = ns(live)/ns(model) and the CI
-// bench gate tracks it against the committed baseline.
+// prepare/commit shares instead of one scheduled callback.
 func BenchmarkConsensusFidelity(b *testing.B) {
 	for _, fidelity := range []chain.ConsensusFidelity{chain.FidelityModel, chain.FidelityLive} {
 		b.Run("fidelity="+string(fidelity), func(b *testing.B) {

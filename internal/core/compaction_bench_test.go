@@ -51,7 +51,7 @@ func attachOpenBenchTraffic(sys *MultiSystem) {
 // and every iteration only needs a byte copy of it.
 var openBenchStores = map[string][]byte{}
 
-func openBenchStore(b *testing.B, hist, compactEvery int) []byte {
+func openBenchStore(b testing.TB, hist, compactEvery int) []byte {
 	b.Helper()
 	key := fmt.Sprintf("%d/%d", hist, compactEvery)
 	if data, ok := openBenchStores[key]; ok {
@@ -77,7 +77,7 @@ func openBenchStore(b *testing.B, hist, compactEvery int) []byte {
 	return data
 }
 
-func plantStore(b *testing.B, data []byte) *store.MemFS {
+func plantStore(b testing.TB, data []byte) *store.MemFS {
 	b.Helper()
 	fsys := &store.MemFS{}
 	f, err := fsys.OpenAppend(store.FileName, 0)
@@ -96,10 +96,8 @@ func plantStore(b *testing.B, data []byte) *store.MemFS {
 // re-derivation, tail sync-part replay — on a {100, 10k}-epoch history,
 // with compaction off (the whole history is tail records to replay) and
 // on (a 64-epoch cadence keeps the replayed tail bounded, so cost should
-// flatline). scripts/bench.sh derives open_10k_vs_100_ratio from the
-// compact=on cells and bench_check.sh gates it at <= 2.0 — the
-// restart-at-scale acceptance: opening 100x the history may cost at most
-// 2x the time.
+// flatline; TestRestartCostFlatInHistory pins the image size that makes
+// it flat).
 func BenchmarkOpen(b *testing.B) {
 	for _, hist := range []int{100, 10_000} {
 		for _, cell := range []struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ammboost/internal/chain"
@@ -594,4 +595,34 @@ func TestCompactCrashSweep(t *testing.T) {
 		runCell(t, fmt.Sprintf("crash@%d/%d", b, total), func(f *store.FaultFS) { f.CrashAfter = b })
 	}
 	runCell(t, "crash-on-rename", func(f *store.FaultFS) { f.CrashOnRename = true })
+}
+
+// TestRestartCostFlatInHistory pins what makes restart cost flat in
+// history length (invariant 14): with a 64-epoch compaction cadence the
+// store image a node reopens from is the checkpoint plus a bounded tail,
+// so its size does not grow with the epochs behind it. The three
+// histories are all 2 mod 64, so each leaves the same 2-epoch tail past
+// its last compaction and only the checkpoint could differ; lengths
+// with different tails differ by their tails, not by history.
+func TestRestartCostFlatInHistory(t *testing.T) {
+	const compactEvery = 64
+	hists := []int{130, 1026, 2050}
+	sizes := make([]int, len(hists))
+	for i, hist := range hists {
+		data := openBenchStore(t, hist, compactEvery)
+		sizes[i] = len(data)
+		node, err := OpenFS(plantStore(t, data), "", openBenchCfg(compactEvery))
+		if err != nil {
+			t.Fatalf("hist=%d: open: %v", hist, err)
+		}
+		if got := node.(*MultiSystem).Epoch(); got != uint64(hist) {
+			t.Errorf("hist=%d: reopened at epoch %d", hist, got)
+		}
+		node.Close()
+	}
+	t.Logf("compacted image sizes %v B for histories %v", sizes, hists)
+	lo, hi := slices.Min(sizes), slices.Max(sizes)
+	if float64(hi-lo) > 0.01*float64(lo) {
+		t.Errorf("image sizes spread %d B, more than 1%% of %d B", hi-lo, lo)
+	}
 }

@@ -58,8 +58,8 @@ type committeeKeys struct {
 
 // syncSigner is a committee's sync signer set — its first Threshold
 // members, fixed when the committee is provisioned — and the one way a
-// sync signature is produced: System, MultiSystem and LiveCommittee all
-// sign through signDigest, so the three cannot drift.
+// sync signature is produced: System and MultiSystem both sign through
+// signDigest, so the two cannot drift.
 //
 // The signer-side weighting (the quorum's Lagrange table and each
 // member's coefficient folded into its share, see tsig.Quorum) is built
