@@ -33,15 +33,15 @@
 // and chain.WithIngestCapacity / WithIngestSoftMark / WithIngestMaxWait
 // for the admission policy knobs).
 //
-// The multi-pool backend pipelines its epoch lifecycle: with
-// chain.Config.PipelineDepth >= 2 (default 2), a finished epoch's
-// commitment build, sync chunking, and TSQC signing run on an
-// asynchronous commit stage while the next epoch executes, bounded by a
-// backpressured in-flight window. PipelineDepth = 1 disables the overlap
-// and is guaranteed bit-identical to the pipelined depths in every
-// computed artifact — epoch summary roots and sync payload digests —
-// serving as the differential reference; pipelining changes timing,
-// never state.
+// The multi-pool backend pipelines its epoch lifecycle: a finished
+// epoch's commitment build, sync chunking, and TSQC signing run on an
+// asynchronous commit stage, bounded by a backpressured in-flight window
+// of chain.Config.PipelineDepth epochs (default 2). With depth >= 2 the
+// stage overlaps the next epoch's execution; depth 1 is a window of one,
+// which retires each epoch as soon as it seals. Every depth starts epochs
+// on the round grid and is bit-identical in every computed artifact —
+// epoch summary roots and sync payload digests; the depth changes
+// timing, never state.
 //
 // Multi-pool deployments are durable: chain.Open(dir, cfg) opens (or
 // creates) an append-only epoch store and returns a node that persists

@@ -131,17 +131,14 @@ type Config struct {
 	// PipelineDepth bounds how many epochs the multi-pool backend keeps
 	// in flight at once: the executing epoch plus the sealed epochs whose
 	// asynchronous commitment/sync stage has not yet retired (default 2).
-	// Depth 1 disables pipelining — each epoch's commitment build, summary
-	// checkpoint, and sync submission complete before the next epoch
-	// starts — and is bit-identical to the unpipelined lifecycle, which
-	// makes it the differential reference for every deeper setting.
-	// Depth >= 2 overlaps epoch N's commitment/sync stage with epoch
-	// N+1's execution: virtual epoch cadence stops waiting for the
-	// summary agreement, and wall-clock commitment hashing, chunking, and
-	// TSQC signing run concurrently with next-epoch execution. The
-	// computed state (summary roots, payload digests) is identical at
-	// every depth; only timing changes. The single-pool backend ignores
-	// the field.
+	// Depth 1 is a window of one: each epoch's commitment build and
+	// signing finish (wall clock) before the next epoch starts. Depth >= 2
+	// overlaps epoch N's commit stage with epoch N+1's execution, so
+	// commitment hashing, chunking, and TSQC signing run concurrently with
+	// next-epoch execution. At every depth the next epoch starts on the
+	// round grid, never waiting for the summary agreement. The computed
+	// state (summary roots, payload digests) is identical at every depth;
+	// only timing changes. The single-pool backend ignores the field.
 	PipelineDepth int
 
 	// Users registers the deployment's known user set up front. The
@@ -442,11 +439,12 @@ type Report struct {
 
 	// Pipeline telemetry (multi-pool backend). PipelineDepth echoes the
 	// configured in-flight window; PipelineOccupancy is the mean number
-	// of commit/sync stages still in flight when each epoch sealed (0 for
-	// an unpipelined run, approaching PipelineDepth-1 when the commit
-	// stage is the bottleneck); PipelineStallWall is the wall-clock time
-	// the run loop spent blocked waiting for the asynchronous commit
-	// stage to retire an epoch.
+	// of commit/sync stages still in flight when each epoch sealed (0 at
+	// depth 1, approaching PipelineDepth-1 when the commit stage is the
+	// bottleneck); PipelineStallWall is the wall-clock time the run loop
+	// spent blocked waiting for the asynchronous commit stage to retire an
+	// epoch. At depth 1 the window is one epoch, so the stall is the whole
+	// commit stage of every epoch.
 	PipelineDepth     int
 	PipelineOccupancy float64
 	PipelineStallWall time.Duration

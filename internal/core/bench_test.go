@@ -115,8 +115,8 @@ func benchPipelineSystem(b testing.TB, depth int) *MultiSystem {
 
 // BenchmarkEpochPipeline measures wall-clock epoch throughput of the full
 // multi-pool lifecycle — sharded execution, commitment build, chunked
-// TSQC-signed sync, confirmation, pruning — at PipelineDepth 1 (the
-// serial reference) and 2 (commit/sync overlapped with next-epoch
+// TSQC-signed sync, confirmation, pruning — at PipelineDepth 1 (a window
+// of one) and 2 (commit/sync overlapped with next-epoch
 // execution). One op is a complete 6-epoch run.
 func BenchmarkEpochPipeline(b *testing.B) {
 	for _, depth := range []int{1, 2} {
@@ -139,7 +139,7 @@ func BenchmarkEpochPipeline(b *testing.B) {
 }
 
 // benchPersist sizes BenchmarkEpochPersist: the PR 2 epoch-close regime
-// (256 pools, <= 10% active) run through the serial lifecycle so the
+// (256 pools, <= 10% active) run at PipelineDepth 1 so the
 // durable store's cost — snapshot encode, receipt suffix, append, fsync
 // — lands entirely on the measured path rather than hiding behind the
 // pipeline's overlap.
@@ -207,7 +207,7 @@ func benchPersistSystem(b *testing.B, dir string, compactEvery int) *MultiSystem
 }
 
 // BenchmarkEpochPersist measures what durable epoch snapshots cost the
-// serial lifecycle: store=off is the in-memory reference, store=on
+// depth-1 lifecycle: store=off is the in-memory reference, store=on
 // persists every retired epoch (snapshot record, sync-part log, receipt
 // table, one fsync per epoch) to a real directory, and store=compact
 // additionally rewrites the log at a 2-epoch compaction cadence — the

@@ -40,8 +40,11 @@ type liveConsensus struct {
 	epoch    uint64
 
 	// round is the in-flight agreement (one at a time: live fidelity runs
-	// the serial lifecycle schedule).
+	// a pipeline window of one).
 	round *liveRound
+	// afterSummary, when set, runs once the in-flight epoch's summary
+	// round has decided and its sync is submitted: the epoch boundary.
+	afterSummary func()
 }
 
 // liveRound is one in-flight agreement instance.

@@ -354,8 +354,8 @@ func TestLiveFidelityConfigRejections(t *testing.T) {
 	if _, err := NewMultiSystem(badIdx, []string{"u"}); !isChainErr(err, ErrUnsupportedFault) {
 		t.Errorf("live + out-of-range index: err = %v, want ErrUnsupportedFault", err)
 	}
-	// Live fidelity runs the serial reference schedule regardless of the
-	// requested pipeline depth.
+	// Live fidelity runs a pipeline window of one regardless of the
+	// requested depth.
 	deep := base
 	deep.ConsensusFidelity = chain.FidelityLive
 	deep.PipelineDepth = 3

@@ -94,8 +94,8 @@ type MultiSystem struct {
 	done          bool
 	err           error
 
-	// pipe is the asynchronous commit/sync stage (nil when
-	// cfg.PipelineDepth == 1: the unpipelined reference schedule).
+	// pipe is the asynchronous commit/sync stage; cfg.PipelineDepth is its
+	// window (depth 1 retires every epoch as soon as it seals).
 	pipe *commitPipeline
 	// lastSummaryAt enforces per-epoch ordering of the pipelined summary
 	// checkpoint events: epoch e+1's checkpoint never fires before epoch
@@ -104,6 +104,9 @@ type MultiSystem struct {
 	// stallWall accumulates wall-clock time the run loop spent blocked on
 	// the commit stage (the pipeline's only synchronization point).
 	stallWall time.Duration
+	// lastPruned is the newest epoch whose meta-blocks pruned; the run is
+	// over once the final epoch's has.
+	lastPruned uint64
 	// lastSyncTxIDs are the previous epoch's sync part transactions, the
 	// on-chain dependency of every later sync part (the epoch completes —
 	// and registers the next committee key — only when its last part
@@ -235,10 +238,9 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 					ErrUnsupportedFault, idx, liveN)
 			}
 		}
-		// Live fidelity runs the serial lifecycle schedule: the committee
-		// is the pacing element, and the equivalence pin (invariant 11) is
-		// against the depth-1 reference. The computed state is
-		// depth-invariant anyway, so clamping loses nothing observable.
+		// Live fidelity runs a window of one: its replica set paces the
+		// epochs (see finishEpoch). The computed state is depth-invariant
+		// anyway, so clamping loses nothing observable.
 		cfg.PipelineDepth = 1
 	}
 	// An explicit NewMultiSystem call with an unset pool count runs the
@@ -338,9 +340,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		})
 		s.syncNet.Install(cfg.SyncFaults)
 	}
-	if cfg.PipelineDepth > 1 {
-		s.pipe = newCommitPipeline(cfg.PipelineDepth)
-	}
+	s.pipe = newCommitPipeline(cfg.PipelineDepth)
 	if cfg.ConsensusFidelity == chain.FidelityLive {
 		s.live = newLiveConsensus(s)
 	}
@@ -901,12 +901,10 @@ func (s *MultiSystem) StartEpochs(epochs int) bool {
 // returns the run's report and lifecycle error. Call it exactly once,
 // after the simulator has drained.
 func (s *MultiSystem) CollectReport() (*chain.Report, error) {
-	if s.pipe != nil {
-		// Join the commit stage before reporting: a halted run may leave
-		// unretired jobs whose packages are simply abandoned, but the
-		// worker goroutine must be gone before callers inspect state.
-		s.pipe.close()
-	}
+	// Join the commit stage before reporting: a halted run may leave
+	// unretired jobs whose packages are simply abandoned, but the worker
+	// goroutine must be gone before callers inspect state.
+	s.pipe.close()
 	s.bus.Close()
 	s.col.ObserveEventDrops(s.bus.Dropped())
 	// Fold the ingest pool's atomic admission counters into the
@@ -1113,31 +1111,18 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	s.sim.After(delay, func() { completeRound(storm) })
 }
 
-// finishEpoch ends epoch e's execution. With PipelineDepth 1 it runs the
-// unpipelined reference schedule (finishEpochSync); otherwise the epoch
-// is sealed into the asynchronous commit/sync stage and the next epoch
-// starts executing immediately against the advanced canonical state.
+// finishEpoch ends epoch e's execution: the epoch is sealed into the
+// commit/sync stage, the window retires down to PipelineDepth-1 sealed
+// epochs (at depth 1, this one at once), and the next epoch starts on the
+// round grid — one boundary rule for every depth.
 func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	if s.err != nil {
 		return
 	}
-	if s.pipe == nil {
-		s.finishEpochSync(e, lastRoundStart)
-		return
-	}
-	// Occupancy is sampled before making room: how many earlier epochs'
-	// commit/sync stages were still unretired when this epoch finished
-	// executing.
+	// Occupancy is sampled before this epoch joins the window: how many
+	// earlier epochs' commit/sync stages were still unretired when this
+	// epoch finished executing.
 	s.col.ObservePipeline(s.pipe.depth())
-	// Backpressure: the window holds the executing epoch plus at most
-	// PipelineDepth-1 sealed epochs, so retire the oldest until this seal
-	// fits. Retirement order is FIFO — stage effects always publish in
-	// epoch order.
-	for s.pipe.depth() > s.cfg.PipelineDepth-2 {
-		if !s.retireOldest() {
-			return
-		}
-	}
 	nextKey := s.committees[e+1].group
 	sealed := s.sealTraced(e, nextKey.PK.Bytes())
 	if sealed == nil {
@@ -1154,17 +1139,21 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		tr:        s.tr,
 		done:      make(chan struct{}),
 	})
-
-	// The end-of-run decision is deferred to the round boundary where
-	// the next epoch would start — the serial path decides inside its
-	// delayed summary callback, not at epoch end — so a transaction
-	// arriving between epoch end and the boundary still gets a drain
-	// epoch instead of being stranded with a Pending receipt.
-	next := lastRoundStart + s.cfg.RoundDuration
-	if next < s.sim.Now() {
-		next = s.sim.Now()
+	// Backpressure: the window holds the executing epoch plus at most
+	// PipelineDepth-1 sealed epochs, so retire the oldest until it fits.
+	// Retirement order is FIFO — stage effects always publish in epoch
+	// order.
+	for s.pipe.depth() >= s.cfg.PipelineDepth {
+		if !s.retireOldest() {
+			return
+		}
 	}
-	s.sim.At(next, func() {
+
+	// The end-of-run decision waits for the boundary where the next epoch
+	// would start, so a transaction arriving between epoch end and the
+	// boundary still gets a drain epoch instead of being stranded with a
+	// Pending receipt.
+	boundary := func() {
 		if s.err != nil {
 			return
 		}
@@ -1173,20 +1162,34 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		// can slip in afterwards) or something is pending and the next
 		// epoch runs as a drain epoch.
 		if int(e) >= s.epochsPlanned && len(s.queue) == 0 && s.ingest.CloseIfEmpty() {
-			// No further execution to overlap with: drain every
-			// in-flight stage now. Syncs still confirm on the
-			// mainchain's own schedule; the chain stops once the final
-			// epoch prunes.
+			// No further execution to overlap with: drain every in-flight
+			// stage now. Syncs still confirm on the mainchain's own
+			// schedule; the chain stops once the final epoch prunes —
+			// which, with a window of one, may already have happened.
 			s.done = true
 			for s.pipe.depth() > 0 {
 				if !s.retireOldest() {
 					return
 				}
 			}
+			s.finishIfPruned()
 			return
 		}
 		s.startEpoch(e + 1)
-	})
+	}
+	atBoundary := func() {
+		s.sim.At(max(lastRoundStart+s.cfg.RoundDuration, s.sim.Now()), boundary)
+	}
+	if s.live != nil {
+		// Live fidelity has one replica set, re-keyed per epoch, so the
+		// next epoch's rounds cannot begin before this epoch's summary
+		// round decides: the retirement above started that round (its
+		// decision is a later simulator event), and the decision runs the
+		// boundary.
+		s.live.afterSummary = atBoundary
+		return
+	}
+	atBoundary()
 }
 
 // retireOldest blocks until the oldest in-flight epoch's commit/sync
@@ -1235,15 +1238,7 @@ func (s *MultiSystem) retireOldest() bool {
 	e := job.epoch
 	s.SummaryRoots[e] = pkg.res.SummaryRoot
 	metas := s.ledger.MetaBlocks(e)
-	// The summary checkpoint still pays the committee agreement over the
-	// epoch's summaries; the clamp keeps checkpoints in epoch order even
-	// if agreement delays were wildly uneven.
-	at := s.sim.Now() + s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, pkg.scBytes)
-	if at < s.lastSummaryAt {
-		at = s.lastSummaryAt
-	}
-	s.lastSummaryAt = at
-	s.sim.At(at, func() {
+	commit := func() {
 		if s.err != nil {
 			return
 		}
@@ -1257,16 +1252,57 @@ func (s *MultiSystem) retireOldest() bool {
 			return
 		}
 		s.submitSignedSync(e, pkg.parts, pkg.partSizes)
-	})
+	}
+	if s.live != nil {
+		// The checkpoint rides one more live agreement: the committee
+		// decides on the folded summary root at the sequence just past the
+		// meta rounds. The replicas then retire until the next epoch's DKG
+		// re-keys them.
+		prop := &summaryProposal{Epoch: e, Root: pkg.res.SummaryRoot}
+		seq := uint64(s.cfg.EpochRounds) + 1
+		s.live.runRound(seq, prop, prop.digest(), pkg.scBytes, 0, func(vc int) {
+			if vc > 0 {
+				s.ViewChanges += vc
+				s.bus.Publish(chain.Event{
+					Type: chain.EventViewChange, At: s.sim.Now(), Epoch: e,
+					Round: seq, Parts: vc,
+				})
+			}
+			s.live.stopReplicas()
+			commit()
+			if next := s.live.afterSummary; next != nil {
+				s.live.afterSummary = nil
+				next()
+			}
+		})
+		return true
+	}
+	// The summary checkpoint pays the committee agreement over the epoch's
+	// summaries; the clamp keeps checkpoints in epoch order even if
+	// agreement delays were wildly uneven.
+	at := s.sim.Now() + s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, pkg.scBytes)
+	if at < s.lastSummaryAt {
+		at = s.lastSummaryAt
+	}
+	s.lastSummaryAt = at
+	s.sim.At(at, commit)
 	return true
+}
+
+// finishIfPruned reports the node finished once the run is over and its
+// final epoch has pruned (keyed on that epoch's prune, not on an empty
+// receipt table: an epoch without transactions never had an entry).
+func (s *MultiSystem) finishIfPruned() {
+	if s.done && s.lastPruned == s.epoch {
+		s.finished(false)
+	}
 }
 
 // checkpointEpoch mines the epoch's summary blocks, advances its
 // receipts to Checkpointed (before the event publishes — the documented
 // visibility contract), and publishes the SummaryBlock event: the
-// checkpoint step shared by both lifecycle schedules, so the serial
-// reference and the pipelined path can never drift apart. The caller
-// submits the epoch's sync immediately after.
+// checkpoint step of retirement. The caller persists the epoch and
+// submits its sync immediately after.
 func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload, metas []*sidechain.MetaBlock, scBytes int, root [32]byte) {
 	for _, sb := range sidechain.NewSummaryBlocks(e, payloads, metas) {
 		sb.MinedAt = s.sim.Now()
@@ -1280,87 +1316,6 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 		Type: chain.EventSummaryBlock, At: s.sim.Now(), Epoch: e,
 		Bytes: scBytes, Root: root,
 	})
-}
-
-// finishEpochSync is the PipelineDepth=1 reference schedule: fold every
-// pool's epoch into its payload, mine one summary-block per pool, issue
-// the TSQC-authenticated multi-pool Sync, and only then start the next
-// epoch. The pipelined path is differentially pinned against it. Seal,
-// fold, signing, and snapshot encoding run through the same helpers the
-// commit-stage worker uses, so the two schedules persist and submit
-// bit-identical records.
-func (s *MultiSystem) finishEpochSync(e uint64, lastRoundStart time.Duration) {
-	nextKey := s.committees[e+1].group
-	sealed := s.sealTraced(e, nextKey.PK.Bytes())
-	if sealed == nil {
-		return
-	}
-	// The serial schedule runs the commit stage inline through the same
-	// package builder the pipelined stage worker uses, so the two
-	// schedules can never drift in the bytes they sign and persist.
-	pkg := buildSyncPackage(&commitJob{
-		epoch:     e,
-		sealed:    sealed,
-		ck:        s.committees[e],
-		nextKey:   nextKey,
-		corrupt:   s.cfg.Faults.CorruptSyncEpochs[e],
-		gasBudget: s.cfg.SyncGasBudget,
-		persist:   s.st != nil,
-		tr:        s.tr,
-	})
-	if pkg.err != nil {
-		s.fail(fmt.Errorf("sync epoch %d: %w", e, pkg.err))
-		return
-	}
-	s.observeCommitTimings(pkg)
-	epochRes := pkg.res
-	s.SummaryRoots[e] = epochRes.SummaryRoot
-
-	metas := s.ledger.MetaBlocks(e)
-	commitSync := func() {
-		if s.err != nil {
-			return
-		}
-		s.checkpointEpoch(e, epochRes.Payloads, metas, pkg.scBytes, epochRes.SummaryRoot)
-		s.persistEpoch(e, pkg.snapPrefix, pkg.partsBlob)
-		if s.err != nil {
-			return
-		}
-		s.submitSignedSync(e, pkg.parts, pkg.partSizes)
-
-		lastEpoch := int(e) >= s.epochsPlanned && len(s.queue) == 0 && s.ingest.CloseIfEmpty()
-		if lastEpoch {
-			s.done = true
-			return
-		}
-		next := lastRoundStart + s.cfg.RoundDuration
-		if next < s.sim.Now() {
-			next = s.sim.Now()
-		}
-		s.sim.At(next, func() { s.startEpoch(e + 1) })
-	}
-	if s.live != nil {
-		// The epoch-end checkpoint rides one more live agreement: the
-		// committee decides on the folded summary root before the sync
-		// submission, at the sequence just past the meta rounds. The
-		// replicas then retire until the next epoch's DKG re-keys them.
-		prop := &summaryProposal{Epoch: e, Root: epochRes.SummaryRoot}
-		seq := uint64(s.cfg.EpochRounds) + 1
-		s.live.runRound(seq, prop, prop.digest(), pkg.scBytes, 0, func(vc int) {
-			if vc > 0 {
-				s.ViewChanges += vc
-				s.bus.Publish(chain.Event{
-					Type: chain.EventViewChange, At: s.sim.Now(), Epoch: e,
-					Round: seq, Parts: vc,
-				})
-			}
-			s.live.stopReplicas()
-			commitSync()
-		})
-		return
-	}
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, pkg.scBytes)
-	s.sim.After(delay, commitSync)
 }
 
 // observeCommitTimings feeds a retired package's measured commit-stage
@@ -1386,9 +1341,8 @@ func (s *MultiSystem) observeCommitTimings(pkg *syncPackage) {
 }
 
 // encodeEpochBlobs builds the epoch's snapshot-record prefix and
-// sync-part record payload. Shared by the commit-stage worker (pipelined
-// schedule, off the simulator goroutine) and finishEpochSync (serial
-// schedule), so both lifecycles persist identical bytes.
+// sync-part record payload, on the commit-stage worker (off the simulator
+// goroutine).
 func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 	parts []*mainchain.MultiSyncArgs) (snapPrefix, partsBlob []byte) {
 	digests := make([][32]byte, len(res.Payloads))
@@ -1477,9 +1431,8 @@ func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.
 
 // submitSignedSync submits pre-signed sync parts to the mainchain; once
 // every part confirms, the payout metrics fire and the epoch's
-// meta-blocks are pruned. Shared by the serial schedule (finishEpochSync
-// signs via signSyncParts and submits here) and the pipelined retirement
-// path (parts pre-signed on the commit-stage worker).
+// meta-blocks are pruned. The parts were signed on the commit-stage
+// worker; retirement submits them here.
 func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArgs, sizes []int) {
 	submitted := s.sim.Now()
 	numParts := len(parts)
@@ -1503,9 +1456,8 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 	// landed — so parts carry an explicit dependency on every part of
 	// the previous epoch. Without this, a block that leaves one of the
 	// previous epoch's parts waiting for gas could pack this epoch's parts
-	// first and revert them with an unknown-key error (reachable once the
-	// pipeline keeps several epochs' syncs in flight; harmless in the
-	// serial schedule where syncs are an epoch apart).
+	// first and revert them with an unknown-key error (reachable whenever
+	// several epochs' syncs are in flight at once).
 	deps := s.lastSyncTxIDs
 	for i, args := range parts {
 		tx := &mainchain.Tx{
@@ -1563,6 +1515,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 				rec.rc.PrunedAt = s.sim.Now()
 			}
 			delete(s.recsByEpoch, e)
+			s.lastPruned = e
 			s.compactEpoch(e)
 			// Store compaction rides the same confirmation cadence: the
 			// epoch just became final on the mainchain, so everything up
@@ -1578,9 +1531,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 			}
 			spPrune.End()
 			s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
-			if s.done && len(s.recsByEpoch) == 0 {
-				s.finished(false)
-			}
+			s.finishIfPruned()
 		}
 		s.submitSyncTx(tx, e, i+1)
 	}
@@ -1771,9 +1722,7 @@ func (s *MultiSystem) Kill() {
 	if s.live != nil {
 		s.live.stopAll()
 	}
-	if s.pipe != nil {
-		s.pipe.close()
-	}
+	s.pipe.close()
 	if s.st != nil {
 		s.st.Abort()
 		s.st = nil

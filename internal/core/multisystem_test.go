@@ -96,6 +96,13 @@ func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth i
 	sysCfg, drvCfg := multiTestConfigs(seed, 16, shards, 2)
 	sysCfg.PipelineDepth = pipelineDepth
 	sysCfg.Tracer = tr
+	return fingerprintDriverRun(t, sysCfg, drvCfg)
+}
+
+// fingerprintDriverRun runs a NewMultiDriver deployment — its arrivals are
+// scheduled at fixed virtual times — and returns its fingerprint.
+func fingerprintDriverRun(t *testing.T, sysCfg chain.Config, drvCfg MultiDriverConfig) multiRunFingerprint {
+	t.Helper()
 	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
 	if err != nil {
 		t.Fatalf("NewMultiDriver: %v", err)
@@ -104,7 +111,7 @@ func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth i
 	ms := sys.(*MultiSystem)
 	rep, err := sys.Run(drvCfg.Epochs)
 	if err != nil {
-		t.Fatalf("run(seed=%d, shards=%d): %v", seed, shards, err)
+		t.Fatalf("run(seed=%d, shards=%d, depth=%d): %v", sysCfg.Seed, sysCfg.NumShards, sysCfg.PipelineDepth, err)
 	}
 	fp.roots = rep.SummaryRoots
 	// The bank retains each epoch's applied payload digests via its

@@ -103,7 +103,7 @@ type stageTimings struct {
 }
 
 // commitPipeline is the bounded asynchronous commit/sync stage of the
-// pipelined epoch lifecycle. One stage worker consumes sealed epochs in
+// epoch lifecycle; PipelineDepth 1 is a window of one. One stage worker consumes sealed epochs in
 // FIFO order — the incremental per-pool commitment caches require epochs
 // to finalize sequentially — and each job's Finalize fans out across the
 // engine's shard workers, so the stage is a bounded worker pool: one
@@ -136,8 +136,9 @@ func (p *commitPipeline) run() {
 	}
 }
 
-// submit queues a sealed epoch for the stage. Caller must have made room
-// in the window first (retire until inflight < depth).
+// submit queues a sealed epoch for the stage. The caller keeps at most
+// depth-1 epochs in flight before a submit (it retires down to that right
+// after each one), so the send never blocks.
 func (p *commitPipeline) submit(job *commitJob) {
 	p.inflight = append(p.inflight, job)
 	p.jobs <- job
@@ -204,12 +205,9 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 
 // signSyncParts chunks an epoch's payloads by gas budget and TSQC-signs
 // every part, returning the signed sync args with their mainchain byte
-// sizes. The one implementation behind both lifecycle paths — the serial
-// schedule signs on the run loop, the pipelined schedule on the commit
-// stage — so the two can never drift apart in the sync transactions they
-// produce (the depth-1 equivalence pin depends on that). tr records the
-// chunk and sign spans (nil = untraced); tm, when non-nil, receives the
-// measured chunk/sign wall-clock.
+// sizes. Runs on the commit-stage worker. tr records the chunk and sign
+// spans (nil = untraced); tm, when non-nil, receives the measured
+// chunk/sign wall-clock.
 func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
 	tr *trace.Tracer, tm *stageTimings) ([]*mainchain.MultiSyncArgs, []int, error) {

@@ -39,7 +39,7 @@ type pipeScalePoint struct {
 }
 
 // PipeScaleResult sweeps PipelineDepth over identical multi-pool traffic:
-// wall-clock epoch throughput versus the depth-1 serial reference, where
+// wall-clock epoch throughput versus depth 1 (a window of one), where
 // each depth's wall-clock goes stage by stage (p50/p95/p99), how skewed
 // the shard fan-out ran, and which commit-stage phase the pipeline
 // stalled on. The final epoch summary root must be bit-identical at
