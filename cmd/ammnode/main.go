@@ -178,13 +178,14 @@ func main() {
 	adminWait()
 }
 
-// printStageReport renders the report's per-stage latency histograms and
-// shard-imbalance summary (present only when the run was traced).
+// printStageReport renders the report's per-stage latency summaries and
+// shard-imbalance summary (present only when the run was traced): the
+// tracer's retained window, the same one /metrics serves.
 func printStageReport(rep *chain.Report) {
 	if len(rep.Stages) == 0 {
 		return
 	}
-	fmt.Printf("\n=== stage latency (wall clock; sync-confirm is virtual time) ===\n")
+	fmt.Printf("\n=== stage latency (wall clock, retained trace window) ===\n")
 	fmt.Printf("%-14s %8s %12s %12s %12s\n", "stage", "count", "p50", "p95", "p99")
 	for _, st := range rep.Stages {
 		fmt.Printf("%-14s %8d %12s %12s %12s\n", st.Stage, st.Count, st.P50, st.P95, st.P99)

@@ -86,7 +86,8 @@
 //
 // Every node is observable: attach a lifecycle tracer via
 // chain.WithTracer and the run report gains per-stage latency
-// quantiles, a shard-imbalance gauge, and pipeline-stall attribution,
+// quantiles, a shard-imbalance gauge, and pipeline-stall attribution —
+// trace.Summarize over the retained spans, the fold /metrics serves —
 // while the tracer itself exports Chrome trace-event JSON (Perfetto-
 // loadable, one track per lifecycle stage and per execute shard).
 // Tracing is safe to leave on: a nil tracer costs zero allocations,

@@ -81,40 +81,24 @@ func main() {
 	fmt.Printf("tracing: %d spans over %d epochs written to trace.json (open in Perfetto)\n",
 		tr.Total(), epochs)
 
-	// Top-3 stages by total recorded wall-clock: where an optimization
-	// pass should look first. sync-confirm is excluded — it is measured
-	// in virtual (simulated) time and would dwarf every wall-clock stage.
-	type stageCost struct {
-		stage string
-		total int64 // summed span durations, ns
-		count int
-	}
-	totals := make(map[string]*stageCost)
-	for _, rec := range tr.Snapshot(0) {
-		if rec.Stage == trace.StageSyncConfirm {
-			continue
+	// Top-3 stages by total recorded wall-clock (the report's stage rows
+	// fold the same retained spans): where an optimization pass should
+	// look first. sync-confirm is excluded — it is elapsed time waiting on
+	// the mainchain, overlapping later epochs' work.
+	ranked := make([]chain.StageSummary, 0, len(rep.Stages))
+	for _, st := range rep.Stages {
+		if st.Stage != trace.StageSyncConfirm.String() {
+			ranked = append(ranked, st)
 		}
-		name := rec.Stage.String()
-		c := totals[name]
-		if c == nil {
-			c = &stageCost{stage: name}
-			totals[name] = c
-		}
-		c.total += int64(rec.Dur)
-		c.count++
 	}
-	ranked := make([]*stageCost, 0, len(totals))
-	for _, c := range totals {
-		ranked = append(ranked, c)
-	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].total > ranked[j].total })
+	sort.Slice(ranked, func(i, j int) bool { return ranked[i].Total > ranked[j].Total })
 	fmt.Println("\ntop-3 slowest stages (total wall-clock across the run):")
-	for i, c := range ranked {
+	for i, st := range ranked {
 		if i == 3 {
 			break
 		}
 		fmt.Printf("  %d. %-14s %10.3fms over %d span(s)\n",
-			i+1, c.stage, float64(c.total)/1e6, c.count)
+			i+1, st.Stage, float64(st.Total)/1e6, st.Count)
 	}
 
 	fmt.Printf("\nworst shard imbalance: %.2fx (max/mean shard busy) at epoch %d; run average %.2fx\n",

@@ -115,7 +115,7 @@ func main() {
 
 	// The operator's view of the same run: where the wall-clock went,
 	// stage by stage, and how evenly the shard fan-out was loaded.
-	fmt.Println("\nstage latency (wall clock; sync-confirm is virtual time):")
+	fmt.Println("\nstage latency (wall clock):")
 	fmt.Printf("  %-14s %6s %12s %12s %12s\n", "stage", "count", "p50", "p95", "p99")
 	for _, st := range rep.Stages {
 		fmt.Printf("  %-14s %6d %12s %12s %12s\n", st.Stage, st.Count, st.P50, st.P95, st.P99)

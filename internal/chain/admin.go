@@ -149,9 +149,9 @@ func healthStatus(halted bool) string {
 
 // serveMetrics renders the plaintext key-value metric surface: lifecycle
 // gauges, per-type event counters, and — when a tracer is attached —
-// span totals plus per-stage latency quantiles computed from the
-// retained trace window (the tracer is the only node-shared structure
-// that is safe to read concurrently with Run).
+// span totals plus per-stage latency quantiles: trace.Summarize over the
+// retained window, the same fold behind Report.Stages (the tracer is the
+// only node-shared structure that is safe to read concurrently with Run).
 func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	a.mu.Lock()
 	epoch, synced := a.epoch, a.synced
@@ -182,11 +182,12 @@ func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	fmt.Fprintf(w, "ammboost_trace_spans_total %d\n", a.tr.Total())
 	fmt.Fprintf(w, "ammboost_trace_spans_dropped %d\n", a.tr.Dropped())
-	for _, st := range stageQuantiles(a.tr) {
-		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.50\"} %s\n", st.stage, secs(st.p50))
-		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.95\"} %s\n", st.stage, secs(st.p95))
-		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.99\"} %s\n", st.stage, secs(st.p99))
-		fmt.Fprintf(w, "ammboost_stage_count{stage=%q} %d\n", st.stage, st.count)
+	// Only the stage rows are served; the shard count feeds imbalance alone.
+	for _, st := range trace.Summarize(a.tr.Snapshot(0), 0).Stages {
+		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.50\"} %s\n", st.Stage, secs(st.P50))
+		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.95\"} %s\n", st.Stage, secs(st.P95))
+		fmt.Fprintf(w, "ammboost_stage_seconds{stage=%q,q=\"0.99\"} %s\n", st.Stage, secs(st.P99))
+		fmt.Fprintf(w, "ammboost_stage_count{stage=%q} %d\n", st.Stage, st.Count)
 	}
 }
 
@@ -212,47 +213,6 @@ func (a *Admin) serveTrace(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is cut the stream short.
 		return
 	}
-}
-
-// stageQuantile is one stage's latency summary over the retained window.
-type stageQuantile struct {
-	stage         string
-	count         int
-	p50, p95, p99 time.Duration
-}
-
-// stageQuantiles folds the tracer's retained spans into per-stage
-// quantiles. Unlike the collector's histograms (single-goroutine, full
-// run), this is computed on demand from the bounded window — safe from
-// any goroutine, current as of the newest retained epoch.
-func stageQuantiles(tr *trace.Tracer) []stageQuantile {
-	byStage := make(map[string][]time.Duration)
-	for _, rec := range tr.Snapshot(0) {
-		name := rec.Stage.String()
-		byStage[name] = append(byStage[name], rec.Dur)
-	}
-	out := make([]stageQuantile, 0, len(byStage))
-	for name, ds := range byStage {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		out = append(out, stageQuantile{
-			stage: name,
-			count: len(ds),
-			p50:   quantile(ds, 50),
-			p95:   quantile(ds, 95),
-			p99:   quantile(ds, 99),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].stage < out[j].stage })
-	return out
-}
-
-// quantile indexes a sorted duration slice at the pth percentile
-// (nearest-rank over len-1, matching metrics.Collector).
-func quantile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	return ds[int(p/100*float64(len(ds)-1))]
 }
 
 func sortedKeys(m map[string]uint64) []string {

@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -132,6 +133,48 @@ func TestAdminHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestAdminStageLinesMatchSummarize pins /metrics to the one stage fold:
+// its stage lines are trace.Summarize's rows for the same tracer, row for
+// row, so the admin surface and Report.Stages cannot drift apart.
+func TestAdminStageLinesMatchSummarize(t *testing.T) {
+	bus := NewBus()
+	tr := trace.New(4)
+	for e := uint64(1); e <= 6; e++ {
+		for i := 0; i < 3; i++ {
+			tr.Record(trace.SpanRecord{Stage: trace.StageSeal, Epoch: e, Dur: time.Duration(e*10+uint64(i)) * time.Millisecond})
+			tr.Record(trace.SpanRecord{Stage: trace.StageExecute, Epoch: e, Shard: int32(i), Dur: time.Duration(i+1) * time.Millisecond})
+		}
+		tr.Record(trace.SpanRecord{Stage: trace.StageStall, Epoch: e, Dur: time.Millisecond, WaitedOn: "sign"})
+	}
+	a := NewAdmin(&busNode{bus: bus}, tr)
+	defer bus.Close()
+
+	var want []string
+	for _, st := range trace.Summarize(tr.Snapshot(0), 0).Stages {
+		want = append(want,
+			fmt.Sprintf("ammboost_stage_seconds{stage=%q,q=\"0.50\"} %s", st.Stage, secs(st.P50)),
+			fmt.Sprintf("ammboost_stage_seconds{stage=%q,q=\"0.95\"} %s", st.Stage, secs(st.P95)),
+			fmt.Sprintf("ammboost_stage_seconds{stage=%q,q=\"0.99\"} %s", st.Stage, secs(st.P99)),
+			fmt.Sprintf("ammboost_stage_count{stage=%q} %d", st.Stage, st.Count))
+	}
+	if len(want) != 12 {
+		t.Fatalf("summary has %d stage lines, want 12 (three stages)", len(want))
+	}
+
+	rec := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var got []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "ammboost_stage_") {
+			got = append(got, line)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("/metrics stage lines:\n%s\nwant (trace.Summarize):\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -196,12 +196,13 @@ type Config struct {
 	// (submit, per-shard execute, seal, commit build, chunking, signing,
 	// store append/fsync, sync submit/confirm, prune) with bounded
 	// memory, exportable as Chrome trace-event JSON and summarized into
-	// the Report's stage histograms. Nil disables tracing at zero cost.
+	// the Report's stage rows. Nil disables tracing at zero cost.
 	// Tracing never perturbs computed state: roots and payload digests
 	// are bit-identical with tracing on or off. Multi-pool backend only.
 	Tracer *trace.Tracer
-	// TraceBuffer bounds the tracer's retained-epoch window (default 8).
-	// Older epochs' spans rotate out, so tracing holds constant memory on
+	// TraceBuffer, when positive, re-bounds the tracer's retained-epoch
+	// window; zero keeps the window the tracer was built with. Older
+	// epochs' spans rotate out, so tracing holds constant memory on
 	// arbitrarily long runs.
 	TraceBuffer int
 
@@ -209,9 +210,6 @@ type Config struct {
 	// analytic cost model (default) or real PBFT replicas over the
 	// simulated network. The single-pool backend ignores it.
 	ConsensusFidelity ConsensusFidelity
-	// LiveNet parameterizes the live committee's network fabric
-	// (defaults to netsim.DefaultConfig: the paper's 1 Gbps cluster).
-	LiveNet netsim.Config
 	// NetFaults, when non-nil, installs a deterministic fault schedule on
 	// the live network (drop/duplicate/reorder, link degradation,
 	// scheduled partitions, crash windows). Live fidelity only.
@@ -293,14 +291,8 @@ func (c Config) WithDefaults() Config {
 	if c.IngestMaxWait == 0 {
 		c.IngestMaxWait = 10 * time.Millisecond
 	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = trace.DefaultRetention
-	}
 	if c.ConsensusFidelity == "" {
 		c.ConsensusFidelity = FidelityModel
-	}
-	if c.LiveNet.BaseLatency == 0 && c.LiveNet.BandwidthBps == 0 {
-		c.LiveNet = netsim.DefaultConfig()
 	}
 	if c.LiveRoundTimeout == 0 {
 		c.LiveRoundTimeout = 20 * c.RoundDuration
@@ -449,13 +441,14 @@ type Report struct {
 	PipelineOccupancy float64
 	PipelineStallWall time.Duration
 
-	// Tracing-derived summaries (empty unless Config.Tracer was set).
-	// Stages carries one latency summary per observed lifecycle stage;
-	// ShardImbalance* report the per-epoch max/mean shard execute-time
-	// ratio (1.0 = perfectly balanced) on average, at its worst, and the
-	// epoch that hit the worst; PipelineStallByStage attributes
-	// PipelineStallWall to the commit-stage phase the run loop found the
-	// oldest in-flight epoch blocked in.
+	// Tracing-derived summaries (empty unless Config.Tracer was set), all
+	// folded by trace.Summarize from the tracer's retained window — the
+	// window /metrics serves. Stages carries one wall-clock summary per
+	// lifecycle stage; ShardImbalance* report the per-epoch max/mean shard
+	// execute-time ratio (1.0 = perfectly balanced) on average, at its
+	// worst, and the epoch that hit the worst; PipelineStallByStage
+	// attributes the window's pipeline stalls to the commit-stage phase
+	// the run loop found the oldest in-flight epoch blocked in.
 	Stages                 []StageSummary
 	ShardImbalanceAvg      float64
 	ShardImbalanceMax      float64
@@ -463,12 +456,5 @@ type Report struct {
 	PipelineStallByStage   map[string]time.Duration
 }
 
-// StageSummary is one lifecycle stage's latency histogram summary.
-type StageSummary struct {
-	Stage string
-	Count int
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Total time.Duration
-}
+// StageSummary is one lifecycle stage's wall-clock summary.
+type StageSummary = trace.StageSummary

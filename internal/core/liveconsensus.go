@@ -108,7 +108,7 @@ func newLiveConsensus(sys *MultiSystem) *liveConsensus {
 	n, _ := pbft.Quorum(liveFaultBudget)
 	lv := &liveConsensus{
 		sys: sys,
-		net: netsim.New(sys.sim, sys.cfg.LiveNet),
+		net: netsim.New(sys.sim, netsim.DefaultConfig()),
 	}
 	lv.ids = make([]string, n)
 	for i := range lv.ids {

@@ -249,7 +249,9 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	if cfg.NumPools == 0 {
 		cfg.NumPools = 1
 	}
-	cfg.Tracer.SetRetention(cfg.TraceBuffer)
+	if cfg.TraceBuffer > 0 {
+		cfg.Tracer.SetRetention(cfg.TraceBuffer)
+	}
 	eng, err := engine.New(engine.Config{
 		Seed:             cfg.Seed,
 		NumPools:         cfg.NumPools,
@@ -597,10 +599,7 @@ func (s *MultiSystem) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chai
 // drain is also the point where the arrival log records the boundary
 // and the tracer accounts the epoch's submission span.
 func (s *MultiSystem) drainIngest() {
-	var start time.Duration
-	if s.tr != nil {
-		start = s.tr.Since()
-	}
+	start := s.tr.Since()
 	entries := s.ingest.Drain()
 	now := s.sim.Now()
 	for _, en := range entries {
@@ -611,7 +610,6 @@ func (s *MultiSystem) drainIngest() {
 	if len(s.queue) > s.queuePeak {
 		s.queuePeak = len(s.queue)
 	}
-	s.col.ObserveIngestDepth(len(entries))
 	if s.cfg.ArrivalLog != nil {
 		txs := make([]*summary.Tx, len(entries))
 		for i := range entries {
@@ -633,8 +631,8 @@ func (s *MultiSystem) drainIngest() {
 func (s *MultiSystem) pendingTxs() int { return len(s.queue) + s.ingest.Len() }
 
 // flushSubmitSpan records the epoch's aggregated submission-validation
-// span (accepted submissions since the last flush) and feeds the submit
-// stage histogram. No-op when untraced or nothing was submitted.
+// span (accepted submissions since the last flush). No-op when untraced
+// or nothing was submitted.
 func (s *MultiSystem) flushSubmitSpan(e uint64) {
 	if s.tr == nil || s.submitTxs == 0 {
 		return
@@ -643,59 +641,22 @@ func (s *MultiSystem) flushSubmitSpan(e uint64) {
 		Stage: trace.StageSubmit, Epoch: e,
 		Start: s.submitFirst, Dur: s.submitBusy, Txs: s.submitTxs,
 	})
-	s.col.ObserveStage(trace.StageSubmit.String(), s.submitBusy)
 	s.submitBusy, s.submitTxs, s.submitFirst = 0, 0, 0
 }
 
-// sealTraced seals epoch e (flushing the epoch's submit span first) and,
-// when traced, records the seal span, per-shard execute histograms, and
-// the epoch's shard-imbalance observation. Returns nil after failing the
-// node on a seal error.
+// sealTraced seals epoch e (flushing the epoch's submit span first) and
+// records the seal span; the engine records the per-shard execute spans.
+// Returns nil after failing the node on a seal error.
 func (s *MultiSystem) sealTraced(e uint64, nextKeyBytes []byte) *engine.SealedEpoch {
 	s.flushSubmitSpan(e)
-	var start time.Duration
-	if s.tr != nil {
-		start = s.tr.Since()
-	}
+	sp := s.tr.Start(trace.StageSeal, e)
 	sealed, err := s.eng.SealEpoch(nextKeyBytes)
 	if err != nil {
 		s.fail(fmt.Errorf("%w: end epoch %d: %v", chain.ErrEngineFailed, e, err))
 		return nil
 	}
-	if s.tr != nil {
-		dur := s.tr.Since() - start
-		s.tr.Record(trace.SpanRecord{Stage: trace.StageSeal, Epoch: e, Start: start, Dur: dur})
-		s.col.ObserveStage(trace.StageSeal.String(), dur)
-		s.observeShardStats(e, sealed.ShardStats())
-	}
+	sp.End()
 	return sealed
-}
-
-// observeShardStats feeds the per-shard execute histograms and the
-// epoch's imbalance gauge (max/mean busy time over ALL shards — an idle
-// shard drags the mean down, which is exactly the skew the gauge exists
-// to expose).
-func (s *MultiSystem) observeShardStats(e uint64, stats []engine.ShardStat) {
-	if len(stats) == 0 {
-		return
-	}
-	var max, sum time.Duration
-	worked := false
-	for _, st := range stats {
-		if st.Txs > 0 {
-			s.col.ObserveStage(trace.StageExecute.String(), st.Busy)
-			worked = true
-		}
-		sum += st.Busy
-		if st.Busy > max {
-			max = st.Busy
-		}
-	}
-	if !worked || sum == 0 {
-		return
-	}
-	mean := float64(sum) / float64(len(stats))
-	s.col.ObserveShardImbalance(e, float64(max)/mean)
 }
 
 // SubmitDeposit credits a user's deposit on the default pool for the
@@ -907,10 +868,6 @@ func (s *MultiSystem) CollectReport() (*chain.Report, error) {
 	s.pipe.close()
 	s.bus.Close()
 	s.col.ObserveEventDrops(s.bus.Dropped())
-	// Fold the ingest pool's atomic admission counters into the
-	// single-goroutine collector now that producers are done.
-	ist := s.ingest.Stats()
-	s.col.ObserveAdmission(ist.Admitted, ist.RejFull, ist.Throttled, ist.Canceled)
 	return s.report(), s.err
 }
 
@@ -1221,9 +1178,9 @@ func (s *MultiSystem) retireOldest() bool {
 	wall := time.Since(wallStart)
 	s.stallWall += wall
 	if stalledIn != "" {
-		s.col.ObserveStall(stalledIn, wall)
 		s.tr.Record(trace.SpanRecord{
 			Stage: trace.StageStall, Epoch: job.epoch, Start: stallStart, Dur: wall,
+			WaitedOn: stalledIn,
 		})
 	}
 	if s.err != nil {
@@ -1234,7 +1191,6 @@ func (s *MultiSystem) retireOldest() bool {
 		s.fail(fmt.Errorf("%w: epoch %d: %w", chain.ErrCommitStage, job.epoch, pkg.err))
 		return false
 	}
-	s.observeCommitTimings(pkg)
 	e := job.epoch
 	s.SummaryRoots[e] = pkg.res.SummaryRoot
 	metas := s.ledger.MetaBlocks(e)
@@ -1318,28 +1274,6 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 	})
 }
 
-// observeCommitTimings feeds a retired package's measured commit-stage
-// phase durations into the collector's stage histograms. Runs on the
-// simulator goroutine only (the collector is not locked); the worker
-// merely measured into the package.
-func (s *MultiSystem) observeCommitTimings(pkg *syncPackage) {
-	if s.tr == nil {
-		return
-	}
-	if pkg.tm.build > 0 {
-		s.col.ObserveStage(trace.StageCommitBuild.String(), pkg.tm.build)
-	}
-	if pkg.tm.chunk > 0 {
-		s.col.ObserveStage(trace.StageChunk.String(), pkg.tm.chunk)
-	}
-	if pkg.tm.sign > 0 {
-		s.col.ObserveStage(trace.StageSign.String(), pkg.tm.sign)
-	}
-	if pkg.tm.encode > 0 {
-		s.col.ObserveStage(trace.StageEncode.String(), pkg.tm.encode)
-	}
-}
-
 // encodeEpochBlobs builds the epoch's snapshot-record prefix and
 // sync-part record payload, on the commit-stage worker (off the simulator
 // goroutine).
@@ -1387,19 +1321,8 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 		EngineAccepted: uint64(s.eng.Accepted),
 		EngineRejected: uint64(s.eng.Rejected),
 	})
-	var appendStart time.Duration
-	if s.tr != nil {
-		appendStart = s.tr.Since()
-	}
 	if err := s.st.AppendEpoch(e, snap, partsBlob); err != nil {
 		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrStoreWrite, e, err))
-		return
-	}
-	if s.tr != nil {
-		s.col.ObserveStage(trace.StageStoreAppend.String(), s.tr.Since()-appendStart)
-		if d := s.st.LastFsyncDur(); d > 0 {
-			s.col.ObserveStage(trace.StageStoreFsync.String(), d)
-		}
 	}
 }
 
@@ -1443,13 +1366,10 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 	}
 	// syncWallStart anchors the epoch's sync-confirm span: wall-clock from
 	// submission to the last part's confirmation, which in a pipelined run
-	// visualizes the sync overlapping later epochs' execution. (The
-	// sync-confirm stage HISTOGRAM instead observes the virtual
-	// submission→confirmation latency — the paper's payout-relevant number.)
-	var syncWallStart time.Duration
-	if s.tr != nil {
-		syncWallStart = s.tr.Since()
-	}
+	// visualizes the sync overlapping later epochs' execution. (The virtual
+	// submission→confirmation latency — the paper's payout-relevant
+	// number — is the collector's "sync" confirmation latency.)
+	syncWallStart := s.tr.Since()
 	var totalGas uint64 // accumulated across parts for the event
 	// Every part verifies against the epoch's group key, which the
 	// PREVIOUS epoch registers on-chain only once ALL its parts have
@@ -1482,14 +1402,11 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 			// epoch's sync — parts, bytes, and gas.
 			s.SyncsOK++
 			s.col.ObserveMCLatency("sync", tx.ConfirmedAt-submitted)
-			if s.tr != nil {
-				s.tr.Record(trace.SpanRecord{
-					Stage: trace.StageSyncConfirm, Epoch: e,
-					Start: syncWallStart, Dur: s.tr.Since() - syncWallStart,
-					Bytes: totalSize, Gas: totalGas,
-				})
-				s.col.ObserveStage(trace.StageSyncConfirm.String(), tx.ConfirmedAt-submitted)
-			}
+			s.tr.Record(trace.SpanRecord{
+				Stage: trace.StageSyncConfirm, Epoch: e,
+				Start: syncWallStart, Dur: s.tr.Since() - syncWallStart,
+				Bytes: totalSize, Gas: totalGas,
+			})
 			for _, rec := range s.recsByEpoch[e] {
 				s.col.ObserveTx(metrics.TxObservation{
 					Kind:        rec.tx.Kind,
@@ -1526,9 +1443,6 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 					return
 				}
 			}
-			if s.tr != nil {
-				s.col.ObserveStage(trace.StagePrune.String(), s.tr.Since()-spPrune.StartOffset())
-			}
 			spPrune.End()
 			s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
 			s.finishIfPruned()
@@ -1539,14 +1453,10 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 	for i := range s.lastSyncTxIDs {
 		s.lastSyncTxIDs[i] = s.syncTxID(e, i+1)
 	}
-	if s.tr != nil {
-		d := s.tr.Since() - syncWallStart
-		s.tr.Record(trace.SpanRecord{
-			Stage: trace.StageSyncSubmit, Epoch: e,
-			Start: syncWallStart, Dur: d, Bytes: totalSize,
-		})
-		s.col.ObserveStage(trace.StageSyncSubmit.String(), d)
-	}
+	s.tr.Record(trace.SpanRecord{
+		Stage: trace.StageSyncSubmit, Epoch: e,
+		Start: syncWallStart, Dur: s.tr.Since() - syncWallStart, Bytes: totalSize,
+	})
 	s.bus.Publish(chain.Event{
 		Type: chain.EventSyncSubmitted, At: submitted, Epoch: e,
 		Parts: numParts, Bytes: totalSize,
@@ -1769,18 +1679,7 @@ func (s *MultiSystem) report() *chain.Report {
 	for _, pid := range s.eng.PoolIDs() {
 		live += s.eng.Pool(pid).NumPositions()
 	}
-	var stages []chain.StageSummary
-	for _, name := range s.col.StageNames() {
-		stages = append(stages, chain.StageSummary{
-			Stage: name,
-			Count: s.col.StageCount(name),
-			P50:   s.col.StagePercentile(name, 50),
-			P95:   s.col.StagePercentile(name, 95),
-			P99:   s.col.StagePercentile(name, 99),
-			Total: s.col.StageTotal(name),
-		})
-	}
-	imbAvg, imbMax, imbMaxEpoch := s.col.ShardImbalance()
+	ts := trace.Summarize(s.tr.Snapshot(0), s.eng.NumShards())
 	var netStats netsim.Stats
 	if s.live != nil {
 		netStats = s.live.stats()
@@ -1814,11 +1713,11 @@ func (s *MultiSystem) report() *chain.Report {
 		PipelineDepth:          s.cfg.PipelineDepth,
 		PipelineOccupancy:      s.col.AvgPipelineOccupancy(),
 		PipelineStallWall:      s.stallWall,
-		Stages:                 stages,
-		ShardImbalanceAvg:      imbAvg,
-		ShardImbalanceMax:      imbMax,
-		ShardImbalanceMaxEpoch: imbMaxEpoch,
-		PipelineStallByStage:   s.col.StallByStage(),
+		Stages:                 ts.Stages,
+		ShardImbalanceAvg:      ts.ImbalanceAvg,
+		ShardImbalanceMax:      ts.ImbalanceMax,
+		ShardImbalanceMaxEpoch: ts.ImbalanceMaxEpoch,
+		PipelineStallByStage:   ts.Stalls,
 		NetStats:               netStats,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/crypto/tsig"
@@ -88,18 +87,6 @@ type syncPackage struct {
 	// retiring goroutine surfaces it as chain.ErrCommitStage wrapping the
 	// underlying sentinel.
 	err error
-	// tm carries the stage's measured wall-clock per phase (zero when
-	// untraced); the retiring goroutine feeds it into the collector's
-	// stage histograms so the collector stays single-goroutine.
-	tm stageTimings
-}
-
-// stageTimings is the commit stage's per-phase wall-clock for one epoch.
-type stageTimings struct {
-	build  time.Duration
-	chunk  time.Duration
-	sign   time.Duration
-	encode time.Duration
 }
 
 // commitPipeline is the bounded asynchronous commit/sync stage of the
@@ -171,33 +158,27 @@ func (p *commitPipeline) close() {
 // worker: the engine fold (payloads, state roots, summary root), gas
 // chunking, digest computation (including the fault plan's digest
 // corruption), and TSQC signing of every part. When the job carries a
-// tracer it records commit-build / chunk / sign / encode spans and fills
-// the package's stage timings; the phase marker advances alongside for
-// stall attribution. Tracing never touches the package's payload bytes.
+// tracer it records commit-build / chunk / sign / encode spans; the phase
+// marker advances alongside for stall attribution. Tracing never touches
+// the package's payload bytes.
 func buildSyncPackage(job *commitJob) *syncPackage {
 	job.stage.Store(jobBuild)
 	spBuild := job.tr.Start(trace.StageCommitBuild, job.epoch)
 	res := job.sealed.Finalize()
 	pkg := &syncPackage{res: res}
-	if job.tr != nil {
-		pkg.tm.build = job.tr.Since() - spBuild.StartOffset()
-		spBuild.Pools = len(res.PoolIDs)
-	}
+	spBuild.Pools = len(res.PoolIDs)
 	spBuild.End()
 	for _, p := range res.Payloads {
 		pkg.scBytes += p.SidechainBytes()
 	}
 	job.stage.Store(jobSign)
 	pkg.parts, pkg.partSizes, pkg.err = signSyncParts(
-		job.epoch, res, job.ck, job.nextKey, job.corrupt, job.gasBudget, job.tr, &pkg.tm)
+		job.epoch, res, job.ck, job.nextKey, job.corrupt, job.gasBudget, job.tr)
 	if job.persist && pkg.err == nil {
 		job.stage.Store(jobEncode)
 		spEnc := job.tr.Start(trace.StageEncode, job.epoch)
 		pkg.snapPrefix, pkg.partsBlob = encodeEpochBlobs(job.sealed, res, pkg.parts)
-		if job.tr != nil {
-			pkg.tm.encode = job.tr.Since() - spEnc.StartOffset()
-			spEnc.Bytes = len(pkg.snapPrefix) + len(pkg.partsBlob)
-		}
+		spEnc.Bytes = len(pkg.snapPrefix) + len(pkg.partsBlob)
 		spEnc.End()
 	}
 	return pkg
@@ -206,25 +187,16 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 // signSyncParts chunks an epoch's payloads by gas budget and TSQC-signs
 // every part, returning the signed sync args with their mainchain byte
 // sizes. Runs on the commit-stage worker. tr records the chunk and sign
-// spans (nil = untraced); tm, when non-nil, receives the measured
-// chunk/sign wall-clock.
+// spans (nil = untraced).
 func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
-	tr *trace.Tracer, tm *stageTimings) ([]*mainchain.MultiSyncArgs, []int, error) {
+	tr *trace.Tracer) ([]*mainchain.MultiSyncArgs, []int, error) {
 	spChunk := tr.Start(trace.StageChunk, epoch)
 	chunks := chunkPayloads(res.Payloads, gasBudget)
-	if tr != nil && tm != nil {
-		tm.chunk = tr.Since() - spChunk.StartOffset()
-	}
 	spChunk.End()
 	spSign := tr.Start(trace.StageSign, epoch)
 	spSign.Txs = len(chunks)
-	defer func() {
-		if tr != nil && tm != nil {
-			tm.sign = tr.Since() - spSign.StartOffset()
-		}
-		spSign.End()
-	}()
+	defer spSign.End()
 	parts := make([]*mainchain.MultiSyncArgs, len(chunks))
 	sizes := make([]int, len(chunks))
 	errs := make([]error, len(chunks))

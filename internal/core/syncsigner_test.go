@@ -77,7 +77,7 @@ func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 	}
 	ck := &committeeKeys{group: g, signer: signer}
 	// A budget of one gas puts every pool in its own part.
-	parts, sizes, err := signSyncParts(9, res, ck, g, false, 1, nil, nil)
+	parts, sizes, err := signSyncParts(9, res, ck, g, false, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 	}
 
 	ck.signer = newSyncSigner(g, shares[:2])
-	_, _, err = signSyncParts(9, res, ck, g, false, 1, nil, nil)
+	_, _, err = signSyncParts(9, res, ck, g, false, 1, nil)
 	if !errors.Is(err, chain.ErrSignFailed) || err.Error() != fmt.Sprintf("%v: part 1/12: %v: have 2, need 3", chain.ErrSignFailed, tsig.ErrNotEnoughShares) {
 		t.Errorf("failing signer: %v, want ErrSignFailed for part 1/12", err)
 	}

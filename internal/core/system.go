@@ -541,7 +541,6 @@ func (s *System) drainIngest() {
 	if len(s.queue) > s.queuePeak {
 		s.queuePeak = len(s.queue)
 	}
-	s.col.ObserveIngestDepth(len(entries))
 	if s.cfg.ArrivalLog != nil {
 		txs := make([]*summary.Tx, len(entries))
 		for i := range entries {
@@ -677,8 +676,6 @@ func (s *System) Run(epochs int) (*chain.Report, error) {
 	s.sim.Run()
 	s.bus.Close()
 	s.col.ObserveEventDrops(s.bus.Dropped())
-	ist := s.ingest.Stats()
-	s.col.ObserveAdmission(ist.Admitted, ist.RejFull, ist.Throttled, ist.Canceled)
 	return s.report(), s.err
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/trace"
@@ -124,5 +125,63 @@ func TestTraceReportSurfaces(t *testing.T) {
 	if len(plainRep.Stages) != 0 || plainRep.ShardImbalanceMax != 0 {
 		t.Errorf("untraced report carries telemetry: stages=%d imbalanceMax=%.2f",
 			len(plainRep.Stages), plainRep.ShardImbalanceMax)
+	}
+}
+
+// TestReportStagesWallClock pins Report.Stages to one clock: every row is
+// a sum of wall-clock spans, so on one shard (no parallel execute spans)
+// no stage's total can exceed the run's own wall-clock time — a row in
+// virtual time, minutes long per epoch, would.
+func TestReportStagesWallClock(t *testing.T) {
+	start := time.Now()
+	sysCfg, drvCfg := multiTestConfigs(5, 16, 1, 3)
+	sysCfg.Tracer = trace.New(0)
+	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.Run(drvCfg.Epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	if len(rep.Stages) == 0 {
+		t.Fatal("traced run report has no stage summaries")
+	}
+	for _, st := range rep.Stages {
+		if st.Total > wall {
+			t.Errorf("stage %q totals %v, more than the run's %v wall clock", st.Stage, st.Total, wall)
+		}
+	}
+}
+
+// TestTraceBufferKeepsTracerWindow pins who sizes the trace window: the
+// tracer's own retention stands unless Config.TraceBuffer asks for
+// another, so a trace.New(16) tracer keeps every epoch of a 12-epoch run
+// (the default window is 8).
+func TestTraceBufferKeepsTracerWindow(t *testing.T) {
+	for _, buffer := range []int{0, 4} {
+		tr := trace.New(16)
+		sysCfg, drvCfg := multiTestConfigs(3, 8, 2, 12)
+		sysCfg.Tracer = tr
+		sysCfg.TraceBuffer = buffer
+		sys, _, err := NewMultiDriver(sysCfg, drvCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sys.Run(drvCfg.Epochs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rep.EpochsRun // 12 planned, plus any drain epoch
+		if buffer > 0 {
+			want = buffer
+		}
+		if rep.EpochsRun < 12 || rep.EpochsRun > 16 {
+			t.Fatalf("ran %d epochs, want 12..16", rep.EpochsRun)
+		}
+		if got := len(tr.Epochs()); got != want {
+			t.Errorf("TraceBuffer %d: tracer retained %d epochs, want %d", buffer, got, want)
+		}
 	}
 }

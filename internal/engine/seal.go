@@ -1,24 +1,10 @@
 package engine
 
 import (
-	"time"
-
 	"ammboost/internal/amm"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
 )
-
-// ShardStat is one shard's execute-phase accounting for one epoch,
-// captured at seal time when tracing is enabled: summed execute
-// wall-clock, accepted transactions, their gas-model cost, and how many
-// of the shard's pools were active (snapshotted) this epoch.
-type ShardStat struct {
-	Shard int
-	Busy  time.Duration
-	Txs   int
-	Gas   uint64
-	Pools int
-}
 
 // SealedEpoch is the frozen hand-off between an epoch's execution and its
 // commitment build, the unit of work the pipelined lifecycle moves off
@@ -55,14 +41,7 @@ type SealedEpoch struct {
 	shardPools    [][]string
 	poolIndex     map[string]int
 	fullRecompute bool
-
-	// stats holds per-shard execute accounting (nil when untraced).
-	stats []ShardStat
 }
-
-// ShardStats returns the epoch's per-shard execute accounting, or nil
-// when the engine ran untraced.
-func (se *SealedEpoch) ShardStats() []ShardStat { return se.stats }
 
 // Epoch returns the sealed epoch's number.
 func (se *SealedEpoch) Epoch() uint64 { return se.epoch }
@@ -127,28 +106,24 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 			se.dirty[i] = p.TakeDirty()
 		}
 	})
-	// Capture per-shard execute accounting and emit one execute-shard
-	// span per shard that did work, before the executor slots are cleared.
+	// Emit one execute-shard span per shard that did work — busy time,
+	// active pools, txs and gas — before the executor slots are cleared.
 	if e.tr != nil {
-		se.stats = make([]ShardStat, e.numShards)
 		for s := 0; s < e.numShards; s++ {
+			if e.shardTxs[s] == 0 && e.shardBusy[s] == 0 {
+				continue
+			}
 			pools := 0
 			for _, id := range e.shardPools[s] {
 				if e.execs[e.poolIndex[id]] != nil {
 					pools++
 				}
 			}
-			se.stats[s] = ShardStat{
-				Shard: s, Busy: e.shardBusy[s], Txs: e.shardTxs[s],
-				Gas: e.shardGas[s], Pools: pools,
-			}
-			if e.shardTxs[s] > 0 || e.shardBusy[s] > 0 {
-				e.tr.Record(trace.SpanRecord{
-					Stage: trace.StageExecute, Shard: int32(s), Epoch: e.epoch,
-					Start: e.shardFirst[s], Dur: e.shardBusy[s],
-					Pools: pools, Txs: e.shardTxs[s], Gas: e.shardGas[s],
-				})
-			}
+			e.tr.Record(trace.SpanRecord{
+				Stage: trace.StageExecute, Shard: int32(s), Epoch: e.epoch,
+				Start: e.shardFirst[s], Dur: e.shardBusy[s],
+				Pools: pools, Txs: e.shardTxs[s], Gas: e.shardGas[s],
+			})
 		}
 	}
 	// Advance canonical states on the caller's goroutine (the registry

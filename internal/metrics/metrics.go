@@ -111,31 +111,6 @@ type Collector struct {
 	pipelineSamples int
 	pipelineSum     int
 	pipelineMax     int
-
-	// Per-stage lifecycle latency (fed from the tracer's measurements on
-	// the simulation goroutine; percentile queries cover the retained
-	// sample window like every other series).
-	stageLat map[string]*latAgg
-	// Shard imbalance: per-epoch max/mean shard execute-time ratio.
-	imbSum      float64
-	imbCount    int
-	imbMax      float64
-	imbMaxEpoch uint64
-	// Pipeline stall attribution: wall-clock the run loop spent blocked
-	// on epoch retirement, keyed by the commit-stage phase it waited on.
-	stallByStage map[string]time.Duration
-
-	// Ingest front end: mempool depth sampled at each drain boundary,
-	// plus the admission-control outcome totals folded in at report time
-	// (the pool keeps its own atomics; the collector stays
-	// single-goroutine).
-	ingestSamples  int
-	ingestSum      int
-	ingestPeak     int
-	ingestAdmitted uint64
-	ingestRejFull  uint64
-	ingestThrottle uint64
-	ingestCanceled uint64
 }
 
 // New creates an empty collector retaining every sample.
@@ -145,8 +120,6 @@ func New() *Collector {
 		gasByOp:         make(map[string]*gasAgg),
 		mcLatency:       make(map[string]*latAgg),
 		lifecycle:       make(map[string]int),
-		stageLat:        make(map[string]*latAgg),
-		stallByStage:    make(map[string]time.Duration),
 	}
 }
 
@@ -163,9 +136,6 @@ func (c *Collector) SetSampleCap(n int) {
 		g.samples.setCap(n)
 	}
 	for _, l := range c.mcLatency {
-		l.samples.setCap(n)
-	}
-	for _, l := range c.stageLat {
 		l.samples.setCap(n)
 	}
 }
@@ -350,136 +320,4 @@ func (c *Collector) Ops() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ObserveStage records one lifecycle-stage duration (e.g. "seal",
-// "commit-build", "store-fsync"). Stage series share the collector's
-// sample cap.
-func (c *Collector) ObserveStage(stage string, d time.Duration) {
-	l := c.stageLat[stage]
-	if l == nil {
-		l = &latAgg{samples: ring[time.Duration]{cap: c.sampleCap}}
-		c.stageLat[stage] = l
-	}
-	l.sum += d
-	l.count++
-	l.samples.append(d)
-}
-
-// StageNames lists the stage labels with latency observations, sorted.
-func (c *Collector) StageNames() []string {
-	out := make([]string, 0, len(c.stageLat))
-	for s := range c.stageLat {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// StageCount returns how many durations a stage recorded.
-func (c *Collector) StageCount(stage string) int {
-	l := c.stageLat[stage]
-	if l == nil {
-		return 0
-	}
-	return l.count
-}
-
-// StageTotal returns a stage's summed duration (exact, uncapped).
-func (c *Collector) StageTotal(stage string) time.Duration {
-	l := c.stageLat[stage]
-	if l == nil {
-		return 0
-	}
-	return l.sum
-}
-
-// StagePercentile returns the p-th percentile (0–100) duration of a
-// stage over its retained sample window.
-func (c *Collector) StagePercentile(stage string, p float64) time.Duration {
-	l := c.stageLat[stage]
-	if l == nil || l.samples.len() == 0 {
-		return 0
-	}
-	ds := make([]time.Duration, 0, l.samples.len())
-	l.samples.each(func(d time.Duration) { ds = append(ds, d) })
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(p / 100 * float64(len(ds)-1))
-	return ds[idx]
-}
-
-// ObserveShardImbalance records one epoch's max/mean shard execute-time
-// ratio (1.0 = perfectly balanced; meaningful only with >= 2 shards).
-func (c *Collector) ObserveShardImbalance(epoch uint64, ratio float64) {
-	if ratio <= 0 {
-		return
-	}
-	c.imbSum += ratio
-	c.imbCount++
-	if ratio > c.imbMax {
-		c.imbMax = ratio
-		c.imbMaxEpoch = epoch
-	}
-}
-
-// ShardImbalance reports the mean and worst per-epoch max/mean shard
-// execute-time ratio, and the epoch that hit the worst. Zeros when no
-// epoch was observed.
-func (c *Collector) ShardImbalance() (avg, max float64, maxEpoch uint64) {
-	if c.imbCount == 0 {
-		return 0, 0, 0
-	}
-	return c.imbSum / float64(c.imbCount), c.imbMax, c.imbMaxEpoch
-}
-
-// ObserveStall attributes pipeline-retirement blocking time to the
-// commit-stage phase the run loop found the oldest epoch in.
-func (c *Collector) ObserveStall(stage string, d time.Duration) {
-	if d > 0 {
-		c.stallByStage[stage] += d
-	}
-}
-
-// StallByStage copies the stall-attribution totals (empty when the run
-// never blocked on retirement).
-func (c *Collector) StallByStage() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(c.stallByStage))
-	for s, d := range c.stallByStage {
-		out[s] = d
-	}
-	return out
-}
-
-// ObserveIngestDepth records how many transactions one drain boundary
-// merged out of the concurrent mempool (a depth gauge sampled at the
-// drain cadence, including empty drains).
-func (c *Collector) ObserveIngestDepth(n int) {
-	c.ingestSamples++
-	c.ingestSum += n
-	if n > c.ingestPeak {
-		c.ingestPeak = n
-	}
-}
-
-// IngestDepth returns the drain-boundary depth gauge: sample count,
-// mean depth, and peak.
-func (c *Collector) IngestDepth() (samples int, avg float64, peak int) {
-	if c.ingestSamples > 0 {
-		avg = float64(c.ingestSum) / float64(c.ingestSamples)
-	}
-	return c.ingestSamples, avg, c.ingestPeak
-}
-
-// ObserveAdmission folds the ingest pool's admission-outcome totals in
-// (set-once at report time — the pool's counters are cumulative).
-func (c *Collector) ObserveAdmission(admitted, rejFull, throttled, canceled uint64) {
-	c.ingestAdmitted = admitted
-	c.ingestRejFull = rejFull
-	c.ingestThrottle = throttled
-	c.ingestCanceled = canceled
-}
-
-// Admission returns the ingest admission-control outcome totals.
-func (c *Collector) Admission() (admitted, rejFull, throttled, canceled uint64) {
-	return c.ingestAdmitted, c.ingestRejFull, c.ingestThrottle, c.ingestCanceled
 }

@@ -153,77 +153,3 @@ func TestSampleCapResize(t *testing.T) {
 		t.Errorf("AvgGas = %v over %d, want 6 over 11", avg, n)
 	}
 }
-
-// TestStageLatency pins the new lifecycle-stage histograms: counts and
-// totals stay exact, percentiles cover the retained window, and
-// SetSampleCap re-bounds stage rings alongside the other series.
-func TestStageLatency(t *testing.T) {
-	c := New()
-	for i := 1; i <= 100; i++ {
-		c.ObserveStage("seal", time.Duration(i)*time.Millisecond)
-	}
-	c.ObserveStage("sign", 5*time.Millisecond)
-	if got := c.StageNames(); len(got) != 2 || got[0] != "seal" || got[1] != "sign" {
-		t.Fatalf("StageNames = %v", got)
-	}
-	if c.StageCount("seal") != 100 {
-		t.Fatalf("StageCount(seal) = %d", c.StageCount("seal"))
-	}
-	if want := 5050 * time.Millisecond; c.StageTotal("seal") != want {
-		t.Fatalf("StageTotal(seal) = %v, want %v", c.StageTotal("seal"), want)
-	}
-	if got := c.StagePercentile("seal", 50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
-	}
-	if got := c.StagePercentile("seal", 99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
-	}
-	if got := c.StagePercentile("missing", 50); got != 0 {
-		t.Fatalf("missing stage percentile = %v, want 0", got)
-	}
-	c.SetSampleCap(10)
-	if got := c.stageLat["seal"].samples.len(); got != 10 {
-		t.Fatalf("stage ring not re-capped: %d samples", got)
-	}
-	// Window now holds {91..100}ms; count/total stay exact.
-	if got := c.StagePercentile("seal", 0); got != 91*time.Millisecond {
-		t.Fatalf("capped p0 = %v, want 91ms", got)
-	}
-	if c.StageCount("seal") != 100 {
-		t.Fatalf("cap changed exact count: %d", c.StageCount("seal"))
-	}
-}
-
-// TestShardImbalance pins the per-epoch imbalance gauge: mean and worst
-// ratio with the epoch that hit the worst.
-func TestShardImbalance(t *testing.T) {
-	c := New()
-	if avg, max, e := c.ShardImbalance(); avg != 0 || max != 0 || e != 0 {
-		t.Fatalf("empty imbalance = (%v, %v, %d)", avg, max, e)
-	}
-	c.ObserveShardImbalance(1, 1.0)
-	c.ObserveShardImbalance(2, 3.0)
-	c.ObserveShardImbalance(3, 2.0)
-	c.ObserveShardImbalance(4, 0) // ignored: no measurement
-	avg, max, e := c.ShardImbalance()
-	if avg != 2.0 || max != 3.0 || e != 2 {
-		t.Fatalf("imbalance = (%v, %v, %d), want (2, 3, 2)", avg, max, e)
-	}
-}
-
-// TestStallAttribution pins stall accounting by commit-stage phase.
-func TestStallAttribution(t *testing.T) {
-	c := New()
-	c.ObserveStall("sign", 10*time.Millisecond)
-	c.ObserveStall("sign", 5*time.Millisecond)
-	c.ObserveStall("store-encode", 2*time.Millisecond)
-	c.ObserveStall("queued", 0) // ignored
-	got := c.StallByStage()
-	if len(got) != 2 || got["sign"] != 15*time.Millisecond || got["store-encode"] != 2*time.Millisecond {
-		t.Fatalf("StallByStage = %v", got)
-	}
-	got["sign"] = 0 // returned map is a copy
-	if c.StallByStage()["sign"] != 15*time.Millisecond {
-		t.Fatal("StallByStage returned internal map")
-	}
-}

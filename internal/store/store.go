@@ -49,7 +49,6 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"path/filepath"
-	"time"
 
 	"ammboost/internal/binenc"
 	"ammboost/internal/chain"
@@ -146,17 +145,12 @@ type Writer struct {
 
 	// Lifecycle tracing (nil = disabled): AppendEpoch records a
 	// store-append span and each actual fsync a store-fsync span.
-	tr        *trace.Tracer
-	epoch     uint64        // epoch of the append in progress, for spans
-	lastFsync time.Duration // fsync duration of the last AppendEpoch (0 = skipped)
+	tr    *trace.Tracer
+	epoch uint64 // epoch of the append in progress, for spans
 }
 
 // SetTracer attaches the lifecycle tracer (nil disables tracing).
 func (w *Writer) SetTracer(tr *trace.Tracer) { w.tr = tr }
-
-// LastFsyncDur returns how long the last AppendEpoch's fsync took, or 0
-// when the fsync policy batched it away (or tracing is off).
-func (w *Writer) LastFsyncDur() time.Duration { return w.lastFsync }
 
 // SetFsyncEvery batches fsyncs: the file is synced on every n-th epoch
 // append instead of every one, trading the last <n epochs on a crash
@@ -197,7 +191,6 @@ func (w *Writer) AppendEpoch(epoch uint64, snapshot, syncParts []byte) error {
 	sp := w.tr.Start(trace.StageStoreAppend, epoch)
 	sp.Bytes = len(snapshot) + len(syncParts)
 	w.epoch = epoch
-	w.lastFsync = 0
 	defer sp.End()
 	if err := w.appendRecord(recSnapshot, snapshot); err != nil {
 		return err
@@ -236,13 +229,10 @@ func (w *Writer) commit() error {
 		w.err = err
 		return err
 	}
-	if w.tr != nil {
-		w.lastFsync = w.tr.Since() - syncStart
-		w.tr.Record(trace.SpanRecord{
-			Stage: trace.StageStoreFsync, Epoch: w.epoch,
-			Start: syncStart, Dur: w.lastFsync,
-		})
-	}
+	w.tr.Record(trace.SpanRecord{
+		Stage: trace.StageStoreFsync, Epoch: w.epoch,
+		Start: syncStart, Dur: w.tr.Since() - syncStart,
+	})
 	w.sinceSync = 0
 	return nil
 }

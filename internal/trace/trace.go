@@ -120,6 +120,9 @@ type SpanRecord struct {
 	Txs   int
 	Bytes int
 	Gas   uint64
+	// WaitedOn names the commit phase a pipeline-stall span waited on:
+	// "queued", "commit-build", "sign" or "store-encode".
+	WaitedOn string
 }
 
 // Span is an in-progress measurement returned by Start. It is a value
@@ -139,11 +142,6 @@ type Span struct {
 	Bytes int
 	Gas   uint64
 }
-
-// StartOffset returns the span's start offset from the tracer's
-// creation (zero for an inert span) — the same timebase Since uses, so
-// callers can derive the elapsed duration without a second clock read.
-func (sp *Span) StartOffset() time.Duration { return sp.start }
 
 // End completes the span and records it. No-op for a zero Span.
 func (sp *Span) End() {

@@ -7,6 +7,8 @@
 #   - /metrics exposes the lifecycle gauges, event counters, and
 #     per-stage trace quantiles,
 #   - /trace returns a Chrome trace-event document with span events,
+#   - the stage table the node printed and /metrics agree (both fold the
+#     tracer's retained spans) and no stage row claims virtual time,
 # then shuts the node down (the -admin surface stays up after the run
 # until SIGTERM, which is exactly what lets this script curl a finished
 # run's state).
@@ -48,6 +50,12 @@ for i in $(seq 1 300); do
   kill -0 "$NODE_PID" 2>/dev/null || { echo "admin_smoke: node died mid-run:"; cat "$LOG"; exit 1; }
   sleep 0.2
 done
+# The report (and its stage table) prints once the run is done; the
+# admin banner follows it.
+for i in $(seq 1 50); do
+  grep -q 'run complete; admin surface stays up' "$LOG" && break
+  sleep 0.2
+done
 
 fail=0
 check() { # check <label> <haystack-file> <needle>...
@@ -79,6 +87,21 @@ check /metrics "$DIR/metrics" \
   'ammboost_stage_seconds{stage="execute-shard",q="0.50"}' \
   'ammboost_stage_seconds{stage="commit-build",q="0.99"}' \
   'ammboost_stage_count{stage="seal"}'
+
+# One record of stage timing: the printed table's seal count is the
+# served one, and no row is labelled with the simulator's clock.
+printed_seal=$(awk '/^=== stage latency/ {on=1; next} on && $1 == "seal" {print $2; exit}' "$LOG")
+served_seal=$(sed -n 's/^ammboost_stage_count{stage="seal"} //p' "$DIR/metrics")
+if [ -n "$printed_seal" ] && [ "$printed_seal" = "$served_seal" ]; then
+  echo "  ok    stage table: seal count $printed_seal = /metrics"
+else
+  echo "  FAIL  stage table seal count '$printed_seal' != /metrics '$served_seal'"
+  fail=1
+fi
+if grep -q 'sync-confirm is virtual' "$LOG"; then
+  echo "  FAIL  node log still labels sync-confirm as virtual time"
+  fail=1
+fi
 
 curl -sf "http://$ADDR/trace?epochs=3" >"$DIR/trace.json" || { echo "admin_smoke: /trace unreachable"; exit 1; }
 check /trace "$DIR/trace.json" \
