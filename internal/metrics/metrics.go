@@ -8,6 +8,9 @@
 // percentiles) are retained in full by default; long-running nodes cap
 // them with SetSampleCap, after which percentile queries cover the
 // newest window while every count and average stays exact.
+//
+// Stage timing is not collected here: trace.Summarize folds it from the
+// tracer's span window.
 package metrics
 
 import (
