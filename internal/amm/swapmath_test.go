@@ -197,3 +197,39 @@ func BenchmarkComputeSwapStep(b *testing.B) {
 		}
 	}
 }
+
+// TestSwapMathZeroAlloc pins the property the swap path's speed rests on:
+// the u256 divisions and a whole swap step run without touching the heap,
+// so a math/big round-trip creeping back in fails here.
+func TestSwapMathZeroAlloc(t *testing.T) {
+	x := u256.Sub(u256.Shl(u256.One, 180), u256.One)
+	y := u256.Sub(u256.Shl(u256.One, 150), u256.FromUint64(7))
+	d := u256.Sub(u256.Shl(u256.One, 96), u256.FromUint64(11))
+	cur, target := u256.Q96, SqrtRatioAtTick(-600) // warms the tick cache
+	liq := u256.FromUint64(10_000_000_000)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"MulDiv", func() { u256.MulDiv(x, y, d) }},
+		{"MulDivRoundingUp", func() { u256.MulDivRoundingUp(x, y, d) }},
+		{"Div", func() { u256.Div(x, d) }},
+		{"Mod", func() { u256.Mod(x, d) }},
+		{"DivRoundingUp", func() { u256.DivRoundingUp(x, d) }},
+		{"ComputeSwapStep/exactIn", func() {
+			ComputeSwapStep(cur, target, liq, u256.FromUint64(1_000), 3000, true)
+		}},
+		{"ComputeSwapStep/exactInToTarget", func() {
+			ComputeSwapStep(cur, target, liq, u256.FromUint64(1<<40), 3000, true)
+		}},
+		{"ComputeSwapStep/exactOut", func() {
+			ComputeSwapStep(cur, target, liq, u256.FromUint64(1_000), 3000, false)
+		}},
+		{"TickAtSqrtRatio", func() { TickAtSqrtRatio(target) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+	}
+}

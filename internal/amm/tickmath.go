@@ -10,6 +10,7 @@
 package amm
 
 import (
+	"math"
 	"math/big"
 	"sync"
 
@@ -93,19 +94,35 @@ func computeSqrtRatio(tick int32) u256.Int {
 // TickAtSqrtRatio returns the largest tick t such that
 // SqrtRatioAtTick(t) <= sqrtPriceX96. It panics if sqrtPriceX96 is outside
 // [MinSqrtRatio, MaxSqrtRatio).
+//
+// A float estimate from the price's top 64 bits picks the starting tick;
+// stepping against the exact ratios then lands on the answer. The ratios are
+// strictly increasing, so the result is exact whatever the estimate: the
+// float only decides how many steps (about two) it takes.
 func TickAtSqrtRatio(sqrtPriceX96 u256.Int) int32 {
 	if sqrtPriceX96.Lt(MinSqrtRatio) || !sqrtPriceX96.Lt(MaxSqrtRatio) {
 		panic("amm: sqrt price out of range")
 	}
-	lo, hi := MinTick, MaxTick
-	// Invariant: SqrtRatioAtTick(lo) <= sqrtPriceX96 < SqrtRatioAtTick(hi+1).
-	for lo < hi {
-		mid := lo + (hi-lo+1)/2
-		if SqrtRatioAtTick(mid).Cmp(sqrtPriceX96) <= 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	t := tickEstimate(sqrtPriceX96)
+	for SqrtRatioAtTick(t).Gt(sqrtPriceX96) {
+		t--
 	}
-	return lo
+	for !SqrtRatioAtTick(t + 1).Gt(sqrtPriceX96) {
+		t++
+	}
+	return t
+}
+
+// log2TickBase is log2(1.0001): the price doubles every 1/log2TickBase
+// ticks, the sqrt price every 2/log2TickBase.
+var log2TickBase = math.Log2(1.0001)
+
+// tickEstimate returns floor(2·log2(p/2^96) / log2(1.0001)) evaluated in
+// float64 on p's top 64 bits, clamped to [MinTick, MaxTick-1].
+func tickEstimate(p u256.Int) int32 {
+	shift := max(p.BitLen()-64, 0)
+	top, _ := u256.Shr(p, uint(shift)).Uint64()
+	log2p := math.Log2(float64(top)) + float64(shift) - 96
+	t := math.Floor(2 * log2p / log2TickBase)
+	return int32(min(max(t, float64(MinTick)), float64(MaxTick-1)))
 }

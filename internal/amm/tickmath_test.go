@@ -93,6 +93,48 @@ func TestTickAtSqrtRatioBounds(t *testing.T) {
 	assertPanics(t, func() { SqrtRatioAtTick(MinTick - 1) })
 }
 
+// bisectTick is the binary search TickAtSqrtRatio used to run: the
+// reference its estimate-then-verify walk must agree with everywhere.
+func bisectTick(sqrtPriceX96 u256.Int) int32 {
+	lo, hi := MinTick, MaxTick
+	// Invariant: SqrtRatioAtTick(lo) <= sqrtPriceX96 < SqrtRatioAtTick(hi+1).
+	for lo < hi {
+		mid := lo + (hi-lo+1)/2
+		if SqrtRatioAtTick(mid).Cmp(sqrtPriceX96) <= 0 {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+func TestTickAtSqrtRatioMatchesBisection(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	prices := []u256.Int{MinSqrtRatio, u256.Sub(MaxSqrtRatio, u256.One)}
+	for i := 0; i < 300; i++ {
+		ratio := SqrtRatioAtTick(int32(r.Intn(int(MaxTick-MinTick))) + MinTick)
+		prices = append(prices, u256.Sub(ratio, u256.One), ratio, u256.Add(ratio, u256.One))
+	}
+	// Random in-range prices, uniform in bit length so every octave of
+	// the tick range is drawn.
+	span := u256.Sub(MaxSqrtRatio, MinSqrtRatio)
+	for i := 0; i < 300; i++ {
+		var b [32]byte
+		r.Read(b[:])
+		p := u256.Shr(u256.FromBytes32(b), uint(256-r.Intn(span.BitLen()+1)))
+		prices = append(prices, u256.Add(MinSqrtRatio, u256.Mod(p, span)))
+	}
+	for _, p := range prices {
+		if p.Lt(MinSqrtRatio) || !p.Lt(MaxSqrtRatio) {
+			continue // a drawn ratio's neighbour left the range
+		}
+		if got, want := TickAtSqrtRatio(p), bisectTick(p); got != want {
+			t.Fatalf("TickAtSqrtRatio(%s) = %d, bisection %d", p, got, want)
+		}
+	}
+}
+
 func assertPanics(t *testing.T, fn func()) {
 	t.Helper()
 	defer func() {
@@ -114,5 +156,15 @@ func BenchmarkSqrtRatioAtTickCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = SqrtRatioAtTick(60)
+	}
+}
+
+func BenchmarkTickAtSqrtRatio(b *testing.B) {
+	p := u256.Add(SqrtRatioAtTick(-23_028), u256.FromUint64(12_345))
+	TickAtSqrtRatio(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = TickAtSqrtRatio(p)
 	}
 }

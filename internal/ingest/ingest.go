@@ -370,8 +370,9 @@ func (p *Pool) wake() {
 	p.mu.Unlock()
 }
 
-// Drain removes every buffered entry and returns them in canonical
-// (global-sequence) order, then wakes blocked producers. Single
+// Drain removes every entry admitted before it starts — a prefix of the
+// global sequence — and returns them in canonical (global-sequence)
+// order, then wakes blocked producers. Single
 // consumer only — the lifecycle calls it at each round start. The
 // returned slice is a reused buffer valid only until the next Drain
 // call: the consumer copies entries out (into its meta-block queue)
@@ -379,18 +380,30 @@ func (p *Pool) wake() {
 // per-round merge buffer was the pool's dominant garbage source, and
 // the GC assists it triggered were charged to producer goroutines.
 func (p *Pool) Drain() []Entry {
-	// Steal each segment's sorted run, installing the previous drain's
-	// (already merged, hence free) buffer in its place — the lock is
-	// held only for the swap, and sustained load allocates nothing.
+	// The drain takes exactly the tickets issued before it starts. A
+	// ticket is taken and its entry appended under one segment lock, so
+	// each of them is in its segment by the time the sweep locks it;
+	// later tickets wait for the next drain. Without the cut, a producer
+	// appending behind the sweep and then ahead of it would have its
+	// later entry drained first.
+	cut := p.seq.Load()
+	// Steal each segment's sorted run up to the cut, installing the
+	// previous drain's (already merged, hence free) buffer in its place
+	// with any entries past the cut — the lock is held only for the swap,
+	// and sustained load allocates nothing.
 	runs := p.runs[:0]
 	total := 0
 	for i := range p.segs {
 		s := &p.segs[i]
 		s.mu.Lock()
-		if len(s.entries) > 0 {
-			runs = append(runs, s.entries)
-			total += len(s.entries)
-			s.entries, s.spare = s.spare[:0], s.entries
+		n := len(s.entries)
+		for n > 0 && s.entries[n-1].Seq > cut {
+			n--
+		}
+		if n > 0 {
+			runs = append(runs, s.entries[:n])
+			total += n
+			s.entries, s.spare = append(s.spare[:0], s.entries[n:]...), s.entries
 		}
 		s.mu.Unlock()
 	}

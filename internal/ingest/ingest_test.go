@@ -549,3 +549,56 @@ func TestConcurrentBatchSaturation(t *testing.T) {
 		t.Fatalf("peak %d exceeds capacity", st.Peak)
 	}
 }
+
+// TestDrainCutIsTicketPrefix pins that every drain takes a prefix of the
+// admission tickets, so a producer's transactions reach the lifecycle in
+// the order it submitted them whatever the drain timing: a producer that
+// appends behind the drain's segment sweep and then ahead of it must not
+// have its later entry drained first (a burn before the mint it burns).
+func TestDrainCutIsTicketPrefix(t *testing.T) {
+	p := New(Policy{})
+	const producers, each = 2, 20_000
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i))); err != nil {
+					t.Errorf("admit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var next uint64 = 1 // the ticket the next drain must start with
+	drained := 0
+	check := func() bool {
+		for _, e := range p.Drain() {
+			if e.Seq != next {
+				t.Errorf("drain %d took ticket %d, want %d: not a prefix of the tickets", drained, e.Seq, next)
+				return false
+			}
+			next++
+		}
+		drained++
+		return true
+	}
+	for {
+		select {
+		case <-done:
+			check()
+			if got := next - 1; got != producers*each {
+				t.Fatalf("drained %d entries, want %d", got, producers*each)
+			}
+			return
+		default:
+			if !check() {
+				<-done
+				return
+			}
+		}
+	}
+}

@@ -307,8 +307,10 @@ func (b *TokenBank) flash(env *Env, a FlashArgs) error {
 	if err := env.Gas.Charge(gasmodel.TxBaseGas + 4*gasmodel.SstoreWordGas + gasmodel.KeccakGas(64)); err != nil {
 		return err
 	}
-	fee0 := u256.DivRoundingUp(u256.Mul(a.Amount0, u256.FromUint64(uint64(b.FeePips))), u256.FromUint64(1_000_000))
-	fee1 := u256.DivRoundingUp(u256.Mul(a.Amount1, u256.FromUint64(uint64(b.FeePips))), u256.FromUint64(1_000_000))
+	// The fee is ceil(amount·fee/1e6) over the full 512-bit product, as in
+	// amm.Pool.Flash: a 256-bit product would wrap for large amounts.
+	fee0, _ := u256.MulDivRoundingUp(a.Amount0, u256.FromUint64(uint64(b.FeePips)), u256.FromUint64(1_000_000))
+	fee1, _ := u256.MulDivRoundingUp(a.Amount1, u256.FromUint64(uint64(b.FeePips)), u256.FromUint64(1_000_000))
 	if !a.Amount0.IsZero() {
 		if err := b.token0.internalTransfer(BankAddress, env.Caller, a.Amount0); err != nil {
 			return err

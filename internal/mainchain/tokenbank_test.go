@@ -349,3 +349,35 @@ func TestFlashLoanNotRepaidReverts(t *testing.T) {
 		t.Errorf("bank balance after inverted flash = %s", got)
 	}
 }
+
+// TestFlashLoanLargeAmountFee pins the flash fee to the full-width product:
+// at 2^250 and 3000 pips, amount·fee wraps modulo 2^256, and a repayment of
+// principal plus that wrapped fee must still revert.
+func TestFlashLoanLargeAmountFee(t *testing.T) {
+	f := newBankFixture(t)
+	amount := u256.Shl(u256.One, 250)
+	pips := u256.FromUint64(3000)
+	wrappedFee := u256.DivRoundingUp(u256.Mul(amount, pips), u256.FromUint64(1_000_000))
+	if err := f.t0.Ledger.Mint("faucet", BankAddress, amount); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.t0.Ledger.Mint("faucet", "alice", wrappedFee); err != nil {
+		t.Fatal(err)
+	}
+	f.bank.poolCreated = true
+	f.bank.FeePips = 3000
+	f.bank.PoolReserve0 = amount
+	tx := &Tx{ID: "f1", From: "alice", To: BankAddress, Method: "flash",
+		Args: FlashArgs{Amount0: amount,
+			Callback: func(a0, a1 u256.Int) (u256.Int, u256.Int) {
+				return u256.Add(a0, wrappedFee), u256.Zero
+			}}}
+	f.submitAndRun(t, tx, 20*time.Second)
+	f.chain.Stop()
+	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrFlashNotRepaid) {
+		t.Fatalf("status=%v err=%v, want ErrFlashNotRepaid", tx.Status, tx.Err)
+	}
+	if got := f.t0.Ledger.BalanceOf(BankAddress); !got.Eq(amount) {
+		t.Errorf("bank balance after inverted flash = %s", got)
+	}
+}

@@ -1,10 +1,12 @@
 // Package u256 implements 256-bit unsigned integer arithmetic for the AMM
 // fixed-point math (Q64.96 sqrt prices, Q128.128 fee growth accumulators).
 //
-// Add, Sub, Mul, and comparisons operate directly on 4×uint64 limbs.
-// Division, modulo, full-width MulDiv (512-bit intermediate), and square
-// roots route through math/big: correctness over micro-optimization, with
-// property tests pinning every operation to the big.Int reference.
+// Every arithmetic operation works directly on 4×uint64 limbs and does not
+// allocate. Division, modulo and the full-width MulDiv family share one
+// 512-by-256-bit long division (Knuth's Algorithm D on math/bits), so the
+// swap path never touches math/big; property tests and a fuzz target pin
+// every operation, overflow flags included, to the big.Int reference.
+// math/big remains only for conversions: String, Hex, FromBig, ToBig.
 package u256
 
 import (
@@ -197,19 +199,18 @@ func Sub(x, y Int) Int {
 
 // Mul returns x * y mod 2^256.
 func Mul(x, y Int) Int {
-	lo, _ := mulFull(x, y)
-	return lo
+	return low(mulFull(x, y))
 }
 
 // MulOverflow returns x * y mod 2^256 and whether the product exceeded 256
 // bits.
 func MulOverflow(x, y Int) (Int, bool) {
-	lo, hi := mulFull(x, y)
-	return lo, !hi.IsZero()
+	p := mulFull(x, y)
+	return low(p), overflows(p)
 }
 
-// mulFull computes the 512-bit product of x and y as (lo, hi).
-func mulFull(x, y Int) (lo, hi Int) {
+// mulFull computes the 512-bit product of x and y, little-endian.
+func mulFull(x, y Int) [8]uint64 {
 	var prod [8]uint64
 	for i := 0; i < 4; i++ {
 		var carry uint64
@@ -225,9 +226,33 @@ func mulFull(x, y Int) (lo, hi Int) {
 		}
 		prod[i+4] = carry
 	}
-	copy(lo.limbs[:], prod[:4])
-	copy(hi.limbs[:], prod[4:])
-	return lo, hi
+	return prod
+}
+
+// widen zero-extends x to 512 bits.
+func widen(x Int) [8]uint64 {
+	return [8]uint64{x.limbs[0], x.limbs[1], x.limbs[2], x.limbs[3]}
+}
+
+// low returns the low 256 bits of a 512-bit value.
+func low(v [8]uint64) Int {
+	return Int{limbs: [4]uint64{v[0], v[1], v[2], v[3]}}
+}
+
+// overflows reports whether a 512-bit value needs more than 256 bits.
+func overflows(v [8]uint64) bool {
+	return v[4]|v[5]|v[6]|v[7] != 0
+}
+
+// increment returns v + 1 for a 512-bit v < 2^512 - 1.
+func increment(v [8]uint64) [8]uint64 {
+	for i := range v {
+		v[i]++
+		if v[i] != 0 {
+			break
+		}
+	}
+	return v
 }
 
 // Shl returns x << n mod 2^256.
@@ -272,15 +297,108 @@ func Shr(x Int, n uint) Int {
 	return out
 }
 
+// divmod returns u / d and u % d for a 512-bit dividend u and a non-zero
+// divisor d. It is Knuth's Algorithm D (TAOCP vol. 2, §4.3.1) in base 2^64
+// on fixed arrays, so it never allocates.
+func divmod(u [8]uint64, d Int) (q [8]uint64, r Int) {
+	n := 4 // significant limbs of d
+	for d.limbs[n-1] == 0 {
+		n--
+	}
+	m := 8 // significant limbs of u
+	for m > 0 && u[m-1] == 0 {
+		m--
+	}
+	if m < n {
+		return q, low(u) // u < d
+	}
+	if n == 1 {
+		var rem uint64
+		for i := m - 1; i >= 0; i-- {
+			q[i], rem = bits.Div64(rem, u[i], d.limbs[0])
+		}
+		return q, FromUint64(rem)
+	}
+
+	// D1: shift so the divisor's top limb has its high bit set; the
+	// quotient is unchanged and every q̂ estimate is off by at most two.
+	// A shift by 64 yields 0 in Go, so s == 0 needs no special case.
+	s := uint(bits.LeadingZeros64(d.limbs[n-1]))
+	var dn [4]uint64
+	for i := n - 1; i > 0; i-- {
+		dn[i] = d.limbs[i]<<s | d.limbs[i-1]>>(64-s)
+	}
+	dn[0] = d.limbs[0] << s
+	var un [9]uint64
+	un[m] = u[m-1] >> (64 - s)
+	for i := m - 1; i > 0; i-- {
+		un[i] = u[i]<<s | u[i-1]>>(64-s)
+	}
+	un[0] = u[0] << s
+
+	top, next := dn[n-1], dn[n-2]
+	for j := m - n; j >= 0; j-- {
+		// D3: estimate q̂ from the top two dividend limbs and refine it
+		// with the next divisor limb.
+		var qhat, rhat uint64
+		refine := true
+		if un[j+n] >= top { // only == is possible: q̂ caps at 2^64-1
+			qhat = ^uint64(0)
+			var c uint64
+			rhat, c = bits.Add64(un[j+n-1], top, 0)
+			refine = c == 0
+		} else {
+			qhat, rhat = bits.Div64(un[j+n], un[j+n-1], top)
+		}
+		for refine {
+			ph, pl := bits.Mul64(qhat, next)
+			if ph < rhat || (ph == rhat && pl <= un[j+n-2]) {
+				break
+			}
+			qhat--
+			var c uint64
+			rhat, c = bits.Add64(rhat, top, 0)
+			refine = c == 0
+		}
+
+		// D4: subtract q̂·dn from the current window.
+		var carry, borrow uint64
+		for i := 0; i < n; i++ {
+			ph, pl := bits.Mul64(qhat, dn[i])
+			var c uint64
+			pl, c = bits.Add64(pl, carry, 0)
+			carry = ph + c
+			un[j+i], borrow = bits.Sub64(un[j+i], pl, borrow)
+		}
+		un[j+n], borrow = bits.Sub64(un[j+n], carry, borrow)
+
+		// D6: q̂ was one too large (probability ~2/2^64); add dn back.
+		if borrow != 0 {
+			qhat--
+			var c uint64
+			for i := 0; i < n; i++ {
+				un[j+i], c = bits.Add64(un[j+i], dn[i], c)
+			}
+			un[j+n] += c
+		}
+		q[j] = qhat
+	}
+
+	// D8: the remainder is the low n limbs, shifted back.
+	for i := 0; i < n; i++ {
+		r.limbs[i] = un[i]>>s | un[i+1]<<(64-s)
+	}
+	return q, r
+}
+
 // Div returns x / y (truncated). Division by zero returns 0, matching EVM
 // semantics.
 func Div(x, y Int) Int {
 	if y.IsZero() {
 		return Zero
 	}
-	q := new(big.Int).Quo(x.ToBig(), y.ToBig())
-	out, _ := FromBig(q)
-	return out
+	q, _ := divmod(widen(x), y)
+	return low(q)
 }
 
 // Mod returns x % y. Modulo by zero returns 0, matching EVM semantics.
@@ -288,20 +406,19 @@ func Mod(x, y Int) Int {
 	if y.IsZero() {
 		return Zero
 	}
-	m := new(big.Int).Rem(x.ToBig(), y.ToBig())
-	out, _ := FromBig(m)
-	return out
+	_, r := divmod(widen(x), y)
+	return r
 }
 
 // MulDiv returns floor(x*y/d) computed with a 512-bit intermediate product,
-// and whether the result overflowed 256 bits. Division by zero overflows.
+// and whether the result overflowed 256 bits (the value is then the low 256
+// bits of the quotient). Division by zero overflows.
 func MulDiv(x, y, d Int) (Int, bool) {
 	if d.IsZero() {
 		return Zero, true
 	}
-	p := new(big.Int).Mul(x.ToBig(), y.ToBig())
-	p.Quo(p, d.ToBig())
-	return FromBig(p)
+	q, _ := divmod(mulFull(x, y), d)
+	return low(q), overflows(q)
 }
 
 // MulDivRoundingUp returns ceil(x*y/d) with a 512-bit intermediate, and
@@ -310,12 +427,11 @@ func MulDivRoundingUp(x, y, d Int) (Int, bool) {
 	if d.IsZero() {
 		return Zero, true
 	}
-	p := new(big.Int).Mul(x.ToBig(), y.ToBig())
-	q, r := new(big.Int).QuoRem(p, d.ToBig(), new(big.Int))
-	if r.Sign() != 0 {
-		q.Add(q, big.NewInt(1))
+	q, r := divmod(mulFull(x, y), d)
+	if !r.IsZero() {
+		q = increment(q)
 	}
-	return FromBig(q)
+	return low(q), overflows(q)
 }
 
 // DivRoundingUp returns ceil(x/d). Division by zero returns 0.
@@ -323,19 +439,11 @@ func DivRoundingUp(x, d Int) Int {
 	if d.IsZero() {
 		return Zero
 	}
-	q, r := new(big.Int).QuoRem(x.ToBig(), d.ToBig(), new(big.Int))
-	if r.Sign() != 0 {
-		q.Add(q, big.NewInt(1))
+	q, r := divmod(widen(x), d)
+	if !r.IsZero() {
+		q = increment(q)
 	}
-	out, _ := FromBig(q)
-	return out
-}
-
-// Sqrt returns floor(sqrt(x)).
-func Sqrt(x Int) Int {
-	r := new(big.Int).Sqrt(x.ToBig())
-	out, _ := FromBig(r)
-	return out
+	return low(q)
 }
 
 // Min returns the smaller of x and y.

@@ -219,33 +219,99 @@ func TestDivRoundingUp(t *testing.T) {
 	}
 }
 
-func TestSqrt(t *testing.T) {
-	cases := []struct{ in, want uint64 }{
-		{0, 0}, {1, 1}, {3, 1}, {4, 2}, {15, 3}, {16, 4}, {1 << 32, 1 << 16},
-	}
-	for _, c := range cases {
-		if got := Sqrt(FromUint64(c.in)); got != FromUint64(c.want) {
-			t.Errorf("Sqrt(%d) = %s, want %d", c.in, got, c.want)
-		}
-	}
+// limbs encodes little-endian limbs as the 32-byte big-endian fuzz input.
+func limbs(l0, l1, l2, l3 uint64) []byte {
+	b := Int{limbs: [4]uint64{l0, l1, l2, l3}}.Bytes32()
+	return b[:]
 }
 
-func TestSqrtProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 2000; i++ {
-		x := randInt(r)
-		s := Sqrt(x)
-		// s^2 <= x < (s+1)^2
-		s2, over := MulOverflow(s, s)
-		if over || s2.Gt(x) {
-			t.Fatalf("Sqrt(%s)=%s: s^2 > x", x, s)
-		}
-		s1 := Add(s, One)
-		s12, over := MulOverflow(s1, s1)
-		if !over && !s12.Gt(x) {
-			t.Fatalf("Sqrt(%s)=%s: (s+1)^2 <= x", x, s)
-		}
+// fuzzInt decodes a fuzz input as a big-endian value, keeping its last 32
+// bytes and zero-extending shorter inputs.
+func fuzzInt(b []byte) Int {
+	var buf [32]byte
+	if len(b) > 32 {
+		b = b[len(b)-32:]
 	}
+	copy(buf[32-len(b):], b)
+	return FromBytes32(buf)
+}
+
+// FuzzMulDiv checks every division against big.Int, value and overflow
+// flag: MulDiv and MulDivRoundingUp on x*y/d, and Div, Mod and
+// DivRoundingUp on x/d. The seeds cover each branch of Algorithm D.
+func FuzzMulDiv(f *testing.F) {
+	ones := ^uint64(0)
+	seeds := [][3][]byte{
+		// Divisors of 1, 2, 3 and 4 limbs.
+		{limbs(ones, ones, 7, 1<<60), limbs(3, 0, 0, 9), limbs(1_000_000, 0, 0, 0)},
+		{limbs(ones, 1, ones, 5), limbs(ones, ones, ones, ones), limbs(11, 1<<32, 0, 0)},
+		{limbs(5, 6, 7, 8), limbs(9, 10, 11, 12), limbs(13, 14, 15, 0)},
+		{limbs(ones, ones, ones, ones), limbs(2, 3, 5, 7), limbs(1, 2, 3, 4)},
+		// Top divisor limb with no leading zeros, and with 63.
+		{limbs(ones, ones, ones, ones), limbs(ones, ones, ones, ones), limbs(1, 0, 0, 1<<63)},
+		{limbs(ones, ones, ones, ones), limbs(ones, ones, ones, ones), limbs(ones, ones, 0, 1)},
+		// q̂ = 2^64-1: the dividend's top limb equals the normalized
+		// divisor's top limb.
+		{limbs(0xac79d81547f02daa, 0xfffffffffffffffe, 0x2, 0x8000000000000000),
+			limbs(0xffffffffffffffff, 0xab639c6e9ef632d8, 0xffffffffffffffff, 0),
+			limbs(0x06208ccef90a5b41, 0xe0cb7ec70332fa39, 0x7fffffffffffffff, 0)},
+		// Add-back: q̂ survives refinement but is one too large.
+		{limbs(0xffffffffffffffff, 0x7fffffffffffffff, 0x8000000000000000, 0),
+			limbs(0xbec47853977a2012, 0x7fffffffffffffff, 0x8000000000000000, 0),
+			limbs(0, 0x8000000000000000, 0, 0x8000000000000000)},
+		// Exactly divisible product: no rounding up.
+		{limbs(0, 0, 1, 0), limbs(3, 0, 0, 0), limbs(3, 0, 0, 0)},
+		// d = 1 with a quotient above 2^256.
+		{limbs(ones, ones, ones, ones), limbs(ones, ones, ones, ones), limbs(1, 0, 0, 0)},
+		// Division by zero.
+		{limbs(1, 2, 3, 4), limbs(5, 6, 7, 8), limbs(0, 0, 0, 0)},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, xb, yb, db []byte) {
+		x, y, d := fuzzInt(xb), fuzzInt(yb), fuzzInt(db)
+		bx, by, bd := x.ToBig(), y.ToBig(), d.ToBig()
+		check := func(name string, got Int, gotOver bool, ref Int, refOver bool) {
+			t.Helper()
+			if got != ref || gotOver != refOver {
+				t.Fatalf("%s(%s, %s, %s) = %s overflow=%v, want %s overflow=%v",
+					name, x, y, d, got, gotOver, ref, refOver)
+			}
+		}
+		if d.IsZero() {
+			q, over := MulDiv(x, y, d)
+			check("MulDiv", q, over, Zero, true)
+			q, over = MulDivRoundingUp(x, y, d)
+			check("MulDivRoundingUp", q, over, Zero, true)
+			check("Div", Div(x, d), false, Zero, false)
+			check("Mod", Mod(x, d), false, Zero, false)
+			check("DivRoundingUp", DivRoundingUp(x, d), false, Zero, false)
+			return
+		}
+		p := new(big.Int).Mul(bx, by)
+		pq, pr := new(big.Int).QuoRem(p, bd, new(big.Int))
+		ref, refOver := FromBig(pq)
+		q, over := MulDiv(x, y, d)
+		check("MulDiv", q, over, ref, refOver)
+		if pr.Sign() != 0 {
+			pq.Add(pq, big.NewInt(1))
+		}
+		ref, refOver = FromBig(pq)
+		q, over = MulDivRoundingUp(x, y, d)
+		check("MulDivRoundingUp", q, over, ref, refOver)
+
+		xq, xr := new(big.Int).QuoRem(bx, bd, new(big.Int))
+		ref, _ = FromBig(xq)
+		check("Div", Div(x, d), false, ref, false)
+		refMod, _ := FromBig(xr)
+		check("Mod", Mod(x, d), false, refMod, false)
+		if xr.Sign() != 0 {
+			xq.Add(xq, big.NewInt(1))
+		}
+		ref, _ = FromBig(xq)
+		check("DivRoundingUp", DivRoundingUp(x, d), false, ref, false)
+	})
 }
 
 func TestCmpOrdering(t *testing.T) {
