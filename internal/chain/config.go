@@ -168,10 +168,6 @@ type Config struct {
 	// subscriber further behind loses oldest events and receives an
 	// EventLagged carrying the drop count (default 4096).
 	EventBuffer int
-	// MetricsSampleCap bounds the metrics collector's raw sample
-	// retention (percentiles then cover the newest window; counts and
-	// averages stay exact). 0 keeps every sample.
-	MetricsSampleCap int
 	// StoreFsyncEvery batches the durable store's fsyncs to every n-th
 	// epoch retirement (default 1 = every epoch). Larger values trade
 	// the last <n epochs on a crash for lower epoch-close latency.

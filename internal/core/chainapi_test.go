@@ -119,11 +119,24 @@ func isChainErr(err, sentinel error) bool { return errors.Is(err, sentinel) }
 
 // TestSubmitValidatesUpFront pins the submission-time typed errors: an
 // unknown pool, a malformed transaction, and an unfunded user are turned
-// away before anything reaches the queue, and no receipt is issued.
+// away before anything reaches the queue, and no receipt is issued. Both
+// backends answer through the one admission path, so each runs the same
+// table; for the multi-pool node an unregistered pool ID is the unknown
+// pool.
 func TestSubmitValidatesUpFront(t *testing.T) {
-	sys, _, err := NewDriver(smallConfig(21), smallDriver(500_000, 2, 21))
-	if err != nil {
-		t.Fatal(err)
+	multiCfg, multiDrv := multiTestConfigs(21, 4, 2, 2)
+	backends := []struct {
+		name  string
+		build func() (chain.Chain, error)
+	}{
+		{"single-pool", func() (chain.Chain, error) {
+			sys, _, err := NewDriver(smallConfig(21), smallDriver(500_000, 2, 21))
+			return sys, err
+		}},
+		{"multi-pool", func() (chain.Chain, error) {
+			sys, _, err := NewMultiDriver(multiCfg, multiDrv)
+			return sys, err
+		}},
 	}
 	cases := []struct {
 		name string
@@ -143,13 +156,19 @@ func TestSubmitValidatesUpFront(t *testing.T) {
 		{"unfunded user", &summary.Tx{ID: "u", Kind: gasmodel.KindSwap, User: "stranger",
 			Amount: u256.FromUint64(10)}, chain.ErrUnfundedUser},
 	}
-	for _, tc := range cases {
-		rc, err := sys.Submit(context.Background(), tc.tx)
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+	for _, b := range backends {
+		sys, err := b.build()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
 		}
-		if rc != nil {
-			t.Errorf("%s: got a receipt for an invalid submission", tc.name)
+		for _, tc := range cases {
+			rc, err := sys.Submit(context.Background(), tc.tx)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s/%s: err = %v, want %v", b.name, tc.name, err, tc.want)
+			}
+			if rc != nil {
+				t.Errorf("%s/%s: got a receipt for an invalid submission", b.name, tc.name)
+			}
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
+	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
 
@@ -574,42 +576,61 @@ func TestIngestCancelMidBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterRunReturnsClosed pins the end-of-life surface: once the
-// lifecycle finished its final epoch and closed the ingest front end,
-// both submission paths refuse with ErrClosed (not ErrHalted — the node
-// did not fault) and a zero retry hint.
+// TestSubmitAfterRunReturnsClosed pins the end-of-life surface on both
+// backends: once the lifecycle finished its final epoch and closed the
+// ingest front end, both submission paths refuse with ErrClosed (not
+// ErrHalted — the node did not fault) and a zero retry hint.
 func TestSubmitAfterRunReturnsClosed(t *testing.T) {
-	sysCfg, drvCfg := multiTestConfigs(5, 8, 4, 1)
-	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
-	if err != nil {
-		t.Fatalf("NewMultiDriver: %v", err)
+	multiCfg, multiDrv := multiTestConfigs(5, 8, 4, 1)
+	backends := []struct {
+		name  string
+		build func() (chain.Chain, error)
+	}{
+		{"single-pool", func() (chain.Chain, error) {
+			sys, _, err := NewDriver(smallConfig(5), smallDriver(500_000, 1, 5))
+			return sys, err
+		}},
+		{"multi-pool", func() (chain.Chain, error) {
+			sys, _, err := NewMultiDriver(multiCfg, multiDrv)
+			return sys, err
+		}},
 	}
-	if _, err := sys.Run(drvCfg.Epochs); err != nil {
-		t.Fatalf("run: %v", err)
+	// Valid on either backend: the empty pool ID routes to the default pool.
+	late := func(id string) *summary.Tx {
+		return &summary.Tx{ID: id, Kind: gasmodel.KindSwap, User: "user-000",
+			ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(100)}
 	}
-	gen := workload.NewMulti(drvCfg.Workload)
-	rc, err := sys.Submit(context.Background(), gen.Next())
-	if rc != nil || !errors.Is(err, chain.ErrClosed) {
-		t.Fatalf("late submit = (%v, %v), want (nil, ErrClosed)", rc, err)
-	}
-	if errors.Is(err, chain.ErrHalted) {
-		t.Error("clean shutdown must not read as ErrHalted")
-	}
-	var ad *chain.AdmissionError
-	if !errors.As(err, &ad) {
-		t.Fatalf("ErrClosed is not an AdmissionError: %v", err)
-	}
-	if ad.RetryAfter != 0 {
-		t.Errorf("closed-node retry hint = %v, want 0 (retrying is pointless)", ad.RetryAfter)
-	}
-	res, batchErr := sys.SubmitBatch(context.Background(), []*summary.Tx{gen.Next(), gen.Next()})
-	if !errors.Is(batchErr, chain.ErrClosed) {
-		t.Fatalf("late batch error = %v, want ErrClosed", batchErr)
-	}
-	for i := range res.Errs {
-		if res.Receipts[i] != nil || !errors.Is(res.Errs[i], chain.ErrClosed) {
-			t.Errorf("late batch outcome %d = (%v, %v), want (nil, ErrClosed)",
-				i, res.Receipts[i], res.Errs[i])
+	for _, b := range backends {
+		sys, err := b.build()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if _, err := sys.Run(1); err != nil {
+			t.Fatalf("%s: run: %v", b.name, err)
+		}
+		rc, err := sys.Submit(context.Background(), late("late-0"))
+		if rc != nil || !errors.Is(err, chain.ErrClosed) {
+			t.Fatalf("%s: late submit = (%v, %v), want (nil, ErrClosed)", b.name, rc, err)
+		}
+		if errors.Is(err, chain.ErrHalted) {
+			t.Errorf("%s: clean shutdown must not read as ErrHalted", b.name)
+		}
+		var ad *chain.AdmissionError
+		if !errors.As(err, &ad) {
+			t.Fatalf("%s: ErrClosed is not an AdmissionError: %v", b.name, err)
+		}
+		if ad.RetryAfter != 0 {
+			t.Errorf("%s: closed-node retry hint = %v, want 0 (retrying is pointless)", b.name, ad.RetryAfter)
+		}
+		res, batchErr := sys.SubmitBatch(context.Background(), []*summary.Tx{late("late-1"), late("late-2")})
+		if !errors.Is(batchErr, chain.ErrClosed) {
+			t.Fatalf("%s: late batch error = %v, want ErrClosed", b.name, batchErr)
+		}
+		for i := range res.Errs {
+			if res.Receipts[i] != nil || !errors.Is(res.Errs[i], chain.ErrClosed) {
+				t.Errorf("%s: late batch outcome %d = (%v, %v), want (nil, ErrClosed)",
+					b.name, i, res.Receipts[i], res.Errs[i])
+			}
 		}
 	}
 }

@@ -34,17 +34,16 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	)
 	tr := trace.New(traceWindow)
 	cfg := chain.Config{
-		Seed:             3,
-		NumPools:         4,
-		NumShards:        2,
-		PipelineDepth:    2,
-		EpochRounds:      1,
-		RoundDuration:    7 * time.Second,
-		CommitteeSize:    4,
-		RetainEpochs:     retain,
-		MetricsSampleCap: 1024,
-		EventBuffer:      256,
-		Tracer:           tr,
+		Seed:          3,
+		NumPools:      4,
+		NumShards:     2,
+		PipelineDepth: 2,
+		EpochRounds:   1,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: 4,
+		RetainEpochs:  retain,
+		EventBuffer:   256,
+		Tracer:        tr,
 	}
 	users := []string{"lu-0", "lu-1", "lu-2"}
 	sys, err := NewMultiSystem(cfg, users)

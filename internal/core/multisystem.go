@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/engine"
-	"ammboost/internal/ingest"
 	"ammboost/internal/mainchain"
-	"ammboost/internal/metrics"
 	"ammboost/internal/netsim"
 	"ammboost/internal/sidechain"
 	"ammboost/internal/sidechain/election"
@@ -39,6 +36,10 @@ var ErrUnsupportedFault = errors.New("core: fault plan not supported by the mult
 // payloads plus the folded summary root the committee signs. It
 // implements the same chain.Chain node API as the single-pool System.
 type MultiSystem struct {
+	// frontEnd is the admission path and receipt ledger System shares;
+	// every registered pool ID routes.
+	frontEnd
+
 	cfg chain.Config
 	sim *sim.Simulator
 	// rng is a per-run instance seeded from cfg.Seed — never the global
@@ -69,20 +70,6 @@ type MultiSystem struct {
 	committees map[uint64]*committeeKeys
 	chainSeed  [32]byte
 
-	// ingest is the concurrent submission front end: producers admit
-	// from any goroutine; runRound drains it on the simulator goroutine
-	// at every round boundary and appends, in canonical admission order,
-	// to queue (which stays simulator-goroutine-only state).
-	ingest *ingest.Pool
-	// halted mirrors s.err != nil for concurrent submitters — s.err
-	// itself belongs to the simulator goroutine.
-	halted atomic.Bool
-
-	queue     []queuedTx
-	queuePeak int
-	users     []string
-	userSet   map[string]bool
-	poolSet   map[string]bool
 	// funded[poolID][user] marks (user, pool) pairs deposited this epoch.
 	funded map[string]map[string]bool
 	// pendingDeposits holds explicit SubmitDeposit credits that arrived
@@ -112,21 +99,6 @@ type MultiSystem struct {
 	// and registers the next committee key — only when its last part
 	// lands, and parts may confirm in any order).
 	lastSyncTxIDs []string
-
-	col         *metrics.Collector
-	bus         *chain.Bus
-	recsByEpoch map[uint64][]*txRecord
-
-	// tr is the lifecycle tracer (nil = disabled). Tracing only reads
-	// the wall clock — roots and payload digests are bit-identical with
-	// tracing on or off (pinned by the determinism matrix).
-	tr *trace.Tracer
-	// Submission-validation accounting, aggregated into one submit span
-	// per epoch at seal time (per-transaction spans would blow the span
-	// cap at realistic volumes).
-	submitBusy  time.Duration
-	submitTxs   int
-	submitFirst time.Duration
 
 	// live routes committee rounds through real PBFT replicas over the
 	// simulated network (nil for model-fidelity runs).
@@ -269,42 +241,16 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		eng:          eng,
 		committees:   make(map[uint64]*committeeKeys),
-		users:        users,
-		userSet:      make(map[string]bool, len(users)),
-		poolSet:      make(map[string]bool, cfg.NumPools),
-		col:          metrics.New(),
-		bus:          chain.NewBus(),
-		recsByEpoch:  make(map[uint64][]*txRecord),
-		tr:           cfg.Tracer,
 		SummaryRoots: make(map[uint64][32]byte),
 	}
-	s.ingest = ingest.New(ingest.Policy{
-		Capacity:  cfg.IngestCapacity,
-		SoftMark:  cfg.IngestSoftMark,
-		MaxWait:   cfg.IngestMaxWait,
-		RetryHint: cfg.RoundDuration,
-	})
+	s.initFrontEnd(cfg, users, eng.PoolIDs(), cfg.Tracer)
 	if shared != nil {
 		s.sim, s.mc = shared.Sim, shared.MC
 	} else {
 		s.sim = sim.New()
 	}
-	for _, u := range users {
-		s.userSet[u] = true
-	}
-	for _, pid := range eng.PoolIDs() {
-		s.poolSet[pid] = true
-	}
-	s.bus.OnPublish(func(ev chain.Event) { s.col.ObserveLifecycle(ev.Type.String()) })
-	s.bus.SetBufferLimit(cfg.EventBuffer)
-	s.col.SetSampleCap(cfg.MetricsSampleCap)
 	s.rng.Read(s.chainSeed[:])
-
-	s.registry = election.NewRegistry()
-	for i := 0; i < cfg.MinerPopulation; i++ {
-		id := fmt.Sprintf("sc-miner-%04d", i)
-		s.registry.Add(&election.Miner{ID: id, Stake: 1, VRF: election.NewFastVRF([]byte(id))})
-	}
+	s.registry = newMinerRegistry(cfg.MinerPopulation)
 	ck, err := provisionCommittee(s.registry, s.chainSeed, 1, cfg.CommitteeSize)
 	if err != nil {
 		return nil, err
@@ -361,9 +307,6 @@ func (s *MultiSystem) Bank() *mainchain.MultiBank { return s.bank }
 // SidechainLedger exposes the sidechain ledger.
 func (s *MultiSystem) SidechainLedger() *sidechain.Ledger { return s.ledger }
 
-// Collector exposes the metrics collector.
-func (s *MultiSystem) Collector() *metrics.Collector { return s.col }
-
 // Epoch returns the currently-running epoch number.
 func (s *MultiSystem) Epoch() uint64 { return s.epoch }
 
@@ -406,26 +349,13 @@ func (s *MultiSystem) Positions() []summary.PositionEntry {
 	return out
 }
 
-// Subscribe returns a channel of lifecycle events matching the mask; the
-// channel closes when Run finishes.
-func (s *MultiSystem) Subscribe(mask chain.EventMask) <-chan chain.Event {
-	return s.bus.Subscribe(mask)
-}
-
-// Unsubscribe releases an event subscription before the run ends.
-func (s *MultiSystem) Unsubscribe(ch <-chan chain.Event) { s.bus.Unsubscribe(ch) }
-
 // fail records the first lifecycle fault, persists it (a halted node
 // must recover as halted), publishes the halt event, and stops mainchain
 // block production so the simulator drains.
 func (s *MultiSystem) fail(err error) {
 	if s.err == nil {
 		s.err = err
-		s.halted.Store(true)
-		// Close the ingest pool: producers blocked on admission wake with
-		// ErrClosed (surfaced as ErrHalted) instead of waiting on drains
-		// that will never come.
-		s.ingest.Close()
+		s.halt()
 		if s.st != nil {
 			// Best-effort: the store may itself be the failing component.
 			_ = s.st.AppendHalt(s.epoch, err.Error())
@@ -496,152 +426,6 @@ func (s *MultiSystem) Close() error {
 	err := s.st.Close()
 	s.st = nil
 	return err
-}
-
-// checkSubmit validates one transaction up front: shape, pool
-// registration, known user. It reads only registration state that is
-// immutable after construction, so it is safe from any producer
-// goroutine — the point of batched up-front validation is that the
-// simulator goroutine never pays it.
-func (s *MultiSystem) checkSubmit(tx *summary.Tx) error {
-	if err := chain.CheckTx(tx); err != nil {
-		return err
-	}
-	if tx.PoolID != "" && !s.poolSet[tx.PoolID] {
-		return fmt.Errorf("%w: %q", chain.ErrUnknownPool, tx.PoolID)
-	}
-	if !s.userSet[tx.User] {
-		return fmt.Errorf("%w: %s", chain.ErrUnfundedUser, tx.User)
-	}
-	return nil
-}
-
-// submitErr translates pool-closed rejections on a halted node into
-// ErrHalted: a producer racing the halt should see the lifecycle fault,
-// not a generic closed pool.
-func (s *MultiSystem) submitErr(err error) error {
-	if err != nil && s.halted.Load() && errors.Is(err, chain.ErrClosed) {
-		return chain.ErrHalted
-	}
-	return err
-}
-
-// Submit validates the transaction and admits it into the concurrent
-// ingest pool; the next round boundary drains it into the meta-block
-// queue. Safe to call from any goroutine — this is the node's serving
-// path. It is the single-transaction form of SubmitBatch and carries
-// the same admission semantics (typed backpressure, bounded blocking,
-// ctx cancellation).
-func (s *MultiSystem) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, error) {
-	if s.halted.Load() {
-		return nil, chain.ErrHalted
-	}
-	if err := s.checkSubmit(tx); err != nil {
-		return nil, err
-	}
-	rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-	if err := s.ingest.AdmitOne(ctx, ingest.Entry{Tx: tx, Rc: rc}); err != nil {
-		return nil, s.submitErr(err)
-	}
-	return rc, nil
-}
-
-// SubmitBatch validates the whole batch up front, then admits the valid
-// entries in order with partial-accept semantics: each transaction ends
-// with exactly one of a receipt or a typed error in the BatchResult.
-// The call-level error is reserved for whole-batch refusals (halted
-// node, closed pool, throttling above the soft mark, canceled context)
-// — the per-entry outcomes are still filled in when that happens.
-func (s *MultiSystem) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.BatchResult, error) {
-	if s.halted.Load() {
-		return nil, chain.ErrHalted
-	}
-	res := &chain.BatchResult{
-		Receipts: make([]*chain.Receipt, len(txs)),
-		Errs:     make([]error, len(txs)),
-	}
-	entries := make([]ingest.Entry, 0, len(txs))
-	idx := make([]int, 0, len(txs))
-	for i, tx := range txs {
-		if err := s.checkSubmit(tx); err != nil {
-			res.Errs[i] = err
-			continue
-		}
-		rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-		res.Receipts[i] = rc
-		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc})
-		idx = append(idx, i)
-	}
-	n, errs, batchErr := s.ingest.Admit(ctx, entries)
-	res.Accepted = n
-	if batchErr != nil {
-		batchErr = s.submitErr(batchErr)
-		for _, i := range idx {
-			res.Receipts[i] = nil
-			res.Errs[i] = batchErr
-		}
-		return res, batchErr
-	}
-	for j, err := range errs { // nil slice when everything was admitted
-		if err == nil {
-			continue
-		}
-		i := idx[j]
-		res.Receipts[i] = nil
-		res.Errs[i] = s.submitErr(err)
-	}
-	return res, nil
-}
-
-// drainIngest merges the concurrent mempool into the meta-block queue
-// in canonical admission order, stamping arrival at the drain's virtual
-// time. Runs on the simulator goroutine at every round boundary; the
-// drain is also the point where the arrival log records the boundary
-// and the tracer accounts the epoch's submission span.
-func (s *MultiSystem) drainIngest() {
-	start := s.tr.Since()
-	entries := s.ingest.Drain()
-	now := s.sim.Now()
-	for _, en := range entries {
-		en.Tx.SubmittedAt = now
-		en.Rc.SubmittedAt = now
-		s.queue = append(s.queue, queuedTx{tx: en.Tx, rc: en.Rc})
-	}
-	if len(s.queue) > s.queuePeak {
-		s.queuePeak = len(s.queue)
-	}
-	if s.cfg.ArrivalLog != nil {
-		txs := make([]*summary.Tx, len(entries))
-		for i := range entries {
-			txs[i] = entries[i].Tx
-		}
-		s.cfg.ArrivalLog.Record(now, txs)
-	}
-	if s.tr != nil && len(entries) > 0 {
-		if s.submitTxs == 0 {
-			s.submitFirst = start
-		}
-		s.submitTxs += len(entries)
-		s.submitBusy += s.tr.Since() - start
-	}
-}
-
-// pendingTxs counts transactions the lifecycle still owes a slot:
-// drained into the queue or waiting in the ingest pool.
-func (s *MultiSystem) pendingTxs() int { return len(s.queue) + s.ingest.Len() }
-
-// flushSubmitSpan records the epoch's aggregated submission-validation
-// span (accepted submissions since the last flush). No-op when untraced
-// or nothing was submitted.
-func (s *MultiSystem) flushSubmitSpan(e uint64) {
-	if s.tr == nil || s.submitTxs == 0 {
-		return
-	}
-	s.tr.Record(trace.SpanRecord{
-		Stage: trace.StageSubmit, Epoch: e,
-		Start: s.submitFirst, Dur: s.submitBusy, Txs: s.submitTxs,
-	})
-	s.submitBusy, s.submitTxs, s.submitFirst = 0, 0, 0
 }
 
 // sealTraced seals epoch e (flushing the epoch's submit span first) and
@@ -940,7 +724,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	// producers got admitted so far, in canonical admission order. After
 	// the drain every queue entry carries SubmittedAt <= now, so packing
 	// is bounded by the meta-block byte budget alone.
-	s.drainIngest()
+	s.drainIngest(s.sim.Now())
 	roundStart := s.sim.Now()
 
 	var batch []queuedTx
@@ -1035,13 +819,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 			s.fail(fmt.Errorf("%w: meta %d/%d: %v", chain.ErrLedgerAppend, e, r, err))
 			return
 		}
-		for _, q := range included {
-			q.rc.Status = chain.StatusExecuted
-			q.rc.ExecutedAt = block.MinedAt
-			q.rc.Epoch = e
-			q.rc.Round = r
-			s.recsByEpoch[e] = append(s.recsByEpoch[e], &txRecord{tx: q.tx, rc: q.rc, minedAt: block.MinedAt, epoch: e})
-		}
+		s.executed(e, r, block.MinedAt, included)
 		s.bus.Publish(chain.Event{
 			Type: chain.EventMetaBlock, At: block.MinedAt, Epoch: e, Round: r,
 			Txs: len(included), Bytes: includedBytes,
@@ -1264,10 +1042,7 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 		sb.MinedAt = s.sim.Now()
 		s.ledger.AppendSummary(sb)
 	}
-	for _, rec := range s.recsByEpoch[e] {
-		rec.rc.Status = chain.StatusCheckpointed
-		rec.rc.CheckpointedAt = s.sim.Now()
-	}
+	s.checkpointed(e, s.sim.Now())
 	s.bus.Publish(chain.Event{
 		Type: chain.EventSummaryBlock, At: s.sim.Now(), Epoch: e,
 		Bytes: scBytes, Root: root,
@@ -1407,16 +1182,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 				Start: syncWallStart, Dur: s.tr.Since() - syncWallStart,
 				Bytes: totalSize, Gas: totalGas,
 			})
-			for _, rec := range s.recsByEpoch[e] {
-				s.col.ObserveTx(metrics.TxObservation{
-					Kind:        rec.tx.Kind,
-					SubmittedAt: rec.tx.SubmittedAt,
-					MinedAt:     rec.minedAt,
-					PayoutAt:    tx.ConfirmedAt,
-				})
-				rec.rc.Status = chain.StatusSynced
-				rec.rc.SyncedAt = tx.ConfirmedAt
-			}
+			s.synced(e, tx.ConfirmedAt)
 			s.bus.Publish(chain.Event{
 				Type: chain.EventSyncConfirmed, At: tx.ConfirmedAt, Epoch: e,
 				Parts: numParts, Bytes: totalSize, Gas: totalGas,
@@ -1427,11 +1193,7 @@ func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArg
 				s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, e, err))
 				return
 			}
-			for _, rec := range s.recsByEpoch[e] {
-				rec.rc.Status = chain.StatusPruned
-				rec.rc.PrunedAt = s.sim.Now()
-			}
-			delete(s.recsByEpoch, e)
+			s.pruned(e, s.sim.Now())
 			s.lastPruned = e
 			s.compactEpoch(e)
 			// Store compaction rides the same confirmation cadence: the
@@ -1623,8 +1385,7 @@ func (s *MultiSystem) Kill() {
 		return
 	}
 	s.err = errKilled
-	s.halted.Store(true)
-	s.ingest.Close()
+	s.halt()
 	// Suppress the runner's finished notification and any late fail()
 	// from this node's lingering mainchain callbacks: the corpse must
 	// not speak for its successor.

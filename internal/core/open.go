@@ -315,8 +315,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		info.HaltReason = rec.Halt.Reason
 		s.err = fmt.Errorf("%w: recovered from persisted fault at epoch %d: %s",
 			chain.ErrHalted, rec.Halt.Epoch, rec.Halt.Reason)
-		s.halted.Store(true)
-		s.ingest.Close()
+		s.halt()
 		if s.shared == nil {
 			// A federation member defers the finished notification to
 			// StartEpochs — the runner's hook is not installed yet.

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -22,16 +21,12 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ammboost/internal/amm"
 	"ammboost/internal/chain"
 	"ammboost/internal/crypto/tsig"
-	"ammboost/internal/gasmodel"
-	"ammboost/internal/ingest"
 	"ammboost/internal/mainchain"
-	"ammboost/internal/metrics"
 	"ammboost/internal/sidechain"
 	"ammboost/internal/sidechain/election"
 	"ammboost/internal/sidechain/pbft"
@@ -111,24 +106,12 @@ func (s *syncSigner) signDigest(digest [32]byte) (tsig.Point, error) {
 	return s.quorum.Sign(s.weighted, digest[:])
 }
 
-// txRecord tracks one sidechain transaction through its lifecycle,
-// pairing the transaction with its client-facing receipt.
-type txRecord struct {
-	tx      *summary.Tx
-	rc      *chain.Receipt
-	minedAt time.Duration
-	epoch   uint64
-}
-
-// queuedTx is a queue entry: the transaction plus the receipt Submit
-// handed out for it.
-type queuedTx struct {
-	tx *summary.Tx
-	rc *chain.Receipt
-}
-
 // System is a running single-pool ammBoost deployment.
 type System struct {
+	// frontEnd is the admission path and receipt ledger MultiSystem
+	// shares; the single-pool node routes only the empty pool ID.
+	frontEnd
+
 	cfg chain.Config
 	sim *sim.Simulator
 	rng *rand.Rand
@@ -145,14 +128,6 @@ type System struct {
 	pool     *amm.Pool // canonical sidechain pool, carried across epochs
 	executor *summary.Executor
 
-	// ingest is the concurrent submission front end (see MultiSystem:
-	// same drain-at-round-boundary discipline); halted mirrors
-	// s.err != nil for concurrent submitters.
-	ingest *ingest.Pool
-	halted atomic.Bool
-
-	queue        []queuedTx
-	queuePeak    int
 	seenDeposits map[string]summary.Deposit
 	approved     map[string]bool // users who granted TokenBank allowances
 
@@ -162,15 +137,8 @@ type System struct {
 	epoch          uint64
 	pendingPayload []*summary.SyncPayload // stashed summaries awaiting mass-sync
 
-	// Users.
-	users   []string
-	userSet map[string]bool
-	lps     map[string]bool
+	lps map[string]bool
 
-	// Observability.
-	col         *metrics.Collector
-	bus         *chain.Bus
-	recsByEpoch map[uint64][]*txRecord
 	ViewChanges int
 	MassSyncs   int
 	SyncsOK     int
@@ -182,10 +150,6 @@ type System struct {
 	// OnRoundStart fires at each round's entry, before the round's
 	// ingest drain — the arrival-log replay hook.
 	OnRoundStart func(epoch, round uint64)
-	// OnReject observes each rejected transaction (diagnostics).
-	OnReject func(err error, kind string)
-	// DebugSync observes each submitted sync's shape (diagnostics).
-	DebugSync func(epoch uint64, payouts, positions, bytes int, gas uint64)
 
 	epochsPlanned int
 	done          bool
@@ -207,41 +171,19 @@ func NewSystem(cfg chain.Config, users []string, lps map[string]bool) (*System, 
 	}
 	cfg = cfg.WithDefaults()
 	s := &System{
-		cfg:         cfg,
-		sim:         sim.New(),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		committees:  make(map[uint64]*committeeKeys),
-		users:       users,
-		userSet:     make(map[string]bool, len(users)),
-		lps:         lps,
-		col:         metrics.New(),
-		bus:         chain.NewBus(),
-		recsByEpoch: make(map[uint64][]*txRecord),
-		approved:    make(map[string]bool),
+		cfg:        cfg,
+		sim:        sim.New(),
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		committees: make(map[uint64]*committeeKeys),
+		lps:        lps,
+		approved:   make(map[string]bool),
 	}
-	s.ingest = ingest.New(ingest.Policy{
-		Capacity:  cfg.IngestCapacity,
-		SoftMark:  cfg.IngestSoftMark,
-		MaxWait:   cfg.IngestMaxWait,
-		RetryHint: cfg.RoundDuration,
-	})
-	for _, u := range users {
-		s.userSet[u] = true
-	}
-	s.bus.OnPublish(func(ev chain.Event) { s.col.ObserveLifecycle(ev.Type.String()) })
-	s.bus.SetBufferLimit(cfg.EventBuffer)
-	s.col.SetSampleCap(cfg.MetricsSampleCap)
+	s.initFrontEnd(cfg, users, nil, nil)
 	s.rng.Read(s.chainSeed[:])
-
-	// Miner registry with fast sortition keys.
-	s.registry = election.NewRegistry()
-	for i := 0; i < cfg.MinerPopulation; i++ {
-		id := fmt.Sprintf("sc-miner-%04d", i)
-		s.registry.Add(&election.Miner{ID: id, Stake: 1, VRF: election.NewFastVRF([]byte(id))})
-	}
+	s.registry = newMinerRegistry(cfg.MinerPopulation)
 
 	// Epoch-1 committee and key material.
-	ck, err := s.makeCommittee(1)
+	ck, err := provisionCommittee(s.registry, s.chainSeed, 1, cfg.CommitteeSize)
 	if err != nil {
 		return nil, err
 	}
@@ -311,9 +253,6 @@ func (s *System) Pool() *amm.Pool { return s.pool }
 // SidechainLedger exposes the sidechain ledger.
 func (s *System) SidechainLedger() *sidechain.Ledger { return s.ledger }
 
-// Collector exposes the metrics collector.
-func (s *System) Collector() *metrics.Collector { return s.col }
-
 // Epoch returns the currently-running epoch number.
 func (s *System) Epoch() uint64 { return s.epoch }
 
@@ -348,13 +287,6 @@ func (s *System) Positions() []summary.PositionEntry {
 	return out
 }
 
-// Subscribe returns a channel of lifecycle events matching the mask; the
-// channel closes when Run finishes.
-func (s *System) Subscribe(mask chain.EventMask) <-chan chain.Event { return s.bus.Subscribe(mask) }
-
-// Unsubscribe releases an event subscription before the run ends.
-func (s *System) Unsubscribe(ch <-chan chain.Event) { s.bus.Unsubscribe(ch) }
-
 // Close implements chain.Chain; the single-pool backend holds no durable
 // resources, but closing the ingest pool gives late producers a typed
 // refusal.
@@ -363,27 +295,16 @@ func (s *System) Close() error {
 	return nil
 }
 
-// EpochDuration returns ω × round duration.
-func (s *System) EpochDuration() time.Duration {
-	return time.Duration(s.cfg.EpochRounds) * s.cfg.RoundDuration
-}
-
 // fail records the first lifecycle fault, publishes the halt event, and
 // stops mainchain block production so the simulator drains. Subsequent
 // lifecycle callbacks see s.err and return without scheduling more work.
 func (s *System) fail(err error) {
 	if s.err == nil {
 		s.err = err
-		s.halted.Store(true)
-		s.ingest.Close()
+		s.halt()
 		s.bus.Publish(chain.Event{Type: chain.EventHalted, At: s.sim.Now(), Epoch: s.epoch, Err: err})
 	}
 	s.mc.Stop()
-}
-
-// makeCommittee elects and key-provisions a committee for an epoch.
-func (s *System) makeCommittee(epoch uint64) (*committeeKeys, error) {
-	return provisionCommittee(s.registry, s.chainSeed, epoch, s.cfg.CommitteeSize)
 }
 
 // committeeRNG derives epoch e's key-dealing randomness from
@@ -428,6 +349,17 @@ func provisionCommittee(reg *election.Registry, chainSeed [32]byte, epoch uint64
 	return &committeeKeys{committee: com, group: group, signer: newSyncSigner(group, dealing.Shares)}, nil
 }
 
+// newMinerRegistry registers the sidechain miner population with fast
+// sortition keys; both backends elect every committee from it.
+func newMinerRegistry(population int) *election.Registry {
+	reg := election.NewRegistry()
+	for i := 0; i < population; i++ {
+		id := fmt.Sprintf("sc-miner-%04d", i)
+		reg.Add(&election.Miner{ID: id, Stake: 1, VRF: election.NewFastVRF([]byte(id))})
+	}
+	return reg
+}
+
 func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
 	if len(payloads) == 1 {
 		return payloads[0].Digest()
@@ -439,120 +371,6 @@ func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
 	}
 	return pbft.DigestOf(acc)
 }
-
-// checkSubmit validates one transaction up front (shape, pool routing,
-// known user); reads only construction-time state, safe from any
-// producer goroutine.
-func (s *System) checkSubmit(tx *summary.Tx) error {
-	if err := chain.CheckTx(tx); err != nil {
-		return err
-	}
-	if tx.PoolID != "" {
-		return fmt.Errorf("%w: %q (single-pool deployment routes the empty pool ID)", chain.ErrUnknownPool, tx.PoolID)
-	}
-	if !s.userSet[tx.User] {
-		return fmt.Errorf("%w: %s", chain.ErrUnfundedUser, tx.User)
-	}
-	return nil
-}
-
-// submitErr translates pool-closed rejections on a halted node into
-// ErrHalted (see MultiSystem.submitErr).
-func (s *System) submitErr(err error) error {
-	if err != nil && s.halted.Load() && errors.Is(err, chain.ErrClosed) {
-		return chain.ErrHalted
-	}
-	return err
-}
-
-// Submit validates the transaction and admits it into the concurrent
-// ingest pool; the next round boundary drains it into the meta-block
-// queue. Safe from any goroutine; the single-transaction form of
-// SubmitBatch.
-func (s *System) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, error) {
-	if s.halted.Load() {
-		return nil, chain.ErrHalted
-	}
-	if err := s.checkSubmit(tx); err != nil {
-		return nil, err
-	}
-	rc := &chain.Receipt{TxID: tx.ID, Status: chain.StatusPending}
-	if err := s.ingest.AdmitOne(ctx, ingest.Entry{Tx: tx, Rc: rc}); err != nil {
-		return nil, s.submitErr(err)
-	}
-	return rc, nil
-}
-
-// SubmitBatch validates the batch up front and admits the valid entries
-// in order with partial-accept semantics; same contract as
-// MultiSystem.SubmitBatch.
-func (s *System) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.BatchResult, error) {
-	if s.halted.Load() {
-		return nil, chain.ErrHalted
-	}
-	res := &chain.BatchResult{
-		Receipts: make([]*chain.Receipt, len(txs)),
-		Errs:     make([]error, len(txs)),
-	}
-	entries := make([]ingest.Entry, 0, len(txs))
-	idx := make([]int, 0, len(txs))
-	for i, tx := range txs {
-		if err := s.checkSubmit(tx); err != nil {
-			res.Errs[i] = err
-			continue
-		}
-		rc := &chain.Receipt{TxID: tx.ID, Status: chain.StatusPending}
-		res.Receipts[i] = rc
-		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc})
-		idx = append(idx, i)
-	}
-	n, errs, batchErr := s.ingest.Admit(ctx, entries)
-	res.Accepted = n
-	if batchErr != nil {
-		batchErr = s.submitErr(batchErr)
-		for _, i := range idx {
-			res.Receipts[i] = nil
-			res.Errs[i] = batchErr
-		}
-		return res, batchErr
-	}
-	for j, err := range errs {
-		if err == nil {
-			continue
-		}
-		i := idx[j]
-		res.Receipts[i] = nil
-		res.Errs[i] = s.submitErr(err)
-	}
-	return res, nil
-}
-
-// drainIngest merges the concurrent mempool into the queue in canonical
-// admission order, stamping arrival at the drain's virtual time (see
-// MultiSystem.drainIngest).
-func (s *System) drainIngest() {
-	entries := s.ingest.Drain()
-	now := s.sim.Now()
-	for _, en := range entries {
-		en.Tx.SubmittedAt = now
-		en.Rc.SubmittedAt = now
-		s.queue = append(s.queue, queuedTx{tx: en.Tx, rc: en.Rc})
-	}
-	if len(s.queue) > s.queuePeak {
-		s.queuePeak = len(s.queue)
-	}
-	if s.cfg.ArrivalLog != nil {
-		txs := make([]*summary.Tx, len(entries))
-		for i := range entries {
-			txs[i] = entries[i].Tx
-		}
-		s.cfg.ArrivalLog.Record(now, txs)
-	}
-}
-
-// pendingTxs counts transactions still owed an execution slot: drained
-// into the queue or waiting in the ingest pool.
-func (s *System) pendingTxs() int { return len(s.queue) + s.ingest.Len() }
 
 // Claimable implements the chain.Chain escrow surface: the single-pool
 // backend never joins a federation, so there is never an escrow and the
@@ -698,7 +516,7 @@ func (s *System) startEpoch(e uint64) {
 
 	// Elect next epoch's committee during this epoch and run its DKG.
 	if _, ok := s.committees[e+1]; !ok {
-		ck, err := s.makeCommittee(e + 1)
+		ck, err := provisionCommittee(s.registry, s.chainSeed, e+1, s.cfg.CommitteeSize)
 		if err != nil {
 			s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrElectionFailed, e+1, err))
 			return
@@ -738,7 +556,7 @@ func (s *System) runRound(e, r uint64) {
 	}
 	// Round boundary = epoch cut: merge the concurrent mempool in
 	// canonical admission order before packing.
-	s.drainIngest()
+	s.drainIngest(s.sim.Now())
 	roundStart := s.sim.Now()
 	s.syncMidEpochDeposits(e)
 
@@ -761,9 +579,6 @@ func (s *System) runRound(e, r uint64) {
 			q.rc.Err = err
 			q.rc.Epoch = e
 			q.rc.Round = r
-			if s.OnReject != nil {
-				s.OnReject(err, tx.Kind.String())
-			}
 			continue // invalid transactions never enter a block
 		}
 		included = append(included, q)
@@ -797,13 +612,7 @@ func (s *System) runRound(e, r uint64) {
 			s.fail(fmt.Errorf("%w: meta %d/%d: %v", chain.ErrLedgerAppend, e, r, err))
 			return
 		}
-		for _, q := range included {
-			q.rc.Status = chain.StatusExecuted
-			q.rc.ExecutedAt = block.MinedAt
-			q.rc.Epoch = e
-			q.rc.Round = r
-			s.recsByEpoch[e] = append(s.recsByEpoch[e], &txRecord{tx: q.tx, rc: q.rc, minedAt: block.MinedAt, epoch: e})
-		}
+		s.executed(e, r, block.MinedAt, included)
 		s.bus.Publish(chain.Event{
 			Type: chain.EventMetaBlock, At: block.MinedAt, Epoch: e, Round: r,
 			Txs: len(included), Bytes: blockBytes,
@@ -836,10 +645,7 @@ func (s *System) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		}
 		sb.MinedAt = s.sim.Now()
 		s.ledger.AppendSummary(sb)
-		for _, rec := range s.recsByEpoch[e] {
-			rec.rc.Status = chain.StatusCheckpointed
-			rec.rc.CheckpointedAt = sb.MinedAt
-		}
+		s.checkpointed(e, sb.MinedAt)
 		s.bus.Publish(chain.Event{
 			Type: chain.EventSummaryBlock, At: sb.MinedAt, Epoch: e,
 			Bytes: payload.SidechainBytes(), Root: payload.Digest(),
@@ -898,12 +704,6 @@ func (s *System) submitSync(e uint64, payloads []*summary.SyncPayload) {
 		size += p.MainchainBytes()
 	}
 	nextKey := s.committees[signEpoch+uint64(len(payloads))].group
-	if s.DebugSync != nil {
-		for _, p := range payloads {
-			s.DebugSync(p.Epoch, len(p.Payouts), len(p.Positions), p.MainchainBytes(),
-				gasmodelSyncGas(len(p.Payouts), len(p.Positions), p.MainchainBytes()))
-		}
-	}
 	submitted := s.sim.Now()
 	tx := &mainchain.Tx{
 		ID: fmt.Sprintf("sync-e%d", e), From: "sc-committee", To: mainchain.BankAddress,
@@ -930,17 +730,7 @@ func (s *System) submitSync(e uint64, payloads []*summary.SyncPayload) {
 		// observes EventSyncConfirmed may immediately read the epoch's
 		// receipts as StatusSynced (the documented visibility contract).
 		for _, pe := range epochs {
-			// Payout latency: submission → sync confirmation.
-			for _, rec := range s.recsByEpoch[pe] {
-				s.col.ObserveTx(metrics.TxObservation{
-					Kind:        rec.tx.Kind,
-					SubmittedAt: rec.tx.SubmittedAt,
-					MinedAt:     rec.minedAt,
-					PayoutAt:    tx.ConfirmedAt,
-				})
-				rec.rc.Status = chain.StatusSynced
-				rec.rc.SyncedAt = tx.ConfirmedAt
-			}
+			s.synced(pe, tx.ConfirmedAt)
 		}
 		s.bus.Publish(chain.Event{
 			Type: chain.EventSyncConfirmed, At: tx.ConfirmedAt, Epoch: e,
@@ -952,11 +742,7 @@ func (s *System) submitSync(e uint64, payloads []*summary.SyncPayload) {
 				s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, pe, err))
 				return
 			}
-			for _, rec := range s.recsByEpoch[pe] {
-				rec.rc.Status = chain.StatusPruned
-				rec.rc.PrunedAt = s.sim.Now()
-			}
-			delete(s.recsByEpoch, pe)
+			s.pruned(pe, s.sim.Now())
 			// The epoch's committee key material (hundreds of shares) is
 			// spent once its sync confirmed and its blocks pruned.
 			delete(s.committees, pe)
@@ -1034,8 +820,4 @@ func (s *System) report() *chain.Report {
 		IngestPeak:             ist.Peak,
 		PositionsLive:          s.pool.NumPositions(),
 	}
-}
-
-func gasmodelSyncGas(payouts, positions, b int) uint64 {
-	return gasmodel.SyncGas(payouts, positions, b)
 }

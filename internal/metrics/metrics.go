@@ -4,10 +4,7 @@
 // mainchain), gas per operation, and byte growth of both chains.
 //
 // Counts and averages are maintained as exact running aggregates, so
-// they cost O(1) memory regardless of run length. Raw samples (used for
-// percentiles) are retained in full by default; long-running nodes cap
-// them with SetSampleCap, after which percentile queries cover the
-// newest window while every count and average stays exact.
+// they cost O(1) memory regardless of run length; no raw sample is kept.
 //
 // Stage timing is not collected here: trace.Summarize folds it from the
 // tracer's span window.
@@ -29,69 +26,18 @@ type TxObservation struct {
 	PayoutAt    time.Duration // epoch Sync confirmed on the mainchain
 }
 
-// ring is a capacity-bounded sample window: Append keeps the newest cap
-// entries (cap 0 = unbounded).
-type ring[T any] struct {
-	buf   []T
-	start int // index of the oldest entry when the ring has wrapped
-	cap   int
-}
-
-func (r *ring[T]) append(v T) {
-	if r.cap > 0 && len(r.buf) >= r.cap {
-		r.buf[r.start] = v
-		r.start = (r.start + 1) % len(r.buf)
-		return
-	}
-	r.buf = append(r.buf, v)
-}
-
-func (r *ring[T]) len() int { return len(r.buf) }
-
-// setCap re-bounds the ring. Shrinking below the current size keeps the
-// newest n samples and releases the rest, so a mid-run cap actually
-// frees memory; a wrapped ring is unwrapped into logical order first,
-// because append's grow path (after a raise) assumes physical order ==
-// oldest-to-newest.
-func (r *ring[T]) setCap(n int) {
-	if r.start != 0 || (n > 0 && len(r.buf) > n) {
-		keep := len(r.buf)
-		if n > 0 && keep > n {
-			keep = n
-		}
-		fresh := make([]T, 0, keep)
-		for i := len(r.buf) - keep; i < len(r.buf); i++ {
-			fresh = append(fresh, r.buf[(r.start+i)%len(r.buf)])
-		}
-		r.buf = fresh
-		r.start = 0
-	}
-	r.cap = n
-}
-
-// each visits the retained samples (order unspecified).
-func (r *ring[T]) each(fn func(T)) {
-	for _, v := range r.buf {
-		fn(v)
-	}
-}
-
 type gasAgg struct {
-	sum     uint64
-	count   int
-	samples ring[uint64]
+	sum   uint64
+	count int
 }
 
 type latAgg struct {
-	sum     time.Duration
-	count   int
-	samples ring[time.Duration]
+	sum   time.Duration
+	count int
 }
 
 // Collector aggregates observations from one run.
 type Collector struct {
-	sampleCap int
-
 	// Transaction lifecycle aggregates.
 	processed       int
 	processedByKind map[gasmodel.TxKind]int
@@ -99,7 +45,6 @@ type Collector struct {
 	scLatencySum    float64 // seconds; see AvgSCLatency on overflow
 	payoutSum       float64
 	payoutCount     int
-	scSamples       ring[time.Duration]
 
 	// Gas and confirmation latency per mainchain operation label.
 	gasByOp   map[string]*gasAgg
@@ -116,30 +61,13 @@ type Collector struct {
 	pipelineMax     int
 }
 
-// New creates an empty collector retaining every sample.
+// New creates an empty collector.
 func New() *Collector {
 	return &Collector{
 		processedByKind: make(map[gasmodel.TxKind]int),
 		gasByOp:         make(map[string]*gasAgg),
 		mcLatency:       make(map[string]*latAgg),
 		lifecycle:       make(map[string]int),
-	}
-}
-
-// SetSampleCap bounds raw-sample retention per series to the newest n
-// entries (0 restores unbounded retention). Aggregated counts and
-// averages are unaffected; percentile queries cover the retained window.
-func (c *Collector) SetSampleCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.sampleCap = n
-	c.scSamples.setCap(n)
-	for _, g := range c.gasByOp {
-		g.samples.setCap(n)
-	}
-	for _, l := range c.mcLatency {
-		l.samples.setCap(n)
 	}
 }
 
@@ -182,7 +110,6 @@ func (c *Collector) ObserveTx(o TxObservation) {
 		// Sums accumulate in float64 seconds: a week-long payout window
 		// over 10^5 observations overflows int64 nanoseconds.
 		c.scLatencySum += (o.MinedAt - o.SubmittedAt).Seconds()
-		c.scSamples.append(o.MinedAt - o.SubmittedAt)
 	}
 	if o.PayoutAt > 0 {
 		c.payoutSum += (o.PayoutAt - o.SubmittedAt).Seconds()
@@ -217,24 +144,22 @@ func (c *Collector) MaxPipelineOccupancy() int { return c.pipelineMax }
 func (c *Collector) ObserveGas(op string, gas uint64) {
 	g := c.gasByOp[op]
 	if g == nil {
-		g = &gasAgg{samples: ring[uint64]{cap: c.sampleCap}}
+		g = &gasAgg{}
 		c.gasByOp[op] = g
 	}
 	g.sum += gas
 	g.count++
-	g.samples.append(gas)
 }
 
 // ObserveMCLatency records a mainchain confirmation latency for a label.
 func (c *Collector) ObserveMCLatency(op string, d time.Duration) {
 	l := c.mcLatency[op]
 	if l == nil {
-		l = &latAgg{samples: ring[time.Duration]{cap: c.sampleCap}}
+		l = &latAgg{}
 		c.mcLatency[op] = l
 	}
 	l.sum += d
 	l.count++
-	l.samples.append(d)
 }
 
 // NumProcessed counts transactions that reached a meta-block.
@@ -272,19 +197,6 @@ func (c *Collector) AvgPayoutLatency() time.Duration {
 		return 0
 	}
 	return time.Duration(c.payoutSum / float64(c.payoutCount) * float64(time.Second))
-}
-
-// PercentileSCLatency returns the p-th percentile (0–100) sidechain
-// latency over the retained sample window.
-func (c *Collector) PercentileSCLatency(p float64) time.Duration {
-	if c.scSamples.len() == 0 {
-		return 0
-	}
-	ds := make([]time.Duration, 0, c.scSamples.len())
-	c.scSamples.each(func(d time.Duration) { ds = append(ds, d) })
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(p / 100 * float64(len(ds)-1))
-	return ds[idx]
 }
 
 // AvgGas returns the mean gas for an operation label, with the sample

@@ -48,22 +48,6 @@ func TestUnprocessedExcluded(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	c := New()
-	for i := 1; i <= 100; i++ {
-		c.ObserveTx(obs(gasmodel.KindSwap, 0, time.Duration(i)*time.Second, 0))
-	}
-	if got := c.PercentileSCLatency(50); got < 50*time.Second || got > 51*time.Second {
-		t.Errorf("p50 = %s", got)
-	}
-	if got := c.PercentileSCLatency(100); got != 100*time.Second {
-		t.Errorf("p100 = %s", got)
-	}
-	if got := New().PercentileSCLatency(50); got != 0 {
-		t.Errorf("empty percentile = %s", got)
-	}
-}
-
 func TestGasAccounting(t *testing.T) {
 	c := New()
 	c.ObserveGas("sync", 100)
@@ -119,37 +103,5 @@ func TestPipelineOccupancy(t *testing.T) {
 	}
 	if got := c.MaxPipelineOccupancy(); got != 2 {
 		t.Errorf("max occupancy = %d, want 2", got)
-	}
-}
-
-// TestSampleCapResize pins SetSampleCap's mid-run contract in both
-// directions: shrinking keeps exactly the newest n samples (releasing
-// the rest), and raising the cap on a wrapped ring preserves
-// oldest-to-newest eviction order instead of interleaving stale samples
-// into the window.
-func TestSampleCapResize(t *testing.T) {
-	c := New()
-	c.SetSampleCap(4)
-	for i := 1; i <= 6; i++ { // ring wraps: holds {3,4,5,6}
-		c.ObserveGas("op", uint64(i))
-	}
-	c.SetSampleCap(8)
-	for i := 7; i <= 10; i++ { // grows to 8: {3..10}
-		c.ObserveGas("op", uint64(i))
-	}
-	c.ObserveGas("op", 11) // evicts the oldest (3): {4..11}
-	c.SetSampleCap(2)      // keeps the newest two: {10, 11}
-	g := c.gasByOp["op"]
-	if g.samples.len() != 2 {
-		t.Fatalf("retained %d samples, want 2", g.samples.len())
-	}
-	seen := map[uint64]bool{}
-	g.samples.each(func(v uint64) { seen[v] = true })
-	if !seen[10] || !seen[11] {
-		t.Fatalf("retained window %v, want newest {10, 11}", seen)
-	}
-	// Aggregates never lose precision to the cap.
-	if avg, n := c.AvgGas("op"); n != 11 || avg != 6 {
-		t.Errorf("AvgGas = %v over %d, want 6 over 11", avg, n)
 	}
 }
