@@ -83,7 +83,7 @@ func run(dir string, planned int) *chain.Report {
 	}
 	if rec := node.(*core.MultiSystem).Recovery(); rec != nil {
 		fmt.Printf("  recovered at epoch boundary %d (%d receipts, %d epochs of roots restored)\n",
-			rec.Epoch, len(rec.Receipts), len(rec.SummaryRoots))
+			rec.Epoch, len(rec.Receipts), len(rec.Fingerprint.Epochs))
 	}
 	drive(node)
 	rep, err := node.Run(planned)

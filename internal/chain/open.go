@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Durable-store errors surfaced by Open.
@@ -40,11 +41,9 @@ type RecoveryInfo struct {
 	// Epoch is the recovered boundary: every epoch <= Epoch was restored
 	// from the store; Run resumes at Epoch+1.
 	Epoch uint64
-	// SummaryRoots[e] is the persisted folded multi-pool root of epoch e.
-	SummaryRoots map[uint64][32]byte
-	// PayloadDigests[e] holds epoch e's per-pool sync payload digests in
-	// canonical pool order.
-	PayloadDigests map[uint64][][32]byte
+	// Fingerprint holds every restored epoch's persisted summary root and
+	// per-pool sync payload digests; its Receipts stay empty.
+	Fingerprint Fingerprint
 	// Receipts are the persisted receipt-table rows, re-materialized.
 	// Rows for epochs the replayed sync-part log confirmed are reported
 	// as Pruned; sync/prune virtual timestamps did not survive the crash
@@ -56,6 +55,81 @@ type RecoveryInfo struct {
 	Halted bool
 	// HaltReason is the persisted fault description when Halted.
 	HaltReason string
+}
+
+// Fingerprint is what a run produced, not when: per-epoch summary roots
+// and sync payload digests, and receipt outcomes. Shard count, pipeline
+// depth, store, tracer, consensus fidelity and producer interleaving
+// must not change it (DESIGN.md invariants 8-14).
+type Fingerprint struct {
+	Epochs map[uint64]EpochPrint
+	// Receipts are outcomes in the order the caller listed the receipts.
+	Receipts []ReceiptOutcome
+}
+
+// EpochPrint is one epoch of a Fingerprint.
+type EpochPrint struct {
+	// Root is the epoch's folded multi-pool summary root.
+	Root [32]byte
+	// Payloads are the per-pool sync payload digests in canonical pool
+	// order.
+	Payloads [][32]byte
+}
+
+// ReceiptOutcome is how a receipt ended: its lifecycle stage and
+// execution slot, without virtual timestamps.
+type ReceiptOutcome struct {
+	TxID   string
+	Status Status
+	Epoch  uint64
+	Round  uint64
+}
+
+// Diff returns nil when f and other describe the same run. Otherwise it
+// names the lowest epoch that differs and what differs there — an epoch
+// one run lacks, the summary root, the payload count, or payload i — and,
+// when every epoch agrees, the first receipt that differs.
+func (f Fingerprint) Diff(other Fingerprint) error {
+	epochs := make([]uint64, 0, len(f.Epochs)+len(other.Epochs))
+	for e := range f.Epochs {
+		epochs = append(epochs, e)
+	}
+	for e := range other.Epochs {
+		if _, ok := f.Epochs[e]; !ok {
+			epochs = append(epochs, e)
+		}
+	}
+	slices.Sort(epochs)
+	for _, e := range epochs {
+		a, inA := f.Epochs[e]
+		b, inB := other.Epochs[e]
+		switch {
+		case !inA:
+			return fmt.Errorf("runs differ at epoch %d: only the second run has it", e)
+		case !inB:
+			return fmt.Errorf("runs differ at epoch %d: only the first run has it", e)
+		case a.Root != b.Root:
+			return fmt.Errorf("runs differ at epoch %d: summary root %x vs %x", e, a.Root, b.Root)
+		case len(a.Payloads) != len(b.Payloads):
+			return fmt.Errorf("runs differ at epoch %d: %d vs %d payloads", e, len(a.Payloads), len(b.Payloads))
+		}
+		for i := range a.Payloads {
+			if a.Payloads[i] != b.Payloads[i] {
+				return fmt.Errorf("runs differ at epoch %d: payload %d digest %x vs %x", e, i, a.Payloads[i], b.Payloads[i])
+			}
+		}
+	}
+	for i := 0; i < max(len(f.Receipts), len(other.Receipts)); i++ {
+		switch {
+		case i >= len(f.Receipts):
+			return fmt.Errorf("runs differ at receipt %d (%s): only the second run has it", i, other.Receipts[i].TxID)
+		case i >= len(other.Receipts):
+			return fmt.Errorf("runs differ at receipt %d (%s): only the first run has it", i, f.Receipts[i].TxID)
+		case f.Receipts[i] != other.Receipts[i]:
+			return fmt.Errorf("runs differ at receipt %d (%s): %+v vs %+v", i, f.Receipts[i].TxID, f.Receipts[i], other.Receipts[i])
+		}
+	}
+	return nil
 }
 
 // opener is installed by the backend package (internal/core); the

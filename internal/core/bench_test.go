@@ -17,11 +17,7 @@ import (
 func benchSystem(b *testing.B) (*System, []*summary.Tx) {
 	b.Helper()
 	gen := workload.New(workload.DefaultConfig(42))
-	lps := map[string]bool{}
-	for _, lp := range gen.LPs() {
-		lps[lp] = true
-	}
-	sys, err := NewSystem(smallConfig(42), gen.Users(), lps)
+	sys, err := NewSystem(smallConfig(42), gen.Users())
 	if err != nil {
 		b.Fatal(err)
 	}

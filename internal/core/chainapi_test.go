@@ -19,14 +19,14 @@ import (
 // multi-pool config instead of silently dropping the pools.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
-	single, err := New(chain.NewConfig(chain.WithCommittee(8), chain.WithMinerPopulation(20)), users, nil)
+	single, err := New(chain.NewConfig(chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
 	if err != nil {
 		t.Fatalf("single-pool factory: %v", err)
 	}
 	if _, ok := single.(*System); !ok {
 		t.Fatalf("NumPools=0 built %T, want *System", single)
 	}
-	multi, err := New(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users, nil)
+	multi, err := New(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
 	if err != nil {
 		t.Fatalf("multi-pool factory: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestFactoryBackendSelection(t *testing.T) {
 	}
 	cfg := smallConfig(27)
 	cfg.NumPools = 4
-	if _, err := NewSystem(cfg, users, nil); !errors.Is(err, ErrBackendMismatch) {
+	if _, err := NewSystem(cfg, users); !errors.Is(err, ErrBackendMismatch) {
 		t.Errorf("NewSystem with NumPools=4: err = %v, want ErrBackendMismatch", err)
 	}
 	if _, _, err := NewDriver(cfg, smallDriver(500_000, 1, 27)); !errors.Is(err, ErrBackendMismatch) {

@@ -13,11 +13,7 @@ import (
 // always zero and ClaimRefund answers ErrNoEscrow.
 func TestClaimSurfaceSinglePool(t *testing.T) {
 	gen := workload.New(workload.DefaultConfig(1))
-	lps := map[string]bool{}
-	for _, lp := range gen.LPs() {
-		lps[lp] = true
-	}
-	sys, err := NewSystem(smallConfig(1), gen.Users(), lps)
+	sys, err := NewSystem(smallConfig(1), gen.Users())
 	if err != nil {
 		t.Fatal(err)
 	}

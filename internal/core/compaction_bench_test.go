@@ -151,7 +151,7 @@ func BenchmarkCompact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fsys := plantStore(b, data)
-		_, w, err := store.Open(fsys, "", Fingerprint(cfg))
+		_, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func TestCompactedRestartDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference run: %v", label, err)
 				}
-				ref := fingerprintRun(refRep, refSys)
+				ref := refSys.Fingerprint(nil)
 
 				// First half of the history, compacting at every confirmed
 				// epoch, then a clean shutdown.
@@ -82,7 +82,7 @@ func TestCompactedRestartDeterminism(t *testing.T) {
 
 				// The log must now be [header, checkpoint] with no tail:
 				// every epoch <= half was folded into the checkpoint.
-				rec, w, err := store.Open(fsys, "", Fingerprint(cfg))
+				rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 				if err != nil {
 					t.Fatalf("%s: raw scan: %v", label, err)
 				}
@@ -117,7 +117,9 @@ func TestCompactedRestartDeterminism(t *testing.T) {
 					t.Errorf("%s: compacted resume SyncsOK = %d, reference %d",
 						label, rep2.SyncsOK, refRep.SyncsOK)
 				}
-				comparePrints(t, label+" (compacted resume)", ref, fingerprintRun(rep2, ms2), epochs)
+				if err := ref.Diff(ms2.Fingerprint(nil)); err != nil {
+					t.Errorf("%s (compacted resume): %v", label, err)
+				}
 				if err := node2.Validate(); err != nil {
 					t.Errorf("%s: compacted resume Validate: %v", label, err)
 				}
@@ -136,11 +138,12 @@ func TestCompactedRestartDeterminism(t *testing.T) {
 					t.Fatalf("%s: bootstrapped at %+v, want boundary %d", label, got, half)
 				}
 				attachRecoveryTraffic(t, bms, seed, perEpoch)
-				rep3, err := boot.Run(epochs)
-				if err != nil {
+				if _, err := boot.Run(epochs); err != nil {
 					t.Fatalf("%s: bootstrapped run: %v", label, err)
 				}
-				comparePrints(t, label+" (fast-sync bootstrap)", ref, fingerprintRun(rep3, bms), epochs)
+				if err := ref.Diff(bms.Fingerprint(nil)); err != nil {
+					t.Errorf("%s (fast-sync bootstrap): %v", label, err)
+				}
 				if err := boot.Validate(); err != nil {
 					t.Errorf("%s: bootstrapped Validate: %v", label, err)
 				}
@@ -163,11 +166,10 @@ func TestExplicitCompactAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachRecoveryTraffic(t, refSys, seed, perEpoch)
-	refRep, err := refSys.Run(epochs)
-	if err != nil {
+	if _, err := refSys.Run(epochs); err != nil {
 		t.Fatal(err)
 	}
-	ref := fingerprintRun(refRep, refSys)
+	ref := refSys.Fingerprint(nil)
 
 	fsys := &store.MemFS{}
 	node, err := OpenFS(fsys, "", cfg)
@@ -191,7 +193,7 @@ func TestExplicitCompactAndResume(t *testing.T) {
 	}
 	node.Close()
 
-	rec, w, err := store.Open(fsys, "", Fingerprint(cfg))
+	rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +209,12 @@ func TestExplicitCompactAndResume(t *testing.T) {
 	}
 	ms2 := node2.(*MultiSystem)
 	attachRecoveryTraffic(t, ms2, seed, perEpoch)
-	rep2, err := node2.Run(epochs)
-	if err != nil {
+	if _, err := node2.Run(epochs); err != nil {
 		t.Fatal(err)
 	}
-	comparePrints(t, "explicit compact", ref, fingerprintRun(rep2, ms2), epochs)
+	if err := ref.Diff(ms2.Fingerprint(nil)); err != nil {
+		t.Errorf("explicit compact: %v", err)
+	}
 	if err := node2.Validate(); err != nil {
 		t.Errorf("resumed Validate: %v", err)
 	}
@@ -248,7 +251,7 @@ func TestCompactWithRetention(t *testing.T) {
 	}
 	node.Close()
 
-	rec, w, err := store.Open(fsys, "", Fingerprint(cfg))
+	rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +274,7 @@ func TestCompactWithRetention(t *testing.T) {
 		t.Fatalf("recovered %+v, want boundary %d", got, epochs)
 	}
 	for e := uint64(epochs - 1); e <= epochs; e++ {
-		if ms2.Recovery().SummaryRoots[e] == ([32]byte{}) {
+		if ms2.Recovery().Fingerprint.Epochs[e].Root == ([32]byte{}) {
 			t.Errorf("retained epoch %d lost its summary root", e)
 		}
 	}
@@ -304,7 +307,7 @@ func TestTamperedCheckpointFailsOpen(t *testing.T) {
 		node.Close()
 
 		data := readMemStore(t, fsys)
-		rec, w, err := store.Open(fsys, "", Fingerprint(cfg))
+		rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +351,7 @@ func TestTamperedCheckpointFailsOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodeB.Close()
-		recB, wB, err := store.Open(fsB, "", Fingerprint(cfgB))
+		recB, wB, err := store.Open(fsB, "", DeploymentFingerprint(cfgB))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +363,7 @@ func TestTamperedCheckpointFailsOpen(t *testing.T) {
 		// Rewrite A's log with a checkpoint whose bank replay state came
 		// from B's seed. Every frame CRCs clean; only the seed-derived
 		// committee anchor can catch the splice.
-		recA, wA, err := store.Open(fsA, "", Fingerprint(cfgA))
+		recA, wA, err := store.Open(fsA, "", DeploymentFingerprint(cfgA))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +400,7 @@ func TestHaltedRecoversHaltedAcrossCompaction(t *testing.T) {
 	}
 	node.Close()
 
-	rec, w, err := store.Open(fsys, "", Fingerprint(cfg))
+	rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +437,10 @@ func TestBootstrapEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachRecoveryTraffic(t, refSys, seed, perEpoch)
-	refRep, err := refSys.Run(epochs)
-	if err != nil {
+	if _, err := refSys.Run(epochs); err != nil {
 		t.Fatal(err)
 	}
-	ref := fingerprintRun(refRep, refSys)
+	ref := refSys.Fingerprint(nil)
 
 	// Peer: half the history, compacted, snapshot exported at rest.
 	fsys := &store.MemFS{}
@@ -468,11 +470,12 @@ func TestBootstrapEdgeCases(t *testing.T) {
 			t.Fatalf("bootstrapped at %+v, want boundary %d", got, half)
 		}
 		attachRecoveryTraffic(t, bms, seed, perEpoch)
-		rep, err := boot.Run(epochs)
-		if err != nil {
+		if _, err := boot.Run(epochs); err != nil {
 			t.Fatal(err)
 		}
-		comparePrints(t, "dir bootstrap", ref, fingerprintRun(rep, bms), epochs)
+		if err := ref.Diff(bms.Fingerprint(nil)); err != nil {
+			t.Errorf("dir bootstrap: %v", err)
+		}
 		boot.Close()
 
 		// A second bootstrap into the now-populated directory must refuse
@@ -517,7 +520,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := fingerprintRun(refRep, refSys)
+	ref := refSys.Fingerprint(nil)
 
 	// Instrumented clean run: the total accepted byte count bounds the
 	// crash budgets (the stream spans the log, every temp file, and the
@@ -536,7 +539,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	if total == 0 {
 		t.Fatal("instrumented run wrote nothing")
 	}
-	probeRec, pw, err := store.Open(probe, "", Fingerprint(cfg))
+	probeRec, pw, err := store.Open(probe, "", DeploymentFingerprint(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +587,9 @@ func TestCompactCrashSweep(t *testing.T) {
 		if rep.SyncsOK != refRep.SyncsOK {
 			t.Errorf("%s: resumed SyncsOK = %d, reference %d", label, rep.SyncsOK, refRep.SyncsOK)
 		}
-		comparePrints(t, label, ref, fingerprintRun(rep, rms), epochs)
+		if err := ref.Diff(rms.Fingerprint(nil)); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
 		if err := reopened.Validate(); err != nil {
 			t.Errorf("%s resumed Validate: %v", label, err)
 		}

@@ -36,11 +36,7 @@ type Driver struct {
 // chain.Chain API.
 func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, error) {
 	gen := workload.New(drvCfg.Workload)
-	lps := make(map[string]bool)
-	for _, lp := range gen.LPs() {
-		lps[lp] = true
-	}
-	sys, err := NewSystem(sysCfg, gen.Users(), lps)
+	sys, err := NewSystem(sysCfg, gen.Users())
 	if err != nil {
 		return nil, nil, err
 	}

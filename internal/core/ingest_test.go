@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,20 +33,17 @@ func ingestMatrixConfig(seed int64, shards, depth int) chain.Config {
 	}
 }
 
-// receiptFP freezes a receipt's externally observable lifecycle after
-// the run: final stage, execution slot, every per-stage virtual
-// timestamp, and the rejection reason. Two runs agree on invariant 13
-// only if these match per transaction ID.
+// receiptFP freezes what a receipt's fingerprint outcome leaves out:
+// every per-stage virtual timestamp and the rejection reason. Invariant
+// 13 pins timing too, so two runs agree only if these match per
+// transaction ID.
 type receiptFP struct {
-	status                                            chain.Status
-	epoch, round                                      uint64
 	submitted, executed, checkpointed, synced, pruned time.Duration
 	errText                                           string
 }
 
 func fingerprintReceipt(rc *chain.Receipt) receiptFP {
 	fp := receiptFP{
-		status: rc.Status, epoch: rc.Epoch, round: rc.Round,
 		submitted: rc.SubmittedAt, executed: rc.ExecutedAt,
 		checkpointed: rc.CheckpointedAt, synced: rc.SyncedAt, pruned: rc.PrunedAt,
 	}
@@ -54,28 +53,24 @@ func fingerprintReceipt(rc *chain.Receipt) receiptFP {
 	return fp
 }
 
-// ingestRunResult is everything the determinism comparison pins between
-// an N-producer run and its single-producer replay.
-type ingestRunResult struct {
-	epochs   int
-	roots    map[uint64][32]byte
-	payloads map[uint64][][32]byte
-	receipts map[string]receiptFP
+// ingestRun is everything the determinism comparison pins between an
+// N-producer run and its single-producer replay: the epoch count, the
+// run fingerprint over every receipt in TxID order, and each receipt's
+// timing.
+type ingestRun struct {
+	epochs int
+	fp     chain.Fingerprint
+	timing map[string]receiptFP
 }
 
-func captureIngestRun(sys *MultiSystem, rep *chain.Report, receipts map[string]*chain.Receipt) ingestRunResult {
-	res := ingestRunResult{
-		epochs:   rep.EpochsRun,
-		roots:    rep.SummaryRoots,
-		payloads: make(map[uint64][][32]byte),
-		receipts: make(map[string]receiptFP, len(receipts)),
+func captureIngestRun(sys *MultiSystem, rep *chain.Report, receipts map[string]*chain.Receipt) ingestRun {
+	res := ingestRun{epochs: rep.EpochsRun, timing: make(map[string]receiptFP, len(receipts))}
+	var sorted []*chain.Receipt
+	for _, id := range slices.Sorted(maps.Keys(receipts)) {
+		sorted = append(sorted, receipts[id])
+		res.timing[id] = fingerprintReceipt(receipts[id])
 	}
-	for _, sb := range sys.SidechainLedger().Summaries() {
-		res.payloads[sb.Epoch] = append(res.payloads[sb.Epoch], sb.Payload.Digest())
-	}
-	for id, rc := range receipts {
-		res.receipts[id] = fingerprintReceipt(rc)
-	}
+	res.fp = sys.Fingerprint(sorted)
 	return res
 }
 
@@ -85,7 +80,7 @@ func captureIngestRun(sys *MultiSystem, rep *chain.Report, receipts map[string]*
 // canonical arrival log. Submissions refused because the node already
 // closed after its final epoch are fine — they are in neither the log
 // nor the receipt set, so the replay comparison is unaffected.
-func runConcurrentIngest(t *testing.T, seed int64, shards, depth, producers, perProducer int) (ingestRunResult, *chain.ArrivalLog) {
+func runConcurrentIngest(t *testing.T, seed int64, shards, depth, producers, perProducer int) (ingestRun, *chain.ArrivalLog) {
 	t.Helper()
 	cfg := ingestMatrixConfig(seed, shards, depth)
 	log := chain.NewArrivalLog()
@@ -229,7 +224,7 @@ func runConcurrentIngest(t *testing.T, seed int64, shards, depth, producers, per
 // for round k schedules boundary k+1 at the current virtual time — the
 // injection fires right after the round's event returns, ahead of any
 // later decision or drain.
-func runReplayIngest(t *testing.T, seed int64, shards, depth int, log *chain.ArrivalLog) (ingestRunResult, *chain.ArrivalLog) {
+func runReplayIngest(t *testing.T, seed int64, shards, depth int, log *chain.ArrivalLog) (ingestRun, *chain.ArrivalLog) {
 	t.Helper()
 	cfg := ingestMatrixConfig(seed, shards, depth)
 	replayLog := chain.NewArrivalLog()
@@ -271,47 +266,21 @@ func runReplayIngest(t *testing.T, seed int64, shards, depth int, log *chain.Arr
 	return captureIngestRun(sys, rep, receipts), replayLog
 }
 
-// compareIngestRuns asserts bit-identical run outcomes: epoch count,
-// per-epoch summary roots, sync payload digests, and every receipt's
-// stage sequence.
-func compareIngestRuns(t *testing.T, label string, base, got ingestRunResult) {
+// compareIngestRuns asserts bit-identical run outcomes: epoch count, run
+// fingerprint, and every receipt's stage timing.
+func compareIngestRuns(t *testing.T, label string, base, got ingestRun) {
 	t.Helper()
 	if got.epochs != base.epochs {
 		t.Errorf("%s: ran %d epochs, want %d", label, got.epochs, base.epochs)
 	}
-	if len(got.roots) != len(base.roots) {
-		t.Errorf("%s: %d summary roots, want %d", label, len(got.roots), len(base.roots))
-	}
-	for e, root := range base.roots {
-		if got.roots[e] != root {
-			t.Errorf("%s: epoch %d summary root diverged", label, e)
-		}
-	}
-	for e, digests := range base.payloads {
-		other := got.payloads[e]
-		if len(other) != len(digests) {
-			t.Errorf("%s: epoch %d has %d payloads, want %d", label, e, len(other), len(digests))
-			continue
-		}
-		for i, d := range digests {
-			if other[i] != d {
-				t.Errorf("%s: epoch %d payload %d digest diverged", label, e, i)
-			}
-		}
-	}
-	if len(got.receipts) != len(base.receipts) {
-		t.Errorf("%s: %d receipts, want %d", label, len(got.receipts), len(base.receipts))
+	if err := base.fp.Diff(got.fp); err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
 	diverged := 0
-	for id, fp := range base.receipts {
-		other, ok := got.receipts[id]
-		if !ok {
-			t.Errorf("%s: receipt %s missing from replay", label, id)
-			continue
-		}
-		if other != fp {
+	for id, fp := range base.timing {
+		if other := got.timing[id]; other != fp {
 			if diverged < 3 {
-				t.Errorf("%s: receipt %s diverged: %+v vs %+v", label, id, other, fp)
+				t.Errorf("%s: receipt %s timing diverged: %+v vs %+v", label, id, other, fp)
 			}
 			diverged++
 		}

@@ -12,34 +12,13 @@ import (
 	"ammboost/internal/workload"
 )
 
-// receiptStamp is one receipt's lifecycle outcome, stripped of virtual
-// timestamps: the fidelity equivalence pin compares outcomes, not clocks
-// (live agreement lands rounds a few milliseconds later than the model's
-// analytic delay, by design).
-type receiptStamp struct {
-	id     string
-	status chain.Status
-	epoch  uint64
-	round  uint64
-}
-
-// fidelityFingerprint pins what invariant 11 demands be identical between
-// the model and live consensus paths of a zero-fault run — and what
-// same-seed chaos replays must reproduce bit-identically.
-type fidelityFingerprint struct {
-	roots       map[uint64][32]byte
-	payloads    map[uint64][][32]byte
-	receipts    []receiptStamp
-	syncsOK     int
-	viewChanges int
-	duration    time.Duration
-	netStats    netsim.Stats
-}
-
 // runFidelity runs a short multi-pool deployment, retaining every receipt,
-// and returns the report, fingerprint, and Run error. mutate adjusts the
-// base config (nil = model fidelity, no faults).
-func runFidelity(t *testing.T, seed int64, epochs int, mutate func(*chain.Config)) (*chain.Report, fidelityFingerprint, error) {
+// and returns the report, the run's fingerprint over those receipts in
+// submission order, and the Run error. Invariant 11 demands the
+// fingerprint be identical between the model and live consensus paths of
+// a zero-fault run, and same-seed chaos replays reproduce it bit for bit.
+// mutate adjusts the base config (nil = model fidelity, no faults).
+func runFidelity(t *testing.T, seed int64, epochs int, mutate func(*chain.Config)) (*chain.Report, chain.Fingerprint, error) {
 	t.Helper()
 	sysCfg, _ := multiTestConfigs(seed, 8, 2, epochs)
 	if mutate != nil {
@@ -72,61 +51,7 @@ func runFidelity(t *testing.T, seed int64, epochs int, mutate func(*chain.Config
 		}
 	}
 	rep, runErr := sys.Run(epochs)
-
-	fp := fidelityFingerprint{payloads: make(map[uint64][][32]byte)}
-	if rep != nil {
-		fp.roots = rep.SummaryRoots
-		fp.syncsOK = rep.SyncsOK
-		fp.viewChanges = rep.ViewChanges
-		fp.duration = rep.Duration
-		fp.netStats = rep.NetStats
-	}
-	for _, sb := range sys.SidechainLedger().Summaries() {
-		fp.payloads[sb.Epoch] = append(fp.payloads[sb.Epoch], sb.Payload.Digest())
-	}
-	for _, rc := range recs {
-		fp.receipts = append(fp.receipts, receiptStamp{rc.TxID, rc.Status, rc.Epoch, rc.Round})
-	}
-	return rep, fp, runErr
-}
-
-// assertObservablesEqual compares the consensus-independent observables:
-// summary roots, sync payload digests, receipt outcome sequences, and the
-// sync count. Durations and traffic stats are excluded — they legitimately
-// differ across fidelities.
-func assertObservablesEqual(t *testing.T, label string, a, b fidelityFingerprint) {
-	t.Helper()
-	if len(a.roots) != len(b.roots) {
-		t.Fatalf("%s: %d vs %d epochs of summary roots", label, len(a.roots), len(b.roots))
-	}
-	for e, root := range a.roots {
-		if b.roots[e] != root {
-			t.Errorf("%s: epoch %d summary root diverged", label, e)
-		}
-	}
-	for e, digests := range a.payloads {
-		other := b.payloads[e]
-		if len(other) != len(digests) {
-			t.Errorf("%s: epoch %d has %d vs %d payloads", label, e, len(digests), len(other))
-			continue
-		}
-		for i, d := range digests {
-			if other[i] != d {
-				t.Errorf("%s: epoch %d payload %d digest diverged", label, e, i)
-			}
-		}
-	}
-	if len(a.receipts) != len(b.receipts) {
-		t.Fatalf("%s: %d vs %d receipts", label, len(a.receipts), len(b.receipts))
-	}
-	for i := range a.receipts {
-		if a.receipts[i] != b.receipts[i] {
-			t.Errorf("%s: receipt %d diverged: %+v vs %+v", label, i, a.receipts[i], b.receipts[i])
-		}
-	}
-	if a.syncsOK != b.syncsOK {
-		t.Errorf("%s: SyncsOK %d vs %d", label, a.syncsOK, b.syncsOK)
-	}
+	return rep, sys.Fingerprint(recs), runErr
 }
 
 // withLive switches a config to live fidelity.
@@ -140,7 +65,7 @@ func withLive(c *chain.Config) { c.ConsensusFidelity = chain.FidelityLive }
 // shortcut, never a semantic one.
 func TestLiveModelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
-		_, model, err := runFidelity(t, seed, 2, nil)
+		repModel, model, err := runFidelity(t, seed, 2, nil)
 		if err != nil {
 			t.Fatalf("seed=%d model run: %v", seed, err)
 		}
@@ -148,8 +73,8 @@ func TestLiveModelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d live run: %v", seed, err)
 		}
-		if live.viewChanges != 0 {
-			t.Errorf("seed=%d: zero-fault live run burned %d view changes", seed, live.viewChanges)
+		if repLive.ViewChanges != 0 {
+			t.Errorf("seed=%d: zero-fault live run burned %d view changes", seed, repLive.ViewChanges)
 		}
 		if repLive.NetStats.MessagesSent == 0 {
 			t.Errorf("seed=%d: live run sent no committee traffic — model path leaked in", seed)
@@ -157,7 +82,12 @@ func TestLiveModelEquivalence(t *testing.T) {
 		if repLive.NetStats.MessagesDropped != 0 {
 			t.Errorf("seed=%d: zero-fault live run dropped %d messages", seed, repLive.NetStats.MessagesDropped)
 		}
-		assertObservablesEqual(t, "model-vs-live", model, live)
+		if err := model.Diff(live); err != nil {
+			t.Errorf("seed=%d model-vs-live: %v", seed, err)
+		}
+		if repModel.SyncsOK != repLive.SyncsOK {
+			t.Errorf("seed=%d model-vs-live: SyncsOK %d vs %d", seed, repModel.SyncsOK, repLive.SyncsOK)
+		}
 	}
 }
 
@@ -184,21 +114,26 @@ func TestLiveFidelityChaosDeterministicReplay(t *testing.T) {
 		c.Faults.ByzantineReplicas = map[int]pbft.Byzantine{2: pbft.VoteStall}
 	}
 	repA, a, errA := runFidelity(t, 42, 2, mutate)
-	_, b, errB := runFidelity(t, 42, 2, mutate)
+	repB, b, errB := runFidelity(t, 42, 2, mutate)
 	if errA != nil || errB != nil {
 		t.Fatalf("chaos runs failed: %v / %v", errA, errB)
 	}
-	assertObservablesEqual(t, "replay", a, b)
-	if a.viewChanges != b.viewChanges {
-		t.Errorf("view changes diverged: %d vs %d", a.viewChanges, b.viewChanges)
+	if err := a.Diff(b); err != nil {
+		t.Errorf("replay: %v", err)
 	}
-	if a.duration != b.duration {
-		t.Errorf("completion instant diverged: %s vs %s", a.duration, b.duration)
+	if repA.SyncsOK != repB.SyncsOK {
+		t.Errorf("replay: SyncsOK %d vs %d", repA.SyncsOK, repB.SyncsOK)
 	}
-	if a.netStats != b.netStats {
-		t.Errorf("network stats diverged: %+v vs %+v", a.netStats, b.netStats)
+	if repA.ViewChanges != repB.ViewChanges {
+		t.Errorf("view changes diverged: %d vs %d", repA.ViewChanges, repB.ViewChanges)
 	}
-	if a.viewChanges == 0 {
+	if repA.Duration != repB.Duration {
+		t.Errorf("completion instant diverged: %s vs %s", repA.Duration, repB.Duration)
+	}
+	if repA.NetStats != repB.NetStats {
+		t.Errorf("network stats diverged: %+v vs %+v", repA.NetStats, repB.NetStats)
+	}
+	if repA.ViewChanges == 0 {
 		t.Error("partition across the committee should cost at least one view change")
 	}
 	if repA.NetStats.MessagesDropped == 0 {
@@ -232,15 +167,15 @@ func TestLiveFidelityPartitionHealMidEpoch(t *testing.T) {
 		t.Errorf("SyncsOK = %d of %d epochs, want every epoch synced after heal",
 			rep.SyncsOK, rep.EpochsRun)
 	}
-	if fp.viewChanges == 0 {
+	if rep.ViewChanges == 0 {
 		t.Error("14 s partition with a 3 s view-change timeout should burn view changes")
 	}
 	// Every submitted transaction still reaches a terminal synced stage:
 	// the partition delays rounds (shifting which round includes what) but
 	// never wedges or drops lifecycle progress.
-	for i, rc := range fp.receipts {
-		if rc.status != chain.StatusSynced && rc.status != chain.StatusPruned {
-			t.Errorf("receipt %d (%s) stuck at %s after heal", i, rc.id, rc.status)
+	for i, rc := range fp.Receipts {
+		if rc.Status != chain.StatusSynced && rc.Status != chain.StatusPruned {
+			t.Errorf("receipt %d (%s) stuck at %s after heal", i, rc.TxID, rc.Status)
 		}
 	}
 }
@@ -258,7 +193,7 @@ func TestLiveFidelityByzantineLeaderDeposed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if fp.viewChanges == 0 {
+	if rep.ViewChanges == 0 {
 		t.Error("corrupt-digest leader was never deposed")
 	}
 	if rep.SyncsOK != 2 {
@@ -268,10 +203,8 @@ func TestLiveFidelityByzantineLeaderDeposed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("model run: %v", err)
 	}
-	for e, root := range model.roots {
-		if fp.roots[e] != root {
-			t.Errorf("epoch %d root diverged under byzantine leader — safety violated", e)
-		}
+	if err := model.Diff(fp); err != nil {
+		t.Errorf("byzantine leader changed committed state — safety violated: %v", err)
 	}
 }
 
@@ -284,18 +217,23 @@ func TestLiveFidelityStormParityWithModel(t *testing.T) {
 	storm := func(c *chain.Config) {
 		c.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1}
 	}
-	_, model, err := runFidelity(t, 23, 2, storm)
+	repModel, model, err := runFidelity(t, 23, 2, storm)
 	if err != nil {
 		t.Fatalf("model run: %v", err)
 	}
-	_, live, err := runFidelity(t, 23, 2, func(c *chain.Config) { withLive(c); storm(c) })
+	repLive, live, err := runFidelity(t, 23, 2, func(c *chain.Config) { withLive(c); storm(c) })
 	if err != nil {
 		t.Fatalf("live run: %v", err)
 	}
-	if model.viewChanges != 1 || live.viewChanges != 1 {
-		t.Errorf("view changes: model %d, live %d, want 1 each", model.viewChanges, live.viewChanges)
+	if repModel.ViewChanges != 1 || repLive.ViewChanges != 1 {
+		t.Errorf("view changes: model %d, live %d, want 1 each", repModel.ViewChanges, repLive.ViewChanges)
 	}
-	assertObservablesEqual(t, "storm model-vs-live", model, live)
+	if err := model.Diff(live); err != nil {
+		t.Errorf("storm model-vs-live: %v", err)
+	}
+	if repModel.SyncsOK != repLive.SyncsOK {
+		t.Errorf("storm model-vs-live: SyncsOK %d vs %d", repModel.SyncsOK, repLive.SyncsOK)
+	}
 }
 
 // TestLiveFidelityStallHaltsDeterministically pins the liveness backstop:
@@ -314,8 +252,8 @@ func TestLiveFidelityStallHaltsDeterministically(t *testing.T) {
 			}},
 		}
 	}
-	repA, a, errA := runFidelity(t, 7, 2, mutate)
-	repB, b, errB := runFidelity(t, 7, 2, mutate)
+	repA, _, errA := runFidelity(t, 7, 2, mutate)
+	repB, _, errB := runFidelity(t, 7, 2, mutate)
 	if !errors.Is(errA, chain.ErrConsensusStalled) {
 		t.Fatalf("errA = %v, want ErrConsensusStalled", errA)
 	}
@@ -325,11 +263,11 @@ func TestLiveFidelityStallHaltsDeterministically(t *testing.T) {
 	if repA == nil || repB == nil {
 		t.Fatal("halted runs should still produce partial reports")
 	}
-	if a.duration != b.duration {
-		t.Errorf("halt instants diverged: %s vs %s", a.duration, b.duration)
+	if repA.Duration != repB.Duration {
+		t.Errorf("halt instants diverged: %s vs %s", repA.Duration, repB.Duration)
 	}
-	if a.netStats != b.netStats {
-		t.Errorf("network stats diverged at halt: %+v vs %+v", a.netStats, b.netStats)
+	if repA.NetStats != repB.NetStats {
+		t.Errorf("network stats diverged at halt: %+v vs %+v", repA.NetStats, repB.NetStats)
 	}
 }
 

@@ -416,6 +416,37 @@ func (s *MultiSystem) Err() error { return s.err }
 // fresh or in-memory nodes).
 func (s *MultiSystem) Recovery() *chain.RecoveryInfo { return s.recovered }
 
+// Fingerprint returns what this node's run produced: the summary root and
+// sync payload digests of every epoch whose root it retains, and the
+// outcomes of receipts in the order given (nil for none). Epochs Open
+// restored come from Recovery, later ones from the summary chain.
+func (s *MultiSystem) Fingerprint(receipts []*chain.Receipt) chain.Fingerprint {
+	fp := chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint, len(s.SummaryRoots))}
+	var restored uint64
+	if s.recovered != nil {
+		restored = s.recovered.Epoch
+	}
+	for e, root := range s.SummaryRoots {
+		if e <= restored {
+			fp.Epochs[e] = s.recovered.Fingerprint.Epochs[e]
+		} else {
+			fp.Epochs[e] = chain.EpochPrint{Root: root}
+		}
+	}
+	for _, sb := range s.ledger.Summaries() {
+		if sb.Epoch > restored {
+			ep := fp.Epochs[sb.Epoch]
+			ep.Payloads = append(ep.Payloads, sb.Payload.Digest())
+			fp.Epochs[sb.Epoch] = ep
+		}
+	}
+	for _, rc := range receipts {
+		fp.Receipts = append(fp.Receipts, chain.ReceiptOutcome{
+			TxID: rc.TxID, Status: rc.Status, Epoch: rc.Epoch, Round: rc.Round})
+	}
+	return fp
+}
+
 // Close flushes and closes the durable store (no-op without one) and
 // closes the ingest pool so late producers get a typed refusal.
 func (s *MultiSystem) Close() error {

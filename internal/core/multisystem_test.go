@@ -76,22 +76,14 @@ func TestMultiSystemLifecycle(t *testing.T) {
 	}
 }
 
-// multiRunFingerprint captures what the determinism acceptance pins: the
-// per-epoch folded summary roots plus the digest of every sync payload
-// the epochs shipped to the mainchain.
-type multiRunFingerprint struct {
-	roots    map[uint64][32]byte
-	payloads map[uint64][][32]byte
-}
-
-func runMultiFingerprint(t *testing.T, seed int64, shards, pipelineDepth int) multiRunFingerprint {
+func runMultiFingerprint(t *testing.T, seed int64, shards, pipelineDepth int) chain.Fingerprint {
 	return runMultiFingerprintTraced(t, seed, shards, pipelineDepth, nil)
 }
 
 // runMultiFingerprintTraced is runMultiFingerprint with a lifecycle
 // tracer attached (nil = untraced) — the trace-on/off determinism pin
 // compares the two.
-func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth int, tr *trace.Tracer) multiRunFingerprint {
+func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth int, tr *trace.Tracer) chain.Fingerprint {
 	t.Helper()
 	sysCfg, drvCfg := multiTestConfigs(seed, 16, shards, 2)
 	sysCfg.PipelineDepth = pipelineDepth
@@ -101,27 +93,16 @@ func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth i
 
 // fingerprintDriverRun runs a NewMultiDriver deployment — its arrivals are
 // scheduled at fixed virtual times — and returns its fingerprint.
-func fingerprintDriverRun(t *testing.T, sysCfg chain.Config, drvCfg MultiDriverConfig) multiRunFingerprint {
+func fingerprintDriverRun(t *testing.T, sysCfg chain.Config, drvCfg MultiDriverConfig) chain.Fingerprint {
 	t.Helper()
 	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
 	if err != nil {
 		t.Fatalf("NewMultiDriver: %v", err)
 	}
-	fp := multiRunFingerprint{payloads: make(map[uint64][][32]byte)}
-	ms := sys.(*MultiSystem)
-	rep, err := sys.Run(drvCfg.Epochs)
-	if err != nil {
+	if _, err := sys.Run(drvCfg.Epochs); err != nil {
 		t.Fatalf("run(seed=%d, shards=%d, depth=%d): %v", sysCfg.Seed, sysCfg.NumShards, sysCfg.PipelineDepth, err)
 	}
-	fp.roots = rep.SummaryRoots
-	// The bank retains each epoch's applied payload digests via its
-	// summary roots; recompute payload digests from the bank's stored
-	// per-pool state is indirect — instead capture the digests of the
-	// payloads the ledger checkpointed.
-	for _, sb := range ms.SidechainLedger().Summaries() {
-		fp.payloads[sb.Epoch] = append(fp.payloads[sb.Epoch], sb.Payload.Digest())
-	}
-	return fp
+	return sys.(*MultiSystem).Fingerprint(nil)
 }
 
 // TestMultiSystemDeterministicRoots pins the redesign's determinism
@@ -132,31 +113,12 @@ func fingerprintDriverRun(t *testing.T, sysCfg chain.Config, drvCfg MultiDriverC
 func TestMultiSystemDeterministicRoots(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		base := runMultiFingerprint(t, seed, 1, 0)
-		if len(base.roots) == 0 {
+		if len(base.Epochs) == 0 {
 			t.Fatalf("seed=%d: no summary roots recorded", seed)
 		}
 		for _, shards := range []int{4, 16} {
-			got := runMultiFingerprint(t, seed, shards, 0)
-			if len(got.roots) != len(base.roots) {
-				t.Fatalf("seed=%d shards=%d: %d epochs, want %d", seed, shards, len(got.roots), len(base.roots))
-			}
-			for e, root := range base.roots {
-				if got.roots[e] != root {
-					t.Errorf("seed=%d shards=%d: epoch %d summary root diverged", seed, shards, e)
-				}
-			}
-			for e, digests := range base.payloads {
-				other := got.payloads[e]
-				if len(other) != len(digests) {
-					t.Errorf("seed=%d shards=%d: epoch %d has %d payloads, want %d",
-						seed, shards, e, len(other), len(digests))
-					continue
-				}
-				for i, d := range digests {
-					if other[i] != d {
-						t.Errorf("seed=%d shards=%d: epoch %d payload %d digest diverged", seed, shards, e, i)
-					}
-				}
+			if err := base.Diff(runMultiFingerprint(t, seed, shards, 0)); err != nil {
+				t.Errorf("seed=%d shards=%d: %v", seed, shards, err)
 			}
 		}
 	}

@@ -15,14 +15,12 @@ var ErrBackendMismatch = errors.New("core: config selects the other backend")
 // New builds the deployment the config describes behind the unified
 // chain.Chain node API, implementing the documented backend selection:
 // cfg.NumPools > 0 runs the sharded-engine MultiSystem, zero runs the
-// single canonical-pool System. lps marks the liquidity-provider subset
-// of users; the multi-pool backend, which funds (user, pool) pairs on
-// demand, ignores it.
-func New(cfg chain.Config, users []string, lps map[string]bool) (chain.Chain, error) {
+// single canonical-pool System.
+func New(cfg chain.Config, users []string) (chain.Chain, error) {
 	if cfg.NumPools > 0 {
 		return NewMultiSystem(cfg, users)
 	}
-	return NewSystem(cfg, users, lps)
+	return NewSystem(cfg, users)
 }
 
 // checkSinglePool rejects a multi-pool config handed to the single-pool

@@ -64,7 +64,7 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 	if cfg.NumPools == 0 {
 		return nil, fmt.Errorf("%w: set NumPools > 0", chain.ErrStoreUnsupported)
 	}
-	rec, w, err := store.Open(fsys, dir, Fingerprint(cfg))
+	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -84,14 +84,14 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 	return s, nil
 }
 
-// Fingerprint hashes the determinism-relevant deployment parameters into
-// the store header. Opening a store whose fingerprint differs fails with
-// chain.ErrStoreMismatch: resuming under a different seed, pool count,
-// user set, or epoch geometry would re-derive different state and
-// silently diverge. Shard count and pipeline depth are deliberately
-// absent — state is bit-identical across both by construction, so a
-// store written with 4 shards may resume under 16.
-func Fingerprint(cfg chain.Config) [32]byte {
+// DeploymentFingerprint hashes the determinism-relevant deployment
+// parameters into the store header. Opening a store whose fingerprint
+// differs fails with chain.ErrStoreMismatch: resuming under a different
+// seed, pool count, user set, or epoch geometry would re-derive different
+// state and silently diverge. Shard count and pipeline depth are
+// deliberately absent — state is bit-identical across both by
+// construction, so a store written with 4 shards may resume under 16.
+func DeploymentFingerprint(cfg chain.Config) [32]byte {
 	cfg = cfg.WithDefaults()
 	h := sha256.New()
 	// ChainID joins the fingerprint because a federation member's durable
@@ -138,9 +138,8 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	}
 	boundary := rec.Epoch()
 	info := &chain.RecoveryInfo{
-		Epoch:          boundary,
-		SummaryRoots:   make(map[uint64][32]byte, len(rec.Epochs)),
-		PayloadDigests: make(map[uint64][][32]byte, len(rec.Epochs)),
+		Epoch:       boundary,
+		Fingerprint: chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint, len(rec.Epochs))},
 	}
 
 	// Re-derive the boundary committee: resume starts at S+1, and every
@@ -185,9 +184,9 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	pools := make(map[string]*amm.Pool)
 	for _, er := range rec.Epochs {
 		if er.Epoch > horizon {
-			info.SummaryRoots[er.Epoch] = er.SummaryRoot
 			s.SummaryRoots[er.Epoch] = er.SummaryRoot
-			info.PayloadDigests[er.Epoch] = append([][32]byte(nil), er.PayloadDigests...)
+			info.Fingerprint.Epochs[er.Epoch] = chain.EpochPrint{
+				Root: er.SummaryRoot, Payloads: append([][32]byte(nil), er.PayloadDigests...)}
 		}
 		for id, p := range er.Pools {
 			pools[id] = p
@@ -386,9 +385,9 @@ func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint, info *chain.Recove
 		if e.Epoch <= horizon {
 			continue
 		}
-		info.SummaryRoots[e.Epoch] = e.SummaryRoot
 		s.SummaryRoots[e.Epoch] = e.SummaryRoot
-		info.PayloadDigests[e.Epoch] = append([][32]byte(nil), e.PayloadDigests...)
+		info.Fingerprint.Epochs[e.Epoch] = chain.EpochPrint{
+			Root: e.SummaryRoot, Payloads: append([][32]byte(nil), e.PayloadDigests...)}
 		for _, r := range e.Receipts {
 			rc := &chain.Receipt{
 				TxID:           r.TxID,

@@ -25,34 +25,12 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		for _, shards := range []int{1, 4, 16} {
 			base := runMultiFingerprint(t, seed, shards, 1)
-			if len(base.roots) == 0 {
+			if len(base.Epochs) == 0 {
 				t.Fatalf("seed=%d shards=%d: no summary roots recorded", seed, shards)
 			}
 			for _, depth := range []int{2, 3} {
-				got := runMultiFingerprint(t, seed, shards, depth)
-				if len(got.roots) != len(base.roots) {
-					t.Fatalf("seed=%d shards=%d depth=%d: %d epochs, want %d",
-						seed, shards, depth, len(got.roots), len(base.roots))
-				}
-				for e, root := range base.roots {
-					if got.roots[e] != root {
-						t.Errorf("seed=%d shards=%d depth=%d: epoch %d summary root diverged",
-							seed, shards, depth, e)
-					}
-				}
-				for e, digests := range base.payloads {
-					other := got.payloads[e]
-					if len(other) != len(digests) {
-						t.Errorf("seed=%d shards=%d depth=%d: epoch %d has %d payloads, want %d",
-							seed, shards, depth, e, len(other), len(digests))
-						continue
-					}
-					for i, d := range digests {
-						if other[i] != d {
-							t.Errorf("seed=%d shards=%d depth=%d: epoch %d payload %d digest diverged",
-								seed, shards, depth, e, i)
-						}
-					}
+				if err := base.Diff(runMultiFingerprint(t, seed, shards, depth)); err != nil {
+					t.Errorf("seed=%d shards=%d depth 1 vs %d: %v", seed, shards, depth, err)
 				}
 			}
 		}
@@ -66,28 +44,19 @@ func TestPipelineDepthEquivalence(t *testing.T) {
 // arrivals into other epochs. Every depth starts epochs on the grid, so
 // depths {1, 2, 3} give identical summary roots and payload digests.
 func TestPipelineDepthEquivalenceTimedArrivals(t *testing.T) {
-	run := func(depth int) multiRunFingerprint {
+	run := func(depth int) chain.Fingerprint {
 		sysCfg, drvCfg := multiTestConfigs(42, 16, 4, 3)
 		sysCfg.CommitteeSize = 500
 		sysCfg.PipelineDepth = depth
 		return fingerprintDriverRun(t, sysCfg, drvCfg)
 	}
 	base := run(1)
-	if len(base.roots) < 3 {
-		t.Fatalf("depth 1 recorded %d summary roots, want >= 3", len(base.roots))
+	if len(base.Epochs) < 3 {
+		t.Fatalf("depth 1 recorded %d summary roots, want >= 3", len(base.Epochs))
 	}
 	for _, depth := range []int{2, 3} {
-		got := run(depth)
-		if len(got.roots) != len(base.roots) {
-			t.Fatalf("depth %d ran %d epochs, depth 1 ran %d", depth, len(got.roots), len(base.roots))
-		}
-		for e, root := range base.roots {
-			if got.roots[e] != root {
-				t.Errorf("depth %d: epoch %d summary root differs from depth 1", depth, e)
-			}
-			if !slices.Equal(got.payloads[e], base.payloads[e]) {
-				t.Errorf("depth %d: epoch %d payload digests differ from depth 1", depth, e)
-			}
+		if err := base.Diff(run(depth)); err != nil {
+			t.Errorf("depth 1 vs %d: %v", depth, err)
 		}
 	}
 }

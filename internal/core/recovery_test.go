@@ -80,45 +80,6 @@ func attachRecoveryTraffic(t *testing.T, sys *MultiSystem, seed int64, perEpoch 
 	}
 }
 
-// runPrint is the state fingerprint the restart matrix compares:
-// per-epoch summary roots and per-epoch, per-pool payload digests.
-type runPrint struct {
-	roots   map[uint64][32]byte
-	digests map[uint64][][32]byte
-}
-
-func fingerprintRun(rep *chain.Report, ms *MultiSystem) runPrint {
-	fp := runPrint{roots: rep.SummaryRoots, digests: make(map[uint64][][32]byte)}
-	if rec := ms.Recovery(); rec != nil {
-		for e, ds := range rec.PayloadDigests {
-			fp.digests[e] = ds
-		}
-	}
-	for _, sb := range ms.SidechainLedger().Summaries() {
-		fp.digests[sb.Epoch] = append(fp.digests[sb.Epoch], sb.Payload.Digest())
-	}
-	return fp
-}
-
-func comparePrints(t *testing.T, label string, want, got runPrint, epochs int) {
-	t.Helper()
-	for e := uint64(1); e <= uint64(epochs); e++ {
-		if want.roots[e] != got.roots[e] {
-			t.Errorf("%s: epoch %d summary root diverged", label, e)
-		}
-		wd, gd := want.digests[e], got.digests[e]
-		if len(wd) != len(gd) {
-			t.Errorf("%s: epoch %d has %d payload digests, want %d", label, e, len(gd), len(wd))
-			continue
-		}
-		for i := range wd {
-			if wd[i] != gd[i] {
-				t.Errorf("%s: epoch %d payload %d digest diverged", label, e, i)
-			}
-		}
-	}
-}
-
 // TestKillRestartDeterminism is the PR's acceptance matrix: a node
 // killed at an epoch boundary (the store truncated to that boundary,
 // exactly what kill -9 after the boundary's fsync leaves) and reopened
@@ -145,9 +106,9 @@ func TestKillRestartDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference run: %v", label, err)
 				}
-				ref := fingerprintRun(refRep, refSys)
-				if len(ref.roots) != epochs {
-					t.Fatalf("%s: reference recorded %d roots", label, len(ref.roots))
+				ref := refSys.Fingerprint(nil)
+				if len(ref.Epochs) != epochs {
+					t.Fatalf("%s: reference recorded %d roots", label, len(ref.Epochs))
 				}
 
 				// Store-backed full run: persistence must not perturb.
@@ -161,18 +122,19 @@ func TestKillRestartDeterminism(t *testing.T) {
 					t.Fatalf("%s: fresh dir reported a recovery", label)
 				}
 				attachRecoveryTraffic(t, ms, seed, perEpoch)
-				rep, err := node.Run(epochs)
-				if err != nil {
+				if _, err := node.Run(epochs); err != nil {
 					t.Fatalf("%s: store-backed run: %v", label, err)
 				}
-				comparePrints(t, label+" (store-backed)", ref, fingerprintRun(rep, ms), epochs)
+				if err := ref.Diff(ms.Fingerprint(nil)); err != nil {
+					t.Errorf("%s (store-backed): %v", label, err)
+				}
 				if err := node.Close(); err != nil {
 					t.Fatalf("%s: close: %v", label, err)
 				}
 
 				// Kill -9 at a seed-derived epoch boundary: truncate the
 				// log to that boundary's fsync point.
-				rec, w, err := store.Open(store.OSFS{}, dir, Fingerprint(cfg))
+				rec, w, err := store.Open(store.OSFS{}, dir, DeploymentFingerprint(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,8 +173,9 @@ func TestKillRestartDeterminism(t *testing.T) {
 					t.Errorf("%s: resumed SyncsOK = %d, reference %d (replayed confirmations must count)",
 						label, rep2.SyncsOK, refRep.SyncsOK)
 				}
-				comparePrints(t, fmt.Sprintf("%s kill@%d", label, kill), ref,
-					fingerprintRun(rep2, ms2), epochs)
+				if err := ref.Diff(ms2.Fingerprint(nil)); err != nil {
+					t.Errorf("%s kill@%d: %v", label, kill, err)
+				}
 				if err := node2.Validate(); err != nil {
 					t.Errorf("%s: resumed Validate: %v", label, err)
 				}
@@ -239,11 +202,10 @@ func TestCrashOffsetSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	attachRecoveryTraffic(t, refSys, seed, perEpoch)
-	refRep, err := refSys.Run(epochs)
-	if err != nil {
+	if _, err := refSys.Run(epochs); err != nil {
 		t.Fatal(err)
 	}
-	ref := fingerprintRun(refRep, refSys)
+	ref := refSys.Fingerprint(nil)
 
 	// Clean store-backed run to learn the file geometry.
 	clean := &store.MemFS{}
@@ -257,7 +219,7 @@ func TestCrashOffsetSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.Close()
-	rec, w, err := store.Open(clean, "", Fingerprint(cfg))
+	rec, w, err := store.Open(clean, "", DeploymentFingerprint(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +260,12 @@ func TestCrashOffsetSweep(t *testing.T) {
 			t.Fatalf("crash=%d: recovered epoch %d, want %d", crash, got, boundary)
 		}
 		attachRecoveryTraffic(t, rms, seed, perEpoch)
-		rep, err := reopened.Run(epochs)
-		if err != nil {
+		if _, err := reopened.Run(epochs); err != nil {
 			t.Fatalf("crash=%d resumed run: %v", crash, err)
 		}
-		comparePrints(t, fmt.Sprintf("crash=%d", crash), ref, fingerprintRun(rep, rms), epochs)
+		if err := ref.Diff(rms.Fingerprint(nil)); err != nil {
+			t.Errorf("crash=%d: %v", crash, err)
+		}
 		reopened.Close()
 	}
 }

@@ -137,8 +137,6 @@ type System struct {
 	epoch          uint64
 	pendingPayload []*summary.SyncPayload // stashed summaries awaiting mass-sync
 
-	lps map[string]bool
-
 	ViewChanges int
 	MassSyncs   int
 	SyncsOK     int
@@ -165,7 +163,7 @@ var _ chain.Chain = (*System)(nil)
 // TokenBank on the mainchain, the miner registry, the epoch-1 committee
 // (whose group key is registered at deployment, per SystemSetup), the
 // genesis pool position, and funded, bank-approved users.
-func NewSystem(cfg chain.Config, users []string, lps map[string]bool) (*System, error) {
+func NewSystem(cfg chain.Config, users []string) (*System, error) {
 	if err := checkSinglePool(cfg); err != nil {
 		return nil, err
 	}
@@ -175,7 +173,6 @@ func NewSystem(cfg chain.Config, users []string, lps map[string]bool) (*System, 
 		sim:        sim.New(),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		committees: make(map[uint64]*committeeKeys),
-		lps:        lps,
 		approved:   make(map[string]bool),
 	}
 	s.initFrontEnd(cfg, users, nil, nil)

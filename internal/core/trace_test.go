@@ -1,39 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/trace"
 )
-
-// assertFingerprintsEqual compares two runs' determinism fingerprints:
-// per-epoch summary roots and sync payload digests, bit for bit.
-func assertFingerprintsEqual(t *testing.T, label string, base, got multiRunFingerprint) {
-	t.Helper()
-	if len(got.roots) != len(base.roots) {
-		t.Fatalf("%s: %d epochs, want %d", label, len(got.roots), len(base.roots))
-	}
-	for e, root := range base.roots {
-		if got.roots[e] != root {
-			t.Errorf("%s: epoch %d summary root diverged", label, e)
-		}
-	}
-	for e, digests := range base.payloads {
-		other := got.payloads[e]
-		if len(other) != len(digests) {
-			t.Errorf("%s: epoch %d has %d payloads, want %d", label, e, len(other), len(digests))
-			continue
-		}
-		for i, d := range digests {
-			if other[i] != d {
-				t.Errorf("%s: epoch %d payload %d digest diverged", label, e, i)
-			}
-		}
-	}
-}
 
 // TestTraceOnOffDeterminism pins the tracer's core safety property: a
 // traced run yields bit-identical summary roots and sync payload
@@ -46,13 +19,13 @@ func TestTraceOnOffDeterminism(t *testing.T) {
 		for _, shards := range []int{1, 4, 16} {
 			for _, depth := range []int{1, 2} {
 				base := runMultiFingerprint(t, seed, shards, depth)
-				if len(base.roots) == 0 {
+				if len(base.Epochs) == 0 {
 					t.Fatalf("seed=%d shards=%d depth=%d: no summary roots recorded", seed, shards, depth)
 				}
 				traced := runMultiFingerprintTraced(t, seed, shards, depth, trace.New(4))
-				assertFingerprintsEqual(t,
-					fmt.Sprintf("seed=%d shards=%d depth=%d traced-vs-untraced", seed, shards, depth),
-					base, traced)
+				if err := base.Diff(traced); err != nil {
+					t.Errorf("seed=%d shards=%d depth=%d untraced-vs-traced: %v", seed, shards, depth, err)
+				}
 			}
 		}
 	}

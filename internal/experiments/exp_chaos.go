@@ -207,10 +207,9 @@ func attachChaosTraffic(sys *core.MultiSystem, seed int64, perEpoch int, sink *[
 	}
 }
 
-// chaosFingerprint is what a same-seed replay must reproduce exactly.
-type chaosFingerprint struct {
-	roots       map[uint64][32]byte
-	digests     map[uint64][][32]byte
+// chaosScalars are the run observables a same-seed replay must reproduce
+// beside the run fingerprint.
+type chaosScalars struct {
 	viewChanges int
 	syncsOK     int
 	epochsRun   int
@@ -219,68 +218,51 @@ type chaosFingerprint struct {
 	haltMsg     string
 }
 
-func (a chaosFingerprint) equal(b chaosFingerprint) bool {
-	if a.viewChanges != b.viewChanges || a.syncsOK != b.syncsOK ||
-		a.epochsRun != b.epochsRun || a.duration != b.duration ||
-		a.net != b.net || a.haltMsg != b.haltMsg || len(a.roots) != len(b.roots) {
-		return false
+// chaosDiff names how run b differs from run a: the fingerprint's Diff
+// text, else the scalars; nil when the two are identical.
+func chaosDiff(fpA, fpB chain.Fingerprint, a, b chaosScalars) error {
+	if err := fpA.Diff(fpB); err != nil {
+		return err
 	}
-	for e, r := range a.roots {
-		if b.roots[e] != r {
-			return false
-		}
+	if a != b {
+		return fmt.Errorf("run scalars differ: %+v vs %+v", a, b)
 	}
-	for e, ds := range a.digests {
-		od := b.digests[e]
-		if len(od) != len(ds) {
-			return false
-		}
-		for i := range ds {
-			if od[i] != ds[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return nil
 }
 
 // chaosRun executes one scenario instance and fingerprints it. A halt is
-// returned in the fingerprint (haltMsg non-empty), not as the error; the
+// returned in the scalars (haltMsg non-empty), not as the error; the
 // error reports only infrastructure failures.
-func chaosRun(cfg chain.Config, epochs, perEpoch int, sink *[]*chain.Receipt) (chaosFingerprint, *chain.Report, error) {
+func chaosRun(cfg chain.Config, epochs, perEpoch int, sink *[]*chain.Receipt) (chain.Fingerprint, chaosScalars, *chain.Report, error) {
 	sys, err := core.NewMultiSystem(cfg, cfg.Users)
 	if err != nil {
-		return chaosFingerprint{}, nil, err
+		return chain.Fingerprint{}, chaosScalars{}, nil, err
 	}
 	attachChaosTraffic(sys, cfg.Seed, perEpoch, sink)
 	rep, runErr := sys.Run(epochs)
 	if rep == nil {
-		return chaosFingerprint{}, nil, fmt.Errorf("experiments: chaos run returned no report: %w", runErr)
+		return chain.Fingerprint{}, chaosScalars{}, nil, fmt.Errorf("experiments: chaos run returned no report: %w", runErr)
 	}
-	fp := chaosFingerprint{
-		roots:       rep.SummaryRoots,
-		digests:     make(map[uint64][][32]byte),
+	fp := sys.Fingerprint(nil)
+	sc := chaosScalars{
 		viewChanges: rep.ViewChanges,
 		syncsOK:     rep.SyncsOK,
 		epochsRun:   rep.EpochsRun,
 		duration:    rep.Duration,
 		net:         rep.NetStats,
 	}
-	for _, sb := range sys.SidechainLedger().Summaries() {
-		fp.digests[sb.Epoch] = append(fp.digests[sb.Epoch], sb.Payload.Digest())
-	}
 	if runErr != nil {
 		if !errors.Is(runErr, chain.ErrConsensusStalled) {
-			return fp, rep, runErr
+			return fp, sc, rep, runErr
 		}
-		fp.haltMsg = runErr.Error()
+		sc.haltMsg = runErr.Error()
 	}
 	if runErr == nil {
 		if err := sys.Validate(); err != nil {
-			return fp, rep, fmt.Errorf("experiments: chaos invariants: %w", err)
+			return fp, sc, rep, fmt.Errorf("experiments: chaos invariants: %w", err)
 		}
 	}
-	return fp, rep, nil
+	return fp, sc, rep, nil
 }
 
 // receiptLifecycleOK checks one receipt for lifecycle-stage integrity:
@@ -339,25 +321,26 @@ func RunChaos(o Options) (*ChaosResult, error) {
 				return cfg
 			}
 			var recs []*chain.Receipt
-			fpA, rep, err := chaosRun(mk(), epochs, load.PerEpoch, &recs)
+			fpA, scA, rep, err := chaosRun(mk(), epochs, load.PerEpoch, &recs)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: %w", sc.Class, load.Name, err)
 			}
-			fpB, _, err := chaosRun(mk(), epochs, load.PerEpoch, nil)
+			fpB, scB, _, err := chaosRun(mk(), epochs, load.PerEpoch, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: chaos %s/%s replay: %w", sc.Class, load.Name, err)
 			}
+			replayErr := chaosDiff(fpA, fpB, scA, scB)
 			pt := ChaosPoint{
 				Class: sc.Class, Load: load.Name,
 				EpochsRun: rep.EpochsRun, SyncsOK: rep.SyncsOK,
 				ViewChanges:     rep.ViewChanges,
-				Halted:          fpA.haltMsg != "",
-				HaltErr:         fpA.haltMsg,
+				Halted:          scA.haltMsg != "",
+				HaltErr:         scA.haltMsg,
 				Virtual:         rep.Duration,
 				Net:             rep.NetStats,
 				Receipts:        len(recs),
 				StagesOK:        true,
-				ReplayIdentical: fpA.equal(fpB),
+				ReplayIdentical: replayErr == nil,
 			}
 			for _, rc := range recs {
 				if !receiptLifecycleOK(rc) {
@@ -366,13 +349,13 @@ func RunChaos(o Options) (*ChaosResult, error) {
 			}
 			if sc.ExpectHalt != pt.Halted {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: halted=%v, want %v (err %q)",
-					sc.Class, load.Name, pt.Halted, sc.ExpectHalt, fpA.haltMsg)
+					sc.Class, load.Name, pt.Halted, sc.ExpectHalt, scA.haltMsg)
 			}
 			if sc.ExpectViewChanges && pt.ViewChanges == 0 {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: no view changes burned", sc.Class, load.Name)
 			}
-			if !pt.ReplayIdentical {
-				return res, fmt.Errorf("experiments: chaos %s/%s: same-seed replay diverged", sc.Class, load.Name)
+			if replayErr != nil {
+				return res, fmt.Errorf("experiments: chaos %s/%s: same-seed replay diverged: %w", sc.Class, load.Name, replayErr)
 			}
 			if !pt.StagesOK {
 				return res, fmt.Errorf("experiments: chaos %s/%s: receipt lifecycle stage violation", sc.Class, load.Name)
@@ -383,24 +366,30 @@ func RunChaos(o Options) (*ChaosResult, error) {
 
 	// Invariant 11: zero-fault live fidelity is observably the model path.
 	perEpoch := chaosLoads()[0].PerEpoch
+	var equivErr error
 	for _, seed := range res.EquivalenceSeeds {
-		model, _, err := chaosRun(chaosConfig(seed, chain.FidelityModel), epochs, perEpoch, nil)
+		fpModel, model, _, err := chaosRun(chaosConfig(seed, chain.FidelityModel), epochs, perEpoch, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos equivalence model seed %d: %w", seed, err)
 		}
-		live, _, err := chaosRun(chaosConfig(seed, chain.FidelityLive), epochs, perEpoch, nil)
+		fpLive, live, _, err := chaosRun(chaosConfig(seed, chain.FidelityLive), epochs, perEpoch, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos equivalence live seed %d: %w", seed, err)
 		}
 		// Traffic counters and timing legitimately differ; state must not.
 		model.duration, live.duration = 0, 0
 		model.net, live.net = netsim.Stats{}, netsim.Stats{}
-		if live.viewChanges != 0 || !model.equal(live) {
-			res.EquivalenceOK = false
+		err = chaosDiff(fpModel, fpLive, model, live)
+		if err == nil && live.viewChanges != 0 {
+			err = fmt.Errorf("zero-fault live run burned %d view changes", live.viewChanges)
+		}
+		if err != nil && equivErr == nil {
+			equivErr = fmt.Errorf("seed %d: %w", seed, err)
 		}
 	}
-	if !res.EquivalenceOK {
-		return res, errors.New("experiments: chaos: zero-fault live fidelity diverged from the model path (invariant 11)")
+	if equivErr != nil {
+		res.EquivalenceOK = false
+		return res, fmt.Errorf("experiments: chaos: zero-fault live fidelity diverged from the model path (invariant 11): %w", equivErr)
 	}
 
 	// Invariant 9 under live consensus: reference run, store-backed run,
@@ -410,7 +399,7 @@ func RunChaos(o Options) (*ChaosResult, error) {
 	}
 	refCfg := chaosConfig(o.Seed, chain.FidelityLive)
 	byz(&refCfg)
-	ref, _, err := chaosRun(refCfg, epochs, perEpoch, nil)
+	refFP, ref, _, err := chaosRun(refCfg, epochs, perEpoch, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos recovery reference: %w", err)
 	}
@@ -432,7 +421,7 @@ func RunChaos(o Options) (*ChaosResult, error) {
 	if err := node.Close(); err != nil {
 		return nil, err
 	}
-	rec, w, err := store.Open(store.OSFS{}, dir, core.Fingerprint(storeCfg))
+	rec, w, err := store.Open(store.OSFS{}, dir, core.DeploymentFingerprint(storeCfg))
 	if err != nil {
 		return nil, err
 	}
@@ -465,20 +454,18 @@ func RunChaos(o Options) (*ChaosResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos recovery resumed run: %w", err)
 	}
-	for e, root := range ref.roots {
-		if rep2.SummaryRoots[e] != root {
-			res.RecoveryOK = false
-		}
+	recErr := refFP.Diff(ms2.Fingerprint(nil))
+	if recErr == nil && (rep2.EpochsRun != ref.epochsRun || rep2.SyncsOK != ref.syncsOK) {
+		recErr = fmt.Errorf("ran %d epochs with %d syncs, reference %d with %d",
+			rep2.EpochsRun, rep2.SyncsOK, ref.epochsRun, ref.syncsOK)
 	}
-	if rep2.EpochsRun != ref.epochsRun || rep2.SyncsOK != ref.syncsOK {
-		res.RecoveryOK = false
-	}
-	if err := node2.Validate(); err != nil {
-		res.RecoveryOK = false
+	if recErr == nil {
+		recErr = node2.Validate()
 	}
 	node2.Close()
-	if !res.RecoveryOK {
-		return res, errors.New("experiments: chaos: crash-restart recovery diverged from the uninterrupted run (invariant 9)")
+	if recErr != nil {
+		res.RecoveryOK = false
+		return res, fmt.Errorf("experiments: chaos: crash-restart recovery diverged from the uninterrupted run (invariant 9): %w", recErr)
 	}
 	return res, nil
 }

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"ammboost/internal/chain"
@@ -151,45 +154,34 @@ func fedBuild(o Options, cell fedCell) federation.Config {
 	return cfg
 }
 
-// fedFingerprint is what a same-config replay must reproduce exactly.
-type fedFingerprint struct {
-	digest [32]byte
-	roots  map[string]map[uint64][32]byte
-	xfers  []string
-	dur    time.Duration
+// fedObs is what a same-config replay must reproduce exactly: the shared
+// mainchain's history digest, the transfer receipts, the completion
+// instant, and every member's run fingerprint.
+type fedObs struct {
+	digest  [32]byte
+	xfers   []string
+	dur     time.Duration
+	members map[string]chain.Fingerprint
 }
 
-func (a fedFingerprint) equal(b fedFingerprint) bool {
-	if a.digest != b.digest || a.dur != b.dur || len(a.xfers) != len(b.xfers) {
-		return false
+// fedDiff names how replay b differs from run a; nil when identical.
+func fedDiff(a, b fedObs) error {
+	if a.digest != b.digest || a.dur != b.dur || !slices.Equal(a.xfers, b.xfers) || len(a.members) != len(b.members) {
+		return errors.New("mainchain history, transfer receipts, completion instant or member set differ")
 	}
-	for i := range a.xfers {
-		if a.xfers[i] != b.xfers[i] {
-			return false
+	for _, id := range slices.Sorted(maps.Keys(a.members)) {
+		if err := a.members[id].Diff(b.members[id]); err != nil {
+			return fmt.Errorf("member %s: %w", id, err)
 		}
 	}
-	if len(a.roots) != len(b.roots) {
-		return false
-	}
-	for id, roots := range a.roots {
-		other := b.roots[id]
-		if len(other) != len(roots) {
-			return false
-		}
-		for e, r := range roots {
-			if other[e] != r {
-				return false
-			}
-		}
-	}
-	return true
+	return nil
 }
 
 // fedRun builds, funds, and runs one federation instance.
-func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, fedFingerprint, error) {
+func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, fedObs, error) {
 	f, err := federation.New(cfg)
 	if err != nil {
-		return nil, nil, fedFingerprint{}, err
+		return nil, nil, fedObs{}, err
 	}
 	funded := map[string]bool{}
 	for _, x := range cfg.Transfers {
@@ -198,26 +190,26 @@ func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, 
 		}
 		funded[x.FromChain] = true
 		if _, err := f.Node(x.FromChain).SubmitDeposit(x.User, 1, x.Amount0, x.Amount1); err != nil {
-			return nil, nil, fedFingerprint{}, fmt.Errorf("experiments: federation funding %s: %w", x.FromChain, err)
+			return nil, nil, fedObs{}, fmt.Errorf("experiments: federation funding %s: %w", x.FromChain, err)
 		}
 	}
 	res, err := f.Run()
 	if err != nil {
-		return nil, nil, fedFingerprint{}, err
+		return nil, nil, fedObs{}, err
 	}
-	fp := fedFingerprint{
-		digest: res.MainchainDigest,
-		roots:  make(map[string]map[uint64][32]byte),
-		dur:    res.Duration,
+	obs := fedObs{
+		digest:  res.MainchainDigest,
+		dur:     res.Duration,
+		members: make(map[string]chain.Fingerprint),
 	}
 	for _, nr := range res.Nodes {
-		fp.roots[nr.ChainID] = nr.Report.SummaryRoots
+		obs.members[nr.ChainID] = f.Node(nr.ChainID).Fingerprint(nil)
 	}
 	for _, rc := range res.Transfers {
-		fp.xfers = append(fp.xfers, fmt.Sprintf("%s|%s|%d|%d|%d|%d", rc.ID, rc.Status,
+		obs.xfers = append(obs.xfers, fmt.Sprintf("%s|%s|%d|%d|%d|%d", rc.ID, rc.Status,
 			rc.WithdrawEpoch, rc.DepositEpoch, rc.EscrowedAt, rc.SettledAt))
 	}
-	return f, res, fp, nil
+	return f, res, obs, nil
 }
 
 // RunFederation sweeps member count and fault cells over the federated
@@ -228,19 +220,20 @@ func RunFederation(o Options) (*FederationResult, error) {
 	o = o.withDefaults()
 	res := &FederationResult{}
 	for _, cell := range fedCells() {
-		f, run, fpA, err := fedRun(fedBuild(o, cell))
+		f, run, obsA, err := fedRun(fedBuild(o, cell))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: federation %s: %w", cell.Name, err)
 		}
-		_, _, fpB, err := fedRun(fedBuild(o, cell))
+		_, _, obsB, err := fedRun(fedBuild(o, cell))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: federation %s replay: %w", cell.Name, err)
 		}
+		replayErr := fedDiff(obsA, obsB)
 
 		pt := FederationPoint{
 			Cell: cell.Name, K: cell.K,
 			Virtual:         run.Duration,
-			ReplayIdentical: fpA.equal(fpB),
+			ReplayIdentical: replayErr == nil,
 			ConservationOK:  f.Escrow().Conserved() == nil && f.Escrow().LockedCount() == 0,
 		}
 		for _, nr := range run.Nodes {
@@ -289,8 +282,8 @@ func RunFederation(o Options) (*FederationResult, error) {
 		if cell.ExpectViewChanges && pt.ViewChanges == 0 {
 			return nil, fmt.Errorf("experiments: federation %s: no view changes burned", cell.Name)
 		}
-		if !pt.ReplayIdentical {
-			return res, fmt.Errorf("experiments: federation %s: same-config replay diverged (invariant 12)", cell.Name)
+		if replayErr != nil {
+			return res, fmt.Errorf("experiments: federation %s: same-config replay diverged (invariant 12): %w", cell.Name, replayErr)
 		}
 		if !pt.ConservationOK {
 			return res, fmt.Errorf("experiments: federation %s: escrow conservation violated", cell.Name)

@@ -34,7 +34,6 @@ type pipeScalePoint struct {
 	// StallByStage attributes run-loop blocking to the commit-stage
 	// phase it was waiting on (pipelined depths only).
 	StallByStage map[string]time.Duration
-	SummaryRoot  [32]byte
 	EpochsRun    int
 }
 
@@ -42,8 +41,9 @@ type pipeScalePoint struct {
 // wall-clock epoch throughput versus depth 1 (a window of one), where
 // each depth's wall-clock goes stage by stage (p50/p95/p99), how skewed
 // the shard fan-out ran, and which commit-stage phase the pipeline
-// stalled on. The final epoch summary root must be bit-identical at
-// every depth — pipelining (and tracing) may change timing, never state.
+// stalled on. Every epoch's summary root and sync payload digests must be
+// bit-identical at every depth — pipelining (and tracing) may change
+// timing, never state.
 type PipeScaleResult struct {
 	Points         []pipeScalePoint
 	RootsIdentical bool
@@ -68,7 +68,7 @@ func RunPipelineScale(o Options) (*PipeScaleResult, error) {
 	if epochs > 4 {
 		epochs = 4 // the sweep repeats full runs; keep one point tractable
 	}
-	var baseRoot [32]byte
+	var base chain.Fingerprint
 	for _, depth := range []int{1, 2, 3} {
 		sysCfg := chain.NewConfig(
 			chain.WithSeed(o.Seed),
@@ -96,13 +96,6 @@ func RunPipelineScale(o Options) (*PipeScaleResult, error) {
 			return nil, fmt.Errorf("experiments: pipelinescale depth %d: %w", depth, err)
 		}
 		wall := time.Since(start)
-		var lastRoot [32]byte
-		var lastEpoch uint64
-		for e, root := range rep.SummaryRoots {
-			if e > lastEpoch {
-				lastEpoch, lastRoot = e, root
-			}
-		}
 		pt := pipeScalePoint{
 			Depth:             depth,
 			Wall:              wall,
@@ -113,18 +106,16 @@ func RunPipelineScale(o Options) (*PipeScaleResult, error) {
 			ImbalanceMax:      rep.ShardImbalanceMax,
 			ImbalanceMaxEpoch: rep.ShardImbalanceMaxEpoch,
 			StallByStage:      rep.PipelineStallByStage,
-			SummaryRoot:       lastRoot,
 			EpochsRun:         rep.EpochsRun,
 		}
-		if depth == 1 {
-			baseRoot = lastRoot
-		} else if lastRoot != baseRoot {
-			res.RootsIdentical = false
-		}
 		res.Points = append(res.Points, pt)
-	}
-	if !res.RootsIdentical {
-		return res, fmt.Errorf("experiments: pipelinescale summary roots diverged across pipeline depths")
+		fp := node.(*core.MultiSystem).Fingerprint(nil)
+		if depth == 1 {
+			base = fp
+		} else if err := base.Diff(fp); err != nil {
+			res.RootsIdentical = false
+			return res, fmt.Errorf("experiments: pipelinescale depth 1 vs %d: %w", depth, err)
+		}
 	}
 	return res, nil
 }
@@ -176,9 +167,9 @@ func (r *PipeScaleResult) Render() string {
 	}
 
 	if r.RootsIdentical {
-		s += "final epoch summary root: bit-identical across all pipeline depths (tracing on)\n"
+		s += "every epoch's summary root and payload digests: bit-identical across all pipeline depths (tracing on)\n"
 	} else {
-		s += "final epoch summary root: DIVERGED (determinism violation)\n"
+		s += "every epoch's summary root and payload digests: DIVERGED (determinism violation)\n"
 	}
 	s += "shard imbalance is max/mean per-shard execute time per epoch (1.00 = perfectly\n" +
 		"balanced); stall attribution names the commit-stage phase retirement waited on.\n"

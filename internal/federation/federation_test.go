@@ -3,7 +3,9 @@ package federation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -146,39 +148,15 @@ func TestFederationBasic(t *testing.T) {
 }
 
 // fingerprint reduces a federation run to its determinism-relevant
-// observables: per-chain summary roots, sync counts, member faults,
+// observables: per-member run fingerprints, sync counts, member faults,
 // transfer receipt lifecycles, and the mainchain history digest.
 type fingerprint struct {
 	Digest   [32]byte
 	Duration time.Duration
-	Roots    map[string]map[uint64][32]byte
+	Members  map[string]chain.Fingerprint
 	Syncs    map[string]int
 	Errs     map[string]string
 	Xfers    []string
-}
-
-func fingerprintOf(res *Result) fingerprint {
-	fp := fingerprint{
-		Digest:   res.MainchainDigest,
-		Duration: res.Duration,
-		Roots:    make(map[string]map[uint64][32]byte),
-		Syncs:    make(map[string]int),
-		Errs:     make(map[string]string),
-	}
-	for _, nr := range res.Nodes {
-		fp.Roots[nr.ChainID] = nr.Report.SummaryRoots
-		fp.Syncs[nr.ChainID] = nr.Report.SyncsOK
-		if nr.Err != nil {
-			fp.Errs[nr.ChainID] = nr.Err.Error()
-		}
-	}
-	for _, rc := range res.Transfers {
-		fp.Xfers = append(fp.Xfers, fmt.Sprintf("%s|%s|we%d|de%d|%d/%d/%d/%d/%d|%v",
-			rc.ID, rc.Status, rc.WithdrawEpoch, rc.DepositEpoch,
-			rc.InitiatedAt, rc.WithdrawnAt, rc.EscrowedAt, rc.DepositedAt, rc.SettledAt,
-			rc.Err))
-	}
-	return fp
 }
 
 // runFingerprint builds a fresh federation from cfg, funds the origin of
@@ -200,7 +178,45 @@ func runFingerprint(t *testing.T, cfg Config) fingerprint {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return fingerprintOf(res)
+	fp := fingerprint{
+		Digest:   res.MainchainDigest,
+		Duration: res.Duration,
+		Members:  make(map[string]chain.Fingerprint),
+		Syncs:    make(map[string]int),
+		Errs:     make(map[string]string),
+	}
+	for _, nr := range res.Nodes {
+		fp.Members[nr.ChainID] = f.Node(nr.ChainID).Fingerprint(nil)
+		fp.Syncs[nr.ChainID] = nr.Report.SyncsOK
+		if nr.Err != nil {
+			fp.Errs[nr.ChainID] = nr.Err.Error()
+		}
+	}
+	for _, rc := range res.Transfers {
+		fp.Xfers = append(fp.Xfers, fmt.Sprintf("%s|%s|we%d|de%d|%d/%d/%d/%d/%d|%v",
+			rc.ID, rc.Status, rc.WithdrawEpoch, rc.DepositEpoch,
+			rc.InitiatedAt, rc.WithdrawnAt, rc.EscrowedAt, rc.DepositedAt, rc.SettledAt,
+			rc.Err))
+	}
+	return fp
+}
+
+// assertSameRun fails t unless run b reproduces run a: every member's
+// run fingerprint through Diff, the other observables field by field.
+func assertSameRun(t *testing.T, label string, a, b fingerprint) {
+	t.Helper()
+	if len(a.Members) != len(b.Members) {
+		t.Errorf("%s: %d vs %d members", label, len(a.Members), len(b.Members))
+	}
+	for _, id := range slices.Sorted(maps.Keys(a.Members)) {
+		if err := a.Members[id].Diff(b.Members[id]); err != nil {
+			t.Errorf("%s: member %s: %v", label, id, err)
+		}
+	}
+	a.Members, b.Members = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("%s:\n  first:  %+v\n  second: %+v", label, a, b)
+	}
 }
 
 // TestFederationDeterminism is invariant 12: repeated runs of the same
@@ -271,9 +287,7 @@ func TestFederationDeterminism(t *testing.T) {
 			if first.Digest != second.Digest {
 				t.Errorf("mainchain history digests differ: %x vs %x", first.Digest, second.Digest)
 			}
-			if !reflect.DeepEqual(first, second) {
-				t.Errorf("run fingerprints differ:\n  first:  %+v\n  second: %+v", first, second)
-			}
+			assertSameRun(t, "replay", first, second)
 		})
 	}
 }
@@ -494,7 +508,5 @@ func TestFederationDurableMembersMatchMemory(t *testing.T) {
 	}
 	mem := runFingerprint(t, build("", ""))
 	dur := runFingerprint(t, build(t.TempDir(), t.TempDir()))
-	if !reflect.DeepEqual(mem, dur) {
-		t.Errorf("durable members diverge from memory members:\n  memory:  %+v\n  durable: %+v", mem, dur)
-	}
+	assertSameRun(t, "durable vs memory members", mem, dur)
 }
