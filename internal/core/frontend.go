@@ -169,6 +169,8 @@ func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, 
 // The call-level error is reserved for whole-batch refusals (halted
 // node, closed pool, throttling above the soft mark, canceled context)
 // — the per-entry outcomes are still filled in when that happens.
+// A batch's receipts share one allocation, so a retained receipt keeps
+// its whole batch's receipts alive.
 func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.BatchResult, error) {
 	if f.halted.Load() {
 		return nil, chain.ErrHalted
@@ -177,6 +179,7 @@ func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.B
 		Receipts: make([]*chain.Receipt, len(txs)),
 		Errs:     make([]error, len(txs)),
 	}
+	slab := make([]chain.Receipt, len(txs))
 	entries := make([]ingest.Entry, 0, len(txs))
 	idx := make([]int, 0, len(txs))
 	for i, tx := range txs {
@@ -184,7 +187,8 @@ func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.B
 			res.Errs[i] = err
 			continue
 		}
-		rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
+		rc := &slab[i]
+		*rc = chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
 		res.Receipts[i] = rc
 		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc})
 		idx = append(idx, i)

@@ -828,7 +828,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		storm++
 	}
 	leader := ck.committee.LeaderAt(storm)
-	block := sidechain.NewMetaBlock(e, r, leader, s.ledger.TipHash(), res.Included)
+	block := sidechain.NewMetaBlock(e, r, leader, s.ledger.TipHash(), res.Included, res.TxRoot)
 
 	// completeRound is the agreement continuation both fidelities share:
 	// the model path reaches it after the analytic delay, the live path
@@ -870,7 +870,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		s.live.runRound(r, block, block.Hash(), block.SizeBytes, storm, completeRound)
 		return
 	}
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, includedBytes+300)
+	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
 	if storm > 0 {
 		delay += time.Duration(storm) * (s.cfg.ViewChangeTimeout + s.cfg.Model.ViewChangeTime(s.cfg.CommitteeSize))
 	}

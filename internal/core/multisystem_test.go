@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/trace"
 	"ammboost/internal/workload"
 )
@@ -120,6 +121,60 @@ func TestMultiSystemDeterministicRoots(t *testing.T) {
 			if err := base.Diff(runMultiFingerprint(t, seed, shards, 0)); err != nil {
 				t.Errorf("seed=%d shards=%d: %v", seed, shards, err)
 			}
+		}
+	}
+}
+
+// TestMultiSystemMetaBlockRoots pins what chain.Fingerprint does not
+// cover: every committed meta-block's TxRoot (folded from the shards'
+// leaves) equals the reference root over its transactions, read before
+// the epoch is pruned, and every epoch's summary MetaRoot is the same on
+// 1 and 2 shards. TestTxRootMatchesTree pins the reference to the proof
+// path's tree.
+func TestMultiSystemMetaBlockRoots(t *testing.T) {
+	metaRoots := make([]map[uint64][32]byte, 0, 2)
+	for _, shards := range []int{1, 2} {
+		sysCfg, drvCfg := multiTestConfigs(5, 16, shards, 3)
+		sys, _, err := NewMultiDriver(sysCfg, drvCfg)
+		if err != nil {
+			t.Fatalf("NewMultiDriver: %v", err)
+		}
+		ms := sys.(*MultiSystem)
+		blocks, txs := 0, 0
+		ms.OnEvent(func(ev chain.Event) {
+			if ev.Type != chain.EventMetaBlock {
+				return
+			}
+			metas := ms.SidechainLedger().MetaBlocks(ev.Epoch)
+			b := metas[len(metas)-1]
+			if b.Round != ev.Round {
+				t.Errorf("shards=%d: meta-block %d/%d: ledger tip is round %d", shards, ev.Epoch, ev.Round, b.Round)
+			}
+			if want := sidechain.TxRoot(b.Txs); b.TxRoot != want {
+				t.Errorf("shards=%d: meta-block %d/%d: TxRoot %x, reference %x", shards, ev.Epoch, ev.Round, b.TxRoot[:8], want[:8])
+			}
+			blocks++
+			txs += len(b.Txs)
+		})
+		if _, err := sys.Run(drvCfg.Epochs); err != nil {
+			t.Fatalf("shards=%d: run: %v", shards, err)
+		}
+		if blocks == 0 || txs == 0 {
+			t.Fatalf("shards=%d: checked %d meta-blocks with %d txs", shards, blocks, txs)
+		}
+		roots := make(map[uint64][32]byte)
+		for _, sb := range ms.SidechainLedger().Summaries() {
+			roots[sb.Epoch] = sb.MetaRoot
+		}
+		metaRoots = append(metaRoots, roots)
+	}
+	one, two := metaRoots[0], metaRoots[1]
+	if len(one) == 0 || len(one) != len(two) {
+		t.Fatalf("summary epochs: %d on 1 shard, %d on 2", len(one), len(two))
+	}
+	for e, root := range one {
+		if other := two[e]; other != root {
+			t.Errorf("epoch %d: MetaRoot %x on 1 shard, %x on 2", e, root[:8], other[:8])
 		}
 	}
 }

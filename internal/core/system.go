@@ -584,20 +584,20 @@ func (s *System) runRound(e, r uint64) {
 	}
 	s.queue = s.queue[consumed:]
 
-	// Agreement latency from the cost model; a silent leader adds the
-	// view-change detour before the new leader's proposal succeeds.
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, blockBytes+300)
-	if s.cfg.Faults.SilentLeader(e, r) {
-		delay += s.cfg.ViewChangeTimeout + s.cfg.Model.ViewChangeTime(s.cfg.CommitteeSize)
-		s.ViewChanges++
-	}
-
 	ck := s.committees[e]
 	leader := ck.committee.Leader()
 	if s.cfg.Faults.SilentLeader(e, r) {
 		leader = ck.committee.LeaderAt(1)
 	}
-	block := sidechain.NewMetaBlock(e, r, leader, s.ledger.TipHash(), includedTxs)
+	block := sidechain.NewMetaBlock(e, r, leader, s.ledger.TipHash(), includedTxs, sidechain.TxRoot(includedTxs))
+
+	// Agreement latency from the cost model; a silent leader adds the
+	// view-change detour before the new leader's proposal succeeds.
+	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
+	if s.cfg.Faults.SilentLeader(e, r) {
+		delay += s.cfg.ViewChangeTimeout + s.cfg.Model.ViewChangeTime(s.cfg.CommitteeSize)
+		s.ViewChanges++
+	}
 
 	s.sim.After(delay, func() {
 		if s.err != nil {

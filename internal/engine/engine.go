@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"ammboost/internal/amm"
+	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
 	"ammboost/internal/u256"
@@ -100,6 +102,10 @@ type Engine struct {
 	epochDeposits map[string]map[string]summary.Deposit
 	// commits[i] caches pool i's incremental state commitment.
 	commits []*poolCommit
+
+	// leaves is ExecuteRound's per-transaction meta-block leaf scratch,
+	// reused across rounds (the root fold destroys its contents).
+	leaves [][32]byte
 
 	// Cumulative stats across all epochs.
 	Accepted int
@@ -284,6 +290,9 @@ type RoundResult struct {
 	// Included lists the accepted transactions in submission order
 	// (ready for meta-block packing).
 	Included []*summary.Tx
+	// TxRoot is the meta-block transaction root over Included,
+	// bit-identical to sidechain.TxRoot(Included).
+	TxRoot [32]byte
 	// Rejected counts transactions that failed validation, including
 	// those routed to unregistered pools.
 	Rejected int
@@ -292,7 +301,9 @@ type RoundResult struct {
 // ExecuteRound executes a batch against the epoch snapshots: the batch is
 // partitioned per pool (preserving submission order within each pool) and
 // shards execute their pools' slices concurrently. A transaction with an
-// empty PoolID routes to the first registered pool.
+// empty PoolID routes to the first registered pool. Each shard computes
+// the meta-block leaf of every transaction it accepts, so the caller's
+// goroutine only folds the leaves, in submission order, into TxRoot.
 func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, error) {
 	if !e.running {
 		return RoundResult{}, ErrNoEpoch
@@ -301,6 +312,10 @@ func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, err
 	// Partition: per-pool index lists in submission order.
 	perPool := make(map[string][]int)
 	accepted := make([]bool, len(txs))
+	if cap(e.leaves) < len(txs) {
+		e.leaves = make([][32]byte, len(txs))
+	}
+	leaves := e.leaves[:len(txs)]
 	unknown := 0
 	for i, tx := range txs {
 		id := tx.PoolID
@@ -331,6 +346,7 @@ func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, err
 					continue
 				}
 				accepted[i] = true
+				leaves[i] = sidechain.TxLeaf(txs[i])
 				if e.tr != nil {
 					e.shardTxs[shard]++
 					e.shardGas[shard] += gasmodel.UniswapOpGas(txs[i].Kind)
@@ -348,11 +364,14 @@ func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, err
 	for _, r := range rejectedPerShard {
 		res.Rejected += r
 	}
+	res.Included = make([]*summary.Tx, 0, len(txs)-res.Rejected)
 	for i, ok := range accepted {
 		if ok {
+			leaves[len(res.Included)] = leaves[i]
 			res.Included = append(res.Included, txs[i])
 		}
 	}
+	res.TxRoot = merkle.RootFromLeafHashes(leaves[:len(res.Included)])
 	e.Accepted += len(res.Included)
 	e.Rejected += res.Rejected
 	return res, nil

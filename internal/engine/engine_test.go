@@ -3,11 +3,28 @@ package engine
 import (
 	"testing"
 
+	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
+
+// checkTxRoot asserts a round's folded TxRoot against the proof path's
+// reference: a full merkle.New tree over the included transactions'
+// hashes in submission order. chain.Fingerprint does not cover meta-block
+// roots, so this is the check that pins them.
+func checkTxRoot(t *testing.T, round uint64, res RoundResult) {
+	t.Helper()
+	leaves := make([][]byte, len(res.Included))
+	for i, tx := range res.Included {
+		h := tx.Hash()
+		leaves[i] = h[:]
+	}
+	if want := merkle.New(leaves).Root(); res.TxRoot != want {
+		t.Fatalf("round %d: TxRoot %x, reference tree root %x", round, res.TxRoot[:8], want[:8])
+	}
+}
 
 // runEpochs drives an engine through epochs of multi-pool Zipf traffic
 // and returns the per-epoch summary roots plus the final pool roots.
@@ -42,6 +59,7 @@ func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound i
 				t.Fatalf("ExecuteRound: %v", err)
 			}
 			rejected += res.Rejected
+			checkTxRoot(t, r, res)
 			if len(res.Included)+res.Rejected != len(batch) {
 				t.Fatalf("round %d: included %d + rejected %d != batch %d",
 					r, len(res.Included), res.Rejected, len(batch))
@@ -161,24 +179,56 @@ func TestMidEpochDeposit(t *testing.T) {
 }
 
 // TestUnknownPoolRejected: transactions routed to unregistered pools are
-// counted as rejected, never executed.
+// counted as rejected, never executed, and leave no leaf in the round's
+// TxRoot — whether the whole round is rejected or rejections interleave
+// with accepted transactions on several pools and shards.
 func TestUnknownPoolRejected(t *testing.T) {
-	eng, err := New(Config{NumPools: 1})
+	eng, err := New(Config{NumPools: 2, NumShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.BeginEpoch(1, nil); err != nil {
+	ids := eng.PoolIDs()
+	dep := u256.FromUint64(1 << 20)
+	if err := eng.BeginEpoch(1, UniformDeposits(ids, []string{"u"}, dep, dep)); err != nil {
 		t.Fatal(err)
 	}
-	tx := &summary.Tx{ID: "x", Kind: gasmodel.KindSwap, User: "u", PoolID: "pool-9999",
-		ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(1)}
-	res, err := eng.ExecuteRound([]*summary.Tx{tx}, 1)
+	swap := func(id, user, pool string) *summary.Tx {
+		return &summary.Tx{ID: id, Kind: gasmodel.KindSwap, User: user, PoolID: pool,
+			ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(1000)}
+	}
+	res, err := eng.ExecuteRound([]*summary.Tx{swap("x", "u", "pool-9999")}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rejected != 1 || len(res.Included) != 0 {
 		t.Fatalf("unknown pool: included=%d rejected=%d", len(res.Included), res.Rejected)
 	}
+	checkTxRoot(t, 1, res)
+
+	// Submission order interleaves the two pools, so a fold in pool order
+	// or one that keeps a rejected transaction's leaf misses the reference.
+	batch := []*summary.Tx{
+		swap("a", "u", ids[1]),
+		swap("b", "u", "pool-9999"),
+		swap("c", "u", ids[0]),
+		swap("d", "unfunded", ids[1]),
+		swap("e", "u", ids[1]),
+		swap("f", "unfunded", ids[0]),
+		swap("g", "u", ids[0]),
+	}
+	res, err = eng.ExecuteRound(batch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected != 3 || len(res.Included) != 4 {
+		t.Fatalf("interleaved round: included=%d rejected=%d, want 4 and 3", len(res.Included), res.Rejected)
+	}
+	for i, want := range []string{"a", "c", "e", "g"} {
+		if res.Included[i].ID != want {
+			t.Fatalf("included[%d] = %s, want %s", i, res.Included[i].ID, want)
+		}
+	}
+	checkTxRoot(t, 2, res)
 }
 
 // TestLifecycleGuards: rounds need an epoch; double BeginEpoch fails.

@@ -44,14 +44,29 @@ type MetaBlock struct {
 	CommitVotes int
 }
 
-// NewMetaBlock assembles a meta-block over txs, computing the Merkle root
-// and wire size.
-func NewMetaBlock(epoch, round uint64, proposer string, parent [32]byte, txs []*summary.Tx) *MetaBlock {
-	leaves := make([][]byte, len(txs))
-	size := metaBlockHeaderBytes
+// TxLeaf is a transaction's leaf hash in its meta-block's Merkle tree:
+// the leaf hash of the transaction hash. It is the one rule for what a
+// meta-block leaf is, so the engine's shards can hash the transactions
+// they execute and the root still matches the proof path.
+func TxLeaf(tx *summary.Tx) [32]byte { return merkle.HashLeaf32(tx.Hash()) }
+
+// TxRoot is the reference meta-block transaction root: TxLeaf of each
+// transaction in block order, folded into one root with a single scratch
+// allocation. It equals merkle.New over the transaction hashes.
+func TxRoot(txs []*summary.Tx) [32]byte {
+	leaves := make([][32]byte, len(txs))
 	for i, tx := range txs {
-		h := tx.Hash()
-		leaves[i] = h[:]
+		leaves[i] = TxLeaf(tx)
+	}
+	return merkle.RootFromLeafHashes(leaves)
+}
+
+// NewMetaBlock assembles a meta-block over txs whose transaction root is
+// txRoot (TxRoot(txs), or the same root folded from per-shard leaves),
+// computing the wire size.
+func NewMetaBlock(epoch, round uint64, proposer string, parent [32]byte, txs []*summary.Tx, txRoot [32]byte) *MetaBlock {
+	size := metaBlockHeaderBytes
+	for _, tx := range txs {
 		size += tx.Size()
 	}
 	return &MetaBlock{
@@ -59,7 +74,7 @@ func NewMetaBlock(epoch, round uint64, proposer string, parent [32]byte, txs []*
 		Round:      round,
 		Proposer:   proposer,
 		ParentHash: parent,
-		TxRoot:     merkle.New(leaves).Root(),
+		TxRoot:     txRoot,
 		Txs:        txs,
 		SizeBytes:  size,
 	}

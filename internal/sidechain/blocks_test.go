@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
+	"ammboost/internal/workload"
 )
 
 func mkTxs(n int, prefix string) []*summary.Tx {
@@ -21,9 +23,14 @@ func mkTxs(n int, prefix string) []*summary.Tx {
 	return txs
 }
 
+// newMeta builds a meta-block with the reference transaction root.
+func newMeta(epoch, round uint64, proposer string, parent [32]byte, txs []*summary.Tx) *MetaBlock {
+	return NewMetaBlock(epoch, round, proposer, parent, txs, TxRoot(txs))
+}
+
 func TestMetaBlockSize(t *testing.T) {
 	txs := mkTxs(3, "a")
-	b := NewMetaBlock(1, 1, "leader", [32]byte{}, txs)
+	b := newMeta(1, 1, "leader", [32]byte{}, txs)
 	want := metaBlockHeaderBytes + 3*gasmodel.MainnetSwapTxBytes
 	if b.SizeBytes != want {
 		t.Errorf("size = %d, want %d", b.SizeBytes, want)
@@ -35,21 +42,21 @@ func TestMetaBlockSize(t *testing.T) {
 
 func TestLedgerChaining(t *testing.T) {
 	l := NewLedger([32]byte{0xaa})
-	b1 := NewMetaBlock(1, 1, "leader", l.TipHash(), mkTxs(2, "a"))
+	b1 := newMeta(1, 1, "leader", l.TipHash(), mkTxs(2, "a"))
 	if err := l.AppendMeta(b1); err != nil {
 		t.Fatal(err)
 	}
 	// A block not referencing the tip is rejected.
-	bad := NewMetaBlock(1, 2, "leader", [32]byte{0xbb}, mkTxs(1, "b"))
+	bad := newMeta(1, 2, "leader", [32]byte{0xbb}, mkTxs(1, "b"))
 	if err := l.AppendMeta(bad); !errors.Is(err, ErrNotChained) {
 		t.Errorf("want ErrNotChained, got %v", err)
 	}
-	b2 := NewMetaBlock(1, 2, "leader", l.TipHash(), mkTxs(1, "b"))
+	b2 := newMeta(1, 2, "leader", l.TipHash(), mkTxs(1, "b"))
 	if err := l.AppendMeta(b2); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch going backwards is rejected.
-	old := NewMetaBlock(0, 3, "leader", l.TipHash(), nil)
+	old := newMeta(0, 3, "leader", l.TipHash(), nil)
 	if err := l.AppendMeta(old); !errors.Is(err, ErrEpochMismatch) {
 		t.Errorf("want ErrEpochMismatch, got %v", err)
 	}
@@ -62,7 +69,7 @@ func TestPruningReclaimsBytes(t *testing.T) {
 	l := NewLedger([32]byte{})
 	var epochBytes int
 	for r := uint64(1); r <= 5; r++ {
-		b := NewMetaBlock(1, r, "leader", l.TipHash(), mkTxs(10, fmt.Sprintf("r%d", r)))
+		b := newMeta(1, r, "leader", l.TipHash(), mkTxs(10, fmt.Sprintf("r%d", r)))
 		epochBytes += b.SizeBytes
 		if err := l.AppendMeta(b); err != nil {
 			t.Fatal(err)
@@ -104,7 +111,7 @@ func TestPruningReclaimsBytes(t *testing.T) {
 func TestVerifyTxInclusion(t *testing.T) {
 	l := NewLedger([32]byte{})
 	txs := mkTxs(7, "x")
-	b := NewMetaBlock(1, 1, "leader", l.TipHash(), txs)
+	b := newMeta(1, 1, "leader", l.TipHash(), txs)
 	if err := l.AppendMeta(b); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +128,7 @@ func TestPeakTracksMaximum(t *testing.T) {
 	l := NewLedger([32]byte{})
 	for e := uint64(1); e <= 3; e++ {
 		for r := uint64(1); r <= 3; r++ {
-			b := NewMetaBlock(e, r, "leader", l.TipHash(), mkTxs(5, fmt.Sprintf("e%dr%d", e, r)))
+			b := newMeta(e, r, "leader", l.TipHash(), mkTxs(5, fmt.Sprintf("e%dr%d", e, r)))
 			if err := l.AppendMeta(b); err != nil {
 				t.Fatal(err)
 			}
@@ -142,9 +149,9 @@ func TestPeakTracksMaximum(t *testing.T) {
 
 func TestSummaryBlockCommitsToMetas(t *testing.T) {
 	l := NewLedger([32]byte{})
-	b1 := NewMetaBlock(1, 1, "leader", l.TipHash(), mkTxs(2, "a"))
+	b1 := newMeta(1, 1, "leader", l.TipHash(), mkTxs(2, "a"))
 	_ = l.AppendMeta(b1)
-	b2 := NewMetaBlock(1, 2, "leader", l.TipHash(), mkTxs(2, "b"))
+	b2 := newMeta(1, 2, "leader", l.TipHash(), mkTxs(2, "b"))
 	_ = l.AppendMeta(b2)
 	sb := NewSummaryBlock(1, &summary.SyncPayload{Epoch: 1}, l.MetaBlocks(1))
 	sb2 := NewSummaryBlock(1, &summary.SyncPayload{Epoch: 1}, l.MetaBlocks(1)[:1])
@@ -153,5 +160,52 @@ func TestSummaryBlockCommitsToMetas(t *testing.T) {
 	}
 	if sb.NumMeta != 2 {
 		t.Errorf("NumMeta = %d", sb.NumMeta)
+	}
+}
+
+// refTxRoot returns the root of the proof path's tree: merkle.New over
+// the transaction hashes. TxRoot and the engine's fold must equal it.
+func refTxRoot(txs []*summary.Tx) [32]byte {
+	leaves := make([][]byte, len(txs))
+	for i, tx := range txs {
+		h := tx.Hash()
+		leaves[i] = h[:]
+	}
+	return merkle.New(leaves).Root()
+}
+
+// swapHotTxs generates n transactions of swap-hot's traffic: the Table
+// VII mix over 8 Zipf-weighted pools.
+func swapHotTxs(n int) []*summary.Tx {
+	gen := workload.NewMulti(workload.DefaultMultiConfig(1, 8))
+	txs := make([]*summary.Tx, n)
+	for i := range txs {
+		txs[i] = gen.Next()
+	}
+	return txs
+}
+
+// TestTxRootMatchesTree pins TxRoot to the proof path's tree at every
+// shape of the odd-node promotion, and to one scratch allocation.
+func TestTxRootMatchesTree(t *testing.T) {
+	txs := swapHotTxs(1025)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 1023, 1024, 1025} {
+		if got, want := TxRoot(txs[:n]), refTxRoot(txs[:n]); got != want {
+			t.Errorf("n=%d: TxRoot %x, tree root %x", n, got[:8], want[:8])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { TxRoot(txs[:1024]) }); allocs > 1 {
+		t.Errorf("TxRoot over 1024 txs: %.1f allocs, want <= 1", allocs)
+	}
+}
+
+// BenchmarkTxRoot times the reference meta-block root over one 1024-tx
+// round of swap-hot traffic.
+func BenchmarkTxRoot(b *testing.B) {
+	txs := swapHotTxs(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TxRoot(txs)
 	}
 }
