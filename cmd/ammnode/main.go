@@ -311,13 +311,13 @@ func runDurable(dataDir string, pools, epochs, daily, committee int, seed int64,
 			fmt.Fprintf(os.Stderr, "ammnode: read peer snapshot %s: %v\n", bootstrapFrom, rerr)
 			return 1
 		}
-		node, err = chain.Bootstrap(dataDir, snapshot, cfg)
+		node, err = core.Bootstrap(dataDir, snapshot, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ammnode: bootstrap %s from %s: %v\n", dataDir, bootstrapFrom, err)
 			return 1
 		}
 		fmt.Printf("ammnode: fast-synced %s from %s\n", dataDir, bootstrapFrom)
-	} else if node, err = chain.Open(dataDir, cfg); err != nil {
+	} else if node, err = core.Open(dataDir, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "ammnode: open %s: %v\n", dataDir, err)
 		return 1
 	}

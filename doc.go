@@ -43,7 +43,7 @@
 // epoch summary roots and sync payload digests; the depth changes
 // timing, never state.
 //
-// Multi-pool deployments are durable: chain.Open(dir, cfg) opens (or
+// Multi-pool deployments are durable: core.Open(dir, cfg) opens (or
 // creates) an append-only epoch store and returns a node that persists
 // every retired epoch — pool snapshots, summary roots, payload digests,
 // the receipt table, and the TSQC-signed sync-part log. A node killed at
@@ -53,7 +53,7 @@
 // run (DESIGN.md invariant 9). Recovery quickstart:
 //
 //	cfg := chain.NewConfig(chain.WithPools(16), chain.WithUsers(users))
-//	node, err := chain.Open(dataDir, cfg) // fresh dir or crash survivor
+//	node, err := core.Open(dataDir, cfg) // fresh dir or crash survivor
 //	if ms, ok := node.(*core.MultiSystem); ok && ms.Recovery() != nil {
 //	    log.Printf("recovered at epoch %d", ms.Recovery().Epoch)
 //	}
@@ -76,7 +76,7 @@
 //	// on the peer (at rest, after Run returns):
 //	snap, err := peer.(chain.Compactor).ExportSnapshot()
 //	// on the joining node (freshDir must not already hold a store):
-//	node, err := chain.Bootstrap(freshDir, snap, cfg) // same cfg params
+//	node, err := core.Bootstrap(freshDir, snap, cfg) // same cfg params
 //	rep, err := node.Run(totalEpochs) // resumes at the peer's epoch
 //
 // The snapshot is untrusted input: Bootstrap re-derives the boundary

@@ -76,7 +76,7 @@ func drive(node chain.Chain) {
 }
 
 func run(dir string, planned int) *chain.Report {
-	node, err := chain.Open(dir, config())
+	node, err := core.Open(dir, config())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "open %s: %v\n", dir, err)
 		os.Exit(1)

@@ -136,7 +136,7 @@ func main() {
 	// checkpoint and watch the trust anchors reject it.
 	tampered := append([]byte(nil), snap...)
 	tampered[len(tampered)/2] ^= 0x40
-	if _, err := chain.Bootstrap(filepath.Join(base, "evil"), tampered, config()); !errors.Is(err, chain.ErrCorruptStore) {
+	if _, err := core.Bootstrap(filepath.Join(base, "evil"), tampered, config()); !errors.Is(err, chain.ErrCorruptStore) {
 		fmt.Fprintf(os.Stderr, "tampered snapshot was accepted (err=%v) — trust anchors failed\n", err)
 		os.Exit(1)
 	}
@@ -146,7 +146,7 @@ func main() {
 	// peer's epoch.
 	fmt.Printf("\njoining node: bootstraps from the snapshot, resumes epochs %d-%d\n", handoff+1, epochs)
 	start := time.Now()
-	joiner, err := chain.Bootstrap(filepath.Join(base, "joiner"), snap, config())
+	joiner, err := core.Bootstrap(filepath.Join(base, "joiner"), snap, config())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bootstrap: %v\n", err)
 		os.Exit(1)
@@ -181,7 +181,7 @@ func main() {
 }
 
 func mustOpen(dir string) chain.Chain {
-	node, err := chain.Open(dir, config())
+	node, err := core.Open(dir, config())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "open %s: %v\n", dir, err)
 		os.Exit(1)

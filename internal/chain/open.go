@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// Durable-store errors surfaced by Open.
+// Durable-store errors surfaced by a durable backend's Open and Bootstrap.
 var (
 	// ErrCorruptStore rejects a store whose framing or payloads cannot be
 	// parsed at all (a damaged header, a record that decodes to
@@ -132,29 +132,6 @@ func (f Fingerprint) Diff(other Fingerprint) error {
 	return nil
 }
 
-// opener is installed by the backend package (internal/core); the
-// indirection keeps this API package free of a dependency cycle with its
-// implementations.
-var opener func(dir string, cfg Config) (Chain, error)
-
-// RegisterOpener installs the backend's durable-store opener. Called
-// from the backend package's init; last registration wins.
-func RegisterOpener(fn func(dir string, cfg Config) (Chain, error)) { opener = fn }
-
-// Open opens (or creates) a durable node deployment rooted at dir. An
-// empty or absent store starts a fresh node that persists every retired
-// epoch; an existing store restores the newest valid snapshot, replays
-// the sync parts logged after it, and returns a node whose Run resumes
-// mid-lifecycle with summary roots and payload digests pinned
-// bit-identical to an uninterrupted run. The concrete backend registers
-// itself via RegisterOpener (importing internal/core is enough).
-func Open(dir string, cfg Config) (Chain, error) {
-	if opener == nil {
-		return nil, fmt.Errorf("%w: no backend registered (import internal/core)", ErrStoreUnsupported)
-	}
-	return opener(dir, cfg)
-}
-
 // Compactor is implemented by durable chains that can fold their store's
 // history into a checkpoint on demand (see Config.CompactEvery for the
 // automatic cadence).
@@ -176,27 +153,4 @@ func Compact(c Chain) error {
 		return fmt.Errorf("%w: chain does not compact", ErrStoreUnsupported)
 	}
 	return cp.CompactStore()
-}
-
-// bootstrapper is installed by the backend package alongside opener.
-var bootstrapper func(dir string, snapshot []byte, cfg Config) (Chain, error)
-
-// RegisterBootstrapper installs the backend's fast-sync bootstrapper.
-func RegisterBootstrapper(fn func(dir string, snapshot []byte, cfg Config) (Chain, error)) {
-	bootstrapper = fn
-}
-
-// Bootstrap provisions a fresh node at dir from a peer's exported store
-// snapshot (Compactor.ExportSnapshot) instead of replaying history from
-// genesis. The snapshot is not trusted: opening re-derives everything it
-// claims — the boundary committee re-provisions from the seed and must
-// match the embedded bank's next verification key, pool roots recompute
-// from the embedded state, and any tail sync parts replay through the
-// TSQC verification chain — so a tampered snapshot fails with
-// ErrCorruptStore. dir must not already hold a store.
-func Bootstrap(dir string, snapshot []byte, cfg Config) (Chain, error) {
-	if bootstrapper == nil {
-		return nil, fmt.Errorf("%w: no backend registered (import internal/core)", ErrStoreUnsupported)
-	}
-	return bootstrapper(dir, snapshot, cfg)
 }

@@ -36,6 +36,19 @@ func writeMemStore(t *testing.T, fsys store.FS, data []byte) {
 	f.Close()
 }
 
+// storeHeaderLen is the length of a fresh store file: its header frame
+// alone, the offset where the first record after the header starts.
+func storeHeaderLen(t *testing.T) int64 {
+	t.Helper()
+	fsys := &store.MemFS{}
+	_, w, err := store.Open(fsys, "", [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	return int64(len(readMemStore(t, fsys)))
+}
+
 // TestCompactedRestartDeterminism is invariant 14's acceptance matrix:
 // for every seed x shard count x pipeline depth, a node that compacted
 // its store mid-history and resumed, and a fresh node fast-sync
@@ -318,7 +331,7 @@ func TestTamperedCheckpointFailsOpen(t *testing.T) {
 		// Flip one byte just past the checkpoint frame's length+type
 		// prefix — inside the CRC-protected payload.
 		tampered := append([]byte(nil), data...)
-		tampered[rec.HeaderEnd+16] ^= 0x40
+		tampered[storeHeaderLen(t)+16] ^= 0x40
 		tfs := &store.MemFS{}
 		writeMemStore(t, tfs, tampered)
 		if _, err := OpenFS(tfs, "", cfg); !errors.Is(err, chain.ErrCorruptStore) {
@@ -424,7 +437,7 @@ func TestHaltedRecoversHaltedAcrossCompaction(t *testing.T) {
 	node2.Close()
 }
 
-// TestBootstrapEdgeCases covers the chain.Bootstrap contract: a real
+// TestBootstrapEdgeCases covers the Bootstrap contract: a real
 // directory bootstrap through the registered backend, and the
 // fresh-directory-only refusal.
 func TestBootstrapEdgeCases(t *testing.T) {
@@ -461,7 +474,7 @@ func TestBootstrapEdgeCases(t *testing.T) {
 
 	t.Run("bootstrap into a real directory", func(t *testing.T) {
 		dir := t.TempDir() + "/fresh-node"
-		boot, err := chain.Bootstrap(dir, snap, cfg)
+		boot, err := Bootstrap(dir, snap, cfg)
 		if err != nil {
 			t.Fatalf("bootstrap: %v", err)
 		}
@@ -480,7 +493,7 @@ func TestBootstrapEdgeCases(t *testing.T) {
 
 		// A second bootstrap into the now-populated directory must refuse
 		// rather than clobber the node's history.
-		if _, err := chain.Bootstrap(dir, snap, cfg); err == nil {
+		if _, err := Bootstrap(dir, snap, cfg); err == nil {
 			t.Error("bootstrap over an existing store succeeded, want refusal")
 		}
 	})
@@ -539,11 +552,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	if total == 0 {
 		t.Fatal("instrumented run wrote nothing")
 	}
-	probeRec, pw, err := store.Open(probe, "", DeploymentFingerprint(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw.Close()
+	headerLen := storeHeaderLen(t)
 
 	// ~24 budgets spread across the stream, clamped past the header (a
 	// torn header is unrecoverable by design), plus the exact-rename cell.
@@ -551,7 +560,7 @@ func TestCompactCrashSweep(t *testing.T) {
 	const steps = 24
 	for i := 1; i <= steps; i++ {
 		b := total * int64(i) / steps
-		if b <= probeRec.HeaderEnd {
+		if b <= headerLen {
 			continue
 		}
 		budgets = append(budgets, b)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -13,13 +14,6 @@ import (
 	"ammboost/internal/engine"
 	"ammboost/internal/store"
 )
-
-// The multi-pool backend registers itself as chain.Open's and
-// chain.Bootstrap's implementation.
-func init() {
-	chain.RegisterOpener(Open)
-	chain.RegisterBootstrapper(Bootstrap)
-}
 
 // Open opens (or creates) a durable multi-pool deployment rooted at dir.
 // A fresh directory starts a new node that persists every retired epoch;
@@ -121,16 +115,13 @@ func DeploymentFingerprint(cfg chain.Config) [32]byte {
 // independently persisted records" determinism check the store exists
 // to provide (DESIGN.md invariant 9).
 //
-// A compacted store restores in two phases. Phase 1 anchors the
-// checkpoint: the bank state it embeds must carry exactly the cursor it
-// claims, the next-epoch group key inside that bank state must equal
-// the committee re-derived from the chain seed, and the pool roots
-// recomputed from its embedded pool snapshots must reproduce the
-// persisted cursor root table (and fold to the cursor's summary root).
-// Phase 2 overlays the tail records after the cursor exactly like an
-// uncompacted restore — newest pool snapshots re-verified against the
-// last record, sync parts replayed through the TSQC chain. A tampered
-// checkpoint fails one of the phase-1 anchors with ErrCorruptStore.
+// A checkpoint is anchored first (restoreCheckpoint); the tail records
+// after its cursor then overlay it exactly like an uncompacted restore —
+// newest pool snapshots re-verified against the last record, sync parts
+// replayed through the TSQC chain. Both kinds of record carry the same
+// per-epoch row, so the root table, the recovered fingerprint and the
+// receipt table rebuild in one walk over the checkpoint rows and then
+// the tail rows.
 func (s *MultiSystem) restore(rec *store.Recovery) error {
 	cp := rec.Checkpoint
 	if cp == nil && len(rec.Epochs) == 0 && rec.Halt == nil {
@@ -139,7 +130,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	boundary := rec.Epoch()
 	info := &chain.RecoveryInfo{
 		Epoch:       boundary,
-		Fingerprint: chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint, len(rec.Epochs))},
+		Fingerprint: chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint)},
 	}
 
 	// Re-derive the boundary committee: resume starts at S+1, and every
@@ -166,51 +157,41 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	if r := s.cfg.RetainEpochs; r > 0 && boundary > uint64(r) {
 		horizon = boundary - uint64(r)
 	}
-	if cp != nil && cp.Horizon > horizon {
-		horizon = cp.Horizon
+
+	// The newest run counters and the boundary epoch's sync-part count
+	// come from the last tail record, or else from the checkpoint's
+	// snapshot of its cursor epoch.
+	var meta store.RunMeta
+	var numParts int
+	var rows []store.EpochRow
+	if cp != nil {
+		if err := s.restoreCheckpoint(cp); err != nil {
+			return err
+		}
+		horizon = max(horizon, cp.Horizon)
+		meta, numParts = cp.Meta, cp.CursorParts
+		rows = append(rows, cp.Entries...)
 	}
 	s.rootsCompacted = horizon
 
-	if cp != nil {
-		if err := s.restoreCheckpoint(cp, info, horizon); err != nil {
+	if n := len(rec.Epochs); n > 0 {
+		// Newest persisted state per tail pool snapshot, overlaid on the
+		// checkpoint's pools; pools absent from every snapshot were never
+		// touched and stay at genesis.
+		pools := make(map[string]*amm.Pool)
+		for _, er := range rec.Epochs {
+			maps.Copy(pools, er.Pools)
+			rows = append(rows, er.EpochRow)
+		}
+		if err := s.eng.RestorePools(pools); err != nil {
+			return fmt.Errorf("%w: %v", chain.ErrCorruptStore, err)
+		}
+		last := rec.Epochs[n-1]
+		if err := s.checkRoots(last.PoolIDs, last.PoolRoots, last.SummaryRoot,
+			fmt.Sprintf("epoch %d", boundary)); err != nil {
 			return err
 		}
-	}
-
-	// Newest persisted state per tail pool snapshot, overlaid on the
-	// checkpoint's pools (phase 1 already restored and verified those);
-	// pools absent from every snapshot were never touched and stay at
-	// genesis.
-	pools := make(map[string]*amm.Pool)
-	for _, er := range rec.Epochs {
-		if er.Epoch > horizon {
-			s.SummaryRoots[er.Epoch] = er.SummaryRoot
-			info.Fingerprint.Epochs[er.Epoch] = chain.EpochPrint{
-				Root: er.SummaryRoot, Payloads: append([][32]byte(nil), er.PayloadDigests...)}
-		}
-		for id, p := range er.Pools {
-			pools[id] = p
-		}
-	}
-	if err := s.eng.RestorePools(pools); err != nil {
-		return fmt.Errorf("%w: %v", chain.ErrCorruptStore, err)
-	}
-
-	if len(rec.Epochs) > 0 {
-		// Determinism check: the roots re-derived from restored pool
-		// state must reproduce the persisted roots bit for bit.
-		last := rec.Epochs[len(rec.Epochs)-1]
-		roots := s.eng.StateRoots()
-		for i, id := range s.eng.PoolIDs() {
-			if i >= len(last.PoolRoots) || roots[i] != last.PoolRoots[i] {
-				return fmt.Errorf("%w: pool %s root re-derivation mismatch at epoch %d",
-					chain.ErrCorruptStore, id, boundary)
-			}
-		}
-		if got := engine.FoldRoots(roots); got != last.SummaryRoot {
-			return fmt.Errorf("%w: summary root re-derivation mismatch at epoch %d",
-				chain.ErrCorruptStore, boundary)
-		}
+		meta, numParts = last.Meta, len(last.Parts)
 
 		// Replay the sync-part log through the bank's verification chain
 		// (epoch keys, TSQC signatures, part bookkeeping). This both
@@ -232,59 +213,48 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 				}
 			}
 		}
+	}
 
-		s.Rejected = int(last.Meta.Rejected)
-		s.SyncsOK = int(last.Meta.SyncsOK)
-		// The persisted counter snapshot predates the boundary epoch's
-		// own confirmation (counters persist at retire, the sync lands
-		// later); the replayed log just confirmed every recovered epoch,
-		// so credit them — a resumed run's report then matches the
-		// uninterrupted run's SyncsOK instead of undercounting.
-		if n := int(s.bank.LastSyncedEpoch); n > s.SyncsOK {
-			s.SyncsOK = n
-		}
-		s.ViewChanges = int(last.Meta.ViewChanges)
-		s.queuePeak = int(last.Meta.QueuePeak)
-		s.eng.Accepted = int(last.Meta.EngineAccepted)
-		s.eng.Rejected = int(last.Meta.EngineRejected)
+	s.Rejected = int(meta.Rejected)
+	// The persisted counter snapshot predates the boundary epoch's own
+	// confirmation (counters persist at retire, the sync lands later);
+	// the bank has just confirmed every recovered epoch, so credit them —
+	// a resumed run's report then matches the uninterrupted run's SyncsOK
+	// instead of undercounting.
+	s.SyncsOK = max(int(meta.SyncsOK), int(s.bank.LastSyncedEpoch))
+	s.ViewChanges = int(meta.ViewChanges)
+	s.queuePeak = int(meta.QueuePeak)
+	s.eng.Accepted = int(meta.EngineAccepted)
+	s.eng.Rejected = int(meta.EngineRejected)
 
-		for _, er := range rec.Epochs {
-			if er.Epoch <= horizon {
-				continue
-			}
-			for _, r := range er.Receipts {
-				rc := &chain.Receipt{
-					TxID:           r.TxID,
-					PoolID:         r.PoolID,
-					Status:         chain.Status(r.Status),
-					Epoch:          r.Epoch,
-					Round:          r.Round,
-					SubmittedAt:    time.Duration(r.SubmittedAt),
-					ExecutedAt:     time.Duration(r.ExecutedAt),
-					CheckpointedAt: time.Duration(r.CheckpointedAt),
-				}
-				// The replayed log confirmed this epoch's sync, so its
-				// checkpointed receipts are final (synced + pruned); the
-				// confirmation's virtual timestamps died with the crash
-				// and stay zero.
-				if rc.Status == chain.StatusCheckpointed && rc.Epoch <= s.bank.LastSyncedEpoch {
-					rc.Status = chain.StatusPruned
-				}
-				info.Receipts = append(info.Receipts, rc)
-			}
+	for _, row := range rows {
+		if row.Epoch <= horizon {
+			continue
 		}
-	} else if cp != nil {
-		// No tail records: the run counters come from the checkpoint's
-		// snapshot of the cursor epoch.
-		s.Rejected = int(cp.Meta.Rejected)
-		s.SyncsOK = int(cp.Meta.SyncsOK)
-		if n := int(s.bank.LastSyncedEpoch); n > s.SyncsOK {
-			s.SyncsOK = n
+		s.SummaryRoots[row.Epoch] = row.SummaryRoot
+		info.Fingerprint.Epochs[row.Epoch] = chain.EpochPrint{
+			Root: row.SummaryRoot, Payloads: append([][32]byte(nil), row.PayloadDigests...)}
+		for _, r := range row.Receipts {
+			rc := &chain.Receipt{
+				TxID:           r.TxID,
+				PoolID:         r.PoolID,
+				Status:         chain.Status(r.Status),
+				Epoch:          r.Epoch,
+				Round:          r.Round,
+				SubmittedAt:    time.Duration(r.SubmittedAt),
+				ExecutedAt:     time.Duration(r.ExecutedAt),
+				CheckpointedAt: time.Duration(r.CheckpointedAt),
+			}
+			// An epoch the bank confirmed — every checkpointed one, since
+			// RestoreState pinned the bank at the cursor and replay only
+			// advances it — has final receipts (synced + pruned); the
+			// confirmation's virtual timestamps died with the crash and
+			// stay zero.
+			if rc.Status == chain.StatusCheckpointed && rc.Epoch <= s.bank.LastSyncedEpoch {
+				rc.Status = chain.StatusPruned
+			}
+			info.Receipts = append(info.Receipts, rc)
 		}
-		s.ViewChanges = int(cp.Meta.ViewChanges)
-		s.queuePeak = int(cp.Meta.QueuePeak)
-		s.eng.Accepted = int(cp.Meta.EngineAccepted)
-		s.eng.Rejected = int(cp.Meta.EngineRejected)
 	}
 
 	// A federation member's next sync parts depend on the boundary
@@ -292,20 +262,12 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	// resumed submission chain orders after them on the shared mainchain.
 	// A single-tenant reopen runs against a fresh simulated mainchain
 	// where those transactions never existed, so deps stay empty.
-	if s.shared != nil && boundary > 0 {
-		numParts := 0
-		if len(rec.Epochs) > 0 {
-			numParts = len(rec.Epochs[len(rec.Epochs)-1].Parts)
-		} else if cp != nil {
-			numParts = cp.CursorParts
+	if s.shared != nil && boundary > 0 && numParts > 0 {
+		ids := make([]string, numParts)
+		for i := range ids {
+			ids[i] = s.syncTxID(boundary, i+1)
 		}
-		if numParts > 0 {
-			ids := make([]string, numParts)
-			for i := range ids {
-				ids[i] = s.syncTxID(boundary, i+1)
-			}
-			s.lastSyncTxIDs = ids
-		}
+		s.lastSyncTxIDs = ids
 	}
 	s.epoch = boundary
 
@@ -325,16 +287,17 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	return nil
 }
 
-// restoreCheckpoint anchors and applies a compacted prefix — phase 1 of
-// restore. Nothing in the checkpoint is trusted on its own: the
-// embedded bank replay state must sit exactly at the cursor it claims,
-// the bank's next-epoch verification key must equal the committee
-// re-derived from the chain seed (a forged bank state cannot know that
-// key without the seed), and the pool roots recomputed from the
-// embedded snapshots must reproduce the persisted cursor root table bit
-// for bit. Any mismatch is ErrCorruptStore.
-func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint, info *chain.RecoveryInfo, horizon uint64) error {
-	if n := len(cp.Entries); n == 0 || cp.Entries[n-1].Epoch != cp.Cursor {
+// restoreCheckpoint anchors a compacted prefix and restores its pools.
+// Nothing in the checkpoint is trusted on its own: the embedded bank
+// replay state must sit exactly at the cursor it claims, the bank's
+// next-epoch verification key must equal the committee re-derived from
+// the chain seed (a forged bank state cannot know that key without the
+// seed), and the pool roots recomputed from the embedded snapshots must
+// reproduce the persisted cursor root table bit for bit. Any mismatch
+// is ErrCorruptStore.
+func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint) error {
+	n := len(cp.Entries)
+	if n == 0 || cp.Entries[n-1].Epoch != cp.Cursor {
 		return fmt.Errorf("%w: checkpoint root table does not end at cursor %d",
 			chain.ErrCorruptStore, cp.Cursor)
 	}
@@ -364,56 +327,35 @@ func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint, info *chain.Recove
 	if err := s.eng.RestorePools(cp.Pools); err != nil {
 		return fmt.Errorf("%w: %v", chain.ErrCorruptStore, err)
 	}
-	roots := s.eng.StateRoots()
-	ids := s.eng.PoolIDs()
-	if len(cp.PoolIDs) != len(ids) || len(cp.PoolRoots) != len(ids) {
-		return fmt.Errorf("%w: checkpoint root table has %d pools, deployment has %d",
-			chain.ErrCorruptStore, len(cp.PoolIDs), len(ids))
-	}
-	for i, id := range ids {
-		if cp.PoolIDs[i] != id || roots[i] != cp.PoolRoots[i] {
-			return fmt.Errorf("%w: pool %s root re-derivation mismatch at checkpoint cursor %d",
-				chain.ErrCorruptStore, id, cp.Cursor)
-		}
-	}
-	if got := engine.FoldRoots(roots); got != cp.Entries[len(cp.Entries)-1].SummaryRoot {
-		return fmt.Errorf("%w: summary root re-derivation mismatch at checkpoint cursor %d",
-			chain.ErrCorruptStore, cp.Cursor)
-	}
+	return s.checkRoots(cp.PoolIDs, cp.PoolRoots, cp.Entries[n-1].SummaryRoot,
+		fmt.Sprintf("checkpoint cursor %d", cp.Cursor))
+}
 
-	for _, e := range cp.Entries {
-		if e.Epoch <= horizon {
-			continue
+// checkRoots is the determinism check on restored pool state: the roots
+// re-derived from it must reproduce a persisted root table (ids / roots,
+// in canonical pool order) bit for bit and fold to its summary root.
+// at names the table in the error.
+func (s *MultiSystem) checkRoots(ids []string, roots [][32]byte, summaryRoot [32]byte, at string) error {
+	got, want := s.eng.StateRoots(), s.eng.PoolIDs()
+	if len(ids) != len(want) || len(roots) != len(want) {
+		return fmt.Errorf("%w: root table at %s has %d pools, deployment has %d",
+			chain.ErrCorruptStore, at, len(ids), len(want))
+	}
+	for i, id := range want {
+		if ids[i] != id || roots[i] != got[i] {
+			return fmt.Errorf("%w: pool %s root re-derivation mismatch at %s",
+				chain.ErrCorruptStore, id, at)
 		}
-		s.SummaryRoots[e.Epoch] = e.SummaryRoot
-		info.Fingerprint.Epochs[e.Epoch] = chain.EpochPrint{
-			Root: e.SummaryRoot, Payloads: append([][32]byte(nil), e.PayloadDigests...)}
-		for _, r := range e.Receipts {
-			rc := &chain.Receipt{
-				TxID:           r.TxID,
-				PoolID:         r.PoolID,
-				Status:         chain.Status(r.Status),
-				Epoch:          r.Epoch,
-				Round:          r.Round,
-				SubmittedAt:    time.Duration(r.SubmittedAt),
-				ExecutedAt:     time.Duration(r.ExecutedAt),
-				CheckpointedAt: time.Duration(r.CheckpointedAt),
-			}
-			// Every checkpointed epoch is mainchain-confirmed by
-			// construction (compaction cuts at the confirmation cursor),
-			// so its receipts are final.
-			if rc.Status == chain.StatusCheckpointed {
-				rc.Status = chain.StatusPruned
-			}
-			info.Receipts = append(info.Receipts, rc)
-		}
+	}
+	if engine.FoldRoots(got) != summaryRoot {
+		return fmt.Errorf("%w: summary root re-derivation mismatch at %s", chain.ErrCorruptStore, at)
 	}
 	return nil
 }
 
 // Bootstrap provisions a fresh node at dir from a peer's exported store
-// snapshot (ExportSnapshot) instead of replaying history from genesis —
-// registered as chain.Bootstrap's implementation. The snapshot is
+// snapshot (chain.Compactor's ExportSnapshot) instead of replaying
+// history from genesis. The snapshot is
 // written to the store path crash-atomically and then opened through the
 // normal recovery path, so every claim it makes is re-derived: the
 // checkpoint anchors against the seed-derived committee, pool roots
@@ -433,16 +375,6 @@ func BootstrapFS(fsys store.FS, dir string, snapshot []byte, cfg chain.Config) (
 		return nil, err
 	}
 	return OpenFS(fsys, dir, cfg)
-}
-
-// BootstrapFederatedFS provisions a fresh federation member from a
-// peer's snapshot: BootstrapFS against the federation's shared
-// simulator and mainchain.
-func BootstrapFederatedFS(shared *Shared, fsys store.FS, dir string, snapshot []byte, cfg chain.Config) (*MultiSystem, error) {
-	if err := seedStore(fsys, dir, snapshot); err != nil {
-		return nil, err
-	}
-	return OpenFederatedFS(shared, fsys, dir, cfg)
 }
 
 // seedStore materializes a peer snapshot as dir's store file,

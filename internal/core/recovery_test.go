@@ -83,7 +83,7 @@ func attachRecoveryTraffic(t *testing.T, sys *MultiSystem, seed int64, perEpoch 
 // TestKillRestartDeterminism is the PR's acceptance matrix: a node
 // killed at an epoch boundary (the store truncated to that boundary,
 // exactly what kill -9 after the boundary's fsync leaves) and reopened
-// with chain.Open re-derives bit-identical summary roots and payload
+// with Open re-derives bit-identical summary roots and payload
 // digests for every epoch — restored ones and resumed ones — across
 // seeds × shard counts × pipeline depths. It also pins that attaching
 // the store perturbs nothing: the store-backed full run matches the
@@ -113,7 +113,7 @@ func TestKillRestartDeterminism(t *testing.T) {
 
 				// Store-backed full run: persistence must not perturb.
 				dir := t.TempDir()
-				node, err := chain.Open(dir, cfg)
+				node, err := Open(dir, cfg)
 				if err != nil {
 					t.Fatalf("%s: open: %v", label, err)
 				}
@@ -153,7 +153,7 @@ func TestKillRestartDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				node2, err := chain.Open(dir2, cfg)
+				node2, err := Open(dir2, cfg)
 				if err != nil {
 					t.Fatalf("%s: reopen after kill@%d: %v", label, kill, err)
 				}
@@ -225,7 +225,8 @@ func TestCrashOffsetSweep(t *testing.T) {
 	}
 	w.Close()
 
-	offsets := []int64{rec.HeaderEnd, rec.HeaderEnd + 1}
+	headerLen := storeHeaderLen(t)
+	offsets := []int64{headerLen, headerLen + 1}
 	for _, b := range rec.Boundaries {
 		offsets = append(offsets, b-1, b, b+1, b+57)
 	}
@@ -270,7 +271,7 @@ func TestCrashOffsetSweep(t *testing.T) {
 	}
 }
 
-// TestOpenEdgeCases covers the chain.Open contract around the happy
+// TestOpenEdgeCases covers the Open contract around the happy
 // path: fresh directories, config mismatches, unsupported backends, and
 // resuming a deployment that already finished its planned epochs.
 func TestOpenEdgeCases(t *testing.T) {
@@ -278,7 +279,7 @@ func TestOpenEdgeCases(t *testing.T) {
 
 	t.Run("empty dir is a fresh node", func(t *testing.T) {
 		dir := t.TempDir()
-		node, err := chain.Open(filepath.Join(dir, "data"), cfg) // not yet created
+		node, err := Open(filepath.Join(dir, "data"), cfg) // not yet created
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,26 +296,26 @@ func TestOpenEdgeCases(t *testing.T) {
 
 	t.Run("fingerprint mismatch", func(t *testing.T) {
 		dir := t.TempDir()
-		node, err := chain.Open(dir, cfg)
+		node, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		node.Close()
 		other := cfg
 		other.Seed = 999
-		if _, err := chain.Open(dir, other); !errors.Is(err, chain.ErrStoreMismatch) {
+		if _, err := Open(dir, other); !errors.Is(err, chain.ErrStoreMismatch) {
 			t.Errorf("seed change: err = %v, want ErrStoreMismatch", err)
 		}
 		users := cfg
 		users.Users = append([]string{"intruder"}, cfg.Users...)
-		if _, err := chain.Open(dir, users); !errors.Is(err, chain.ErrStoreMismatch) {
+		if _, err := Open(dir, users); !errors.Is(err, chain.ErrStoreMismatch) {
 			t.Errorf("user change: err = %v, want ErrStoreMismatch", err)
 		}
 		// Shard count and pipeline depth are state-invariant: no mismatch.
 		reshard := cfg
 		reshard.NumShards = 16
 		reshard.PipelineDepth = 1
-		node2, err := chain.Open(dir, reshard)
+		node2, err := Open(dir, reshard)
 		if err != nil {
 			t.Errorf("reshard reopen: %v", err)
 		} else {
@@ -324,14 +325,14 @@ func TestOpenEdgeCases(t *testing.T) {
 
 	t.Run("single-pool backend unsupported", func(t *testing.T) {
 		single := chain.Config{Seed: 1}
-		if _, err := chain.Open(t.TempDir(), single); !errors.Is(err, chain.ErrStoreUnsupported) {
+		if _, err := Open(t.TempDir(), single); !errors.Is(err, chain.ErrStoreUnsupported) {
 			t.Errorf("err = %v, want ErrStoreUnsupported", err)
 		}
 	})
 
 	t.Run("resume past planned epochs", func(t *testing.T) {
 		dir := t.TempDir()
-		node, err := chain.Open(dir, cfg)
+		node, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +344,7 @@ func TestOpenEdgeCases(t *testing.T) {
 		}
 		node.Close()
 
-		node2, err := chain.Open(dir, cfg)
+		node2, err := Open(dir, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +380,7 @@ func TestRecoverHaltedStaysHalted(t *testing.T) {
 	cfg := recoveryCfg(13, 4, 2, 2)
 	cfg.Faults.CorruptSyncEpochs = map[uint64]bool{2: true}
 	dir := t.TempDir()
-	node, err := chain.Open(dir, cfg)
+	node, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestRecoverHaltedStaysHalted(t *testing.T) {
 	}
 	node.Close()
 
-	node2, err := chain.Open(dir, cfg)
+	node2, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatalf("reopen halted store: %v", err)
 	}
@@ -420,7 +421,7 @@ func TestRecoverHaltedStaysHalted(t *testing.T) {
 func TestRecoveredReceiptTable(t *testing.T) {
 	cfg := recoveryCfg(17, 4, 2, 1)
 	dir := t.TempDir()
-	node, err := chain.Open(dir, cfg)
+	node, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +432,7 @@ func TestRecoveredReceiptTable(t *testing.T) {
 	}
 	node.Close()
 
-	node2, err := chain.Open(dir, cfg)
+	node2, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,17 +464,17 @@ func TestRecoveredReceiptTable(t *testing.T) {
 func TestStoreLockSingleWriter(t *testing.T) {
 	cfg := recoveryCfg(29, 4, 2, 1)
 	dir := t.TempDir()
-	node, err := chain.Open(dir, cfg)
+	node, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chain.Open(dir, cfg); !errors.Is(err, chain.ErrStoreLocked) {
+	if _, err := Open(dir, cfg); !errors.Is(err, chain.ErrStoreLocked) {
 		t.Errorf("second open err = %v, want ErrStoreLocked", err)
 	}
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	node2, err := chain.Open(dir, cfg)
+	node2, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatalf("reopen after close: %v", err)
 	}

@@ -410,7 +410,7 @@ func RunChaos(o Options) (*ChaosResult, error) {
 	defer os.RemoveAll(dir)
 	storeCfg := chaosConfig(o.Seed, chain.FidelityLive)
 	byz(&storeCfg)
-	node, err := chain.Open(dir, storeCfg)
+	node, err := core.Open(dir, storeCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos recovery open: %w", err)
 	}
@@ -444,7 +444,7 @@ func RunChaos(o Options) (*ChaosResult, error) {
 		data[:rec.Boundaries[kill-1]], 0o644); err != nil {
 		return nil, err
 	}
-	node2, err := chain.Open(dir2, storeCfg)
+	node2, err := core.Open(dir2, storeCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos recovery reopen: %w", err)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"ammboost/internal/amm"
 	"ammboost/internal/binenc"
@@ -40,21 +41,29 @@ type RunMeta struct {
 	EngineRejected uint64
 }
 
-// EpochRecord is one recovered epoch: the decoded snapshot record plus
-// the sync-part record logged after it.
-type EpochRecord struct {
+// EpochRow is one persisted epoch's root-table row — what a snapshot
+// record and a checkpoint entry both carry for their epoch, and all a
+// recovered node keeps of an epoch behind its boundary.
+type EpochRow struct {
 	Epoch       uint64
 	SummaryRoot [32]byte
-	// PoolIDs / PoolRoots / PayloadDigests cover every registered pool in
-	// canonical order.
-	PoolIDs        []string
-	PoolRoots      [][32]byte
+	// PayloadDigests are the per-pool sync payload digests in canonical
+	// pool order.
 	PayloadDigests [][32]byte
+	Receipts       []ReceiptRecord
+}
+
+// EpochRecord is one recovered tail epoch: its root-table row, the rest
+// of its snapshot record, and the sync-part record logged after it.
+type EpochRecord struct {
+	EpochRow
+	// PoolIDs / PoolRoots cover every registered pool in canonical order.
+	PoolIDs   []string
+	PoolRoots [][32]byte
 	// Pools holds the full state of the pools touched during this epoch
 	// (untouched pools carry forward from earlier records or genesis).
-	Pools    map[string]*amm.Pool
-	Receipts []ReceiptRecord
-	Meta     RunMeta
+	Pools map[string]*amm.Pool
+	Meta  RunMeta
 	// Parts is the epoch's TSQC-signed mainchain sync-part log entry.
 	Parts []*mainchain.MultiSyncArgs
 }
@@ -76,21 +85,113 @@ func EncodeSnapshotPrefix(epoch uint64, summaryRoot [32]byte, poolIDs []string,
 		buf = append(buf, poolRoots[i][:]...)
 		buf = append(buf, payloadDigests[i][:]...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(activeIDs)))
-	for i, id := range activeIDs {
-		buf = binenc.AppendString(buf, id)
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0) // length placeholder
-		buf = amm.AppendPool(buf, active[i])
-		binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	}
-	return buf
+	return appendPools(buf, activeIDs, active)
 }
 
 // AppendReceiptsAndMeta completes a snapshot payload started by
 // EncodeSnapshotPrefix with the epoch's receipt-table rows and the run
 // counters.
 func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byte {
+	return appendMeta(appendReceipts(buf, recs), meta)
+}
+
+func decodeSnapshot(payload []byte) (*EpochRecord, error) {
+	d := binenc.NewCursor(payload)
+	rec := &EpochRecord{EpochRow: EpochRow{Epoch: d.U64()}}
+	d.Read(rec.SummaryRoot[:])
+	n := readCount(d, 68, "snapshot pool")
+	rec.PoolIDs = make([]string, 0, n)
+	rec.PoolRoots = make([][32]byte, n)
+	rec.PayloadDigests = make([][32]byte, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		rec.PoolIDs = append(rec.PoolIDs, d.Str())
+		d.Read(rec.PoolRoots[i][:])
+		d.Read(rec.PayloadDigests[i][:])
+	}
+	rec.Pools = readPools(d)
+	rec.Receipts = readReceipts(d)
+	rec.Meta = readMeta(d)
+	if err := finish(d, "snapshot"); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+func encodeCheckpoint(cp *Checkpoint) []byte {
+	buf := make([]byte, 0, 4096)
+	buf = binary.BigEndian.AppendUint64(buf, cp.Cursor)
+	buf = binary.BigEndian.AppendUint64(buf, cp.Horizon)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(cp.CursorParts))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Bank)))
+	buf = append(buf, cp.Bank...)
+	buf = appendMeta(buf, cp.Meta)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Entries)))
+	for i := range cp.Entries {
+		row := &cp.Entries[i]
+		buf = binary.BigEndian.AppendUint64(buf, row.Epoch)
+		buf = append(buf, row.SummaryRoot[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(row.PayloadDigests)))
+		for _, d := range row.PayloadDigests {
+			buf = append(buf, d[:]...)
+		}
+		buf = appendReceipts(buf, row.Receipts)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.PoolIDs)))
+	for i, id := range cp.PoolIDs {
+		buf = binenc.AppendString(buf, id)
+		buf = append(buf, cp.PoolRoots[i][:]...)
+	}
+	ids := make([]string, 0, len(cp.Pools))
+	for id := range cp.Pools {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	pools := make([]*amm.Pool, len(ids))
+	for i, id := range ids {
+		pools[i] = cp.Pools[id]
+	}
+	return appendPools(buf, ids, pools)
+}
+
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+	d := binenc.NewCursor(payload)
+	cp := &Checkpoint{
+		Cursor:      d.U64(),
+		Horizon:     d.U64(),
+		CursorParts: int(d.U32()),
+	}
+	if bank := d.Bytes(); len(bank) > 0 {
+		cp.Bank = append([]byte(nil), bank...)
+	}
+	cp.Meta = readMeta(d)
+	n := readCount(d, 48, "checkpoint entry")
+	cp.Entries = make([]EpochRow, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		row := EpochRow{Epoch: d.U64()}
+		d.Read(row.SummaryRoot[:])
+		row.PayloadDigests = make([][32]byte, readCount(d, 32, "checkpoint digest"))
+		for j := range row.PayloadDigests {
+			d.Read(row.PayloadDigests[j][:])
+		}
+		row.Receipts = readReceipts(d)
+		cp.Entries = append(cp.Entries, row)
+	}
+	n = readCount(d, 36, "checkpoint root")
+	cp.PoolIDs = make([]string, 0, n)
+	cp.PoolRoots = make([][32]byte, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		cp.PoolIDs = append(cp.PoolIDs, d.Str())
+		d.Read(cp.PoolRoots[i][:])
+	}
+	cp.Pools = readPools(d)
+	if err := finish(d, "checkpoint"); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// appendReceipts writes a receipt table: a row count, then each row.
+func appendReceipts(buf []byte, recs []ReceiptRecord) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
 	for _, r := range recs {
 		buf = binenc.AppendString(buf, r.TxID)
@@ -102,6 +203,28 @@ func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byt
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.ExecutedAt))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.CheckpointedAt))
 	}
+	return buf
+}
+
+func readReceipts(d *binenc.Cursor) []ReceiptRecord {
+	n := readCount(d, 41, "receipt")
+	recs := make([]ReceiptRecord, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		recs = append(recs, ReceiptRecord{
+			TxID:           d.Str(),
+			PoolID:         d.Str(),
+			Status:         d.U8(),
+			Epoch:          d.U64(),
+			Round:          d.U64(),
+			SubmittedAt:    int64(d.U64()),
+			ExecutedAt:     int64(d.U64()),
+			CheckpointedAt: int64(d.U64()),
+		})
+	}
+	return recs
+}
+
+func appendMeta(buf []byte, meta RunMeta) []byte {
 	for _, v := range [...]uint64{meta.Rejected, meta.SyncsOK, meta.ViewChanges,
 		meta.QueuePeak, meta.EngineAccepted, meta.EngineRejected} {
 		buf = binary.BigEndian.AppendUint64(buf, v)
@@ -109,58 +232,8 @@ func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byt
 	return buf
 }
 
-func decodeSnapshot(payload []byte) (*EpochRecord, error) {
-	d := binenc.NewCursor(payload)
-	rec := &EpochRecord{Epoch: d.U64()}
-	d.Read(rec.SummaryRoot[:])
-	n := int(d.U32())
-	if d.Err() == nil && n > d.Remaining()/68 {
-		return nil, fmt.Errorf("%w: snapshot pool count %d", chain.ErrCorruptStore, n)
-	}
-	rec.PoolIDs = make([]string, 0, n)
-	rec.PoolRoots = make([][32]byte, n)
-	rec.PayloadDigests = make([][32]byte, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		rec.PoolIDs = append(rec.PoolIDs, d.Str())
-		d.Read(rec.PoolRoots[i][:])
-		d.Read(rec.PayloadDigests[i][:])
-	}
-	nActive := int(d.U32())
-	if d.Err() == nil && nActive > d.Remaining()/8 {
-		return nil, fmt.Errorf("%w: snapshot active count %d", chain.ErrCorruptStore, nActive)
-	}
-	rec.Pools = make(map[string]*amm.Pool, nActive)
-	for i := 0; i < nActive && d.Err() == nil; i++ {
-		id := d.Str()
-		blob := d.Bytes()
-		if d.Err() != nil {
-			break
-		}
-		pool, used, err := amm.DecodePool(blob)
-		if err != nil || used != len(blob) {
-			return nil, fmt.Errorf("%w: pool %s snapshot: %v", chain.ErrCorruptStore, id, err)
-		}
-		rec.Pools[id] = pool
-	}
-	nRecs := int(d.U32())
-	if d.Err() == nil && nRecs > d.Remaining()/41 {
-		return nil, fmt.Errorf("%w: receipt count %d", chain.ErrCorruptStore, nRecs)
-	}
-	rec.Receipts = make([]ReceiptRecord, 0, nRecs)
-	for i := 0; i < nRecs && d.Err() == nil; i++ {
-		r := ReceiptRecord{
-			TxID:   d.Str(),
-			PoolID: d.Str(),
-			Status: d.U8(),
-			Epoch:  d.U64(),
-			Round:  d.U64(),
-		}
-		r.SubmittedAt = int64(d.U64())
-		r.ExecutedAt = int64(d.U64())
-		r.CheckpointedAt = int64(d.U64())
-		rec.Receipts = append(rec.Receipts, r)
-	}
-	rec.Meta = RunMeta{
+func readMeta(d *binenc.Cursor) RunMeta {
+	return RunMeta{
 		Rejected:       d.U64(),
 		SyncsOK:        d.U64(),
 		ViewChanges:    d.U64(),
@@ -168,13 +241,77 @@ func decodeSnapshot(payload []byte) (*EpochRecord, error) {
 		EngineAccepted: d.U64(),
 		EngineRejected: d.U64(),
 	}
+}
+
+// appendPools writes a pool set: a count, then each pool's ID and its
+// length-prefixed state. ids must be strictly increasing.
+func appendPools(buf []byte, ids []string, pools []*amm.Pool) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
+	for i, id := range ids {
+		buf = binenc.AppendString(buf, id)
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0) // length placeholder
+		buf = amm.AppendPool(buf, pools[i])
+		binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	}
+	return buf
+}
+
+// readPools reads a pool set, rejecting IDs that are not strictly
+// increasing: every writer emits canonical (sorted) order, so anything
+// else — a duplicate ID included — is corruption, not last-wins.
+func readPools(d *binenc.Cursor) map[string]*amm.Pool {
+	n := readCount(d, 8, "pool")
+	pools := make(map[string]*amm.Pool, n)
+	prev := ""
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := d.Str()
+		blob := d.Bytes()
+		if d.Err() != nil {
+			break
+		}
+		if i > 0 && id <= prev {
+			d.Fail("pool %q follows %q", id, prev)
+			break
+		}
+		pool, used, err := amm.DecodePool(blob)
+		if err == nil && used != len(blob) {
+			err = fmt.Errorf("%d trailing bytes", len(blob)-used)
+		}
+		if err != nil {
+			d.Fail("pool %s: %v", id, err)
+			break
+		}
+		pools[id] = pool
+		prev = id
+	}
+	return pools
+}
+
+// readCount reads an element count and fails the cursor when fewer than
+// minSize bytes per element remain, so a corrupt count cannot drive a
+// huge allocation.
+func readCount(d *binenc.Cursor, minSize int, what string) int {
+	n := int(d.U32())
+	if d.Err() == nil && n > d.Remaining()/minSize {
+		d.Fail("%s count %d", what, n)
+	}
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0
+	}
+	return n
+}
+
+// finish ends a record decode: a failure latched on the cursor, or
+// bytes left after the record, is store corruption.
+func finish(d *binenc.Cursor, record string) error {
+	if d.Err() != nil {
+		return fmt.Errorf("%w: %s: %v", chain.ErrCorruptStore, record, d.Err())
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", chain.ErrCorruptStore, d.Remaining())
+		return fmt.Errorf("%w: %d trailing %s bytes", chain.ErrCorruptStore, d.Remaining(), record)
 	}
-	return rec, nil
+	return nil
 }
 
 // EncodeSyncParts builds the sync-part log record payload for one epoch:
@@ -234,10 +371,7 @@ func appendSyncPayload(buf []byte, p *summary.SyncPayload) []byte {
 func decodeSyncParts(payload []byte) (uint64, []*mainchain.MultiSyncArgs, error) {
 	d := binenc.NewCursor(payload)
 	epoch := d.U64()
-	n := int(d.U32())
-	if d.Err() == nil && n > d.Remaining()/140+1 {
-		return 0, nil, fmt.Errorf("%w: sync part count %d", chain.ErrCorruptStore, n)
-	}
+	n := readCount(d, 140, "sync part")
 	parts := make([]*mainchain.MultiSyncArgs, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		a := &mainchain.MultiSyncArgs{
@@ -246,55 +380,34 @@ func decodeSyncParts(payload []byte) (uint64, []*mainchain.MultiSyncArgs, error)
 			Epoch:    epoch,
 		}
 		d.Read(a.SummaryRoot[:])
-		var err error
-		if a.Sig, err = readPoint(d); err != nil {
-			return 0, nil, err
-		}
-		if a.NextKey.PK, err = readPoint(d); err != nil {
-			return 0, nil, err
-		}
+		a.Sig = readPoint(d)
+		a.NextKey.PK = readPoint(d)
 		a.NextKey.Threshold = int(d.U32())
 		a.NextKey.N = int(d.U32())
-		np := int(d.U32())
-		if d.Err() == nil && np > d.Remaining()/76+1 {
-			return 0, nil, fmt.Errorf("%w: payload count %d", chain.ErrCorruptStore, np)
-		}
+		np := readCount(d, 76, "payload")
 		a.Payloads = make([]*summary.SyncPayload, 0, np)
 		for j := 0; j < np && d.Err() == nil; j++ {
-			p, err := decodeSyncPayload(d)
-			if err != nil {
-				return 0, nil, err
-			}
-			a.Payloads = append(a.Payloads, p)
+			a.Payloads = append(a.Payloads, readSyncPayload(d))
 		}
 		parts = append(parts, a)
 	}
-	if d.Err() != nil {
-		return 0, nil, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing sync-part bytes", chain.ErrCorruptStore, d.Remaining())
+	if err := finish(d, "sync-part"); err != nil {
+		return 0, nil, err
 	}
 	return epoch, parts, nil
 }
 
-func decodeSyncPayload(d *binenc.Cursor) (*summary.SyncPayload, error) {
-	p := &summary.SyncPayload{Epoch: d.U64()}
-	p.PoolID = d.Str()
-	p.PoolReserve0 = d.U256()
-	p.PoolReserve1 = d.U256()
-	nk := int(d.U32())
-	if d.Err() == nil && nk > d.Remaining() {
-		return nil, fmt.Errorf("%w: group key length %d", chain.ErrCorruptStore, nk)
+func readSyncPayload(d *binenc.Cursor) *summary.SyncPayload {
+	p := &summary.SyncPayload{
+		Epoch:        d.U64(),
+		PoolID:       d.Str(),
+		PoolReserve0: d.U256(),
+		PoolReserve1: d.U256(),
 	}
-	if nk > 0 {
-		p.NextGroupKey = make([]byte, nk)
-		d.Read(p.NextGroupKey)
+	if key := d.Bytes(); len(key) > 0 {
+		p.NextGroupKey = append([]byte(nil), key...)
 	}
-	nPay := int(d.U32())
-	if d.Err() == nil && nPay > d.Remaining()/68+1 {
-		return nil, fmt.Errorf("%w: payout count %d", chain.ErrCorruptStore, nPay)
-	}
+	nPay := readCount(d, 68, "payout")
 	for i := 0; i < nPay && d.Err() == nil; i++ {
 		p.Payouts = append(p.Payouts, summary.PayoutEntry{
 			User:    d.Str(),
@@ -302,10 +415,7 @@ func decodeSyncPayload(d *binenc.Cursor) (*summary.SyncPayload, error) {
 			Amount1: d.U256(),
 		})
 	}
-	nPos := int(d.U32())
-	if d.Err() == nil && nPos > d.Remaining()/113+1 {
-		return nil, fmt.Errorf("%w: position count %d", chain.ErrCorruptStore, nPos)
-	}
+	nPos := readCount(d, 113, "position")
 	for i := 0; i < nPos && d.Err() == nil; i++ {
 		e := summary.PositionEntry{
 			ID:        d.Str(),
@@ -316,25 +426,28 @@ func decodeSyncPayload(d *binenc.Cursor) (*summary.SyncPayload, error) {
 			Fees0:     d.U256(),
 			Fees1:     d.U256(),
 		}
-		e.Deleted = d.U8() == 1
+		switch deleted := d.U8(); deleted {
+		case 0:
+		case 1:
+			e.Deleted = true
+		default:
+			d.Fail("position %s deleted flag %d", e.ID, deleted)
+		}
 		p.Positions = append(p.Positions, e)
 	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	return p, nil
+	return p
 }
 
-// readPoint decodes a 64-byte curve point, wrapping failures as store
-// corruption.
-func readPoint(d *binenc.Cursor) (tsig.Point, error) {
+// readPoint decodes a 64-byte curve point, latching an invalid one as a
+// decode failure.
+func readPoint(d *binenc.Cursor) tsig.Point {
 	b := d.Take(64)
 	if b == nil {
-		return tsig.Point{}, fmt.Errorf("%w: %v", chain.ErrCorruptStore, d.Err())
+		return tsig.Point{}
 	}
 	p, err := tsig.PointFromBytes(b)
 	if err != nil {
-		return tsig.Point{}, fmt.Errorf("%w: %v", chain.ErrCorruptStore, err)
+		d.Fail("curve point: %v", err)
 	}
-	return p, nil
+	return p
 }

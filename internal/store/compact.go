@@ -2,13 +2,11 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"ammboost/internal/amm"
-	"ammboost/internal/binenc"
-	"ammboost/internal/chain"
 )
 
 // Checkpoint is the compacted prefix of a store's history: everything
@@ -37,7 +35,7 @@ type Checkpoint struct {
 	// Entries is the root table for epochs (Horizon, Cursor]: summary
 	// root, payload digests, and persisted receipt rows per epoch, in
 	// increasing epoch order.
-	Entries []CheckpointEntry
+	Entries []EpochRow
 	// PoolIDs / PoolRoots is the full per-pool commitment root table at
 	// Cursor, in canonical pool order — recovery re-derives roots from
 	// the restored pools and must reproduce these bit for bit.
@@ -46,169 +44,6 @@ type Checkpoint struct {
 	// Pools is the newest persisted state of every pool touched in
 	// epochs 1..Cursor (untouched pools stay at genesis).
 	Pools map[string]*amm.Pool
-}
-
-// CheckpointEntry is one epoch's surviving root-table row.
-type CheckpointEntry struct {
-	Epoch          uint64
-	SummaryRoot    [32]byte
-	PayloadDigests [][32]byte
-	Receipts       []ReceiptRecord
-}
-
-func appendReceiptRow(buf []byte, r ReceiptRecord) []byte {
-	buf = binenc.AppendString(buf, r.TxID)
-	buf = binenc.AppendString(buf, r.PoolID)
-	buf = append(buf, r.Status)
-	buf = binary.BigEndian.AppendUint64(buf, r.Epoch)
-	buf = binary.BigEndian.AppendUint64(buf, r.Round)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.SubmittedAt))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.ExecutedAt))
-	return binary.BigEndian.AppendUint64(buf, uint64(r.CheckpointedAt))
-}
-
-func readReceiptRow(d *binenc.Cursor) ReceiptRecord {
-	r := ReceiptRecord{
-		TxID:   d.Str(),
-		PoolID: d.Str(),
-		Status: d.U8(),
-		Epoch:  d.U64(),
-		Round:  d.U64(),
-	}
-	r.SubmittedAt = int64(d.U64())
-	r.ExecutedAt = int64(d.U64())
-	r.CheckpointedAt = int64(d.U64())
-	return r
-}
-
-func encodeCheckpoint(cp *Checkpoint) []byte {
-	buf := make([]byte, 0, 4096)
-	buf = binary.BigEndian.AppendUint64(buf, cp.Cursor)
-	buf = binary.BigEndian.AppendUint64(buf, cp.Horizon)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(cp.CursorParts))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Bank)))
-	buf = append(buf, cp.Bank...)
-	for _, v := range [...]uint64{cp.Meta.Rejected, cp.Meta.SyncsOK, cp.Meta.ViewChanges,
-		cp.Meta.QueuePeak, cp.Meta.EngineAccepted, cp.Meta.EngineRejected} {
-		buf = binary.BigEndian.AppendUint64(buf, v)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Entries)))
-	for _, e := range cp.Entries {
-		buf = binary.BigEndian.AppendUint64(buf, e.Epoch)
-		buf = append(buf, e.SummaryRoot[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.PayloadDigests)))
-		for _, d := range e.PayloadDigests {
-			buf = append(buf, d[:]...)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Receipts)))
-		for _, r := range e.Receipts {
-			buf = appendReceiptRow(buf, r)
-		}
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.PoolIDs)))
-	for i, id := range cp.PoolIDs {
-		buf = binenc.AppendString(buf, id)
-		buf = append(buf, cp.PoolRoots[i][:]...)
-	}
-	ids := make([]string, 0, len(cp.Pools))
-	for id := range cp.Pools {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = binenc.AppendString(buf, id)
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0) // length placeholder
-		buf = amm.AppendPool(buf, cp.Pools[id])
-		binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	}
-	return buf
-}
-
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	d := binenc.NewCursor(payload)
-	cp := &Checkpoint{
-		Cursor:      d.U64(),
-		Horizon:     d.U64(),
-		CursorParts: int(d.U32()),
-	}
-	nBank := int(d.U32())
-	if d.Err() == nil && nBank > d.Remaining() {
-		return nil, fmt.Errorf("%w: checkpoint bank length %d", chain.ErrCorruptStore, nBank)
-	}
-	if nBank > 0 {
-		cp.Bank = make([]byte, nBank)
-		d.Read(cp.Bank)
-	}
-	cp.Meta = RunMeta{
-		Rejected:       d.U64(),
-		SyncsOK:        d.U64(),
-		ViewChanges:    d.U64(),
-		QueuePeak:      d.U64(),
-		EngineAccepted: d.U64(),
-		EngineRejected: d.U64(),
-	}
-	nEntries := int(d.U32())
-	if d.Err() == nil && nEntries > d.Remaining()/48 {
-		return nil, fmt.Errorf("%w: checkpoint entry count %d", chain.ErrCorruptStore, nEntries)
-	}
-	cp.Entries = make([]CheckpointEntry, 0, nEntries)
-	for i := 0; i < nEntries && d.Err() == nil; i++ {
-		e := CheckpointEntry{Epoch: d.U64()}
-		d.Read(e.SummaryRoot[:])
-		nd := int(d.U32())
-		if d.Err() == nil && nd > d.Remaining()/32 {
-			return nil, fmt.Errorf("%w: checkpoint digest count %d", chain.ErrCorruptStore, nd)
-		}
-		e.PayloadDigests = make([][32]byte, nd)
-		for j := 0; j < nd && d.Err() == nil; j++ {
-			d.Read(e.PayloadDigests[j][:])
-		}
-		nr := int(d.U32())
-		if d.Err() == nil && nr > d.Remaining()/41 {
-			return nil, fmt.Errorf("%w: checkpoint receipt count %d", chain.ErrCorruptStore, nr)
-		}
-		e.Receipts = make([]ReceiptRecord, 0, nr)
-		for j := 0; j < nr && d.Err() == nil; j++ {
-			e.Receipts = append(e.Receipts, readReceiptRow(d))
-		}
-		cp.Entries = append(cp.Entries, e)
-	}
-	nRoots := int(d.U32())
-	if d.Err() == nil && nRoots > d.Remaining()/36 {
-		return nil, fmt.Errorf("%w: checkpoint root count %d", chain.ErrCorruptStore, nRoots)
-	}
-	cp.PoolIDs = make([]string, 0, nRoots)
-	cp.PoolRoots = make([][32]byte, nRoots)
-	for i := 0; i < nRoots && d.Err() == nil; i++ {
-		cp.PoolIDs = append(cp.PoolIDs, d.Str())
-		d.Read(cp.PoolRoots[i][:])
-	}
-	nPools := int(d.U32())
-	if d.Err() == nil && nPools > d.Remaining()/8 {
-		return nil, fmt.Errorf("%w: checkpoint pool count %d", chain.ErrCorruptStore, nPools)
-	}
-	cp.Pools = make(map[string]*amm.Pool, nPools)
-	for i := 0; i < nPools && d.Err() == nil; i++ {
-		id := d.Str()
-		blob := d.Bytes()
-		if d.Err() != nil {
-			break
-		}
-		pool, used, err := amm.DecodePool(blob)
-		if err != nil || used != len(blob) {
-			return nil, fmt.Errorf("%w: checkpoint pool %s: %v", chain.ErrCorruptStore, id, err)
-		}
-		cp.Pools[id] = pool
-	}
-	if d.Err() != nil {
-		return nil, fmt.Errorf("%w: checkpoint: %v", chain.ErrCorruptStore, d.Err())
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing checkpoint bytes", chain.ErrCorruptStore, d.Remaining())
-	}
-	return cp, nil
 }
 
 // Compact rewrites the log as [header, checkpoint, tail records]: every
@@ -261,38 +96,23 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 			cursor, rec.Epoch())
 	}
 
-	// Fold the prior checkpoint and every record up to the cursor.
-	cp := &Checkpoint{Cursor: cursor, Horizon: horizon, Bank: bank}
-	pools := make(map[string]*amm.Pool)
-	var entries []CheckpointEntry
+	// Fold the prior checkpoint and every record up to the cursor, then
+	// drop the rows the retention horizon has passed.
+	at := rec.Epochs[idx]
+	cp := &Checkpoint{
+		Cursor: cursor, Horizon: horizon, CursorParts: len(at.Parts), Bank: bank,
+		Meta: at.Meta, PoolIDs: at.PoolIDs, PoolRoots: at.PoolRoots,
+		Pools: make(map[string]*amm.Pool),
+	}
 	if prior := rec.Checkpoint; prior != nil {
-		for id, p := range prior.Pools {
-			pools[id] = p
-		}
-		entries = append(entries, prior.Entries...)
+		maps.Copy(cp.Pools, prior.Pools)
+		cp.Entries = append(cp.Entries, prior.Entries...)
 	}
 	for _, er := range rec.Epochs[:idx+1] {
-		for id, p := range er.Pools {
-			pools[id] = p
-		}
-		entries = append(entries, CheckpointEntry{
-			Epoch:          er.Epoch,
-			SummaryRoot:    er.SummaryRoot,
-			PayloadDigests: er.PayloadDigests,
-			Receipts:       er.Receipts,
-		})
+		maps.Copy(cp.Pools, er.Pools)
+		cp.Entries = append(cp.Entries, er.EpochRow)
 	}
-	for _, e := range entries {
-		if e.Epoch > horizon {
-			cp.Entries = append(cp.Entries, e)
-		}
-	}
-	cp.Pools = pools
-	at := rec.Epochs[idx]
-	cp.CursorParts = len(at.Parts)
-	cp.Meta = at.Meta
-	cp.PoolIDs = at.PoolIDs
-	cp.PoolRoots = at.PoolRoots
+	cp.Entries = slices.DeleteFunc(cp.Entries, func(row EpochRow) bool { return row.Epoch <= horizon })
 
 	// Tail: everything past the cursor's durable boundary, bit-exact.
 	tailOff := rec.Boundaries[idx]

@@ -113,8 +113,6 @@ type Recovery struct {
 	Boundaries []int64
 	// Halt is non-nil when the node had halted on a lifecycle fault.
 	Halt *HaltRecord
-	// HeaderEnd is the file offset just past the header record.
-	HeaderEnd int64
 }
 
 // Epoch returns the recovered boundary epoch (0 for a fresh store).
@@ -376,7 +374,7 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 	}
 	flags := hdr.payload[34]
 
-	rec := &Recovery{HeaderEnd: hdr.end}
+	rec := &Recovery{}
 	validLen := hdr.end
 	off := hdr.end
 
