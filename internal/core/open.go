@@ -130,7 +130,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	boundary := rec.Epoch()
 	info := &chain.RecoveryInfo{
 		Epoch:       boundary,
-		Fingerprint: chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint)},
+		Fingerprint: chain.Fingerprint{Epochs: make(map[uint64]chain.EpochPrint, len(rec.Epochs))},
 	}
 
 	// Re-derive the boundary committee: resume starts at S+1, and every
@@ -157,6 +157,10 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	if r := s.cfg.RetainEpochs; r > 0 && boundary > uint64(r) {
 		horizon = boundary - uint64(r)
 	}
+	if cp != nil && cp.Horizon > horizon {
+		horizon = cp.Horizon
+	}
+	s.rootsCompacted = horizon
 
 	// The newest run counters and the boundary epoch's sync-part count
 	// come from the last tail record, or else from the checkpoint's
@@ -168,11 +172,9 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		if err := s.restoreCheckpoint(cp); err != nil {
 			return err
 		}
-		horizon = max(horizon, cp.Horizon)
 		meta, numParts = cp.Meta, cp.CursorParts
 		rows = append(rows, cp.Entries...)
 	}
-	s.rootsCompacted = horizon
 
 	if n := len(rec.Epochs); n > 0 {
 		// Newest persisted state per tail pool snapshot, overlaid on the
@@ -355,13 +357,12 @@ func (s *MultiSystem) checkRoots(ids []string, roots [][32]byte, summaryRoot [32
 
 // Bootstrap provisions a fresh node at dir from a peer's exported store
 // snapshot (chain.Compactor's ExportSnapshot) instead of replaying
-// history from genesis. The snapshot is
-// written to the store path crash-atomically and then opened through the
-// normal recovery path, so every claim it makes is re-derived: the
-// checkpoint anchors against the seed-derived committee, pool roots
-// recompute, and tail sync parts replay through the TSQC chain. A
-// tampered snapshot fails with ErrCorruptStore. dir must not already
-// hold a store.
+// history from genesis. The snapshot is written to the store path
+// crash-atomically and then opened through the normal recovery path, so
+// every claim it makes is re-derived: the checkpoint anchors against the
+// seed-derived committee, pool roots recompute, and tail sync parts
+// replay through the TSQC chain. A tampered snapshot fails with
+// ErrCorruptStore. dir must not already hold a store.
 func Bootstrap(dir string, snapshot []byte, cfg chain.Config) (chain.Chain, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

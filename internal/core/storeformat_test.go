@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"ammboost/internal/chain"
 	"ammboost/internal/store"
 )
 
@@ -18,13 +19,20 @@ const (
 	goldenV2SHA256 = "e1cc0e93d4764ab3ff957fc72be637e9de402123cf6fe14b21484e8e38589ba2"
 )
 
-// goldenV2Run is the deterministic run the golden image was exported
-// from: seed 42, 6 pools, 4 shards, depth 2, compaction every 3
-// confirmed epochs, 16 transactions per epoch, 5 epochs.
-func goldenV2Run(t *testing.T, fsys store.FS) *MultiSystem {
-	t.Helper()
+// goldenV2Cfg is the deployment the golden image was written by: seed
+// 42, 6 pools, 4 shards, depth 2, compaction every 3 confirmed epochs.
+func goldenV2Cfg() chain.Config {
 	cfg := recoveryCfg(42, 6, 4, 2)
 	cfg.CompactEvery = 3
+	return cfg
+}
+
+// goldenV2Run is the deterministic run the golden image was exported
+// from: 16 transactions per epoch for 5 epochs, on fsys (storeless when
+// nil).
+func goldenV2Run(t *testing.T, fsys store.FS) *MultiSystem {
+	t.Helper()
+	cfg := goldenV2Cfg()
 	var ms *MultiSystem
 	if fsys == nil {
 		sys, err := NewMultiSystem(cfg, cfg.Users)
@@ -77,9 +85,7 @@ func TestV2StoreBytesPinned(t *testing.T) {
 	ref := goldenV2Run(t, nil).Fingerprint(nil)
 	fsys := &store.MemFS{}
 	writeMemStore(t, fsys, golden)
-	cfg := recoveryCfg(42, 6, 4, 2)
-	cfg.CompactEvery = 3
-	node, err := OpenFS(fsys, "", cfg)
+	node, err := OpenFS(fsys, "", goldenV2Cfg())
 	if err != nil {
 		t.Fatalf("open golden image: %v", err)
 	}

@@ -146,8 +146,9 @@ func TestPoolSetRejectsUnsortedIDs(t *testing.T) {
 		}
 	}
 	d := binenc.NewCursor(appendPools(nil, []string{"pool-0001", "pool-0002"}, []*amm.Pool{p, p}))
-	if pools := readPools(d); finish(d, "pool set") != nil || len(pools) != 2 {
-		t.Errorf("sorted pool set: %d pools, err %v", len(pools), finish(d, "pool set"))
+	pools := readPools(d)
+	if err := finish(d, "pool set"); err != nil || len(pools) != 2 {
+		t.Errorf("sorted pool set: %d pools, err %v", len(pools), err)
 	}
 }
 
