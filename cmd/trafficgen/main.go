@@ -1,66 +1,37 @@
-// Command trafficgen exercises the workload model two ways.
-//
-// The default mode emits a synthetic AMM transaction trace with the
+// Command trafficgen emits a synthetic AMM transaction trace with the
 // paper's measured Uniswap 2023 distribution (Appendix D / Table VII),
 // in CSV: id,kind,user,size_bytes,amount.
-//
-// With -load it becomes a concurrent load driver against a live
-// multi-pool node: P producer goroutines feed SubmitBatch through the
-// ingest front end while the epoch lifecycle runs, honouring typed
-// backpressure (ErrMempoolFull / ErrThrottled retry hints), and the run
-// ends with a throughput and admission summary.
 //
 // Usage:
 //
 //	trafficgen [-n COUNT] [-seed S] [-swap P -mint P -burn P -collect P]
-//	trafficgen -load [-producers P] [-batch B] [-pools N] [-shards N]
-//	           [-epochs E] [-cap TX] [-n COUNT] [-seed S]
+//
+// Closed-loop multi-producer load against a live node is the benchmark
+// module's job (bench/, `go run -C bench ammboost/bench`).
 package main
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"ammboost/internal/chain"
-	"ammboost/internal/core"
-	"ammboost/internal/summary"
 	"ammboost/internal/workload"
 )
 
 func main() {
-	n := flag.Int("n", 100_000, "number of transactions (total across producers in -load mode)")
+	n := flag.Int("n", 100_000, "number of transactions")
 	seed := flag.Int64("seed", 1, "generator seed")
 	swap := flag.Float64("swap", 93.19, "swap share (%)")
 	mint := flag.Float64("mint", 2.14, "mint share (%)")
 	burn := flag.Float64("burn", 2.38, "burn share (%)")
 	collect := flag.Float64("collect", 2.27, "collect share (%)")
-	load := flag.Bool("load", false, "drive a live node concurrently instead of printing a CSV trace")
-	producers := flag.Int("producers", 4, "concurrent producer goroutines (-load)")
-	batch := flag.Int("batch", 64, "transactions per SubmitBatch flush (-load)")
-	pools := flag.Int("pools", 8, "registered pools (-load)")
-	shards := flag.Int("shards", 0, "engine worker shards, 0 = GOMAXPROCS (-load)")
-	epochs := flag.Int("epochs", 3, "epochs to run (-load)")
-	capacity := flag.Int("cap", 0, "ingest mempool capacity, 0 = default (-load)")
 	flag.Parse()
 
-	dist := workload.Distribution{
+	cfg := workload.DefaultConfig(*seed)
+	cfg.Distribution = workload.Distribution{
 		SwapPct: *swap, MintPct: *mint, BurnPct: *burn, CollectPct: *collect,
 	}
-	if *load {
-		os.Exit(runLoad(*n, *seed, dist, *producers, *batch, *pools, *shards, *epochs, *capacity))
-	}
-
-	cfg := workload.DefaultConfig(*seed)
-	cfg.Distribution = dist
 	gen := workload.New(cfg)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
@@ -68,184 +39,5 @@ func main() {
 	for i := 0; i < *n; i++ {
 		tx := gen.Next()
 		fmt.Fprintf(w, "%s,%s,%s,%d,%s\n", tx.ID, tx.Kind, tx.User, tx.Size(), tx.Amount)
-	}
-}
-
-// loadCounters aggregates producer-side admission outcomes across all
-// goroutines (the node's own Report carries the matching server-side
-// view).
-type loadCounters struct {
-	accepted  atomic.Int64
-	retries   atomic.Int64 // mempool-full / throttled rejections retried
-	abandoned atomic.Int64 // txs given up on (node closed or halted)
-}
-
-func runLoad(total int, seed int64, dist workload.Distribution, producers, batch, pools, shards, epochs, capacity int) int {
-	if producers < 1 {
-		producers = 1
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	wcfg := workload.DefaultMultiConfig(seed, pools)
-	wcfg.Distribution = dist
-	gens := workload.Producers(wcfg, producers)
-
-	opts := []chain.Option{
-		chain.WithSeed(seed),
-		chain.WithPools(pools),
-		chain.WithUsers(gens[0].Users()),
-	}
-	if shards > 0 {
-		opts = append(opts, chain.WithShards(shards))
-	}
-	if capacity > 0 {
-		opts = append(opts, chain.WithIngestCapacity(capacity))
-	}
-	sys, err := core.NewMultiSystem(chain.NewConfig(opts...), gens[0].Users())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trafficgen: %v\n", err)
-		return 1
-	}
-	defer sys.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var counters loadCounters
-	var wg sync.WaitGroup
-	start := time.Now()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			gen := gens[p]
-			quota := total / producers
-			if p < total%producers {
-				quota++
-			}
-			for sent := 0; sent < quota; {
-				sz := batch
-				if quota-sent < sz {
-					sz = quota - sent
-				}
-				txs := make([]*summary.Tx, sz)
-				for i := range txs {
-					txs[i] = gen.Next()
-				}
-				sent += sz
-				if !submitAll(ctx, sys, txs, &counters) {
-					counters.abandoned.Add(int64(quota - sent))
-					return
-				}
-			}
-		}(p)
-	}
-
-	// The lifecycle runs here, on the main goroutine, while producers
-	// hammer the ingest front end; Run keeps scheduling drain epochs as
-	// long as admitted traffic is pending, so everything accepted above
-	// is executed before it returns.
-	rep, runErr := sys.Run(epochs)
-	wg.Wait()
-	wall := time.Since(start)
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "trafficgen: run: %v\n", runErr)
-		return 1
-	}
-
-	fmt.Printf("producers            %d\n", producers)
-	fmt.Printf("batch size           %d\n", batch)
-	fmt.Printf("wall time            %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("accepted             %d (%.0f tx/s)\n",
-		counters.accepted.Load(), float64(counters.accepted.Load())/wall.Seconds())
-	fmt.Printf("backpressure retries %d\n", counters.retries.Load())
-	fmt.Printf("abandoned            %d\n", counters.abandoned.Load())
-	fmt.Printf("ingest admitted      %d\n", rep.IngestAdmitted)
-	fmt.Printf("ingest peak          %d\n", rep.IngestPeak)
-	fmt.Printf("ingest rejected full %d\n", rep.IngestRejFull)
-	fmt.Printf("ingest throttled     %d\n", rep.IngestThrottled)
-	fmt.Printf("ingest canceled      %d\n", rep.IngestCanceled)
-	fmt.Printf("epochs               %d (synced %d)\n", rep.EpochsRun, rep.SyncsOK)
-	return 0
-}
-
-// submitAll pushes one batch through SubmitBatch until every
-// transaction is accepted, retrying typed backpressure after the
-// server's hint. Returns false when the node is done taking traffic
-// (closed after its final epoch, halted, or the context ended) — the
-// producer should stop.
-func submitAll(ctx context.Context, sys *core.MultiSystem, txs []*summary.Tx, c *loadCounters) bool {
-	pending := txs
-	for len(pending) > 0 {
-		res, err := sys.SubmitBatch(ctx, pending)
-		if err != nil {
-			var ad *chain.AdmissionError
-			if errors.Is(err, chain.ErrThrottled) && errors.As(err, &ad) {
-				c.retries.Add(int64(len(pending)))
-				if !sleepHint(ctx, ad.RetryAfter) {
-					c.abandoned.Add(int64(len(pending)))
-					return false
-				}
-				continue
-			}
-			// ErrClosed / ErrHalted / ErrCanceled: the node is done with us.
-			c.abandoned.Add(int64(len(pending)))
-			return false
-		}
-		c.accepted.Add(int64(res.Accepted))
-		var retry []*summary.Tx
-		var hint time.Duration
-		for i, e := range res.Errs {
-			if e == nil {
-				continue
-			}
-			var ad *chain.AdmissionError
-			switch {
-			case errors.Is(e, chain.ErrMempoolFull) && errors.As(e, &ad):
-				retry = append(retry, pending[i])
-				if ad.RetryAfter > hint {
-					hint = ad.RetryAfter
-				}
-			case errors.Is(e, chain.ErrClosed), errors.Is(e, chain.ErrHalted),
-				errors.Is(e, chain.ErrCanceled):
-				c.abandoned.Add(int64(len(pending) - i))
-				return false
-			default:
-				// Validation rejection: deterministic, never retry.
-				c.abandoned.Add(1)
-			}
-		}
-		if len(retry) > 0 {
-			c.retries.Add(int64(len(retry)))
-			if !sleepHint(ctx, hint) {
-				c.abandoned.Add(int64(len(retry)))
-				return false
-			}
-		}
-		pending = retry
-	}
-	return true
-}
-
-// sleepHint waits out a backpressure retry hint, bailing early if the
-// context ends. A zero hint yields briefly rather than spinning, and
-// the hint is clamped: the server quotes its round duration (honest for
-// a 7 s-round deployment), but this driver runs against a virtual-time
-// node whose rounds drain in microseconds of wall clock.
-func sleepHint(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	if d > 20*time.Millisecond {
-		d = 20 * time.Millisecond
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
 	}
 }

@@ -28,8 +28,8 @@
 //	// batch's tail — admission is order-preserving, so resubmit from
 //	// the first failed index after the hint.
 //
-// (see cmd/trafficgen -load for a multi-producer client built on this
-// loop, internal/ingest for the sharded-mempool front end behind it,
+// (see the benchmark module bench/ for a multi-producer client built on
+// this loop, internal/ingest for the sharded-mempool front end behind it,
 // and chain.WithIngestCapacity / WithIngestSoftMark / WithIngestMaxWait
 // for the admission policy knobs).
 //

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"ammboost/internal/amm"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/metrics"
 	"ammboost/internal/sim"
@@ -371,6 +372,10 @@ func CheckTx(tx *summary.Tx) error {
 		}
 		if tx.TickLower > tx.TickUpper {
 			return fmt.Errorf("%w: inverted tick range [%d, %d]", ErrMalformedTx, tx.TickLower, tx.TickUpper)
+		}
+		if tx.TickLower < amm.MinTick || tx.TickUpper > amm.MaxTick {
+			return fmt.Errorf("%w: tick range [%d, %d] outside [%d, %d]",
+				ErrMalformedTx, tx.TickLower, tx.TickUpper, amm.MinTick, amm.MaxTick)
 		}
 	case gasmodel.KindBurn:
 		if tx.PosID == "" {

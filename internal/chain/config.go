@@ -164,10 +164,6 @@ type Config struct {
 	// bit-identical either way — so it is absent from the deployment
 	// fingerprint and may differ across restarts of the same store.
 	CompactEvery int
-	// EventBuffer bounds each event subscriber's undelivered buffer; a
-	// subscriber further behind loses oldest events and receives an
-	// EventLagged carrying the drop count (default 4096).
-	EventBuffer int
 	// StoreFsyncEvery batches the durable store's fsyncs to every n-th
 	// epoch retirement (default 1 = every epoch). Larger values trade
 	// the last <n epochs on a crash for lower epoch-close latency.

@@ -299,8 +299,8 @@ func benchConcurrentSystem(b *testing.B, producers int) (*MultiSystem, [][]*summ
 	return sys, streams
 }
 
-// benchConcurrentBatch is the SubmitBatch flush size the concurrent
-// benchmark and the trafficgen load driver both use.
+// benchConcurrentBatch is the SubmitBatch flush size of the concurrent
+// benchmark (the serving-path benchmark in bench/ drives closed-loop load).
 const benchConcurrentBatch = 64
 
 // BenchmarkConcurrentSubmit measures the multi-producer serving path:

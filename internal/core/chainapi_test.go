@@ -173,6 +173,24 @@ func TestSubmitValidatesUpFront(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeMintTicks: a mint with a tick outside
+// [amm.MinTick, amm.MaxTick] is refused at the door. Admitted, it would
+// reach amm.SqrtRatioAtTick on a shard goroutine.
+func TestSubmitRejectsOutOfRangeMintTicks(t *testing.T) {
+	cfg, _ := multiTestConfigs(24, 2, 1, 1)
+	sys, err := NewMultiSystem(cfg, []string{"user-000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int32{{881820, 889560}, {-889560, -881820}} {
+		tx := &summary.Tx{ID: "hostile", Kind: gasmodel.KindMint, User: "user-000",
+			TickLower: r[0], TickUpper: r[1], Amount0Desired: u256.FromUint64(10)}
+		if rc, err := sys.Submit(context.Background(), tx); !errors.Is(err, chain.ErrMalformedTx) || rc != nil {
+			t.Errorf("mint [%d, %d]: receipt %v, err %v; want ErrMalformedTx", r[0], r[1], rc, err)
+		}
+	}
+}
+
 // TestReceiptLifecycle follows receipts through a run that includes a
 // faulty epoch (silent leader round from the FaultPlan): a healthy
 // transaction advances Pending → Executed → Checkpointed → Synced →

@@ -92,7 +92,6 @@ func (f *frontEnd) initFrontEnd(cfg chain.Config, users, pools []string, tr *tra
 	f.col = metrics.New()
 	f.bus = chain.NewBus()
 	f.bus.OnPublish(func(ev chain.Event) { f.col.ObserveLifecycle(ev.Type.String()) })
-	f.bus.SetBufferLimit(cfg.EventBuffer)
 	f.arrivals = cfg.ArrivalLog
 	f.recsByEpoch = make(map[uint64][]queuedTx)
 	f.tr = tr

@@ -42,7 +42,6 @@ func TestLongRunBoundedHeap(t *testing.T) {
 		RoundDuration: 7 * time.Second,
 		CommitteeSize: 4,
 		RetainEpochs:  retain,
-		EventBuffer:   256,
 		Tracer:        tr,
 	}
 	users := []string{"lu-0", "lu-1", "lu-2"}
@@ -50,6 +49,7 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.bus.SetBufferLimit(256)
 	heapAt := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -136,11 +136,11 @@ func TestLongRunBoundedHeap(t *testing.T) {
 // forces drops, and the collector surfaces them after the run.
 func TestEventDropSurfacing(t *testing.T) {
 	cfg := recoveryCfg(23, 4, 2, 2)
-	cfg.EventBuffer = 1
 	sys, err := NewMultiSystem(cfg, cfg.Users)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.bus.SetBufferLimit(1)
 	attachRecoveryTraffic(t, sys, 23, 16)
 	ch := sys.Subscribe(chain.MaskAll) // never read
 	rep, err := sys.Run(8)

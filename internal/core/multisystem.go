@@ -59,11 +59,8 @@ type MultiSystem struct {
 	onFinished       func(halted bool)
 	finishedNotified bool
 
-	// syncNet models the sidechain→mainchain uplink when cfg.SyncFaults
-	// is set: sync parts traverse a lossy netsim link guarded by a
-	// deterministic retransmission watchdog instead of being handed to
-	// the chain directly (nil = ideal uplink, the historical behavior).
-	syncNet *netsim.Network
+	// uplink carries retired epochs' signed parts to the mainchain.
+	uplink *syncUplink
 
 	registry   *election.Registry
 	ledger     *sidechain.Ledger
@@ -94,11 +91,6 @@ type MultiSystem struct {
 	// lastPruned is the newest epoch whose meta-blocks pruned; the run is
 	// over once the final epoch's has.
 	lastPruned uint64
-	// lastSyncTxIDs are the previous epoch's sync part transactions, the
-	// on-chain dependency of every later sync part (the epoch completes —
-	// and registers the next committee key — only when its last part
-	// lands, and parts may confirm in any order).
-	lastSyncTxIDs []string
 
 	// live routes committee rounds through real PBFT replicas over the
 	// simulated network (nil for model-fidelity runs).
@@ -272,22 +264,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		// over its members (MainchainRetentionBlocks).
 		s.mc.SetRetention(MainchainRetentionBlocks(cfg))
 	}
-	if cfg.SyncFaults != nil {
-		// The sync uplink: one netsim link from this node's committee
-		// endpoint to the mainchain endpoint, carrying each sync part as
-		// a message. Faults (drops, duplicates, delays, crash windows)
-		// come from the installed schedule; delivery hands the part to
-		// the chain exactly as a direct Submit would, and the chain's
-		// ID-dedup makes duplicated deliveries and retransmissions safe.
-		s.syncNet = netsim.New(s.sim, netsim.DefaultConfig())
-		s.syncNet.Register(s.syncUplinkSrc(), nil)
-		s.syncNet.Register(SyncUplinkDst, func(_ string, payload any) {
-			if tx, ok := payload.(*mainchain.Tx); ok {
-				s.mc.Submit(tx)
-			}
-		})
-		s.syncNet.Install(cfg.SyncFaults)
-	}
+	s.uplink = newSyncUplink(s, s.sim, s.mc, s.bank, cfg.ChainID, cfg.SyncFaults, s.bus, s.col, s.tr)
 	s.pipe = newCommitPipeline(cfg.PipelineDepth)
 	if cfg.ConsensusFidelity == chain.FidelityLive {
 		s.live = newLiveConsensus(s)
@@ -1016,7 +993,7 @@ func (s *MultiSystem) retireOldest() bool {
 		if s.err != nil {
 			return
 		}
-		s.submitSignedSync(e, pkg.parts, pkg.partSizes)
+		s.uplink.submit(e, pkg.parts)
 	}
 	if s.live != nil {
 		// The checkpoint rides one more live agreement: the committee
@@ -1132,204 +1109,33 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 	}
 }
 
-// chunkPayloads splits the epoch's per-pool payloads into sync parts
-// whose declared gas (mainchain.SyncGas, the bill the bank charges) stays
-// within the budget. Pools with nothing to report still carry their
-// reserve update; pools are never split across parts, preserving per-pool
-// payload integrity, so a pool over the budget on its own travels alone.
-func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.SyncPayload {
-	var chunks [][]*summary.SyncPayload
-	var cur []*summary.SyncPayload
-	var gas mainchain.SyncGas
-	for _, p := range payloads {
-		with := gas
-		with.Add(p)
-		if len(cur) > 0 && with.Declared() > budget {
-			chunks = append(chunks, cur)
-			cur, with = nil, mainchain.SyncGas{}
-			with.Add(p)
-		}
-		cur = append(cur, p)
-		gas = with
-	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
-}
-
-// submitSignedSync submits pre-signed sync parts to the mainchain; once
-// every part confirms, the payout metrics fire and the epoch's
-// meta-blocks are pruned. The parts were signed on the commit-stage
-// worker; retirement submits them here.
-func (s *MultiSystem) submitSignedSync(e uint64, parts []*mainchain.MultiSyncArgs, sizes []int) {
-	submitted := s.sim.Now()
-	numParts := len(parts)
-	confirmed := 0
-	totalSize := 0
-	for _, sz := range sizes {
-		totalSize += sz
-	}
-	// syncWallStart anchors the epoch's sync-confirm span: wall-clock from
-	// submission to the last part's confirmation, which in a pipelined run
-	// visualizes the sync overlapping later epochs' execution. (The virtual
-	// submission→confirmation latency — the paper's payout-relevant
-	// number — is the collector's "sync" confirmation latency.)
-	syncWallStart := s.tr.Since()
-	var totalGas uint64 // accumulated across parts for the event
-	// Every part verifies against the epoch's group key, which the
-	// PREVIOUS epoch registers on-chain only once ALL its parts have
-	// landed — so parts carry an explicit dependency on every part of
-	// the previous epoch. Without this, a block that leaves one of the
-	// previous epoch's parts waiting for gas could pack this epoch's parts
-	// first and revert them with an unknown-key error (reachable whenever
-	// several epochs' syncs are in flight at once).
-	deps := s.lastSyncTxIDs
-	for i, args := range parts {
-		tx := &mainchain.Tx{
-			ID: s.syncTxID(e, i+1), From: s.syncCommitteeID(),
-			To: s.bank.Name(), Method: "sync", Size: sizes[i], Args: args,
-			GasLimit: args.Gas().Declared(), DependsOn: deps,
-		}
-		tx.OnConfirmed = func(tx *mainchain.Tx) {
-			if tx.Status != mainchain.TxConfirmed {
-				s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrSyncReverted, e, tx.Err))
-				return
-			}
-			s.col.ObserveGas("sync", tx.GasUsed)
-			totalGas += tx.GasUsed
-			confirmed++
-			if confirmed < numParts {
-				return
-			}
-			// Final part: the epoch is fully synced on-chain. Receipts
-			// advance before the event publishes (the documented
-			// visibility contract); the event aggregates the whole
-			// epoch's sync — parts, bytes, and gas.
-			s.SyncsOK++
-			s.col.ObserveMCLatency("sync", tx.ConfirmedAt-submitted)
-			s.tr.Record(trace.SpanRecord{
-				Stage: trace.StageSyncConfirm, Epoch: e,
-				Start: syncWallStart, Dur: s.tr.Since() - syncWallStart,
-				Bytes: totalSize, Gas: totalGas,
-			})
-			s.synced(e, tx.ConfirmedAt)
-			s.bus.Publish(chain.Event{
-				Type: chain.EventSyncConfirmed, At: tx.ConfirmedAt, Epoch: e,
-				Parts: numParts, Bytes: totalSize, Gas: totalGas,
-				SyncParts: s.bank.SyncStats(),
-			})
-			spPrune := s.tr.Start(trace.StagePrune, e)
-			if err := s.ledger.Prune(e, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
-				s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, e, err))
-				return
-			}
-			s.pruned(e, s.sim.Now())
-			s.lastPruned = e
-			s.compactEpoch(e)
-			// Store compaction rides the same confirmation cadence: the
-			// epoch just became final on the mainchain, so everything up
-			// to it can fold into a checkpoint.
-			if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
-				if err := s.compactStore(e); err != nil {
-					s.fail(fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, e, err))
-					return
-				}
-			}
-			spPrune.End()
-			s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
-			s.finishIfPruned()
-		}
-		s.submitSyncTx(tx, e, i+1)
-	}
-	s.lastSyncTxIDs = make([]string, numParts)
-	for i := range s.lastSyncTxIDs {
-		s.lastSyncTxIDs[i] = s.syncTxID(e, i+1)
-	}
-	s.tr.Record(trace.SpanRecord{
-		Stage: trace.StageSyncSubmit, Epoch: e,
-		Start: syncWallStart, Dur: s.tr.Since() - syncWallStart, Bytes: totalSize,
-	})
-	s.bus.Publish(chain.Event{
-		Type: chain.EventSyncSubmitted, At: submitted, Epoch: e,
-		Parts: numParts, Bytes: totalSize,
-	})
-}
-
-// SyncUplinkDst is the mainchain's endpoint name on a node's sync
-// uplink; fault schedules address the chain side of the link (crash
-// windows, per-link rules) with it.
-const SyncUplinkDst = "mainchain"
-
-// syncRetryBudget bounds the retransmission watchdog: a sync part still
-// missing from the chain after this many sends fails the node with
-// chain.ErrSyncUnreachable.
-const syncRetryBudget = 8
-
-// syncUplinkSrc is this node's endpoint name on the sync uplink.
-func (s *MultiSystem) syncUplinkSrc() string {
-	if s.cfg.ChainID != "" {
-		return "sc-node/" + s.cfg.ChainID
-	}
-	return "sc-node"
-}
-
-// syncTxID names epoch e's part-th sync transaction. Federation members
-// prefix their chain ID: K chains share one mainchain transaction
-// namespace, and the chain's Submit dedup keys on the ID.
-func (s *MultiSystem) syncTxID(e uint64, part int) string {
-	if s.cfg.ChainID != "" {
-		return fmt.Sprintf("%s/msync-e%d-p%d", s.cfg.ChainID, e, part)
-	}
-	return fmt.Sprintf("msync-e%d-p%d", e, part)
-}
-
-// syncCommitteeID is the From address on sync transactions.
-func (s *MultiSystem) syncCommitteeID() string {
-	if s.cfg.ChainID != "" {
-		return "sc-committee/" + s.cfg.ChainID
-	}
-	return "sc-committee"
-}
-
-// submitSyncTx hands one sync part to the mainchain: directly on an
-// ideal uplink, or over the faulted netsim link when cfg.SyncFaults is
-// installed.
-func (s *MultiSystem) submitSyncTx(tx *mainchain.Tx, e uint64, part int) {
-	if s.syncNet == nil {
-		s.mc.Submit(tx)
+// epochSynced is the uplink's callback once epoch ev.Epoch's last sync
+// part confirms. Receipts advance before the event publishes (the
+// documented visibility contract); then the epoch prunes and compacts.
+func (s *MultiSystem) epochSynced(ev chain.Event) {
+	e := ev.Epoch
+	s.SyncsOK++
+	s.synced(e, ev.At)
+	s.bus.Publish(ev)
+	spPrune := s.tr.Start(trace.StagePrune, e)
+	if err := s.ledger.Prune(e, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
+		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, e, err))
 		return
 	}
-	s.sendSyncAttempt(tx, e, part, 1)
-}
-
-// sendSyncAttempt sends one uplink copy of the part and arms the
-// retransmission watchdog: if the transaction has not reached the chain
-// (mempool or history — TxByID covers both) within three block
-// intervals, the send was lost and the part goes out again, up to the
-// retry budget. Retries and the chain's ID-dedup make the lossy uplink
-// at-least-once without double-applying; the watchdog reads only chain
-// state and the attempt counter, so two runs of the same schedule retry
-// at identical instants (EventSyncRetry carries the attempt number in
-// Txs).
-func (s *MultiSystem) sendSyncAttempt(tx *mainchain.Tx, e uint64, part, attempt int) {
-	s.syncNet.Send(s.syncUplinkSrc(), SyncUplinkDst, tx.Size, tx)
-	retryAfter := 3 * s.mc.Config().BlockInterval
-	s.sim.After(retryAfter, func() {
-		if s.err != nil || s.mc.TxByID(tx.ID) != nil {
+	s.pruned(e, s.sim.Now())
+	s.lastPruned = e
+	s.compactEpoch(e)
+	// Store compaction rides the confirmation cadence: everything up to an
+	// epoch final on the mainchain can fold into a checkpoint.
+	if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
+		if err := s.compactStore(e); err != nil {
+			s.fail(fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, e, err))
 			return
 		}
-		if attempt >= syncRetryBudget {
-			s.fail(fmt.Errorf("%w: epoch %d part %d lost after %d sends",
-				chain.ErrSyncUnreachable, e, part, attempt))
-			return
-		}
-		s.bus.Publish(chain.Event{
-			Type: chain.EventSyncRetry, At: s.sim.Now(), Epoch: e,
-			Parts: part, Txs: attempt + 1,
-		})
-		s.sendSyncAttempt(tx, e, part, attempt+1)
-	})
+	}
+	spPrune.End()
+	s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
+	s.finishIfPruned()
 }
 
 // MainchainRetentionBlocks converts a node config's epoch retention

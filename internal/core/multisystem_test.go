@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/netsim"
 	"ammboost/internal/sidechain"
 	"ammboost/internal/trace"
 	"ammboost/internal/workload"
@@ -243,5 +247,65 @@ func TestMultiSystemSyncRevertSurfaces(t *testing.T) {
 	}
 	if rep.SyncsOK != 0 {
 		t.Errorf("SyncsOK = %d, want 0 (the only sync reverted)", rep.SyncsOK)
+	}
+}
+
+// TestSyncUplinkUnreachableHalts: on a standalone node whose uplink drops
+// every message, epoch 1's part goes out syncRetryBudget times — the
+// first send plus one EventSyncRetry per resend — and the node then
+// halts with ErrSyncUnreachable, nothing synced.
+func TestSyncUplinkUnreachableHalts(t *testing.T) {
+	sysCfg, drvCfg := multiTestConfigs(17, 2, 1, 1)
+	sysCfg.SyncFaults = &netsim.FaultSchedule{Seed: 1, DropProb: 1}
+	c, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := c.(*MultiSystem)
+	var attempts []int
+	sys.OnEvent(func(ev chain.Event) {
+		if ev.Type == chain.EventSyncRetry && ev.Epoch == 1 && ev.Parts == 1 {
+			attempts = append(attempts, ev.Txs)
+		}
+	})
+	rep, err := sys.Run(drvCfg.Epochs)
+	if !errors.Is(err, chain.ErrSyncUnreachable) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("epoch 1 part 1 lost after %d sends", syncRetryBudget)) {
+		t.Fatalf("err = %v, want ErrSyncUnreachable for epoch 1 part 1 after %d sends", err, syncRetryBudget)
+	}
+	if len(attempts) != syncRetryBudget-1 || attempts[0] != 2 || attempts[len(attempts)-1] != syncRetryBudget {
+		t.Errorf("retry events carry sends %v, want 2..%d", attempts, syncRetryBudget)
+	}
+	if rep.SyncsOK != 0 || sys.LastSyncedEpoch() != 0 {
+		t.Errorf("SyncsOK %d, bank at %d; want nothing synced", rep.SyncsOK, sys.LastSyncedEpoch())
+	}
+}
+
+// TestSyncUplinkLossKeepsFingerprint: a standalone node whose uplink
+// drops half its messages retries its way to the clean run's
+// fingerprint — the uplink perturbs timing, never state.
+func TestSyncUplinkLossKeepsFingerprint(t *testing.T) {
+	sysCfg, drvCfg := multiTestConfigs(19, 4, 2, 3)
+	clean := fingerprintDriverRun(t, sysCfg, drvCfg)
+	sysCfg.SyncFaults = &netsim.FaultSchedule{Seed: 7, DropProb: 0.5}
+	c, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := c.(*MultiSystem)
+	retries := 0
+	sys.OnEvent(func(ev chain.Event) {
+		if ev.Type == chain.EventSyncRetry {
+			retries++
+		}
+	})
+	if _, err := sys.Run(drvCfg.Epochs); err != nil {
+		t.Fatalf("lossy run: %v", err)
+	}
+	if retries == 0 {
+		t.Error("no sync retransmissions under 50% uplink loss")
+	}
+	if err := clean.Diff(sys.Fingerprint(nil)); err != nil {
+		t.Errorf("lossy run diverges from the clean run: %v", err)
 	}
 }

@@ -194,26 +194,9 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 			return err
 		}
 		meta, numParts = last.Meta, len(last.Parts)
-
-		// Replay the sync-part log through the bank's verification chain
-		// (epoch keys, TSQC signatures, part bookkeeping). This both
-		// authenticates the log and leaves the bank exactly where the
-		// uninterrupted run's confirmations would have put it. A node
-		// that halted may legitimately have logged a part the chain then
-		// rejected (an equivocating committee's corrupt signature — the
-		// very fault that halted it); replay stops there and the node
-		// stays halted, mirroring its pre-crash bank state.
-	replay:
-		for _, er := range rec.Epochs {
-			for _, part := range er.Parts {
-				if err := s.bank.ReplaySync(part); err != nil {
-					if rec.Halt != nil {
-						break replay
-					}
-					return fmt.Errorf("%w: sync replay epoch %d part %d: %v",
-						chain.ErrCorruptStore, er.Epoch, part.Part, err)
-				}
-			}
+		// The sync-part log replays through the bank's verification chain.
+		if err := s.uplink.replay(rec.Epochs, rec.Halt != nil); err != nil {
+			return err
 		}
 	}
 
@@ -259,17 +242,11 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		}
 	}
 
-	// A federation member's next sync parts depend on the boundary
-	// epoch's on-chain part transactions; re-derive their IDs so the
-	// resumed submission chain orders after them on the shared mainchain.
-	// A single-tenant reopen runs against a fresh simulated mainchain
-	// where those transactions never existed, so deps stay empty.
-	if s.shared != nil && boundary > 0 && numParts > 0 {
-		ids := make([]string, numParts)
-		for i := range ids {
-			ids[i] = s.syncTxID(boundary, i+1)
-		}
-		s.lastSyncTxIDs = ids
+	// A federation member's next sync parts depend on the boundary epoch's
+	// parts on the shared chain; a single-tenant reopen's fresh simulated
+	// mainchain never saw them.
+	if s.shared != nil {
+		s.uplink.resume(boundary, numParts)
 	}
 	s.epoch = boundary
 

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"ammboost/internal/chain"
 	"ammboost/internal/crypto/tsig"
 	"ammboost/internal/engine"
 	"ammboost/internal/mainchain"
@@ -71,10 +68,8 @@ func jobStageName(st int32) string {
 // per-epoch order on the simulator goroutine.
 type syncPackage struct {
 	res *engine.EpochResult
-	// parts are the signed sync chunks; partSizes the per-part mainchain
-	// byte sizes.
-	parts     []*mainchain.MultiSyncArgs
-	partSizes []int
+	// parts are the signed sync chunks.
+	parts []*mainchain.MultiSyncArgs
 	// scBytes is the epoch's total sidechain summary size (drives the
 	// summary agreement delay).
 	scBytes int
@@ -172,7 +167,7 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 		pkg.scBytes += p.SidechainBytes()
 	}
 	job.stage.Store(jobSign)
-	pkg.parts, pkg.partSizes, pkg.err = signSyncParts(
+	pkg.parts, pkg.err = signSyncParts(
 		job.epoch, res, job.ck, job.nextKey, job.corrupt, job.gasBudget, job.tr)
 	if job.persist && pkg.err == nil {
 		job.stage.Store(jobEncode)
@@ -182,68 +177,4 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 		spEnc.End()
 	}
 	return pkg
-}
-
-// signSyncParts chunks an epoch's payloads by gas budget and TSQC-signs
-// every part, returning the signed sync args with their mainchain byte
-// sizes. Runs on the commit-stage worker. tr records the chunk and sign
-// spans (nil = untraced).
-func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
-	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
-	tr *trace.Tracer) ([]*mainchain.MultiSyncArgs, []int, error) {
-	spChunk := tr.Start(trace.StageChunk, epoch)
-	chunks := chunkPayloads(res.Payloads, gasBudget)
-	spChunk.End()
-	spSign := tr.Start(trace.StageSign, epoch)
-	spSign.Txs = len(chunks)
-	defer spSign.End()
-	parts := make([]*mainchain.MultiSyncArgs, len(chunks))
-	sizes := make([]int, len(chunks))
-	errs := make([]error, len(chunks))
-	signPart := func(i int) {
-		args := &mainchain.MultiSyncArgs{
-			Epoch:       epoch,
-			Part:        i + 1,
-			NumParts:    len(chunks),
-			Payloads:    chunks[i],
-			SummaryRoot: res.SummaryRoot,
-			NextKey:     nextKey,
-		}
-		digest := args.Digest()
-		if corrupt {
-			// Equivocating committee: the signed digest is corrupted, so
-			// MultiBank's TSQC verification rejects the part on-chain.
-			digest[0] ^= 0xff
-		}
-		if args.Sig, errs[i] = ck.signer.signDigest(digest); errs[i] != nil {
-			return
-		}
-		parts[i], sizes[i] = args, 32+args.Gas().Bytes
-	}
-	// Parts are independent (each signs its own digest into its own slot),
-	// so they are striped over the CPUs; the output does not depend on how.
-	// This goroutine takes the first stripe — all of them when there is
-	// one part or one CPU.
-	workers := min(runtime.GOMAXPROCS(0), len(chunks))
-	stripe := func(w int) {
-		for i := w; i < len(chunks); i += workers {
-			signPart(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stripe(w)
-		}()
-	}
-	stripe(0)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: part %d/%d: %v", chain.ErrSignFailed, i+1, len(chunks), err)
-		}
-	}
-	return parts, sizes, nil
 }

@@ -1,0 +1,287 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+
+	"ammboost/internal/chain"
+	"ammboost/internal/crypto/tsig"
+	"ammboost/internal/engine"
+	"ammboost/internal/mainchain"
+	"ammboost/internal/metrics"
+	"ammboost/internal/netsim"
+	"ammboost/internal/sim"
+	"ammboost/internal/store"
+	"ammboost/internal/summary"
+	"ammboost/internal/trace"
+)
+
+const (
+	// SyncUplinkDst is the mainchain's endpoint name on a node's sync
+	// uplink; fault schedules address the chain side of the link with it.
+	SyncUplinkDst = "mainchain"
+	// syncRetryBudget is how many sends a sync part gets before the node
+	// halts with chain.ErrSyncUnreachable.
+	syncRetryBudget = 8
+)
+
+// syncUplink is the only code that knows how an epoch's payloads become
+// mainchain sync transactions. It chunks and signs them (chunkPayloads,
+// signSyncParts), names, submits, retries and accounts the parts, and
+// replays logged parts on reopen. Its node sees one callback, epochSynced.
+type syncUplink struct {
+	node uplinkNode
+	sim  *sim.Simulator
+	mc   *mainchain.Chain
+	bank *mainchain.MultiBank
+	bus  *chain.Bus
+	col  *metrics.Collector
+	tr   *trace.Tracer
+
+	// idPrefix, from and src are the part tx-ID prefix, the From address
+	// and this end of the link, all scoped by the chain ID.
+	idPrefix, from, src string
+	// net is the SyncFaults link (nil = parts go to the chain directly).
+	net *netsim.Network
+	// prev are the previous epoch's part IDs, the next parts' DependsOn.
+	prev []string
+}
+
+// uplinkNode is the node side of the uplink: the watchdog goes quiet on
+// a Halted node, a reverted or unreachable part goes to fail, and
+// epochSynced gets the EventSyncConfirmed of an epoch whose last part
+// confirmed (the epoch's parts, bytes and gas summed).
+type uplinkNode interface {
+	Halted() bool
+	fail(err error)
+	epochSynced(ev chain.Event)
+}
+
+func newSyncUplink(node uplinkNode, sm *sim.Simulator, mc *mainchain.Chain, bank *mainchain.MultiBank,
+	chainID string, faults *netsim.FaultSchedule, bus *chain.Bus, col *metrics.Collector, tr *trace.Tracer) *syncUplink {
+	u := &syncUplink{node: node, sim: sm, mc: mc, bank: bank, bus: bus, col: col, tr: tr,
+		from: "sc-committee", src: "sc-node"}
+	// Federation members share one mainchain, whose Submit dedups on the
+	// tx ID, so the chain ID scopes every name the uplink puts there.
+	if chainID != "" {
+		u.idPrefix = chainID + "/"
+		u.from += "/" + chainID
+		u.src += "/" + chainID
+	}
+	if faults != nil {
+		// Delivery submits the part as a direct hand-off would; the
+		// chain's ID-dedup makes duplicates and retransmissions safe.
+		u.net = netsim.New(sm, netsim.DefaultConfig())
+		u.net.Register(u.src, nil)
+		u.net.Register(SyncUplinkDst, func(_ string, payload any) {
+			if tx, ok := payload.(*mainchain.Tx); ok {
+				mc.Submit(tx)
+			}
+		})
+		u.net.Install(faults)
+	}
+	return u
+}
+
+// partIDs names epoch e's n part transactions.
+func (u *syncUplink) partIDs(e uint64, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%smsync-e%d-p%d", u.idPrefix, e, i+1)
+	}
+	return ids
+}
+
+// resume chains the next parts on a reopened node's boundary-epoch parts.
+func (u *syncUplink) resume(boundary uint64, numParts int) {
+	u.prev = u.partIDs(boundary, numParts)
+}
+
+// submit hands epoch e's signed parts to the mainchain. A part verifies
+// against the key the PREVIOUS epoch registers once ALL its parts land,
+// so every part depends on all of them; otherwise a block could pack
+// this epoch's parts first and revert them with an unknown-key error.
+func (u *syncUplink) submit(e uint64, parts []*mainchain.MultiSyncArgs) {
+	submitted := u.sim.Now()
+	// wallStart anchors the wall-clock sync-submit and sync-confirm spans;
+	// the collector's "sync" latency is the virtual one.
+	wallStart := u.tr.Since()
+	done := chain.Event{Type: chain.EventSyncConfirmed, Epoch: e, Parts: len(parts)}
+	confirmed := 0
+	// One confirmation callback serves every part of the epoch.
+	confirm := func(tx *mainchain.Tx) {
+		if tx.Status != mainchain.TxConfirmed {
+			u.node.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrSyncReverted, e, tx.Err))
+			return
+		}
+		u.col.ObserveGas("sync", tx.GasUsed)
+		done.Gas += tx.GasUsed
+		if confirmed++; confirmed < done.Parts {
+			return
+		}
+		u.col.ObserveMCLatency("sync", tx.ConfirmedAt-submitted)
+		u.tr.Record(trace.SpanRecord{
+			Stage: trace.StageSyncConfirm, Epoch: e,
+			Start: wallStart, Dur: u.tr.Since() - wallStart,
+			Bytes: done.Bytes, Gas: done.Gas,
+		})
+		done.At, done.SyncParts = tx.ConfirmedAt, u.bank.SyncStats()
+		u.node.epochSynced(done)
+	}
+	ids := u.partIDs(e, len(parts))
+	for i, args := range parts {
+		gas := args.Gas()
+		tx := &mainchain.Tx{
+			ID: ids[i], From: u.from, To: u.bank.Name(), Method: "sync",
+			Size: 32 + gas.Bytes, Args: args, GasLimit: gas.Declared(), DependsOn: u.prev,
+			OnConfirmed: confirm,
+		}
+		done.Bytes += tx.Size
+		u.send(tx, e, i+1, 1)
+	}
+	u.prev = ids
+	u.tr.Record(trace.SpanRecord{
+		Stage: trace.StageSyncSubmit, Epoch: e,
+		Start: wallStart, Dur: u.tr.Since() - wallStart, Bytes: done.Bytes,
+	})
+	u.bus.Publish(chain.Event{
+		Type: chain.EventSyncSubmitted, At: submitted, Epoch: e,
+		Parts: done.Parts, Bytes: done.Bytes,
+	})
+}
+
+// send hands one part to the mainchain: directly, or as the attempt-th
+// message over the faulted link. There a watchdog resends the part if
+// the chain (mempool or history) still lacks it three block intervals
+// later, up to the retry budget. It reads only chain state and the
+// attempt counter, so a schedule replays its retries at identical
+// instants (EventSyncRetry carries the attempt number in Txs).
+func (u *syncUplink) send(tx *mainchain.Tx, e uint64, part, attempt int) {
+	if u.net == nil {
+		u.mc.Submit(tx)
+		return
+	}
+	u.net.Send(u.src, SyncUplinkDst, tx.Size, tx)
+	u.sim.After(3*u.mc.Config().BlockInterval, func() {
+		if u.node.Halted() || u.mc.TxByID(tx.ID) != nil {
+			return
+		}
+		if attempt >= syncRetryBudget {
+			u.node.fail(fmt.Errorf("%w: epoch %d part %d lost after %d sends",
+				chain.ErrSyncUnreachable, e, part, attempt))
+			return
+		}
+		u.bus.Publish(chain.Event{
+			Type: chain.EventSyncRetry, At: u.sim.Now(), Epoch: e,
+			Parts: part, Txs: attempt + 1,
+		})
+		u.send(tx, e, part, attempt+1)
+	})
+}
+
+// replay re-applies reopened epochs' logged parts, in order, through the
+// bank's verification chain: it authenticates the log and leaves the bank
+// where the live run's confirmations did. A halted node may have logged
+// a part the chain then rejected (the fault that halted it); replay
+// stops there, as the bank did.
+func (u *syncUplink) replay(epochs []*store.EpochRecord, halted bool) error {
+	for _, er := range epochs {
+		for _, part := range er.Parts {
+			if err := u.bank.ReplaySync(part); err != nil {
+				if halted {
+					return nil
+				}
+				return fmt.Errorf("%w: sync replay epoch %d part %d: %v",
+					chain.ErrCorruptStore, er.Epoch, part.Part, err)
+			}
+		}
+	}
+	return nil
+}
+
+// chunkPayloads splits the epoch's per-pool payloads into sync parts
+// whose declared gas (mainchain.SyncGas, the bill the bank charges) stays
+// within the budget. Pools with nothing to report still carry their
+// reserve update; pools are never split across parts, preserving per-pool
+// payload integrity, so a pool over the budget on its own travels alone.
+func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.SyncPayload {
+	var chunks [][]*summary.SyncPayload
+	var cur []*summary.SyncPayload
+	var gas mainchain.SyncGas
+	for _, p := range payloads {
+		with := gas
+		with.Add(p)
+		if len(cur) > 0 && with.Declared() > budget {
+			chunks = append(chunks, cur)
+			cur, with = nil, mainchain.SyncGas{}
+			with.Add(p)
+		}
+		cur = append(cur, p)
+		gas = with
+	}
+	if len(cur) > 0 {
+		chunks = append(chunks, cur)
+	}
+	return chunks
+}
+
+// signSyncParts chunks an epoch's payloads by gas budget and TSQC-signs
+// every part. It runs on the commit-stage worker, so it reads nothing but
+// its arguments. tr records the chunk and sign spans (nil = untraced).
+func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
+	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
+	tr *trace.Tracer) ([]*mainchain.MultiSyncArgs, error) {
+	spChunk := tr.Start(trace.StageChunk, epoch)
+	chunks := chunkPayloads(res.Payloads, gasBudget)
+	spChunk.End()
+	spSign := tr.Start(trace.StageSign, epoch)
+	spSign.Txs = len(chunks)
+	defer spSign.End()
+	parts := make([]*mainchain.MultiSyncArgs, len(chunks))
+	errs := make([]error, len(chunks))
+	signPart := func(i int) {
+		args := &mainchain.MultiSyncArgs{
+			Epoch:       epoch,
+			Part:        i + 1,
+			NumParts:    len(chunks),
+			Payloads:    chunks[i],
+			SummaryRoot: res.SummaryRoot,
+			NextKey:     nextKey,
+		}
+		digest := args.Digest()
+		if corrupt {
+			// Equivocating committee: the signed digest is corrupted, so
+			// MultiBank's TSQC verification rejects the part on-chain.
+			digest[0] ^= 0xff
+		}
+		if args.Sig, errs[i] = ck.signer.signDigest(digest); errs[i] == nil {
+			parts[i] = args
+		}
+	}
+	// Parts are independent (each signs its own digest into its own slot),
+	// so they are striped over the CPUs. This goroutine takes the first
+	// stripe — all of them when there is one part or one CPU.
+	workers := min(runtime.GOMAXPROCS(0), len(chunks))
+	stripe := func(w int) {
+		for i := w; i < len(chunks); i += workers {
+			signPart(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(w)
+		}()
+	}
+	stripe(0)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%w: part %d/%d: %v", chain.ErrSignFailed, i+1, len(chunks), err)
+		}
+	}
+	return parts, nil
+}

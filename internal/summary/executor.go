@@ -192,6 +192,11 @@ func (e *Executor) applyMint(tx *Tx) error {
 	if err != nil {
 		return err
 	}
+	// SqrtRatioAtTick panics outside the tick range; a hostile tick must
+	// be a rejection, never a crash on a shard goroutine.
+	if !tickInRange(tx.TickLower) || !tickInRange(tx.TickUpper) {
+		return fmt.Errorf("%w: [%d, %d]", amm.ErrInvalidTickRange, tx.TickLower, tx.TickUpper)
+	}
 	sqrtA := amm.SqrtRatioAtTick(tx.TickLower)
 	sqrtB := amm.SqrtRatioAtTick(tx.TickUpper)
 	liquidity := amm.LiquidityForAmounts(e.Pool.SqrtPriceX96, sqrtA, sqrtB, tx.Amount0Desired, tx.Amount1Desired)
@@ -375,3 +380,6 @@ func (e *Executor) TotalDeposits() (t0, t1 u256.Int) {
 	}
 	return t0, t1
 }
+
+// tickInRange reports whether amm.SqrtRatioAtTick accepts t.
+func tickInRange(t int32) bool { return t >= amm.MinTick && t <= amm.MaxTick }

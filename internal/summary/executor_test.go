@@ -275,6 +275,26 @@ func TestMintInsufficientDepositUnwinds(t *testing.T) {
 	}
 }
 
+// TestMintOutOfRangeTickRejected: a mint whose ticks lie outside
+// [MinTick, MaxTick] is a typed rejection that leaves the pool and the
+// deposit alone, not a panic inside SqrtRatioAtTick.
+func TestMintOutOfRangeTickRejected(t *testing.T) {
+	p := newPool(t)
+	seedLiquidity(t, p)
+	ex := NewExecutor(1, p, map[string]Deposit{"lp": dep(1_000_000, 1_000_000)})
+	positions := ex.Pool.NumPositions()
+	for _, r := range [][2]int32{{881820, 889560}, {-889560, -600}, {900000, 0}} {
+		mint := &Tx{ID: "m-hostile", Kind: gasmodel.KindMint, User: "lp", TickLower: r[0], TickUpper: r[1],
+			Amount0Desired: u256.FromUint64(1_000), Amount1Desired: u256.FromUint64(1_000)}
+		if err := ex.Apply(mint, 1); !errors.Is(err, amm.ErrInvalidTickRange) {
+			t.Errorf("mint [%d, %d]: %v, want ErrInvalidTickRange", r[0], r[1], err)
+		}
+	}
+	if ex.Pool.NumPositions() != positions || !ex.Deposits["lp"].Amount0.Eq(u256.FromUint64(1_000_000)) {
+		t.Error("rejected mint touched the pool or the deposit")
+	}
+}
+
 func TestBurnWrongOwnerRejected(t *testing.T) {
 	p := newPool(t)
 	seedLiquidity(t, p)
