@@ -3,10 +3,11 @@
 // "ammBoost: State Growth Control for AMMs" (DSN 2025).
 //
 // Clients program against the unified node API in internal/chain: a single
-// chain.Chain interface implemented by both deployment backends (the
-// single-pool core.System and the sharded multi-pool core.MultiSystem),
-// with receipt-returning submission, typed lifecycle errors out of Run,
-// and subscribable epoch lifecycle events.
+// chain.Chain interface with receipt-returning submission, typed
+// lifecycle errors out of Run, and subscribable epoch lifecycle events.
+// The node people run is the sharded multi-pool core.MultiSystem
+// (cmd/ammnode and most examples); the single-pool core.System remains
+// for the paper's experiments and two examples until they move to it.
 //
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer
@@ -105,8 +106,9 @@
 // JSON for the newest N epochs), and /debug/pprof; see
 // examples/tracing for the end-to-end export-and-summarize flow.
 //
-// The example binaries and the experiments harness are all built on that
-// surface; see DESIGN.md for the system inventory (including the chain
+// The example binaries and the experiments harness are built on that
+// surface, type-asserting to the backend only for its traffic hook and
+// recovery state; see DESIGN.md for the system inventory (including the chain
 // layer, the sharded multi-pool engine, its incremental state-commitment
 // subsystem, the pipelined lifecycle, the durable store, and the
 // observability surface) and EXPERIMENTS.md for the paper-vs-measured

@@ -12,17 +12,14 @@ package main
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/core"
-	"ammboost/internal/gasmodel"
 	"ammboost/internal/store"
-	"ammboost/internal/summary"
-	"ammboost/internal/u256"
+	"ammboost/internal/workload"
 )
 
 const (
@@ -59,14 +56,7 @@ func drive(node chain.Chain) {
 	us := users()
 	poolIDs := ms.PoolIDs()
 	ms.OnEpochStart = func(epoch uint64) {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(epoch)))
-		for i := 0; i < 40; i++ {
-			tx := &summary.Tx{
-				ID: fmt.Sprintf("cr-e%d-%d", epoch, i), Kind: gasmodel.KindSwap,
-				User: us[rng.Intn(len(us))], PoolID: poolIDs[rng.Intn(len(poolIDs))],
-				ZeroForOne: rng.Intn(2) == 0, ExactIn: true,
-				Amount: u256.FromUint64(uint64(rng.Intn(800_000) + 1)),
-			}
+		for _, tx := range workload.EpochSwaps(seed, epoch, 40, us, poolIDs, "cr", 800_000) {
 			if _, err := ms.Submit(context.Background(), tx); err != nil {
 				fmt.Fprintf(os.Stderr, "submit: %v\n", err)
 				os.Exit(1)
@@ -89,6 +79,10 @@ func run(dir string, planned int) *chain.Report {
 	rep, err := node.Run(planned)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "run: %v\n", err)
+		os.Exit(1)
+	}
+	if err := node.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "validate: %v\n", err)
 		os.Exit(1)
 	}
 	if err := node.Close(); err != nil {

@@ -7,7 +7,8 @@
 // Part 2 runs the full system with a committee that skips its epoch Sync
 // and a mainchain rollback that loses another, showing both recovered by
 // the next committee's mass-sync — with every user still paid out and the
-// cross-layer invariants intact.
+// cross-layer invariants intact. Part 2 runs on the single-pool System:
+// mass-sync recovery does not exist on the multi-pool backend yet.
 package main
 
 import (

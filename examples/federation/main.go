@@ -101,9 +101,18 @@ func main() {
 
 	fmt.Printf("ammBoost federation — %d sidechains, one shared mainchain\n", len(res.Nodes))
 	for _, nr := range res.Nodes {
+		// Only beta's halt is planned; every other member must finish
+		// with its bank and engine in parity.
 		status := "completed"
-		if nr.Err != nil {
+		switch {
+		case nr.Err != nil && nr.ChainID == "beta":
 			status = fmt.Sprintf("halted (%v)", nr.Err)
+		case nr.Err != nil:
+			log.Fatalf("member %s: lifecycle fault: %v", nr.ChainID, nr.Err)
+		default:
+			if err := fed.Node(nr.ChainID).Validate(); err != nil {
+				log.Fatalf("member %s: %v", nr.ChainID, err)
+			}
 		}
 		fmt.Printf("  %-5s  %d epochs, %d syncs confirmed — %s\n",
 			nr.ChainID, nr.Report.EpochsRun, nr.Report.SyncsOK, status)

@@ -2,6 +2,10 @@
 // Optimism-inspired ammOP rollup and prints the Table VI comparison —
 // throughput, transaction latency, and the payout-finality gap caused by
 // the rollup's 7-day contestation window.
+//
+// It runs on the single-pool System, as `ammbench table6` does, so its
+// numbers stay comparable with the experiment until the paper's
+// experiments move to the multi-pool backend.
 package main
 
 import (
@@ -47,13 +51,9 @@ func main() {
 	gen := workload.New(workload.DefaultConfig(9))
 	rho := workload.Rho(dailyVolume, 7)
 	rounds := epochs * 30
-	for r := 0; r < rounds; r++ {
-		start := time.Duration(r) * 7 * time.Second
-		for i := 0; i < rho; i++ {
-			at := start + time.Duration(float64(7*time.Second)*float64(i)/float64(rho))
-			op.Sim().At(at, func() { op.Submit(gen.Next()) })
-		}
-	}
+	workload.ConstantRate(rho, rounds, 7*time.Second, func(at time.Duration) {
+		op.Sim().At(at, func() { op.Submit(gen.Next()) })
+	})
 	op.Run(time.Duration(rounds) * 7 * time.Second)
 
 	fmt.Printf("ammBoost vs ammOP at V_D=%d (%d epochs)\n\n", dailyVolume, epochs)

@@ -54,18 +54,16 @@ func main() {
 
 	// The same deterministic traffic schedule core.NewMultiDriver builds:
 	// rho transactions per round, spread evenly across the round.
-	rho := workload.Rho(800_000, sysCfg.WithDefaults().RoundDuration.Seconds())
-	rd := sysCfg.WithDefaults().RoundDuration
-	for r := 0; r < epochs*sysCfg.WithDefaults().EpochRounds; r++ {
-		roundStart := time.Duration(r) * rd
-		for i := 0; i < rho; i++ {
-			at := roundStart + time.Duration(float64(rd)*float64(i)/float64(rho))
-			node.Sim().At(at, func() { node.Submit(context.Background(), gen.Next()) })
-		}
-	}
+	rho := workload.Rho(800_000, sysCfg.RoundDuration.Seconds())
+	workload.ConstantRate(rho, epochs*sysCfg.EpochRounds, sysCfg.RoundDuration, func(at time.Duration) {
+		node.Sim().At(at, func() { node.Submit(context.Background(), gen.Next()) })
+	})
 	rep, err := node.Run(epochs)
 	if err != nil {
 		log.Fatalf("lifecycle fault: %v", err)
+	}
+	if err := node.Validate(); err != nil {
+		log.Fatalf("cross-layer invariants: %v", err)
 	}
 
 	f, err := os.Create("trace.json")

@@ -91,6 +91,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("lifecycle fault: %v", err)
 	}
+	if err := node.Validate(); err != nil {
+		log.Fatalf("cross-layer invariants: %v", err)
+	}
 	digests := <-done
 
 	fmt.Println("watcher — per-epoch lifecycle digest from the event stream")

@@ -250,17 +250,6 @@ type BatchResult struct {
 	Accepted int
 }
 
-// FirstErr returns the first per-transaction rejection, or nil when the
-// whole batch was accepted.
-func (r *BatchResult) FirstErr() error {
-	for _, err := range r.Errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PoolInfo is the queryable state of one registered pool.
 type PoolInfo struct {
 	ID        string
@@ -271,8 +260,10 @@ type PoolInfo struct {
 
 // Chain is the unified node API. Both backends — the single-pool
 // core.System and the sharded multi-pool core.MultiSystem — implement
-// it; binaries, examples, and experiments program against this interface
-// only.
+// it, and clients submit, run, subscribe and query through it. Code that
+// also drives a node's traffic hook or reads its recovery state (for
+// example cmd/ammnode, the durable examples and the experiments)
+// type-asserts to the concrete backend for that part.
 type Chain interface {
 	// Submit validates the transaction up front (unknown pool, malformed
 	// amounts, unfunded user) and admits it into the mempool, returning

@@ -84,9 +84,11 @@ func (f FaultPlan) StormLength(epoch, round uint64) int {
 }
 
 // Config parameterizes a deployment on either backend. Zero values take
-// the paper's defaults (WithDefaults); NumPools selects the backend:
-// zero runs the single canonical-pool System, one or more runs the
-// sharded-engine MultiSystem.
+// the paper's defaults (WithDefaults). The constructor picks the
+// backend, not the config: core.NewMultiSystem and core.Open build the
+// sharded-engine MultiSystem with NumPools pools (zero means one), and
+// the single canonical-pool core.System refuses NumPools > 0 with
+// core.ErrBackendMismatch.
 type Config struct {
 	Seed int64
 	// ChainID names this sidechain inside a federation (empty for the
@@ -117,7 +119,7 @@ type Config struct {
 	DepositPerUser0 u256.Int
 	DepositPerUser1 u256.Int
 
-	// Multi-pool backend. NumPools > 0 selects the sharded engine.
+	// NumPools is the multi-pool backend's registered pool count.
 	NumPools int
 	// NumShards is the engine's worker-shard count (default GOMAXPROCS).
 	NumShards int
@@ -325,8 +327,7 @@ func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize =
 // WithMinerPopulation sets the sidechain miner count.
 func WithMinerPopulation(n int) Option { return func(c *Config) { c.MinerPopulation = n } }
 
-// WithPools selects the sharded multi-pool backend with n registered
-// pools.
+// WithPools sets the multi-pool backend's registered pool count.
 func WithPools(n int) Option { return func(c *Config) { c.NumPools = n } }
 
 // WithShards sets the engine's worker-shard count.
@@ -370,7 +371,7 @@ func WithArrivalLog(l *ArrivalLog) Option { return func(c *Config) { c.ArrivalLo
 
 // Report is the unified run summary both backends return from Run.
 // Fields that only one backend produces are zero on the other
-// (MassSyncs/ViewChanges/SidechainUnpruned are single-pool;
+// (MassSyncs/SidechainUnpruned are single-pool;
 // NumPools/NumShards/SummaryRoots are multi-pool).
 type Report struct {
 	Collector *metrics.Collector

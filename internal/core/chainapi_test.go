@@ -14,24 +14,14 @@ import (
 )
 
 // TestFactoryBackendSelection pins the documented NumPools contract:
-// core.New routes NumPools > 0 to the sharded MultiSystem and zero to
-// the single-pool System, and the single-pool constructor refuses a
-// multi-pool config instead of silently dropping the pools.
+// NewMultiSystem registers NumPools pools, and the single-pool System
+// (and its Driver) refuses a multi-pool config instead of silently
+// dropping the pools.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
-	single, err := New(chain.NewConfig(chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
+	multi, err := NewMultiSystem(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
 	if err != nil {
-		t.Fatalf("single-pool factory: %v", err)
-	}
-	if _, ok := single.(*System); !ok {
-		t.Fatalf("NumPools=0 built %T, want *System", single)
-	}
-	multi, err := New(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
-	if err != nil {
-		t.Fatalf("multi-pool factory: %v", err)
-	}
-	if _, ok := multi.(*MultiSystem); !ok {
-		t.Fatalf("NumPools=4 built %T, want *MultiSystem", multi)
+		t.Fatalf("multi-pool backend: %v", err)
 	}
 	if got := len(multi.PoolIDs()); got != 4 {
 		t.Errorf("multi backend has %d pools, want 4", got)

@@ -67,9 +67,6 @@ func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, 
 	return sys, d, nil
 }
 
-// Rho returns the per-round arrival count.
-func (d *Driver) Rho() int { return d.rho }
-
 // depositAmounts sizes a user's per-epoch deposit to cover its expected
 // share of the epoch's traffic with ample headroom: swaps for everyone,
 // plus the epoch's expected mint funding for LPs (under-sized deposits
@@ -141,17 +138,11 @@ func (d *Driver) onEpochStart(epoch uint64) {
 // scheduleArrivals spreads ρ submissions uniformly across every round of
 // the planned run (constant arrival rate, as in the paper).
 func (d *Driver) scheduleArrivals() {
-	totalRounds := d.cfg.Epochs * d.sys.cfg.EpochRounds
-	rd := d.sys.cfg.RoundDuration
-	for r := 0; r < totalRounds; r++ {
-		roundStart := time.Duration(r) * rd
-		for i := 0; i < d.rho; i++ {
-			at := roundStart + time.Duration(float64(rd)*float64(i)/float64(d.rho))
-			d.sys.Sim().At(at, func() {
-				if _, err := d.sys.Submit(context.Background(), d.gen.Next()); err == nil {
-					d.Submitted++
-				}
-			})
-		}
-	}
+	workload.ConstantRate(d.rho, d.cfg.Epochs*d.sys.cfg.EpochRounds, d.sys.cfg.RoundDuration, func(at time.Duration) {
+		d.sys.Sim().At(at, func() {
+			if _, err := d.sys.Submit(context.Background(), d.gen.Next()); err == nil {
+				d.Submitted++
+			}
+		})
+	})
 }

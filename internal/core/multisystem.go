@@ -1343,14 +1343,8 @@ func NewMultiDriver(sysCfg chain.Config, drvCfg MultiDriverConfig) (chain.Chain,
 		return nil, nil, err
 	}
 	rho := workload.Rho(drvCfg.DailyVolume, sysCfg.RoundDuration.Seconds())
-	totalRounds := drvCfg.Epochs * sysCfg.EpochRounds
-	rd := sysCfg.RoundDuration
-	for r := 0; r < totalRounds; r++ {
-		roundStart := time.Duration(r) * rd
-		for i := 0; i < rho; i++ {
-			at := roundStart + time.Duration(float64(rd)*float64(i)/float64(rho))
-			sys.Sim().At(at, func() { sys.Submit(context.Background(), gen.Next()) })
-		}
-	}
+	workload.ConstantRate(rho, drvCfg.Epochs*sysCfg.EpochRounds, sysCfg.RoundDuration, func(at time.Duration) {
+		sys.Sim().At(at, func() { sys.Submit(context.Background(), gen.Next()) })
+	})
 	return sys, gen, nil
 }

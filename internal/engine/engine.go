@@ -392,16 +392,6 @@ type EpochResult struct {
 	SummaryRoot [32]byte
 }
 
-// RootFor returns the state root of one pool.
-func (r *EpochResult) RootFor(poolID string) ([32]byte, bool) {
-	for i, id := range r.PoolIDs {
-		if id == poolID {
-			return r.PoolRoots[i], true
-		}
-	}
-	return [32]byte{}, false
-}
-
 // poolRoot returns pool i's state root: the incremental commitment by
 // default, the full re-hash in FullRecompute reference mode. Dirty
 // tracking is detached either way so both modes leave identical state.

@@ -4,19 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/core"
-	"ammboost/internal/gasmodel"
 	"ammboost/internal/netsim"
 	"ammboost/internal/sidechain/pbft"
 	"ammboost/internal/store"
-	"ammboost/internal/summary"
-	"ammboost/internal/u256"
+	"ammboost/internal/workload"
 )
 
 // --- chaos: adversarial scenario sweep over the live consensus path ---
@@ -185,17 +182,7 @@ func attachChaosTraffic(sys *core.MultiSystem, seed int64, perEpoch int, sink *[
 	pools := sys.PoolIDs()
 	users := chaosUsers()
 	sys.OnEpochStart = func(epoch uint64) {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(epoch)))
-		for i := 0; i < perEpoch; i++ {
-			tx := &summary.Tx{
-				ID:         fmt.Sprintf("cx-e%d-%d", epoch, i),
-				Kind:       gasmodel.KindSwap,
-				User:       users[rng.Intn(len(users))],
-				PoolID:     pools[rng.Intn(len(pools))],
-				ZeroForOne: rng.Intn(2) == 0,
-				ExactIn:    true,
-				Amount:     u256.FromUint64(uint64(rng.Intn(500_000) + 1)),
-			}
+		for _, tx := range workload.EpochSwaps(seed, epoch, perEpoch, users, pools, "cx", 500_000) {
 			rc, err := sys.Submit(context.Background(), tx)
 			if err != nil && !errors.Is(err, chain.ErrHalted) {
 				continue

@@ -48,17 +48,13 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	rho := workload.Rho(vd, roundDur.Seconds())
 	totalRounds := o.Epochs * 30
 	var mainnetBytes int
-	for r := 0; r < totalRounds; r++ {
-		start := time.Duration(r) * roundDur
-		for i := 0; i < rho; i++ {
-			at := start + time.Duration(float64(roundDur)*float64(i)/float64(rho))
-			bl.Sim().At(at, func() {
-				tx := gen.Next()
-				mainnetBytes += gasmodel.MainnetTxBytes(tx.Kind)
-				bl.Submit(tx)
-			})
-		}
-	}
+	workload.ConstantRate(rho, totalRounds, roundDur, func(at time.Duration) {
+		bl.Sim().At(at, func() {
+			tx := gen.Next()
+			mainnetBytes += gasmodel.MainnetTxBytes(tx.Kind)
+			bl.Submit(tx)
+		})
+	})
 	bl.Run(time.Duration(totalRounds) * roundDur)
 
 	res := &Fig5Result{

@@ -91,13 +91,9 @@ func RunTable6(o Options) (*Table6Result, error) {
 	roundDur := 7 * time.Second
 	rho := workload.Rho(vd, roundDur.Seconds())
 	totalRounds := o.Epochs * 30
-	for r := 0; r < totalRounds; r++ {
-		start := time.Duration(r) * roundDur
-		for i := 0; i < rho; i++ {
-			at := start + time.Duration(float64(roundDur)*float64(i)/float64(rho))
-			op.Sim().At(at, func() { op.Submit(gen.Next()) })
-		}
-	}
+	workload.ConstantRate(rho, totalRounds, roundDur, func(at time.Duration) {
+		op.Sim().At(at, func() { op.Submit(gen.Next()) })
+	})
 	op.Run(time.Duration(totalRounds) * roundDur)
 
 	return &Table6Result{

@@ -278,7 +278,13 @@ func (f *Federation) buildNode(shared *core.Shared, nc NodeConfig, defaultEpochs
 	f.wireNode(node)
 
 	if gen != nil {
-		scheduleTraffic(sys, gen, nc.Chain.WithDefaults(), nc.DailyVolume, epochs)
+		// The member's Zipf arrivals for its whole run, at the constant
+		// rate core.NewMultiDriver schedules.
+		cfg := nc.Chain.WithDefaults()
+		rho := workload.Rho(nc.DailyVolume, cfg.RoundDuration.Seconds())
+		workload.ConstantRate(rho, epochs*cfg.EpochRounds, cfg.RoundDuration, func(at time.Duration) {
+			sys.Sim().At(at, func() { sys.Submit(context.Background(), gen.Next()) })
+		})
 	}
 	return node, nil
 }
@@ -358,21 +364,6 @@ func (f *Federation) revive(node *Node) {
 	node.revived = true
 	f.wireNode(node)
 	sys.StartEpochs(node.epochs)
-}
-
-// scheduleTraffic pre-schedules the member's Zipf arrivals for its whole
-// run, mirroring core.NewMultiDriver's arrival process.
-func scheduleTraffic(sys *core.MultiSystem, gen *workload.MultiGenerator, cfg chain.Config, dailyVolume, epochs int) {
-	rho := workload.Rho(dailyVolume, cfg.RoundDuration.Seconds())
-	totalRounds := epochs * cfg.EpochRounds
-	rd := cfg.RoundDuration
-	for r := 0; r < totalRounds; r++ {
-		roundStart := time.Duration(r) * rd
-		for i := 0; i < rho; i++ {
-			at := roundStart + time.Duration(float64(rd)*float64(i)/float64(rho))
-			sys.Sim().At(at, func() { sys.Submit(context.Background(), gen.Next()) })
-		}
-	}
 }
 
 // Node returns a member's system by chain ID (nil when unknown) — for

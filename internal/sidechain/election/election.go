@@ -103,15 +103,6 @@ func (c *Committee) LeaderAt(view int) string {
 	return c.Members[view%len(c.Members)].MinerID
 }
 
-// MemberIDs returns the member IDs in sortition order.
-func (c *Committee) MemberIDs() []string {
-	out := make([]string, len(c.Members))
-	for i, m := range c.Members {
-		out[i] = m.MinerID
-	}
-	return out
-}
-
 // Index returns a member's position (0 = leader), or -1.
 func (c *Committee) Index(id string) int {
 	for i, m := range c.Members {

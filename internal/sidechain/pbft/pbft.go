@@ -121,9 +121,8 @@ type Replica struct {
 	sim *sim.Simulator
 	net *netsim.Network
 
-	view      int
-	decided   map[uint64]bool
-	delivered map[uint64]Decision
+	view    int
+	decided map[uint64]bool
 
 	// Leader state for the in-flight sequence.
 	proposal      any
@@ -156,7 +155,6 @@ func NewReplica(s *sim.Simulator, net *netsim.Network, cfg Config) (*Replica, er
 		sim:             s,
 		net:             net,
 		decided:         make(map[uint64]bool),
-		delivered:       make(map[uint64]Decision),
 		prepareShares:   make(map[int]tsig.PartialSig),
 		commitShares:    make(map[int]tsig.PartialSig),
 		viewChangeVotes: make(map[int]map[int]bool),
@@ -176,9 +174,6 @@ func (r *Replica) View() int { return r.view }
 // SetOnBecomeLeader replaces the leadership-promotion callback (drivers
 // wire it after constructing the committee).
 func (r *Replica) SetOnBecomeLeader(fn func(view int)) { r.cfg.OnBecomeLeader = fn }
-
-// SetValidate replaces the proposal validator.
-func (r *Replica) SetValidate(fn func(payload any) bool) { r.cfg.Validate = fn }
 
 // Behavior returns the replica's injected adversarial strategy.
 func (r *Replica) Behavior() Byzantine { return r.cfg.Behavior }
@@ -203,12 +198,6 @@ func (r *Replica) IsLeader() bool {
 // LeaderID returns the current view's leader.
 func (r *Replica) LeaderID() string {
 	return r.cfg.Members[r.view%len(r.cfg.Members)]
-}
-
-// Decided reports whether seq was finalized, with its decision.
-func (r *Replica) Decided(seq uint64) (Decision, bool) {
-	d, ok := r.delivered[seq]
-	return d, ok
 }
 
 func digestDomain(phase string, view int, seq uint64, digest [32]byte) []byte {
@@ -520,7 +509,6 @@ func (r *Replica) onDecide(from string, m *Msg) {
 	}
 	d := Decision{Seq: m.Seq, View: m.View, Digest: m.Digest, Payload: m.Payload,
 		CommitCert: m.Cert, DecidedAt: r.sim.Now()}
-	r.delivered[m.Seq] = d
 	if r.cfg.OnDecide != nil {
 		r.cfg.OnDecide(d)
 	}

@@ -127,6 +127,3 @@ func (l *Ledger) TransferFrom(caller, owner, to string, amount u256.Int) error {
 	l.allowances[owner][caller] = u256.Sub(allowed, amount)
 	return nil
 }
-
-// Holders returns the number of accounts with a recorded balance entry.
-func (l *Ledger) Holders() int { return len(l.balances) }

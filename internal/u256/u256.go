@@ -137,9 +137,6 @@ func (x Int) BitLen() int {
 // String renders x in base 10.
 func (x Int) String() string { return x.ToBig().String() }
 
-// Hex renders x as 0x-prefixed hexadecimal.
-func (x Int) Hex() string { return "0x" + x.ToBig().Text(16) }
-
 // Bytes32 returns the big-endian 32-byte encoding of x.
 func (x Int) Bytes32() [32]byte {
 	var out [32]byte

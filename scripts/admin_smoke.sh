@@ -2,7 +2,7 @@
 # admin_smoke.sh — CI smoke test for the live node telemetry surface.
 #
 # Starts cmd/ammnode with -admin on a loopback port, waits for the
-# listener, and checks that:
+# listener and the run, and checks that:
 #   - /healthz answers 200 with the expected JSON fields,
 #   - /metrics exposes the lifecycle gauges, event counters, and
 #     per-stage trace quantiles,
@@ -12,6 +12,10 @@
 # then shuts the node down (the -admin surface stays up after the run
 # until SIGTERM, which is exactly what lets this script curl a finished
 # run's state).
+#
+# The first leg runs a durable node (-data-dir); the second runs the
+# node's default in-memory invocation, whose telemetry must be just as
+# full: spans on /trace, sync parts and stage counts on /metrics.
 #
 # Usage: scripts/admin_smoke.sh [port]
 set -euo pipefail
@@ -32,30 +36,41 @@ trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/ammnode
 
-"$BIN" -data-dir "$DIR/store" -pools 8 -epochs 3 -admin "$ADDR" >"$LOG" 2>&1 &
-NODE_PID=$!
+# start_node <log> <args...>: runs the node with -admin in the
+# background and returns once its run is done and its report printed
+# (the process stays alive serving the admin endpoints).
+start_node() {
+  local log="$1"
+  shift
+  "$BIN" "$@" -admin "$ADDR" >"$log" 2>&1 &
+  NODE_PID=$!
+  # Wait for the listener (the listener is up before epoch 1 starts).
+  for i in $(seq 1 50); do
+    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
+    kill -0 "$NODE_PID" 2>/dev/null || { echo "admin_smoke: node died early:"; cat "$log"; exit 1; }
+    sleep 0.2
+  done
+  for i in $(seq 1 300); do
+    curl -sf "http://$ADDR/healthz" | grep -q '"run_done":true' && break
+    kill -0 "$NODE_PID" 2>/dev/null || { echo "admin_smoke: node died mid-run:"; cat "$log"; exit 1; }
+    sleep 0.2
+  done
+  # The report (and its stage table) prints once the run is done; the
+  # admin banner follows it.
+  for i in $(seq 1 50); do
+    grep -q 'run complete; admin surface stays up' "$log" && break
+    sleep 0.2
+  done
+}
 
-# Wait for the listener (the run itself takes a few seconds; the
-# listener is up before epoch 1 starts).
-for i in $(seq 1 50); do
-  curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
-  kill -0 "$NODE_PID" 2>/dev/null || { echo "admin_smoke: node died early:"; cat "$LOG"; exit 1; }
-  sleep 0.2
-done
+stop_node() {
+  kill "$NODE_PID" 2>/dev/null || true
+  wait "$NODE_PID" 2>/dev/null || true
+  NODE_PID=
+}
 
-# Let the run finish so the surface reflects a completed lifecycle (the
-# process stays alive serving the admin endpoints).
-for i in $(seq 1 300); do
-  curl -sf "http://$ADDR/healthz" | grep -q '"run_done":true' && break
-  kill -0 "$NODE_PID" 2>/dev/null || { echo "admin_smoke: node died mid-run:"; cat "$LOG"; exit 1; }
-  sleep 0.2
-done
-# The report (and its stage table) prints once the run is done; the
-# admin banner follows it.
-for i in $(seq 1 50); do
-  grep -q 'run complete; admin surface stays up' "$LOG" && break
-  sleep 0.2
-done
+echo "leg 1: durable node (-data-dir)"
+start_node "$LOG" -data-dir "$DIR/store" -pools 8 -epochs 3
 
 fail=0
 check() { # check <label> <haystack-file> <needle>...
@@ -119,6 +134,20 @@ fi
 # pprof + expvar respond.
 curl -sf "http://$ADDR/debug/vars" | grep -q memstats || { echo "  FAIL  /debug/vars missing memstats"; fail=1; }
 curl -sf "http://$ADDR/debug/pprof/" >/dev/null || { echo "  FAIL  /debug/pprof/ unreachable"; fail=1; }
+
+stop_node
+
+# Leg 2: the default invocation keeps its state in memory; its telemetry
+# must not be empty.
+echo "leg 2: in-memory node (no -data-dir)"
+start_node "$DIR/mem.log" -epochs 3
+curl -sf "http://$ADDR/trace?epochs=3" >"$DIR/mem-trace.json" || { echo "admin_smoke: /trace unreachable"; exit 1; }
+check /trace "$DIR/mem-trace.json" '"ph":"X"'
+curl -sf "http://$ADDR/metrics" >"$DIR/mem-metrics" || { echo "admin_smoke: /metrics unreachable"; exit 1; }
+check /metrics "$DIR/mem-metrics" \
+  'ammboost_sync_parts_applied_total 3' \
+  'ammboost_stage_count{stage="seal"}'
+stop_node
 
 if [ "$fail" -ne 0 ]; then
   echo "admin_smoke: FAILED"
