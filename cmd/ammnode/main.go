@@ -172,7 +172,7 @@ func drive(ms *core.MultiSystem, o options, cfg chain.Config, tr *trace.Tracer) 
 		fmt.Printf("ammnode: fresh durable deployment in %s\n", o.dataDir)
 	}
 	rho := workload.Rho(o.daily, cfg.RoundDuration.Seconds())
-	attachEpochTraffic(ms, o.seed, rho*cfg.EpochRounds)
+	attachEpochTraffic(ms, o.seed, rho*cfg.EpochRounds, cfg.Users)
 	if o.killAt > 0 {
 		// Die without any shutdown path — no Close, no flush — exactly
 		// like kill -9, once the target epoch is provably durable: its
@@ -256,8 +256,7 @@ func drive(ms *core.MultiSystem, o options, cfg chain.Config, tr *trace.Tracer) 
 // attachEpochTraffic drives the recovery-aware workload pattern: epoch
 // e's swaps are derived from (seed, e) alone, so a restarted node
 // regenerates exactly the traffic the uninterrupted run would have seen.
-func attachEpochTraffic(ms *core.MultiSystem, seed int64, perEpoch int) {
-	users := nodeUsers()
+func attachEpochTraffic(ms *core.MultiSystem, seed int64, perEpoch int, users []string) {
 	poolIDs := ms.PoolIDs()
 	ms.OnEpochStart = func(epoch uint64) {
 		for _, tx := range workload.EpochSwaps(seed, epoch, perEpoch, users, poolIDs, "node", 1_000_000) {

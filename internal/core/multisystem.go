@@ -254,6 +254,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	}
 	s.bank = mainchain.NewMultiBank(eng.PoolIDs(), ck.group).
 		WithAddress(mainchain.BankAddressFor(cfg.ChainID))
+	seedBank(s.bank, eng)
 	s.bank.Retain = cfg.RetainEpochs
 	s.mc.Deploy(s.bank)
 	if cfg.RetainEpochs > 0 && shared == nil {
@@ -270,6 +271,25 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		s.live = newLiveConsensus(s)
 	}
 	return s, nil
+}
+
+// seedBank registers every pool's deployment state with the bank, as
+// System seeds its TokenBank: the reserves and the genesis position. A
+// sync payload carries only the positions its epoch touched, so a pool
+// that is never traded would otherwise never show the bank its genesis
+// position.
+func seedBank(bank *mainchain.MultiBank, eng *engine.Engine) {
+	for _, pid := range eng.PoolIDs() {
+		pool := eng.Pool(pid)
+		bank.Reserves[pid] = mainchain.PoolReserves{Reserve0: pool.Reserve0, Reserve1: pool.Reserve1}
+		for _, pos := range pool.Positions() {
+			bank.Positions[pid][pos.ID] = summary.PositionEntry{
+				ID: pos.ID, Owner: pos.Owner,
+				TickLower: pos.TickLower, TickUpper: pos.TickUpper,
+				Liquidity: pos.Liquidity, Fees0: pos.TokensOwed0, Fees1: pos.TokensOwed1,
+			}
+		}
+	}
 }
 
 // Engine exposes the sharded execution engine.

@@ -8,8 +8,8 @@ import (
 )
 
 // ErrBackendMismatch flags a config handed to the wrong backend
-// constructor: NumPools > 0 selects the sharded multi-pool MultiSystem,
-// zero the single canonical-pool System.
+// constructor: the single canonical-pool NewSystem refuses a config with
+// NumPools > 0, which only NewMultiSystem accepts.
 var ErrBackendMismatch = errors.New("core: config selects the other backend")
 
 // checkSinglePool rejects a multi-pool config handed to the single-pool

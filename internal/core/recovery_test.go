@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/engine"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/store"
 	"ammboost/internal/summary"
@@ -455,6 +456,62 @@ func TestRecoveredReceiptTable(t *testing.T) {
 		}
 	}
 	node2.Close()
+}
+
+// TestIdlePoolsKeepGenesisInBank pins that the bank holds every pool's
+// genesis position from deployment: a node whose traffic trades one of
+// its four pools passes Validate live, after reopening a compacted
+// store, and after resuming from it.
+func TestIdlePoolsKeepGenesisInBank(t *testing.T) {
+	cfg := recoveryCfg(23, 4, 2, 1)
+	cfg.CompactEvery = 2
+	drive := func(ms *MultiSystem) {
+		hot := ms.PoolIDs()[0]
+		ms.OnEpochStart = func(epoch uint64) {
+			for i, user := range cfg.Users[:4] {
+				tx := &summary.Tx{ID: fmt.Sprintf("idle-e%d-%d", epoch, i), Kind: gasmodel.KindSwap,
+					User: user, PoolID: hot, ZeroForOne: i%2 == 0, ExactIn: true,
+					Amount: u256.FromUint64(10_000)}
+				if _, err := ms.Submit(context.Background(), tx); err != nil {
+					t.Errorf("submit %s: %v", tx.ID, err)
+				}
+			}
+		}
+	}
+	fsys := &store.MemFS{}
+	node, err := OpenFS(fsys, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := node.(*MultiSystem)
+	drive(ms)
+	if _, err := node.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Validate(); err != nil {
+		t.Errorf("live Validate: %v", err)
+	}
+	idle := ms.PoolIDs()[3]
+	if _, ok := ms.Bank().Positions[idle][engine.GenesisPositionID(idle)]; !ok {
+		t.Errorf("bank lacks idle pool %s's genesis position", idle)
+	}
+	node.Close()
+
+	node2, err := OpenFS(fsys, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node2.Close()
+	if err := node2.Validate(); err != nil {
+		t.Errorf("reopened Validate: %v", err)
+	}
+	drive(node2.(*MultiSystem))
+	if _, err := node2.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := node2.Validate(); err != nil {
+		t.Errorf("resumed Validate: %v", err)
+	}
 }
 
 // TestStoreLockSingleWriter pins the single-writer contract: a second
