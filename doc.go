@@ -31,8 +31,8 @@
 //
 // (see the benchmark module bench/ for a multi-producer client built on
 // this loop, internal/ingest for the sharded-mempool front end behind it,
-// and chain.WithIngestCapacity / WithIngestSoftMark / WithIngestMaxWait
-// for the admission policy knobs).
+// and chain.Config's IngestCapacity / IngestSoftMark / IngestMaxWait
+// fields for the admission policy knobs).
 //
 // The multi-pool backend pipelines its epoch lifecycle: a finished
 // epoch's commitment build, sync chunking, and TSQC signing run on an

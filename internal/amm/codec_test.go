@@ -12,7 +12,7 @@ import (
 // buildCodecPool evolves a pool through a random mix of mints, swaps,
 // burns, and collects so its encoding covers multi-tick, multi-position
 // state with accrued fees.
-func buildCodecPool(t *testing.T, seed int64) *Pool {
+func buildCodecPool(t testing.TB, seed int64) *Pool {
 	t.Helper()
 	p, err := NewPool("A", "B", 3000, 60, u256.Q96)
 	if err != nil {
@@ -105,4 +105,37 @@ func TestPoolCodecTruncation(t *testing.T) {
 			t.Fatalf("cut=%d: err = %v, want ErrBadPoolEncoding", cut, err)
 		}
 	}
+}
+
+// FuzzDecodePool feeds DecodePool arbitrary bytes, as a peer snapshot or
+// a damaged store record would: it must fail with ErrBadPoolEncoding or
+// return a clean pool whose encoding is exactly the bytes it consumed.
+func FuzzDecodePool(f *testing.F) {
+	for _, seed := range []int64{1, 3, 7, 42, 1337} {
+		f.Add(AppendPool(nil, buildCodecPool(f, seed)))
+	}
+	fresh, err := NewPool("A", "B", 3000, 60, u256.Q96)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(AppendPool(nil, fresh))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		p, used, err := DecodePool(buf)
+		if err != nil {
+			if !errors.Is(err, ErrBadPoolEncoding) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if used < 0 || used > len(buf) {
+			t.Fatalf("consumed %d of %d bytes", used, len(buf))
+		}
+		if d := p.TakeDirty(); d.Dirty() {
+			t.Fatalf("decoded pool carries dirt: %+v", d)
+		}
+		if enc := AppendPool(nil, p); string(enc) != string(buf[:used]) {
+			t.Fatalf("re-encoding differs from the %d bytes consumed", used)
+		}
+	})
 }

@@ -120,8 +120,11 @@ func NewPool(token0, token1 string, feePips uint32, tickSpacing int32, sqrtPrice
 	}, nil
 }
 
-// Clone deep-copies the pool. The sidechain snapshots pool state at epoch
-// start and evolves the copy while the mainchain state stays frozen.
+// Clone deep-copies the pool's state. The sidechain snapshots pool state
+// at epoch start and evolves the copy while the mainchain state stays
+// frozen. The copy starts with no dirty tracking: the canonical pool it
+// is taken from is clean after every seal, and a pool's first commitment
+// after genesis or a restore is a cold rebuild that reads no dirt.
 func (p *Pool) Clone() *Pool {
 	c := *p
 	c.ticks = make(map[int32]*TickInfo, len(p.ticks))
@@ -135,71 +138,27 @@ func (p *Pool) Clone() *Pool {
 		c.positions[id] = pos.Clone()
 	}
 	c.posList = append([]string(nil), p.posList...)
-	// Dirty state is preserved: a clone of a half-dirty pool must commit
-	// the same pending changes.
-	c.dirtyTicks = nil
-	c.dirtyPositions = nil
-	if len(p.dirtyTicks) > 0 {
-		c.dirtyTicks = make(map[int32]struct{}, len(p.dirtyTicks))
-		for t := range p.dirtyTicks {
-			c.dirtyTicks[t] = struct{}{}
-		}
-	}
-	if len(p.dirtyPositions) > 0 {
-		c.dirtyPositions = make(map[string]struct{}, len(p.dirtyPositions))
-		for id := range p.dirtyPositions {
-			c.dirtyPositions[id] = struct{}{}
-		}
-	}
+	c.dirtyHeader, c.structDirty = false, false
+	c.dirtyTicks, c.dirtyPositions = nil, nil
 	return &c
 }
 
 // --- dirty tracking ---
 
-func (p *Pool) markHeaderDirty() { p.dirtyHeader = true }
+func (p *Pool) markHeader() { p.dirtyHeader = true }
 
-func (p *Pool) markTickDirty(tick int32) {
+func (p *Pool) markTick(tick int32) {
 	if p.dirtyTicks == nil {
 		p.dirtyTicks = make(map[int32]struct{}, 8)
 	}
 	p.dirtyTicks[tick] = struct{}{}
 }
 
-func (p *Pool) markPositionDirty(id string) {
+func (p *Pool) markPosition(id string) {
 	if p.dirtyPositions == nil {
 		p.dirtyPositions = make(map[string]struct{}, 8)
 	}
 	p.dirtyPositions[id] = struct{}{}
-}
-
-// Dirty reports whether any state changed since the last ClearDirty.
-func (p *Pool) Dirty() bool {
-	return p.dirtyHeader || p.structDirty || len(p.dirtyTicks) > 0 || len(p.dirtyPositions) > 0
-}
-
-// HeaderDirty reports whether pool-level fields changed.
-func (p *Pool) HeaderDirty() bool { return p.dirtyHeader }
-
-// StructurallyDirty reports whether tick or position set membership
-// changed (leaf insertion/removal, not just value updates).
-func (p *Pool) StructurallyDirty() bool { return p.structDirty }
-
-// DirtyTicks returns the set of ticks touched since the last ClearDirty.
-// The returned map is the pool's internal set; callers must not mutate it
-// and must not retain it across mutations.
-func (p *Pool) DirtyTicks() map[int32]struct{} { return p.dirtyTicks }
-
-// DirtyPositions returns the set of position IDs touched since the last
-// ClearDirty, under the same internal-view contract as DirtyTicks.
-func (p *Pool) DirtyPositions() map[string]struct{} { return p.dirtyPositions }
-
-// ClearDirty resets all dirty tracking; the caller asserts its cached
-// commitment now reflects the pool's current state.
-func (p *Pool) ClearDirty() {
-	p.dirtyHeader = false
-	p.structDirty = false
-	clear(p.dirtyTicks)
-	clear(p.dirtyPositions)
 }
 
 // DirtyState is a pool's dirty tracking detached from the pool itself, so
@@ -222,8 +181,8 @@ func (d *DirtyState) Dirty() bool {
 // hand-off point of the pipelined epoch lifecycle: the sealed epoch's
 // commitment job keeps the snapshot while the pool (now the canonical
 // epoch-start state) tracks the next epoch's changes from a clean slate.
-// Unlike ClearDirty, the dirty sets are moved, not cleared, so the caller
-// may read them concurrently with later Clone calls on the pool.
+// The dirty sets are moved, not cleared, so the caller may read them
+// concurrently with later Clone calls on the pool.
 func (p *Pool) TakeDirty() DirtyState {
 	d := DirtyState{
 		Header:     p.dirtyHeader,
@@ -391,7 +350,7 @@ func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upp
 			p.removeTick(tick)
 		}
 	}
-	p.markTickDirty(tick)
+	p.markTick(tick)
 	return flipped, nil
 }
 
@@ -442,7 +401,7 @@ func (p *Pool) updatePositionFees(pos *Position) {
 	}
 	pos.FeeGrowthInside0LastX128 = fg0
 	pos.FeeGrowthInside1LastX128 = fg1
-	p.markPositionDirty(pos.ID)
+	p.markPosition(pos.ID)
 }
 
 // MintResult reports the token amounts a mint pulled into the pool.
@@ -501,7 +460,7 @@ func (p *Pool) Mint(posID, owner string, tickLower, tickUpper int32, liquidity u
 	}
 	p.Reserve0 = u256.Add(p.Reserve0, amount0)
 	p.Reserve1 = u256.Add(p.Reserve1, amount1)
-	p.markHeaderDirty()
+	p.markHeader()
 	res = MintResult{PositionID: posID, Liquidity: liquidity, Amount0: amount0, Amount1: amount1}
 	return res, nil
 }
@@ -555,7 +514,7 @@ func (p *Pool) Burn(posID, caller string, liquidity u256.Int) (BurnResult, error
 	pos.Liquidity = u256.Sub(pos.Liquidity, liquidity)
 	if p.Tick >= pos.TickLower && p.Tick < pos.TickUpper {
 		p.Liquidity = u256.Sub(p.Liquidity, liquidity)
-		p.markHeaderDirty()
+		p.markHeader()
 	}
 	pos.TokensOwed0 = u256.Add(pos.TokensOwed0, amount0)
 	pos.TokensOwed1 = u256.Add(pos.TokensOwed1, amount1)
@@ -582,13 +541,13 @@ func (p *Pool) Collect(posID, caller string, amount0Req, amount1Req u256.Int) (p
 	p.Reserve0 = u256.Sub(p.Reserve0, paid0)
 	p.Reserve1 = u256.Sub(p.Reserve1, paid1)
 	if !paid0.IsZero() || !paid1.IsZero() {
-		p.markHeaderDirty()
+		p.markHeader()
 	}
 	if pos.Liquidity.IsZero() && pos.TokensOwed0.IsZero() && pos.TokensOwed1.IsZero() {
 		delete(p.positions, posID)
 		p.removePosition(posID)
 		p.structDirty = true
-		p.markPositionDirty(posID)
+		p.markPosition(posID)
 	}
 	return paid0, paid1, nil
 }
@@ -659,6 +618,7 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 	flips := make([]tickFlip, 0, 4)
 
 	for !remaining.IsZero() && !sqrtPrice.Eq(sqrtPriceLimitX96) {
+		stepStart := sqrtPrice
 		nextTick, found := p.nextInitializedTick(tick, zeroForOne)
 		if zeroForOne && found {
 			// nextInitializedTick(lte) may return the current tick itself;
@@ -730,7 +690,10 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 			} else {
 				tick = nextTick
 			}
-		} else if !sqrtPrice.Eq(p.SqrtPriceX96) {
+		} else if !sqrtPrice.Eq(stepStart) {
+			// Only a step that moved the price recomputes the tick: one
+			// that spent its input on fee alone keeps the tick a crossing
+			// just set.
 			tick = TickAtSqrtRatio(sqrtPrice)
 		}
 
@@ -750,9 +713,9 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 	// Commit state.
 	for _, f := range flips {
 		f.info.FeeGrowthOutside0X128, f.info.FeeGrowthOutside1X128 = f.fg0, f.fg1
-		p.markTickDirty(f.tick)
+		p.markTick(f.tick)
 	}
-	p.markHeaderDirty()
+	p.markHeader()
 	p.SqrtPriceX96 = sqrtPrice
 	p.Tick = tick
 	p.Liquidity = liquidity
@@ -785,7 +748,7 @@ func (p *Pool) Flash(amount0, amount1 u256.Int, fn FlashFn) error {
 	if repay0.Lt(u256.Add(amount0, fee0)) || repay1.Lt(u256.Add(amount1, fee1)) {
 		return ErrFlashNotRepaid
 	}
-	p.markHeaderDirty()
+	p.markHeader()
 	p.Reserve0 = u256.Add(u256.Sub(p.Reserve0, amount0), repay0)
 	p.Reserve1 = u256.Add(u256.Sub(p.Reserve1, amount1), repay1)
 	// Flash fees accrue to in-range liquidity like swap fees.

@@ -3,6 +3,7 @@ package amm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -471,35 +472,35 @@ func BenchmarkMintBurn(b *testing.B) {
 
 func TestDirtyTrackingMint(t *testing.T) {
 	p := newTestPool(t)
-	p.ClearDirty()
-	if p.Dirty() {
-		t.Fatal("fresh pool should be clean after ClearDirty")
+	if d := p.TakeDirty(); d.Dirty() {
+		t.Fatal("fresh pool should be clean")
 	}
 	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Dirty() || !p.HeaderDirty() || !p.StructurallyDirty() {
+	d := p.TakeDirty()
+	if !d.Dirty() || !d.Header || !d.Structural {
 		t.Error("mint of a new position must dirty header and structure")
 	}
-	if _, ok := p.DirtyPositions()["pos1"]; !ok {
+	if _, ok := d.Positions["pos1"]; !ok {
 		t.Error("minted position not marked dirty")
 	}
 	for _, tick := range []int32{-600, 600} {
-		if _, ok := p.DirtyTicks()[tick]; !ok {
+		if _, ok := d.Ticks[tick]; !ok {
 			t.Errorf("tick %d not marked dirty by mint", tick)
 		}
 	}
 
 	// A second mint into the same position is a value update, not a
 	// structural change.
-	p.ClearDirty()
 	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(500)); err != nil {
 		t.Fatal(err)
 	}
-	if p.StructurallyDirty() {
+	d = p.TakeDirty()
+	if d.Structural {
 		t.Error("adding liquidity to an existing position must not be structural")
 	}
-	if !p.Dirty() {
+	if !d.Dirty() {
 		t.Error("second mint should dirty the pool")
 	}
 }
@@ -510,7 +511,6 @@ func TestDirtyTrackingMint(t *testing.T) {
 // clones taken from it — accumulate the next epoch's changes.
 func TestTakeDirtyDetaches(t *testing.T) {
 	p := newTestPool(t)
-	p.ClearDirty()
 	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestTakeDirtyDetaches(t *testing.T) {
 	if _, ok := d.Positions["pos1"]; !ok {
 		t.Error("snapshot missing minted position")
 	}
-	if p.Dirty() {
+	if again := p.TakeDirty(); again.Dirty() {
 		t.Error("pool should read clean after TakeDirty")
 	}
 	// New mutations land in fresh sets, not the detached snapshot.
@@ -531,17 +531,15 @@ func TestTakeDirtyDetaches(t *testing.T) {
 	if _, ok := d.Positions["pos2"]; ok {
 		t.Error("post-detach mutation leaked into the snapshot")
 	}
-	if _, ok := p.DirtyPositions()["pos2"]; !ok {
+	next := p.TakeDirty()
+	if _, ok := next.Positions["pos2"]; !ok {
 		t.Error("post-detach mutation not tracked by the pool's new sets")
 	}
-	// A clone taken after TakeDirty carries only the new dirt.
-	c := p.Clone()
-	if _, ok := c.DirtyPositions()["pos1"]; ok {
-		t.Error("clone inherited detached dirt")
+	if _, ok := next.Positions["pos1"]; ok {
+		t.Error("pool's new sets still carry detached dirt")
 	}
 	// An idle pool's snapshot is empty and cheap.
-	p.ClearDirty()
-	if d2 := p.TakeDirty(); d2.Dirty() {
+	if idle := p.TakeDirty(); idle.Dirty() {
 		t.Error("clean pool's TakeDirty should report no dirt")
 	}
 }
@@ -551,17 +549,18 @@ func TestDirtyTrackingSwap(t *testing.T) {
 	if _, err := p.Mint("pos1", "lp1", -887220, 887220, liq(10_000_000)); err != nil {
 		t.Fatal(err)
 	}
-	p.ClearDirty()
+	p.TakeDirty()
 	if _, err := p.Swap(true, true, u256.FromUint64(10_000), u256.Zero); err != nil {
 		t.Fatal(err)
 	}
-	if !p.HeaderDirty() {
+	d := p.TakeDirty()
+	if !d.Header {
 		t.Error("swap must dirty the header")
 	}
-	if p.StructurallyDirty() {
+	if d.Structural {
 		t.Error("swap without tick flips must not be structural")
 	}
-	if len(p.DirtyPositions()) != 0 {
+	if len(d.Positions) != 0 {
 		t.Error("swap must not dirty positions directly")
 	}
 }
@@ -574,7 +573,7 @@ func TestDirtyTrackingCollectDelete(t *testing.T) {
 	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
-	p.ClearDirty()
+	p.TakeDirty()
 	if _, err := p.Burn("pos1", "lp1", liq(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -584,10 +583,11 @@ func TestDirtyTrackingCollectDelete(t *testing.T) {
 	if p.Position("pos1") != nil {
 		t.Fatal("position should be deleted after full burn+collect")
 	}
-	if !p.StructurallyDirty() {
+	d := p.TakeDirty()
+	if !d.Structural {
 		t.Error("position deletion must be structural")
 	}
-	if _, ok := p.DirtyPositions()["pos1"]; !ok {
+	if _, ok := d.Positions["pos1"]; !ok {
 		t.Error("deleted position must be in the dirty set")
 	}
 	for _, id := range p.PositionKeys() {
@@ -615,22 +615,39 @@ func TestPositionKeysSorted(t *testing.T) {
 	}
 }
 
-func TestClonePreservesDirtyState(t *testing.T) {
+// TestCloneStartsClean: a clone copies the pool's state but none of its
+// dirty tracking, and neither side's tracking sees the other's changes.
+func TestCloneStartsClean(t *testing.T) {
 	p := newTestPool(t)
 	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
 	c := p.Clone()
-	if !c.Dirty() || !c.StructurallyDirty() {
-		t.Error("clone must preserve dirty state")
+	if d := c.TakeDirty(); d.Dirty() {
+		t.Error("clone must start clean")
 	}
-	c.ClearDirty()
-	if p.Dirty() == false {
-		t.Error("clearing the clone must not clear the original")
+	if _, err := c.Swap(true, true, u256.FromUint64(10_000), u256.Zero); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := p.DirtyPositions()["pos1"]; !ok {
-		t.Error("original dirty set mutated through clone")
+	d := p.TakeDirty()
+	if !d.Structural {
+		t.Error("cloning or taking the clone's dirt cleared the original")
 	}
+	if _, ok := d.Positions["pos1"]; !ok {
+		t.Error("original lost its dirty position")
+	}
+	if d := c.TakeDirty(); !d.Header || d.Structural || len(d.Positions) != 0 {
+		t.Errorf("clone's dirt = %+v, want the swap's header only", d)
+	}
+}
+
+// withDirt is Clone plus a copy of p's dirty tracking, which Clone leaves
+// behind, so samePool can also check that a swap left the dirt alone.
+func withDirt(p *Pool) *Pool {
+	c := p.Clone()
+	c.dirtyHeader, c.structDirty = p.dirtyHeader, p.structDirty
+	c.dirtyTicks, c.dirtyPositions = maps.Clone(p.dirtyTicks), maps.Clone(p.dirtyPositions)
+	return c
 }
 
 // samePool reports deep equality of two pools, dirty tracking included;
@@ -671,11 +688,11 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 		}
 		for s := 0; s < 8; s++ {
 			if r.Intn(4) == 0 {
-				p.ClearDirty()
+				p.TakeDirty()
 			}
 			zeroForOne, exactIn, reject := r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0
 			amount := u256.Shl(u256.One, uint(r.Intn(63)))
-			before, ref := p.Clone(), p.Clone()
+			before, ref := withDirt(p), withDirt(p)
 			want, wantErr := ref.Swap(zeroForOne, exactIn, amount, u256.Zero)
 			var seen SwapResult
 			got, err := p.SwapIf(zeroForOne, exactIn, amount, u256.Zero, func(res SwapResult) error {
@@ -712,4 +729,42 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 		t.Fatalf("cases not covered: accepted %d, rejected after a crossing %d, failed after one %d", accepted, rejectedAfterCross, failedAfterCross)
 	}
 	t.Logf("accepted %d, rejected after a crossing %d, failed after one %d", accepted, rejectedAfterCross, failedAfterCross)
+}
+
+// TestSwapStepWithoutMoveKeepsCrossedTick: like Uniswap V3, a swap step
+// recomputes the tick only when it moved the price. A swap that crosses
+// tick -600 downward and then spends its last wei on fee without moving
+// must end at tick -601, below the range whose liquidity the crossing
+// already removed.
+func TestSwapStepWithoutMoveKeepsCrossedTick(t *testing.T) {
+	p := newTestPool(t)
+	if _, err := p.Mint("genesis", "lp", -887220, 887220, u256.MustFromDecimal("10000000000000")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Mint("range", "lp", -600, 600, liq(1_000_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	full := p.Liquidity
+	// A dry run limited at tick -600's price finds the input that reaches
+	// the tick exactly.
+	dry, err := p.Clone().Swap(true, true, u256.MustFromDecimal("1000000000000"), SqrtRatioAtTick(-600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dry.Tick != -600 && dry.Tick != -601 {
+		t.Fatalf("dry run ended at tick %d, want the -600 boundary", dry.Tick)
+	}
+	res, err := p.Swap(true, true, u256.Add(dry.AmountIn, u256.One), u256.Zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SqrtPriceX96.Eq(SqrtRatioAtTick(-600)) || res.TicksCrossed != 1 {
+		t.Fatalf("swap ended at price %s after %d crossings, want tick -600's price after 1", res.SqrtPriceX96, res.TicksCrossed)
+	}
+	if want := u256.Sub(full, liq(1_000_000_000)); !p.Liquidity.Eq(want) {
+		t.Fatalf("liquidity %s, want %s with the range crossed out", p.Liquidity, want)
+	}
+	if p.Tick != -601 || res.Tick != -601 {
+		t.Fatalf("tick = %d (result %d), want -601 below the crossed tick", p.Tick, res.Tick)
+	}
 }

@@ -37,8 +37,6 @@ func (n *busNode) SubmitBatch(_ context.Context, txs []*summary.Tx) (*BatchResul
 func (n *busNode) SubmitDeposit(string, uint64, u256.Int, u256.Int) (*Receipt, error) {
 	return nil, ErrMalformedTx
 }
-func (n *busNode) Claimable(string) (u256.Int, u256.Int) { return u256.Int{}, u256.Int{} }
-func (n *busNode) ClaimRefund(string) (*Receipt, error)  { return nil, ErrNoEscrow }
 func (n *busNode) Subscribe(mask EventMask) <-chan Event { return n.bus.Subscribe(mask) }
 func (n *busNode) Unsubscribe(ch <-chan Event)           { n.bus.Unsubscribe(ch) }
 func (n *busNode) Run(int) (*Report, error)              { return &Report{}, nil }

@@ -79,9 +79,8 @@ var (
 
 // Escrow-claim errors (the federation escrow surface).
 var (
-	// ErrNoEscrow rejects Claimable/ClaimRefund on a node with no
-	// federation escrow attached (single-tenant deployments, or the
-	// single-pool backend).
+	// ErrNoEscrow rejects core.MultiSystem's ClaimRefund on a node with
+	// no federation escrow attached (single-tenant deployments).
 	ErrNoEscrow = errors.New("chain: no federation escrow attached")
 	// ErrNothingClaimable rejects a claim for a user with no parked
 	// refund balance on this chain's claimable ledger.
@@ -324,21 +323,6 @@ type Chain interface {
 	PoolInfo(poolID string) (PoolInfo, bool)
 	// Positions lists the bank's synced liquidity positions.
 	Positions() []summary.PositionEntry
-
-	// Claimable reports the user's parked cross-chain refund balance on
-	// the federation escrow's per-chain claimable ledger — funds a
-	// refunded transfer could not re-credit because this chain was down.
-	// Zeroes when no escrow is attached or nothing is parked.
-	Claimable(user string) (amount0, amount1 u256.Int)
-	// ClaimRefund consumes the user's full claimable balance through a
-	// mainchain escrow claim and re-credits it as a deposit on this
-	// chain once the claim confirms — how a revived origin chain's users
-	// recover refunds parked while the chain was down. Call it from the
-	// simulator goroutine (like SubmitDeposit) while the node is
-	// running; the receipt reaches StatusSynced when the re-credit
-	// lands. Errors: ErrNoEscrow (no escrow attached — single-tenant
-	// nodes and the single-pool backend), ErrNothingClaimable, ErrHalted.
-	ClaimRefund(user string) (*Receipt, error)
 }
 
 // CheckTx performs the backend-independent shape validation Submit

@@ -324,9 +324,6 @@ func WithRoundDuration(d time.Duration) Option { return func(c *Config) { c.Roun
 // WithCommittee sets the PBFT committee size.
 func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize = size } }
 
-// WithMinerPopulation sets the sidechain miner count.
-func WithMinerPopulation(n int) Option { return func(c *Config) { c.MinerPopulation = n } }
-
 // WithPools sets the multi-pool backend's registered pool count.
 func WithPools(n int) Option { return func(c *Config) { c.NumPools = n } }
 
@@ -351,23 +348,6 @@ func WithFaults(f FaultPlan) Option { return func(c *Config) { c.Faults = f } }
 // WithTracer attaches an epoch-lifecycle span tracer (nil leaves
 // tracing disabled).
 func WithTracer(tr *trace.Tracer) Option { return func(c *Config) { c.Tracer = tr } }
-
-// WithIngestCapacity bounds the concurrent mempool (hard admission
-// wall).
-func WithIngestCapacity(n int) Option { return func(c *Config) { c.IngestCapacity = n } }
-
-// WithIngestSoftMark sets the soft high-water mark above which whole
-// batches are shed with ErrThrottled (must be below the capacity to
-// have any effect).
-func WithIngestSoftMark(n int) Option { return func(c *Config) { c.IngestSoftMark = n } }
-
-// WithIngestMaxWait bounds how long a producer blocks on a full mempool
-// before ErrMempoolFull (wall-clock; negative disables blocking).
-func WithIngestMaxWait(d time.Duration) Option { return func(c *Config) { c.IngestMaxWait = d } }
-
-// WithArrivalLog records the canonical drain-boundary arrival order for
-// single-producer replay (invariant 13).
-func WithArrivalLog(l *ArrivalLog) Option { return func(c *Config) { c.ArrivalLog = l } }
 
 // Report is the unified run summary both backends return from Run.
 // Fields that only one backend produces are zero on the other

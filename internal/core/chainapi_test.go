@@ -19,7 +19,9 @@ import (
 // dropping the pools.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
-	multi, err := NewMultiSystem(chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8), chain.WithMinerPopulation(20)), users)
+	mcfg := chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8))
+	mcfg.MinerPopulation = 20
+	multi, err := NewMultiSystem(mcfg, users)
 	if err != nil {
 		t.Fatalf("multi-pool backend: %v", err)
 	}

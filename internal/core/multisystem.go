@@ -548,7 +548,7 @@ func (s *MultiSystem) SubmitWithdraw(poolID, user string, amount0, amount1 u256.
 }
 
 // AttachEscrow connects the federation's escrow contract so this node
-// can serve the claimable-refund surface (Claimable/ClaimRefund). The
+// can serve its claimable-refund surface (Claimable/ClaimRefund). The
 // federation runner attaches it when building each member; single-tenant
 // nodes have no escrow and answer ErrNoEscrow. A node revived outside
 // its original federation (restarted to claim parked refunds) owns its

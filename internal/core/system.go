@@ -369,22 +369,6 @@ func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
 	return pbft.DigestOf(acc)
 }
 
-// Claimable implements the chain.Chain escrow surface: the single-pool
-// backend never joins a federation, so there is never an escrow and the
-// claimable balance is always zero.
-func (s *System) Claimable(string) (amount0, amount1 u256.Int) {
-	return u256.Int{}, u256.Int{}
-}
-
-// ClaimRefund implements the chain.Chain escrow surface; the single-pool
-// backend has no federation escrow to claim from.
-func (s *System) ClaimRefund(string) (*chain.Receipt, error) {
-	if s.err != nil {
-		return nil, chain.ErrHalted
-	}
-	return nil, chain.ErrNoEscrow
-}
-
 // SubmitDeposit runs a user's deposit flow on the mainchain. A first-time
 // depositor runs the full four-transaction chain (approve A -> approve B ->
 // deposit A -> deposit B, sequentially dependent - the pattern behind the

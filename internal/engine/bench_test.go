@@ -84,7 +84,8 @@ func BenchmarkFoldRoots(b *testing.B) {
 // ~10% of pools see traffic, the Zipf-skewed regime the incremental
 // subsystem targets. Setup seeds every pool with positions and tick
 // state; each iteration is one epoch: BeginEpoch (snapshot), one round
-// of swaps on the active pools, EndEpoch (summaries + roots + fold).
+// of swaps on the active pools, SealEpoch + Finalize (summaries + roots +
+// fold).
 func epochCloseBench(b *testing.B, cfg Config) {
 	const (
 		activePools = 25 // <=10% of pools see traffic per epoch
@@ -130,20 +131,14 @@ func epochCloseBench(b *testing.B, cfg Config) {
 		if _, err := eng.ExecuteRound(batch, 1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.EndEpoch(nil); err != nil {
-			b.Fatal(err)
-		}
+		closeEpoch(b, eng, nil)
 	}
 }
 
 // BenchmarkEpochClose measures full epoch cycles on a 256-pool
-// deployment with ~10% pool activity, reference full-rehash mode vs the
-// incremental commitment subsystem. The "traced" variant is the
-// incremental path with the lifecycle tracer attached.
+// deployment with ~10% pool activity. The "traced" variant attaches the
+// lifecycle tracer.
 func BenchmarkEpochClose(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
-		epochCloseBench(b, Config{NumPools: 256, NumShards: 8, FullRecompute: true})
-	})
 	b.Run("incremental", func(b *testing.B) {
 		epochCloseBench(b, Config{NumPools: 256, NumShards: 8})
 	})

@@ -4,65 +4,143 @@ import (
 	"fmt"
 	"testing"
 
+	"ammboost/internal/amm"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
 
-// diffRun drives one engine through a fixed multi-epoch schedule and
-// returns everything the differential comparison needs: per-epoch summary
-// roots, per-epoch payload digests (canonical pool order), and the final
-// per-pool state roots. Epoch 2 carries zero transactions and no
-// deposits, so with lazy snapshots no pool is ever touched in it; epochs
-// 1 and 3 run Zipf traffic, which leaves the cold tail of pools idle too.
-func diffRun(t *testing.T, seed int64, pools, shards int, full bool, batches [][]*summary.Tx, users []string) (summaryRoots [][32]byte, digests [][][32]byte, poolRoots [][32]byte) {
+// diffDeposits is the deposit earmark of diffRun's epoch e: epoch 2
+// carries none, and no transactions either.
+func diffDeposits(e uint64, ids, users []string) map[string]map[string]summary.Deposit {
+	if e == 2 {
+		return nil
+	}
+	dep := u256.FromUint64(1 << 40)
+	return UniformDeposits(ids, users, dep, dep)
+}
+
+// diffBatches returns the rounds of diffRun's epoch e: epochs 1 and 3
+// split the batches, epoch 2 has none.
+func diffBatches(e uint64, batches [][]*summary.Tx) [][]*summary.Tx {
+	half := len(batches) / 2
+	switch e {
+	case 1:
+		return batches[:half]
+	case 3:
+		return batches[half:]
+	}
+	return nil
+}
+
+// largePools of diffRun's hottest pools start with largePoolPositions
+// extra positions: enough chunk leaves that their commitments take the
+// cached-tree path instead of the small-pool rehash.
+const largePools, largePoolPositions = 4, 80
+
+// seedLargePools mints the extra positions into eng's genesis pools.
+func seedLargePools(t *testing.T, eng *Engine) {
 	t.Helper()
-	eng, err := New(Config{Seed: seed, NumPools: pools, NumShards: shards, FullRecompute: full})
+	for pi, id := range eng.PoolIDs()[:largePools] {
+		for j := 0; j < largePoolPositions; j++ {
+			lower := -60 * int32((pi+j*7)%40+1)
+			upper := 60 * int32((pi+j*5)%40+1)
+			if _, err := eng.Pool(id).Mint(fmt.Sprintf("seed-%02d", j), "lp", lower, upper, u256.FromUint64(2_000_000)); err != nil {
+				t.Fatalf("seed %s: %v", id, err)
+			}
+		}
+	}
+}
+
+// diffRun drives one engine through a fixed three-epoch schedule and
+// returns everything the differential comparison needs: per-epoch summary
+// roots, per-epoch payload digests and pool roots (canonical pool order),
+// and the final per-pool state roots. Epoch 2 carries zero transactions
+// and no deposits, so with lazy snapshots no pool is ever touched in it;
+// epochs 1 and 3 run Zipf traffic, which leaves the cold tail of pools
+// idle too. The hottest pools are seeded large (seedLargePools).
+func diffRun(t *testing.T, seed int64, pools, shards int, batches [][]*summary.Tx, users []string) (summaryRoots [][32]byte, digests, poolRoots [][][32]byte, final [][32]byte) {
+	t.Helper()
+	eng, err := New(Config{Seed: seed, NumPools: pools, NumShards: shards})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	dep := u256.FromUint64(1 << 40)
-	rounds := len(batches) / 2 // epochs 1 and 3 split the batches
+	seedLargePools(t, eng)
 	for e := uint64(1); e <= 3; e++ {
-		var deps map[string]map[string]summary.Deposit
-		if e != 2 {
-			deps = UniformDeposits(eng.PoolIDs(), users, dep, dep)
-		}
-		if err := eng.BeginEpoch(e, deps); err != nil {
+		if err := eng.BeginEpoch(e, diffDeposits(e, eng.PoolIDs(), users)); err != nil {
 			t.Fatalf("BeginEpoch %d: %v", e, err)
 		}
-		if e != 2 {
-			half := 0
-			if e == 3 {
-				half = rounds
-			}
-			for r := 0; r < rounds; r++ {
-				if _, err := eng.ExecuteRound(batches[half+r], uint64(r+1)); err != nil {
-					t.Fatalf("ExecuteRound: %v", err)
-				}
+		for r, batch := range diffBatches(e, batches) {
+			if _, err := eng.ExecuteRound(batch, uint64(r+1)); err != nil {
+				t.Fatalf("ExecuteRound: %v", err)
 			}
 		}
-		res, err := eng.EndEpoch([]byte("diff-next-key"))
-		if err != nil {
-			t.Fatalf("EndEpoch %d: %v", e, err)
-		}
+		res := closeEpoch(t, eng, []byte("diff-next-key"))
 		summaryRoots = append(summaryRoots, res.SummaryRoot)
 		ds := make([][32]byte, len(res.Payloads))
 		for i, p := range res.Payloads {
 			ds[i] = p.Digest()
 		}
 		digests = append(digests, ds)
+		poolRoots = append(poolRoots, res.PoolRoots)
 	}
-	return summaryRoots, digests, eng.StateRoots()
+	return summaryRoots, digests, poolRoots, eng.StateRoots()
 }
 
-// TestIncrementalMatchesFullReference is the PR's differential pin: for
-// seeds {1, 42, 1337} × shard counts {1, 4, 16}, the incremental
-// commitment path (dirty tracking + cached chunk hashes + lazy
-// snapshots) must reproduce the retained full-rehash reference mode bit
-// for bit — epoch summary roots, every pool's state root, and every sync
-// payload digest — including after an epoch with zero activity anywhere.
+// referenceRun computes diffRun's results without the engine's epoch
+// machinery: every epoch snapshots every pool into a summary.NewExecutor,
+// applies each pool's transactions in submission order, and hashes the
+// settled pool from scratch with StateRoot. It shares nothing with the
+// lazy snapshots, the untouched-pool payloads or the commitment caches.
+func referenceRun(t *testing.T, pools int, batches [][]*summary.Tx, users []string) (summaryRoots [][32]byte, digests, poolRoots [][][32]byte) {
+	t.Helper()
+	genesis, err := New(Config{NumPools: pools, NumShards: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	seedLargePools(t, genesis)
+	ids := genesis.PoolIDs()
+	state := make(map[string]*amm.Pool, len(ids))
+	for _, id := range ids {
+		state[id] = genesis.Pool(id)
+	}
+	for e := uint64(1); e <= 3; e++ {
+		deps := diffDeposits(e, ids, users)
+		execs := make(map[string]*summary.Executor, len(ids))
+		for _, id := range ids {
+			execs[id] = summary.NewExecutor(e, state[id], deps[id])
+		}
+		for r, batch := range diffBatches(e, batches) {
+			for _, tx := range batch {
+				if exec := execs[tx.PoolID]; exec != nil {
+					_ = exec.Apply(tx, uint64(r+1))
+				}
+			}
+		}
+		ds := make([][32]byte, len(ids))
+		roots := make([][32]byte, len(ids))
+		for i, id := range ids {
+			p := execs[id].Summary([]byte("diff-next-key"))
+			p.PoolID = id
+			ds[i] = p.Digest()
+			state[id] = execs[id].Pool
+			roots[i] = StateRoot(id, state[id])
+		}
+		summaryRoots = append(summaryRoots, FoldRoots(roots))
+		digests = append(digests, ds)
+		poolRoots = append(poolRoots, roots)
+	}
+	return summaryRoots, digests, poolRoots
+}
+
+// TestIncrementalMatchesFullReference is invariant 5's differential pin:
+// for seeds {1, 42, 1337} × shard counts {1, 4, 16}, the engine's
+// incremental path (lazy snapshots, untouched-pool payloads, dirty
+// tracking and cached chunk hashes) must reproduce referenceRun bit for
+// bit — every epoch's summary root, pool roots and sync payload digests,
+// including the epoch with zero activity anywhere — and its final cached
+// roots must equal StateRoot of the final pools.
 func TestIncrementalMatchesFullReference(t *testing.T) {
 	const pools = 32
 	for _, seed := range []int64{1, 42, 1337} {
@@ -78,10 +156,10 @@ func TestIncrementalMatchesFullReference(t *testing.T) {
 		}
 		users := gen.Users()
 
-		refSummary, refDigests, refPools := diffRun(t, seed, pools, 1, true, batches, users)
+		refSummary, refDigests, refRoots := referenceRun(t, pools, batches, users)
 		for _, shards := range []int{1, 4, 16} {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				gotSummary, gotDigests, gotPools := diffRun(t, seed, pools, shards, false, batches, users)
+				gotSummary, gotDigests, gotRoots, final := diffRun(t, seed, pools, shards, batches, users)
 				for e := range refSummary {
 					if gotSummary[e] != refSummary[e] {
 						t.Errorf("epoch %d: incremental summary root diverged from full reference", e+1)
@@ -90,10 +168,14 @@ func TestIncrementalMatchesFullReference(t *testing.T) {
 						if gotDigests[e][i] != refDigests[e][i] {
 							t.Errorf("epoch %d pool %d: payload digest diverged", e+1, i)
 						}
+						if gotRoots[e][i] != refRoots[e][i] {
+							t.Errorf("epoch %d pool %d: state root diverged", e+1, i)
+						}
 					}
 				}
-				for i := range refPools {
-					if gotPools[i] != refPools[i] {
+				last := refRoots[len(refRoots)-1]
+				for i := range last {
+					if final[i] != last[i] {
 						t.Errorf("pool %d: final state root diverged", i)
 					}
 				}
@@ -128,10 +210,7 @@ func TestCachedRootsMatchScratchRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := eng.EndEpoch([]byte("k"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := closeEpoch(t, eng, []byte("k"))
 		for i, id := range res.PoolIDs {
 			if want := StateRoot(id, eng.Pool(id)); res.PoolRoots[i] != want {
 				t.Fatalf("epoch %d: cached root of %s diverged from scratch recompute", e, id)
@@ -162,10 +241,7 @@ func TestUntouchedPoolKeepsCachedRoot(t *testing.T) {
 		if _, err := eng.ExecuteRound([]*summary.Tx{tx}, 1); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.EndEpoch(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := closeEpoch(t, eng, nil)
 		for i, id := range res.PoolIDs {
 			if id == active {
 				if res.PoolRoots[i] == before[i] {

@@ -38,16 +38,8 @@ type Config struct {
 	NumShards int
 	// FeePips is each pool's fee (default 3000 = 0.30%).
 	FeePips uint32
-	// TickSpacing aligns position bounds (default 60).
-	TickSpacing int32
 	// InitialLiquidity seeds each pool's genesis full-range position.
 	InitialLiquidity u256.Int
-	// FullRecompute disables the incremental commitment cache and lazy
-	// epoch snapshots: every BeginEpoch eagerly clones all pools and
-	// every EndEpoch re-hashes full pool state through StateRoot. This is
-	// the retained reference mode the incremental path is differentially
-	// tested against; production runs leave it false.
-	FullRecompute bool
 	// Tracer, when non-nil, accumulates per-shard execute timing (busy
 	// wall-clock, tx count, gas) each epoch and records one execute-shard
 	// span per active shard at seal time. Nil costs nothing on the
@@ -65,14 +57,14 @@ func (c Config) withDefaults() Config {
 	if c.FeePips == 0 {
 		c.FeePips = 3000
 	}
-	if c.TickSpacing == 0 {
-		c.TickSpacing = 60
-	}
 	if c.InitialLiquidity.IsZero() {
 		c.InitialLiquidity = u256.MustFromDecimal("10000000000000") // 1e13
 	}
 	return c
 }
+
+// tickSpacing aligns every pool's position bounds.
+const tickSpacing = 60
 
 // Engine executes transactions for N registered pools across worker
 // shards. Pools are partitioned by ShardOf; a pool's transactions always
@@ -81,7 +73,6 @@ func (c Config) withDefaults() Config {
 // safe for concurrent use by multiple callers; internally it fans out one
 // goroutine per shard.
 type Engine struct {
-	cfg       Config
 	reg       *Registry
 	numShards int
 	// shardPools[s] lists shard s's pools in canonical order.
@@ -131,7 +122,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, ErrNoPools
 	}
 	e := &Engine{
-		cfg:       cfg,
 		reg:       NewRegistry(),
 		numShards: cfg.NumShards,
 		poolIndex: make(map[string]int),
@@ -145,7 +135,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for i := 0; i < cfg.NumPools; i++ {
 		id := PoolName(i)
-		pool, err := amm.NewPool("A", "B", cfg.FeePips, cfg.TickSpacing, u256.Q96)
+		pool, err := amm.NewPool("A", "B", cfg.FeePips, tickSpacing, u256.Q96)
 		if err != nil {
 			return nil, err
 		}
@@ -218,9 +208,8 @@ func runSharded(numShards int, shardPools [][]string, fn func(shard int, poolIDs
 // per-pool executor only when its first transaction or deposit of the
 // epoch arrives, so epoch-open cost is proportional to the epoch's
 // active pools instead of all registered pools. The deposits map is
-// retained by reference until EndEpoch for lazy executor creation; the
-// caller must not mutate it while the epoch runs. Config.FullRecompute
-// restores the eager clone-everything behavior for reference runs.
+// retained by reference until SealEpoch for lazy executor creation; the
+// caller must not mutate it while the epoch runs.
 func (e *Engine) BeginEpoch(epoch uint64, deposits map[string]map[string]summary.Deposit) error {
 	if e.running {
 		return ErrEpochStarted
@@ -234,14 +223,6 @@ func (e *Engine) BeginEpoch(epoch uint64, deposits map[string]map[string]summary
 		for s := 0; s < e.numShards; s++ {
 			e.shardBusy[s], e.shardTxs[s], e.shardGas[s], e.shardFirst[s] = 0, 0, 0, 0
 		}
-	}
-	if e.cfg.FullRecompute {
-		e.runShards(func(_ int, poolIDs []string) {
-			for _, id := range poolIDs {
-				i := e.poolIndex[id]
-				e.execs[i] = summary.NewExecutor(epoch, e.reg.Get(id), deposits[id])
-			}
-		})
 	}
 	return nil
 }
@@ -392,21 +373,11 @@ type EpochResult struct {
 	SummaryRoot [32]byte
 }
 
-// poolRoot returns pool i's state root: the incremental commitment by
-// default, the full re-hash in FullRecompute reference mode. Dirty
-// tracking is detached either way so both modes leave identical state.
-func (e *Engine) poolRoot(i int, id string, p *amm.Pool) [32]byte {
-	d := p.TakeDirty()
-	if e.cfg.FullRecompute {
-		return StateRoot(id, p)
-	}
-	return e.commits[i].RootFrom(id, p, &d)
-}
-
 // untouchedPayload is the sync payload of a pool with no executor this
 // epoch: nothing traded, so the payout list is exactly the epoch's
 // earmarked deposits and the position list is empty. It is bit-identical
-// to what an eagerly created executor with no transactions produces.
+// to the Summary of a summary.NewExecutor that ran no transactions, which
+// the engine's tests compute as its reference.
 func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Deposit, nextGroupKey []byte) *summary.SyncPayload {
 	sp := &summary.SyncPayload{
 		Epoch:        epoch,
@@ -422,24 +393,6 @@ func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Dep
 		sp.SortEntries()
 	}
 	return sp
-}
-
-// EndEpoch folds every pool's epoch into its sync payload, computes state
-// roots, advances each pool's canonical state to the epoch's final state,
-// and returns the folded result. Pools untouched this epoch were never
-// snapshotted: their payloads are derived directly from canonical state
-// and their roots answered from the commitment cache, so epoch-close cost
-// scales with the epoch's activity rather than accumulated state.
-//
-// EndEpoch is exactly SealEpoch + Finalize run back to back on the
-// caller's goroutine; the pipelined lifecycle calls the two halves
-// separately so the fold overlaps the next epoch's execution.
-func (e *Engine) EndEpoch(nextGroupKey []byte) (*EpochResult, error) {
-	sealed, err := e.SealEpoch(nextGroupKey)
-	if err != nil {
-		return nil, err
-	}
-	return sealed.Finalize(), nil
 }
 
 // StateRoots returns the current canonical state root of every pool in
@@ -458,7 +411,7 @@ func (e *Engine) StateRoots() [][32]byte {
 	e.runShards(func(_ int, poolIDs []string) {
 		for _, id := range poolIDs {
 			i := e.poolIndex[id]
-			roots[i] = e.poolRoot(i, id, e.reg.Get(id))
+			roots[i] = e.commits[i].Root(id, e.reg.Get(id))
 		}
 	})
 	return roots

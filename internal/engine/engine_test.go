@@ -26,6 +26,16 @@ func checkTxRoot(t *testing.T, round uint64, res RoundResult) {
 	}
 }
 
+// closeEpoch seals the running epoch and finalizes it straight away.
+func closeEpoch(t testing.TB, eng *Engine, nextGroupKey []byte) *EpochResult {
+	t.Helper()
+	sealed, err := eng.SealEpoch(nextGroupKey)
+	if err != nil {
+		t.Fatalf("SealEpoch: %v", err)
+	}
+	return sealed.Finalize()
+}
+
 // runEpochs drives an engine through epochs of multi-pool Zipf traffic
 // and returns the per-epoch summary roots plus the final pool roots.
 func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound int, seed int64) ([][32]byte, [][32]byte, int) {
@@ -65,10 +75,7 @@ func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound i
 					r, len(res.Included), res.Rejected, len(batch))
 			}
 		}
-		res, err := eng.EndEpoch([]byte("next-key"))
-		if err != nil {
-			t.Fatalf("EndEpoch: %v", err)
-		}
+		res := closeEpoch(t, eng, []byte("next-key"))
 		if len(res.Payloads) != pools || len(res.PoolRoots) != pools {
 			t.Fatalf("epoch result covers %d payloads / %d roots, want %d",
 				len(res.Payloads), len(res.PoolRoots), pools)
@@ -173,9 +180,7 @@ func TestMidEpochDeposit(t *testing.T) {
 	if len(res.Included) != 1 {
 		t.Fatalf("funded swap rejected")
 	}
-	if _, err := eng.EndEpoch(nil); err != nil {
-		t.Fatal(err)
-	}
+	closeEpoch(t, eng, nil)
 }
 
 // TestUnknownPoolRejected: transactions routed to unregistered pools are
@@ -240,8 +245,8 @@ func TestLifecycleGuards(t *testing.T) {
 	if _, err := eng.ExecuteRound(nil, 1); err == nil {
 		t.Error("ExecuteRound before BeginEpoch should fail")
 	}
-	if _, err := eng.EndEpoch(nil); err == nil {
-		t.Error("EndEpoch before BeginEpoch should fail")
+	if _, err := eng.SealEpoch(nil); err == nil {
+		t.Error("SealEpoch before BeginEpoch should fail")
 	}
 	if err := eng.BeginEpoch(1, nil); err != nil {
 		t.Fatal(err)

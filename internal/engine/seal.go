@@ -37,10 +37,9 @@ type SealedEpoch struct {
 	commits      []*poolCommit
 	nextGroupKey []byte
 
-	numShards     int
-	shardPools    [][]string
-	poolIndex     map[string]int
-	fullRecompute bool
+	numShards  int
+	shardPools [][]string
+	poolIndex  map[string]int
 }
 
 // Epoch returns the sealed epoch's number.
@@ -66,28 +65,25 @@ func (se *SealedEpoch) ActiveSnapshots() (ids []string, pools []*amm.Pool) {
 // canonical pool states advance to the epoch's final states and the
 // frozen hand-off is captured, after which BeginEpoch may open the next
 // epoch immediately. The heavy fold — per-pool sync payloads, state
-// roots, the summary root — is deferred to SealedEpoch.Finalize.
-// EndEpoch is exactly SealEpoch followed by an immediate Finalize, which
-// is what makes the unpipelined path the differential reference for the
-// pipelined one.
+// roots, the summary root — is deferred to SealedEpoch.Finalize, which
+// the caller runs straight away or overlaps with the next epoch.
 func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 	if !e.running {
 		return nil, ErrNoEpoch
 	}
 	ids := e.reg.IDs()
 	se := &SealedEpoch{
-		epoch:         e.epoch,
-		ids:           append([]string(nil), ids...),
-		pools:         make([]*amm.Pool, len(ids)),
-		execs:         e.execs,
-		deposits:      e.epochDeposits,
-		dirty:         make([]amm.DirtyState, len(ids)),
-		commits:       e.commits,
-		nextGroupKey:  nextGroupKey,
-		numShards:     e.numShards,
-		shardPools:    e.shardPools,
-		poolIndex:     e.poolIndex,
-		fullRecompute: e.cfg.FullRecompute,
+		epoch:        e.epoch,
+		ids:          append([]string(nil), ids...),
+		pools:        make([]*amm.Pool, len(ids)),
+		execs:        e.execs,
+		deposits:     e.epochDeposits,
+		dirty:        make([]amm.DirtyState, len(ids)),
+		commits:      e.commits,
+		nextGroupKey: nextGroupKey,
+		numShards:    e.numShards,
+		shardPools:   e.shardPools,
+		poolIndex:    e.poolIndex,
 	}
 	// Settle every active executor — the epoch's final pool mutation
 	// (fee-growth pokes for summary-included positions) — then detach the
@@ -160,11 +156,7 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 			}
 			p.PoolID = id
 			payloads[i] = p
-			if se.fullRecompute {
-				roots[i] = StateRoot(id, pool)
-			} else {
-				roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
-			}
+			roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
 		}
 	})
 	return &EpochResult{

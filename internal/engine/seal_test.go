@@ -54,11 +54,7 @@ func sealRun(t *testing.T, pipelined bool, seed int64, pools, shards, epochs, ro
 			}
 		}
 		if !pipelined {
-			res, err := eng.EndEpoch([]byte("next-key"))
-			if err != nil {
-				t.Fatalf("EndEpoch: %v", err)
-			}
-			roots[e-1] = res.SummaryRoot
+			roots[e-1] = closeEpoch(t, eng, []byte("next-key")).SummaryRoot
 			continue
 		}
 		joinPending() // stage capacity 1: finalizations stay sequential
@@ -73,19 +69,20 @@ func sealRun(t *testing.T, pipelined bool, seed int64, pools, shards, epochs, ro
 	return roots
 }
 
-// TestSealFinalizeMatchesEndEpoch pins the pipelined engine hand-off:
-// finalizing sealed epochs concurrently with the next epoch's execution
-// yields bit-identical summary roots to the synchronous EndEpoch path,
+// TestSealFinalizeOverlapMatchesSequential pins the pipelined engine
+// hand-off: finalizing sealed epochs concurrently with the next epoch's
+// execution yields bit-identical summary roots to finalizing each one
+// straight after its seal,
 // across seeds and shard counts. Run with -race this also proves the
 // sealed state is genuinely frozen (no writes race the finalizer).
-func TestSealFinalizeMatchesEndEpoch(t *testing.T) {
+func TestSealFinalizeOverlapMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
 		for _, shards := range []int{1, 4} {
 			base := sealRun(t, false, seed, 24, shards, 3, 4, 300)
 			over := sealRun(t, true, seed, 24, shards, 3, 4, 300)
 			for e := range base {
 				if base[e] != over[e] {
-					t.Errorf("seed=%d shards=%d: epoch %d root diverged between EndEpoch and Seal+Finalize",
+					t.Errorf("seed=%d shards=%d: epoch %d root diverged between sequential and overlapped Finalize",
 						seed, shards, e+1)
 				}
 			}
@@ -122,17 +119,12 @@ func TestSealEpochAdvancesCanonicalState(t *testing.T) {
 	if eng.Pool(pid).Reserve0.Eq(before) {
 		t.Error("canonical reserves unchanged after seal; want the epoch's trades applied")
 	}
-	if !eng.Pool(pid).Dirty() {
-		// TakeDirty detached the tracking: the sealed pool reads clean.
-	} else {
+	if d := eng.Pool(pid).TakeDirty(); d.Dirty() {
 		t.Error("sealed pool still reports dirty state; tracking should be detached")
 	}
-	// Lifecycle guards: sealing twice, or ending after a seal, is an error.
+	// Lifecycle guard: sealing twice is an error.
 	if _, err := eng.SealEpoch([]byte("k")); err == nil {
 		t.Error("second SealEpoch should fail (no epoch in progress)")
-	}
-	if _, err := eng.EndEpoch([]byte("k")); err == nil {
-		t.Error("EndEpoch after SealEpoch should fail (no epoch in progress)")
 	}
 	// The next epoch opens against the sealed state while the finalize
 	// is still outstanding.
@@ -143,9 +135,7 @@ func TestSealEpochAdvancesCanonicalState(t *testing.T) {
 	if res.Epoch != 1 || len(res.Payloads) != 2 {
 		t.Fatalf("finalized epoch %d with %d payloads, want epoch 1 with 2", res.Epoch, len(res.Payloads))
 	}
-	if _, err := eng.EndEpoch([]byte("k2")); err != nil {
-		t.Fatalf("EndEpoch for epoch 2: %v", err)
-	}
+	closeEpoch(t, eng, []byte("k2"))
 }
 
 // TestShardStatsAccounting pins the traced execute path: the epoch's

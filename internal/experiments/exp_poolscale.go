@@ -24,19 +24,17 @@ type poolScalePoint struct {
 	Speedup     float64 // vs the 1-shard run at the same pool count
 	SummaryRoot [32]byte
 	// EpochClose is the average time per epoch spent outside round
-	// execution — BeginEpoch (snapshot) plus EndEpoch (summaries, state
-	// roots, fold) — the cost the incremental commitment subsystem
-	// attacks.
+	// execution — BeginEpoch (snapshot) plus SealEpoch and Finalize
+	// (summaries, state roots, fold) — the cost the incremental
+	// commitment subsystem attacks.
 	EpochClose time.Duration
-	// EpochCloseFull is the same measurement with the incremental
-	// commitment cache disabled (full re-hash reference mode).
-	EpochCloseFull time.Duration
 }
 
 // PoolScaleResult sweeps pool count × shard count over identical Zipf
 // traffic, measuring wall-clock execution throughput of the sharded
 // engine and verifying that every shard count reproduces bit-identical
-// epoch summary roots.
+// epoch summary roots, each equal to the fold of every pool's StateRoot
+// rehashed from scratch.
 type PoolScaleResult struct {
 	Points []poolScalePoint
 	// RootsIdentical confirms the determinism acceptance check.
@@ -81,29 +79,21 @@ func RunPoolScale(o Options) (*PoolScaleResult, error) {
 		var baseRoot [32]byte
 		var baseWall time.Duration
 		for si, shards := range shardCounts {
-			root, wall, epochClose, txs, err := runPoolScaleConfig(o.Seed, pools, shards, epochs, false, users, batches)
+			root, wall, epochClose, txs, rehashed, err := runPoolScaleConfig(o.Seed, pools, shards, epochs, users, batches)
 			if err != nil {
 				return nil, err
 			}
-			// Reference pass: same traffic with the incremental
-			// commitment cache disabled. Doubles as a differential
-			// check — full-rehash roots must match the incremental run.
-			fullRoot, _, epochCloseFull, _, err := runPoolScaleConfig(o.Seed, pools, shards, epochs, true, users, batches)
-			if err != nil {
-				return nil, err
-			}
-			if fullRoot != root {
+			if !rehashed {
 				res.RootsIdentical = false
 			}
 			pt := poolScalePoint{
-				Pools:          pools,
-				Shards:         shards,
-				Txs:            txs,
-				Wall:           wall,
-				Throughput:     float64(txs) / wall.Seconds(),
-				SummaryRoot:    root,
-				EpochClose:     epochClose,
-				EpochCloseFull: epochCloseFull,
+				Pools:       pools,
+				Shards:      shards,
+				Txs:         txs,
+				Wall:        wall,
+				Throughput:  float64(txs) / wall.Seconds(),
+				SummaryRoot: root,
+				EpochClose:  epochClose,
 			}
 			if si == 0 {
 				baseRoot, baseWall = root, wall
@@ -125,41 +115,55 @@ func RunPoolScale(o Options) (*PoolScaleResult, error) {
 
 // runPoolScaleConfig executes the pre-generated batches on a fresh
 // engine and returns the final epoch's summary root, total wall-clock
-// time, and the average per-epoch close time (BeginEpoch + EndEpoch).
-func runPoolScaleConfig(seed int64, pools, shards, epochs int, fullRecompute bool, users []string, batches [][]*summary.Tx) ([32]byte, time.Duration, time.Duration, int, error) {
-	eng, err := engine.New(engine.Config{Seed: seed, NumPools: pools, NumShards: shards, FullRecompute: fullRecompute})
+// time, the average per-epoch close time (BeginEpoch + SealEpoch +
+// Finalize), the executed transaction count, and whether every epoch's
+// summary root equals the fold of every pool's StateRoot rehashed from
+// scratch. The rehash is excluded from both timings.
+func runPoolScaleConfig(seed int64, pools, shards, epochs int, users []string, batches [][]*summary.Tx) ([32]byte, time.Duration, time.Duration, int, bool, error) {
+	eng, err := engine.New(engine.Config{Seed: seed, NumPools: pools, NumShards: shards})
 	if err != nil {
-		return [32]byte{}, 0, 0, 0, err
+		return [32]byte{}, 0, 0, 0, false, err
 	}
+	rehashed := true
+	roots := make([][32]byte, pools)
 	dep := u256.FromUint64(1 << 40)
 	txs := 0
 	var lastRoot [32]byte
-	var closeTime time.Duration
+	var closeTime, rehashTime time.Duration
 	start := time.Now()
 	for e := 1; e <= epochs; e++ {
 		deps := engine.UniformDeposits(eng.PoolIDs(), users, dep, dep)
 		beginStart := time.Now()
 		if err := eng.BeginEpoch(uint64(e), deps); err != nil {
-			return [32]byte{}, 0, 0, 0, err
+			return [32]byte{}, 0, 0, 0, false, err
 		}
 		closeTime += time.Since(beginStart)
 		for r := 1; r <= poolScaleRounds; r++ {
 			batch := batches[(e-1)*poolScaleRounds+(r-1)]
 			rr, err := eng.ExecuteRound(batch, uint64(r))
 			if err != nil {
-				return [32]byte{}, 0, 0, 0, err
+				return [32]byte{}, 0, 0, 0, false, err
 			}
 			txs += len(rr.Included)
 		}
 		endStart := time.Now()
-		er, err := eng.EndEpoch([]byte("poolscale-next-key"))
+		sealed, err := eng.SealEpoch([]byte("poolscale-next-key"))
 		if err != nil {
-			return [32]byte{}, 0, 0, 0, err
+			return [32]byte{}, 0, 0, 0, false, err
 		}
+		er := sealed.Finalize()
 		closeTime += time.Since(endStart)
 		lastRoot = er.SummaryRoot
+		rehashStart := time.Now()
+		for i, id := range er.PoolIDs {
+			roots[i] = engine.StateRoot(id, eng.Pool(id))
+		}
+		if engine.FoldRoots(roots) != lastRoot {
+			rehashed = false
+		}
+		rehashTime += time.Since(rehashStart)
 	}
-	return lastRoot, time.Since(start), closeTime / time.Duration(epochs), txs, nil
+	return lastRoot, time.Since(start) - rehashTime, closeTime / time.Duration(epochs), txs, rehashed, nil
 }
 
 // Render implements Result.
@@ -168,13 +172,9 @@ func (r *PoolScaleResult) Render() string {
 		title: "Poolscale: sharded multi-pool execution (Zipf traffic, fixed seed)",
 		headers: []string{"Pools", "Shards", "Executed txs", "Wall (ms)",
 			"Throughput (tx/s)", "Speedup vs 1 shard",
-			"Epoch close (µs)", "vs full rehash"},
+			"Epoch close (µs)"},
 	}
 	for _, p := range r.Points {
-		closeSpeedup := 0.0
-		if p.EpochClose > 0 {
-			closeSpeedup = float64(p.EpochCloseFull) / float64(p.EpochClose)
-		}
 		t.add(
 			fmt.Sprintf("%d", p.Pools),
 			fmt.Sprintf("%d", p.Shards),
@@ -183,7 +183,6 @@ func (r *PoolScaleResult) Render() string {
 			fmt.Sprintf("%.0f", p.Throughput),
 			fmt.Sprintf("%.2fx", p.Speedup),
 			fmt.Sprintf("%d", p.EpochClose.Microseconds()),
-			fmt.Sprintf("%.2fx", closeSpeedup),
 		)
 	}
 	s := t.String()

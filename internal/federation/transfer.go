@@ -142,17 +142,11 @@ func (f *Federation) onSyncConfirmed(node *Node, epoch uint64) {
 			releases = append(releases, t)
 		}
 	}
-	switch {
-	case len(locks) == 1:
-		f.submitLock(locks[0])
-	case len(locks) > 1:
-		f.submitLockBatch(node, epoch, locks)
+	if len(locks) > 0 {
+		f.submitLocks(node, epoch, locks)
 	}
-	switch {
-	case len(releases) == 1:
-		f.submitRelease(releases[0])
-	case len(releases) > 1:
-		f.submitReleaseBatch(node, epoch, releases)
+	if len(releases) > 0 {
+		f.submitReleases(node, epoch, releases)
 	}
 }
 
@@ -190,49 +184,21 @@ func (f *Federation) onHalted(node *Node) {
 	}
 }
 
-// submitLock opens mainchain custody for a transfer whose withdraw epoch
-// just synced.
-func (f *Federation) submitLock(t *transferState) {
-	t.lockInFlight = true
-	f.escrowInFlight++
-	tx := &mainchain.Tx{
-		ID: "xfer-" + t.spec.ID + "-lock", From: "fed-bridge", To: mainchain.EscrowAddress,
-		Method: "lock", Size: 260,
-		Args: &mainchain.EscrowLockArgs{
-			ID:        t.spec.ID,
-			FromChain: t.spec.FromChain,
-			ToChain:   t.spec.ToChain,
-			User:      t.spec.User,
-			Amount0:   t.spec.Amount0,
-			Amount1:   t.spec.Amount1,
-		},
+// escrowTxID names the escrow transaction for one phase of ts: a
+// transfer that travels alone keeps its own xfer-<id>-<phase> ID, and a
+// batch is named after the (chain, epoch) confirmation that made it ready.
+func escrowTxID(node *Node, epoch uint64, ts []*transferState, phase string) string {
+	if len(ts) == 1 {
+		return "xfer-" + ts[0].spec.ID + "-" + phase
 	}
-	tx.OnConfirmed = func(tx *mainchain.Tx) {
-		t.lockInFlight = false
-		f.escrowInFlight--
-		if tx.Status != mainchain.TxConfirmed {
-			f.abort(t, fmt.Errorf("federation: escrow lock reverted: %w", tx.Err))
-			f.maybeStop()
-			return
-		}
-		t.rc.Status = chain.TransferEscrowed
-		t.rc.EscrowedAt = f.sim.Now()
-		if t.refundOnLock {
-			f.submitRefund(t, t.refundReason)
-			return
-		}
-		f.creditDestination(t)
-		f.maybeStop()
-	}
-	f.mc.Submit(tx)
+	return fmt.Sprintf("xfer-batch-%s-e%d-%s", node.ID, epoch, phase)
 }
 
-// submitLockBatch opens custody for every transfer the same (origin,
-// epoch) sync confirmation made ready, in one atomic mainchain call.
-// The batch settles all-or-nothing on-chain (Escrow.lockBatch validates
-// every item before opening any entry), so a revert aborts the whole
-// set — identical outcome to each single lock reverting.
-func (f *Federation) submitLockBatch(node *Node, epoch uint64, ts []*transferState) {
+// submitLocks opens custody for every transfer the same (origin, epoch)
+// sync confirmation made ready, in one atomic mainchain call. The lock
+// settles all-or-nothing on-chain (Escrow.lock validates every item
+// before opening any entry), so a revert aborts the whole set.
+func (f *Federation) submitLocks(node *Node, epoch uint64, ts []*transferState) {
 	items := make([]mainchain.EscrowLockArgs, len(ts))
 	for i, t := range ts {
 		t.lockInFlight = true
@@ -247,8 +213,8 @@ func (f *Federation) submitLockBatch(node *Node, epoch uint64, ts []*transferSta
 		}
 	}
 	tx := &mainchain.Tx{
-		ID: fmt.Sprintf("xfer-batch-%s-e%d-lock", node.ID, epoch), From: "fed-bridge",
-		To: mainchain.EscrowAddress, Method: "lockBatch", Size: 60 + 200*len(ts),
+		ID: escrowTxID(node, epoch, ts, "lock"), From: "fed-bridge",
+		To: mainchain.EscrowAddress, Method: "lock", Size: 60 + 200*len(ts),
 		Args: &mainchain.EscrowBatchLockArgs{Items: items},
 	}
 	tx.OnConfirmed = func(tx *mainchain.Tx) {
@@ -258,7 +224,7 @@ func (f *Federation) submitLockBatch(node *Node, epoch uint64, ts []*transferSta
 		}
 		if tx.Status != mainchain.TxConfirmed {
 			for _, t := range ts {
-				f.abort(t, fmt.Errorf("federation: escrow batch lock reverted: %w", tx.Err))
+				f.abort(t, fmt.Errorf("federation: escrow lock reverted: %w", tx.Err))
 			}
 			f.maybeStop()
 			return
@@ -277,10 +243,9 @@ func (f *Federation) submitLockBatch(node *Node, epoch uint64, ts []*transferSta
 	f.mc.Submit(tx)
 }
 
-// submitReleaseBatch ends custody for every transfer the same
-// (destination, epoch) sync confirmation completed, in one atomic
-// mainchain call.
-func (f *Federation) submitReleaseBatch(node *Node, epoch uint64, ts []*transferState) {
+// submitReleases ends custody for every transfer the same (destination,
+// epoch) sync confirmation completed, in one atomic mainchain call.
+func (f *Federation) submitReleases(node *Node, epoch uint64, ts []*transferState) {
 	ids := make([]string, len(ts))
 	for i, t := range ts {
 		t.settleInFlight = true
@@ -288,8 +253,8 @@ func (f *Federation) submitReleaseBatch(node *Node, epoch uint64, ts []*transfer
 		ids[i] = t.spec.ID
 	}
 	tx := &mainchain.Tx{
-		ID: fmt.Sprintf("xfer-batch-%s-e%d-release", node.ID, epoch), From: "fed-bridge",
-		To: mainchain.EscrowAddress, Method: "releaseBatch", Size: 60 + 40*len(ts),
+		ID: escrowTxID(node, epoch, ts, "release"), From: "fed-bridge",
+		To: mainchain.EscrowAddress, Method: "release", Size: 60 + 40*len(ts),
 		Args: &mainchain.EscrowBatchSettleArgs{IDs: ids},
 	}
 	tx.OnConfirmed = func(tx *mainchain.Tx) {
@@ -299,7 +264,7 @@ func (f *Federation) submitReleaseBatch(node *Node, epoch uint64, ts []*transfer
 		}
 		if tx.Status != mainchain.TxConfirmed {
 			for _, t := range ts {
-				f.abort(t, fmt.Errorf("federation: escrow batch release reverted: %w", tx.Err))
+				f.abort(t, fmt.Errorf("federation: escrow release reverted: %w", tx.Err))
 			}
 		} else {
 			for _, t := range ts {
@@ -338,38 +303,14 @@ func (f *Federation) creditDestination(t *transferState) {
 	// destination quiesces refunds in maybeStop's sweep instead.
 }
 
-// submitRelease ends custody for a completed transfer.
-func (f *Federation) submitRelease(t *transferState) {
-	t.settleInFlight = true
-	f.escrowInFlight++
-	tx := &mainchain.Tx{
-		ID: "xfer-" + t.spec.ID + "-release", From: "fed-bridge", To: mainchain.EscrowAddress,
-		Method: "release", Size: 100, Args: &mainchain.EscrowSettleArgs{ID: t.spec.ID},
-	}
-	tx.OnConfirmed = func(tx *mainchain.Tx) {
-		t.settleInFlight = false
-		f.escrowInFlight--
-		if tx.Status != mainchain.TxConfirmed {
-			// Custody is in an unknown state; surface loudly via the
-			// receipt and leave the entry for the conservation check.
-			f.abort(t, fmt.Errorf("federation: escrow release reverted: %w", tx.Err))
-		} else {
-			t.rc.Status = chain.TransferCompleted
-			t.rc.SettledAt = f.sim.Now()
-			t.rc.DepositEpoch = t.depositRC.Epoch
-		}
-		f.maybeStop()
-	}
-	f.mc.Submit(tx)
-}
-
-// submitRefund bounces custody back toward the origin chain.
+// submitRefund bounces custody back toward the origin chain: a one-item
+// refund list.
 func (f *Federation) submitRefund(t *transferState, reason error) {
 	t.settleInFlight = true
 	f.escrowInFlight++
 	tx := &mainchain.Tx{
 		ID: "xfer-" + t.spec.ID + "-refund", From: "fed-bridge", To: mainchain.EscrowAddress,
-		Method: "refund", Size: 100, Args: &mainchain.EscrowSettleArgs{ID: t.spec.ID},
+		Method: "refund", Size: 60 + 40, Args: &mainchain.EscrowBatchSettleArgs{IDs: []string{t.spec.ID}},
 	}
 	tx.OnConfirmed = func(tx *mainchain.Tx) {
 		t.settleInFlight = false

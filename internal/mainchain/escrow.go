@@ -63,7 +63,7 @@ type EscrowEntry struct {
 	SettledAt uint64
 }
 
-// EscrowLockArgs opens an escrow entry for a cross-chain transfer.
+// EscrowLockArgs is one cross-chain transfer to open an escrow entry for.
 type EscrowLockArgs struct {
 	ID        string
 	FromChain string
@@ -73,20 +73,16 @@ type EscrowLockArgs struct {
 	Amount1   u256.Int
 }
 
-// EscrowSettleArgs releases or refunds a locked entry by transfer ID.
-type EscrowSettleArgs struct {
-	ID string
-}
-
-// EscrowBatchLockArgs opens several escrow entries in one transaction —
-// a federation member batches all its cross-chain locks for one epoch
-// into a single mainchain call instead of one transaction per transfer.
+// EscrowBatchLockArgs are the arguments of "lock": it opens one or more
+// escrow entries in one transaction — a federation member batches all its
+// cross-chain locks for one epoch into a single mainchain call instead of
+// one transaction per transfer.
 type EscrowBatchLockArgs struct {
 	Items []EscrowLockArgs
 }
 
-// EscrowBatchSettleArgs releases (or refunds) several locked entries in
-// one transaction.
+// EscrowBatchSettleArgs are the arguments of "release" and "refund": the
+// IDs of one or more locked entries settled in one transaction.
 type EscrowBatchSettleArgs struct {
 	IDs []string
 }
@@ -144,39 +140,26 @@ func NewEscrow() *Escrow {
 // Name implements Contract.
 func (e *Escrow) Name() string { return EscrowAddress }
 
-// Execute implements Contract.
+// Execute implements Contract. The escrow answers "lock", "release" and
+// "refund", each over a list of one or more entries, and "claim".
 func (e *Escrow) Execute(env *Env, method string, args any) error {
 	switch method {
 	case "lock":
-		a, ok := args.(*EscrowLockArgs)
-		if !ok {
-			return ErrBadArgs
-		}
-		return e.lock(env, a)
-	case "release":
-		a, ok := args.(*EscrowSettleArgs)
-		if !ok {
-			return ErrBadArgs
-		}
-		return e.settle(env, a.ID, EscrowReleased)
-	case "refund":
-		a, ok := args.(*EscrowSettleArgs)
-		if !ok {
-			return ErrBadArgs
-		}
-		return e.settle(env, a.ID, EscrowRefunded)
-	case "lockBatch":
 		a, ok := args.(*EscrowBatchLockArgs)
 		if !ok {
 			return ErrBadArgs
 		}
-		return e.lockBatch(env, a)
-	case "releaseBatch":
+		return e.lock(env, a.Items)
+	case "release", "refund":
 		a, ok := args.(*EscrowBatchSettleArgs)
 		if !ok {
 			return ErrBadArgs
 		}
-		return e.settleBatch(env, a.IDs, EscrowReleased)
+		to := EscrowReleased
+		if method == "refund" {
+			to = EscrowRefunded
+		}
+		return e.settle(env, a.IDs, to)
 	case "claim":
 		a, ok := args.(*EscrowClaimArgs)
 		if !ok {
@@ -188,51 +171,22 @@ func (e *Escrow) Execute(env *Env, method string, args any) error {
 	}
 }
 
-func (e *Escrow) lock(env *Env, a *EscrowLockArgs) error {
-	// Charge the full bill before mutating any state: like MultiBank
-	// sync parts, escrow calls must be atomic under the chain's
-	// gas-deferral re-execution.
-	if err := env.Gas.Charge(gasmodel.TxBaseGas + escrowEntryWords*gasmodel.SstoreWordGas); err != nil {
-		return err
-	}
-	if a.ID == "" || a.FromChain == "" || a.ToChain == "" || a.User == "" {
-		return fmt.Errorf("%w: escrow lock missing fields", ErrBadArgs)
-	}
-	if _, dup := e.Entries[a.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicateEscrow, a.ID)
-	}
-	e.Entries[a.ID] = &EscrowEntry{
-		ID:        a.ID,
-		FromChain: a.FromChain,
-		ToChain:   a.ToChain,
-		User:      a.User,
-		Amount0:   a.Amount0,
-		Amount1:   a.Amount1,
-		State:     EscrowLocked,
-		LockedAt:  env.BlockNum,
-	}
-	e.order = append(e.order, a.ID)
-	e.TotalLocked0 = u256.Add(e.TotalLocked0, a.Amount0)
-	e.TotalLocked1 = u256.Add(e.TotalLocked1, a.Amount1)
-	return nil
-}
-
-// lockBatch opens every entry or none: one base fee amortized over the
-// batch, the whole bill charged before any state mutates, and every item
-// validated (fields, duplicates against the book AND within the batch)
-// before the first entry opens — atomic under gas-deferral re-execution
-// exactly like a single lock.
-func (e *Escrow) lockBatch(env *Env, a *EscrowBatchLockArgs) error {
-	if len(a.Items) == 0 {
+// lock opens every entry or none: one base fee amortized over the list,
+// the whole bill charged before any state mutates (like MultiBank sync
+// parts, escrow calls must be atomic under the chain's gas-deferral
+// re-execution), and every item validated (fields, duplicates against the
+// book AND within the list) before the first entry opens.
+func (e *Escrow) lock(env *Env, items []EscrowLockArgs) error {
+	if len(items) == 0 {
 		return fmt.Errorf("%w: empty escrow batch", ErrBadArgs)
 	}
-	bill := gasmodel.TxBaseGas + uint64(len(a.Items))*escrowEntryWords*gasmodel.SstoreWordGas
+	bill := gasmodel.TxBaseGas + uint64(len(items))*escrowEntryWords*gasmodel.SstoreWordGas
 	if err := env.Gas.Charge(bill); err != nil {
 		return err
 	}
-	seen := make(map[string]bool, len(a.Items))
-	for i := range a.Items {
-		it := &a.Items[i]
+	seen := make(map[string]bool, len(items))
+	for i := range items {
+		it := &items[i]
 		if it.ID == "" || it.FromChain == "" || it.ToChain == "" || it.User == "" {
 			return fmt.Errorf("%w: escrow lock missing fields", ErrBadArgs)
 		}
@@ -241,8 +195,8 @@ func (e *Escrow) lockBatch(env *Env, a *EscrowBatchLockArgs) error {
 		}
 		seen[it.ID] = true
 	}
-	for i := range a.Items {
-		it := &a.Items[i]
+	for i := range items {
+		it := &items[i]
 		e.Entries[it.ID] = &EscrowEntry{
 			ID:        it.ID,
 			FromChain: it.FromChain,
@@ -260,9 +214,9 @@ func (e *Escrow) lockBatch(env *Env, a *EscrowBatchLockArgs) error {
 	return nil
 }
 
-// settleBatch settles every listed entry or none, with the same
-// charge-then-validate-then-apply shape as lockBatch.
-func (e *Escrow) settleBatch(env *Env, ids []string, to EscrowState) error {
+// settle releases or refunds every listed entry or none, with the same
+// charge-then-validate-then-apply shape as lock.
+func (e *Escrow) settle(env *Env, ids []string, to EscrowState) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("%w: empty escrow batch", ErrBadArgs)
 	}
@@ -302,38 +256,6 @@ func (e *Escrow) settleBatch(env *Env, ids []string, to EscrowState) error {
 		bal.Reserve1 = u256.Add(bal.Reserve1, ent.Amount1)
 		byUser[ent.User] = bal
 	}
-	return nil
-}
-
-func (e *Escrow) settle(env *Env, id string, to EscrowState) error {
-	if err := env.Gas.Charge(gasmodel.TxBaseGas + 2*gasmodel.SstoreWordGas); err != nil {
-		return err
-	}
-	ent, ok := e.Entries[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownEscrow, id)
-	}
-	if ent.State != EscrowLocked {
-		return fmt.Errorf("%w: %s is %s", ErrEscrowSettled, id, ent.State)
-	}
-	ent.State = to
-	ent.SettledAt = env.BlockNum
-	if to == EscrowReleased {
-		e.TotalReleased0 = u256.Add(e.TotalReleased0, ent.Amount0)
-		e.TotalReleased1 = u256.Add(e.TotalReleased1, ent.Amount1)
-		return nil
-	}
-	e.TotalRefunded0 = u256.Add(e.TotalRefunded0, ent.Amount0)
-	e.TotalRefunded1 = u256.Add(e.TotalRefunded1, ent.Amount1)
-	byUser := e.Claimable[ent.FromChain]
-	if byUser == nil {
-		byUser = make(map[string]PoolReserves)
-		e.Claimable[ent.FromChain] = byUser
-	}
-	bal := byUser[ent.User]
-	bal.Reserve0 = u256.Add(bal.Reserve0, ent.Amount0)
-	bal.Reserve1 = u256.Add(bal.Reserve1, ent.Amount1)
-	byUser[ent.User] = bal
 	return nil
 }
 

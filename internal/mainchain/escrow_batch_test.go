@@ -10,14 +10,6 @@ import (
 	"ammboost/internal/u256"
 )
 
-func batchLockArgs(ids ...string) *EscrowBatchLockArgs {
-	a := &EscrowBatchLockArgs{}
-	for _, id := range ids {
-		a.Items = append(a.Items, *lockArgs(id))
-	}
-	return a
-}
-
 // TestEscrowLockBatch: one transaction opens N entries, pays one base
 // fee plus N entry footprints, and conservation holds.
 func TestEscrowLockBatch(t *testing.T) {
@@ -25,7 +17,7 @@ func TestEscrowLockBatch(t *testing.T) {
 	esc := NewEscrow()
 	c.Deploy(esc)
 
-	lock := submitEscrow(c, "lb1", "lockBatch", batchLockArgs("x1", "x2", "x3"))
+	lock := submitEscrow(c, "lb1", "lock", lockArgs("x1", "x2", "x3"))
 	s.RunUntil(20 * time.Second)
 	if lock.Status != TxConfirmed {
 		t.Fatalf("batch lock: %v (%v)", lock.Status, lock.Err)
@@ -45,7 +37,7 @@ func TestEscrowLockBatch(t *testing.T) {
 		t.Errorf("conservation after batch lock: %v", err)
 	}
 
-	rel := submitEscrow(c, "rb1", "releaseBatch", &EscrowBatchSettleArgs{IDs: []string{"x1", "x3"}})
+	rel := submitEscrow(c, "rb1", "release", settleArgs("x1", "x3"))
 	s.RunUntil(40 * time.Second)
 	c.Stop()
 	if rel.Status != TxConfirmed {
@@ -78,10 +70,10 @@ func TestEscrowBatchAtomicity(t *testing.T) {
 	s.RunUntil(20 * time.Second)
 
 	// x0 already exists: the whole batch must revert, y1/y2 never open.
-	dup := submitEscrow(c, "lb-dup", "lockBatch", batchLockArgs("y1", "x0", "y2"))
+	dup := submitEscrow(c, "lb-dup", "lock", lockArgs("y1", "x0", "y2"))
 	// z1 appears twice inside one batch: same outcome.
-	inBatch := submitEscrow(c, "lb-inbatch", "lockBatch", batchLockArgs("z1", "z2", "z1"))
-	empty := submitEscrow(c, "lb-empty", "lockBatch", batchLockArgs())
+	inBatch := submitEscrow(c, "lb-inbatch", "lock", lockArgs("z1", "z2", "z1"))
+	empty := submitEscrow(c, "lb-empty", "lock", lockArgs())
 	s.RunUntil(40 * time.Second)
 	if dup.Status != TxFailed || !errors.Is(dup.Err, ErrDuplicateEscrow) {
 		t.Errorf("dup batch: %v (%v), want failed ErrDuplicateEscrow", dup.Status, dup.Err)
@@ -103,12 +95,12 @@ func TestEscrowBatchAtomicity(t *testing.T) {
 
 	// Settle x0, then a batch release naming it (and a fresh entry) must
 	// revert whole — the fresh entry stays locked.
-	submitEscrow(c, "r0", "release", &EscrowSettleArgs{ID: "x0"})
+	submitEscrow(c, "r0", "release", settleArgs("x0"))
 	submitEscrow(c, "l1", "lock", lockArgs("x1"))
 	s.RunUntil(60 * time.Second)
-	stale := submitEscrow(c, "rb-stale", "releaseBatch", &EscrowBatchSettleArgs{IDs: []string{"x1", "x0"}})
-	unknown := submitEscrow(c, "rb-unknown", "releaseBatch", &EscrowBatchSettleArgs{IDs: []string{"x1", "ghost"}})
-	twice := submitEscrow(c, "rb-twice", "releaseBatch", &EscrowBatchSettleArgs{IDs: []string{"x1", "x1"}})
+	stale := submitEscrow(c, "rb-stale", "release", settleArgs("x1", "x0"))
+	unknown := submitEscrow(c, "rb-unknown", "release", settleArgs("x1", "ghost"))
+	twice := submitEscrow(c, "rb-twice", "release", settleArgs("x1", "x1"))
 	s.RunUntil(90 * time.Second)
 	c.Stop()
 	if stale.Status != TxFailed || !errors.Is(stale.Err, ErrEscrowSettled) {
@@ -137,7 +129,7 @@ func TestEscrowBatchEntryIdentity(t *testing.T) {
 	esc := NewEscrow()
 	c.Deploy(esc)
 	ids := []string{"t-0", "t-1", "t-2", "t-3"}
-	submitEscrow(c, "lb", "lockBatch", batchLockArgs(ids...))
+	submitEscrow(c, "lb", "lock", lockArgs(ids...))
 	s.RunUntil(20 * time.Second)
 	c.Stop()
 	for i, id := range ids {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ammboost/internal/gasmodel"
 	"ammboost/internal/u256"
 )
 
@@ -14,11 +15,21 @@ func submitEscrow(c *Chain, id, method string, args any) *Tx {
 	return tx
 }
 
-func lockArgs(id string) *EscrowLockArgs {
-	return &EscrowLockArgs{
-		ID: id, FromChain: "ch-a", ToChain: "ch-b", User: "u-1",
-		Amount0: u256.FromUint64(1000), Amount1: u256.FromUint64(2000),
+// lockArgs opens one entry per ID, each 1000/2000 from ch-a to ch-b.
+func lockArgs(ids ...string) *EscrowBatchLockArgs {
+	a := &EscrowBatchLockArgs{}
+	for _, id := range ids {
+		a.Items = append(a.Items, EscrowLockArgs{
+			ID: id, FromChain: "ch-a", ToChain: "ch-b", User: "u-1",
+			Amount0: u256.FromUint64(1000), Amount1: u256.FromUint64(2000),
+		})
 	}
+	return a
+}
+
+// settleArgs releases or refunds the listed entries.
+func settleArgs(ids ...string) *EscrowBatchSettleArgs {
+	return &EscrowBatchSettleArgs{IDs: ids}
 }
 
 // TestEscrowReleaseLifecycle: lock then release — custody opens, ends,
@@ -33,6 +44,9 @@ func TestEscrowReleaseLifecycle(t *testing.T) {
 	if lock.Status != TxConfirmed {
 		t.Fatalf("lock: %v (%v)", lock.Status, lock.Err)
 	}
+	if want := gasmodel.TxBaseGas + escrowEntryWords*gasmodel.SstoreWordGas; lock.GasUsed != want {
+		t.Errorf("one-entry lock gas = %d, want %d", lock.GasUsed, want)
+	}
 	ent := esc.Entry("x1")
 	if ent == nil || ent.State != EscrowLocked || ent.LockedAt == 0 {
 		t.Fatalf("entry after lock = %+v", ent)
@@ -44,11 +58,14 @@ func TestEscrowReleaseLifecycle(t *testing.T) {
 		t.Errorf("conservation while locked: %v", err)
 	}
 
-	rel := submitEscrow(c, "r1", "release", &EscrowSettleArgs{ID: "x1"})
+	rel := submitEscrow(c, "r1", "release", settleArgs("x1"))
 	s.RunUntil(40 * time.Second)
 	c.Stop()
 	if rel.Status != TxConfirmed {
 		t.Fatalf("release: %v (%v)", rel.Status, rel.Err)
+	}
+	if want := gasmodel.TxBaseGas + 2*gasmodel.SstoreWordGas; rel.GasUsed != want {
+		t.Errorf("one-entry release gas = %d, want %d", rel.GasUsed, want)
 	}
 	if ent.State != EscrowReleased || ent.SettledAt == 0 {
 		t.Errorf("entry after release = %+v", ent)
@@ -74,7 +91,7 @@ func TestEscrowRefundAndClaim(t *testing.T) {
 
 	submitEscrow(c, "l1", "lock", lockArgs("x1"))
 	s.RunUntil(20 * time.Second)
-	ref := submitEscrow(c, "r1", "refund", &EscrowSettleArgs{ID: "x1"})
+	ref := submitEscrow(c, "r1", "refund", settleArgs("x1"))
 	s.RunUntil(40 * time.Second)
 	if ref.Status != TxConfirmed {
 		t.Fatalf("refund: %v (%v)", ref.Status, ref.Err)
@@ -123,8 +140,8 @@ func TestEscrowRefundAndClaim(t *testing.T) {
 }
 
 // TestEscrowFailurePaths: duplicate locks, double settlement, unknown
-// IDs, and claims against an empty ledger all revert with typed errors
-// and leave the books untouched.
+// IDs, unknown methods, and claims against an empty ledger all revert
+// with typed errors and leave the books untouched.
 func TestEscrowFailurePaths(t *testing.T) {
 	s, c := newTestChain(t)
 	esc := NewEscrow()
@@ -133,7 +150,8 @@ func TestEscrowFailurePaths(t *testing.T) {
 	submitEscrow(c, "l1", "lock", lockArgs("x1"))
 	s.RunUntil(20 * time.Second)
 	dup := submitEscrow(c, "l2", "lock", lockArgs("x1"))
-	unknown := submitEscrow(c, "r0", "release", &EscrowSettleArgs{ID: "nope"})
+	unknown := submitEscrow(c, "r0", "release", settleArgs("nope"))
+	oldName := submitEscrow(c, "lb0", "lockBatch", lockArgs("x2"))
 	noClaim := submitEscrow(c, "c0", "claim", &EscrowClaimArgs{
 		Chain: "ch-z", User: "u-9", Amount0: u256.FromUint64(1), Amount1: u256.FromUint64(1),
 	})
@@ -144,13 +162,16 @@ func TestEscrowFailurePaths(t *testing.T) {
 	if unknown.Status != TxFailed || !errors.Is(unknown.Err, ErrUnknownEscrow) {
 		t.Errorf("unknown release: %v (%v)", unknown.Status, unknown.Err)
 	}
+	if oldName.Status != TxFailed || !errors.Is(oldName.Err, ErrBadArgs) {
+		t.Errorf("lockBatch: %v (%v), want failed ErrBadArgs", oldName.Status, oldName.Err)
+	}
 	if noClaim.Status != TxFailed || !errors.Is(noClaim.Err, ErrNoClaimable) {
 		t.Errorf("empty-ledger claim: %v (%v)", noClaim.Status, noClaim.Err)
 	}
 
-	rel := submitEscrow(c, "r1", "release", &EscrowSettleArgs{ID: "x1"})
+	rel := submitEscrow(c, "r1", "release", settleArgs("x1"))
 	s.RunUntil(60 * time.Second)
-	again := submitEscrow(c, "r2", "refund", &EscrowSettleArgs{ID: "x1"})
+	again := submitEscrow(c, "r2", "refund", settleArgs("x1"))
 	s.RunUntil(80 * time.Second)
 	c.Stop()
 	if rel.Status != TxConfirmed {
