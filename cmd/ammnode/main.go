@@ -93,18 +93,17 @@ func run(o options) int {
 		return 2
 	}
 	var tr *trace.Tracer
-	cfgOpts := []chain.Option{
-		chain.WithSeed(o.seed),
-		chain.WithPools(o.pools),
-		chain.WithCommittee(o.committee),
-		chain.WithUsers(nodeUsers()),
-		chain.WithCompactEvery(o.compactEvery),
-	}
 	if o.adminAddr != "" {
 		tr = trace.New(16)
-		cfgOpts = append(cfgOpts, chain.WithTracer(tr))
 	}
-	cfg := chain.NewConfig(cfgOpts...)
+	cfg := chain.Config{
+		Seed:          o.seed,
+		NumPools:      o.pools,
+		CommitteeSize: o.committee,
+		Users:         nodeUsers(),
+		CompactEvery:  o.compactEvery,
+		Tracer:        tr,
+	}.WithDefaults()
 	node, err := openNode(o, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ammnode: %v\n", err)

@@ -53,7 +53,7 @@
 // summary roots and payload digests bit-identical to an uninterrupted
 // run (DESIGN.md invariant 9). Recovery quickstart:
 //
-//	cfg := chain.NewConfig(chain.WithPools(16), chain.WithUsers(users))
+//	cfg := chain.Config{NumPools: 16, Users: users}
 //	node, err := core.Open(dataDir, cfg) // fresh dir or crash survivor
 //	if ms, ok := node.(*core.MultiSystem); ok && ms.Recovery() != nil {
 //	    log.Printf("recovered at epoch %d", ms.Recovery().Epoch)
@@ -65,8 +65,8 @@
 // recovery-aware traffic pattern: derive epoch e's workload from
 // (seed, e) so restarted nodes regenerate the same stream).
 //
-// Durable deployments restart at scale: with chain.WithCompactEvery(n)
-// the store folds its history into a checkpoint every n confirmed
+// Durable deployments restart at scale: with chain.Config.CompactEvery
+// set to n the store folds its history into a checkpoint every n confirmed
 // epochs (crash-atomically, via write-temp-fsync-rename), so Open's
 // cost stays flat no matter how long the node has run. The compacted
 // image doubles as the fast-sync unit — a fresh node bootstraps from a
@@ -86,7 +86,7 @@
 // examples/fastsync and cmd/ammnode -compact-every / -bootstrap-from).
 //
 // Every node is observable: attach a lifecycle tracer via
-// chain.WithTracer and the run report gains per-stage latency
+// chain.Config.Tracer and the run report gains per-stage latency
 // quantiles, a shard-imbalance gauge, and pipeline-stall attribution —
 // trace.Summarize over the retained spans, the fold /metrics serves —
 // while the tracer itself exports Chrome trace-event JSON (Perfetto-
@@ -96,7 +96,7 @@
 // invariant 10) and retains a bounded epoch window. Quickstart:
 //
 //	tr := trace.New(8) // retain the newest 8 epochs
-//	cfg := chain.NewConfig(chain.WithPools(16), chain.WithTracer(tr), ...)
+//	cfg := chain.Config{NumPools: 16, Tracer: tr, ...}
 //	// ... run the node ...
 //	tr.WriteChrome(f, 0) // trace.json for Perfetto
 //

@@ -38,14 +38,14 @@ func users() []string {
 }
 
 func config() chain.Config {
-	return chain.NewConfig(
-		chain.WithSeed(seed),
-		chain.WithPools(pools),
-		chain.WithShards(4),
-		chain.WithEpochRounds(5),
-		chain.WithCommittee(10),
-		chain.WithUsers(users()),
-	)
+	return chain.Config{
+		Seed:          seed,
+		NumPools:      pools,
+		NumShards:     4,
+		EpochRounds:   5,
+		CommitteeSize: 10,
+		Users:         users(),
+	}
 }
 
 // drive installs the recovery-aware traffic pattern: epoch e's

@@ -89,19 +89,19 @@ func part1ViewChange() {
 
 func part2MassSync() {
 	fmt.Println("── Part 2: skipped Sync + mainchain rollback → mass-sync recovery")
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(3),
-		chain.WithEpochRounds(10),
-		chain.WithRoundDuration(7*time.Second),
-		chain.WithCommittee(14), // f = 4
-		chain.WithFaults(chain.FaultPlan{
+	sysCfg := chain.Config{
+		Seed:          3,
+		EpochRounds:   10,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: 14, // f = 4
+		Faults: chain.FaultPlan{
 			SkipSyncEpochs:  map[uint64]bool{2: true},
 			ReorgSyncEpochs: map[uint64]bool{4: true},
 			SilentLeaderRounds: map[[2]uint64]bool{
 				{3, 5}: true,
 			},
-		}),
-	)
+		},
+	}
 	wcfg := workload.DefaultConfig(3)
 	wcfg.NumUsers = 30
 	drvCfg := core.DriverConfig{DailyVolume: 500_000, Epochs: 5, Workload: wcfg}

@@ -34,13 +34,13 @@ func main() {
 	// The paper's deployment shape, scaled down for a quick run: 10
 	// rounds of 7 s per epoch, a 20-member committee, 100x Uniswap's
 	// daily volume spread over 64 pools.
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(seed),
-		chain.WithPools(pools),
-		chain.WithEpochRounds(10),
-		chain.WithRoundDuration(7*time.Second),
-		chain.WithCommittee(20),
-	)
+	sysCfg := chain.Config{
+		Seed:          seed,
+		NumPools:      pools,
+		EpochRounds:   10,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: 20,
+	}
 	drvCfg := core.MultiDriverConfig{
 		DailyVolume: 5_000_000,
 		Epochs:      epochs,

@@ -24,12 +24,12 @@ func main() {
 	const epochs = 3
 
 	// ammBoost behind the unified chain.Chain node API.
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(9),
-		chain.WithEpochRounds(30),
-		chain.WithRoundDuration(7*time.Second),
-		chain.WithCommittee(20),
-	)
+	sysCfg := chain.Config{
+		Seed:          9,
+		EpochRounds:   30,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: 20,
+	}
 	drvCfg := core.DriverConfig{DailyVolume: dailyVolume, Epochs: epochs, Workload: workload.DefaultConfig(9)}
 	node, _, err := core.NewDriver(sysCfg, drvCfg)
 	if err != nil {

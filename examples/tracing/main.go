@@ -34,16 +34,16 @@ func main() {
 	wcfg := workload.DefaultMultiConfig(11, 5)
 	wcfg.NumPools = 24
 	gen := workload.NewMulti(wcfg)
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(11),
-		chain.WithPools(24),
-		chain.WithShards(4),
-		chain.WithEpochRounds(6),
-		chain.WithCommittee(14),
-		chain.WithPipelineDepth(2),
-		chain.WithTracer(tr),
-		chain.WithUsers(gen.Users()),
-	)
+	sysCfg := chain.Config{
+		Seed:          11,
+		NumPools:      24,
+		NumShards:     4,
+		EpochRounds:   6,
+		CommitteeSize: 14,
+		PipelineDepth: 2,
+		Tracer:        tr,
+		Users:         gen.Users(),
+	}.WithDefaults()
 	// An in-memory durable store so the trace shows the full lifecycle —
 	// store append/fsync spans included — without touching the disk.
 	node, err := core.OpenFS(&store.MemFS{}, "tracing-demo", sysCfg)

@@ -29,12 +29,12 @@ func main() {
 	fmt.Printf("Trading day: V_D=%d transactions/day, %d epochs of 210 s\n\n", dailyVolume, epochs)
 
 	// ammBoost deployment behind the unified chain.Chain node API.
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(5),
-		chain.WithEpochRounds(30),
-		chain.WithRoundDuration(7*time.Second),
-		chain.WithCommittee(20),
-	)
+	sysCfg := chain.Config{
+		Seed:          5,
+		EpochRounds:   30,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: 20,
+	}
 	drvCfg := core.DriverConfig{DailyVolume: dailyVolume, Epochs: epochs, Workload: workload.DefaultConfig(5)}
 	node, _, err := core.NewDriver(sysCfg, drvCfg)
 	if err != nil {

@@ -24,14 +24,14 @@ import (
 
 func main() {
 	tr := trace.New(8)
-	sysCfg := chain.NewConfig(
-		chain.WithSeed(7),
-		chain.WithPools(16),
-		chain.WithShards(4),
-		chain.WithEpochRounds(10),
-		chain.WithCommittee(14),
-		chain.WithTracer(tr),
-	)
+	sysCfg := chain.Config{
+		Seed:          7,
+		NumPools:      16,
+		NumShards:     4,
+		EpochRounds:   10,
+		CommitteeSize: 14,
+		Tracer:        tr,
+	}
 	wcfg := workload.DefaultMultiConfig(7, 6)
 	drvCfg := core.MultiDriverConfig{DailyVolume: 500_000, Epochs: 3, Workload: wcfg}
 	node, gen, err := core.NewMultiDriver(sysCfg, drvCfg)

@@ -120,6 +120,35 @@ func NewPool(token0, token1 string, feePips uint32, tickSpacing int32, sqrtPrice
 	}, nil
 }
 
+// The deployment the paper evaluates: every pool is a Uniswap-V3 0.30%
+// A/B pool with 60-tick spacing, opened at price 1.0 with one full-range
+// position owned by GenesisOwner.
+const (
+	GenesisFeePips     = 3000
+	GenesisTickSpacing = 60
+	GenesisOwner       = "lp-genesis"
+	// GenesisTickUpper is the widest tick aligned to GenesisTickSpacing;
+	// the genesis position spans [-GenesisTickUpper, GenesisTickUpper].
+	GenesisTickUpper = 887220
+)
+
+// GenesisLiquidity is the genesis position's liquidity (1e13).
+var GenesisLiquidity = u256.FromUint64(10_000_000_000_000)
+
+// NewGenesisPool opens a deployment pool and mints its full-range genesis
+// position posID with the given liquidity.
+func NewGenesisPool(posID string, liquidity u256.Int) (*Pool, MintResult, error) {
+	p, err := NewPool("A", "B", GenesisFeePips, GenesisTickSpacing, u256.Q96)
+	if err != nil {
+		return nil, MintResult{}, err
+	}
+	res, err := p.Mint(posID, GenesisOwner, -GenesisTickUpper, GenesisTickUpper, liquidity)
+	if err != nil {
+		return nil, MintResult{}, fmt.Errorf("amm: genesis mint %s: %w", posID, err)
+	}
+	return p, res, nil
+}
+
 // Clone deep-copies the pool's state. The sidechain snapshots pool state
 // at epoch start and evolves the copy while the mainchain state stays
 // frozen. The copy starts with no dirty tracking: the canonical pool it

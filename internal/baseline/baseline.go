@@ -40,9 +40,6 @@ const (
 type Config struct {
 	Mainchain mainchain.Config
 	Sizes     SizeModel
-	FeePips   uint32
-	// InitialLiquidity seeds the pool's genesis position.
-	InitialLiquidity u256.Int
 }
 
 // Runner drives Uniswap-on-L1.
@@ -85,19 +82,10 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Mainchain.BlockInterval == 0 {
 		cfg.Mainchain = mainchain.DefaultConfig()
 	}
-	if cfg.FeePips == 0 {
-		cfg.FeePips = 3000
-	}
-	if cfg.InitialLiquidity.IsZero() {
-		cfg.InitialLiquidity = u256.MustFromDecimal("10000000000000")
-	}
 	s := sim.New()
 	mc := mainchain.New(s, cfg.Mainchain)
-	pool, err := amm.NewPool("A", "B", cfg.FeePips, 60, u256.Q96)
+	pool, _, err := amm.NewGenesisPool("genesis-pos", amm.GenesisLiquidity)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := pool.Mint("genesis-pos", "lp-genesis", -887220, 887220, cfg.InitialLiquidity); err != nil {
 		return nil, err
 	}
 	// Unbounded deposits: the L1 flow funds per-op via ERC20 approvals,

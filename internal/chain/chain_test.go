@@ -81,31 +81,23 @@ func TestCheckTx(t *testing.T) {
 }
 
 func TestConfigDefaultsSharedHelper(t *testing.T) {
-	// NewConfig with no options equals the zero config's defaults: one
-	// helper fills both backends' shared fields, so they cannot drift.
-	a := NewConfig()
-	b := Config{}.WithDefaults()
-	if a.EpochRounds != b.EpochRounds || a.RoundDuration != b.RoundDuration ||
-		a.CommitteeSize != b.CommitteeSize || a.MinerPopulation != b.MinerPopulation ||
-		a.MetaBlockBytes != b.MetaBlockBytes || a.SyncGasBudget != b.SyncGasBudget {
-		t.Error("NewConfig() and Config{}.WithDefaults() disagree")
-	}
-	if a.EpochRounds != 30 || a.RoundDuration != 7*time.Second || a.CommitteeSize != 500 {
-		t.Errorf("paper defaults wrong: %d rounds, %s, committee %d",
-			a.EpochRounds, a.RoundDuration, a.CommitteeSize)
+	// One helper fills both backends' shared fields, so they cannot drift.
+	a := Config{}.WithDefaults()
+	if a.EpochRounds != 30 || a.RoundDuration != 7*time.Second || a.CommitteeSize != 500 || a.MetaBlockBytes != 1<<20 {
+		t.Errorf("paper defaults wrong: %d rounds, %s, committee %d, %d-byte meta-blocks",
+			a.EpochRounds, a.RoundDuration, a.CommitteeSize, a.MetaBlockBytes)
 	}
 	if a.MinerPopulation != a.CommitteeSize+100 {
 		t.Errorf("miner population %d, want committee+100", a.MinerPopulation)
 	}
 	// MinerPopulation derives from the *configured* committee size.
-	c := NewConfig(WithCommittee(20))
-	if c.MinerPopulation != 120 {
+	if c := (Config{CommitteeSize: 20}).WithDefaults(); c.MinerPopulation != 120 {
 		t.Errorf("miner population %d, want 120", c.MinerPopulation)
 	}
-	// Options land in the right fields.
-	d := NewConfig(WithSeed(9), WithPools(64), WithShards(4), WithEpochRounds(10))
+	// Fields a literal sets survive the defaults.
+	d := Config{Seed: 9, NumPools: 64, NumShards: 4, EpochRounds: 10}.WithDefaults()
 	if d.Seed != 9 || d.NumPools != 64 || d.NumShards != 4 || d.EpochRounds != 10 {
-		t.Errorf("options not applied: %+v", d)
+		t.Errorf("set fields not kept: %+v", d)
 	}
 	// NumPools stays zero (single-pool backend) unless opted in.
 	if a.NumPools != 0 {

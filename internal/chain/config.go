@@ -3,6 +3,7 @@ package chain
 import (
 	"time"
 
+	"ammboost/internal/amm"
 	"ammboost/internal/mainchain"
 	"ammboost/internal/metrics"
 	"ammboost/internal/netsim"
@@ -108,28 +109,14 @@ type Config struct {
 	// MinerPopulation is the sidechain miner count (default committee
 	// size + 100).
 	MinerPopulation int
-	// ViewChangeTimeout before a silent leader is replaced (default 3 s).
-	ViewChangeTimeout time.Duration
-	// FeePips is the pool fee (default 3000 = 0.30%).
-	FeePips uint32
-	// InitialLiquidity seeds each pool's genesis full-range position.
+	// InitialLiquidity seeds each pool's genesis full-range position
+	// (default amm.GenesisLiquidity).
 	InitialLiquidity u256.Int
-
-	// Single-pool backend: per-user per-epoch deposit funding.
-	DepositPerUser0 u256.Int
-	DepositPerUser1 u256.Int
 
 	// NumPools is the multi-pool backend's registered pool count.
 	NumPools int
 	// NumShards is the engine's worker-shard count (default GOMAXPROCS).
 	NumShards int
-	// DepositPerUserPerPool funds a (user, pool) pair the first time the
-	// user trades on that pool in an epoch.
-	DepositPerUserPerPool u256.Int
-	// SyncGasBudget caps one sync transaction's declared gas; an epoch
-	// whose payloads exceed it splits into multiple sync parts (default
-	// 20M, comfortably under the 30M block limit).
-	SyncGasBudget uint64
 	// PipelineDepth bounds how many epochs the multi-pool backend keeps
 	// in flight at once: the executing epoch plus the sealed epochs whose
 	// asynchronous commitment/sync stage has not yet retired (default 2).
@@ -222,8 +209,11 @@ type Config struct {
 	// the uplink is independent of the committee fabric.
 	SyncFaults *netsim.FaultSchedule
 
+	// Mainchain is the chain the node syncs to (default the paper's
+	// Sepolia deployment). An epoch whose payloads exceed two thirds of
+	// its block gas limit splits into several sync parts, so every part
+	// fits an empty block.
 	Mainchain mainchain.Config
-	Model     pbft.Model
 	Faults    FaultPlan
 }
 
@@ -246,26 +236,8 @@ func (c Config) WithDefaults() Config {
 	if c.MinerPopulation == 0 {
 		c.MinerPopulation = c.CommitteeSize + 100
 	}
-	if c.ViewChangeTimeout == 0 {
-		c.ViewChangeTimeout = 3 * time.Second
-	}
-	if c.FeePips == 0 {
-		c.FeePips = 3000
-	}
 	if c.InitialLiquidity.IsZero() {
-		c.InitialLiquidity = u256.MustFromDecimal("10000000000000") // 1e13
-	}
-	if c.DepositPerUser0.IsZero() {
-		c.DepositPerUser0 = u256.MustFromDecimal("2000000000") // 2e9
-	}
-	if c.DepositPerUser1.IsZero() {
-		c.DepositPerUser1 = u256.MustFromDecimal("2000000000")
-	}
-	if c.DepositPerUserPerPool.IsZero() {
-		c.DepositPerUserPerPool = u256.FromUint64(1 << 40)
-	}
-	if c.SyncGasBudget == 0 {
-		c.SyncGasBudget = 20_000_000
+		c.InitialLiquidity = amm.GenesisLiquidity
 	}
 	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 2
@@ -294,60 +266,8 @@ func (c Config) WithDefaults() Config {
 	if c.Mainchain.BlockInterval == 0 {
 		c.Mainchain = mainchain.DefaultConfig()
 	}
-	if c.Model.C1 == 0 {
-		c.Model = pbft.DefaultModel()
-	}
 	return c
 }
-
-// Option mutates a Config under construction.
-type Option func(*Config)
-
-// NewConfig builds a Config from options and fills remaining defaults.
-func NewConfig(opts ...Option) Config {
-	var c Config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.WithDefaults()
-}
-
-// WithSeed pins the deterministic run seed.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithEpochRounds sets ω, the rounds per epoch.
-func WithEpochRounds(n int) Option { return func(c *Config) { c.EpochRounds = n } }
-
-// WithRoundDuration sets the sidechain round length.
-func WithRoundDuration(d time.Duration) Option { return func(c *Config) { c.RoundDuration = d } }
-
-// WithCommittee sets the PBFT committee size.
-func WithCommittee(size int) Option { return func(c *Config) { c.CommitteeSize = size } }
-
-// WithPools sets the multi-pool backend's registered pool count.
-func WithPools(n int) Option { return func(c *Config) { c.NumPools = n } }
-
-// WithShards sets the engine's worker-shard count.
-func WithShards(n int) Option { return func(c *Config) { c.NumShards = n } }
-
-// WithPipelineDepth bounds the multi-pool epoch pipeline's in-flight
-// window (1 disables pipelining).
-func WithPipelineDepth(n int) Option { return func(c *Config) { c.PipelineDepth = n } }
-
-// WithUsers registers the deployment's known user set (required when
-// opening a durable node without a workload generator).
-func WithUsers(users []string) Option { return func(c *Config) { c.Users = users } }
-
-// WithCompactEvery compacts the durable store every n confirmed epochs
-// (0 never compacts).
-func WithCompactEvery(n int) Option { return func(c *Config) { c.CompactEvery = n } }
-
-// WithFaults installs the fault-injection plan.
-func WithFaults(f FaultPlan) Option { return func(c *Config) { c.Faults = f } }
-
-// WithTracer attaches an epoch-lifecycle span tracer (nil leaves
-// tracing disabled).
-func WithTracer(tr *trace.Tracer) Option { return func(c *Config) { c.Tracer = tr } }
 
 // Report is the unified run summary both backends return from Run.
 // Fields that only one backend produces are zero on the other

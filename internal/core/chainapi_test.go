@@ -19,8 +19,7 @@ import (
 // dropping the pools.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
-	mcfg := chain.NewConfig(chain.WithPools(4), chain.WithCommittee(8))
-	mcfg.MinerPopulation = 20
+	mcfg := chain.Config{NumPools: 4, CommitteeSize: 8, MinerPopulation: 20}
 	multi, err := NewMultiSystem(mcfg, users)
 	if err != nil {
 		t.Fatalf("multi-pool backend: %v", err)
@@ -230,8 +229,8 @@ func TestReceiptLifecycle(t *testing.T) {
 	}
 	// The silent leader forces a view change, so the round's agreement
 	// takes at least the view-change timeout beyond submission.
-	if good.ExecutedAt < cfg.ViewChangeTimeout {
-		t.Errorf("ExecutedAt = %s, want >= view-change timeout %s", good.ExecutedAt, cfg.ViewChangeTimeout)
+	if good.ExecutedAt < viewChangeTimeout {
+		t.Errorf("ExecutedAt = %s, want >= view-change timeout %s", good.ExecutedAt, viewChangeTimeout)
 	}
 	stages := []struct {
 		name     string

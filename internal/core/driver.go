@@ -75,11 +75,11 @@ func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, 
 func (d *Driver) depositAmounts(user string) (u256.Int, u256.Int) {
 	epochTxs := d.rho * d.sys.cfg.EpochRounds
 	perUserTxs := epochTxs/len(d.gen.Users()) + 1
-	need := uint64(perUserTxs) * d.cfg.Workload.SwapAmountMax * 2
+	need := uint64(perUserTxs) * workload.SwapAmountMax * 2
 	if d.isLP(user) {
 		mintShare := d.cfg.Workload.Distribution.MintPct / d.cfg.Workload.Distribution.Sum()
 		perLPMints := int(float64(epochTxs)*mintShare)/len(d.gen.LPs()) + 2
-		need += uint64(perLPMints) * d.cfg.Workload.MintAmountMax * 2
+		need += uint64(perLPMints) * workload.MintAmountMax * 2
 	}
 	if need < 1_000_000 {
 		need = 1_000_000

@@ -143,7 +143,7 @@ func (lv *liveConsensus) beginEpoch(e uint64) error {
 		cfg := pbft.Config{
 			ID: lv.ids[i], Index: i, Members: lv.ids, F: liveFaultBudget,
 			Share: members[i].Share, Group: members[i].Group, PubShares: pubs,
-			Timeout:  lv.sys.cfg.ViewChangeTimeout,
+			Timeout:  viewChangeTimeout,
 			Validate: liveValidate,
 			Digest:   liveDigest,
 			Behavior: lv.sys.cfg.Faults.ByzantineReplicas[i],

@@ -30,6 +30,10 @@ var ErrMultiParity = errors.New("core: multi-pool state parity violated")
 // does not implement (see chain.FaultPlan for per-field support).
 var ErrUnsupportedFault = errors.New("core: fault plan not supported by the multi-pool backend")
 
+// depositPerUserPerPool funds a (user, pool) pair the first time the user
+// trades on that pool in an epoch (2^40 per token).
+var depositPerUserPerPool = u256.FromUint64(1 << 40)
+
 // MultiSystem runs the full ammBoost epoch lifecycle across every pool
 // registered in the sharded engine: one committee, one meta-block chain,
 // and one Sync per epoch span all pools; the Sync carries per-pool
@@ -220,7 +224,6 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		Seed:             cfg.Seed,
 		NumPools:         cfg.NumPools,
 		NumShards:        cfg.NumShards,
-		FeePips:          cfg.FeePips,
 		InitialLiquidity: cfg.InitialLiquidity,
 		Tracer:           cfg.Tracer,
 	})
@@ -787,7 +790,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		}
 		bucket[q.tx.User] = true
 		// Submit already rejected unknown pools, so this cannot fail.
-		_ = s.eng.AddDeposit(pid, q.tx.User, s.cfg.DepositPerUserPerPool, s.cfg.DepositPerUserPerPool)
+		_ = s.eng.AddDeposit(pid, q.tx.User, depositPerUserPerPool, depositPerUserPerPool)
 	}
 
 	res, err := s.eng.ExecuteRound(batchTxs, r)
@@ -867,9 +870,9 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		s.live.runRound(r, block, block.Hash(), block.SizeBytes, storm, completeRound)
 		return
 	}
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
+	delay := agreementModel.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
 	if storm > 0 {
-		delay += time.Duration(storm) * (s.cfg.ViewChangeTimeout + s.cfg.Model.ViewChangeTime(s.cfg.CommitteeSize))
+		delay += time.Duration(storm) * (viewChangeTimeout + agreementModel.ViewChangeTime(s.cfg.CommitteeSize))
 	}
 	s.sim.After(delay, func() { completeRound(storm) })
 }
@@ -897,7 +900,7 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		ck:        s.committees[e],
 		nextKey:   nextKey,
 		corrupt:   s.cfg.Faults.CorruptSyncEpochs[e],
-		gasBudget: s.cfg.SyncGasBudget,
+		gasBudget: syncPartGas(s.cfg.Mainchain),
 		persist:   s.st != nil,
 		tr:        s.tr,
 		done:      make(chan struct{}),
@@ -1042,7 +1045,7 @@ func (s *MultiSystem) retireOldest() bool {
 	// The summary checkpoint pays the committee agreement over the epoch's
 	// summaries; the clamp keeps checkpoints in epoch order even if
 	// agreement delays were wildly uneven.
-	at := s.sim.Now() + s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, pkg.scBytes)
+	at := s.sim.Now() + agreementModel.AgreementTime(s.cfg.CommitteeSize, pkg.scBytes)
 	if at < s.lastSummaryAt {
 		at = s.lastSummaryAt
 	}

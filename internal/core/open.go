@@ -94,9 +94,9 @@ func DeploymentFingerprint(cfg chain.Config) [32]byte {
 	// mainchain account.
 	fmt.Fprintf(h, "chain=%q|seed=%d|pools=%d|rounds=%d|roundDur=%d|metaBytes=%d|committee=%d|miners=%d|viewTimeout=%d|fee=%d|",
 		cfg.ChainID, cfg.Seed, cfg.NumPools, cfg.EpochRounds, cfg.RoundDuration, cfg.MetaBlockBytes,
-		cfg.CommitteeSize, cfg.MinerPopulation, cfg.ViewChangeTimeout, cfg.FeePips)
+		cfg.CommitteeSize, cfg.MinerPopulation, viewChangeTimeout, amm.GenesisFeePips)
 	fmt.Fprintf(h, "initLiq=%s|dep=%s|gasBudget=%d|model=%#v|mc=%#v|users=",
-		cfg.InitialLiquidity, cfg.DepositPerUserPerPool, cfg.SyncGasBudget, cfg.Model, cfg.Mainchain)
+		cfg.InitialLiquidity, depositPerUserPerPool, syncPartGas(cfg.Mainchain), agreementModel, cfg.Mainchain)
 	for _, u := range cfg.Users {
 		fmt.Fprintf(h, "%q,", u)
 	}

@@ -357,16 +357,16 @@ type packedRun struct {
 }
 
 // runPackedSyncs runs a pipelined deployment whose epochs split into many
-// sync parts on a mainchain whose blocks hold only a couple of them, so
-// most parts wait several blocks for room.
+// sync parts on a mainchain whose blocks hold little more than one of
+// them (a 1.5M block limit caps parts at 1M gas), so most parts wait
+// several blocks for room.
 func runPackedSyncs(t *testing.T, corrupt map[uint64]bool) (packedRun, error) {
 	t.Helper()
 	const epochs, pools = 3, 32
 	sysCfg, _ := multiTestConfigs(5, pools, 4, epochs)
 	sysCfg.PipelineDepth = 2
-	sysCfg.SyncGasBudget = 1_000_000
 	sysCfg.Mainchain = mainchain.DefaultConfig()
-	sysCfg.Mainchain.GasLimit = 2_500_000
+	sysCfg.Mainchain.GasLimit = 1_500_000
 	sysCfg.Faults.CorruptSyncEpochs = corrupt
 	wcfg := workload.DefaultMultiConfig(5, pools)
 	wcfg.NumUsers = 20
@@ -455,5 +455,33 @@ func TestPackedCorruptSyncStillReverts(t *testing.T) {
 	sp := rep.SyncParts
 	if sp.SigVerifies <= sp.PartsApplied {
 		t.Errorf("%d verifications for %d applied parts: the rejected parts were not verified (%+v)", sp.SigVerifies, sp.PartsApplied, sp)
+	}
+}
+
+// TestSyncPartsFitTheBlockGasLimit: sync parts are sized from the
+// mainchain's block gas limit, so a chain with smaller blocks splits each
+// epoch into more parts instead of halting on a part no block can hold.
+func TestSyncPartsFitTheBlockGasLimit(t *testing.T) {
+	for _, limit := range []uint64{4_000_000, 15_000_000} {
+		t.Run(fmt.Sprintf("gas-limit-%dM", limit/1_000_000), func(t *testing.T) {
+			sysCfg, drvCfg := multiTestConfigs(11, 64, 2, 3)
+			sysCfg.Mainchain = mainchain.DefaultConfig()
+			sysCfg.Mainchain.GasLimit = limit
+			sys, _, err := NewMultiDriver(sysCfg, drvCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sys.Run(drvCfg.Epochs)
+			if err != nil {
+				t.Fatalf("run: %v (%+v)", err, rep.SyncParts)
+			}
+			if rep.SyncsOK != rep.EpochsRun {
+				t.Errorf("%d of %d epochs synced", rep.SyncsOK, rep.EpochsRun)
+			}
+			if err := sys.Validate(); err != nil {
+				t.Errorf("validate: %v", err)
+			}
+			t.Logf("%d sync parts applied", rep.SyncParts.PartsApplied)
+		})
 	}
 }

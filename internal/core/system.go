@@ -196,13 +196,9 @@ func NewSystem(cfg chain.Config, users []string) (*System, error) {
 	s.mc.Deploy(s.bank)
 
 	// Genesis pool: full-range seed liquidity held by the bank.
-	pool, err := amm.NewPool("A", "B", cfg.FeePips, 60, u256.Q96)
+	pool, mintRes, err := amm.NewGenesisPool("genesis-pos", cfg.InitialLiquidity)
 	if err != nil {
 		return nil, err
-	}
-	mintRes, err := pool.Mint("genesis-pos", "lp-genesis", -887220, 887220, cfg.InitialLiquidity)
-	if err != nil {
-		return nil, fmt.Errorf("core: genesis mint: %w", err)
 	}
 	s.pool = pool
 	if err := s.token0.Ledger.Mint("genesis", mainchain.BankAddress, mintRes.Amount0); err != nil {
@@ -214,21 +210,21 @@ func NewSystem(cfg chain.Config, users []string) (*System, error) {
 	s.bank.PoolReserve0 = pool.Reserve0
 	s.bank.PoolReserve1 = pool.Reserve1
 	s.bank.Positions["genesis-pos"] = summary.PositionEntry{
-		ID: "genesis-pos", Owner: "lp-genesis",
-		TickLower: -887220, TickUpper: 887220, Liquidity: cfg.InitialLiquidity,
+		ID: "genesis-pos", Owner: amm.GenesisOwner,
+		TickLower: -amm.GenesisTickUpper, TickUpper: amm.GenesisTickUpper, Liquidity: cfg.InitialLiquidity,
 	}
-	if err := s.mc.Call(mainchain.BankAddress, "createPool", mainchain.CreatePoolArgs{FeePips: cfg.FeePips}); err != nil {
+	if err := s.mc.Call(mainchain.BankAddress, "createPool", mainchain.CreatePoolArgs{FeePips: amm.GenesisFeePips}); err != nil {
 		return nil, err
 	}
 
-	// Fund users generously and pre-approve the bank.
-	grant := u256.Mul(cfg.DepositPerUser0, u256.FromUint64(1000))
-	grant1 := u256.Mul(cfg.DepositPerUser1, u256.FromUint64(1000))
+	// Fund users generously (a thousand epochs' deposits of 2e9 per
+	// token) and pre-approve the bank.
+	grant := u256.FromUint64(1000 * 2_000_000_000)
 	for _, u := range users {
 		if err := s.token0.Ledger.Mint("genesis", u, grant); err != nil {
 			return nil, err
 		}
-		if err := s.token1.Ledger.Mint("genesis", u, grant1); err != nil {
+		if err := s.token1.Ledger.Mint("genesis", u, grant); err != nil {
 			return nil, err
 		}
 	}
@@ -577,9 +573,9 @@ func (s *System) runRound(e, r uint64) {
 
 	// Agreement latency from the cost model; a silent leader adds the
 	// view-change detour before the new leader's proposal succeeds.
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
+	delay := agreementModel.AgreementTime(s.cfg.CommitteeSize, block.SizeBytes)
 	if s.cfg.Faults.SilentLeader(e, r) {
-		delay += s.cfg.ViewChangeTimeout + s.cfg.Model.ViewChangeTime(s.cfg.CommitteeSize)
+		delay += viewChangeTimeout + agreementModel.ViewChangeTime(s.cfg.CommitteeSize)
 		s.ViewChanges++
 	}
 
@@ -619,7 +615,7 @@ func (s *System) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	sb := sidechain.NewSummaryBlock(e, payload, metas)
 
 	// Agreement on the summary-block.
-	delay := s.cfg.Model.AgreementTime(s.cfg.CommitteeSize, payload.SidechainBytes())
+	delay := agreementModel.AgreementTime(s.cfg.CommitteeSize, payload.SidechainBytes())
 	s.sim.After(delay, func() {
 		if s.err != nil {
 			return

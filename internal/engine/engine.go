@@ -36,9 +36,8 @@ type Config struct {
 	// NumShards is the worker-shard count (default GOMAXPROCS). Results
 	// are bit-identical for any value.
 	NumShards int
-	// FeePips is each pool's fee (default 3000 = 0.30%).
-	FeePips uint32
-	// InitialLiquidity seeds each pool's genesis full-range position.
+	// InitialLiquidity seeds each pool's genesis full-range position
+	// (default amm.GenesisLiquidity).
 	InitialLiquidity u256.Int
 	// Tracer, when non-nil, accumulates per-shard execute timing (busy
 	// wall-clock, tx count, gas) each epoch and records one execute-shard
@@ -54,17 +53,11 @@ func (c Config) withDefaults() Config {
 	if c.NumShards <= 0 {
 		c.NumShards = runtime.GOMAXPROCS(0)
 	}
-	if c.FeePips == 0 {
-		c.FeePips = 3000
-	}
 	if c.InitialLiquidity.IsZero() {
-		c.InitialLiquidity = u256.MustFromDecimal("10000000000000") // 1e13
+		c.InitialLiquidity = amm.GenesisLiquidity
 	}
 	return c
 }
-
-// tickSpacing aligns every pool's position bounds.
-const tickSpacing = 60
 
 // Engine executes transactions for N registered pools across worker
 // shards. Pools are partitioned by ShardOf; a pool's transactions always
@@ -135,12 +128,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for i := 0; i < cfg.NumPools; i++ {
 		id := PoolName(i)
-		pool, err := amm.NewPool("A", "B", cfg.FeePips, tickSpacing, u256.Q96)
+		pool, _, err := amm.NewGenesisPool(GenesisPositionID(id), cfg.InitialLiquidity)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := pool.Mint(GenesisPositionID(id), "lp-genesis", -887220, 887220, cfg.InitialLiquidity); err != nil {
-			return nil, fmt.Errorf("engine: genesis mint for %s: %w", id, err)
 		}
 		if err := e.reg.Register(id, pool); err != nil {
 			return nil, err

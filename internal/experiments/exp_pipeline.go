@@ -70,16 +70,16 @@ func RunPipelineScale(o Options) (*PipeScaleResult, error) {
 	}
 	var base chain.Fingerprint
 	for _, depth := range []int{1, 2, 3} {
-		sysCfg := chain.NewConfig(
-			chain.WithSeed(o.Seed),
-			chain.WithPools(pipeScalePools),
-			chain.WithShards(4),
-			chain.WithEpochRounds(5),
-			chain.WithCommittee(o.CommitteeSize),
-			chain.WithPipelineDepth(depth),
+		sysCfg := chain.Config{
+			Seed:          o.Seed,
+			NumPools:      pipeScalePools,
+			NumShards:     4,
+			EpochRounds:   5,
+			CommitteeSize: o.CommitteeSize,
+			PipelineDepth: depth,
 			// Room for the drain epochs too, so the stage rows cover the run.
-			chain.WithTracer(trace.New(2*epochs)),
-		)
+			Tracer: trace.New(2 * epochs),
+		}
 		wcfg := workload.DefaultMultiConfig(o.Seed, pipeScaleActive)
 		drvCfg := core.MultiDriverConfig{
 			DailyVolume: pipeScaleVolume,

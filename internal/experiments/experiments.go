@@ -41,12 +41,12 @@ func (o Options) withDefaults() Options {
 // paperSystemConfig is the paper's default deployment: 30 rounds of 7 s
 // per epoch, 1 MB meta-blocks, a 500-member committee.
 func paperSystemConfig(o Options) chain.Config {
-	return chain.NewConfig(
-		chain.WithSeed(o.Seed),
-		chain.WithEpochRounds(30),
-		chain.WithRoundDuration(7*time.Second),
-		chain.WithCommittee(o.CommitteeSize),
-	)
+	return chain.Config{
+		Seed:          o.Seed,
+		EpochRounds:   30,
+		RoundDuration: 7 * time.Second,
+		CommitteeSize: o.CommitteeSize,
+	}.WithDefaults()
 }
 
 func paperDriverConfig(o Options, dailyVolume int) core.DriverConfig {

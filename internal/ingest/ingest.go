@@ -39,9 +39,6 @@ type Policy struct {
 	// SoftMark, when below Capacity, sheds whole batches arriving while
 	// occupancy is at or above it (chain.ErrThrottled).
 	SoftMark int
-	// Segments is the mempool partition count (contention spreading
-	// only; no ordering effect).
-	Segments int
 	// MaxWait bounds how long one Admit call blocks wall-clock on a
 	// full mempool before chain.ErrMempoolFull; <= 0 rejects
 	// immediately. Keep it small: the lifecycle consumer itself may
@@ -66,9 +63,12 @@ const (
 // Default policy values (New fills zeroes with these).
 const (
 	DefaultCapacity = 1 << 20
-	DefaultSegments = 8
 	DefaultMaxWait  = 10 * time.Millisecond
 )
+
+// numSegments is the mempool partition count (contention spreading only;
+// no ordering effect).
+const numSegments = 8
 
 // Entry is one admitted transaction with its receipt and global
 // admission sequence number (assigned by the pool).
@@ -149,15 +149,12 @@ func New(pol Policy) *Pool {
 	if pol.SoftMark <= 0 || pol.SoftMark > pol.Capacity {
 		pol.SoftMark = pol.Capacity
 	}
-	if pol.Segments <= 0 {
-		pol.Segments = DefaultSegments
-	}
 	if pol.MaxWait == 0 {
 		pol.MaxWait = DefaultMaxWait
 	}
 	return &Pool{
 		pol:  pol,
-		segs: make([]segment, pol.Segments),
+		segs: make([]segment, numSegments),
 		wait: make(chan struct{}),
 	}
 }
@@ -316,7 +313,7 @@ func (p *Pool) admitOne(ctx context.Context, e Entry, timer **time.Timer) error 
 			break
 		}
 	}
-	s := &p.segs[p.rr.Add(1)%uint64(len(p.segs))]
+	s := &p.segs[p.rr.Add(1)%numSegments]
 	s.mu.Lock()
 	// The ticket is taken under the segment lock so appends land in
 	// ticket order: each segment stays sorted by Seq and Drain can merge
@@ -417,7 +414,7 @@ func (p *Pool) Drain() []Entry {
 	}
 	// K-way merge on the Seq tickets. Segments are sorted by
 	// construction (the ticket is taken under the segment lock), so the
-	// linear min-head scan across <= Segments runs replaces a
+	// linear min-head scan across <= numSegments runs replaces a
 	// comparison sort of the union — under sustained load the sort's
 	// swap traffic (and its write barriers) dominated the profile.
 	for len(runs) > 0 {

@@ -29,9 +29,6 @@ func TestDefaults(t *testing.T) {
 	if pol.SoftMark != DefaultCapacity {
 		t.Fatalf("softmark = %d, want capacity (disabled)", pol.SoftMark)
 	}
-	if pol.Segments != DefaultSegments {
-		t.Fatalf("segments = %d, want %d", pol.Segments, DefaultSegments)
-	}
 	if pol.MaxWait != DefaultMaxWait {
 		t.Fatalf("maxwait = %v, want %v", pol.MaxWait, DefaultMaxWait)
 	}
@@ -42,7 +39,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestAdmitDrainOrder(t *testing.T) {
-	p := New(Policy{Segments: 4})
+	p := New(Policy{})
 	for i := 0; i < 100; i++ {
 		if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("tx-%03d", i))); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
@@ -75,7 +72,7 @@ func TestAdmitDrainOrder(t *testing.T) {
 // checks the drained union is a permutation with unique, gap-free
 // sequence numbers in sorted order.
 func TestConcurrentAdmitSeqUnique(t *testing.T) {
-	p := New(Policy{Segments: 4})
+	p := New(Policy{})
 	const producers, each = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < producers; g++ {

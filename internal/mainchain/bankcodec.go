@@ -2,6 +2,7 @@ package mainchain
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -96,6 +97,14 @@ func (b *MultiBank) EncodeState() []byte {
 	return buf
 }
 
+// ErrBadBankState wraps every reason RestoreState refuses a blob.
+var ErrBadBankState = errors.New("multibank: bad bank state")
+
+// badState is a RestoreState refusal.
+func badState(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadBankState}, args...)...)
+}
+
 // RestoreState rebuilds the bank from an EncodeState blob, replacing the
 // genesis state NewMultiBank installed. The blob is NOT trusted on its
 // own: the caller must anchor it — ammBoost's recovery re-derives the
@@ -103,7 +112,9 @@ func (b *MultiBank) EncodeState() []byte {
 // group key to match, then replays the tail sync-part log through the
 // full verification chain. Pools in the blob must be registered
 // (deployment fingerprints pin the pool set, so a mismatch is
-// corruption, not skew).
+// corruption, not skew). Every refusal wraps ErrBadBankState (an
+// unregistered pool also ErrUnknownBankPool) and leaves the bank as it
+// was.
 func (b *MultiBank) RestoreState(data []byte) error {
 	d := binenc.NewCursor(data)
 	lastSynced := d.U64()
@@ -111,7 +122,7 @@ func (b *MultiBank) RestoreState(data []byte) error {
 
 	nKeys := int(d.U32())
 	if d.Err() == nil && nKeys > d.Remaining()/80 {
-		return fmt.Errorf("bank state: group key count %d", nKeys)
+		return badState("group key count %d", nKeys)
 	}
 	groupKeys := make(map[uint64]tsig.GroupKey, nKeys)
 	for i := 0; i < nKeys && d.Err() == nil; i++ {
@@ -122,14 +133,14 @@ func (b *MultiBank) RestoreState(data []byte) error {
 		}
 		pk, err := tsig.PointFromBytes(pkBytes)
 		if err != nil {
-			return fmt.Errorf("bank state: epoch %d group key: %v", e, err)
+			return badState("epoch %d group key: %w", e, err)
 		}
 		groupKeys[e] = tsig.GroupKey{PK: pk, Threshold: int(d.U32()), N: int(d.U32())}
 	}
 
 	nRoots := int(d.U32())
 	if d.Err() == nil && nRoots > d.Remaining()/40 {
-		return fmt.Errorf("bank state: summary root count %d", nRoots)
+		return badState("summary root count %d", nRoots)
 	}
 	roots := make(map[uint64][32]byte, nRoots)
 	for i := 0; i < nRoots && d.Err() == nil; i++ {
@@ -141,7 +152,7 @@ func (b *MultiBank) RestoreState(data []byte) error {
 
 	nSynced := int(d.U32())
 	if d.Err() == nil && nSynced > d.Remaining()/8 {
-		return fmt.Errorf("bank state: synced count %d", nSynced)
+		return badState("synced count %d", nSynced)
 	}
 	synced := make(map[uint64]bool, nSynced)
 	for i := 0; i < nSynced && d.Err() == nil; i++ {
@@ -150,19 +161,19 @@ func (b *MultiBank) RestoreState(data []byte) error {
 
 	nPools := int(d.U32())
 	if d.Err() == nil && nPools > d.Remaining()/8 {
-		return fmt.Errorf("bank state: pool count %d", nPools)
+		return badState("pool count %d", nPools)
 	}
 	reserves := make(map[string]PoolReserves, nPools)
 	positions := make(map[string]map[string]summary.PositionEntry, nPools)
 	for i := 0; i < nPools && d.Err() == nil; i++ {
 		id := d.Str()
 		if _, ok := b.Reserves[id]; !ok && d.Err() == nil {
-			return fmt.Errorf("%w: bank state pool %s", ErrUnknownBankPool, id)
+			return badState("%w: pool %s", ErrUnknownBankPool, id)
 		}
 		reserves[id] = PoolReserves{Reserve0: d.U256(), Reserve1: d.U256()}
 		nPos := int(d.U32())
 		if d.Err() == nil && nPos > d.Remaining()/113 {
-			return fmt.Errorf("bank state: position count %d", nPos)
+			return badState("position count %d", nPos)
 		}
 		pm := make(map[string]summary.PositionEntry, nPos)
 		for j := 0; j < nPos && d.Err() == nil; j++ {
@@ -180,10 +191,10 @@ func (b *MultiBank) RestoreState(data []byte) error {
 		positions[id] = pm
 	}
 	if d.Err() != nil {
-		return fmt.Errorf("bank state: %v", d.Err())
+		return badState("%w", d.Err())
 	}
 	if d.Remaining() != 0 {
-		return fmt.Errorf("bank state: %d trailing bytes", d.Remaining())
+		return badState("%d trailing bytes", d.Remaining())
 	}
 
 	// Pools absent from the blob were never synced and keep genesis state.

@@ -21,7 +21,7 @@ type multiBankFixture struct {
 	shares map[uint64][]tsig.Share
 }
 
-func newMultiBankFixture(t *testing.T, epochs int) *multiBankFixture {
+func newMultiBankFixture(t testing.TB, epochs int) *multiBankFixture {
 	t.Helper()
 	f := &multiBankFixture{
 		pools:  []string{"pool-0", "pool-1", "pool-2"},
@@ -43,7 +43,7 @@ func newMultiBankFixture(t *testing.T, epochs int) *multiBankFixture {
 
 // part builds part i (1-based) of a numParts-part sync for epoch, one
 // pool with a few positions per part, signed by the epoch's committee.
-func (f *multiBankFixture) part(t *testing.T, epoch uint64, i, numParts int) *MultiSyncArgs {
+func (f *multiBankFixture) part(t testing.TB, epoch uint64, i, numParts int) *MultiSyncArgs {
 	t.Helper()
 	p := &summary.SyncPayload{
 		Epoch: epoch, PoolID: f.pools[(i-1)%len(f.pools)],
@@ -65,7 +65,7 @@ func (f *multiBankFixture) part(t *testing.T, epoch uint64, i, numParts int) *Mu
 	return a
 }
 
-func (f *multiBankFixture) sign(t *testing.T, epoch uint64, digest [32]byte) tsig.Point {
+func (f *multiBankFixture) sign(t testing.TB, epoch uint64, digest [32]byte) tsig.Point {
 	t.Helper()
 	partials := make([]tsig.PartialSig, 3)
 	for i := range partials {

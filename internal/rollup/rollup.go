@@ -24,9 +24,6 @@ type Config struct {
 	BatchInterval time.Duration
 	// Contestation is the fraud-proof window delaying withdrawals.
 	Contestation time.Duration
-	// FeePips / InitialLiquidity seed the pool as in the other backends.
-	FeePips          uint32
-	InitialLiquidity u256.Int
 }
 
 // DefaultConfig mirrors the paper's ammOP parameters.
@@ -35,7 +32,6 @@ func DefaultConfig() Config {
 		BatchBytes:    1_800_000,
 		BatchInterval: 35 * time.Second,
 		Contestation:  7 * 24 * time.Hour,
-		FeePips:       3000,
 	}
 }
 
@@ -61,14 +57,8 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.BatchBytes == 0 {
 		cfg = DefaultConfig()
 	}
-	if cfg.InitialLiquidity.IsZero() {
-		cfg.InitialLiquidity = u256.MustFromDecimal("10000000000000")
-	}
-	pool, err := amm.NewPool("A", "B", cfg.FeePips, 60, u256.Q96)
+	pool, _, err := amm.NewGenesisPool("genesis-pos", amm.GenesisLiquidity)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := pool.Mint("genesis-pos", "lp-genesis", -887220, 887220, cfg.InitialLiquidity); err != nil {
 		return nil, err
 	}
 	r := &Runner{

@@ -21,21 +21,19 @@ type MultiConfig struct {
 	// PoolIDs overrides the canonical pool naming; len must equal
 	// NumPools when set. Defaults to the engine's pool-%04d scheme.
 	PoolIDs []string
-	// ZipfS is the Zipf skew exponent (> 1; default 1.2). Larger values
-	// concentrate more traffic on the hottest pools.
-	ZipfS float64
-	// ZipfV is the Zipf value parameter (>= 1; default 1).
-	ZipfV float64
 }
+
+// Pool popularity is Zipf(s, v) over the pools' rank order: zipfS is the
+// skew exponent (larger values concentrate more traffic on the hottest
+// pools), zipfV the value parameter.
+const (
+	zipfS = 1.2
+	zipfV = 1
+)
 
 // DefaultMultiConfig mirrors DefaultConfig across numPools pools.
 func DefaultMultiConfig(seed int64, numPools int) MultiConfig {
-	return MultiConfig{
-		Config:   DefaultConfig(seed),
-		NumPools: numPools,
-		ZipfS:    1.2,
-		ZipfV:    1,
-	}
+	return MultiConfig{Config: DefaultConfig(seed), NumPools: numPools}
 }
 
 // MultiGenerator produces a deterministic multi-pool transaction stream.
@@ -56,12 +54,6 @@ func NewMulti(cfg MultiConfig) *MultiGenerator {
 	if cfg.NumPools <= 0 {
 		cfg.NumPools = 1
 	}
-	if cfg.ZipfS <= 1 {
-		cfg.ZipfS = 1.2
-	}
-	if cfg.ZipfV < 1 {
-		cfg.ZipfV = 1
-	}
 	ids := cfg.PoolIDs
 	if len(ids) == 0 {
 		ids = make([]string, cfg.NumPools)
@@ -74,7 +66,7 @@ func NewMulti(cfg MultiConfig) *MultiGenerator {
 		cfg:  cfg,
 		ids:  ids,
 		pick: pick,
-		zipf: rand.NewZipf(pick, cfg.ZipfS, cfg.ZipfV, uint64(len(ids)-1)),
+		zipf: rand.NewZipf(pick, zipfS, zipfV, uint64(len(ids)-1)),
 		gens: make(map[string]*Generator, len(ids)),
 	}
 	for _, id := range ids {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ammboost/internal/amm"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
@@ -55,35 +56,28 @@ type Config struct {
 	IDPrefix string
 	// NumUsers is the trading population (paper: 100).
 	NumUsers int
-	// LPFraction of users provide liquidity (and own positions).
-	LPFraction float64
-	// MaxPositionsPerLP bounds live positions so sync cost scales with
-	// the user population, matching the paper's observation.
-	MaxPositionsPerLP int
-	// SwapAmountMax bounds swap input sizes (uniform in [1, max]).
-	SwapAmountMax uint64
-	// MintAmountMax bounds per-mint funding.
-	MintAmountMax uint64
-	// TickSpan bounds position ranges around the current price.
-	TickSpan int32
-	// TickSpacing aligns position bounds.
-	TickSpacing int32
 }
 
 // DefaultConfig mirrors the paper's experiment setup.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:              seed,
-		Distribution:      UniswapDistribution,
-		NumUsers:          100,
-		LPFraction:        0.25,
-		MaxPositionsPerLP: 3,
-		SwapAmountMax:     2_000_000,
-		MintAmountMax:     50_000_000,
-		TickSpan:          1200,
-		TickSpacing:       60,
-	}
+	return Config{Seed: seed, Distribution: UniswapDistribution, NumUsers: 100}
 }
+
+// Traffic shape shared by every generator.
+const (
+	// SwapAmountMax bounds swap input sizes (uniform in [1, max]).
+	SwapAmountMax = 2_000_000
+	// MintAmountMax bounds per-mint funding.
+	MintAmountMax = 50_000_000
+	// lpShare of users (at least one) provide liquidity and own positions.
+	lpShare = 0.25
+	// maxPositionsPerLP bounds live positions so sync cost scales with the
+	// user population, matching the paper's observation.
+	maxPositionsPerLP = 3
+	// tickSpan bounds position ranges around the current price; bounds
+	// align to the pools' tick spacing.
+	tickSpan = 1200
+)
 
 // position tracks a live LP position the generator may burn/collect.
 type position struct {
@@ -114,7 +108,7 @@ func New(cfg Config) *Generator {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		positions: make(map[string][]*position),
 	}
-	numLPs := int(float64(cfg.NumUsers) * cfg.LPFraction)
+	numLPs := int(float64(cfg.NumUsers) * lpShare)
 	if numLPs < 1 {
 		numLPs = 1
 	}
@@ -155,7 +149,7 @@ func (g *Generator) Next() *summary.Tx {
 
 func (g *Generator) nextSwap(id string) *summary.Tx {
 	user := g.users[g.rng.Intn(len(g.users))]
-	amount := uint64(g.rng.Int63n(int64(g.cfg.SwapAmountMax))) + 1
+	amount := uint64(g.rng.Int63n(SwapAmountMax)) + 1
 	return &summary.Tx{
 		ID: id, Kind: gasmodel.KindSwap, User: user,
 		ZeroForOne: g.rng.Intn(2) == 0,
@@ -167,7 +161,7 @@ func (g *Generator) nextSwap(id string) *summary.Tx {
 
 func (g *Generator) nextMint(id string) *summary.Tx {
 	lp := g.lps[g.rng.Intn(len(g.lps))]
-	amount := uint64(g.rng.Int63n(int64(g.cfg.MintAmountMax))) + 1000
+	amount := uint64(g.rng.Int63n(MintAmountMax)) + 1000
 	tx := &summary.Tx{
 		ID: id, Kind: gasmodel.KindMint, User: lp,
 		Amount0Desired: u256.FromUint64(amount),
@@ -176,13 +170,13 @@ func (g *Generator) nextMint(id string) *summary.Tx {
 	}
 	// Top up an existing position when the LP is at its cap; otherwise
 	// open a new symmetric range around the current price.
-	if ps := g.positions[lp]; len(ps) >= g.cfg.MaxPositionsPerLP {
+	if ps := g.positions[lp]; len(ps) >= maxPositionsPerLP {
 		p := ps[g.rng.Intn(len(ps))]
 		tx.PosID = p.id
 		// Ranges are fixed per position; the executor validates them.
 		tx.TickLower, tx.TickUpper = g.rangeFor(p.id)
 	} else {
-		span := (g.rng.Int31n(g.cfg.TickSpan/g.cfg.TickSpacing) + 1) * g.cfg.TickSpacing
+		span := (g.rng.Int31n(tickSpan/amm.GenesisTickSpacing) + 1) * amm.GenesisTickSpacing
 		tx.TickLower, tx.TickUpper = -span, span
 		posID := summary.DerivePositionID(id, lp)
 		g.positions[lp] = append(g.positions[lp], &position{id: posID, owner: lp})

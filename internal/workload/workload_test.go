@@ -79,16 +79,31 @@ func TestBurnsReferenceLivePositions(t *testing.T) {
 }
 
 func TestPositionCapHolds(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.MaxPositionsPerLP = 2
-	g := New(cfg)
+	g := New(DefaultConfig(4))
 	for i := 0; i < 50_000; i++ {
 		g.Next()
 	}
 	for lp, ps := range g.positions {
-		if len(ps) > 2 {
-			t.Errorf("%s has %d positions, cap 2", lp, len(ps))
+		if len(ps) > maxPositionsPerLP {
+			t.Errorf("%s has %d positions, cap %d", lp, len(ps), maxPositionsPerLP)
 		}
+	}
+}
+
+// TestHandBuiltConfigGenerates: a Config not built by DefaultConfig still
+// generates every transaction kind — the traffic shape is constant, so no
+// zero-valued field can reach the generator.
+func TestHandBuiltConfigGenerates(t *testing.T) {
+	g := New(Config{Seed: 1, Distribution: UniswapDistribution})
+	kinds := map[gasmodel.TxKind]bool{}
+	for i := 0; i < 20_000; i++ {
+		kinds[g.Next().Kind] = true
+	}
+	if len(kinds) != 4 {
+		t.Errorf("generated kinds %v, want all four", kinds)
+	}
+	if len(g.LPs()) != len(g.Users())/4 {
+		t.Errorf("%d LPs among %d users, want a quarter", len(g.LPs()), len(g.Users()))
 	}
 }
 
