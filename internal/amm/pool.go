@@ -333,7 +333,8 @@ func (p *Pool) nextInitializedTick(tick int32, lte bool) (int32, bool) {
 
 // updateTick applies a liquidity delta at a tick boundary. upper indicates
 // the tick is the position's upper bound. It reports whether the tick
-// flipped between initialized and uninitialized.
+// flipped between initialized and uninitialized; a tick a removal empties
+// stays until the caller clears it (clearTick).
 func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upper bool) (flipped bool, err error) {
 	info := p.ticks[tick]
 	wasInit := info != nil && !info.LiquidityGross.IsZero()
@@ -374,13 +375,17 @@ func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upp
 		p.structDirty = true
 		if isInit {
 			p.insertTick(tick)
-		} else {
-			delete(p.ticks, tick)
-			p.removeTick(tick)
 		}
 	}
 	p.markTick(tick)
 	return flipped, nil
+}
+
+// clearTick deletes a tick a removal emptied. Burn calls it only after
+// accruing the position's fees, which read the tick's outside growth.
+func (p *Pool) clearTick(tick int32) {
+	delete(p.ticks, tick)
+	p.removeTick(tick)
 }
 
 // feeGrowthInside computes fee growth inside [lower, upper] using the
@@ -533,13 +538,24 @@ func (p *Pool) Burn(posID, caller string, liquidity u256.Int) (BurnResult, error
 	if err != nil {
 		return res, err
 	}
-	if _, err := p.updateTick(pos.TickLower, liquidity, false, false); err != nil {
+	flippedLower, err := p.updateTick(pos.TickLower, liquidity, false, false)
+	if err != nil {
 		return res, err
 	}
-	if _, err := p.updateTick(pos.TickUpper, liquidity, false, true); err != nil {
+	flippedUpper, err := p.updateTick(pos.TickUpper, liquidity, false, true)
+	if err != nil {
 		return res, err
 	}
+	// As in Uniswap V3, a tick the burn emptied is cleared only after the
+	// fees accrue: fee growth inside read without its outside growth would
+	// credit fees the range never earned.
 	p.updatePositionFees(pos)
+	if flippedLower {
+		p.clearTick(pos.TickLower)
+	}
+	if flippedUpper {
+		p.clearTick(pos.TickUpper)
+	}
 	pos.Liquidity = u256.Sub(pos.Liquidity, liquidity)
 	if p.Tick >= pos.TickLower && p.Tick < pos.TickUpper {
 		p.Liquidity = u256.Sub(p.Liquidity, liquidity)
@@ -648,14 +664,10 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 
 	for !remaining.IsZero() && !sqrtPrice.Eq(sqrtPriceLimitX96) {
 		stepStart := sqrtPrice
+		// Downward, the search includes the current tick: a price exactly
+		// on an initialized tick it has not crossed yet crosses it with a
+		// zero-amount step, as Uniswap V3 does.
 		nextTick, found := p.nextInitializedTick(tick, zeroForOne)
-		if zeroForOne && found {
-			// nextInitializedTick(lte) may return the current tick itself;
-			// we need the next boundary strictly below the price.
-			if nextTick == tick && sqrtPrice.Eq(SqrtRatioAtTick(tick)) {
-				nextTick, found = p.nextInitializedTick(tick-1, true)
-			}
-		}
 		sqrtTarget := SqrtRatioAtTick(nextTick)
 		// Clamp the step target by the user's price limit.
 		if zeroForOne {

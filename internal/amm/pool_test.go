@@ -725,6 +725,21 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 			}
 		}
 	}
+	// A consistent pool never fails after a crossing, so that case is
+	// crafted: liquidity the ticks do not account for wraps at the
+	// crossing of tick 600, and the next step overflows.
+	p := newTestPool(t)
+	if _, err := p.Mint("range", "lp", 0, 600, liq(1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	p.Liquidity = u256.Zero
+	before := withDirt(p)
+	if res, err := p.SwapIf(false, true, u256.Shl(u256.One, 60), u256.Zero, nil); !errors.Is(err, ErrPriceOverflow) ||
+		res.TicksCrossed == 0 || !samePool(p, before) {
+		t.Fatalf("crafted swap: %v after %d crossings, pool unchanged %v; want ErrPriceOverflow after a crossing, pool unchanged",
+			err, res.TicksCrossed, samePool(p, before))
+	}
+	failedAfterCross++
 	if accepted == 0 || rejectedAfterCross == 0 || failedAfterCross == 0 {
 		t.Fatalf("cases not covered: accepted %d, rejected after a crossing %d, failed after one %d", accepted, rejectedAfterCross, failedAfterCross)
 	}
@@ -766,5 +781,80 @@ func TestSwapStepWithoutMoveKeepsCrossedTick(t *testing.T) {
 	}
 	if p.Tick != -601 || res.Tick != -601 {
 		t.Fatalf("tick = %d (result %d), want -601 below the crossed tick", p.Tick, res.Tick)
+	}
+}
+
+// TestSwapDownFromInitializedTickCrossesIt runs the three-step recipe
+// that left liquidity active outside its range, in both directions:
+// push the price past the last initialized tick with an exact-out swap,
+// swap 1 wei back (the pool jumps to that tick, crosses it and spends
+// the wei on fee without moving), then keep swapping the first way.
+// Like Uniswap V3, the last swap must cross the tick it starts on with
+// a zero-amount step; otherwise it trades against the range's liquidity
+// outside the range and pays out tokens the pool does not hold.
+func TestSwapDownFromInitializedTickCrossesIt(t *testing.T) {
+	for _, zeroForOne := range []bool{true, false} {
+		p := newTestPool(t)
+		if _, err := p.Mint("range", "lp", -600, 600, liq(1_000_000_000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Swap(zeroForOne, false, u256.Shl(u256.One, 60), u256.Zero); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Swap(!zeroForOne, true, u256.One, u256.Zero); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Liquidity.Eq(liq(1_000_000_000)) {
+			t.Fatalf("zeroForOne=%v: liquidity %s back at the boundary, want the range's", zeroForOne, p.Liquidity)
+		}
+		held := p.Reserve1
+		if !zeroForOne {
+			held = p.Reserve0
+		}
+		res, err := p.Swap(zeroForOne, true, liq(1_000_000), u256.Zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TicksCrossed != 1 || !p.Liquidity.IsZero() {
+			t.Errorf("zeroForOne=%v: %d crossings, liquidity %s; want the boundary crossed and none left",
+				zeroForOne, res.TicksCrossed, p.Liquidity)
+		}
+		if res.AmountOut.Gt(held) {
+			t.Errorf("zeroForOne=%v: paid out %s, the pool holds %s", zeroForOne, res.AmountOut, held)
+		}
+	}
+}
+
+// TestBurnEmptyingTicksOwesOnlyPrincipal: a burn that takes a range's
+// ticks to zero liquidity deletes them, and must accrue the position's
+// fees before it does. A range minted after the pool earned fees, with
+// no swap since, is owed exactly its principal back; reading fee growth
+// inside after the delete credited it the pool's whole fee history.
+func TestBurnEmptyingTicksOwesOnlyPrincipal(t *testing.T) {
+	p := newTestPool(t)
+	if _, err := p.Mint("genesis", "lp", -887220, 887220, u256.MustFromDecimal("10000000000000")); err != nil {
+		t.Fatal(err)
+	}
+	for _, zeroForOne := range []bool{true, false} {
+		if _, err := p.Swap(zeroForOne, true, liq(1_000_000_000), u256.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.FeeGrowthGlobal0X128.IsZero() || p.FeeGrowthGlobal1X128.IsZero() {
+		t.Fatal("swaps earned no fees")
+	}
+	if _, err := p.Mint("range", "lp", -600, 600, liq(1_000_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Burn("range", "lp", liq(1_000_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.TickInfoAt(-600) != nil || p.TickInfoAt(600) != nil {
+		t.Fatal("emptied ticks still initialized")
+	}
+	pos := p.Position("range")
+	if !pos.TokensOwed0.Eq(res.Amount0) || !pos.TokensOwed1.Eq(res.Amount1) {
+		t.Errorf("owed %s/%s after the burn, want the principal %s/%s", pos.TokensOwed0, pos.TokensOwed1, res.Amount0, res.Amount1)
 	}
 }

@@ -200,11 +200,13 @@ func (u *syncUplink) replay(epochs []*store.EpochRecord, halted bool) error {
 	return nil
 }
 
-// chunkPayloads splits the epoch's per-pool payloads into sync parts
-// whose declared gas (mainchain.SyncGas, the bill the bank charges) stays
-// within the budget. Pools with nothing to report still carry their
-// reserve update; pools are never split across parts, preserving per-pool
-// payload integrity, so a pool over the budget on its own travels alone.
+// chunkPayloads splits the epoch's on-chain payloads (EpochResult.OnChain:
+// idle pools send nothing) into sync parts whose declared gas
+// (mainchain.SyncGas, the bill the bank charges) stays within the budget.
+// Pools are never split across parts, preserving per-pool payload
+// integrity, so a pool over the budget on its own travels alone. An epoch
+// with no payloads still gets one empty part: it carries the summary root
+// and the next committee key, so the key chain advances.
 func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.SyncPayload {
 	var chunks [][]*summary.SyncPayload
 	var cur []*summary.SyncPayload
@@ -220,20 +222,22 @@ func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.
 		cur = append(cur, p)
 		gas = with
 	}
-	if len(cur) > 0 {
+	if len(cur) > 0 || len(chunks) == 0 {
 		chunks = append(chunks, cur)
 	}
 	return chunks
 }
 
-// signSyncParts chunks an epoch's payloads by gas budget and TSQC-signs
-// every part. It runs on the commit-stage worker, so it reads nothing but
-// its arguments. tr records the chunk and sign spans (nil = untraced).
+// signSyncParts chunks an epoch's on-chain payloads by gas budget and
+// TSQC-signs every part. It runs on the commit-stage worker, so it reads
+// nothing but its arguments. tr records the chunk span (Pools: the pools
+// that sync) and the sign span (nil = untraced).
 func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
 	tr *trace.Tracer) ([]*mainchain.MultiSyncArgs, error) {
 	spChunk := tr.Start(trace.StageChunk, epoch)
-	chunks := chunkPayloads(res.Payloads, gasBudget)
+	spChunk.Pools = len(res.OnChain)
+	chunks := chunkPayloads(res.OnChain, gasBudget)
 	spChunk.End()
 	spSign := tr.Start(trace.StageSign, epoch)
 	spSign.Txs = len(chunks)

@@ -82,7 +82,8 @@ func (r *uplinkRig) payloads(e uint64) []*summary.SyncPayload {
 // committee would).
 func (r *uplinkRig) parts(t *testing.T, e, budget uint64, corrupt bool) []*mainchain.MultiSyncArgs {
 	t.Helper()
-	res := &engine.EpochResult{Epoch: e, SummaryRoot: [32]byte{0xaa, byte(e)}, Payloads: r.payloads(e)}
+	payloads := r.payloads(e)
+	res := &engine.EpochResult{Epoch: e, SummaryRoot: [32]byte{0xaa, byte(e)}, Payloads: payloads, OnChain: payloads}
 	parts, err := signSyncParts(e, res, r.keys[e], r.keys[e+1].group, corrupt, budget, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +254,7 @@ func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 			Epoch: 9, PoolID: fmt.Sprintf("pool-%02d", i), PoolReserve0: u256.FromUint64(uint64(i + 1)),
 		})
 	}
+	res.OnChain = res.Payloads
 	ck := &committeeKeys{group: g, signer: signer}
 	// A budget of one gas puts every pool in its own part.
 	parts, err := signSyncParts(9, res, ck, g, false, 1, nil)
@@ -285,7 +287,8 @@ func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 // TestChunkPayloadsPacksByDeclaredGas: for seeded random epochs the
 // chunker keeps every pool, in order, closes a part exactly when the next
 // pool would take its declared gas past the budget, and lets only a
-// single pool that is over the budget on its own exceed it.
+// single pool that is over the budget on its own exceed it. An epoch with
+// no pools to sync gets exactly one empty part.
 func TestChunkPayloadsPacksByDeclaredGas(t *testing.T) {
 	declared := func(chunk []*summary.SyncPayload) uint64 {
 		return (&mainchain.MultiSyncArgs{Payloads: chunk}).Gas().Declared()
@@ -304,6 +307,12 @@ func TestChunkPayloadsPacksByDeclaredGas(t *testing.T) {
 		}
 		budget := 400_000 + uint64(rng.Intn(4_000_000))
 		chunks := chunkPayloads(payloads, budget)
+		if len(payloads) == 0 {
+			if len(chunks) != 1 || len(chunks[0]) != 0 {
+				t.Fatalf("trial %d: no pools gave %d parts, want one empty part", trial, len(chunks))
+			}
+			continue
+		}
 		if got := slices.Concat(chunks...); !slices.Equal(got, payloads) {
 			t.Fatalf("trial %d: chunks hold %d pools of %d, or out of order", trial, len(got), len(payloads))
 		}

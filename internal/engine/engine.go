@@ -349,13 +349,20 @@ func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, err
 }
 
 // EpochResult is the epoch's folded outcome: per-pool sync payloads and
-// state roots in canonical pool order, and the single epoch summary root
-// every shard layout agrees on.
+// state roots in canonical pool order, the single epoch summary root
+// every shard layout agrees on, and the payloads the mainchain receives.
 type EpochResult struct {
 	Epoch   uint64
 	PoolIDs []string
 	// Payloads[i] summarizes PoolIDs[i]; PoolID is set on each payload.
+	// Every pool has one, idle or not: the sidechain's summary blocks and
+	// the store's payload digests cover them all.
 	Payloads []*summary.SyncPayload
+	// OnChain is the payloads the epoch's sync carries, in canonical
+	// order: every touched pool's, and an untouched pool's only when it
+	// has deposits to pay out. An idle pool's reserves and positions are
+	// already in the bank, so it sends nothing.
+	OnChain []*summary.SyncPayload
 	// PoolRoots[i] is the end-of-epoch state root of PoolIDs[i].
 	PoolRoots [][32]byte
 	// SummaryRoot folds PoolRoots in canonical order: identical for any

@@ -136,11 +136,12 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 }
 
 // Finalize builds the sealed epoch's folded outcome: per-pool sync
-// payloads and state roots in canonical pool order, and the summary root.
-// The fold fans out across the engine's shard layout (a bounded worker
-// pool: one worker per shard), so commitment hashing parallelizes the
-// same way execution does. Safe to call off the engine's goroutine under
-// the hand-off discipline documented on SealedEpoch.
+// payloads and state roots in canonical pool order, the summary root,
+// and the subset of payloads that go on-chain. The fold fans out across
+// the engine's shard layout (a bounded worker pool: one worker per
+// shard), so commitment hashing parallelizes the same way execution
+// does. Safe to call off the engine's goroutine under the hand-off
+// discipline documented on SealedEpoch.
 func (se *SealedEpoch) Finalize() *EpochResult {
 	payloads := make([]*summary.SyncPayload, len(se.ids))
 	roots := make([][32]byte, len(se.ids))
@@ -159,11 +160,19 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 			roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
 		}
 	})
-	return &EpochResult{
+	res := &EpochResult{
 		Epoch:       se.epoch,
 		PoolIDs:     se.ids,
 		Payloads:    payloads,
 		PoolRoots:   roots,
 		SummaryRoot: FoldRoots(roots),
 	}
+	// An idle pool — no executor and no deposit to pay out — has nothing
+	// the bank does not already hold, so it stays off the mainchain.
+	for i, p := range payloads {
+		if se.execs[i] != nil || len(p.Payouts) > 0 {
+			res.OnChain = append(res.OnChain, p)
+		}
+	}
+	return res
 }

@@ -40,9 +40,11 @@ type PoolReserves struct {
 
 // MultiBank is the multi-pool TokenBank variant backing internal/engine
 // deployments: it stores per-pool reserves and liquidity positions,
-// verifies TSQC-authenticated epoch syncs whose payloads span every
-// registered pool, and records each epoch's folded summary root so any
-// pool's end state can be proven against a single on-chain commitment.
+// verifies TSQC-authenticated epoch syncs whose payloads cover the pools
+// the epoch changed (an idle pool's stored state simply carries over),
+// and records each epoch's folded summary root over every registered pool
+// so any pool's end state can be proven against a single on-chain
+// commitment.
 // Token custody is modeled at the accounting level only (the single-pool
 // TokenBank already reproduces the paper's ERC20 transfer flows).
 type MultiBank struct {
@@ -254,8 +256,11 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	if !ok {
 		return fmt.Errorf("%w: epoch %d", ErrUnknownEpochKey, a.Epoch)
 	}
-	if len(a.Payloads) == 0 {
-		return fmt.Errorf("%w: empty sync", ErrBadArgs)
+	// Idle pools send nothing, so an epoch no pool changed in syncs as one
+	// part with no payloads. A chunker never emits such a part beside
+	// others, so a multi-part epoch's payload-free part is refused.
+	if len(a.Payloads) == 0 && a.NumParts > 1 {
+		return fmt.Errorf("%w: part %d/%d carries no payloads", ErrBadArgs, a.Part, a.NumParts)
 	}
 	if a.SummaryRoot == ([32]byte{}) {
 		return ErrNoSummaryRoot

@@ -3,6 +3,7 @@ package mainchain
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -218,5 +219,83 @@ func TestReplaySyncSharesTheVerificationPath(t *testing.T) {
 	}
 	if b.LastSyncedEpoch != 1 {
 		t.Errorf("epoch 1 not synced after replay")
+	}
+}
+
+// TestPayloadFreeParts: an epoch in which no pool changed syncs as one
+// part with no payloads. It pays only its authentication, root and key
+// words, leaves every pool's stored state alone and registers the next
+// committee key, so the epoch after it verifies. In a multi-part epoch a
+// part with no payloads is refused with ErrBadArgs, before any gas or
+// signature check.
+func TestPayloadFreeParts(t *testing.T) {
+	f := newMultiBankFixture(t, 2)
+	b := f.bank
+	b.Reserves["pool-1"] = PoolReserves{Reserve0: u256.FromUint64(7), Reserve1: u256.FromUint64(9)}
+	reserves := maps.Clone(b.Reserves)
+
+	empty := &MultiSyncArgs{Epoch: 1, Part: 1, NumParts: 1, SummaryRoot: [32]byte{0xee}, NextKey: f.groups[2]}
+	empty.Sig = f.sign(t, 1, empty.Digest())
+	env := envWithGas(empty.Gas().Declared())
+	if err := b.applySync(env, empty); err != nil {
+		t.Fatalf("payload-free single part: %v", err)
+	}
+	if env.Gas.Used() != empty.Gas().Declared() {
+		t.Errorf("used %d gas, declared %d", env.Gas.Used(), empty.Gas().Declared())
+	}
+	if b.LastSyncedEpoch != 1 || b.SummaryRoots[1] != empty.SummaryRoot || !maps.Equal(b.Reserves, reserves) {
+		t.Errorf("after a payload-free epoch: synced to %d, root %x, reserves changed %v",
+			b.LastSyncedEpoch, b.SummaryRoots[1], !maps.Equal(b.Reserves, reserves))
+	}
+
+	stats := b.SyncStats()
+	for _, part := range []int{1, 2} {
+		a := &MultiSyncArgs{Epoch: 2, Part: part, NumParts: 2, SummaryRoot: [32]byte{0xef}, NextKey: f.groups[3]}
+		a.Sig = f.sign(t, 2, a.Digest())
+		env := envWithGas(a.Gas().Declared())
+		if err := b.applySync(env, a); !errors.Is(err, ErrBadArgs) || env.Gas.Used() != 0 {
+			t.Errorf("payload-free part %d/2: %v using %d gas, want ErrBadArgs for free", part, err, env.Gas.Used())
+		}
+	}
+	if st := b.SyncStats(); st.PartsApplied != stats.PartsApplied || st.SigVerifies != stats.SigVerifies {
+		t.Errorf("refused parts moved the stats: %+v, was %+v", st, stats)
+	}
+	for part := 1; part <= 2; part++ {
+		if err := b.applySync(envWithGas(30_000_000), f.part(t, 2, part, 2)); err != nil {
+			t.Fatalf("epoch 2 part %d after the payload-free epoch: %v", part, err)
+		}
+	}
+	if b.LastSyncedEpoch != 2 {
+		t.Errorf("epoch 2 did not complete")
+	}
+}
+
+// TestIdlePoolPayloadStillApplies: a part that carries an idle pool's
+// payload — its stored reserves again, nothing else — still applies and
+// is billed for it. Stores written when every pool synced every epoch
+// replay parts of that shape.
+func TestIdlePoolPayloadStillApplies(t *testing.T) {
+	f := newMultiBankFixture(t, 1)
+	b := f.bank
+	idle := PoolReserves{Reserve0: u256.FromUint64(7), Reserve1: u256.FromUint64(9)}
+	b.Reserves["pool-1"] = idle
+	b.Positions["pool-1"]["pool-1-genesis"] = summary.PositionEntry{ID: "pool-1-genesis", Owner: "lp", Liquidity: u256.FromUint64(5)}
+	positions := maps.Clone(b.Positions["pool-1"])
+
+	a := f.part(t, 1, 1, 1)
+	a.Payloads = append(a.Payloads, &summary.SyncPayload{Epoch: 1, PoolID: "pool-1",
+		PoolReserve0: idle.Reserve0, PoolReserve1: idle.Reserve1})
+	a.Sig = f.sign(t, 1, a.Digest())
+	env := envWithGas(a.Gas().Declared())
+	if err := b.applySync(env, a); err != nil {
+		t.Fatalf("part with an idle pool's payload: %v", err)
+	}
+	withoutIdle := (&MultiSyncArgs{Payloads: a.Payloads[:1]}).Gas().Declared()
+	if env.Gas.Used() != a.Gas().Declared() || env.Gas.Used() <= withoutIdle {
+		t.Errorf("used %d gas, declared %d; the idle payload must be billed over %d", env.Gas.Used(), a.Gas().Declared(), withoutIdle)
+	}
+	if b.Reserves["pool-1"] != idle || !maps.Equal(b.Positions["pool-1"], positions) || b.LastSyncedEpoch != 1 {
+		t.Errorf("idle pool's state moved: reserves %+v, %d positions; synced to %d",
+			b.Reserves["pool-1"], len(b.Positions["pool-1"]), b.LastSyncedEpoch)
 	}
 }

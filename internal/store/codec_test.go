@@ -13,6 +13,7 @@ import (
 	"ammboost/internal/amm"
 	"ammboost/internal/binenc"
 	"ammboost/internal/chain"
+	"ammboost/internal/mainchain"
 )
 
 // goldenImage reads the pinned format-v2 store image (a checkpoint at
@@ -168,6 +169,50 @@ func TestSyncPayloadRejectsBadDeletedFlag(t *testing.T) {
 	}
 }
 
+// payloadFreePartImage is the golden image with its last epoch's sync
+// parts replaced by one part that carries no payloads, the record a
+// traffic-free epoch logs.
+func payloadFreePartImage(t testing.TB) []byte {
+	golden, fp := goldenImage(t)
+	rec, _, err := scan(golden, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := rec.Epochs[len(rec.Epochs)-1]
+	part := *last.Parts[0]
+	part.Part, part.NumParts, part.Payloads = 1, 1, nil
+	last.Parts = []*mainchain.MultiSyncArgs{&part}
+	return encodeImage(fp, rec)
+}
+
+// TestPayloadFreePartRoundTrips: a sync part with no payloads decodes to
+// the same part, re-encodes to the same bytes, and scans back from an
+// image.
+func TestPayloadFreePartRoundTrips(t *testing.T) {
+	img := payloadFreePartImage(t)
+	rec, _, err := scan(img, headerFingerprint(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := rec.Epochs[len(rec.Epochs)-1]
+	if len(last.Parts) != 1 || len(last.Parts[0].Payloads) != 0 || last.Parts[0].NumParts != 1 {
+		t.Fatalf("scanned %d parts, want one with no payloads", len(last.Parts))
+	}
+	enc := EncodeSyncParts(last.Epoch, last.Parts)
+	epoch, parts, err := decodeSyncParts(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EncodeSyncParts(epoch, parts); epoch != last.Epoch || !bytes.Equal(got, enc) {
+		t.Errorf("payload-free part re-encodes to %d bytes at epoch %d, want %d at %d", len(got), epoch, len(enc), last.Epoch)
+	}
+	a, b := *parts[0], *last.Parts[0]
+	a.Payloads, b.Payloads = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("decoded part %+v, want %+v", a, b)
+	}
+}
+
 // encodeImage lays a recovery back out as a store image: header,
 // checkpoint, each tail epoch's snapshot and sync-part records, then the
 // halt record.
@@ -220,6 +265,7 @@ func FuzzScan(f *testing.F) {
 	flipped := append([]byte(nil), golden...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
+	f.Add(payloadFreePartImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fp := headerFingerprint(data)
 		for _, img := range [][]byte{data, reframe(data)} {
