@@ -10,16 +10,13 @@ import (
 
 // Pool-level errors.
 var (
-	ErrPriceLimit         = errors.New("amm: price limit out of bounds")
-	ErrZeroAmount         = errors.New("amm: zero amount")
-	ErrPositionNotFound   = errors.New("amm: position not found")
-	ErrNotPositionOwner   = errors.New("amm: caller does not own position")
-	ErrInsufficientLiq    = errors.New("amm: position has insufficient liquidity")
-	ErrTickNotSpaced      = errors.New("amm: tick not aligned to spacing")
-	ErrFlashNotRepaid     = errors.New("amm: flash loan not repaid with fee")
-	ErrPositionHasBalance = errors.New("amm: position still has liquidity or owed tokens")
-	ErrSlippage           = errors.New("amm: slippage bounds violated")
-	ErrDeadline           = errors.New("amm: transaction deadline exceeded")
+	ErrPriceLimit       = errors.New("amm: price limit out of bounds")
+	ErrZeroAmount       = errors.New("amm: zero amount")
+	ErrPositionNotFound = errors.New("amm: position not found")
+	ErrNotPositionOwner = errors.New("amm: caller does not own position")
+	ErrInsufficientLiq  = errors.New("amm: position has insufficient liquidity")
+	ErrTickNotSpaced    = errors.New("amm: tick not aligned to spacing")
+	ErrFlashNotRepaid   = errors.New("amm: flash loan not repaid with fee")
 )
 
 // TickInfo tracks liquidity referencing a tick and the fee growth observed

@@ -11,7 +11,6 @@ var (
 	ErrLiquidityZero    = errors.New("amm: zero liquidity")
 	ErrPriceOverflow    = errors.New("amm: price computation overflow")
 	ErrAmountTooLarge   = errors.New("amm: amount exceeds available reserves")
-	ErrLiquidityTooBig  = errors.New("amm: liquidity overflow")
 	ErrInvalidTickRange = errors.New("amm: invalid tick range")
 )
 

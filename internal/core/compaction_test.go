@@ -49,123 +49,6 @@ func storeHeaderLen(t *testing.T) int64 {
 	return int64(len(readMemStore(t, fsys)))
 }
 
-// TestCompactedRestartDeterminism is invariant 14's acceptance matrix:
-// for every seed x shard count x pipeline depth, a node that compacted
-// its store mid-history and resumed, and a fresh node fast-sync
-// bootstrapped from that compacted snapshot, both re-derive exactly the
-// storeless reference's summary roots and payload digests. Uncompacted
-// resume == storeless is already pinned by TestKillRestartDeterminism;
-// this matrix adds the two new restart paths.
-func TestCompactedRestartDeterminism(t *testing.T) {
-	const epochs, half, pools, perEpoch = 4, 2, 6, 16
-	for _, seed := range []int64{1, 42, 1337} {
-		for _, shards := range []int{1, 4, 16} {
-			for _, depth := range []int{1, 2} {
-				label := fmt.Sprintf("seed=%d shards=%d depth=%d", seed, shards, depth)
-				cfg := recoveryCfg(seed, pools, shards, depth)
-				cfg.CompactEvery = 1
-
-				// Storeless reference (CompactEvery is storage-layout only
-				// and must not perturb execution).
-				refSys, err := NewMultiSystem(cfg, cfg.Users)
-				if err != nil {
-					t.Fatal(err)
-				}
-				attachRecoveryTraffic(t, refSys, seed, perEpoch)
-				refRep, err := refSys.Run(epochs)
-				if err != nil {
-					t.Fatalf("%s: reference run: %v", label, err)
-				}
-				ref := refSys.Fingerprint(nil)
-
-				// First half of the history, compacting at every confirmed
-				// epoch, then a clean shutdown.
-				fsys := &store.MemFS{}
-				node, err := OpenFS(fsys, "", cfg)
-				if err != nil {
-					t.Fatalf("%s: open: %v", label, err)
-				}
-				attachRecoveryTraffic(t, node.(*MultiSystem), seed, perEpoch)
-				if _, err := node.Run(half); err != nil {
-					t.Fatalf("%s: first-half run: %v", label, err)
-				}
-				if err := node.Close(); err != nil {
-					t.Fatalf("%s: close: %v", label, err)
-				}
-
-				// The log must now be [header, checkpoint] with no tail:
-				// every epoch <= half was folded into the checkpoint.
-				rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
-				if err != nil {
-					t.Fatalf("%s: raw scan: %v", label, err)
-				}
-				w.Close()
-				if rec.Checkpoint == nil || rec.Checkpoint.Cursor != half {
-					t.Fatalf("%s: checkpoint = %+v, want cursor %d", label, rec.Checkpoint, half)
-				}
-				if len(rec.Epochs) != 0 {
-					t.Fatalf("%s: %d tail epochs survive compaction at the cursor", label, len(rec.Epochs))
-				}
-
-				// Compacted resume: reopen, export the fast-sync snapshot
-				// for the bootstrap leg, then finish the run.
-				node2, err := OpenFS(fsys, "", cfg)
-				if err != nil {
-					t.Fatalf("%s: reopen compacted: %v", label, err)
-				}
-				ms2 := node2.(*MultiSystem)
-				if got := ms2.Recovery(); got == nil || got.Epoch != half {
-					t.Fatalf("%s: recovered %+v, want boundary %d", label, got, half)
-				}
-				snap, err := ms2.ExportSnapshot()
-				if err != nil {
-					t.Fatalf("%s: export snapshot: %v", label, err)
-				}
-				attachRecoveryTraffic(t, ms2, seed, perEpoch)
-				rep2, err := node2.Run(epochs)
-				if err != nil {
-					t.Fatalf("%s: compacted resume: %v", label, err)
-				}
-				if rep2.SyncsOK != refRep.SyncsOK {
-					t.Errorf("%s: compacted resume SyncsOK = %d, reference %d",
-						label, rep2.SyncsOK, refRep.SyncsOK)
-				}
-				if err := ref.Diff(ms2.Fingerprint(nil)); err != nil {
-					t.Errorf("%s (compacted resume): %v", label, err)
-				}
-				if err := node2.Validate(); err != nil {
-					t.Errorf("%s: compacted resume Validate: %v", label, err)
-				}
-				node2.Close()
-
-				// Fast-sync bootstrap: a brand-new node seeded from the
-				// peer's exported checkpoint resumes at the same boundary
-				// and finishes identically.
-				bfs := &store.MemFS{}
-				boot, err := BootstrapFS(bfs, "", snap, cfg)
-				if err != nil {
-					t.Fatalf("%s: bootstrap: %v", label, err)
-				}
-				bms := boot.(*MultiSystem)
-				if got := bms.Recovery(); got == nil || got.Epoch != half {
-					t.Fatalf("%s: bootstrapped at %+v, want boundary %d", label, got, half)
-				}
-				attachRecoveryTraffic(t, bms, seed, perEpoch)
-				if _, err := boot.Run(epochs); err != nil {
-					t.Fatalf("%s: bootstrapped run: %v", label, err)
-				}
-				if err := ref.Diff(bms.Fingerprint(nil)); err != nil {
-					t.Errorf("%s (fast-sync bootstrap): %v", label, err)
-				}
-				if err := boot.Validate(); err != nil {
-					t.Errorf("%s: bootstrapped Validate: %v", label, err)
-				}
-				boot.Close()
-			}
-		}
-	}
-}
-
 // TestExplicitCompactAndResume pins the at-rest chain.Compact API: an
 // uncompacted node compacts on demand, the log collapses to
 // [header, checkpoint], and the resumed run still matches the storeless

@@ -60,7 +60,7 @@ type frontEnd struct {
 
 	// tr is the lifecycle tracer (nil = disabled). Tracing only reads the
 	// wall clock — roots and payload digests are bit-identical with
-	// tracing on or off (pinned by the determinism matrix).
+	// tracing on or off (pinned by TestWorld's untraced twin).
 	tr *trace.Tracer
 	// Submission-validation accounting, aggregated into one submit span
 	// per epoch at seal time (per-transaction spans would blow the span

@@ -8,7 +8,6 @@ import (
 
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/mainchain"
-	"ammboost/internal/store"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
 	"ammboost/internal/u256"
@@ -152,70 +151,5 @@ func TestTrafficFreeEpochSyncsOnePart(t *testing.T) {
 		if got := ms.Bank().SummaryRoots[e]; got != ms.SummaryRoots[e] {
 			t.Errorf("traffic-free epoch %d: bank holds root %x, want %x", e, got, ms.SummaryRoots[e])
 		}
-	}
-}
-
-// TestKillRestartWithIdlePools: a store-backed sparse run killed at each
-// epoch boundary and reopened recovers the storeless reference's
-// fingerprint, replays parts that leave idle pools out (and a
-// traffic-free epoch's payload-free part), and passes Validate.
-func TestKillRestartWithIdlePools(t *testing.T) {
-	const epochs = 7
-	cfg := recoveryCfg(29, 8, 2, 2)
-	ref, err := NewMultiSystem(cfg, cfg.Users)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveSparse(t, ref)
-	if _, err := ref.Run(epochs); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Fingerprint(nil)
-
-	fsys := &store.MemFS{}
-	node, err := OpenFS(fsys, "", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveSparse(t, node.(*MultiSystem))
-	if _, err := node.Run(epochs); err != nil {
-		t.Fatal(err)
-	}
-	node.Close()
-	rec, w, err := store.Open(fsys, "", DeploymentFingerprint(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	data := readMemStore(t, fsys)
-	for kill := 1; kill < epochs; kill++ {
-		killed := &store.MemFS{}
-		writeMemStore(t, killed, data[:rec.Boundaries[kill-1]])
-		node, err := OpenFS(killed, "", cfg)
-		if err != nil {
-			t.Fatalf("reopen after kill@%d: %v", kill, err)
-		}
-		ms := node.(*MultiSystem)
-		if got := ms.Recovery(); got == nil || got.Epoch != uint64(kill) {
-			t.Fatalf("kill@%d: recovered %+v", kill, got)
-		}
-		if err := ms.Validate(); err != nil {
-			t.Errorf("kill@%d: reopened Validate: %v", kill, err)
-		}
-		driveSparse(t, ms)
-		rep, err := ms.Run(epochs)
-		if err != nil {
-			t.Fatalf("kill@%d: resumed run: %v", kill, err)
-		}
-		if rep.SyncsOK != epochs {
-			t.Errorf("kill@%d: resumed SyncsOK %d, want %d", kill, rep.SyncsOK, epochs)
-		}
-		if err := want.Diff(ms.Fingerprint(nil)); err != nil {
-			t.Errorf("kill@%d: %v", kill, err)
-		}
-		if err := ms.Validate(); err != nil {
-			t.Errorf("kill@%d: resumed Validate: %v", kill, err)
-		}
-		ms.Close()
 	}
 }

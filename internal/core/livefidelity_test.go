@@ -38,111 +38,19 @@ func runFidelity(t *testing.T, seed int64, epochs int, mutate func(*chain.Config
 	// last sync commit depend on agreement latency, and the planned epoch
 	// count would differ across fidelities for timing (not semantic)
 	// reasons.
-	totalRounds := epochs*sysCfg.EpochRounds - 1
-	for r := 0; r < totalRounds; r++ {
-		start := time.Duration(r) * sysCfg.RoundDuration
-		for i := 0; i < rho; i++ {
-			at := start + time.Duration(float64(sysCfg.RoundDuration)*float64(i)/float64(rho))
-			sys.Sim().At(at, func() {
-				if rc, err := sys.Submit(context.Background(), gen.Next()); err == nil {
-					recs = append(recs, rc)
-				}
-			})
-		}
-	}
+	workload.ConstantRate(rho, epochs*sysCfg.EpochRounds-1, sysCfg.RoundDuration, func(at time.Duration) {
+		sys.Sim().At(at, func() {
+			if rc, err := sys.Submit(context.Background(), gen.Next()); err == nil {
+				recs = append(recs, rc)
+			}
+		})
+	})
 	rep, runErr := sys.Run(epochs)
 	return rep, sys.Fingerprint(recs), runErr
 }
 
 // withLive switches a config to live fidelity.
 func withLive(c *chain.Config) { c.ConsensusFidelity = chain.FidelityLive }
-
-// TestLiveModelEquivalence is invariant 11's acceptance pin: with zero
-// injected faults, routing committee rounds through real PBFT over the
-// simulated network yields exactly the observables of the analytic model
-// path — same summary roots, same sync payload digests, same receipt
-// outcome sequences — for seeds {1, 42, 1337}. The model is a timing
-// shortcut, never a semantic one.
-func TestLiveModelEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 42, 1337} {
-		repModel, model, err := runFidelity(t, seed, 2, nil)
-		if err != nil {
-			t.Fatalf("seed=%d model run: %v", seed, err)
-		}
-		repLive, live, err := runFidelity(t, seed, 2, withLive)
-		if err != nil {
-			t.Fatalf("seed=%d live run: %v", seed, err)
-		}
-		if repLive.ViewChanges != 0 {
-			t.Errorf("seed=%d: zero-fault live run burned %d view changes", seed, repLive.ViewChanges)
-		}
-		if repLive.NetStats.MessagesSent == 0 {
-			t.Errorf("seed=%d: live run sent no committee traffic — model path leaked in", seed)
-		}
-		if repLive.NetStats.MessagesDropped != 0 {
-			t.Errorf("seed=%d: zero-fault live run dropped %d messages", seed, repLive.NetStats.MessagesDropped)
-		}
-		if err := model.Diff(live); err != nil {
-			t.Errorf("seed=%d model-vs-live: %v", seed, err)
-		}
-		if repModel.SyncsOK != repLive.SyncsOK {
-			t.Errorf("seed=%d model-vs-live: SyncsOK %d vs %d", seed, repModel.SyncsOK, repLive.SyncsOK)
-		}
-	}
-}
-
-// TestLiveFidelityChaosDeterministicReplay reruns one chaotic scenario —
-// lossy duplicated reordered links, a mid-epoch partition across the
-// committee, a vote-stalling replica — with the same seed and asserts the
-// two runs are bit-identical in every observable, including the halt-free
-// completion instant and the network traffic counters.
-func TestLiveFidelityChaosDeterministicReplay(t *testing.T) {
-	mutate := func(c *chain.Config) {
-		withLive(c)
-		c.NetFaults = &netsim.FaultSchedule{
-			Seed:         99,
-			DropProb:     0.03,
-			DupProb:      0.05,
-			ReorderProb:  0.2,
-			ReorderDelay: 8 * time.Millisecond,
-			Partitions: []netsim.PartitionWindow{{
-				At: 8 * time.Second, Heal: 20 * time.Second,
-				SideA: []string{"rep-0", "rep-1"},
-				SideB: []string{"rep-2", "rep-3", "rep-4"},
-			}},
-		}
-		c.Faults.ByzantineReplicas = map[int]pbft.Byzantine{2: pbft.VoteStall}
-	}
-	repA, a, errA := runFidelity(t, 42, 2, mutate)
-	repB, b, errB := runFidelity(t, 42, 2, mutate)
-	if errA != nil || errB != nil {
-		t.Fatalf("chaos runs failed: %v / %v", errA, errB)
-	}
-	if err := a.Diff(b); err != nil {
-		t.Errorf("replay: %v", err)
-	}
-	if repA.SyncsOK != repB.SyncsOK {
-		t.Errorf("replay: SyncsOK %d vs %d", repA.SyncsOK, repB.SyncsOK)
-	}
-	if repA.ViewChanges != repB.ViewChanges {
-		t.Errorf("view changes diverged: %d vs %d", repA.ViewChanges, repB.ViewChanges)
-	}
-	if repA.Duration != repB.Duration {
-		t.Errorf("completion instant diverged: %s vs %s", repA.Duration, repB.Duration)
-	}
-	if repA.NetStats != repB.NetStats {
-		t.Errorf("network stats diverged: %+v vs %+v", repA.NetStats, repB.NetStats)
-	}
-	if repA.ViewChanges == 0 {
-		t.Error("partition across the committee should cost at least one view change")
-	}
-	if repA.NetStats.MessagesDropped == 0 {
-		t.Error("lossy links dropped nothing")
-	}
-	if repA.NetStats.MessagesDuplicated == 0 {
-		t.Error("duplicating links duplicated nothing")
-	}
-}
 
 // TestLiveFidelityPartitionHealMidEpoch pins quorum re-achievement at the
 // full-system level: a partition that forms mid-epoch blocks agreement
@@ -205,34 +113,6 @@ func TestLiveFidelityByzantineLeaderDeposed(t *testing.T) {
 	}
 	if err := model.Diff(fp); err != nil {
 		t.Errorf("byzantine leader changed committed state — safety violated: %v", err)
-	}
-}
-
-// TestLiveFidelityStormParityWithModel pins the planned view-change-storm
-// fault across fidelities: the model path charges k analytic detours, the
-// live path mutes the first k promoted leaders so the committee really
-// burns k view changes — and both report the same count and commit the
-// same state.
-func TestLiveFidelityStormParityWithModel(t *testing.T) {
-	storm := func(c *chain.Config) {
-		c.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1}
-	}
-	repModel, model, err := runFidelity(t, 23, 2, storm)
-	if err != nil {
-		t.Fatalf("model run: %v", err)
-	}
-	repLive, live, err := runFidelity(t, 23, 2, func(c *chain.Config) { withLive(c); storm(c) })
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	if repModel.ViewChanges != 1 || repLive.ViewChanges != 1 {
-		t.Errorf("view changes: model %d, live %d, want 1 each", repModel.ViewChanges, repLive.ViewChanges)
-	}
-	if err := model.Diff(live); err != nil {
-		t.Errorf("storm model-vs-live: %v", err)
-	}
-	if repModel.SyncsOK != repLive.SyncsOK {
-		t.Errorf("storm model-vs-live: SyncsOK %d vs %d", repModel.SyncsOK, repLive.SyncsOK)
 	}
 }
 

@@ -211,9 +211,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 		// anyway, so clamping loses nothing observable.
 		cfg.PipelineDepth = 1
 	}
-	// An explicit NewMultiSystem call with an unset pool count runs the
-	// engine at its minimum; the core.New factory would have routed a
-	// zero-pool config to the single-pool backend instead.
+	// An unset pool count runs the engine at its minimum of one pool.
 	if cfg.NumPools == 0 {
 		cfg.NumPools = 1
 	}
@@ -481,7 +479,7 @@ func (s *MultiSystem) sealTraced(e uint64, nextKeyBytes []byte) *engine.SealedEp
 // running snapshot immediately — mirroring the single-pool backend's
 // mid-epoch delta sync — while a future epoch's deposit is held and
 // credited when that epoch opens. The receipt reaches StatusExecuted
-// when the credit lands.
+// when the credit lands; an overflowing credit is summary.ErrDepositOverflow.
 func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*chain.Receipt, error) {
 	if s.err != nil {
 		return nil, chain.ErrHalted
@@ -498,11 +496,14 @@ func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 
 		Status: chain.StatusPending, SubmittedAt: s.sim.Now(),
 	}
 	if epoch <= s.epoch {
-		if err := s.eng.AddDeposit(pid, user, amount0, amount1); err == nil {
+		switch err := s.eng.AddDeposit(pid, user, amount0, amount1); {
+		case err == nil:
 			rc.Status = chain.StatusExecuted
 			rc.Epoch = s.epoch
 			rc.ExecutedAt = s.sim.Now()
 			return rc, nil
+		case !errors.Is(err, engine.ErrNoEpoch):
+			return nil, err
 		}
 		// Between epochs: fall through and credit at the next BeginEpoch.
 	}

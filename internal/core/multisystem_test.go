@@ -9,8 +9,6 @@ import (
 
 	"ammboost/internal/chain"
 	"ammboost/internal/netsim"
-	"ammboost/internal/sidechain"
-	"ammboost/internal/trace"
 	"ammboost/internal/workload"
 )
 
@@ -78,108 +76,6 @@ func TestMultiSystemLifecycle(t *testing.T) {
 	}
 	if err := sys.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-}
-
-func runMultiFingerprint(t *testing.T, seed int64, shards, pipelineDepth int) chain.Fingerprint {
-	return runMultiFingerprintTraced(t, seed, shards, pipelineDepth, nil)
-}
-
-// runMultiFingerprintTraced is runMultiFingerprint with a lifecycle
-// tracer attached (nil = untraced) — the trace-on/off determinism pin
-// compares the two.
-func runMultiFingerprintTraced(t *testing.T, seed int64, shards, pipelineDepth int, tr *trace.Tracer) chain.Fingerprint {
-	t.Helper()
-	sysCfg, drvCfg := multiTestConfigs(seed, 16, shards, 2)
-	sysCfg.PipelineDepth = pipelineDepth
-	sysCfg.Tracer = tr
-	return fingerprintDriverRun(t, sysCfg, drvCfg)
-}
-
-// fingerprintDriverRun runs a NewMultiDriver deployment — its arrivals are
-// scheduled at fixed virtual times — and returns its fingerprint.
-func fingerprintDriverRun(t *testing.T, sysCfg chain.Config, drvCfg MultiDriverConfig) chain.Fingerprint {
-	t.Helper()
-	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
-	if err != nil {
-		t.Fatalf("NewMultiDriver: %v", err)
-	}
-	if _, err := sys.Run(drvCfg.Epochs); err != nil {
-		t.Fatalf("run(seed=%d, shards=%d, depth=%d): %v", sysCfg.Seed, sysCfg.NumShards, sysCfg.PipelineDepth, err)
-	}
-	return sys.(*MultiSystem).Fingerprint(nil)
-}
-
-// TestMultiSystemDeterministicRoots pins the redesign's determinism
-// acceptance: for fixed seeds {1, 42, 1337}, the full lifecycle (not
-// just the raw engine) yields bit-identical epoch summary roots AND sync
-// payload digests across shard counts {1, 4, 16}, at the default
-// (pipelined) depth.
-func TestMultiSystemDeterministicRoots(t *testing.T) {
-	for _, seed := range []int64{1, 42, 1337} {
-		base := runMultiFingerprint(t, seed, 1, 0)
-		if len(base.Epochs) == 0 {
-			t.Fatalf("seed=%d: no summary roots recorded", seed)
-		}
-		for _, shards := range []int{4, 16} {
-			if err := base.Diff(runMultiFingerprint(t, seed, shards, 0)); err != nil {
-				t.Errorf("seed=%d shards=%d: %v", seed, shards, err)
-			}
-		}
-	}
-}
-
-// TestMultiSystemMetaBlockRoots pins what chain.Fingerprint does not
-// cover: every committed meta-block's TxRoot (folded from the shards'
-// leaves) equals the reference root over its transactions, read before
-// the epoch is pruned, and every epoch's summary MetaRoot is the same on
-// 1 and 2 shards. TestTxRootMatchesTree pins the reference to the proof
-// path's tree.
-func TestMultiSystemMetaBlockRoots(t *testing.T) {
-	metaRoots := make([]map[uint64][32]byte, 0, 2)
-	for _, shards := range []int{1, 2} {
-		sysCfg, drvCfg := multiTestConfigs(5, 16, shards, 3)
-		sys, _, err := NewMultiDriver(sysCfg, drvCfg)
-		if err != nil {
-			t.Fatalf("NewMultiDriver: %v", err)
-		}
-		ms := sys.(*MultiSystem)
-		blocks, txs := 0, 0
-		ms.OnEvent(func(ev chain.Event) {
-			if ev.Type != chain.EventMetaBlock {
-				return
-			}
-			metas := ms.SidechainLedger().MetaBlocks(ev.Epoch)
-			b := metas[len(metas)-1]
-			if b.Round != ev.Round {
-				t.Errorf("shards=%d: meta-block %d/%d: ledger tip is round %d", shards, ev.Epoch, ev.Round, b.Round)
-			}
-			if want := sidechain.TxRoot(b.Txs); b.TxRoot != want {
-				t.Errorf("shards=%d: meta-block %d/%d: TxRoot %x, reference %x", shards, ev.Epoch, ev.Round, b.TxRoot[:8], want[:8])
-			}
-			blocks++
-			txs += len(b.Txs)
-		})
-		if _, err := sys.Run(drvCfg.Epochs); err != nil {
-			t.Fatalf("shards=%d: run: %v", shards, err)
-		}
-		if blocks == 0 || txs == 0 {
-			t.Fatalf("shards=%d: checked %d meta-blocks with %d txs", shards, blocks, txs)
-		}
-		roots := make(map[uint64][32]byte)
-		for _, sb := range ms.SidechainLedger().Summaries() {
-			roots[sb.Epoch] = sb.MetaRoot
-		}
-		metaRoots = append(metaRoots, roots)
-	}
-	one, two := metaRoots[0], metaRoots[1]
-	if len(one) == 0 || len(one) != len(two) {
-		t.Fatalf("summary epochs: %d on 1 shard, %d on 2", len(one), len(two))
-	}
-	for e, root := range one {
-		if other := two[e]; other != root {
-			t.Errorf("epoch %d: MetaRoot %x on 1 shard, %x on 2", e, root[:8], other[:8])
-		}
 	}
 }
 
@@ -278,34 +174,5 @@ func TestSyncUplinkUnreachableHalts(t *testing.T) {
 	}
 	if rep.SyncsOK != 0 || sys.LastSyncedEpoch() != 0 {
 		t.Errorf("SyncsOK %d, bank at %d; want nothing synced", rep.SyncsOK, sys.LastSyncedEpoch())
-	}
-}
-
-// TestSyncUplinkLossKeepsFingerprint: a standalone node whose uplink
-// drops half its messages retries its way to the clean run's
-// fingerprint — the uplink perturbs timing, never state.
-func TestSyncUplinkLossKeepsFingerprint(t *testing.T) {
-	sysCfg, drvCfg := multiTestConfigs(19, 4, 2, 3)
-	clean := fingerprintDriverRun(t, sysCfg, drvCfg)
-	sysCfg.SyncFaults = &netsim.FaultSchedule{Seed: 7, DropProb: 0.5}
-	c, _, err := NewMultiDriver(sysCfg, drvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := c.(*MultiSystem)
-	retries := 0
-	sys.OnEvent(func(ev chain.Event) {
-		if ev.Type == chain.EventSyncRetry {
-			retries++
-		}
-	})
-	if _, err := sys.Run(drvCfg.Epochs); err != nil {
-		t.Fatalf("lossy run: %v", err)
-	}
-	if retries == 0 {
-		t.Error("no sync retransmissions under 50% uplink loss")
-	}
-	if err := clean.Diff(sys.Fingerprint(nil)); err != nil {
-		t.Errorf("lossy run diverges from the clean run: %v", err)
 	}
 }

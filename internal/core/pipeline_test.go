@@ -17,50 +17,6 @@ import (
 	"ammboost/internal/workload"
 )
 
-// TestPipelineDepthEquivalence pins the pipelined lifecycle's determinism
-// acceptance: PipelineDepth 1 (a window of one) and deeper pipelines produce bit-identical epoch summary roots AND
-// sync payload digests, for seeds {1, 42, 1337} × shard counts
-// {1, 4, 16}. Only timing may differ between depths — never state.
-func TestPipelineDepthEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 42, 1337} {
-		for _, shards := range []int{1, 4, 16} {
-			base := runMultiFingerprint(t, seed, shards, 1)
-			if len(base.Epochs) == 0 {
-				t.Fatalf("seed=%d shards=%d: no summary roots recorded", seed, shards)
-			}
-			for _, depth := range []int{2, 3} {
-				if err := base.Diff(runMultiFingerprint(t, seed, shards, depth)); err != nil {
-					t.Errorf("seed=%d shards=%d depth 1 vs %d: %v", seed, shards, depth, err)
-				}
-			}
-		}
-	}
-}
-
-// TestPipelineDepthEquivalenceTimedArrivals pins invariant 8 for traffic
-// that arrives at fixed virtual times instead of being fed per epoch, at
-// the paper's committee size: there the summary agreement outlasts the
-// round grid, so a depth whose next epoch waited for it would move later
-// arrivals into other epochs. Every depth starts epochs on the grid, so
-// depths {1, 2, 3} give identical summary roots and payload digests.
-func TestPipelineDepthEquivalenceTimedArrivals(t *testing.T) {
-	run := func(depth int) chain.Fingerprint {
-		sysCfg, drvCfg := multiTestConfigs(42, 16, 4, 3)
-		sysCfg.CommitteeSize = 500
-		sysCfg.PipelineDepth = depth
-		return fingerprintDriverRun(t, sysCfg, drvCfg)
-	}
-	base := run(1)
-	if len(base.Epochs) < 3 {
-		t.Fatalf("depth 1 recorded %d summary roots, want >= 3", len(base.Epochs))
-	}
-	for _, depth := range []int{2, 3} {
-		if err := base.Diff(run(depth)); err != nil {
-			t.Errorf("depth 1 vs %d: %v", depth, err)
-		}
-	}
-}
-
 // TestPipelineLifecycleCompletes checks the pipelined end-to-end
 // contract: with the default depth, every planned epoch still syncs and
 // prunes, cross-layer parity holds, and the report carries the pipeline

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -76,113 +75,6 @@ func attachRecoveryTraffic(t *testing.T, sys *MultiSystem, seed int64, perEpoch 
 			}
 			if _, err := sys.Submit(context.Background(), tx); err != nil && !errors.Is(err, chain.ErrHalted) {
 				t.Errorf("submit %s: %v", txID, err)
-			}
-		}
-	}
-}
-
-// TestKillRestartDeterminism is the PR's acceptance matrix: a node
-// killed at an epoch boundary (the store truncated to that boundary,
-// exactly what kill -9 after the boundary's fsync leaves) and reopened
-// with Open re-derives bit-identical summary roots and payload
-// digests for every epoch — restored ones and resumed ones — across
-// seeds × shard counts × pipeline depths. It also pins that attaching
-// the store perturbs nothing: the store-backed full run matches the
-// storeless reference.
-func TestKillRestartDeterminism(t *testing.T) {
-	const epochs, pools, perEpoch = 4, 8, 24
-	for _, seed := range []int64{1, 42, 1337} {
-		for _, shards := range []int{1, 4, 16} {
-			for _, depth := range []int{1, 2} {
-				label := fmt.Sprintf("seed=%d shards=%d depth=%d", seed, shards, depth)
-				cfg := recoveryCfg(seed, pools, shards, depth)
-
-				// Storeless reference.
-				refSys, err := NewMultiSystem(cfg, cfg.Users)
-				if err != nil {
-					t.Fatal(err)
-				}
-				attachRecoveryTraffic(t, refSys, seed, perEpoch)
-				refRep, err := refSys.Run(epochs)
-				if err != nil {
-					t.Fatalf("%s: reference run: %v", label, err)
-				}
-				ref := refSys.Fingerprint(nil)
-				if len(ref.Epochs) != epochs {
-					t.Fatalf("%s: reference recorded %d roots", label, len(ref.Epochs))
-				}
-
-				// Store-backed full run: persistence must not perturb.
-				dir := t.TempDir()
-				node, err := Open(dir, cfg)
-				if err != nil {
-					t.Fatalf("%s: open: %v", label, err)
-				}
-				ms := node.(*MultiSystem)
-				if ms.Recovery() != nil {
-					t.Fatalf("%s: fresh dir reported a recovery", label)
-				}
-				attachRecoveryTraffic(t, ms, seed, perEpoch)
-				if _, err := node.Run(epochs); err != nil {
-					t.Fatalf("%s: store-backed run: %v", label, err)
-				}
-				if err := ref.Diff(ms.Fingerprint(nil)); err != nil {
-					t.Errorf("%s (store-backed): %v", label, err)
-				}
-				if err := node.Close(); err != nil {
-					t.Fatalf("%s: close: %v", label, err)
-				}
-
-				// Kill -9 at a seed-derived epoch boundary: truncate the
-				// log to that boundary's fsync point.
-				rec, w, err := store.Open(store.OSFS{}, dir, DeploymentFingerprint(cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.Close()
-				if len(rec.Boundaries) != epochs {
-					t.Fatalf("%s: %d boundaries persisted, want %d", label, len(rec.Boundaries), epochs)
-				}
-				kill := 1 + int((seed+int64(3*shards+depth))%(epochs-1)) // 1..epochs-1
-				data, err := os.ReadFile(filepath.Join(dir, store.FileName))
-				if err != nil {
-					t.Fatal(err)
-				}
-				dir2 := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir2, store.FileName),
-					data[:rec.Boundaries[kill-1]], 0o644); err != nil {
-					t.Fatal(err)
-				}
-
-				node2, err := Open(dir2, cfg)
-				if err != nil {
-					t.Fatalf("%s: reopen after kill@%d: %v", label, kill, err)
-				}
-				ms2 := node2.(*MultiSystem)
-				if got := ms2.Recovery(); got == nil || got.Epoch != uint64(kill) {
-					t.Fatalf("%s: recovered %+v, want boundary %d", label, got, kill)
-				}
-				attachRecoveryTraffic(t, ms2, seed, perEpoch)
-				rep2, err := node2.Run(epochs)
-				if err != nil {
-					t.Fatalf("%s: resumed run: %v", label, err)
-				}
-				if rep2.EpochsRun != epochs {
-					t.Errorf("%s: resumed run covered %d epochs", label, rep2.EpochsRun)
-				}
-				if rep2.SyncsOK != refRep.SyncsOK {
-					t.Errorf("%s: resumed SyncsOK = %d, reference %d (replayed confirmations must count)",
-						label, rep2.SyncsOK, refRep.SyncsOK)
-				}
-				if err := ref.Diff(ms2.Fingerprint(nil)); err != nil {
-					t.Errorf("%s kill@%d: %v", label, kill, err)
-				}
-				if err := node2.Validate(); err != nil {
-					t.Errorf("%s: resumed Validate: %v", label, err)
-				}
-				if err := node2.Close(); err != nil {
-					t.Errorf("%s: resumed close: %v", label, err)
-				}
 			}
 		}
 	}

@@ -446,16 +446,7 @@ func (s *System) GenesisDeposit(user string, amount0, amount1 u256.Int) error {
 	if err := s.token1.Ledger.Transfer(user, mainchain.BankAddress, amount1); err != nil {
 		return err
 	}
-	bucket := s.bank.Deposits[1]
-	if bucket == nil {
-		bucket = make(map[string]summary.Deposit)
-		s.bank.Deposits[1] = bucket
-	}
-	d := bucket[user]
-	d.Amount0 = u256.Add(d.Amount0, amount0)
-	d.Amount1 = u256.Add(d.Amount1, amount1)
-	bucket[user] = d
-	return nil
+	return s.bank.CreditDeposit(1, user, amount0, amount1)
 }
 
 // Run executes the given number of epochs plus drain epochs until the
@@ -518,8 +509,9 @@ func (s *System) syncMidEpochDeposits(e uint64) {
 		if delta0.IsZero() && delta1.IsZero() {
 			continue
 		}
-		s.executor.AddDeposit(user, delta0, delta1)
-		s.seenDeposits[user] = summary.Deposit{Amount0: d.Amount0, Amount1: d.Amount1}
+		if s.executor.AddDeposit(user, delta0, delta1) == nil { // the bank's balance bounds it: no overflow
+			s.seenDeposits[user] = summary.Deposit{Amount0: d.Amount0, Amount1: d.Amount1}
+		}
 	}
 }
 

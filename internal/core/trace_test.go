@@ -8,29 +8,6 @@ import (
 	"ammboost/internal/trace"
 )
 
-// TestTraceOnOffDeterminism pins the tracer's core safety property: a
-// traced run yields bit-identical summary roots and sync payload
-// digests to the untraced run, across the full seed × shard × depth
-// matrix. The tracer reads only the wall clock, so attaching it must
-// never perturb state — this is what allows leaving tracing on in
-// production.
-func TestTraceOnOffDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 42, 1337} {
-		for _, shards := range []int{1, 4, 16} {
-			for _, depth := range []int{1, 2} {
-				base := runMultiFingerprint(t, seed, shards, depth)
-				if len(base.Epochs) == 0 {
-					t.Fatalf("seed=%d shards=%d depth=%d: no summary roots recorded", seed, shards, depth)
-				}
-				traced := runMultiFingerprintTraced(t, seed, shards, depth, trace.New(4))
-				if err := base.Diff(traced); err != nil {
-					t.Errorf("seed=%d shards=%d depth=%d untraced-vs-traced: %v", seed, shards, depth, err)
-				}
-			}
-		}
-	}
-}
-
 // TestTraceReportSurfaces checks the traced run's report carries the
 // observability summaries: per-stage latency histograms covering the
 // whole lifecycle and the shard-imbalance gauge (>= 1 by construction,

@@ -13,11 +13,9 @@ import (
 // ErrProofInvalid indicates a proof failed verification.
 var ErrProofInvalid = errors.New("merkle: invalid proof")
 
-// Domain-separation prefixes prevent leaf/node second-preimage splices.
-var (
-	leafPrefix = []byte{0x00}
-	nodePrefix = []byte{0x01}
-)
+// leafPrefix, and the 0x01 hashNode writes, separate leaf hashes from
+// node hashes, preventing leaf/node second-preimage splices.
+var leafPrefix = []byte{0x00}
 
 // HashLeaf hashes a leaf value.
 func HashLeaf(data []byte) [32]byte {

@@ -228,7 +228,8 @@ func (e *Engine) execFor(i int, id string) *summary.Executor {
 	return exec
 }
 
-// AddDeposit credits a user's mid-epoch deposit on one pool.
+// AddDeposit credits a user's mid-epoch deposit on one pool (or fails
+// with summary.ErrDepositOverflow).
 func (e *Engine) AddDeposit(poolID, user string, amount0, amount1 u256.Int) error {
 	if !e.running {
 		return ErrNoEpoch
@@ -237,8 +238,7 @@ func (e *Engine) AddDeposit(poolID, user string, amount0, amount1 u256.Int) erro
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
 	}
-	e.execFor(i, poolID).AddDeposit(user, amount0, amount1)
-	return nil
+	return e.execFor(i, poolID).AddDeposit(user, amount0, amount1)
 }
 
 // WithdrawDeposit debits a user's mid-epoch deposit on one pool — the

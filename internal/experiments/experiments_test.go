@@ -1,16 +1,146 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
 // fastOpts shrinks runs for CI-speed testing; the full paper configuration
 // runs through cmd/ammbench and the root benchmarks.
 func fastOpts() Options {
 	return Options{Epochs: 2, Seed: 7, CommitteeSize: 50}
+}
+
+// runs holds one result per (experiment, options): the goldens and the
+// per-experiment tests below read the same run.
+var runs sync.Map // runKey -> *cachedRun
+
+type runKey struct {
+	name string
+	opts Options
+}
+
+type cachedRun struct {
+	once sync.Once
+	res  Result
+	err  error
+}
+
+// run returns the named experiment's result at o, running it once.
+func run(t *testing.T, name string, o Options) Result {
+	t.Helper()
+	v, _ := runs.LoadOrStore(runKey{name, o}, &cachedRun{})
+	c := v.(*cachedRun)
+	c.once.Do(func() { c.res, c.err = Registry()[name](o) })
+	if c.err != nil {
+		t.Fatalf("%s: %v", name, c.err)
+	}
+	return c.res
+}
+
+// TestExperimentGoldens pins every experiment's rendered table at
+// fastOpts, and fig5 and table2 at the paper's configuration, byte for
+// byte against testdata/<name>.golden. Only poolscale and pipelinescale
+// measure the host's clock; they render with those cells zeroed (see
+// withoutWallClock). go test ./internal/experiments -run
+// TestExperimentGoldens -update rewrites the files.
+func TestExperimentGoldens(t *testing.T) {
+	type golden struct {
+		file, name string
+		opts       Options
+	}
+	var cases []golden
+	for _, name := range Names() {
+		cases = append(cases, golden{name, name, fastOpts()})
+	}
+	cases = append(cases, golden{"fig5-paper", "fig5", Options{}}, golden{"table2-paper", "table2", Options{}})
+	for _, c := range cases {
+		t.Run(c.file, func(t *testing.T) {
+			t.Parallel()
+			got := withoutWallClock(run(t, c.name, c.opts)).Render()
+			path := filepath.Join("testdata", c.file+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (go test ./internal/experiments -run TestExperimentGoldens -update writes it)", err)
+			}
+			if d := lineDiff(string(want), got); d != "" {
+				t.Errorf("%s no longer renders as %s:\n%s", c.file, path, d)
+			}
+		})
+	}
+}
+
+// withoutWallClock returns res with what it measured on the host's clock
+// or CPU count zeroed: poolscale's wall time, throughput, speedup and
+// epoch-close time (and its GOMAXPROCS row), pipelinescale's wall time
+// (all depths equal, so its speedup reads 1.00x), shard imbalance, stage
+// latencies and stall attribution. Everything a run computes stays.
+func withoutWallClock(res Result) Result {
+	switch r := res.(type) {
+	case *PoolScaleResult:
+		c := *r
+		c.Points = nil
+		for _, p := range r.Points {
+			if p.Shards <= 4 {
+				p.Wall, p.Throughput, p.Speedup, p.EpochClose = 0, 0, 0, 0
+				c.Points = append(c.Points, p)
+			}
+		}
+		return &c
+	case *PipeScaleResult:
+		c := *r
+		c.NumCPU, c.Points = 0, nil
+		for _, p := range r.Points {
+			p.Wall, p.ImbalanceAvg, p.ImbalanceMax, p.ImbalanceMaxEpoch, p.StallByStage = 1, 0, 0, 0, nil
+			var stages []chain.StageSummary
+			for _, st := range p.Stages {
+				if st.Stage != trace.StageStall.String() { // whether an epoch stalls is a race
+					st.P50, st.P95, st.P99 = 0, 0, 0
+					stages = append(stages, st)
+				}
+			}
+			p.Stages = stages
+			c.Points = append(c.Points, p)
+		}
+		return &c
+	}
+	return res
+}
+
+// lineDiff lists the lines where got departs from want ("" if none).
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -32,10 +162,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	r, err := RunTable2(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table2", fastOpts()).(*Table2Result)
 	if r.PayoutEntryGas != gasmodel.PayoutEntryGas || r.PairingGas != 113_000 {
 		t.Error("itemized constants wrong")
 	}
@@ -51,10 +178,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	r, err := RunTable3(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table3", fastOpts()).(*Table3Result)
 	for _, k := range []gasmodel.TxKind{gasmodel.KindSwap, gasmodel.KindMint, gasmodel.KindBurn, gasmodel.KindCollect} {
 		if r.Samples[k] == 0 {
 			t.Errorf("no %s samples", k)
@@ -71,10 +195,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestTable4(t *testing.T) {
-	r, err := RunTable4(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table4", fastOpts()).(*Table4Result)
 	if !r.EncoderPayoutOK || !r.EncoderPositionOK {
 		t.Error("encoders do not produce the Table IV sizes")
 	}
@@ -83,27 +204,19 @@ func TestTable4(t *testing.T) {
 	}
 }
 
+// TestFig5ShowsLargeReductions pins Fig. 5 at the paper's configuration
+// to what this reproduction measures (EXPERIMENTS.md, "Fig. 5"): the
+// paper reports 96.05% gas and 93.42% growth reduction.
 func TestFig5ShowsLargeReductions(t *testing.T) {
-	r, err := RunFig5(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.GasReductionPct < 70 {
-		t.Errorf("gas reduction = %.2f%%, paper reports 96.05%%", r.GasReductionPct)
-	}
-	if r.GrowthReductionPct < 60 {
-		t.Errorf("growth reduction = %.2f%%, paper reports 93.42%%", r.GrowthReductionPct)
-	}
-	if r.GrowthVsMainnetPct <= r.GrowthReductionPct {
-		t.Error("mainnet-size reduction should exceed Sepolia-size reduction")
+	r := run(t, "fig5", Options{}).(*Fig5Result)
+	got := fmt.Sprintf("gas %.2f%%, growth %.2f%% (mainnet sizes %.2f%%)", r.GasReductionPct, r.GrowthReductionPct, r.GrowthVsMainnetPct)
+	if want := "gas 91.54%, growth 81.50% (mainnet sizes 91.32%)"; got != want {
+		t.Errorf("Fig. 5 reductions: %s, want %s", got, want)
 	}
 }
 
 func TestTable5ShowsSaturation(t *testing.T) {
-	r, err := RunTable5(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table5", fastOpts()).(*Table5Result)
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -121,10 +234,7 @@ func TestTable5ShowsSaturation(t *testing.T) {
 }
 
 func TestTable6AmmBoostWins(t *testing.T) {
-	r, err := RunTable6(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table6", fastOpts()).(*Table6Result)
 	if r.AmmBoost.Throughput <= r.AmmOP.Throughput {
 		t.Errorf("ammBoost %.2f should out-throughput ammOP %.2f", r.AmmBoost.Throughput, r.AmmOP.Throughput)
 	}
@@ -139,10 +249,7 @@ func TestTable6AmmBoostWins(t *testing.T) {
 }
 
 func TestTable7MatchesDistribution(t *testing.T) {
-	r, err := RunTable7(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table7", fastOpts()).(*Table7Result)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -155,10 +262,7 @@ func TestTable7MatchesDistribution(t *testing.T) {
 }
 
 func TestTable12Monotone(t *testing.T) {
-	r, err := RunTable12(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "table12", fastOpts()).(*Table12Result)
 	if len(r.Points) != 5 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -174,25 +278,8 @@ func TestTable12Monotone(t *testing.T) {
 	}
 }
 
-func TestAllRendersNonEmpty(t *testing.T) {
-	// Smoke-run the cheap experiments end to end through the registry.
-	for _, name := range []string{"table2", "table4", "table7", "table12"} {
-		res, err := Registry()[name](fastOpts())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out := res.Render()
-		if len(out) < 50 || !strings.Contains(out, "\n") {
-			t.Errorf("%s render too short: %q", name, out)
-		}
-	}
-}
-
 func TestAblations(t *testing.T) {
-	r, err := RunAblations(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "ablations", fastOpts()).(*AblationResult)
 	if r.PruningSavePct < 50 {
 		t.Errorf("pruning saves %.1f%%, expected most of the chain", r.PruningSavePct)
 	}
@@ -208,10 +295,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestPipelineScale(t *testing.T) {
-	r, err := RunPipelineScale(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "pipelinescale", fastOpts()).(*PipeScaleResult)
 	if !r.RootsIdentical {
 		t.Error("summary roots diverged across pipeline depths")
 	}
@@ -250,10 +334,7 @@ func TestPipelineScale(t *testing.T) {
 // invariants — zero-fault live/model equivalence (11) and crash-restart
 // recovery (9) — must hold.
 func TestChaosDeterminismSweep(t *testing.T) {
-	r, err := RunChaos(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "chaos", fastOpts()).(*ChaosResult)
 	wantCells := len(chaosScenarios()) * len(chaosLoads())
 	if len(r.Points) != wantCells {
 		t.Fatalf("sweep has %d cells, want %d", len(r.Points), wantCells)
@@ -301,10 +382,7 @@ func TestChaosDeterminismSweep(t *testing.T) {
 // otherwise), the byzantine cell must burn view changes, and no member
 // may be starved of shared-chain block gas.
 func TestFederationSweep(t *testing.T) {
-	r, err := RunFederation(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "federation", fastOpts()).(*FederationResult)
 	if len(r.Points) != len(fedCells()) {
 		t.Fatalf("sweep has %d cells, want %d", len(r.Points), len(fedCells()))
 	}
@@ -331,10 +409,7 @@ func TestFederationSweep(t *testing.T) {
 }
 
 func TestPoolScale(t *testing.T) {
-	r, err := RunPoolScale(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, "poolscale", fastOpts()).(*PoolScaleResult)
 	if !r.RootsIdentical {
 		t.Error("summary roots diverged across shard counts")
 	}

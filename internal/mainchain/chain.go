@@ -95,13 +95,12 @@ type Tx struct {
 
 // Block is a produced mainchain block.
 type Block struct {
-	Number   uint64
-	MinedAt  time.Duration
-	Txs      []*Tx
-	GasUsed  uint64
-	SizeB    int
-	Reorged  bool
-	StateSig string // opaque marker for debugging
+	Number  uint64
+	MinedAt time.Duration
+	Txs     []*Tx
+	GasUsed uint64
+	SizeB   int
+	Reorged bool
 }
 
 // Env is the execution environment handed to contracts.

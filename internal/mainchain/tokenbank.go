@@ -163,16 +163,20 @@ func (b *TokenBank) deposit(env *Env, a DepositArgs) error {
 			return err
 		}
 	}
-	epoch := b.Deposits[a.Epoch]
-	if epoch == nil {
-		epoch = make(map[string]summary.Deposit)
-		b.Deposits[a.Epoch] = epoch
+	return b.CreditDeposit(a.Epoch, env.Caller, a.Amount0, a.Amount1)
+}
+
+// CreditDeposit adds to user's deposit for epoch, failing with
+// summary.ErrDepositOverflow (and crediting nothing) if it would wrap.
+func (b *TokenBank) CreditDeposit(epoch uint64, user string, amount0, amount1 u256.Int) error {
+	bucket := b.Deposits[epoch]
+	if bucket == nil {
+		bucket = make(map[string]summary.Deposit)
+		b.Deposits[epoch] = bucket
 	}
-	d := epoch[env.Caller]
-	d.Amount0 = u256.Add(d.Amount0, a.Amount0)
-	d.Amount1 = u256.Add(d.Amount1, a.Amount1)
-	epoch[env.Caller] = d
-	return nil
+	d, err := bucket[user].Credit(amount0, amount1)
+	bucket[user] = d
+	return err
 }
 
 // EpochDeposits returns a copy of the deposit map for an epoch

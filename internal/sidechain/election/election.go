@@ -17,7 +17,6 @@ import (
 var (
 	ErrTooFewMiners = errors.New("election: committee size exceeds miner population")
 	ErrBadProof     = errors.New("election: invalid election proof")
-	ErrNotElected   = errors.New("election: miner not in committee")
 )
 
 // VRF abstracts the verifiable random function used for sortition. The

@@ -18,6 +18,7 @@ var (
 	ErrSlippage            = errors.New("summary: slippage bound violated")
 	ErrUnsupportedKind     = errors.New("summary: unsupported transaction kind on sidechain")
 	ErrZeroLiquidity       = errors.New("summary: computed liquidity is zero")
+	ErrDepositOverflow     = errors.New("summary: deposit credit overflows 2^256")
 )
 
 // Executor processes sidechain transactions for one epoch against the pool
@@ -58,8 +59,7 @@ type Executor struct {
 func NewExecutor(epoch uint64, pool *amm.Pool, deposits map[string]Deposit) *Executor {
 	deps := make(map[string]*Deposit, len(deposits))
 	for user, d := range deposits {
-		dd := d.Clone()
-		deps[user] = &dd
+		deps[user] = &d
 	}
 	e := &Executor{
 		Pool:      pool.Clone(),
@@ -77,16 +77,27 @@ func NewExecutor(epoch uint64, pool *amm.Pool, deposits map[string]Deposit) *Exe
 	return e
 }
 
-// AddDeposit credits a user's epoch deposit (mid-epoch deposits become
-// visible to the executor when the committee observes them on-chain).
-func (e *Executor) AddDeposit(user string, amount0, amount1 u256.Int) {
+// Credit returns d plus (a0, a1); when either balance would pass
+// 2^256-1 it returns d unchanged and ErrDepositOverflow.
+func (d Deposit) Credit(a0, a1 u256.Int) (Deposit, error) {
+	s0, over0 := u256.AddOverflow(d.Amount0, a0)
+	s1, over1 := u256.AddOverflow(d.Amount1, a1)
+	if over0 || over1 {
+		return d, fmt.Errorf("%w: %s/%s onto %s/%s", ErrDepositOverflow, a0, a1, d.Amount0, d.Amount1)
+	}
+	return Deposit{Amount0: s0, Amount1: s1}, nil
+}
+
+// AddDeposit credits a user's epoch deposit as the committee observes it
+// on-chain; a credit that would overflow fails with ErrDepositOverflow.
+func (e *Executor) AddDeposit(user string, amount0, amount1 u256.Int) (err error) {
 	d := e.Deposits[user]
 	if d == nil {
 		d = &Deposit{}
 		e.Deposits[user] = d
 	}
-	d.Amount0 = u256.Add(d.Amount0, amount0)
-	d.Amount1 = u256.Add(d.Amount1, amount1)
+	*d, err = d.Credit(amount0, amount1)
+	return err
 }
 
 // WithdrawDeposit debits a user's epoch deposit — the origin-chain half
@@ -159,7 +170,9 @@ func (e *Executor) applySwap(tx *Tx) error {
 		return fmt.Errorf("%w: swap input %s exceeds deposit %s", ErrInsufficientDeposit, tx.Amount, inBal)
 	}
 	// Post-conditions on the computed result; the pool commits only if met.
-	res, err := e.Pool.SwapIf(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit, func(res amm.SwapResult) error {
+	// Fig. 4: Deposits[user].amnt[in] -= amountIn; amnt[out] += amountOut.
+	var after Deposit
+	_, err = e.Pool.SwapIf(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit, func(res amm.SwapResult) (err error) {
 		switch {
 		case tx.ExactIn && !tx.OutBound.IsZero() && res.AmountOut.Lt(tx.OutBound):
 			return fmt.Errorf("%w: out %s < min %s", ErrSlippage, res.AmountOut, tx.OutBound)
@@ -167,20 +180,17 @@ func (e *Executor) applySwap(tx *Tx) error {
 			return fmt.Errorf("%w: in %s > max %s", ErrSlippage, res.AmountIn, tx.OutBound)
 		case !tx.ExactIn && inBal.Lt(res.AmountIn):
 			return fmt.Errorf("%w: swap input %s exceeds deposit %s", ErrInsufficientDeposit, res.AmountIn, inBal)
+		case tx.ZeroForOne:
+			after, err = Deposit{Amount0: u256.Sub(d.Amount0, res.AmountIn), Amount1: d.Amount1}.Credit(u256.Zero, res.AmountOut)
+		default:
+			after, err = Deposit{Amount0: d.Amount0, Amount1: u256.Sub(d.Amount1, res.AmountIn)}.Credit(res.AmountOut, u256.Zero)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	// Fig. 4: Deposits[user].amnt[in] -= amountIn; amnt[out] += amountOut.
-	if tx.ZeroForOne {
-		d.Amount0 = u256.Sub(d.Amount0, res.AmountIn)
-		d.Amount1 = u256.Add(d.Amount1, res.AmountOut)
-	} else {
-		d.Amount1 = u256.Sub(d.Amount1, res.AmountIn)
-		d.Amount0 = u256.Add(d.Amount0, res.AmountOut)
-	}
+	*d = after
 	// Fee growth touched every in-range position; they are swept into the
 	// summary at epoch end via the pool's fee accounting, so no explicit
 	// touch set is needed here beyond positions later poked.
@@ -194,7 +204,7 @@ func (e *Executor) applyMint(tx *Tx) error {
 	}
 	// SqrtRatioAtTick panics outside the tick range; a hostile tick must
 	// be a rejection, never a crash on a shard goroutine.
-	if !tickInRange(tx.TickLower) || !tickInRange(tx.TickUpper) {
+	if min(tx.TickLower, tx.TickUpper) < amm.MinTick || max(tx.TickLower, tx.TickUpper) > amm.MaxTick {
 		return fmt.Errorf("%w: [%d, %d]", amm.ErrInvalidTickRange, tx.TickLower, tx.TickUpper)
 	}
 	sqrtA := amm.SqrtRatioAtTick(tx.TickLower)
@@ -240,6 +250,11 @@ func (e *Executor) applyBurn(tx *Tx) error {
 	if pos == nil {
 		return amm.ErrPositionNotFound
 	}
+	// No payout exceeds the reserves: with room for them, the credit below
+	// cannot overflow, and a refusal here leaves the pool untouched.
+	if _, err := d.Credit(e.Pool.Reserve0, e.Pool.Reserve1); err != nil {
+		return err
+	}
 	lower, upper := pos.TickLower, pos.TickUpper
 	burnAmt := tx.Liquidity
 	if tx.BurnFractionBps > 0 {
@@ -264,8 +279,7 @@ func (e *Executor) applyBurn(tx *Tx) error {
 	if err != nil {
 		return err
 	}
-	d.Amount0 = u256.Add(d.Amount0, paid0)
-	d.Amount1 = u256.Add(d.Amount1, paid1)
+	*d, _ = d.Credit(paid0, paid1)
 	if e.Pool.Position(tx.PosID) == nil {
 		delete(e.touched, tx.PosID)
 		e.deleted[tx.PosID] = PositionEntry{
@@ -283,12 +297,14 @@ func (e *Executor) applyCollect(tx *Tx) error {
 	if err != nil {
 		return err
 	}
+	if _, err := d.Credit(e.Pool.Reserve0, e.Pool.Reserve1); err != nil {
+		return err // as in applyBurn
+	}
 	paid0, paid1, err := e.Pool.Collect(tx.PosID, tx.User, tx.Collect0, tx.Collect1)
 	if err != nil {
 		return err
 	}
-	d.Amount0 = u256.Add(d.Amount0, paid0)
-	d.Amount1 = u256.Add(d.Amount1, paid1)
+	*d, _ = d.Credit(paid0, paid1)
 	if e.Pool.Position(tx.PosID) == nil {
 		delete(e.touched, tx.PosID)
 		e.deleted[tx.PosID] = PositionEntry{ID: tx.PosID, Owner: tx.User, Deleted: true}
@@ -380,6 +396,3 @@ func (e *Executor) TotalDeposits() (t0, t1 u256.Int) {
 	}
 	return t0, t1
 }
-
-// tickInRange reports whether amm.SqrtRatioAtTick accepts t.
-func tickInRange(t int32) bool { return t >= amm.MinTick && t <= amm.MaxTick }

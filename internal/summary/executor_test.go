@@ -76,6 +76,46 @@ func TestSwapRejectedWithoutDeposit(t *testing.T) {
 	}
 }
 
+// TestDepositCreditOverflow: a credit that would carry a deposit past
+// 2^256-1 fails with ErrDepositOverflow and changes neither the deposit
+// nor the pool — a second near-max deposit, a swap's output and a burn's
+// proceeds alike.
+func TestDepositCreditOverflow(t *testing.T) {
+	p := newPool(t)
+	seedLiquidity(t, p)
+	ex := NewExecutor(1, p, map[string]Deposit{"lp0": dep(1<<40, 0)})
+	if err := ex.AddDeposit("whale", u256.Max, u256.Zero); err != nil {
+		t.Fatalf("first near-max deposit: %v", err)
+	}
+	if err := ex.AddDeposit("whale", u256.One, u256.Zero); !errors.Is(err, ErrDepositOverflow) {
+		t.Errorf("second deposit: err = %v, want ErrDepositOverflow", err)
+	}
+	if d := ex.Deposits["whale"]; !d.Amount0.Eq(u256.Max) || !d.Amount1.IsZero() {
+		t.Errorf("whale deposit = %s/%s after a refused credit, want max/0", d.Amount0, d.Amount1)
+	}
+	if err := ex.AddDeposit("lp0", u256.Zero, u256.Sub(u256.Max, u256.FromUint64(1000))); err != nil {
+		t.Fatal(err)
+	}
+	ex.Pool.TakeDirty()
+	pool := amm.AppendPool(nil, ex.Pool)
+	before := *ex.Deposits["lp0"]
+	for _, tx := range []*Tx{
+		{ID: "swap", Kind: gasmodel.KindSwap, User: "lp0", ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(1 << 20)},
+		{ID: "burn", Kind: gasmodel.KindBurn, User: "lp0", PosID: "seed", BurnFractionBps: 5000},
+		{ID: "collect", Kind: gasmodel.KindCollect, User: "lp0", PosID: "seed", Collect0: u256.Max, Collect1: u256.Max},
+	} {
+		if err := ex.Apply(tx, 1); !errors.Is(err, ErrDepositOverflow) {
+			t.Errorf("%s: err = %v, want ErrDepositOverflow", tx.ID, err)
+		}
+		if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) || dirtied(ex.Pool) {
+			t.Errorf("%s: refused credit changed the pool", tx.ID)
+		}
+		if *ex.Deposits["lp0"] != before {
+			t.Errorf("%s: refused credit changed the deposit", tx.ID)
+		}
+	}
+}
+
 func TestSwapDeadline(t *testing.T) {
 	p := newPool(t)
 	seedLiquidity(t, p)
@@ -507,8 +547,8 @@ func dirtied(p *amm.Pool) bool {
 var applyErrors = []error{
 	ErrInsufficientDeposit, ErrUnknownUser, ErrDeadlineExceeded, ErrSlippage, ErrUnsupportedKind, ErrZeroLiquidity,
 	amm.ErrPriceLimit, amm.ErrZeroAmount, amm.ErrPositionNotFound, amm.ErrNotPositionOwner, amm.ErrInsufficientLiq,
-	amm.ErrTickNotSpaced, amm.ErrPositionHasBalance, amm.ErrLiquidityZero, amm.ErrPriceOverflow,
-	amm.ErrAmountTooLarge, amm.ErrLiquidityTooBig, amm.ErrInvalidTickRange,
+	ErrDepositOverflow, amm.ErrTickNotSpaced, amm.ErrLiquidityZero, amm.ErrPriceOverflow,
+	amm.ErrAmountTooLarge, amm.ErrInvalidTickRange,
 }
 
 // fuzzTxBytes is how many input bytes fuzzTx reads per transaction.
@@ -517,7 +557,9 @@ const fuzzTxBytes = 8
 // fuzzTx decodes one transaction from b (fuzzTxBytes long). b[0] packs
 // the kind (bits 0-2; 5 is a kind the sidechain does not run), the user
 // (bits 3-4; "mallory" has no deposit), the direction (bit 5), exact-in
-// (bit 6) and an expired deadline (bit 7). The other bytes size amounts
+// (bit 6) and an expired deadline (bit 7); bit 7 of b[1] makes the
+// sender "whale", whose token1 deposit sits 2^20 below 2^256. The other
+// bytes size amounts
 // as a byte shifted by up to 63 bits and pick ticks (aligned, unaligned
 // or outside the tick range), bounds, limits and position IDs.
 func fuzzTx(i int, b []byte) Tx {
@@ -538,6 +580,9 @@ func fuzzTx(i int, b []byte) Tx {
 		ZeroForOne: b[0]&0x20 != 0,
 		ExactIn:    b[0]&0x40 != 0,
 		PosID:      []string{"seed", "pos-a", "pos-b", ""}[b[1]%4],
+	}
+	if b[1]&0x80 != 0 {
+		tx.User = "whale"
 	}
 	if b[0]&0x80 != 0 {
 		tx.DeadlineRound = 1 // Apply runs at round 2
@@ -593,11 +638,18 @@ func FuzzApply(f *testing.F) {
 		0x48, 0, 1, 0, 1, 0, 1, 0,
 		0x68, 0, 255, 20, 1, 0, 1, 0,
 	})
+	// Credits onto a near-max deposit: a swap's output, then a burn's
+	// proceeds. Both must reject with ErrDepositOverflow, not wrap.
+	f.Add([]byte{
+		0x60, 0x80, 200, 30, 1, 0, 1, 0,
+		0x03, 0x80, 0, 100, 0, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newPool(t)
 		seedLiquidity(t, p)
 		ex := NewExecutor(1, p, map[string]Deposit{
 			"alice": dep(1<<40, 1<<40), "bob": dep(1<<60, 1<<20), "lp0": dep(0, 0),
+			"whale": {Amount0: u256.FromUint64(1 << 40), Amount1: u256.Sub(u256.Max, u256.FromUint64(1<<20))},
 		})
 		total := func() (t0, t1 *big.Int) {
 			t0, t1 = ex.Pool.Reserve0.ToBig(), ex.Pool.Reserve1.ToBig()

@@ -102,9 +102,6 @@ type Deposit struct {
 	Amount1 u256.Int
 }
 
-// Clone copies the deposit.
-func (d Deposit) Clone() Deposit { return d }
-
 // PayoutEntry is one row of the sync payout list: the user's updated
 // deposit balance, paid out (and leftovers refunded) when TokenBank
 // processes the Sync.

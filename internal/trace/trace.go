@@ -15,7 +15,7 @@
 //     10k-epoch soak holds the same memory as a 10-epoch run.
 //   - Recording never touches simulation state: the tracer only reads
 //     the wall clock, so roots and payload digests are bit-identical
-//     with tracing on or off (pinned by the core determinism matrix).
+//     with tracing on or off (pinned by core's TestWorld).
 //
 // Spans are recorded from multiple goroutines (shard workers, the commit
 // stage worker, the simulator goroutine); the tracer is internally
