@@ -44,16 +44,21 @@ func TestWorld(t *testing.T) {
 	for _, seed := range worldSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			w := World(seed)
-			defer func() {
-				if t.Failed() {
-					t.Logf("world %+v\nhalt %v, faults %+v, uplink %+v, net %+v\nreplay alone: go test -run 'TestWorld/seed=%d' ./internal/core",
-						w, w.halt, w.cfg.Faults, w.cfg.SyncFaults, w.cfg.NetFaults, seed)
-				}
-			}()
-			w.check(t)
+			World(seed).checkLogged(t)
 		})
 	}
+}
+
+// checkLogged is check, logging the world and how to replay its subtest
+// alone when it fails.
+func (w world) checkLogged(t *testing.T) worldRuns {
+	defer func() {
+		if t.Failed() {
+			t.Logf("world %+v\nhalt %v, faults %+v, uplink %+v, net %+v\nreplay alone: go test -run '%s' ./internal/core",
+				w, w.halt, w.cfg.Faults, w.cfg.SyncFaults, w.cfg.NetFaults, t.Name())
+		}
+	}()
+	return w.check(t)
 }
 
 // Traffic a world carries. Epoch traffic is a function of (seed, epoch)
@@ -77,9 +82,9 @@ type world struct {
 	sparse    bool // a few pools per epoch (epoch traffic: some epochs none); else Zipf over every pool
 	perEpoch  int
 	store     bool
-	whale     uint64 // epoch of the near-2^256 deposits (0 = none)
-	kill      uint64 // epoch whose prune snapshots the store for the kill leg (0 = no leg)
-	halt      error  // sentinel the fault plan halts the run with (nil: it may still stall live consensus)
+	whale     uint64   // epoch of the near-2^256 deposits (0 = none)
+	kills     []uint64 // epochs whose prune snapshots the store for a kill leg
+	halt      error    // sentinel the fault plan halts the run with (nil: it may still stall live consensus)
 }
 
 // World derives a deployment from seed alone.
@@ -112,10 +117,17 @@ func World(seed int64) world {
 		w.cfg.Tracer = trace.New(4) // shared by the world's runs; it only reads the wall clock
 	}
 	w.faults(rng)
-	if w.traffic == epochTraffic && w.store && w.halt == nil {
-		w.kill = 1 + uint64(rng.Intn(w.epochs-1))
+	if w.killable() {
+		w.kills = []uint64{1 + uint64(rng.Intn(w.epochs-1))}
 	}
 	return w
+}
+
+// killable reports whether a node of the world reopened at a boundary
+// can regenerate the rest of the uninterrupted run: its traffic is a
+// function of (seed, epoch), it has a store, and no fault plan halts it.
+func (w world) killable() bool {
+	return w.traffic == epochTraffic && w.store && w.halt == nil
 }
 
 // faults draws the world's fault plan from what newMultiSystem accepts,
@@ -183,39 +195,58 @@ func (w world) twin() chain.Config {
 	return c
 }
 
-// check runs the world, its re-run, its twin and its kill leg.
-func (w world) check(t *testing.T) {
+// worldRuns are the runs check compared.
+type worldRuns struct {
+	main, rerun, twin worldRun
+}
+
+// check runs the world, its re-run, its twin and its kill legs.
+func (w world) check(t *testing.T) worldRuns {
 	disk := func() *store.MemFS { return map[bool]*store.MemFS{true: {}}[w.store] } // nil without a store
 	main := w.run(t, w.cfg, nil, disk())
 	var replay *chain.ArrivalLog
 	if w.traffic == producerTraffic {
 		replay = main.log // producer interleaving is not a function of the seed
 	}
-	sameRun(t, "re-run", main, w.run(t, w.cfg, replay, disk()), true)
-	sameRun(t, "twin", main, w.run(t, w.twin(), main.log, nil), false)
-	if w.kill == 0 {
-		return
-	}
-	if main.image == nil {
-		if main.err == nil {
-			t.Fatalf("epoch %d never pruned: no store image to kill at", w.kill)
+	runs := worldRuns{main: main, rerun: w.run(t, w.cfg, replay, disk()), twin: w.run(t, w.twin(), main.log, nil)}
+	sameRun(t, "re-run", main, runs.rerun, true)
+	sameRun(t, "twin", main, runs.twin, false)
+	for _, k := range w.kills {
+		image := main.images[k]
+		if image == nil {
+			if main.err == nil {
+				t.Fatalf("epoch %d never pruned: no store image to kill at", k)
+			}
+			continue // the run halted first
 		}
-		return // the run halted first
+		// The image is what kill -9 after the epoch's prune leaves on disk;
+		// a compacting node's also serves as a peer's fast-sync snapshot.
+		w.killLeg(t, main, k, image, false)
+		if w.cfg.CompactEvery > 0 {
+			w.killLeg(t, main, k, image, true)
+		}
 	}
-	// The image is what kill -9 after the epoch's prune leaves on disk; a
-	// compacting node's also serves as a peer's fast-sync snapshot.
+	return runs
+}
+
+// killLeg reopens a node on image (or bootstraps a fresh one from it),
+// resumes it and compares the resumed run with main.
+func (w world) killLeg(t *testing.T, main worldRun, kill uint64, image []byte, bootstrap bool) {
+	t.Helper()
 	killed := &store.MemFS{}
-	if w.cfg.CompactEvery == 0 {
-		writeMemStore(t, killed, main.image)
-	} else if node, err := BootstrapFS(killed, "", main.image, w.cfg); err != nil {
-		t.Fatalf("bootstrap: %v", err)
+	how := "reopened"
+	if !bootstrap {
+		writeMemStore(t, killed, image)
+	} else if node, err := BootstrapFS(killed, "", image, w.cfg); err != nil {
+		t.Fatalf("kill@%d: bootstrap: %v", kill, err)
 	} else {
 		node.Close()
+		how = "bootstrapped"
 	}
 	res := w.run(t, w.cfg, nil, killed)
-	label := fmt.Sprintf("kill@%d (reopened at %d)", w.kill, res.recovered.Epoch)
-	if res.recovered.Epoch < w.kill {
-		t.Errorf("%s: want a boundary >= %d", label, w.kill)
+	label := fmt.Sprintf("kill@%d (%s at %d)", kill, how, res.recovered.Epoch)
+	if res.recovered.Epoch < kill {
+		t.Errorf("%s: want a boundary >= %d", label, kill)
 	}
 	if err := (chain.Fingerprint{Epochs: main.fp.Epochs}).Diff(chain.Fingerprint{Epochs: res.fp.Epochs}); err != nil {
 		t.Errorf("%s: %v", label, err)
@@ -238,8 +269,10 @@ type worldRun struct {
 	stamps    []string          // each receipt's stage timestamps and error
 	metaRoots map[uint64][32]byte
 	txRoots   map[[2]uint64][32]byte // by (epoch, round)
+	metaTxs   int                    // transactions across every meta-block
+	retries   int                    // sync part retransmissions
 	log       *chain.ArrivalLog
-	image     []byte // store image at the kill epoch's prune
+	images    map[uint64][]byte // store image at each kill epoch's prune
 	recovered *chain.RecoveryInfo
 }
 
@@ -251,7 +284,7 @@ type hostileTx struct {
 
 // run drives one run of the world on cfg: the world's own traffic, or
 // replay's boundaries re-submitted by one producer; on fsys's store when
-// non-nil, keeping the store's image at the kill epoch's prune.
+// non-nil, keeping the store's image at each kill epoch's prune.
 func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsys *store.MemFS) worldRun {
 	t.Helper()
 	ctx := context.Background()
@@ -269,7 +302,7 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 	ms := node.(*MultiSystem)
 	defer ms.Close()
 	out := worldRun{log: cfg.ArrivalLog, recovered: ms.Recovery(), metaRoots: make(map[uint64][32]byte),
-		txRoots: make(map[[2]uint64][32]byte)}
+		txRoots: make(map[[2]uint64][32]byte), images: make(map[uint64][]byte)}
 
 	var mu sync.Mutex
 	receipts := make(map[string]*chain.Receipt)
@@ -294,8 +327,11 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 				t.Errorf("meta-block %d/%d (tip round %d): TxRoot %x, reference %x", ev.Epoch, ev.Round, b.Round, b.TxRoot[:8], want[:8])
 			}
 			out.txRoots[[2]uint64{ev.Epoch, ev.Round}] = b.TxRoot
-		case ev.Type == chain.EventPruned && fsys != nil && ev.Epoch == w.kill:
-			out.image, _ = fsys.ReadFile(store.FileName)
+			out.metaTxs += len(b.Txs)
+		case ev.Type == chain.EventSyncRetry:
+			out.retries++
+		case ev.Type == chain.EventPruned && fsys != nil && slices.Contains(w.kills, ev.Epoch):
+			out.images[ev.Epoch], _ = fsys.ReadFile(store.FileName)
 		}
 	})
 
@@ -395,8 +431,9 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 }
 
 // sameRun compares two runs of one world bit for bit; receipts come in
-// each run's arrival-log order. timing adds every receipt's stage times
-// (drain times included), the duration and the network counters.
+// each run's arrival-log order. timing adds every receipt's stage times,
+// the duration, the network counters and the arrival log boundary for
+// boundary (drain time and transaction order).
 func sameRun(t *testing.T, label string, want, got worldRun, timing bool) {
 	t.Helper()
 	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
@@ -422,6 +459,20 @@ func sameRun(t *testing.T, label string, want, got worldRun, timing bool) {
 	for i := range min(len(want.stamps), len(got.stamps)) {
 		if want.stamps[i] != got.stamps[i] {
 			t.Errorf("%s: receipt %s stamps %s, want %s", label, want.fp.Receipts[i].TxID, got.stamps[i], want.stamps[i])
+			break
+		}
+	}
+	ids := func(txs []*summary.Tx) []string {
+		out := make([]string, len(txs))
+		for i, tx := range txs {
+			out[i] = tx.ID
+		}
+		return out
+	}
+	for k := range max(want.log.Boundaries(), got.log.Boundaries()) {
+		if k >= min(want.log.Boundaries(), got.log.Boundaries()) || want.log.At(k) != got.log.At(k) ||
+			!slices.Equal(ids(want.log.Txs(k)), ids(got.log.Txs(k))) {
+			t.Errorf("%s: arrival-log boundary %d of %d differs (want %d boundaries)", label, k, got.log.Boundaries(), want.log.Boundaries())
 			break
 		}
 	}
@@ -543,4 +594,288 @@ func (w world) hostile(e uint64) []hostileTx {
 		out[i].tx.ID = fmt.Sprintf("h-e%d-%d", e, i)
 	}
 	return out
+}
+
+// A pin fixes the dimension a named determinism test is about on a world
+// the seed otherwise generates; name labels the subtest.
+type pin struct {
+	name string
+	set  func(*world)
+}
+
+// pinned runs the world property on World(seed) for every seed and pin,
+// with its halting fault (if any) dropped and the pin applied. A pinned
+// world must complete and run at least its planned epochs; more adds the
+// test's own checks. Kill legs stay only where the pin keeps the world
+// killable.
+func pinned(t *testing.T, seeds []int64, pins []pin, more func(*testing.T, world, worldRuns)) {
+	for _, seed := range seeds {
+		for _, p := range pins {
+			name := fmt.Sprintf("seed=%d", seed)
+			if p.name != "" {
+				name += "," + p.name
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				w := World(seed)
+				w.noHalt()
+				p.set(&w)
+				if !w.killable() {
+					w.kills = nil
+				}
+				runs := w.checkLogged(t)
+				if runs.main.err != nil {
+					t.Fatalf("pinned world halted: %v", runs.main.err)
+				}
+				if len(runs.main.fp.Epochs) < w.epochs {
+					t.Fatalf("%d summary roots recorded, want >= %d", len(runs.main.fp.Epochs), w.epochs)
+				}
+				if more != nil {
+					more(t, w, runs)
+				}
+			})
+		}
+	}
+}
+
+// noHalt drops the world's halting fault; the faults that only cost time
+// stay.
+func (w *world) noHalt() {
+	switch w.halt {
+	case chain.ErrSyncReverted:
+		w.cfg.Faults.CorruptSyncEpochs = nil
+	case chain.ErrSyncUnreachable:
+		w.cfg.SyncFaults = nil
+	case chain.ErrConsensusStalled:
+		w.cfg.NetFaults, w.cfg.LiveRoundTimeout = nil, 0
+	}
+	w.halt = nil
+}
+
+// calm drops every fault.
+func (w *world) calm() {
+	w.noHalt()
+	w.cfg.Faults, w.cfg.SyncFaults, w.cfg.NetFaults = chain.FaultPlan{}, nil, nil
+}
+
+// killEverywhere makes the world killable and kills it at every epoch
+// boundary before the last.
+func (w *world) killEverywhere(epochs int) {
+	w.traffic, w.store, w.epochs, w.kills = epochTraffic, true, epochs, nil
+	for k := 1; k < epochs; k++ {
+		w.kills = append(w.kills, uint64(k))
+	}
+}
+
+// midsize gives the world at least pools pools, 40 transactions an
+// epoch, at most 10 committee members and the model consensus path
+// (dropping the faults only live consensus takes): a small draw does not
+// leave the pinned dimension idle, and a large one does not slow a test
+// whose point is elsewhere.
+func (w *world) midsize(pools int) {
+	w.cfg.NumPools, w.perEpoch, w.cfg.CommitteeSize = max(w.cfg.NumPools, pools), 40, min(w.cfg.CommitteeSize, 10)
+	w.cfg.ConsensusFidelity, w.cfg.NetFaults, w.cfg.Faults.ByzantineReplicas, w.cfg.LiveRoundTimeout = chain.FidelityModel, nil, nil, 0
+}
+
+// pinEach is one pin per value, each setting it with set.
+func pinEach(dim string, values []int, set func(*world, int)) []pin {
+	pins := make([]pin, len(values))
+	for i, v := range values {
+		pins[i] = pin{fmt.Sprintf("%s=%d", dim, v), func(w *world) { set(w, v) }}
+	}
+	return pins
+}
+
+// TestMultiSystemDeterministicRoots: the full lifecycle yields
+// bit-identical summary roots, payload digests and receipt outcomes on
+// 4 and 16 shards as on the 1-shard twin.
+func TestMultiSystemDeterministicRoots(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, pinEach("shards", []int{4, 16}, func(w *world, n int) {
+		w.midsize(16)
+		w.cfg.NumShards = n
+	}), nil)
+}
+
+// TestMultiSystemMetaBlockRoots pins what chain.Fingerprint does not
+// cover: every committed meta-block's TxRoot (folded from the shards'
+// leaves) equals sidechain.TxRoot over its transactions, read before the
+// epoch is pruned, and every epoch's summary MetaRoot on 2 shards equals
+// the 1-shard twin's.
+func TestMultiSystemMetaBlockRoots(t *testing.T) {
+	pinned(t, []int64{5, 42}, []pin{{"shards=2", func(w *world) {
+		w.midsize(16)
+		w.cfg.NumShards = 2
+	}}}, func(t *testing.T, _ world, r worldRuns) {
+		if len(r.main.txRoots) == 0 || r.main.metaTxs == 0 || len(r.main.metaRoots) == 0 {
+			t.Fatalf("checked %d meta-blocks with %d txs, %d summaries", len(r.main.txRoots), r.main.metaTxs, len(r.main.metaRoots))
+		}
+	})
+}
+
+// TestPipelineDepthEquivalence: pipelines 2 and 3 deep produce what the
+// depth-1 twin does; only timing may differ between depths.
+func TestPipelineDepthEquivalence(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, pinEach("depth", []int{2, 3}, func(w *world, d int) {
+		w.midsize(16)
+		w.cfg.PipelineDepth = d
+	}), nil)
+}
+
+// TestPipelineDepthEquivalenceTimedArrivals is the depth pin for traffic
+// arriving at fixed virtual times on rounds shorter than a 100-member
+// committee's summary agreement: a depth whose next epoch waited for the
+// agreement would move later arrivals into other epochs.
+func TestPipelineDepthEquivalenceTimedArrivals(t *testing.T) {
+	pinned(t, []int64{42}, pinEach("depth", []int{2, 3}, func(w *world, d int) {
+		w.midsize(16)
+		w.traffic, w.epochs, w.cfg.NumShards, w.cfg.PipelineDepth = timedTraffic, 3, 4, d
+		w.cfg.ConsensusFidelity, w.cfg.RoundDuration, w.cfg.CommitteeSize = chain.FidelityModel, 500*time.Millisecond, 100
+	}), nil)
+}
+
+// TestKillRestartDeterminism: a node killed after any epoch's prune and
+// reopened re-derives the uninterrupted run's roots, payload digests and
+// receipt outcomes; the store-backed run itself matches the storeless
+// twin, so the store perturbs nothing.
+func TestKillRestartDeterminism(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, []pin{{"", func(w *world) {
+		w.midsize(8)
+		w.killEverywhere(4)
+		w.cfg.CompactEvery = 0
+	}}}, nil)
+}
+
+// TestCompactedRestartDeterminism: with the store compacting at every
+// confirmed epoch, both a reopened node and a fresh node bootstrapped
+// from the image (a peer's fast-sync snapshot) resume to the
+// uninterrupted run; every image holds a checkpoint.
+func TestCompactedRestartDeterminism(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, []pin{{"", func(w *world) {
+		w.midsize(8)
+		w.killEverywhere(4)
+		w.cfg.CompactEvery = 1
+	}}}, func(t *testing.T, w world, r worldRuns) {
+		for _, k := range w.kills {
+			fsys := &store.MemFS{}
+			writeMemStore(t, fsys, r.main.images[k])
+			rec, sw, err := store.Open(fsys, "", DeploymentFingerprint(w.cfg))
+			if err != nil {
+				t.Fatalf("kill@%d: scan: %v", k, err)
+			}
+			sw.Close()
+			if rec.Checkpoint == nil {
+				t.Errorf("kill@%d: image holds no checkpoint", k)
+			}
+		}
+	})
+}
+
+// TestKillRestartWithIdlePools: a sparse store-backed run, idle pools and
+// traffic-free epochs included, killed at every boundary and reopened
+// replays sync parts that leave idle pools out (and a traffic-free
+// epoch's payload-free part) to the uninterrupted run.
+func TestKillRestartWithIdlePools(t *testing.T) {
+	pinned(t, []int64{29}, []pin{{"", func(w *world) {
+		w.killEverywhere(7)
+		w.sparse, w.cfg.NumPools, w.cfg.NumShards, w.cfg.PipelineDepth, w.cfg.CompactEvery = true, 8, 2, 2, 0
+	}}}, func(t *testing.T, w world, _ worldRuns) {
+		for e := uint64(1); e <= uint64(w.epochs); e++ {
+			if len(w.epochTxs(e)) == 0 {
+				return
+			}
+		}
+		t.Fatal("no traffic-free epoch")
+	})
+}
+
+// TestTraceOnOffDeterminism: a traced run matches its untraced twin; the
+// tracer reads only the wall clock, so it never perturbs state.
+func TestTraceOnOffDeterminism(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, []pin{{"", func(w *world) {
+		w.midsize(16)
+		w.cfg.Tracer = trace.New(4)
+	}}}, nil)
+}
+
+// TestConcurrentIngestReplayDeterminism: four producers racing the drain
+// boundaries and a single producer replaying their arrival log give the
+// same fingerprint, receipt stage times and arrival log, boundary for
+// boundary, at pipeline depths 1 and 2.
+func TestConcurrentIngestReplayDeterminism(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, pinEach("depth", []int{1, 2}, func(w *world, d int) {
+		w.midsize(8)
+		w.traffic, w.producers, w.perEpoch, w.cfg.PipelineDepth = producerTraffic, 4, 250, d
+	}), func(t *testing.T, _ world, r worldRuns) {
+		if r.main.log.Total() == 0 {
+			t.Fatal("the producers admitted nothing")
+		}
+	})
+}
+
+// TestLiveModelEquivalence: with no faults, committee rounds through
+// real PBFT over the simulated network yield the model path's summary
+// roots, payload digests and receipt outcomes; the model is a timing
+// shortcut, never a semantic one.
+func TestLiveModelEquivalence(t *testing.T) {
+	pinned(t, []int64{1, 42, 1337}, []pin{{"", func(w *world) {
+		w.calm()
+		w.midsize(8)
+		w.cfg.ConsensusFidelity = chain.FidelityLive
+	}}}, func(t *testing.T, w world, r worldRuns) {
+		if w.twin().ConsensusFidelity != chain.FidelityModel {
+			t.Fatal("twin is not on the model path")
+		}
+		if n := r.main.rep.NetStats; r.main.rep.ViewChanges != 0 || n.MessagesSent == 0 || n.MessagesDropped != 0 {
+			t.Errorf("fault-free live run: %d view changes, %+v", r.main.rep.ViewChanges, n)
+		}
+	})
+}
+
+// TestLiveFidelityChaosDeterministicReplay: a live run over lossy,
+// duplicating, reordering links, with a partition across the committee
+// and a vote-stalling replica, re-runs bit for bit, including its
+// completion instant and network counters.
+func TestLiveFidelityChaosDeterministicReplay(t *testing.T) {
+	pinned(t, []int64{42}, []pin{{"", func(w *world) {
+		w.calm()
+		w.midsize(8)
+		w.cfg.ConsensusFidelity, w.cfg.RoundDuration = chain.FidelityLive, 7*time.Second
+		w.cfg.NetFaults = &netsim.FaultSchedule{Seed: 99, DropProb: 0.03, DupProb: 0.05, ReorderProb: 0.2, ReorderDelay: 8 * time.Millisecond,
+			Partitions: []netsim.PartitionWindow{{At: 8 * time.Second, Heal: 20 * time.Second,
+				SideA: []string{"rep-0", "rep-1"}, SideB: []string{"rep-2", "rep-3", "rep-4"}}}}
+		w.cfg.Faults.ByzantineReplicas = map[int]pbft.Byzantine{2: pbft.VoteStall}
+	}}}, func(t *testing.T, _ world, r worldRuns) {
+		if n := r.main.rep.NetStats; r.main.rep.ViewChanges == 0 || n.MessagesDropped == 0 || n.MessagesDuplicated == 0 {
+			t.Errorf("chaos cost %d view changes, %+v; want a view change, drops and duplicates", r.main.rep.ViewChanges, n)
+		}
+	})
+}
+
+// TestLiveFidelityStormParityWithModel: a planned view-change storm costs
+// the live committee the view changes the model path charges, and both
+// commit the same state.
+func TestLiveFidelityStormParityWithModel(t *testing.T) {
+	pinned(t, []int64{23}, []pin{{"", func(w *world) {
+		w.calm()
+		w.midsize(8)
+		w.cfg.ConsensusFidelity = chain.FidelityLive
+		w.cfg.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1}
+	}}}, func(t *testing.T, w world, r worldRuns) {
+		if w.twin().ConsensusFidelity != chain.FidelityModel || r.main.rep.ViewChanges != 1 {
+			t.Errorf("live run: %d view changes, twin %v; want 1 against the model path", r.main.rep.ViewChanges, w.twin().ConsensusFidelity)
+		}
+	})
+}
+
+// TestSyncUplinkLossKeepsFingerprint: a node whose uplink drops half its
+// messages retries its way to the clean-uplink twin; the uplink perturbs
+// timing, never state.
+func TestSyncUplinkLossKeepsFingerprint(t *testing.T) {
+	pinned(t, []int64{19}, []pin{{"", func(w *world) {
+		w.cfg.SyncFaults = &netsim.FaultSchedule{Seed: 7, DropProb: 0.5}
+	}}}, func(t *testing.T, w world, r worldRuns) {
+		if w.twin().SyncFaults != nil || r.main.retries == 0 {
+			t.Errorf("%d retransmissions under 50%% uplink loss, twin uplink %+v", r.main.retries, w.twin().SyncFaults)
+		}
+	})
 }
