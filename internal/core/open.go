@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -167,6 +168,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	// snapshot of its cursor epoch.
 	var meta store.RunMeta
 	var numParts int
+	var reverted error
 	var rows []store.EpochRow
 	if cp != nil {
 		if err := s.restoreCheckpoint(cp); err != nil {
@@ -195,7 +197,11 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		}
 		meta, numParts = last.Meta, len(last.Parts)
 		// The sync-part log replays through the bank's verification chain.
-		if err := s.uplink.replay(rec.Epochs, rec.Halt != nil); err != nil {
+		// A corrupt-signed epoch the chain had yet to revert halts the
+		// node as the revert would have.
+		if err := s.uplink.replay(rec.Epochs, rec.Halt != nil); errors.Is(err, chain.ErrSyncReverted) {
+			reverted = err
+		} else if err != nil {
 			return err
 		}
 	}
@@ -250,11 +256,22 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	}
 	s.epoch = boundary
 
-	if rec.Halt != nil {
+	switch {
+	case rec.Halt != nil:
 		info.Halted = true
 		info.HaltReason = rec.Halt.Reason
 		s.err = fmt.Errorf("%w: recovered from persisted fault at epoch %d: %s",
 			chain.ErrHalted, rec.Halt.Epoch, rec.Halt.Reason)
+	case reverted != nil:
+		// Persisted like a live halt, so a later reopen recovers halted.
+		info.Halted = true
+		info.HaltReason = reverted.Error()
+		s.err = reverted
+		if err := s.st.AppendHalt(boundary, reverted.Error()); err != nil {
+			return fmt.Errorf("%w: %v", chain.ErrStoreWrite, err)
+		}
+	}
+	if info.Halted {
 		s.halt()
 		if s.shared == nil {
 			// A federation member defers the finished notification to

@@ -429,3 +429,65 @@ func TestStoreLockSingleWriter(t *testing.T) {
 	}
 	node2.Close()
 }
+
+// TestKillBeforeCorruptSyncReverts: a node killed after it persisted a
+// corrupt-signed epoch (CorruptSyncEpochs), whose parts it had submitted
+// but the chain had not yet reverted, reopens halted with the
+// ErrSyncReverted the uninterrupted run halts with, not as a corrupt
+// store. Its recovered epochs are the uninterrupted run's, the halt is
+// persisted, and a second reopen is halted too. The corrupt epoch syncs
+// in several parts.
+func TestKillBeforeCorruptSyncReverts(t *testing.T) {
+	cfg := goldenCfg(true)
+	cfg.CompactEvery = 0
+	cfg.Faults.CorruptSyncEpochs = map[uint64]bool{3: true}
+	fsys := &store.MemFS{}
+	node, err := OpenFS(fsys, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := node.(*MultiSystem)
+	attachRecoveryTraffic(t, ms, 42, 16)
+	var image []byte
+	parts := 0
+	ms.OnEvent(func(ev chain.Event) {
+		if ev.Type == chain.EventSyncSubmitted && ev.Epoch == 3 {
+			image, _ = fsys.ReadFile(store.FileName)
+			parts = ev.Parts
+		}
+	})
+	_, mainErr := ms.Run(5)
+	if !errors.Is(mainErr, chain.ErrSyncReverted) || image == nil || parts < 2 {
+		t.Fatalf("run err = %v, image %d bytes, epoch 3 in %d parts; want ErrSyncReverted after a multi-part submit",
+			mainErr, len(image), parts)
+	}
+	mainFP := ms.Fingerprint(nil)
+	ms.Close()
+
+	killed := &store.MemFS{}
+	writeMemStore(t, killed, image)
+	for reopen := 1; reopen <= 2; reopen++ {
+		node, err := OpenFS(killed, "", cfg)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", reopen, err)
+		}
+		re := node.(*MultiSystem)
+		rec := re.Recovery()
+		if rec == nil || !rec.Halted || rec.Epoch != 3 {
+			t.Fatalf("reopen %d: recovery %+v, want halted at boundary 3", reopen, rec)
+		}
+		for e, ep := range rec.Fingerprint.Epochs {
+			if want, ok := mainFP.Epochs[e]; !ok || fmt.Sprint(ep) != fmt.Sprint(want) {
+				t.Errorf("reopen %d: recovered epoch %d differs from the uninterrupted run's", reopen, e)
+			}
+		}
+		_, err = re.Run(5)
+		if reopen == 1 && (err == nil || err.Error() != mainErr.Error()) {
+			t.Errorf("reopen 1: run err = %v, want %v", err, mainErr)
+		}
+		if reopen == 2 && !errors.Is(err, chain.ErrHalted) {
+			t.Errorf("reopen 2: run err = %v, want the persisted halt", err)
+		}
+		re.Close()
+	}
+}

@@ -90,7 +90,7 @@ func (s *syncSigner) signDigest(digest [32]byte) (tsig.Point, error) {
 		for i, sh := range s.shares {
 			indices[i] = sh.Index
 		}
-		if s.quorum, s.err = tsig.NewQuorum(s.group, indices); s.err != nil {
+		if s.quorum, s.err = quorumFor(s.group, indices); s.err != nil {
 			return
 		}
 		s.weighted = make([]tsig.Share, len(s.shares))
@@ -104,6 +104,30 @@ func (s *syncSigner) signDigest(digest [32]byte) (tsig.Point, error) {
 		return tsig.Point{}, s.err
 	}
 	return s.quorum.Sign(s.weighted, digest[:])
+}
+
+// quorums holds one tsig.Quorum per signer index set. A quorum's Lagrange
+// table depends on its indices alone, and every committee of one size
+// signs with shares 1..Threshold, so an epoch's committee reuses the
+// table its predecessors built instead of inverting it again.
+var quorums sync.Map // threshold, then indices, as big-endian uint32s → *tsig.Quorum
+
+// quorumFor returns tsig.NewQuorum(group, indices), building it on first
+// use of the threshold and index set and reusing it after.
+func quorumFor(group tsig.GroupKey, indices []int) (*tsig.Quorum, error) {
+	key := binary.BigEndian.AppendUint32(make([]byte, 0, 4+4*len(indices)), uint32(group.Threshold))
+	for _, x := range indices {
+		key = binary.BigEndian.AppendUint32(key, uint32(x))
+	}
+	if q, ok := quorums.Load(string(key)); ok {
+		return q.(*tsig.Quorum), nil
+	}
+	q, err := tsig.NewQuorum(group, indices)
+	if err != nil {
+		return nil, err
+	}
+	quorums.Store(string(key), q)
+	return q, nil
 }
 
 // System is a running single-pool ammBoost deployment.

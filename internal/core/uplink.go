@@ -1,9 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/crypto/tsig"
@@ -134,7 +133,7 @@ func (u *syncUplink) submit(e uint64, parts []*mainchain.MultiSyncArgs) {
 		gas := args.Gas()
 		tx := &mainchain.Tx{
 			ID: ids[i], From: u.from, To: u.bank.Name(), Method: "sync",
-			Size: 32 + gas.Bytes, Args: args, GasLimit: gas.Declared(), DependsOn: u.prev,
+			Size: 32 + gas.Calldata(), Args: args, GasLimit: gas.Declared(), DependsOn: u.prev,
 			OnConfirmed: confirm,
 		}
 		done.Bytes += tx.Size
@@ -182,16 +181,23 @@ func (u *syncUplink) send(tx *mainchain.Tx, e uint64, part, attempt int) {
 
 // replay re-applies reopened epochs' logged parts, in order, through the
 // bank's verification chain: it authenticates the log and leaves the bank
-// where the live run's confirmations did. A halted node may have logged
-// a part the chain then rejected (the fault that halted it); replay
-// stops there, as the bank did.
+// where the live run's confirmations did. A part whose signature fails,
+// in an epoch past the bank's confirmed horizon, is a corrupt-signed
+// epoch the node logged before the chain reverted it: replay stops there
+// and returns the ErrSyncReverted the live node halts with. A halted
+// node's log may end in such a part (the fault that halted it); replay
+// stops there silently. Any other failure is ErrCorruptStore.
 func (u *syncUplink) replay(epochs []*store.EpochRecord, halted bool) error {
 	for _, er := range epochs {
 		for _, part := range er.Parts {
-			if err := u.bank.ReplaySync(part); err != nil {
-				if halted {
-					return nil
-				}
+			err := u.bank.ReplaySync(part)
+			switch {
+			case err == nil:
+			case halted:
+				return nil
+			case errors.Is(err, mainchain.ErrBadSyncSignature) && er.Epoch > u.bank.LastSyncedEpoch:
+				return fmt.Errorf("%w: epoch %d: %v", chain.ErrSyncReverted, er.Epoch, err)
+			default:
 				return fmt.Errorf("%w: sync replay epoch %d part %d: %v",
 					chain.ErrCorruptStore, er.Epoch, part.Part, err)
 			}
@@ -228,10 +234,13 @@ func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.
 	return chunks
 }
 
-// signSyncParts chunks an epoch's on-chain payloads by gas budget and
-// TSQC-signs every part. It runs on the commit-stage worker, so it reads
+// signSyncParts chunks an epoch's on-chain payloads by gas budget, binds
+// the parts under one Merkle root (mainchain.BindSyncParts) and
+// TSQC-signs the epoch once: every part carries that signature and its
+// own inclusion proof. It runs on the commit-stage worker, so it reads
 // nothing but its arguments. tr records the chunk span (Pools: the pools
-// that sync) and the sign span (nil = untraced).
+// that sync) and the sign span (Txs: the signatures, one; nil =
+// untraced).
 func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 	nextKey tsig.GroupKey, corrupt bool, gasBudget uint64,
 	tr *trace.Tracer) ([]*mainchain.MultiSyncArgs, error) {
@@ -240,52 +249,40 @@ func signSyncParts(epoch uint64, res *engine.EpochResult, ck *committeeKeys,
 	chunks := chunkPayloads(res.OnChain, gasBudget)
 	spChunk.End()
 	spSign := tr.Start(trace.StageSign, epoch)
-	spSign.Txs = len(chunks)
+	spSign.Txs = 1
 	defer spSign.End()
 	parts := make([]*mainchain.MultiSyncArgs, len(chunks))
-	errs := make([]error, len(chunks))
-	signPart := func(i int) {
-		args := &mainchain.MultiSyncArgs{
+	var digests [][][32]byte // each part's payload digests, from the fold
+	if res.OnChainDigests != nil {
+		digests = make([][][32]byte, len(chunks))
+	}
+	off := 0
+	for i, chunk := range chunks {
+		if digests != nil {
+			digests[i] = res.OnChainDigests[off : off+len(chunk)]
+			off += len(chunk)
+		}
+		parts[i] = &mainchain.MultiSyncArgs{
 			Epoch:       epoch,
 			Part:        i + 1,
 			NumParts:    len(chunks),
-			Payloads:    chunks[i],
+			Payloads:    chunk,
 			SummaryRoot: res.SummaryRoot,
 			NextKey:     nextKey,
 		}
-		digest := args.Digest()
-		if corrupt {
-			// Equivocating committee: the signed digest is corrupted, so
-			// MultiBank's TSQC verification rejects the part on-chain.
-			digest[0] ^= 0xff
-		}
-		if args.Sig, errs[i] = ck.signer.signDigest(digest); errs[i] == nil {
-			parts[i] = args
-		}
 	}
-	// Parts are independent (each signs its own digest into its own slot),
-	// so they are striped over the CPUs. This goroutine takes the first
-	// stripe — all of them when there is one part or one CPU.
-	workers := min(runtime.GOMAXPROCS(0), len(chunks))
-	stripe := func(w int) {
-		for i := w; i < len(chunks); i += workers {
-			signPart(i)
-		}
+	digest := mainchain.BindSyncParts(parts, digests)
+	if corrupt {
+		// Equivocating committee: the signed digest is corrupted, so
+		// MultiBank's TSQC verification rejects every part on-chain.
+		digest[0] ^= 0xff
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stripe(w)
-		}()
+	sig, err := ck.signer.signDigest(digest)
+	if err != nil {
+		return nil, fmt.Errorf("%w: epoch %d (%d parts): %v", chain.ErrSignFailed, epoch, len(chunks), err)
 	}
-	stripe(0)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%w: part %d/%d: %v", chain.ErrSignFailed, i+1, len(chunks), err)
-		}
+	for _, a := range parts {
+		a.Sig = sig
 	}
 	return parts, nil
 }

@@ -92,9 +92,10 @@ func (r *uplinkRig) parts(t *testing.T, e, budget uint64, corrupt bool) []*mainc
 }
 
 // TestSyncUplinkChunksAtGasBudget: parts are cut at the declared-gas
-// budget, named and addressed under the chain ID, declare their gas,
-// depend on every part of the previous epoch, and each epoch reaches the
-// node once, with its parts, bytes and gas summed.
+// budget (proofs aside), carry their proofs as calldata, are named and
+// addressed under the chain ID, declare their gas, depend on every part
+// of the previous epoch, and each epoch reaches the node once, with its
+// parts, bytes and gas summed.
 func TestSyncUplinkChunksAtGasBudget(t *testing.T) {
 	r := newUplinkRig(t, "alpha", nil)
 	// The budget fits exactly two of the equal-sized payloads.
@@ -124,9 +125,13 @@ func TestSyncUplinkChunksAtGasBudget(t *testing.T) {
 			if tx == nil || tx.Status != mainchain.TxConfirmed {
 				t.Fatalf("epoch %d part %d missing or unconfirmed: %+v", e, i, tx)
 			}
+			// The chunker sizes parts before they are bound, so the
+			// budget holds for a part's declared gas without its proof.
 			args := tx.Args.(*mainchain.MultiSyncArgs)
-			if tx.From != "sc-committee/alpha" || tx.GasLimit != args.Gas().Declared() || tx.GasLimit > budget ||
-				tx.Size != 32+args.Payloads[0].MainchainBytes()+args.Payloads[1].MainchainBytes() ||
+			unproven := args.Gas()
+			unproven.ProofHashes = 0
+			if tx.From != "sc-committee/alpha" || tx.GasLimit != args.Gas().Declared() || unproven.Declared() > budget ||
+				len(args.Proof) != 2 || tx.Size != 32+args.Payloads[0].MainchainBytes()+args.Payloads[1].MainchainBytes()+2*32 ||
 				!reflect.DeepEqual(tx.DependsOn, deps) {
 				t.Errorf("epoch %d part %d: from %q, gas limit %d (budget %d), size %d, deps %v",
 					e, i, tx.From, tx.GasLimit, budget, tx.Size, tx.DependsOn)
@@ -197,8 +202,9 @@ func TestSyncUplinkRetriesDroppedPart(t *testing.T) {
 // TestSyncUplinkReplay: logged parts replayed into a fresh bank leave it
 // where the live run's confirmations left it, so the next epoch's parts
 // verify; resume names the boundary's parts as the next dependency. A
-// part the chain rejected stops replay on a halted node and is
-// ErrCorruptStore on any other.
+// corrupt-signed epoch stops replay: silently on a halted node, and on
+// any other as the ErrSyncReverted the chain would have halted it with.
+// A part that fails any other check is ErrCorruptStore.
 func TestSyncUplinkReplay(t *testing.T) {
 	live := newUplinkRig(t, "", nil)
 	budget := (&mainchain.MultiSyncArgs{Payloads: live.payloads(1)[:3]}).Gas().Declared()
@@ -234,8 +240,14 @@ func TestSyncUplinkReplay(t *testing.T) {
 	// Epoch 2's committee equivocated: its logged parts fail verification.
 	bad := append(log[:1:1], &store.EpochRecord{EpochRow: store.EpochRow{Epoch: 2}, Parts: live.parts(t, 2, budget, true)})
 	err := newUplinkRig(t, "", nil).up.replay(bad, false)
-	if !errors.Is(err, chain.ErrCorruptStore) || !strings.Contains(err.Error(), "epoch 2 part 1") {
-		t.Errorf("replay of a rejected part on a live node: %v, want ErrCorruptStore at epoch 2 part 1", err)
+	if want := fmt.Sprintf("%v: epoch 2: %v", chain.ErrSyncReverted, mainchain.ErrBadSyncSignature); !errors.Is(err, chain.ErrSyncReverted) || err.Error() != want {
+		t.Errorf("replay of a corrupt-signed epoch on a live node: %v, want %s", err, want)
+	}
+	short := live.parts(t, 2, budget, false)
+	short[1].Proof = short[1].Proof[1:]
+	err = newUplinkRig(t, "", nil).up.replay(append(log[:1:1], &store.EpochRecord{EpochRow: store.EpochRow{Epoch: 2}, Parts: short}), false)
+	if !errors.Is(err, chain.ErrCorruptStore) || !strings.Contains(err.Error(), "epoch 2 part 2") {
+		t.Errorf("replay of a part with a short proof: %v, want ErrCorruptStore at epoch 2 part 2", err)
 	}
 	halted := newUplinkRig(t, "", nil)
 	if err := halted.up.replay(bad, true); err != nil || halted.bank.LastSyncedEpoch != 1 {
@@ -243,9 +255,10 @@ func TestSyncUplinkReplay(t *testing.T) {
 	}
 }
 
-// TestSignSyncPartsOrderAndFailure: parts come back slotted by index
-// whatever the fan-out, each carrying a signature over its own digest,
-// and a signing failure is reported for the lowest-numbered part.
+// TestSignSyncPartsOrderAndFailure: parts come back slotted by index,
+// each carrying the epoch's one signature over the digest its own proof
+// folds to, and a proof of PathLen(parts) hashes that its calldata
+// counts; a signing failure is reported once for the epoch.
 func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 	signer, g, shares := dealtSigner(t, 4, 3, 4)
 	res := &engine.EpochResult{Epoch: 9, SummaryRoot: [32]byte{9}}
@@ -268,19 +281,22 @@ func TestSignSyncPartsOrderAndFailure(t *testing.T) {
 		if a.Part != i+1 || a.NumParts != len(parts) || a.Payloads[0] != res.Payloads[i] {
 			t.Errorf("slot %d holds part %d/%d of pool %s", i, a.Part, a.NumParts, a.Payloads[0].PoolID)
 		}
-		digest := a.Digest()
-		if err := tsig.Verify(g, digest[:], a.Sig); err != nil {
-			t.Errorf("part %d: %v", i+1, err)
+		digest, err := a.SignedDigest()
+		if err != nil {
+			t.Fatalf("part %d: %v", i+1, err)
 		}
-		if size := 32 + a.Gas().Bytes; size != 32+a.Payloads[0].MainchainBytes() {
-			t.Errorf("part %d size %d", i+1, size)
+		if err := tsig.Verify(g, digest[:], a.Sig); err != nil || !a.Sig.Equal(parts[0].Sig) {
+			t.Errorf("part %d: %v, or not the epoch's one signature", i+1, err)
+		}
+		if len(a.Proof) != 4 || a.Gas().Calldata() != a.Payloads[0].MainchainBytes()+4*32 {
+			t.Errorf("part %d: %d proof hashes, calldata %d", i+1, len(a.Proof), a.Gas().Calldata())
 		}
 	}
 
 	ck.signer = newSyncSigner(g, shares[:2])
 	_, err = signSyncParts(9, res, ck, g, false, 1, nil)
-	if !errors.Is(err, chain.ErrSignFailed) || err.Error() != fmt.Sprintf("%v: part 1/12: %v: have 2, need 3", chain.ErrSignFailed, tsig.ErrNotEnoughShares) {
-		t.Errorf("failing signer: %v, want ErrSignFailed for part 1/12", err)
+	if !errors.Is(err, chain.ErrSignFailed) || err.Error() != fmt.Sprintf("%v: epoch 9 (12 parts): %v: have 2, need 3", chain.ErrSignFailed, tsig.ErrNotEnoughShares) {
+		t.Errorf("failing signer: %v, want ErrSignFailed for epoch 9", err)
 	}
 }
 

@@ -260,3 +260,31 @@ func Verify(root [32]byte, data []byte, proof []ProofStep) error {
 	}
 	return nil
 }
+
+// PathLen is the sibling-path length of every leaf in a tree over n
+// leaves: ⌈log₂ n⌉. An odd node pairs with itself, so every leaf sits at
+// the same depth and its index alone fixes the path's shape.
+func PathLen(n int) int {
+	l := 0
+	for w := 1; w < n; w *= 2 {
+		l++
+	}
+	return l
+}
+
+// FoldPath folds a leaf hash up its sibling path to the root it implies.
+// The directions come from the leaf index i, never from the path: at
+// each level an even index has its sibling on the right. The caller
+// checks len(path) against PathLen for the tree's leaf count.
+func FoldPath(leafHash [32]byte, i int, path [][32]byte) [32]byte {
+	h := leafHash
+	for _, sib := range path {
+		if i%2 == 0 {
+			h = hashNode(h, sib)
+		} else {
+			h = hashNode(sib, h)
+		}
+		i /= 2
+	}
+	return h
+}

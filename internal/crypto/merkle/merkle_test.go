@@ -229,3 +229,36 @@ func BenchmarkBuild1000(b *testing.B) {
 		_ = New(ls).Root()
 	}
 }
+
+// TestFoldPathMatchesProve: for every tree size up to 33, each leaf's
+// Prove hashes, folded with directions taken from the index alone,
+// reproduce the root, and the path is PathLen long; the same path under
+// any other index of the tree does not.
+func TestFoldPathMatchesProve(t *testing.T) {
+	for n := 1; n <= 33; n++ {
+		ls := leaves(n)
+		tree := New(ls)
+		for i := 0; i < n; i++ {
+			proof, err := tree.Prove(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := make([][32]byte, len(proof))
+			for k, step := range proof {
+				path[k] = step.Hash
+			}
+			if len(path) != PathLen(n) {
+				t.Fatalf("n=%d leaf %d: path of %d hashes, PathLen %d", n, i, len(path), PathLen(n))
+			}
+			leaf := HashLeaf(ls[i])
+			if got := FoldPath(leaf, i, path); got != tree.Root() {
+				t.Fatalf("n=%d leaf %d: folded root %x, tree root %x", n, i, got[:4], tree.Root())
+			}
+			for j := 0; j < n; j++ {
+				if j != i && FoldPath(leaf, j, path) == tree.Root() {
+					t.Fatalf("n=%d: leaf %d's path also folds to the root at index %d", n, i, j)
+				}
+			}
+		}
+	}
+}

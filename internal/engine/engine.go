@@ -363,6 +363,9 @@ type EpochResult struct {
 	// has deposits to pay out. An idle pool's reserves and positions are
 	// already in the bank, so it sends nothing.
 	OnChain []*summary.SyncPayload
+	// OnChainDigests[i] is OnChain[i].Digest(), computed in the sharded
+	// fold.
+	OnChainDigests [][32]byte
 	// PoolRoots[i] is the end-of-epoch state root of PoolIDs[i].
 	PoolRoots [][32]byte
 	// SummaryRoot folds PoolRoots in canonical order: identical for any

@@ -137,13 +137,20 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 
 // Finalize builds the sealed epoch's folded outcome: per-pool sync
 // payloads and state roots in canonical pool order, the summary root,
-// and the subset of payloads that go on-chain. The fold fans out across
-// the engine's shard layout (a bounded worker pool: one worker per
-// shard), so commitment hashing parallelizes the same way execution
-// does. Safe to call off the engine's goroutine under the hand-off
-// discipline documented on SealedEpoch.
+// and the subset of payloads that go on-chain with their digests. The
+// fold fans out across the engine's shard layout (a bounded worker
+// pool: one worker per shard), so commitment and digest hashing
+// parallelize the same way execution does. Safe to call off the
+// engine's goroutine under the hand-off discipline documented on
+// SealedEpoch.
 func (se *SealedEpoch) Finalize() *EpochResult {
+	// An idle pool — no executor and no deposit to pay out — has nothing
+	// the bank does not already hold, so it stays off the mainchain.
+	onChain := func(i int, p *summary.SyncPayload) bool {
+		return se.execs[i] != nil || len(p.Payouts) > 0
+	}
 	payloads := make([]*summary.SyncPayload, len(se.ids))
+	digests := make([][32]byte, len(se.ids)) // on-chain payloads' only
 	roots := make([][32]byte, len(se.ids))
 	runSharded(se.numShards, se.shardPools, func(_ int, poolIDs []string) {
 		for _, id := range poolIDs {
@@ -157,6 +164,9 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 			}
 			p.PoolID = id
 			payloads[i] = p
+			if onChain(i, p) {
+				digests[i] = p.Digest()
+			}
 			roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
 		}
 	})
@@ -167,11 +177,10 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 		PoolRoots:   roots,
 		SummaryRoot: FoldRoots(roots),
 	}
-	// An idle pool — no executor and no deposit to pay out — has nothing
-	// the bank does not already hold, so it stays off the mainchain.
 	for i, p := range payloads {
-		if se.execs[i] != nil || len(p.Payouts) > 0 {
+		if onChain(i, p) {
 			res.OnChain = append(res.OnChain, p)
+			res.OnChainDigests = append(res.OnChainDigests, digests[i])
 		}
 	}
 	return res

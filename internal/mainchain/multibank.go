@@ -1,9 +1,11 @@
 package mainchain
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/crypto/tsig"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
@@ -15,6 +17,7 @@ var (
 	ErrUnknownBankPool = errors.New("multibank: pool not registered")
 	ErrNoSummaryRoot   = errors.New("multibank: sync carries no summary root")
 	ErrBadSyncPart     = errors.New("multibank: sync part out of range or repeated")
+	ErrBadSyncProof    = errors.New("multibank: sync part's inclusion proof has the wrong length")
 	ErrRootMismatch    = errors.New("multibank: sync parts disagree on summary root")
 )
 
@@ -121,36 +124,120 @@ func (b *MultiBank) Name() string {
 // signature, and the next committee's verification key. An epoch whose
 // total payload would exceed a block's gas budget splits into NumParts
 // chunks; the epoch counts as synced once every part has been applied.
+//
+// The committee signs an epoch once (BindSyncParts): the signature covers
+// the epoch digest, which binds the epoch, NumParts, SummaryRoot, NextKey
+// and the root of a Merkle tree over the parts' PartDigests. Each part
+// carries that one Sig and its own sibling path, so the bank checks every
+// part on its own.
 type MultiSyncArgs struct {
 	Epoch       uint64
 	Part        int // 1-based chunk index
 	NumParts    int
 	Payloads    []*summary.SyncPayload // this chunk's pools, PoolID set
 	SummaryRoot [32]byte
-	Sig         tsig.Point
-	NextKey     tsig.GroupKey
+	// Sig is the committee's signature over the epoch digest, the same on
+	// every part of the epoch.
+	Sig     tsig.Point
+	NextKey tsig.GroupKey
+	// Proof is the part's sibling path, leaf Part-1 of NumParts, in the
+	// Merkle tree over the epoch's PartDigests.
+	Proof [][32]byte
+	// V2 marks a part read from a format-v2 store record, signed on its own
+	// PartDigest before an epoch was signed once. Only the store's v2
+	// decoder sets it: ReplaySync verifies such a part against its own
+	// signature, and on-chain execution refuses it.
+	V2 bool
 }
 
-// Digest is the signed content: the folded summary root bound to the
+// PartDigest commits to one part: the folded summary root bound to the
 // epoch and the chunk (each payload's own digest commits to its pool).
-func (a *MultiSyncArgs) Digest() [32]byte {
-	acc := make([]byte, 0, 24+32+32*len(a.Payloads))
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (56 - 8*i))
-		}
-		acc = append(acc, buf[:]...)
+// It is the part's leaf in the epoch's Merkle tree.
+func (a *MultiSyncArgs) PartDigest() [32]byte {
+	digests := make([][32]byte, len(a.Payloads))
+	for i, p := range a.Payloads {
+		digests[i] = p.Digest()
 	}
-	put(a.Epoch)
-	put(uint64(a.Part))
-	put(uint64(a.NumParts))
+	return a.partDigest(digests)
+}
+
+// partDigest is PartDigest over the payloads' digests, in order.
+func (a *MultiSyncArgs) partDigest(payloadDigests [][32]byte) [32]byte {
+	acc := make([]byte, 0, 24+32+32*len(payloadDigests))
+	acc = binary.BigEndian.AppendUint64(acc, a.Epoch)
+	acc = binary.BigEndian.AppendUint64(acc, uint64(a.Part))
+	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NumParts))
 	acc = append(acc, a.SummaryRoot[:]...)
-	for _, p := range a.Payloads {
-		d := p.Digest()
+	for _, d := range payloadDigests {
 		acc = append(acc, d[:]...)
 	}
 	return sha256Digest(acc)
+}
+
+// syncEpochTag separates the epoch digest from every other digest a
+// committee signs.
+const syncEpochTag = "ammboost/multibank/sync-epoch"
+
+// epochDigest is what the committee signs once per epoch: the epoch, its
+// part count, the summary root, the next committee's key (point,
+// threshold and size) and partsRoot, the root over the parts'
+// PartDigests.
+func (a *MultiSyncArgs) epochDigest(partsRoot [32]byte) [32]byte {
+	acc := make([]byte, 0, len(syncEpochTag)+16+32+64+16+32)
+	acc = append(acc, syncEpochTag...)
+	acc = binary.BigEndian.AppendUint64(acc, a.Epoch)
+	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NumParts))
+	acc = append(acc, a.SummaryRoot[:]...)
+	acc = append(acc, a.NextKey.PK.Bytes()...)
+	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NextKey.Threshold))
+	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NextKey.N))
+	acc = append(acc, partsRoot[:]...)
+	return sha256Digest(acc)
+}
+
+// SignedDigest is the digest a's Sig must verify against. For a part
+// signed once per epoch it is the epoch digest over the root a's Proof
+// folds to from leaf Part-1, the path's directions taken from that index;
+// a Proof that is not merkle.PathLen(NumParts) long is ErrBadSyncProof.
+// A V2 part's signature covers its own PartDigest.
+func (a *MultiSyncArgs) SignedDigest() ([32]byte, error) {
+	if a.V2 {
+		return a.PartDigest(), nil
+	}
+	if want := merkle.PathLen(a.NumParts); len(a.Proof) != want {
+		return [32]byte{}, fmt.Errorf("%w: part %d/%d carries %d proof hashes, want %d",
+			ErrBadSyncProof, a.Part, a.NumParts, len(a.Proof), want)
+	}
+	leaf := a.PartDigest()
+	return a.epochDigest(merkle.FoldPath(merkle.HashLeaf32(leaf), a.Part-1, a.Proof)), nil
+}
+
+// BindSyncParts binds one epoch's parts to a single signature: it sets
+// every part's Proof to its path in the Merkle tree over the parts'
+// PartDigests and returns the epoch digest the committee signs. The
+// parts must share Epoch, SummaryRoot and NextKey, with Part = i+1 and
+// NumParts = len(parts). payloadDigests, when not nil, holds
+// parts[i].Payloads' digests in order, so they are not hashed again.
+func BindSyncParts(parts []*MultiSyncArgs, payloadDigests [][][32]byte) [32]byte {
+	leaves := make([][]byte, len(parts))
+	for i, a := range parts {
+		var d [32]byte
+		if payloadDigests != nil {
+			d = a.partDigest(payloadDigests[i])
+		} else {
+			d = a.PartDigest()
+		}
+		leaves[i] = d[:]
+	}
+	tree := merkle.New(leaves)
+	for i, a := range parts {
+		steps, _ := tree.Prove(i)
+		a.Proof = make([][32]byte, len(steps))
+		for k, step := range steps {
+			a.Proof[k] = step.Hash
+		}
+	}
+	return parts[0].epochDigest(tree.Root())
 }
 
 // SyncGas is a sync part's gas bill, accumulated pool by pool. It is the
@@ -164,6 +251,9 @@ type SyncGas struct {
 	// Bytes is the pools' calldata (Σ MainchainBytes), which the TSQC
 	// check hashes.
 	Bytes int
+	// ProofHashes is the part's inclusion-proof length: 32 calldata bytes
+	// and one node hash each.
+	ProofHashes int
 }
 
 // Add accounts one pool's payload.
@@ -180,10 +270,15 @@ func (g *SyncGas) Add(p *summary.SyncPayload) {
 	g.Bytes += p.MainchainBytes()
 }
 
-// Auth is charged before the TSQC check: the transaction's intrinsic gas
-// plus the signature verification over the part's calldata.
+// Calldata is the part's calldata bytes: the pools' and the proof's.
+func (g SyncGas) Calldata() int { return g.Bytes + 32*g.ProofHashes }
+
+// Auth is charged before the TSQC check: the transaction's intrinsic gas,
+// the signature verification over the part's calldata, and one node hash
+// per proof level.
 func (g SyncGas) Auth() uint64 {
-	return gasmodel.TxBaseGas + gasmodel.SyncAuthGas(g.Bytes)
+	return gasmodel.TxBaseGas + gasmodel.SyncAuthGas(g.Calldata()) +
+		uint64(g.ProofHashes)*gasmodel.KeccakGas(64)
 }
 
 // Bill is charged after every check and before any write: the pools'
@@ -205,7 +300,7 @@ func (g SyncGas) Declared() uint64 { return g.Auth() + g.Bill(true) }
 
 // Gas returns the part's gas bill.
 func (a *MultiSyncArgs) Gas() SyncGas {
-	var g SyncGas
+	g := SyncGas{ProofHashes: len(a.Proof)}
 	for _, p := range a.Payloads {
 		g.Add(p)
 	}
@@ -245,16 +340,24 @@ type SyncStats struct {
 func (b *MultiBank) SyncStats() SyncStats { return b.stats }
 
 // applySync is the one implementation of the sync verification chain —
-// epoch key lookup, TSQC signature over the part digest, part
-// bookkeeping, root consistency, payload application, completion — used
-// by on-chain execution (env != nil, gas charged) and by crash-recovery
-// replay (env == nil: the original execution already paid the gas). One
-// body, so the two paths cannot drift: a check added here guards both.
+// epoch key lookup, part framing and proof length, TSQC signature over
+// the epoch digest, part bookkeeping, root consistency, payload
+// application, completion — used by on-chain execution (env != nil, gas
+// charged) and by crash-recovery replay (env == nil: the original
+// execution already paid the gas). One body, so the two paths cannot
+// drift: a check added here guards both. Each part is checked on its own:
+// nothing a sibling part proved is trusted.
 func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	b.stats.PartExecs++
 	key, ok := b.groupKeys[a.Epoch]
 	if !ok {
 		return fmt.Errorf("%w: epoch %d", ErrUnknownEpochKey, a.Epoch)
+	}
+	if a.V2 && env != nil {
+		return fmt.Errorf("%w: a format-v2 part replays only from a store", ErrBadSyncPart)
+	}
+	if a.Part < 1 || a.Part > a.NumParts {
+		return fmt.Errorf("%w: part %d/%d", ErrBadSyncPart, a.Part, a.NumParts)
 	}
 	// Idle pools send nothing, so an epoch no pool changed in syncs as one
 	// part with no payloads. A chunker never emits such a part beside
@@ -265,6 +368,10 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	if a.SummaryRoot == ([32]byte{}) {
 		return ErrNoSummaryRoot
 	}
+	digest, err := a.SignedDigest()
+	if err != nil {
+		return err
+	}
 	var gas SyncGas
 	if env != nil {
 		gas = a.Gas()
@@ -272,7 +379,6 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 			return err
 		}
 	}
-	digest := a.Digest()
 	b.stats.SigVerifies++
 	if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
 		return ErrBadSyncSignature
@@ -280,20 +386,13 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	if b.synced[a.Epoch] {
 		return fmt.Errorf("%w: epoch %d", ErrEpochAlreadySync, a.Epoch)
 	}
-	part, numParts := a.Part, a.NumParts
-	if numParts == 0 {
-		part, numParts = 1, 1 // single-chunk sync
-	}
-	if part < 1 || part > numParts {
-		return fmt.Errorf("%w: part %d/%d", ErrBadSyncPart, part, numParts)
-	}
 	applied := b.partsApplied[a.Epoch]
 	if applied == nil {
 		applied = make(map[int]bool)
 		b.partsApplied[a.Epoch] = applied
 	}
-	if applied[part] {
-		return fmt.Errorf("%w: part %d already applied", ErrBadSyncPart, part)
+	if applied[a.Part] {
+		return fmt.Errorf("%w: part %d already applied", ErrBadSyncPart, a.Part)
 	}
 	if stored, ok := b.SummaryRoots[a.Epoch]; ok && stored != a.SummaryRoot {
 		return ErrRootMismatch
@@ -304,7 +403,7 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	// re-executes an undeclared one from scratch in the next block), so a
 	// sync part must be atomic: either it applies completely, or it leaves
 	// no trace.
-	completing := len(applied)+1 == numParts
+	completing := len(applied)+1 == a.NumParts
 	for _, p := range a.Payloads {
 		if _, ok := b.Positions[p.PoolID]; !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownBankPool, p.PoolID)
@@ -319,7 +418,7 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 		b.applyPoolPayload(p)
 	}
 	b.stats.PartsApplied++
-	applied[part] = true
+	applied[a.Part] = true
 	b.SummaryRoots[a.Epoch] = a.SummaryRoot
 	if !completing {
 		return nil // epoch completes when the remaining parts land

@@ -43,9 +43,21 @@ func newMultiBankFixture(t testing.TB, epochs int) *multiBankFixture {
 }
 
 // part builds part i (1-based) of a numParts-part sync for epoch, one
-// pool with a few positions per part, signed by the epoch's committee.
+// pool with a few positions per part. Every part of the epoch is built
+// and bound, and the epoch's committee signs it once, so parts built by
+// separate calls verify together.
 func (f *multiBankFixture) part(t testing.TB, epoch uint64, i, numParts int) *MultiSyncArgs {
 	t.Helper()
+	parts := make([]*MultiSyncArgs, numParts)
+	for k := range parts {
+		parts[k] = f.unsigned(epoch, k+1, numParts)
+	}
+	f.seal(t, epoch, parts...)
+	return parts[i-1]
+}
+
+// unsigned is part i of numParts for epoch, before binding and signing.
+func (f *multiBankFixture) unsigned(epoch uint64, i, numParts int) *MultiSyncArgs {
 	p := &summary.SyncPayload{
 		Epoch: epoch, PoolID: f.pools[(i-1)%len(f.pools)],
 		PoolReserve0: u256.FromUint64(1000 * epoch), PoolReserve1: u256.FromUint64(2000 * epoch),
@@ -58,12 +70,20 @@ func (f *multiBankFixture) part(t testing.TB, epoch uint64, i, numParts int) *Mu
 	}
 	var root [32]byte
 	root[0], root[1] = 0xaa, byte(epoch)
-	a := &MultiSyncArgs{
+	return &MultiSyncArgs{
 		Epoch: epoch, Part: i, NumParts: numParts,
 		Payloads: []*summary.SyncPayload{p}, SummaryRoot: root, NextKey: f.groups[epoch+1],
 	}
-	a.Sig = f.sign(t, epoch, a.Digest())
-	return a
+}
+
+// seal binds an epoch's parts (BindSyncParts) and gives each the
+// committee's one signature over the epoch digest.
+func (f *multiBankFixture) seal(t testing.TB, epoch uint64, parts ...*MultiSyncArgs) {
+	t.Helper()
+	sig := f.sign(t, epoch, BindSyncParts(parts, nil))
+	for _, a := range parts {
+		a.Sig = sig
+	}
 }
 
 func (f *multiBankFixture) sign(t testing.TB, epoch uint64, digest [32]byte) tsig.Point {
@@ -118,20 +138,27 @@ func TestSyncGasIsWhatApplySyncCharges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keyWord := gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
 	for e := uint64(1); e <= epochs; e++ {
-		for part := 1; part <= 2; part++ {
-			a := &MultiSyncArgs{Epoch: e, Part: part, NumParts: 2, SummaryRoot: [32]byte{0xaa, byte(e)}, NextKey: f.groups[e+1]}
-			for _, i := range rng.Perm(pools)[:rng.Intn(pools+1)] {
-				a.Payloads = append(a.Payloads, randomSyncPayload(rng, e, f.pools[i]))
+		parts := make([]*MultiSyncArgs, 2)
+		for i := range parts {
+			a := &MultiSyncArgs{Epoch: e, Part: i + 1, NumParts: 2, SummaryRoot: [32]byte{0xaa, byte(e)}, NextKey: f.groups[e+1]}
+			for _, k := range rng.Perm(pools)[:rng.Intn(pools+1)] {
+				a.Payloads = append(a.Payloads, randomSyncPayload(rng, e, f.pools[k]))
 			}
-			a.Sig = f.sign(t, e, a.Digest())
+			parts[i] = a
+		}
+		f.seal(t, e, parts...)
+		for _, a := range parts {
 			if len(a.Payloads) == 0 {
 				env := envWithGas(a.Gas().Declared())
 				if err := b.applySync(env, a); !errors.Is(err, ErrBadArgs) || env.Gas.Used() != 0 {
-					t.Fatalf("epoch %d part %d: empty part: %v using %d gas, want ErrBadArgs for free", e, part, err, env.Gas.Used())
+					t.Fatalf("epoch %d part %d: empty part: %v using %d gas, want ErrBadArgs for free", e, a.Part, err, env.Gas.Used())
 				}
 				a.Payloads = append(a.Payloads, randomSyncPayload(rng, e, f.pools[0]))
-				a.Sig = f.sign(t, e, a.Digest())
 			}
+		}
+		f.seal(t, e, parts...)
+		for _, a := range parts {
+			part := a.Part
 			declared := a.Gas().Declared()
 			want := declared
 			if part < 2 {
@@ -166,7 +193,10 @@ func TestApplySyncVerifiesEveryExecution(t *testing.T) {
 	good := f.part(t, 1, 1, 2)
 	gas := good.Gas().Declared()
 
-	corruptDigest := good.Digest()
+	corruptDigest, err := good.SignedDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
 	corruptDigest[0] ^= 0xff
 	corrupt := *good
 	corrupt.Sig = f.sign(t, 1, corruptDigest)
@@ -204,7 +234,11 @@ func TestReplaySyncSharesTheVerificationPath(t *testing.T) {
 	b := f.bank
 	p1, p2 := f.part(t, 1, 1, 2), f.part(t, 1, 2, 2)
 	forged := *p2
-	forged.Sig = p1.Sig
+	digest, err := p2.SignedDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Sig = f.sign(t, 2, digest) // the next epoch's committee signs epoch 1
 	if err := b.ReplaySync(&forged); !errors.Is(err, ErrBadSyncSignature) {
 		t.Fatalf("forged replay: %v, want ErrBadSyncSignature", err)
 	}
@@ -235,7 +269,7 @@ func TestPayloadFreeParts(t *testing.T) {
 	reserves := maps.Clone(b.Reserves)
 
 	empty := &MultiSyncArgs{Epoch: 1, Part: 1, NumParts: 1, SummaryRoot: [32]byte{0xee}, NextKey: f.groups[2]}
-	empty.Sig = f.sign(t, 1, empty.Digest())
+	f.seal(t, 1, empty)
 	env := envWithGas(empty.Gas().Declared())
 	if err := b.applySync(env, empty); err != nil {
 		t.Fatalf("payload-free single part: %v", err)
@@ -249,9 +283,13 @@ func TestPayloadFreeParts(t *testing.T) {
 	}
 
 	stats := b.SyncStats()
-	for _, part := range []int{1, 2} {
-		a := &MultiSyncArgs{Epoch: 2, Part: part, NumParts: 2, SummaryRoot: [32]byte{0xef}, NextKey: f.groups[3]}
-		a.Sig = f.sign(t, 2, a.Digest())
+	empties := []*MultiSyncArgs{
+		{Epoch: 2, Part: 1, NumParts: 2, SummaryRoot: [32]byte{0xef}, NextKey: f.groups[3]},
+		{Epoch: 2, Part: 2, NumParts: 2, SummaryRoot: [32]byte{0xef}, NextKey: f.groups[3]},
+	}
+	f.seal(t, 2, empties...)
+	for _, a := range empties {
+		part := a.Part
 		env := envWithGas(a.Gas().Declared())
 		if err := b.applySync(env, a); !errors.Is(err, ErrBadArgs) || env.Gas.Used() != 0 {
 			t.Errorf("payload-free part %d/2: %v using %d gas, want ErrBadArgs for free", part, err, env.Gas.Used())
@@ -285,7 +323,7 @@ func TestIdlePoolPayloadStillApplies(t *testing.T) {
 	a := f.part(t, 1, 1, 1)
 	a.Payloads = append(a.Payloads, &summary.SyncPayload{Epoch: 1, PoolID: "pool-1",
 		PoolReserve0: idle.Reserve0, PoolReserve1: idle.Reserve1})
-	a.Sig = f.sign(t, 1, a.Digest())
+	f.seal(t, 1, a)
 	env := envWithGas(a.Gas().Declared())
 	if err := b.applySync(env, a); err != nil {
 		t.Fatalf("part with an idle pool's payload: %v", err)

@@ -1,6 +1,7 @@
 package mainchain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -17,6 +18,7 @@ var (
 	ErrEpochAlreadySync = errors.New("tokenbank: epoch already synced")
 	ErrNoPool           = errors.New("tokenbank: pool not created")
 	ErrFlashNotRepaid   = errors.New("tokenbank: flash loan not repaid with fee")
+	ErrNextKeyMismatch  = errors.New("tokenbank: next committee key differs from the signed payload's")
 )
 
 // BankAddress is the on-chain account holding deposits and pool reserves.
@@ -215,6 +217,11 @@ func (b *TokenBank) sync(env *Env, a *SyncArgs) error {
 	}
 	if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
 		return ErrBadSyncSignature
+	}
+	// NextKey rides outside the signature; the last payload's NextGroupKey
+	// is the signed copy of the key it registers.
+	if last := a.Payloads[len(a.Payloads)-1]; !bytes.Equal(a.NextKey.PK.Bytes(), last.NextGroupKey) {
+		return fmt.Errorf("%w: epoch %d", ErrNextKeyMismatch, a.Epoch+uint64(len(a.Payloads)))
 	}
 	for _, p := range a.Payloads {
 		if b.synced[p.Epoch] {

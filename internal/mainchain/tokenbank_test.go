@@ -124,6 +124,14 @@ func validPayload(epoch uint64) *summary.SyncPayload {
 	return p
 }
 
+// payload is validPayload carrying, as its signed next group key, the
+// fixture committee's key that the test syncs register.
+func (f *bankFixture) payload(epoch uint64) *summary.SyncPayload {
+	p := validPayload(epoch)
+	p.NextGroupKey = f.members[0].Group.PK.Bytes()
+	return p
+}
+
 func TestSyncHappyPath(t *testing.T) {
 	f := newBankFixture(t)
 	// Alice deposits 500/700; the epoch's trading turned that into
@@ -133,7 +141,7 @@ func TestSyncHappyPath(t *testing.T) {
 	f.sim.After(time.Second, func() { f.chain.Submit(dep) })
 	f.sim.RunUntil(20 * time.Second)
 
-	p := validPayload(1)
+	p := f.payload(1)
 	syncTx := &Tx{ID: "s1", From: "committee-1", To: BankAddress, Method: "sync",
 		Size: p.MainchainBytes(),
 		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
@@ -176,7 +184,7 @@ func TestSyncHappyPath(t *testing.T) {
 
 func TestSyncRejectsForgedSignature(t *testing.T) {
 	f := newBankFixture(t)
-	p := validPayload(1)
+	p := f.payload(1)
 	// A different committee signs: must be rejected.
 	mallory, err := tsig.RunDKG(rand.New(rand.NewSource(666)), 4, 5)
 	if err != nil {
@@ -202,7 +210,7 @@ func TestSyncRejectsForgedSignature(t *testing.T) {
 
 func TestSyncRejectsUnknownEpoch(t *testing.T) {
 	f := newBankFixture(t)
-	p := validPayload(7)
+	p := f.payload(7)
 	tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
 		Args: &SyncArgs{Epoch: 7, Payloads: []*summary.SyncPayload{p},
 			Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: f.members[0].Group}}
@@ -215,7 +223,7 @@ func TestSyncRejectsUnknownEpoch(t *testing.T) {
 
 func TestSyncTamperedPayloadRejected(t *testing.T) {
 	f := newBankFixture(t)
-	p := validPayload(1)
+	p := f.payload(1)
 	sig := f.signPayloads([]*summary.SyncPayload{p})
 	// Tamper after signing.
 	p.Payouts[0].Amount0 = u256.FromUint64(999_999)
@@ -225,6 +233,30 @@ func TestSyncTamperedPayloadRejected(t *testing.T) {
 	f.chain.Stop()
 	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrBadSyncSignature) {
 		t.Fatalf("tampered sync: status=%v err=%v", tx.Status, tx.Err)
+	}
+}
+
+// TestSyncRejectsUnsignedNextKey: a correctly signed sync whose NextKey
+// is not the key its payload signed is refused with ErrNextKeyMismatch
+// before it pays out, stores a position or registers any key.
+func TestSyncRejectsUnsignedNextKey(t *testing.T) {
+	f := newBankFixture(t)
+	mallory, err := tsig.RunDKG(rand.New(rand.NewSource(666)), 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := f.payload(1)
+	tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
+		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
+			Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: mallory[0].Group}}
+	f.submitAndRun(t, tx, 20*time.Second)
+	f.chain.Stop()
+	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrNextKeyMismatch) {
+		t.Fatalf("swapped next key: status=%v err=%v, want ErrNextKeyMismatch", tx.Status, tx.Err)
+	}
+	if _, ok := f.bank.GroupKeyFor(2); ok || len(f.bank.Positions) != 0 || f.bank.LastSyncedEpoch != 0 {
+		t.Errorf("refused sync left state: key registered %v, %d positions, synced to %d",
+			ok, len(f.bank.Positions), f.bank.LastSyncedEpoch)
 	}
 }
 
@@ -242,7 +274,7 @@ func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 		PoolReserve0: u256.FromUint64(50)}
 	p2 := &summary.SyncPayload{Epoch: 2,
 		Payouts:      []summary.PayoutEntry{{User: "bob", Amount0: u256.FromUint64(380)}},
-		PoolReserve0: u256.FromUint64(70)}
+		PoolReserve0: u256.FromUint64(70), NextGroupKey: f.members[0].Group.PK.Bytes()}
 	p1.SortEntries()
 	p2.SortEntries()
 	payloads := []*summary.SyncPayload{p1, p2}
@@ -273,7 +305,7 @@ func TestSyncIdempotentPerEpoch(t *testing.T) {
 	f.sim.After(time.Second, func() { f.chain.Submit(dep) })
 	f.sim.RunUntil(20 * time.Second)
 
-	p := validPayload(1)
+	p := f.payload(1)
 	mk := func(id string) *Tx {
 		return &Tx{ID: id, From: "committee", To: BankAddress, Method: "sync",
 			Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},

@@ -315,8 +315,9 @@ func finish(d *binenc.Cursor, record string) error {
 }
 
 // EncodeSyncParts builds the sync-part log record payload for one epoch:
-// every TSQC-signed mainchain sync chunk, bit-exact, so recovery can
-// replay them through the bank's verification path.
+// every mainchain sync chunk with the epoch's TSQC signature and its
+// inclusion proof, bit-exact, so recovery can replay them through the
+// bank's verification path.
 func EncodeSyncParts(epoch uint64, parts []*mainchain.MultiSyncArgs) []byte {
 	buf := make([]byte, 0, 1024)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
@@ -329,6 +330,10 @@ func EncodeSyncParts(epoch uint64, parts []*mainchain.MultiSyncArgs) []byte {
 		buf = append(buf, a.NextKey.PK.Bytes()...)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(a.NextKey.Threshold))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(a.NextKey.N))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.Proof)))
+		for _, h := range a.Proof {
+			buf = append(buf, h[:]...)
+		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.Payloads)))
 		for _, p := range a.Payloads {
 			buf = appendSyncPayload(buf, p)
@@ -368,7 +373,10 @@ func appendSyncPayload(buf []byte, p *summary.SyncPayload) []byte {
 	return buf
 }
 
-func decodeSyncParts(payload []byte) (uint64, []*mainchain.MultiSyncArgs, error) {
+// decodeSyncParts reads a sync-part record of either format: typ
+// recSyncParts carries each part's proof; a recSyncPartsV2 record has
+// none, and its parts come back marked V2.
+func decodeSyncParts(typ byte, payload []byte) (uint64, []*mainchain.MultiSyncArgs, error) {
 	d := binenc.NewCursor(payload)
 	epoch := d.U64()
 	n := readCount(d, 140, "sync part")
@@ -384,6 +392,14 @@ func decodeSyncParts(payload []byte) (uint64, []*mainchain.MultiSyncArgs, error)
 		a.NextKey.PK = readPoint(d)
 		a.NextKey.Threshold = int(d.U32())
 		a.NextKey.N = int(d.U32())
+		if typ == recSyncPartsV2 {
+			a.V2 = true
+		} else {
+			a.Proof = make([][32]byte, readCount(d, 32, "proof hash"))
+			for j := range a.Proof {
+				d.Read(a.Proof[j][:])
+			}
+		}
 		np := readCount(d, 76, "payload")
 		a.Payloads = make([]*summary.SyncPayload, 0, np)
 		for j := 0; j < np && d.Err() == nil; j++ {

@@ -118,40 +118,12 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	tailOff := rec.Boundaries[idx]
 	tail := data[tailOff:validLen]
 
-	payload := encodeCheckpoint(cp)
-	tmp := w.path + ".compact"
-	tf, err := w.fsys.OpenAppend(tmp, 0)
+	newSize, err := rewrite(w.fsys, w.path, w.fingerprint, headerFlagCheckpoint, encodeCheckpoint(cp), tail)
 	if err != nil {
-		return err
-	}
-	tw := newWriter(w.fsys, tmp, w.fingerprint, tf)
-	if err := tw.appendRecord(recHeader, headerPayload(w.fingerprint, headerFlagCheckpoint)); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tw.appendRecord(recCheckpoint, payload); err != nil {
-		tf.Close()
-		return err
-	}
-	if len(tail) > 0 {
-		if _, err := tw.bw.Write(tail); err != nil {
-			tf.Close()
-			return err
-		}
-	}
-	if err := tw.commit(); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	if err := w.fsys.Rename(tmp, w.path); err != nil {
 		return err
 	}
 
 	// The swap is published; move the live handle onto the new file.
-	newSize := int64(headerFrameLen) + int64(9+len(payload)) + int64(len(tail))
 	w.f.Close()
 	nf, err := w.fsys.OpenAppend(w.path, newSize)
 	if err != nil {
@@ -162,6 +134,40 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	w.bw = bufio.NewWriterSize(nf, 1<<16)
 	w.sinceSync = 0
 	return nil
+}
+
+// rewrite replaces the log at path with [header, checkpoint, tail]
+// crash-atomically: the image is built in a temp file, fsynced, then
+// renamed over the log. The header is this format version's with flags;
+// a nil checkpoint writes no checkpoint record; tail is copied
+// bit-exact. It returns the new image's size.
+func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, checkpoint, tail []byte) (int64, error) {
+	tmp := path + ".compact"
+	tf, err := fsys.OpenAppend(tmp, 0)
+	if err != nil {
+		return 0, err
+	}
+	tw := newWriter(fsys, tmp, fingerprint, tf)
+	size := int64(headerFrameLen) + int64(len(tail))
+	err = tw.appendRecord(recHeader, headerPayload(fingerprint, flags))
+	if err == nil && checkpoint != nil {
+		err = tw.appendRecord(recCheckpoint, checkpoint)
+		size += int64(9 + len(checkpoint))
+	}
+	if err == nil && len(tail) > 0 {
+		_, err = tw.bw.Write(tail)
+	}
+	if err == nil {
+		err = tw.commit()
+	}
+	if err != nil {
+		tf.Close()
+		return 0, err
+	}
+	if err := tf.Close(); err != nil {
+		return 0, err
+	}
+	return size, fsys.Rename(tmp, path)
 }
 
 // Snapshot commits pending writes and returns the store's complete

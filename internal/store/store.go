@@ -55,20 +55,31 @@ import (
 	"ammboost/internal/trace"
 )
 
-// FormatVersion is the on-disk format this package reads and writes.
-// Version 2 added the header flags byte and the checkpoint record.
-const FormatVersion = 2
+// FormatVersion is the on-disk format this package writes. Version 2
+// added the header flags byte and the checkpoint record; version 3 logs
+// an epoch's sync parts signed once, each with its inclusion proof
+// (recSyncParts). The reader also accepts version 2, whose per-part
+// signed records (recSyncPartsV2) replay as they were; Open rewrites a
+// version-2 header as version 3 before it appends anything.
+const FormatVersion = 3
+
+// minFormatVersion is the oldest on-disk format this package reads.
+const minFormatVersion = 2
 
 // FileName is the store's single log file inside the data directory.
 const FileName = "ammboost.store"
 
 // Record types.
 const (
-	recHeader     = 1
-	recSnapshot   = 2
-	recSyncParts  = 3
-	recHalt       = 4
-	recCheckpoint = 5
+	recHeader   = 1
+	recSnapshot = 2
+	// recSyncPartsV2 is a format-2 sync-part record: every part signed on
+	// its own digest, no proofs. Nothing writes it any more.
+	recSyncPartsV2 = 3
+	recHalt        = 4
+	recCheckpoint  = 5
+	// recSyncParts is the sync-part record of format 3.
+	recSyncParts = 6
 )
 
 // Header flag bits.
@@ -113,6 +124,9 @@ type Recovery struct {
 	Boundaries []int64
 	// Halt is non-nil when the node had halted on a lifecycle fault.
 	Halt *HaltRecord
+
+	// version is the header's format version.
+	version uint16
 }
 
 // Epoch returns the recovered boundary epoch (0 for a fresh store).
@@ -273,6 +287,15 @@ func Open(fsys FS, dir string, fingerprint [32]byte) (*Recovery, *Writer, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	if rec.version < FormatVersion {
+		// The records this writer appends are format 3. The header says so
+		// before any of them lands, so an older reader refuses the file
+		// instead of truncating it at the first record it cannot parse.
+		flags := data[headerFrameLen-5]
+		if _, err := rewrite(fsys, path, fingerprint, flags, nil, data[headerFrameLen:validLen]); err != nil {
+			return nil, nil, err
+		}
+	}
 	f, err := fsys.OpenAppend(path, validLen)
 	if err != nil {
 		return nil, nil, err
@@ -359,9 +382,10 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 	}
 	// Version is checked before the payload shape: an older or newer
 	// store must report ErrStoreVersion, not masquerade as corruption.
-	if v := binary.BigEndian.Uint16(hdr.payload); v != FormatVersion {
-		return nil, 0, fmt.Errorf("%w: store version %d, this binary reads %d",
-			chain.ErrStoreVersion, v, FormatVersion)
+	version := binary.BigEndian.Uint16(hdr.payload)
+	if version < minFormatVersion || version > FormatVersion {
+		return nil, 0, fmt.Errorf("%w: store version %d, this binary reads %d to %d",
+			chain.ErrStoreVersion, version, minFormatVersion, FormatVersion)
 	}
 	if len(hdr.payload) != 35 {
 		return nil, 0, fmt.Errorf("%w: unreadable header", chain.ErrCorruptStore)
@@ -374,7 +398,7 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 	}
 	flags := hdr.payload[34]
 
-	rec := &Recovery{}
+	rec := &Recovery{version: version}
 	validLen := hdr.end
 	off := hdr.end
 
@@ -414,8 +438,11 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 				return rec, validLen, nil // out-of-order tail: roll back
 			}
 			pending = snap
-		case recSyncParts:
-			epoch, parts, err := decodeSyncParts(fr.payload)
+		case recSyncPartsV2, recSyncParts:
+			if fr.typ == recSyncParts && version < 3 {
+				return rec, validLen, nil // a record its header does not know
+			}
+			epoch, parts, err := decodeSyncParts(fr.typ, fr.payload)
 			if err != nil || pending == nil || epoch != pending.Epoch {
 				return rec, validLen, nil
 			}

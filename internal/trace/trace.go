@@ -49,7 +49,8 @@ const (
 	StageCommitBuild
 	// StageChunk is gas chunking: splitting payloads into sync parts.
 	StageChunk
-	// StageSign is TSQC signing of every sync part.
+	// StageSign is TSQC signing of an epoch's sync parts: one signature
+	// over the Merkle root of their digests.
 	StageSign
 	// StageEncode is durable-store blob encoding (snapshot prefix and
 	// sync-part record payloads) on the commit-stage worker.
