@@ -5,9 +5,12 @@
 // Clients program against the unified node API in internal/chain: a single
 // chain.Chain interface with receipt-returning submission, typed
 // lifecycle errors out of Run, and subscribable epoch lifecycle events.
-// The node people run is the sharded multi-pool core.MultiSystem
-// (cmd/ammnode and most examples); the single-pool core.System remains
-// for the paper's experiments and two examples until they move to it.
+// Every node runs one lifecycle, the sharded core.MultiSystem; its
+// constructor picks the mainchain bank behind it. cmd/ammnode, Open and
+// most examples run MultiBank; core.NewDriver — the paper's experiments
+// and the tradingday, rollupcompare and failover examples — runs one pool
+// against the paper's TokenBank, with its on-chain deposit flow and
+// mass-sync recovery after a skipped or reorged Sync.
 //
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer
@@ -34,7 +37,7 @@
 // and chain.Config's IngestCapacity / IngestSoftMark / IngestMaxWait
 // fields for the admission policy knobs).
 //
-// The multi-pool backend pipelines its epoch lifecycle: a finished
+// The lifecycle is pipelined: a finished
 // epoch's commitment build, sync chunking, and TSQC signing run on an
 // asynchronous commit stage, bounded by a backpressured in-flight window
 // of chain.Config.PipelineDepth epochs (default 2). With depth >= 2 the
@@ -107,8 +110,8 @@
 // examples/tracing for the end-to-end export-and-summarize flow.
 //
 // The example binaries and the experiments harness are built on that
-// surface, type-asserting to the backend only for its traffic hook and
-// recovery state; see DESIGN.md for the system inventory (including the chain
+// surface, type-asserting to core.MultiSystem only for its traffic hook
+// and recovery state; see DESIGN.md for the system inventory (including the chain
 // layer, the sharded multi-pool engine, its incremental state-commitment
 // subsystem, the pipelined lifecycle, the durable store, and the
 // observability surface) and EXPERIMENTS.md for the paper-vs-measured

@@ -3,9 +3,9 @@
 // throughput, transaction latency, and the payout-finality gap caused by
 // the rollup's 7-day contestation window.
 //
-// It runs on the single-pool System, as `ammbench table6` does, so its
-// numbers stay comparable with the experiment until the paper's
-// experiments move to the multi-pool backend.
+// It runs NewDriver's node — the paper's TokenBank on one pool — as
+// `ammbench table6` does, so its numbers stay comparable with the
+// experiment.
 package main
 
 import (

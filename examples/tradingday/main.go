@@ -3,9 +3,9 @@
 // paper's Figure 5 reports — gas, chain growth, and latency — plus the
 // lifecycle of one LP's concentrated-liquidity position.
 //
-// It runs on the single-pool System: Figure 5's gas includes the
-// TokenBank deposit flow, which the multi-pool backend does not bill
-// yet; the example moves when the paper's experiments do.
+// It runs NewDriver's node, as the paper's experiments do: Figure 5's
+// gas includes the TokenBank deposit flow, which only the paper's bank
+// bills.
 package main
 
 import (

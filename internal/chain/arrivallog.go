@@ -19,8 +19,8 @@ import (
 // 13), because the epoch cut depends only on this order, never on
 // producer interleaving.
 //
-// Record runs on the simulator goroutine at drain time (both backends
-// call it when Config.ArrivalLog is set); read the log after Run
+// Record runs on the simulator goroutine at drain time (the node calls
+// it when Config.ArrivalLog is set); read the log after Run
 // returns. Recorded transactions are clones taken before execution
 // mutates them, and Txs returns fresh clones, so one log can replay any
 // number of times.

@@ -1,7 +1,7 @@
-// Package chain defines the unified client-facing node API both ammBoost
-// backends implement: the single-pool core.System and the sharded
-// multi-pool core.MultiSystem. It replaces the two divergent simulation
-// façades with one surface the way real node software exposes state —
+// Package chain defines the unified client-facing node API that
+// core.MultiSystem implements, whichever mainchain bank its constructor
+// puts behind it. It is one surface the way real node software exposes
+// state —
 // submission returns a Receipt that advances through the paper's epoch
 // lifecycle (Pending → Executed → Checkpointed → Synced → Pruned),
 // lifecycle faults surface as typed sentinel errors out of Run instead of
@@ -257,12 +257,11 @@ type PoolInfo struct {
 	Positions int
 }
 
-// Chain is the unified node API. Both backends — the single-pool
-// core.System and the sharded multi-pool core.MultiSystem — implement
-// it, and clients submit, run, subscribe and query through it. Code that
-// also drives a node's traffic hook or reads its recovery state (for
-// example cmd/ammnode, the durable examples and the experiments)
-// type-asserts to the concrete backend for that part.
+// Chain is the unified node API. core.MultiSystem implements it, and
+// clients submit, run, subscribe and query through it. Code that also
+// drives a node's traffic hook or reads its recovery state (for example
+// cmd/ammnode, the durable examples and the experiments) type-asserts to
+// *core.MultiSystem for that part.
 type Chain interface {
 	// Submit validates the transaction up front (unknown pool, malformed
 	// amounts, unfunded user) and admits it into the mempool, returning
@@ -280,10 +279,11 @@ type Chain interface {
 	// ErrClosed, ErrThrottled, a context already done) — per-transaction
 	// failures never fail the call. Safe for concurrent producers.
 	SubmitBatch(ctx context.Context, txs []*summary.Tx) (*BatchResult, error)
-	// SubmitDeposit funds a user's epoch deposit. On the single-pool
-	// backend this runs the full mainchain deposit flow and the receipt
-	// reaches StatusSynced at confirmation; on the multi-pool backend the
-	// credit lands on the default pool's epoch snapshot directly.
+	// SubmitDeposit funds a user's epoch deposit. On a node whose bank is
+	// the paper's TokenBank (core.NewDriver) this runs the full mainchain
+	// deposit flow and the receipt reaches StatusSynced at confirmation;
+	// on a MultiBank node the credit lands on the default pool's epoch
+	// snapshot directly.
 	SubmitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*Receipt, error)
 	// Subscribe returns a channel of lifecycle events matching the mask.
 	// The channel is closed when Run finishes; subscribers must drain it
@@ -316,8 +316,8 @@ type Chain interface {
 	// LastSyncedEpoch returns the highest epoch the mainchain bank has
 	// confirmed a Sync for.
 	LastSyncedEpoch() uint64
-	// PoolIDs lists the registered pools (the single-pool backend reports
-	// one empty ID, matching Tx.PoolID routing).
+	// PoolIDs lists the registered pools in canonical order; an empty
+	// Tx.PoolID routes to the first.
 	PoolIDs() []string
 	// PoolInfo reports one pool's canonical reserves and live positions.
 	PoolInfo(poolID string) (PoolInfo, bool)

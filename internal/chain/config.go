@@ -12,8 +12,8 @@ import (
 	"ammboost/internal/u256"
 )
 
-// ConsensusFidelity selects how the multi-pool backend reaches agreement
-// each round.
+// ConsensusFidelity selects how a node's committee reaches agreement each
+// round.
 type ConsensusFidelity string
 
 const (
@@ -32,10 +32,10 @@ const (
 
 // FaultPlan schedules the interruptions the paper's recovery mechanisms
 // handle, plus the unrecoverable faults the typed-error path surfaces.
-// Backend support: SilentLeaderRounds and CorruptSyncEpochs work on both
-// backends; SkipSyncEpochs and ReorgSyncEpochs (the mass-sync recovery
-// chain) are single-pool only — the multi-pool constructor rejects them
-// with a typed error rather than silently ignoring them.
+// Bank support: SilentLeaderRounds and CorruptSyncEpochs work on every
+// node; SkipSyncEpochs and ReorgSyncEpochs (the mass-sync recovery chain)
+// need the paper's TokenBank (core.NewDriver) — a MultiBank node rejects
+// them with a typed error rather than silently ignoring them.
 type FaultPlan struct {
 	// SilentLeaderRounds marks (epoch, round) pairs whose leader stays
 	// silent: the committee times out, changes view, and the next leader
@@ -43,11 +43,12 @@ type FaultPlan struct {
 	SilentLeaderRounds map[[2]uint64]bool
 	// SkipSyncEpochs marks epochs whose committee fails to issue the
 	// Sync call (malicious leader at epoch end); the next committee
-	// mass-syncs. Single-pool backend only.
+	// mass-syncs. A skip at or after the final planned epoch syncs
+	// normally. TokenBank nodes only.
 	SkipSyncEpochs map[uint64]bool
 	// ReorgSyncEpochs marks epochs whose Sync lands in a mainchain block
 	// that is rolled back; recovery is the same mass-sync path.
-	// Single-pool backend only.
+	// TokenBank nodes only.
 	ReorgSyncEpochs map[uint64]bool
 	// CorruptSyncEpochs marks epochs whose committee signs a corrupted
 	// digest: the bank's TSQC verification fails, the Sync reverts
@@ -84,12 +85,11 @@ func (f FaultPlan) StormLength(epoch, round uint64) int {
 	return k
 }
 
-// Config parameterizes a deployment on either backend. Zero values take
-// the paper's defaults (WithDefaults). The constructor picks the
-// backend, not the config: core.NewMultiSystem and core.Open build the
-// sharded-engine MultiSystem with NumPools pools (zero means one), and
-// the single canonical-pool core.System refuses NumPools > 0 with
-// core.ErrBackendMismatch.
+// Config parameterizes a deployment. Zero values take the paper's
+// defaults (WithDefaults). The constructor picks the bank, not the
+// config: core.NewMultiSystem and core.Open run MultiBank over NumPools
+// pools (zero means one), and core.NewDriver runs the paper's TokenBank
+// on one pool.
 type Config struct {
 	Seed int64
 	// ChainID names this sidechain inside a federation (empty for the
@@ -113,12 +113,12 @@ type Config struct {
 	// (default amm.GenesisLiquidity).
 	InitialLiquidity u256.Int
 
-	// NumPools is the multi-pool backend's registered pool count.
+	// NumPools is the engine's registered pool count (zero means one).
 	NumPools int
 	// NumShards is the engine's worker-shard count (default GOMAXPROCS).
 	NumShards int
-	// PipelineDepth bounds how many epochs the multi-pool backend keeps
-	// in flight at once: the executing epoch plus the sealed epochs whose
+	// PipelineDepth bounds how many epochs the node keeps in flight at
+	// once: the executing epoch plus the sealed epochs whose
 	// asynchronous commitment/sync stage has not yet retired (default 2).
 	// Depth 1 is a window of one: each epoch's commitment build and
 	// signing finish (wall clock) before the next epoch starts. Depth >= 2
@@ -127,12 +127,13 @@ type Config struct {
 	// next-epoch execution. At every depth the next epoch starts on the
 	// round grid, never waiting for the summary agreement. The computed
 	// state (summary roots, payload digests) is identical at every depth;
-	// only timing changes. The single-pool backend ignores the field.
+	// only timing changes. An epoch whose Sync is skipped or reorged
+	// leaves the window when it seals.
 	PipelineDepth int
 
-	// Users registers the deployment's known user set up front. The
-	// multi-pool backend requires it when a node is constructed through
-	// Open (there is no workload generator to supply users at recovery);
+	// Users registers the deployment's known user set up front. A node
+	// requires it when it is constructed through Open (there is no
+	// workload generator to supply users at recovery);
 	// NewMultiDriver fills it from the generator. The durable store's
 	// deployment fingerprint covers it.
 	Users []string
@@ -158,7 +159,7 @@ type Config struct {
 	// the last <n epochs on a crash for lower epoch-close latency.
 	StoreFsyncEvery int
 
-	// Ingest front end (both backends): the thread-safe admission layer
+	// Ingest front end: the thread-safe admission layer
 	// in front of the epoch lifecycle. IngestCapacity bounds the mempool
 	// (default 1M transactions); a producer finding it full blocks up to
 	// IngestMaxWait wall-clock (default 10 ms) for a drain, then gets a
@@ -179,7 +180,7 @@ type Config struct {
 	// memory, exportable as Chrome trace-event JSON and summarized into
 	// the Report's stage rows. Nil disables tracing at zero cost.
 	// Tracing never perturbs computed state: roots and payload digests
-	// are bit-identical with tracing on or off. Multi-pool backend only.
+	// are bit-identical with tracing on or off.
 	Tracer *trace.Tracer
 	// TraceBuffer, when positive, re-bounds the tracer's retained-epoch
 	// window; zero keeps the window the tracer was built with. Older
@@ -189,7 +190,7 @@ type Config struct {
 
 	// ConsensusFidelity routes multi-pool committee rounds through the
 	// analytic cost model (default) or real PBFT replicas over the
-	// simulated network. The single-pool backend ignores it.
+	// simulated network.
 	ConsensusFidelity ConsensusFidelity
 	// NetFaults, when non-nil, installs a deterministic fault schedule on
 	// the live network (drop/duplicate/reorder, link degradation,
@@ -269,10 +270,7 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Report is the unified run summary both backends return from Run.
-// Fields that only one backend produces are zero on the other
-// (MassSyncs/SidechainUnpruned are single-pool;
-// NumPools/NumShards/SummaryRoots are multi-pool).
+// Report is the unified run summary a node returns from Run.
 type Report struct {
 	Collector *metrics.Collector
 
@@ -299,10 +297,10 @@ type Report struct {
 	ViewChanges int
 	Rejected    int
 	QueuePeak   int
-	// SyncParts counts the multi-pool bank's sync-part executions behind
-	// SyncsOK: attempted vs applied (equal unless parts were rejected —
-	// blocks pack a part by its declared gas, so it executes once) and the
-	// TSQC checks computed.
+	// SyncParts counts MultiBank's sync-part executions behind SyncsOK
+	// (zero on a TokenBank node, which takes whole Syncs): attempted vs
+	// applied (equal unless parts were rejected — blocks pack a part by
+	// its declared gas, so it executes once) and the TSQC checks computed.
 	SyncParts mainchain.SyncStats
 
 	// Ingest front-end telemetry: admission outcomes across the run
@@ -322,7 +320,7 @@ type Report struct {
 	// SummaryRoots[epoch] is the folded multi-pool root per epoch.
 	SummaryRoots map[uint64][32]byte
 
-	// Pipeline telemetry (multi-pool backend). PipelineDepth echoes the
+	// Pipeline telemetry. PipelineDepth echoes the
 	// configured in-flight window; PipelineOccupancy is the mean number
 	// of commit/sync stages still in flight when each epoch sealed (0 at
 	// depth 1, approaching PipelineDepth-1 when the commit stage is the

@@ -22,9 +22,11 @@ var (
 	// original run, which is exactly what the fingerprint exists to
 	// prevent.
 	ErrStoreMismatch = errors.New("chain: durable store belongs to a different deployment")
-	// ErrStoreUnsupported rejects an Open on a configuration whose
-	// backend has no persistence (today: the single-pool System).
-	ErrStoreUnsupported = errors.New("chain: durable store requires the multi-pool backend")
+	// ErrStoreUnsupported rejects a store operation on a node that has no
+	// durable store (one built by NewMultiSystem or NewDriver rather than
+	// Open or Bootstrap), and a federated Open without the federation's
+	// shared runtime.
+	ErrStoreUnsupported = errors.New("chain: durable store unsupported here")
 	// ErrStoreWrite halts a node whose durable store stopped accepting
 	// writes mid-run: continuing would silently void the recovery
 	// contract.

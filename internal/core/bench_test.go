@@ -13,11 +13,12 @@ import (
 	"ammboost/internal/workload"
 )
 
-// benchSystem builds a small deployment for submit-path benchmarks.
-func benchSystem(b *testing.B) (*System, []*summary.Tx) {
+// benchSystem builds a small paper deployment (NewDriver's node, without
+// its traffic) for submit-path benchmarks.
+func benchSystem(b *testing.B) (*MultiSystem, []*summary.Tx) {
 	b.Helper()
 	gen := workload.New(workload.DefaultConfig(42))
-	sys, err := NewSystem(smallConfig(42), gen.Users())
+	sys, err := newMultiSystem(nil, smallConfig(42), gen.Users(), newPaperBank)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,9 +248,9 @@ func BenchmarkEpochPersist(b *testing.B) {
 // transaction).
 func BenchmarkSubmitExecutePath(b *testing.B) {
 	sys, txs := benchSystem(b)
-	sys.executor = summary.NewExecutor(1, sys.pool, sys.bank.EpochDeposits(1))
+	exec := summary.NewExecutor(1, sys.eng.Pool(sys.eng.PoolIDs()[0]), nil)
 	for _, u := range sys.users {
-		sys.executor.AddDeposit(u, u256.FromUint64(1<<40), u256.FromUint64(1<<40))
+		exec.AddDeposit(u, u256.FromUint64(1<<40), u256.FromUint64(1<<40))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -259,7 +260,7 @@ func BenchmarkSubmitExecutePath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = sys.executor.Apply(tx, 1)
+		_ = exec.Apply(tx, 1)
 		_ = rc
 		sys.queue = sys.queue[:0]
 	}

@@ -14,9 +14,7 @@ import (
 )
 
 // TestFactoryBackendSelection pins the documented NumPools contract:
-// NewMultiSystem registers NumPools pools, and the single-pool System
-// (and its Driver) refuses a multi-pool config instead of silently
-// dropping the pools.
+// NewMultiSystem registers NumPools pools, and an unset count runs one.
 func TestFactoryBackendSelection(t *testing.T) {
 	users := []string{"u-0", "u-1"}
 	mcfg := chain.Config{NumPools: 4, CommitteeSize: 8, MinerPopulation: 20}
@@ -27,13 +25,13 @@ func TestFactoryBackendSelection(t *testing.T) {
 	if got := len(multi.PoolIDs()); got != 4 {
 		t.Errorf("multi backend has %d pools, want 4", got)
 	}
-	cfg := smallConfig(27)
-	cfg.NumPools = 4
-	if _, err := NewSystem(cfg, users); !errors.Is(err, ErrBackendMismatch) {
-		t.Errorf("NewSystem with NumPools=4: err = %v, want ErrBackendMismatch", err)
+	mcfg.NumPools = 0
+	one, err := NewMultiSystem(mcfg, users)
+	if err != nil {
+		t.Fatalf("unset pool count: %v", err)
 	}
-	if _, _, err := NewDriver(cfg, smallDriver(500_000, 1, 27)); !errors.Is(err, ErrBackendMismatch) {
-		t.Errorf("NewDriver with NumPools=4: err = %v, want ErrBackendMismatch", err)
+	if got := len(one.PoolIDs()); got != 1 {
+		t.Errorf("unset pool count runs %d pools, want 1", got)
 	}
 }
 
@@ -319,7 +317,7 @@ func TestEventStream(t *testing.T) {
 	// Visibility contract: by the time a lifecycle event publishes, the
 	// covered receipts already show the corresponding stage. Hooks run
 	// synchronously on the simulator goroutine, so this is race-free.
-	inner := sys.(*System)
+	inner := sys.(*MultiSystem)
 	inner.bus.OnPublish(func(ev chain.Event) {
 		switch ev.Type {
 		case chain.EventSyncConfirmed:
@@ -413,7 +411,7 @@ func TestDriverSkipsAheadFundingInShortRuns(t *testing.T) {
 	if _, n := repOne.Collector.AvgGas("approve"); n != 0 {
 		t.Errorf("1-epoch run observed %d approvals, want 0", n)
 	}
-	bank := one.(*System).Bank()
+	bank := one.(*MultiSystem).bank.(*paperBank).tb
 	for e := uint64(2); e <= 4; e++ {
 		if len(bank.Deposits[e]) != 0 {
 			t.Errorf("1-epoch run funded epoch-%d deposits for %d users", e, len(bank.Deposits[e]))

@@ -143,7 +143,7 @@ func BenchmarkCompact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bank := node.(*MultiSystem).bank.EncodeState()
+	bank := node.(*MultiSystem).Bank().EncodeState()
 	node.Close()
 
 	b.ReportAllocs()

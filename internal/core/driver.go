@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ammboost/internal/chain"
@@ -10,18 +11,19 @@ import (
 	"ammboost/internal/workload"
 )
 
-// DriverConfig wires a workload onto a System: the daily transaction
-// volume sets the constant arrival rate ρ = ⌈V_D·bt/86400⌉ per round
-// (Section VI-A), and deposits are funded one epoch ahead.
+// DriverConfig wires the paper's workload onto a one-pool node whose
+// bank is the paper's TokenBank: the daily transaction volume sets the
+// constant arrival rate ρ = ⌈V_D·bt/86400⌉ per round (Section VI-A), and
+// deposits run TokenBank's on-chain flow ahead of the epochs they fund.
 type DriverConfig struct {
 	DailyVolume int
 	Epochs      int
 	Workload    workload.Config
 }
 
-// Driver generates traffic against a System.
+// Driver generates traffic against a NewDriver node.
 type Driver struct {
-	sys *System
+	sys *MultiSystem
 	gen *workload.Generator
 	cfg DriverConfig
 	rho int
@@ -31,12 +33,19 @@ type Driver struct {
 	Submitted int
 }
 
-// NewDriver builds the system and its workload driver together, seeding
-// epoch-1 deposits at genesis. The node is returned behind the unified
-// chain.Chain API.
+// NewDriver builds the paper's deployment and its workload driver
+// together: a one-pool MultiSystem whose bank is TokenBank (with the
+// ERC20 pair, funded users and the paper's deposit flow), with epoch-1
+// deposits seeded at genesis. Only this bank accepts the skip and reorg
+// faults, whose recovery is a mass-sync. NumPools must be 0 or 1. The
+// node is returned behind the unified chain.Chain API.
 func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, error) {
+	if sysCfg.NumPools > 1 {
+		return nil, nil, fmt.Errorf("core: NewDriver runs the paper's one-pool TokenBank, not NumPools = %d (use NewMultiDriver)",
+			sysCfg.NumPools)
+	}
 	gen := workload.New(drvCfg.Workload)
-	sys, err := NewSystem(sysCfg, gen.Users())
+	sys, err := newMultiSystem(nil, sysCfg, gen.Users(), newPaperBank)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,9 +62,10 @@ func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, 
 	// deposits ... before this epoch starts"). A 1-epoch run skips the
 	// ahead-funding entirely: submitting epoch-2 deposits for an epoch
 	// that never runs would waste mainchain gas.
+	bank := sys.bank.(*paperBank)
 	for _, u := range gen.Users() {
 		a0, a1 := d.depositAmounts(u)
-		if err := sys.GenesisDeposit(u, a0, a1); err != nil {
+		if err := bank.genesisDeposit(u, a0, a1); err != nil {
 			return nil, nil, fmt.Errorf("core: genesis deposit for %s: %w", u, err)
 		}
 	}
@@ -87,14 +97,7 @@ func (d *Driver) depositAmounts(user string) (u256.Int, u256.Int) {
 	return u256.FromUint64(need), u256.FromUint64(need)
 }
 
-func (d *Driver) isLP(user string) bool {
-	for _, lp := range d.gen.LPs() {
-		if lp == user {
-			return true
-		}
-	}
-	return false
-}
+func (d *Driver) isLP(user string) bool { return slices.Contains(d.gen.LPs(), user) }
 
 // fundThrough submits deposits for every epoch up to target that has not
 // been funded yet.

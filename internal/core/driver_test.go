@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/mainchain"
+	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
 
@@ -271,17 +275,25 @@ func TestFlashLoansStayOnMainchain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue a flash loan after the first sync lands (pool reserves known).
+	bank := sys.(*MultiSystem).bank.(*paperBank)
+	var flash *mainchain.Tx
+	// Borrow 1% of the pool after the first sync lands and repay it with
+	// the fee, inside the one mainchain transaction.
 	sys.Sim().After(60*time.Second, func() {
-		bank := sys.(*System).Bank()
-		amount := bank.PoolReserve0
+		amount := u256.Div(bank.tb.PoolReserve0, u256.FromUint64(100))
 		if amount.IsZero() {
 			t.Error("pool reserve should be nonzero")
 			return
 		}
-		// borrow 1% and repay with fee
-		// (closure executes within contract execution).
-		_ = amount
+		if err := bank.token0.Ledger.Mint("genesis", "arb", amount); err != nil {
+			t.Error(err)
+			return
+		}
+		flash = &mainchain.Tx{ID: "flash", From: "arb", To: mainchain.BankAddress, Method: "flash", Size: 200,
+			Args: mainchain.FlashArgs{Amount0: amount, Callback: func(a0, _ u256.Int) (u256.Int, u256.Int) {
+				return u256.Add(a0, u256.Div(a0, u256.FromUint64(100))), u256.Int{}
+			}}}
+		sys.(*MultiSystem).mc.Submit(flash)
 	})
 	rep, runErr := sys.Run(2)
 	if runErr != nil {
@@ -289,5 +301,110 @@ func TestFlashLoansStayOnMainchain(t *testing.T) {
 	}
 	if rep.SyncsOK == 0 {
 		t.Fatal("no syncs")
+	}
+	if flash == nil || flash.Status != mainchain.TxConfirmed {
+		t.Fatalf("flash loan did not confirm: %+v", flash)
+	}
+	if err := sys.Validate(); err != nil {
+		t.Errorf("invariants after a flash loan: %v", err)
+	}
+}
+
+// acceptedReceipts collects the receipt of every transaction the node
+// executes, as each meta-block publishes.
+func acceptedReceipts(s *MultiSystem) *[]*chain.Receipt {
+	var out []*chain.Receipt
+	seen := make(map[uint64]int)
+	s.OnEvent(func(ev chain.Event) {
+		if ev.Type != chain.EventMetaBlock {
+			return
+		}
+		recs := s.recsByEpoch[ev.Epoch]
+		for _, q := range recs[seen[ev.Epoch]:] {
+			out = append(out, q.rc)
+		}
+		seen[ev.Epoch] = len(recs)
+	})
+	return &out
+}
+
+// TestMassSyncMatrix runs the paper's recovery at every pipeline depth: a
+// skipped or reorged epoch leaves the window when it seals, the next
+// epoch's Sync carries its payload, and the run ends fully synced with
+// every accepted receipt pruned. A skip in the final planned epoch syncs
+// normally, and a corrupted Sync — a mass-sync too — still halts the node.
+func TestMassSyncMatrix(t *testing.T) {
+	skip := func(es ...uint64) map[uint64]bool {
+		m := make(map[uint64]bool)
+		for _, e := range es {
+			m[e] = true
+		}
+		return m
+	}
+	cells := []struct {
+		name     string
+		faults   chain.FaultPlan
+		wantMass int
+	}{
+		{"skip-2", chain.FaultPlan{SkipSyncEpochs: skip(2)}, 1},
+		{"skip-2-3", chain.FaultPlan{SkipSyncEpochs: skip(2, 3)}, 1},
+		{"reorg-4", chain.FaultPlan{ReorgSyncEpochs: skip(4)}, 1},
+		{"skip-last-planned", chain.FaultPlan{SkipSyncEpochs: skip(5)}, 0},
+	}
+	const epochs = 5
+	for depth := 1; depth <= 3; depth++ {
+		for i, c := range cells {
+			t.Run(fmt.Sprintf("%s/depth=%d", c.name, depth), func(t *testing.T) {
+				cfg := smallConfig(int64(40 + i))
+				cfg.PipelineDepth = depth
+				cfg.Faults = c.faults
+				node, _, err := NewDriver(cfg, smallDriver(500_000, epochs, int64(40+i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				accepted := acceptedReceipts(node.(*MultiSystem))
+				rep, err := node.Run(epochs)
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if rep.MassSyncs != c.wantMass {
+					t.Errorf("mass syncs = %d, want %d", rep.MassSyncs, c.wantMass)
+				}
+				if got := node.LastSyncedEpoch(); got != uint64(rep.EpochsRun) {
+					t.Errorf("bank synced to %d of %d epochs run", got, rep.EpochsRun)
+				}
+				if err := node.Validate(); err != nil {
+					t.Errorf("invariants: %v", err)
+				}
+				if len(*accepted) == 0 {
+					t.Fatal("no transaction executed")
+				}
+				for _, rc := range *accepted {
+					if rc.Status != chain.StatusPruned {
+						t.Fatalf("receipt %s (epoch %d) ended %s, want pruned", rc.TxID, rc.Epoch, rc.Status)
+					}
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("corrupt/depth=%d", depth), func(t *testing.T) {
+			for _, faults := range []chain.FaultPlan{
+				{CorruptSyncEpochs: skip(2)},
+				{SkipSyncEpochs: skip(2), CorruptSyncEpochs: skip(3)}, // the mass-sync itself
+			} {
+				cfg := smallConfig(44)
+				cfg.PipelineDepth = depth
+				cfg.Faults = faults
+				node, _, err := NewDriver(cfg, smallDriver(500_000, epochs, 44))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := node.Run(epochs); !errors.Is(err, chain.ErrSyncReverted) {
+					t.Errorf("faults %+v: err = %v, want ErrSyncReverted", faults, err)
+				}
+				if got := node.LastSyncedEpoch(); got != 1 {
+					t.Errorf("faults %+v: bank synced to %d, want 1", faults, got)
+				}
+			}
+		})
 	}
 }

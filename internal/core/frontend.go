@@ -22,13 +22,11 @@ type queuedTx struct {
 	rc *chain.Receipt
 }
 
-// frontEnd is the client-facing contract both backends serve, written
-// once and embedded by System and MultiSystem: admission (Submit,
-// SubmitBatch, the ingest pool and its drain into the meta-block queue),
-// the event bus, and the receipt ledger that advances each executed
-// transaction through Checkpointed, Synced and Pruned. What differs per
-// backend — round packing, deposits, fault teardown, the report — stays
-// in the backend.
+// frontEnd is the client-facing contract the node serves, embedded by
+// MultiSystem: admission (Submit, SubmitBatch, the ingest pool and its
+// drain into the meta-block queue), the event bus, and the receipt ledger
+// that advances each executed transaction through Checkpointed, Synced
+// and Pruned.
 type frontEnd struct {
 	// ingest is the concurrent submission front end: producers admit from
 	// any goroutine; the round boundary drains it on the simulator
@@ -44,8 +42,8 @@ type frontEnd struct {
 
 	// users and userSet are the funded users; poolSet holds the routable
 	// pool IDs besides the empty one, which always routes to the default
-	// pool (a single-pool node has an empty set). All three are immutable
-	// after construction, so producers read them without locks.
+	// pool. All three are immutable after construction, so producers read
+	// them without locks.
 	users   []string
 	userSet map[string]bool
 	poolSet map[string]bool
@@ -71,7 +69,7 @@ type frontEnd struct {
 }
 
 // initFrontEnd builds the admission path for a node serving users on
-// pools (nil for the single-pool node) and wires the event bus into the
+// pools and wires the event bus into the
 // collector's lifecycle counts. Call it once, at construction.
 func (f *frontEnd) initFrontEnd(cfg chain.Config, users, pools []string, tr *trace.Tracer) {
 	f.ingest = ingest.New(ingest.Policy{

@@ -108,7 +108,7 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	if n := len(sys.recsByEpoch); n > 4 {
 		t.Errorf("%d receipt-table epochs retained, want <= in-flight window", n)
 	}
-	if n := len(sys.bank.SummaryRoots); n > retain+8 {
+	if n := len(sys.Bank().SummaryRoots); n > retain+8 {
 		t.Errorf("bank retained %d summary roots, want <= %d", n, retain)
 	}
 	if reExecuted != 0 {

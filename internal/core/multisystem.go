@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/crypto/tsig"
 	"ammboost/internal/engine"
 	"ammboost/internal/mainchain"
 	"ammboost/internal/netsim"
@@ -26,22 +26,20 @@ import (
 // ErrMultiParity flags a cross-layer mismatch in a multi-pool deployment.
 var ErrMultiParity = errors.New("core: multi-pool state parity violated")
 
-// ErrUnsupportedFault rejects a FaultPlan field the multi-pool backend
-// does not implement (see chain.FaultPlan for per-field support).
-var ErrUnsupportedFault = errors.New("core: fault plan not supported by the multi-pool backend")
-
-// depositPerUserPerPool funds a (user, pool) pair the first time the user
-// trades on that pool in an epoch (2^40 per token).
-var depositPerUserPerPool = u256.FromUint64(1 << 40)
+// ErrUnsupportedFault rejects a FaultPlan field the node's bank or
+// consensus fidelity does not implement (see chain.FaultPlan for
+// per-field support).
+var ErrUnsupportedFault = errors.New("core: fault plan not supported by this node")
 
 // MultiSystem runs the full ammBoost epoch lifecycle across every pool
 // registered in the sharded engine: one committee, one meta-block chain,
-// and one Sync per epoch span all pools; the Sync carries per-pool
-// payloads plus the folded summary root the committee signs. It
-// implements the same chain.Chain node API as the single-pool System.
+// and one Sync per epoch span all pools. It is the one lifecycle: the
+// constructor picks the mainchain bank behind it (nodeBank) — MultiBank
+// for NewMultiSystem, Open and the federation, the paper's TokenBank for
+// NewDriver's one-pool runs.
 type MultiSystem struct {
-	// frontEnd is the admission path and receipt ledger System shares;
-	// every registered pool ID routes.
+	// frontEnd is the admission path and receipt ledger; every registered
+	// pool ID routes, and the empty ID routes to the first pool.
 	frontEnd
 
 	cfg chain.Config
@@ -52,7 +50,7 @@ type MultiSystem struct {
 	eng *engine.Engine
 
 	mc   *mainchain.Chain
-	bank *mainchain.MultiBank
+	bank nodeBank
 
 	// shared is non-nil for federation members: the simulator and the
 	// mainchain are injected by the federation runner, which owns the
@@ -71,11 +69,10 @@ type MultiSystem struct {
 	committees map[uint64]*committeeKeys
 	chainSeed  [32]byte
 
-	// funded[poolID][user] marks (user, pool) pairs deposited this epoch.
-	funded map[string]map[string]bool
-	// pendingDeposits holds explicit SubmitDeposit credits that arrived
-	// between epochs; they apply at the next BeginEpoch.
-	pendingDeposits []pendingDeposit
+	// stash holds the payloads of epochs whose sync was skipped or
+	// reorged, in epoch order, until the next epoch's sync carries them
+	// (a mass-sync).
+	stash []*summary.SyncPayload
 
 	epoch         uint64
 	epochsPlanned int
@@ -113,6 +110,7 @@ type MultiSystem struct {
 	// SummaryRoots records each epoch's folded multi-pool root.
 	SummaryRoots map[uint64][32]byte
 	SyncsOK      int
+	MassSyncs    int
 	Rejected     int
 	ViewChanges  int
 
@@ -129,17 +127,6 @@ type MultiSystem struct {
 	// transactions this node put on the mainchain.
 	esc      *mainchain.Escrow
 	claimSeq int
-}
-
-// pendingDeposit is a user's explicit deposit awaiting its target epoch
-// (or, for a deposit submitted between epochs, the next BeginEpoch).
-type pendingDeposit struct {
-	epoch   uint64
-	poolID  string
-	user    string
-	amount0 u256.Int
-	amount1 u256.Int
-	rc      *chain.Receipt
 }
 
 // MultiSystem implements the unified node API.
@@ -159,7 +146,7 @@ type Shared struct {
 // registered pools, the miner registry, the epoch-1 committee, and the
 // MultiBank deployed on the mainchain with the committee's group key.
 func NewMultiSystem(cfg chain.Config, users []string) (*MultiSystem, error) {
-	return newMultiSystem(nil, cfg, users)
+	return newMultiSystem(nil, cfg, users, newPoolBank)
 }
 
 // NewFederatedSystem builds a sidechain node as a federation member:
@@ -176,17 +163,13 @@ func NewFederatedSystem(shared *Shared, cfg chain.Config, users []string) (*Mult
 	if cfg.ChainID == "" {
 		return nil, errors.New("core: federated node needs a ChainID")
 	}
-	return newMultiSystem(shared, cfg, users)
+	return newMultiSystem(shared, cfg, users, newPoolBank)
 }
 
-func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSystem, error) {
-	// The multi-pool backend supports silent-leader and corrupted-sync
-	// faults; the skip/reorg mass-sync recovery chain is single-pool
-	// only — reject it loudly rather than silently testing nothing.
-	if len(cfg.Faults.SkipSyncEpochs) > 0 || len(cfg.Faults.ReorgSyncEpochs) > 0 {
-		return nil, fmt.Errorf("%w: SkipSyncEpochs/ReorgSyncEpochs (mass-sync recovery) are single-pool only",
-			ErrUnsupportedFault)
-	}
+// newMultiSystem builds the node with the bank newBank deploys on its
+// mainchain under the epoch-1 committee key.
+func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
+	newBank func(*MultiSystem, tsig.GroupKey) (nodeBank, error)) (*MultiSystem, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.ConsensusFidelity != chain.FidelityLive {
 		// Per-replica byzantine behaviors and message-level network faults
@@ -253,11 +236,9 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	if shared == nil {
 		s.mc = mainchain.New(s.sim, cfg.Mainchain)
 	}
-	s.bank = mainchain.NewMultiBank(eng.PoolIDs(), ck.group).
-		WithAddress(mainchain.BankAddressFor(cfg.ChainID))
-	seedBank(s.bank, eng)
-	s.bank.Retain = cfg.RetainEpochs
-	s.mc.Deploy(s.bank)
+	if s.bank, err = newBank(s, ck.group); err != nil {
+		return nil, err
+	}
 	if cfg.RetainEpochs > 0 && shared == nil {
 		// Bound the simulated mainchain's in-memory history to the same
 		// horizon, in blocks: comfortably past every DependsOn distance
@@ -274,33 +255,20 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string) (*MultiSys
 	return s, nil
 }
 
-// seedBank registers every pool's deployment state with the bank, as
-// System seeds its TokenBank: the reserves and the genesis position. A
-// sync payload carries only the positions its epoch touched, so a pool
-// that is never traded would otherwise never show the bank its genesis
-// position.
-func seedBank(bank *mainchain.MultiBank, eng *engine.Engine) {
-	for _, pid := range eng.PoolIDs() {
-		pool := eng.Pool(pid)
-		bank.Reserves[pid] = mainchain.PoolReserves{Reserve0: pool.Reserve0, Reserve1: pool.Reserve1}
-		for _, pos := range pool.Positions() {
-			bank.Positions[pid][pos.ID] = summary.PositionEntry{
-				ID: pos.ID, Owner: pos.Owner,
-				TickLower: pos.TickLower, TickUpper: pos.TickUpper,
-				Liquidity: pos.Liquidity, Fees0: pos.TokensOwed0, Fees1: pos.TokensOwed1,
-			}
-		}
-	}
-}
-
 // Engine exposes the sharded execution engine.
 func (s *MultiSystem) Engine() *engine.Engine { return s.eng }
 
 // Sim exposes the simulator for workload scheduling.
 func (s *MultiSystem) Sim() *sim.Simulator { return s.sim }
 
-// Bank exposes the multi-pool bank for inspection.
-func (s *MultiSystem) Bank() *mainchain.MultiBank { return s.bank }
+// Bank exposes the node's MultiBank for inspection (nil on a NewDriver
+// node, whose bank is the paper's TokenBank).
+func (s *MultiSystem) Bank() *mainchain.MultiBank {
+	if b, ok := s.bank.(*poolBank); ok {
+		return b.MultiBank
+	}
+	return nil
+}
 
 // SidechainLedger exposes the sidechain ledger.
 func (s *MultiSystem) SidechainLedger() *sidechain.Ledger { return s.ledger }
@@ -308,9 +276,9 @@ func (s *MultiSystem) SidechainLedger() *sidechain.Ledger { return s.ledger }
 // Epoch returns the currently-running epoch number.
 func (s *MultiSystem) Epoch() uint64 { return s.epoch }
 
-// LastSyncedEpoch returns the highest epoch MultiBank confirmed every
-// sync part for.
-func (s *MultiSystem) LastSyncedEpoch() uint64 { return s.bank.LastSyncedEpoch }
+// LastSyncedEpoch returns the highest epoch the bank confirmed a Sync
+// for.
+func (s *MultiSystem) LastSyncedEpoch() uint64 { return s.bank.lastSyncedEpoch() }
 
 // PoolIDs lists the registered pools in canonical order.
 func (s *MultiSystem) PoolIDs() []string { return s.eng.PoolIDs() }
@@ -331,21 +299,7 @@ func (s *MultiSystem) PoolInfo(poolID string) (chain.PoolInfo, bool) {
 
 // Positions lists the bank's synced liquidity positions across every
 // pool, ordered by (pool, position ID).
-func (s *MultiSystem) Positions() []summary.PositionEntry {
-	var out []summary.PositionEntry
-	for _, pid := range s.eng.PoolIDs() {
-		stored := s.bank.Positions[pid]
-		ids := make([]string, 0, len(stored))
-		for id := range stored {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			out = append(out, stored[id])
-		}
-	}
-	return out
-}
+func (s *MultiSystem) Positions() []summary.PositionEntry { return s.bank.positions() }
 
 // fail records the first lifecycle fault, persists it (a halted node
 // must recover as halted), publishes the halt event, and stops mainchain
@@ -472,14 +426,13 @@ func (s *MultiSystem) sealTraced(e uint64, nextKeyBytes []byte) *engine.SealedEp
 	return sealed
 }
 
-// SubmitDeposit credits a user's deposit on the default pool for the
-// named epoch (multi-pool deployments fund (user, pool) pairs on
-// demand; an explicit deposit models a user topping up ahead of
-// trading). A deposit for the current or a past epoch is credited to the
-// running snapshot immediately — mirroring the single-pool backend's
-// mid-epoch delta sync — while a future epoch's deposit is held and
-// credited when that epoch opens. The receipt reaches StatusExecuted
-// when the credit lands; an overflowing credit is summary.ErrDepositOverflow.
+// SubmitDeposit funds a user's deposit for the named epoch. On a
+// MultiBank node the credit lands on the default pool's epoch snapshot
+// (at once for the current or a past epoch, else when that epoch opens)
+// and the receipt reaches StatusExecuted; an overflowing credit is
+// summary.ErrDepositOverflow. On a NewDriver node it runs TokenBank's
+// mainchain deposit flow and the receipt reaches StatusSynced when the
+// last leg confirms.
 func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*chain.Receipt, error) {
 	if s.err != nil {
 		return nil, chain.ErrHalted
@@ -490,27 +443,7 @@ func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 
 	if amount0.IsZero() && amount1.IsZero() {
 		return nil, fmt.Errorf("%w: empty deposit", chain.ErrMalformedTx)
 	}
-	pid := s.eng.PoolIDs()[0]
-	rc := &chain.Receipt{
-		TxID: fmt.Sprintf("dep-%s-e%d", user, epoch), PoolID: pid,
-		Status: chain.StatusPending, SubmittedAt: s.sim.Now(),
-	}
-	if epoch <= s.epoch {
-		switch err := s.eng.AddDeposit(pid, user, amount0, amount1); {
-		case err == nil:
-			rc.Status = chain.StatusExecuted
-			rc.Epoch = s.epoch
-			rc.ExecutedAt = s.sim.Now()
-			return rc, nil
-		case !errors.Is(err, engine.ErrNoEpoch):
-			return nil, err
-		}
-		// Between epochs: fall through and credit at the next BeginEpoch.
-	}
-	s.pendingDeposits = append(s.pendingDeposits, pendingDeposit{
-		epoch: epoch, poolID: pid, user: user, amount0: amount0, amount1: amount1, rc: rc,
-	})
-	return rc, nil
+	return s.bank.submitDeposit(user, epoch, amount0, amount1)
 }
 
 // SubmitWithdraw debits a user's un-traded deposit on a pool in the
@@ -697,32 +630,13 @@ func (s *MultiSystem) startEpoch(e uint64) {
 	if s.OnEpochStart != nil {
 		s.OnEpochStart(e)
 	}
-	// SnapshotBank: the engine snapshots pools lazily on first touch,
-	// so epoch-open cost tracks the epoch's active pools; (user, pool)
-	// deposits are credited on demand as the user's first trade on the
-	// pool arrives (modeling users depositing for the pools they intend
-	// to trade).
-	s.funded = make(map[string]map[string]bool)
-	if err := s.eng.BeginEpoch(e, nil); err != nil {
+	// SnapshotBank: the engine snapshots pools lazily on first touch, so
+	// epoch-open cost tracks the epoch's active pools; the bank supplies
+	// the epoch's deposits.
+	if err := s.bank.beginEpoch(e); err != nil {
 		s.fail(fmt.Errorf("%w: begin epoch %d: %v", chain.ErrEngineFailed, e, err))
 		return
 	}
-	remaining := s.pendingDeposits[:0]
-	for _, pd := range s.pendingDeposits {
-		if pd.epoch > e {
-			remaining = append(remaining, pd)
-			continue
-		}
-		if err := s.eng.AddDeposit(pd.poolID, pd.user, pd.amount0, pd.amount1); err != nil {
-			pd.rc.Status = chain.StatusRejected
-			pd.rc.Err = err
-			continue
-		}
-		pd.rc.Status = chain.StatusExecuted
-		pd.rc.Epoch = e
-		pd.rc.ExecutedAt = s.sim.Now()
-	}
-	s.pendingDeposits = remaining
 	if _, ok := s.committees[e+1]; !ok {
 		ck, err := provisionCommittee(s.registry, s.chainSeed, e+1, s.cfg.CommitteeSize)
 		if err != nil {
@@ -774,25 +688,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	}
 	s.queue = s.queue[consumed:]
 
-	// Credit first-touch deposits for this round's (user, pool) pairs.
-	defaultPool := s.eng.PoolIDs()[0]
-	for _, q := range batch {
-		pid := q.tx.PoolID
-		if pid == "" {
-			pid = defaultPool
-		}
-		bucket := s.funded[pid]
-		if bucket == nil {
-			bucket = make(map[string]bool)
-			s.funded[pid] = bucket
-		}
-		if bucket[q.tx.User] {
-			continue
-		}
-		bucket[q.tx.User] = true
-		// Submit already rejected unknown pools, so this cannot fail.
-		_ = s.eng.AddDeposit(pid, q.tx.User, depositPerUserPerPool, depositPerUserPerPool)
-	}
+	s.bank.fundRound(e, batch)
 
 	res, err := s.eng.ExecuteRound(batchTxs, r)
 	if err != nil {
@@ -882,6 +778,12 @@ func (s *MultiSystem) runRound(e, r uint64) {
 // commit/sync stage, the window retires down to PipelineDepth-1 sealed
 // epochs (at depth 1, this one at once), and the next epoch starts on the
 // round grid — one boundary rule for every depth.
+//
+// An epoch whose sync the fault plan skips or reorgs leaves the window at
+// once, so its payloads are stashed before the next epoch seals; that
+// epoch's sync then carries them (a mass-sync), signed by the earliest
+// stashed epoch's committee. A skip at or after the final planned epoch
+// syncs normally: no later epoch is certain to carry it.
 func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	if s.err != nil {
 		return
@@ -891,26 +793,34 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	// epoch finished executing.
 	s.col.ObservePipeline(s.pipe.depth())
 	nextKey := s.committees[e+1].group
-	sealed := s.sealTraced(e, nextKey.PK.Bytes())
+	sealed := s.sealTraced(e, s.bank.nextGroupKey(nextKey))
 	if sealed == nil {
 		return
 	}
-	s.pipe.submit(&commitJob{
+	skip := (s.cfg.Faults.SkipSyncEpochs[e] || s.cfg.Faults.ReorgSyncEpochs[e]) && int(e) < s.epochsPlanned
+	job := &commitJob{
 		epoch:     e,
 		sealed:    sealed,
+		bank:      s.bank,
 		ck:        s.committees[e],
 		nextKey:   nextKey,
+		skip:      skip,
 		corrupt:   s.cfg.Faults.CorruptSyncEpochs[e],
 		gasBudget: syncPartGas(s.cfg.Mainchain),
 		persist:   s.st != nil,
 		tr:        s.tr,
 		done:      make(chan struct{}),
-	})
+	}
+	if len(s.stash) > 0 && !skip {
+		job.stash, s.stash = s.stash, nil
+		job.ck = s.committees[job.stash[0].Epoch]
+	}
+	s.pipe.submit(job)
 	// Backpressure: the window holds the executing epoch plus at most
 	// PipelineDepth-1 sealed epochs, so retire the oldest until it fits.
 	// Retirement order is FIFO — stage effects always publish in epoch
 	// order.
-	for s.pipe.depth() >= s.cfg.PipelineDepth {
+	for s.pipe.depth() >= s.cfg.PipelineDepth || skip && s.pipe.depth() > 0 {
 		if !s.retireOldest() {
 			return
 		}
@@ -1003,12 +913,18 @@ func (s *MultiSystem) retireOldest() bool {
 	}
 	e := job.epoch
 	s.SummaryRoots[e] = pkg.res.SummaryRoot
+	if job.skip {
+		s.stash = append(s.stash, pkg.res.Payloads...)
+	}
 	metas := s.ledger.MetaBlocks(e)
 	commit := func() {
 		if s.err != nil {
 			return
 		}
 		s.checkpointEpoch(e, pkg.res.Payloads, metas, pkg.scBytes, pkg.res.SummaryRoot)
+		if job.skip {
+			return
+		}
 		// Persist before the sync parts become externally visible: the
 		// snapshot and its sync-part log entry hit stable storage in
 		// epoch-retire order (the blobs were encoded on the commit-stage
@@ -1017,7 +933,12 @@ func (s *MultiSystem) retireOldest() bool {
 		if s.err != nil {
 			return
 		}
-		s.uplink.submit(e, pkg.parts)
+		first := e
+		if len(job.stash) > 0 {
+			first = job.stash[0].Epoch
+			s.MassSyncs++
+		}
+		s.uplink.submit(first, e, pkg.txs)
 	}
 	if s.live != nil {
 		// The checkpoint rides one more live agreement: the committee
@@ -1083,9 +1004,10 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 
 // encodeEpochBlobs builds the epoch's snapshot-record prefix and
 // sync-part record payload, on the commit-stage worker (off the simulator
-// goroutine).
+// goroutine). Only a MultiBank node has a store, so txs carry
+// MultiSyncArgs.
 func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
-	parts []*mainchain.MultiSyncArgs) (snapPrefix, partsBlob []byte) {
+	txs []*mainchain.Tx) (snapPrefix, partsBlob []byte) {
 	digests := make([][32]byte, len(res.Payloads))
 	for i, p := range res.Payloads {
 		digests[i] = p.Digest()
@@ -1093,6 +1015,10 @@ func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 	activeIDs, activePools := sealed.ActiveSnapshots()
 	snapPrefix = store.EncodeSnapshotPrefix(res.Epoch, res.SummaryRoot,
 		res.PoolIDs, res.PoolRoots, digests, activeIDs, activePools)
+	parts := make([]*mainchain.MultiSyncArgs, len(txs))
+	for i, tx := range txs {
+		parts[i] = tx.Args.(*mainchain.MultiSyncArgs)
+	}
 	partsBlob = store.EncodeSyncParts(res.Epoch, parts)
 	return snapPrefix, partsBlob
 }
@@ -1133,22 +1059,28 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 	}
 }
 
-// epochSynced is the uplink's callback once epoch ev.Epoch's last sync
-// part confirms. Receipts advance before the event publishes (the
-// documented visibility contract); then the epoch prunes and compacts.
-func (s *MultiSystem) epochSynced(ev chain.Event) {
+// epochSynced is the uplink's callback once the last part of the sync
+// epoch ev.Epoch closed confirms; the sync carries epochs first..ev.Epoch
+// (more than one after a mass-sync). Receipts advance before the event
+// publishes (the documented visibility contract); then the epochs prune
+// and compact.
+func (s *MultiSystem) epochSynced(ev chain.Event, first uint64) {
 	e := ev.Epoch
 	s.SyncsOK++
-	s.synced(e, ev.At)
+	for pe := first; pe <= e; pe++ {
+		s.synced(pe, ev.At)
+	}
 	s.bus.Publish(ev)
 	spPrune := s.tr.Start(trace.StagePrune, e)
-	if err := s.ledger.Prune(e, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
-		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, e, err))
-		return
+	for pe := first; pe <= e; pe++ {
+		if err := s.ledger.Prune(pe, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
+			s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, pe, err))
+			return
+		}
+		s.pruned(pe, s.sim.Now())
+		s.compactEpoch(pe)
 	}
-	s.pruned(e, s.sim.Now())
 	s.lastPruned = e
-	s.compactEpoch(e)
 	// Store compaction rides the confirmation cadence: everything up to an
 	// epoch final on the mainchain can fold into a checkpoint.
 	if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
@@ -1158,7 +1090,9 @@ func (s *MultiSystem) epochSynced(ev chain.Event) {
 		}
 	}
 	spPrune.End()
-	s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
+	for pe := first; pe <= e; pe++ {
+		s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: pe})
+	}
 	s.finishIfPruned()
 }
 
@@ -1201,7 +1135,7 @@ func (s *MultiSystem) compactStore(cursor uint64) error {
 	if r := s.cfg.RetainEpochs; r > 0 && cursor > uint64(r) {
 		horizon = cursor - uint64(r)
 	}
-	return s.st.Compact(cursor, horizon, s.bank.EncodeState())
+	return s.st.Compact(cursor, horizon, s.Bank().EncodeState())
 }
 
 // CompactStore folds the durable log up to the newest mainchain-confirmed
@@ -1212,7 +1146,7 @@ func (s *MultiSystem) CompactStore() error {
 	if s.st == nil {
 		return fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
 	}
-	cursor := s.bank.LastSyncedEpoch
+	cursor := s.LastSyncedEpoch()
 	if cursor == 0 {
 		return nil // nothing confirmed yet
 	}
@@ -1264,36 +1198,9 @@ func (s *MultiSystem) Kill() {
 	}
 }
 
-// Validate checks cross-layer parity for every registered pool: the
-// bank's stored reserves match the engine's canonical pool state, and
-// the stored position lists mirror the pools' live positions.
-func (s *MultiSystem) Validate() error {
-	for _, pid := range s.eng.PoolIDs() {
-		pool := s.eng.Pool(pid)
-		res := s.bank.Reserves[pid]
-		if !res.Reserve0.Eq(pool.Reserve0) || !res.Reserve1.Eq(pool.Reserve1) {
-			return fmt.Errorf("%w: pool %s bank reserves %s/%s, engine %s/%s", ErrMultiParity,
-				pid, res.Reserve0, res.Reserve1, pool.Reserve0, pool.Reserve1)
-		}
-		stored := s.bank.Positions[pid]
-		for _, pos := range pool.Positions() {
-			entry, ok := stored[pos.ID]
-			if !ok {
-				return fmt.Errorf("%w: pool %s position %s missing from bank", ErrMultiParity, pid, pos.ID)
-			}
-			if !entry.Liquidity.Eq(pos.Liquidity) {
-				return fmt.Errorf("%w: pool %s position %s liquidity bank=%s engine=%s",
-					ErrMultiParity, pid, pos.ID, entry.Liquidity, pos.Liquidity)
-			}
-		}
-		for id := range stored {
-			if pool.Position(id) == nil {
-				return fmt.Errorf("%w: pool %s bank position %s not live", ErrMultiParity, pid, id)
-			}
-		}
-	}
-	return nil
-}
+// Validate checks cross-layer parity between the bank and the engine's
+// canonical pools (nodeBank.validate).
+func (s *MultiSystem) Validate() error { return s.bank.validate() }
 
 func (s *MultiSystem) report() *chain.Report {
 	ist := s.ingest.Stats()
@@ -1318,9 +1225,11 @@ func (s *MultiSystem) report() *chain.Report {
 		SidechainRetainedBytes: s.ledger.SizeBytes(),
 		SidechainPeakBytes:     s.ledger.PeakBytes(),
 		SidechainPrunedBytes:   s.ledger.PrunedBytes(),
+		SidechainUnpruned:      s.ledger.UnprunedBytes(),
 		NumPools:               len(s.eng.PoolIDs()),
 		NumShards:              s.eng.NumShards(),
 		SyncsOK:                s.SyncsOK,
+		MassSyncs:              s.MassSyncs,
 		SyncParts:              s.bank.SyncStats(),
 		ViewChanges:            s.ViewChanges,
 		Rejected:               s.Rejected,

@@ -56,14 +56,11 @@ func OpenFederatedFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config
 
 func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.Chain, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.NumPools == 0 {
-		return nil, fmt.Errorf("%w: set NumPools > 0", chain.ErrStoreUnsupported)
-	}
 	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))
 	if err != nil {
 		return nil, err
 	}
-	s, err := newMultiSystem(shared, cfg, cfg.Users)
+	s, err := newMultiSystem(shared, cfg, cfg.Users, newPoolBank)
 	if err != nil {
 		w.Close()
 		return nil, err
@@ -83,7 +80,7 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 // parameters into the store header. Opening a store whose fingerprint
 // differs fails with chain.ErrStoreMismatch: resuming under a different
 // seed, pool count, user set, or epoch geometry would re-derive different
-// state and silently diverge. Shard count and pipeline depth are
+// state and silently diverge. NumPools 0 is the one pool it runs. Shard count and pipeline depth are
 // deliberately absent — state is bit-identical across both by
 // construction, so a store written with 4 shards may resume under 16.
 func DeploymentFingerprint(cfg chain.Config) [32]byte {
@@ -94,7 +91,7 @@ func DeploymentFingerprint(cfg chain.Config) [32]byte {
 	// under a different chain identity would replay against the wrong
 	// mainchain account.
 	fmt.Fprintf(h, "chain=%q|seed=%d|pools=%d|rounds=%d|roundDur=%d|metaBytes=%d|committee=%d|miners=%d|viewTimeout=%d|fee=%d|",
-		cfg.ChainID, cfg.Seed, cfg.NumPools, cfg.EpochRounds, cfg.RoundDuration, cfg.MetaBlockBytes,
+		cfg.ChainID, cfg.Seed, max(cfg.NumPools, 1), cfg.EpochRounds, cfg.RoundDuration, cfg.MetaBlockBytes,
 		cfg.CommitteeSize, cfg.MinerPopulation, viewChangeTimeout, amm.GenesisFeePips)
 	fmt.Fprintf(h, "initLiq=%s|dep=%s|gasBudget=%d|model=%#v|mc=%#v|users=",
 		cfg.InitialLiquidity, depositPerUserPerPool, syncPartGas(cfg.Mainchain), agreementModel, cfg.Mainchain)
@@ -199,7 +196,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		// The sync-part log replays through the bank's verification chain.
 		// A corrupt-signed epoch the chain had yet to revert halts the
 		// node as the revert would have.
-		if err := s.uplink.replay(rec.Epochs, rec.Halt != nil); errors.Is(err, chain.ErrSyncReverted) {
+		if err := replaySyncParts(s.Bank(), rec.Epochs, rec.Halt != nil); errors.Is(err, chain.ErrSyncReverted) {
 			reverted = err
 		} else if err != nil {
 			return err
@@ -212,7 +209,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 	// the bank has just confirmed every recovered epoch, so credit them —
 	// a resumed run's report then matches the uninterrupted run's SyncsOK
 	// instead of undercounting.
-	s.SyncsOK = max(int(meta.SyncsOK), int(s.bank.LastSyncedEpoch))
+	s.SyncsOK = max(int(meta.SyncsOK), int(s.LastSyncedEpoch()))
 	s.ViewChanges = int(meta.ViewChanges)
 	s.queuePeak = int(meta.QueuePeak)
 	s.eng.Accepted = int(meta.EngineAccepted)
@@ -241,7 +238,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 			// advances it — has final receipts (synced + pruned); the
 			// confirmation's virtual timestamps died with the crash and
 			// stay zero.
-			if rc.Status == chain.StatusCheckpointed && rc.Epoch <= s.bank.LastSyncedEpoch {
+			if rc.Status == chain.StatusCheckpointed && rc.Epoch <= s.LastSyncedEpoch() {
 				rc.Status = chain.StatusPruned
 			}
 			info.Receipts = append(info.Receipts, rc)
@@ -297,12 +294,12 @@ func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint root table does not end at cursor %d",
 			chain.ErrCorruptStore, cp.Cursor)
 	}
-	if err := s.bank.RestoreState(cp.Bank); err != nil {
+	if err := s.Bank().RestoreState(cp.Bank); err != nil {
 		return fmt.Errorf("%w: checkpoint bank state: %v", chain.ErrCorruptStore, err)
 	}
-	if s.bank.LastSyncedEpoch != cp.Cursor {
+	if s.LastSyncedEpoch() != cp.Cursor {
 		return fmt.Errorf("%w: checkpoint bank synced to epoch %d but cursor claims %d",
-			chain.ErrCorruptStore, s.bank.LastSyncedEpoch, cp.Cursor)
+			chain.ErrCorruptStore, s.LastSyncedEpoch(), cp.Cursor)
 	}
 
 	ck, ok := s.committees[cp.Cursor+1]
@@ -313,7 +310,7 @@ func (s *MultiSystem) restoreCheckpoint(cp *store.Checkpoint) error {
 			return fmt.Errorf("%w: replay epoch %d: %v", chain.ErrElectionFailed, cp.Cursor+1, err)
 		}
 	}
-	key, ok := s.bank.NextGroupKey()
+	key, ok := s.Bank().NextGroupKey()
 	if !ok || !bytes.Equal(key.PK.Bytes(), ck.group.PK.Bytes()) ||
 		key.Threshold != ck.group.Threshold || key.N != ck.group.N {
 		return fmt.Errorf("%w: checkpoint bank key for epoch %d does not match the seed-derived committee",

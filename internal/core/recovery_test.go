@@ -165,7 +165,7 @@ func TestCrashOffsetSweep(t *testing.T) {
 }
 
 // TestOpenEdgeCases covers the Open contract around the happy
-// path: fresh directories, config mismatches, unsupported backends, and
+// path: fresh directories, config mismatches, the unset pool count, and
 // resuming a deployment that already finished its planned epochs.
 func TestOpenEdgeCases(t *testing.T) {
 	cfg := recoveryCfg(5, 4, 2, 2)
@@ -216,10 +216,33 @@ func TestOpenEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("single-pool backend unsupported", func(t *testing.T) {
-		single := chain.Config{Seed: 1}
-		if _, err := Open(t.TempDir(), single); !errors.Is(err, chain.ErrStoreUnsupported) {
-			t.Errorf("err = %v, want ErrStoreUnsupported", err)
+	t.Run("unset pool count opens one pool", func(t *testing.T) {
+		// NumPools 0 runs one pool, and a store written so reopens under
+		// NumPools 1: the fingerprint records the pool count that runs.
+		dir := t.TempDir()
+		unset := cfg
+		unset.NumPools = 0
+		node, err := Open(dir, unset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(node.PoolIDs()); got != 1 {
+			t.Errorf("NumPools 0 opened %d pools, want 1", got)
+		}
+		node.Close()
+		one := cfg
+		one.NumPools = 1
+		node, err = Open(dir, one)
+		if err != nil {
+			t.Fatalf("reopen under NumPools 1: %v", err)
+		}
+		node.Close()
+		// Mass-sync recovery needs the paper's TokenBank; a store runs
+		// MultiBank and keeps refusing it.
+		skip := cfg
+		skip.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
+		if _, err := Open(t.TempDir(), skip); !errors.Is(err, ErrUnsupportedFault) {
+			t.Errorf("Open with SkipSyncEpochs: err = %v, want ErrUnsupportedFault", err)
 		}
 	})
 

@@ -25,15 +25,17 @@ const (
 	syncRetryBudget = 8
 )
 
-// syncUplink is the only code that knows how an epoch's payloads become
-// mainchain sync transactions. It chunks and signs them (chunkPayloads,
-// signSyncParts), names, submits, retries and accounts the parts, and
-// replays logged parts on reopen. Its node sees one callback, epochSynced.
+// syncUplink is the only code that moves an epoch's signed sync
+// transactions to the mainchain. It names, orders, submits, retries and
+// accounts them, and replays a MultiBank node's logged parts on reopen;
+// the bank shapes and signs them (nodeBank.signSync; for MultiBank,
+// chunkPayloads and signSyncParts). Its node sees one callback,
+// epochSynced.
 type syncUplink struct {
 	node uplinkNode
 	sim  *sim.Simulator
 	mc   *mainchain.Chain
-	bank *mainchain.MultiBank
+	bank uplinkBank
 	bus  *chain.Bus
 	col  *metrics.Collector
 	tr   *trace.Tracer
@@ -43,21 +45,29 @@ type syncUplink struct {
 	idPrefix, from, src string
 	// net is the SyncFaults link (nil = parts go to the chain directly).
 	net *netsim.Network
-	// prev are the previous epoch's part IDs, the next parts' DependsOn.
+	// prev are the previous sync's part IDs, the next parts' DependsOn.
 	prev []string
 }
 
 // uplinkNode is the node side of the uplink: the watchdog goes quiet on
 // a Halted node, a reverted or unreachable part goes to fail, and
-// epochSynced gets the EventSyncConfirmed of an epoch whose last part
-// confirmed (the epoch's parts, bytes and gas summed).
+// epochSynced gets the EventSyncConfirmed of a sync whose last part
+// confirmed (its parts, bytes and gas summed) with the first epoch the
+// sync carries.
 type uplinkNode interface {
 	Halted() bool
 	fail(err error)
-	epochSynced(ev chain.Event)
+	epochSynced(ev chain.Event, first uint64)
 }
 
-func newSyncUplink(node uplinkNode, sm *sim.Simulator, mc *mainchain.Chain, bank *mainchain.MultiBank,
+// uplinkBank is what the uplink reads of the bank: the account its parts
+// go to and the part counters each confirmation reports.
+type uplinkBank interface {
+	Name() string
+	SyncStats() mainchain.SyncStats
+}
+
+func newSyncUplink(node uplinkNode, sm *sim.Simulator, mc *mainchain.Chain, bank uplinkBank,
 	chainID string, faults *netsim.FaultSchedule, bus *chain.Bus, col *metrics.Collector, tr *trace.Tracer) *syncUplink {
 	u := &syncUplink{node: node, sim: sm, mc: mc, bank: bank, bus: bus, col: col, tr: tr,
 		from: "sc-committee", src: "sc-node"}
@@ -97,16 +107,28 @@ func (u *syncUplink) resume(boundary uint64, numParts int) {
 	u.prev = u.partIDs(boundary, numParts)
 }
 
-// submit hands epoch e's signed parts to the mainchain. A part verifies
-// against the key the PREVIOUS epoch registers once ALL its parts land,
-// so every part depends on all of them; otherwise a block could pack
-// this epoch's parts first and revert them with an unknown-key error.
-func (u *syncUplink) submit(e uint64, parts []*mainchain.MultiSyncArgs) {
+// partTxs wraps each sync part in the transaction that carries its
+// calldata and declares its gas.
+func partTxs(parts []*mainchain.MultiSyncArgs) []*mainchain.Tx {
+	txs := make([]*mainchain.Tx, len(parts))
+	for i, args := range parts {
+		gas := args.Gas()
+		txs[i] = &mainchain.Tx{Method: "sync", Size: 32 + gas.Calldata(), Args: args, GasLimit: gas.Declared()}
+	}
+	return txs
+}
+
+// submit hands the signed transactions of the sync that epoch e closes,
+// carrying epochs first..e, to the mainchain. A part verifies against
+// the key the PREVIOUS sync registers once ALL its parts land, so every
+// part depends on all of them; otherwise a block could pack this sync's
+// parts first and revert them with an unknown-key error.
+func (u *syncUplink) submit(first, e uint64, txs []*mainchain.Tx) {
 	submitted := u.sim.Now()
 	// wallStart anchors the wall-clock sync-submit and sync-confirm spans;
 	// the collector's "sync" latency is the virtual one.
 	wallStart := u.tr.Since()
-	done := chain.Event{Type: chain.EventSyncConfirmed, Epoch: e, Parts: len(parts)}
+	done := chain.Event{Type: chain.EventSyncConfirmed, Epoch: e, Parts: len(txs)}
 	confirmed := 0
 	// One confirmation callback serves every part of the epoch.
 	confirm := func(tx *mainchain.Tx) {
@@ -126,16 +148,12 @@ func (u *syncUplink) submit(e uint64, parts []*mainchain.MultiSyncArgs) {
 			Bytes: done.Bytes, Gas: done.Gas,
 		})
 		done.At, done.SyncParts = tx.ConfirmedAt, u.bank.SyncStats()
-		u.node.epochSynced(done)
+		u.node.epochSynced(done, first)
 	}
-	ids := u.partIDs(e, len(parts))
-	for i, args := range parts {
-		gas := args.Gas()
-		tx := &mainchain.Tx{
-			ID: ids[i], From: u.from, To: u.bank.Name(), Method: "sync",
-			Size: 32 + gas.Calldata(), Args: args, GasLimit: gas.Declared(), DependsOn: u.prev,
-			OnConfirmed: confirm,
-		}
+	ids := u.partIDs(e, len(txs))
+	for i, tx := range txs {
+		tx.ID, tx.From, tx.To = ids[i], u.from, u.bank.Name()
+		tx.DependsOn, tx.OnConfirmed = u.prev, confirm
 		done.Bytes += tx.Size
 		u.send(tx, e, i+1, 1)
 	}
@@ -179,7 +197,7 @@ func (u *syncUplink) send(tx *mainchain.Tx, e uint64, part, attempt int) {
 	})
 }
 
-// replay re-applies reopened epochs' logged parts, in order, through the
+// replaySyncParts re-applies reopened epochs' logged parts, in order, through the
 // bank's verification chain: it authenticates the log and leaves the bank
 // where the live run's confirmations did. A part whose signature fails,
 // in an epoch past the bank's confirmed horizon, is a corrupt-signed
@@ -187,15 +205,15 @@ func (u *syncUplink) send(tx *mainchain.Tx, e uint64, part, attempt int) {
 // and returns the ErrSyncReverted the live node halts with. A halted
 // node's log may end in such a part (the fault that halted it); replay
 // stops there silently. Any other failure is ErrCorruptStore.
-func (u *syncUplink) replay(epochs []*store.EpochRecord, halted bool) error {
+func replaySyncParts(bank *mainchain.MultiBank, epochs []*store.EpochRecord, halted bool) error {
 	for _, er := range epochs {
 		for _, part := range er.Parts {
-			err := u.bank.ReplaySync(part)
+			err := bank.ReplaySync(part)
 			switch {
 			case err == nil:
 			case halted:
 				return nil
-			case errors.Is(err, mainchain.ErrBadSyncSignature) && er.Epoch > u.bank.LastSyncedEpoch:
+			case errors.Is(err, mainchain.ErrBadSyncSignature) && er.Epoch > bank.LastSyncedEpoch:
 				return fmt.Errorf("%w: epoch %d: %v", chain.ErrSyncReverted, er.Epoch, err)
 			default:
 				return fmt.Errorf("%w: sync replay epoch %d part %d: %v",

@@ -38,6 +38,7 @@ package tsig
 import (
 	"crypto/elliptic"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -215,8 +216,14 @@ type GroupKey struct {
 	N         int
 }
 
-// Bytes serializes the group key point.
-func (g GroupKey) Bytes() []byte { return g.PK.Bytes() }
+// Bytes serializes the whole key: the point, then the threshold and the
+// committee size as big-endian uint64s. A copy of it under a signature
+// binds the key's geometry as well as its point.
+func (g GroupKey) Bytes() []byte {
+	b := g.PK.Bytes()
+	b = binary.BigEndian.AppendUint64(b, uint64(g.Threshold))
+	return binary.BigEndian.AppendUint64(b, uint64(g.N))
+}
 
 // DKGResult is one participant's view after the joint DKG.
 type DKGResult struct {

@@ -282,7 +282,7 @@ func RunTable11(o Options) (*Table11Result, error) {
 	return res, nil
 }
 
-func maxSummaryBytes(sys *core.System) int {
+func maxSummaryBytes(sys *core.MultiSystem) int {
 	max := 0
 	for _, sb := range sys.SidechainLedger().Summaries() {
 		if sb.SizeBytes > max {

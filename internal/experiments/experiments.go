@@ -39,13 +39,16 @@ func (o Options) withDefaults() Options {
 }
 
 // paperSystemConfig is the paper's default deployment: 30 rounds of 7 s
-// per epoch, 1 MB meta-blocks, a 500-member committee.
+// per epoch, 1 MB meta-blocks, a 500-member committee, and a pipeline
+// window of one, so each epoch's Sync is submitted at the epoch's end as
+// in the paper rather than one epoch later.
 func paperSystemConfig(o Options) chain.Config {
 	return chain.Config{
 		Seed:          o.Seed,
 		EpochRounds:   30,
 		RoundDuration: 7 * time.Second,
 		CommitteeSize: o.CommitteeSize,
+		PipelineDepth: 1,
 	}.WithDefaults()
 }
 
@@ -58,10 +61,9 @@ func paperDriverConfig(o Options, dailyVolume int) core.DriverConfig {
 }
 
 // runAmmBoost executes a full ammBoost deployment through the unified
-// chain.Chain API and validates the cross-layer invariants. The concrete
-// *core.System is returned for the few experiments that inspect the
-// sidechain ledger directly.
-func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.System, *chain.Report, error) {
+// chain.Chain API and validates the cross-layer invariants. The node is
+// returned for the few experiments that inspect its sidechain ledger.
+func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.MultiSystem, *chain.Report, error) {
 	node, _, err := core.NewDriver(sysCfg, drvCfg)
 	if err != nil {
 		return nil, nil, err
@@ -73,7 +75,7 @@ func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.System, *
 	if err := node.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("experiments: invariant violation: %w", err)
 	}
-	return node.(*core.System), rep, nil
+	return node.(*core.MultiSystem), rep, nil
 }
 
 // table renders an aligned text table.

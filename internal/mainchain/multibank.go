@@ -1,6 +1,7 @@
 package mainchain
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,8 +49,8 @@ type PoolReserves struct {
 // and records each epoch's folded summary root over every registered pool
 // so any pool's end state can be proven against a single on-chain
 // commitment.
-// Token custody is modeled at the accounting level only (the single-pool
-// TokenBank already reproduces the paper's ERC20 transfer flows).
+// Token custody is modeled at the accounting level only (TokenBank
+// reproduces the paper's ERC20 transfer flows).
 type MultiBank struct {
 	// Reserves[poolID] mirrors the canonical pool balances.
 	Reserves map[string]PoolReserves
@@ -171,7 +172,7 @@ func (a *MultiSyncArgs) partDigest(payloadDigests [][32]byte) [32]byte {
 	for _, d := range payloadDigests {
 		acc = append(acc, d[:]...)
 	}
-	return sha256Digest(acc)
+	return sha256.Sum256(acc)
 }
 
 // syncEpochTag separates the epoch digest from every other digest a
@@ -192,7 +193,7 @@ func (a *MultiSyncArgs) epochDigest(partsRoot [32]byte) [32]byte {
 	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NextKey.Threshold))
 	acc = binary.BigEndian.AppendUint64(acc, uint64(a.NextKey.N))
 	acc = append(acc, partsRoot[:]...)
-	return sha256Digest(acc)
+	return sha256.Sum256(acc)
 }
 
 // SignedDigest is the digest a's Sig must verify against. For a part
@@ -469,10 +470,4 @@ func (b *MultiBank) applyPoolPayload(p *summary.SyncPayload) {
 		positions[e.ID] = e
 	}
 	b.Reserves[p.PoolID] = PoolReserves{Reserve0: p.PoolReserve0, Reserve1: p.PoolReserve1}
-}
-
-func sha256Digest(data []byte) [32]byte {
-	var out [32]byte
-	copy(out[:], sha256HashPool(data))
-	return out
 }

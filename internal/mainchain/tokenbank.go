@@ -2,6 +2,7 @@ package mainchain
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -92,6 +93,11 @@ type SyncArgs struct {
 	Sig      tsig.Point
 	NextKey  tsig.GroupKey
 }
+
+// SignedDigest is the digest Sig must verify against: the payload's own
+// digest for a single epoch, and the digest over every payload's digest,
+// in order, for a mass-sync.
+func (a *SyncArgs) SignedDigest() [32]byte { return combinedDigest(a.Payloads) }
 
 // FlashArgs requests a flash loan served by the callback within the same
 // transaction.
@@ -207,7 +213,7 @@ func (b *TokenBank) sync(env *Env, a *SyncArgs) error {
 	}
 	// TSQC verification: hash-to-point over the summaries plus the
 	// pairing check, charged at the BN256 precompile prices.
-	digest := combinedDigest(a.Payloads)
+	digest := a.SignedDigest()
 	sumBytes := 0
 	for _, p := range a.Payloads {
 		sumBytes += p.MainchainBytes()
@@ -219,8 +225,9 @@ func (b *TokenBank) sync(env *Env, a *SyncArgs) error {
 		return ErrBadSyncSignature
 	}
 	// NextKey rides outside the signature; the last payload's NextGroupKey
-	// is the signed copy of the key it registers.
-	if last := a.Payloads[len(a.Payloads)-1]; !bytes.Equal(a.NextKey.PK.Bytes(), last.NextGroupKey) {
+	// is the signed copy of the whole key it registers (point, threshold
+	// and committee size, tsig.GroupKey.Bytes).
+	if last := a.Payloads[len(a.Payloads)-1]; !bytes.Equal(a.NextKey.Bytes(), last.NextGroupKey) {
 		return fmt.Errorf("%w: epoch %d", ErrNextKeyMismatch, a.Epoch+uint64(len(a.Payloads)))
 	}
 	for _, p := range a.Payloads {
@@ -297,14 +304,7 @@ func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
 		d := p.Digest()
 		acc = append(acc, d[:]...)
 	}
-	return summaryDigest(acc)
-}
-
-func summaryDigest(b []byte) [32]byte {
-	var out [32]byte
-	h := sha256HashPool(b)
-	copy(out[:], h)
-	return out
+	return sha256.Sum256(acc)
 }
 
 func (b *TokenBank) flash(env *Env, a FlashArgs) error {

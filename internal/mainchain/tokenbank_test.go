@@ -128,7 +128,7 @@ func validPayload(epoch uint64) *summary.SyncPayload {
 // fixture committee's key that the test syncs register.
 func (f *bankFixture) payload(epoch uint64) *summary.SyncPayload {
 	p := validPayload(epoch)
-	p.NextGroupKey = f.members[0].Group.PK.Bytes()
+	p.NextGroupKey = f.members[0].Group.Bytes()
 	return p
 }
 
@@ -260,6 +260,36 @@ func TestSyncRejectsUnsignedNextKey(t *testing.T) {
 	}
 }
 
+// TestSyncRejectsUnsignedKeyGeometry: the signed payload's next key
+// carries the point, the threshold and the committee size, so a Sync that
+// registers the right point under a different threshold or committee size
+// is refused with ErrNextKeyMismatch and registers nothing.
+func TestSyncRejectsUnsignedKeyGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*tsig.GroupKey)
+	}{
+		{"threshold", func(k *tsig.GroupKey) { k.Threshold = 1 }},
+		{"size", func(k *tsig.GroupKey) { k.N = 100 }},
+	} {
+		f := newBankFixture(t)
+		p := f.payload(1)
+		next := f.members[0].Group
+		tc.edit(&next)
+		tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
+			Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
+				Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: next}}
+		f.submitAndRun(t, tx, 20*time.Second)
+		f.chain.Stop()
+		if tx.Status != TxFailed || !errors.Is(tx.Err, ErrNextKeyMismatch) {
+			t.Fatalf("%s swapped: status=%v err=%v, want ErrNextKeyMismatch", tc.name, tx.Status, tx.Err)
+		}
+		if _, ok := f.bank.GroupKeyFor(2); ok {
+			t.Errorf("%s swapped: a key was registered for epoch 2", tc.name)
+		}
+	}
+}
+
 func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 	f := newBankFixture(t)
 	dep := &Tx{ID: "d1", From: "alice", To: BankAddress, Method: "deposit",
@@ -274,7 +304,7 @@ func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 		PoolReserve0: u256.FromUint64(50)}
 	p2 := &summary.SyncPayload{Epoch: 2,
 		Payouts:      []summary.PayoutEntry{{User: "bob", Amount0: u256.FromUint64(380)}},
-		PoolReserve0: u256.FromUint64(70), NextGroupKey: f.members[0].Group.PK.Bytes()}
+		PoolReserve0: u256.FromUint64(70), NextGroupKey: f.members[0].Group.Bytes()}
 	p1.SortEntries()
 	p2.SortEntries()
 	payloads := []*summary.SyncPayload{p1, p2}

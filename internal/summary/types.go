@@ -128,7 +128,7 @@ type PositionEntry struct {
 type SyncPayload struct {
 	Epoch uint64
 	// PoolID identifies the pool this payload summarizes in multi-pool
-	// deployments; empty for the single-pool system.
+	// deployments.
 	PoolID       string
 	Payouts      []PayoutEntry
 	Positions    []PositionEntry
