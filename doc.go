@@ -5,12 +5,16 @@
 // Clients program against the unified node API in internal/chain: a single
 // chain.Chain interface with receipt-returning submission, typed
 // lifecycle errors out of Run, and subscribable epoch lifecycle events.
-// Every node runs one lifecycle, the sharded core.MultiSystem; its
-// constructor picks the mainchain bank behind it. cmd/ammnode, Open and
-// most examples run MultiBank; core.NewDriver — the paper's experiments
-// and the tradingday, rollupcompare and failover examples — runs one pool
-// against the paper's TokenBank, with its on-chain deposit flow and
-// mass-sync recovery after a skipped or reorged Sync.
+// Every node runs one lifecycle, the sharded core.MultiSystem, and every
+// epoch syncs through one verification path: MultiBank's signed sync
+// parts. The constructor picks the deposit source. cmd/ammnode, Open and
+// most examples fund trades from MultiBank's accounting; core.NewDriver —
+// the paper's experiments and the tradingday, rollupcompare and failover
+// examples — runs one pool against the paper's TokenBank, which embeds
+// the MultiBank and adds the ERC20 custody and on-chain deposit flow. A
+// storeless node of either kind recovers a skipped or reorged Sync by
+// mass-sync: the lost epoch's signed parts are held and go out just
+// before the next epoch's.
 //
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer

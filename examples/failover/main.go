@@ -6,11 +6,11 @@
 //
 // Part 2 runs the full system with a committee that skips its epoch Sync
 // and a mainchain rollback that loses another, showing both recovered by
-// the next committee's mass-sync — with every user still paid out and the
+// a mass-sync: the lost epoch's signed Sync is held and goes out just
+// before the next epoch's — with every user still paid out and the
 // cross-layer invariants intact. Part 2 runs NewDriver's node, whose bank
-// is the paper's TokenBank: its key chain accepts the mass-sync's jump.
-// It exits non-zero unless both lost Syncs were recovered (two
-// mass-syncs, the bank synced through epoch 6).
+// is the paper's TokenBank. It exits non-zero unless both lost Syncs were
+// recovered (two mass-syncs, the bank synced through epoch 6).
 package main
 
 import (
@@ -121,7 +121,7 @@ func part2MassSync() {
 	fmt.Printf("   epoch 2 sync skipped (malicious leader at epoch end)\n")
 	fmt.Printf("   epoch 3 round 5 leader silent → view change (total: %d)\n", rep.ViewChanges)
 	fmt.Printf("   epoch 4 sync lost to mainchain rollback\n")
-	fmt.Printf("   recovery: %d mass-syncs; TokenBank caught up to epoch %d\n",
+	fmt.Printf("   recovery: %d mass-syncs; bank synced through epoch %d\n",
 		rep.MassSyncs, node.LastSyncedEpoch())
 	if rep.MassSyncs != 2 || node.LastSyncedEpoch() != 6 {
 		log.Fatalf("recovery incomplete: %d mass-syncs, synced through epoch %d; want 2 and 6",

@@ -16,7 +16,6 @@ var (
 	ErrNotPositionOwner = errors.New("amm: caller does not own position")
 	ErrInsufficientLiq  = errors.New("amm: position has insufficient liquidity")
 	ErrTickNotSpaced    = errors.New("amm: tick not aligned to spacing")
-	ErrFlashNotRepaid   = errors.New("amm: flash loan not repaid with fee")
 )
 
 // TickInfo tracks liquidity referencing a tick and the fee growth observed
@@ -767,34 +766,4 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 		p.Reserve0 = u256.Sub(p.Reserve0, res.AmountOut)
 	}
 	return res, nil
-}
-
-// FlashFn receives the loaned amounts and returns the amounts repaid. The
-// pool verifies repayment covers principal plus fee.
-type FlashFn func(amount0, amount1 u256.Int) (repay0, repay1 u256.Int)
-
-// Flash lends (amount0, amount1) for the duration of the callback; the
-// callback must repay principal plus the pool fee or the whole operation is
-// reverted (no state change).
-func (p *Pool) Flash(amount0, amount1 u256.Int, fn FlashFn) error {
-	if amount0.Gt(p.Reserve0) || amount1.Gt(p.Reserve1) {
-		return ErrAmountTooLarge
-	}
-	fee0, _ := u256.MulDivRoundingUp(amount0, u256.FromUint64(uint64(p.FeePips)), u256.FromUint64(feeDenominator))
-	fee1, _ := u256.MulDivRoundingUp(amount1, u256.FromUint64(uint64(p.FeePips)), u256.FromUint64(feeDenominator))
-	repay0, repay1 := fn(amount0, amount1)
-	if repay0.Lt(u256.Add(amount0, fee0)) || repay1.Lt(u256.Add(amount1, fee1)) {
-		return ErrFlashNotRepaid
-	}
-	p.markHeader()
-	p.Reserve0 = u256.Add(u256.Sub(p.Reserve0, amount0), repay0)
-	p.Reserve1 = u256.Add(u256.Sub(p.Reserve1, amount1), repay1)
-	// Flash fees accrue to in-range liquidity like swap fees.
-	if !p.Liquidity.IsZero() {
-		g0, _ := u256.MulDiv(u256.Sub(repay0, amount0), u256.Q128, p.Liquidity)
-		g1, _ := u256.MulDiv(u256.Sub(repay1, amount1), u256.Q128, p.Liquidity)
-		p.FeeGrowthGlobal0X128 = u256.Add(p.FeeGrowthGlobal0X128, g0)
-		p.FeeGrowthGlobal1X128 = u256.Add(p.FeeGrowthGlobal1X128, g1)
-	}
-	return nil
 }

@@ -214,7 +214,7 @@ func TestEventTypeMask(t *testing.T) {
 // of the surviving events, so the gap is visible instead of silent.
 func TestBusSlowSubscriberLags(t *testing.T) {
 	b := NewBus()
-	b.SetBufferLimit(8)
+	b.limit = 8
 	slow := b.Subscribe(MaskMetaBlock)
 	fast := b.Subscribe(MaskMetaBlock)
 	fastDrops := make(chan int, 1)

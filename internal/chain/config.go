@@ -32,23 +32,22 @@ const (
 
 // FaultPlan schedules the interruptions the paper's recovery mechanisms
 // handle, plus the unrecoverable faults the typed-error path surfaces.
-// Bank support: SilentLeaderRounds and CorruptSyncEpochs work on every
+// Node support: SilentLeaderRounds and CorruptSyncEpochs work on every
 // node; SkipSyncEpochs and ReorgSyncEpochs (the mass-sync recovery chain)
-// need the paper's TokenBank (core.NewDriver) — a MultiBank node rejects
-// them with a typed error rather than silently ignoring them.
+// work on every node without a store — a node with a store rejects them
+// with a typed error rather than silently ignoring them.
 type FaultPlan struct {
 	// SilentLeaderRounds marks (epoch, round) pairs whose leader stays
 	// silent: the committee times out, changes view, and the next leader
 	// re-proposes.
 	SilentLeaderRounds map[[2]uint64]bool
 	// SkipSyncEpochs marks epochs whose committee fails to issue the
-	// Sync call (malicious leader at epoch end); the next committee
-	// mass-syncs. A skip at or after the final planned epoch syncs
-	// normally. TokenBank nodes only.
+	// Sync call (malicious leader at epoch end): the epoch's signed Sync
+	// is held and goes out just before the next epoch's (a mass-sync). A
+	// skip at or after the final planned epoch syncs normally.
 	SkipSyncEpochs map[uint64]bool
 	// ReorgSyncEpochs marks epochs whose Sync lands in a mainchain block
 	// that is rolled back; recovery is the same mass-sync path.
-	// TokenBank nodes only.
 	ReorgSyncEpochs map[uint64]bool
 	// CorruptSyncEpochs marks epochs whose committee signs a corrupted
 	// digest: the bank's TSQC verification fails, the Sync reverts
@@ -88,8 +87,8 @@ func (f FaultPlan) StormLength(epoch, round uint64) int {
 // Config parameterizes a deployment. Zero values take the paper's
 // defaults (WithDefaults). The constructor picks the bank, not the
 // config: core.NewMultiSystem and core.Open run MultiBank over NumPools
-// pools (zero means one), and core.NewDriver runs the paper's TokenBank
-// on one pool.
+// pools (zero means one), and core.NewDriver runs the paper's TokenBank,
+// which embeds a MultiBank, on one pool.
 type Config struct {
 	Seed int64
 	// ChainID names this sidechain inside a federation (empty for the
@@ -297,10 +296,10 @@ type Report struct {
 	ViewChanges int
 	Rejected    int
 	QueuePeak   int
-	// SyncParts counts MultiBank's sync-part executions behind SyncsOK
-	// (zero on a TokenBank node, which takes whole Syncs): attempted vs
-	// applied (equal unless parts were rejected — blocks pack a part by
-	// its declared gas, so it executes once) and the TSQC checks computed.
+	// SyncParts counts MultiBank's sync-part executions behind SyncsOK:
+	// attempted vs applied (equal unless parts were rejected — blocks pack
+	// a part by its declared gas, so it executes once) and the TSQC checks
+	// computed.
 	SyncParts mainchain.SyncStats
 
 	// Ingest front-end telemetry: admission outcomes across the run

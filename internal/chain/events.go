@@ -117,14 +117,12 @@ type Event struct {
 	Dropped int
 	Root    [32]byte
 	Err     error
-	// SyncParts is the multi-pool bank's cumulative sync-part execution
-	// counters as of this confirmation (EventSyncConfirmed, multi-pool
-	// backend only).
+	// SyncParts is the bank's cumulative sync-part execution counters as
+	// of this confirmation (EventSyncConfirmed).
 	SyncParts mainchain.SyncStats
 }
 
-// DefaultEventBuffer is the per-subscriber buffered-event bound applied
-// when the bus's limit is unset.
+// DefaultEventBuffer is the per-subscriber buffered-event bound.
 const DefaultEventBuffer = 4096
 
 // Bus fans lifecycle events out to subscribers. Publishing happens on
@@ -148,18 +146,6 @@ type Bus struct {
 
 // NewBus creates an empty bus with the default per-subscriber buffer.
 func NewBus() *Bus { return &Bus{limit: DefaultEventBuffer} }
-
-// SetBufferLimit bounds the number of undelivered events buffered per
-// subscriber (n < 1 restores the default). Applies to subsequent
-// Subscribe calls.
-func (b *Bus) SetBufferLimit(n int) {
-	if n < 1 {
-		n = DefaultEventBuffer
-	}
-	b.mu.Lock()
-	b.limit = n
-	b.mu.Unlock()
-}
 
 // Dropped returns the total events dropped across all subscribers, the
 // quantity the node surfaces through metrics.Collector.

@@ -12,18 +12,15 @@ import (
 	"ammboost/internal/engine"
 	"ammboost/internal/mainchain"
 	"ammboost/internal/summary"
-	"ammboost/internal/trace"
 	"ammboost/internal/u256"
 )
 
-// nodeBank is where the lifecycle meets the mainchain contract its epochs
-// sync to. Two banks sit behind it, chosen by the constructor: poolBank
-// (MultiBank; NewMultiSystem, NewMultiDriver, Open, Bootstrap and the
-// federation) and paperBank (the paper's TokenBank; NewDriver). They
-// differ in three places, and the seam carries exactly those — where an
-// epoch's deposits come from, the shape of an epoch's Sync, and the
-// parity checks Validate runs — plus the reads the node API answers from
-// the bank.
+// nodeBank is where an epoch's deposits come from, and the parity checks
+// Validate runs. Two sit behind it, chosen by the constructor: poolBank
+// (NewMultiSystem, NewMultiDriver, Open, Bootstrap and the federation)
+// and paperBank (the paper's TokenBank and ERC20 pair; NewDriver). Every
+// node syncs the same way, through its MultiBank (MultiSystem.mb), which
+// the TokenBank embeds.
 type nodeBank interface {
 	// beginEpoch opens epoch e on the engine with the deposits the bank
 	// holds for it.
@@ -33,36 +30,17 @@ type nodeBank interface {
 	fundRound(e uint64, batch []queuedTx)
 	// submitDeposit is chain.Chain.SubmitDeposit past its up-front checks.
 	submitDeposit(user string, epoch uint64, amount0, amount1 u256.Int) (*chain.Receipt, error)
-
-	// nextGroupKey is the signed copy of the next committee key that each
-	// of an epoch's payloads carries.
-	nextGroupKey(k tsig.GroupKey) []byte
-	// signSync builds and signs the transactions that sync job's epoch
-	// (after job.stash, the payloads of skipped epochs) to the bank. It
-	// runs on the commit-stage worker and reads nothing but its arguments.
-	// The uplink sets each transaction's ID, sender, recipient and order.
-	signSync(job *commitJob, res *engine.EpochResult) ([]*mainchain.Tx, error)
-
 	// validate checks the bank's state against the engine's pools.
 	validate() error
-
-	Name() string
-	SyncStats() mainchain.SyncStats
-	lastSyncedEpoch() uint64
-	positions() []summary.PositionEntry
 }
 
 // depositPerUserPerPool funds a (user, pool) pair the first time the user
 // trades on that pool in an epoch (2^40 per token).
 var depositPerUserPerPool = u256.FromUint64(1 << 40)
 
-// poolBank is MultiBank behind the seam: a (user, pool) pair is funded on
-// its first trade of an epoch, and an epoch syncs as gas-bounded parts
-// under one signature. MultiBank cannot register a key more than one
-// epoch ahead, so a poolBank node refuses the skip and reorg faults whose
-// recovery is a mass-sync.
+// poolBank is MultiBank's accounting-level deposit source: a (user, pool)
+// pair is funded on its first trade of an epoch.
 type poolBank struct {
-	*mainchain.MultiBank
 	s *MultiSystem
 
 	// funded[poolID][user] marks (user, pool) pairs deposited this epoch.
@@ -85,17 +63,13 @@ type pendingDeposit struct {
 
 // newPoolBank deploys a MultiBank over the engine's pools with the
 // epoch-1 committee key.
-func newPoolBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, error) {
-	if len(s.cfg.Faults.SkipSyncEpochs) > 0 || len(s.cfg.Faults.ReorgSyncEpochs) > 0 {
-		return nil, fmt.Errorf("%w: SkipSyncEpochs/ReorgSyncEpochs (mass-sync recovery) need the paper's TokenBank (NewDriver)",
-			ErrUnsupportedFault)
-	}
+func newPoolBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, *mainchain.MultiBank, error) {
 	mb := mainchain.NewMultiBank(s.eng.PoolIDs(), genesis).
 		WithAddress(mainchain.BankAddressFor(s.cfg.ChainID))
 	seedBank(mb, s.eng)
 	mb.Retain = s.cfg.RetainEpochs
 	s.mc.Deploy(mb)
-	return &poolBank{MultiBank: mb, s: s}, nil
+	return &poolBank{s: s}, mb, nil
 }
 
 // seedBank registers every pool's deployment state with the bank: the
@@ -199,32 +173,21 @@ func (b *poolBank) submitDeposit(user string, epoch uint64, amount0, amount1 u25
 	return rc, nil
 }
 
-// nextGroupKey is the key's point: MultiBank binds the whole key under the
-// epoch digest instead (mainchain.BindSyncParts).
-func (b *poolBank) nextGroupKey(k tsig.GroupKey) []byte { return k.PK.Bytes() }
+// validate checks every registered pool: the bank's stored reserves
+// match the engine's canonical pool state, and the stored position lists
+// mirror the pools' live positions.
+func (b *poolBank) validate() error { return checkParity(b.s.eng, b.s.mb) }
 
-// signSync chunks and signs the epoch's on-chain payloads (signSyncParts)
-// and wraps each part in the transaction that declares its gas.
-func (b *poolBank) signSync(job *commitJob, res *engine.EpochResult) ([]*mainchain.Tx, error) {
-	parts, err := signSyncParts(job.epoch, res, job.ck, job.nextKey, job.corrupt, job.gasBudget, job.tr)
-	if err != nil {
-		return nil, err
-	}
-	return partTxs(parts), nil
-}
-
-// validate checks every registered pool: the bank's stored reserves match
-// the engine's canonical pool state, and the stored position lists mirror
-// the pools' live positions.
-func (b *poolBank) validate() error {
-	for _, pid := range b.s.eng.PoolIDs() {
-		pool := b.s.eng.Pool(pid)
-		res := b.Reserves[pid]
+// checkParity is the reserve and position parity check every node runs.
+func checkParity(eng *engine.Engine, mb *mainchain.MultiBank) error {
+	for _, pid := range eng.PoolIDs() {
+		pool := eng.Pool(pid)
+		res := mb.Reserves[pid]
 		if !res.Reserve0.Eq(pool.Reserve0) || !res.Reserve1.Eq(pool.Reserve1) {
 			return fmt.Errorf("%w: pool %s bank reserves %s/%s, engine %s/%s", ErrMultiParity,
 				pid, res.Reserve0, res.Reserve1, pool.Reserve0, pool.Reserve1)
 		}
-		if err := checkPositions(pid, pool, b.Positions[pid]); err != nil {
+		if err := checkPositions(pid, pool, mb.Positions[pid]); err != nil {
 			return err
 		}
 	}
@@ -252,18 +215,6 @@ func checkPositions(pid string, pool *amm.Pool, stored map[string]summary.Positi
 	return nil
 }
 
-func (b *poolBank) lastSyncedEpoch() uint64 { return b.LastSyncedEpoch }
-
-// positions lists the stored positions across every pool, ordered by
-// (pool, position ID).
-func (b *poolBank) positions() []summary.PositionEntry {
-	var out []summary.PositionEntry
-	for _, pid := range b.s.eng.PoolIDs() {
-		out = append(out, sortedPositions(b.Positions[pid])...)
-	}
-	return out
-}
-
 // sortedPositions lists stored positions in ID order.
 func sortedPositions(stored map[string]summary.PositionEntry) []summary.PositionEntry {
 	ids := make([]string, 0, len(stored))
@@ -280,11 +231,8 @@ func sortedPositions(stored map[string]summary.PositionEntry) []summary.Position
 
 // paperBank is the paper's TokenBank behind the seam, on a one-pool node:
 // users deposit on the mainchain (approve and deposit legs) for an epoch,
-// the epoch opens with the deposits the bank holds for it and credits
-// later confirmations as deltas, and an epoch syncs as one TSQC-signed
-// Sync — several epochs in one after a skipped or reorged Sync, signed by
-// the earliest stashed epoch's committee, which TokenBank's key chain
-// accepts.
+// and the epoch opens with the deposits the bank holds for it and credits
+// later confirmations as deltas.
 type paperBank struct {
 	s      *MultiSystem
 	pid    string
@@ -304,7 +252,7 @@ var paperUserGrant = u256.FromUint64(1000 * 2_000_000_000)
 // newPaperBank deploys the ERC20 pair and TokenBank with the epoch-1
 // committee key, hands the bank the genesis pool's reserves and position,
 // and funds every user.
-func newPaperBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, error) {
+func newPaperBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, *mainchain.MultiBank, error) {
 	b := &paperBank{
 		s:        s,
 		pid:      s.eng.PoolIDs()[0],
@@ -314,32 +262,28 @@ func newPaperBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, error) {
 	}
 	s.mc.Deploy(b.token0)
 	s.mc.Deploy(b.token1)
-	b.tb = mainchain.NewTokenBank(b.token0, b.token1, genesis)
+	b.tb = mainchain.NewTokenBank(b.token0, b.token1, b.pid, genesis)
 	s.mc.Deploy(b.tb)
 	pool := s.eng.Pool(b.pid)
 	if err := b.token0.Ledger.Mint("genesis", mainchain.BankAddress, pool.Reserve0); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := b.token1.Ledger.Mint("genesis", mainchain.BankAddress, pool.Reserve1); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b.tb.PoolReserve0 = pool.Reserve0
-	b.tb.PoolReserve1 = pool.Reserve1
-	for _, pos := range pool.Positions() {
-		b.tb.Positions[pos.ID] = positionEntry(pos)
-	}
+	seedBank(b.tb.MultiBank, s.eng)
 	if err := s.mc.Call(mainchain.BankAddress, "createPool", mainchain.CreatePoolArgs{FeePips: amm.GenesisFeePips}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, u := range s.users {
 		if err := b.token0.Ledger.Mint("genesis", u, paperUserGrant); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := b.token1.Ledger.Mint("genesis", u, paperUserGrant); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return b, nil
+	return b, b.tb.MultiBank, nil
 }
 
 // genesisDeposit seeds a user's epoch-1 deposit before the chain produces
@@ -441,64 +385,18 @@ func (b *paperBank) submitDeposit(user string, epoch uint64, amount0, amount1 u2
 	return rc, nil
 }
 
-// nextGroupKey is the whole key, so TokenBank checks the registered key's
-// threshold and committee size against the signed payload as well as its
-// point.
-func (b *paperBank) nextGroupKey(k tsig.GroupKey) []byte { return k.Bytes() }
-
-// signSync signs one Sync over the stashed payloads and the epoch's own.
-// Its Epoch names the signing committee, the earliest epoch it carries;
-// NextKey registers at Epoch + len(Payloads), which is job.epoch+1.
-func (b *paperBank) signSync(job *commitJob, res *engine.EpochResult) ([]*mainchain.Tx, error) {
-	sp := job.tr.Start(trace.StageSign, job.epoch)
-	sp.Txs = 1
-	defer sp.End()
-	payloads := append(job.stash[:len(job.stash):len(job.stash)], res.Payloads...)
-	args := &mainchain.SyncArgs{Epoch: payloads[0].Epoch, Payloads: payloads, NextKey: job.nextKey}
-	digest := args.SignedDigest()
-	if job.corrupt {
-		// Equivocating committee: the signed digest is corrupted, so
-		// TokenBank's TSQC verification rejects the Sync on-chain.
-		digest[0] ^= 0xff
-	}
-	sig, err := job.ck.signer.signDigest(digest)
-	if err != nil {
-		return nil, fmt.Errorf("%w: epoch %d: %v", chain.ErrSignFailed, job.epoch, err)
-	}
-	args.Sig = sig
-	size := 0
-	for _, p := range payloads {
-		size += p.MainchainBytes()
-	}
-	return []*mainchain.Tx{{Method: "sync", Size: size, Args: args}}, nil
-}
-
-// validate checks the paper's cross-layer invariants: TokenBank's stored
-// reserves and positions mirror the pool, and the bank's ERC20 balances
-// cover the reserves.
+// validate is the shared parity check plus the paper's custody
+// invariant: the bank's ERC20 balances cover the pool reserves.
 func (b *paperBank) validate() error {
-	pool := b.s.eng.Pool(b.pid)
-	if !b.tb.PoolReserve0.Eq(pool.Reserve0) || !b.tb.PoolReserve1.Eq(pool.Reserve1) {
-		return fmt.Errorf("%w: TokenBank reserves %s/%s, pool %s/%s", ErrMultiParity,
-			b.tb.PoolReserve0, b.tb.PoolReserve1, pool.Reserve0, pool.Reserve1)
-	}
-	if err := checkPositions(b.pid, pool, b.tb.Positions); err != nil {
+	if err := checkParity(b.s.eng, b.tb.MultiBank); err != nil {
 		return err
 	}
+	res := b.tb.Reserves[b.pid]
 	bank0 := b.token0.Ledger.BalanceOf(mainchain.BankAddress)
 	bank1 := b.token1.Ledger.BalanceOf(mainchain.BankAddress)
-	if bank0.Lt(b.tb.PoolReserve0) || bank1.Lt(b.tb.PoolReserve1) {
+	if bank0.Lt(res.Reserve0) || bank1.Lt(res.Reserve1) {
 		return fmt.Errorf("%w: TokenBank holds %s/%s < pool reserves %s/%s", ErrMultiParity,
-			bank0, bank1, b.tb.PoolReserve0, b.tb.PoolReserve1)
+			bank0, bank1, res.Reserve0, res.Reserve1)
 	}
 	return nil
 }
-
-func (b *paperBank) Name() string { return b.tb.Name() }
-
-// SyncStats is zero: TokenBank takes whole Syncs, not sync parts.
-func (b *paperBank) SyncStats() mainchain.SyncStats { return mainchain.SyncStats{} }
-
-func (b *paperBank) lastSyncedEpoch() uint64 { return b.tb.LastSyncedEpoch }
-
-func (b *paperBank) positions() []summary.PositionEntry { return sortedPositions(b.tb.Positions) }

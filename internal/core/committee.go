@@ -24,7 +24,7 @@ type committeeKeys struct {
 
 // syncSigner is a committee's sync signer set — its first Threshold
 // members, fixed when the committee is provisioned — and the one way a
-// sync signature is produced: both banks' syncs are signed through
+// sync signature is produced: every epoch's parts are signed through
 // signDigest.
 //
 // The signer-side weighting (the quorum's Lagrange table and each
@@ -52,9 +52,8 @@ func newSyncSigner(group tsig.GroupKey, shares []tsig.Share) *syncSigner {
 	return &syncSigner{group: group, shares: shares}
 }
 
-// signDigest produces the committee's TSQC signature over a digest (a
-// payload digest, a mass-sync's combined digest, or a multi-pool sync
-// part's). Safe for concurrent use.
+// signDigest produces the committee's TSQC signature over a digest (an
+// epoch's sync digest, mainchain.BindSyncParts). Safe for concurrent use.
 func (s *syncSigner) signDigest(digest [32]byte) (tsig.Point, error) {
 	s.once.Do(func() {
 		indices := make([]int, len(s.shares))

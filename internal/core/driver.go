@@ -36,9 +36,8 @@ type Driver struct {
 // NewDriver builds the paper's deployment and its workload driver
 // together: a one-pool MultiSystem whose bank is TokenBank (with the
 // ERC20 pair, funded users and the paper's deposit flow), with epoch-1
-// deposits seeded at genesis. Only this bank accepts the skip and reorg
-// faults, whose recovery is a mass-sync. NumPools must be 0 or 1. The
-// node is returned behind the unified chain.Chain API.
+// deposits seeded at genesis. NumPools must be 0 or 1. The node is
+// returned behind the unified chain.Chain API.
 func NewDriver(sysCfg chain.Config, drvCfg DriverConfig) (chain.Chain, *Driver, error) {
 	if sysCfg.NumPools > 1 {
 		return nil, nil, fmt.Errorf("core: NewDriver runs the paper's one-pool TokenBank, not NumPools = %d (use NewMultiDriver)",

@@ -280,7 +280,7 @@ func TestFlashLoansStayOnMainchain(t *testing.T) {
 	// Borrow 1% of the pool after the first sync lands and repay it with
 	// the fee, inside the one mainchain transaction.
 	sys.Sim().After(60*time.Second, func() {
-		amount := u256.Div(bank.tb.PoolReserve0, u256.FromUint64(100))
+		amount := u256.Div(bank.tb.Reserves[bank.pid].Reserve0, u256.FromUint64(100))
 		if amount.IsZero() {
 			t.Error("pool reserve should be nonzero")
 			return
@@ -328,11 +328,13 @@ func acceptedReceipts(s *MultiSystem) *[]*chain.Receipt {
 	return &out
 }
 
-// TestMassSyncMatrix runs the paper's recovery at every pipeline depth: a
-// skipped or reorged epoch leaves the window when it seals, the next
-// epoch's Sync carries its payload, and the run ends fully synced with
-// every accepted receipt pruned. A skip in the final planned epoch syncs
-// normally, and a corrupted Sync — a mass-sync too — still halts the node.
+// TestMassSyncMatrix runs the paper's recovery at every pipeline depth,
+// on the paper's one-pool node (NewDriver) and on an 8-pool MultiBank
+// node (NewMultiSystem): a skipped or reorged epoch's signed parts are
+// held at retirement and go out just before the next epoch's, and the
+// run ends fully synced with every accepted receipt pruned. A skip in
+// the final planned epoch syncs normally. A corrupted Sync after a held
+// one still halts the node, once the held epoch landed.
 func TestMassSyncMatrix(t *testing.T) {
 	skip := func(es ...uint64) map[uint64]bool {
 		m := make(map[uint64]bool)
@@ -352,59 +354,81 @@ func TestMassSyncMatrix(t *testing.T) {
 		{"skip-last-planned", chain.FaultPlan{SkipSyncEpochs: skip(5)}, 0},
 	}
 	const epochs = 5
-	for depth := 1; depth <= 3; depth++ {
-		for i, c := range cells {
-			t.Run(fmt.Sprintf("%s/depth=%d", c.name, depth), func(t *testing.T) {
-				cfg := smallConfig(int64(40 + i))
-				cfg.PipelineDepth = depth
-				cfg.Faults = c.faults
-				node, _, err := NewDriver(cfg, smallDriver(500_000, epochs, int64(40+i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				accepted := acceptedReceipts(node.(*MultiSystem))
-				rep, err := node.Run(epochs)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				if rep.MassSyncs != c.wantMass {
-					t.Errorf("mass syncs = %d, want %d", rep.MassSyncs, c.wantMass)
-				}
-				if got := node.LastSyncedEpoch(); got != uint64(rep.EpochsRun) {
-					t.Errorf("bank synced to %d of %d epochs run", got, rep.EpochsRun)
-				}
-				if err := node.Validate(); err != nil {
-					t.Errorf("invariants: %v", err)
-				}
-				if len(*accepted) == 0 {
-					t.Fatal("no transaction executed")
-				}
-				for _, rc := range *accepted {
-					if rc.Status != chain.StatusPruned {
-						t.Fatalf("receipt %s (epoch %d) ended %s, want pruned", rc.TxID, rc.Epoch, rc.Status)
+	nodes := []struct {
+		prefix string // of the subtest names
+		build  func(cfg chain.Config, seed int64) (chain.Chain, error)
+	}{
+		{"", func(cfg chain.Config, seed int64) (chain.Chain, error) {
+			node, _, err := NewDriver(cfg, smallDriver(500_000, epochs, seed))
+			return node, err
+		}},
+		{"multi-8/", func(cfg chain.Config, seed int64) (chain.Chain, error) {
+			_, drv := multiTestConfigs(seed, 8, 2, epochs)
+			cfg.NumPools, cfg.NumShards = 8, 2
+			node, _, err := NewMultiDriver(cfg, drv)
+			return node, err
+		}},
+	}
+	for _, nd := range nodes {
+		for depth := 1; depth <= 3; depth++ {
+			for i, c := range cells {
+				t.Run(fmt.Sprintf("%s%s/depth=%d", nd.prefix, c.name, depth), func(t *testing.T) {
+					cfg := smallConfig(int64(40 + i))
+					cfg.PipelineDepth = depth
+					cfg.Faults = c.faults
+					node, err := nd.build(cfg, int64(40+i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					accepted := acceptedReceipts(node.(*MultiSystem))
+					rep, err := node.Run(epochs)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					if rep.MassSyncs != c.wantMass {
+						t.Errorf("mass syncs = %d, want %d", rep.MassSyncs, c.wantMass)
+					}
+					if got := node.LastSyncedEpoch(); got != uint64(rep.EpochsRun) {
+						t.Errorf("bank synced to %d of %d epochs run", got, rep.EpochsRun)
+					}
+					if err := node.Validate(); err != nil {
+						t.Errorf("invariants: %v", err)
+					}
+					if len(*accepted) == 0 {
+						t.Fatal("no transaction executed")
+					}
+					for _, rc := range *accepted {
+						if rc.Status != chain.StatusPruned {
+							t.Fatalf("receipt %s (epoch %d) ended %s, want pruned", rc.TxID, rc.Epoch, rc.Status)
+						}
+					}
+				})
+			}
+			t.Run(fmt.Sprintf("%scorrupt/depth=%d", nd.prefix, depth), func(t *testing.T) {
+				for _, faults := range []chain.FaultPlan{
+					{CorruptSyncEpochs: skip(2)},
+					{SkipSyncEpochs: skip(2), CorruptSyncEpochs: skip(3)}, // the Sync sent after the held one
+				} {
+					cfg := smallConfig(44)
+					cfg.PipelineDepth = depth
+					cfg.Faults = faults
+					node, err := nd.build(cfg, 44)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := node.Run(epochs); !errors.Is(err, chain.ErrSyncReverted) {
+						t.Errorf("faults %+v: err = %v, want ErrSyncReverted", faults, err)
+					}
+					// Every epoch before the corrupted one lands, the held one too.
+					var corrupt uint64
+					for e := range faults.CorruptSyncEpochs {
+						corrupt = e
+					}
+					if got := node.LastSyncedEpoch(); got != corrupt-1 {
+						t.Errorf("faults %+v: bank synced to %d, want %d", faults, got, corrupt-1)
 					}
 				}
 			})
 		}
-		t.Run(fmt.Sprintf("corrupt/depth=%d", depth), func(t *testing.T) {
-			for _, faults := range []chain.FaultPlan{
-				{CorruptSyncEpochs: skip(2)},
-				{SkipSyncEpochs: skip(2), CorruptSyncEpochs: skip(3)}, // the mass-sync itself
-			} {
-				cfg := smallConfig(44)
-				cfg.PipelineDepth = depth
-				cfg.Faults = faults
-				node, _, err := NewDriver(cfg, smallDriver(500_000, epochs, 44))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := node.Run(epochs); !errors.Is(err, chain.ErrSyncReverted) {
-					t.Errorf("faults %+v: err = %v, want ErrSyncReverted", faults, err)
-				}
-				if got := node.LastSyncedEpoch(); got != 1 {
-					t.Errorf("faults %+v: bank synced to %d, want 1", faults, got)
-				}
-			}
-		})
 	}
 }

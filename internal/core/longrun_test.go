@@ -49,7 +49,6 @@ func TestLongRunBoundedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.bus.SetBufferLimit(256)
 	heapAt := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -132,17 +131,20 @@ func TestLongRunBoundedHeap(t *testing.T) {
 }
 
 // TestEventDropSurfacing wires the bus's slow-subscriber accounting
-// through to the run report: an abandoned subscriber on a tiny buffer
-// forces drops, and the collector surfaces them after the run.
+// through to the run report: an abandoned subscriber whose buffer is
+// already full drops the run's events, and the collector surfaces them
+// after the run.
 func TestEventDropSurfacing(t *testing.T) {
 	cfg := recoveryCfg(23, 4, 2, 2)
 	sys, err := NewMultiSystem(cfg, cfg.Users)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.bus.SetBufferLimit(1)
 	attachRecoveryTraffic(t, sys, 23, 16)
 	ch := sys.Subscribe(chain.MaskAll) // never read
+	for range chain.DefaultEventBuffer {
+		sys.bus.Publish(chain.Event{Type: chain.EventEpochStart})
+	}
 	rep, err := sys.Run(8)
 	if err != nil {
 		t.Fatal(err)

@@ -33,10 +33,11 @@ var ErrUnsupportedFault = errors.New("core: fault plan not supported by this nod
 
 // MultiSystem runs the full ammBoost epoch lifecycle across every pool
 // registered in the sharded engine: one committee, one meta-block chain,
-// and one Sync per epoch span all pools. It is the one lifecycle: the
-// constructor picks the mainchain bank behind it (nodeBank) — MultiBank
-// for NewMultiSystem, Open and the federation, the paper's TokenBank for
-// NewDriver's one-pool runs.
+// and one Sync per epoch span all pools. It is the one lifecycle, and
+// every epoch syncs to a MultiBank; the constructor picks the deposit
+// source behind it (nodeBank) — the bank's own accounting for
+// NewMultiSystem, Open and the federation, the paper's TokenBank (which
+// embeds the MultiBank) for NewDriver's one-pool runs.
 type MultiSystem struct {
 	// frontEnd is the admission path and receipt ledger; every registered
 	// pool ID routes, and the empty ID routes to the first pool.
@@ -49,7 +50,9 @@ type MultiSystem struct {
 	rng *rand.Rand
 	eng *engine.Engine
 
-	mc   *mainchain.Chain
+	mc *mainchain.Chain
+	// mb verifies and applies every sync part; bank is the deposit source.
+	mb   *mainchain.MultiBank
 	bank nodeBank
 
 	// shared is non-nil for federation members: the simulator and the
@@ -68,11 +71,6 @@ type MultiSystem struct {
 	ledger     *sidechain.Ledger
 	committees map[uint64]*committeeKeys
 	chainSeed  [32]byte
-
-	// stash holds the payloads of epochs whose sync was skipped or
-	// reorged, in epoch order, until the next epoch's sync carries them
-	// (a mass-sync).
-	stash []*summary.SyncPayload
 
 	epoch         uint64
 	epochsPlanned int
@@ -169,7 +167,7 @@ func NewFederatedSystem(shared *Shared, cfg chain.Config, users []string) (*Mult
 // newMultiSystem builds the node with the bank newBank deploys on its
 // mainchain under the epoch-1 committee key.
 func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
-	newBank func(*MultiSystem, tsig.GroupKey) (nodeBank, error)) (*MultiSystem, error) {
+	newBank func(*MultiSystem, tsig.GroupKey) (nodeBank, *mainchain.MultiBank, error)) (*MultiSystem, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.ConsensusFidelity != chain.FidelityLive {
 		// Per-replica byzantine behaviors and message-level network faults
@@ -236,7 +234,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
 	if shared == nil {
 		s.mc = mainchain.New(s.sim, cfg.Mainchain)
 	}
-	if s.bank, err = newBank(s, ck.group); err != nil {
+	if s.bank, s.mb, err = newBank(s, ck.group); err != nil {
 		return nil, err
 	}
 	if cfg.RetainEpochs > 0 && shared == nil {
@@ -247,7 +245,7 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
 		// over its members (MainchainRetentionBlocks).
 		s.mc.SetRetention(MainchainRetentionBlocks(cfg))
 	}
-	s.uplink = newSyncUplink(s, s.sim, s.mc, s.bank, cfg.ChainID, cfg.SyncFaults, s.bus, s.col, s.tr)
+	s.uplink = newSyncUplink(s, s.sim, s.mc, s.mb, cfg.ChainID, cfg.SyncFaults, s.bus, s.col, s.tr)
 	s.pipe = newCommitPipeline(cfg.PipelineDepth)
 	if cfg.ConsensusFidelity == chain.FidelityLive {
 		s.live = newLiveConsensus(s)
@@ -261,14 +259,9 @@ func (s *MultiSystem) Engine() *engine.Engine { return s.eng }
 // Sim exposes the simulator for workload scheduling.
 func (s *MultiSystem) Sim() *sim.Simulator { return s.sim }
 
-// Bank exposes the node's MultiBank for inspection (nil on a NewDriver
-// node, whose bank is the paper's TokenBank).
-func (s *MultiSystem) Bank() *mainchain.MultiBank {
-	if b, ok := s.bank.(*poolBank); ok {
-		return b.MultiBank
-	}
-	return nil
-}
+// Bank exposes the node's MultiBank for inspection (on a NewDriver node,
+// the one the paper's TokenBank embeds).
+func (s *MultiSystem) Bank() *mainchain.MultiBank { return s.mb }
 
 // SidechainLedger exposes the sidechain ledger.
 func (s *MultiSystem) SidechainLedger() *sidechain.Ledger { return s.ledger }
@@ -278,7 +271,7 @@ func (s *MultiSystem) Epoch() uint64 { return s.epoch }
 
 // LastSyncedEpoch returns the highest epoch the bank confirmed a Sync
 // for.
-func (s *MultiSystem) LastSyncedEpoch() uint64 { return s.bank.lastSyncedEpoch() }
+func (s *MultiSystem) LastSyncedEpoch() uint64 { return s.mb.LastSyncedEpoch }
 
 // PoolIDs lists the registered pools in canonical order.
 func (s *MultiSystem) PoolIDs() []string { return s.eng.PoolIDs() }
@@ -299,7 +292,13 @@ func (s *MultiSystem) PoolInfo(poolID string) (chain.PoolInfo, bool) {
 
 // Positions lists the bank's synced liquidity positions across every
 // pool, ordered by (pool, position ID).
-func (s *MultiSystem) Positions() []summary.PositionEntry { return s.bank.positions() }
+func (s *MultiSystem) Positions() []summary.PositionEntry {
+	var out []summary.PositionEntry
+	for _, pid := range s.eng.PoolIDs() {
+		out = append(out, sortedPositions(s.mb.Positions[pid])...)
+	}
+	return out
+}
 
 // fail records the first lifecycle fault, persists it (a halted node
 // must recover as halted), publishes the halt event, and stops mainchain
@@ -779,11 +778,10 @@ func (s *MultiSystem) runRound(e, r uint64) {
 // epochs (at depth 1, this one at once), and the next epoch starts on the
 // round grid — one boundary rule for every depth.
 //
-// An epoch whose sync the fault plan skips or reorgs leaves the window at
-// once, so its payloads are stashed before the next epoch seals; that
-// epoch's sync then carries them (a mass-sync), signed by the earliest
-// stashed epoch's committee. A skip at or after the final planned epoch
-// syncs normally: no later epoch is certain to carry it.
+// An epoch whose sync the fault plan skips or reorgs signs its parts like
+// any other; retirement holds them, and they go out just before the next
+// epoch's (a mass-sync). A skip at or after the final planned epoch syncs
+// normally: no later epoch is certain to carry it.
 func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	if s.err != nil {
 		return
@@ -793,7 +791,7 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	// epoch finished executing.
 	s.col.ObservePipeline(s.pipe.depth())
 	nextKey := s.committees[e+1].group
-	sealed := s.sealTraced(e, s.bank.nextGroupKey(nextKey))
+	sealed := s.sealTraced(e, nextKey.PK.Bytes())
 	if sealed == nil {
 		return
 	}
@@ -801,7 +799,6 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	job := &commitJob{
 		epoch:     e,
 		sealed:    sealed,
-		bank:      s.bank,
 		ck:        s.committees[e],
 		nextKey:   nextKey,
 		skip:      skip,
@@ -811,16 +808,12 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		tr:        s.tr,
 		done:      make(chan struct{}),
 	}
-	if len(s.stash) > 0 && !skip {
-		job.stash, s.stash = s.stash, nil
-		job.ck = s.committees[job.stash[0].Epoch]
-	}
 	s.pipe.submit(job)
 	// Backpressure: the window holds the executing epoch plus at most
 	// PipelineDepth-1 sealed epochs, so retire the oldest until it fits.
 	// Retirement order is FIFO — stage effects always publish in epoch
 	// order.
-	for s.pipe.depth() >= s.cfg.PipelineDepth || skip && s.pipe.depth() > 0 {
+	for s.pipe.depth() >= s.cfg.PipelineDepth {
 		if !s.retireOldest() {
 			return
 		}
@@ -913,9 +906,6 @@ func (s *MultiSystem) retireOldest() bool {
 	}
 	e := job.epoch
 	s.SummaryRoots[e] = pkg.res.SummaryRoot
-	if job.skip {
-		s.stash = append(s.stash, pkg.res.Payloads...)
-	}
 	metas := s.ledger.MetaBlocks(e)
 	commit := func() {
 		if s.err != nil {
@@ -923,6 +913,7 @@ func (s *MultiSystem) retireOldest() bool {
 		}
 		s.checkpointEpoch(e, pkg.res.Payloads, metas, pkg.scBytes, pkg.res.SummaryRoot)
 		if job.skip {
+			s.uplink.hold(e, pkg.txs)
 			return
 		}
 		// Persist before the sync parts become externally visible: the
@@ -933,12 +924,9 @@ func (s *MultiSystem) retireOldest() bool {
 		if s.err != nil {
 			return
 		}
-		first := e
-		if len(job.stash) > 0 {
-			first = job.stash[0].Epoch
+		if s.uplink.submit(e, pkg.txs) {
 			s.MassSyncs++
 		}
-		s.uplink.submit(first, e, pkg.txs)
 	}
 	if s.live != nil {
 		// The checkpoint rides one more live agreement: the committee
@@ -1004,8 +992,7 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 
 // encodeEpochBlobs builds the epoch's snapshot-record prefix and
 // sync-part record payload, on the commit-stage worker (off the simulator
-// goroutine). Only a MultiBank node has a store, so txs carry
-// MultiSyncArgs.
+// goroutine).
 func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 	txs []*mainchain.Tx) (snapPrefix, partsBlob []byte) {
 	digests := make([][32]byte, len(res.Payloads))
@@ -1059,27 +1046,22 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 	}
 }
 
-// epochSynced is the uplink's callback once the last part of the sync
-// epoch ev.Epoch closed confirms; the sync carries epochs first..ev.Epoch
-// (more than one after a mass-sync). Receipts advance before the event
-// publishes (the documented visibility contract); then the epochs prune
-// and compact.
-func (s *MultiSystem) epochSynced(ev chain.Event, first uint64) {
+// epochSynced is the uplink's callback once the last part of epoch
+// ev.Epoch's sync confirms. Receipts advance before the event publishes
+// (the documented visibility contract); then the epoch prunes and
+// compacts.
+func (s *MultiSystem) epochSynced(ev chain.Event) {
 	e := ev.Epoch
 	s.SyncsOK++
-	for pe := first; pe <= e; pe++ {
-		s.synced(pe, ev.At)
-	}
+	s.synced(e, ev.At)
 	s.bus.Publish(ev)
 	spPrune := s.tr.Start(trace.StagePrune, e)
-	for pe := first; pe <= e; pe++ {
-		if err := s.ledger.Prune(pe, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
-			s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, pe, err))
-			return
-		}
-		s.pruned(pe, s.sim.Now())
-		s.compactEpoch(pe)
+	if err := s.ledger.Prune(e, true); err != nil && !errors.Is(err, sidechain.ErrAlreadyPruned) {
+		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrPruneFailed, e, err))
+		return
 	}
+	s.pruned(e, s.sim.Now())
+	s.compactEpoch(e)
 	s.lastPruned = e
 	// Store compaction rides the confirmation cadence: everything up to an
 	// epoch final on the mainchain can fold into a checkpoint.
@@ -1090,9 +1072,7 @@ func (s *MultiSystem) epochSynced(ev chain.Event, first uint64) {
 		}
 	}
 	spPrune.End()
-	for pe := first; pe <= e; pe++ {
-		s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: pe})
-	}
+	s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
 	s.finishIfPruned()
 }
 
@@ -1135,7 +1115,7 @@ func (s *MultiSystem) compactStore(cursor uint64) error {
 	if r := s.cfg.RetainEpochs; r > 0 && cursor > uint64(r) {
 		horizon = cursor - uint64(r)
 	}
-	return s.st.Compact(cursor, horizon, s.Bank().EncodeState())
+	return s.st.Compact(cursor, horizon, s.mb.EncodeState())
 }
 
 // CompactStore folds the durable log up to the newest mainchain-confirmed
@@ -1230,7 +1210,7 @@ func (s *MultiSystem) report() *chain.Report {
 		NumShards:              s.eng.NumShards(),
 		SyncsOK:                s.SyncsOK,
 		MassSyncs:              s.MassSyncs,
-		SyncParts:              s.bank.SyncStats(),
+		SyncParts:              s.mb.SyncStats(),
 		ViewChanges:            s.ViewChanges,
 		Rejected:               s.Rejected,
 		QueuePeak:              s.queuePeak,

@@ -9,6 +9,7 @@ import (
 
 	"ammboost/internal/chain"
 	"ammboost/internal/netsim"
+	"ammboost/internal/store"
 	"ammboost/internal/workload"
 )
 
@@ -114,10 +115,15 @@ func TestMultiSystemFaultSupport(t *testing.T) {
 		t.Errorf("invariants with silent leader: %v", err)
 	}
 
-	unsupported, _ := multiTestConfigs(17, 8, 2, 2)
-	unsupported.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
-	if _, err := NewMultiSystem(unsupported, []string{"u"}); !isChainErr(err, ErrUnsupportedFault) {
-		t.Errorf("SkipSyncEpochs on multi backend: err = %v, want ErrUnsupportedFault", err)
+	// A held Sync lives in memory only: a storeless node takes the skip
+	// fault, a node with a store refuses it.
+	skip, _ := multiTestConfigs(17, 8, 2, 2)
+	skip.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
+	if _, err := NewMultiSystem(skip, []string{"u"}); err != nil {
+		t.Errorf("SkipSyncEpochs on a storeless node: %v", err)
+	}
+	if _, err := OpenFS(&store.MemFS{}, "", skip); !isChainErr(err, ErrUnsupportedFault) {
+		t.Errorf("SkipSyncEpochs on a node with a store: err = %v, want ErrUnsupportedFault", err)
 	}
 }
 

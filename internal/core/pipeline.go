@@ -7,30 +7,22 @@ import (
 	"ammboost/internal/crypto/tsig"
 	"ammboost/internal/engine"
 	"ammboost/internal/mainchain"
-	"ammboost/internal/summary"
 	"ammboost/internal/trace"
 )
 
 // commitJob is one sealed epoch queued for the asynchronous commit/sync
 // stage. Everything the stage needs is captured at seal time on the
-// simulator goroutine — the sealed engine hand-off, the sync's signing
-// committee, the next committee's group key, the payloads of skipped
-// epochs the sync carries first, and the fault plan's verdicts for this
-// epoch — so the stage worker never touches MultiSystem state.
+// simulator goroutine — the sealed engine hand-off, the epoch's
+// committee, the next committee's group key, and the fault plan's
+// verdicts for this epoch — so the stage worker never touches MultiSystem
+// state.
 type commitJob struct {
-	epoch  uint64
-	sealed *engine.SealedEpoch
-	// bank shapes and signs the epoch's sync (nodeBank.signSync).
-	bank nodeBank
-	// ck is the committee of the earliest epoch the sync carries: the
-	// first stashed epoch's on a mass-sync, else this epoch's.
+	epoch   uint64
+	sealed  *engine.SealedEpoch
 	ck      *committeeKeys
 	nextKey tsig.GroupKey
-	// stash holds the payloads of the skipped epochs this epoch's sync
-	// carries before its own (a mass-sync); empty otherwise.
-	stash []*summary.SyncPayload
-	// skip marks an epoch whose sync is lost: its payloads are stashed at
-	// retirement for the next epoch's mass-sync, and nothing is signed.
+	// skip marks an epoch whose sync is lost: retirement holds its signed
+	// parts until the next epoch's go out (a mass-sync).
 	skip      bool
 	corrupt   bool
 	gasBudget uint64
@@ -80,7 +72,7 @@ func jobStageName(st int32) string {
 // per-epoch order on the simulator goroutine.
 type syncPackage struct {
 	res *engine.EpochResult
-	// txs are the signed sync transactions (none for a skipped epoch).
+	// txs are the signed sync part transactions.
 	txs []*mainchain.Tx
 	// scBytes is the epoch's total sidechain summary size (drives the
 	// summary agreement delay).
@@ -162,12 +154,12 @@ func (p *commitPipeline) close() {
 }
 
 // buildSyncPackage runs the heavy half of epoch close on the stage
-// worker: the engine fold (payloads, state roots, summary root), then —
-// unless the epoch's sync is skipped — the bank's sync shaping and TSQC
-// signing (including the fault plan's digest corruption). When the job carries a
-// tracer it records commit-build / chunk / sign / encode spans; the phase
-// marker advances alongside for stall attribution. Tracing never touches
-// the package's payload bytes.
+// worker: the engine fold (payloads, state roots, summary root), then the
+// sync parts' chunking and TSQC signing (including the fault plan's
+// digest corruption). When the job carries a tracer it records
+// commit-build / chunk / sign / encode spans; the phase marker advances
+// alongside for stall attribution. Tracing never touches the package's
+// payload bytes.
 func buildSyncPackage(job *commitJob) *syncPackage {
 	job.stage.Store(jobBuild)
 	spBuild := job.tr.Start(trace.StageCommitBuild, job.epoch)
@@ -178,12 +170,14 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 	for _, p := range res.Payloads {
 		pkg.scBytes += p.SidechainBytes()
 	}
-	if job.skip {
+	job.stage.Store(jobSign)
+	parts, err := signSyncParts(job.epoch, res, job.ck, job.nextKey, job.corrupt, job.gasBudget, job.tr)
+	if err != nil {
+		pkg.err = err
 		return pkg
 	}
-	job.stage.Store(jobSign)
-	pkg.txs, pkg.err = job.bank.signSync(job, res)
-	if job.persist && pkg.err == nil {
+	pkg.txs = partTxs(parts)
+	if job.persist {
 		job.stage.Store(jobEncode)
 		spEnc := job.tr.Start(trace.StageEncode, job.epoch)
 		pkg.snapPrefix, pkg.partsBlob = encodeEpochBlobs(job.sealed, res, pkg.txs)

@@ -48,9 +48,6 @@ func TestPipelineLifecycleCompletes(t *testing.T) {
 	if rep.PipelineOccupancy <= 0 {
 		t.Errorf("pipeline occupancy = %v, want > 0 (stages should overlap)", rep.PipelineOccupancy)
 	}
-	if rep.Collector.MaxPipelineOccupancy() < 1 {
-		t.Errorf("max pipeline occupancy = %d, want >= 1", rep.Collector.MaxPipelineOccupancy())
-	}
 
 	// Depth 1 keeps the window empty by construction. (Its stall is the
 	// whole commit stage: the run loop waits on every epoch's.)

@@ -237,8 +237,8 @@ func TestOpenEdgeCases(t *testing.T) {
 			t.Fatalf("reopen under NumPools 1: %v", err)
 		}
 		node.Close()
-		// Mass-sync recovery needs the paper's TokenBank; a store runs
-		// MultiBank and keeps refusing it.
+		// A held Sync is not persisted, so a node with a store refuses
+		// the faults whose recovery is a mass-sync.
 		skip := cfg
 		skip.Faults.SkipSyncEpochs = map[uint64]bool{2: true}
 		if _, err := Open(t.TempDir(), skip); !errors.Is(err, ErrUnsupportedFault) {

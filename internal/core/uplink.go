@@ -25,17 +25,16 @@ const (
 	syncRetryBudget = 8
 )
 
-// syncUplink is the only code that moves an epoch's signed sync
-// transactions to the mainchain. It names, orders, submits, retries and
-// accounts them, and replays a MultiBank node's logged parts on reopen;
-// the bank shapes and signs them (nodeBank.signSync; for MultiBank,
-// chunkPayloads and signSyncParts). Its node sees one callback,
-// epochSynced.
+// syncUplink is the only code that moves an epoch's signed sync parts
+// to the mainchain. It names, orders, holds, submits, retries and
+// accounts them, and replays a node's logged parts on reopen; the commit
+// stage shapes and signs them (chunkPayloads and signSyncParts). Its node
+// sees one callback, epochSynced.
 type syncUplink struct {
 	node uplinkNode
 	sim  *sim.Simulator
 	mc   *mainchain.Chain
-	bank uplinkBank
+	bank *mainchain.MultiBank
 	bus  *chain.Bus
 	col  *metrics.Collector
 	tr   *trace.Tracer
@@ -47,27 +46,28 @@ type syncUplink struct {
 	net *netsim.Network
 	// prev are the previous sync's part IDs, the next parts' DependsOn.
 	prev []string
+	// held are the signed parts of skipped or reorged epochs, in epoch
+	// order, waiting for the next submit.
+	held []heldSync
+}
+
+// heldSync is one epoch's signed parts kept off the mainchain.
+type heldSync struct {
+	epoch uint64
+	txs   []*mainchain.Tx
 }
 
 // uplinkNode is the node side of the uplink: the watchdog goes quiet on
 // a Halted node, a reverted or unreachable part goes to fail, and
-// epochSynced gets the EventSyncConfirmed of a sync whose last part
-// confirmed (its parts, bytes and gas summed) with the first epoch the
-// sync carries.
+// epochSynced gets the EventSyncConfirmed of an epoch whose last part
+// confirmed (its parts, bytes and gas summed).
 type uplinkNode interface {
 	Halted() bool
 	fail(err error)
-	epochSynced(ev chain.Event, first uint64)
+	epochSynced(ev chain.Event)
 }
 
-// uplinkBank is what the uplink reads of the bank: the account its parts
-// go to and the part counters each confirmation reports.
-type uplinkBank interface {
-	Name() string
-	SyncStats() mainchain.SyncStats
-}
-
-func newSyncUplink(node uplinkNode, sm *sim.Simulator, mc *mainchain.Chain, bank uplinkBank,
+func newSyncUplink(node uplinkNode, sm *sim.Simulator, mc *mainchain.Chain, bank *mainchain.MultiBank,
 	chainID string, faults *netsim.FaultSchedule, bus *chain.Bus, col *metrics.Collector, tr *trace.Tracer) *syncUplink {
 	u := &syncUplink{node: node, sim: sm, mc: mc, bank: bank, bus: bus, col: col, tr: tr,
 		from: "sc-committee", src: "sc-node"}
@@ -118,12 +118,30 @@ func partTxs(parts []*mainchain.MultiSyncArgs) []*mainchain.Tx {
 	return txs
 }
 
-// submit hands the signed transactions of the sync that epoch e closes,
-// carrying epochs first..e, to the mainchain. A part verifies against
-// the key the PREVIOUS sync registers once ALL its parts land, so every
-// part depends on all of them; otherwise a block could pack this sync's
-// parts first and revert them with an unknown-key error.
-func (u *syncUplink) submit(first, e uint64, txs []*mainchain.Tx) {
+// hold keeps epoch e's signed parts off the mainchain (its Sync was
+// skipped or reorged) until the next submit sends them first.
+func (u *syncUplink) hold(e uint64, txs []*mainchain.Tx) {
+	u.held = append(u.held, heldSync{epoch: e, txs: txs})
+}
+
+// submit hands epoch e's signed parts to the mainchain, after the held
+// epochs' parts in epoch order, and reports whether it sent held ones (a
+// mass-sync).
+func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx) bool {
+	held := u.held
+	u.held = nil
+	for _, h := range held {
+		u.submitEpoch(h.epoch, h.txs)
+	}
+	u.submitEpoch(e, txs)
+	return len(held) > 0
+}
+
+// submitEpoch sends epoch e's parts. A part verifies against the key the
+// PREVIOUS epoch registers once ALL its parts land, so every part depends
+// on all of them; otherwise a block could pack this epoch's parts first
+// and revert them with an unknown-key error.
+func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx) {
 	submitted := u.sim.Now()
 	// wallStart anchors the wall-clock sync-submit and sync-confirm spans;
 	// the collector's "sync" latency is the virtual one.
@@ -148,7 +166,7 @@ func (u *syncUplink) submit(first, e uint64, txs []*mainchain.Tx) {
 			Bytes: done.Bytes, Gas: done.Gas,
 		})
 		done.At, done.SyncParts = tx.ConfirmedAt, u.bank.SyncStats()
-		u.node.epochSynced(done, first)
+		u.node.epochSynced(done)
 	}
 	ids := u.partIDs(e, len(txs))
 	for i, tx := range txs {

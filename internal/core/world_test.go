@@ -45,6 +45,14 @@ const (
 	worldSmallGasLimit = 3_500_000
 )
 
+// worldMassSyncStream seeds the stream the skipped or reorged Sync is
+// drawn from, and worldMassSyncSeeds is how many of worldSeeds' worlds
+// must recover one by mass-sync.
+const (
+	worldMassSyncStream = 0x3a55_5c
+	worldMassSyncSeeds  = 4
+)
+
 // TestWorld checks the node's determinism property on one generated
 // deployment per seed (World): every run passes Validate or halts with a
 // fault plan's lifecycle sentinel, every hostile submission meets its
@@ -53,19 +61,30 @@ const (
 // those of a same-seed re-run (receipt timestamps too), of a reduced twin
 // replaying its arrival log, and of a node killed at a generated epoch
 // boundary and reopened. Across the full seed list, at least
-// worldMultiPartSeeds worlds sync an epoch in more than one part.
+// worldMultiPartSeeds worlds sync an epoch in more than one part, and at
+// least worldMassSyncSeeds recover a skipped or reorged Sync.
 func TestWorld(t *testing.T) {
-	var ran, multiPart atomic.Int32
+	var ran, multiPart, massSync atomic.Int32
 	t.Cleanup(func() {
-		if n := multiPart.Load(); int(ran.Load()) == len(worldSeeds) && n < worldMultiPartSeeds {
+		if int(ran.Load()) != len(worldSeeds) {
+			return
+		}
+		if n := multiPart.Load(); n < worldMultiPartSeeds {
 			t.Errorf("%d of %d worlds synced an epoch in several parts, want >= %d", n, len(worldSeeds), worldMultiPartSeeds)
+		}
+		if n := massSync.Load(); n < worldMassSyncSeeds {
+			t.Errorf("%d of %d worlds mass-synced, want >= %d", n, len(worldSeeds), worldMassSyncSeeds)
 		}
 	})
 	for _, seed := range worldSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			if World(seed).checkLogged(t).main.multiPart > 0 {
+			main := World(seed).checkLogged(t).main
+			if main.multiPart > 0 {
 				multiPart.Add(1)
+			}
+			if main.rep.MassSyncs > 0 {
+				massSync.Add(1)
 			}
 			ran.Add(1)
 		})
@@ -148,6 +167,18 @@ func World(seed int64) world {
 	if gas := rand.New(rand.NewSource(seed ^ worldGasStream)); gas.Intn(4) > 0 {
 		w.cfg.Mainchain = mainchain.DefaultConfig()
 		w.cfg.Mainchain.GasLimit = worldSmallGasLimit
+	}
+	// A storeless world may lose one Sync before its final planned epoch
+	// to a skip or a reorg, drawn from a stream of its own; the node holds
+	// the epoch's signed parts and sends them before the next epoch's (a
+	// node with a store refuses both faults).
+	if ms := rand.New(rand.NewSource(seed ^ worldMassSyncStream)); !w.store && ms.Intn(2) == 0 {
+		lost := map[uint64]bool{1 + uint64(ms.Intn(w.epochs-1)): true}
+		if ms.Intn(2) == 0 {
+			w.cfg.Faults.SkipSyncEpochs = lost
+		} else {
+			w.cfg.Faults.ReorgSyncEpochs = lost
+		}
 	}
 	if w.killable() {
 		w.kills = []uint64{1 + uint64(rng.Intn(w.epochs-1))}
@@ -438,6 +469,13 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 		if err := ms.Validate(); err != nil {
 			t.Errorf("Validate: %v", err)
 		}
+		lost := len(cfg.Faults.SkipSyncEpochs) + len(cfg.Faults.ReorgSyncEpochs)
+		if out.rep.MassSyncs != lost || ms.LastSyncedEpoch() != uint64(out.rep.EpochsRun) {
+			t.Errorf("%d mass-syncs for %d lost Syncs, bank synced to %d of %d epochs",
+				out.rep.MassSyncs, lost, ms.LastSyncedEpoch(), out.rep.EpochsRun)
+		}
+	case w.halt == nil && !errors.Is(out.err, chain.ErrConsensusStalled):
+		t.Fatalf("run err = %v, want nil: only live consensus may stall a plan that does not halt", out.err)
 	case !slices.ContainsFunc([]error{chain.ErrSyncReverted, chain.ErrSyncUnreachable, chain.ErrConsensusStalled},
 		func(s error) bool { return errors.Is(out.err, s) }):
 		t.Fatalf("run err = %v, want nil or a fault plan's halt", out.err)

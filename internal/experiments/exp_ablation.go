@@ -80,7 +80,9 @@ func RunAblations(o Options) (*AblationResult, error) {
 	}
 
 	// Mass-sync: recovering k epochs in one call amortizes the base cost
-	// and the single TSQC verification.
+	// and the single TSQC verification. This row models the paper's
+	// one-call design; the node's mass-sync sends each held epoch's own
+	// parts and pays one authentication per carried epoch.
 	const k = 3
 	payload := &summary.SyncPayload{
 		Epoch:        1,

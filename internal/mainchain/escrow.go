@@ -286,9 +286,6 @@ func (e *Escrow) claim(env *Env, a *EscrowClaimArgs) error {
 // Entry returns the escrow entry for a transfer ID, or nil.
 func (e *Escrow) Entry(id string) *EscrowEntry { return e.Entries[id] }
 
-// EntryIDs returns every transfer ID in lock order (do not mutate).
-func (e *Escrow) EntryIDs() []string { return e.order }
-
 // LockedCount returns the number of entries still in EscrowLocked — a
 // finished federation run requires zero (nothing in custody limbo).
 func (e *Escrow) LockedCount() int {

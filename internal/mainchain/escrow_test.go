@@ -183,7 +183,7 @@ func TestEscrowFailurePaths(t *testing.T) {
 	if esc.LockedCount() != 0 {
 		t.Errorf("locked count = %d", esc.LockedCount())
 	}
-	if ids := esc.EntryIDs(); len(ids) != 1 || ids[0] != "x1" {
+	if ids := esc.order; len(ids) != 1 || ids[0] != "x1" {
 		t.Errorf("entry IDs = %v, want [x1] (failed locks must not register)", ids)
 	}
 	if err := esc.Conserved(); err != nil {

@@ -48,9 +48,8 @@ type PoolReserves struct {
 // the epoch changed (an idle pool's stored state simply carries over),
 // and records each epoch's folded summary root over every registered pool
 // so any pool's end state can be proven against a single on-chain
-// commitment.
-// Token custody is modeled at the accounting level only (TokenBank
-// reproduces the paper's ERC20 transfer flows).
+// commitment. On its own it models custody at the accounting level only;
+// TokenBank embeds it and adds the paper's ERC20 custody.
 type MultiBank struct {
 	// Reserves[poolID] mirrors the canonical pool balances.
 	Reserves map[string]PoolReserves
@@ -85,6 +84,18 @@ type MultiBank struct {
 	// each chain's bank its own account via WithAddress so K banks coexist
 	// on one shared mainchain with independent accounting and retention.
 	addr string
+
+	// custody is the token holder that pays a part's payouts out (the
+	// embedding TokenBank); nil when custody is accounting only.
+	custody custody
+}
+
+// custody holds the pools' tokens: applySync asks cover before it writes
+// anything, so a part whose payouts the bank cannot pay is refused whole,
+// and pay once the part applied.
+type custody interface {
+	cover(a *MultiSyncArgs) error
+	pay(a *MultiSyncArgs)
 }
 
 // NewMultiBank deploys the bank over the registered pool IDs with the
@@ -342,10 +353,10 @@ func (b *MultiBank) SyncStats() SyncStats { return b.stats }
 
 // applySync is the one implementation of the sync verification chain —
 // epoch key lookup, part framing and proof length, TSQC signature over
-// the epoch digest, part bookkeeping, root consistency, payload
-// application, completion — used by on-chain execution (env != nil, gas
-// charged) and by crash-recovery replay (env == nil: the original
-// execution already paid the gas). One body, so the two paths cannot
+// the epoch digest, part bookkeeping, root consistency, payout coverage,
+// payload application, completion — used by on-chain execution
+// (env != nil, gas charged) and by crash-recovery replay (env == nil: the
+// original execution already paid the gas). One body, so the two paths cannot
 // drift: a check added here guards both. Each part is checked on its own:
 // nothing a sibling part proved is trusted.
 func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
@@ -410,6 +421,11 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 			return fmt.Errorf("%w: %s", ErrUnknownBankPool, p.PoolID)
 		}
 	}
+	if b.custody != nil {
+		if err := b.custody.cover(a); err != nil {
+			return err
+		}
+	}
 	if env != nil {
 		if err := env.Gas.Charge(gas.Bill(completing)); err != nil {
 			return err
@@ -417,6 +433,9 @@ func (b *MultiBank) applySync(env *Env, a *MultiSyncArgs) error {
 	}
 	for _, p := range a.Payloads {
 		b.applyPoolPayload(p)
+	}
+	if b.custody != nil {
+		b.custody.pay(a)
 	}
 	b.stats.PartsApplied++
 	applied[a.Part] = true

@@ -1,8 +1,6 @@
 package mainchain
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -19,56 +17,46 @@ var (
 	ErrEpochAlreadySync = errors.New("tokenbank: epoch already synced")
 	ErrNoPool           = errors.New("tokenbank: pool not created")
 	ErrFlashNotRepaid   = errors.New("tokenbank: flash loan not repaid with fee")
-	ErrNextKeyMismatch  = errors.New("tokenbank: next committee key differs from the signed payload's")
+	ErrPayoutUncovered  = errors.New("tokenbank: sync payouts exceed the bank's token balance")
 )
 
 // BankAddress is the on-chain account holding deposits and pool reserves.
 const BankAddress = "tokenbank"
 
-// TokenBank is the base AMM smart contract on the mainchain (Fig. 3): it
-// tracks token pools, user deposits, and liquidity positions, accepts
-// TSQC-authenticated Sync calls from sidechain committees, and serves flash
-// loans (the one operation that must stay on the mainchain).
+// TokenBank is the base AMM smart contract on the mainchain (Fig. 3) over
+// one pool: the ERC20 custody — user deposits, payout transfers and flash
+// loans (the one operation that must stay on the mainchain) — on top of
+// the MultiBank that stores the pool's reserves and positions and
+// verifies every TSQC-signed Sync part (applySync).
 type TokenBank struct {
+	*MultiBank
 	token0 *ERC20
 	token1 *ERC20
+	// pool is the one pool's ID in the embedded MultiBank.
+	pool string
 
-	// Pool bookkeeping (balances only; trading happens on the sidechain).
-	poolCreated  bool
-	FeePips      uint32
-	PoolReserve0 u256.Int
-	PoolReserve1 u256.Int
+	poolCreated bool
+	FeePips     uint32
 
 	// Deposits[epoch][user] = two-token deposit backing that epoch's
 	// sidechain activity.
 	Deposits map[uint64]map[string]summary.Deposit
-
-	// Positions is the stored liquidity-position list, updated per sync.
-	Positions map[string]summary.PositionEntry
-
-	// groupKeys[e] authenticates the Sync issued by epoch e's committee.
-	groupKeys map[uint64]tsig.GroupKey
-	synced    map[uint64]bool
-	// LastSyncedEpoch is the highest epoch whose summary was applied.
-	LastSyncedEpoch uint64
 }
 
-// NewTokenBank deploys the bank over the two pool tokens. The genesis
-// committee key (epoch 1) is registered at deployment, as the paper's
-// system setup prescribes.
-func NewTokenBank(t0, t1 *ERC20, genesisKey tsig.GroupKey) *TokenBank {
-	return &TokenBank{
+// NewTokenBank deploys the bank over the two pool tokens and the pool
+// poolID. The genesis committee key (epoch 1) is registered at
+// deployment, as the paper's system setup prescribes.
+func NewTokenBank(t0, t1 *ERC20, poolID string, genesisKey tsig.GroupKey) *TokenBank {
+	b := &TokenBank{
+		MultiBank: NewMultiBank([]string{poolID}, genesisKey).WithAddress(BankAddress),
 		token0:    t0,
 		token1:    t1,
+		pool:      poolID,
 		Deposits:  make(map[uint64]map[string]summary.Deposit),
-		Positions: make(map[string]summary.PositionEntry),
-		groupKeys: map[uint64]tsig.GroupKey{1: genesisKey},
-		synced:    make(map[uint64]bool),
 	}
+	b.custody = b
+	return b
 }
-
-// Name implements Contract.
-func (b *TokenBank) Name() string { return BankAddress }
 
 // CreatePoolArgs configures the managed pool.
 type CreatePoolArgs struct {
@@ -82,22 +70,6 @@ type DepositArgs struct {
 	Amount0 u256.Int
 	Amount1 u256.Int
 }
-
-// SyncArgs carries one or more epoch summaries (more than one when the new
-// committee mass-syncs after an interruption) plus the TSQC signature of
-// the issuing committee and the next committee's verification key.
-type SyncArgs struct {
-	// Epoch identifies the issuing committee (whose key verifies Sig).
-	Epoch    uint64
-	Payloads []*summary.SyncPayload
-	Sig      tsig.Point
-	NextKey  tsig.GroupKey
-}
-
-// SignedDigest is the digest Sig must verify against: the payload's own
-// digest for a single epoch, and the digest over every payload's digest,
-// in order, for a mass-sync.
-func (a *SyncArgs) SignedDigest() [32]byte { return combinedDigest(a.Payloads) }
 
 // FlashArgs requests a flash loan served by the callback within the same
 // transaction.
@@ -127,12 +99,6 @@ func (b *TokenBank) Execute(env *Env, method string, args any) error {
 			return ErrBadArgs
 		}
 		return b.deposit(env, a)
-	case "sync":
-		a, ok := args.(*SyncArgs)
-		if !ok {
-			return ErrBadArgs
-		}
-		return b.sync(env, a)
 	case "flash":
 		a, ok := args.(FlashArgs)
 		if !ok {
@@ -140,7 +106,7 @@ func (b *TokenBank) Execute(env *Env, method string, args any) error {
 		}
 		return b.flash(env, a)
 	default:
-		return fmt.Errorf("%w: tokenbank has no method %q", ErrBadArgs, method)
+		return b.MultiBank.Execute(env, method, args)
 	}
 }
 
@@ -197,129 +163,59 @@ func (b *TokenBank) EpochDeposits(epoch uint64) map[string]summary.Deposit {
 	return out
 }
 
-// GroupKeyFor returns the registered committee key for an epoch.
-func (b *TokenBank) GroupKeyFor(epoch uint64) (tsig.GroupKey, bool) {
-	k, ok := b.groupKeys[epoch]
-	return k, ok
-}
-
-func (b *TokenBank) sync(env *Env, a *SyncArgs) error {
-	key, ok := b.groupKeys[a.Epoch]
-	if !ok {
-		return fmt.Errorf("%w: epoch %d", ErrUnknownEpochKey, a.Epoch)
-	}
-	if len(a.Payloads) == 0 {
-		return fmt.Errorf("%w: empty sync", ErrBadArgs)
-	}
-	// TSQC verification: hash-to-point over the summaries plus the
-	// pairing check, charged at the BN256 precompile prices.
-	digest := a.SignedDigest()
-	sumBytes := 0
+// cover refuses a part whose payouts, summed per token, exceed the bank's
+// token balances: applySync asks before it writes anything, so a part
+// the bank cannot pay out leaves no trace.
+func (b *TokenBank) cover(a *MultiSyncArgs) error {
+	var sum0, sum1 u256.Int
+	var over0, over1 bool
 	for _, p := range a.Payloads {
-		sumBytes += p.MainchainBytes()
-	}
-	if err := env.Gas.Charge(gasmodel.TxBaseGas + gasmodel.SyncAuthGas(sumBytes)); err != nil {
-		return err
-	}
-	if err := tsig.Verify(key, digest[:], a.Sig); err != nil {
-		return ErrBadSyncSignature
-	}
-	// NextKey rides outside the signature; the last payload's NextGroupKey
-	// is the signed copy of the whole key it registers (point, threshold
-	// and committee size, tsig.GroupKey.Bytes).
-	if last := a.Payloads[len(a.Payloads)-1]; !bytes.Equal(a.NextKey.Bytes(), last.NextGroupKey) {
-		return fmt.Errorf("%w: epoch %d", ErrNextKeyMismatch, a.Epoch+uint64(len(a.Payloads)))
-	}
-	for _, p := range a.Payloads {
-		if b.synced[p.Epoch] {
-			// Mass-sync overlap: already-applied epochs are skipped,
-			// making recovery idempotent.
-			continue
-		}
-		if err := b.applyPayload(env, p); err != nil {
-			return err
-		}
-		b.synced[p.Epoch] = true
-		if p.Epoch > b.LastSyncedEpoch {
-			b.LastSyncedEpoch = p.Epoch
+		for _, e := range p.Payouts {
+			var o0, o1 bool
+			sum0, o0 = u256.AddOverflow(sum0, e.Amount0)
+			sum1, o1 = u256.AddOverflow(sum1, e.Amount1)
+			over0, over1 = over0 || o0, over1 || o1
 		}
 	}
-	// Register the next committee's key (vk_c), enabling epoch e+1's Sync.
-	if err := env.Gas.Charge(gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)); err != nil {
-		return err
+	bal0, bal1 := b.token0.Ledger.BalanceOf(BankAddress), b.token1.Ledger.BalanceOf(BankAddress)
+	if over0 || over1 || sum0.Gt(bal0) || sum1.Gt(bal1) {
+		return fmt.Errorf("%w: epoch %d part %d pays %s/%s, bank holds %s/%s",
+			ErrPayoutUncovered, a.Epoch, a.Part, sum0, sum1, bal0, bal1)
 	}
-	b.groupKeys[a.Epoch+uint64(len(a.Payloads))] = a.NextKey
 	return nil
 }
 
-func (b *TokenBank) applyPayload(env *Env, p *summary.SyncPayload) error {
-	// Payouts: each entry costs the measured constant and transfers the
-	// user's updated deposit balance out of the bank.
-	for _, e := range p.Payouts {
-		if err := env.Gas.Charge(gasmodel.PayoutEntryGas); err != nil {
-			return err
-		}
-		if !e.Amount0.IsZero() {
-			if err := b.token0.internalTransfer(BankAddress, e.User, e.Amount0); err != nil {
-				return fmt.Errorf("payout token0 to %s: %w", e.User, err)
+// pay transfers an applied part's payouts — each user's updated deposit
+// balance — out of the bank and clears the epoch's deposit bucket. cover
+// checked the sums, so no transfer fails.
+func (b *TokenBank) pay(a *MultiSyncArgs) {
+	for _, p := range a.Payloads {
+		for _, e := range p.Payouts {
+			if !e.Amount0.IsZero() {
+				_ = b.token0.internalTransfer(BankAddress, e.User, e.Amount0)
 			}
-		}
-		if !e.Amount1.IsZero() {
-			if err := b.token1.internalTransfer(BankAddress, e.User, e.Amount1); err != nil {
-				return fmt.Errorf("payout token1 to %s: %w", e.User, err)
+			if !e.Amount1.IsZero() {
+				_ = b.token1.internalTransfer(BankAddress, e.User, e.Amount1)
 			}
 		}
 	}
-	delete(b.Deposits, p.Epoch)
-	// Positions: create/adjust entries (192 B = 6 words each); deletions
-	// are storage clears, which the EVM refunds down to a small net cost.
-	for _, e := range p.Positions {
-		if e.Deleted {
-			if err := env.Gas.Charge(gasmodel.SstoreClearGas); err != nil {
-				return err
-			}
-			delete(b.Positions, e.ID)
-			continue
-		}
-		if err := env.Gas.Charge(uint64(gasmodel.PositionEntryWords) * gasmodel.SstoreWordGas); err != nil {
-			return err
-		}
-		b.Positions[e.ID] = e
-	}
-	// Pool balance update.
-	if err := env.Gas.Charge(uint64(gasmodel.PoolBalanceWords) * gasmodel.SstoreWordGas); err != nil {
-		return err
-	}
-	b.PoolReserve0 = p.PoolReserve0
-	b.PoolReserve1 = p.PoolReserve1
-	return nil
-}
-
-func combinedDigest(payloads []*summary.SyncPayload) [32]byte {
-	if len(payloads) == 1 {
-		return payloads[0].Digest()
-	}
-	var acc []byte
-	for _, p := range payloads {
-		d := p.Digest()
-		acc = append(acc, d[:]...)
-	}
-	return sha256.Sum256(acc)
+	delete(b.Deposits, a.Epoch)
 }
 
 func (b *TokenBank) flash(env *Env, a FlashArgs) error {
 	if !b.poolCreated {
 		return ErrNoPool
 	}
-	if a.Amount0.Gt(b.PoolReserve0) || a.Amount1.Gt(b.PoolReserve1) {
+	res := b.Reserves[b.pool]
+	if a.Amount0.Gt(res.Reserve0) || a.Amount1.Gt(res.Reserve1) {
 		return fmt.Errorf("tokenbank: flash exceeds pool reserves")
 	}
 	// Flash = two transfers out, callback, two transfers back, fee check.
 	if err := env.Gas.Charge(gasmodel.TxBaseGas + 4*gasmodel.SstoreWordGas + gasmodel.KeccakGas(64)); err != nil {
 		return err
 	}
-	// The fee is ceil(amount·fee/1e6) over the full 512-bit product, as in
-	// amm.Pool.Flash: a 256-bit product would wrap for large amounts.
+	// The fee is ceil(amount·fee/1e6) over the full 512-bit product: a
+	// 256-bit product would wrap for large amounts.
 	fee0, _ := u256.MulDivRoundingUp(a.Amount0, u256.FromUint64(uint64(b.FeePips)), u256.FromUint64(1_000_000))
 	fee1, _ := u256.MulDivRoundingUp(a.Amount1, u256.FromUint64(uint64(b.FeePips)), u256.FromUint64(1_000_000))
 	if !a.Amount0.IsZero() {
@@ -354,7 +250,6 @@ func (b *TokenBank) flash(env *Env, a FlashArgs) error {
 			return err
 		}
 	}
-	b.PoolReserve0 = u256.Add(b.PoolReserve0, fee0)
-	b.PoolReserve1 = u256.Add(b.PoolReserve1, fee1)
+	b.Reserves[b.pool] = PoolReserves{Reserve0: u256.Add(res.Reserve0, fee0), Reserve1: u256.Add(res.Reserve1, fee1)}
 	return nil
 }

@@ -1,8 +1,10 @@
 package mainchain
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,13 +15,17 @@ import (
 	"ammboost/internal/u256"
 )
 
+// tbPool is the fixture bank's one pool.
+const tbPool = "pool-0"
+
 // bankFixture wires a chain with two tokens, a TokenBank, and a committee.
 type bankFixture struct {
 	sim    *sim.Simulator
 	chain  *Chain
 	t0, t1 *ERC20
 	bank   *TokenBank
-	// committee key material for epoch 1.
+	// committee key material: it signs every epoch, and each sync
+	// registers its key again as the next epoch's.
 	members []tsig.DKGResult
 }
 
@@ -35,7 +41,7 @@ func newBankFixture(t *testing.T) *bankFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank := NewTokenBank(t0, t1, members[0].Group)
+	bank := NewTokenBank(t0, t1, tbPool, members[0].Group)
 	c.Deploy(bank)
 	// Fund users and pre-approve the bank (the approval transactions are
 	// exercised in chain_test; here we focus on bank semantics).
@@ -52,24 +58,51 @@ func newBankFixture(t *testing.T) *bankFixture {
 	return &bankFixture{sim: s, chain: c, t0: t0, t1: t1, bank: bank, members: members}
 }
 
-// signPayloads produces a valid TSQC signature from the epoch-1 committee.
-func (f *bankFixture) signPayloads(payloads []*summary.SyncPayload) tsig.Point {
-	digest := combinedDigest(payloads)
+// sign is the committee's TSQC signature over digest.
+func (f *bankFixture) sign(members []tsig.DKGResult, digest [32]byte) tsig.Point {
 	partials := make([]tsig.PartialSig, 4)
 	for i := 0; i < 4; i++ {
-		partials[i] = tsig.PartialSign(f.members[i].Share, digest[:])
+		partials[i] = tsig.PartialSign(members[i].Share, digest[:])
 	}
-	sig, err := tsig.Combine(f.members[0].Group, partials)
+	sig, err := tsig.Combine(members[0].Group, partials)
 	if err != nil {
 		panic(err)
 	}
 	return sig
 }
 
+// syncPart is epoch's Sync as one part over payloads, signed by the
+// fixture committee, registering that committee's key for epoch+1.
+func (f *bankFixture) syncPart(epoch uint64, payloads ...*summary.SyncPayload) *MultiSyncArgs {
+	a := &MultiSyncArgs{Epoch: epoch, Part: 1, NumParts: 1, Payloads: payloads,
+		SummaryRoot: [32]byte{0xaa, byte(epoch)}, NextKey: f.members[0].Group}
+	a.Sig = f.sign(f.members, BindSyncParts([]*MultiSyncArgs{a}, nil))
+	return a
+}
+
+// syncTx wraps a part in the transaction that declares its gas, as the
+// node's uplink does.
+func syncTx(id string, a *MultiSyncArgs) *Tx {
+	gas := a.Gas()
+	return &Tx{ID: id, From: "committee", To: BankAddress, Method: "sync",
+		Size: 32 + gas.Calldata(), Args: a, GasLimit: gas.Declared()}
+}
+
 func (f *bankFixture) submitAndRun(t *testing.T, tx *Tx, until time.Duration) {
 	t.Helper()
 	f.sim.After(time.Second, func() { f.chain.Submit(tx) })
 	f.sim.RunUntil(until)
+}
+
+// deposit confirms alice's 500/700 deposit for epoch 1.
+func (f *bankFixture) deposit(t *testing.T) {
+	t.Helper()
+	dep := &Tx{ID: "d1", From: "alice", To: BankAddress, Method: "deposit",
+		Args: DepositArgs{Epoch: 1, Amount0: u256.FromUint64(500), Amount1: u256.FromUint64(700)}}
+	f.submitAndRun(t, dep, 20*time.Second)
+	if dep.Status != TxConfirmed {
+		t.Fatalf("deposit: %v", dep.Err)
+	}
 }
 
 func TestDepositPullsTokens(t *testing.T) {
@@ -109,7 +142,8 @@ func TestDepositWithoutFundsReverts(t *testing.T) {
 
 func validPayload(epoch uint64) *summary.SyncPayload {
 	p := &summary.SyncPayload{
-		Epoch: epoch,
+		Epoch:  epoch,
+		PoolID: tbPool,
 		Payouts: []summary.PayoutEntry{
 			{User: "alice", Amount0: u256.FromUint64(300), Amount1: u256.FromUint64(700)},
 		},
@@ -118,17 +152,8 @@ func validPayload(epoch uint64) *summary.SyncPayload {
 		},
 		PoolReserve0: u256.FromUint64(200),
 		PoolReserve1: u256.Zero,
-		NextGroupKey: []byte("vkc-epoch-2"),
 	}
 	p.SortEntries()
-	return p
-}
-
-// payload is validPayload carrying, as its signed next group key, the
-// fixture committee's key that the test syncs register.
-func (f *bankFixture) payload(epoch uint64) *summary.SyncPayload {
-	p := validPayload(epoch)
-	p.NextGroupKey = f.members[0].Group.Bytes()
 	return p
 }
 
@@ -136,16 +161,9 @@ func TestSyncHappyPath(t *testing.T) {
 	f := newBankFixture(t)
 	// Alice deposits 500/700; the epoch's trading turned that into
 	// 300/700 with 200 of token0 moving into the pool.
-	dep := &Tx{ID: "d1", From: "alice", To: BankAddress, Method: "deposit",
-		Args: DepositArgs{Epoch: 1, Amount0: u256.FromUint64(500), Amount1: u256.FromUint64(700)}}
-	f.sim.After(time.Second, func() { f.chain.Submit(dep) })
-	f.sim.RunUntil(20 * time.Second)
-
-	p := f.payload(1)
-	syncTx := &Tx{ID: "s1", From: "committee-1", To: BankAddress, Method: "sync",
-		Size: p.MainchainBytes(),
-		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
-			Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: f.members[0].Group}}
+	f.deposit(t)
+	p := validPayload(1)
+	syncTx := syncTx("s1", f.syncPart(1, p))
 	f.submitAndRun(t, syncTx, 40*time.Second)
 	f.chain.Stop()
 	if syncTx.Status != TxConfirmed {
@@ -162,58 +180,92 @@ func TestSyncHappyPath(t *testing.T) {
 	if got := f.t0.Ledger.BalanceOf(BankAddress); !got.Eq(u256.FromUint64(200)) {
 		t.Errorf("bank token0 = %s, want 200", got)
 	}
-	// Position stored; deposits cleared; epoch-2 key registered.
-	if _, ok := f.bank.Positions["pos1"]; !ok {
+	// Position and reserves stored; deposits cleared; epoch-2 key registered.
+	if _, ok := f.bank.Positions[tbPool]["pos1"]; !ok {
 		t.Error("position not stored")
+	}
+	if got := f.bank.Reserves[tbPool].Reserve0; !got.Eq(u256.FromUint64(200)) {
+		t.Errorf("stored reserve0 = %s, want 200", got)
 	}
 	if len(f.bank.EpochDeposits(1)) != 0 {
 		t.Error("epoch deposits should be cleared after sync")
 	}
-	if _, ok := f.bank.GroupKeyFor(2); !ok {
+	if _, ok := f.bank.groupKeys[2]; !ok {
 		t.Error("next committee key not registered")
 	}
 	if f.bank.LastSyncedEpoch != 1 {
 		t.Errorf("LastSyncedEpoch = %d", f.bank.LastSyncedEpoch)
 	}
-	// Gas: itemized model (1 payout, 1 position, auth, pool balance).
-	wantGas := gasmodel.SyncGas(1, 1, p.MainchainBytes()) + gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
+	// Gas: the itemized model (1 payout, 1 position, auth, pool balance)
+	// plus the summary-root word and the next key's registration.
+	wantGas := gasmodel.SyncGas(1, 1, p.MainchainBytes()) + gasmodel.SstoreGas(32) + gasmodel.SstoreGas(gasmodel.ABIGroupKeyBytes)
 	if syncTx.GasUsed != wantGas {
 		t.Errorf("sync gas = %d, want %d", syncTx.GasUsed, wantGas)
 	}
 }
 
+// TestSyncPayoutUncoveredLeavesBankUnchanged: a signed part whose payouts
+// exceed the bank's token balance reverts whole. The payout the bank
+// could have covered is not made, and the token balances, reserves,
+// positions, deposits and registered keys stay as they were.
+func TestSyncPayoutUncoveredLeavesBankUnchanged(t *testing.T) {
+	f := newBankFixture(t)
+	f.deposit(t)
+	p := validPayload(1)
+	p.Payouts = append(p.Payouts, summary.PayoutEntry{User: "bob", Amount0: u256.FromUint64(1_000)})
+	p.SortEntries()
+	accounts := []string{BankAddress, "alice", "bob"}
+	balances := func() []u256.Int {
+		var out []u256.Int
+		for _, a := range accounts {
+			out = append(out, f.t0.Ledger.BalanceOf(a), f.t1.Ledger.BalanceOf(a))
+		}
+		return out
+	}
+	before, state := balances(), f.bank.EncodeState()
+	tx := syncTx("s1", f.syncPart(1, p))
+	f.submitAndRun(t, tx, 40*time.Second)
+	f.chain.Stop()
+	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrPayoutUncovered) {
+		t.Fatalf("uncovered sync: status=%v err=%v, want ErrPayoutUncovered", tx.Status, tx.Err)
+	}
+	if after := balances(); !slices.Equal(after, before) {
+		t.Errorf("token balances of %v moved: %v, want %v", accounts, after, before)
+	}
+	if !bytes.Equal(f.bank.EncodeState(), state) {
+		t.Error("reserves, positions or registered keys changed")
+	}
+	if _, ok := f.bank.groupKeys[2]; ok {
+		t.Error("the reverted part registered the next key")
+	}
+	if len(f.bank.EpochDeposits(1)) != 1 {
+		t.Error("the reverted part cleared the epoch's deposits")
+	}
+}
+
 func TestSyncRejectsForgedSignature(t *testing.T) {
 	f := newBankFixture(t)
-	p := f.payload(1)
 	// A different committee signs: must be rejected.
 	mallory, err := tsig.RunDKG(rand.New(rand.NewSource(666)), 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := p.Digest()
-	partials := make([]tsig.PartialSig, 4)
-	for i := 0; i < 4; i++ {
-		partials[i] = tsig.PartialSign(mallory[i].Share, digest[:])
-	}
-	sig, _ := tsig.Combine(mallory[0].Group, partials)
-	tx := &Tx{ID: "s1", From: "mallory", To: BankAddress, Method: "sync",
-		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p}, Sig: sig, NextKey: mallory[0].Group}}
+	a := f.syncPart(1, validPayload(1))
+	a.Sig = f.sign(mallory, BindSyncParts([]*MultiSyncArgs{a}, nil))
+	tx := syncTx("s1", a)
 	f.submitAndRun(t, tx, 20*time.Second)
 	f.chain.Stop()
 	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrBadSyncSignature) {
 		t.Fatalf("forged sync: status=%v err=%v", tx.Status, tx.Err)
 	}
-	if len(f.bank.Positions) != 0 {
+	if len(f.bank.Positions[tbPool]) != 0 {
 		t.Error("forged sync must not change state")
 	}
 }
 
 func TestSyncRejectsUnknownEpoch(t *testing.T) {
 	f := newBankFixture(t)
-	p := f.payload(7)
-	tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
-		Args: &SyncArgs{Epoch: 7, Payloads: []*summary.SyncPayload{p},
-			Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: f.members[0].Group}}
+	tx := syncTx("s1", f.syncPart(7, validPayload(7)))
 	f.submitAndRun(t, tx, 20*time.Second)
 	f.chain.Stop()
 	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrUnknownEpochKey) {
@@ -223,12 +275,11 @@ func TestSyncRejectsUnknownEpoch(t *testing.T) {
 
 func TestSyncTamperedPayloadRejected(t *testing.T) {
 	f := newBankFixture(t)
-	p := f.payload(1)
-	sig := f.signPayloads([]*summary.SyncPayload{p})
+	p := validPayload(1)
+	a := f.syncPart(1, p)
 	// Tamper after signing.
 	p.Payouts[0].Amount0 = u256.FromUint64(999_999)
-	tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
-		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p}, Sig: sig, NextKey: f.members[0].Group}}
+	tx := syncTx("s1", a)
 	f.submitAndRun(t, tx, 20*time.Second)
 	f.chain.Stop()
 	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrBadSyncSignature) {
@@ -236,34 +287,33 @@ func TestSyncTamperedPayloadRejected(t *testing.T) {
 	}
 }
 
-// TestSyncRejectsUnsignedNextKey: a correctly signed sync whose NextKey
-// is not the key its payload signed is refused with ErrNextKeyMismatch
-// before it pays out, stores a position or registers any key.
+// TestSyncRejectsUnsignedNextKey: the next committee key is under the
+// epoch's signature, so a sync whose NextKey was swapped after signing is
+// refused before it pays out, stores a position or registers any key.
 func TestSyncRejectsUnsignedNextKey(t *testing.T) {
 	f := newBankFixture(t)
 	mallory, err := tsig.RunDKG(rand.New(rand.NewSource(666)), 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.payload(1)
-	tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
-		Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
-			Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: mallory[0].Group}}
+	a := f.syncPart(1, validPayload(1))
+	a.NextKey = mallory[0].Group
+	tx := syncTx("s1", a)
 	f.submitAndRun(t, tx, 20*time.Second)
 	f.chain.Stop()
-	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrNextKeyMismatch) {
-		t.Fatalf("swapped next key: status=%v err=%v, want ErrNextKeyMismatch", tx.Status, tx.Err)
+	if tx.Status != TxFailed || !errors.Is(tx.Err, ErrBadSyncSignature) {
+		t.Fatalf("swapped next key: status=%v err=%v, want ErrBadSyncSignature", tx.Status, tx.Err)
 	}
-	if _, ok := f.bank.GroupKeyFor(2); ok || len(f.bank.Positions) != 0 || f.bank.LastSyncedEpoch != 0 {
+	if _, ok := f.bank.groupKeys[2]; ok || len(f.bank.Positions[tbPool]) != 0 || f.bank.LastSyncedEpoch != 0 {
 		t.Errorf("refused sync left state: key registered %v, %d positions, synced to %d",
-			ok, len(f.bank.Positions), f.bank.LastSyncedEpoch)
+			ok, len(f.bank.Positions[tbPool]), f.bank.LastSyncedEpoch)
 	}
 }
 
-// TestSyncRejectsUnsignedKeyGeometry: the signed payload's next key
-// carries the point, the threshold and the committee size, so a Sync that
+// TestSyncRejectsUnsignedKeyGeometry: the signed epoch digest carries the
+// next key's point, threshold and committee size, so a Sync that
 // registers the right point under a different threshold or committee size
-// is refused with ErrNextKeyMismatch and registers nothing.
+// is refused and registers nothing.
 func TestSyncRejectsUnsignedKeyGeometry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -273,23 +323,24 @@ func TestSyncRejectsUnsignedKeyGeometry(t *testing.T) {
 		{"size", func(k *tsig.GroupKey) { k.N = 100 }},
 	} {
 		f := newBankFixture(t)
-		p := f.payload(1)
-		next := f.members[0].Group
-		tc.edit(&next)
-		tx := &Tx{ID: "s1", From: "committee", To: BankAddress, Method: "sync",
-			Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
-				Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: next}}
+		a := f.syncPart(1, validPayload(1))
+		tc.edit(&a.NextKey)
+		tx := syncTx("s1", a)
 		f.submitAndRun(t, tx, 20*time.Second)
 		f.chain.Stop()
-		if tx.Status != TxFailed || !errors.Is(tx.Err, ErrNextKeyMismatch) {
-			t.Fatalf("%s swapped: status=%v err=%v, want ErrNextKeyMismatch", tc.name, tx.Status, tx.Err)
+		if tx.Status != TxFailed || !errors.Is(tx.Err, ErrBadSyncSignature) {
+			t.Fatalf("%s swapped: status=%v err=%v, want ErrBadSyncSignature", tc.name, tx.Status, tx.Err)
 		}
-		if _, ok := f.bank.GroupKeyFor(2); ok {
+		if _, ok := f.bank.groupKeys[2]; ok {
 			t.Errorf("%s swapped: a key was registered for epoch 2", tc.name)
 		}
 	}
 }
 
+// TestMassSyncAppliesMultipleEpochs: a mass-sync is the held Sync of a
+// skipped epoch followed by the next epoch's, each signed by its own
+// committee; the second depends on the first, so the key chain accepts
+// both and both epochs pay out.
 func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 	f := newBankFixture(t)
 	dep := &Tx{ID: "d1", From: "alice", To: BankAddress, Method: "deposit",
@@ -299,23 +350,19 @@ func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 	f.sim.After(time.Second, func() { f.chain.Submit(dep); f.chain.Submit(dep2) })
 	f.sim.RunUntil(20 * time.Second)
 
-	p1 := &summary.SyncPayload{Epoch: 1,
+	p1 := &summary.SyncPayload{Epoch: 1, PoolID: tbPool,
 		Payouts:      []summary.PayoutEntry{{User: "alice", Amount0: u256.FromUint64(450)}},
 		PoolReserve0: u256.FromUint64(50)}
-	p2 := &summary.SyncPayload{Epoch: 2,
+	p2 := &summary.SyncPayload{Epoch: 2, PoolID: tbPool,
 		Payouts:      []summary.PayoutEntry{{User: "bob", Amount0: u256.FromUint64(380)}},
-		PoolReserve0: u256.FromUint64(70), NextGroupKey: f.members[0].Group.Bytes()}
-	p1.SortEntries()
-	p2.SortEntries()
-	payloads := []*summary.SyncPayload{p1, p2}
-	// Epoch-1 committee key authenticates the mass-sync (registered at
-	// genesis); the next key lands at epoch 1+2=3.
-	tx := &Tx{ID: "ms", From: "committee-2", To: BankAddress, Method: "sync",
-		Args: &SyncArgs{Epoch: 1, Payloads: payloads, Sig: f.signPayloads(payloads), NextKey: f.members[0].Group}}
-	f.submitAndRun(t, tx, 40*time.Second)
+		PoolReserve0: u256.FromUint64(70)}
+	held, next := syncTx("ms-e1", f.syncPart(1, p1)), syncTx("ms-e2", f.syncPart(2, p2))
+	next.DependsOn = []string{held.ID}
+	f.sim.After(time.Second, func() { f.chain.Submit(next); f.chain.Submit(held) })
+	f.sim.RunUntil(60 * time.Second)
 	f.chain.Stop()
-	if tx.Status != TxConfirmed {
-		t.Fatalf("mass-sync failed: %v", tx.Err)
+	if held.Status != TxConfirmed || next.Status != TxConfirmed {
+		t.Fatalf("mass-sync failed: %v / %v", held.Err, next.Err)
 	}
 	if f.bank.LastSyncedEpoch != 2 {
 		t.Errorf("LastSyncedEpoch = %d, want 2", f.bank.LastSyncedEpoch)
@@ -323,30 +370,23 @@ func TestMassSyncAppliesMultipleEpochs(t *testing.T) {
 	if got := f.t0.Ledger.BalanceOf(BankAddress); !got.Eq(u256.FromUint64(70)) {
 		t.Errorf("bank retains %s, want final pool reserve 70", got)
 	}
-	if _, ok := f.bank.GroupKeyFor(3); !ok {
+	if _, ok := f.bank.groupKeys[3]; !ok {
 		t.Error("mass-sync should register the key for epoch 3")
 	}
 }
 
+// TestSyncIdempotentPerEpoch: a second Sync of an applied epoch is
+// refused, so nobody is paid twice.
 func TestSyncIdempotentPerEpoch(t *testing.T) {
 	f := newBankFixture(t)
-	dep := &Tx{ID: "d1", From: "alice", To: BankAddress, Method: "deposit",
-		Args: DepositArgs{Epoch: 1, Amount0: u256.FromUint64(500), Amount1: u256.FromUint64(700)}}
-	f.sim.After(time.Second, func() { f.chain.Submit(dep) })
-	f.sim.RunUntil(20 * time.Second)
-
-	p := f.payload(1)
-	mk := func(id string) *Tx {
-		return &Tx{ID: id, From: "committee", To: BankAddress, Method: "sync",
-			Args: &SyncArgs{Epoch: 1, Payloads: []*summary.SyncPayload{p},
-				Sig: f.signPayloads([]*summary.SyncPayload{p}), NextKey: f.members[0].Group}}
-	}
-	tx1, tx2 := mk("s1"), mk("s2")
+	f.deposit(t)
+	p := validPayload(1)
+	tx1, tx2 := syncTx("s1", f.syncPart(1, p)), syncTx("s2", f.syncPart(1, p))
 	f.sim.After(time.Second, func() { f.chain.Submit(tx1); f.chain.Submit(tx2) })
 	f.sim.RunUntil(40 * time.Second)
 	f.chain.Stop()
-	if tx1.Status != TxConfirmed || tx2.Status != TxConfirmed {
-		t.Fatalf("sync statuses: %v / %v (%v / %v)", tx1.Status, tx2.Status, tx1.Err, tx2.Err)
+	if tx1.Status != TxConfirmed || tx2.Status != TxFailed || !errors.Is(tx2.Err, ErrEpochAlreadySync) {
+		t.Fatalf("sync statuses: %v / %v (%v / %v), want the duplicate refused", tx1.Status, tx2.Status, tx1.Err, tx2.Err)
 	}
 	// The duplicate must not pay alice twice: 1M - 500 + 300.
 	if got := f.t0.Ledger.BalanceOf("alice"); !got.Eq(u256.FromUint64(999_800)) {
@@ -362,7 +402,7 @@ func TestFlashLoanOnBank(t *testing.T) {
 	}
 	f.bank.poolCreated = true
 	f.bank.FeePips = 3000
-	f.bank.PoolReserve0 = u256.FromUint64(100_000)
+	f.bank.Reserves[tbPool] = PoolReserves{Reserve0: u256.FromUint64(100_000)}
 
 	var received u256.Int
 	tx := &Tx{ID: "f1", From: "alice", To: BankAddress, Method: "flash",
@@ -380,7 +420,7 @@ func TestFlashLoanOnBank(t *testing.T) {
 	if !received.Eq(u256.FromUint64(10_000)) {
 		t.Errorf("callback received %s", received)
 	}
-	if got := f.bank.PoolReserve0; !got.Eq(u256.FromUint64(100_030)) {
+	if got := f.bank.Reserves[tbPool].Reserve0; !got.Eq(u256.FromUint64(100_030)) {
 		t.Errorf("pool reserve after flash = %s", got)
 	}
 	// alice paid the 30-token fee.
@@ -396,7 +436,7 @@ func TestFlashLoanNotRepaidReverts(t *testing.T) {
 	}
 	f.bank.poolCreated = true
 	f.bank.FeePips = 3000
-	f.bank.PoolReserve0 = u256.FromUint64(100_000)
+	f.bank.Reserves[tbPool] = PoolReserves{Reserve0: u256.FromUint64(100_000)}
 	tx := &Tx{ID: "f1", From: "alice", To: BankAddress, Method: "flash",
 		Args: FlashArgs{Amount0: u256.FromUint64(10_000),
 			Callback: func(a0, a1 u256.Int) (u256.Int, u256.Int) {
@@ -428,7 +468,7 @@ func TestFlashLoanLargeAmountFee(t *testing.T) {
 	}
 	f.bank.poolCreated = true
 	f.bank.FeePips = 3000
-	f.bank.PoolReserve0 = amount
+	f.bank.Reserves[tbPool] = PoolReserves{Reserve0: amount}
 	tx := &Tx{ID: "f1", From: "alice", To: BankAddress, Method: "flash",
 		Args: FlashArgs{Amount0: amount,
 			Callback: func(a0, a1 u256.Int) (u256.Int, u256.Int) {

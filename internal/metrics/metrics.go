@@ -58,7 +58,6 @@ type Collector struct {
 	// commit/sync stages still in flight at that moment.
 	pipelineSamples int
 	pipelineSum     int
-	pipelineMax     int
 }
 
 // New creates an empty collector.
@@ -123,9 +122,6 @@ func (c *Collector) ObserveTx(o TxObservation) {
 func (c *Collector) ObservePipeline(inflight int) {
 	c.pipelineSamples++
 	c.pipelineSum += inflight
-	if inflight > c.pipelineMax {
-		c.pipelineMax = inflight
-	}
 }
 
 // AvgPipelineOccupancy is the mean in-flight commit/sync stage count over
@@ -136,9 +132,6 @@ func (c *Collector) AvgPipelineOccupancy() float64 {
 	}
 	return float64(c.pipelineSum) / float64(c.pipelineSamples)
 }
-
-// MaxPipelineOccupancy is the deepest overlap observed at any seal.
-func (c *Collector) MaxPipelineOccupancy() int { return c.pipelineMax }
 
 // ObserveGas records gas for a labeled mainchain operation.
 func (c *Collector) ObserveGas(op string, gas uint64) {

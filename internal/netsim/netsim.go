@@ -107,19 +107,6 @@ func (n *Network) Register(id string, h Handler) {
 	n.nodes[id] = h
 }
 
-// Unregister removes a node (e.g., a decommissioned replica).
-func (n *Network) Unregister(id string) {
-	if _, known := n.nodes[id]; known {
-		delete(n.nodes, id)
-		for i, o := range n.order {
-			if o == id {
-				n.order = append(n.order[:i], n.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
 // Partition blocks both directions between a and b until Heal.
 func (n *Network) Partition(a, b string) {
 	n.partitioned[[2]string{a, b}] = true

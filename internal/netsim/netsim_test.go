@@ -103,16 +103,16 @@ func TestBroadcastSerializesOnUplink(t *testing.T) {
 	}
 }
 
-func TestUnregisterDropsDelivery(t *testing.T) {
+func TestCrashDropsInFlightDelivery(t *testing.T) {
 	s := sim.New()
 	n := New(s, Config{BaseLatency: time.Millisecond, BandwidthBps: 1e9})
 	count := 0
 	n.Register("b", func(string, any) { count++ })
 	n.Send("a", "b", 10, nil)
-	n.Unregister("b") // crash before delivery
+	n.Crash("b") // crash before delivery
 	s.Run()
 	if count != 0 {
-		t.Error("message delivered to unregistered node")
+		t.Error("message delivered to a crashed node")
 	}
 }
 

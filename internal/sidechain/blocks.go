@@ -108,13 +108,9 @@ type SummaryBlock struct {
 	MinedAt   time.Duration
 }
 
-// NewSummaryBlock builds the permanent summary over the epoch's meta-blocks.
-func NewSummaryBlock(epoch uint64, payload *summary.SyncPayload, metas []*MetaBlock) *SummaryBlock {
-	return NewSummaryBlocks(epoch, []*summary.SyncPayload{payload}, metas)[0]
-}
-
-// NewSummaryBlocks builds a multi-pool epoch's summary-blocks, one per
-// payload; they share the MetaRoot, which is computed once.
+// NewSummaryBlocks builds the permanent summaries over an epoch's
+// meta-blocks, one per pool payload; they share the MetaRoot, which is
+// computed once.
 func NewSummaryBlocks(epoch uint64, payloads []*summary.SyncPayload, metas []*MetaBlock) []*SummaryBlock {
 	hashes := make([][32]byte, len(metas))
 	for i, m := range metas {
@@ -150,7 +146,6 @@ type Ledger struct {
 	summaryBytes     int
 	prunedBytes      int // total bytes reclaimed by pruning
 	peakBytes        int
-	totalMetaBlocks  int
 	totalTxsRecorded int
 }
 
@@ -179,7 +174,6 @@ func (l *Ledger) AppendMeta(b *MetaBlock) error {
 	l.lastEpoch = b.Epoch
 	l.lastRound = b.Round
 	l.liveMetaBytes += b.SizeBytes
-	l.totalMetaBlocks++
 	l.totalTxsRecorded += len(b.Txs)
 	if s := l.SizeBytes(); s > l.peakBytes {
 		l.peakBytes = s
@@ -256,9 +250,6 @@ func (l *Ledger) PrunedBytes() int { return l.prunedBytes }
 // UnprunedBytes is what the chain would occupy had nothing been pruned
 // (the "no pruning" ablation baseline).
 func (l *Ledger) UnprunedBytes() int { return l.SizeBytes() + l.prunedBytes }
-
-// TotalMetaBlocks is the number of meta-blocks ever committed.
-func (l *Ledger) TotalMetaBlocks() int { return l.totalMetaBlocks }
 
 // TotalTxs is the number of transactions ever recorded in meta-blocks.
 func (l *Ledger) TotalTxs() int { return l.totalTxsRecorded }

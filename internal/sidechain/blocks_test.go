@@ -60,8 +60,8 @@ func TestLedgerChaining(t *testing.T) {
 	if err := l.AppendMeta(old); !errors.Is(err, ErrEpochMismatch) {
 		t.Errorf("want ErrEpochMismatch, got %v", err)
 	}
-	if l.TotalMetaBlocks() != 2 || l.TotalTxs() != 3 {
-		t.Errorf("blocks=%d txs=%d", l.TotalMetaBlocks(), l.TotalTxs())
+	if len(l.MetaBlocks(1)) != 2 || l.TotalTxs() != 3 {
+		t.Errorf("blocks=%d txs=%d", len(l.MetaBlocks(1)), l.TotalTxs())
 	}
 }
 
@@ -76,7 +76,7 @@ func TestPruningReclaimsBytes(t *testing.T) {
 		}
 	}
 	payload := &summary.SyncPayload{Epoch: 1, Payouts: []summary.PayoutEntry{{User: "alice"}}}
-	sb := NewSummaryBlock(1, payload, l.MetaBlocks(1))
+	sb := NewSummaryBlocks(1, []*summary.SyncPayload{payload}, l.MetaBlocks(1))[0]
 	l.AppendSummary(sb)
 
 	if got := l.SizeBytes(); got != epochBytes+sb.SizeBytes {
@@ -134,7 +134,7 @@ func TestPeakTracksMaximum(t *testing.T) {
 			}
 		}
 		payload := &summary.SyncPayload{Epoch: e}
-		l.AppendSummary(NewSummaryBlock(e, payload, l.MetaBlocks(e)))
+		l.AppendSummary(NewSummaryBlocks(e, []*summary.SyncPayload{payload}, l.MetaBlocks(e))[0])
 		if err := l.Prune(e, true); err != nil {
 			t.Fatal(err)
 		}
@@ -153,8 +153,12 @@ func TestSummaryBlockCommitsToMetas(t *testing.T) {
 	_ = l.AppendMeta(b1)
 	b2 := newMeta(1, 2, "leader", l.TipHash(), mkTxs(2, "b"))
 	_ = l.AppendMeta(b2)
-	sb := NewSummaryBlock(1, &summary.SyncPayload{Epoch: 1}, l.MetaBlocks(1))
-	sb2 := NewSummaryBlock(1, &summary.SyncPayload{Epoch: 1}, l.MetaBlocks(1)[:1])
+	payloads := []*summary.SyncPayload{{Epoch: 1, PoolID: "p0"}, {Epoch: 1, PoolID: "p1"}}
+	sbs := NewSummaryBlocks(1, payloads, l.MetaBlocks(1))
+	sb, sb2 := sbs[0], NewSummaryBlocks(1, payloads, l.MetaBlocks(1)[:1])[0]
+	if sbs[1].MetaRoot != sb.MetaRoot || sbs[1].Payload != payloads[1] {
+		t.Error("an epoch's summary-blocks must share the MetaRoot, one per payload")
+	}
 	if sb.MetaRoot == sb2.MetaRoot {
 		t.Error("summary must commit to the exact meta-block set")
 	}

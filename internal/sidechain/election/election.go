@@ -2,8 +2,8 @@
 // sortition: every registered miner evaluates a VRF over the epoch seed,
 // and the committee is the set with the smallest outputs (ranked
 // sortition), the leader being the overall minimum. Election proofs are the
-// VRF proofs, so anyone can verify that a claimed committee is the rightful
-// one — the property TokenBank's TSQC key registration relies on.
+// VRF proofs, so anyone holding a miner's public VRF key can check its
+// ticket (VRF.Verify).
 package election
 
 import (
@@ -16,7 +16,6 @@ import (
 // Election errors.
 var (
 	ErrTooFewMiners = errors.New("election: committee size exceeds miner population")
-	ErrBadProof     = errors.New("election: invalid election proof")
 )
 
 // VRF abstracts the verifiable random function used for sortition. The
@@ -57,20 +56,6 @@ func (r *Registry) Add(m *Miner) {
 	}
 	r.miners = append(r.miners, m)
 	r.byID[m.ID] = m
-}
-
-// Remove deregisters a miner (leaving the system).
-func (r *Registry) Remove(id string) {
-	if _, ok := r.byID[id]; !ok {
-		return
-	}
-	delete(r.byID, id)
-	for i, m := range r.miners {
-		if m.ID == id {
-			r.miners = append(r.miners[:i], r.miners[i+1:]...)
-			break
-		}
-	}
 }
 
 // Size returns the miner population.
@@ -181,32 +166,4 @@ func lessBytes(a, b [32]byte) bool {
 		}
 	}
 	return false
-}
-
-// VerifyMembership checks a member's election proof against the registry
-// and epoch seed: the proof must be a valid VRF proof whose output matches
-// the ticket. This is what committee e runs before registering committee
-// e+1's group key on TokenBank.
-func VerifyMembership(reg *Registry, chainSeed [32]byte, epoch uint64, t Ticket) error {
-	m := reg.Miner(t.MinerID)
-	if m == nil {
-		return fmt.Errorf("%w: unknown miner %s", ErrBadProof, t.MinerID)
-	}
-	input := Seed(chainSeed, epoch)
-	// The proof corresponds to one of the miner's sub-tickets.
-	subs := m.Stake
-	if subs == 0 {
-		subs = 1
-	}
-	if subs > 8 {
-		subs = 8
-	}
-	for s := uint64(0); s < subs; s++ {
-		in := append(append([]byte{}, input...), byte(s))
-		out, err := m.VRF.Verify(in, t.Proof)
-		if err == nil && out == t.Output {
-			return nil
-		}
-	}
-	return ErrBadProof
 }

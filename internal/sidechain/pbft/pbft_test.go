@@ -175,7 +175,7 @@ func TestInvalidProposalTriggersViewChange(t *testing.T) {
 func TestCrashFaultToleratedWithinBudget(t *testing.T) {
 	c := newCluster(t, 1, 3*time.Second) // n=5, tolerates 1 fault
 	// Crash one non-leader replica.
-	c.net.Unregister("m4")
+	c.net.Crash("m4")
 	payload := "block-despite-crash"
 	c.expectAll(1)
 	if err := c.replicas[0].Propose(1, payload, DigestOf([]byte(payload)), 100); err != nil {
@@ -193,8 +193,8 @@ func TestTooManyCrashesStallsSafely(t *testing.T) {
 	c := newCluster(t, 1, time.Second)
 	// Crash two of five (> f=1): no quorum, no decision — but no bogus
 	// decision either (safety over liveness).
-	c.net.Unregister("m3")
-	c.net.Unregister("m4")
+	c.net.Crash("m3")
+	c.net.Crash("m4")
 	c.expectAll(1)
 	if err := c.replicas[0].Propose(1, "stalled", DigestOf([]byte("stalled")), 100); err != nil {
 		t.Fatal(err)

@@ -210,20 +210,6 @@ func (t *Tracer) SetRetention(epochs int) {
 	t.mu.Unlock()
 }
 
-// SetSpanCap re-bounds the per-epoch span ring (<= 0 restores the
-// default). Applies to buckets created afterwards.
-func (t *Tracer) SetSpanCap(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSpanCap
-	}
-	t.mu.Lock()
-	t.spanCap = n
-	t.mu.Unlock()
-}
-
 // Since returns the wall-clock offset from the tracer's creation — the
 // timebase every SpanRecord.Start uses. Zero on a nil tracer.
 func (t *Tracer) Since() time.Duration {

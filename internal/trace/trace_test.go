@@ -50,7 +50,7 @@ func BenchmarkTraceEnabled(b *testing.B) {
 // epochs are retained, each a capped ring.
 func TestBoundedRetention(t *testing.T) {
 	tr := New(8)
-	tr.SetSpanCap(4)
+	tr.spanCap = 4
 	const epochs = 10_000
 	for e := uint64(0); e < epochs; e++ {
 		for i := 0; i < 6; i++ { // 6 spans > cap 4: two dropped per epoch

@@ -450,11 +450,3 @@ func Min(x, y Int) Int {
 	}
 	return y
 }
-
-// MaxOf returns the larger of x and y.
-func MaxOf(x, y Int) Int {
-	if x.Cmp(y) >= 0 {
-		return x
-	}
-	return y
-}

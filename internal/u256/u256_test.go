@@ -396,8 +396,8 @@ func TestMinMax(t *testing.T) {
 	if Min(a, b) != a || Min(b, a) != a {
 		t.Error("Min broken")
 	}
-	if MaxOf(a, b) != b || MaxOf(b, a) != b {
-		t.Error("MaxOf broken")
+	if Min(Max, b) != b || Min(a, Max) != a {
+		t.Error("Min against Max broken")
 	}
 }
 
