@@ -4,8 +4,7 @@
 //
 //	ammbench [-epochs N] [-seed S] [-committee N] <experiment>|all
 //
-// Experiments: table1 table2 table3 table4 fig5 table5 table6 table7
-// table8 table9 table10 table11 table12.
+// The usage text (ammbench -h) lists every experiment in run order.
 package main
 
 import (

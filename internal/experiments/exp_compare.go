@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"ammboost/internal/baseline"
 	"ammboost/internal/gasmodel"
-	"ammboost/internal/workload"
+	"ammboost/internal/summary"
 )
 
 // --- Figure 5: total gas cost and chain growth comparison ---
@@ -32,8 +31,7 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	o = o.withDefaults()
 	const vd = 500_000
 
-	// ammBoost run.
-	sys, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, vd))
+	_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, vd))
 	if err != nil {
 		return nil, err
 	}
@@ -43,19 +41,11 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := workload.New(workload.DefaultConfig(o.Seed))
-	roundDur := 7 * time.Second
-	rho := workload.Rho(vd, roundDur.Seconds())
-	totalRounds := o.Epochs * 30
 	var mainnetBytes int
-	workload.ConstantRate(rho, totalRounds, roundDur, func(at time.Duration) {
-		bl.Sim().At(at, func() {
-			tx := gen.Next()
-			mainnetBytes += gasmodel.MainnetTxBytes(tx.Kind)
-			bl.Submit(tx)
-		})
-	})
-	bl.Run(time.Duration(totalRounds) * roundDur)
+	bl.Run(replayPaperTraffic(o, vd, bl.Sim(), func(tx *summary.Tx) {
+		mainnetBytes += gasmodel.MainnetTxBytes(tx.Kind)
+		bl.Submit(tx)
+	}))
 
 	res := &Fig5Result{
 		AmmBoostGas:       rep.MainchainGas,
@@ -75,7 +65,6 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	if res.BaselineMainnetB > 0 {
 		res.GrowthVsMainnetPct = 100 * (1 - float64(res.AmmBoostMCBytes)/float64(res.BaselineMainnetB))
 	}
-	_ = sys
 	return res, nil
 }
 

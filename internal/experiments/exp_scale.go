@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ammboost/internal/chain"
 	"ammboost/internal/core"
 	"ammboost/internal/rollup"
 	"ammboost/internal/workload"
@@ -18,261 +19,59 @@ type scalePoint struct {
 	MaxSCGrowth   int
 }
 
-// --- Table V: scalability across daily volumes ---
-
-// Table5Result sweeps V_D ∈ {50K, 500K, 5M, 25M}.
-type Table5Result struct{ Points []scalePoint }
-
-// RunTable5 reproduces the scalability experiment.
-func RunTable5(o Options) (*Table5Result, error) {
-	o = o.withDefaults()
-	res := &Table5Result{}
-	for _, vd := range []int{50_000, 500_000, 5_000_000, 25_000_000} {
-		_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, vd))
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, scalePoint{
-			Label:         volLabel(vd),
-			Throughput:    rep.Throughput,
-			SCLatency:     rep.AvgSCLatency,
-			PayoutLatency: rep.AvgPayoutLatency,
-		})
-	}
-	return res, nil
+// ScaleResult is one of the paper's throughput/latency tables (V, VI,
+// VIII–XI): one row per configuration.
+type ScaleResult struct {
+	Title   string
+	Headers []string
+	Points  []scalePoint
 }
 
-func volLabel(vd int) string {
-	switch {
-	case vd >= 1_000_000:
-		return fmt.Sprintf("%dM", vd/1_000_000)
-	default:
-		return fmt.Sprintf("%dK", vd/1_000)
-	}
-}
-
-// Render implements Result.
-func (r *Table5Result) Render() string {
-	t := &table{
-		title:   "Table V: scalability of ammBoost",
-		headers: []string{"Daily volume", "Throughput (tx/s)", "Avg. sc latency (s)", "Avg. payout latency (s)"},
-	}
+// Render implements Result. A fifth header adds each row's largest
+// summary block (Table XI's "Max sc growth").
+func (r *ScaleResult) Render() string {
+	t := &table{title: r.Title, headers: r.Headers}
 	for _, p := range r.Points {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency))
+		row := []string{p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency)}
+		if len(r.Headers) > len(row) {
+			row = append(row, fmt.Sprintf("%d", p.MaxSCGrowth))
+		}
+		t.add(row...)
 	}
 	return t.String()
 }
 
-// --- Table VI: ammBoost vs ammOP (Optimism-inspired rollup) ---
-
-// Table6Result compares the two layer-2 designs under V_D = 25M.
-type Table6Result struct {
-	AmmOP    scalePoint
-	AmmBoost scalePoint
+// variant is one row of a sweep: its label and the one field it changes
+// on paperSystemConfig / paperDriverConfig (nil changes nothing).
+type variant struct {
+	label string
+	set   func(*chain.Config, *core.DriverConfig)
 }
 
-// RunTable6 runs both backends on identical traffic.
-func RunTable6(o Options) (*Table6Result, error) {
+// sweep is a table that runs the paper's deployment at daily volume vd
+// once per variant.
+type sweep struct {
+	title    string
+	headers  []string
+	vd       int
+	variants []variant
+}
+
+// run executes every variant through runAmmBoost.
+func (s sweep) run(o Options) (*ScaleResult, error) {
 	o = o.withDefaults()
-	const vd = 25_000_000
-
-	// ammBoost.
-	_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, vd))
-	if err != nil {
-		return nil, err
-	}
-
-	// ammOP with the same arrival process.
-	op, err := rollup.New(rollup.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	gen := workload.New(workload.DefaultConfig(o.Seed))
-	roundDur := 7 * time.Second
-	rho := workload.Rho(vd, roundDur.Seconds())
-	totalRounds := o.Epochs * 30
-	workload.ConstantRate(rho, totalRounds, roundDur, func(at time.Duration) {
-		op.Sim().At(at, func() { op.Submit(gen.Next()) })
-	})
-	op.Run(time.Duration(totalRounds) * roundDur)
-
-	return &Table6Result{
-		AmmOP: scalePoint{
-			Label:         "ammOP",
-			Throughput:    op.Collector().Throughput(),
-			SCLatency:     op.Collector().AvgSCLatency(),
-			PayoutLatency: op.Collector().AvgPayoutLatency(),
-		},
-		AmmBoost: scalePoint{
-			Label:         "ammBoost",
-			Throughput:    rep.Throughput,
-			SCLatency:     rep.AvgSCLatency,
-			PayoutLatency: rep.AvgPayoutLatency,
-		},
-	}, nil
-}
-
-// Render implements Result.
-func (r *Table6Result) Render() string {
-	t := &table{
-		title:   "Table VI: comparison between ammBoost and ammOP",
-		headers: []string{"System", "Throughput (tx/s)", "Transaction latency (s)", "Payout latency (s)"},
-	}
-	for _, p := range []scalePoint{r.AmmOP, r.AmmBoost} {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency))
-	}
-	return t.String()
-}
-
-// --- Table VIII: meta-block size sweep ---
-
-// Table8Result sweeps block sizes at V_D = 50M.
-type Table8Result struct{ Points []scalePoint }
-
-// RunTable8 reproduces the block-size experiment.
-func RunTable8(o Options) (*Table8Result, error) {
-	o = o.withDefaults()
-	res := &Table8Result{}
-	for _, mb := range []int{512 << 10, 1 << 20, 3 << 19, 2 << 20} { // 0.5, 1, 1.5, 2 MB
-		cfg := paperSystemConfig(o)
-		cfg.MetaBlockBytes = mb
-		_, rep, err := runAmmBoost(cfg, paperDriverConfig(o, 50_000_000))
+	res := &ScaleResult{Title: s.title, Headers: s.headers}
+	for _, v := range s.variants {
+		cfg, drv := paperSystemConfig(o), paperDriverConfig(o, s.vd)
+		if v.set != nil {
+			v.set(&cfg, &drv)
+		}
+		sys, rep, err := runAmmBoost(cfg, drv)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, scalePoint{
-			Label:         fmt.Sprintf("%.1fMB", float64(mb)/(1<<20)),
-			Throughput:    rep.Throughput,
-			SCLatency:     rep.AvgSCLatency,
-			PayoutLatency: rep.AvgPayoutLatency,
-		})
-	}
-	return res, nil
-}
-
-// Render implements Result.
-func (r *Table8Result) Render() string {
-	t := &table{
-		title:   "Table VIII: impact of different sidechain block sizes (V_D = 50M)",
-		headers: []string{"Block size", "Throughput (tx/s)", "Avg. sc latency (s)", "Avg. payout latency (s)"},
-	}
-	for _, p := range r.Points {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency))
-	}
-	return t.String()
-}
-
-// --- Table IX: round duration sweep ---
-
-// Table9Result sweeps round durations at V_D = 25M.
-type Table9Result struct{ Points []scalePoint }
-
-// RunTable9 reproduces the round-duration experiment.
-func RunTable9(o Options) (*Table9Result, error) {
-	o = o.withDefaults()
-	res := &Table9Result{}
-	for _, rd := range []time.Duration{7 * time.Second, 11 * time.Second, 16 * time.Second, 21 * time.Second} {
-		cfg := paperSystemConfig(o)
-		cfg.RoundDuration = rd
-		_, rep, err := runAmmBoost(cfg, paperDriverConfig(o, 25_000_000))
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, scalePoint{
-			Label:         fmt.Sprintf("%ds", int(rd.Seconds())),
-			Throughput:    rep.Throughput,
-			SCLatency:     rep.AvgSCLatency,
-			PayoutLatency: rep.AvgPayoutLatency,
-		})
-	}
-	return res, nil
-}
-
-// Render implements Result.
-func (r *Table9Result) Render() string {
-	t := &table{
-		title:   "Table IX: impact of different sidechain round durations (V_D = 25M)",
-		headers: []string{"Round duration", "Throughput (tx/s)", "Avg. sc latency (s)", "Payout latency (s)"},
-	}
-	for _, p := range r.Points {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency))
-	}
-	return t.String()
-}
-
-// --- Table X: rounds-per-epoch sweep ---
-
-// Table10Result sweeps epoch lengths at V_D = 25M.
-type Table10Result struct{ Points []scalePoint }
-
-// RunTable10 reproduces the epoch-length experiment.
-func RunTable10(o Options) (*Table10Result, error) {
-	o = o.withDefaults()
-	res := &Table10Result{}
-	for _, rounds := range []int{5, 10, 20, 30, 60, 96} {
-		cfg := paperSystemConfig(o)
-		cfg.EpochRounds = rounds
-		// Keep total simulated traffic time comparable: the paper holds
-		// the run at 11 epochs of the default length; shorter epochs get
-		// proportionally more epochs.
-		drv := paperDriverConfig(o, 25_000_000)
-		drv.Epochs = o.Epochs * 30 / rounds
-		if drv.Epochs < 1 {
-			drv.Epochs = 1
-		}
-		_, rep, err := runAmmBoost(cfg, drv)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, scalePoint{
-			Label:         fmt.Sprintf("%d", rounds),
-			Throughput:    rep.Throughput,
-			SCLatency:     rep.AvgSCLatency,
-			PayoutLatency: rep.AvgPayoutLatency,
-		})
-	}
-	return res, nil
-}
-
-// Render implements Result.
-func (r *Table10Result) Render() string {
-	t := &table{
-		title:   "Table X: impact of number of sidechain rounds per epoch (V_D = 25M)",
-		headers: []string{"Epoch len (rounds)", "Throughput (tx/s)", "SC latency (s)", "Payout latency (s)"},
-	}
-	for _, p := range r.Points {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency))
-	}
-	return t.String()
-}
-
-// --- Table XI: traffic distribution sweep ---
-
-// Table11Result sweeps transaction mixes.
-type Table11Result struct{ Points []scalePoint }
-
-// RunTable11 reproduces the traffic-distribution experiment.
-func RunTable11(o Options) (*Table11Result, error) {
-	o = o.withDefaults()
-	mixes := []workload.Distribution{
-		{SwapPct: 60, MintPct: 20, BurnPct: 10, CollectPct: 10},
-		{SwapPct: 60, MintPct: 10, BurnPct: 20, CollectPct: 10},
-		{SwapPct: 60, MintPct: 10, BurnPct: 10, CollectPct: 20},
-		{SwapPct: 80, MintPct: 10, BurnPct: 5, CollectPct: 5},
-		{SwapPct: 80, MintPct: 5, BurnPct: 10, CollectPct: 5},
-		{SwapPct: 80, MintPct: 5, BurnPct: 5, CollectPct: 10},
-	}
-	res := &Table11Result{}
-	for _, mix := range mixes {
-		drv := paperDriverConfig(o, 25_000_000)
-		drv.Workload.Distribution = mix
-		sys, rep, err := runAmmBoost(paperSystemConfig(o), drv)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, scalePoint{
-			Label: fmt.Sprintf("(%.0f/%.0f/%.0f/%.0f)",
-				mix.SwapPct, mix.MintPct, mix.BurnPct, mix.CollectPct),
+			Label:         v.label,
 			Throughput:    rep.Throughput,
 			SCLatency:     rep.AvgSCLatency,
 			PayoutLatency: rep.AvgPayoutLatency,
@@ -283,24 +82,109 @@ func RunTable11(o Options) (*Table11Result, error) {
 }
 
 func maxSummaryBytes(sys *core.MultiSystem) int {
-	max := 0
+	m := 0
 	for _, sb := range sys.SidechainLedger().Summaries() {
-		if sb.SizeBytes > max {
-			max = sb.SizeBytes
-		}
+		m = max(m, sb.SizeBytes)
 	}
-	return max
+	return m
 }
 
-// Render implements Result.
-func (r *Table11Result) Render() string {
-	t := &table{
+// The paper's Section VI sweeps.
+var (
+	table5 = sweep{
+		title:    "Table V: scalability of ammBoost",
+		headers:  []string{"Daily volume", "Throughput (tx/s)", "Avg. sc latency (s)", "Avg. payout latency (s)"},
+		variants: []variant{volume(50_000), volume(500_000), volume(5_000_000), volume(25_000_000)},
+	}
+	table8 = sweep{
+		title:   "Table VIII: impact of different sidechain block sizes (V_D = 50M)",
+		headers: []string{"Block size", "Throughput (tx/s)", "Avg. sc latency (s)", "Avg. payout latency (s)"},
+		vd:      50_000_000,
+		variants: []variant{
+			metaBlockBytes(512 << 10), metaBlockBytes(1 << 20), metaBlockBytes(3 << 19), metaBlockBytes(2 << 20),
+		},
+	}
+	table9 = sweep{
+		title:   "Table IX: impact of different sidechain round durations (V_D = 25M)",
+		headers: []string{"Round duration", "Throughput (tx/s)", "Avg. sc latency (s)", "Payout latency (s)"},
+		vd:      25_000_000,
+		variants: []variant{
+			roundDuration(7 * time.Second), roundDuration(11 * time.Second),
+			roundDuration(16 * time.Second), roundDuration(21 * time.Second),
+		},
+	}
+	table10 = sweep{
+		title:   "Table X: impact of number of sidechain rounds per epoch (V_D = 25M)",
+		headers: []string{"Epoch len (rounds)", "Throughput (tx/s)", "SC latency (s)", "Payout latency (s)"},
+		vd:      25_000_000,
+		variants: []variant{
+			epochRounds(5), epochRounds(10), epochRounds(20), epochRounds(30), epochRounds(60), epochRounds(96),
+		},
+	}
+	table11 = sweep{
 		title:   "Table XI: impact of traffic distribution (swap/mint/burn/collect %, V_D = 25M)",
 		headers: []string{"Mix", "Throughput (tx/s)", "SC latency (s)", "Payout latency (s)", "Max sc growth (B)"},
+		vd:      25_000_000,
+		variants: []variant{
+			mix(60, 20, 10, 10), mix(60, 10, 20, 10), mix(60, 10, 10, 20),
+			mix(80, 10, 5, 5), mix(80, 5, 10, 5), mix(80, 5, 5, 10),
+		},
 	}
-	for _, p := range r.Points {
-		t.add(p.Label, fmt.Sprintf("%.2f", p.Throughput), secs(p.SCLatency), secs(p.PayoutLatency),
-			fmt.Sprintf("%d", p.MaxSCGrowth))
+)
+
+func volume(vd int) variant {
+	label := fmt.Sprintf("%dK", vd/1_000)
+	if vd >= 1_000_000 {
+		label = fmt.Sprintf("%dM", vd/1_000_000)
 	}
-	return t.String()
+	return variant{label, func(_ *chain.Config, d *core.DriverConfig) { d.DailyVolume = vd }}
+}
+
+func metaBlockBytes(b int) variant {
+	return variant{fmt.Sprintf("%.1fMB", float64(b)/(1<<20)), func(c *chain.Config, _ *core.DriverConfig) { c.MetaBlockBytes = b }}
+}
+
+func roundDuration(rd time.Duration) variant {
+	return variant{fmt.Sprintf("%ds", int(rd.Seconds())), func(c *chain.Config, _ *core.DriverConfig) { c.RoundDuration = rd }}
+}
+
+// epochRounds also keeps the simulated traffic time comparable: the
+// paper holds the run at o.Epochs epochs of the default length, so
+// shorter epochs get proportionally more epochs.
+func epochRounds(rounds int) variant {
+	return variant{fmt.Sprintf("%d", rounds), func(c *chain.Config, d *core.DriverConfig) {
+		d.Epochs = max(1, d.Epochs*c.EpochRounds/rounds)
+		c.EpochRounds = rounds
+	}}
+}
+
+func mix(swap, mint, burn, collect float64) variant {
+	return variant{fmt.Sprintf("(%.0f/%.0f/%.0f/%.0f)", swap, mint, burn, collect), func(_ *chain.Config, d *core.DriverConfig) {
+		d.Workload.Distribution = workload.Distribution{SwapPct: swap, MintPct: mint, BurnPct: burn, CollectPct: collect}
+	}}
+}
+
+// RunTable6 compares ammBoost with ammOP, the Optimism-inspired rollup,
+// on the same arrivals at V_D = 25M.
+func RunTable6(o Options) (*ScaleResult, error) {
+	o = o.withDefaults()
+	const vd = 25_000_000
+	res, err := sweep{
+		title:    "Table VI: comparison between ammBoost and ammOP",
+		headers:  []string{"System", "Throughput (tx/s)", "Transaction latency (s)", "Payout latency (s)"},
+		vd:       vd,
+		variants: []variant{{label: "ammBoost"}},
+	}.run(o)
+	if err != nil {
+		return nil, err
+	}
+	op, err := rollup.New(rollup.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	op.Run(replayPaperTraffic(o, vd, op.Sim(), op.Submit))
+	c := op.Collector()
+	ammOP := scalePoint{Label: "ammOP", Throughput: c.Throughput(), SCLatency: c.AvgSCLatency(), PayoutLatency: c.AvgPayoutLatency()}
+	res.Points = append([]scalePoint{ammOP}, res.Points...)
+	return res, nil
 }

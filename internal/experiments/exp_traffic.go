@@ -74,13 +74,6 @@ func RunTable7(o Options) (*Table7Result, error) {
 	return res, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Render implements Result.
 func (r *Table7Result) Render() string {
 	t := &table{

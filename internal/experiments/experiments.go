@@ -6,12 +6,13 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/core"
+	"ammboost/internal/sim"
+	"ammboost/internal/summary"
 	"ammboost/internal/workload"
 )
 
@@ -50,6 +51,20 @@ func paperSystemConfig(o Options) chain.Config {
 		CommitteeSize: o.CommitteeSize,
 		PipelineDepth: 1,
 	}.WithDefaults()
+}
+
+// replayPaperTraffic schedules on s the arrivals the paper's deployment
+// sees at daily volume vd over o.Epochs epochs of paperSystemConfig(o)'s
+// rounds, hands each to submit as the workload generator draws it at its
+// arrival time, and returns the window's length.
+func replayPaperTraffic(o Options, vd int, s *sim.Simulator, submit func(*summary.Tx)) time.Duration {
+	cfg := paperSystemConfig(o)
+	rounds := o.Epochs * cfg.EpochRounds
+	gen := workload.New(workload.DefaultConfig(o.Seed))
+	workload.ConstantRate(workload.Rho(vd, cfg.RoundDuration.Seconds()), rounds, cfg.RoundDuration, func(at time.Duration) {
+		s.At(at, func() { submit(gen.Next()) })
+	})
+	return time.Duration(rounds) * cfg.RoundDuration
 }
 
 func paperDriverConfig(o Options, dailyVolume int) core.DriverConfig {
@@ -132,60 +147,51 @@ type Result interface {
 // Runner executes a named experiment.
 type Runner func(Options) (Result, error)
 
-// Registry maps experiment names (table1 … table12, fig5) to runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"table1":    func(o Options) (Result, error) { return RunTable1(o) },
-		"table2":    func(o Options) (Result, error) { return RunTable2(o) },
-		"table3":    func(o Options) (Result, error) { return RunTable3(o) },
-		"table4":    func(o Options) (Result, error) { return RunTable4(o) },
-		"fig5":      func(o Options) (Result, error) { return RunFig5(o) },
-		"table5":    func(o Options) (Result, error) { return RunTable5(o) },
-		"table6":    func(o Options) (Result, error) { return RunTable6(o) },
-		"table7":    func(o Options) (Result, error) { return RunTable7(o) },
-		"table8":    func(o Options) (Result, error) { return RunTable8(o) },
-		"table9":    func(o Options) (Result, error) { return RunTable9(o) },
-		"table10":   func(o Options) (Result, error) { return RunTable10(o) },
-		"table11":   func(o Options) (Result, error) { return RunTable11(o) },
-		"table12":   func(o Options) (Result, error) { return RunTable12(o) },
-		"ablations": func(o Options) (Result, error) { return RunAblations(o) },
-		"poolscale": func(o Options) (Result, error) { return RunPoolScale(o) },
-		"pipelinescale": func(o Options) (Result, error) {
-			return RunPipelineScale(o)
-		},
-		"chaos":      func(o Options) (Result, error) { return RunChaos(o) },
-		"federation": func(o Options) (Result, error) { return RunFederation(o) },
-	}
+// registry lists every experiment in run order: ammbench all runs it
+// top to bottom.
+var registry = []struct {
+	name string
+	run  Runner
+}{
+	{"table1", runner(RunTable1)},
+	{"table2", runner(RunTable2)},
+	{"table3", runner(RunTable3)},
+	{"table4", runner(RunTable4)},
+	{"fig5", runner(RunFig5)},
+	{"table5", runner(table5.run)},
+	{"table6", runner(RunTable6)},
+	{"table7", runner(RunTable7)},
+	{"table8", runner(table8.run)},
+	{"table9", runner(table9.run)},
+	{"table10", runner(table10.run)},
+	{"table11", runner(table11.run)},
+	{"table12", runner(RunTable12)},
+	{"poolscale", runner(RunPoolScale)},
+	{"pipelinescale", runner(RunPipelineScale)},
+	{"chaos", runner(RunChaos)},
+	{"federation", runner(RunFederation)},
+	{"ablations", runner(RunAblations)},
 }
 
-// Names returns the registry keys in run order.
-func Names() []string {
-	names := make([]string, 0)
-	for n := range Registry() {
-		names = append(names, n)
+// runner adapts a typed experiment function to a Runner.
+func runner[R Result](run func(Options) (R, error)) Runner {
+	return func(o Options) (Result, error) { return run(o) }
+}
+
+// Registry maps experiment names to runners.
+func Registry() map[string]Runner {
+	m := make(map[string]Runner, len(registry))
+	for _, e := range registry {
+		m[e.name] = e.run
 	}
-	sort.Slice(names, func(i, j int) bool {
-		order := func(s string) int {
-			switch s {
-			case "fig5":
-				return 45 // between table4 and table5
-			case "poolscale":
-				return 500 // after the paper tables
-			case "pipelinescale":
-				return 510 // after poolscale
-			case "chaos":
-				return 520 // after pipelinescale
-			case "federation":
-				return 530 // after chaos
-			case "ablations":
-				return 999 // last
-			default:
-				var n int
-				fmt.Sscanf(s, "table%d", &n)
-				return n * 10
-			}
-		}
-		return order(names[i]) < order(names[j])
-	})
+	return m
+}
+
+// Names returns the registry's names in run order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
 	return names
 }

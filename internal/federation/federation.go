@@ -113,7 +113,14 @@ type Node struct {
 	killed    bool
 	revived   bool
 	reviveErr error
+	// owed holds the refund claims and credits due to the member while
+	// it is down; revive runs them against the recovered system.
+	owed []func()
 }
+
+// down reports whether the member was killed and has not revived (or
+// failed to revive) yet.
+func (n *Node) down() bool { return n.killed && !n.revived && !n.finished }
 
 // NodeResult is one member's outcome.
 type NodeResult struct {
@@ -339,8 +346,9 @@ func (f *Federation) scheduleKill(node *Node) {
 // revive reopens a killed member's store directory through the full
 // recovery path — checkpoint anchoring, pool-root re-derivation, sync
 // replay — on the shared simulator and mainchain, swaps the node handle
-// to the recovered system, rewires the runner's hooks, and resumes the
-// member's remaining epochs. Siblings never stopped.
+// to the recovered system, rewires the runner's hooks, runs what the
+// member was owed while down, and resumes the member's remaining epochs.
+// Siblings never stopped.
 func (f *Federation) revive(node *Node) {
 	fsys := node.cfg.StoreFS
 	if fsys == nil {
@@ -363,6 +371,10 @@ func (f *Federation) revive(node *Node) {
 	node.Sys = sys
 	node.revived = true
 	f.wireNode(node)
+	for _, pay := range node.owed {
+		pay()
+	}
+	node.owed = nil
 	sys.StartEpochs(node.epochs)
 }
 

@@ -253,3 +253,66 @@ func TestFederationKillRequiresStore(t *testing.T) {
 		t.Errorf("New err = %v, want ErrBadFederation", err)
 	}
 }
+
+// TestFederationRefundWaitsForKilledOrigin: the origin is killed right
+// after its withdraw epoch syncs and stays down while the destination
+// halts on a corrupt Sync with the transfer in custody. The refund
+// confirms inside the kill window, so its claim and re-credit must wait
+// for the revival: afterwards the refunded amount is either still
+// claimable on the escrow or paid out by the revived origin as an
+// executed deposit, never claimed into the dead system and lost.
+func TestFederationRefundWaitsForKilledOrigin(t *testing.T) {
+	alpha := recoveryMember(t, "alpha", 1)
+	alpha.StoreDir = "alpha-store"
+	alpha.StoreFS = &store.MemFS{}
+	alpha.KillAtEpoch = 1
+	alpha.ReviveAfter = 10 * time.Minute
+	beta := recoveryMember(t, "beta", 2)
+	beta.Chain.Faults = chain.FaultPlan{CorruptSyncEpochs: map[uint64]bool{3: true}}
+	f, err := New(Config{
+		Epochs: 6,
+		Nodes:  []NodeConfig{alpha, beta},
+		Transfers: []Transfer{{
+			ID: "xf-k", FromChain: "alpha", ToChain: "beta",
+			User: xferUser, Amount0: amt(), Amount1: amt(), SubmitAtEpoch: 1,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fund(t, f, "alpha")
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rc := res.Transfers[0]
+	if rc.Status != chain.TransferRefunded {
+		t.Fatalf("transfer = %s (err %v), want refunded", rc.Status, rc.Err)
+	}
+	if rc.SettledAt >= alpha.ReviveAfter {
+		t.Fatalf("refund confirmed at %v, after the origin's revival window", rc.SettledAt)
+	}
+	if a := nodeResult(t, res, "alpha"); a.Err != nil || !a.Revived {
+		t.Fatalf("alpha err %v, revived %v; want a clean revival", a.Err, a.Revived)
+	}
+	esc := f.Escrow()
+	if err := esc.Conserved(); err != nil {
+		t.Errorf("escrow conservation: %v", err)
+	}
+	if c0, c1 := esc.ClaimableTotal(); c0.Eq(amt()) && c1.Eq(amt()) {
+		return // still claimable on-chain
+	}
+	if !esc.TotalClaimed0.Eq(amt()) || !esc.TotalClaimed1.Eq(amt()) {
+		t.Fatalf("claimed %s/%s, want %s/%s", esc.TotalClaimed0, esc.TotalClaimed1, amt(), amt())
+	}
+	// Claimed: the revived origin must have executed the re-credit, so
+	// one of its epochs pays the amount out to the user.
+	for _, sb := range f.Node("alpha").SidechainLedger().Summaries() {
+		for _, p := range sb.Payload.Payouts {
+			if p.User == xferUser && p.Amount0.Eq(amt()) && p.Amount1.Eq(amt()) {
+				return
+			}
+		}
+	}
+	t.Errorf("refund claimed off the escrow but never deposited on the revived origin")
+}

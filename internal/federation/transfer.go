@@ -323,13 +323,11 @@ func (f *Federation) submitRefund(t *transferState, reason error) {
 		t.rc.Status = chain.TransferRefunded
 		t.rc.SettledAt = f.sim.Now()
 		t.rc.Err = reason
-		// Re-credit the user on a still-running origin: claim the
-		// refunded balance off the escrow's ledger and deposit it back.
-		// A halted or finished origin leaves the balance claimable
-		// on-chain — accounted, never stranded.
-		if !t.from.halted && !t.from.finished {
-			f.submitClaim(t)
-		}
+		// Re-credit the user on the origin: claim the refunded balance
+		// off the escrow's ledger and deposit it back. A halted or
+		// finished origin leaves the balance claimable on-chain —
+		// accounted, never stranded.
+		f.toOrigin(t, func() { f.submitClaim(t) })
 		f.maybeStop()
 	}
 	f.mc.Submit(tx)
@@ -351,14 +349,27 @@ func (f *Federation) submitClaim(t *transferState) {
 	}
 	tx.OnConfirmed = func(tx *mainchain.Tx) {
 		f.escrowInFlight--
-		if tx.Status == mainchain.TxConfirmed && !t.from.halted && !t.from.finished {
+		if tx.Status == mainchain.TxConfirmed {
 			// Applied to the running epoch now, or at the origin's next
 			// BeginEpoch when the claim lands between epochs.
-			_, _ = t.from.Sys.SubmitDeposit(t.spec.User, t.from.Sys.Epoch(), t.spec.Amount0, t.spec.Amount1)
+			f.toOrigin(t, func() {
+				_, _ = t.from.Sys.SubmitDeposit(t.spec.User, t.from.Sys.Epoch(), t.spec.Amount0, t.spec.Amount1)
+			})
 		}
 		f.maybeStop()
 	}
 	f.mc.Submit(tx)
+}
+
+// toOrigin runs pay against t's origin: at once while it runs, from
+// revive while it is killed, and never once it halted or finished.
+func (f *Federation) toOrigin(t *transferState, pay func()) {
+	switch from := t.from; {
+	case from.down():
+		from.owed = append(from.owed, pay)
+	case !from.halted && !from.finished:
+		pay()
+	}
 }
 
 // abort terminally fails a transfer that never reached (or lost) custody.

@@ -80,7 +80,7 @@ const (
 // Sidechain (binary-packed) entry sizes in bytes.
 const (
 	SCPayoutEntryBytes   = 97  // 65-byte pubkey + 2×16-byte amounts
-	SCPositionEntryBytes = 215 // 32 id + 65 owner + 2×16 amounts + 2×16 fees + 2×4 ticks + 16 liquidity + 6 meta
+	SCPositionEntryBytes = 215 // 32 id + 65 owner + 32 liquidity + 2×16 fees + 2×4 ticks + 40 extension + 6 meta
 )
 
 // Baseline Uniswap transaction sizes on Sepolia (Table IV) — the simple
