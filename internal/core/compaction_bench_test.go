@@ -129,11 +129,12 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkCompact measures one log rewrite: scanning a 10k-epoch
-// uncompacted history, folding it into a checkpoint (8-epoch retained
-// root table, full pool snapshots, bank replay cursor), and the
-// write-temp-fsync-rename swap. The bank state is encoded once from a
-// real restart — compaction itself never touches the live node.
+// BenchmarkCompact measures one log rewrite of a 10k-epoch uncompacted
+// history: concatenating the writer's fold into a checkpoint (8-epoch
+// retained root table, full pool snapshots, bank replay cursor) and the
+// write-temp-fsync-rename swap. The open that seeds the fold is not
+// timed. The bank state is encoded once from a real restart —
+// compaction itself never touches the live node.
 func BenchmarkCompact(b *testing.B) {
 	const hist = 10_000
 	data := openBenchStore(b, hist, 0)

@@ -38,7 +38,7 @@ type AblationResult struct {
 // RunAblations measures the four ablations on a V_D = 500K run.
 func RunAblations(o Options) (*AblationResult, error) {
 	o = o.withDefaults()
-	sys, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, 500_000))
+	rep, ledger, err := runAmmBoost(paperDeployment(o, 500_000))
 	if err != nil {
 		return nil, err
 	}
@@ -67,10 +67,10 @@ func RunAblations(o Options) (*AblationResult, error) {
 
 	// Summary folding: the synced payload vs shipping every sidechain tx.
 	var folded, raw, txs int
-	for _, sb := range sys.SidechainLedger().Summaries() {
+	for _, sb := range ledger.Summaries() {
 		folded += sb.Payload.MainchainBytes()
 	}
-	txs = sys.SidechainLedger().TotalTxs()
+	txs = ledger.TotalTxs()
 	raw = txs * gasmodel.MainnetSwapTxBytes // lower bound: swap-sized entries
 	res.FoldedSyncBytes = folded
 	res.RawSyncBytes = raw

@@ -31,7 +31,7 @@ func RunFig5(o Options) (*Fig5Result, error) {
 	o = o.withDefaults()
 	const vd = 500_000
 
-	_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, vd))
+	rep, _, err := runAmmBoost(paperDeployment(o, vd))
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ type Table1Result struct{ Rows []Table1Row }
 // constants from the cited deployments; the ammBoost row is measured.
 func RunTable1(o Options) (*Table1Result, error) {
 	o = o.withDefaults()
-	_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, 25_000_000))
+	rep, _, err := runAmmBoost(paperDeployment(o, 25_000_000))
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ type Table2Result struct {
 // run, as the paper does.
 func RunTable2(o Options) (*Table2Result, error) {
 	o = o.withDefaults()
-	_, rep, err := runAmmBoost(paperSystemConfig(o), paperDriverConfig(o, 500_000))
+	rep, _, err := runAmmBoost(paperDeployment(o, 500_000))
 	if err != nil {
 		return nil, err
 	}

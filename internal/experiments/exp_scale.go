@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"ammboost/internal/chain"
-	"ammboost/internal/core"
 	"ammboost/internal/rollup"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/workload"
 )
 
@@ -41,11 +40,11 @@ func (r *ScaleResult) Render() string {
 	return t.String()
 }
 
-// variant is one row of a sweep: its label and the one field it changes
-// on paperSystemConfig / paperDriverConfig (nil changes nothing).
+// variant is one row of a sweep: its label and the one setting it
+// changes on the paper's deployment (nil changes nothing).
 type variant struct {
 	label string
-	set   func(*chain.Config, *core.DriverConfig)
+	set   func(*deployment)
 }
 
 // sweep is a table that runs the paper's deployment at daily volume vd
@@ -62,11 +61,11 @@ func (s sweep) run(o Options) (*ScaleResult, error) {
 	o = o.withDefaults()
 	res := &ScaleResult{Title: s.title, Headers: s.headers}
 	for _, v := range s.variants {
-		cfg, drv := paperSystemConfig(o), paperDriverConfig(o, s.vd)
+		d := paperDeployment(o, s.vd)
 		if v.set != nil {
-			v.set(&cfg, &drv)
+			v.set(&d)
 		}
-		sys, rep, err := runAmmBoost(cfg, drv)
+		rep, ledger, err := runAmmBoost(d)
 		if err != nil {
 			return nil, err
 		}
@@ -75,15 +74,15 @@ func (s sweep) run(o Options) (*ScaleResult, error) {
 			Throughput:    rep.Throughput,
 			SCLatency:     rep.AvgSCLatency,
 			PayoutLatency: rep.AvgPayoutLatency,
-			MaxSCGrowth:   maxSummaryBytes(sys),
+			MaxSCGrowth:   maxSummaryBytes(ledger),
 		})
 	}
 	return res, nil
 }
 
-func maxSummaryBytes(sys *core.MultiSystem) int {
+func maxSummaryBytes(ledger *sidechain.Ledger) int {
 	m := 0
-	for _, sb := range sys.SidechainLedger().Summaries() {
+	for _, sb := range ledger.Summaries() {
 		m = max(m, sb.SizeBytes)
 	}
 	return m
@@ -137,30 +136,26 @@ func volume(vd int) variant {
 	if vd >= 1_000_000 {
 		label = fmt.Sprintf("%dM", vd/1_000_000)
 	}
-	return variant{label, func(_ *chain.Config, d *core.DriverConfig) { d.DailyVolume = vd }}
+	return variant{label, func(d *deployment) { d.dailyVolume = vd }}
 }
 
 func metaBlockBytes(b int) variant {
-	return variant{fmt.Sprintf("%.1fMB", float64(b)/(1<<20)), func(c *chain.Config, _ *core.DriverConfig) { c.MetaBlockBytes = b }}
+	return variant{fmt.Sprintf("%.1fMB", float64(b)/(1<<20)), func(d *deployment) { d.metaBlockBytes = b }}
 }
 
 func roundDuration(rd time.Duration) variant {
-	return variant{fmt.Sprintf("%ds", int(rd.Seconds())), func(c *chain.Config, _ *core.DriverConfig) { c.RoundDuration = rd }}
+	return variant{fmt.Sprintf("%ds", int(rd.Seconds())), func(d *deployment) { d.roundDuration = rd }}
 }
 
-// epochRounds also keeps the simulated traffic time comparable: the
-// paper holds the run at o.Epochs epochs of the default length, so
-// shorter epochs get proportionally more epochs.
+// epochRounds keeps the simulated traffic time comparable: shorter
+// epochs run proportionally more of them (deployment.configs).
 func epochRounds(rounds int) variant {
-	return variant{fmt.Sprintf("%d", rounds), func(c *chain.Config, d *core.DriverConfig) {
-		d.Epochs = max(1, d.Epochs*c.EpochRounds/rounds)
-		c.EpochRounds = rounds
-	}}
+	return variant{fmt.Sprintf("%d", rounds), func(d *deployment) { d.epochRounds = rounds }}
 }
 
 func mix(swap, mint, burn, collect float64) variant {
-	return variant{fmt.Sprintf("(%.0f/%.0f/%.0f/%.0f)", swap, mint, burn, collect), func(_ *chain.Config, d *core.DriverConfig) {
-		d.Workload.Distribution = workload.Distribution{SwapPct: swap, MintPct: mint, BurnPct: burn, CollectPct: collect}
+	return variant{fmt.Sprintf("(%.0f/%.0f/%.0f/%.0f)", swap, mint, burn, collect), func(d *deployment) {
+		d.mix = workload.Distribution{SwapPct: swap, MintPct: mint, BurnPct: burn, CollectPct: collect}
 	}}
 }
 

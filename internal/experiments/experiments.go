@@ -7,10 +7,12 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/core"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/sim"
 	"ammboost/internal/summary"
 	"ammboost/internal/workload"
@@ -75,10 +77,65 @@ func paperDriverConfig(o Options, dailyVolume int) core.DriverConfig {
 	}
 }
 
+// deployment is one run of the paper's deployment: the options, the
+// daily volume, and every setting a table varies, with the paper's
+// values filled in. It is comparable, and two tables that run the same
+// deployment share one run.
+type deployment struct {
+	o              Options
+	dailyVolume    int
+	metaBlockBytes int
+	roundDuration  time.Duration
+	epochRounds    int
+	mix            workload.Distribution
+}
+
+// paperDeployment is the paper's deployment at daily volume vd.
+func paperDeployment(o Options, vd int) deployment {
+	cfg := paperSystemConfig(o)
+	return deployment{
+		o: o, dailyVolume: vd, metaBlockBytes: cfg.MetaBlockBytes,
+		roundDuration: cfg.RoundDuration, epochRounds: cfg.EpochRounds,
+		mix: paperDriverConfig(o, vd).Workload.Distribution,
+	}
+}
+
+// configs lays d out as the node and driver configuration. Shorter
+// epochs get proportionally more of them, so the simulated traffic time
+// stays o.Epochs epochs of the paper's length.
+func (d deployment) configs() (chain.Config, core.DriverConfig) {
+	cfg, drv := paperSystemConfig(d.o), paperDriverConfig(d.o, d.dailyVolume)
+	drv.Epochs = max(1, drv.Epochs*cfg.EpochRounds/d.epochRounds)
+	cfg.MetaBlockBytes, cfg.RoundDuration, cfg.EpochRounds = d.metaBlockBytes, d.roundDuration, d.epochRounds
+	drv.Workload.Distribution = d.mix
+	return cfg, drv
+}
+
+// ammBoostRun is what the tables read of a deployment's run: its report
+// and its sidechain ledger.
+type ammBoostRun struct {
+	once   sync.Once
+	rep    *chain.Report
+	ledger *sidechain.Ledger
+	err    error
+}
+
+// ammBoostRuns memoises runAmmBoost per deployment; tables render in
+// parallel, so each run happens under its deployment's sync.Once.
+var ammBoostRuns sync.Map // deployment -> *ammBoostRun
+
 // runAmmBoost executes a full ammBoost deployment through the unified
-// chain.Chain API and validates the cross-layer invariants. The node is
-// returned for the few experiments that inspect its sidechain ledger.
-func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.MultiSystem, *chain.Report, error) {
+// chain.Chain API and validates the cross-layer invariants, once per
+// deployment.
+func runAmmBoost(d deployment) (*chain.Report, *sidechain.Ledger, error) {
+	v, _ := ammBoostRuns.LoadOrStore(d, &ammBoostRun{})
+	r := v.(*ammBoostRun)
+	r.once.Do(func() { r.rep, r.ledger, r.err = d.run() })
+	return r.rep, r.ledger, r.err
+}
+
+func (d deployment) run() (*chain.Report, *sidechain.Ledger, error) {
+	sysCfg, drvCfg := d.configs()
 	node, _, err := core.NewDriver(sysCfg, drvCfg)
 	if err != nil {
 		return nil, nil, err
@@ -90,7 +147,7 @@ func runAmmBoost(sysCfg chain.Config, drvCfg core.DriverConfig) (*core.MultiSyst
 	if err := node.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("experiments: invariant violation: %w", err)
 	}
-	return node.(*core.MultiSystem), rep, nil
+	return rep, node.(*core.MultiSystem).SidechainLedger(), nil
 }
 
 // table renders an aligned text table.

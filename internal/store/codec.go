@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"ammboost/internal/amm"
 	"ammboost/internal/binenc"
@@ -117,43 +116,14 @@ func decodeSnapshot(payload []byte) (*EpochRecord, error) {
 	return rec, nil
 }
 
-func encodeCheckpoint(cp *Checkpoint) []byte {
-	buf := make([]byte, 0, 4096)
-	buf = binary.BigEndian.AppendUint64(buf, cp.Cursor)
-	buf = binary.BigEndian.AppendUint64(buf, cp.Horizon)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(cp.CursorParts))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Bank)))
-	buf = append(buf, cp.Bank...)
-	buf = appendMeta(buf, cp.Meta)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.Entries)))
-	for i := range cp.Entries {
-		row := &cp.Entries[i]
-		buf = binary.BigEndian.AppendUint64(buf, row.Epoch)
-		buf = append(buf, row.SummaryRoot[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(row.PayloadDigests)))
-		for _, d := range row.PayloadDigests {
-			buf = append(buf, d[:]...)
-		}
-		buf = appendReceipts(buf, row.Receipts)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cp.PoolIDs)))
-	for i, id := range cp.PoolIDs {
-		buf = binenc.AppendString(buf, id)
-		buf = append(buf, cp.PoolRoots[i][:]...)
-	}
-	ids := make([]string, 0, len(cp.Pools))
-	for id := range cp.Pools {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	pools := make([]*amm.Pool, len(ids))
-	for i, id := range ids {
-		pools[i] = cp.Pools[id]
-	}
-	return appendPools(buf, ids, pools)
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+	return readCheckpoint(payload, nil)
 }
 
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+// readCheckpoint decodes a checkpoint payload. A non-nil seed takes the
+// payload's root-table rows and pool-set entries as views, and its
+// cursor: the fold a writer over this checkpoint starts from.
+func readCheckpoint(payload []byte, seed *fold) (*Checkpoint, error) {
 	d := binenc.NewCursor(payload)
 	cp := &Checkpoint{
 		Cursor:      d.U64(),
@@ -167,6 +137,7 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	n := readCount(d, 48, "checkpoint entry")
 	cp.Entries = make([]EpochRow, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
+		start := d.Offset()
 		row := EpochRow{Epoch: d.U64()}
 		d.Read(row.SummaryRoot[:])
 		row.PayloadDigests = make([][32]byte, readCount(d, 32, "checkpoint digest"))
@@ -175,6 +146,9 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 		}
 		row.Receipts = readReceipts(d)
 		cp.Entries = append(cp.Entries, row)
+		if seed != nil {
+			seed.rows = append(seed.rows, payload[start:d.Offset():d.Offset()])
+		}
 	}
 	n = readCount(d, 36, "checkpoint root")
 	cp.PoolIDs = make([]string, 0, n)
@@ -183,9 +157,15 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 		cp.PoolIDs = append(cp.PoolIDs, d.Str())
 		d.Read(cp.PoolRoots[i][:])
 	}
+	poolsAt := d.Offset()
 	cp.Pools = readPools(d)
 	if err := finish(d, "checkpoint"); err != nil {
 		return nil, err
+	}
+	if seed != nil {
+		seed.cursor = cp.Cursor
+		seed.pools = make(map[string][]byte, len(cp.Pools))
+		eachPool(payload[poolsAt:], func(id, entry []byte) { seed.pools[string(id)] = entry })
 	}
 	return cp, nil
 }

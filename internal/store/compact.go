@@ -2,11 +2,14 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
 
 	"ammboost/internal/amm"
+	"ammboost/internal/binenc"
+	"ammboost/internal/chain"
 )
 
 // Checkpoint is the compacted prefix of a store's history: everything
@@ -53,13 +56,17 @@ type Checkpoint struct {
 // serialized bank replay state; records after cursor — later epochs and
 // any halt record — are copied bit-exact as the tail.
 //
+// The writer never reads its own log to do this: it keeps the next
+// checkpoint as encoded pieces (its fold), so the checkpoint is a
+// concatenation of byte views and nothing is decoded or re-encoded.
+//
 // The rewrite is crash-atomic: the new image is built in a temp file,
 // fsynced, then renamed over the log. A crash at any byte leaves either
 // the complete old file or the complete new file. Only on a successful
-// swap does the writer move its handle to the new file; any earlier
-// failure leaves it appending to the old log as if Compact was never
-// called. A stray temp file from a crashed compaction is harmless — Open
-// ignores it and the next Compact truncates it.
+// swap does the writer advance its fold and move its handle to the new
+// file; any earlier failure leaves it appending to the old log as if
+// Compact was never called. A stray temp file from a crashed compaction
+// is harmless — Open ignores it and the next Compact truncates it.
 func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	if w.err != nil {
 		return w.err
@@ -73,57 +80,27 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	if err := w.commit(); err != nil {
 		return err
 	}
-	data, err := w.fsys.ReadFile(w.path)
-	if err != nil {
-		return err
-	}
-	rec, validLen, err := scan(data, w.fingerprint)
-	if err != nil {
-		return err
-	}
-	if rec.Checkpoint != nil && cursor <= rec.Checkpoint.Cursor {
+	if cursor <= w.fold.cursor {
 		return nil // already compacted at least this far
 	}
-	idx := -1
-	for i, er := range rec.Epochs {
-		if er.Epoch == cursor {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	at := slices.IndexFunc(w.fold.tail, func(r tailRecord) bool { return r.epoch == cursor })
+	if at < 0 {
 		return fmt.Errorf("store: compact cursor %d is not a persisted boundary (have %d)",
-			cursor, rec.Epoch())
+			cursor, w.fold.epoch())
 	}
-
-	// Fold the prior checkpoint and every record up to the cursor, then
-	// drop the rows the retention horizon has passed.
-	at := rec.Epochs[idx]
-	cp := &Checkpoint{
-		Cursor: cursor, Horizon: horizon, CursorParts: len(at.Parts), Bank: bank,
-		Meta: at.Meta, PoolIDs: at.PoolIDs, PoolRoots: at.PoolRoots,
-		Pools: make(map[string]*amm.Pool),
+	checkpoint, next := w.fold.next(at, horizon, bank)
+	var tail [][]byte
+	for i := range next.tail {
+		tail = next.tail[i].appendFrames(tail)
 	}
-	if prior := rec.Checkpoint; prior != nil {
-		maps.Copy(cp.Pools, prior.Pools)
-		cp.Entries = append(cp.Entries, prior.Entries...)
-	}
-	for _, er := range rec.Epochs[:idx+1] {
-		maps.Copy(cp.Pools, er.Pools)
-		cp.Entries = append(cp.Entries, er.EpochRow)
-	}
-	cp.Entries = slices.DeleteFunc(cp.Entries, func(row EpochRow) bool { return row.Epoch <= horizon })
-
-	// Tail: everything past the cursor's durable boundary, bit-exact.
-	tailOff := rec.Boundaries[idx]
-	tail := data[tailOff:validLen]
-
-	newSize, err := rewrite(w.fsys, w.path, w.fingerprint, headerFlagCheckpoint, encodeCheckpoint(cp), tail)
+	newSize, err := rewrite(w.fsys, w.path, w.fingerprint, headerFlagCheckpoint, checkpoint, tail...)
 	if err != nil {
 		return err
 	}
 
-	// The swap is published; move the live handle onto the new file.
+	// The swap is published; advance the fold and move the live handle
+	// onto the new file.
+	w.fold = next
 	w.f.Close()
 	nf, err := w.fsys.OpenAppend(w.path, newSize)
 	if err != nil {
@@ -136,26 +113,243 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	return nil
 }
 
+// fold is a writer's next checkpoint, kept encoded: the current
+// checkpoint's root-table rows and newest pool blobs, and every record
+// appended since. Each piece is a view — into the checkpoint payload the
+// last compaction wrote, the log Open read, or the payloads AppendEpoch
+// was handed — so the next checkpoint is a concatenation.
+type fold struct {
+	cursor uint64            // the checkpoint's cursor; 0 before the first one
+	rows   [][]byte          // its root-table rows, in epoch order
+	pools  map[string][]byte // newest pool-set entry (ID, blob) per touched pool
+	tail   []tailRecord      // records appended since, in log order
+}
+
+// tailRecord is one epoch's snapshot and sync-part records, or one halt
+// record, appended after the checkpoint.
+type tailRecord struct {
+	epoch uint64 // 0 for a halt record
+	// recs are the records as written; a halt record is recs[0] alone.
+	recs [2]framed
+	// The snapshot's sections a checkpoint reuses.
+	table    []byte // pool count, then (ID, root, payload digest) per pool
+	pools    []byte // pool set: count, then (ID, blob) per touched pool
+	receipts []byte // receipt table
+	meta     []byte // run counters
+	parts    []byte // sync-part count (4 bytes)
+}
+
+// epochRecord frames an epoch's snapshot and sync-part payloads for the
+// fold. It walks the snapshot once with Take alone — no pool or receipt
+// is decoded — and refuses payloads a scan would not recover.
+func epochRecord(snap, parts framed) (tailRecord, error) {
+	p := snap.payload
+	d := binenc.NewCursor(p)
+	r := tailRecord{epoch: d.U64(), recs: [2]framed{snap, parts}}
+	d.Take(32) // summary root
+	at := d.Offset()
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		d.Take(int(d.U32()) + 64) // pool ID, root, payload digest
+	}
+	r.table, at = p[at:d.Offset()], d.Offset()
+	for n := d.U32(); n > 0 && d.Err() == nil; n-- {
+		d.Take(int(d.U32())) // pool ID
+		d.Take(int(d.U32())) // pool blob
+	}
+	r.pools = p[at:d.Offset()]
+	r.receipts = d.Take(d.Remaining() - 48) // the run counters close the record
+	r.meta = d.Take(48)
+	if d.Err() == nil && !isReceiptTable(r.receipts) {
+		d.Fail("receipt table")
+	}
+	if err := finish(d, "snapshot"); err != nil {
+		return tailRecord{}, err
+	}
+	if len(parts.payload) < 12 || binary.BigEndian.Uint64(parts.payload) != r.epoch {
+		return tailRecord{}, fmt.Errorf("%w: sync-part record does not follow epoch %d's snapshot",
+			chain.ErrCorruptStore, r.epoch)
+	}
+	r.parts = parts.payload[8:12]
+	return r, nil
+}
+
+// isReceiptTable reports whether b is exactly one receipt table: a row
+// count, then per row a transaction ID, a pool ID and 41 fixed bytes. An
+// epoch has thousands of rows, so they are skipped by index rather than
+// through a cursor.
+func isReceiptTable(b []byte) bool {
+	if len(b) < 4 {
+		return false
+	}
+	off := 4
+	for n := binary.BigEndian.Uint32(b); n > 0; n-- {
+		for range 2 { // transaction ID, pool ID
+			if len(b)-off < 4 {
+				return false
+			}
+			off += 4 + int(binary.BigEndian.Uint32(b[off:]))
+		}
+		if off += 41; off > len(b) {
+			return false
+		}
+	}
+	return off == len(b)
+}
+
+// epoch returns the newest epoch the fold holds.
+func (f *fold) epoch() uint64 {
+	for i := len(f.tail) - 1; i >= 0; i-- {
+		if f.tail[i].epoch != 0 {
+			return f.tail[i].epoch
+		}
+	}
+	return f.cursor
+}
+
+// next builds the checkpoint that folds f.tail[:at+1] in, and the fold
+// that follows once it is written: its rows and pools become views into
+// the new checkpoint payload. f is left unchanged.
+func (f *fold) next(at int, horizon uint64, bank []byte) ([]byte, fold) {
+	folded, head := f.tail[:at+1], &f.tail[at]
+	pools := make(map[string][]byte, len(f.pools))
+	maps.Copy(pools, f.pools)
+	size := 8 + 8 + 4 + 4 + len(bank) + len(head.meta) + 4 + len(head.table) + 4
+	for _, row := range f.rows {
+		if rowEpoch(row) > horizon {
+			size += len(row)
+		}
+	}
+	for i := range folded {
+		r := &folded[i]
+		if r.epoch > horizon {
+			size += 44 + 32*int(binary.BigEndian.Uint32(r.table)) + len(r.receipts)
+		}
+		eachPool(r.pools, func(id, entry []byte) { pools[string(id)] = entry })
+	}
+	ids := slices.Sorted(maps.Keys(pools))
+	for _, id := range ids {
+		size += len(pools[id])
+	}
+
+	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, head.epoch)
+	buf = binary.BigEndian.AppendUint64(buf, horizon)
+	buf = append(buf, head.parts...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(bank)))
+	buf = append(buf, bank...)
+	buf = append(buf, head.meta...)
+	buf = append(buf, 0, 0, 0, 0) // row count
+	countAt := len(buf) - 4
+	var rowAt []int
+	for _, row := range f.rows {
+		if rowEpoch(row) > horizon {
+			rowAt = append(rowAt, len(buf))
+			buf = append(buf, row...)
+		}
+	}
+	for i := range folded {
+		if r := &folded[i]; r.epoch > horizon {
+			rowAt = append(rowAt, len(buf))
+			buf = r.appendRow(buf)
+		}
+	}
+	binary.BigEndian.PutUint32(buf[countAt:], uint32(len(rowAt)))
+	rowAt = append(rowAt, len(buf))
+	buf = append(buf, head.table[:4]...)
+	eachTableRow(head.table, func(idRoot, _ []byte) { buf = append(buf, idRoot...) })
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
+	poolAt := make([]int, len(ids)+1)
+	for i, id := range ids {
+		poolAt[i] = len(buf)
+		buf = append(buf, pools[id]...)
+	}
+	poolAt[len(ids)] = len(buf)
+
+	next := fold{
+		cursor: head.epoch,
+		rows:   make([][]byte, len(rowAt)-1),
+		pools:  pools,
+		tail:   slices.Clone(f.tail[at+1:]),
+	}
+	for i := range next.rows {
+		next.rows[i] = buf[rowAt[i]:rowAt[i+1]:rowAt[i+1]]
+	}
+	for i, id := range ids {
+		pools[id] = buf[poolAt[i]:poolAt[i+1]:poolAt[i+1]]
+	}
+	return buf, next
+}
+
+func rowEpoch(row []byte) uint64 { return binary.BigEndian.Uint64(row) }
+
+// appendRow appends the epoch's root-table row: epoch and summary root,
+// the payload digests lifted out of the pool table, then the receipt
+// table as written.
+func (r *tailRecord) appendRow(buf []byte) []byte {
+	buf = append(buf, r.recs[0].payload[:40]...)
+	buf = append(buf, r.table[:4]...)
+	eachTableRow(r.table, func(_, digest []byte) { buf = append(buf, digest...) })
+	return append(buf, r.receipts...)
+}
+
+// appendFrames appends the record's framed pieces.
+func (r *tailRecord) appendFrames(pieces [][]byte) [][]byte {
+	n := 2
+	if r.epoch == 0 {
+		n = 1
+	}
+	for i := range r.recs[:n] {
+		fr := &r.recs[i]
+		pieces = append(pieces, fr.head[:], fr.payload, fr.crc[:])
+	}
+	return pieces
+}
+
+// eachTableRow calls fn with each row of a snapshot's pool table split
+// into (ID and root, payload digest). The table was walked on the way
+// in, so its lengths are trusted.
+func eachTableRow(table []byte, fn func(idRoot, digest []byte)) {
+	for off := 4; off < len(table); {
+		end := off + 4 + int(binary.BigEndian.Uint32(table[off:])) + 32
+		fn(table[off:end], table[end:end+32])
+		off = end + 32
+	}
+}
+
+// eachPool calls fn with each entry of a walked pool set: the pool's ID
+// and its whole encoded entry (ID, length, blob).
+func eachPool(set []byte, fn func(id, entry []byte)) {
+	for off := 4; off < len(set); {
+		idEnd := off + 4 + int(binary.BigEndian.Uint32(set[off:]))
+		end := idEnd + 4 + int(binary.BigEndian.Uint32(set[idEnd:]))
+		fn(set[off+4:idEnd], set[off:end])
+		off = end
+	}
+}
+
 // rewrite replaces the log at path with [header, checkpoint, tail]
 // crash-atomically: the image is built in a temp file, fsynced, then
 // renamed over the log. The header is this format version's with flags;
-// a nil checkpoint writes no checkpoint record; tail is copied
-// bit-exact. It returns the new image's size.
-func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, checkpoint, tail []byte) (int64, error) {
+// a nil checkpoint writes no checkpoint record; the tail pieces are
+// copied bit-exact, in order. It returns the new image's size.
+func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, checkpoint []byte, tail ...[]byte) (int64, error) {
 	tmp := path + ".compact"
 	tf, err := fsys.OpenAppend(tmp, 0)
 	if err != nil {
 		return 0, err
 	}
 	tw := newWriter(fsys, tmp, fingerprint, tf)
-	size := int64(headerFrameLen) + int64(len(tail))
+	size := int64(headerFrameLen)
 	err = tw.appendRecord(recHeader, headerPayload(fingerprint, flags))
 	if err == nil && checkpoint != nil {
 		err = tw.appendRecord(recCheckpoint, checkpoint)
 		size += int64(9 + len(checkpoint))
 	}
-	if err == nil && len(tail) > 0 {
-		_, err = tw.bw.Write(tail)
+	for _, piece := range tail {
+		if err == nil {
+			_, err = tw.bw.Write(piece)
+			size += int64(len(piece))
+		}
 	}
 	if err == nil {
 		err = tw.commit()
@@ -190,5 +384,6 @@ func (w *Writer) Abort() {
 	if w.f != nil {
 		w.f.Close()
 	}
+	w.fold = fold{}
 	w.err = errWriterAborted
 }

@@ -22,7 +22,10 @@
 // window, the newest persisted state of every pool, the persisted
 // receipt rows, and the mainchain bank's replay state at S — and
 // rewrites the file as [header, checkpoint, tail records] via
-// write-temp-fsync-rename. A crash at any byte of that sequence leaves
+// write-temp-fsync-rename. The writer never reads its own log to do so:
+// it keeps the next checkpoint as encoded pieces, views of what it
+// appended and of the checkpoint it last wrote (or Open read), so a
+// compaction concatenates bytes and decodes nothing. A crash at any byte of that sequence leaves
 // either the complete old file or the complete new file, never a
 // hybrid, which is why a header that promises a checkpoint treats any
 // damage to it as hard corruption rather than a torn tail.
@@ -149,11 +152,13 @@ type Writer struct {
 	sinceSync  int
 	err        error
 
-	// Compaction and snapshot export re-read and rewrite the log, so the
+	// Compaction rewrites the log and snapshot export reads it, so the
 	// writer keeps its filesystem, path, and fingerprint.
 	fsys        FS
 	path        string
 	fingerprint [32]byte
+	// fold is the next checkpoint, kept encoded (see Compact).
+	fold fold
 
 	// Lifecycle tracing (nil = disabled): AppendEpoch records a
 	// store-append span and each actual fsync a store-fsync span.
@@ -175,18 +180,28 @@ func (w *Writer) SetFsyncEvery(n int) {
 	w.fsyncEvery = n
 }
 
-func (w *Writer) appendRecord(typ byte, payload []byte) error {
+// framed is one log record as written: its frame header (length and
+// type), its payload, and the CRC over both.
+type framed struct {
+	head    [5]byte
+	payload []byte
+	crc     [4]byte
+}
+
+func frameOf(typ byte, payload []byte) framed {
+	fr := framed{payload: payload}
+	binary.BigEndian.PutUint32(fr.head[:4], uint32(1+len(payload)))
+	fr.head[4] = typ
+	crc := crc32.Update(crc32.Checksum(fr.head[4:], crcTable), crcTable, payload)
+	binary.BigEndian.PutUint32(fr.crc[:], crc)
+	return fr
+}
+
+func (w *Writer) writeFrame(fr *framed) error {
 	if w.err != nil {
 		return w.err
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	crc := crc32.Checksum(hdr[4:5], crcTable)
-	crc = crc32.Update(crc, crcTable, payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	for _, b := range [][]byte{hdr[:], payload, tail[:]} {
+	for _, b := range [...][]byte{fr.head[:], fr.payload, fr.crc[:]} {
 		if _, err := w.bw.Write(b); err != nil {
 			w.err = err
 			return err
@@ -195,21 +210,39 @@ func (w *Writer) appendRecord(typ byte, payload []byte) error {
 	return nil
 }
 
+func (w *Writer) appendRecord(typ byte, payload []byte) error {
+	fr := frameOf(typ, payload)
+	return w.writeFrame(&fr)
+}
+
 // AppendEpoch appends one retired epoch — its snapshot record followed
 // by its sync-part record — and commits according to the fsync policy.
 // The epoch number only labels trace spans; record contents are the
-// caller's encodings, unchanged.
+// caller's encodings, unchanged. The writer keeps both slices, not
+// copies, until its next compaction, so the caller must not modify them
+// after the call. A snapshot that does not walk cleanly, or that does
+// not continue the log's epochs, is refused before anything is written.
 func (w *Writer) AppendEpoch(epoch uint64, snapshot, syncParts []byte) error {
 	sp := w.tr.Start(trace.StageStoreAppend, epoch)
 	sp.Bytes = len(snapshot) + len(syncParts)
 	w.epoch = epoch
 	defer sp.End()
-	if err := w.appendRecord(recSnapshot, snapshot); err != nil {
+	if w.err != nil {
+		return w.err
+	}
+	rec, err := epochRecord(frameOf(recSnapshot, snapshot), frameOf(recSyncParts, syncParts))
+	if err != nil {
 		return err
 	}
-	if err := w.appendRecord(recSyncParts, syncParts); err != nil {
-		return err
+	if want := w.fold.epoch() + 1; rec.epoch != want {
+		return fmt.Errorf("store: appended epoch %d, the log continues at %d", rec.epoch, want)
 	}
+	for i := range rec.recs {
+		if err := w.writeFrame(&rec.recs[i]); err != nil {
+			return err
+		}
+	}
+	w.fold.tail = append(w.fold.tail, rec)
 	w.sinceSync++
 	if w.sinceSync >= w.fsyncEvery {
 		return w.commit()
@@ -222,9 +255,11 @@ func (w *Writer) AppendEpoch(epoch uint64, snapshot, syncParts []byte) error {
 func (w *Writer) AppendHalt(epoch uint64, reason string) error {
 	payload := binary.BigEndian.AppendUint64(nil, epoch)
 	payload = binenc.AppendString(payload, reason)
-	if err := w.appendRecord(recHalt, payload); err != nil {
+	fr := frameOf(recHalt, payload)
+	if err := w.writeFrame(&fr); err != nil {
 		return err
 	}
+	w.fold.tail = append(w.fold.tail, tailRecord{recs: [2]framed{fr}})
 	return w.commit()
 }
 
@@ -249,10 +284,12 @@ func (w *Writer) commit() error {
 	return nil
 }
 
-// Close flushes, syncs, and closes the underlying file.
+// Close flushes, syncs, and closes the underlying file, and drops the
+// fold: a closed writer holds none of the log in memory.
 func (w *Writer) Close() error {
 	flushErr := w.commit()
 	closeErr := w.f.Close()
+	w.fold = fold{}
 	if flushErr != nil {
 		return flushErr
 	}
@@ -283,7 +320,8 @@ func Open(fsys FS, dir string, fingerprint [32]byte) (*Recovery, *Writer, error)
 		return create(fsys, path, fingerprint)
 	}
 
-	rec, validLen, err := scan(data, fingerprint)
+	var seed fold
+	rec, validLen, err := scanLog(data, fingerprint, &seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -300,7 +338,9 @@ func Open(fsys FS, dir string, fingerprint [32]byte) (*Recovery, *Writer, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return rec, newWriter(fsys, path, fingerprint, f), nil
+	w := newWriter(fsys, path, fingerprint, f)
+	w.fold = seed
+	return rec, w, nil
 }
 
 // CheckSnapshot rejects blobs that cannot possibly be a store image:
@@ -351,6 +391,14 @@ type frame struct {
 	end     int64 // offset just past this record's CRC
 }
 
+// framed views the record as written in data.
+func (fr frame) framed(data []byte) framed {
+	out := framed{payload: fr.payload}
+	copy(out.head[:], data[fr.end-9-int64(len(fr.payload)):])
+	copy(out.crc[:], data[fr.end-4:])
+	return out
+}
+
 // nextFrame parses the record starting at off; ok is false when the
 // frame is torn or its CRC fails (the scan stops there).
 func nextFrame(data []byte, off int64) (frame, bool) {
@@ -376,6 +424,12 @@ func nextFrame(data []byte, off int64) (frame, bool) {
 // (or halt record) is returned along with its byte length for
 // truncation.
 func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
+	return scanLog(data, fingerprint, nil)
+}
+
+// scanLog is scan that also seeds a writer's fold, when seed is non-nil,
+// with views into data of everything it recovers.
+func scanLog(data []byte, fingerprint [32]byte, seed *fold) (*Recovery, int64, error) {
 	hdr, ok := nextFrame(data, 0)
 	if !ok || hdr.typ != recHeader || len(hdr.payload) < 2 {
 		return nil, 0, fmt.Errorf("%w: unreadable header", chain.ErrCorruptStore)
@@ -412,7 +466,7 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 			return nil, 0, fmt.Errorf("%w: header promises a checkpoint but none parses",
 				chain.ErrCorruptStore)
 		}
-		cp, err := decodeCheckpoint(fr.payload)
+		cp, err := readCheckpoint(fr.payload, seed)
 		if err != nil {
 			return nil, 0, fmt.Errorf("checkpoint: %w", err)
 		}
@@ -422,6 +476,7 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 	}
 
 	var pending *EpochRecord
+	var pendingFrame frame
 	for {
 		fr, ok := nextFrame(data, off)
 		if !ok {
@@ -437,7 +492,7 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 			if snap.Epoch != rec.Epoch()+1 {
 				return rec, validLen, nil // out-of-order tail: roll back
 			}
-			pending = snap
+			pending, pendingFrame = snap, fr
 		case recSyncPartsV2, recSyncParts:
 			if fr.typ == recSyncParts && version < 3 {
 				return rec, validLen, nil // a record its header does not know
@@ -445,6 +500,13 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 			epoch, parts, err := decodeSyncParts(fr.typ, fr.payload)
 			if err != nil || pending == nil || epoch != pending.Epoch {
 				return rec, validLen, nil
+			}
+			if seed != nil {
+				tr, err := epochRecord(pendingFrame.framed(data), fr.framed(data))
+				if err != nil {
+					return rec, validLen, nil
+				}
+				seed.tail = append(seed.tail, tr)
 			}
 			pending.Parts = parts
 			rec.Epochs = append(rec.Epochs, pending)
@@ -459,6 +521,9 @@ func scan(data []byte, fingerprint [32]byte) (*Recovery, int64, error) {
 			}
 			rec.Halt = h
 			validLen = fr.end
+			if seed != nil {
+				seed.tail = append(seed.tail, tailRecord{recs: [2]framed{fr.framed(data)}})
+			}
 		default:
 			return rec, validLen, nil // unknown record from the future: stop
 		}
