@@ -57,8 +57,8 @@ type FaultPlan struct {
 	// ByzantineReplicas assigns an adversarial strategy to live-fidelity
 	// committee replicas by index (equivocate on roots, vote-then-stall,
 	// propose corrupt digests, stay silent). Live fidelity only: the
-	// analytic model cannot represent per-replica behavior, so the
-	// multi-pool constructor rejects the combination with
+	// analytic model cannot represent per-replica behavior, so every
+	// node's constructor rejects the combination with
 	// ErrUnsupportedFault instead of silently ignoring it.
 	ByzantineReplicas map[int]pbft.Byzantine
 	// ViewChangeStormRounds marks (epoch, round) pairs that suffer k
@@ -187,7 +187,7 @@ type Config struct {
 	// arbitrarily long runs.
 	TraceBuffer int
 
-	// ConsensusFidelity routes multi-pool committee rounds through the
+	// ConsensusFidelity routes every node's committee rounds through the
 	// analytic cost model (default) or real PBFT replicas over the
 	// simulated network.
 	ConsensusFidelity ConsensusFidelity

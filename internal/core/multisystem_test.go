@@ -182,3 +182,27 @@ func TestSyncUplinkUnreachableHalts(t *testing.T) {
 		t.Errorf("SyncsOK %d, bank at %d; want nothing synced", rep.SyncsOK, sys.LastSyncedEpoch())
 	}
 }
+
+// TestKilledNodeReports: a node killed mid-run (its commit stage already
+// closed by Kill) still returns its report from Run, with the kill as
+// the run's error.
+func TestKilledNodeReports(t *testing.T) {
+	sysCfg, drvCfg := multiTestConfigs(3, 4, 2, 3)
+	sys, _, err := NewMultiDriver(sysCfg, drvCfg)
+	if err != nil {
+		t.Fatalf("NewMultiDriver: %v", err)
+	}
+	ms := sys.(*MultiSystem)
+	ms.OnEpochStart = func(e uint64) {
+		if e == 2 {
+			ms.Kill()
+		}
+	}
+	rep, err := ms.Run(drvCfg.Epochs)
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("run err = %v, want errKilled", err)
+	}
+	if rep == nil || rep.EpochsRun != 2 {
+		t.Fatalf("report %+v, want the run stopped in epoch 2", rep)
+	}
+}

@@ -101,6 +101,7 @@ type syncPackage struct {
 type commitPipeline struct {
 	jobs     chan *commitJob
 	wg       sync.WaitGroup
+	closed   sync.Once
 	inflight []*commitJob
 }
 
@@ -147,9 +148,10 @@ func (p *commitPipeline) awaitOldest() *commitJob {
 // close shuts the stage down after the simulator drained: the worker
 // finishes any queued jobs (a halted run may abandon their packages) and
 // exits. Blocks until the worker goroutine is gone, so Run never leaks a
-// goroutine still touching engine state.
+// goroutine still touching engine state. Kill closes the stage early, so
+// a second close (the killed node's report) only waits.
 func (p *commitPipeline) close() {
-	close(p.jobs)
+	p.closed.Do(func() { close(p.jobs) })
 	p.wg.Wait()
 }
 

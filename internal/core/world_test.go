@@ -258,9 +258,10 @@ func (w world) twin() chain.Config {
 	return c
 }
 
-// worldRuns are the runs check compared.
+// worldRuns are the runs check compared; resumed are the kill legs'.
 type worldRuns struct {
 	main, rerun, twin worldRun
+	resumed           []worldRun
 }
 
 // check runs the world, its re-run, its twin and its kill legs.
@@ -284,17 +285,17 @@ func (w world) check(t *testing.T) worldRuns {
 		}
 		// The image is what kill -9 after the epoch's prune leaves on disk;
 		// a compacting node's also serves as a peer's fast-sync snapshot.
-		w.killLeg(t, main, k, image, false)
+		runs.resumed = append(runs.resumed, w.killLeg(t, main, k, image, false))
 		if w.cfg.CompactEvery > 0 {
-			w.killLeg(t, main, k, image, true)
+			runs.resumed = append(runs.resumed, w.killLeg(t, main, k, image, true))
 		}
 	}
 	return runs
 }
 
 // killLeg reopens a node on image (or bootstraps a fresh one from it),
-// resumes it and compares the resumed run with main.
-func (w world) killLeg(t *testing.T, main worldRun, kill uint64, image []byte, bootstrap bool) {
+// resumes it, compares the resumed run with main and returns it.
+func (w world) killLeg(t *testing.T, main worldRun, kill uint64, image []byte, bootstrap bool) worldRun {
 	t.Helper()
 	killed := &store.MemFS{}
 	how := "reopened"
@@ -322,6 +323,7 @@ func (w world) killLeg(t *testing.T, main worldRun, kill uint64, image []byte, b
 			t.Errorf("%s: meta-block %v TxRoot %x, want %x", label, at, root, want)
 		}
 	}
+	return res
 }
 
 // worldRun is what one run of a world produced.
@@ -920,6 +922,45 @@ func TestLiveFidelityChaosDeterministicReplay(t *testing.T) {
 	}}}, func(t *testing.T, _ world, r worldRuns) {
 		if n := r.main.rep.NetStats; r.main.rep.ViewChanges == 0 || n.MessagesDropped == 0 || n.MessagesDuplicated == 0 {
 			t.Errorf("chaos cost %d view changes, %+v; want a view change, drops and duplicates", r.main.rep.ViewChanges, n)
+		}
+	})
+}
+
+// TestLiveFidelityByzantineDeterministicReplay: a live run whose leader
+// proposes corrupt digests while another replica withholds its votes
+// deposes the leader and re-runs bit for bit, including its view
+// changes, completion instant and network counters.
+func TestLiveFidelityByzantineDeterministicReplay(t *testing.T) {
+	pinned(t, []int64{42}, []pin{{"", func(w *world) {
+		w.calm()
+		w.midsize(8)
+		w.cfg.ConsensusFidelity, w.cfg.RoundDuration = chain.FidelityLive, 7*time.Second
+		w.cfg.Faults.ByzantineReplicas = map[int]pbft.Byzantine{0: pbft.CorruptDigest, 2: pbft.VoteStall}
+	}}}, func(t *testing.T, _ world, r worldRuns) {
+		if r.main.rep.ViewChanges == 0 {
+			t.Error("the corrupt-digest leader was never deposed")
+		}
+	})
+}
+
+// TestLiveFidelityKillRestart: a store-backed live node with a
+// vote-stalling replica and a view change in epoch 1, killed after epoch
+// 1's prune and reopened, re-derives the uninterrupted run's roots,
+// payload digests and syncs, and reports its view changes.
+func TestLiveFidelityKillRestart(t *testing.T) {
+	pinned(t, []int64{42}, []pin{{"", func(w *world) {
+		w.calm()
+		w.midsize(8)
+		w.killEverywhere(2)
+		w.cfg.ConsensusFidelity, w.cfg.RoundDuration, w.cfg.CompactEvery = chain.FidelityLive, 7*time.Second, 0
+		w.cfg.Faults.ByzantineReplicas = map[int]pbft.Byzantine{2: pbft.VoteStall}
+		w.cfg.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1} // a vote-staller alone costs none
+	}}}, func(t *testing.T, _ world, r worldRuns) {
+		if r.main.rep.ViewChanges == 0 || len(r.resumed) != 1 {
+			t.Fatalf("%d view changes, %d kill legs; want a view change before the one kill", r.main.rep.ViewChanges, len(r.resumed))
+		}
+		if got := r.resumed[0].rep.ViewChanges; got != r.main.rep.ViewChanges {
+			t.Errorf("resumed run reports %d view changes, uninterrupted %d", got, r.main.rep.ViewChanges)
 		}
 	})
 }

@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/core"
 	"ammboost/internal/netsim"
 	"ammboost/internal/sidechain/pbft"
-	"ammboost/internal/store"
 	"ammboost/internal/workload"
 )
 
@@ -20,9 +18,7 @@ import (
 
 // The chaos deployment is deliberately small: the point is protocol
 // behavior under faults, not throughput. The committee is kept at 20 so
-// the model path's analytic agreement time stays well inside the round
-// duration — the regime where invariant 11 (model/live equivalence) is
-// defined.
+// agreement stays well inside the round duration.
 const (
 	chaosPools     = 8
 	chaosShards    = 2
@@ -31,8 +27,7 @@ const (
 )
 
 // chaosLoad is one traffic level of the sweep (deterministic per-epoch
-// transaction counts, regenerated from the seed on recovery like a
-// mempool refill).
+// transaction counts).
 type chaosLoad struct {
 	Name     string
 	PerEpoch int
@@ -116,8 +111,7 @@ func chaosScenarios() []chaosScenario {
 	}
 }
 
-// ChaosPoint is one (fault class, load) cell's measured outcome, with the
-// same-seed replay verdict folded in.
+// ChaosPoint is one (fault class, load) cell's measured outcome.
 type ChaosPoint struct {
 	Class, Load string
 	EpochsRun   int
@@ -131,26 +125,11 @@ type ChaosPoint struct {
 	// StagesOK: no receipt ever skipped a lifecycle stage or moved
 	// backwards, under any injected fault.
 	StagesOK bool
-	// ReplayIdentical: a second run with the identical seed and schedule
-	// reproduced every observable bit for bit (roots, digests, view
-	// changes, traffic counters, and — for halting scenarios — the halt
-	// instant and message).
-	ReplayIdentical bool
 }
 
-// ChaosResult is the chaos experiment's output: the sweep matrix plus the
-// two cross-cutting verdicts (invariant 11 equivalence, invariant 9
-// crash-restart recovery under live consensus).
+// ChaosResult is the chaos experiment's output: the sweep matrix.
 type ChaosResult struct {
 	Points []ChaosPoint
-	// EquivalenceOK: zero-fault live-fidelity runs reproduced the model
-	// path's summary roots and payload digests for every equivalence seed.
-	EquivalenceOK    bool
-	EquivalenceSeeds []int64
-	// RecoveryOK: a store-backed live-fidelity node killed at an epoch
-	// boundary and reopened re-derived the uninterrupted run's roots and
-	// digests (invariant 9, now exercised with byzantine faults active).
-	RecoveryOK bool
 }
 
 func chaosUsers() []string {
@@ -161,7 +140,7 @@ func chaosUsers() []string {
 	return users
 }
 
-func chaosConfig(seed int64, fidelity chain.ConsensusFidelity) chain.Config {
+func chaosConfig(seed int64) chain.Config {
 	return chain.Config{
 		Seed:              seed,
 		NumPools:          chaosPools,
@@ -169,87 +148,44 @@ func chaosConfig(seed int64, fidelity chain.ConsensusFidelity) chain.Config {
 		EpochRounds:       chaosRounds,
 		RoundDuration:     7 * time.Second,
 		CommitteeSize:     chaosCommittee,
-		ConsensusFidelity: fidelity,
+		ConsensusFidelity: chain.FidelityLive,
 		Users:             chaosUsers(),
 	}
 }
 
-// attachChaosTraffic regenerates each epoch's transactions from (seed,
-// epoch) alone — the recovery-aware driver property: a node restored at
-// any boundary replays exactly the stream the uninterrupted run saw.
-// Accepted receipts accumulate into sink when non-nil.
-func attachChaosTraffic(sys *core.MultiSystem, seed int64, perEpoch int, sink *[]*chain.Receipt) {
-	pools := sys.PoolIDs()
-	users := chaosUsers()
-	sys.OnEpochStart = func(epoch uint64) {
-		for _, tx := range workload.EpochSwaps(seed, epoch, perEpoch, users, pools, "cx", 500_000) {
-			rc, err := sys.Submit(context.Background(), tx)
-			if err != nil && !errors.Is(err, chain.ErrHalted) {
-				continue
-			}
-			if sink != nil && rc != nil {
-				*sink = append(*sink, rc)
-			}
-		}
-	}
-}
-
-// chaosScalars are the run observables a same-seed replay must reproduce
-// beside the run fingerprint.
-type chaosScalars struct {
-	viewChanges int
-	syncsOK     int
-	epochsRun   int
-	duration    time.Duration
-	net         netsim.Stats
-	haltMsg     string
-}
-
-// chaosDiff names how run b differs from run a: the fingerprint's Diff
-// text, else the scalars; nil when the two are identical.
-func chaosDiff(fpA, fpB chain.Fingerprint, a, b chaosScalars) error {
-	if err := fpA.Diff(fpB); err != nil {
-		return err
-	}
-	if a != b {
-		return fmt.Errorf("run scalars differ: %+v vs %+v", a, b)
-	}
-	return nil
-}
-
-// chaosRun executes one scenario instance and fingerprints it. A halt is
-// returned in the scalars (haltMsg non-empty), not as the error; the
-// error reports only infrastructure failures.
-func chaosRun(cfg chain.Config, epochs, perEpoch int, sink *[]*chain.Receipt) (chain.Fingerprint, chaosScalars, *chain.Report, error) {
+// chaosRun executes one scenario instance, submitting each epoch's
+// transactions (a function of seed and epoch) as the epoch starts and
+// collecting the accepted receipts. A consensus stall is returned as the
+// report's halt message, not as the error; the error reports only other
+// failures.
+func chaosRun(cfg chain.Config, epochs, perEpoch int) (*chain.Report, string, []*chain.Receipt, error) {
 	sys, err := core.NewMultiSystem(cfg, cfg.Users)
 	if err != nil {
-		return chain.Fingerprint{}, chaosScalars{}, nil, err
+		return nil, "", nil, err
 	}
-	attachChaosTraffic(sys, cfg.Seed, perEpoch, sink)
+	var recs []*chain.Receipt
+	pools, users := sys.PoolIDs(), chaosUsers()
+	sys.OnEpochStart = func(epoch uint64) {
+		for _, tx := range workload.EpochSwaps(cfg.Seed, epoch, perEpoch, users, pools, "cx", 500_000) {
+			if rc, err := sys.Submit(context.Background(), tx); rc != nil && (err == nil || errors.Is(err, chain.ErrHalted)) {
+				recs = append(recs, rc)
+			}
+		}
+	}
 	rep, runErr := sys.Run(epochs)
 	if rep == nil {
-		return chain.Fingerprint{}, chaosScalars{}, nil, fmt.Errorf("experiments: chaos run returned no report: %w", runErr)
+		return nil, "", nil, fmt.Errorf("experiments: chaos run returned no report: %w", runErr)
 	}
-	fp := sys.Fingerprint(nil)
-	sc := chaosScalars{
-		viewChanges: rep.ViewChanges,
-		syncsOK:     rep.SyncsOK,
-		epochsRun:   rep.EpochsRun,
-		duration:    rep.Duration,
-		net:         rep.NetStats,
+	switch {
+	case errors.Is(runErr, chain.ErrConsensusStalled):
+		return rep, runErr.Error(), recs, nil
+	case runErr != nil:
+		return rep, "", recs, runErr
 	}
-	if runErr != nil {
-		if !errors.Is(runErr, chain.ErrConsensusStalled) {
-			return fp, sc, rep, runErr
-		}
-		sc.haltMsg = runErr.Error()
+	if err := sys.Validate(); err != nil {
+		return rep, "", recs, fmt.Errorf("experiments: chaos invariants: %w", err)
 	}
-	if runErr == nil {
-		if err := sys.Validate(); err != nil {
-			return fp, sc, rep, fmt.Errorf("experiments: chaos invariants: %w", err)
-		}
-	}
-	return fp, sc, rep, nil
+	return rep, "", recs, nil
 }
 
 // receiptLifecycleOK checks one receipt for lifecycle-stage integrity:
@@ -286,173 +222,44 @@ func receiptLifecycleOK(rc *chain.Receipt) bool {
 	return true
 }
 
-// RunChaos sweeps fault class x load over the live consensus path, runs
-// every cell twice for the bit-identity verdict, then settles the two
-// cross-cutting acceptance checks: zero-fault live/model equivalence
-// (invariant 11) across the determinism seeds, and crash-restart recovery
-// (invariant 9) with byzantine faults active.
+// RunChaos sweeps fault class x load over the live consensus path and
+// checks each cell's outcome: the expected halt or completion, the
+// expected view changes, and receipt lifecycle-stage integrity.
 func RunChaos(o Options) (*ChaosResult, error) {
 	o = o.withDefaults()
-	epochs := o.Epochs
-	if epochs > 3 {
-		epochs = 3 // every cell runs twice; keep the matrix tractable
-	}
-	res := &ChaosResult{EquivalenceOK: true, RecoveryOK: true,
-		EquivalenceSeeds: []int64{1, 42, 1337}}
-
+	epochs := min(o.Epochs, 3) // keep the matrix tractable
+	res := &ChaosResult{}
 	for _, sc := range chaosScenarios() {
 		for _, load := range chaosLoads() {
-			mk := func() chain.Config {
-				cfg := chaosConfig(o.Seed, chain.FidelityLive)
-				sc.Mutate(&cfg)
-				return cfg
-			}
-			var recs []*chain.Receipt
-			fpA, scA, rep, err := chaosRun(mk(), epochs, load.PerEpoch, &recs)
+			cfg := chaosConfig(o.Seed)
+			sc.Mutate(&cfg)
+			rep, haltMsg, recs, err := chaosRun(cfg, epochs, load.PerEpoch)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: %w", sc.Class, load.Name, err)
 			}
-			fpB, scB, _, err := chaosRun(mk(), epochs, load.PerEpoch, nil)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: chaos %s/%s replay: %w", sc.Class, load.Name, err)
-			}
-			replayErr := chaosDiff(fpA, fpB, scA, scB)
 			pt := ChaosPoint{
 				Class: sc.Class, Load: load.Name,
 				EpochsRun: rep.EpochsRun, SyncsOK: rep.SyncsOK,
-				ViewChanges:     rep.ViewChanges,
-				Halted:          scA.haltMsg != "",
-				HaltErr:         scA.haltMsg,
-				Virtual:         rep.Duration,
-				Net:             rep.NetStats,
-				Receipts:        len(recs),
-				StagesOK:        true,
-				ReplayIdentical: replayErr == nil,
-			}
-			for _, rc := range recs {
-				if !receiptLifecycleOK(rc) {
-					pt.StagesOK = false
-				}
+				ViewChanges: rep.ViewChanges,
+				Halted:      haltMsg != "",
+				HaltErr:     haltMsg,
+				Virtual:     rep.Duration,
+				Net:         rep.NetStats,
+				Receipts:    len(recs),
+				StagesOK:    !slices.ContainsFunc(recs, func(rc *chain.Receipt) bool { return !receiptLifecycleOK(rc) }),
 			}
 			if sc.ExpectHalt != pt.Halted {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: halted=%v, want %v (err %q)",
-					sc.Class, load.Name, pt.Halted, sc.ExpectHalt, scA.haltMsg)
+					sc.Class, load.Name, pt.Halted, sc.ExpectHalt, haltMsg)
 			}
 			if sc.ExpectViewChanges && pt.ViewChanges == 0 {
 				return nil, fmt.Errorf("experiments: chaos %s/%s: no view changes burned", sc.Class, load.Name)
-			}
-			if replayErr != nil {
-				return res, fmt.Errorf("experiments: chaos %s/%s: same-seed replay diverged: %w", sc.Class, load.Name, replayErr)
 			}
 			if !pt.StagesOK {
 				return res, fmt.Errorf("experiments: chaos %s/%s: receipt lifecycle stage violation", sc.Class, load.Name)
 			}
 			res.Points = append(res.Points, pt)
 		}
-	}
-
-	// Invariant 11: zero-fault live fidelity is observably the model path.
-	perEpoch := chaosLoads()[0].PerEpoch
-	var equivErr error
-	for _, seed := range res.EquivalenceSeeds {
-		fpModel, model, _, err := chaosRun(chaosConfig(seed, chain.FidelityModel), epochs, perEpoch, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos equivalence model seed %d: %w", seed, err)
-		}
-		fpLive, live, _, err := chaosRun(chaosConfig(seed, chain.FidelityLive), epochs, perEpoch, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos equivalence live seed %d: %w", seed, err)
-		}
-		// Traffic counters and timing legitimately differ; state must not.
-		model.duration, live.duration = 0, 0
-		model.net, live.net = netsim.Stats{}, netsim.Stats{}
-		err = chaosDiff(fpModel, fpLive, model, live)
-		if err == nil && live.viewChanges != 0 {
-			err = fmt.Errorf("zero-fault live run burned %d view changes", live.viewChanges)
-		}
-		if err != nil && equivErr == nil {
-			equivErr = fmt.Errorf("seed %d: %w", seed, err)
-		}
-	}
-	if equivErr != nil {
-		res.EquivalenceOK = false
-		return res, fmt.Errorf("experiments: chaos: zero-fault live fidelity diverged from the model path (invariant 11): %w", equivErr)
-	}
-
-	// Invariant 9 under live consensus: reference run, store-backed run,
-	// kill -9 at an epoch boundary, reopen, resume, compare.
-	byz := func(cfg *chain.Config) {
-		cfg.Faults.ByzantineReplicas = map[int]pbft.Byzantine{2: pbft.VoteStall}
-	}
-	refCfg := chaosConfig(o.Seed, chain.FidelityLive)
-	byz(&refCfg)
-	refFP, ref, _, err := chaosRun(refCfg, epochs, perEpoch, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos recovery reference: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "ammboost-chaos-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	storeCfg := chaosConfig(o.Seed, chain.FidelityLive)
-	byz(&storeCfg)
-	node, err := core.Open(dir, storeCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos recovery open: %w", err)
-	}
-	attachChaosTraffic(node.(*core.MultiSystem), storeCfg.Seed, perEpoch, nil)
-	if _, err := node.Run(epochs); err != nil {
-		return nil, fmt.Errorf("experiments: chaos recovery store-backed run: %w", err)
-	}
-	if err := node.Close(); err != nil {
-		return nil, err
-	}
-	rec, w, err := store.Open(store.OSFS{}, dir, core.DeploymentFingerprint(storeCfg))
-	if err != nil {
-		return nil, err
-	}
-	w.Close()
-	if len(rec.Boundaries) < epochs {
-		return nil, fmt.Errorf("experiments: chaos recovery: %d boundaries persisted, want %d",
-			len(rec.Boundaries), epochs)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, store.FileName))
-	if err != nil {
-		return nil, err
-	}
-	dir2, err := os.MkdirTemp("", "ammboost-chaos-kill-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir2)
-	kill := 1 // earliest boundary: the resumed run re-executes the most epochs
-	if err := os.WriteFile(filepath.Join(dir2, store.FileName),
-		data[:rec.Boundaries[kill-1]], 0o644); err != nil {
-		return nil, err
-	}
-	node2, err := core.Open(dir2, storeCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos recovery reopen: %w", err)
-	}
-	ms2 := node2.(*core.MultiSystem)
-	attachChaosTraffic(ms2, storeCfg.Seed, perEpoch, nil)
-	rep2, err := node2.Run(epochs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos recovery resumed run: %w", err)
-	}
-	recErr := refFP.Diff(ms2.Fingerprint(nil))
-	if recErr == nil && (rep2.EpochsRun != ref.epochsRun || rep2.SyncsOK != ref.syncsOK) {
-		recErr = fmt.Errorf("ran %d epochs with %d syncs, reference %d with %d",
-			rep2.EpochsRun, rep2.SyncsOK, ref.epochsRun, ref.syncsOK)
-	}
-	if recErr == nil {
-		recErr = node2.Validate()
-	}
-	node2.Close()
-	if recErr != nil {
-		res.RecoveryOK = false
-		return res, fmt.Errorf("experiments: chaos: crash-restart recovery diverged from the uninterrupted run (invariant 9): %w", recErr)
 	}
 	return res, nil
 }
@@ -463,13 +270,7 @@ func (r *ChaosResult) Render() string {
 		title: fmt.Sprintf("Chaos: adversarial scenario sweep (live PBFT committee, %d pools, committee %d)",
 			chaosPools, chaosCommittee),
 		headers: []string{"Fault class", "Load", "Epochs", "Syncs", "ViewChg",
-			"Sent", "Dropped", "Dup", "Outcome", "Replay", "Stages"},
-	}
-	verdict := func(ok bool) string {
-		if ok {
-			return "identical"
-		}
-		return "DIVERGED"
+			"Sent", "Dropped", "Dup", "Outcome", "Stages"},
 	}
 	for _, p := range r.Points {
 		outcome := "completed"
@@ -486,15 +287,8 @@ func (r *ChaosResult) Render() string {
 			fmt.Sprintf("%d", p.Net.MessagesSent),
 			fmt.Sprintf("%d", p.Net.MessagesDropped),
 			fmt.Sprintf("%d", p.Net.MessagesDuplicated),
-			outcome, verdict(p.ReplayIdentical), stages)
+			outcome, stages)
 	}
-	s := t.String()
-	s += fmt.Sprintf("invariant 11 (zero-fault live == model, seeds %v): %s\n",
-		r.EquivalenceSeeds, verdict(r.EquivalenceOK))
-	s += fmt.Sprintf("invariant 9 (kill -9 at boundary, live + byzantine, resume): %s\n",
-		verdict(r.RecoveryOK))
-	s += "replay = bit-identity of roots, digests, view changes, traffic counters, and halt\n" +
-		"instants across two same-seed runs; stages = no receipt ever skipped or reordered\n" +
-		"a lifecycle stage under injected faults.\n"
-	return s
+	return t.String() + "stages = no receipt ever skipped or reordered a lifecycle stage under injected\n" +
+		"faults.\n"
 }

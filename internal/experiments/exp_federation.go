@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"ammboost/internal/chain"
@@ -31,8 +28,7 @@ const (
 	fedXferUser    = "fed-xfer-user"
 )
 
-// FederationPoint is one federation cell's measured outcome with the
-// same-config replay verdict folded in.
+// FederationPoint is one federation cell's measured outcome.
 type FederationPoint struct {
 	Cell string
 	K    int
@@ -51,10 +47,6 @@ type FederationPoint struct {
 	// cell).
 	ViewChanges int
 	Virtual     time.Duration
-	// ReplayIdentical: a second run of the identical configuration
-	// reproduced the mainchain history digest, every member's summary
-	// roots, and every transfer receipt bit for bit (invariant 12).
-	ReplayIdentical bool
 	// ConservationOK: the escrow's books balanced and no entry stayed in
 	// custody after the run.
 	ConservationOK bool
@@ -154,34 +146,11 @@ func fedBuild(o Options, cell fedCell) federation.Config {
 	return cfg
 }
 
-// fedObs is what a same-config replay must reproduce exactly: the shared
-// mainchain's history digest, the transfer receipts, the completion
-// instant, and every member's run fingerprint.
-type fedObs struct {
-	digest  [32]byte
-	xfers   []string
-	dur     time.Duration
-	members map[string]chain.Fingerprint
-}
-
-// fedDiff names how replay b differs from run a; nil when identical.
-func fedDiff(a, b fedObs) error {
-	if a.digest != b.digest || a.dur != b.dur || !slices.Equal(a.xfers, b.xfers) || len(a.members) != len(b.members) {
-		return errors.New("mainchain history, transfer receipts, completion instant or member set differ")
-	}
-	for _, id := range slices.Sorted(maps.Keys(a.members)) {
-		if err := a.members[id].Diff(b.members[id]); err != nil {
-			return fmt.Errorf("member %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
 // fedRun builds, funds, and runs one federation instance.
-func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, fedObs, error) {
+func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, error) {
 	f, err := federation.New(cfg)
 	if err != nil {
-		return nil, nil, fedObs{}, err
+		return nil, nil, err
 	}
 	funded := map[string]bool{}
 	for _, x := range cfg.Transfers {
@@ -190,51 +159,32 @@ func fedRun(cfg federation.Config) (*federation.Federation, *federation.Result, 
 		}
 		funded[x.FromChain] = true
 		if _, err := f.Node(x.FromChain).SubmitDeposit(x.User, 1, x.Amount0, x.Amount1); err != nil {
-			return nil, nil, fedObs{}, fmt.Errorf("experiments: federation funding %s: %w", x.FromChain, err)
+			return nil, nil, fmt.Errorf("experiments: federation funding %s: %w", x.FromChain, err)
 		}
 	}
 	res, err := f.Run()
 	if err != nil {
-		return nil, nil, fedObs{}, err
+		return nil, nil, err
 	}
-	obs := fedObs{
-		digest:  res.MainchainDigest,
-		dur:     res.Duration,
-		members: make(map[string]chain.Fingerprint),
-	}
-	for _, nr := range res.Nodes {
-		obs.members[nr.ChainID] = f.Node(nr.ChainID).Fingerprint(nil)
-	}
-	for _, rc := range res.Transfers {
-		obs.xfers = append(obs.xfers, fmt.Sprintf("%s|%s|%d|%d|%d|%d", rc.ID, rc.Status,
-			rc.WithdrawEpoch, rc.DepositEpoch, rc.EscrowedAt, rc.SettledAt))
-	}
-	return f, res, obs, nil
+	return f, res, nil
 }
 
 // RunFederation sweeps member count and fault cells over the federated
 // deployment: K sidechains contending for one shared mainchain's block
-// gas, cross-chain transfers completing or refunding through the escrow,
-// and every cell run twice for the invariant-12 bit-identity verdict.
+// gas, and cross-chain transfers completing or refunding through the
+// escrow.
 func RunFederation(o Options) (*FederationResult, error) {
 	o = o.withDefaults()
 	res := &FederationResult{}
 	for _, cell := range fedCells() {
-		f, run, obsA, err := fedRun(fedBuild(o, cell))
+		f, run, err := fedRun(fedBuild(o, cell))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: federation %s: %w", cell.Name, err)
 		}
-		_, _, obsB, err := fedRun(fedBuild(o, cell))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: federation %s replay: %w", cell.Name, err)
-		}
-		replayErr := fedDiff(obsA, obsB)
-
 		pt := FederationPoint{
 			Cell: cell.Name, K: cell.K,
-			Virtual:         run.Duration,
-			ReplayIdentical: replayErr == nil,
-			ConservationOK:  f.Escrow().Conserved() == nil && f.Escrow().LockedCount() == 0,
+			Virtual:        run.Duration,
+			ConservationOK: f.Escrow().Conserved() == nil && f.Escrow().LockedCount() == 0,
 		}
 		for _, nr := range run.Nodes {
 			pt.SyncsOK += nr.Report.SyncsOK
@@ -282,9 +232,6 @@ func RunFederation(o Options) (*FederationResult, error) {
 		if cell.ExpectViewChanges && pt.ViewChanges == 0 {
 			return nil, fmt.Errorf("experiments: federation %s: no view changes burned", cell.Name)
 		}
-		if replayErr != nil {
-			return res, fmt.Errorf("experiments: federation %s: same-config replay diverged (invariant 12): %w", cell.Name, replayErr)
-		}
 		if !pt.ConservationOK {
 			return res, fmt.Errorf("experiments: federation %s: escrow conservation violated", cell.Name)
 		}
@@ -302,13 +249,7 @@ func (r *FederationResult) Render() string {
 		title: fmt.Sprintf("Federation: K sidechains on one shared mainchain (%d pools, committee %d, %d epochs)",
 			fedPools, fedCommittee, fedEpochs),
 		headers: []string{"Cell", "K", "Syncs", "Blocks", "Gas", "GasMin", "GasMax",
-			"Done", "Refund", "ViewChg", "Virtual", "Replay", "Escrow"},
-	}
-	verdict := func(ok bool) string {
-		if ok {
-			return "identical"
-		}
-		return "DIVERGED"
+			"Done", "Refund", "ViewChg", "Virtual", "Escrow"},
 	}
 	for _, p := range r.Points {
 		esc := "conserved"
@@ -320,13 +261,8 @@ func (r *FederationResult) Render() string {
 			fmt.Sprintf("%d", p.TotalGas),
 			fmt.Sprintf("%d", p.GasMin), fmt.Sprintf("%d", p.GasMax),
 			fmt.Sprintf("%d", p.Completed), fmt.Sprintf("%d", p.Refunded),
-			fmt.Sprintf("%d", p.ViewChanges), secs(p.Virtual)+"s",
-			verdict(p.ReplayIdentical), esc)
+			fmt.Sprintf("%d", p.ViewChanges), secs(p.Virtual)+"s", esc)
 	}
-	s := t.String()
-	s += "replay = bit-identity of the mainchain block/tx history digest, every member's\n" +
-		"summary roots, and every transfer receipt across two same-config runs (invariant 12);\n" +
-		"escrow = locked == released + refunded with refunded == claimed + claimable, and no\n" +
+	return t.String() + "escrow = locked == released + refunded with refunded == claimed + claimable, and no\n" +
 		"entry left in custody.\n"
-	return s
 }

@@ -332,29 +332,18 @@ func TestPipelineScale(t *testing.T) {
 	}
 }
 
-// TestChaosDeterminismSweep runs the chaos experiment end to end: every
-// fault class x load cell must replay bit-identically under the same
-// seed, receipts must never skip lifecycle stages, the never-healing
-// partition must halt (deterministically), and the two cross-cutting
-// invariants — zero-fault live/model equivalence (11) and crash-restart
-// recovery (9) — must hold.
-func TestChaosDeterminismSweep(t *testing.T) {
+// TestChaosSweep runs the chaos experiment end to end: receipts must
+// never skip lifecycle stages, every completing cell must sync every
+// epoch over live committee traffic, and the never-healing partition must
+// halt at every load.
+func TestChaosSweep(t *testing.T) {
 	r := run(t, "chaos", fastOpts()).(*ChaosResult)
 	wantCells := len(chaosScenarios()) * len(chaosLoads())
 	if len(r.Points) != wantCells {
 		t.Fatalf("sweep has %d cells, want %d", len(r.Points), wantCells)
 	}
-	if !r.EquivalenceOK {
-		t.Error("zero-fault live fidelity diverged from the model path")
-	}
-	if !r.RecoveryOK {
-		t.Error("crash-restart recovery diverged (invariant 9)")
-	}
 	halts := 0
 	for _, p := range r.Points {
-		if !p.ReplayIdentical {
-			t.Errorf("%s/%s: replay diverged", p.Class, p.Load)
-		}
 		if !p.StagesOK {
 			t.Errorf("%s/%s: receipt stage violation", p.Class, p.Load)
 		}
@@ -373,28 +362,21 @@ func TestChaosDeterminismSweep(t *testing.T) {
 	if halts != len(chaosLoads()) {
 		t.Errorf("%d halted cells, want %d (stall-halt at every load)", halts, len(chaosLoads()))
 	}
-	out := r.Render()
-	for _, want := range []string{"invariant 11", "invariant 9", "identical", "Fault class"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	if out := r.Render(); !strings.Contains(out, "Fault class") {
+		t.Errorf("render missing %q:\n%s", "Fault class", out)
 	}
 }
 
-// TestFederationSweep runs the federation experiment end to end: every
-// K x fault cell must replay bit-identically (invariant 12), transfers
-// must end with the cell's expected outcome (RunFederation hard-errors
-// otherwise), the byzantine cell must burn view changes, and no member
-// may be starved of shared-chain block gas.
+// TestFederationSweep runs the federation experiment end to end:
+// transfers must end with the cell's expected outcome (RunFederation
+// hard-errors otherwise), the byzantine cell must burn view changes, and
+// no member may be starved of shared-chain block gas.
 func TestFederationSweep(t *testing.T) {
 	r := run(t, "federation", fastOpts()).(*FederationResult)
 	if len(r.Points) != len(fedCells()) {
 		t.Fatalf("sweep has %d cells, want %d", len(r.Points), len(fedCells()))
 	}
 	for _, p := range r.Points {
-		if !p.ReplayIdentical {
-			t.Errorf("%s: replay diverged", p.Cell)
-		}
 		if !p.ConservationOK {
 			t.Errorf("%s: escrow conservation violated", p.Cell)
 		}
@@ -406,7 +388,7 @@ func TestFederationSweep(t *testing.T) {
 		t.Error("byzantine cell burned no view changes")
 	}
 	out := r.Render()
-	for _, want := range []string{"invariant 12", "identical", "conserved", "GasMin"} {
+	for _, want := range []string{"conserved", "GasMin"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

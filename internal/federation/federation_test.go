@@ -13,6 +13,7 @@ import (
 	"ammboost/internal/chain"
 	"ammboost/internal/mainchain"
 	"ammboost/internal/netsim"
+	"ammboost/internal/sidechain/pbft"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
 )
@@ -148,15 +149,17 @@ func TestFederationBasic(t *testing.T) {
 }
 
 // fingerprint reduces a federation run to its determinism-relevant
-// observables: per-member run fingerprints, sync counts, member faults,
-// transfer receipt lifecycles, and the mainchain history digest.
+// observables: per-member run fingerprints, sync and view-change counts,
+// member faults, transfer receipt lifecycles, and the mainchain history
+// digest.
 type fingerprint struct {
-	Digest   [32]byte
-	Duration time.Duration
-	Members  map[string]chain.Fingerprint
-	Syncs    map[string]int
-	Errs     map[string]string
-	Xfers    []string
+	Digest      [32]byte
+	Duration    time.Duration
+	Members     map[string]chain.Fingerprint
+	Syncs       map[string]int
+	ViewChanges map[string]int
+	Errs        map[string]string
+	Xfers       []string
 }
 
 // runFingerprint builds a fresh federation from cfg, funds the origin of
@@ -179,15 +182,17 @@ func runFingerprint(t *testing.T, cfg Config) fingerprint {
 		t.Fatalf("run: %v", err)
 	}
 	fp := fingerprint{
-		Digest:   res.MainchainDigest,
-		Duration: res.Duration,
-		Members:  make(map[string]chain.Fingerprint),
-		Syncs:    make(map[string]int),
-		Errs:     make(map[string]string),
+		Digest:      res.MainchainDigest,
+		Duration:    res.Duration,
+		Members:     make(map[string]chain.Fingerprint),
+		Syncs:       make(map[string]int),
+		ViewChanges: make(map[string]int),
+		Errs:        make(map[string]string),
 	}
 	for _, nr := range res.Nodes {
 		fp.Members[nr.ChainID] = f.Node(nr.ChainID).Fingerprint(nil)
 		fp.Syncs[nr.ChainID] = nr.Report.SyncsOK
+		fp.ViewChanges[nr.ChainID] = nr.Report.ViewChanges
 		if nr.Err != nil {
 			fp.Errs[nr.ChainID] = nr.Err.Error()
 		}
@@ -220,9 +225,10 @@ func assertSameRun(t *testing.T, label string, a, b fingerprint) {
 }
 
 // TestFederationDeterminism is invariant 12: repeated runs of the same
-// federation configuration — across seeds, member counts, and a
-// halt-mid-transfer fault cell — produce bit-identical per-chain summary
-// roots, transfer receipts, and mainchain block/tx history.
+// federation configuration — across seeds, member counts, a
+// halt-mid-transfer fault cell and a member on live consensus with a
+// byzantine leader — produce bit-identical per-chain summary roots,
+// transfer receipts, and mainchain block/tx history.
 func TestFederationDeterminism(t *testing.T) {
 	cells := []struct {
 		name string
@@ -279,15 +285,44 @@ func TestFederationDeterminism(t *testing.T) {
 		},
 	})
 
+	// Live-consensus cell: the second member's committee runs real PBFT
+	// rounds under a delayed-equivocating leader, deposed by view changes
+	// while the transfer completes.
+	cells = append(cells, struct {
+		name string
+		cfg  func() Config
+	}{
+		name: "k2-byz-delayed-equivocate",
+		cfg: func() Config {
+			a, b := member("ch-a", 42), member("ch-b", 43)
+			b.Chain.ConsensusFidelity = chain.FidelityLive
+			b.Chain.Faults = chain.FaultPlan{ByzantineReplicas: map[int]pbft.Byzantine{0: pbft.DelayedEquivocate}}
+			return Config{
+				Epochs: 3,
+				Nodes:  []NodeConfig{a, b},
+				Transfers: []Transfer{{
+					ID: "xf-byz", FromChain: "ch-a", ToChain: "ch-b",
+					User: xferUser, Amount0: amt(), Amount1: amt(), SubmitAtEpoch: 1,
+				}},
+			}
+		},
+	})
+
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			first := runFingerprint(t, cell.cfg())
+			cfg := cell.cfg()
+			first := runFingerprint(t, cfg)
 			second := runFingerprint(t, cell.cfg())
 			if first.Digest != second.Digest {
 				t.Errorf("mainchain history digests differ: %x vs %x", first.Digest, second.Digest)
 			}
 			assertSameRun(t, "replay", first, second)
+			for _, n := range cfg.Nodes {
+				if len(n.Chain.Faults.ByzantineReplicas) > 0 && first.ViewChanges[n.Chain.ChainID] == 0 {
+					t.Errorf("member %s: its byzantine replicas cost no view change", n.Chain.ChainID)
+				}
+			}
 		})
 	}
 }

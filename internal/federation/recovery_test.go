@@ -254,6 +254,48 @@ func TestFederationKillRequiresStore(t *testing.T) {
 	}
 }
 
+// readOnceFS is a MemFS whose every ReadFile after the first fails: the
+// member opens its store, but reopening it to revive cannot read it.
+type readOnceFS struct {
+	store.MemFS
+	reads int
+}
+
+var errStoreUnreadable = errors.New("store unreadable")
+
+func (f *readOnceFS) ReadFile(name string) ([]byte, error) {
+	if f.reads++; f.reads > 1 {
+		return nil, errStoreUnreadable
+	}
+	return f.MemFS.ReadFile(name)
+}
+
+// TestFederationFailedRevive: a killed member whose store cannot be
+// reopened stays dead, and the run reports the failed revive as the
+// member's error while its sibling finishes.
+func TestFederationFailedRevive(t *testing.T) {
+	gamma := recoveryMember(t, "gamma", 3)
+	gamma.StoreDir = "gamma-store"
+	gamma.StoreFS = &readOnceFS{}
+	gamma.KillAtEpoch = 2
+	gamma.ReviveAfter = 10 * time.Second
+	f, err := New(Config{Epochs: 4, Nodes: []NodeConfig{recoveryMember(t, "alpha", 1), gamma}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	g := nodeResult(t, res, "gamma")
+	if !errors.Is(g.Err, errStoreUnreadable) || !strings.Contains(g.Err.Error(), "revive member") || g.Revived {
+		t.Errorf("gamma err %v, revived %v; want the failed revive", g.Err, g.Revived)
+	}
+	if a := nodeResult(t, res, "alpha"); a.Err != nil || a.Report.EpochsRun != 4 {
+		t.Errorf("alpha err %v after %d epochs; want all 4 run", a.Err, a.Report.EpochsRun)
+	}
+}
+
 // TestFederationRefundWaitsForKilledOrigin: the origin is killed right
 // after its withdraw epoch syncs and stays down while the destination
 // halts on a corrupt Sync with the transfer in custody. The refund

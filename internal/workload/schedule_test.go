@@ -33,7 +33,7 @@ func TestConstantRateStaysInItsRound(t *testing.T) {
 
 // TestEpochSwapsPinned pins the recovery-aware stream: it is a function
 // of (seed, epoch) alone, and these draws are the ones every restarted
-// node, example and chaos replay has always regenerated.
+// node, example and chaos sweep has always regenerated.
 func TestEpochSwapsPinned(t *testing.T) {
 	users := []string{"u0", "u1", "u2", "u3"}
 	pools := []string{"p0", "p1", "p2"}
