@@ -10,6 +10,7 @@ import (
 	"ammboost/internal/chain"
 	"ammboost/internal/ingest"
 	"ammboost/internal/metrics"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
 )
@@ -21,6 +22,10 @@ type queuedTx struct {
 	tx *summary.Tx
 	rc *chain.Receipt
 }
+
+// beforeAdmit, when set, runs inside SubmitBatch between validation and
+// admission; tests use it to park a producer there.
+var beforeAdmit func()
 
 // frontEnd is the client-facing contract the node serves, embedded by
 // MultiSystem: admission (Submit, SubmitBatch, the ingest pool and its
@@ -39,6 +44,11 @@ type frontEnd struct {
 
 	queue     []queuedTx
 	queuePeak int
+	// queueLeaves[i] is queue[i]'s meta-block leaf, hashed once at
+	// admission. It runs beside the queue rather than inside queuedTx
+	// because the receipt ledger keeps queuedTx for a whole epoch, and
+	// the leaf is dead once the round has folded it.
+	queueLeaves [][32]byte
 
 	// users and userSet are the funded users; poolSet holds the routable
 	// pool IDs besides the empty one, which always routes to the default
@@ -140,13 +150,16 @@ func (f *frontEnd) submitErr(err error) error {
 	return err
 }
 
-// Submit validates the transaction and admits it into the concurrent
-// ingest pool; the next round boundary drains it into the meta-block
-// queue. Safe to call from any goroutine — this is the node's serving
-// path. It is the single-transaction form of SubmitBatch and carries
-// the same admission semantics (typed backpressure, bounded blocking,
-// ctx cancellation).
+// Submit validates the transaction, hashes its meta-block leaf and admits
+// it into the concurrent ingest pool; the next round boundary drains it
+// into the meta-block queue. Safe to call from any goroutine — this is
+// the node's serving path. It is the single-transaction form of
+// SubmitBatch and carries the same admission semantics (typed
+// backpressure, bounded blocking, ctx cancellation). The call counts as
+// admitting from its first line, so the end-of-run decision waits for it.
 func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, error) {
+	f.ingest.Hold()
+	defer f.ingest.Release()
 	if f.halted.Load() {
 		return nil, chain.ErrHalted
 	}
@@ -154,21 +167,25 @@ func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, 
 		return nil, err
 	}
 	rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-	if err := f.ingest.AdmitOne(ctx, ingest.Entry{Tx: tx, Rc: rc}); err != nil {
+	if err := f.ingest.AdmitOne(ctx, ingest.Entry{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)}); err != nil {
 		return nil, f.submitErr(err)
 	}
 	return rc, nil
 }
 
-// SubmitBatch validates the whole batch up front, then admits the valid
-// entries in order with partial-accept semantics: each transaction ends
-// with exactly one of a receipt or a typed error in the BatchResult.
+// SubmitBatch validates the whole batch and hashes each valid entry's
+// leaf up front, then admits the valid entries in order with
+// partial-accept semantics: each transaction ends with exactly one of a
+// receipt or a typed error in the BatchResult. Like Submit, the call
+// counts as admitting from its first line.
 // The call-level error is reserved for whole-batch refusals (halted
 // node, closed pool, throttling above the soft mark, canceled context)
 // — the per-entry outcomes are still filled in when that happens.
 // A batch's receipts share one allocation, so a retained receipt keeps
 // its whole batch's receipts alive.
 func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.BatchResult, error) {
+	f.ingest.Hold()
+	defer f.ingest.Release()
 	if f.halted.Load() {
 		return nil, chain.ErrHalted
 	}
@@ -187,8 +204,11 @@ func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.B
 		rc := &slab[i]
 		*rc = chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
 		res.Receipts[i] = rc
-		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc})
+		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)})
 		idx = append(idx, i)
+	}
+	if beforeAdmit != nil {
+		beforeAdmit()
 	}
 	n, errs, batchErr := f.ingest.Admit(ctx, entries)
 	res.Accepted = n
@@ -223,6 +243,7 @@ func (f *frontEnd) drainIngest(now time.Duration) {
 		en.Tx.SubmittedAt = now
 		en.Rc.SubmittedAt = now
 		f.queue = append(f.queue, queuedTx{tx: en.Tx, rc: en.Rc})
+		f.queueLeaves = append(f.queueLeaves, en.Leaf)
 	}
 	if len(f.queue) > f.queuePeak {
 		f.queuePeak = len(f.queue)

@@ -268,3 +268,65 @@ func TestSubmitAfterRunReturnsClosed(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseWaitsForParkedProducer pins the end-of-run decision against a
+// producer still inside SubmitBatch: the beforeAdmit hook parks it
+// between validation (and leaf hashing) and admission while the node
+// reaches its final boundary. The call counts as admitting from its
+// first line, so the node runs a drain epoch for it instead of closing
+// under it and refusing the batch with ErrClosed.
+func TestCloseWaitsForParkedProducer(t *testing.T) {
+	cfg, _ := multiTestConfigs(3, 4, 2, 0)
+	wcfg := workload.DefaultMultiConfig(3, cfg.NumPools)
+	wcfg.NumUsers = 4
+	gen := workload.NewMulti(wcfg)
+	sys, err := NewMultiSystem(cfg, gen.Users())
+	if err != nil {
+		t.Fatalf("NewMultiSystem: %v", err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	beforeAdmit = func() {
+		close(parked)
+		<-release
+	}
+	t.Cleanup(func() { beforeAdmit = nil })
+
+	type outcome struct {
+		res *chain.BatchResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := sys.SubmitBatch(context.Background(), []*summary.Tx{gen.Next(), gen.Next()})
+		done <- outcome{res, err}
+	}()
+	<-parked
+	const planned = 2
+	sys.OnEpochStart = func(e uint64) {
+		if e > planned {
+			unpark() // the drain epoch the parked call earned
+		}
+	}
+	rep, err := sys.Run(planned)
+	unpark() // a node that closed under the producer lets it go here
+	out := <-done
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if out.err != nil {
+		t.Fatalf("parked batch refused with %v; the node closed under a producer inside SubmitBatch", out.err)
+	}
+	if out.res.Accepted != 2 {
+		t.Fatalf("parked batch admitted %d of 2", out.res.Accepted)
+	}
+	if rep.EpochsRun <= planned {
+		t.Fatalf("ran %d epochs, want a drain epoch past the planned %d", rep.EpochsRun, planned)
+	}
+	for i, rc := range out.res.Receipts {
+		if rc.Status != chain.StatusPruned {
+			t.Errorf("receipt %d ends %v, want pruned", i, rc.Status)
+		}
+	}
+}

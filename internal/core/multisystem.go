@@ -49,6 +49,8 @@ type MultiSystem struct {
 	// math/rand state, so concurrent runs and engine shards are isolated.
 	rng *rand.Rand
 	eng *engine.Engine
+	// roundTxs is runRound's reused engine input: the round's batch.
+	roundTxs []*summary.Tx
 
 	mc *mainchain.Chain
 	// mb verifies and applies every sync part; bank is the deposit source.
@@ -672,8 +674,6 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	s.drainIngest(s.sim.Now())
 	roundStart := s.sim.Now()
 
-	var batch []queuedTx
-	var batchTxs []*summary.Tx
 	blockBytes := 0
 	consumed := 0
 	for _, q := range s.queue {
@@ -681,15 +681,26 @@ func (s *MultiSystem) runRound(e, r uint64) {
 			break
 		}
 		consumed++
-		batch = append(batch, q)
-		batchTxs = append(batchTxs, q.tx)
 		blockBytes += q.tx.Size()
 	}
-	s.queue = s.queue[consumed:]
+	// The batch is the queue's consumed prefix. It is dead once this
+	// function returns, so a round that empties the queue hands its
+	// buffer back whole to the next drain instead of growing a new one.
+	batch, leaves := s.queue[:consumed], s.queueLeaves[:consumed]
+	if consumed == len(s.queue) {
+		s.queue, s.queueLeaves = s.queue[:0], s.queueLeaves[:0]
+	} else {
+		s.queue, s.queueLeaves = s.queue[consumed:], s.queueLeaves[consumed:]
+	}
+	txs := s.roundTxs[:0]
+	for _, q := range batch {
+		txs = append(txs, q.tx)
+	}
+	s.roundTxs = txs
 
 	s.bank.fundRound(e, batch)
 
-	res, err := s.eng.ExecuteRound(batchTxs, r)
+	res, err := s.eng.ExecuteRoundLeaves(txs, leaves, r)
 	if err != nil {
 		s.fail(fmt.Errorf("%w: round %d/%d: %v", chain.ErrEngineFailed, e, r, err))
 		return
@@ -697,7 +708,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	s.Rejected += res.Rejected
 	// Included is a submission-order subsequence of the batch: walk both
 	// to split accepted entries from rejected ones.
-	var included []queuedTx
+	included := make([]queuedTx, 0, len(res.Included))
 	includedBytes := 0
 	j := 0
 	for _, q := range batch {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ammboost/internal/amm"
@@ -23,26 +26,28 @@ var (
 	ErrEpochStarted = errors.New("engine: epoch already in progress")
 )
 
-// Config parameterizes the sharded engine. Zero values take defaults.
+// Config parameterizes the engine. Zero values take defaults.
 type Config struct {
 	// Seed identifies the run for callers that derive stochastic inputs
 	// (workload.MultiGenerator derives an independent per-pool RNG from
 	// it). The engine's own execution path draws no randomness — results
 	// depend only on pool genesis and the transaction streams — which is
-	// what makes shard-count invariance possible.
+	// what makes worker-count invariance possible.
 	Seed int64
 	// NumPools is the number of registered pools (default 1).
 	NumPools int
-	// NumShards is the worker-shard count (default GOMAXPROCS). Results
+	// NumShards is the number of workers that pull pools in every round
+	// and at seal, finalize and StateRoots (default GOMAXPROCS). Results
 	// are bit-identical for any value.
 	NumShards int
 	// InitialLiquidity seeds each pool's genesis full-range position
 	// (default amm.GenesisLiquidity).
 	InitialLiquidity u256.Int
-	// Tracer, when non-nil, accumulates per-shard execute timing (busy
-	// wall-clock, tx count, gas) each epoch and records one execute-shard
-	// span per active shard at seal time. Nil costs nothing on the
-	// execute path and never changes computed state.
+	// Tracer, when non-nil, accumulates per-worker execute timing (busy
+	// wall-clock, pool batches, tx count, gas) each epoch and records one
+	// execute-shard span per worker slot a round started, at seal time.
+	// Nil costs nothing on the execute path and never changes computed
+	// state.
 	Tracer *trace.Tracer
 }
 
@@ -59,17 +64,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Engine executes transactions for N registered pools across worker
-// shards. Pools are partitioned by ShardOf; a pool's transactions always
-// execute sequentially in submission order on its owning shard, so state
-// evolution per pool is independent of the shard count. The engine is not
-// safe for concurrent use by multiple callers; internally it fans out one
-// goroutine per shard.
+// Engine executes transactions for N registered pools on NumShards
+// workers that pull whole pools (see pull): a pool's transactions of a
+// round always execute sequentially in submission order on one worker,
+// so state evolution per pool is independent of the worker count. The
+// engine is not safe for concurrent use by multiple callers.
 type Engine struct {
 	reg       *Registry
 	numShards int
-	// shardPools[s] lists shard s's pools in canonical order.
-	shardPools [][]string
 	// poolIndex maps a pool ID to its canonical index.
 	poolIndex map[string]int
 
@@ -78,8 +80,8 @@ type Engine struct {
 	// execs[i] is pool i's epoch executor, created lazily on the pool's
 	// first transaction (or deposit) of the epoch so SnapshotBank cost is
 	// proportional to active pools, not registered pools. Slots are
-	// written only by the owning shard (or between rounds on the caller's
-	// goroutine), so no locking is needed.
+	// written only by the worker that pulled the pool (or between rounds
+	// on the caller's goroutine), so no locking is needed.
 	execs []*summary.Executor
 	// epochDeposits holds BeginEpoch's per-pool deposit earmarks for
 	// lazily created executors; read-only for the epoch's duration.
@@ -87,21 +89,34 @@ type Engine struct {
 	// commits[i] caches pool i's incremental state commitment.
 	commits []*poolCommit
 
-	// leaves is ExecuteRound's per-transaction meta-block leaf scratch,
-	// reused across rounds (the root fold destroys its contents).
-	leaves [][32]byte
+	// A round's scratch, reused across rounds: perPool[i] lists the batch
+	// indices routed to pool i in submission order, active the pools with
+	// work (heaviest first), accepted marks executed transactions, and
+	// leaves gathers their leaves for the root fold, which destroys them.
+	perPool  [][]int
+	active   []int
+	accepted []bool
+	leaves   [][32]byte
 
 	// Cumulative stats across all epochs.
 	Accepted int
 	Rejected int
 
-	// Execute-shard tracing accumulators (allocated only when cfg.Tracer
-	// is set; each shard writes its own slot, so no locking is needed).
-	tr         *trace.Tracer
-	shardBusy  []time.Duration // summed execute wall-clock this epoch
-	shardTxs   []int           // accepted transactions this epoch
-	shardGas   []uint64        // gas-model cost of accepted transactions
-	shardFirst []time.Duration // tracer offset of the shard's first work
+	// tr is the tracer; stats[w] is worker w's execute accounting this
+	// epoch (allocated only when traced; each worker writes its own slot).
+	tr    *trace.Tracer
+	stats []workerStats
+}
+
+// workerStats is one worker slot's execute accounting for the epoch:
+// whether a round started it, the tracer offset of that first round,
+// summed wall-clock over the pools it pulled, pool batches pulled,
+// accepted transactions and their gas-model cost.
+type workerStats struct {
+	ran         bool
+	first, busy time.Duration
+	pools, txs  int
+	gas         uint64
 }
 
 // GenesisPositionID names pool i's genesis full-range position.
@@ -118,13 +133,11 @@ func New(cfg Config) (*Engine, error) {
 		reg:       NewRegistry(),
 		numShards: cfg.NumShards,
 		poolIndex: make(map[string]int),
+		perPool:   make([][]int, cfg.NumPools),
 		tr:        cfg.Tracer,
 	}
 	if e.tr != nil {
-		e.shardBusy = make([]time.Duration, cfg.NumShards)
-		e.shardTxs = make([]int, cfg.NumShards)
-		e.shardGas = make([]uint64, cfg.NumShards)
-		e.shardFirst = make([]time.Duration, cfg.NumShards)
+		e.stats = make([]workerStats, cfg.NumShards)
 	}
 	for i := 0; i < cfg.NumPools; i++ {
 		id := PoolName(i)
@@ -136,7 +149,9 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.buildShards()
+	for i, id := range e.reg.IDs() {
+		e.poolIndex[id] = i
+	}
 	e.commits = make([]*poolCommit, cfg.NumPools)
 	for i := range e.commits {
 		e.commits[i] = newPoolCommit()
@@ -144,17 +159,7 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// buildShards partitions the canonical pool list across shards.
-func (e *Engine) buildShards() {
-	e.shardPools = make([][]string, e.numShards)
-	for i, id := range e.reg.IDs() {
-		e.poolIndex[id] = i
-		s := ShardOf(id, e.numShards)
-		e.shardPools[s] = append(e.shardPools[s], id)
-	}
-}
-
-// NumShards returns the worker-shard count.
+// NumShards returns the worker count.
 func (e *Engine) NumShards() int { return e.numShards }
 
 // PoolIDs returns the registered pool IDs in canonical order.
@@ -166,27 +171,30 @@ func (e *Engine) Pool(id string) *amm.Pool { return e.reg.Get(id) }
 // Epoch returns the epoch in progress (0 before the first BeginEpoch).
 func (e *Engine) Epoch() uint64 { return e.epoch }
 
-// runShards invokes fn once per shard, concurrently, and waits. Each fn
-// call touches only its shard's pools, so no synchronization beyond the
-// final barrier is needed.
-func (e *Engine) runShards(fn func(shard int, poolIDs []string)) {
-	runSharded(e.numShards, e.shardPools, fn)
-}
-
-// runSharded is the shard fan-out shared by the engine and by sealed
-// epochs finalizing off the engine's goroutine.
-func runSharded(numShards int, shardPools [][]string, fn func(shard int, poolIDs []string)) {
-	if numShards == 1 {
-		fn(0, shardPools[0])
+// pull calls fn(w, k) once for every k in [0, n) on at most workers
+// goroutines, each taking the next k from one shared counter, and waits.
+// Callers list their items heaviest first, so this is Graham's
+// longest-processing-time-first list scheduling: a heavy pool starts
+// at once and the light ones fill the other workers around it. w is
+// the worker's slot for per-worker accounting. With one worker or one
+// item, fn runs on the caller's goroutine.
+func pull(workers, n int, fn func(w, k int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(0, k)
+		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(numShards)
-	for s := 0; s < numShards; s++ {
-		go func(s int) {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
-			fn(s, shardPools[s])
-		}(s)
+			for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+				fn(w, k)
+			}
+		}()
 	}
 	wg.Wait()
 }
@@ -209,16 +217,13 @@ func (e *Engine) BeginEpoch(epoch uint64, deposits map[string]map[string]summary
 	e.epochDeposits = deposits
 	e.epoch = epoch
 	e.running = true
-	if e.tr != nil {
-		for s := 0; s < e.numShards; s++ {
-			e.shardBusy[s], e.shardTxs[s], e.shardGas[s], e.shardFirst[s] = 0, 0, 0, 0
-		}
-	}
+	clear(e.stats)
 	return nil
 }
 
 // execFor returns pool index i's executor, snapshotting the pool on
-// first use. Safe only on the pool's owning shard or between rounds.
+// first use. Safe only on the worker that pulled the pool or between
+// rounds.
 func (e *Engine) execFor(i int, id string) *summary.Executor {
 	exec := e.execs[i]
 	if exec == nil {
@@ -256,7 +261,7 @@ func (e *Engine) WithdrawDeposit(poolID, user string, amount0, amount1 u256.Int)
 	return e.execFor(i, poolID).WithdrawDeposit(user, amount0, amount1)
 }
 
-// RoundResult reports one round's sharded execution.
+// RoundResult reports one round's execution.
 type RoundResult struct {
 	// Included lists the accepted transactions in submission order
 	// (ready for meta-block packing).
@@ -269,80 +274,99 @@ type RoundResult struct {
 	Rejected int
 }
 
-// ExecuteRound executes a batch against the epoch snapshots: the batch is
-// partitioned per pool (preserving submission order within each pool) and
-// shards execute their pools' slices concurrently. A transaction with an
-// empty PoolID routes to the first registered pool. Each shard computes
-// the meta-block leaf of every transaction it accepts, so the caller's
-// goroutine only folds the leaves, in submission order, into TxRoot.
+// ExecuteRound is ExecuteRoundLeaves for a caller that has not hashed
+// the batch: it computes sidechain.TxLeaf of each transaction first.
 func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, error) {
+	leaves := make([][32]byte, len(txs))
+	for i, tx := range txs {
+		leaves[i] = sidechain.TxLeaf(tx)
+	}
+	return e.ExecuteRoundLeaves(txs, leaves, round)
+}
+
+// ExecuteRoundLeaves executes a batch against the epoch snapshots, where
+// leaves[i] is sidechain.TxLeaf(txs[i]) (the node hashes each transaction
+// once, at admission). The batch is partitioned by canonical pool index,
+// preserving submission order within each pool, and the workers pull the
+// active pools heaviest first. A transaction with an empty PoolID routes
+// to the first registered pool. The leaves of the accepted transactions
+// fold, in submission order, into TxRoot; the engine hashes no
+// transaction, and a rejected one's leaf is never read.
+func (e *Engine) ExecuteRoundLeaves(txs []*summary.Tx, leaves [][32]byte, round uint64) (RoundResult, error) {
 	if !e.running {
 		return RoundResult{}, ErrNoEpoch
 	}
-	defaultPool := e.reg.IDs()[0]
-	// Partition: per-pool index lists in submission order.
-	perPool := make(map[string][]int)
-	accepted := make([]bool, len(txs))
-	if cap(e.leaves) < len(txs) {
-		e.leaves = make([][32]byte, len(txs))
+	if len(leaves) != len(txs) {
+		return RoundResult{}, fmt.Errorf("engine: %d leaves for %d transactions", len(leaves), len(txs))
 	}
-	leaves := e.leaves[:len(txs)]
-	unknown := 0
+	e.active = e.active[:0]
 	for i, tx := range txs {
-		id := tx.PoolID
-		if id == "" {
-			id = defaultPool
+		p, ok := 0, true
+		if tx.PoolID != "" {
+			p, ok = e.poolIndex[tx.PoolID]
 		}
-		if _, ok := e.poolIndex[id]; !ok {
-			unknown++
-			continue
+		if !ok {
+			continue // unregistered pool: rejected
 		}
-		perPool[id] = append(perPool[id], i)
+		if len(e.perPool[p]) == 0 {
+			e.active = append(e.active, p)
+		}
+		e.perPool[p] = append(e.perPool[p], i)
 	}
-	rejectedPerShard := make([]int, e.numShards)
-	e.runShards(func(shard int, poolIDs []string) {
-		var roundStart time.Duration
-		if e.tr != nil {
-			roundStart = e.tr.Since()
+	slices.SortFunc(e.active, func(a, b int) int {
+		return cmp.Or(len(e.perPool[b])-len(e.perPool[a]), a-b)
+	})
+	if cap(e.accepted) < len(txs) {
+		e.accepted = make([]bool, len(txs))
+	}
+	accepted := e.accepted[:len(txs)] // all false: the fold below resets it
+	if e.tr != nil {
+		// Every slot the round starts is marked, whether or not it wins a
+		// pull, so the epoch's span count does not depend on timing.
+		start := e.tr.Since()
+		for w := range min(e.numShards, len(e.active)) {
+			if st := &e.stats[w]; !st.ran {
+				st.ran, st.first = true, start
+			}
 		}
-		for _, id := range poolIDs {
-			idxs := perPool[id]
-			if len(idxs) == 0 {
+	}
+	ids := e.reg.IDs()
+	pull(e.numShards, len(e.active), func(w, k int) {
+		p := e.active[k]
+		var start time.Duration
+		if e.tr != nil {
+			start = e.tr.Since()
+		}
+		exec := e.execFor(p, ids[p])
+		n, gas := 0, uint64(0)
+		for _, i := range e.perPool[p] {
+			if exec.Apply(txs[i], round) != nil {
 				continue
 			}
-			exec := e.execFor(e.poolIndex[id], id)
-			for _, i := range idxs {
-				if err := exec.Apply(txs[i], round); err != nil {
-					rejectedPerShard[shard]++
-					continue
-				}
-				accepted[i] = true
-				leaves[i] = sidechain.TxLeaf(txs[i])
-				if e.tr != nil {
-					e.shardTxs[shard]++
-					e.shardGas[shard] += gasmodel.UniswapOpGas(txs[i].Kind)
-				}
+			accepted[i] = true
+			n++
+			if e.tr != nil {
+				gas += gasmodel.UniswapOpGas(txs[i].Kind)
 			}
 		}
+		e.perPool[p] = e.perPool[p][:0]
 		if e.tr != nil {
-			if e.shardBusy[shard] == 0 {
-				e.shardFirst[shard] = roundStart
-			}
-			e.shardBusy[shard] += e.tr.Since() - roundStart
+			st := &e.stats[w]
+			st.pools, st.txs, st.gas, st.busy = st.pools+1, st.txs+n, st.gas+gas, st.busy+e.tr.Since()-start
 		}
 	})
-	res := RoundResult{Rejected: unknown}
-	for _, r := range rejectedPerShard {
-		res.Rejected += r
-	}
-	res.Included = make([]*summary.Tx, 0, len(txs)-res.Rejected)
+	res := RoundResult{Included: make([]*summary.Tx, 0, len(txs))}
+	folded := e.leaves[:0]
 	for i, ok := range accepted {
 		if ok {
-			leaves[len(res.Included)] = leaves[i]
+			accepted[i] = false
 			res.Included = append(res.Included, txs[i])
+			folded = append(folded, leaves[i])
 		}
 	}
-	res.TxRoot = merkle.RootFromLeafHashes(leaves[:len(res.Included)])
+	e.leaves = folded
+	res.TxRoot = merkle.RootFromLeafHashes(folded)
+	res.Rejected = len(txs) - len(res.Included)
 	e.Accepted += len(res.Included)
 	e.Rejected += res.Rejected
 	return res, nil
@@ -350,7 +374,7 @@ func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, err
 
 // EpochResult is the epoch's folded outcome: per-pool sync payloads and
 // state roots in canonical pool order, the single epoch summary root
-// every shard layout agrees on, and the payloads the mainchain receives.
+// every worker count agrees on, and the payloads the mainchain receives.
 type EpochResult struct {
 	Epoch   uint64
 	PoolIDs []string
@@ -363,13 +387,13 @@ type EpochResult struct {
 	// has deposits to pay out. An idle pool's reserves and positions are
 	// already in the bank, so it sends nothing.
 	OnChain []*summary.SyncPayload
-	// OnChainDigests[i] is OnChain[i].Digest(), computed in the sharded
+	// OnChainDigests[i] is OnChain[i].Digest(), computed in the parallel
 	// fold.
 	OnChainDigests [][32]byte
 	// PoolRoots[i] is the end-of-epoch state root of PoolIDs[i].
 	PoolRoots [][32]byte
 	// SummaryRoot folds PoolRoots in canonical order: identical for any
-	// shard count under the same seed and traffic.
+	// worker count under the same seed and traffic.
 	SummaryRoot [32]byte
 }
 
@@ -408,11 +432,8 @@ func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Dep
 func (e *Engine) StateRoots() [][32]byte {
 	ids := e.reg.IDs()
 	roots := make([][32]byte, len(ids))
-	e.runShards(func(_ int, poolIDs []string) {
-		for _, id := range poolIDs {
-			i := e.poolIndex[id]
-			roots[i] = e.commits[i].Root(id, e.reg.Get(id))
-		}
+	pull(e.numShards, len(ids), func(_, i int) {
+		roots[i] = e.commits[i].Root(ids[i], e.reg.Get(ids[i]))
 	})
 	return roots
 }

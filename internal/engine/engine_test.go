@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ammboost/internal/crypto/merkle"
 	"ammboost/internal/gasmodel"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
@@ -36,29 +39,41 @@ func closeEpoch(t testing.TB, eng *Engine, nextGroupKey []byte) *EpochResult {
 	return sealed.Finalize()
 }
 
+// runRecord is everything a run must reproduce bit for bit on any
+// worker count: per-epoch summary roots, on-chain payload digests and
+// MetaRoots (over the epoch's meta-blocks, as the sidechain commits
+// them), every round's TxRoot, the final pool roots and the rejections.
+type runRecord struct {
+	summaryRoots, digests, metaRoots, txRoots, poolRoots [][32]byte
+	rejected                                             int
+}
+
 // runEpochs drives an engine through epochs of multi-pool Zipf traffic
-// and returns the per-epoch summary roots plus the final pool roots.
-func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound int, seed int64) ([][32]byte, [][32]byte, int) {
+// from wcfg, whose ranks land on wcfg.PoolIDs (every registered pool in
+// canonical order when empty), and records the run.
+func runEpochs(t *testing.T, wcfg workload.MultiConfig, pools, workers, epochs, roundsPerEpoch, txPerRound int) runRecord {
 	t.Helper()
-	eng, err := New(Config{Seed: seed, NumPools: pools, NumShards: shards})
+	eng, err := New(Config{Seed: wcfg.Seed, NumPools: pools, NumShards: workers})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if eng.NumShards() != shards {
-		t.Fatalf("NumShards = %d, want %d", eng.NumShards(), shards)
+	if eng.NumShards() != workers {
+		t.Fatalf("NumShards = %d, want %d", eng.NumShards(), workers)
 	}
-	wcfg := workload.DefaultMultiConfig(seed, pools)
-	wcfg.PoolIDs = eng.PoolIDs()
+	if len(wcfg.PoolIDs) == 0 {
+		wcfg.NumPools, wcfg.PoolIDs = pools, eng.PoolIDs()
+	}
 	gen := workload.NewMulti(wcfg)
 	dep := u256.FromUint64(1 << 40)
 
-	var summaryRoots [][32]byte
-	rejected := 0
+	var rec runRecord
 	for e := uint64(1); e <= uint64(epochs); e++ {
 		deps := UniformDeposits(eng.PoolIDs(), gen.Users(), dep, dep)
 		if err := eng.BeginEpoch(e, deps); err != nil {
 			t.Fatalf("BeginEpoch: %v", err)
 		}
+		var metas []*sidechain.MetaBlock
+		var parent [32]byte
 		for r := uint64(1); r <= uint64(roundsPerEpoch); r++ {
 			batch := make([]*summary.Tx, txPerRound)
 			for i := range batch {
@@ -68,12 +83,16 @@ func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound i
 			if err != nil {
 				t.Fatalf("ExecuteRound: %v", err)
 			}
-			rejected += res.Rejected
+			rec.rejected += res.Rejected
 			checkTxRoot(t, r, res)
 			if len(res.Included)+res.Rejected != len(batch) {
 				t.Fatalf("round %d: included %d + rejected %d != batch %d",
 					r, len(res.Included), res.Rejected, len(batch))
 			}
+			rec.txRoots = append(rec.txRoots, res.TxRoot)
+			mb := sidechain.NewMetaBlock(e, r, "leader", parent, res.Included, res.TxRoot)
+			parent = mb.Hash()
+			metas = append(metas, mb)
 		}
 		res := closeEpoch(t, eng, []byte("next-key"))
 		if len(res.Payloads) != pools || len(res.PoolRoots) != pools {
@@ -85,66 +104,72 @@ func runEpochs(t *testing.T, pools, shards, epochs, roundsPerEpoch, txPerRound i
 				t.Fatalf("payload %d tagged %q, want %q", i, p.PoolID, res.PoolIDs[i])
 			}
 		}
-		summaryRoots = append(summaryRoots, res.SummaryRoot)
+		rec.summaryRoots = append(rec.summaryRoots, res.SummaryRoot)
+		rec.digests = append(rec.digests, res.OnChainDigests...)
+		rec.metaRoots = append(rec.metaRoots, sidechain.NewSummaryBlocks(e, res.Payloads, metas)[0].MetaRoot)
 	}
-	return summaryRoots, eng.StateRoots(), rejected
+	rec.poolRoots = eng.StateRoots()
+	return rec
 }
 
-// TestDeterminismAcrossShardCounts is the acceptance check: 64 pools,
-// fixed seed, shard counts {1, 4, 16} — bit-identical per-pool state
-// roots and epoch summary roots.
+// TestDeterminismAcrossShardCounts is the acceptance check: fixed seed,
+// workers {1, 2, 4, 16}, bit-identical summary roots, payload digests,
+// MetaRoots, TxRoots and pool roots. Besides 64-pool Zipf traffic, it
+// runs a batch whose heaviest pool is the last canonical one (the Zipf
+// ranks reversed), so pulling heaviest-first reorders the pools, and
+// traffic on 3 of 64 pools, fewer than the workers.
 func TestDeterminismAcrossShardCounts(t *testing.T) {
-	const pools, epochs, rounds, tpr = 64, 3, 5, 200
-	baseSummary, basePools, baseRejected := runEpochs(t, pools, 1, epochs, rounds, tpr, 42)
-	for _, shards := range []int{4, 16} {
-		gotSummary, gotPools, gotRejected := runEpochs(t, pools, shards, epochs, rounds, tpr, 42)
-		for e := range baseSummary {
-			if gotSummary[e] != baseSummary[e] {
-				t.Errorf("shards=%d: epoch %d summary root diverged", shards, e+1)
+	const epochs, rounds, tpr = 3, 5, 200
+	reversed := make([]string, 8)
+	for i := range reversed {
+		reversed[i] = PoolName(len(reversed) - 1 - i)
+	}
+	cases := []struct {
+		name  string
+		pools int
+		wcfg  workload.MultiConfig
+	}{
+		{"zipf-64", 64, workload.DefaultMultiConfig(42, 64)},
+		{"heaviest-last", 8, workload.MultiConfig{Config: workload.DefaultConfig(42), NumPools: 8, PoolIDs: reversed}},
+		{"3-active-of-64", 64, workload.MultiConfig{Config: workload.DefaultConfig(42), NumPools: 3,
+			PoolIDs: []string{PoolName(9), PoolName(33), PoolName(50)}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runEpochs(t, c.wcfg, c.pools, 1, epochs, rounds, tpr)
+			if len(base.digests) == 0 {
+				t.Fatal("no on-chain payloads to compare")
 			}
-		}
-		for i := range basePools {
-			if gotPools[i] != basePools[i] {
-				t.Errorf("shards=%d: pool %d state root diverged", shards, i)
+			for _, workers := range []int{2, 4, 16} {
+				got := runEpochs(t, c.wcfg, c.pools, workers, epochs, rounds, tpr)
+				for _, f := range []struct {
+					name      string
+					got, want [][32]byte
+				}{
+					{"summary root", got.summaryRoots, base.summaryRoots},
+					{"payload digest", got.digests, base.digests},
+					{"MetaRoot", got.metaRoots, base.metaRoots},
+					{"TxRoot", got.txRoots, base.txRoots},
+					{"pool root", got.poolRoots, base.poolRoots},
+				} {
+					if !slices.Equal(f.got, f.want) {
+						t.Errorf("workers=%d: %s diverged from the 1-worker run", workers, f.name)
+					}
+				}
+				if got.rejected != base.rejected {
+					t.Errorf("workers=%d: rejected %d, want %d", workers, got.rejected, base.rejected)
+				}
 			}
-		}
-		if gotRejected != baseRejected {
-			t.Errorf("shards=%d: rejected %d, want %d", shards, gotRejected, baseRejected)
-		}
+		})
 	}
 }
 
 // TestDifferentSeedsDiverge guards against a degenerate root function.
 func TestDifferentSeedsDiverge(t *testing.T) {
-	a, _, _ := runEpochs(t, 8, 2, 1, 3, 100, 1)
-	b, _, _ := runEpochs(t, 8, 2, 1, 3, 100, 2)
-	if a[0] == b[0] {
+	a := runEpochs(t, workload.DefaultMultiConfig(1, 8), 8, 2, 1, 3, 100)
+	b := runEpochs(t, workload.DefaultMultiConfig(2, 8), 8, 2, 1, 3, 100)
+	if a.summaryRoots[0] == b.summaryRoots[0] {
 		t.Fatal("different seeds produced identical summary roots")
-	}
-}
-
-// TestShardPartitionCoversAllPools: every pool lands on exactly one shard.
-func TestShardPartitionCoversAllPools(t *testing.T) {
-	eng, err := New(Config{NumPools: 64, NumShards: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[string]int)
-	for s, ids := range eng.shardPools {
-		for _, id := range ids {
-			seen[id]++
-			if got := ShardOf(id, 7); got != s {
-				t.Errorf("pool %s on shard %d, ShardOf says %d", id, s, got)
-			}
-		}
-	}
-	if len(seen) != 64 {
-		t.Fatalf("partition covers %d pools, want 64", len(seen))
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Errorf("pool %s assigned %d times", id, n)
-		}
 	}
 }
 
@@ -234,6 +259,51 @@ func TestUnknownPoolRejected(t *testing.T) {
 		}
 	}
 	checkTxRoot(t, 2, res)
+}
+
+// TestRejectedLeafNeverFolded: ExecuteRoundLeaves folds only the leaves
+// of accepted transactions. Every rejected transaction (unregistered
+// pool, unfunded user) comes with a garbage leaf, and the round's TxRoot
+// must still equal sidechain.TxRoot over Included. A leaf count that
+// does not match the batch is refused.
+func TestRejectedLeafNeverFolded(t *testing.T) {
+	eng, err := New(Config{NumPools: 3, NumShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := eng.PoolIDs()
+	dep := u256.FromUint64(1 << 20)
+	if err := eng.BeginEpoch(1, UniformDeposits(ids, []string{"u"}, dep, dep)); err != nil {
+		t.Fatal(err)
+	}
+	var batch []*summary.Tx
+	var leaves [][32]byte
+	for i, c := range []struct{ user, pool string }{
+		{"u", ids[2]}, {"u", "pool-9999"}, {"u", ids[0]}, {"unfunded", ids[2]},
+		{"u", ids[2]}, {"unfunded", ""}, {"u", ""}, {"u", ids[1]},
+	} {
+		tx := &summary.Tx{ID: fmt.Sprintf("t%d", i), Kind: gasmodel.KindSwap, User: c.user, PoolID: c.pool,
+			ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(1000)}
+		leaf := sidechain.TxLeaf(tx)
+		if c.user == "unfunded" || c.pool == "pool-9999" {
+			leaf = [32]byte{0xde, 0xad}
+		}
+		batch, leaves = append(batch, tx), append(leaves, leaf)
+	}
+	if _, err := eng.ExecuteRoundLeaves(batch, leaves[1:], 1); err == nil {
+		t.Fatal("a short leaf slice was accepted")
+	}
+	res, err := eng.ExecuteRoundLeaves(batch, leaves, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected != 3 || len(res.Included) != 5 {
+		t.Fatalf("included=%d rejected=%d, want 5 and 3", len(res.Included), res.Rejected)
+	}
+	if want := sidechain.TxRoot(res.Included); res.TxRoot != want {
+		t.Fatalf("TxRoot %x, sidechain.TxRoot(Included) %x", res.TxRoot[:8], want[:8])
+	}
+	checkTxRoot(t, 1, res)
 }
 
 // TestLifecycleGuards: rounds need an epoch; double BeginEpoch fails.

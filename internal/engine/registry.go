@@ -1,17 +1,17 @@
-// Package engine is ammBoost's multi-pool sharded execution engine: a
-// registry of independent AMM pools partitioned across worker shards by
-// pool-ID hash. Each shard executes its pools' per-round transaction
-// batches sequentially (per-pool order is submission order) while shards
-// run concurrently, and the per-pool state roots fold — in canonical pool
-// order, independent of the shard layout — into a single epoch summary
-// root via internal/crypto/merkle. A fixed seed therefore yields
-// bit-identical pool roots and summary roots for any shard count.
+// Package engine is ammBoost's multi-pool parallel execution engine: a
+// registry of independent AMM pools whose per-round transaction batches
+// a fixed set of workers pull, heaviest pool first. Each pool's batch
+// executes sequentially on one worker (per-pool order is submission
+// order) while pools run concurrently, and the per-pool state roots fold
+// — in canonical pool order, independent of which worker ran what — into
+// a single epoch summary root via internal/crypto/merkle. A fixed seed
+// therefore yields bit-identical pool roots and summary roots for any
+// worker count.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"ammboost/internal/amm"
@@ -26,19 +26,6 @@ var (
 // PoolName is the canonical identifier for the i-th pool of a deployment;
 // workload generators and the engine must agree on it.
 func PoolName(i int) string { return fmt.Sprintf("pool-%04d", i) }
-
-// ShardOf assigns a pool to one of shards workers by FNV-1a hash of its
-// ID. The assignment balances pools statistically and is stable for a
-// given shard count; determinism of results does not depend on it because
-// pools never share state.
-func ShardOf(poolID string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(poolID))
-	return int(h.Sum32() % uint32(shards))
-}
 
 // Registry is the ordered set of registered pools. The canonical order
 // (sorted pool IDs) defines the leaf order of the epoch summary root.

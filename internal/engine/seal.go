@@ -15,7 +15,7 @@ import (
 // captured pools are read-only from the engine's perspective (the next
 // epoch's executors clone them but never mutate them), and the dirty
 // tracking was detached at seal time, so the only writers of the captured
-// structures are Finalize's own shard workers.
+// structures are Finalize's own workers.
 //
 // Hand-off discipline for the caller:
 //   - At most one Finalize may run at a time across the SealedEpochs of
@@ -37,9 +37,10 @@ type SealedEpoch struct {
 	commits      []*poolCommit
 	nextGroupKey []byte
 
-	numShards  int
-	shardPools [][]string
-	poolIndex  map[string]int
+	numShards int
+	// order lists the pool indices the workers pull: the epoch's active
+	// pools first, then the idle ones, each in canonical order.
+	order []int
 }
 
 // Epoch returns the sealed epoch's number.
@@ -82,43 +83,37 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 		commits:      e.commits,
 		nextGroupKey: nextGroupKey,
 		numShards:    e.numShards,
-		shardPools:   e.shardPools,
-		poolIndex:    e.poolIndex,
+		order:        make([]int, 0, len(ids)),
+	}
+	for _, active := range []bool{true, false} {
+		for i, exec := range e.execs {
+			if (exec != nil) == active {
+				se.order = append(se.order, i)
+			}
+		}
 	}
 	// Settle every active executor — the epoch's final pool mutation
 	// (fee-growth pokes for summary-included positions) — then detach the
-	// dirty tracking. Both are pool-local, so the seal fans out across
-	// the shard workers; after this pass the sealed pools are never
-	// mutated again and Finalize may read them from any goroutine.
-	e.runShards(func(_ int, poolIDs []string) {
-		for _, id := range poolIDs {
-			i := e.poolIndex[id]
-			p := e.reg.Get(id)
-			if exec := e.execs[i]; exec != nil {
-				exec.Settle()
-				p = exec.Pool
-			}
-			se.pools[i] = p
-			se.dirty[i] = p.TakeDirty()
+	// dirty tracking. Both are pool-local, so the workers pull the pools;
+	// after this pass the sealed pools are never mutated again and
+	// Finalize may read them from any goroutine.
+	pull(e.numShards, len(se.order), func(_, k int) {
+		i := se.order[k]
+		p := e.reg.Get(ids[i])
+		if exec := e.execs[i]; exec != nil {
+			exec.Settle()
+			p = exec.Pool
 		}
+		se.pools[i] = p
+		se.dirty[i] = p.TakeDirty()
 	})
-	// Emit one execute-shard span per shard that did work — busy time,
-	// active pools, txs and gas — before the executor slots are cleared.
-	if e.tr != nil {
-		for s := 0; s < e.numShards; s++ {
-			if e.shardTxs[s] == 0 && e.shardBusy[s] == 0 {
-				continue
-			}
-			pools := 0
-			for _, id := range e.shardPools[s] {
-				if e.execs[e.poolIndex[id]] != nil {
-					pools++
-				}
-			}
+	// Emit one execute-shard span per worker slot a round started — busy
+	// time, pool batches pulled, txs and gas.
+	for w, st := range e.stats {
+		if st.ran {
 			e.tr.Record(trace.SpanRecord{
-				Stage: trace.StageExecute, Shard: int32(s), Epoch: e.epoch,
-				Start: e.shardFirst[s], Dur: e.shardBusy[s],
-				Pools: pools, Txs: e.shardTxs[s], Gas: e.shardGas[s],
+				Stage: trace.StageExecute, Shard: int32(w), Epoch: e.epoch,
+				Start: st.first, Dur: st.busy, Pools: st.pools, Txs: st.txs, Gas: st.gas,
 			})
 		}
 	}
@@ -138,10 +133,9 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 // Finalize builds the sealed epoch's folded outcome: per-pool sync
 // payloads and state roots in canonical pool order, the summary root,
 // and the subset of payloads that go on-chain with their digests. The
-// fold fans out across the engine's shard layout (a bounded worker
-// pool: one worker per shard), so commitment and digest hashing
-// parallelize the same way execution does. Safe to call off the
-// engine's goroutine under the hand-off discipline documented on
+// engine's workers pull the pools, active ones first, so commitment and
+// digest hashing parallelize the same way execution does. Safe to call
+// off the engine's goroutine under the hand-off discipline documented on
 // SealedEpoch.
 func (se *SealedEpoch) Finalize() *EpochResult {
 	// An idle pool — no executor and no deposit to pay out — has nothing
@@ -152,23 +146,21 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 	payloads := make([]*summary.SyncPayload, len(se.ids))
 	digests := make([][32]byte, len(se.ids)) // on-chain payloads' only
 	roots := make([][32]byte, len(se.ids))
-	runSharded(se.numShards, se.shardPools, func(_ int, poolIDs []string) {
-		for _, id := range poolIDs {
-			i := se.poolIndex[id]
-			pool := se.pools[i]
-			var p *summary.SyncPayload
-			if exec := se.execs[i]; exec == nil {
-				p = untouchedPayload(se.epoch, pool, se.deposits[id], se.nextGroupKey)
-			} else {
-				p = exec.Summary(se.nextGroupKey)
-			}
-			p.PoolID = id
-			payloads[i] = p
-			if onChain(i, p) {
-				digests[i] = p.Digest()
-			}
-			roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
+	pull(se.numShards, len(se.order), func(_, k int) {
+		i := se.order[k]
+		id, pool := se.ids[i], se.pools[i]
+		var p *summary.SyncPayload
+		if exec := se.execs[i]; exec == nil {
+			p = untouchedPayload(se.epoch, pool, se.deposits[id], se.nextGroupKey)
+		} else {
+			p = exec.Summary(se.nextGroupKey)
 		}
+		p.PoolID = id
+		payloads[i] = p
+		if onChain(i, p) {
+			digests[i] = p.Digest()
+		}
+		roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
 	})
 	res := &EpochResult{
 		Epoch:       se.epoch,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ammboost/internal/engine"
+	"ammboost/internal/sidechain"
 	"ammboost/internal/summary"
 	"ammboost/internal/u256"
 	"ammboost/internal/workload"
@@ -59,7 +60,9 @@ func RunPoolScale(o Options) (*PoolScaleResult, error) {
 	}
 	res := &PoolScaleResult{RootsIdentical: true}
 	for _, pools := range []int{16, 64} {
-		// Pre-generate the traffic: identical stream for every shard count.
+		// Pre-generate the traffic: identical stream for every shard count,
+		// each transaction's leaf hashed up front as the node's admission
+		// does.
 		wcfg := workload.DefaultMultiConfig(o.Seed, pools)
 		gen := workload.NewMulti(wcfg)
 		epochs := o.Epochs
@@ -67,19 +70,21 @@ func RunPoolScale(o Options) (*PoolScaleResult, error) {
 			epochs = 1
 		}
 		batches := make([][]*summary.Tx, epochs*poolScaleRounds)
+		leaves := make([][][32]byte, len(batches))
 		for i := range batches {
-			batch := make([]*summary.Tx, poolScaleTxPerRound)
-			for j := range batch {
-				batch[j] = gen.Next()
+			batches[i] = make([]*summary.Tx, poolScaleTxPerRound)
+			leaves[i] = make([][32]byte, poolScaleTxPerRound)
+			for j := range batches[i] {
+				batches[i][j] = gen.Next()
+				leaves[i][j] = sidechain.TxLeaf(batches[i][j])
 			}
-			batches[i] = batch
 		}
 		users := gen.Users()
 
 		var baseRoot [32]byte
 		var baseWall time.Duration
 		for si, shards := range shardCounts {
-			root, wall, epochClose, txs, rehashed, err := runPoolScaleConfig(o.Seed, pools, shards, epochs, users, batches)
+			root, wall, epochClose, txs, rehashed, err := runPoolScaleConfig(o.Seed, pools, shards, epochs, users, batches, leaves)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +124,7 @@ func RunPoolScale(o Options) (*PoolScaleResult, error) {
 // Finalize), the executed transaction count, and whether every epoch's
 // summary root equals the fold of every pool's StateRoot rehashed from
 // scratch. The rehash is excluded from both timings.
-func runPoolScaleConfig(seed int64, pools, shards, epochs int, users []string, batches [][]*summary.Tx) ([32]byte, time.Duration, time.Duration, int, bool, error) {
+func runPoolScaleConfig(seed int64, pools, shards, epochs int, users []string, batches [][]*summary.Tx, leaves [][][32]byte) ([32]byte, time.Duration, time.Duration, int, bool, error) {
 	eng, err := engine.New(engine.Config{Seed: seed, NumPools: pools, NumShards: shards})
 	if err != nil {
 		return [32]byte{}, 0, 0, 0, false, err
@@ -139,8 +144,8 @@ func runPoolScaleConfig(seed int64, pools, shards, epochs int, users []string, b
 		}
 		closeTime += time.Since(beginStart)
 		for r := 1; r <= poolScaleRounds; r++ {
-			batch := batches[(e-1)*poolScaleRounds+(r-1)]
-			rr, err := eng.ExecuteRound(batch, uint64(r))
+			b := (e-1)*poolScaleRounds + (r - 1)
+			rr, err := eng.ExecuteRoundLeaves(batches[b], leaves[b], uint64(r))
 			if err != nil {
 				return [32]byte{}, 0, 0, 0, false, err
 			}

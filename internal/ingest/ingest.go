@@ -15,8 +15,8 @@
 // single-producer replay feeds back to reproduce a concurrent run
 // bit-identically (DESIGN.md invariant 13).
 //
-// Concurrency contract: Admit/AdmitOne/Len/Stats are safe from any
-// goroutine; Drain, CloseIfEmpty, and Close belong to the single
+// Concurrency contract: Admit/AdmitOne/Hold/Release/Len/Stats are safe
+// from any goroutine; Drain, CloseIfEmpty, and Close belong to the single
 // lifecycle consumer (the simulator goroutine).
 package ingest
 
@@ -71,11 +71,14 @@ const (
 const numSegments = 8
 
 // Entry is one admitted transaction with its receipt and global
-// admission sequence number (assigned by the pool).
+// admission sequence number (assigned by the pool). Leaf is the
+// transaction's meta-block leaf (sidechain.TxLeaf), hashed by the
+// producer before admission; the pool carries it untouched.
 type Entry struct {
-	Seq uint64
-	Tx  *summary.Tx
-	Rc  *chain.Receipt
+	Seq  uint64
+	Tx   *summary.Tx
+	Rc   *chain.Receipt
+	Leaf [32]byte
 }
 
 // segment is one mutex-guarded mempool partition. The sequence ticket
@@ -106,7 +109,8 @@ type Pool struct {
 	// its high-water mark.
 	occ  atomic.Int64
 	peak atomic.Int64
-	// admitting counts producers inside Admit/AdmitOne (see CloseIfEmpty).
+	// admitting counts producers inside Admit/AdmitOne or a Hold (see
+	// CloseIfEmpty).
 	admitting atomic.Int64
 	// state gates admission (poolOpen / poolClosing / poolClosed); see
 	// CloseIfEmpty for the race protocol.
@@ -216,6 +220,14 @@ func errorsAs(err error, target **chain.AdmissionError) bool {
 	return ok
 }
 
+// Hold counts the caller as mid-admission until its Release, so
+// CloseIfEmpty cannot close the pool under a producer that is still
+// preparing entries — validating and hashing them — before it admits.
+func (p *Pool) Hold() { p.admitting.Add(1) }
+
+// Release ends a Hold.
+func (p *Pool) Release() { p.admitting.Add(-1) }
+
 // AdmitOne admits a single entry (assigning Entry.Seq), blocking up to
 // MaxWait when the mempool is full. Safe for concurrent producers.
 func (p *Pool) AdmitOne(ctx context.Context, e Entry) error {
@@ -318,8 +330,8 @@ func (p *Pool) admitOne(ctx context.Context, e Entry, timer **time.Timer) error 
 	// The ticket is taken under the segment lock so appends land in
 	// ticket order: each segment stays sorted by Seq and Drain can merge
 	// runs instead of sorting the union.
-	seq := p.seq.Add(1)
-	s.entries = append(s.entries, Entry{Seq: seq, Tx: e.Tx, Rc: e.Rc})
+	e.Seq = p.seq.Add(1)
+	s.entries = append(s.entries, e)
 	s.mu.Unlock()
 	p.admitted.Add(1)
 	return nil
@@ -448,9 +460,11 @@ func (p *Pool) Drain() []Entry {
 // gate. Whatever the interleaving, either the producer sees the gate up
 // and — once the verdict is closed — rolls back, or the closer sees the
 // reservation and reopens: a transaction is never stranded in a closed
-// pool. (The benign worst case: the closer sees a reservation that is
-// about to roll back, reopens, and the next boundary closes for real —
-// one extra empty drain epoch.) A producer parked at the capacity wall
+// pool. A producer inside a Hold counts as admitting, so a submission
+// that began before the decision is waited for, not refused. (The
+// benign worst case: the closer sees a reservation that is about to
+// roll back, reopens, and the next boundary closes for real — one extra
+// empty drain epoch.) A producer parked at the capacity wall
 // holds no reservation; the closer sees it in the admitting count, raised
 // before its first look at the gate. The gate is only ever read as closed
 // once the verdict is in: a producer that finds it at poolClosing waits

@@ -70,29 +70,23 @@ func (tx *Tx) Size() int {
 // Hash returns a content hash for the transaction (used for position ID
 // derivation and meta-block Merkle leaves). Variable-length fields are
 // length-prefixed so adjacent fields cannot shift bytes between each
-// other and collide; the writes stay inline so the string conversions
-// stay on the stack.
+// other and collide. The fields are appended into one stack buffer and
+// hashed in a single sha256.Sum256 call; a transaction whose fields
+// outgrow the buffer spills to the heap and hashes the same bytes.
 func (tx *Tx) Hash() [32]byte {
-	h := sha256.New()
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(tx.ID)))
-	h.Write(n[:])
-	h.Write([]byte(tx.ID))
-	h.Write([]byte{byte(tx.Kind)})
-	binary.BigEndian.PutUint32(n[:], uint32(len(tx.User)))
-	h.Write(n[:])
-	h.Write([]byte(tx.User))
-	binary.BigEndian.PutUint32(n[:], uint32(len(tx.PoolID)))
-	h.Write(n[:])
-	h.Write([]byte(tx.PoolID))
+	var buf [256]byte
+	b := binary.BigEndian.AppendUint32(buf[:0], uint32(len(tx.ID)))
+	b = append(b, tx.ID...)
+	b = append(b, byte(tx.Kind))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(tx.User)))
+	b = append(b, tx.User...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(tx.PoolID)))
+	b = append(b, tx.PoolID...)
 	amt := tx.Amount.Bytes32()
-	h.Write(amt[:])
-	binary.BigEndian.PutUint32(n[:], uint32(len(tx.PosID)))
-	h.Write(n[:])
-	h.Write([]byte(tx.PosID))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	b = append(b, amt[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(tx.PosID)))
+	b = append(b, tx.PosID...)
+	return sha256.Sum256(b)
 }
 
 // Deposit is a user's two-token epoch deposit balance, evolving on the

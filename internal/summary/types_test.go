@@ -3,10 +3,13 @@ package summary
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"ammboost/internal/gasmodel"
 	"ammboost/internal/u256"
 )
 
@@ -119,6 +122,69 @@ func TestTxHashDistinguishes(t *testing.T) {
 	}
 }
 
+// streamTxHash is Tx.Hash's reference: the same length-prefixed fields,
+// written one by one into a streaming SHA-256.
+func streamTxHash(tx *Tx) [32]byte {
+	h := sha256.New()
+	var n [4]byte
+	str := func(s string) {
+		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
+		h.Write(n[:])
+		h.Write([]byte(s))
+	}
+	str(tx.ID)
+	h.Write([]byte{byte(tx.Kind)})
+	str(tx.User)
+	str(tx.PoolID)
+	amt := tx.Amount.Bytes32()
+	h.Write(amt[:])
+	str(tx.PosID)
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// TestTxHashMatchesStream pins Tx.Hash to the streaming reference,
+// including fields that outgrow its stack buffer.
+func TestTxHashMatchesStream(t *testing.T) {
+	long := strings.Repeat("k", 300)
+	for _, tx := range []*Tx{
+		{},
+		{ID: "swap-000017", Kind: 1, User: "user-0003", PoolID: "pool-0002", Amount: u256.FromUint64(5)},
+		{ID: "m", Kind: 2, User: "lp", PosID: "pos-1", Amount: u256.Max},
+		{ID: long, Kind: 3, User: "u"},
+		{ID: "x", User: long, PoolID: long, PosID: long},
+	} {
+		if got, want := tx.Hash(), streamTxHash(tx); got != want {
+			t.Errorf("Hash(%.20q...) = %x, stream %x", tx.ID, got[:8], want[:8])
+		}
+	}
+}
+
+// FuzzTxHash checks Tx.Hash against the streaming reference for
+// byte-chosen fields: the first byte picks the kind, the next 32 the
+// amount, and the rest is split four ways into ID, user, pool and
+// position ID.
+func FuzzTxHash(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05swap-1|user-0|pool-0000|"))
+	f.Add(bytes.Repeat([]byte{0xff}, 400))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tx := &Tx{}
+		if len(data) > 0 {
+			tx.Kind, data = gasmodel.TxKind(data[0]), data[1:]
+		}
+		if len(data) >= 32 {
+			tx.Amount, data = u256.FromBytes32([32]byte(data[:32])), data[32:]
+		}
+		q := len(data) / 4
+		tx.ID, tx.User, tx.PoolID, tx.PosID = string(data[:q]), string(data[q:2*q]), string(data[2*q:3*q]), string(data[3*q:])
+		if got, want := tx.Hash(), streamTxHash(tx); got != want {
+			t.Fatalf("Hash %x, stream %x", got, want)
+		}
+	})
+}
+
 // TestEncodeBinaryKeyLayout pins the 65-byte uncompressed-pubkey
 // rendering inside the binary packing: the in-place fillKey used on the
 // encoder hot path must keep producing 0x04 || sha256(user) ||
@@ -148,7 +214,7 @@ func TestDigestAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	p := randPayload(r)
 	tx := &Tx{ID: "t1", User: "u", PoolID: "pool-0001", Amount: u256.FromUint64(42)}
-	if n := testing.AllocsPerRun(100, func() { _ = tx.Hash() }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { _ = tx.Hash() }); n != 0 {
 		t.Errorf("Tx.Hash allocates %.0f times per call", n)
 	}
 	// Digest writes through a reused stack buffer; the only heap

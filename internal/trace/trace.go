@@ -37,12 +37,13 @@ const (
 	// StageSubmit aggregates an epoch's submission-time validation work
 	// (one span per epoch; Txs carries the accepted submission count).
 	StageSubmit Stage = iota
-	// StageExecute is one shard's transaction execution for one epoch
-	// (one span per active shard per epoch, annotated with the shard's
-	// pool count, tx count, and gas so skew is visible at a glance).
+	// StageExecute is one engine worker's transaction execution for one
+	// epoch (one span per worker slot a round started, annotated with
+	// the pool batches it pulled, tx count, and gas so skew is visible
+	// at a glance).
 	StageExecute
 	// StageSeal is the epoch seal: executor settlement and dirty-state
-	// detachment fanned across the shards.
+	// detachment, pulled by the engine's workers.
 	StageSeal
 	// StageCommitBuild is the commitment build: the per-pool payload and
 	// state-root fold (SealedEpoch.Finalize).
