@@ -3,6 +3,7 @@ package amm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ammboost/internal/u256"
@@ -77,6 +78,10 @@ type Pool struct {
 	tickList  []int32 // sorted initialized ticks
 	positions map[string]*Position
 	posList   []string // sorted position IDs (incrementally maintained)
+	// sharedTicks and sharedPositions record that a Clone shares the tick
+	// or position collections above with another pool (see Clone).
+	sharedTicks     bool
+	sharedPositions bool
 
 	// Reserves actually held by the pool (principal + accrued fees).
 	Reserve0 u256.Int
@@ -145,27 +150,60 @@ func NewGenesisPool(posID string, liquidity u256.Int) (*Pool, MintResult, error)
 	return p, res, nil
 }
 
-// Clone deep-copies the pool's state. The sidechain snapshots pool state
-// at epoch start and evolves the copy while the mainchain state stays
-// frozen. The copy starts with no dirty tracking: the canonical pool it
+// Clone returns a copy-on-write snapshot of the pool. The sidechain
+// snapshots pool state at epoch start and evolves the copy while the
+// mainchain state stays frozen. The two pools share the tick collections
+// (map and sorted list) and the position collections, and both are
+// marked as sharing them: whichever pool writes a collection first
+// copies it (ownTicks, ownPositions), so neither side's later writes
+// reach the other. Clone therefore writes p, and a *TickInfo or
+// *Position read from either pool is valid only until that pool's next
+// write. The copy starts with no dirty tracking: the canonical pool it
 // is taken from is clean after every seal, and a pool's first commitment
 // after genesis or a restore is a cold rebuild that reads no dirt.
 func (p *Pool) Clone() *Pool {
+	p.sharedTicks, p.sharedPositions = true, true
 	c := *p
-	c.ticks = make(map[int32]*TickInfo, len(p.ticks))
-	for t, ti := range p.ticks {
-		tc := *ti
-		c.ticks[t] = &tc
-	}
-	c.tickList = append([]int32(nil), p.tickList...)
-	c.positions = make(map[string]*Position, len(p.positions))
-	for id, pos := range p.positions {
-		c.positions[id] = pos.Clone()
-	}
-	c.posList = append([]string(nil), p.posList...)
 	c.dirtyHeader, c.structDirty = false, false
 	c.dirtyTicks, c.dirtyPositions = nil, nil
 	return &c
+}
+
+// ownTicks gives the pool its own copy of the tick collections if a
+// Clone shares them; every tick write calls it first.
+func (p *Pool) ownTicks() {
+	if !p.sharedTicks {
+		return
+	}
+	ticks := make(map[int32]*TickInfo, len(p.ticks))
+	for t, ti := range p.ticks {
+		tc := *ti
+		ticks[t] = &tc
+	}
+	p.ticks = ticks
+	p.tickList = slices.Clone(p.tickList)
+	p.sharedTicks = false
+}
+
+// ownPositions is ownTicks for the position collections.
+func (p *Pool) ownPositions() {
+	if !p.sharedPositions {
+		return
+	}
+	positions := make(map[string]*Position, len(p.positions))
+	for id, pos := range p.positions {
+		positions[id] = pos.Clone()
+	}
+	p.positions = positions
+	p.posList = slices.Clone(p.posList)
+	p.sharedPositions = false
+}
+
+// writePosition returns position id, or nil, for writing: the pool owns
+// its position collections afterwards.
+func (p *Pool) writePosition(id string) *Position {
+	p.ownPositions()
+	return p.positions[id]
 }
 
 // --- dirty tracking ---
@@ -222,12 +260,14 @@ func (p *Pool) TakeDirty() DirtyState {
 	return d
 }
 
-// Position returns the position with the given ID, or nil.
+// Position returns the position with the given ID, or nil. The pointer
+// is valid only until the pool's next write (see Clone).
 func (p *Pool) Position(id string) *Position {
 	return p.positions[id]
 }
 
-// Positions returns all positions in unspecified order.
+// Positions returns all positions in unspecified order, valid until the
+// pool's next write.
 func (p *Pool) Positions() []*Position {
 	out := make([]*Position, 0, len(p.positions))
 	for _, pos := range p.positions {
@@ -239,7 +279,8 @@ func (p *Pool) Positions() []*Position {
 // NumPositions returns the number of live positions.
 func (p *Pool) NumPositions() int { return len(p.positions) }
 
-// TickInfoAt returns tick state for an initialized tick, or nil.
+// TickInfoAt returns tick state for an initialized tick, or nil, valid
+// until the pool's next write.
 func (p *Pool) TickInfoAt(tick int32) *TickInfo { return p.ticks[tick] }
 
 // Ticks returns the initialized ticks in ascending order (the engine's
@@ -332,6 +373,7 @@ func (p *Pool) nextInitializedTick(tick int32, lte bool) (int32, bool) {
 // flipped between initialized and uninitialized; a tick a removal empties
 // stays until the caller clears it (clearTick).
 func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upper bool) (flipped bool, err error) {
+	p.ownTicks()
 	info := p.ticks[tick]
 	wasInit := info != nil && !info.LiquidityGross.IsZero()
 	if info == nil {
@@ -380,6 +422,7 @@ func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upp
 // clearTick deletes a tick a removal emptied. Burn calls it only after
 // accruing the position's fees, which read the tick's outside growth.
 func (p *Pool) clearTick(tick int32) {
+	p.ownTicks()
 	delete(p.ticks, tick)
 	p.removeTick(tick)
 }
@@ -463,19 +506,20 @@ func (p *Pool) Mint(posID, owner string, tickLower, tickUpper int32, liquidity u
 	if err != nil {
 		return res, err
 	}
-	pos := p.positions[posID]
-	if pos == nil {
-		pos = &Position{ID: posID, Owner: owner, TickLower: tickLower, TickUpper: tickUpper}
-		p.positions[posID] = pos
-		p.insertPosition(posID)
-		p.structDirty = true
-	} else {
+	if pos := p.positions[posID]; pos != nil {
 		if pos.Owner != owner {
 			return res, ErrNotPositionOwner
 		}
 		if pos.TickLower != tickLower || pos.TickUpper != tickUpper {
 			return res, ErrInvalidTickRange
 		}
+	}
+	pos := p.writePosition(posID)
+	if pos == nil {
+		pos = &Position{ID: posID, Owner: owner, TickLower: tickLower, TickUpper: tickUpper}
+		p.positions[posID] = pos
+		p.insertPosition(posID)
+		p.structDirty = true
 	}
 	if _, err := p.updateTick(tickLower, liquidity, true, false); err != nil {
 		return res, err
@@ -522,7 +566,7 @@ func (p *Pool) Burn(posID, caller string, liquidity u256.Int) (BurnResult, error
 	}
 	if liquidity.IsZero() {
 		// A zero burn is a "poke": refresh fee accounting only.
-		p.updatePositionFees(pos)
+		p.updatePositionFees(p.writePosition(posID))
 		return res, nil
 	}
 	// As in Mint, resolve the released amounts before mutating: the only
@@ -534,6 +578,7 @@ func (p *Pool) Burn(posID, caller string, liquidity u256.Int) (BurnResult, error
 	if err != nil {
 		return res, err
 	}
+	pos = p.writePosition(posID)
 	flippedLower, err := p.updateTick(pos.TickLower, liquidity, false, false)
 	if err != nil {
 		return res, err
@@ -574,6 +619,7 @@ func (p *Pool) Collect(posID, caller string, amount0Req, amount1Req u256.Int) (p
 	if pos.Owner != caller {
 		return u256.Zero, u256.Zero, ErrNotPositionOwner
 	}
+	pos = p.writePosition(posID)
 	p.updatePositionFees(pos)
 	paid0 = u256.Min(amount0Req, pos.TokensOwed0)
 	paid1 = u256.Min(amount1Req, pos.TokensOwed1)
@@ -606,7 +652,6 @@ type SwapResult struct {
 // tickFlip is a crossed tick's new fee growth outside, pending commit.
 type tickFlip struct {
 	tick     int32
-	info     *TickInfo
 	fg0, fg1 u256.Int
 }
 
@@ -708,7 +753,7 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 			// apply the net liquidity change.
 			info := p.ticks[nextTick]
 			if info != nil {
-				flip := tickFlip{tick: nextTick, info: info}
+				flip := tickFlip{tick: nextTick}
 				if zeroForOne {
 					flip.fg0 = u256.Sub(fgGlobal, info.FeeGrowthOutside0X128)
 					flip.fg1 = u256.Sub(p.FeeGrowthGlobal1X128, info.FeeGrowthOutside1X128)
@@ -747,9 +792,14 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 		}
 	}
 
-	// Commit state.
+	// Commit state. The crossed ticks are looked up again: the ones the
+	// loop read may belong to a collection a Clone still shares.
+	if len(flips) > 0 {
+		p.ownTicks()
+	}
 	for _, f := range flips {
-		f.info.FeeGrowthOutside0X128, f.info.FeeGrowthOutside1X128 = f.fg0, f.fg1
+		info := p.ticks[f.tick]
+		info.FeeGrowthOutside0X128, info.FeeGrowthOutside1X128 = f.fg0, f.fg1
 		p.markTick(f.tick)
 	}
 	p.markHeader()

@@ -1,6 +1,7 @@
 package amm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -607,6 +608,70 @@ func TestCloneStartsClean(t *testing.T) {
 	}
 	if d := c.TakeDirty(); !d.Header || d.Structural || len(d.Positions) != 0 {
 		t.Errorf("clone's dirt = %+v, want the swap's header only", d)
+	}
+}
+
+// randomWrites runs n random mints, burns, collects and swaps on p,
+// drawn from r; most fail or succeed at random, as traffic does.
+func randomWrites(p *Pool, r *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("w%d", r.Intn(6))
+		if r.Intn(6) == 0 {
+			id = "genesis" // a position the pools held before the Clone
+		}
+		switch r.Intn(5) {
+		case 0:
+			lo := int32(r.Intn(30)-15) * 60
+			_, _ = p.Mint(id, "lp", lo, lo+int32(1+r.Intn(8))*60, u256.FromUint64(uint64(1000+r.Intn(1_000_000))))
+		case 1:
+			if pos := p.Position(id); pos != nil {
+				_, _ = p.Burn(id, "lp", u256.Div(pos.Liquidity, u256.FromUint64(uint64(1+r.Intn(3)))))
+			}
+		case 2:
+			_, _, _ = p.Collect(id, "lp", u256.FromUint64(uint64(r.Intn(5000))), u256.Max)
+		default:
+			_, _ = p.Swap(r.Intn(2) == 0, r.Intn(2) == 0, u256.FromUint64(uint64(1+r.Intn(200_000))), u256.Zero)
+		}
+	}
+}
+
+// TestCloneIsolation: a Clone shares its collections copy-on-write, and
+// neither side's writes reach the other. Random writes on one side, then
+// the other, in both orders and through a clone of a clone, leave the
+// other side's encoding byte-identical, and each side ends exactly where
+// the same writes take an unshared pool decoded from its bytes.
+func TestCloneIsolation(t *testing.T) {
+	decoded := func(p *Pool) *Pool {
+		q, _, err := DecodePool(AppendPool(nil, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		src := buildCodecPool(t, seed)
+		clone := src.Clone()
+		second := clone.Clone()
+		pools := []*Pool{src, clone, second}
+		order := rand.New(rand.NewSource(seed)).Perm(len(pools))
+		for _, w := range order {
+			before := make([][]byte, len(pools))
+			for i, p := range pools {
+				before[i] = AppendPool(nil, p)
+			}
+			ref := decoded(pools[w])
+			opSeed := seed*10 + int64(w)
+			randomWrites(pools[w], rand.New(rand.NewSource(opSeed)), 80)
+			randomWrites(ref, rand.New(rand.NewSource(opSeed)), 80)
+			if got, want := AppendPool(nil, pools[w]), AppendPool(nil, ref); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: pool %d's writes end elsewhere than on an unshared copy", seed, w)
+			}
+			for i, p := range pools {
+				if i != w && !bytes.Equal(AppendPool(nil, p), before[i]) {
+					t.Fatalf("seed %d: writes on pool %d reached pool %d (write order %v)", seed, w, i, order)
+				}
+			}
+		}
 	}
 }
 

@@ -99,7 +99,12 @@ func positionEntry(pos *amm.Position) summary.PositionEntry {
 // credited on demand as the user's first trade on the pool arrives — and
 // credits the explicit deposits held for it.
 func (b *poolBank) beginEpoch(e uint64) error {
-	b.funded = make(map[string]map[string]bool)
+	if b.funded == nil {
+		b.funded = make(map[string]map[string]bool)
+	}
+	for _, bucket := range b.funded {
+		clear(bucket)
+	}
 	if err := b.s.eng.BeginEpoch(e, nil); err != nil {
 		return err
 	}
@@ -123,7 +128,9 @@ func (b *poolBank) beginEpoch(e uint64) error {
 }
 
 // fundRound credits first-touch deposits for the batch's (user, pool)
-// pairs.
+// pairs. The engine queues each credit until the worker that runs the
+// pool's first transaction opens its executor, so the run loop opens no
+// snapshots.
 func (b *poolBank) fundRound(_ uint64, batch []queuedTx) {
 	defaultPool := b.s.eng.PoolIDs()[0]
 	for _, q := range batch {
@@ -141,7 +148,7 @@ func (b *poolBank) fundRound(_ uint64, batch []queuedTx) {
 		}
 		bucket[q.tx.User] = true
 		// Submit already rejected unknown pools, so this cannot fail.
-		_ = b.s.eng.AddDeposit(pid, q.tx.User, depositPerUserPerPool, depositPerUserPerPool)
+		_ = b.s.eng.QueueDeposit(pid, q.tx.User, depositPerUserPerPool, depositPerUserPerPool)
 	}
 }
 

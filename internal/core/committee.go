@@ -133,12 +133,14 @@ func provisionCommittee(reg *election.Registry, chainSeed [32]byte, epoch uint64
 	if threshold > size {
 		threshold = size
 	}
-	dealing, err := tsig.Deal(committeeRNG(chainSeed, epoch), threshold, size)
+	// The dealer publishes only the group key: nobody verifies its shares
+	// against Feldman commitments, so it computes none of the others.
+	pk, shares, err := tsig.DealKey(committeeRNG(chainSeed, epoch), threshold, size)
 	if err != nil {
 		return nil, err
 	}
-	group := tsig.GroupKey{PK: dealing.Commitments[0], Threshold: threshold, N: size}
-	return &committeeKeys{committee: com, group: group, signer: newSyncSigner(group, dealing.Shares)}, nil
+	group := tsig.GroupKey{PK: pk, Threshold: threshold, N: size}
+	return &committeeKeys{committee: com, group: group, signer: newSyncSigner(group, shares)}, nil
 }
 
 // newMinerRegistry registers the sidechain miner population with fast

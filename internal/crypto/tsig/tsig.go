@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // Errors returned by the scheme.
@@ -143,6 +144,34 @@ type Dealing struct {
 // (any t shares reconstruct; t-1 reveal nothing), publishing Feldman
 // commitments for share verification.
 func Deal(random io.Reader, t, n int) (*Dealing, error) {
+	coeffs, err := dealCoeffs(random, t, n)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dealing{
+		Shares:      shares(coeffs, n),
+		Commitments: make([]Point, t),
+	}
+	for k, c := range coeffs {
+		d.Commitments[k] = scalarBase(c)
+	}
+	return d, nil
+}
+
+// DealKey is Deal for a dealer that publishes only the group key: from
+// the same random stream it returns Deal's Commitments[0] and Shares,
+// and computes none of the other t-1 commitments.
+func DealKey(random io.Reader, t, n int) (Point, []Share, error) {
+	coeffs, err := dealCoeffs(random, t, n)
+	if err != nil {
+		return Point{}, nil, err
+	}
+	return scalarBase(coeffs[0]), shares(coeffs, n), nil
+}
+
+// dealCoeffs checks the threshold and draws a dealing polynomial's t
+// coefficients, constant term first.
+func dealCoeffs(random io.Reader, t, n int) ([]*big.Int, error) {
 	if t < 1 || t > n {
 		return nil, fmt.Errorf("tsig: invalid threshold %d of %d", t, n)
 	}
@@ -155,17 +184,17 @@ func Deal(random io.Reader, t, n int) (*Dealing, error) {
 		}
 		coeffs[i] = c
 	}
-	d := &Dealing{
-		Shares:      make([]Share, n),
-		Commitments: make([]Point, t),
-	}
-	for k, c := range coeffs {
-		d.Commitments[k] = scalarBase(c)
-	}
+	return coeffs, nil
+}
+
+// shares evaluates the dealing polynomial at 1..n.
+func shares(coeffs []*big.Int, n int) []Share {
+	q := curve.Params().N
+	out := make([]Share, n)
 	for i := 1; i <= n; i++ {
-		d.Shares[i-1] = Share{Index: i, Value: evalPoly(coeffs, int64(i), q)}
+		out[i-1] = Share{Index: i, Value: evalPoly(coeffs, int64(i), q)}
 	}
-	return d, nil
+	return out
 }
 
 func randScalar(random io.Reader, q *big.Int) (*big.Int, error) {
@@ -178,15 +207,17 @@ func randScalar(random io.Reader, q *big.Int) (*big.Int, error) {
 }
 
 func evalPoly(coeffs []*big.Int, x int64, q *big.Int) *big.Int {
-	// Horner evaluation.
-	acc := new(big.Int)
+	// Horner evaluation over the integers, reduced mod q once at the end:
+	// the same value as reducing at every step, without t divisions. acc
+	// is sized for the unreduced value, so the steps do not allocate.
 	bx := big.NewInt(x)
+	words := (q.BitLen()+len(coeffs)*bx.BitLen())/bits.UintSize + 2
+	acc := new(big.Int).SetBits(make([]big.Word, 0, words))
 	for k := len(coeffs) - 1; k >= 0; k-- {
 		acc.Mul(acc, bx)
 		acc.Add(acc, coeffs[k])
-		acc.Mod(acc, q)
 	}
-	return acc
+	return acc.Mod(acc, q)
 }
 
 // VerifyShare checks a share against the dealer's Feldman commitments:

@@ -25,6 +25,42 @@ func TestDealAndVerifyShares(t *testing.T) {
 	}
 }
 
+// TestDealKeyMatchesDeal: from the same random stream, the key-only deal
+// returns Deal's first commitment and its shares, and each share still
+// verifies against Deal's full commitment list.
+func TestDealKeyMatchesDeal(t *testing.T) {
+	for _, tc := range []struct {
+		t, n int
+		seed int64
+	}{{1, 1, 1}, {2, 3, 2}, {14, 20, 3}, {42, 64, 4}, {64, 64, 5}} {
+		d, err := Deal(testRand(tc.seed), tc.t, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, shares, err := DealKey(testRand(tc.seed), tc.t, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pk.Equal(d.Commitments[0]) {
+			t.Errorf("t=%d n=%d seed=%d: key differs from Deal's Commitments[0]", tc.t, tc.n, tc.seed)
+		}
+		if len(shares) != len(d.Shares) {
+			t.Fatalf("t=%d n=%d: %d shares, Deal has %d", tc.t, tc.n, len(shares), len(d.Shares))
+		}
+		for i, sh := range shares {
+			if sh.Index != d.Shares[i].Index || sh.Value.Cmp(d.Shares[i].Value) != 0 {
+				t.Errorf("t=%d n=%d seed=%d: share %d differs from Deal's", tc.t, tc.n, tc.seed, i+1)
+			}
+		}
+		if err := VerifyShare(shares[tc.n-1], d.Commitments); err != nil {
+			t.Errorf("t=%d n=%d: share %d: %v", tc.t, tc.n, tc.n, err)
+		}
+	}
+	if _, _, err := DealKey(testRand(6), 0, 5); err == nil {
+		t.Error("t=0 should fail")
+	}
+}
+
 func TestVerifyShareRejectsTampered(t *testing.T) {
 	d, _ := Deal(testRand(2), 3, 5)
 	sh := d.Shares[0]

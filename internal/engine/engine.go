@@ -83,6 +83,10 @@ type Engine struct {
 	// written only by the worker that pulled the pool (or between rounds
 	// on the caller's goroutine), so no locking is needed.
 	execs []*summary.Executor
+	// queued[i] holds QueueDeposit's credits for pool i while it has no
+	// executor; execFor applies them when it opens one. Same ownership
+	// as execs.
+	queued [][]credit
 	// epochDeposits holds BeginEpoch's per-pool deposit earmarks for
 	// lazily created executors; read-only for the epoch's duration.
 	epochDeposits map[string]map[string]summary.Deposit
@@ -119,6 +123,12 @@ type workerStats struct {
 	gas         uint64
 }
 
+// credit is a deposit QueueDeposit holds until its pool's executor opens.
+type credit struct {
+	user             string
+	amount0, amount1 u256.Int
+}
+
 // GenesisPositionID names pool i's genesis full-range position.
 func GenesisPositionID(poolID string) string { return poolID + "-genesis" }
 
@@ -134,6 +144,7 @@ func New(cfg Config) (*Engine, error) {
 		numShards: cfg.NumShards,
 		poolIndex: make(map[string]int),
 		perPool:   make([][]int, cfg.NumPools),
+		queued:    make([][]credit, cfg.NumPools),
 		tr:        cfg.Tracer,
 	}
 	if e.tr != nil {
@@ -221,13 +232,17 @@ func (e *Engine) BeginEpoch(epoch uint64, deposits map[string]map[string]summary
 	return nil
 }
 
-// execFor returns pool index i's executor, snapshotting the pool on
-// first use. Safe only on the worker that pulled the pool or between
-// rounds.
+// execFor returns pool index i's executor, snapshotting the pool and
+// applying its queued credits on first use. Safe only on the worker that
+// pulled the pool or between rounds.
 func (e *Engine) execFor(i int, id string) *summary.Executor {
 	exec := e.execs[i]
 	if exec == nil {
 		exec = summary.NewExecutor(e.epoch, e.reg.Get(id), e.epochDeposits[id])
+		for _, c := range e.queued[i] {
+			_ = exec.AddDeposit(c.user, c.amount0, c.amount1) // QueueDeposit drops a failed credit
+		}
+		e.queued[i] = e.queued[i][:0]
 		e.execs[i] = exec
 	}
 	return exec
@@ -244,6 +259,27 @@ func (e *Engine) AddDeposit(poolID, user string, amount0, amount1 u256.Int) erro
 		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
 	}
 	return e.execFor(i, poolID).AddDeposit(user, amount0, amount1)
+}
+
+// QueueDeposit is AddDeposit for a credit nobody waits on: it lands on
+// the pool's open executor at once, or, when the pool has none yet, when
+// the worker that pulls the pool opens one, before the pool's first
+// transaction. Opening snapshots are thereby off the caller's goroutine.
+// A credit that would overflow is dropped.
+func (e *Engine) QueueDeposit(poolID, user string, amount0, amount1 u256.Int) error {
+	if !e.running {
+		return ErrNoEpoch
+	}
+	i, ok := e.poolIndex[poolID]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
+	}
+	if exec := e.execs[i]; exec != nil {
+		_ = exec.AddDeposit(user, amount0, amount1)
+		return nil
+	}
+	e.queued[i] = append(e.queued[i], credit{user, amount0, amount1})
+	return nil
 }
 
 // WithdrawDeposit debits a user's mid-epoch deposit on one pool — the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -206,6 +207,89 @@ func TestMidEpochDeposit(t *testing.T) {
 		t.Fatalf("funded swap rejected")
 	}
 	closeEpoch(t, eng, nil)
+}
+
+// TestQueueDepositMatchesAddDeposit: a credit QueueDeposit holds until
+// the pool's worker opens its executor leaves every payload, pool root
+// and summary root as AddDeposit before the round does. The rounds cover
+// a credit onto an already open executor, a credit that overflows
+// (AddDeposit refuses it, QueueDeposit drops it), and credits on a pool
+// no round touches, which SealEpoch opens to pay them out.
+func TestQueueDepositMatchesAddDeposit(t *testing.T) {
+	big := u256.FromUint64(1 << 40)
+	type grant struct {
+		pool, user string
+		a0, a1     u256.Int
+	}
+	run := func(queue bool) []*EpochResult {
+		eng, err := New(Config{NumPools: 4, NumShards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.QueueDeposit(PoolName(0), "u", big, big); err != ErrNoEpoch {
+			t.Fatalf("QueueDeposit between epochs: %v, want ErrNoEpoch", err)
+		}
+		var out []*EpochResult
+		for epoch := uint64(1); epoch <= 2; epoch++ {
+			if err := eng.BeginEpoch(epoch, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.QueueDeposit("pool-9999", "u", big, big); !errors.Is(err, ErrUnknownPool) {
+				t.Fatalf("QueueDeposit on an unregistered pool: %v, want ErrUnknownPool", err)
+			}
+			for round := uint64(1); round <= 3; round++ {
+				grants := []grant{
+					{PoolName(0), "u", big, big},
+					{PoolName(1), fmt.Sprintf("v%d", round), big, big},
+					{PoolName(3), "idle", u256.FromUint64(round), u256.Zero},
+				}
+				if round == 2 {
+					grants = append(grants, grant{PoolName(0), "u", u256.Max, u256.Zero})
+				}
+				for _, c := range grants {
+					if queue {
+						if err := eng.QueueDeposit(c.pool, c.user, c.a0, c.a1); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						_ = eng.AddDeposit(c.pool, c.user, c.a0, c.a1)
+					}
+				}
+				var txs []*summary.Tx
+				for i, pool := range []string{PoolName(0), PoolName(1), PoolName(1)} {
+					user := "u"
+					if pool != PoolName(0) {
+						user = fmt.Sprintf("v%d", round)
+					}
+					txs = append(txs, &summary.Tx{ID: fmt.Sprintf("e%dr%d-%d", epoch, round, i), Kind: gasmodel.KindSwap,
+						User: user, PoolID: pool, ZeroForOne: i%2 == 0, ExactIn: true, Amount: u256.FromUint64(1 << 20)})
+				}
+				res, err := eng.ExecuteRound(txs, round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Rejected != 0 {
+					t.Fatalf("queue=%v epoch %d round %d: %d funded swaps rejected", queue, epoch, round, res.Rejected)
+				}
+			}
+			out = append(out, closeEpoch(t, eng, nil))
+		}
+		return out
+	}
+	want, got := run(false), run(true)
+	for e := range want {
+		if got[e].SummaryRoot != want[e].SummaryRoot || !slices.Equal(got[e].PoolRoots, want[e].PoolRoots) {
+			t.Errorf("epoch %d: queued credits moved the roots", e+1)
+		}
+		for i := range want[e].Payloads {
+			if got[e].Payloads[i].Digest() != want[e].Payloads[i].Digest() {
+				t.Errorf("epoch %d: %s's payload differs with queued credits", e+1, want[e].PoolIDs[i])
+			}
+		}
+		if len(got[e].OnChain) != len(want[e].OnChain) || len(want[e].OnChain) != 3 {
+			t.Errorf("epoch %d: %d payloads on chain with queued credits, %d without; want 3", e+1, len(got[e].OnChain), len(want[e].OnChain))
+		}
+	}
 }
 
 // TestUnknownPoolRejected: transactions routed to unregistered pools are

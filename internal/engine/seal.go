@@ -73,6 +73,12 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 		return nil, ErrNoEpoch
 	}
 	ids := e.reg.IDs()
+	// A pool whose queued credits no round executed still pays them out.
+	for i, q := range e.queued {
+		if len(q) > 0 {
+			e.execFor(i, ids[i])
+		}
+	}
 	se := &SealedEpoch{
 		epoch:        e.epoch,
 		ids:          append([]string(nil), ids...),

@@ -175,6 +175,10 @@ func (r *Replica) View() int { return r.view }
 // wire it after constructing the committee).
 func (r *Replica) SetOnBecomeLeader(fn func(view int)) { r.cfg.OnBecomeLeader = fn }
 
+// Group returns the committee group key the replica checks certificates
+// against.
+func (r *Replica) Group() tsig.GroupKey { return r.cfg.Group }
+
 // Behavior returns the replica's injected adversarial strategy.
 func (r *Replica) Behavior() Byzantine { return r.cfg.Behavior }
 

@@ -39,42 +39,37 @@ type Executor struct {
 	touched map[string]bool
 	// deleted tracks positions fully withdrawn during the epoch.
 	deleted map[string]PositionEntry
-	// startFees fingerprints each pre-existing position's fee growth
-	// inside its range at epoch start; positions whose fees moved (their
-	// liquidity filled a swap) are swept into the summary per Fig. 4.
-	startFees map[string][2]u256.Int
+	// src is the pool the executor snapshotted, frozen at the epoch-start
+	// state until Settle reads it: a position whose fee growth inside its
+	// range moved from src's (its liquidity filled a swap) is swept into
+	// the summary per Fig. 4.
+	src *amm.Pool
 	// settled is the summary inclusion set computed by Settle (nil until
 	// the epoch is settled); after Settle the executor never mutates the
 	// pool again.
 	settled map[string]bool
 
-	// Stats.
-	Processed map[gasmodel.TxKind]int
-	Rejected  int
+	// Rejected counts the transactions Apply refused.
+	Rejected int
 }
 
 // NewExecutor snapshots the pool and deposits for an epoch. The pool is
-// cloned: the caller's copy (TokenBank's view) stays frozen, per the
-// paper's pool-snapshot-based trading.
+// cloned (copy-on-write, amm.Pool.Clone): the caller's copy (TokenBank's
+// view) stays frozen, per the paper's pool-snapshot-based trading, and
+// the caller must not write it before Settle, which compares against it.
 func NewExecutor(epoch uint64, pool *amm.Pool, deposits map[string]Deposit) *Executor {
 	deps := make(map[string]*Deposit, len(deposits))
 	for user, d := range deposits {
 		deps[user] = &d
 	}
-	e := &Executor{
-		Pool:      pool.Clone(),
-		Deposits:  deps,
-		epoch:     epoch,
-		touched:   make(map[string]bool),
-		deleted:   make(map[string]PositionEntry),
-		startFees: make(map[string][2]u256.Int),
-		Processed: make(map[gasmodel.TxKind]int),
+	return &Executor{
+		Pool:     pool.Clone(),
+		Deposits: deps,
+		epoch:    epoch,
+		touched:  make(map[string]bool),
+		deleted:  make(map[string]PositionEntry),
+		src:      pool,
 	}
-	for _, pos := range e.Pool.Positions() {
-		fg0, fg1 := e.Pool.FeeGrowthInside(pos.TickLower, pos.TickUpper)
-		e.startFees[pos.ID] = [2]u256.Int{fg0, fg1}
-	}
-	return e
 }
 
 // Credit returns d plus (a0, a1); when either balance would pass
@@ -141,10 +136,8 @@ func (e *Executor) Apply(tx *Tx, round uint64) error {
 	}
 	if err != nil {
 		e.Rejected++
-		return err
 	}
-	e.Processed[tx.Kind]++
-	return nil
+	return err
 }
 
 func (e *Executor) deposit(user string) (*Deposit, error) {
@@ -270,9 +263,10 @@ func (e *Executor) applyBurn(tx *Tx) error {
 	}
 	// Withdraw the released principal — plus all remaining fees if the
 	// position is now empty (full withdrawal deletes the position and
-	// pays everything owed, per the paper's burn semantics).
+	// pays everything owed, per the paper's burn semantics). The burn
+	// wrote the pool, so pos may be the snapshot's copy: read it again.
 	req0, req1 := res.Amount0, res.Amount1
-	if pos.Liquidity.IsZero() {
+	if e.Pool.Position(tx.PosID).Liquidity.IsZero() {
 		req0, req1 = u256.Max, u256.Max
 	}
 	paid0, paid1, err := e.Pool.Collect(tx.PosID, tx.User, req0, req1)
@@ -361,7 +355,8 @@ func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 // sealed epoch is settled on the run-loop goroutine before its pool
 // becomes the next epoch's snapshot source, and the payload build runs
 // on the commit-stage worker against the then-frozen state. Idempotent;
-// Summary calls it implicitly for unpipelined callers.
+// Summary calls it implicitly for unpipelined callers. Settle is the
+// last read of the source pool, which the executor then releases.
 func (e *Executor) Settle() {
 	if e.settled != nil {
 		return
@@ -374,8 +369,12 @@ func (e *Executor) Settle() {
 		if include[pos.ID] {
 			continue
 		}
+		if e.src.Position(pos.ID) == nil {
+			include[pos.ID] = true
+			continue
+		}
 		fg0, fg1 := e.Pool.FeeGrowthInside(pos.TickLower, pos.TickUpper)
-		if start, ok := e.startFees[pos.ID]; !ok || !start[0].Eq(fg0) || !start[1].Eq(fg1) {
+		if start0, start1 := e.src.FeeGrowthInside(pos.TickLower, pos.TickUpper); !start0.Eq(fg0) || !start1.Eq(fg1) {
 			include[pos.ID] = true
 		}
 	}
@@ -386,6 +385,7 @@ func (e *Executor) Settle() {
 		}
 	}
 	e.settled = include
+	e.src = nil
 }
 
 // TotalDeposits sums all deposit balances (conservation checks).

@@ -660,6 +660,7 @@ func FuzzApply(f *testing.F) {
 			return t0, t1
 		}
 		want0, want1 := total()
+		src := amm.AppendPool(nil, p)
 		for i := 0; len(data) >= fuzzTxBytes; i++ {
 			tx := fuzzTx(i, data[:fuzzTxBytes])
 			data = data[fuzzTxBytes:]
@@ -690,5 +691,64 @@ func FuzzApply(f *testing.F) {
 				t.Fatalf("tx %d %+v: deposits + reserves %s/%s, want %s/%s", i, tx, got0, got1, want0, want1)
 			}
 		}
+		// The executor evolves a copy-on-write snapshot: the pool it was
+		// opened on is the epoch-start state Settle compares against.
+		ex.Settle()
+		if !bytes.Equal(amm.AppendPool(nil, p), src) {
+			t.Fatal("Apply or Settle wrote the executor's source pool")
+		}
 	})
+}
+
+// TestFullBurnOfEpochStartPosition: burning all of a position the pool
+// held when the epoch opened deletes it and pays its owner everything it
+// was owed — principal and accrued fees — as the same burn and collect
+// do on an unshared pool. The burn's write copies the snapshot's
+// positions, so the executor must read the position's liquidity again
+// after it: the pre-burn pointer still shows the old liquidity, which
+// would pay the principal alone and leave the position alive.
+func TestFullBurnOfEpochStartPosition(t *testing.T) {
+	p := newPool(t)
+	seedLiquidity(t, p)
+	if _, err := p.Mint("pos-a", "alice", -600, 600, u256.FromUint64(1_000_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	for i, amt := range []uint64{3_000_000, 2_000_000} { // fees accrue inside pos-a's range
+		if _, err := p.Swap(i == 0, true, u256.FromUint64(amt), u256.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, _, err := amm.DecodePool(amm.AppendPool(nil, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Burn("pos-a", "alice", ref.Position("pos-a").Liquidity); err != nil {
+		t.Fatal(err)
+	}
+	if pos := ref.Position("pos-a"); pos.TokensOwed0.IsZero() && pos.TokensOwed1.IsZero() {
+		t.Fatal("fixture: pos-a earned no fees")
+	}
+	want0, want1, err := ref.Collect("pos-a", "alice", u256.Max, u256.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ex := NewExecutor(2, p, map[string]Deposit{"alice": dep(0, 0)})
+	burn := &Tx{ID: "b", Kind: gasmodel.KindBurn, User: "alice", PosID: "pos-a", BurnFractionBps: 10_000}
+	if err := ex.Apply(burn, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ex.Pool.Position("pos-a") != nil {
+		t.Error("a full burn left the position alive")
+	}
+	if d := ex.Deposits["alice"]; !d.Amount0.Eq(want0) || !d.Amount1.Eq(want1) {
+		t.Errorf("full burn paid %s/%s, want principal and fees %s/%s", d.Amount0, d.Amount1, want0, want1)
+	}
+	var deleted bool
+	for _, e := range ex.Summary(nil).Positions {
+		deleted = deleted || (e.ID == "pos-a" && e.Deleted)
+	}
+	if !deleted {
+		t.Error("the summary does not list pos-a as deleted")
+	}
 }

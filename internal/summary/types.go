@@ -10,7 +10,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"ammboost/internal/gasmodel"
@@ -274,6 +275,6 @@ func DerivePositionID(txID, owner string) string {
 // SortEntries puts payload entries into deterministic order (by user /
 // position ID) so that every committee member derives an identical digest.
 func (p *SyncPayload) SortEntries() {
-	sort.Slice(p.Payouts, func(i, j int) bool { return p.Payouts[i].User < p.Payouts[j].User })
-	sort.Slice(p.Positions, func(i, j int) bool { return p.Positions[i].ID < p.Positions[j].ID })
+	slices.SortFunc(p.Payouts, func(a, b PayoutEntry) int { return strings.Compare(a.User, b.User) })
+	slices.SortFunc(p.Positions, func(a, b PositionEntry) int { return strings.Compare(a.ID, b.ID) })
 }

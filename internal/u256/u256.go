@@ -10,6 +10,7 @@
 package u256
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -140,26 +141,21 @@ func (x Int) String() string { return x.ToBig().String() }
 // Bytes32 returns the big-endian 32-byte encoding of x.
 func (x Int) Bytes32() [32]byte {
 	var out [32]byte
-	for i := 0; i < 4; i++ {
-		l := x.limbs[i]
-		for j := 0; j < 8; j++ {
-			out[31-(i*8+j)] = byte(l >> (8 * j))
-		}
-	}
+	binary.BigEndian.PutUint64(out[0:], x.limbs[3])
+	binary.BigEndian.PutUint64(out[8:], x.limbs[2])
+	binary.BigEndian.PutUint64(out[16:], x.limbs[1])
+	binary.BigEndian.PutUint64(out[24:], x.limbs[0])
 	return out
 }
 
 // FromBytes32 decodes a big-endian 32-byte value.
 func FromBytes32(b [32]byte) Int {
-	var out Int
-	for i := 0; i < 4; i++ {
-		var l uint64
-		for j := 0; j < 8; j++ {
-			l |= uint64(b[31-(i*8+j)]) << (8 * j)
-		}
-		out.limbs[i] = l
-	}
-	return out
+	return Int{limbs: [4]uint64{
+		binary.BigEndian.Uint64(b[24:]),
+		binary.BigEndian.Uint64(b[16:]),
+		binary.BigEndian.Uint64(b[8:]),
+		binary.BigEndian.Uint64(b[0:]),
+	}}
 }
 
 // Add returns x + y mod 2^256 and the carry-out.

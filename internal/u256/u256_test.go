@@ -423,3 +423,28 @@ func BenchmarkMulDiv(b *testing.B) {
 		_, _ = MulDiv(x, y, d)
 	}
 }
+
+// FuzzBytes32 checks the 32-byte big-endian codec against big.Int for
+// byte-chosen values: FromBytes32 is SetBytes, and Bytes32 is FillBytes
+// of the same value into 32 bytes.
+func FuzzBytes32(f *testing.F) {
+	ones := ^uint64(0)
+	f.Add([]byte{})
+	f.Add([]byte{1})
+	f.Add(limbs(0x0102030405060708, 0x1112131415161718, 0x2122232425262728, 0x3132333435363738))
+	f.Add(limbs(ones, 0, ones, 0))
+	f.Add(limbs(ones, ones, ones, ones))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var buf [32]byte
+		copy(buf[:], b)
+		ref := new(big.Int).SetBytes(buf[:])
+		x := FromBytes32(buf)
+		if x.ToBig().Cmp(ref) != 0 {
+			t.Fatalf("FromBytes32(%x) = %s, want %s", buf, x, ref)
+		}
+		v, _ := FromBig(ref)
+		if got, want := v.Bytes32(), ref.FillBytes(make([]byte, 32)); string(got[:]) != string(want) {
+			t.Fatalf("Bytes32(%s) = %x, want %x", ref, got, want)
+		}
+	})
+}
