@@ -325,10 +325,10 @@ type Chain interface {
 	Positions() []summary.PositionEntry
 }
 
-// CheckTx performs the backend-independent shape validation Submit
-// applies before queueing: amounts, tick ranges, and position references
-// must be plausible for the transaction's kind. Pool and user existence
-// are checked by the backend.
+// CheckTx performs the shape validation Submit applies before queueing:
+// amounts, tick ranges, and position references must be plausible for
+// the transaction's kind. It reads no node state; the node checks pool
+// and user existence after it.
 func CheckTx(tx *summary.Tx) error {
 	if tx == nil {
 		return fmt.Errorf("%w: nil transaction", ErrMalformedTx)

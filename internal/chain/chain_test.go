@@ -81,7 +81,6 @@ func TestCheckTx(t *testing.T) {
 }
 
 func TestConfigDefaultsSharedHelper(t *testing.T) {
-	// One helper fills both backends' shared fields, so they cannot drift.
 	a := Config{}.WithDefaults()
 	if a.EpochRounds != 30 || a.RoundDuration != 7*time.Second || a.CommitteeSize != 500 || a.MetaBlockBytes != 1<<20 {
 		t.Errorf("paper defaults wrong: %d rounds, %s, committee %d, %d-byte meta-blocks",
@@ -99,7 +98,7 @@ func TestConfigDefaultsSharedHelper(t *testing.T) {
 	if d.Seed != 9 || d.NumPools != 64 || d.NumShards != 4 || d.EpochRounds != 10 {
 		t.Errorf("set fields not kept: %+v", d)
 	}
-	// NumPools stays zero (single-pool backend) unless opted in.
+	// NumPools stays zero (one pool) unless opted in.
 	if a.NumPools != 0 {
 		t.Errorf("default NumPools = %d, want 0 (single-pool)", a.NumPools)
 	}

@@ -217,9 +217,9 @@ type Config struct {
 	Faults    FaultPlan
 }
 
-// WithDefaults fills zero values with the paper's configuration. Both
-// backends use this one helper, so shared defaults (seed handling,
-// rounds, durations, committee sizing) cannot drift between them.
+// WithDefaults fills zero values with the paper's configuration. Every
+// node constructor applies it, so a Config literal only sets what it
+// changes.
 func (c Config) WithDefaults() Config {
 	if c.EpochRounds == 0 {
 		c.EpochRounds = 30

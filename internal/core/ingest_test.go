@@ -211,7 +211,7 @@ func TestIngestCancelMidBackpressure(t *testing.T) {
 }
 
 // TestSubmitAfterRunReturnsClosed pins the end-of-life surface on both
-// backends: once the lifecycle finished its final epoch and closed the
+// constructors' nodes: once the lifecycle finished its final epoch and closed the
 // ingest front end, both submission paths refuse with ErrClosed (not
 // ErrHalted — the node did not fault) and a zero retry hint.
 func TestSubmitAfterRunReturnsClosed(t *testing.T) {
@@ -229,7 +229,7 @@ func TestSubmitAfterRunReturnsClosed(t *testing.T) {
 			return sys, err
 		}},
 	}
-	// Valid on either backend: the empty pool ID routes to the default pool.
+	// Valid on either node: the empty pool ID routes to the default pool.
 	late := func(id string) *summary.Tx {
 		return &summary.Tx{ID: id, Kind: gasmodel.KindSwap, User: "user-000",
 			ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(100)}

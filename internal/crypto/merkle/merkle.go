@@ -82,9 +82,6 @@ func (t *Tree) Root() [32]byte {
 	return top[0]
 }
 
-// NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return len(t.levels[0]) }
-
 // ProofStep is one sibling on the path from a leaf to the root.
 type ProofStep struct {
 	Hash  [32]byte
@@ -241,9 +238,6 @@ func (t *Updatable) Root() [32]byte {
 	top := t.levels[len(t.levels)-1]
 	return top[0]
 }
-
-// NumLeaves returns the number of leaves.
-func (t *Updatable) NumLeaves() int { return len(t.levels[0]) }
 
 // Verify checks that data is a leaf under root via proof.
 func Verify(root [32]byte, data []byte, proof []ProofStep) error {

@@ -20,8 +20,8 @@ func TestEmptyTreeHasRoot(t *testing.T) {
 	if a.Root() != b.Root() {
 		t.Error("empty trees should have identical roots")
 	}
-	if a.NumLeaves() != 1 {
-		t.Errorf("empty tree leaves = %d", a.NumLeaves())
+	if n := len(a.levels[0]); n != 1 {
+		t.Errorf("empty tree leaves = %d", n)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestUpdatableMatchesRebuild(t *testing.T) {
 				t.Fatalf("n=%d step=%d: updatable root diverged", n, step)
 			}
 		}
-		if u.NumLeaves() != n {
-			t.Fatalf("n=%d: NumLeaves = %d", n, u.NumLeaves())
+		if got := len(u.levels[0]); got != n {
+			t.Fatalf("n=%d: updatable holds %d leaves", n, got)
 		}
 	}
 }

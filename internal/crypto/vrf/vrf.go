@@ -44,11 +44,6 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, *PublicKey, error) {
 	return &PrivateKey{rsa: key}, &PublicKey{rsa: &key.PublicKey}, nil
 }
 
-// Public returns the verification key for sk.
-func (sk *PrivateKey) Public() *PublicKey {
-	return &PublicKey{rsa: &sk.rsa.PublicKey}
-}
-
 // Evaluate computes the VRF output and proof for input. The proof is a
 // deterministic RSA PKCS#1 v1.5 signature (full-domain-hash style), and the
 // output is SHA-256 of the proof, so outputs are unique per (key, input).

@@ -87,13 +87,6 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 	}
 }
 
-func TestPublicFromPrivate(t *testing.T) {
-	sk, pk, _ := GenerateKey(testRand(10), 1024)
-	if string(sk.Public().Bytes()) != string(pk.Bytes()) {
-		t.Error("Public() should match the generated public key")
-	}
-}
-
 func BenchmarkEvaluate(b *testing.B) {
 	sk, _, err := GenerateKey(testRand(11), 1024)
 	if err != nil {

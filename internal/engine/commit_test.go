@@ -21,17 +21,37 @@ func diffDeposits(e uint64, ids, users []string) map[string]map[string]summary.D
 	return UniformDeposits(ids, users, dep, dep)
 }
 
+// diffEpochs is the length of diffRun's schedule.
+const diffEpochs = 4
+
 // diffBatches returns the rounds of diffRun's epoch e: epochs 1 and 3
-// split the batches, epoch 2 has none.
-func diffBatches(e uint64, batches [][]*summary.Tx) [][]*summary.Tx {
+// split the batches, epoch 2 has none, and epoch 4 is crossingRound.
+func diffBatches(e uint64, batches [][]*summary.Tx, users []string) [][]*summary.Tx {
 	half := len(batches) / 2
 	switch e {
 	case 1:
 		return batches[:half]
 	case 3:
 		return batches[half:]
+	case 4:
+		return [][]*summary.Tx{crossingRound(users[0])}
 	}
 	return nil
+}
+
+// crossingRound swaps each large pool's price down across its seeded
+// ticks and back up past where it started. A swap adds and removes no
+// leaf, so every tick it crosses reaches the pool's cached tree as a
+// value-only change (poolCommit.updatePaths).
+func crossingRound(user string) []*summary.Tx {
+	var txs []*summary.Tx
+	for i := 0; i < largePools; i++ {
+		for j, amount := range []uint64{100_000_000_000, 200_000_000_000} {
+			txs = append(txs, &summary.Tx{ID: fmt.Sprintf("cross-%d-%d", i, j), Kind: gasmodel.KindSwap,
+				User: user, PoolID: PoolName(i), ZeroForOne: j == 0, ExactIn: true, Amount: u256.FromUint64(amount)})
+		}
+	}
+	return txs
 }
 
 // largePools of diffRun's hottest pools start with largePoolPositions
@@ -53,13 +73,14 @@ func seedLargePools(t *testing.T, eng *Engine) {
 	}
 }
 
-// diffRun drives one engine through a fixed three-epoch schedule and
+// diffRun drives one engine through a fixed four-epoch schedule and
 // returns everything the differential comparison needs: per-epoch summary
 // roots, per-epoch payload digests and pool roots (canonical pool order),
 // and the final per-pool state roots. Epoch 2 carries zero transactions
 // and no deposits, so with lazy snapshots no pool is ever touched in it;
 // epochs 1 and 3 run Zipf traffic, which leaves the cold tail of pools
-// idle too. The hottest pools are seeded large (seedLargePools).
+// idle too; epoch 4 crosses ticks in the pools seeded large
+// (seedLargePools).
 func diffRun(t *testing.T, seed int64, pools, shards int, batches [][]*summary.Tx, users []string) (summaryRoots [][32]byte, digests, poolRoots [][][32]byte, final [][32]byte) {
 	t.Helper()
 	eng, err := New(Config{Seed: seed, NumPools: pools, NumShards: shards})
@@ -67,11 +88,11 @@ func diffRun(t *testing.T, seed int64, pools, shards int, batches [][]*summary.T
 		t.Fatalf("New: %v", err)
 	}
 	seedLargePools(t, eng)
-	for e := uint64(1); e <= 3; e++ {
+	for e := uint64(1); e <= diffEpochs; e++ {
 		if err := eng.BeginEpoch(e, diffDeposits(e, eng.PoolIDs(), users)); err != nil {
 			t.Fatalf("BeginEpoch %d: %v", e, err)
 		}
-		for r, batch := range diffBatches(e, batches) {
+		for r, batch := range diffBatches(e, batches, users) {
 			if _, err := eng.ExecuteRound(batch, uint64(r+1)); err != nil {
 				t.Fatalf("ExecuteRound: %v", err)
 			}
@@ -105,13 +126,13 @@ func referenceRun(t *testing.T, pools int, batches [][]*summary.Tx, users []stri
 	for _, id := range ids {
 		state[id] = genesis.Pool(id)
 	}
-	for e := uint64(1); e <= 3; e++ {
+	for e := uint64(1); e <= diffEpochs; e++ {
 		deps := diffDeposits(e, ids, users)
 		execs := make(map[string]*summary.Executor, len(ids))
 		for _, id := range ids {
 			execs[id] = summary.NewExecutor(e, state[id], deps[id])
 		}
-		for r, batch := range diffBatches(e, batches) {
+		for r, batch := range diffBatches(e, batches, users) {
 			for _, tx := range batch {
 				if exec := execs[tx.PoolID]; exec != nil {
 					_ = exec.Apply(tx, uint64(r+1))

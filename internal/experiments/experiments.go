@@ -223,8 +223,6 @@ var registry = []struct {
 	{"table10", runner(table10.run)},
 	{"table11", runner(table11.run)},
 	{"table12", runner(RunTable12)},
-	{"poolscale", runner(RunPoolScale)},
-	{"pipelinescale", runner(RunPipelineScale)},
 	{"chaos", runner(RunChaos)},
 	{"federation", runner(RunFederation)},
 	{"ablations", runner(RunAblations)},

@@ -9,15 +9,13 @@ import (
 	"sync"
 	"testing"
 
-	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
-	"ammboost/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
 // fastOpts shrinks runs for CI-speed testing; the full paper configuration
-// runs through cmd/ammbench and the root benchmarks.
+// runs through cmd/ammbench.
 func fastOpts() Options {
 	return Options{Epochs: 2, Seed: 7, CommitteeSize: 50}
 }
@@ -51,10 +49,8 @@ func run(t *testing.T, name string, o Options) Result {
 
 // TestExperimentGoldens pins every experiment's rendered table at
 // fastOpts, and fig5 and table2 at the paper's configuration, byte for
-// byte against testdata/<name>.golden. Only poolscale and pipelinescale
-// measure the host's clock; they render with those cells zeroed (see
-// withoutWallClock). go test ./internal/experiments -run
-// TestExperimentGoldens -update rewrites the files.
+// byte against testdata/<name>.golden. go test ./internal/experiments
+// -run TestExperimentGoldens -update rewrites the files.
 func TestExperimentGoldens(t *testing.T) {
 	type golden struct {
 		file, name string
@@ -68,7 +64,7 @@ func TestExperimentGoldens(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
 			t.Parallel()
-			got := withoutWallClock(run(t, c.name, c.opts)).Render()
+			got := run(t, c.name, c.opts).Render()
 			path := filepath.Join("testdata", c.file+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -85,43 +81,6 @@ func TestExperimentGoldens(t *testing.T) {
 			}
 		})
 	}
-}
-
-// withoutWallClock returns res with what it measured on the host's clock
-// or CPU count zeroed: poolscale's wall time, throughput, speedup and
-// epoch-close time (and its GOMAXPROCS row), pipelinescale's wall time
-// (all depths equal, so its speedup reads 1.00x), shard imbalance, stage
-// latencies and stall attribution. Everything a run computes stays.
-func withoutWallClock(res Result) Result {
-	switch r := res.(type) {
-	case *PoolScaleResult:
-		c := *r
-		c.Points = nil
-		for _, p := range r.Points {
-			if p.Shards <= 4 {
-				p.Wall, p.Throughput, p.Speedup, p.EpochClose = 0, 0, 0, 0
-				c.Points = append(c.Points, p)
-			}
-		}
-		return &c
-	case *PipeScaleResult:
-		c := *r
-		c.NumCPU, c.Points = 0, nil
-		for _, p := range r.Points {
-			p.Wall, p.ImbalanceAvg, p.ImbalanceMax, p.ImbalanceMaxEpoch, p.StallByStage = 1, 0, 0, 0, nil
-			var stages []chain.StageSummary
-			for _, st := range p.Stages {
-				if st.Stage != trace.StageStall.String() { // whether an epoch stalls is a race
-					st.P50, st.P95, st.P99 = 0, 0, 0
-					stages = append(stages, st)
-				}
-			}
-			p.Stages = stages
-			c.Points = append(c.Points, p)
-		}
-		return &c
-	}
-	return res
 }
 
 // lineDiff lists the lines where got departs from want ("" if none).
@@ -145,8 +104,8 @@ func lineDiff(want, got string) string {
 
 func TestRegistryComplete(t *testing.T) {
 	names := Names()
-	if len(names) != 18 {
-		t.Fatalf("registry has %d experiments, want 18 (12 tables + fig5 + poolscale + pipelinescale + chaos + federation + ablations)", len(names))
+	if len(names) != 16 {
+		t.Fatalf("registry has %d experiments, want 16 (12 tables + fig5 + chaos + federation + ablations)", len(names))
 	}
 	if names[len(names)-1] != "ablations" {
 		t.Errorf("ablations should run last, got order %v", names)
@@ -299,39 +258,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestPipelineScale(t *testing.T) {
-	r := run(t, "pipelinescale", fastOpts()).(*PipeScaleResult)
-	if !r.RootsIdentical {
-		t.Error("summary roots diverged across pipeline depths")
-	}
-	if len(r.Points) != 3 {
-		t.Fatalf("sweep has %d points, want 3 (depths 1, 2, 3)", len(r.Points))
-	}
-	if r.Points[0].Depth != 1 {
-		t.Errorf("depth-1 reference point wrong: %+v", r.Points[0])
-	}
-	for _, p := range r.Points {
-		if len(p.Stages) == 0 {
-			t.Errorf("depth %d has no stage-latency summaries (tracer not wired?)", p.Depth)
-		}
-		if p.ImbalanceMax < 1 && p.ImbalanceMax != 0 {
-			t.Errorf("depth %d shard imbalance max = %.2f, want >= 1 (max/mean)", p.Depth, p.ImbalanceMax)
-		}
-		if p.EpochsRun != r.Points[0].EpochsRun {
-			t.Errorf("depth %d ran %d epochs, reference ran %d", p.Depth, p.EpochsRun, r.Points[0].EpochsRun)
-		}
-	}
-	out := r.Render()
-	if !strings.Contains(out, "bit-identical") {
-		t.Errorf("render missing root confirmation:\n%s", out)
-	}
-	for _, want := range []string{"stage latency", "p50", "p99", "execute-shard", "Shard imbalance"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestChaosSweep runs the chaos experiment end to end: receipts must
 // never skip lifecycle stages, every completing cell must sync every
 // epoch over live committee traffic, and the never-healing partition must
@@ -389,23 +315,5 @@ func TestFederationSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestPoolScale(t *testing.T) {
-	r := run(t, "poolscale", fastOpts()).(*PoolScaleResult)
-	if !r.RootsIdentical {
-		t.Error("summary roots diverged across shard counts")
-	}
-	if len(r.Points) < 6 {
-		t.Errorf("sweep has %d points, want >= 6 (2 pool counts x >= 3 shard counts)", len(r.Points))
-	}
-	for _, p := range r.Points {
-		if p.Txs == 0 || p.Throughput <= 0 {
-			t.Errorf("pools=%d shards=%d executed %d txs at %.0f tx/s", p.Pools, p.Shards, p.Txs, p.Throughput)
-		}
-	}
-	if out := r.Render(); !strings.Contains(out, "bit-identical") {
-		t.Errorf("render missing root confirmation:\n%s", out)
 	}
 }

@@ -1,6 +1,6 @@
-// Package ingest implements the thread-safe submission front end both
-// chain backends share: a segmented mempool many producer goroutines
-// append to concurrently, with explicit admission control (capacity
+// Package ingest implements the node's thread-safe submission front
+// end: a segmented mempool many producer goroutines append to
+// concurrently, with explicit admission control (capacity
 // wall, soft-mark shedding, bounded blocking) returning the typed
 // backpressure errors defined in internal/chain, and a single-consumer
 // drain that merges the segments into one canonical order.

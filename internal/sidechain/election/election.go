@@ -78,9 +78,6 @@ type Committee struct {
 	Members []Ticket
 }
 
-// Leader returns the committee leader's ID.
-func (c *Committee) Leader() string { return c.Members[0].MinerID }
-
 // LeaderAt returns the leader after v view changes (round-robin over the
 // sortition order, as PBFT view change rotates).
 func (c *Committee) LeaderAt(view int) string {

@@ -57,7 +57,7 @@ func TestElectRotatesAcrossEpochs(t *testing.T) {
 	if same == 20 {
 		t.Error("consecutive epochs elected identical committees; rotation failed")
 	}
-	if c1.Leader() == c2.Leader() && c1.Members[1].MinerID == c2.Members[1].MinerID {
+	if c1.LeaderAt(0) == c2.LeaderAt(0) && c1.Members[1].MinerID == c2.Members[1].MinerID {
 		t.Log("leaders coincide; acceptable but unusual")
 	}
 }
@@ -111,7 +111,7 @@ func TestStakeWeighting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Leader() == "whale" {
+		if c.LeaderAt(0) == "whale" {
 			whaleLeads++
 		}
 	}
@@ -124,9 +124,6 @@ func TestStakeWeighting(t *testing.T) {
 func TestLeaderRotationWithinCommittee(t *testing.T) {
 	reg := fastRegistry(20)
 	c, _ := Elect(reg, [32]byte{3}, 1, 5)
-	if c.LeaderAt(0) != c.Leader() {
-		t.Error("view 0 leader mismatch")
-	}
 	seen := map[string]bool{}
 	for v := 0; v < 5; v++ {
 		seen[c.LeaderAt(v)] = true
@@ -134,7 +131,7 @@ func TestLeaderRotationWithinCommittee(t *testing.T) {
 	if len(seen) != 5 {
 		t.Errorf("leader rotation covered %d of 5 members", len(seen))
 	}
-	if c.Index(c.Leader()) != 0 {
+	if c.Index(c.LeaderAt(0)) != 0 {
 		t.Error("leader index should be 0")
 	}
 	if c.Index("nobody") != -1 {
