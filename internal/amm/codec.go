@@ -66,6 +66,9 @@ func AppendPool(buf []byte, p *Pool) []byte {
 // the pool, the number of bytes consumed, and any framing error. The
 // decoded pool is clean (no dirty tracking) and fully indexed: sorted
 // tick and position lists are rebuilt from the canonical encoding order.
+// Every tick, the fee and the price must lie in the ranges NewPool and
+// Mint enforce, so a swap on the decoded pool cannot panic on them or
+// price its input with a wrapped fee.
 func DecodePool(buf []byte) (*Pool, int, error) {
 	d := binenc.NewCursor(buf)
 	if v := d.U8(); d.Err() == nil && v != poolCodecVersion {
@@ -86,6 +89,10 @@ func DecodePool(buf []byte) (*Pool, int, error) {
 	p.FeeGrowthGlobal1X128 = d.U256()
 	p.Reserve0 = d.U256()
 	p.Reserve1 = d.U256()
+	if p.TickSpacing <= 0 || p.FeePips >= feeDenominator || !tickInRange(p.Tick) ||
+		p.SqrtPriceX96.Lt(MinSqrtRatio) || !p.SqrtPriceX96.Lt(MaxSqrtRatio) {
+		d.Fail("pool header out of range")
+	}
 
 	nTicks := int(d.U32())
 	if nTicks > d.Remaining()/25 {
@@ -106,6 +113,10 @@ func DecodePool(buf []byte) (*Pool, int, error) {
 		}
 		if len(p.tickList) > 0 && tick <= p.tickList[len(p.tickList)-1] {
 			d.Fail("ticks out of order")
+			break
+		}
+		if !tickInRange(tick) {
+			d.Fail("tick %d out of range", tick)
 			break
 		}
 		p.ticks[tick] = ti
@@ -135,6 +146,10 @@ func DecodePool(buf []byte) (*Pool, int, error) {
 			d.Fail("positions out of order")
 			break
 		}
+		if !tickInRange(pos.TickLower) || !tickInRange(pos.TickUpper) || pos.TickLower >= pos.TickUpper {
+			d.Fail("position %q tick range out of bounds", pos.ID)
+			break
+		}
 		p.positions[pos.ID] = pos
 		p.posList = append(p.posList, pos.ID)
 	}
@@ -142,4 +157,9 @@ func DecodePool(buf []byte) (*Pool, int, error) {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadPoolEncoding, err)
 	}
 	return p, d.Offset(), nil
+}
+
+// tickInRange reports whether tick lies in [MinTick, MaxTick].
+func tickInRange(tick int32) bool {
+	return tick >= MinTick && tick <= MaxTick
 }

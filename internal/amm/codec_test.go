@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ammboost/internal/u256"
@@ -107,9 +108,61 @@ func TestPoolCodecTruncation(t *testing.T) {
 	}
 }
 
+// outOfRangePools returns encodings of pools that are well framed but
+// hold a tick, fee or price outside the ranges NewPool and Mint enforce.
+// Before DecodePool checked them, the first one decoded and a one-for-zero
+// swap on it panicked in SqrtRatioAtTick, and a pool with a fee of 2e6
+// pips paid out most of its token1 reserve for 1 000 token0.
+func outOfRangePools(t testing.TB) []namedBytes {
+	t.Helper()
+	build := func(mutate func(p *Pool)) []byte {
+		p, err := NewPool("A", "B", 3000, 60, u256.Q96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Mint("lp-pos", "lp", -600, 600, u256.FromUint64(1_000_000_000)); err != nil {
+			t.Fatal(err)
+		}
+		p.TakeDirty()
+		mutate(p)
+		return AppendPool(nil, p)
+	}
+	return []namedBytes{
+		{"tick key", build(func(p *Pool) {
+			p.ticks[900_000] = p.ticks[600]
+			delete(p.ticks, 600)
+			p.tickList[1] = 900_000
+		})},
+		{"position tick", build(func(p *Pool) { p.positions["lp-pos"].TickUpper = MaxTick + 1 })},
+		{"position order", build(func(p *Pool) { p.positions["lp-pos"].TickLower = 600 })},
+		{"pool tick", build(func(p *Pool) { p.Tick = MinTick - 1 })},
+		{"price below", build(func(p *Pool) { p.SqrtPriceX96 = u256.Sub(MinSqrtRatio, u256.One) })},
+		{"price at max", build(func(p *Pool) { p.SqrtPriceX96 = MaxSqrtRatio })},
+		{"tick spacing", build(func(p *Pool) { p.TickSpacing = 0 })},
+		{"fee", build(func(p *Pool) { p.FeePips = feeDenominator })},
+	}
+}
+
+type namedBytes struct {
+	name string
+	enc  []byte
+}
+
+func TestDecodePoolRejectsOutOfRange(t *testing.T) {
+	for _, c := range outOfRangePools(t) {
+		if _, _, err := DecodePool(c.enc); !errors.Is(err, ErrBadPoolEncoding) {
+			t.Errorf("%s: err = %v, want ErrBadPoolEncoding", c.name, err)
+		}
+	}
+}
+
+// swapErrors are the typed refusals a swap may return.
+var swapErrors = []error{ErrZeroAmount, ErrPriceLimit, ErrLiquidityZero, ErrPriceOverflow, ErrAmountTooLarge}
+
 // FuzzDecodePool feeds DecodePool arbitrary bytes, as a peer snapshot or
 // a damaged store record would: it must fail with ErrBadPoolEncoding or
-// return a clean pool whose encoding is exactly the bytes it consumed.
+// return a clean pool whose encoding is exactly the bytes it consumed, and
+// on which a swap in each direction succeeds or fails with a typed error.
 func FuzzDecodePool(f *testing.F) {
 	for _, seed := range []int64{1, 3, 7, 42, 1337} {
 		f.Add(AppendPool(nil, buildCodecPool(f, seed)))
@@ -120,6 +173,9 @@ func FuzzDecodePool(f *testing.F) {
 	}
 	f.Add(AppendPool(nil, fresh))
 	f.Add([]byte{})
+	for _, c := range outOfRangePools(f) {
+		f.Add(c.enc)
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		p, used, err := DecodePool(buf)
 		if err != nil {
@@ -136,6 +192,12 @@ func FuzzDecodePool(f *testing.F) {
 		}
 		if enc := AppendPool(nil, p); string(enc) != string(buf[:used]) {
 			t.Fatalf("re-encoding differs from the %d bytes consumed", used)
+		}
+		for _, zeroForOne := range []bool{true, false} {
+			_, err := p.Clone().Swap(zeroForOne, true, u256.FromUint64(1_000_000), u256.Zero)
+			if err != nil && !slices.ContainsFunc(swapErrors, func(e error) bool { return errors.Is(err, e) }) {
+				t.Fatalf("swap zeroForOne=%v: untyped error %v", zeroForOne, err)
+			}
 		}
 	})
 }

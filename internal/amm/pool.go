@@ -109,6 +109,11 @@ func NewPool(token0, token1 string, feePips uint32, tickSpacing int32, sqrtPrice
 	if tickSpacing <= 0 {
 		return nil, fmt.Errorf("amm: tick spacing must be positive, got %d", tickSpacing)
 	}
+	if feePips >= feeDenominator {
+		// At 100% ComputeSwapStep has no input left to price, and above
+		// it feeDenominator - feePips wraps.
+		return nil, fmt.Errorf("amm: fee must be below %d pips, got %d", feeDenominator, feePips)
+	}
 	return &Pool{
 		Token0:       token0,
 		Token1:       token1,
@@ -709,7 +714,8 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 		// on an initialized tick it has not crossed yet crosses it with a
 		// zero-amount step, as Uniswap V3 does.
 		nextTick, found := p.nextInitializedTick(tick, zeroForOne)
-		sqrtTarget := SqrtRatioAtTick(nextTick)
+		nextRatio := SqrtRatioAtTick(nextTick)
+		sqrtTarget := nextRatio
 		// Clamp the step target by the user's price limit.
 		if zeroForOne {
 			if sqrtTarget.Lt(sqrtPriceLimitX96) {
@@ -748,7 +754,7 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 			fgGlobal = u256.Add(fgGlobal, growth)
 		}
 
-		if sqrtPrice.Eq(SqrtRatioAtTick(nextTick)) && found {
+		if sqrtPrice.Eq(nextRatio) && found {
 			// Crossed an initialized tick: flip fee growth outside and
 			// apply the net liquidity change.
 			info := p.ticks[nextTick]
@@ -775,11 +781,12 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 		} else if !sqrtPrice.Eq(stepStart) {
 			// Only a step that moved the price recomputes the tick: one
 			// that spent its input on fee alone keeps the tick a crossing
-			// just set.
-			tick = TickAtSqrtRatio(sqrtPrice)
+			// just set. A step that did not cross stays near the tick it
+			// started from.
+			tick = tickAtSqrtRatioNear(sqrtPrice, tick)
 		}
 
-		if !found && sqrtPrice.Eq(SqrtRatioAtTick(nextTick)) {
+		if !found && sqrtPrice.Eq(nextRatio) {
 			break // ran out of initialized ticks
 		}
 	}

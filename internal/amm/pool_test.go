@@ -39,6 +39,9 @@ func TestNewPoolValidation(t *testing.T) {
 	if _, err := NewPool("A", "B", 3000, 0, u256.Q96); err == nil {
 		t.Error("zero tick spacing should be rejected")
 	}
+	if _, err := NewPool("A", "B", feeDenominator, 60, u256.Q96); err == nil {
+		t.Error("a fee of 100% should be rejected")
+	}
 	p, err := NewPool("A", "B", 3000, 60, u256.Q96)
 	if err != nil || p.Tick != 0 {
 		t.Errorf("pool at price 1 should sit at tick 0, got %d err %v", p.Tick, err)

@@ -207,6 +207,8 @@ func TestSwapMathZeroAlloc(t *testing.T) {
 	d := u256.Sub(u256.Shl(u256.One, 96), u256.FromUint64(11))
 	cur, target := u256.Q96, SqrtRatioAtTick(-600) // warms the tick cache
 	liq := u256.FromUint64(10_000_000_000)
+	delta := u256.Sub(cur, target)
+	near := u256.Add(SqrtRatioAtTick(-601), u256.One)
 	cases := []struct {
 		name string
 		fn   func()
@@ -226,6 +228,11 @@ func TestSwapMathZeroAlloc(t *testing.T) {
 			ComputeSwapStep(cur, target, liq, u256.FromUint64(1_000), 3000, false)
 		}},
 		{"TickAtSqrtRatio", func() { TickAtSqrtRatio(target) }},
+		{"MulDiv/divQ96", func() { u256.MulDiv(liq, delta, u256.Q96) }},
+		{"MulDivRoundingUp/divQ96", func() { u256.MulDivRoundingUp(liq, delta, u256.Q96) }},
+		{"MulDiv/mulQ96divL", func() { u256.MulDiv(u256.FromUint64(1_000), u256.Q96, liq) }},
+		{"MulDiv/mulQ128divL", func() { u256.MulDiv(u256.FromUint64(3), u256.Q128, liq) }},
+		{"tickAtSqrtRatioNear", func() { tickAtSqrtRatioNear(near, -600) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

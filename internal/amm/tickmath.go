@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"ammboost/internal/u256"
 )
@@ -31,9 +32,20 @@ var (
 	MaxSqrtRatio = SqrtRatioAtTick(MaxTick)
 )
 
+// tickRatio is one memoized SqrtRatioAtTick result.
+type tickRatio struct {
+	tick  int32
+	ratio u256.Int
+}
+
 // tickRatioCache memoizes SqrtRatioAtTick: experiments touch a small set of
-// ticks millions of times.
-var tickRatioCache sync.Map // int32 -> u256.Int
+// ticks millions of times. tickRatioSlots is a direct-mapped front for it,
+// since a swap step looks ratios up several times: a hit is one atomic
+// load, where a sync.Map load hashes an interface.
+var (
+	tickRatioCache sync.Map // int32 -> *tickRatio
+	tickRatioSlots [1024]atomic.Pointer[tickRatio]
+)
 
 // SqrtRatioAtTick returns floor(sqrt(1.0001^tick) * 2^96) as a Q64.96 value.
 //
@@ -45,12 +57,19 @@ func SqrtRatioAtTick(tick int32) u256.Int {
 	if tick < MinTick || tick > MaxTick {
 		panic("amm: tick out of range")
 	}
-	if v, ok := tickRatioCache.Load(tick); ok {
-		return v.(u256.Int)
+	slot := &tickRatioSlots[uint32(tick)%uint32(len(tickRatioSlots))]
+	if e := slot.Load(); e != nil && e.tick == tick {
+		return e.ratio
 	}
-	v := computeSqrtRatio(tick)
-	tickRatioCache.Store(tick, v)
-	return v
+	var e *tickRatio
+	if v, ok := tickRatioCache.Load(tick); ok {
+		e = v.(*tickRatio)
+	} else {
+		e = &tickRatio{tick, computeSqrtRatio(tick)}
+		tickRatioCache.Store(tick, e)
+	}
+	slot.Store(e)
+	return e.ratio
 }
 
 const tickFloatPrec = 300
@@ -98,7 +117,9 @@ func computeSqrtRatio(tick int32) u256.Int {
 // A float estimate from the price's top 64 bits picks the starting tick;
 // stepping against the exact ratios then lands on the answer. The ratios are
 // strictly increasing, so the result is exact whatever the estimate: the
-// float only decides how many steps (about two) it takes.
+// float only decides how many steps (about two) it takes. A swap step,
+// whose price moved from a known tick, uses tickAtSqrtRatioNear instead and
+// runs the estimate only when that tick's neighbourhood misses.
 func TickAtSqrtRatio(sqrtPriceX96 u256.Int) int32 {
 	if sqrtPriceX96.Lt(MinSqrtRatio) || !sqrtPriceX96.Lt(MaxSqrtRatio) {
 		panic("amm: sqrt price out of range")
@@ -111,6 +132,26 @@ func TickAtSqrtRatio(sqrtPriceX96 u256.Int) int32 {
 		t++
 	}
 	return t
+}
+
+// tickAtSqrtRatioNear is TickAtSqrtRatio for a price that moved from tick
+// hint: it first tries hint and the neighbour on the price's side of it,
+// whose cached ratios bracket the price exactly when it stayed within one
+// tick of hint, and runs the float estimate only when they miss. The
+// bracket test is exact, so the answer is the same unique tick.
+func tickAtSqrtRatioNear(sqrtPriceX96 u256.Int, hint int32) int32 {
+	if hint > MinTick && hint < MaxTick-1 {
+		if SqrtRatioAtTick(hint).Gt(sqrtPriceX96) {
+			if !SqrtRatioAtTick(hint - 1).Gt(sqrtPriceX96) {
+				return hint - 1
+			}
+		} else if SqrtRatioAtTick(hint + 1).Gt(sqrtPriceX96) {
+			return hint
+		} else if SqrtRatioAtTick(hint + 2).Gt(sqrtPriceX96) {
+			return hint + 1
+		}
+	}
+	return TickAtSqrtRatio(sqrtPriceX96)
 }
 
 // log2TickBase is log2(1.0001): the price doubles every 1/log2TickBase

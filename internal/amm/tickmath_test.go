@@ -135,6 +135,33 @@ func TestTickAtSqrtRatioMatchesBisection(t *testing.T) {
 	}
 }
 
+// TestTickAtSqrtRatioNearMatchesBisection checks the swap's hinted lookup
+// against bisection: prices on, just below and just above a tick's ratio,
+// each with hints at, beside and far from the answer. A price exactly on
+// SqrtRatioAtTick(t) with hint t-1 is where a downward crossing leaves a
+// pool: the answer is still t.
+func TestTickAtSqrtRatioNearMatchesBisection(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	ticks := []int32{MinTick, MinTick + 1, MinTick + 2, -1, 0, 1, MaxTick - 2, MaxTick - 1}
+	for i := 0; i < 100; i++ {
+		ticks = append(ticks, int32(r.Intn(int(MaxTick-MinTick)))+MinTick)
+	}
+	for _, tick := range ticks {
+		ratio := SqrtRatioAtTick(tick)
+		for _, p := range []u256.Int{u256.Sub(ratio, u256.One), ratio, u256.Add(ratio, u256.One)} {
+			if p.Lt(MinSqrtRatio) || !p.Lt(MaxSqrtRatio) {
+				continue
+			}
+			want := bisectTick(p)
+			for _, hint := range []int32{want, want - 1, want + 1, want - 2, want + 2, tick - 1, want - 5000, want + 5000, MinTick, MaxTick} {
+				if got := tickAtSqrtRatioNear(p, hint); got != want {
+					t.Fatalf("tickAtSqrtRatioNear(%s, hint %d) = %d, bisection %d", p, hint, got, want)
+				}
+			}
+		}
+	}
+}
+
 func assertPanics(t *testing.T, fn func()) {
 	t.Helper()
 	defer func() {
@@ -159,12 +186,23 @@ func BenchmarkSqrtRatioAtTickCached(b *testing.B) {
 	}
 }
 
+// BenchmarkTickAtSqrtRatio times the float-estimate lookup and the swap's
+// hinted one, for a price inside the hint's tick.
 func BenchmarkTickAtSqrtRatio(b *testing.B) {
 	p := u256.Add(SqrtRatioAtTick(-23_028), u256.FromUint64(12_345))
-	TickAtSqrtRatio(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = TickAtSqrtRatio(p)
-	}
+	b.Run("estimate", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			tickSink = TickAtSqrtRatio(p)
+		}
+	})
+	b.Run("hinted", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			tickSink = tickAtSqrtRatioNear(p, -23_028)
+		}
+	})
 }
+
+// tickSink keeps benchmarked ticks live.
+var tickSink int32

@@ -18,11 +18,7 @@ func randInt(r *rand.Rand) Int {
 	case 2:
 		return Shl(One, uint(r.Intn(256)))
 	default:
-		var x Int
-		for i := range x.limbs {
-			x.limbs[i] = r.Uint64()
-		}
-		return x
+		return Int{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
 	}
 }
 
@@ -221,7 +217,7 @@ func TestDivRoundingUp(t *testing.T) {
 
 // limbs encodes little-endian limbs as the 32-byte big-endian fuzz input.
 func limbs(l0, l1, l2, l3 uint64) []byte {
-	b := Int{limbs: [4]uint64{l0, l1, l2, l3}}.Bytes32()
+	b := Int{l0, l1, l2, l3}.Bytes32()
 	return b[:]
 }
 
@@ -238,7 +234,8 @@ func fuzzInt(b []byte) Int {
 
 // FuzzMulDiv checks every division against big.Int, value and overflow
 // flag: MulDiv and MulDivRoundingUp on x*y/d, and Div, Mod and
-// DivRoundingUp on x/d. The seeds cover each branch of Algorithm D.
+// DivRoundingUp on x/d. The seeds cover each kernel quoRem picks (shift,
+// one limb, two limbs, Algorithm D) and each branch within them.
 func FuzzMulDiv(f *testing.F) {
 	ones := ^uint64(0)
 	seeds := [][3][]byte{
@@ -265,6 +262,18 @@ func FuzzMulDiv(f *testing.F) {
 		{limbs(ones, ones, ones, ones), limbs(ones, ones, ones, ones), limbs(1, 0, 0, 0)},
 		// Division by zero.
 		{limbs(1, 2, 3, 4), limbs(5, 6, 7, 8), limbs(0, 0, 0, 0)},
+		// ÷2^96 and ÷2^128 are shifts: bits shifted out, and none.
+		{limbs(123, 456, 0, 0), limbs(789, 0, 0, 0), limbs(0, 1<<32, 0, 0)},
+		{limbs(0, 3<<32, 0, 0), limbs(5, 0, 0, 0), limbs(0, 1<<32, 0, 0)},
+		{limbs(1, 2, 3, 0), limbs(7, 0, 0, 0), limbs(0, 0, 1, 0)},
+		{limbs(0, 0, 9, 0), limbs(ones, ones, 0, 0), limbs(0, 0, 1, 0)},
+		// One-limb operands whose quotient needs a second limb.
+		{limbs(ones, 0, 0, 0), limbs(ones-1, 0, 0, 0), limbs(3, 0, 0, 0)},
+		// Two-limb divisors: the remainder's top limb equals the divisor's,
+		// so q̂ starts at 2^64-1; and a q̂ two too large, corrected twice.
+		{limbs(7, 5, 1<<63, 0), limbs(1, 0, 0, 0), limbs(1<<63, 1<<63, 0, 0)},
+		{limbs(0x87b851cb8fafd2b0, 0x77da9cacd47e38a3, 0x63196869b8b5df4b, 0), limbs(1, 0, 0, 0),
+			limbs(0xffffffffffe5abd7, 0x82f006dab9825288, 0, 0)},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1], s[2])
@@ -344,8 +353,8 @@ func TestBitLen(t *testing.T) {
 
 func TestQuickAddSubInverse(t *testing.T) {
 	f := func(a, b, c, d uint64, e, g uint64) bool {
-		x := Int{limbs: [4]uint64{a, b, c, d}}
-		y := Int{limbs: [4]uint64{e, g, 0, 0}}
+		x := Int{a, b, c, d}
+		y := Int{e, g, 0, 0}
 		return Sub(Add(x, y), y) == x
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -355,8 +364,8 @@ func TestQuickAddSubInverse(t *testing.T) {
 
 func TestQuickMulCommutative(t *testing.T) {
 	f := func(a, b, c, d, e, g, h, k uint64) bool {
-		x := Int{limbs: [4]uint64{a, b, c, d}}
-		y := Int{limbs: [4]uint64{e, g, h, k}}
+		x := Int{a, b, c, d}
+		y := Int{e, g, h, k}
 		return Mul(x, y) == Mul(y, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -366,8 +375,8 @@ func TestQuickMulCommutative(t *testing.T) {
 
 func TestQuickDivModIdentity(t *testing.T) {
 	f := func(a, b, c, d, e, g uint64) bool {
-		x := Int{limbs: [4]uint64{a, b, c, d}}
-		y := Int{limbs: [4]uint64{e, g, 0, 0}}
+		x := Int{a, b, c, d}
+		y := Int{e, g, 0, 0}
 		if y.IsZero() {
 			return true
 		}
@@ -415,14 +424,39 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkMulDiv times the division shapes a swap step produces, with the
+// genesis pool's liquidity (1e13, one limb) and a sqrt price near 2^96.
 func BenchmarkMulDiv(b *testing.B) {
-	x := Sub(Shl(One, 180), One)
-	y := Sub(Shl(One, 150), FromUint64(7))
-	d := Sub(Shl(One, 96), FromUint64(11))
-	for i := 0; i < b.N; i++ {
-		_, _ = MulDiv(x, y, d)
+	liq := FromUint64(10_000_000_000_000)
+	delta := Div(Q96, FromUint64(333)) // a 0.3% price move
+	sqrtB := Add(Q96, delta)
+	cases := []struct {
+		name       string
+		x, y, d    Int
+		roundingUp bool
+	}{
+		{"fee", FromUint64(1_000_000), FromUint64(997_000), FromUint64(1_000_000), false},
+		{"divQ96", liq, delta, Q96, false},
+		{"mulQ96divL", FromUint64(1_000_000), Q96, liq, false},
+		{"amount0Delta", Shl(liq, 96), delta, sqrtB, true},
+		{"mulQ128divL", FromUint64(3_000), Q128, liq, false},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if c.roundingUp {
+					sink, _ = MulDivRoundingUp(c.x, c.y, c.d)
+				} else {
+					sink, _ = MulDiv(c.x, c.y, c.d)
+				}
+			}
+		})
 	}
 }
+
+// sink keeps benchmarked results live.
+var sink Int
 
 // FuzzBytes32 checks the 32-byte big-endian codec against big.Int for
 // byte-chosen values: FromBytes32 is SetBytes, and Bytes32 is FillBytes
