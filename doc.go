@@ -12,9 +12,9 @@
 // the paper's experiments and the tradingday, rollupcompare and failover
 // examples — runs one pool against the paper's TokenBank, which embeds
 // the MultiBank and adds the ERC20 custody and on-chain deposit flow. A
-// storeless node of either kind recovers a skipped or reorged Sync by
-// mass-sync: the lost epoch's signed parts are held and go out just
-// before the next epoch's.
+// storeless node of either kind recovers a skipped Sync by mass-sync:
+// the lost epoch's signed parts are held and go out just before the next
+// epoch's.
 //
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer

@@ -33,9 +33,9 @@ const (
 // FaultPlan schedules the interruptions the paper's recovery mechanisms
 // handle, plus the unrecoverable faults the typed-error path surfaces.
 // Node support: SilentLeaderRounds and CorruptSyncEpochs work on every
-// node; SkipSyncEpochs and ReorgSyncEpochs (the mass-sync recovery chain)
-// work on every node without a store — a node with a store rejects them
-// with a typed error rather than silently ignoring them.
+// node; SkipSyncEpochs (the mass-sync recovery chain) works on every
+// node without a store — a node with a store rejects it with a typed
+// error rather than silently ignoring it.
 type FaultPlan struct {
 	// SilentLeaderRounds marks (epoch, round) pairs whose leader stays
 	// silent: the committee times out, changes view, and the next leader
@@ -46,9 +46,6 @@ type FaultPlan struct {
 	// is held and goes out just before the next epoch's (a mass-sync). A
 	// skip at or after the final planned epoch syncs normally.
 	SkipSyncEpochs map[uint64]bool
-	// ReorgSyncEpochs marks epochs whose Sync lands in a mainchain block
-	// that is rolled back; recovery is the same mass-sync path.
-	ReorgSyncEpochs map[uint64]bool
 	// CorruptSyncEpochs marks epochs whose committee signs a corrupted
 	// digest: the bank's TSQC verification fails, the Sync reverts
 	// on-chain, and Run surfaces ErrSyncReverted (there is no recovery
@@ -126,8 +123,8 @@ type Config struct {
 	// next-epoch execution. At every depth the next epoch starts on the
 	// round grid, never waiting for the summary agreement. The computed
 	// state (summary roots, payload digests) is identical at every depth;
-	// only timing changes. An epoch whose Sync is skipped or reorged
-	// leaves the window when it seals.
+	// only timing changes. An epoch whose Sync is skipped leaves the
+	// window when it seals.
 	PipelineDepth int
 
 	// Users registers the deployment's known user set up front. A node
@@ -160,12 +157,13 @@ type Config struct {
 
 	// Ingest front end: the thread-safe admission layer
 	// in front of the epoch lifecycle. IngestCapacity bounds the mempool
-	// (default 1M transactions); a producer finding it full blocks up to
-	// IngestMaxWait wall-clock (default 10 ms) for a drain, then gets a
-	// typed ErrMempoolFull with a retry hint. IngestSoftMark, when set
-	// below capacity, sheds whole batches arriving above it with
-	// ErrThrottled — load shedding before the hard wall (default:
-	// disabled).
+	// (default ingest.DefaultCapacity); a producer finding it full blocks
+	// up to IngestMaxWait wall-clock (default ingest.DefaultMaxWait; < 0
+	// never blocks) for a drain, then gets a typed ErrMempoolFull with a
+	// retry hint. IngestSoftMark, when set below capacity, sheds whole
+	// batches arriving above it with ErrThrottled — load shedding before
+	// the hard wall (default: disabled). WithDefaults leaves all three
+	// as given; ingest.New fills them.
 	IngestCapacity int
 	IngestSoftMark int
 	IngestMaxWait  time.Duration
@@ -247,15 +245,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StoreFsyncEvery < 1 {
 		c.StoreFsyncEvery = 1
-	}
-	if c.IngestCapacity == 0 {
-		c.IngestCapacity = 1 << 20
-	}
-	if c.IngestSoftMark <= 0 || c.IngestSoftMark > c.IngestCapacity {
-		c.IngestSoftMark = c.IngestCapacity // soft-mark shedding off
-	}
-	if c.IngestMaxWait == 0 {
-		c.IngestMaxWait = 10 * time.Millisecond
 	}
 	if c.ConsensusFidelity == "" {
 		c.ConsensusFidelity = FidelityModel

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/gasmodel"
 	"ammboost/internal/store"
+	"ammboost/internal/summary"
+	"ammboost/internal/u256"
 )
 
 // readMemStore pulls the raw store file out of an in-memory filesystem.
@@ -500,26 +505,75 @@ func TestCompactCrashSweep(t *testing.T) {
 // so its size does not grow with the epochs behind it. The three
 // histories are all 2 mod 64, so each leaves the same 2-epoch tail past
 // its last compaction and only the checkpoint could differ; lengths
-// with different tails differ by their tails, not by history.
+// with different tails differ by their tails, not by history. Without
+// compaction the image is the whole history, every epoch replayed at
+// open, and the longest one still resumes where it stopped.
 func TestRestartCostFlatInHistory(t *testing.T) {
 	const compactEvery = 64
 	hists := []int{130, 1026, 2050}
 	sizes := make([]int, len(hists))
 	for i, hist := range hists {
-		data := openBenchStore(t, hist, compactEvery)
-		sizes[i] = len(data)
-		node, err := OpenFS(plantStore(t, data), "", openBenchCfg(compactEvery))
-		if err != nil {
-			t.Fatalf("hist=%d: open: %v", hist, err)
-		}
-		if got := node.(*MultiSystem).Epoch(); got != uint64(hist) {
-			t.Errorf("hist=%d: reopened at epoch %d", hist, got)
-		}
-		node.Close()
+		sizes[i] = len(reopenHistory(t, hist, compactEvery))
 	}
 	t.Logf("compacted image sizes %v B for histories %v", sizes, hists)
 	lo, hi := slices.Min(sizes), slices.Max(sizes)
 	if float64(hi-lo) > 0.01*float64(lo) {
 		t.Errorf("image sizes spread %d B, more than 1%% of %d B", hi-lo, lo)
 	}
+	reopenHistory(t, slices.Max(hists), 0)
+}
+
+// reopenHistory runs a hist-epoch history on a deliberately tiny
+// deployment, so the per-epoch record count is all that grows: 2 pools,
+// 1 shard, 1 round, a 4-member committee, one swap an epoch and an
+// 8-epoch retention window (a long-running node always bounds its
+// tables). It reopens a node on the image the run left, checks that the
+// node resumes at epoch hist and returns the image.
+func reopenHistory(t *testing.T, hist, compactEvery int) []byte {
+	t.Helper()
+	cfg := chain.Config{
+		Seed:          42,
+		NumPools:      2,
+		NumShards:     1,
+		EpochRounds:   1,
+		RoundDuration: time.Second,
+		CommitteeSize: 4,
+		PipelineDepth: 1,
+		RetainEpochs:  8,
+		CompactEvery:  compactEvery,
+		Users:         []string{"ob-0", "ob-1"},
+	}
+	fsys := &store.MemFS{}
+	node, err := OpenFS(fsys, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := node.(*MultiSystem)
+	pools := sys.PoolIDs()
+	sys.OnEpochStart = func(epoch uint64) {
+		sys.Submit(context.Background(), &summary.Tx{
+			ID: fmt.Sprintf("ob-e%d", epoch), Kind: gasmodel.KindSwap,
+			User: "ob-0", PoolID: pools[int(epoch)%len(pools)],
+			ZeroForOne: epoch%2 == 0, ExactIn: true,
+			Amount: u256.FromUint64(1000),
+		})
+	}
+	if _, err := node.Run(hist); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := readMemStore(t, fsys)
+	reopened := &store.MemFS{}
+	writeMemStore(t, reopened, data)
+	node, err = OpenFS(reopened, "", cfg)
+	if err != nil {
+		t.Fatalf("hist=%d, compact every %d: open: %v", hist, compactEvery, err)
+	}
+	defer node.Close()
+	if got := node.(*MultiSystem).Epoch(); got != uint64(hist) {
+		t.Errorf("hist=%d, compact every %d: reopened at epoch %d", hist, compactEvery, got)
+	}
+	return data
 }

@@ -138,25 +138,6 @@ func TestMassSyncAfterConsecutiveSkips(t *testing.T) {
 	}
 }
 
-func TestReorgRecoveryViaMassSync(t *testing.T) {
-	cfg := smallConfig(5)
-	cfg.Faults.ReorgSyncEpochs = map[uint64]bool{1: true}
-	sys, _, err := NewDriver(cfg, smallDriver(500_000, 3, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, runErr := sys.Run(3)
-	if runErr != nil {
-		t.Fatalf("run: %v", runErr)
-	}
-	if rep.MassSyncs != 1 {
-		t.Errorf("mass syncs = %d", rep.MassSyncs)
-	}
-	if err := sys.Validate(); err != nil {
-		t.Errorf("invariants after rollback recovery: %v", err)
-	}
-}
-
 func TestSilentLeaderDelaysRound(t *testing.T) {
 	base := smallConfig(6)
 	sysA, _, err := NewDriver(base, smallDriver(500_000, 2, 6))
@@ -330,10 +311,10 @@ func acceptedReceipts(s *MultiSystem) *[]*chain.Receipt {
 
 // TestMassSyncMatrix runs the paper's recovery at every pipeline depth,
 // on the paper's one-pool node (NewDriver) and on an 8-pool MultiBank
-// node (NewMultiSystem): a skipped or reorged epoch's signed parts are
-// held at retirement and go out just before the next epoch's, and the
-// run ends fully synced with every accepted receipt pruned. A skip in
-// the final planned epoch syncs normally. A corrupted Sync after a held
+// node (NewMultiSystem): a skipped epoch's signed parts are held at
+// retirement and go out just before the next epoch's, and the run ends
+// fully synced with every accepted receipt pruned. A skip in the final
+// planned epoch syncs normally. A corrupted Sync after a held
 // one still halts the node, once the held epoch landed.
 func TestMassSyncMatrix(t *testing.T) {
 	skip := func(es ...uint64) map[uint64]bool {
@@ -350,8 +331,9 @@ func TestMassSyncMatrix(t *testing.T) {
 	}{
 		{"skip-2", chain.FaultPlan{SkipSyncEpochs: skip(2)}, 1},
 		{"skip-2-3", chain.FaultPlan{SkipSyncEpochs: skip(2, 3)}, 1},
-		{"reorg-4", chain.FaultPlan{ReorgSyncEpochs: skip(4)}, 1},
+		{"skip-4", chain.FaultPlan{SkipSyncEpochs: skip(4)}, 1},
 		{"skip-last-planned", chain.FaultPlan{SkipSyncEpochs: skip(5)}, 0},
+		{"skip-1", chain.FaultPlan{SkipSyncEpochs: skip(1)}, 1},
 	}
 	const epochs = 5
 	nodes := []struct {

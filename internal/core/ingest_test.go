@@ -21,7 +21,11 @@ import (
 // outcomes — a receipt, ErrMempoolFull, or ErrClosed — never a drop, a
 // panic, or an untyped error; every ErrMempoolFull carries a retry hint
 // and the occupancy snapshot; and the node's report reconciles exactly
-// with the client-side counts.
+// with the client-side counts. Below the wall, with the round
+// boundaries' drains, admission allocates only what the caller gets
+// back: a Submit its receipt, a SubmitBatch its result, the result's
+// receipt and error slices, the receipts' one slab and the entries and
+// indices it admits.
 func TestIngestSaturationTypedRejections(t *testing.T) {
 	cfg, _ := multiTestConfigs(7, 8, 4, 0)
 	cfg.IngestCapacity = 256
@@ -111,6 +115,43 @@ func TestIngestSaturationTypedRejections(t *testing.T) {
 	if rep.IngestThrottled != 0 || rep.IngestCanceled != 0 {
 		t.Errorf("unexpected throttle/cancel counts: %d/%d", rep.IngestThrottled, rep.IngestCanceled)
 	}
+
+	t.Run("allocs-below-the-wall", func(t *testing.T) {
+		cfg, _ := multiTestConfigs(7, 8, 2, 0)
+		gen := workload.NewMulti(wcfg)
+		sys, err := NewMultiSystem(cfg, gen.Users())
+		if err != nil {
+			t.Fatalf("NewMultiSystem: %v", err)
+		}
+		defer sys.Close()
+		txs := make([]*summary.Tx, 4096)
+		for i := range txs {
+			txs[i] = gen.Next()
+		}
+		ctx, next := context.Background(), 0
+		admit := func(n int) {
+			if sys.ingest.Len() >= len(txs) { // a round boundary's drain
+				sys.ingest.Drain()
+			}
+			if next+n > len(txs) {
+				next = 0
+			}
+			if n == 1 {
+				if _, err := sys.Submit(ctx, txs[next]); err != nil {
+					t.Fatal(err)
+				}
+			} else if res, err := sys.SubmitBatch(ctx, txs[next:next+n]); err != nil || res.Accepted != n {
+				t.Fatalf("batch: %v, %d of %d accepted", err, res.Accepted, n)
+			}
+			next += n
+		}
+		if got := testing.AllocsPerRun(10_000, func() { admit(1) }); got != 1 {
+			t.Errorf("Submit allocates %.2f times, want 1 (its receipt)", got)
+		}
+		if got := testing.AllocsPerRun(200, func() { admit(64) }); got != 6 {
+			t.Errorf("a 64-transaction SubmitBatch allocates %.2f times, want 6", got)
+		}
+	})
 }
 
 // TestIngestSoftMarkShedsBatches pins the soft-mark policy: a batch

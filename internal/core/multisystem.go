@@ -789,7 +789,7 @@ func (s *MultiSystem) runRound(e, r uint64) {
 // epochs (at depth 1, this one at once), and the next epoch starts on the
 // round grid — one boundary rule for every depth.
 //
-// An epoch whose sync the fault plan skips or reorgs signs its parts like
+// An epoch whose sync the fault plan skips signs its parts like
 // any other; retirement holds them, and they go out just before the next
 // epoch's (a mass-sync). A skip at or after the final planned epoch syncs
 // normally: no later epoch is certain to carry it.
@@ -806,7 +806,7 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	if sealed == nil {
 		return
 	}
-	skip := (s.cfg.Faults.SkipSyncEpochs[e] || s.cfg.Faults.ReorgSyncEpochs[e]) && int(e) < s.epochsPlanned
+	skip := s.cfg.Faults.SkipSyncEpochs[e] && int(e) < s.epochsPlanned
 	job := &commitJob{
 		epoch:     e,
 		sealed:    sealed,

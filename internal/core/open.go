@@ -56,10 +56,10 @@ func OpenFederatedFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config
 
 func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.Chain, error) {
 	cfg = cfg.WithDefaults()
-	if len(cfg.Faults.SkipSyncEpochs) > 0 || len(cfg.Faults.ReorgSyncEpochs) > 0 {
+	if len(cfg.Faults.SkipSyncEpochs) > 0 {
 		// A held Sync lives in memory until the next epoch's goes out; the
 		// store does not record it, so a reopened node could not send it.
-		return nil, fmt.Errorf("%w: SkipSyncEpochs/ReorgSyncEpochs (mass-sync recovery) on a node with a store",
+		return nil, fmt.Errorf("%w: SkipSyncEpochs (mass-sync recovery) on a node with a store",
 			ErrUnsupportedFault)
 	}
 	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))

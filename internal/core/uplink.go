@@ -46,7 +46,7 @@ type syncUplink struct {
 	net *netsim.Network
 	// prev are the previous sync's part IDs, the next parts' DependsOn.
 	prev []string
-	// held are the signed parts of skipped or reorged epochs, in epoch
+	// held are the signed parts of skipped epochs, in epoch
 	// order, waiting for the next submit.
 	held []heldSync
 }
@@ -119,7 +119,7 @@ func partTxs(parts []*mainchain.MultiSyncArgs) []*mainchain.Tx {
 }
 
 // hold keeps epoch e's signed parts off the mainchain (its Sync was
-// skipped or reorged) until the next submit sends them first.
+// skipped) until the next submit sends them first.
 func (u *syncUplink) hold(e uint64, txs []*mainchain.Tx) {
 	u.held = append(u.held, heldSync{epoch: e, txs: txs})
 }

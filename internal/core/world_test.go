@@ -45,9 +45,9 @@ const (
 	worldSmallGasLimit = 3_500_000
 )
 
-// worldMassSyncStream seeds the stream the skipped or reorged Sync is
-// drawn from, and worldMassSyncSeeds is how many of worldSeeds' worlds
-// must recover one by mass-sync.
+// worldMassSyncStream seeds the stream the skipped Sync is drawn from,
+// and worldMassSyncSeeds is how many of worldSeeds' worlds must recover
+// one by mass-sync.
 const (
 	worldMassSyncStream = 0x3a55_5c
 	worldMassSyncSeeds  = 4
@@ -62,7 +62,7 @@ const (
 // replaying its arrival log, and of a node killed at a generated epoch
 // boundary and reopened. Across the full seed list, at least
 // worldMultiPartSeeds worlds sync an epoch in more than one part, and at
-// least worldMassSyncSeeds recover a skipped or reorged Sync.
+// least worldMassSyncSeeds recover a skipped Sync.
 func TestWorld(t *testing.T) {
 	var ran, multiPart, massSync atomic.Int32
 	t.Cleanup(func() {
@@ -168,17 +168,12 @@ func World(seed int64) world {
 		w.cfg.Mainchain = mainchain.DefaultConfig()
 		w.cfg.Mainchain.GasLimit = worldSmallGasLimit
 	}
-	// A storeless world may lose one Sync before its final planned epoch
-	// to a skip or a reorg, drawn from a stream of its own; the node holds
-	// the epoch's signed parts and sends them before the next epoch's (a
-	// node with a store refuses both faults).
+	// A storeless world may skip one Sync before its final planned epoch,
+	// drawn from a stream of its own; the node holds the epoch's signed
+	// parts and sends them before the next epoch's (a node with a store
+	// refuses the fault).
 	if ms := rand.New(rand.NewSource(seed ^ worldMassSyncStream)); !w.store && ms.Intn(2) == 0 {
-		lost := map[uint64]bool{1 + uint64(ms.Intn(w.epochs-1)): true}
-		if ms.Intn(2) == 0 {
-			w.cfg.Faults.SkipSyncEpochs = lost
-		} else {
-			w.cfg.Faults.ReorgSyncEpochs = lost
-		}
+		w.cfg.Faults.SkipSyncEpochs = map[uint64]bool{1 + uint64(ms.Intn(w.epochs-1)): true}
 	}
 	if w.killable() {
 		w.kills = []uint64{1 + uint64(rng.Intn(w.epochs-1))}
@@ -471,7 +466,7 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 		if err := ms.Validate(); err != nil {
 			t.Errorf("Validate: %v", err)
 		}
-		lost := len(cfg.Faults.SkipSyncEpochs) + len(cfg.Faults.ReorgSyncEpochs)
+		lost := len(cfg.Faults.SkipSyncEpochs)
 		if out.rep.MassSyncs != lost || ms.LastSyncedEpoch() != uint64(out.rep.EpochsRun) {
 			t.Errorf("%d mass-syncs for %d lost Syncs, bank synced to %d of %d epochs",
 				out.rep.MassSyncs, lost, ms.LastSyncedEpoch(), out.rep.EpochsRun)
@@ -788,12 +783,25 @@ func TestMultiSystemMetaBlockRoots(t *testing.T) {
 }
 
 // TestPipelineDepthEquivalence: pipelines 2 and 3 deep produce what the
-// depth-1 twin does; only timing may differ between depths.
+// depth-1 twin does; only timing may differ between depths. One more
+// world is wide: 256 pools and a 180-member committee, fault-free, where
+// every epoch's Sync lands at depth 2 and on the depth-1 twin.
 func TestPipelineDepthEquivalence(t *testing.T) {
 	pinned(t, []int64{1, 42, 1337}, pinEach("depth", []int{2, 3}, func(w *world, d int) {
 		w.midsize(16)
 		w.cfg.PipelineDepth = d
 	}), nil)
+	pinned(t, []int64{42}, []pin{{"depth=2,pools=256,committee=180", func(w *world) {
+		w.calm()
+		w.midsize(256)
+		w.perEpoch, w.cfg.CommitteeSize, w.cfg.PipelineDepth = 400, 180, 2
+	}}}, func(t *testing.T, _ world, r worldRuns) {
+		for _, run := range []worldRun{r.main, r.twin} {
+			if run.rep.SyncsOK != run.rep.EpochsRun {
+				t.Errorf("%d of %d epochs synced", run.rep.SyncsOK, run.rep.EpochsRun)
+			}
+		}
+	})
 }
 
 // TestPipelineDepthEquivalenceTimedArrivals is the depth pin for traffic
@@ -875,16 +883,22 @@ func TestTraceOnOffDeterminism(t *testing.T) {
 // TestConcurrentIngestReplayDeterminism: four producers racing the drain
 // boundaries and a single producer replaying their arrival log give the
 // same fingerprint, receipt stage times and arrival log, boundary for
-// boundary, at pipeline depths 1 and 2.
+// boundary, at pipeline depths 1 and 2; so do eight producers at depth
+// 2. Every batch is admitted whole (produce fails on any rejection).
 func TestConcurrentIngestReplayDeterminism(t *testing.T) {
-	pinned(t, []int64{1, 42, 1337}, pinEach("depth", []int{1, 2}, func(w *world, d int) {
-		w.midsize(8)
-		w.traffic, w.producers, w.perEpoch, w.cfg.PipelineDepth = producerTraffic, 4, 250, d
-	}), func(t *testing.T, _ world, r worldRuns) {
+	admitted := func(t *testing.T, _ world, r worldRuns) {
 		if r.main.log.Total() == 0 {
 			t.Fatal("the producers admitted nothing")
 		}
-	})
+	}
+	pinned(t, []int64{1, 42, 1337}, pinEach("depth", []int{1, 2}, func(w *world, d int) {
+		w.midsize(8)
+		w.traffic, w.producers, w.perEpoch, w.cfg.PipelineDepth = producerTraffic, 4, 250, d
+	}), admitted)
+	pinned(t, []int64{42}, []pin{{"depth=2,producers=8", func(w *world) {
+		w.midsize(8)
+		w.traffic, w.producers, w.perEpoch, w.cfg.PipelineDepth = producerTraffic, 8, 500, 2
+	}}}, admitted)
 }
 
 // TestLiveModelEquivalence: with no faults, committee rounds through

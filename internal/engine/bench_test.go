@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"ammboost/internal/amm"
-	"ammboost/internal/gasmodel"
-	"ammboost/internal/summary"
-	"ammboost/internal/trace"
 	"ammboost/internal/u256"
 )
 
@@ -77,72 +74,5 @@ func BenchmarkFoldRoots(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = FoldRoots(roots)
 		}
-	})
-}
-
-// epochCloseBench drives full epoch cycles on a 256-pool engine where
-// ~10% of pools see traffic, the Zipf-skewed regime the incremental
-// subsystem targets. Setup seeds every pool with positions and tick
-// state; each iteration is one epoch: BeginEpoch (snapshot), one round
-// of swaps on the active pools, SealEpoch + Finalize (summaries + roots +
-// fold).
-func epochCloseBench(b *testing.B, cfg Config) {
-	const (
-		activePools = 25 // <=10% of pools see traffic per epoch
-		seedPos     = 24
-		swapsPerEp  = 100
-	)
-	eng, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := eng.PoolIDs()
-	for pi, id := range ids {
-		p := eng.Pool(id)
-		for j := 0; j < seedPos; j++ {
-			lower := -60 * int32((pi+j*7)%40+1)
-			upper := 60 * int32((pi+j*5)%40+1)
-			if _, err := p.Mint(fmt.Sprintf("seed-%04d-%02d", pi, j), "lp", lower, upper, u256.FromUint64(2_000_000)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// Prime the commitment caches (cold-start build outside the loop).
-	eng.StateRoots()
-
-	active := ids[:activePools]
-	dep := u256.FromUint64(1 << 40)
-	deps := UniformDeposits(active, []string{"trader"}, dep, dep)
-	batch := make([]*summary.Tx, swapsPerEp)
-	for k := range batch {
-		batch[k] = &summary.Tx{
-			ID: fmt.Sprintf("swap-%03d", k), Kind: gasmodel.KindSwap, User: "trader",
-			PoolID: active[k%activePools], ZeroForOne: k%2 == 0, ExactIn: true,
-			Amount: u256.FromUint64(10_000),
-		}
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for epoch := uint64(1); epoch <= uint64(b.N); epoch++ {
-		if err := eng.BeginEpoch(epoch, deps); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.ExecuteRound(batch, 1); err != nil {
-			b.Fatal(err)
-		}
-		closeEpoch(b, eng, nil)
-	}
-}
-
-// BenchmarkEpochClose measures full epoch cycles on a 256-pool
-// deployment with ~10% pool activity. The "traced" variant attaches the
-// lifecycle tracer.
-func BenchmarkEpochClose(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) {
-		epochCloseBench(b, Config{NumPools: 256, NumShards: 8})
-	})
-	b.Run("traced", func(b *testing.B) {
-		epochCloseBench(b, Config{NumPools: 256, NumShards: 8, Tracer: trace.New(8)})
 	})
 }

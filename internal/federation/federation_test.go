@@ -228,7 +228,8 @@ func assertSameRun(t *testing.T, label string, a, b fingerprint) {
 // federation configuration — across seeds, member counts, a
 // halt-mid-transfer fault cell and a member on live consensus with a
 // byzantine leader — produce bit-identical per-chain summary roots,
-// transfer receipts, and mainchain block/tx history.
+// transfer receipts, and mainchain block/tx history. Only a member whose
+// fault plan corrupts a Sync ends its run with an error.
 func TestFederationDeterminism(t *testing.T) {
 	cells := []struct {
 		name string
@@ -321,6 +322,9 @@ func TestFederationDeterminism(t *testing.T) {
 			for _, n := range cfg.Nodes {
 				if len(n.Chain.Faults.ByzantineReplicas) > 0 && first.ViewChanges[n.Chain.ChainID] == 0 {
 					t.Errorf("member %s: its byzantine replicas cost no view change", n.Chain.ChainID)
+				}
+				if err := first.Errs[n.Chain.ChainID]; (err != "") != (len(n.Chain.Faults.CorruptSyncEpochs) > 0) {
+					t.Errorf("member %s: run error %q with planned corrupt Syncs %v", n.Chain.ChainID, err, n.Chain.Faults.CorruptSyncEpochs)
 				}
 			}
 		})
