@@ -19,10 +19,11 @@
 // Submission is a concurrent serving path: Submit(ctx, tx) and
 // SubmitBatch(ctx, txs) are safe from any number of producer
 // goroutines while the lifecycle runs. Admitted transactions land in a
-// bounded segmented mempool drained at round boundaries in a canonical
-// global order (an N-producer run replays bit-identically from its
-// arrival log — DESIGN.md invariant 13); a saturated node pushes back
-// with typed, programmable errors instead of blocking forever.
+// bounded mempool, one locked buffer in admission order, drained at
+// round boundaries in that canonical global order (an N-producer run
+// replays bit-identically from its arrival log — DESIGN.md invariant
+// 13); a saturated node pushes back with typed, programmable errors
+// instead of blocking forever.
 // Backpressure quickstart:
 //
 //	res, err := node.SubmitBatch(ctx, batch) // partial-accept

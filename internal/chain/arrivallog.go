@@ -8,8 +8,8 @@ import (
 
 // ArrivalLog records the canonical transaction order the ingest front
 // end established at every drain boundary: boundary k holds the
-// transactions the node's k-th round merged out of the concurrent
-// mempool segments, in their global admission-sequence order, plus the
+// transactions the node's k-th round drained out of the concurrent
+// mempool, in their global admission-sequence order, plus the
 // drain's virtual time. The log is what makes a concurrent run
 // replayable — scheduling boundary k's transactions back into a fresh
 // single-producer node at the recorded virtual time (before the round's

@@ -343,10 +343,10 @@ func TestCloseIfEmptyRace(t *testing.T) {
 }
 
 // TestCloseIfEmptyNeverReportsLivePoolClosed: a pool that is never empty
-// never closes, so no producer may ever be told it did — CloseIfEmpty's
-// undecided window (gate raised, occupancy not yet checked) must not be
-// observable as chain.ErrClosed. One resident entry keeps the pool
-// occupied; the consumer loops CloseIfEmpty while producers hammer Admit.
+// never closes, so no producer may ever be told it did — a CloseIfEmpty
+// that decides against closing must not be observable as chain.ErrClosed.
+// One resident entry keeps the pool occupied; the consumer loops
+// CloseIfEmpty while producers hammer Admit.
 func TestCloseIfEmptyNeverReportsLivePoolClosed(t *testing.T) {
 	const producers, batches, batchLen = 4, 2000, 4
 	p := New(Policy{}) // default capacity: far above what is admitted here
@@ -407,8 +407,8 @@ func TestCloseIfEmptyNeverReportsLivePoolClosed(t *testing.T) {
 }
 
 // TestCloseIfEmptyNeverReopensClosedPool: a Close from another goroutine
-// that lands inside CloseIfEmpty's undecided window must stick — the
-// "not empty, reopen" verdict may not overwrite it.
+// racing CloseIfEmpty on an occupied pool must stick — the "not empty"
+// verdict may not reopen it.
 func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		p := New(Policy{})
@@ -435,10 +435,10 @@ func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
 }
 
 // TestCloseIfEmptyWaitsForParkedProducer: a producer parked at the
-// capacity wall holds no reservation, and the drain that empties the pool
+// capacity wall has nothing buffered, and the drain that empties the pool
 // is what wakes it — the pool must not close between that wake-up and the
-// producer's reservation, or the rest of a batch offered before the
-// decision to stop is refused.
+// producer's append, or the rest of a batch offered before the decision
+// to stop is refused.
 func TestCloseIfEmptyWaitsForParkedProducer(t *testing.T) {
 	for iter := 0; iter < 1000; iter++ {
 		p := New(Policy{Capacity: 1, MaxWait: time.Minute})
@@ -549,9 +549,10 @@ func TestConcurrentBatchSaturation(t *testing.T) {
 
 // TestDrainCutIsTicketPrefix pins that every drain takes a prefix of the
 // admission tickets, so a producer's transactions reach the lifecycle in
-// the order it submitted them whatever the drain timing: a producer that
-// appends behind the drain's segment sweep and then ahead of it must not
-// have its later entry drained first (a burn before the mint it burns).
+// the order it submitted them whatever the drain timing: a producer's
+// later entry must never be drained before its earlier one (a burn
+// before the mint it burns), however its admissions and the drains
+// interleave.
 func TestDrainCutIsTicketPrefix(t *testing.T) {
 	p := New(Policy{})
 	const producers, each = 2, 20_000
@@ -597,5 +598,34 @@ func TestDrainCutIsTicketPrefix(t *testing.T) {
 				return
 			}
 		}
+	}
+}
+
+// TestSteadyStateAllocs pins the pool's steady-state garbage: once the
+// two drain buffers have grown, sixteen 64-entry batches and the drain
+// that takes them allocate exactly once — the replacement wake channel.
+// A drain that handed out a fresh slice would read 2 here; core's
+// per-Submit pin averages over whole batches and cannot see it.
+func TestSteadyStateAllocs(t *testing.T) {
+	p := New(Policy{})
+	batch := make([]Entry, 64)
+	for i := range batch {
+		batch[i] = mkEntry(fmt.Sprintf("tx-%d", i))
+	}
+	ctx := context.Background()
+	round := func() {
+		for range 16 {
+			if n, _, err := p.Admit(ctx, batch); n != len(batch) || err != nil {
+				t.Fatalf("admit: n=%d err=%v", n, err)
+			}
+		}
+		if got := len(p.Drain()); got != 16*len(batch) {
+			t.Fatalf("drained %d, want %d", got, 16*len(batch))
+		}
+	}
+	round() // grow both buffers before measuring
+	round()
+	if got := testing.AllocsPerRun(50, round); got != 1 {
+		t.Fatalf("allocs per round = %v, want 1 (the wake channel)", got)
 	}
 }
