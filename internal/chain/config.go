@@ -144,7 +144,8 @@ type Config struct {
 	// mainchain-confirmed epochs: records up to the confirmation cursor
 	// fold into a single checkpoint and the log rewrites atomically, so
 	// Open on a long history restores from the checkpoint instead of
-	// replaying every epoch. 0 never compacts (the log grows without
+	// replaying every epoch. The compaction runs beside the lifecycle,
+	// which joins it before its next store write. 0 never compacts (the log grows without
 	// bound, but every historical record survives). Like shard count and
 	// pipeline depth, the setting changes storage layout only — state is
 	// bit-identical either way — so it is absent from the deployment

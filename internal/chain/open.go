@@ -139,8 +139,10 @@ func (f Fingerprint) Diff(other Fingerprint) error {
 // automatic cadence).
 type Compactor interface {
 	// CompactStore compacts the durable log up to the newest
-	// mainchain-confirmed epoch. Safe at rest (after Run returns); a
-	// running node compacts itself on its own confirmation path instead.
+	// mainchain-confirmed epoch and returns once the log is rewritten.
+	// Safe at rest (after Run returns); a running node with
+	// Config.CompactEvery set starts its own compactions when syncs
+	// confirm, on a goroutine of their own.
 	CompactStore() error
 	// ExportSnapshot returns the store's complete current image — what a
 	// fresh node Bootstraps from. Compact first for the smallest image.

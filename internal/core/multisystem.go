@@ -101,6 +101,9 @@ type MultiSystem struct {
 	// persist at retirement — snapshot record then sync-part record —
 	// before their sync parts reach the mainchain.
 	st *store.Writer
+	// compacting is the store compaction running on its own goroutine
+	// (nil when none is); every later use of st joins it first.
+	compacting *compaction
 	// recovered describes what Open restored; nil for fresh nodes.
 	recovered *chain.RecoveryInfo
 	// rootsCompacted tracks the highest epoch whose bookkeeping the
@@ -306,6 +309,11 @@ func (s *MultiSystem) Positions() []summary.PositionEntry {
 // must recover as halted), publishes the halt event, and stops mainchain
 // block production so the simulator drains.
 func (s *MultiSystem) fail(err error) {
+	// The halt record is a write like any other: the compaction in
+	// flight finishes first, and if it failed, it failed first.
+	if cerr := s.awaitCompaction(); cerr != nil && s.err == nil {
+		err = cerr
+	}
 	if s.err == nil {
 		s.err = err
 		s.halt()
@@ -407,8 +415,12 @@ func (s *MultiSystem) Close() error {
 	if s.st == nil {
 		return nil
 	}
+	cerr := s.awaitCompaction()
 	err := s.st.Close()
 	s.st = nil
+	if cerr != nil {
+		return cerr
+	}
 	return err
 }
 
@@ -978,8 +990,10 @@ func (s *MultiSystem) retireOldest() bool {
 // finishIfPruned reports the node finished once the run is over and its
 // final epoch has pruned (keyed on that epoch's prune, not on an empty
 // receipt table: an epoch without transactions never had an entry).
+// It joins the last compaction first, so Run returns only after every
+// compaction it started has finished.
 func (s *MultiSystem) finishIfPruned() {
-	if s.done && s.lastPruned == s.epoch {
+	if s.done && s.lastPruned == s.epoch && s.joinCompaction() {
 		s.finished(false)
 	}
 }
@@ -1027,7 +1041,7 @@ func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 // write failure halts the node: continuing without durability would
 // break the recovery contract silently.
 func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
-	if s.st == nil {
+	if s.st == nil || !s.joinCompaction() {
 		return
 	}
 	epochRecs := s.recsByEpoch[e]
@@ -1060,7 +1074,7 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
 // epochSynced is the uplink's callback once the last part of epoch
 // ev.Epoch's sync confirms. Receipts advance before the event publishes
 // (the documented visibility contract); then the epoch prunes and
-// compacts.
+// starts compacting.
 func (s *MultiSystem) epochSynced(ev chain.Event) {
 	e := ev.Epoch
 	s.SyncsOK++
@@ -1075,12 +1089,13 @@ func (s *MultiSystem) epochSynced(ev chain.Event) {
 	s.compactEpoch(e)
 	s.lastPruned = e
 	// Store compaction rides the confirmation cadence: everything up to an
-	// epoch final on the mainchain can fold into a checkpoint.
+	// epoch final on the mainchain can fold into a checkpoint. It runs on
+	// a goroutine of its own; the prune does not wait for it.
 	if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
-		if err := s.compactStore(e); err != nil {
-			s.fail(fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, e, err))
+		if !s.joinCompaction() {
 			return
 		}
+		s.compactStore(e)
 	}
 	spPrune.End()
 	s.bus.Publish(chain.Event{Type: chain.EventPruned, At: s.sim.Now(), Epoch: e})
@@ -1117,31 +1132,79 @@ func (s *MultiSystem) compactEpoch(e uint64) {
 	}
 }
 
-// compactStore folds the durable log up to cursor (a mainchain-confirmed
-// epoch) into a store checkpoint. The horizon mirrors the in-memory
+// compaction is one store compaction running on its own goroutine: err
+// is set before done closes.
+type compaction struct {
+	cursor uint64
+	done   chan struct{}
+	err    error
+}
+
+// compactStore starts folding the durable log up to cursor (a
+// mainchain-confirmed epoch) into a store checkpoint, on a goroutine of
+// its own; the bank state is encoded here, before the lifecycle moves
+// on. No compaction may be in flight. The horizon mirrors the in-memory
 // root-table retention: RetainEpochs 0 keeps every root in the
 // checkpoint for post-run comparison.
-func (s *MultiSystem) compactStore(cursor uint64) error {
+func (s *MultiSystem) compactStore(cursor uint64) {
 	var horizon uint64
 	if r := s.cfg.RetainEpochs; r > 0 && cursor > uint64(r) {
 		horizon = cursor - uint64(r)
 	}
-	return s.st.Compact(cursor, horizon, s.mb.EncodeState())
+	bank := s.mb.EncodeState()
+	c := &compaction{cursor: cursor, done: make(chan struct{})}
+	s.compacting = c
+	go func(st *store.Writer) {
+		c.err = st.Compact(cursor, horizon, bank)
+		close(c.done)
+	}(s.st)
+}
+
+// awaitCompaction waits for the compaction in flight, if any, and
+// returns its error as a store-write fault naming its cursor. Every use
+// of the writer after compactStore goes through here first, so the
+// store sees the same write sequence as a synchronous compaction.
+func (s *MultiSystem) awaitCompaction() error {
+	c := s.compacting
+	if c == nil {
+		return nil
+	}
+	<-c.done
+	s.compacting = nil
+	if c.err != nil {
+		return fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, c.cursor, c.err)
+	}
+	return nil
+}
+
+// joinCompaction is awaitCompaction on the lifecycle goroutine: a failed
+// compaction halts the node. It reports whether the compaction, if any,
+// succeeded.
+func (s *MultiSystem) joinCompaction() bool {
+	if err := s.awaitCompaction(); err != nil {
+		s.fail(err)
+		return false
+	}
+	return true
 }
 
 // CompactStore folds the durable log up to the newest mainchain-confirmed
-// epoch — the chain.Compactor interface. Safe at rest (after Run
-// returns); a running node with Config.CompactEvery set compacts itself
-// on its own confirmation path.
+// epoch — the chain.Compactor interface — and returns once the log is
+// rewritten. Safe at rest (after Run returns); a running node with
+// Config.CompactEvery set starts its own compactions from epochSynced.
 func (s *MultiSystem) CompactStore() error {
 	if s.st == nil {
 		return fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
+	}
+	if err := s.awaitCompaction(); err != nil {
+		return err
 	}
 	cursor := s.LastSyncedEpoch()
 	if cursor == 0 {
 		return nil // nothing confirmed yet
 	}
-	return s.compactStore(cursor)
+	s.compactStore(cursor)
+	return s.awaitCompaction()
 }
 
 // ExportSnapshot returns the store's complete current image — what a
@@ -1149,6 +1212,9 @@ func (s *MultiSystem) CompactStore() error {
 func (s *MultiSystem) ExportSnapshot() ([]byte, error) {
 	if s.st == nil {
 		return nil, fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
+	}
+	if err := s.awaitCompaction(); err != nil {
+		return nil, err
 	}
 	return s.st.Snapshot()
 }
@@ -1181,6 +1247,9 @@ func (s *MultiSystem) Kill() {
 	}
 	s.pipe.close()
 	if s.st != nil {
+		// A compaction the lifecycle started lands before the kill; its
+		// error dies with the node, which persists nothing more.
+		_ = s.awaitCompaction()
 		s.st.Abort()
 		s.st = nil
 	}

@@ -10,6 +10,7 @@ import (
 	"ammboost/internal/amm"
 	"ammboost/internal/binenc"
 	"ammboost/internal/chain"
+	"ammboost/internal/trace"
 )
 
 // Checkpoint is the compacted prefix of a store's history: everything
@@ -67,6 +68,10 @@ type Checkpoint struct {
 // file; any earlier failure leaves it appending to the old log as if
 // Compact was never called. A stray temp file from a crashed compaction
 // is harmless — Open ignores it and the next Compact truncates it.
+//
+// Compact is the writer's one call that costs O(checkpoint), so a caller
+// may run it off its own path; the one-caller-at-a-time contract on
+// Writer still holds, and the caller sees its error when it joins.
 func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	if w.err != nil {
 		return w.err
@@ -88,7 +93,10 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 		return fmt.Errorf("store: compact cursor %d is not a persisted boundary (have %d)",
 			cursor, w.fold.epoch())
 	}
+	sp := w.tr.Start(trace.StageStoreCompact, cursor)
+	defer sp.End()
 	checkpoint, next := w.fold.next(at, horizon, bank)
+	sp.Bytes = len(checkpoint)
 	var tail [][]byte
 	for i := range next.tail {
 		tail = next.tail[i].appendFrames(tail)

@@ -143,8 +143,12 @@ func (r *Recovery) Epoch() uint64 {
 	return r.Epochs[len(r.Epochs)-1].Epoch
 }
 
-// Writer appends epoch records to the store. Not safe for concurrent
-// use; the epoch lifecycle retires epochs one at a time.
+// Writer appends epoch records to the store. It serves one caller at a
+// time: no method may start before the previous one has returned. The
+// caller may hand a call to another goroutine — core runs Compact on one
+// of its own — but must join it before its next call, so the writer
+// never sees two calls at once and writes the same bytes in the same
+// order as a caller that never left its own goroutine.
 type Writer struct {
 	f          File
 	bw         *bufio.Writer
@@ -161,7 +165,8 @@ type Writer struct {
 	fold fold
 
 	// Lifecycle tracing (nil = disabled): AppendEpoch records a
-	// store-append span and each actual fsync a store-fsync span.
+	// store-append span, Compact a store-compact span and each actual
+	// fsync a store-fsync span.
 	tr    *trace.Tracer
 	epoch uint64 // epoch of the append in progress, for spans
 }

@@ -31,7 +31,7 @@ func (rec *SpanRecord) tid() int {
 		return tidSeal
 	case StageCommitBuild, StageChunk, StageSign, StageEncode:
 		return tidCommit
-	case StageStoreAppend, StageStoreFsync:
+	case StageStoreAppend, StageStoreFsync, StageStoreCompact:
 		return tidStore
 	case StageSyncSubmit, StageSyncConfirm:
 		return tidSync

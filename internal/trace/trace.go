@@ -2,7 +2,8 @@
 // production-safe recorder for where an epoch's wall-clock goes —
 // submit/validate, per-shard execution, seal, the asynchronous commit
 // stage (commitment build, gas chunking, TSQC signing, blob encoding),
-// store append/fsync, mainchain sync submit/confirm, and prune.
+// store append/fsync and compaction, mainchain sync submit/confirm, and
+// prune.
 //
 // The tracer is designed to be left attached in production:
 //
@@ -18,7 +19,7 @@
 //     with tracing on or off (pinned by core's TestWorld).
 //
 // Spans are recorded from multiple goroutines (shard workers, the commit
-// stage worker, the simulator goroutine); the tracer is internally
+// stage worker, the store's compaction, the simulator goroutine); the tracer is internally
 // synchronized. Export is Chrome trace-event JSON (WriteChrome), loadable
 // in Perfetto or chrome://tracing with one track per lifecycle stage
 // group and one per execute shard.
@@ -72,6 +73,10 @@ const (
 	// StageStall is pipeline backpressure: wall-clock the run loop spent
 	// blocked waiting for the commit stage to retire an epoch.
 	StageStall
+	// StageStoreCompact is one store compaction: fold, temp-file write,
+	// fsync and rename (Bytes carries the checkpoint). It runs on a
+	// goroutine of its own, overlapping later epochs.
+	StageStoreCompact
 
 	numStages
 )
@@ -105,6 +110,8 @@ func (s Stage) String() string {
 		return "prune"
 	case StageStall:
 		return "pipeline-stall"
+	case StageStoreCompact:
+		return "store-compact"
 	}
 	return "unknown"
 }
