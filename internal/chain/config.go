@@ -145,11 +145,12 @@ type Config struct {
 	// fold into a single checkpoint and the log rewrites atomically, so
 	// Open on a long history restores from the checkpoint instead of
 	// replaying every epoch. The compaction runs beside the lifecycle,
-	// which joins it before its next store write. 0 never compacts (the log grows without
-	// bound, but every historical record survives). Like shard count and
-	// pipeline depth, the setting changes storage layout only — state is
-	// bit-identical either way — so it is absent from the deployment
-	// fingerprint and may differ across restarts of the same store.
+	// which joins it before its next store write. 0 never compacts (the
+	// log grows without bound, but every historical record survives).
+	// Like shard count and pipeline depth, the setting changes storage
+	// layout only — state is bit-identical either way — so it is absent
+	// from the deployment fingerprint and may differ across restarts of
+	// the same store.
 	CompactEvery int
 	// StoreFsyncEvery batches the durable store's fsyncs to every n-th
 	// epoch retirement (default 1 = every epoch). Larger values trade

@@ -19,10 +19,10 @@
 //     with tracing on or off (pinned by core's TestWorld).
 //
 // Spans are recorded from multiple goroutines (shard workers, the commit
-// stage worker, the store's compaction, the simulator goroutine); the tracer is internally
-// synchronized. Export is Chrome trace-event JSON (WriteChrome), loadable
-// in Perfetto or chrome://tracing with one track per lifecycle stage
-// group and one per execute shard.
+// stage worker, the store's compaction, the simulator goroutine); the
+// tracer is internally synchronized. Export is Chrome trace-event JSON
+// (WriteChrome), loadable in Perfetto or chrome://tracing with one track
+// per lifecycle stage group and one per execute shard.
 package trace
 
 import (
