@@ -116,9 +116,9 @@
 //
 // The example binaries and the experiments harness are built on that
 // surface, type-asserting to core.MultiSystem only for its traffic hook
-// and recovery state; see DESIGN.md for the system inventory (including the chain
-// layer, the sharded multi-pool engine, its incremental state-commitment
-// subsystem, the pipelined lifecycle, the durable store, and the
+// and recovery state; see DESIGN.md for the system inventory (including
+// the chain layer, the sharded multi-pool engine and its per-pool state
+// roots, the pipelined lifecycle, the durable store, and the
 // observability surface) and EXPERIMENTS.md for the paper-vs-measured
 // results and the serving-path benchmark (bench/, BENCHMARK.json)
 // measurements.

@@ -97,8 +97,8 @@ func part2MassSync() {
 		CommitteeSize: 14, // f = 4
 		Faults: chain.FaultPlan{
 			SkipSyncEpochs: map[uint64]bool{2: true, 4: true},
-			SilentLeaderRounds: map[[2]uint64]bool{
-				{3, 5}: true,
+			ViewChangeStormRounds: map[[2]uint64]int{
+				{3, 5}: 1, // one silent leader
 			},
 		},
 	}

@@ -19,8 +19,7 @@ const poolCodecVersion = 1
 // written in their canonical sorted order, so two pools with identical
 // state always encode to identical bytes — the property the durable store
 // relies on when it pins recovered state roots against uninterrupted
-// runs. Dirty-tracking is not encoded: a snapshot is taken at an epoch
-// boundary, where the canonical pool is clean by construction.
+// runs.
 func AppendPool(buf []byte, p *Pool) []byte {
 	buf = append(buf, poolCodecVersion)
 	buf = binenc.AppendString(buf, p.Token0)
@@ -64,8 +63,8 @@ func AppendPool(buf []byte, p *Pool) []byte {
 
 // DecodePool decodes a pool snapshot produced by AppendPool, returning
 // the pool, the number of bytes consumed, and any framing error. The
-// decoded pool is clean (no dirty tracking) and fully indexed: sorted
-// tick and position lists are rebuilt from the canonical encoding order.
+// decoded pool is fully indexed: sorted tick and position lists are
+// rebuilt from the canonical encoding order.
 // Every tick, the fee and the price must lie in the ranges NewPool and
 // Mint enforce, so a swap on the decoded pool cannot panic on them or
 // price its input with a wrapped fee.

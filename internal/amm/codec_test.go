@@ -41,7 +41,6 @@ func buildCodecPool(t testing.TB, seed int64) *Pool {
 			}
 		}
 	}
-	p.TakeDirty() // epoch boundary: snapshots are taken clean
 	return p
 }
 
@@ -89,8 +88,6 @@ func TestPoolCodecBehavioralEquivalence(t *testing.T) {
 			t.Fatalf("swap %d diverged: %+v/%v vs %+v/%v", i, rp, errP, rq, errQ)
 		}
 	}
-	p.TakeDirty()
-	q.TakeDirty()
 	if !reflect.DeepEqual(p, q) {
 		t.Fatal("states diverged after identical trades")
 	}
@@ -123,7 +120,6 @@ func outOfRangePools(t testing.TB) []namedBytes {
 		if _, err := p.Mint("lp-pos", "lp", -600, 600, u256.FromUint64(1_000_000_000)); err != nil {
 			t.Fatal(err)
 		}
-		p.TakeDirty()
 		mutate(p)
 		return AppendPool(nil, p)
 	}
@@ -186,9 +182,6 @@ func FuzzDecodePool(f *testing.F) {
 		}
 		if used < 0 || used > len(buf) {
 			t.Fatalf("consumed %d of %d bytes", used, len(buf))
-		}
-		if d := p.TakeDirty(); d.Dirty() {
-			t.Fatalf("decoded pool carries dirt: %+v", d)
 		}
 		if enc := AppendPool(nil, p); string(enc) != string(buf[:used]) {
 			t.Fatalf("re-encoding differs from the %d bytes consumed", used)

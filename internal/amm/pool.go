@@ -86,18 +86,6 @@ type Pool struct {
 	// Reserves actually held by the pool (principal + accrued fees).
 	Reserve0 u256.Int
 	Reserve1 u256.Int
-
-	// Dirty tracking for incremental state commitments. Every mutation
-	// records what it touched: the header flag covers pool-level fields
-	// (price, tick, liquidity, fee growth, reserves), the tick/position
-	// sets cover per-entry accounting, and the structural flag records
-	// changes to set membership (tick flips, position create/delete),
-	// which shift commitment leaf indices and force a chunk-layout
-	// rebuild instead of a path update.
-	dirtyHeader    bool
-	structDirty    bool
-	dirtyTicks     map[int32]struct{}
-	dirtyPositions map[string]struct{}
 }
 
 // NewPool creates a pool for (token0, token1) at the given initial sqrt
@@ -163,14 +151,10 @@ func NewGenesisPool(posID string, liquidity u256.Int) (*Pool, MintResult, error)
 // copies it (ownTicks, ownPositions), so neither side's later writes
 // reach the other. Clone therefore writes p, and a *TickInfo or
 // *Position read from either pool is valid only until that pool's next
-// write. The copy starts with no dirty tracking: the canonical pool it
-// is taken from is clean after every seal, and a pool's first commitment
-// after genesis or a restore is a cold rebuild that reads no dirt.
+// write.
 func (p *Pool) Clone() *Pool {
 	p.sharedTicks, p.sharedPositions = true, true
 	c := *p
-	c.dirtyHeader, c.structDirty = false, false
-	c.dirtyTicks, c.dirtyPositions = nil, nil
 	return &c
 }
 
@@ -211,60 +195,6 @@ func (p *Pool) writePosition(id string) *Position {
 	return p.positions[id]
 }
 
-// --- dirty tracking ---
-
-func (p *Pool) markHeader() { p.dirtyHeader = true }
-
-func (p *Pool) markTick(tick int32) {
-	if p.dirtyTicks == nil {
-		p.dirtyTicks = make(map[int32]struct{}, 8)
-	}
-	p.dirtyTicks[tick] = struct{}{}
-}
-
-func (p *Pool) markPosition(id string) {
-	if p.dirtyPositions == nil {
-		p.dirtyPositions = make(map[string]struct{}, 8)
-	}
-	p.dirtyPositions[id] = struct{}{}
-}
-
-// DirtyState is a pool's dirty tracking detached from the pool itself, so
-// a commitment can be computed on another goroutine while the pool's own
-// tracking starts accumulating the next epoch's changes. The maps are
-// owned by the holder; the pool they came from no longer references them.
-type DirtyState struct {
-	Header     bool
-	Structural bool
-	Ticks      map[int32]struct{}
-	Positions  map[string]struct{}
-}
-
-// Dirty reports whether the snapshot records any change.
-func (d *DirtyState) Dirty() bool {
-	return d.Header || d.Structural || len(d.Ticks) > 0 || len(d.Positions) > 0
-}
-
-// TakeDirty detaches the pool's current dirty tracking and resets it, the
-// hand-off point of the pipelined epoch lifecycle: the sealed epoch's
-// commitment job keeps the snapshot while the pool (now the canonical
-// epoch-start state) tracks the next epoch's changes from a clean slate.
-// The dirty sets are moved, not cleared, so the caller may read them
-// concurrently with later Clone calls on the pool.
-func (p *Pool) TakeDirty() DirtyState {
-	d := DirtyState{
-		Header:     p.dirtyHeader,
-		Structural: p.structDirty,
-		Ticks:      p.dirtyTicks,
-		Positions:  p.dirtyPositions,
-	}
-	p.dirtyHeader = false
-	p.structDirty = false
-	p.dirtyTicks = nil
-	p.dirtyPositions = nil
-	return d
-}
-
 // Position returns the position with the given ID, or nil. The pointer
 // is valid only until the pool's next write (see Clone).
 func (p *Pool) Position(id string) *Position {
@@ -296,15 +226,12 @@ func (p *Pool) Ticks() []int32 {
 
 // TickKeys returns the pool's internal sorted tick list without copying.
 // The slice must not be modified and is valid only until the next
-// mutation; commitment hot paths use it to avoid per-call allocation.
+// mutation; StateRoot uses it to avoid per-call allocation.
 func (p *Pool) TickKeys() []int32 { return p.tickList }
 
-// NumTicks returns the number of initialized ticks.
-func (p *Pool) NumTicks() int { return len(p.tickList) }
-
 // PositionKeys returns the pool's internal sorted position-ID list,
-// maintained incrementally on create/delete so commitment paths never
-// re-sort. Same read-only contract as TickKeys.
+// maintained incrementally on create/delete so StateRoot never re-sorts.
+// Same read-only contract as TickKeys.
 func (p *Pool) PositionKeys() []string { return p.posList }
 
 // insertPosition registers a position ID in the sorted index.
@@ -415,12 +342,10 @@ func (p *Pool) updateTick(tick int32, liquidityDelta u256.Int, addLiquidity, upp
 	isInit := !info.LiquidityGross.IsZero()
 	if isInit != wasInit {
 		flipped = true
-		p.structDirty = true
 		if isInit {
 			p.insertTick(tick)
 		}
 	}
-	p.markTick(tick)
 	return flipped, nil
 }
 
@@ -479,7 +404,6 @@ func (p *Pool) updatePositionFees(pos *Position) {
 	}
 	pos.FeeGrowthInside0LastX128 = fg0
 	pos.FeeGrowthInside1LastX128 = fg1
-	p.markPosition(pos.ID)
 }
 
 // MintResult reports the token amounts a mint pulled into the pool.
@@ -524,7 +448,6 @@ func (p *Pool) Mint(posID, owner string, tickLower, tickUpper int32, liquidity u
 		pos = &Position{ID: posID, Owner: owner, TickLower: tickLower, TickUpper: tickUpper}
 		p.positions[posID] = pos
 		p.insertPosition(posID)
-		p.structDirty = true
 	}
 	if _, err := p.updateTick(tickLower, liquidity, true, false); err != nil {
 		return res, err
@@ -539,7 +462,6 @@ func (p *Pool) Mint(posID, owner string, tickLower, tickUpper int32, liquidity u
 	}
 	p.Reserve0 = u256.Add(p.Reserve0, amount0)
 	p.Reserve1 = u256.Add(p.Reserve1, amount1)
-	p.markHeader()
 	res = MintResult{PositionID: posID, Liquidity: liquidity, Amount0: amount0, Amount1: amount1}
 	return res, nil
 }
@@ -605,7 +527,6 @@ func (p *Pool) Burn(posID, caller string, liquidity u256.Int) (BurnResult, error
 	pos.Liquidity = u256.Sub(pos.Liquidity, liquidity)
 	if p.Tick >= pos.TickLower && p.Tick < pos.TickUpper {
 		p.Liquidity = u256.Sub(p.Liquidity, liquidity)
-		p.markHeader()
 	}
 	pos.TokensOwed0 = u256.Add(pos.TokensOwed0, amount0)
 	pos.TokensOwed1 = u256.Add(pos.TokensOwed1, amount1)
@@ -632,14 +553,9 @@ func (p *Pool) Collect(posID, caller string, amount0Req, amount1Req u256.Int) (p
 	pos.TokensOwed1 = u256.Sub(pos.TokensOwed1, paid1)
 	p.Reserve0 = u256.Sub(p.Reserve0, paid0)
 	p.Reserve1 = u256.Sub(p.Reserve1, paid1)
-	if !paid0.IsZero() || !paid1.IsZero() {
-		p.markHeader()
-	}
 	if pos.Liquidity.IsZero() && pos.TokensOwed0.IsZero() && pos.TokensOwed1.IsZero() {
 		delete(p.positions, posID)
 		p.removePosition(posID)
-		p.structDirty = true
-		p.markPosition(posID)
 	}
 	return paid0, paid1, nil
 }
@@ -673,7 +589,7 @@ func (p *Pool) Swap(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96
 
 // SwapIf is Swap with the caller's post-conditions: accept, when non-nil,
 // sees the complete result before anything is written and may refuse it.
-// On any error the pool, dirty tracking included, is untouched.
+// On any error the pool is untouched.
 func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX96 u256.Int, accept func(SwapResult) error) (SwapResult, error) {
 	var res SwapResult
 	if amountSpecified.IsZero() {
@@ -807,9 +723,7 @@ func (p *Pool) SwapIf(zeroForOne, exactIn bool, amountSpecified, sqrtPriceLimitX
 	for _, f := range flips {
 		info := p.ticks[f.tick]
 		info.FeeGrowthOutside0X128, info.FeeGrowthOutside1X128 = f.fg0, f.fg1
-		p.markTick(f.tick)
 	}
-	p.markHeader()
 	p.SqrtPriceX96 = sqrtPrice
 	p.Tick = tick
 	p.Liquidity = liquidity

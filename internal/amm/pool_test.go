@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"ammboost/internal/u256"
@@ -441,135 +440,8 @@ func BenchmarkMintBurn(b *testing.B) {
 	}
 }
 
-// --- dirty tracking (incremental commitment hooks) ---
-
-func TestDirtyTrackingMint(t *testing.T) {
-	p := newTestPool(t)
-	if d := p.TakeDirty(); d.Dirty() {
-		t.Fatal("fresh pool should be clean")
-	}
-	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	d := p.TakeDirty()
-	if !d.Dirty() || !d.Header || !d.Structural {
-		t.Error("mint of a new position must dirty header and structure")
-	}
-	if _, ok := d.Positions["pos1"]; !ok {
-		t.Error("minted position not marked dirty")
-	}
-	for _, tick := range []int32{-600, 600} {
-		if _, ok := d.Ticks[tick]; !ok {
-			t.Errorf("tick %d not marked dirty by mint", tick)
-		}
-	}
-
-	// A second mint into the same position is a value update, not a
-	// structural change.
-	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(500)); err != nil {
-		t.Fatal(err)
-	}
-	d = p.TakeDirty()
-	if d.Structural {
-		t.Error("adding liquidity to an existing position must not be structural")
-	}
-	if !d.Dirty() {
-		t.Error("second mint should dirty the pool")
-	}
-}
-
-// TestTakeDirtyDetaches pins the pipelined hand-off contract: TakeDirty
-// moves the dirty sets out of the pool (leaving it clean and sharing no
-// maps), so a commitment job may read the snapshot while the pool — and
-// clones taken from it — accumulate the next epoch's changes.
-func TestTakeDirtyDetaches(t *testing.T) {
-	p := newTestPool(t)
-	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	d := p.TakeDirty()
-	if !d.Dirty() || !d.Header || !d.Structural {
-		t.Error("snapshot should carry the mint's header + structural dirt")
-	}
-	if _, ok := d.Positions["pos1"]; !ok {
-		t.Error("snapshot missing minted position")
-	}
-	if again := p.TakeDirty(); again.Dirty() {
-		t.Error("pool should read clean after TakeDirty")
-	}
-	// New mutations land in fresh sets, not the detached snapshot.
-	if _, err := p.Mint("pos2", "lp1", -1200, 1200, liq(500)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Positions["pos2"]; ok {
-		t.Error("post-detach mutation leaked into the snapshot")
-	}
-	next := p.TakeDirty()
-	if _, ok := next.Positions["pos2"]; !ok {
-		t.Error("post-detach mutation not tracked by the pool's new sets")
-	}
-	if _, ok := next.Positions["pos1"]; ok {
-		t.Error("pool's new sets still carry detached dirt")
-	}
-	// An idle pool's snapshot is empty and cheap.
-	if idle := p.TakeDirty(); idle.Dirty() {
-		t.Error("clean pool's TakeDirty should report no dirt")
-	}
-}
-
-func TestDirtyTrackingSwap(t *testing.T) {
-	p := newTestPool(t)
-	if _, err := p.Mint("pos1", "lp1", -887220, 887220, liq(10_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	p.TakeDirty()
-	if _, err := p.Swap(true, true, u256.FromUint64(10_000), u256.Zero); err != nil {
-		t.Fatal(err)
-	}
-	d := p.TakeDirty()
-	if !d.Header {
-		t.Error("swap must dirty the header")
-	}
-	if d.Structural {
-		t.Error("swap without tick flips must not be structural")
-	}
-	if len(d.Positions) != 0 {
-		t.Error("swap must not dirty positions directly")
-	}
-}
-
-func TestDirtyTrackingCollectDelete(t *testing.T) {
-	p := newTestPool(t)
-	if _, err := p.Mint("base", "lp0", -887220, 887220, liq(10_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	p.TakeDirty()
-	if _, err := p.Burn("pos1", "lp1", liq(1_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Collect("pos1", "lp1", u256.Max, u256.Max); err != nil {
-		t.Fatal(err)
-	}
-	if p.Position("pos1") != nil {
-		t.Fatal("position should be deleted after full burn+collect")
-	}
-	d := p.TakeDirty()
-	if !d.Structural {
-		t.Error("position deletion must be structural")
-	}
-	if _, ok := d.Positions["pos1"]; !ok {
-		t.Error("deleted position must be in the dirty set")
-	}
-	for _, id := range p.PositionKeys() {
-		if id == "pos1" {
-			t.Error("deleted position still in sorted index")
-		}
-	}
-}
-
+// TestPositionKeysSorted: the sorted position index follows mints, and a
+// position a full burn and collect deletes leaves it.
 func TestPositionKeysSorted(t *testing.T) {
 	p := newTestPool(t)
 	for _, id := range []string{"zz", "aa", "mm", "bb"} {
@@ -586,31 +458,17 @@ func TestPositionKeysSorted(t *testing.T) {
 			t.Fatalf("PositionKeys not sorted: %v", keys)
 		}
 	}
-}
-
-// TestCloneStartsClean: a clone copies the pool's state but none of its
-// dirty tracking, and neither side's tracking sees the other's changes.
-func TestCloneStartsClean(t *testing.T) {
-	p := newTestPool(t)
-	if _, err := p.Mint("pos1", "lp1", -600, 600, liq(1_000_000)); err != nil {
+	if _, err := p.Burn("mm", "lp", liq(100_000)); err != nil {
 		t.Fatal(err)
 	}
-	c := p.Clone()
-	if d := c.TakeDirty(); d.Dirty() {
-		t.Error("clone must start clean")
-	}
-	if _, err := c.Swap(true, true, u256.FromUint64(10_000), u256.Zero); err != nil {
+	if _, _, err := p.Collect("mm", "lp", u256.Max, u256.Max); err != nil {
 		t.Fatal(err)
 	}
-	d := p.TakeDirty()
-	if !d.Structural {
-		t.Error("cloning or taking the clone's dirt cleared the original")
+	if p.Position("mm") != nil {
+		t.Fatal("position should be deleted after full burn+collect")
 	}
-	if _, ok := d.Positions["pos1"]; !ok {
-		t.Error("original lost its dirty position")
-	}
-	if d := c.TakeDirty(); !d.Header || d.Structural || len(d.Positions) != 0 {
-		t.Errorf("clone's dirt = %+v, want the swap's header only", d)
+	if keys := p.PositionKeys(); !slices.Equal(keys, []string{"aa", "bb", "zz"}) {
+		t.Errorf("PositionKeys after deleting mm = %v, want [aa bb zz]", keys)
 	}
 }
 
@@ -678,34 +536,10 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// withDirt is Clone plus a copy of p's dirty tracking, which Clone leaves
-// behind, so samePool can also check that a swap left the dirt alone.
-func withDirt(p *Pool) *Pool {
-	c := p.Clone()
-	c.dirtyHeader, c.structDirty = p.dirtyHeader, p.structDirty
-	c.dirtyTicks, c.dirtyPositions = maps.Clone(p.dirtyTicks), maps.Clone(p.dirtyPositions)
-	return c
-}
-
-// samePool reports deep equality of two pools, dirty tracking included;
-// an empty set and a nil one are the same set.
-func samePool(a, b *Pool) bool {
-	x, y := *a, *b
-	for _, p := range []*Pool{&x, &y} {
-		if len(p.dirtyTicks) == 0 {
-			p.dirtyTicks = nil
-		}
-		if len(p.dirtyPositions) == 0 {
-			p.dirtyPositions = nil
-		}
-	}
-	return reflect.DeepEqual(&x, &y)
-}
-
 // TestSwapCommitsOrDoesNothing pins SwapIf against the unconditional Swap
 // on random pools: an accepted swap is that Swap, byte for byte; a
-// rejected or failed one leaves the pool — ticks, header, dirty sets —
-// exactly as it was.
+// rejected or failed one leaves the pool's encoding — ticks, header,
+// positions — exactly as it was.
 func TestSwapCommitsOrDoesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	errRejected := errors.New("rejected")
@@ -724,12 +558,9 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 			}
 		}
 		for s := 0; s < 8; s++ {
-			if r.Intn(4) == 0 {
-				p.TakeDirty()
-			}
 			zeroForOne, exactIn, reject := r.Intn(2) == 0, r.Intn(2) == 0, r.Intn(2) == 0
 			amount := u256.Shl(u256.One, uint(r.Intn(63)))
-			before, ref := withDirt(p), withDirt(p)
+			before, ref := AppendPool(nil, p), p.Clone()
 			want, wantErr := ref.Swap(zeroForOne, exactIn, amount, u256.Zero)
 			var seen SwapResult
 			got, err := p.SwapIf(zeroForOne, exactIn, amount, u256.Zero, func(res SwapResult) error {
@@ -744,19 +575,19 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 				if want.TicksCrossed > 0 {
 					failedAfterCross++
 				}
-				if err != wantErr || !samePool(p, before) {
+				if err != wantErr || !bytes.Equal(AppendPool(nil, p), before) {
 					t.Fatalf("pool %d swap %d: failed swap (%v, want %v) changed the pool", n, s, err, wantErr)
 				}
 			case reject:
 				if want.TicksCrossed > 0 {
 					rejectedAfterCross++
 				}
-				if err != errRejected || seen != want || !samePool(p, before) {
+				if err != errRejected || seen != want || !bytes.Equal(AppendPool(nil, p), before) {
 					t.Fatalf("pool %d swap %d: rejected swap (%v) changed the pool or saw %+v, want %+v", n, s, err, seen, want)
 				}
 			default:
 				accepted++
-				if err != nil || got != want || !samePool(p, ref) {
+				if err != nil || got != want || !bytes.Equal(AppendPool(nil, p), AppendPool(nil, ref)) {
 					t.Fatalf("pool %d swap %d: accepted swap differs from Swap: %v, %+v, want %+v", n, s, err, got, want)
 				}
 			}
@@ -770,11 +601,11 @@ func TestSwapCommitsOrDoesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Liquidity = u256.Zero
-	before := withDirt(p)
-	if res, err := p.SwapIf(false, true, u256.Shl(u256.One, 60), u256.Zero, nil); !errors.Is(err, ErrPriceOverflow) ||
-		res.TicksCrossed == 0 || !samePool(p, before) {
+	before := AppendPool(nil, p)
+	res, err := p.SwapIf(false, true, u256.Shl(u256.One, 60), u256.Zero, nil)
+	if unchanged := bytes.Equal(AppendPool(nil, p), before); !errors.Is(err, ErrPriceOverflow) || res.TicksCrossed == 0 || !unchanged {
 		t.Fatalf("crafted swap: %v after %d crossings, pool unchanged %v; want ErrPriceOverflow after a crossing, pool unchanged",
-			err, res.TicksCrossed, samePool(p, before))
+			err, res.TicksCrossed, unchanged)
 	}
 	failedAfterCross++
 	if accepted == 0 || rejectedAfterCross == 0 || failedAfterCross == 0 {

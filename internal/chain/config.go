@@ -32,15 +32,11 @@ const (
 
 // FaultPlan schedules the interruptions the paper's recovery mechanisms
 // handle, plus the unrecoverable faults the typed-error path surfaces.
-// Node support: SilentLeaderRounds and CorruptSyncEpochs work on every
-// node; SkipSyncEpochs (the mass-sync recovery chain) works on every
-// node without a store — a node with a store rejects it with a typed
-// error rather than silently ignoring it.
+// Node support: ViewChangeStormRounds and CorruptSyncEpochs work on
+// every node; SkipSyncEpochs (the mass-sync recovery chain) works on
+// every node without a store — a node with a store rejects it with a
+// typed error rather than silently ignoring it.
 type FaultPlan struct {
-	// SilentLeaderRounds marks (epoch, round) pairs whose leader stays
-	// silent: the committee times out, changes view, and the next leader
-	// re-proposes.
-	SilentLeaderRounds map[[2]uint64]bool
 	// SkipSyncEpochs marks epochs whose committee fails to issue the
 	// Sync call (malicious leader at epoch end): the epoch's signed Sync
 	// is held and goes out just before the next epoch's (a mass-sync). A
@@ -60,15 +56,11 @@ type FaultPlan struct {
 	ByzantineReplicas map[int]pbft.Byzantine
 	// ViewChangeStormRounds marks (epoch, round) pairs that suffer k
 	// consecutive silent leaders: the committee burns through k view
-	// changes before the (k+1)-th leader proposes. Works on both
-	// fidelities (the model charges k timeout+view-change delays; live
-	// replicas genuinely stay mute k views in a row). k <= 0 is ignored.
+	// changes before the (k+1)-th leader proposes; a single silent leader
+	// is a storm of 1. Works on both fidelities (the model charges k
+	// timeout+view-change delays; live replicas genuinely stay mute k
+	// views in a row). k <= 0 is ignored.
 	ViewChangeStormRounds map[[2]uint64]int
-}
-
-// SilentLeader reports whether (epoch, round)'s leader stays silent.
-func (f FaultPlan) SilentLeader(epoch, round uint64) bool {
-	return f.SilentLeaderRounds[[2]uint64{epoch, round}]
 }
 
 // StormLength returns how many consecutive leaders stay silent at

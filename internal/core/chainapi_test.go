@@ -188,7 +188,7 @@ func TestSubmitRejectsOutOfRangeMintTicks(t *testing.T) {
 // carries StatusRejected plus the reason.
 func TestReceiptLifecycle(t *testing.T) {
 	cfg := smallConfig(22)
-	cfg.Faults.SilentLeaderRounds = map[[2]uint64]bool{{1, 1}: true}
+	cfg.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 1}: 1}
 	sys, _, err := NewDriver(cfg, smallDriver(500_000, 2, 22))
 	if err != nil {
 		t.Fatal(err)

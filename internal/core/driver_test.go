@@ -150,7 +150,7 @@ func TestSilentLeaderDelaysRound(t *testing.T) {
 	}
 
 	faulty := smallConfig(6)
-	faulty.Faults.SilentLeaderRounds = map[[2]uint64]bool{{1, 2}: true, {1, 3}: true}
+	faulty.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1, {1, 3}: 1}
 	sysB, _, err := NewDriver(faulty, smallDriver(500_000, 2, 6))
 	if err != nil {
 		t.Fatal(err)

@@ -736,16 +736,13 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		q.rc.Round = r
 	}
 
-	// A silent leader (or a view-change storm of k consecutive silent
-	// leaders) adds the detour before the promoted leader's proposal
-	// succeeds; the meta-block records that leader as proposer. Both
-	// fidelities derive the storm length the same way, so planned faults
-	// yield the same proposer on either path.
+	// A view-change storm of k consecutive silent leaders adds the
+	// detour before the promoted leader's proposal succeeds; the
+	// meta-block records that leader as proposer. Both fidelities derive
+	// the storm length the same way, so planned faults yield the same
+	// proposer on either path.
 	ck := s.committees[e]
 	storm := s.cfg.Faults.StormLength(e, r)
-	if s.cfg.Faults.SilentLeader(e, r) {
-		storm++
-	}
 	leader := ck.committee.LeaderAt(storm)
 	block := sidechain.NewMetaBlock(e, r, leader, s.ledger.TipHash(), res.Included, res.TxRoot)
 

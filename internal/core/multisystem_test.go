@@ -96,7 +96,7 @@ func TestMultiSystemFaultSupport(t *testing.T) {
 	}
 
 	faulty, faultyDrv := multiTestConfigs(17, 8, 2, 2)
-	faulty.Faults.SilentLeaderRounds = map[[2]uint64]bool{{1, 2}: true, {1, 3}: true}
+	faulty.Faults.ViewChangeStormRounds = map[[2]uint64]int{{1, 2}: 1, {1, 3}: 1}
 	sys, _, err := NewMultiDriver(faulty, faultyDrv)
 	if err != nil {
 		t.Fatal(err)

@@ -89,10 +89,11 @@ type syncPackage struct {
 }
 
 // commitPipeline is the bounded asynchronous commit/sync stage of the
-// epoch lifecycle; PipelineDepth 1 is a window of one. One stage worker consumes sealed epochs in
-// FIFO order — the incremental per-pool commitment caches require epochs
-// to finalize sequentially — and each job's Finalize fans out across the
-// engine's shard workers, so the stage is a bounded worker pool: one
+// epoch lifecycle; PipelineDepth 1 is a window of one. One stage worker
+// consumes sealed epochs in FIFO order — an idle pool answers from the
+// root its last touched epoch's Finalize cached, so epochs finalize
+// sequentially — and each job's Finalize fans out across the engine's
+// shard workers, so the stage is a bounded worker pool: one
 // coordinator plus numShards hashing workers, all overlapping the
 // simulator goroutine's execution of later epochs.
 //

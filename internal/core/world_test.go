@@ -199,11 +199,15 @@ func (w *world) faults(rng *rand.Rand) {
 		return []netsim.PartitionWindow{{At: 9 * time.Second, Heal: heal,
 			SideA: []string{"rep-0", "rep-1"}, SideB: []string{"rep-2", "rep-3", "rep-4"}}}
 	}
+	storms := make(map[[2]uint64]int)
 	if rng.Intn(3) == 0 {
-		f.SilentLeaderRounds = map[[2]uint64]bool{slot(): true}
+		storms[slot()] = 1 // a silent leader
 	}
 	if rng.Intn(3) == 0 {
-		f.ViewChangeStormRounds = map[[2]uint64]int{slot(): 1 + rng.Intn(2)}
+		storms[slot()] += 1 + rng.Intn(2) // at a silent leader's slot the lengths add
+	}
+	if len(storms) > 0 {
+		f.ViewChangeStormRounds = storms
 	}
 	if rng.Intn(3) == 0 {
 		w.cfg.SyncFaults = &netsim.FaultSchedule{Seed: rng.Int63(), DropProb: 0.3, DupProb: 0.1}

@@ -155,90 +155,6 @@ func RootFromLeafHashes(hs [][32]byte) [32]byte {
 	return hs[0]
 }
 
-// Updatable is a Merkle tree over pre-hashed leaves that supports O(log n)
-// single-leaf updates: Update rewrites one leaf hash and recomputes only
-// the path to the root instead of rebuilding every level. Reset rebuilds
-// the whole tree, reusing level storage across calls so steady-state
-// rebuilds allocate nothing. The root is bit-identical to a Tree built
-// over the same leaf hashes.
-type Updatable struct {
-	levels [][][32]byte // levels[0] = leaf hashes, last level = [root]
-}
-
-// NewUpdatable builds an updatable tree over the given leaf hashes (the
-// slice contents are copied).
-func NewUpdatable(leafHashes [][32]byte) *Updatable {
-	t := &Updatable{}
-	t.Reset(leafHashes)
-	return t
-}
-
-// Reset rebuilds the tree over a new leaf-hash set, reusing the existing
-// level storage where capacity allows. An empty set commits to the hash
-// of a single empty leaf, like New.
-func (t *Updatable) Reset(leafHashes [][32]byte) {
-	if len(leafHashes) == 0 {
-		leafHashes = [][32]byte{HashLeaf(nil)}
-	}
-	prev := t.levels
-	levels := make([][][32]byte, 0, len(prev)+2)
-	takeLevel := func(depth, n int) [][32]byte {
-		if depth < len(prev) && cap(prev[depth]) >= n {
-			return prev[depth][:n]
-		}
-		return make([][32]byte, n)
-	}
-	l0 := takeLevel(0, len(leafHashes))
-	copy(l0, leafHashes)
-	levels = append(levels, l0)
-	level := l0
-	for depth := 1; len(level) > 1; depth++ {
-		n := (len(level) + 1) / 2
-		next := takeLevel(depth, n)
-		for i := 0; i < n; i++ {
-			l := level[2*i]
-			r := l
-			if 2*i+1 < len(level) {
-				r = level[2*i+1]
-			}
-			next[i] = hashNode(l, r)
-		}
-		levels = append(levels, next)
-		level = next
-	}
-	t.levels = levels
-}
-
-// Update rewrites leaf i's hash and recomputes the root path.
-func (t *Updatable) Update(i int, leafHash [32]byte) {
-	t.levels[0][i] = leafHash
-	idx := i
-	for l := 0; l < len(t.levels)-1; l++ {
-		level := t.levels[l]
-		sib := idx ^ 1
-		if sib >= len(level) {
-			sib = idx // odd promotion pairs with itself
-		}
-		var parent [32]byte
-		switch {
-		case sib < idx:
-			parent = hashNode(level[sib], level[idx])
-		case sib > idx:
-			parent = hashNode(level[idx], level[sib])
-		default:
-			parent = hashNode(level[idx], level[idx])
-		}
-		idx /= 2
-		t.levels[l+1][idx] = parent
-	}
-}
-
-// Root returns the tree root.
-func (t *Updatable) Root() [32]byte {
-	top := t.levels[len(t.levels)-1]
-	return top[0]
-}
-
 // Verify checks that data is a leaf under root via proof.
 func Verify(root [32]byte, data []byte, proof []ProofStep) error {
 	h := HashLeaf(data)

@@ -155,70 +155,12 @@ func TestRootFromLeafHashesMatchesTree(t *testing.T) {
 	}
 }
 
-// TestUpdatableMatchesRebuild drives random single-leaf updates and checks
-// the path-recompute root against a from-scratch tree after every step.
-func TestUpdatableMatchesRebuild(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 5, 8, 13, 16, 31} {
-		hs := make([][32]byte, n)
-		for i := range hs {
-			r.Read(hs[i][:])
-		}
-		u := NewUpdatable(hs)
-		for step := 0; step < 40; step++ {
-			i := r.Intn(n)
-			var leaf [32]byte
-			r.Read(leaf[:])
-			hs[i] = leaf
-			u.Update(i, leaf)
-			want := RootFromLeafHashes(append([][32]byte(nil), hs...))
-			if u.Root() != want {
-				t.Fatalf("n=%d step=%d: updatable root diverged", n, step)
-			}
-		}
-		if got := len(u.levels[0]); got != n {
-			t.Fatalf("n=%d: updatable holds %d leaves", n, got)
-		}
-	}
-}
-
-// TestUpdatableReset grows and shrinks the leaf set, reusing storage.
-func TestUpdatableReset(t *testing.T) {
-	u := NewUpdatable(nil)
-	if u.Root() != New(nil).Root() {
-		t.Fatal("empty updatable root diverged from empty tree")
-	}
-	for _, n := range []int{9, 33, 4, 1, 16, 0} {
-		hs := leafValues32(n, int64(n)+99)
-		u.Reset(hs)
-		want := RootFromLeafHashes(append([][32]byte(nil), hs...))
-		if n == 0 {
-			want = New(nil).Root()
-		}
-		if u.Root() != want {
-			t.Fatalf("n=%d: reset root diverged", n)
-		}
-	}
-}
-
 func BenchmarkNew32Fold256(b *testing.B) {
 	vs := leafValues32(256, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = New32(vs)
-	}
-}
-
-func BenchmarkUpdatableUpdate(b *testing.B) {
-	hs := leafValues32(1024, 6)
-	u := NewUpdatable(hs)
-	var leaf [32]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		leaf[0] = byte(i)
-		u.Update(i%1024, leaf)
 	}
 }
 

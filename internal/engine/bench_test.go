@@ -9,7 +9,7 @@ import (
 )
 
 // buildBigPool creates a pool with many positions and initialized ticks,
-// the state-size regime where incremental commitments matter.
+// the state-size regime where a pool's whole re-hash is costliest.
 func buildBigPool(tb testing.TB, positions int) *amm.Pool {
 	tb.Helper()
 	p, err := amm.NewPool("A", "B", 3000, 60, u256.Q96)
@@ -29,10 +29,10 @@ func buildBigPool(tb testing.TB, positions int) *amm.Pool {
 	return p
 }
 
-// BenchmarkStateRoot compares a full state re-hash against the
-// incremental commitment for the same small mutation (one position poke)
-// on a pool with 512 positions: the full path re-serializes and re-hashes
-// every chunk, the incremental path re-hashes one leaf and its tree path.
+// BenchmarkStateRoot times the commit of a touched pool: one position
+// poke on a pool with 512 positions, then a whole re-hash of every chunk,
+// which is what SealedEpoch.Finalize computes for each pool the epoch
+// touched.
 func BenchmarkStateRoot(b *testing.B) {
 	const positions = 512
 	b.Run("full", func(b *testing.B) {
@@ -44,19 +44,6 @@ func BenchmarkStateRoot(b *testing.B) {
 				b.Fatal(err)
 			}
 			_ = StateRoot("bench-pool", p)
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		p := buildBigPool(b, positions)
-		c := newPoolCommit()
-		c.Root("bench-pool", p) // warm the cache
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Burn("pos-00007", "lp", u256.Zero); err != nil {
-				b.Fatal(err)
-			}
-			_ = c.Root("bench-pool", p)
 		}
 	})
 }

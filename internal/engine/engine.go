@@ -90,8 +90,8 @@ type Engine struct {
 	// epochDeposits holds BeginEpoch's per-pool deposit earmarks for
 	// lazily created executors; read-only for the epoch's duration.
 	epochDeposits map[string]map[string]summary.Deposit
-	// commits[i] caches pool i's incremental state commitment.
-	commits []*poolCommit
+	// roots[i] caches pool i's state root as of its last computation.
+	roots []rootCache
 
 	// A round's scratch, reused across rounds: perPool[i] lists the batch
 	// indices routed to pool i in submission order, active the pools with
@@ -163,10 +163,7 @@ func New(cfg Config) (*Engine, error) {
 	for i, id := range e.reg.IDs() {
 		e.poolIndex[id] = i
 	}
-	e.commits = make([]*poolCommit, cfg.NumPools)
-	for i := range e.commits {
-		e.commits[i] = newPoolCommit()
-	}
+	e.roots = make([]rootCache, cfg.NumPools)
 	return e, nil
 }
 
@@ -456,11 +453,12 @@ func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Dep
 }
 
 // StateRoots returns the current canonical state root of every pool in
-// canonical order (valid between epochs). Between epochs every pool is
-// clean, so the incremental path answers entirely from cached roots.
+// canonical order (valid between epochs). Between epochs every pool's
+// cached root is its current root, so only a pool with no cached root
+// (never committed, or restored since) is re-hashed.
 //
 // "Between epochs" includes the commit stage: StateRoots shares the
-// per-pool commitment caches with SealedEpoch.Finalize, so it must not
+// per-pool root caches with SealedEpoch.Finalize, so it must not
 // run while a sealed epoch is still finalizing (in a pipelined
 // MultiSystem, epoch N's Finalize overlaps epoch N+1's execution — an
 // OnEpochStart hook is NOT a safe place to call this; read roots from
@@ -469,16 +467,16 @@ func (e *Engine) StateRoots() [][32]byte {
 	ids := e.reg.IDs()
 	roots := make([][32]byte, len(ids))
 	pull(e.numShards, len(ids), func(_, i int) {
-		roots[i] = e.commits[i].Root(ids[i], e.reg.Get(ids[i]))
+		roots[i] = e.roots[i].get(ids[i], e.reg.Get(ids[i]), false)
 	})
 	return roots
 }
 
 // RestorePools replaces the canonical state of the named pools with
 // recovered snapshots (crash recovery, before any BeginEpoch). The
-// incremental commitment caches for restored pools are reset, so the
-// next epoch close rebuilds their commitments from the restored state —
-// the recovered roots are therefore re-derived, never trusted from disk.
+// cached roots of restored pools are dropped, so the next read re-hashes
+// the restored state — the recovered roots are therefore re-derived,
+// never trusted from disk.
 func (e *Engine) RestorePools(pools map[string]*amm.Pool) error {
 	if e.running {
 		return ErrEpochStarted
@@ -489,7 +487,7 @@ func (e *Engine) RestorePools(pools map[string]*amm.Pool) error {
 			return fmt.Errorf("%w: %s", ErrUnknownPool, id)
 		}
 		e.reg.replace(id, p)
-		e.commits[i] = newPoolCommit()
+		e.roots[i] = rootCache{}
 	}
 	return nil
 }

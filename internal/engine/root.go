@@ -12,12 +12,9 @@ import (
 // leaf 0 is the header chunk (pool identity, price, in-range liquidity,
 // global fee accumulators, reserves), followed by one leaf per
 // initialized tick in ascending tick order, then one leaf per position in
-// ascending position-ID order. Chunking is what makes the commitment
-// incrementally updatable: a swap that crosses two ticks re-hashes the
-// header chunk and two tick leaves and recomputes only the tree paths
-// above them (see poolCommit), instead of re-hashing the whole pool.
-// Each chunk carries a one-byte kind tag and length-prefixed strings so
-// no two distinct states serialize identically.
+// ascending position-ID order. Each chunk carries a one-byte kind tag and
+// length-prefixed strings so no two distinct states serialize
+// identically.
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, v)
@@ -82,12 +79,9 @@ func appendPositionChunk(b []byte, pos *amm.Position) []byte {
 
 // StateRoot deterministically hashes a pool's full state from scratch:
 // the header chunk, every initialized tick, and every position, folded
-// into the chunked Merkle layout described above. It is the reference
-// implementation the incremental commitment cache (poolCommit) is
-// differentially tested against: both must produce bit-identical roots
-// for the same state. Two pools that executed the same transaction
-// sequence produce the same root regardless of map iteration order or
-// which shard ran them.
+// into the chunked Merkle layout described above. Two pools that executed
+// the same transaction sequence produce the same root regardless of map
+// iteration order or which shard ran them.
 func StateRoot(poolID string, p *amm.Pool) [32]byte {
 	ticks := p.TickKeys()
 	positions := p.PositionKeys()
@@ -105,6 +99,25 @@ func StateRoot(poolID string, p *amm.Pool) [32]byte {
 		hashes = append(hashes, merkle.HashLeaf(buf))
 	}
 	return merkle.RootFromLeafHashes(hashes)
+}
+
+// rootCache is one pool's last computed state root. A pool's state
+// changes only through its epoch executor or RestorePools, which drops
+// the cache, so a pool the epoch did not touch answers from the cache and
+// a touched pool is re-hashed whole.
+type rootCache struct {
+	root  [32]byte
+	valid bool
+}
+
+// get returns the pool's state root: the cached one unless the pool
+// changed since it was stored or none is stored, else StateRoot's, which
+// it stores.
+func (c *rootCache) get(poolID string, p *amm.Pool, changed bool) [32]byte {
+	if changed || !c.valid {
+		c.root, c.valid = StateRoot(poolID, p), true
+	}
+	return c.root
 }
 
 // FoldRoots builds the Merkle tree over per-pool roots in the given order

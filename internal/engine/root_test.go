@@ -40,9 +40,8 @@ func diffBatches(e uint64, batches [][]*summary.Tx, users []string) [][]*summary
 }
 
 // crossingRound swaps each large pool's price down across its seeded
-// ticks and back up past where it started. A swap adds and removes no
-// leaf, so every tick it crosses reaches the pool's cached tree as a
-// value-only change (poolCommit.updatePaths).
+// ticks and back up past where it started: a swap adds and removes no
+// leaf, so every tick it crosses changes value in place.
 func crossingRound(user string) []*summary.Tx {
 	var txs []*summary.Tx
 	for i := 0; i < largePools; i++ {
@@ -55,8 +54,8 @@ func crossingRound(user string) []*summary.Tx {
 }
 
 // largePools of diffRun's hottest pools start with largePoolPositions
-// extra positions: enough chunk leaves that their commitments take the
-// cached-tree path instead of the small-pool rehash.
+// extra positions, so their roots fold trees of more than a hundred chunk
+// leaves.
 const largePools, largePoolPositions = 4, 80
 
 // seedLargePools mints the extra positions into eng's genesis pools.
@@ -113,7 +112,7 @@ func diffRun(t *testing.T, seed int64, pools, shards int, batches [][]*summary.T
 // machinery: every epoch snapshots every pool into a summary.NewExecutor,
 // applies each pool's transactions in submission order, and hashes the
 // settled pool from scratch with StateRoot. It shares nothing with the
-// lazy snapshots, the untouched-pool payloads or the commitment caches.
+// lazy snapshots, the untouched-pool payloads or the root caches.
 func referenceRun(t *testing.T, pools int, batches [][]*summary.Tx, users []string) (summaryRoots [][32]byte, digests, poolRoots [][][32]byte) {
 	t.Helper()
 	genesis, err := New(Config{NumPools: pools, NumShards: 1})
@@ -157,11 +156,11 @@ func referenceRun(t *testing.T, pools int, batches [][]*summary.Tx, users []stri
 
 // TestIncrementalMatchesFullReference is invariant 5's differential pin:
 // for seeds {1, 42, 1337} × shard counts {1, 4, 16}, the engine's
-// incremental path (lazy snapshots, untouched-pool payloads, dirty
-// tracking and cached chunk hashes) must reproduce referenceRun bit for
-// bit — every epoch's summary root, pool roots and sync payload digests,
-// including the epoch with zero activity anywhere — and its final cached
-// roots must equal StateRoot of the final pools.
+// incremental path (lazy snapshots, untouched-pool payloads, and idle
+// pools answering from their cached roots) must reproduce referenceRun
+// bit for bit — every epoch's summary root, pool roots and sync payload
+// digests, including the epoch with zero activity anywhere — and its
+// final cached roots must equal StateRoot of the final pools.
 func TestIncrementalMatchesFullReference(t *testing.T) {
 	const pools = 32
 	for _, seed := range []int64{1, 42, 1337} {

@@ -9,32 +9,29 @@ import (
 // SealedEpoch is the frozen hand-off between an epoch's execution and its
 // commitment build, the unit of work the pipelined lifecycle moves off
 // the run loop. SealEpoch captures everything Finalize needs — the final
-// per-pool states, the epoch's executors, the detached dirty tracking,
-// and the incremental commitment caches — and leaves the engine ready
-// for the next BeginEpoch. Finalize may then run on any goroutine: the
-// captured pools are read-only from the engine's perspective (the next
-// epoch's executors clone them but never mutate them), and the dirty
-// tracking was detached at seal time, so the only writers of the captured
-// structures are Finalize's own workers.
+// per-pool states, the epoch's executors and the per-pool root caches —
+// and leaves the engine ready for the next BeginEpoch. Finalize may then
+// run on any goroutine: the captured pools are read-only from the
+// engine's perspective (the next epoch's executors clone them but never
+// mutate them), so the only writers of the captured structures are
+// Finalize's own workers.
 //
 // Hand-off discipline for the caller:
 //   - At most one Finalize may run at a time across the SealedEpochs of
-//     one engine (they share the per-pool commitment caches), and sealed
-//     epochs must finalize in seal order — the incremental commitments
-//     advance epoch by epoch.
+//     one engine (they share the per-pool root caches), and sealed
+//     epochs must finalize in seal order — an idle pool answers from the
+//     root its last touched epoch stored.
 //   - Finalize must be called exactly once per sealed epoch; skipping one
-//     would leave the commitment caches behind the canonical state.
+//     would leave the root caches behind the canonical state.
 type SealedEpoch struct {
 	epoch uint64
 	ids   []string
 	// pools[i] is ids[i]'s end-of-epoch state (canonical since the seal).
 	pools []*amm.Pool
 	// execs[i] is the epoch executor, nil for pools untouched this epoch.
-	execs    []*summary.Executor
-	deposits map[string]map[string]summary.Deposit
-	// dirty[i] is pools[i]'s dirty tracking detached at seal time.
-	dirty        []amm.DirtyState
-	commits      []*poolCommit
+	execs        []*summary.Executor
+	deposits     map[string]map[string]summary.Deposit
+	roots        []rootCache
 	nextGroupKey []byte
 
 	numShards int
@@ -85,8 +82,7 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 		pools:        make([]*amm.Pool, len(ids)),
 		execs:        e.execs,
 		deposits:     e.epochDeposits,
-		dirty:        make([]amm.DirtyState, len(ids)),
-		commits:      e.commits,
+		roots:        e.roots,
 		nextGroupKey: nextGroupKey,
 		numShards:    e.numShards,
 		order:        make([]int, 0, len(ids)),
@@ -99,10 +95,10 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 		}
 	}
 	// Settle every active executor — the epoch's final pool mutation
-	// (fee-growth pokes for summary-included positions) — then detach the
-	// dirty tracking. Both are pool-local, so the workers pull the pools;
-	// after this pass the sealed pools are never mutated again and
-	// Finalize may read them from any goroutine.
+	// (fee-growth pokes for summary-included positions). Settling is
+	// pool-local, so the workers pull the pools; after this pass the
+	// sealed pools are never mutated again and Finalize may read them
+	// from any goroutine.
 	pull(e.numShards, len(se.order), func(_, k int) {
 		i := se.order[k]
 		p := e.reg.Get(ids[i])
@@ -111,7 +107,6 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 			p = exec.Pool
 		}
 		se.pools[i] = p
-		se.dirty[i] = p.TakeDirty()
 	})
 	// Emit one execute-shard span per worker slot a round started — busy
 	// time, pool batches pulled, txs and gas.
@@ -166,7 +161,7 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 		if onChain(i, p) {
 			digests[i] = p.Digest()
 		}
-		roots[i] = se.commits[i].RootFrom(id, pool, &se.dirty[i])
+		roots[i] = se.roots[i].get(id, pool, se.execs[i] != nil)
 	})
 	res := &EpochResult{
 		Epoch:       se.epoch,

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"ammboost/internal/amm"
 	"ammboost/internal/gasmodel"
 	"ammboost/internal/summary"
 	"ammboost/internal/trace"
@@ -119,9 +121,8 @@ func TestSealEpochAdvancesCanonicalState(t *testing.T) {
 	if eng.Pool(pid).Reserve0.Eq(before) {
 		t.Error("canonical reserves unchanged after seal; want the epoch's trades applied")
 	}
-	if d := eng.Pool(pid).TakeDirty(); d.Dirty() {
-		t.Error("sealed pool still reports dirty state; tracking should be detached")
-	}
+	sealedPool := eng.Pool(pid)
+	sealedBytes := amm.AppendPool(nil, sealedPool)
 	// Lifecycle guard: sealing twice is an error.
 	if _, err := eng.SealEpoch([]byte("k")); err == nil {
 		t.Error("second SealEpoch should fail (no epoch in progress)")
@@ -131,7 +132,20 @@ func TestSealEpochAdvancesCanonicalState(t *testing.T) {
 	if err := eng.BeginEpoch(2, nil); err != nil {
 		t.Fatalf("BeginEpoch after seal: %v", err)
 	}
+	if err := eng.AddDeposit(pid, "u", u256.FromUint64(1<<40), u256.FromUint64(1<<40)); err != nil {
+		t.Fatal(err)
+	}
+	next := *tx
+	next.ID = "s2"
+	if r, err := eng.ExecuteRound([]*summary.Tx{&next}, 1); err != nil || len(r.Included) != 1 {
+		t.Fatalf("epoch 2 swap: included %v, err %v", r, err)
+	}
 	res := sealed.Finalize()
+	// The next epoch trades on a clone: the sealed pool Finalize reads
+	// is byte for byte the state the seal left.
+	if !bytes.Equal(amm.AppendPool(nil, sealedPool), sealedBytes) {
+		t.Error("the next epoch's execution wrote the sealed pool")
+	}
 	if res.Epoch != 1 || len(res.Payloads) != 2 {
 		t.Fatalf("finalized epoch %d with %d payloads, want epoch 1 with 2", res.Epoch, len(res.Payloads))
 	}

@@ -30,7 +30,6 @@ func testPool(t *testing.T) *amm.Pool {
 	if _, err := p.Swap(true, true, u256.FromUint64(5000), u256.Zero); err != nil {
 		t.Fatal(err)
 	}
-	p.TakeDirty()
 	return p
 }
 

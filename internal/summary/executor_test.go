@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"reflect"
 	"testing"
 
 	"ammboost/internal/amm"
@@ -96,7 +95,6 @@ func TestDepositCreditOverflow(t *testing.T) {
 	if err := ex.AddDeposit("lp0", u256.Zero, u256.Sub(u256.Max, u256.FromUint64(1000))); err != nil {
 		t.Fatal(err)
 	}
-	ex.Pool.TakeDirty()
 	pool := amm.AppendPool(nil, ex.Pool)
 	before := *ex.Deposits["lp0"]
 	for _, tx := range []*Tx{
@@ -107,7 +105,7 @@ func TestDepositCreditOverflow(t *testing.T) {
 		if err := ex.Apply(tx, 1); !errors.Is(err, ErrDepositOverflow) {
 			t.Errorf("%s: err = %v, want ErrDepositOverflow", tx.ID, err)
 		}
-		if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) || dirtied(ex.Pool) {
+		if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) {
 			t.Errorf("%s: refused credit changed the pool", tx.ID)
 		}
 		if *ex.Deposits["lp0"] != before {
@@ -169,19 +167,18 @@ func TestSwapSlippageBoundRollsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := NewExecutor(1, p, map[string]Deposit{"alice": tc.deposit})
-			ex.Pool.TakeDirty() // a leaked dirty mark must show
-			before := ex.Pool.Clone()
+			before := amm.AppendPool(nil, ex.Pool)
 			tx := tc.tx
 			tx.ID, tx.Kind, tx.User = "t1", gasmodel.KindSwap, "alice"
-			res, _ := before.Clone().Swap(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit)
+			res, _ := ex.Pool.Clone().Swap(tx.ZeroForOne, tx.ExactIn, tx.Amount, tx.SqrtPriceLimit)
 			if (res.TicksCrossed > 0) != tc.crosses {
 				t.Fatalf("unchecked swap crossed %d ticks, want crossing %v", res.TicksCrossed, tc.crosses)
 			}
 			if err := ex.Apply(&tx, 1); !errors.Is(err, tc.want) {
 				t.Fatalf("want %v, got %v", tc.want, err)
 			}
-			if !reflect.DeepEqual(ex.Pool, before) {
-				t.Error("failed swap must leave the pool, dirty tracking included, untouched")
+			if !bytes.Equal(amm.AppendPool(nil, ex.Pool), before) {
+				t.Error("failed swap must leave the pool untouched")
 			}
 			if *ex.Deposits["alice"] != tc.deposit {
 				t.Error("failed swap must not touch the deposit")
@@ -537,12 +534,6 @@ func TestSettleThenSummaryIsPure(t *testing.T) {
 	}
 }
 
-// dirtied reports whether the pool's dirty tracking records a change.
-func dirtied(p *amm.Pool) bool {
-	d := p.TakeDirty()
-	return d.Dirty()
-}
-
 // applyErrors is every typed rejection Apply may return.
 var applyErrors = []error{
 	ErrInsufficientDeposit, ErrUnknownUser, ErrDeadlineExceeded, ErrSlippage, ErrUnsupportedKind, ErrZeroLiquidity,
@@ -664,7 +655,6 @@ func FuzzApply(f *testing.F) {
 		for i := 0; len(data) >= fuzzTxBytes; i++ {
 			tx := fuzzTx(i, data[:fuzzTxBytes])
 			data = data[fuzzTxBytes:]
-			ex.Pool.TakeDirty()
 			pool := amm.AppendPool(nil, ex.Pool)
 			deposits := make(map[string]Deposit, len(ex.Deposits))
 			for u, d := range ex.Deposits {
@@ -678,7 +668,7 @@ func FuzzApply(f *testing.F) {
 				if !typed {
 					t.Fatalf("tx %d %+v: untyped rejection %v", i, tx, err)
 				}
-				if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) || dirtied(ex.Pool) {
+				if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) {
 					t.Fatalf("tx %d %+v: rejection (%v) changed the pool", i, tx, err)
 				}
 				for u, d := range ex.Deposits {

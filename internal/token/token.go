@@ -1,5 +1,5 @@
 // Package token implements an ERC20-style fungible token ledger: balances,
-// allowances, transfers, and mint/burn by an authorized minter. TokenBank
+// allowances, transfers, and minting by an authorized minter. TokenBank
 // and the baseline Uniswap deployment move funds through this ledger.
 package token
 
@@ -38,28 +38,6 @@ func NewLedger(symbol, minter string) *Ledger {
 	}
 }
 
-// Clone deep-copies the ledger (used for epoch snapshots and reorg replay).
-func (l *Ledger) Clone() *Ledger {
-	c := &Ledger{
-		Symbol:     l.Symbol,
-		minter:     l.minter,
-		balances:   make(map[string]u256.Int, len(l.balances)),
-		allowances: make(map[string]map[string]u256.Int, len(l.allowances)),
-		supply:     l.supply,
-	}
-	for k, v := range l.balances {
-		c.balances[k] = v
-	}
-	for owner, m := range l.allowances {
-		mm := make(map[string]u256.Int, len(m))
-		for s, v := range m {
-			mm[s] = v
-		}
-		c.allowances[owner] = mm
-	}
-	return c
-}
-
 // BalanceOf returns the balance of account.
 func (l *Ledger) BalanceOf(account string) u256.Int { return l.balances[account] }
 
@@ -73,17 +51,6 @@ func (l *Ledger) Mint(caller, account string, amount u256.Int) error {
 	}
 	l.balances[account] = u256.Add(l.balances[account], amount)
 	l.supply = u256.Add(l.supply, amount)
-	return nil
-}
-
-// Burn destroys amount tokens from caller's balance.
-func (l *Ledger) Burn(caller string, amount u256.Int) error {
-	bal := l.balances[caller]
-	if bal.Lt(amount) {
-		return fmt.Errorf("%w: %s has %s, needs %s", ErrInsufficientBalance, caller, bal, amount)
-	}
-	l.balances[caller] = u256.Sub(bal, amount)
-	l.supply = u256.Sub(l.supply, amount)
 	return nil
 }
 

@@ -63,35 +63,6 @@ func TestApproveTransferFrom(t *testing.T) {
 	}
 }
 
-func TestBurn(t *testing.T) {
-	l := newFunded(t)
-	if err := l.Burn("alice", amt(400)); err != nil {
-		t.Fatal(err)
-	}
-	if !l.TotalSupply().Eq(amt(600)) || !l.BalanceOf("alice").Eq(amt(600)) {
-		t.Errorf("supply %s balance %s", l.TotalSupply(), l.BalanceOf("alice"))
-	}
-	if err := l.Burn("alice", amt(601)); !errors.Is(err, ErrInsufficientBalance) {
-		t.Errorf("want ErrInsufficientBalance, got %v", err)
-	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	l := newFunded(t)
-	l.Approve("alice", "spender", amt(10))
-	c := l.Clone()
-	if err := c.Transfer("alice", "bob", amt(100)); err != nil {
-		t.Fatal(err)
-	}
-	c.Approve("alice", "spender", amt(99))
-	if !l.BalanceOf("alice").Eq(amt(1000)) {
-		t.Error("clone transfer affected original")
-	}
-	if !l.Allowance("alice", "spender").Eq(amt(10)) {
-		t.Error("clone approve affected original")
-	}
-}
-
 func TestConservationUnderTransfers(t *testing.T) {
 	l := newFunded(t)
 	if err := l.Mint("minter", "bob", amt(500)); err != nil {

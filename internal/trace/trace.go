@@ -43,8 +43,8 @@ const (
 	// the pool batches it pulled, tx count, and gas so skew is visible
 	// at a glance).
 	StageExecute
-	// StageSeal is the epoch seal: executor settlement and dirty-state
-	// detachment, pulled by the engine's workers.
+	// StageSeal is the epoch seal: executor settlement, pulled by the
+	// engine's workers.
 	StageSeal
 	// StageCommitBuild is the commitment build: the per-pool payload and
 	// state-root fold (SealedEpoch.Finalize).
