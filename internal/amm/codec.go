@@ -14,6 +14,17 @@ var ErrBadPoolEncoding = errors.New("amm: malformed pool encoding")
 // poolCodecVersion guards the binary layout below; bump on any change.
 const poolCodecVersion = 1
 
+// EncodedPoolLen is the exact length AppendPool adds for p.
+func EncodedPoolLen(p *Pool) int {
+	n := 1 + 4 + len(p.Token0) + 4 + len(p.Token1) + 4 + 4 + 32 + 4 + 5*32 +
+		4 + len(p.tickList)*(4+5*32) + 4
+	for _, id := range p.posList {
+		pos := p.positions[id]
+		n += 4 + len(pos.ID) + 4 + len(pos.Owner) + 4 + 4 + 5*32
+	}
+	return n
+}
+
 // AppendPool appends the deterministic binary encoding of the pool's full
 // state to buf and returns the extended slice. Ticks and positions are
 // written in their canonical sorted order, so two pools with identical

@@ -157,8 +157,9 @@ var swapErrors = []error{ErrZeroAmount, ErrPriceLimit, ErrLiquidityZero, ErrPric
 
 // FuzzDecodePool feeds DecodePool arbitrary bytes, as a peer snapshot or
 // a damaged store record would: it must fail with ErrBadPoolEncoding or
-// return a clean pool whose encoding is exactly the bytes it consumed, and
-// on which a swap in each direction succeeds or fails with a typed error.
+// return a clean pool whose encoding is exactly the bytes it consumed —
+// EncodedPoolLen of them — and on which a swap in each direction succeeds
+// or fails with a typed error.
 func FuzzDecodePool(f *testing.F) {
 	for _, seed := range []int64{1, 3, 7, 42, 1337} {
 		f.Add(AppendPool(nil, buildCodecPool(f, seed)))
@@ -185,6 +186,9 @@ func FuzzDecodePool(f *testing.F) {
 		}
 		if enc := AppendPool(nil, p); string(enc) != string(buf[:used]) {
 			t.Fatalf("re-encoding differs from the %d bytes consumed", used)
+		}
+		if n := EncodedPoolLen(p); n != used {
+			t.Fatalf("EncodedPoolLen = %d, the encoding is %d bytes", n, used)
 		}
 		for _, zeroForOne := range []bool{true, false} {
 			_, err := p.Clone().Swap(zeroForOne, true, u256.FromUint64(1_000_000), u256.Zero)

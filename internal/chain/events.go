@@ -19,7 +19,10 @@ const (
 	// EventSummaryBlock: the epoch's summary checkpoint appended.
 	EventSummaryBlock
 	// EventSyncSubmitted: the TSQC-signed Sync entered the mainchain
-	// mempool.
+	// mempool. On a node with a store, submitted does not imply durable:
+	// the epoch's record may still be on its way to stable storage, and
+	// the parts wait for it at block inclusion — included implies
+	// durable.
 	EventSyncSubmitted
 	// EventSyncConfirmed: every part of the epoch's Sync confirmed.
 	EventSyncConfirmed

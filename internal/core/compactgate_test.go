@@ -97,9 +97,10 @@ func TestCompactionDoesNotBlockPrune(t *testing.T) {
 
 // TestFailedBackgroundCompactionHalts: a compaction whose temp file
 // fails its fsync halts the node with ErrStoreWrite naming the
-// compaction's epoch, at the lifecycle point that joins it — the same
-// epoch and receipt stages on every run — and leaves the uncompacted log
-// with the halt record behind it, which reopens halted.
+// compaction's epoch, where the node next meets the store queue — the
+// block a later epoch's part waits at, or a join — the same epoch and
+// receipt stages on every run — and leaves the uncompacted log with the
+// halt record behind it, which reopens halted.
 func TestFailedBackgroundCompactionHalts(t *testing.T) {
 	const seed, epochs, cursor, perEpoch = 37, 6, 2, 10
 	cfg := recoveryCfg(seed, 4, 2, 2)

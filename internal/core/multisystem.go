@@ -97,13 +97,11 @@ type MultiSystem struct {
 	// simulated network (nil for model-fidelity runs).
 	live *liveConsensus
 
-	// st is the durable epoch store (nil for in-memory nodes). Epochs
-	// persist at retirement — snapshot record then sync-part record —
-	// before their sync parts reach the mainchain.
-	st *store.Writer
-	// compacting is the store compaction running on its own goroutine
-	// (nil when none is); every later use of st joins it first.
-	compacting *compaction
+	// st is the durable epoch store (nil for in-memory nodes): its writer
+	// and the queue that runs every write to it off the lifecycle. Epochs
+	// persist at retirement — snapshot record then sync-part record — and
+	// no block includes a sync part before its epoch's write has returned.
+	st *storeQueue
 	// recovered describes what Open restored; nil for fresh nodes.
 	recovered *chain.RecoveryInfo
 	// rootsCompacted tracks the highest epoch whose bookkeeping the
@@ -309,17 +307,20 @@ func (s *MultiSystem) Positions() []summary.PositionEntry {
 // must recover as halted), publishes the halt event, and stops mainchain
 // block production so the simulator drains.
 func (s *MultiSystem) fail(err error) {
-	// The halt record is a write like any other: the compaction in
-	// flight finishes first, and if it failed, it failed first.
-	if cerr := s.awaitCompaction(); cerr != nil && s.err == nil {
-		err = cerr
+	// The halt record is a write like any other: the writes issued before
+	// it finish first, and if one of them failed, it failed first.
+	if s.st != nil {
+		if serr := s.st.join(); serr != nil && s.err == nil {
+			err = serr
+		}
 	}
 	if s.err == nil {
 		s.err = err
 		s.halt()
 		if s.st != nil {
 			// Best-effort: the store may itself be the failing component.
-			_ = s.st.AppendHalt(s.epoch, err.Error())
+			epoch, reason := s.epoch, err.Error()
+			_ = s.st.issue(true, func(w *store.Writer) error { return w.AppendHalt(epoch, reason) }).wait()
 		}
 		s.bus.Publish(chain.Event{Type: chain.EventHalted, At: s.sim.Now(), Epoch: s.epoch, Err: err})
 	}
@@ -415,11 +416,13 @@ func (s *MultiSystem) Close() error {
 	if s.st == nil {
 		return nil
 	}
-	cerr := s.awaitCompaction()
-	err := s.st.Close()
+	// A failed write a halted node already reported (or halted past) is
+	// not reported again.
+	serr := s.st.join()
+	err := s.st.w.Close()
 	s.st = nil
-	if cerr != nil {
-		return cerr
+	if serr != nil && s.err == nil {
+		return serr
 	}
 	return err
 }
@@ -828,6 +831,9 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		tr:        s.tr,
 		done:      make(chan struct{}),
 	}
+	if job.persist {
+		job.suffixLen = s.receiptSuffixLen(e)
+	}
 	s.pipe.submit(job)
 	// Backpressure: the window holds the executing epoch plus at most
 	// PipelineDepth-1 sealed epochs, so retire the oldest until it fits.
@@ -937,14 +943,11 @@ func (s *MultiSystem) retireOldest() bool {
 			return
 		}
 		// Persist before the sync parts become externally visible: the
-		// snapshot and its sync-part log entry hit stable storage in
-		// epoch-retire order (the blobs were encoded on the commit-stage
-		// worker; only the receipt suffix and the write happen here).
-		s.persistEpoch(e, pkg.snapPrefix, pkg.partsBlob)
-		if s.err != nil {
-			return
-		}
-		if s.uplink.submit(e, pkg.txs) {
+		// snapshot and its sync-part log entry go to the store queue in
+		// epoch-retire order, and each part waits at block inclusion for
+		// the write to return (the blobs were encoded on the commit-stage
+		// worker; the receipt suffix and the write run on the queue).
+		if s.uplink.submit(e, pkg.txs, s.persistEpoch(e, pkg.snapPrefix, pkg.partsBlob)) {
 			s.MassSyncs++
 		}
 	}
@@ -987,10 +990,10 @@ func (s *MultiSystem) retireOldest() bool {
 // finishIfPruned reports the node finished once the run is over and its
 // final epoch has pruned (keyed on that epoch's prune, not on an empty
 // receipt table: an epoch without transactions never had an entry).
-// It joins the last compaction first, so Run returns only after every
-// compaction it started has finished.
+// It joins the store queue first, so Run returns only after every write
+// it issued has finished, and a failed one halts the node instead.
 func (s *MultiSystem) finishIfPruned() {
-	if s.done && s.lastPruned == s.epoch && s.joinCompaction() {
+	if s.done && s.lastPruned == s.epoch && s.joinStore() {
 		s.finished(false)
 	}
 }
@@ -1012,18 +1015,26 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 	})
 }
 
-// encodeEpochBlobs builds the epoch's snapshot-record prefix and
-// sync-part record payload, on the commit-stage worker (off the simulator
-// goroutine).
+// encodeEpochBlobs builds the epoch's snapshot-record prefix, with room
+// for a receipt suffix of suffixLen bytes, and its sync-part record
+// payload, on the commit-stage worker (off the simulator goroutine). An
+// on-chain payload's digest comes from the fold; only idle pools' are
+// hashed here.
 func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
-	txs []*mainchain.Tx) (snapPrefix, partsBlob []byte) {
+	txs []*mainchain.Tx, suffixLen int) (snapPrefix, partsBlob []byte) {
 	digests := make([][32]byte, len(res.Payloads))
+	j := 0
 	for i, p := range res.Payloads {
-		digests[i] = p.Digest()
+		if j < len(res.OnChain) && res.OnChain[j] == p {
+			digests[i] = res.OnChainDigests[j]
+			j++
+		} else {
+			digests[i] = p.Digest()
+		}
 	}
 	activeIDs, activePools := sealed.ActiveSnapshots()
 	snapPrefix = store.EncodeSnapshotPrefix(res.Epoch, res.SummaryRoot,
-		res.PoolIDs, res.PoolRoots, digests, activeIDs, activePools)
+		res.PoolIDs, res.PoolRoots, digests, activeIDs, activePools, suffixLen)
 	parts := make([]*mainchain.MultiSyncArgs, len(txs))
 	for i, tx := range txs {
 		parts[i] = tx.Args.(*mainchain.MultiSyncArgs)
@@ -1032,46 +1043,72 @@ func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 	return snapPrefix, partsBlob
 }
 
-// persistEpoch completes the pre-encoded snapshot record with the
-// epoch's receipt table and run counters, appends snapshot + sync-part
-// records, and commits them under the configured fsync batching. A
-// write failure halts the node: continuing without durability would
-// break the recovery contract silently.
-func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) {
-	if s.st == nil || !s.joinCompaction() {
-		return
+// persistEpoch issues epoch e's write to the store queue and returns it
+// (nil without a store): the lifecycle copies the epoch's receipt rows
+// and run counters, and the queue completes the pre-encoded snapshot
+// record with them, appends snapshot + sync-part records, and commits
+// them under the configured fsync batching. A failed write halts the node
+// when a part of the epoch reaches a block (the uplink's gate):
+// continuing without durability would break the recovery contract
+// silently.
+func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *storeWrite {
+	if s.st == nil {
+		return nil
 	}
-	epochRecs := s.recsByEpoch[e]
-	recs := make([]store.ReceiptRecord, 0, len(epochRecs))
-	for _, rec := range epochRecs {
-		recs = append(recs, store.ReceiptRecord{
-			TxID:           rec.rc.TxID,
-			PoolID:         rec.rc.PoolID,
-			Status:         uint8(rec.rc.Status),
-			Epoch:          rec.rc.Epoch,
-			Round:          rec.rc.Round,
-			SubmittedAt:    int64(rec.rc.SubmittedAt),
-			ExecutedAt:     int64(rec.rc.ExecutedAt),
-			CheckpointedAt: int64(rec.rc.CheckpointedAt),
-		})
-	}
-	snap := store.AppendReceiptsAndMeta(snapPrefix, recs, store.RunMeta{
+	recs := s.receiptRows(e)
+	meta := store.RunMeta{
 		Rejected:       uint64(s.Rejected),
 		SyncsOK:        uint64(s.SyncsOK),
 		ViewChanges:    uint64(s.ViewChanges),
 		QueuePeak:      uint64(s.queuePeak),
 		EngineAccepted: uint64(s.eng.Accepted),
 		EngineRejected: uint64(s.eng.Rejected),
-	})
-	if err := s.st.AppendEpoch(e, snap, partsBlob); err != nil {
-		s.fail(fmt.Errorf("%w: epoch %d: %v", chain.ErrStoreWrite, e, err))
 	}
+	return s.st.issue(false, func(w *store.Writer) error {
+		snap := store.AppendReceiptsAndMeta(snapPrefix, recs, meta)
+		if err := w.AppendEpoch(e, snap, partsBlob); err != nil {
+			return fmt.Errorf("%w: epoch %d: %v", chain.ErrStoreWrite, e, err)
+		}
+		return nil
+	})
+}
+
+// receiptRows copies epoch e's receipt table, as it stands, into the
+// rows its snapshot record persists.
+func (s *MultiSystem) receiptRows(e uint64) []store.ReceiptRecord {
+	epochRecs := s.recsByEpoch[e]
+	recs := make([]store.ReceiptRecord, len(epochRecs))
+	for i, q := range epochRecs {
+		recs[i] = store.ReceiptRecord{
+			TxID:           q.rc.TxID,
+			PoolID:         q.rc.PoolID,
+			Status:         uint8(q.rc.Status),
+			Epoch:          q.rc.Epoch,
+			Round:          q.rc.Round,
+			SubmittedAt:    int64(q.rc.SubmittedAt),
+			ExecutedAt:     int64(q.rc.ExecutedAt),
+			CheckpointedAt: int64(q.rc.CheckpointedAt),
+		}
+	}
+	return recs
+}
+
+// receiptSuffixLen is the exact length of epoch e's receipt table and
+// run counters in its snapshot record. The table is complete once the
+// epoch's last round has executed: retirement changes only fixed-width
+// fields of its rows.
+func (s *MultiSystem) receiptSuffixLen(e uint64) int {
+	ids := 0
+	for _, q := range s.recsByEpoch[e] {
+		ids += len(q.rc.TxID) + len(q.rc.PoolID)
+	}
+	return store.ReceiptsAndMetaLen(len(s.recsByEpoch[e]), ids)
 }
 
 // epochSynced is the uplink's callback once the last part of epoch
 // ev.Epoch's sync confirms. Receipts advance before the event publishes
-// (the documented visibility contract); then the epoch prunes and
-// starts compacting.
+// (the documented visibility contract); then the epoch prunes and, on
+// the compaction cadence, issues a store compaction.
 func (s *MultiSystem) epochSynced(ev chain.Event) {
 	e := ev.Epoch
 	s.SyncsOK++
@@ -1087,11 +1124,8 @@ func (s *MultiSystem) epochSynced(ev chain.Event) {
 	s.lastPruned = e
 	// Store compaction rides the confirmation cadence: everything up to an
 	// epoch final on the mainchain can fold into a checkpoint. It runs on
-	// a goroutine of its own; the prune does not wait for it.
+	// the store queue; the prune does not wait for it.
 	if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
-		if !s.joinCompaction() {
-			return
-		}
 		s.compactStore(e)
 	}
 	spPrune.End()
@@ -1129,56 +1163,33 @@ func (s *MultiSystem) compactEpoch(e uint64) {
 	}
 }
 
-// compaction is one store compaction running on its own goroutine: err
-// is set before done closes.
-type compaction struct {
-	cursor uint64
-	done   chan struct{}
-	err    error
-}
-
-// compactStore starts folding the durable log up to cursor (a
-// mainchain-confirmed epoch) into a store checkpoint, on a goroutine of
-// its own; the bank state is encoded here, before the lifecycle moves
-// on. No compaction may be in flight. The horizon mirrors the in-memory
-// root-table retention: RetainEpochs 0 keeps every root in the
-// checkpoint for post-run comparison.
-func (s *MultiSystem) compactStore(cursor uint64) {
+// compactStore issues a fold of the durable log up to cursor (a
+// mainchain-confirmed epoch) into a store checkpoint to the store queue;
+// the bank state is encoded here, before the lifecycle moves on. The
+// horizon mirrors the in-memory root-table retention: RetainEpochs 0
+// keeps every root in the checkpoint for post-run comparison.
+func (s *MultiSystem) compactStore(cursor uint64) *storeWrite {
 	var horizon uint64
 	if r := s.cfg.RetainEpochs; r > 0 && cursor > uint64(r) {
 		horizon = cursor - uint64(r)
 	}
 	bank := s.mb.EncodeState()
-	c := &compaction{cursor: cursor, done: make(chan struct{})}
-	s.compacting = c
-	go func(st *store.Writer) {
-		c.err = st.Compact(cursor, horizon, bank)
-		close(c.done)
-	}(s.st)
-}
-
-// awaitCompaction waits for the compaction in flight, if any, and
-// returns its error as a store-write fault naming its cursor. Every use
-// of the writer after compactStore goes through here first, so the
-// store sees the same write sequence as a synchronous compaction.
-func (s *MultiSystem) awaitCompaction() error {
-	c := s.compacting
-	if c == nil {
+	return s.st.issue(false, func(w *store.Writer) error {
+		if err := w.Compact(cursor, horizon, bank); err != nil {
+			return fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, cursor, err)
+		}
 		return nil
-	}
-	<-c.done
-	s.compacting = nil
-	if c.err != nil {
-		return fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, c.cursor, c.err)
-	}
-	return nil
+	})
 }
 
-// joinCompaction is awaitCompaction on the lifecycle goroutine: a failed
-// compaction halts the node. It reports whether the compaction, if any,
+// joinStore is storeQueue.join on the lifecycle goroutine: a failed
+// write halts the node. It reports whether every write issued so far
 // succeeded.
-func (s *MultiSystem) joinCompaction() bool {
-	if err := s.awaitCompaction(); err != nil {
+func (s *MultiSystem) joinStore() bool {
+	if s.st == nil {
+		return true
+	}
+	if err := s.st.join(); err != nil {
 		s.fail(err)
 		return false
 	}
@@ -1188,20 +1199,19 @@ func (s *MultiSystem) joinCompaction() bool {
 // CompactStore folds the durable log up to the newest mainchain-confirmed
 // epoch — the chain.Compactor interface — and returns once the log is
 // rewritten. Safe at rest (after Run returns); a running node with
-// Config.CompactEvery set starts its own compactions from epochSynced.
+// Config.CompactEvery set issues its own compactions from epochSynced.
 func (s *MultiSystem) CompactStore() error {
 	if s.st == nil {
 		return fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
 	}
-	if err := s.awaitCompaction(); err != nil {
+	if err := s.st.join(); err != nil {
 		return err
 	}
 	cursor := s.LastSyncedEpoch()
 	if cursor == 0 {
 		return nil // nothing confirmed yet
 	}
-	s.compactStore(cursor)
-	return s.awaitCompaction()
+	return s.compactStore(cursor).wait()
 }
 
 // ExportSnapshot returns the store's complete current image — what a
@@ -1210,10 +1220,10 @@ func (s *MultiSystem) ExportSnapshot() ([]byte, error) {
 	if s.st == nil {
 		return nil, fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
 	}
-	if err := s.awaitCompaction(); err != nil {
+	if err := s.st.join(); err != nil {
 		return nil, err
 	}
-	return s.st.Snapshot()
+	return s.st.w.Snapshot()
 }
 
 // errKilled marks a node torn down by Kill — a deliberate simulated
@@ -1244,10 +1254,10 @@ func (s *MultiSystem) Kill() {
 	}
 	s.pipe.close()
 	if s.st != nil {
-		// A compaction the lifecycle started lands before the kill; its
-		// error dies with the node, which persists nothing more.
-		_ = s.awaitCompaction()
-		s.st.Abort()
+		// The writes the lifecycle issued land before the kill; their
+		// errors die with the node, which persists nothing more.
+		_ = s.st.join()
+		s.st.w.Abort()
 		s.st = nil
 	}
 	if s.shared == nil {

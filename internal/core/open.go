@@ -71,9 +71,9 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 		w.Close()
 		return nil, err
 	}
-	s.st = w
-	s.st.SetFsyncEvery(cfg.StoreFsyncEvery)
-	s.st.SetTracer(cfg.Tracer)
+	w.SetFsyncEvery(cfg.StoreFsyncEvery)
+	w.SetTracer(cfg.Tracer)
+	s.st = &storeQueue{w: w}
 	if err := s.restore(rec); err != nil {
 		w.Close()
 		s.st = nil
@@ -270,7 +270,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		info.Halted = true
 		info.HaltReason = reverted.Error()
 		s.err = reverted
-		if err := s.st.AppendHalt(boundary, reverted.Error()); err != nil {
+		if err := s.st.w.AppendHalt(boundary, reverted.Error()); err != nil {
 			return fmt.Errorf("%w: %v", chain.ErrStoreWrite, err)
 		}
 	}

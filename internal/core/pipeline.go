@@ -28,8 +28,11 @@ type commitJob struct {
 	gasBudget uint64
 	// persist asks the stage worker to also encode the epoch's durable
 	// snapshot and sync-part record payloads, keeping that serialization
-	// off the simulator goroutine.
-	persist bool
+	// off the simulator goroutine; suffixLen is the exact length of the
+	// receipt table and run counters the store queue appends to the
+	// snapshot record, so the worker sizes that record once.
+	persist   bool
+	suffixLen int
 	// tr is the lifecycle tracer (nil = disabled); the stage worker
 	// records its commit-build / chunk / sign / encode spans through it.
 	tr *trace.Tracer
@@ -78,8 +81,8 @@ type syncPackage struct {
 	// summary agreement delay).
 	scBytes int
 	// snapPrefix/partsBlob are the pre-encoded durable-store record
-	// payloads (nil when the node has no store); the retiring goroutine
-	// appends the receipt table and writes them.
+	// payloads (nil when the node has no store); the store queue appends
+	// the receipt table and writes them.
 	snapPrefix []byte
 	partsBlob  []byte
 	// err is a commit-stage fault (today: TSQC signing failure). The
@@ -183,7 +186,7 @@ func buildSyncPackage(job *commitJob) *syncPackage {
 	if job.persist {
 		job.stage.Store(jobEncode)
 		spEnc := job.tr.Start(trace.StageEncode, job.epoch)
-		pkg.snapPrefix, pkg.partsBlob = encodeEpochBlobs(job.sealed, res, pkg.txs)
+		pkg.snapPrefix, pkg.partsBlob = encodeEpochBlobs(job.sealed, res, pkg.txs, job.suffixLen)
 		spEnc.Bytes = len(pkg.snapPrefix) + len(pkg.partsBlob)
 		spEnc.End()
 	}

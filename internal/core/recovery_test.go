@@ -475,6 +475,9 @@ func TestKillBeforeCorruptSyncReverts(t *testing.T) {
 	parts := 0
 	ms.OnEvent(func(ev chain.Event) {
 		if ev.Type == chain.EventSyncSubmitted && ev.Epoch == 3 {
+			// Submitted is not yet durable: the image is the store's once
+			// its queue has written the epoch.
+			_ = ms.st.join()
 			image, _ = fsys.ReadFile(store.FileName)
 			parts = ev.Parts
 		}

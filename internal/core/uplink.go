@@ -126,22 +126,25 @@ func (u *syncUplink) hold(e uint64, txs []*mainchain.Tx) {
 
 // submit hands epoch e's signed parts to the mainchain, after the held
 // epochs' parts in epoch order, and reports whether it sent held ones (a
-// mass-sync).
-func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx) bool {
+// mass-sync). durable is epoch e's store write (nil without a store).
+func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx, durable *storeWrite) bool {
 	held := u.held
 	u.held = nil
 	for _, h := range held {
-		u.submitEpoch(h.epoch, h.txs)
+		u.submitEpoch(h.epoch, h.txs, nil)
 	}
-	u.submitEpoch(e, txs)
+	u.submitEpoch(e, txs, durable)
 	return len(held) > 0
 }
 
 // submitEpoch sends epoch e's parts. A part verifies against the key the
 // PREVIOUS epoch registers once ALL its parts land, so every part depends
 // on all of them; otherwise a block could pack this epoch's parts first
-// and revert them with an unknown-key error.
-func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx) {
+// and revert them with an unknown-key error. With a store write, every
+// part is fenced on it: the block that would include the part first waits
+// for the write (wall clock only), and a failed write keeps the part off
+// the chain and halts the node there.
+func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx, durable *storeWrite) {
 	submitted := u.sim.Now()
 	// wallStart anchors the wall-clock sync-submit and sync-confirm spans;
 	// the collector's "sync" latency is the virtual one.
@@ -168,10 +171,20 @@ func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx) {
 		done.At, done.SyncParts = tx.ConfirmedAt, u.bank.SyncStats()
 		u.node.epochSynced(done)
 	}
+	var gate func() error
+	if durable != nil {
+		gate = func() error {
+			err := durable.wait()
+			if err != nil {
+				u.node.fail(err)
+			}
+			return err
+		}
+	}
 	ids := u.partIDs(e, len(txs))
 	for i, tx := range txs {
 		tx.ID, tx.From, tx.To = ids[i], u.from, u.bank.Name()
-		tx.DependsOn, tx.OnConfirmed = u.prev, confirm
+		tx.DependsOn, tx.OnConfirmed, tx.Gate = u.prev, confirm, gate
 		done.Bytes += tx.Size
 		u.send(tx, e, i+1, 1)
 	}

@@ -105,7 +105,7 @@ func TestSyncUplinkChunksAtGasBudget(t *testing.T) {
 		if len(parts) != 3 {
 			t.Fatalf("epoch %d: %d parts at a two-pool budget, want 3", e, len(parts))
 		}
-		r.sim.At(time.Duration(e)*time.Second, func() { r.up.submit(e, partTxs(parts)) })
+		r.sim.At(time.Duration(e)*time.Second, func() { r.up.submit(e, partTxs(parts), nil) })
 	}
 	r.sim.RunUntil(10 * time.Minute)
 	if r.err != nil {
@@ -161,7 +161,7 @@ func TestSyncUplinkChunksAtGasBudget(t *testing.T) {
 func TestSyncUplinkRevertReachesNode(t *testing.T) {
 	r := newUplinkRig(t, "", nil)
 	parts := r.parts(t, 1, 1<<40, true)
-	r.up.submit(1, partTxs(parts))
+	r.up.submit(1, partTxs(parts), nil)
 	r.sim.RunUntil(5 * time.Minute)
 	if !errors.Is(r.err, chain.ErrSyncReverted) || !errors.Is(r.mc.TxByID("msync-e1-p1").Err, mainchain.ErrBadSyncSignature) {
 		t.Fatalf("node error %v, want ErrSyncReverted from a bad signature", r.err)
@@ -179,7 +179,7 @@ func TestSyncUplinkRetriesDroppedPart(t *testing.T) {
 	r := newUplinkRig(t, "alpha", &netsim.FaultSchedule{
 		Crashes: []netsim.CrashWindow{{Node: "sc-node/alpha", At: 0, Restart: 30 * time.Second}}})
 	parts := r.parts(t, 1, 1<<40, false)
-	r.sim.At(time.Second, func() { r.up.submit(1, partTxs(parts)) })
+	r.sim.At(time.Second, func() { r.up.submit(1, partTxs(parts), nil) })
 	r.sim.RunUntil(5 * time.Minute)
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -212,7 +212,7 @@ func TestSyncUplinkReplay(t *testing.T) {
 	for e := uint64(1); e <= 2; e++ {
 		parts := live.parts(t, e, budget, false)
 		log = append(log, &store.EpochRecord{EpochRow: store.EpochRow{Epoch: e}, Parts: parts})
-		live.sim.At(time.Duration(e)*time.Second, func() { live.up.submit(e, partTxs(parts)) })
+		live.sim.At(time.Duration(e)*time.Second, func() { live.up.submit(e, partTxs(parts), nil) })
 	}
 	live.sim.RunUntil(10 * time.Minute)
 	if live.err != nil || live.bank.LastSyncedEpoch != 2 {
@@ -231,7 +231,7 @@ func TestSyncUplinkReplay(t *testing.T) {
 		t.Errorf("resume: next parts depend on %v, want %v", reopened.up.prev, want)
 	}
 	reopened.up.prev = nil // a fresh chain never saw those transactions
-	reopened.up.submit(3, partTxs(reopened.parts(t, 3, budget, false)))
+	reopened.up.submit(3, partTxs(reopened.parts(t, 3, budget, false)), nil)
 	reopened.sim.RunUntil(5 * time.Minute)
 	if reopened.err != nil || reopened.bank.LastSyncedEpoch != 3 {
 		t.Fatalf("epoch 3 after replay: %v, bank at %d", reopened.err, reopened.bank.LastSyncedEpoch)

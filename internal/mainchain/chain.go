@@ -91,6 +91,14 @@ type Tx struct {
 	// OnConfirmed fires after the transaction executes (success or
 	// revert), at confirmation time.
 	OnConfirmed func(*Tx)
+	// Gate, when set, fences the transaction's inclusion: the first block
+	// that would include it calls Gate first and waits for it in
+	// wall-clock time only, so the block, its virtual time and every
+	// confirmation stay what they would be without it. A nil return lets
+	// the transaction in; an error drops it from the mempool unexecuted
+	// (Err records it, OnConfirmed never fires) — Gate itself reports the
+	// fault to the sender.
+	Gate func() error
 }
 
 // Block is a produced mainchain block.
@@ -332,6 +340,13 @@ func (c *Chain) produceBlock() {
 		if tx.GasLimit > c.cfg.GasLimit-blk.GasUsed && blk.GasUsed > 0 {
 			remaining = append(remaining, tx)
 			continue
+		}
+		if tx.Gate != nil {
+			if err := tx.Gate(); err != nil {
+				tx.Err = err
+				continue
+			}
+			tx.Gate = nil
 		}
 		if deferred := c.executeTx(tx, blk); deferred {
 			remaining = append(remaining, tx)

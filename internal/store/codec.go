@@ -71,11 +71,17 @@ type EpochRecord struct {
 // including) the receipt table: epoch identity, the folded summary root,
 // every pool's root and payload digest, and the full state of the pools
 // touched this epoch. It runs on the commit-stage worker, off the
-// simulator goroutine, so the epoch-close hot path only appends the
-// receipt suffix and writes.
+// simulator goroutine, so the node's store queue only appends the
+// receipt suffix and writes. The buffer is allocated once, with room for
+// suffixLen more bytes: ReceiptsAndMetaLen of the rows
+// AppendReceiptsAndMeta will add completes the record in place.
 func EncodeSnapshotPrefix(epoch uint64, summaryRoot [32]byte, poolIDs []string,
-	poolRoots, payloadDigests [][32]byte, activeIDs []string, active []*amm.Pool) []byte {
-	buf := make([]byte, 0, 512+len(poolIDs)*80)
+	poolRoots, payloadDigests [][32]byte, activeIDs []string, active []*amm.Pool, suffixLen int) []byte {
+	size := 8 + 32 + 4 + poolsLen(activeIDs, active) + suffixLen
+	for _, id := range poolIDs {
+		size += 4 + len(id) + 64
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	buf = append(buf, summaryRoot[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(poolIDs)))
@@ -92,6 +98,19 @@ func EncodeSnapshotPrefix(epoch uint64, summaryRoot [32]byte, poolIDs []string,
 // counters.
 func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byte {
 	return appendMeta(appendReceipts(buf, recs), meta)
+}
+
+// receiptRowLen is a receipt row's encoded length besides its TxID and
+// PoolID bytes: their two length prefixes, the status and five u64s.
+const receiptRowLen = 4 + 4 + 1 + 5*8
+
+// metaLen is RunMeta's encoded length: six u64 counters.
+const metaLen = 6 * 8
+
+// ReceiptsAndMetaLen is the exact length AppendReceiptsAndMeta adds for n
+// receipt rows whose TxIDs and PoolIDs total idBytes bytes.
+func ReceiptsAndMetaLen(n, idBytes int) int {
+	return 4 + n*receiptRowLen + idBytes + metaLen
 }
 
 func decodeSnapshot(payload []byte) (*EpochRecord, error) {
@@ -237,6 +256,15 @@ func appendPools(buf []byte, ids []string, pools []*amm.Pool) []byte {
 	return buf
 }
 
+// poolsLen is the exact length appendPools adds for the pool set.
+func poolsLen(ids []string, pools []*amm.Pool) int {
+	n := 4
+	for i, id := range ids {
+		n += 4 + len(id) + 4 + amm.EncodedPoolLen(pools[i])
+	}
+	return n
+}
+
 // readPools reads a pool set, rejecting IDs that are not strictly
 // increasing: every writer emits canonical (sorted) order, so anything
 // else — a duplicate ID included — is corruption, not last-wins.
@@ -299,7 +327,14 @@ func finish(d *binenc.Cursor, record string) error {
 // inclusion proof, bit-exact, so recovery can replay them through the
 // bank's verification path.
 func EncodeSyncParts(epoch uint64, parts []*mainchain.MultiSyncArgs) []byte {
-	buf := make([]byte, 0, 1024)
+	size := 8 + 4
+	for _, a := range parts {
+		size += 4 + 4 + 32 + 64 + 64 + 4 + 4 + 4 + 32*len(a.Proof) + 4
+		for _, p := range a.Payloads {
+			size += syncPayloadLen(p)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint64(buf, epoch)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(parts)))
 	for _, a := range parts {
@@ -320,6 +355,18 @@ func EncodeSyncParts(epoch uint64, parts []*mainchain.MultiSyncArgs) []byte {
 		}
 	}
 	return buf
+}
+
+// syncPayloadLen is the exact length appendSyncPayload adds for p.
+func syncPayloadLen(p *summary.SyncPayload) int {
+	n := 8 + 4 + len(p.PoolID) + 32 + 32 + 4 + len(p.NextGroupKey) + 4 + 4
+	for _, e := range p.Payouts {
+		n += 4 + len(e.User) + 64
+	}
+	for _, e := range p.Positions {
+		n += 4 + len(e.ID) + 4 + len(e.Owner) + 4 + 4 + 3*32 + 1
+	}
+	return n
 }
 
 func appendSyncPayload(buf []byte, p *summary.SyncPayload) []byte {

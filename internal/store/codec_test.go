@@ -68,8 +68,8 @@ func frames(t testing.TB, data []byte) []frame {
 }
 
 // encodeSnapshot re-encodes a recovered snapshot record the way the
-// writer does: prefix, then receipts and run counters, with the active
-// pools in sorted-ID order.
+// writer does: prefix sized for the whole record, then receipts and run
+// counters, with the active pools in sorted-ID order.
 func encodeSnapshot(er *EpochRecord) []byte {
 	ids := make([]string, 0, len(er.Pools))
 	for id := range er.Pools {
@@ -81,14 +81,25 @@ func encodeSnapshot(er *EpochRecord) []byte {
 		pools[i] = er.Pools[id]
 	}
 	prefix := EncodeSnapshotPrefix(er.Epoch, er.SummaryRoot, er.PoolIDs, er.PoolRoots,
-		er.PayloadDigests, ids, pools)
+		er.PayloadDigests, ids, pools, receiptsAndMetaLen(er.Receipts))
 	return AppendReceiptsAndMeta(prefix, er.Receipts, er.Meta)
+}
+
+// receiptsAndMetaLen is ReceiptsAndMetaLen of recs.
+func receiptsAndMetaLen(recs []ReceiptRecord) int {
+	ids := 0
+	for _, r := range recs {
+		ids += len(r.TxID) + len(r.PoolID)
+	}
+	return ReceiptsAndMetaLen(len(recs), ids)
 }
 
 // TestGoldenImageReencodes pins the codec against the committed images:
 // every record the scan recovers re-encodes to its frame's payload byte
 // for byte (a format-2 sync-part record through the test's v2 encoder),
-// and the format-3 image holds multi-part epochs.
+// and the format-3 image holds multi-part epochs. Each epoch record the
+// writer's encoders build fills its buffer exactly: one allocation, no
+// growth.
 func TestGoldenImageReencodes(t *testing.T) {
 	for _, name := range []string{goldenV2, goldenV3} {
 		data, fp := goldenImage(t, name)
@@ -120,10 +131,17 @@ func TestGoldenImageReencodes(t *testing.T) {
 		check("checkpoint", frs[1], recCheckpoint, encodeCheckpoint(rec.Checkpoint))
 		multiPart := false
 		for i, er := range rec.Epochs {
-			check("snapshot", frs[2+2*i], recSnapshot, encodeSnapshot(er))
+			snap := encodeSnapshot(er)
+			check("snapshot", frs[2+2*i], recSnapshot, snap)
 			typ, payload := syncRecord(er)
 			check("sync parts", frs[3+2*i], typ, payload)
 			multiPart = multiPart || len(er.Parts) > 1
+			if len(snap) != cap(snap) {
+				t.Errorf("%s: epoch %d snapshot record: %d bytes in a %d-byte buffer", name, er.Epoch, len(snap), cap(snap))
+			}
+			if typ == recSyncParts && len(payload) != cap(payload) {
+				t.Errorf("%s: epoch %d sync-part record: %d bytes in a %d-byte buffer", name, er.Epoch, len(payload), cap(payload))
+			}
 		}
 		if name == goldenV3 && !multiPart {
 			t.Errorf("%s: no tail epoch synced in more than one part", name)

@@ -135,12 +135,12 @@ func (g *foldGen) epoch(e uint64, touch byte) (snap, parts []byte) {
 		}
 	}
 	root := [32]byte{byte(e), byte(e >> 8), 0xcc}
-	prefix := EncodeSnapshotPrefix(e, root, g.ids, roots, digests, ids, active)
 	recs := make([]ReceiptRecord, e%4)
 	for j := range recs {
 		recs[j] = ReceiptRecord{TxID: fmt.Sprintf("tx-%d-%d", e, j), PoolID: g.ids[j], Status: 2,
 			Epoch: e, Round: uint64(j), SubmittedAt: int64(e), ExecutedAt: int64(e) + 1, CheckpointedAt: int64(e) + 2}
 	}
+	prefix := EncodeSnapshotPrefix(e, root, g.ids, roots, digests, ids, active, receiptsAndMetaLen(recs))
 	snap = AppendReceiptsAndMeta(prefix, recs, RunMeta{Rejected: e, SyncsOK: e / 2, QueuePeak: uint64(touch)})
 	args := make([]*mainchain.MultiSyncArgs, 1+e%3)
 	for i := range args {

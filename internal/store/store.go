@@ -144,11 +144,12 @@ func (r *Recovery) Epoch() uint64 {
 }
 
 // Writer appends epoch records to the store. It serves one caller at a
-// time: no method may start before the previous one has returned. The
-// caller may hand a call to another goroutine — core runs Compact on one
-// of its own — but must join it before its next call, so the writer
-// never sees two calls at once and writes the same bytes in the same
-// order as a caller that never left its own goroutine.
+// time: no method may start before the previous one has returned. In
+// core its owner is the node's store queue: every append, compaction and
+// halt record runs there, one after another, off the lifecycle
+// goroutine, which joins the queue before it touches the writer itself,
+// so the writer never sees two calls at once and writes the same bytes in
+// the same order as a caller that never left its own goroutine.
 type Writer struct {
 	f          File
 	bw         *bufio.Writer

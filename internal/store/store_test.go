@@ -62,12 +62,13 @@ func synthEpoch(t *testing.T, e uint64, pool *amm.Pool) (snap, parts []byte) {
 	t.Helper()
 	root := [32]byte{byte(e), 0xaa}
 	digest := [32]byte{byte(e), 0xbb}
-	prefix := EncodeSnapshotPrefix(e, root, []string{"pool-0000"},
-		[][32]byte{root}, [][32]byte{digest}, []string{"pool-0000"}, []*amm.Pool{pool})
-	snap = AppendReceiptsAndMeta(prefix, []ReceiptRecord{
+	recs := []ReceiptRecord{
 		{TxID: fmt.Sprintf("tx-%d", e), PoolID: "pool-0000", Status: 2, Epoch: e, Round: 1,
 			SubmittedAt: 7, ExecutedAt: 9, CheckpointedAt: 11},
-	}, RunMeta{Rejected: e, SyncsOK: e - 1, QueuePeak: 3})
+	}
+	prefix := EncodeSnapshotPrefix(e, root, []string{"pool-0000"},
+		[][32]byte{root}, [][32]byte{digest}, []string{"pool-0000"}, []*amm.Pool{pool}, receiptsAndMetaLen(recs))
+	snap = AppendReceiptsAndMeta(prefix, recs, RunMeta{Rejected: e, SyncsOK: e - 1, QueuePeak: 3})
 	parts = EncodeSyncParts(e, []*mainchain.MultiSyncArgs{{
 		Epoch: e, Part: 1, NumParts: 1, SummaryRoot: root,
 		Payloads: []*summary.SyncPayload{{

@@ -58,7 +58,8 @@ const (
 	// sync-part record payloads) on the commit-stage worker.
 	StageEncode
 	// StageStoreAppend is the durable store's epoch append (both records
-	// plus buffered write, excluding the fsync).
+	// plus buffered write, excluding the fsync), on the node's store
+	// queue.
 	StageStoreAppend
 	// StageStoreFsync is the store's file sync (absent on epochs a
 	// batched fsync policy skipped).
@@ -74,8 +75,8 @@ const (
 	// blocked waiting for the commit stage to retire an epoch.
 	StageStall
 	// StageStoreCompact is one store compaction: fold, temp-file write,
-	// fsync and rename (Bytes carries the checkpoint). It runs on a
-	// goroutine of its own, overlapping later epochs.
+	// fsync and rename (Bytes carries the checkpoint). It runs on the
+	// node's store queue, overlapping later epochs.
 	StageStoreCompact
 
 	numStages
