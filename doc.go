@@ -27,20 +27,24 @@
 // Backpressure quickstart:
 //
 //	res, err := node.SubmitBatch(ctx, batch) // partial-accept
-//	for errors.Is(err, chain.ErrThrottled) { // whole batch shed
-//	    var ae *chain.AdmissionError
-//	    errors.As(err, &ae)
-//	    time.Sleep(ae.RetryAfter) // hint derived from the drain cadence
-//	    res, err = node.SubmitBatch(ctx, batch)
+//	if err != nil { // whole batch refused: halted, closed, ctx done
+//	    return err
 //	}
-//	// A nil err can still leave ErrMempoolFull in res.Errs for the
-//	// batch's tail — admission is order-preserving, so resubmit from
-//	// the first failed index after the hint.
+//	for i, e := range res.Errs {
+//	    var ae *chain.AdmissionError
+//	    if errors.Is(e, chain.ErrMempoolFull) && errors.As(e, &ae) {
+//	        // Admission is order-preserving: the tail from i on was
+//	        // refused. Resubmit it after the hint (the drain cadence).
+//	        time.Sleep(ae.RetryAfter)
+//	        res, err = node.SubmitBatch(ctx, batch[i:])
+//	        break
+//	    }
+//	}
 //
-// (see the benchmark module bench/ for a multi-producer client built on
-// this loop, internal/ingest for the sharded-mempool front end behind it,
-// and chain.Config's IngestCapacity / IngestSoftMark / IngestMaxWait
-// fields for the admission policy knobs).
+// Submit(ctx, tx) is the same admission path with a batch of one (see
+// the benchmark module bench/ for a multi-producer client, internal/ingest
+// for the mempool front end behind it, and chain.Config's IngestCapacity
+// / IngestMaxWait fields for the admission policy knobs).
 //
 // The lifecycle is pipelined: a finished
 // epoch's commitment build, sync chunking, and TSQC signing run on an

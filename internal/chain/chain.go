@@ -11,14 +11,14 @@
 //
 // Submit and SubmitBatch are the node's serving path: safe for many
 // concurrent producer goroutines while the epoch lifecycle runs
-// underneath. Admission is explicit — a full or throttled mempool turns
-// producers away with a typed *AdmissionError (ErrMempoolFull,
-// ErrThrottled) carrying a retry hint instead of growing the queue
-// without bound, and a producer blocked on backpressure can cancel
-// through its context (ErrCanceled). Concurrent arrivals are sequenced
-// into one canonical order at each round boundary, so an N-producer run
-// and a single-producer replay of the same arrival log (ArrivalLog)
-// compute bit-identical state (DESIGN.md invariant 13).
+// underneath. Admission is explicit — a full mempool turns producers
+// away with a typed *AdmissionError (ErrMempoolFull) carrying a retry
+// hint instead of growing the queue without bound, and a producer
+// blocked on backpressure can cancel through its context (ErrCanceled).
+// Concurrent arrivals are sequenced into one canonical order at each
+// round boundary, so an N-producer run and a single-producer replay of
+// the same arrival log (ArrivalLog) compute bit-identical state
+// (DESIGN.md invariant 13).
 package chain
 
 import (
@@ -61,11 +61,6 @@ var (
 	// RetryAfter hint (roughly one round: the next drain boundary) and
 	// resubmit.
 	ErrMempoolFull = errors.New("chain: mempool at capacity")
-	// ErrThrottled sheds a whole batch arriving while occupancy is above
-	// the soft high-water mark — load shedding before the hard capacity
-	// wall, distinct from ErrMempoolFull so clients can treat it as
-	// "slow down" rather than "drop".
-	ErrThrottled = errors.New("chain: ingest throttled above soft mark")
 	// ErrCanceled reports that the producer's context ended while the
 	// submission was blocked on admission control — distinct from
 	// ErrMempoolFull: the caller gave up, the node did not turn it away.
@@ -89,10 +84,9 @@ var (
 
 // AdmissionError is the typed backpressure error Submit and SubmitBatch
 // return when admission control turns a submission away. Err is one of
-// the admission sentinels (ErrMempoolFull, ErrThrottled, ErrCanceled,
-// ErrClosed) — errors.Is matches through it — and the remaining fields
-// tell the producer what the front door looked like and when to come
-// back.
+// the admission sentinels (ErrMempoolFull, ErrCanceled, ErrClosed) —
+// errors.Is matches through it — and the remaining fields tell the
+// producer what the front door looked like and when to come back.
 type AdmissionError struct {
 	// Err is the admission sentinel classifying the rejection.
 	Err error
@@ -268,15 +262,16 @@ type Chain interface {
 	// the receipt whose status the lifecycle advances. Safe for many
 	// concurrent producer goroutines. The error is a submission-time
 	// validation sentinel or a typed *AdmissionError (ErrMempoolFull,
-	// ErrThrottled, ErrCanceled, ErrClosed); ctx cancels a submission
-	// blocked on backpressure. Submit is the single-transaction form of
-	// SubmitBatch, with identical admission semantics.
+	// ErrCanceled, ErrClosed); ctx cancels a submission blocked on
+	// backpressure, and a context already done is refused before
+	// admission. Submit is SubmitBatch with a batch of one: the same
+	// admission path.
 	Submit(ctx context.Context, tx *summary.Tx) (*Receipt, error)
 	// SubmitBatch validates and admits many transactions in one call,
 	// amortizing per-call overhead, with partial-accept semantics: the
 	// BatchResult reports each transaction's receipt or rejection. The
 	// error return is reserved for whole-batch refusals (ErrHalted,
-	// ErrClosed, ErrThrottled, a context already done) — per-transaction
+	// ErrClosed, a context already done) — per-transaction
 	// failures never fail the call. Safe for concurrent producers.
 	SubmitBatch(ctx context.Context, txs []*summary.Tx) (*BatchResult, error)
 	// SubmitDeposit funds a user's epoch deposit. On a node whose bank is

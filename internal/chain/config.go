@@ -144,9 +144,10 @@ type Config struct {
 	// from the deployment fingerprint and may differ across restarts of
 	// the same store.
 	CompactEvery int
-	// StoreFsyncEvery batches the durable store's fsyncs to every n-th
-	// epoch retirement (default 1 = every epoch). Larger values trade
-	// the last <n epochs on a crash for lower epoch-close latency.
+	// StoreFsyncEvery must be 0 or 1: every epoch's append is fsynced
+	// before a block may include its sync part, and a node with a store
+	// refuses any larger value (fsync batching would let a block include
+	// an epoch that is not yet on disk).
 	StoreFsyncEvery int
 
 	// Ingest front end: the thread-safe admission layer
@@ -154,12 +155,9 @@ type Config struct {
 	// (default ingest.DefaultCapacity); a producer finding it full blocks
 	// up to IngestMaxWait wall-clock (default ingest.DefaultMaxWait; < 0
 	// never blocks) for a drain, then gets a typed ErrMempoolFull with a
-	// retry hint. IngestSoftMark, when set below capacity, sheds whole
-	// batches arriving above it with ErrThrottled — load shedding before
-	// the hard wall (default: disabled). WithDefaults leaves all three
-	// as given; ingest.New fills them.
+	// retry hint. WithDefaults leaves both as given; ingest.New fills
+	// them.
 	IngestCapacity int
-	IngestSoftMark int
 	IngestMaxWait  time.Duration
 	// ArrivalLog, when non-nil, records the canonical arrival order at
 	// every drain boundary for single-producer replay (invariant 13).
@@ -237,9 +235,6 @@ func (c Config) WithDefaults() Config {
 	if c.PipelineDepth < 1 {
 		c.PipelineDepth = 1
 	}
-	if c.StoreFsyncEvery < 1 {
-		c.StoreFsyncEvery = 1
-	}
 	if c.ConsensusFidelity == "" {
 		c.ConsensusFidelity = FidelityModel
 	}
@@ -287,7 +282,9 @@ type Report struct {
 
 	// Ingest front-end telemetry: admission outcomes across the run
 	// (producer-side counters folded in at report time) and the peak
-	// mempool occupancy admission control observed.
+	// mempool occupancy admission control observed. IngestThrottled is
+	// always 0: admission has no soft mark that sheds batches; the field
+	// stays because the benchmark module (bench/traced.go) reads it.
 	IngestAdmitted  uint64
 	IngestRejFull   uint64
 	IngestThrottled uint64

@@ -31,7 +31,7 @@ type committeeKeys struct {
 // member's coefficient folded into its share, see tsig.Quorum) is built
 // on the first signature, not at construction: provisioning runs on the
 // simulator goroutine at node setup and at every epoch start, the first
-// signature on whichever goroutine signs — the commit-stage worker in a
+// signature on whichever goroutine signs — a commit-lane task in a
 // pipelined run.
 type syncSigner struct {
 	group  tsig.GroupKey

@@ -97,7 +97,7 @@ func TestCompactionDoesNotBlockPrune(t *testing.T) {
 
 // TestFailedBackgroundCompactionHalts: a compaction whose temp file
 // fails its fsync halts the node with ErrStoreWrite naming the
-// compaction's epoch, where the node next meets the store queue — the
+// compaction's epoch, where the node next meets the store lane — the
 // block a later epoch's part waits at, or a join — the same epoch and
 // receipt stages on every run — and leaves the uncompacted log with the
 // halt record behind it, which reopens halted.

@@ -84,7 +84,6 @@ type frontEnd struct {
 func (f *frontEnd) initFrontEnd(cfg chain.Config, users, pools []string, tr *trace.Tracer) {
 	f.ingest = ingest.New(ingest.Policy{
 		Capacity:  cfg.IngestCapacity,
-		SoftMark:  cfg.IngestSoftMark,
 		MaxWait:   cfg.IngestMaxWait,
 		RetryHint: cfg.RoundDuration,
 	})
@@ -153,10 +152,11 @@ func (f *frontEnd) submitErr(err error) error {
 // Submit validates the transaction, hashes its meta-block leaf and admits
 // it into the concurrent ingest pool; the next round boundary drains it
 // into the meta-block queue. Safe to call from any goroutine — this is
-// the node's serving path. It is the single-transaction form of
-// SubmitBatch and carries the same admission semantics (typed
-// backpressure, bounded blocking, ctx cancellation). The call counts as
-// admitting from its first line, so the end-of-run decision waits for it.
+// the node's serving path. It admits through the same path as
+// SubmitBatch, as a batch of one (typed backpressure, bounded blocking,
+// ctx cancellation, a context already done refused before admission).
+// The call counts as admitting from its first line, so the end-of-run
+// decision waits for it.
 func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, error) {
 	f.ingest.Hold()
 	defer f.ingest.Release()
@@ -167,7 +167,11 @@ func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, 
 		return nil, err
 	}
 	rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-	if err := f.ingest.AdmitOne(ctx, ingest.Entry{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)}); err != nil {
+	_, errs, err := f.ingest.Admit(ctx, []ingest.Entry{{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)}})
+	if err == nil && errs != nil {
+		err = errs[0]
+	}
+	if err != nil {
 		return nil, f.submitErr(err)
 	}
 	return rc, nil
@@ -179,7 +183,7 @@ func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, 
 // receipt or a typed error in the BatchResult. Like Submit, the call
 // counts as admitting from its first line.
 // The call-level error is reserved for whole-batch refusals (halted
-// node, closed pool, throttling above the soft mark, canceled context)
+// node, closed pool, canceled context)
 // — the per-entry outcomes are still filled in when that happens.
 // A batch's receipts share one allocation, so a retained receipt keeps
 // its whole batch's receipts alive.

@@ -154,60 +154,6 @@ func TestIngestSaturationTypedRejections(t *testing.T) {
 	})
 }
 
-// TestIngestSoftMarkShedsBatches pins the soft-mark policy: a batch
-// arriving while occupancy is at or above the mark is refused whole with
-// a typed ErrThrottled carrying the retry hint — no partial admission,
-// every per-transaction outcome marked.
-func TestIngestSoftMarkShedsBatches(t *testing.T) {
-	cfg, _ := multiTestConfigs(3, 8, 1, 0)
-	cfg.PipelineDepth = 1
-	cfg.IngestCapacity = 256
-	cfg.IngestSoftMark = 16
-	wcfg := workload.DefaultMultiConfig(3, cfg.NumPools)
-	wcfg.NumUsers = 10
-	gen := workload.NewMulti(wcfg)
-	sys, err := NewMultiSystem(cfg, gen.Users())
-	if err != nil {
-		t.Fatalf("NewMultiSystem: %v", err)
-	}
-	defer sys.Close()
-
-	for i := 0; i < 16; i++ {
-		if _, err := sys.Submit(context.Background(), gen.Next()); err != nil {
-			t.Fatalf("fill submit %d: %v", i, err)
-		}
-	}
-	txs := make([]*summary.Tx, 8)
-	for i := range txs {
-		txs[i] = gen.Next()
-	}
-	res, batchErr := sys.SubmitBatch(context.Background(), txs)
-	if !errors.Is(batchErr, chain.ErrThrottled) {
-		t.Fatalf("batch above soft mark returned %v, want ErrThrottled", batchErr)
-	}
-	var ad *chain.AdmissionError
-	if !errors.As(batchErr, &ad) {
-		t.Fatalf("ErrThrottled is not an AdmissionError: %v", batchErr)
-	}
-	if ad.RetryAfter <= 0 || ad.Occupancy < 16 || ad.Capacity != 256 {
-		t.Errorf("admission error = %+v, want occupancy >= 16, capacity 256, positive hint", ad)
-	}
-	if res.Accepted != 0 {
-		t.Errorf("shed batch accepted %d txs, want 0", res.Accepted)
-	}
-	for i := range txs {
-		if res.Receipts[i] != nil || !errors.Is(res.Errs[i], chain.ErrThrottled) {
-			t.Errorf("shed batch outcome %d = (%v, %v), want (nil, ErrThrottled)",
-				i, res.Receipts[i], res.Errs[i])
-		}
-	}
-	// A single submission is not a batch: it passes the soft mark and
-	// only the hard capacity wall can refuse it.
-	if _, err := sys.Submit(context.Background(), gen.Next()); err != nil {
-		t.Errorf("single submit above soft mark: %v, want accepted", err)
-	}
-}
-
 // TestIngestCancelMidBackpressure pins context handling while a
 // producer is parked on a full mempool: cancellation surfaces as a typed
 // ErrCanceled — distinct from ErrMempoolFull — without waiting out the

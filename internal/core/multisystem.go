@@ -79,9 +79,12 @@ type MultiSystem struct {
 	done          bool
 	err           error
 
-	// pipe is the asynchronous commit/sync stage; cfg.PipelineDepth is its
-	// window (depth 1 retires every epoch as soon as it seals).
-	pipe *commitPipeline
+	// commitLane runs the asynchronous commit/sync stage, and inflight
+	// is its window: the sealed epochs not yet retired, oldest first.
+	// cfg.PipelineDepth bounds the window (depth 1 retires every epoch as
+	// soon as it seals).
+	commitLane lane
+	inflight   []*commitJob
 	// lastSummaryAt enforces per-epoch ordering of the pipelined summary
 	// checkpoint events: epoch e+1's checkpoint never fires before epoch
 	// e's, whatever the agreement delays say.
@@ -97,11 +100,13 @@ type MultiSystem struct {
 	// simulated network (nil for model-fidelity runs).
 	live *liveConsensus
 
-	// st is the durable epoch store (nil for in-memory nodes): its writer
-	// and the queue that runs every write to it off the lifecycle. Epochs
+	// st is the durable epoch store's writer (nil for in-memory nodes),
+	// and storeLane runs every write to it off the lifecycle. Epochs
 	// persist at retirement — snapshot record then sync-part record — and
 	// no block includes a sync part before its epoch's write has returned.
-	st *storeQueue
+	// The lifecycle touches st itself only after joining storeLane.
+	st        *store.Writer
+	storeLane lane
 	// recovered describes what Open restored; nil for fresh nodes.
 	recovered *chain.RecoveryInfo
 	// rootsCompacted tracks the highest epoch whose bookkeeping the
@@ -249,7 +254,6 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
 		s.mc.SetRetention(MainchainRetentionBlocks(cfg))
 	}
 	s.uplink = newSyncUplink(s, s.sim, s.mc, s.mb, cfg.ChainID, cfg.SyncFaults, s.bus, s.col, s.tr)
-	s.pipe = newCommitPipeline(cfg.PipelineDepth)
 	if cfg.ConsensusFidelity == chain.FidelityLive {
 		s.live = newLiveConsensus(s)
 	}
@@ -310,7 +314,7 @@ func (s *MultiSystem) fail(err error) {
 	// The halt record is a write like any other: the writes issued before
 	// it finish first, and if one of them failed, it failed first.
 	if s.st != nil {
-		if serr := s.st.join(); serr != nil && s.err == nil {
+		if serr := s.storeLane.join(); serr != nil && s.err == nil {
 			err = serr
 		}
 	}
@@ -319,8 +323,8 @@ func (s *MultiSystem) fail(err error) {
 		s.halt()
 		if s.st != nil {
 			// Best-effort: the store may itself be the failing component.
-			epoch, reason := s.epoch, err.Error()
-			_ = s.st.issue(true, func(w *store.Writer) error { return w.AppendHalt(epoch, reason) }).wait()
+			w, epoch, reason := s.st, s.epoch, err.Error()
+			_ = s.storeLane.issue(true, func() error { return w.AppendHalt(epoch, reason) }).wait()
 		}
 		s.bus.Publish(chain.Event{Type: chain.EventHalted, At: s.sim.Now(), Epoch: s.epoch, Err: err})
 	}
@@ -418,8 +422,8 @@ func (s *MultiSystem) Close() error {
 	}
 	// A failed write a halted node already reported (or halted past) is
 	// not reported again.
-	serr := s.st.join()
-	err := s.st.w.Close()
+	serr := s.storeLane.join()
+	err := s.st.Close()
 	s.st = nil
 	if serr != nil && s.err == nil {
 		return serr
@@ -627,10 +631,10 @@ func (s *MultiSystem) StartEpochs(epochs int) bool {
 // returns the run's report and lifecycle error. Call it exactly once,
 // after the simulator has drained.
 func (s *MultiSystem) CollectReport() (*chain.Report, error) {
-	// Join the commit stage before reporting: a halted run may leave
-	// unretired jobs whose packages are simply abandoned, but the worker
-	// goroutine must be gone before callers inspect state.
-	s.pipe.close()
+	// Join the commit lane before reporting: a halted run may leave
+	// unretired jobs whose packages are simply abandoned, but no job may
+	// still touch engine state when callers inspect it.
+	_ = s.commitLane.join()
 	s.bus.Close()
 	s.col.ObserveEventDrops(s.bus.Dropped())
 	return s.report(), s.err
@@ -812,7 +816,7 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 	// Occupancy is sampled before this epoch joins the window: how many
 	// earlier epochs' commit/sync stages were still unretired when this
 	// epoch finished executing.
-	s.col.ObservePipeline(s.pipe.depth())
+	s.col.ObservePipeline(len(s.inflight))
 	nextKey := s.committees[e+1].group
 	sealed := s.sealTraced(e, nextKey.PK.Bytes())
 	if sealed == nil {
@@ -829,17 +833,23 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 		gasBudget: syncPartGas(s.cfg.Mainchain),
 		persist:   s.st != nil,
 		tr:        s.tr,
-		done:      make(chan struct{}),
 	}
 	if job.persist {
 		job.suffixLen = s.receiptSuffixLen(e)
 	}
-	s.pipe.submit(job)
+	// The lane runs jobs one at a time in seal order: an idle pool answers
+	// from the root its last touched epoch's Finalize cached. A commit
+	// fault travels in the package, so the task itself never fails.
+	job.run = s.commitLane.issue(false, func() error {
+		job.pkg = buildSyncPackage(job)
+		return nil
+	})
+	s.inflight = append(s.inflight, job)
 	// Backpressure: the window holds the executing epoch plus at most
 	// PipelineDepth-1 sealed epochs, so retire the oldest until it fits.
 	// Retirement order is FIFO — stage effects always publish in epoch
 	// order.
-	for s.pipe.depth() >= s.cfg.PipelineDepth {
+	for len(s.inflight) >= s.cfg.PipelineDepth {
 		if !s.retireOldest() {
 			return
 		}
@@ -863,7 +873,7 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 			// schedule; the chain stops once the final epoch prunes —
 			// which, with a window of one, may already have happened.
 			s.done = true
-			for s.pipe.depth() > 0 {
+			for len(s.inflight) > 0 {
 				if !s.retireOldest() {
 					return
 				}
@@ -889,9 +899,12 @@ func (s *MultiSystem) finishEpoch(e uint64, lastRoundStart time.Duration) {
 }
 
 // retireOldest blocks until the oldest in-flight epoch's commit/sync
-// package is ready, then schedules its externally observable effects —
-// summary checkpoint, receipt stage advances, event publishes, sync
-// submission — on the simulator goroutine in per-epoch order. Returns
+// package is ready, removes it from the window, then schedules its
+// externally observable effects — summary checkpoint, receipt stage
+// advances, event publishes, sync submission — on the simulator
+// goroutine in per-epoch order. The wait is the pipeline's only
+// synchronization point: it spends wall-clock time, never virtual time,
+// and only when the commit stage is still behind. Returns
 // false when the node halted (a commit-stage fault or an earlier
 // lifecycle fault), in which case the remaining in-flight work is
 // abandoned: no further stage events publish and receipts keep the last
@@ -903,17 +916,14 @@ func (s *MultiSystem) retireOldest() bool {
 	// job is always "finished".
 	var stalledIn string
 	var stallStart time.Duration
-	if s.tr != nil && len(s.pipe.inflight) > 0 {
-		oldest := s.pipe.inflight[0]
-		select {
-		case <-oldest.done:
-		default:
-			stalledIn = jobStageName(oldest.stage.Load())
-			stallStart = s.tr.Since()
-		}
+	job := s.inflight[0]
+	if s.tr != nil && !job.run.finished() {
+		stalledIn = jobStageName(job.stage.Load())
+		stallStart = s.tr.Since()
 	}
 	wallStart := time.Now()
-	job := s.pipe.awaitOldest()
+	_ = job.run.wait()
+	s.inflight = s.inflight[1:]
 	wall := time.Since(wallStart)
 	s.stallWall += wall
 	if stalledIn != "" {
@@ -943,10 +953,10 @@ func (s *MultiSystem) retireOldest() bool {
 			return
 		}
 		// Persist before the sync parts become externally visible: the
-		// snapshot and its sync-part log entry go to the store queue in
+		// snapshot and its sync-part log entry go to the store lane in
 		// epoch-retire order, and each part waits at block inclusion for
-		// the write to return (the blobs were encoded on the commit-stage
-		// worker; the receipt suffix and the write run on the queue).
+		// the write to return (the blobs were encoded on the commit lane;
+		// the receipt suffix and the write run on the store lane).
 		if s.uplink.submit(e, pkg.txs, s.persistEpoch(e, pkg.snapPrefix, pkg.partsBlob)) {
 			s.MassSyncs++
 		}
@@ -990,7 +1000,7 @@ func (s *MultiSystem) retireOldest() bool {
 // finishIfPruned reports the node finished once the run is over and its
 // final epoch has pruned (keyed on that epoch's prune, not on an empty
 // receipt table: an epoch without transactions never had an entry).
-// It joins the store queue first, so Run returns only after every write
+// It joins the store lane first, so Run returns only after every write
 // it issued has finished, and a failed one halts the node instead.
 func (s *MultiSystem) finishIfPruned() {
 	if s.done && s.lastPruned == s.epoch && s.joinStore() {
@@ -1017,7 +1027,7 @@ func (s *MultiSystem) checkpointEpoch(e uint64, payloads []*summary.SyncPayload,
 
 // encodeEpochBlobs builds the epoch's snapshot-record prefix, with room
 // for a receipt suffix of suffixLen bytes, and its sync-part record
-// payload, on the commit-stage worker (off the simulator goroutine). An
+// payload, on the commit lane (off the simulator goroutine). An
 // on-chain payload's digest comes from the fold; only idle pools' are
 // hashed here.
 func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
@@ -1043,15 +1053,14 @@ func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 	return snapPrefix, partsBlob
 }
 
-// persistEpoch issues epoch e's write to the store queue and returns it
+// persistEpoch issues epoch e's write to the store lane and returns it
 // (nil without a store): the lifecycle copies the epoch's receipt rows
-// and run counters, and the queue completes the pre-encoded snapshot
-// record with them, appends snapshot + sync-part records, and commits
-// them under the configured fsync batching. A failed write halts the node
-// when a part of the epoch reaches a block (the uplink's gate):
-// continuing without durability would break the recovery contract
-// silently.
-func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *storeWrite {
+// and run counters, and the lane completes the pre-encoded snapshot
+// record with them, appends snapshot + sync-part records, and fsyncs
+// them. A failed write halts the node when a part of the epoch reaches
+// a block (the uplink's gate): continuing without durability would
+// break the recovery contract silently.
+func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *task {
 	if s.st == nil {
 		return nil
 	}
@@ -1064,7 +1073,8 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *stor
 		EngineAccepted: uint64(s.eng.Accepted),
 		EngineRejected: uint64(s.eng.Rejected),
 	}
-	return s.st.issue(false, func(w *store.Writer) error {
+	w := s.st
+	return s.storeLane.issue(false, func() error {
 		snap := store.AppendReceiptsAndMeta(snapPrefix, recs, meta)
 		if err := w.AppendEpoch(e, snap, partsBlob); err != nil {
 			return fmt.Errorf("%w: epoch %d: %v", chain.ErrStoreWrite, e, err)
@@ -1124,7 +1134,7 @@ func (s *MultiSystem) epochSynced(ev chain.Event) {
 	s.lastPruned = e
 	// Store compaction rides the confirmation cadence: everything up to an
 	// epoch final on the mainchain can fold into a checkpoint. It runs on
-	// the store queue; the prune does not wait for it.
+	// the store lane; the prune does not wait for it.
 	if s.st != nil && s.cfg.CompactEvery > 0 && e%uint64(s.cfg.CompactEvery) == 0 {
 		s.compactStore(e)
 	}
@@ -1164,17 +1174,17 @@ func (s *MultiSystem) compactEpoch(e uint64) {
 }
 
 // compactStore issues a fold of the durable log up to cursor (a
-// mainchain-confirmed epoch) into a store checkpoint to the store queue;
+// mainchain-confirmed epoch) into a store checkpoint to the store lane;
 // the bank state is encoded here, before the lifecycle moves on. The
 // horizon mirrors the in-memory root-table retention: RetainEpochs 0
 // keeps every root in the checkpoint for post-run comparison.
-func (s *MultiSystem) compactStore(cursor uint64) *storeWrite {
+func (s *MultiSystem) compactStore(cursor uint64) *task {
 	var horizon uint64
 	if r := s.cfg.RetainEpochs; r > 0 && cursor > uint64(r) {
 		horizon = cursor - uint64(r)
 	}
-	bank := s.mb.EncodeState()
-	return s.st.issue(false, func(w *store.Writer) error {
+	w, bank := s.st, s.mb.EncodeState()
+	return s.storeLane.issue(false, func() error {
 		if err := w.Compact(cursor, horizon, bank); err != nil {
 			return fmt.Errorf("%w: compact at epoch %d: %v", chain.ErrStoreWrite, cursor, err)
 		}
@@ -1182,14 +1192,14 @@ func (s *MultiSystem) compactStore(cursor uint64) *storeWrite {
 	})
 }
 
-// joinStore is storeQueue.join on the lifecycle goroutine: a failed
+// joinStore joins the store lane on the lifecycle goroutine: a failed
 // write halts the node. It reports whether every write issued so far
 // succeeded.
 func (s *MultiSystem) joinStore() bool {
 	if s.st == nil {
 		return true
 	}
-	if err := s.st.join(); err != nil {
+	if err := s.storeLane.join(); err != nil {
 		s.fail(err)
 		return false
 	}
@@ -1204,7 +1214,7 @@ func (s *MultiSystem) CompactStore() error {
 	if s.st == nil {
 		return fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
 	}
-	if err := s.st.join(); err != nil {
+	if err := s.storeLane.join(); err != nil {
 		return err
 	}
 	cursor := s.LastSyncedEpoch()
@@ -1220,10 +1230,10 @@ func (s *MultiSystem) ExportSnapshot() ([]byte, error) {
 	if s.st == nil {
 		return nil, fmt.Errorf("%w: node has no durable store", chain.ErrStoreUnsupported)
 	}
-	if err := s.st.join(); err != nil {
+	if err := s.storeLane.join(); err != nil {
 		return nil, err
 	}
-	return s.st.w.Snapshot()
+	return s.st.Snapshot()
 }
 
 // errKilled marks a node torn down by Kill — a deliberate simulated
@@ -1252,12 +1262,12 @@ func (s *MultiSystem) Kill() {
 	if s.live != nil {
 		s.live.stopAll()
 	}
-	s.pipe.close()
+	_ = s.commitLane.join()
 	if s.st != nil {
 		// The writes the lifecycle issued land before the kill; their
 		// errors die with the node, which persists nothing more.
-		_ = s.st.join()
-		s.st.w.Abort()
+		_ = s.storeLane.join()
+		s.st.Abort()
 		s.st = nil
 	}
 	if s.shared == nil {
@@ -1303,7 +1313,6 @@ func (s *MultiSystem) report() *chain.Report {
 		QueuePeak:              s.queuePeak,
 		IngestAdmitted:         ist.Admitted,
 		IngestRejFull:          ist.RejFull,
-		IngestThrottled:        ist.Throttled,
 		IngestCanceled:         ist.Canceled,
 		IngestPeak:             ist.Peak,
 		PositionsLive:          live,

@@ -62,6 +62,12 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 		return nil, fmt.Errorf("%w: SkipSyncEpochs (mass-sync recovery) on a node with a store",
 			ErrUnsupportedFault)
 	}
+	if cfg.StoreFsyncEvery > 1 {
+		// Included implies durable: a block waits for its epoch's append,
+		// and that append returns only after the fsync.
+		return nil, fmt.Errorf("%w: StoreFsyncEvery %d (fsync batching)",
+			chain.ErrStoreUnsupported, cfg.StoreFsyncEvery)
+	}
 	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))
 	if err != nil {
 		return nil, err
@@ -71,9 +77,8 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 		w.Close()
 		return nil, err
 	}
-	w.SetFsyncEvery(cfg.StoreFsyncEvery)
 	w.SetTracer(cfg.Tracer)
-	s.st = &storeQueue{w: w}
+	s.st = w
 	if err := s.restore(rec); err != nil {
 		w.Close()
 		s.st = nil
@@ -270,7 +275,7 @@ func (s *MultiSystem) restore(rec *store.Recovery) error {
 		info.Halted = true
 		info.HaltReason = reverted.Error()
 		s.err = reverted
-		if err := s.st.w.AppendHalt(boundary, reverted.Error()); err != nil {
+		if err := s.st.AppendHalt(boundary, reverted.Error()); err != nil {
 			return fmt.Errorf("%w: %v", chain.ErrStoreWrite, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ammboost/internal/crypto/tsig"
@@ -10,12 +9,12 @@ import (
 	"ammboost/internal/trace"
 )
 
-// commitJob is one sealed epoch queued for the asynchronous commit/sync
-// stage. Everything the stage needs is captured at seal time on the
-// simulator goroutine — the sealed engine hand-off, the epoch's
-// committee, the next committee's group key, and the fault plan's
-// verdicts for this epoch — so the stage worker never touches MultiSystem
-// state.
+// commitJob is one sealed epoch issued to the commit lane, the
+// asynchronous commit/sync stage. Everything the stage needs is captured
+// at seal time on the simulator goroutine — the sealed engine hand-off,
+// the epoch's committee, the next committee's group key, and the fault
+// plan's verdicts for this epoch — so the stage never touches
+// MultiSystem state.
 type commitJob struct {
 	epoch   uint64
 	sealed  *engine.SealedEpoch
@@ -26,29 +25,29 @@ type commitJob struct {
 	skip      bool
 	corrupt   bool
 	gasBudget uint64
-	// persist asks the stage worker to also encode the epoch's durable
-	// snapshot and sync-part record payloads, keeping that serialization
-	// off the simulator goroutine; suffixLen is the exact length of the
-	// receipt table and run counters the store queue appends to the
-	// snapshot record, so the worker sizes that record once.
+	// persist asks the stage to also encode the epoch's durable snapshot
+	// and sync-part record payloads, keeping that serialization off the
+	// simulator goroutine; suffixLen is the exact length of the receipt
+	// table and run counters the store lane appends to the snapshot
+	// record, so the stage sizes that record once.
 	persist   bool
 	suffixLen int
-	// tr is the lifecycle tracer (nil = disabled); the stage worker
-	// records its commit-build / chunk / sign / encode spans through it.
+	// tr is the lifecycle tracer (nil = disabled); the stage records its
+	// commit-build / chunk / sign / encode spans through it.
 	tr *trace.Tracer
 
-	// stage marks the commit-stage phase the worker is currently in, for
+	// stage marks the commit-stage phase the job is currently in, for
 	// stall attribution: when the run loop blocks on this job, the phase
 	// it reads here names what retirement is waiting on.
 	stage atomic.Int32
 
-	done chan struct{} // closed by the stage worker once pkg is set
-	pkg  *syncPackage
+	run *task // the job on the commit lane; pkg is set once it finishes
+	pkg *syncPackage
 }
 
-// Commit-stage phases, in worker order (stall attribution labels).
+// Commit-stage phases, in stage order (stall attribution labels).
 const (
-	jobQueued int32 = iota // submitted, worker not started yet
+	jobQueued int32 = iota // issued, an earlier job still running
 	jobBuild               // engine fold (Finalize)
 	jobSign                // gas chunking + TSQC signing
 	jobEncode              // durable-store blob encoding
@@ -81,7 +80,7 @@ type syncPackage struct {
 	// summary agreement delay).
 	scBytes int
 	// snapPrefix/partsBlob are the pre-encoded durable-store record
-	// payloads (nil when the node has no store); the store queue appends
+	// payloads (nil when the node has no store); the store lane appends
 	// the receipt table and writes them.
 	snapPrefix []byte
 	partsBlob  []byte
@@ -91,76 +90,8 @@ type syncPackage struct {
 	err error
 }
 
-// commitPipeline is the bounded asynchronous commit/sync stage of the
-// epoch lifecycle; PipelineDepth 1 is a window of one. One stage worker
-// consumes sealed epochs in FIFO order — an idle pool answers from the
-// root its last touched epoch's Finalize cached, so epochs finalize
-// sequentially — and each job's Finalize fans out across the engine's
-// shard workers, so the stage is a bounded worker pool: one
-// coordinator plus numShards hashing workers, all overlapping the
-// simulator goroutine's execution of later epochs.
-//
-// The inflight window is owned by the simulator goroutine; only the jobs
-// channel and each job's done/pkg pair cross goroutines.
-type commitPipeline struct {
-	jobs     chan *commitJob
-	wg       sync.WaitGroup
-	closed   sync.Once
-	inflight []*commitJob
-}
-
-// newCommitPipeline starts the stage worker. depth bounds the number of
-// sealed-but-unretired epochs the caller will ever allow, sizing the
-// queue so submission never blocks the simulator goroutine.
-func newCommitPipeline(depth int) *commitPipeline {
-	p := &commitPipeline{jobs: make(chan *commitJob, depth)}
-	p.wg.Add(1)
-	go p.run()
-	return p
-}
-
-func (p *commitPipeline) run() {
-	defer p.wg.Done()
-	for job := range p.jobs {
-		job.pkg = buildSyncPackage(job)
-		close(job.done)
-	}
-}
-
-// submit queues a sealed epoch for the stage. The caller keeps at most
-// depth-1 epochs in flight before a submit (it retires down to that right
-// after each one), so the send never blocks.
-func (p *commitPipeline) submit(job *commitJob) {
-	p.inflight = append(p.inflight, job)
-	p.jobs <- job
-}
-
-// depth returns the number of sealed epochs not yet retired.
-func (p *commitPipeline) depth() int { return len(p.inflight) }
-
-// awaitOldest blocks until the oldest in-flight epoch's package is ready
-// and removes it from the window. This is the pipeline's only
-// synchronization point: virtual time is untouched — only wall-clock is
-// spent here, and only when the commit stage is still behind.
-func (p *commitPipeline) awaitOldest() *commitJob {
-	job := p.inflight[0]
-	<-job.done
-	p.inflight = p.inflight[1:]
-	return job
-}
-
-// close shuts the stage down after the simulator drained: the worker
-// finishes any queued jobs (a halted run may abandon their packages) and
-// exits. Blocks until the worker goroutine is gone, so Run never leaks a
-// goroutine still touching engine state. Kill closes the stage early, so
-// a second close (the killed node's report) only waits.
-func (p *commitPipeline) close() {
-	p.closed.Do(func() { close(p.jobs) })
-	p.wg.Wait()
-}
-
-// buildSyncPackage runs the heavy half of epoch close on the stage
-// worker: the engine fold (payloads, state roots, summary root), then the
+// buildSyncPackage runs the heavy half of epoch close on the commit
+// lane: the engine fold (payloads, state roots, summary root), then the
 // sync parts' chunking and TSQC signing (including the fault plan's
 // digest corruption). When the job carries a tracer it records
 // commit-build / chunk / sign / encode spans; the phase marker advances

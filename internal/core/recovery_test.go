@@ -453,6 +453,28 @@ func TestStoreLockSingleWriter(t *testing.T) {
 	node2.Close()
 }
 
+// TestFsyncBatchingRefused: a store-backed node refuses StoreFsyncEvery
+// above 1 with a typed error, before it writes anything. Batched fsyncs
+// would let a block include an epoch's sync part before the epoch is on
+// disk.
+func TestFsyncBatchingRefused(t *testing.T) {
+	cfg := recoveryCfg(29, 4, 2, 1)
+	cfg.StoreFsyncEvery = 2
+	fsys := &store.MemFS{}
+	if _, err := OpenFS(fsys, "", cfg); !errors.Is(err, chain.ErrStoreUnsupported) {
+		t.Fatalf("OpenFS with StoreFsyncEvery 2: err = %v, want ErrStoreUnsupported", err)
+	}
+	if img, err := fsys.ReadFile(store.FileName); err == nil {
+		t.Errorf("refused open left a %d-byte store behind", len(img))
+	}
+	cfg.StoreFsyncEvery = 1
+	node, err := OpenFS(fsys, "", cfg)
+	if err != nil {
+		t.Fatalf("OpenFS with StoreFsyncEvery 1: %v", err)
+	}
+	node.Close()
+}
+
 // TestKillBeforeCorruptSyncReverts: a node killed after it persisted a
 // corrupt-signed epoch (CorruptSyncEpochs), whose parts it had submitted
 // but the chain had not yet reverted, reopens halted with the
@@ -476,8 +498,8 @@ func TestKillBeforeCorruptSyncReverts(t *testing.T) {
 	ms.OnEvent(func(ev chain.Event) {
 		if ev.Type == chain.EventSyncSubmitted && ev.Epoch == 3 {
 			// Submitted is not yet durable: the image is the store's once
-			// its queue has written the epoch.
-			_ = ms.st.join()
+			// its store lane has written the epoch.
+			_ = ms.storeLane.join()
 			image, _ = fsys.ReadFile(store.FileName)
 			parts = ev.Parts
 		}

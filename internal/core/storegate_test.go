@@ -249,7 +249,7 @@ func TestFailedAppendHalts(t *testing.T) {
 
 // TestSnapshotSuffixSizedAtSeal: the receipt-suffix length the lifecycle
 // hands the commit stage when it seals epoch e — what the snapshot
-// record's one buffer is sized by — is the length the store queue appends
+// record's one buffer is sized by — is the length the store lane appends
 // when e retires.
 func TestSnapshotSuffixSizedAtSeal(t *testing.T) {
 	const seed, epochs = 17, 4

@@ -127,7 +127,7 @@ func (u *syncUplink) hold(e uint64, txs []*mainchain.Tx) {
 // submit hands epoch e's signed parts to the mainchain, after the held
 // epochs' parts in epoch order, and reports whether it sent held ones (a
 // mass-sync). durable is epoch e's store write (nil without a store).
-func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx, durable *storeWrite) bool {
+func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx, durable *task) bool {
 	held := u.held
 	u.held = nil
 	for _, h := range held {
@@ -144,7 +144,7 @@ func (u *syncUplink) submit(e uint64, txs []*mainchain.Tx, durable *storeWrite) 
 // part is fenced on it: the block that would include the part first waits
 // for the write (wall clock only), and a failed write keeps the part off
 // the chain and halts the node there.
-func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx, durable *storeWrite) {
+func (u *syncUplink) submitEpoch(e uint64, txs []*mainchain.Tx, durable *task) {
 	submitted := u.sim.Now()
 	// wallStart anchors the wall-clock sync-submit and sync-confirm spans;
 	// the collector's "sync" latency is the virtual one.
@@ -286,7 +286,7 @@ func chunkPayloads(payloads []*summary.SyncPayload, budget uint64) [][]*summary.
 // signSyncParts chunks an epoch's on-chain payloads by gas budget, binds
 // the parts under one Merkle root (mainchain.BindSyncParts) and
 // TSQC-signs the epoch once: every part carries that signature and its
-// own inclusion proof. It runs on the commit-stage worker, so it reads
+// own inclusion proof. It runs on the commit lane, so it reads
 // nothing but its arguments. tr records the chunk span (Pools: the pools
 // that sync) and the sign span (Txs: the signatures, one; nil =
 // untraced).

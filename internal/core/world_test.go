@@ -398,9 +398,9 @@ func (w world) run(t *testing.T, cfg chain.Config, replay *chain.ArrivalLog, fsy
 		case ev.Type == chain.EventSyncSubmitted && ev.Parts > 1:
 			out.multiPart++
 		case ev.Type == chain.EventPruned && fsys != nil && slices.Contains(w.kills, ev.Epoch):
-			// The prune publishes while the store queue may still write the
+			// The prune publishes while the store lane may still write the
 			// file; the image is what the node holds once it is idle.
-			_ = ms.st.join()
+			_ = ms.storeLane.join()
 			out.images[ev.Epoch], _ = fsys.ReadFile(store.FileName)
 		}
 	})

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 
 	"ammboost/internal/amm"
+	"ammboost/internal/binenc"
 	"ammboost/internal/crypto/merkle"
-	"ammboost/internal/u256"
 )
 
 // A pool's state commitment is a Merkle tree over fixed-layout chunks:
@@ -16,64 +16,48 @@ import (
 // length-prefixed strings so no two distinct states serialize
 // identically.
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(b, v)
-}
-
-func appendI32(b []byte, v int32) []byte { return appendU32(b, uint32(v)) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-func appendU256(b []byte, v u256.Int) []byte {
-	bs := v.Bytes32()
-	return append(b, bs[:]...)
-}
-
 // appendHeaderChunk serializes the pool-level fields into b.
 func appendHeaderChunk(b []byte, poolID string, p *amm.Pool) []byte {
 	b = append(b, 'H')
-	b = appendStr(b, poolID)
-	b = appendStr(b, p.Token0)
-	b = appendStr(b, p.Token1)
-	b = appendU32(b, p.FeePips)
-	b = appendI32(b, p.TickSpacing)
-	b = appendU256(b, p.SqrtPriceX96)
-	b = appendI32(b, p.Tick)
-	b = appendU256(b, p.Liquidity)
-	b = appendU256(b, p.FeeGrowthGlobal0X128)
-	b = appendU256(b, p.FeeGrowthGlobal1X128)
-	b = appendU256(b, p.Reserve0)
-	b = appendU256(b, p.Reserve1)
+	b = binenc.AppendString(b, poolID)
+	b = binenc.AppendString(b, p.Token0)
+	b = binenc.AppendString(b, p.Token1)
+	b = binary.BigEndian.AppendUint32(b, p.FeePips)
+	b = binary.BigEndian.AppendUint32(b, uint32(p.TickSpacing))
+	b = binenc.AppendU256(b, p.SqrtPriceX96)
+	b = binary.BigEndian.AppendUint32(b, uint32(p.Tick))
+	b = binenc.AppendU256(b, p.Liquidity)
+	b = binenc.AppendU256(b, p.FeeGrowthGlobal0X128)
+	b = binenc.AppendU256(b, p.FeeGrowthGlobal1X128)
+	b = binenc.AppendU256(b, p.Reserve0)
+	b = binenc.AppendU256(b, p.Reserve1)
 	return b
 }
 
 // appendTickChunk serializes one initialized tick's accounting into b.
 func appendTickChunk(b []byte, tick int32, ti *amm.TickInfo) []byte {
 	b = append(b, 'T')
-	b = appendI32(b, tick)
-	b = appendU256(b, ti.LiquidityGross)
-	b = appendU256(b, ti.LiquidityNetAdd)
-	b = appendU256(b, ti.LiquidityNetSub)
-	b = appendU256(b, ti.FeeGrowthOutside0X128)
-	b = appendU256(b, ti.FeeGrowthOutside1X128)
+	b = binary.BigEndian.AppendUint32(b, uint32(tick))
+	b = binenc.AppendU256(b, ti.LiquidityGross)
+	b = binenc.AppendU256(b, ti.LiquidityNetAdd)
+	b = binenc.AppendU256(b, ti.LiquidityNetSub)
+	b = binenc.AppendU256(b, ti.FeeGrowthOutside0X128)
+	b = binenc.AppendU256(b, ti.FeeGrowthOutside1X128)
 	return b
 }
 
 // appendPositionChunk serializes one position into b.
 func appendPositionChunk(b []byte, pos *amm.Position) []byte {
 	b = append(b, 'P')
-	b = appendStr(b, pos.ID)
-	b = appendStr(b, pos.Owner)
-	b = appendI32(b, pos.TickLower)
-	b = appendI32(b, pos.TickUpper)
-	b = appendU256(b, pos.Liquidity)
-	b = appendU256(b, pos.FeeGrowthInside0LastX128)
-	b = appendU256(b, pos.FeeGrowthInside1LastX128)
-	b = appendU256(b, pos.TokensOwed0)
-	b = appendU256(b, pos.TokensOwed1)
+	b = binenc.AppendString(b, pos.ID)
+	b = binenc.AppendString(b, pos.Owner)
+	b = binary.BigEndian.AppendUint32(b, uint32(pos.TickLower))
+	b = binary.BigEndian.AppendUint32(b, uint32(pos.TickUpper))
+	b = binenc.AppendU256(b, pos.Liquidity)
+	b = binenc.AppendU256(b, pos.FeeGrowthInside0LastX128)
+	b = binenc.AppendU256(b, pos.FeeGrowthInside1LastX128)
+	b = binenc.AppendU256(b, pos.TokensOwed0)
+	b = binenc.AppendU256(b, pos.TokensOwed1)
 	return b
 }
 

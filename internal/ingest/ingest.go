@@ -1,8 +1,7 @@
 // Package ingest implements the node's thread-safe submission front
 // end: one locked mempool buffer many producer goroutines append to,
-// with explicit admission control (capacity wall, soft-mark shedding,
-// bounded blocking) returning the typed backpressure errors defined in
-// internal/chain, and a single-consumer drain that hands the buffer over
+// with explicit admission control (capacity wall, bounded blocking)
+// returning the typed backpressure errors defined in internal/chain, and a single-consumer drain that hands the buffer over
 // in one canonical order.
 //
 // Determinism is the design constraint. Every admitted entry takes its
@@ -14,7 +13,7 @@
 // (chain.ArrivalLog), is what a single-producer replay feeds back to
 // reproduce a concurrent run bit-identically (DESIGN.md invariant 13).
 //
-// Concurrency contract: Admit/AdmitOne/Hold/Release/Len/Stats are safe
+// Concurrency contract: Admit/Hold/Release/Len/Stats are safe
 // from any goroutine; Drain, CloseIfEmpty, and Close belong to the single
 // lifecycle consumer (the simulator goroutine).
 package ingest
@@ -34,9 +33,6 @@ import (
 type Policy struct {
 	// Capacity is the hard mempool bound.
 	Capacity int
-	// SoftMark, when below Capacity, sheds whole batches arriving while
-	// occupancy is at or above it (chain.ErrThrottled).
-	SoftMark int
 	// MaxWait bounds how long one Admit call blocks wall-clock on a
 	// full mempool before chain.ErrMempoolFull; <= 0 rejects
 	// immediately. Keep it small: the lifecycle consumer itself may
@@ -69,7 +65,7 @@ type Entry struct {
 type Pool struct {
 	pol Policy
 
-	// admitting counts producers inside Admit/AdmitOne or a Hold (see
+	// admitting counts producers inside Admit or a Hold (see
 	// CloseIfEmpty). It is the one field kept outside mu: a Hold raises
 	// it before the producer takes the lock.
 	admitting atomic.Int64
@@ -93,11 +89,10 @@ type Pool struct {
 
 // Stats is a snapshot of the pool's admission counters.
 type Stats struct {
-	Admitted  uint64
-	RejFull   uint64
-	Throttled uint64
-	Canceled  uint64
-	Peak      int
+	Admitted uint64
+	RejFull  uint64
+	Canceled uint64
+	Peak     int
 }
 
 // New builds a pool, filling zero policy fields with the defaults.
@@ -105,9 +100,6 @@ type Stats struct {
 func New(pol Policy) *Pool {
 	if pol.Capacity <= 0 {
 		pol.Capacity = DefaultCapacity
-	}
-	if pol.SoftMark <= 0 || pol.SoftMark > pol.Capacity {
-		pol.SoftMark = pol.Capacity
 	}
 	if pol.MaxWait == 0 {
 		pol.MaxWait = DefaultMaxWait
@@ -142,8 +134,6 @@ func (p *Pool) admission(sentinel error, n int) *chain.AdmissionError {
 		hint = 0
 	case chain.ErrMempoolFull:
 		p.stats.RejFull += uint64(n)
-	case chain.ErrThrottled:
-		p.stats.Throttled += uint64(n)
 	case chain.ErrCanceled:
 		p.stats.Canceled += uint64(n)
 	}
@@ -163,26 +153,16 @@ func (p *Pool) Hold() { p.admitting.Add(1) }
 // Release ends a Hold.
 func (p *Pool) Release() { p.admitting.Add(-1) }
 
-// AdmitOne admits a single entry (assigning Entry.Seq), blocking up to
-// MaxWait when the mempool is full. Safe for concurrent producers.
-func (p *Pool) AdmitOne(ctx context.Context, e Entry) error {
-	p.admitting.Add(1)
-	defer p.admitting.Add(-1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, err := p.admit(ctx, []Entry{e})
-	return err
-}
-
-// Admit admits a batch in order with partial-accept semantics: it
+// Admit admits a batch in order (assigning each Entry.Seq), blocking up
+// to MaxWait when the mempool is full, with partial-accept semantics: it
 // returns how many leading entries were admitted and, when admission
 // failed partway, a per-entry error slice where every entry from the
 // failure point on carries the failing error (order-preserving: nothing
 // after the failure was attempted). The single error return is reserved
 // for whole-batch refusals decided before any admission attempt: pool
-// closed, context already done, or occupancy above the soft mark
-// (throttle shedding is batch-granular by design — a half-throttled
-// batch helps nobody). MaxWait is a per-batch budget, not per-entry.
+// closed or context already done. MaxWait is a per-batch budget, not
+// per-entry. A single transaction is a batch of one. Safe for concurrent
+// producers.
 func (p *Pool) Admit(ctx context.Context, entries []Entry) (int, []error, error) {
 	if len(entries) == 0 {
 		return 0, nil, nil
@@ -196,8 +176,6 @@ func (p *Pool) Admit(ctx context.Context, entries []Entry) (int, []error, error)
 		return 0, nil, p.admission(chain.ErrClosed, 0)
 	case ctx != nil && ctx.Err() != nil:
 		return 0, nil, p.admission(chain.ErrCanceled, len(entries))
-	case len(p.entries) >= p.pol.SoftMark && p.pol.SoftMark < p.pol.Capacity:
-		return 0, nil, p.admission(chain.ErrThrottled, len(entries))
 	}
 	n, err := p.admit(ctx, entries)
 	if err == nil {

@@ -20,14 +20,21 @@ func mkEntry(id string) Entry {
 	return Entry{Tx: tx, Rc: &chain.Receipt{TxID: id}}
 }
 
+// admitOne admits a single entry as a batch of one and returns its
+// outcome: the whole-batch refusal or the entry's own error.
+func admitOne(p *Pool, ctx context.Context, e Entry) error {
+	_, errs, err := p.Admit(ctx, []Entry{e})
+	if err == nil && errs != nil {
+		err = errs[0]
+	}
+	return err
+}
+
 func TestDefaults(t *testing.T) {
 	p := New(Policy{})
 	pol := p.Policy()
 	if pol.Capacity != DefaultCapacity {
 		t.Fatalf("capacity = %d, want %d", pol.Capacity, DefaultCapacity)
-	}
-	if pol.SoftMark != DefaultCapacity {
-		t.Fatalf("softmark = %d, want capacity (disabled)", pol.SoftMark)
 	}
 	if pol.MaxWait != DefaultMaxWait {
 		t.Fatalf("maxwait = %v, want %v", pol.MaxWait, DefaultMaxWait)
@@ -41,7 +48,7 @@ func TestDefaults(t *testing.T) {
 func TestAdmitDrainOrder(t *testing.T) {
 	p := New(Policy{})
 	for i := 0; i < 100; i++ {
-		if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("tx-%03d", i))); err != nil {
+		if err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("tx-%03d", i))); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}
@@ -80,7 +87,7 @@ func TestConcurrentAdmitSeqUnique(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i))); err != nil {
+				if err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i))); err != nil {
 					t.Errorf("admit: %v", err)
 					return
 				}
@@ -115,12 +122,12 @@ func TestConcurrentAdmitSeqUnique(t *testing.T) {
 func TestCapacityBlocksAndDrainWakes(t *testing.T) {
 	p := New(Policy{Capacity: 4, MaxWait: 5 * time.Second})
 	for i := 0; i < 4; i++ {
-		if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("a%d", i))); err != nil {
+		if err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("a%d", i))); err != nil {
 			t.Fatalf("fill: %v", err)
 		}
 	}
 	admitted := make(chan error, 1)
-	go func() { admitted <- p.AdmitOne(context.Background(), mkEntry("blocked")) }()
+	go func() { admitted <- admitOne(p, context.Background(), mkEntry("blocked")) }()
 	select {
 	case err := <-admitted:
 		t.Fatalf("admit should have blocked, returned %v", err)
@@ -145,11 +152,11 @@ func TestCapacityBlocksAndDrainWakes(t *testing.T) {
 func TestMempoolFullTyped(t *testing.T) {
 	p := New(Policy{Capacity: 2, MaxWait: time.Millisecond, RetryHint: 7 * time.Second})
 	for i := 0; i < 2; i++ {
-		if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("f%d", i))); err != nil {
+		if err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("f%d", i))); err != nil {
 			t.Fatalf("fill: %v", err)
 		}
 	}
-	err := p.AdmitOne(context.Background(), mkEntry("over"))
+	err := admitOne(p, context.Background(), mkEntry("over"))
 	if !errors.Is(err, chain.ErrMempoolFull) {
 		t.Fatalf("err = %v, want ErrMempoolFull", err)
 	}
@@ -165,34 +172,15 @@ func TestMempoolFullTyped(t *testing.T) {
 	}
 	// MaxWait < 0: immediate rejection, no timer.
 	p2 := New(Policy{Capacity: 1, MaxWait: -1})
-	if err := p2.AdmitOne(context.Background(), mkEntry("x")); err != nil {
+	if err := admitOne(p2, context.Background(), mkEntry("x")); err != nil {
 		t.Fatalf("fill: %v", err)
 	}
 	start := time.Now()
-	if err := p2.AdmitOne(context.Background(), mkEntry("y")); !errors.Is(err, chain.ErrMempoolFull) {
+	if err := admitOne(p2, context.Background(), mkEntry("y")); !errors.Is(err, chain.ErrMempoolFull) {
 		t.Fatalf("err = %v, want ErrMempoolFull", err)
 	}
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("MaxWait<0 should reject immediately")
-	}
-}
-
-func TestSoftMarkShedsBatch(t *testing.T) {
-	p := New(Policy{Capacity: 100, SoftMark: 3})
-	n, errs, batchErr := p.Admit(context.Background(), []Entry{mkEntry("a"), mkEntry("b"), mkEntry("c")})
-	if n != 3 || errs != nil || batchErr != nil {
-		t.Fatalf("under mark: n=%d errs=%v batchErr=%v", n, errs, batchErr)
-	}
-	n, _, batchErr = p.Admit(context.Background(), []Entry{mkEntry("d"), mkEntry("e")})
-	if n != 0 || !errors.Is(batchErr, chain.ErrThrottled) {
-		t.Fatalf("over mark: n=%d batchErr=%v, want ErrThrottled", n, batchErr)
-	}
-	if st := p.Stats(); st.Throttled != 2 {
-		t.Fatalf("throttled = %d, want 2", st.Throttled)
-	}
-	p.Drain()
-	if n, _, batchErr = p.Admit(context.Background(), []Entry{mkEntry("d")}); n != 1 || batchErr != nil {
-		t.Fatalf("post-drain: n=%d err=%v", n, batchErr)
 	}
 }
 
@@ -221,12 +209,12 @@ func TestBatchPartialAccept(t *testing.T) {
 
 func TestCancelMidBackpressure(t *testing.T) {
 	p := New(Policy{Capacity: 1, MaxWait: time.Minute})
-	if err := p.AdmitOne(context.Background(), mkEntry("fill")); err != nil {
+	if err := admitOne(p, context.Background(), mkEntry("fill")); err != nil {
 		t.Fatalf("fill: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	res := make(chan error, 1)
-	go func() { res <- p.AdmitOne(ctx, mkEntry("waiting")) }()
+	go func() { res <- admitOne(p, ctx, mkEntry("waiting")) }()
 	select {
 	case err := <-res:
 		t.Fatalf("should block, got %v", err)
@@ -254,11 +242,11 @@ func TestCancelMidBackpressure(t *testing.T) {
 
 func TestCloseWakesAndRejects(t *testing.T) {
 	p := New(Policy{Capacity: 1, MaxWait: time.Minute})
-	if err := p.AdmitOne(context.Background(), mkEntry("fill")); err != nil {
+	if err := admitOne(p, context.Background(), mkEntry("fill")); err != nil {
 		t.Fatalf("fill: %v", err)
 	}
 	res := make(chan error, 1)
-	go func() { res <- p.AdmitOne(context.Background(), mkEntry("waiting")) }()
+	go func() { res <- admitOne(p, context.Background(), mkEntry("waiting")) }()
 	time.Sleep(20 * time.Millisecond)
 	p.Close()
 	select {
@@ -269,7 +257,7 @@ func TestCloseWakesAndRejects(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("close did not wake blocked producer")
 	}
-	if err := p.AdmitOne(context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
+	if err := admitOne(p, context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
 		t.Fatalf("late admit = %v, want ErrClosed", err)
 	}
 	// Buffered entries stay drainable after close.
@@ -287,7 +275,7 @@ func TestCloseIfEmpty(t *testing.T) {
 		t.Fatal("closed pool stays closed")
 	}
 	p2 := New(Policy{})
-	if err := p2.AdmitOne(context.Background(), mkEntry("x")); err != nil {
+	if err := admitOne(p2, context.Background(), mkEntry("x")); err != nil {
 		t.Fatal(err)
 	}
 	if p2.CloseIfEmpty() {
@@ -317,7 +305,7 @@ func TestCloseIfEmptyRace(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i)))
+					err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i)))
 					mu.Lock()
 					if err == nil {
 						admitted++
@@ -350,7 +338,7 @@ func TestCloseIfEmptyRace(t *testing.T) {
 func TestCloseIfEmptyNeverReportsLivePoolClosed(t *testing.T) {
 	const producers, batches, batchLen = 4, 2000, 4
 	p := New(Policy{}) // default capacity: far above what is admitted here
-	if err := p.AdmitOne(context.Background(), mkEntry("resident")); err != nil {
+	if err := admitOne(p, context.Background(), mkEntry("resident")); err != nil {
 		t.Fatal(err)
 	}
 	var spurious, admitted atomic.Int64
@@ -412,7 +400,7 @@ func TestCloseIfEmptyNeverReportsLivePoolClosed(t *testing.T) {
 func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		p := New(Policy{})
-		if err := p.AdmitOne(context.Background(), mkEntry("resident")); err != nil {
+		if err := admitOne(p, context.Background(), mkEntry("resident")); err != nil {
 			t.Fatal(err)
 		}
 		closed := make(chan struct{})
@@ -428,7 +416,7 @@ func TestCloseIfEmptyNeverReopensClosedPool(t *testing.T) {
 		if !p.Closed() {
 			t.Fatalf("iter %d: pool open after Close returned", iter)
 		}
-		if err := p.AdmitOne(context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
+		if err := admitOne(p, context.Background(), mkEntry("late")); !errors.Is(err, chain.ErrClosed) {
 			t.Fatalf("iter %d: admit after Close = %v, want ErrClosed", iter, err)
 		}
 	}
@@ -510,7 +498,7 @@ func TestConcurrentBatchSaturation(t *testing.T) {
 				mu.Lock()
 				okTot += int64(n)
 				if batchErr != nil {
-					if !errors.Is(batchErr, chain.ErrThrottled) && !errors.Is(batchErr, chain.ErrMempoolFull) && !errors.Is(batchErr, chain.ErrCanceled) {
+					if !errors.Is(batchErr, chain.ErrMempoolFull) && !errors.Is(batchErr, chain.ErrCanceled) {
 						t.Errorf("untyped batchErr: %v", batchErr)
 					}
 					errTot += int64(batchLen)
@@ -519,7 +507,7 @@ func TestConcurrentBatchSaturation(t *testing.T) {
 						if e == nil {
 							continue
 						}
-						if !errors.Is(e, chain.ErrMempoolFull) && !errors.Is(e, chain.ErrThrottled) && !errors.Is(e, chain.ErrCanceled) {
+						if !errors.Is(e, chain.ErrMempoolFull) && !errors.Is(e, chain.ErrCanceled) {
 							t.Errorf("untyped per-tx err: %v", e)
 						}
 						errTot++
@@ -539,7 +527,7 @@ func TestConcurrentBatchSaturation(t *testing.T) {
 		t.Fatalf("drained %d != admitted %d", drained, okTot)
 	}
 	st := p.Stats()
-	if int64(st.Admitted) != okTot || int64(st.RejFull+st.Throttled+st.Canceled) != errTot {
+	if int64(st.Admitted) != okTot || int64(st.RejFull+st.Canceled) != errTot {
 		t.Fatalf("stats %+v vs ok %d err %d", st, okTot, errTot)
 	}
 	if st.Peak > 64 {
@@ -562,7 +550,7 @@ func TestDrainCutIsTicketPrefix(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := p.AdmitOne(context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i))); err != nil {
+				if err := admitOne(p, context.Background(), mkEntry(fmt.Sprintf("p%d-%d", g, i))); err != nil {
 					t.Errorf("admit: %v", err)
 					return
 				}

@@ -70,8 +70,8 @@ type EpochRecord struct {
 // EncodeSnapshotPrefix builds the snapshot record payload up to (but not
 // including) the receipt table: epoch identity, the folded summary root,
 // every pool's root and payload digest, and the full state of the pools
-// touched this epoch. It runs on the commit-stage worker, off the
-// simulator goroutine, so the node's store queue only appends the
+// touched this epoch. It runs on the node's commit lane, off the
+// simulator goroutine, so the node's store lane only appends the
 // receipt suffix and writes. The buffer is allocated once, with room for
 // suffixLen more bytes: ReceiptsAndMetaLen of the rows
 // AppendReceiptsAndMeta will add completes the record in place.

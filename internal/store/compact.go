@@ -117,7 +117,6 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	}
 	w.f = nf
 	w.bw = bufio.NewWriterSize(nf, 1<<16)
-	w.sinceSync = 0
 	return nil
 }
 

@@ -10,7 +10,7 @@
 //	header record                     (format version + deployment fingerprint + flags)
 //	[checkpoint record]               (only when the header's checkpoint flag is set)
 //	snapshot record for epoch S+1     ┐ written at epoch retirement,
-//	sync-part record for epoch S+1    ┘ fsynced together (batched)
+//	sync-part record for epoch S+1    ┘ fsynced together
 //	snapshot record for epoch S+2
 //	sync-part record for epoch S+2
 //	...
@@ -145,17 +145,15 @@ func (r *Recovery) Epoch() uint64 {
 
 // Writer appends epoch records to the store. It serves one caller at a
 // time: no method may start before the previous one has returned. In
-// core its owner is the node's store queue: every append, compaction and
+// core its owner is the node's store lane: every append, compaction and
 // halt record runs there, one after another, off the lifecycle
-// goroutine, which joins the queue before it touches the writer itself,
+// goroutine, which joins the lane before it touches the writer itself,
 // so the writer never sees two calls at once and writes the same bytes in
 // the same order as a caller that never left its own goroutine.
 type Writer struct {
-	f          File
-	bw         *bufio.Writer
-	fsyncEvery int
-	sinceSync  int
-	err        error
+	f   File
+	bw  *bufio.Writer
+	err error
 
 	// Compaction rewrites the log and snapshot export reads it, so the
 	// writer keeps its filesystem, path, and fingerprint.
@@ -166,25 +164,14 @@ type Writer struct {
 	fold fold
 
 	// Lifecycle tracing (nil = disabled): AppendEpoch records a
-	// store-append span, Compact a store-compact span and each actual
-	// fsync a store-fsync span.
+	// store-append span, Compact a store-compact span and each fsync a
+	// store-fsync span.
 	tr    *trace.Tracer
 	epoch uint64 // epoch of the append in progress, for spans
 }
 
 // SetTracer attaches the lifecycle tracer (nil disables tracing).
 func (w *Writer) SetTracer(tr *trace.Tracer) { w.tr = tr }
-
-// SetFsyncEvery batches fsyncs: the file is synced on every n-th epoch
-// append instead of every one, trading the last <n epochs on a crash
-// for less epoch-close latency. n < 1 is treated as 1. Halt records
-// always sync immediately.
-func (w *Writer) SetFsyncEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	w.fsyncEvery = n
-}
 
 // framed is one log record as written: its frame header (length and
 // type), its payload, and the CRC over both.
@@ -222,12 +209,13 @@ func (w *Writer) appendRecord(typ byte, payload []byte) error {
 }
 
 // AppendEpoch appends one retired epoch — its snapshot record followed
-// by its sync-part record — and commits according to the fsync policy.
-// The epoch number only labels trace spans; record contents are the
-// caller's encodings, unchanged. The writer keeps both slices, not
-// copies, until its next compaction, so the caller must not modify them
-// after the call. A snapshot that does not walk cleanly, or that does
-// not continue the log's epochs, is refused before anything is written.
+// by its sync-part record — and commits it: both are flushed and
+// fsynced before the call returns. The epoch number only labels trace
+// spans; record contents are the caller's encodings, unchanged. The
+// writer keeps both slices, not copies, until its next compaction, so
+// the caller must not modify them after the call. A snapshot that does
+// not walk cleanly, or that does not continue the log's epochs, is
+// refused before anything is written.
 func (w *Writer) AppendEpoch(epoch uint64, snapshot, syncParts []byte) error {
 	sp := w.tr.Start(trace.StageStoreAppend, epoch)
 	sp.Bytes = len(snapshot) + len(syncParts)
@@ -249,11 +237,7 @@ func (w *Writer) AppendEpoch(epoch uint64, snapshot, syncParts []byte) error {
 		}
 	}
 	w.fold.tail = append(w.fold.tail, rec)
-	w.sinceSync++
-	if w.sinceSync >= w.fsyncEvery {
-		return w.commit()
-	}
-	return w.bw.Flush()
+	return w.commit()
 }
 
 // AppendHalt records a lifecycle fault and syncs immediately: a halted
@@ -286,7 +270,6 @@ func (w *Writer) commit() error {
 		Stage: trace.StageStoreFsync, Epoch: w.epoch,
 		Start: syncStart, Dur: w.tr.Since() - syncStart,
 	})
-	w.sinceSync = 0
 	return nil
 }
 
@@ -385,7 +368,7 @@ func headerPayload(fingerprint [32]byte, flags byte) []byte {
 
 func newWriter(fsys FS, path string, fingerprint [32]byte, f File) *Writer {
 	return &Writer{
-		f: f, bw: bufio.NewWriterSize(f, 1<<16), fsyncEvery: 1,
+		f: f, bw: bufio.NewWriterSize(f, 1<<16),
 		fsys: fsys, path: path, fingerprint: fingerprint,
 	}
 }

@@ -381,30 +381,3 @@ func TestStoreHalt(t *testing.T) {
 		t.Errorf("halted store recovered epoch %d, want 2", rec.Epoch())
 	}
 }
-
-func TestWriterFsyncBatching(t *testing.T) {
-	fsys := &MemFS{}
-	_, w, err := Open(fsys, "", testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetFsyncEvery(4)
-	pool := testPool(t)
-	for e := uint64(1); e <= 10; e++ {
-		snap, parts := synthEpoch(t, e, pool)
-		if err := w.AppendEpoch(e, snap, parts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, w2, err := Open(fsys, "", testFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	if rec.Epoch() != 10 {
-		t.Errorf("batched-fsync store recovered epoch %d, want 10", rec.Epoch())
-	}
-}

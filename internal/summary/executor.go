@@ -354,7 +354,7 @@ func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 // pure read afterwards. The pipelined lifecycle relies on that split: a
 // sealed epoch is settled on the run-loop goroutine before its pool
 // becomes the next epoch's snapshot source, and the payload build runs
-// on the commit-stage worker against the then-frozen state. Idempotent;
+// on the node's commit lane against the then-frozen state. Idempotent;
 // Summary calls it implicitly for unpipelined callers. Settle is the
 // last read of the source pool, which the executor then releases.
 func (e *Executor) Settle() {

@@ -18,9 +18,9 @@
 //     the wall clock, so roots and payload digests are bit-identical
 //     with tracing on or off (pinned by core's TestWorld).
 //
-// Spans are recorded from multiple goroutines (shard workers, the commit
-// stage worker, the store's compaction, the simulator goroutine); the
-// tracer is internally synchronized. Export is Chrome trace-event JSON
+// Spans are recorded from multiple goroutines (shard workers, the node's
+// commit and store lanes, the simulator goroutine); the tracer is
+// internally synchronized. Export is Chrome trace-event JSON
 // (WriteChrome), loadable in Perfetto or chrome://tracing with one track
 // per lifecycle stage group and one per execute shard.
 package trace
@@ -55,7 +55,7 @@ const (
 	// over the Merkle root of their digests.
 	StageSign
 	// StageEncode is durable-store blob encoding (snapshot prefix and
-	// sync-part record payloads) on the commit-stage worker.
+	// sync-part record payloads) on the node's commit lane.
 	StageEncode
 	// StageStoreAppend is the durable store's epoch append (both records
 	// plus buffered write, excluding the fsync), on the node's store
@@ -76,7 +76,7 @@ const (
 	StageStall
 	// StageStoreCompact is one store compaction: fold, temp-file write,
 	// fsync and rename (Bytes carries the checkpoint). It runs on the
-	// node's store queue, overlapping later epochs.
+	// node's store lane, overlapping later epochs.
 	StageStoreCompact
 
 	numStages
