@@ -111,7 +111,7 @@ func (r *Runner) Collector() *metrics.Collector { return r.col }
 // EnsureUser funds a user with effectively unlimited deposit balance in
 // the executor (the ERC20 legs are modeled by approval transactions).
 func (r *Runner) EnsureUser(user string) {
-	if _, ok := r.router.exec.Deposits[user]; !ok {
+	if _, ok := r.router.exec.Deposit(user); !ok {
 		big := u256.Shl(u256.One, 200)
 		r.router.exec.AddDeposit(user, big, big)
 	}

@@ -43,8 +43,10 @@ var depositPerUserPerPool = u256.FromUint64(1 << 40)
 type poolBank struct {
 	s *MultiSystem
 
-	// funded[poolID][user] marks (user, pool) pairs deposited this epoch.
-	funded map[string]map[string]bool
+	// funded is one bitset per pool, of words uint64s each, marking the
+	// (user, pool) pairs deposited this epoch by user index.
+	funded []uint64
+	words  int
 	// pendingDeposits holds explicit SubmitDeposit credits that arrived
 	// between epochs; they apply at the next beginEpoch.
 	pendingDeposits []pendingDeposit
@@ -69,7 +71,8 @@ func newPoolBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, *mainchain.Mu
 	seedBank(mb, s.eng)
 	mb.Retain = s.cfg.RetainEpochs
 	s.mc.Deploy(mb)
-	return &poolBank{s: s}, mb, nil
+	words := (len(s.eng.Users().Names()) + 63) / 64
+	return &poolBank{s: s, funded: make([]uint64, len(s.eng.PoolIDs())*words), words: words}, mb, nil
 }
 
 // seedBank registers every pool's deployment state with the bank: the
@@ -99,12 +102,7 @@ func positionEntry(pos *amm.Position) summary.PositionEntry {
 // credited on demand as the user's first trade on the pool arrives — and
 // credits the explicit deposits held for it.
 func (b *poolBank) beginEpoch(e uint64) error {
-	if b.funded == nil {
-		b.funded = make(map[string]map[string]bool)
-	}
-	for _, bucket := range b.funded {
-		clear(bucket)
-	}
+	clear(b.funded)
 	if err := b.s.eng.BeginEpoch(e, nil); err != nil {
 		return err
 	}
@@ -132,23 +130,15 @@ func (b *poolBank) beginEpoch(e uint64) error {
 // pool's first transaction opens its executor, so the run loop opens no
 // snapshots.
 func (b *poolBank) fundRound(_ uint64, batch []queuedTx) {
-	defaultPool := b.s.eng.PoolIDs()[0]
 	for _, q := range batch {
-		pid := q.tx.PoolID
-		if pid == "" {
-			pid = defaultPool
-		}
-		bucket := b.funded[pid]
-		if bucket == nil {
-			bucket = make(map[string]bool)
-			b.funded[pid] = bucket
-		}
-		if bucket[q.tx.User] {
+		w := &b.funded[int(q.ref.Pool)*b.words+int(q.ref.User/64)]
+		bit := uint64(1) << (q.ref.User % 64)
+		if *w&bit != 0 {
 			continue
 		}
-		bucket[q.tx.User] = true
+		*w |= bit
 		// Submit already rejected unknown pools, so this cannot fail.
-		_ = b.s.eng.QueueDeposit(pid, q.tx.User, depositPerUserPerPool, depositPerUserPerPool)
+		_ = b.s.eng.QueueDeposit(q.ref, depositPerUserPerPool, depositPerUserPerPool)
 	}
 }
 
@@ -282,7 +272,7 @@ func newPaperBank(s *MultiSystem, genesis tsig.GroupKey) (nodeBank, *mainchain.M
 	if err := s.mc.Call(mainchain.BankAddress, "createPool", mainchain.CreatePoolArgs{FeePips: amm.GenesisFeePips}); err != nil {
 		return nil, nil, err
 	}
-	for _, u := range s.users {
+	for _, u := range s.eng.Users().Names() {
 		if err := b.token0.Ledger.Mint("genesis", u, paperUserGrant); err != nil {
 			return nil, nil, err
 		}

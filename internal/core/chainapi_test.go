@@ -82,7 +82,7 @@ func TestMultiDepositHonorsEpoch(t *testing.T) {
 	var future *chain.Receipt
 	node.Sim().At(time.Second, func() {
 		var derr error
-		future, derr = node.SubmitDeposit(ms.users[0], 2, u256.FromUint64(100), u256.FromUint64(100))
+		future, derr = node.SubmitDeposit(ms.eng.Users().Names()[0], 2, u256.FromUint64(100), u256.FromUint64(100))
 		if derr != nil {
 			t.Errorf("SubmitDeposit: %v", derr)
 		}
@@ -150,13 +150,25 @@ func TestSubmitValidatesUpFront(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
-		for _, tc := range cases {
+		batch := make([]*summary.Tx, len(cases))
+		for i, tc := range cases {
 			rc, err := sys.Submit(context.Background(), tc.tx)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("%s/%s: err = %v, want %v", b.name, tc.name, err, tc.want)
 			}
 			if rc != nil {
 				t.Errorf("%s/%s: got a receipt for an invalid submission", b.name, tc.name)
+			}
+			batch[i] = tc.tx
+		}
+		// SubmitBatch answers each entry as Submit does.
+		res, err := sys.SubmitBatch(context.Background(), batch)
+		if err != nil || res.Accepted != 0 {
+			t.Fatalf("%s: SubmitBatch accepted %d, err %v; want 0 and nil", b.name, res.Accepted, err)
+		}
+		for i, tc := range cases {
+			if !errors.Is(res.Errs[i], tc.want) || res.Receipts[i] != nil {
+				t.Errorf("%s/%s in a batch: err = %v, receipt %v; want %v and none", b.name, tc.name, res.Errs[i], res.Receipts[i], tc.want)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/engine"
 	"ammboost/internal/ingest"
 	"ammboost/internal/metrics"
 	"ammboost/internal/sidechain"
@@ -15,12 +16,13 @@ import (
 	"ammboost/internal/trace"
 )
 
-// queuedTx is a queue entry: the transaction plus the receipt Submit
-// handed out for it. The receipt ledger holds the same pairs once they
-// execute.
+// queuedTx is a queue entry: the transaction, the receipt Submit handed
+// out for it, and its pool and user as admission resolved them. The
+// receipt ledger holds the same entries once they execute.
 type queuedTx struct {
-	tx *summary.Tx
-	rc *chain.Receipt
+	tx  *summary.Tx
+	rc  *chain.Receipt
+	ref engine.Ref
 }
 
 // beforeAdmit, when set, runs inside SubmitBatch between validation and
@@ -50,13 +52,10 @@ type frontEnd struct {
 	// the leaf is dead once the round has folded it.
 	queueLeaves [][32]byte
 
-	// users and userSet are the funded users; poolSet holds the routable
-	// pool IDs besides the empty one, which always routes to the default
-	// pool. All three are immutable after construction, so producers read
-	// them without locks.
-	users   []string
-	userSet map[string]bool
-	poolSet map[string]bool
+	// eng is the node's engine, whose pool and user tables admission
+	// resolves against; immutable after construction, producers read them
+	// without locks, and nothing after admission looks a name up.
+	eng *engine.Engine
 
 	col      *metrics.Collector
 	bus      *chain.Bus
@@ -78,24 +77,16 @@ type frontEnd struct {
 	submitFirst time.Duration
 }
 
-// initFrontEnd builds the admission path for a node serving users on
-// pools and wires the event bus into the
-// collector's lifecycle counts. Call it once, at construction.
-func (f *frontEnd) initFrontEnd(cfg chain.Config, users, pools []string, tr *trace.Tracer) {
+// initFrontEnd builds the admission path for a node serving eng's users
+// and pools and wires the event bus into the collector's lifecycle
+// counts. Call it once, at construction.
+func (f *frontEnd) initFrontEnd(cfg chain.Config, eng *engine.Engine, tr *trace.Tracer) {
 	f.ingest = ingest.New(ingest.Policy{
 		Capacity:  cfg.IngestCapacity,
 		MaxWait:   cfg.IngestMaxWait,
 		RetryHint: cfg.RoundDuration,
 	})
-	f.users = users
-	f.userSet = make(map[string]bool, len(users))
-	for _, u := range users {
-		f.userSet[u] = true
-	}
-	f.poolSet = make(map[string]bool, len(pools))
-	for _, pid := range pools {
-		f.poolSet[pid] = true
-	}
+	f.eng = eng
 	f.col = metrics.New()
 	f.bus = chain.NewBus()
 	f.bus.OnPublish(func(ev chain.Event) { f.col.ObserveLifecycle(ev.Type.String()) })
@@ -122,21 +113,25 @@ func (f *frontEnd) halt() {
 	f.ingest.Close()
 }
 
-// checkSubmit validates one transaction up front: shape, pool routing,
-// known user. It reads only state that is immutable after construction,
-// so it is safe from any producer goroutine — the point of batched
-// up-front validation is that the simulator goroutine never pays it.
-func (f *frontEnd) checkSubmit(tx *summary.Tx) error {
+// checkSubmit validates one transaction up front — shape, pool routing,
+// known user — and returns its ingest entry: pending receipt rc, leaf,
+// and the pool and user indices, the only name lookups a transaction
+// pays. It reads only state that is immutable after construction, so it
+// is safe from any producer goroutine — the point of batched up-front
+// validation is that the simulator goroutine never pays it.
+func (f *frontEnd) checkSubmit(tx *summary.Tx, rc *chain.Receipt) (ingest.Entry, error) {
 	if err := chain.CheckTx(tx); err != nil {
-		return err
+		return ingest.Entry{}, err
 	}
-	if tx.PoolID != "" && !f.poolSet[tx.PoolID] {
-		return fmt.Errorf("%w: %q", chain.ErrUnknownPool, tx.PoolID)
+	ref := f.eng.Resolve(tx)
+	if ref.Pool == engine.NoPool {
+		return ingest.Entry{}, fmt.Errorf("%w: %q", chain.ErrUnknownPool, tx.PoolID)
 	}
-	if !f.userSet[tx.User] {
-		return fmt.Errorf("%w: %s", chain.ErrUnfundedUser, tx.User)
+	if ref.User == summary.NoUser {
+		return ingest.Entry{}, fmt.Errorf("%w: %s", chain.ErrUnfundedUser, tx.User)
 	}
-	return nil
+	*rc = chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
+	return ingest.Entry{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx), Pool: ref.Pool, User: ref.User}, nil
 }
 
 // submitErr translates pool-closed rejections on a halted node into
@@ -163,18 +158,18 @@ func (f *frontEnd) Submit(ctx context.Context, tx *summary.Tx) (*chain.Receipt, 
 	if f.halted.Load() {
 		return nil, chain.ErrHalted
 	}
-	if err := f.checkSubmit(tx); err != nil {
+	en, err := f.checkSubmit(tx, new(chain.Receipt))
+	if err != nil {
 		return nil, err
 	}
-	rc := &chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-	_, errs, err := f.ingest.Admit(ctx, []ingest.Entry{{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)}})
+	_, errs, err := f.ingest.Admit(ctx, []ingest.Entry{en})
 	if err == nil && errs != nil {
 		err = errs[0]
 	}
 	if err != nil {
 		return nil, f.submitErr(err)
 	}
-	return rc, nil
+	return en.Rc, nil
 }
 
 // SubmitBatch validates the whole batch and hashes each valid entry's
@@ -201,14 +196,13 @@ func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.B
 	entries := make([]ingest.Entry, 0, len(txs))
 	idx := make([]int, 0, len(txs))
 	for i, tx := range txs {
-		if err := f.checkSubmit(tx); err != nil {
+		en, err := f.checkSubmit(tx, &slab[i])
+		if err != nil {
 			res.Errs[i] = err
 			continue
 		}
-		rc := &slab[i]
-		*rc = chain.Receipt{TxID: tx.ID, PoolID: tx.PoolID, Status: chain.StatusPending}
-		res.Receipts[i] = rc
-		entries = append(entries, ingest.Entry{Tx: tx, Rc: rc, Leaf: sidechain.TxLeaf(tx)})
+		res.Receipts[i] = en.Rc
+		entries = append(entries, en)
 		idx = append(idx, i)
 	}
 	if beforeAdmit != nil {
@@ -246,7 +240,7 @@ func (f *frontEnd) drainIngest(now time.Duration) {
 	for _, en := range entries {
 		en.Tx.SubmittedAt = now
 		en.Rc.SubmittedAt = now
-		f.queue = append(f.queue, queuedTx{tx: en.Tx, rc: en.Rc})
+		f.queue = append(f.queue, queuedTx{en.Tx, en.Rc, engine.Ref{Pool: en.Pool, User: en.User}})
 		f.queueLeaves = append(f.queueLeaves, en.Leaf)
 	}
 	if len(f.queue) > f.queuePeak {
@@ -300,7 +294,11 @@ func (f *frontEnd) executed(e, r uint64, at time.Duration, included []queuedTx) 
 		q.rc.Epoch = e
 		q.rc.Round = r
 	}
-	f.recsByEpoch[e] = append(f.recsByEpoch[e], included...)
+	recs := f.recsByEpoch[e]
+	if recs == nil { // an epoch's first round reserves the last epoch's length
+		recs = make([]queuedTx, 0, max(len(f.recsByEpoch[e-1]), len(included)))
+	}
+	f.recsByEpoch[e] = append(recs, included...)
 }
 
 // checkpointed advances epoch e's receipts when its summary block mines.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ammboost/internal/chain"
@@ -25,6 +26,9 @@ import (
 
 // ErrMultiParity flags a cross-layer mismatch in a multi-pool deployment.
 var ErrMultiParity = errors.New("core: multi-pool state parity violated")
+
+// ErrDuplicateUser refuses a user list that names a user twice.
+var ErrDuplicateUser = errors.New("core: user listed twice")
 
 // ErrUnsupportedFault rejects a FaultPlan field the node's bank or
 // consensus fidelity does not implement (see chain.FaultPlan for
@@ -48,9 +52,9 @@ type MultiSystem struct {
 	// rng is a per-run instance seeded from cfg.Seed — never the global
 	// math/rand state, so concurrent runs and engine shards are isolated.
 	rng *rand.Rand
-	eng *engine.Engine
-	// roundTxs is runRound's reused engine input: the round's batch.
-	roundTxs []*summary.Tx
+	// roundTxs and roundRefs are runRound's reused engine input.
+	roundTxs  []*summary.Tx
+	roundRefs []engine.Ref
 
 	mc *mainchain.Chain
 	// mb verifies and applies every sync part; bank is the deposit source.
@@ -217,15 +221,21 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
 	if err != nil {
 		return nil, err
 	}
+	// Users are numbered in byte order, so index order is payout order.
+	for _, u := range slices.Sorted(slices.Values(users)) {
+		if eng.Users().Lookup(u) != summary.NoUser {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateUser, u) // it would be granted twice
+		}
+		eng.Users().Add(u)
+	}
 	s := &MultiSystem{
 		cfg:          cfg,
 		shared:       shared,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		eng:          eng,
 		committees:   make(map[uint64]*committeeKeys),
 		SummaryRoots: make(map[uint64][32]byte),
 	}
-	s.initFrontEnd(cfg, users, eng.PoolIDs(), cfg.Tracer)
+	s.initFrontEnd(cfg, eng, cfg.Tracer)
 	if shared != nil {
 		s.sim, s.mc = shared.Sim, shared.MC
 	} else {
@@ -285,10 +295,10 @@ func (s *MultiSystem) PoolIDs() []string { return s.eng.PoolIDs() }
 
 // PoolInfo reports one pool's canonical reserves and live positions.
 func (s *MultiSystem) PoolInfo(poolID string) (chain.PoolInfo, bool) {
-	if !s.poolSet[poolID] {
+	p := s.eng.Pool(poolID)
+	if p == nil {
 		return chain.PoolInfo{}, false
 	}
-	p := s.eng.Pool(poolID)
 	return chain.PoolInfo{
 		ID:        poolID,
 		Reserve0:  p.Reserve0,
@@ -457,7 +467,7 @@ func (s *MultiSystem) SubmitDeposit(user string, epoch uint64, amount0, amount1 
 	if s.err != nil {
 		return nil, chain.ErrHalted
 	}
-	if !s.userSet[user] {
+	if s.eng.Users().Lookup(user) == summary.NoUser {
 		return nil, fmt.Errorf("%w: %s", chain.ErrUnfundedUser, user)
 	}
 	if amount0.IsZero() && amount1.IsZero() {
@@ -478,13 +488,13 @@ func (s *MultiSystem) SubmitWithdraw(poolID, user string, amount0, amount1 u256.
 	if s.err != nil {
 		return nil, chain.ErrHalted
 	}
-	if !s.userSet[user] {
+	if s.eng.Users().Lookup(user) == summary.NoUser {
 		return nil, fmt.Errorf("%w: %s", chain.ErrUnfundedUser, user)
 	}
 	if poolID == "" {
 		poolID = s.eng.PoolIDs()[0]
 	}
-	if !s.poolSet[poolID] {
+	if s.eng.Pool(poolID) == nil {
 		return nil, fmt.Errorf("%w: %q", chain.ErrUnknownPool, poolID)
 	}
 	if amount0.IsZero() && amount1.IsZero() {
@@ -547,7 +557,7 @@ func (s *MultiSystem) ClaimRefund(user string) (*chain.Receipt, error) {
 	if s.esc == nil {
 		return nil, chain.ErrNoEscrow
 	}
-	if !s.userSet[user] {
+	if s.eng.Users().Lookup(user) == summary.NoUser {
 		return nil, fmt.Errorf("%w: %s", chain.ErrUnfundedUser, user)
 	}
 	a0, a1 := s.Claimable(user)
@@ -711,15 +721,15 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	} else {
 		s.queue, s.queueLeaves = s.queue[consumed:], s.queueLeaves[consumed:]
 	}
-	txs := s.roundTxs[:0]
+	txs, refs := s.roundTxs[:0], s.roundRefs[:0]
 	for _, q := range batch {
-		txs = append(txs, q.tx)
+		txs, refs = append(txs, q.tx), append(refs, q.ref)
 	}
-	s.roundTxs = txs
+	s.roundTxs, s.roundRefs = txs, refs
 
 	s.bank.fundRound(e, batch)
 
-	res, err := s.eng.ExecuteRoundLeaves(txs, leaves, r)
+	res, err := s.eng.ExecuteRoundIndexed(txs, refs, leaves, r)
 	if err != nil {
 		s.fail(fmt.Errorf("%w: round %d/%d: %v", chain.ErrEngineFailed, e, r, err))
 		return

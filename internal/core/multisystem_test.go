@@ -3,12 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ammboost/internal/chain"
+	"ammboost/internal/mainchain"
 	"ammboost/internal/netsim"
+	"ammboost/internal/sim"
 	"ammboost/internal/store"
 	"ammboost/internal/workload"
 )
@@ -204,5 +208,47 @@ func TestKilledNodeReports(t *testing.T) {
 	}
 	if rep == nil || rep.EpochsRun != 2 {
 		t.Fatalf("report %+v, want the run stopped in epoch 2", rep)
+	}
+}
+
+// TestDuplicateUserRefused: every node constructor refuses a user list
+// that names a user twice, with ErrDuplicateUser and before a durable
+// node touches its store. A repeated user would be one table index held
+// by two list entries, and the paper bank would grant it twice.
+func TestDuplicateUserRefused(t *testing.T) {
+	cfg, _ := multiTestConfigs(3, 2, 1, 1)
+	cfg.Users = []string{"user-001", "user-000", "user-001"}
+	if _, err := NewMultiSystem(cfg, cfg.Users); !errors.Is(err, ErrDuplicateUser) {
+		t.Errorf("NewMultiSystem: err = %v, want ErrDuplicateUser", err)
+	}
+	fed := cfg
+	fed.ChainID = "a"
+	s := sim.New()
+	shared := &Shared{Sim: s, MC: mainchain.New(s, mainchain.DefaultConfig())}
+	if _, err := NewFederatedSystem(shared, fed, fed.Users); !errors.Is(err, ErrDuplicateUser) {
+		t.Errorf("NewFederatedSystem: err = %v, want ErrDuplicateUser", err)
+	}
+	fsys := &store.MemFS{}
+	if _, err := OpenFS(fsys, "", cfg); !errors.Is(err, ErrDuplicateUser) {
+		t.Errorf("OpenFS: err = %v, want ErrDuplicateUser", err)
+	}
+	if _, err := fsys.ReadFile(store.FileName); err == nil {
+		t.Error("OpenFS wrote a store for a refused user list")
+	}
+}
+
+// TestUsersNumberedInByteOrder: a node numbers its users in byte order
+// whatever order the list arrives in, so its payout lists need no sort.
+func TestUsersNumberedInByteOrder(t *testing.T) {
+	cfg, _ := multiTestConfigs(4, 2, 1, 1)
+	users := workload.New(workload.Config{NumUsers: 40}).Users()
+	shuffled := slices.Clone(users)
+	rand.New(rand.NewSource(4)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sys, err := NewMultiSystem(cfg, shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.eng.Users().Names(); !slices.Equal(got, users) {
+		t.Errorf("users numbered %v, want byte order %v", got, users)
 	}
 }

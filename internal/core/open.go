@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"ammboost/internal/amm"
@@ -67,6 +68,9 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 		// and that append returns only after the fsync.
 		return nil, fmt.Errorf("%w: StoreFsyncEvery %d (fsync batching)",
 			chain.ErrStoreUnsupported, cfg.StoreFsyncEvery)
+	}
+	if len(slices.Compact(slices.Sorted(slices.Values(cfg.Users)))) < len(cfg.Users) {
+		return nil, ErrDuplicateUser // refused before the store is created
 	}
 	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))
 	if err != nil {

@@ -789,6 +789,27 @@ func TestMultiSystemMetaBlockRoots(t *testing.T) {
 	})
 }
 
+// TestUserOrderInvariance: a node built from a shuffled user list
+// matches its twin built from the sorted list — roots, payload digests,
+// receipt outcomes and meta-block roots — since both number their users
+// in byte order.
+func TestUserOrderInvariance(t *testing.T) {
+	pinned(t, []int64{3, 42}, []pin{{"users=shuffled", func(w *world) {
+		w.midsize(8)
+		w.cfg.Users = slices.Clone(w.cfg.Users)
+		rand.New(rand.NewSource(w.seed)).Shuffle(len(w.cfg.Users), func(i, j int) {
+			w.cfg.Users[i], w.cfg.Users[j] = w.cfg.Users[j], w.cfg.Users[i]
+		})
+	}}}, func(t *testing.T, w world, r worldRuns) {
+		sorted := w.twin()
+		sorted.Users = slices.Sorted(slices.Values(w.cfg.Users))
+		if slices.Equal(sorted.Users, w.cfg.Users) || r.main.metaTxs == 0 {
+			t.Fatalf("users sorted after the shuffle, or no transaction executed (%d)", r.main.metaTxs)
+		}
+		sameRun(t, "sorted users", r.main, w.run(t, sorted, r.main.log, nil), false)
+	})
+}
+
 // TestPipelineDepthEquivalence: pipelines 2 and 3 deep produce what the
 // depth-1 twin does; only timing may differ between depths. One more
 // world is wide: 256 pools and a 180-member committee, fault-free, where

@@ -1,9 +1,20 @@
+// Package engine is ammBoost's multi-pool parallel execution engine: a
+// registry of independent AMM pools whose per-round transaction batches
+// a fixed set of workers pull, heaviest pool first. Each pool's batch
+// executes sequentially on one worker (per-pool order is submission
+// order) while pools run concurrently, and the per-pool state roots fold
+// — in canonical pool order, independent of which worker ran what — into
+// a single epoch summary root via internal/crypto/merkle. A fixed seed
+// therefore yields bit-identical pool roots and summary roots for any
+// worker count.
 package engine
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -24,6 +35,7 @@ var (
 	ErrNoPools      = errors.New("engine: config needs at least one pool")
 	ErrNoEpoch      = errors.New("engine: no epoch in progress (call BeginEpoch)")
 	ErrEpochStarted = errors.New("engine: epoch already in progress")
+	ErrUnknownPool  = errors.New("engine: pool not registered")
 )
 
 // Config parameterizes the engine. Zero values take defaults.
@@ -70,10 +82,16 @@ func (c Config) withDefaults() Config {
 // so state evolution per pool is independent of the worker count. The
 // engine is not safe for concurrent use by multiple callers.
 type Engine struct {
-	reg       *Registry
 	numShards int
-	// poolIndex maps a pool ID to its canonical index.
-	poolIndex map[string]int
+	// ids are the registered pool IDs in canonical (sorted) order, pools[i]
+	// is ids[i]'s canonical (epoch-start) state, and index maps an ID to
+	// its canonical index.
+	ids   []string
+	pools []*amm.Pool
+	index map[string]int
+	// users numbers the users the engine serves. A node adds its whole
+	// user set at construction, so its rounds resolve no names.
+	users *summary.Users
 
 	epoch   uint64
 	running bool
@@ -83,13 +101,9 @@ type Engine struct {
 	// written only by the worker that pulled the pool (or between rounds
 	// on the caller's goroutine), so no locking is needed.
 	execs []*summary.Executor
-	// queued[i] holds QueueDeposit's credits for pool i while it has no
-	// executor; execFor applies them when it opens one. Same ownership
-	// as execs.
-	queued [][]credit
-	// epochDeposits holds BeginEpoch's per-pool deposit earmarks for
-	// lazily created executors; read-only for the epoch's duration.
-	epochDeposits map[string]map[string]summary.Deposit
+	// pending[i] is pool i's deposit ledger (BeginEpoch's earmarks, then
+	// credits), on which its executor opens. Same ownership as execs.
+	pending []summary.Ledger
 	// roots[i] caches pool i's state root as of its last computation.
 	roots []rootCache
 
@@ -123,11 +137,18 @@ type workerStats struct {
 	gas         uint64
 }
 
-// credit is a deposit QueueDeposit holds until its pool's executor opens.
-type credit struct {
-	user             string
-	amount0, amount1 u256.Int
-}
+// Ref is a transaction's pool and user as the engine numbers them: the
+// pool's canonical index and the user's index in Users.
+type Ref struct{ Pool, User uint32 }
+
+// NoPool is Ref.Pool for a pool the engine does not register.
+const NoPool uint32 = math.MaxUint32
+
+// PoolName is the canonical identifier for the i-th pool of a deployment;
+// workload generators and the engine must agree on it. The canonical
+// order (sorted pool IDs) defines the leaf order of the epoch summary
+// root.
+func PoolName(i int) string { return fmt.Sprintf("pool-%04d", i) }
 
 // GenesisPositionID names pool i's genesis full-range position.
 func GenesisPositionID(poolID string) string { return poolID + "-genesis" }
@@ -140,30 +161,29 @@ func New(cfg Config) (*Engine, error) {
 		return nil, ErrNoPools
 	}
 	e := &Engine{
-		reg:       NewRegistry(),
 		numShards: cfg.NumShards,
-		poolIndex: make(map[string]int),
+		ids:       make([]string, cfg.NumPools),
+		pools:     make([]*amm.Pool, cfg.NumPools),
+		index:     make(map[string]int, cfg.NumPools),
+		users:     summary.NewUsers(),
 		perPool:   make([][]int, cfg.NumPools),
-		queued:    make([][]credit, cfg.NumPools),
+		roots:     make([]rootCache, cfg.NumPools),
 		tr:        cfg.Tracer,
 	}
 	if e.tr != nil {
 		e.stats = make([]workerStats, cfg.NumShards)
 	}
-	for i := 0; i < cfg.NumPools; i++ {
-		id := PoolName(i)
+	for i := range e.ids {
+		e.ids[i] = PoolName(i)
+	}
+	slices.Sort(e.ids)
+	for i, id := range e.ids {
 		pool, _, err := amm.NewGenesisPool(GenesisPositionID(id), cfg.InitialLiquidity)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.reg.Register(id, pool); err != nil {
-			return nil, err
-		}
+		e.pools[i], e.index[id] = pool, i
 	}
-	for i, id := range e.reg.IDs() {
-		e.poolIndex[id] = i
-	}
-	e.roots = make([]rootCache, cfg.NumPools)
 	return e, nil
 }
 
@@ -171,13 +191,30 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) NumShards() int { return e.numShards }
 
 // PoolIDs returns the registered pool IDs in canonical order.
-func (e *Engine) PoolIDs() []string { return e.reg.IDs() }
+func (e *Engine) PoolIDs() []string { return e.ids }
 
-// Pool returns the canonical (epoch-start) state of a pool.
-func (e *Engine) Pool(id string) *amm.Pool { return e.reg.Get(id) }
+// Pool returns the canonical (epoch-start) state of a pool, or nil.
+func (e *Engine) Pool(id string) *amm.Pool {
+	if i, ok := e.index[id]; ok {
+		return e.pools[i]
+	}
+	return nil
+}
 
-// Epoch returns the epoch in progress (0 before the first BeginEpoch).
-func (e *Engine) Epoch() uint64 { return e.epoch }
+// Users returns the engine's user table. Add a deployment's users before
+// the first round: producers look names up concurrently.
+func (e *Engine) Users() *summary.Users { return e.users }
+
+// Resolve numbers tx's pool (the empty ID is the first pool) and user:
+// NoPool and summary.NoUser, which a round rejects, for names the engine
+// lacks. It only reads, so producers may resolve from any goroutine.
+func (e *Engine) Resolve(tx *summary.Tx) Ref {
+	ref := Ref{Pool: NoPool, User: e.users.Lookup(tx.User)}
+	if i, ok := e.index[tx.PoolID]; ok || tx.PoolID == "" {
+		ref.Pool = uint32(i)
+	}
+	return ref
+}
 
 // pull calls fn(w, k) once for every k in [0, n) on at most workers
 // goroutines, each taking the next k from one shared counter, and waits.
@@ -210,72 +247,77 @@ func pull(workers, n int, fn func(w, k int)) {
 // BeginEpoch opens an epoch (SnapshotBank). deposits maps pool ID →
 // user → the epoch deposit earmarked for that pool; pools absent from
 // the map start with no deposits (their transactions are rejected until
-// AddDeposit). Snapshots are lazy: a pool's state is cloned into a
-// per-pool executor only when its first transaction or deposit of the
+// AddDeposit). Users the engine has not seen are numbered as they come,
+// by pool, then name. Snapshots are lazy: a pool's state is cloned into
+// a per-pool executor only when its first transaction or deposit of the
 // epoch arrives, so epoch-open cost is proportional to the epoch's
-// active pools instead of all registered pools. The deposits map is
-// retained by reference until SealEpoch for lazy executor creation; the
-// caller must not mutate it while the epoch runs.
+// active pools instead of all registered pools.
 func (e *Engine) BeginEpoch(epoch uint64, deposits map[string]map[string]summary.Deposit) error {
 	if e.running {
 		return ErrEpochStarted
 	}
-	ids := e.reg.IDs()
-	e.execs = make([]*summary.Executor, len(ids))
-	e.epochDeposits = deposits
+	e.pending = make([]summary.Ledger, len(e.ids))
+	for i, id := range e.ids {
+		if bucket := deposits[id]; len(bucket) > 0 {
+			for _, user := range slices.Sorted(maps.Keys(bucket)) {
+				_ = e.pending[i].Add(e.users.Add(user), bucket[user].Amount0, bucket[user].Amount1) // onto zero: cannot overflow
+			}
+		}
+	}
+	e.execs = make([]*summary.Executor, len(e.ids))
 	e.epoch = epoch
 	e.running = true
 	clear(e.stats)
 	return nil
 }
 
-// execFor returns pool index i's executor, snapshotting the pool and
-// applying its queued credits on first use. Safe only on the worker that
-// pulled the pool or between rounds.
-func (e *Engine) execFor(i int, id string) *summary.Executor {
-	exec := e.execs[i]
-	if exec == nil {
-		exec = summary.NewExecutor(e.epoch, e.reg.Get(id), e.epochDeposits[id])
-		for _, c := range e.queued[i] {
-			_ = exec.AddDeposit(c.user, c.amount0, c.amount1) // QueueDeposit drops a failed credit
-		}
-		e.queued[i] = e.queued[i][:0]
-		e.execs[i] = exec
+// execFor returns pool i's executor, snapshotting the pool on first use.
+// Safe only on the worker that pulled the pool or between rounds.
+func (e *Engine) execFor(i int) *summary.Executor {
+	if e.execs[i] == nil {
+		e.execs[i] = summary.OpenExecutor(e.epoch, e.pools[i], e.users, &e.pending[i])
 	}
-	return exec
+	return e.execs[i]
+}
+
+// poolFor returns a registered pool's index while an epoch runs.
+func (e *Engine) poolFor(poolID string) (int, error) {
+	if !e.running {
+		return 0, ErrNoEpoch
+	}
+	i, ok := e.index[poolID]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
+	}
+	return i, nil
 }
 
 // AddDeposit credits a user's mid-epoch deposit on one pool (or fails
 // with summary.ErrDepositOverflow).
 func (e *Engine) AddDeposit(poolID, user string, amount0, amount1 u256.Int) error {
-	if !e.running {
-		return ErrNoEpoch
+	i, err := e.poolFor(poolID)
+	if err != nil {
+		return err
 	}
-	i, ok := e.poolIndex[poolID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
-	}
-	return e.execFor(i, poolID).AddDeposit(user, amount0, amount1)
+	return e.execFor(i).AddDeposit(user, amount0, amount1)
 }
 
-// QueueDeposit is AddDeposit for a credit nobody waits on: it lands on
-// the pool's open executor at once, or, when the pool has none yet, when
-// the worker that pulls the pool opens one, before the pool's first
-// transaction. Opening snapshots are thereby off the caller's goroutine.
-// A credit that would overflow is dropped.
-func (e *Engine) QueueDeposit(poolID, user string, amount0, amount1 u256.Int) error {
+// QueueDeposit is AddDeposit, by index, for a credit nobody waits on: it
+// lands on the pool's deposit ledger without opening an executor, so
+// opening snapshots stay off the caller's goroutine, and a pool no round
+// touches pays it out as an idle pool's earmark. A credit that would
+// overflow is dropped.
+func (e *Engine) QueueDeposit(ref Ref, amount0, amount1 u256.Int) error {
 	if !e.running {
 		return ErrNoEpoch
 	}
-	i, ok := e.poolIndex[poolID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
+	if ref.Pool >= uint32(len(e.ids)) {
+		return fmt.Errorf("%w: index %d", ErrUnknownPool, ref.Pool)
 	}
-	if exec := e.execs[i]; exec != nil {
-		_ = exec.AddDeposit(user, amount0, amount1)
-		return nil
+	if ref.User >= uint32(len(e.users.Names())) {
+		return fmt.Errorf("%w: index %d", summary.ErrUnknownUser, ref.User)
 	}
-	e.queued[i] = append(e.queued[i], credit{user, amount0, amount1})
+	_ = e.pending[ref.Pool].Add(ref.User, amount0, amount1)
 	return nil
 }
 
@@ -284,14 +326,11 @@ func (e *Engine) QueueDeposit(poolID, user string, amount0, amount1 u256.Int) er
 // (summary.ErrInsufficientDeposit) when the remaining deposit cannot
 // cover it.
 func (e *Engine) WithdrawDeposit(poolID, user string, amount0, amount1 u256.Int) error {
-	if !e.running {
-		return ErrNoEpoch
+	i, err := e.poolFor(poolID)
+	if err != nil {
+		return err
 	}
-	i, ok := e.poolIndex[poolID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPool, poolID)
-	}
-	return e.execFor(i, poolID).WithdrawDeposit(user, amount0, amount1)
+	return e.execFor(i).WithdrawDeposit(user, amount0, amount1)
 }
 
 // RoundResult reports one round's execution.
@@ -307,40 +346,39 @@ type RoundResult struct {
 	Rejected int
 }
 
-// ExecuteRound is ExecuteRoundLeaves for a caller that has not hashed
-// the batch: it computes sidechain.TxLeaf of each transaction first.
+// ExecuteRound is ExecuteRoundIndexed for a caller that has neither
+// resolved nor hashed the batch: it resolves each transaction and
+// computes its sidechain.TxLeaf first.
 func (e *Engine) ExecuteRound(txs []*summary.Tx, round uint64) (RoundResult, error) {
+	refs := make([]Ref, len(txs))
 	leaves := make([][32]byte, len(txs))
 	for i, tx := range txs {
-		leaves[i] = sidechain.TxLeaf(tx)
+		refs[i], leaves[i] = e.Resolve(tx), sidechain.TxLeaf(tx)
 	}
-	return e.ExecuteRoundLeaves(txs, leaves, round)
+	return e.ExecuteRoundIndexed(txs, refs, leaves, round)
 }
 
-// ExecuteRoundLeaves executes a batch against the epoch snapshots, where
-// leaves[i] is sidechain.TxLeaf(txs[i]) (the node hashes each transaction
-// once, at admission). The batch is partitioned by canonical pool index,
-// preserving submission order within each pool, and the workers pull the
-// active pools heaviest first. A transaction with an empty PoolID routes
-// to the first registered pool. The leaves of the accepted transactions
-// fold, in submission order, into TxRoot; the engine hashes no
-// transaction, and a rejected one's leaf is never read.
-func (e *Engine) ExecuteRoundLeaves(txs []*summary.Tx, leaves [][32]byte, round uint64) (RoundResult, error) {
+// ExecuteRoundIndexed executes a batch against the epoch snapshots, where
+// refs[i] is Resolve(txs[i]) and leaves[i] is sidechain.TxLeaf(txs[i])
+// (the node does both once, at admission). The batch is partitioned by
+// pool index, preserving submission order within each pool, and the
+// workers pull the active pools heaviest first; each transaction applies
+// as its user index. The leaves of the accepted transactions fold, in
+// submission order, into TxRoot; the engine hashes no transaction, and a
+// rejected one's leaf is never read.
+func (e *Engine) ExecuteRoundIndexed(txs []*summary.Tx, refs []Ref, leaves [][32]byte, round uint64) (RoundResult, error) {
 	if !e.running {
 		return RoundResult{}, ErrNoEpoch
 	}
-	if len(leaves) != len(txs) {
-		return RoundResult{}, fmt.Errorf("engine: %d leaves for %d transactions", len(leaves), len(txs))
+	if len(refs) != len(txs) || len(leaves) != len(txs) {
+		return RoundResult{}, fmt.Errorf("engine: %d refs and %d leaves for %d transactions", len(refs), len(leaves), len(txs))
 	}
 	e.active = e.active[:0]
-	for i, tx := range txs {
-		p, ok := 0, true
-		if tx.PoolID != "" {
-			p, ok = e.poolIndex[tx.PoolID]
-		}
-		if !ok {
+	for i, ref := range refs {
+		if ref.Pool >= uint32(len(e.ids)) {
 			continue // unregistered pool: rejected
 		}
+		p := int(ref.Pool)
 		if len(e.perPool[p]) == 0 {
 			e.active = append(e.active, p)
 		}
@@ -363,17 +401,16 @@ func (e *Engine) ExecuteRoundLeaves(txs []*summary.Tx, leaves [][32]byte, round 
 			}
 		}
 	}
-	ids := e.reg.IDs()
 	pull(e.numShards, len(e.active), func(w, k int) {
 		p := e.active[k]
 		var start time.Duration
 		if e.tr != nil {
 			start = e.tr.Since()
 		}
-		exec := e.execFor(p, ids[p])
+		exec := e.execFor(p)
 		n, gas := 0, uint64(0)
 		for _, i := range e.perPool[p] {
-			if exec.Apply(txs[i], round) != nil {
+			if exec.ApplyIndexed(txs[i], refs[i].User, round) != nil {
 				continue
 			}
 			accepted[i] = true
@@ -430,28 +467,6 @@ type EpochResult struct {
 	SummaryRoot [32]byte
 }
 
-// untouchedPayload is the sync payload of a pool with no executor this
-// epoch: nothing traded, so the payout list is exactly the epoch's
-// earmarked deposits and the position list is empty. It is bit-identical
-// to the Summary of a summary.NewExecutor that ran no transactions, which
-// the engine's tests compute as its reference.
-func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Deposit, nextGroupKey []byte) *summary.SyncPayload {
-	sp := &summary.SyncPayload{
-		Epoch:        epoch,
-		PoolReserve0: p.Reserve0,
-		PoolReserve1: p.Reserve1,
-		NextGroupKey: nextGroupKey,
-	}
-	if len(deposits) > 0 {
-		sp.Payouts = make([]summary.PayoutEntry, 0, len(deposits))
-		for user, d := range deposits {
-			sp.Payouts = append(sp.Payouts, summary.PayoutEntry{User: user, Amount0: d.Amount0, Amount1: d.Amount1})
-		}
-		sp.SortEntries()
-	}
-	return sp
-}
-
 // StateRoots returns the current canonical state root of every pool in
 // canonical order (valid between epochs). Between epochs every pool's
 // cached root is its current root, so only a pool with no cached root
@@ -464,10 +479,9 @@ func untouchedPayload(epoch uint64, p *amm.Pool, deposits map[string]summary.Dep
 // OnEpochStart hook is NOT a safe place to call this; read roots from
 // the epoch's EpochResult or the run report instead).
 func (e *Engine) StateRoots() [][32]byte {
-	ids := e.reg.IDs()
-	roots := make([][32]byte, len(ids))
-	pull(e.numShards, len(ids), func(_, i int) {
-		roots[i] = e.roots[i].get(ids[i], e.reg.Get(ids[i]), false)
+	roots := make([][32]byte, len(e.ids))
+	pull(e.numShards, len(e.ids), func(_, i int) {
+		roots[i] = e.roots[i].get(e.ids[i], e.pools[i], false)
 	})
 	return roots
 }
@@ -482,11 +496,11 @@ func (e *Engine) RestorePools(pools map[string]*amm.Pool) error {
 		return ErrEpochStarted
 	}
 	for id, p := range pools {
-		i, ok := e.poolIndex[id]
+		i, ok := e.index[id]
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrUnknownPool, id)
 		}
-		e.reg.replace(id, p)
+		e.pools[i] = p
 		e.roots[i] = rootCache{}
 	}
 	return nil

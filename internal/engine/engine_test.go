@@ -209,12 +209,13 @@ func TestMidEpochDeposit(t *testing.T) {
 	closeEpoch(t, eng, nil)
 }
 
-// TestQueueDepositMatchesAddDeposit: a credit QueueDeposit holds until
-// the pool's worker opens its executor leaves every payload, pool root
-// and summary root as AddDeposit before the round does. The rounds cover
-// a credit onto an already open executor, a credit that overflows
-// (AddDeposit refuses it, QueueDeposit drops it), and credits on a pool
-// no round touches, which SealEpoch opens to pay them out.
+// TestQueueDepositMatchesAddDeposit: a credit QueueDeposit leaves on the
+// pool's deposit ledger until the pool's worker opens its executor leaves
+// every payload, pool root and summary root as AddDeposit before the
+// round does. The rounds cover a credit onto an already open executor, a
+// credit that overflows (AddDeposit refuses it, QueueDeposit drops it),
+// and credits on a pool no round touches, which it pays out as an idle
+// pool's deposits.
 func TestQueueDepositMatchesAddDeposit(t *testing.T) {
 	big := u256.FromUint64(1 << 40)
 	type grant struct {
@@ -226,7 +227,7 @@ func TestQueueDepositMatchesAddDeposit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.QueueDeposit(PoolName(0), "u", big, big); err != ErrNoEpoch {
+		if err := eng.QueueDeposit(Ref{}, big, big); err != ErrNoEpoch {
 			t.Fatalf("QueueDeposit between epochs: %v, want ErrNoEpoch", err)
 		}
 		var out []*EpochResult
@@ -234,8 +235,11 @@ func TestQueueDepositMatchesAddDeposit(t *testing.T) {
 			if err := eng.BeginEpoch(epoch, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.QueueDeposit("pool-9999", "u", big, big); !errors.Is(err, ErrUnknownPool) {
+			if err := eng.QueueDeposit(Ref{Pool: 9999}, big, big); !errors.Is(err, ErrUnknownPool) {
 				t.Fatalf("QueueDeposit on an unregistered pool: %v, want ErrUnknownPool", err)
+			}
+			if err := eng.QueueDeposit(Ref{User: 9999}, big, big); !errors.Is(err, summary.ErrUnknownUser) {
+				t.Fatalf("QueueDeposit for a user the table lacks: %v, want ErrUnknownUser", err)
 			}
 			for round := uint64(1); round <= 3; round++ {
 				grants := []grant{
@@ -248,7 +252,8 @@ func TestQueueDepositMatchesAddDeposit(t *testing.T) {
 				}
 				for _, c := range grants {
 					if queue {
-						if err := eng.QueueDeposit(c.pool, c.user, c.a0, c.a1); err != nil {
+						ref := Ref{Pool: uint32(slices.Index(eng.PoolIDs(), c.pool)), User: eng.Users().Add(c.user)}
+						if err := eng.QueueDeposit(ref, c.a0, c.a1); err != nil {
 							t.Fatal(err)
 						}
 					} else {
@@ -345,7 +350,7 @@ func TestUnknownPoolRejected(t *testing.T) {
 	checkTxRoot(t, 2, res)
 }
 
-// TestRejectedLeafNeverFolded: ExecuteRoundLeaves folds only the leaves
+// TestRejectedLeafNeverFolded: ExecuteRoundIndexed folds only the leaves
 // of accepted transactions. Every rejected transaction (unregistered
 // pool, unfunded user) comes with a garbage leaf, and the round's TxRoot
 // must still equal sidechain.TxRoot over Included. A leaf count that
@@ -361,6 +366,7 @@ func TestRejectedLeafNeverFolded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var batch []*summary.Tx
+	var refs []Ref
 	var leaves [][32]byte
 	for i, c := range []struct{ user, pool string }{
 		{"u", ids[2]}, {"u", "pool-9999"}, {"u", ids[0]}, {"unfunded", ids[2]},
@@ -372,12 +378,15 @@ func TestRejectedLeafNeverFolded(t *testing.T) {
 		if c.user == "unfunded" || c.pool == "pool-9999" {
 			leaf = [32]byte{0xde, 0xad}
 		}
-		batch, leaves = append(batch, tx), append(leaves, leaf)
+		batch, refs, leaves = append(batch, tx), append(refs, eng.Resolve(tx)), append(leaves, leaf)
 	}
-	if _, err := eng.ExecuteRoundLeaves(batch, leaves[1:], 1); err == nil {
+	if _, err := eng.ExecuteRoundIndexed(batch, refs, leaves[1:], 1); err == nil {
 		t.Fatal("a short leaf slice was accepted")
 	}
-	res, err := eng.ExecuteRoundLeaves(batch, leaves, 1)
+	if _, err := eng.ExecuteRoundIndexed(batch, refs[1:], leaves, 1); err == nil {
+		t.Fatal("a short ref slice was accepted")
+	}
+	res, err := eng.ExecuteRoundIndexed(batch, refs, leaves, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,12 @@ type SealedEpoch struct {
 	ids   []string
 	// pools[i] is ids[i]'s end-of-epoch state (canonical since the seal).
 	pools []*amm.Pool
-	// execs[i] is the epoch executor, nil for pools untouched this epoch.
+	// execs[i] is the epoch executor, nil for pools untouched this epoch;
+	// an untouched pool pays out its pending deposits, named from users, a
+	// view of the engine's table frozen at the seal.
 	execs        []*summary.Executor
-	deposits     map[string]map[string]summary.Deposit
+	pending      []summary.Ledger
+	users        *summary.Users
 	roots        []rootCache
 	nextGroupKey []byte
 
@@ -39,9 +42,6 @@ type SealedEpoch struct {
 	// pools first, then the idle ones, each in canonical order.
 	order []int
 }
-
-// Epoch returns the sealed epoch's number.
-func (se *SealedEpoch) Epoch() uint64 { return se.epoch }
 
 // ActiveSnapshots returns the sealed epoch's per-pool final states for
 // the pools touched during the epoch (those with executors), in
@@ -69,23 +69,18 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 	if !e.running {
 		return nil, ErrNoEpoch
 	}
-	ids := e.reg.IDs()
-	// A pool whose queued credits no round executed still pays them out.
-	for i, q := range e.queued {
-		if len(q) > 0 {
-			e.execFor(i, ids[i])
-		}
-	}
+	users := *e.users
 	se := &SealedEpoch{
 		epoch:        e.epoch,
-		ids:          append([]string(nil), ids...),
-		pools:        make([]*amm.Pool, len(ids)),
+		ids:          append([]string(nil), e.ids...),
+		pools:        make([]*amm.Pool, len(e.ids)),
 		execs:        e.execs,
-		deposits:     e.epochDeposits,
+		pending:      e.pending,
+		users:        &users,
 		roots:        e.roots,
 		nextGroupKey: nextGroupKey,
 		numShards:    e.numShards,
-		order:        make([]int, 0, len(ids)),
+		order:        make([]int, 0, len(e.ids)),
 	}
 	for _, active := range []bool{true, false} {
 		for i, exec := range e.execs {
@@ -101,7 +96,7 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 	// from any goroutine.
 	pull(e.numShards, len(se.order), func(_, k int) {
 		i := se.order[k]
-		p := e.reg.Get(ids[i])
+		p := e.pools[i]
 		if exec := e.execs[i]; exec != nil {
 			exec.Settle()
 			p = exec.Pool
@@ -118,15 +113,10 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 			})
 		}
 	}
-	// Advance canonical states on the caller's goroutine (the registry
-	// map must not be written concurrently). Untouched pools keep theirs.
-	for i, id := range ids {
-		if e.execs[i] != nil {
-			e.reg.replace(id, se.pools[i])
-		}
-	}
+	// Advance canonical states. Untouched pools keep theirs.
+	copy(e.pools, se.pools)
 	e.execs = nil
-	e.epochDeposits = nil
+	e.pending = nil
 	e.running = false
 	return se, nil
 }
@@ -151,10 +141,13 @@ func (se *SealedEpoch) Finalize() *EpochResult {
 		i := se.order[k]
 		id, pool := se.ids[i], se.pools[i]
 		var p *summary.SyncPayload
-		if exec := se.execs[i]; exec == nil {
-			p = untouchedPayload(se.epoch, pool, se.deposits[id], se.nextGroupKey)
-		} else {
+		if exec := se.execs[i]; exec != nil {
 			p = exec.Summary(se.nextGroupKey)
+		} else {
+			// An untouched pool pays out its pending deposits, bit-identical
+			// to the Summary of a summary.NewExecutor that ran nothing.
+			p = &summary.SyncPayload{Epoch: se.epoch, Payouts: se.pending[i].Payouts(se.users),
+				PoolReserve0: pool.Reserve0, PoolReserve1: pool.Reserve1, NextGroupKey: se.nextGroupKey}
 		}
 		p.PoolID = id
 		payloads[i] = p

@@ -51,14 +51,15 @@ const (
 )
 
 // Entry is one admitted transaction with its receipt and global
-// admission sequence number (assigned by the pool). Leaf is the
-// transaction's meta-block leaf (sidechain.TxLeaf), hashed by the
-// producer before admission; the pool carries it untouched.
+// admission sequence number (assigned by the pool). Leaf (sidechain.TxLeaf)
+// and the node's Pool and User indices are computed by the producer before
+// admission; the pool carries them untouched.
 type Entry struct {
-	Seq  uint64
-	Tx   *summary.Tx
-	Rc   *chain.Receipt
-	Leaf [32]byte
+	Seq        uint64
+	Tx         *summary.Tx
+	Rc         *chain.Receipt
+	Leaf       [32]byte
+	Pool, User uint32
 }
 
 // Pool is the concurrent mempool with admission control.

@@ -78,7 +78,7 @@ func (r *Runner) Collector() *metrics.Collector { return r.col }
 
 // Submit queues a transaction at the current virtual time.
 func (r *Runner) Submit(tx *summary.Tx) {
-	if _, ok := r.exec.Deposits[tx.User]; !ok {
+	if _, ok := r.exec.Deposit(tx.User); !ok {
 		big := u256.Shl(u256.One, 200)
 		r.exec.AddDeposit(tx.User, big, big)
 	}

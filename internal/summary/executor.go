@@ -3,6 +3,8 @@ package summary
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"ammboost/internal/amm"
 	"ammboost/internal/gasmodel"
@@ -30,10 +32,13 @@ var (
 // uses — the paper's "same logic" requirement — which makes cross-layer
 // state parity a testable invariant.
 type Executor struct {
-	Pool     *amm.Pool
-	Deposits map[string]*Deposit
+	Pool *amm.Pool
 
 	epoch uint64
+	// deps holds the deposits of the users the table numbers (a node's
+	// engine shares it; Settle freezes the view Summary reads).
+	users *Users
+	deps  *Ledger
 	// touched tracks positions explicitly modified this epoch (mints,
 	// burns, collects).
 	touched map[string]bool
@@ -48,27 +53,34 @@ type Executor struct {
 	// the epoch is settled); after Settle the executor never mutates the
 	// pool again.
 	settled map[string]bool
-
-	// Rejected counts the transactions Apply refused.
-	Rejected int
 }
 
-// NewExecutor snapshots the pool and deposits for an epoch. The pool is
-// cloned (copy-on-write, amm.Pool.Clone): the caller's copy (TokenBank's
-// view) stays frozen, per the paper's pool-snapshot-based trading, and
-// the caller must not write it before Settle, which compares against it.
+// NewExecutor snapshots the pool and deposits for an epoch, numbering
+// the depositing users in name order; it resolves onto OpenExecutor.
 func NewExecutor(epoch uint64, pool *amm.Pool, deposits map[string]Deposit) *Executor {
-	deps := make(map[string]*Deposit, len(deposits))
-	for user, d := range deposits {
-		deps[user] = &d
+	users := NewUsers(slices.Sorted(maps.Keys(deposits))...)
+	deps := &Ledger{}
+	for u, name := range users.names {
+		_ = deps.Add(uint32(u), deposits[name].Amount0, deposits[name].Amount1)
 	}
+	return OpenExecutor(epoch, pool, users, deps)
+}
+
+// OpenExecutor snapshots the pool for an epoch whose users the table
+// numbers and whose deposits deps holds; the caller may credit deps
+// between Apply calls. The pool is cloned (copy-on-write,
+// amm.Pool.Clone): the caller's copy (TokenBank's view) stays frozen, per
+// the paper's pool-snapshot-based trading, and the caller must not write
+// it before Settle, which compares against it.
+func OpenExecutor(epoch uint64, pool *amm.Pool, users *Users, deps *Ledger) *Executor {
 	return &Executor{
-		Pool:     pool.Clone(),
-		Deposits: deps,
-		epoch:    epoch,
-		touched:  make(map[string]bool),
-		deleted:  make(map[string]PositionEntry),
-		src:      pool,
+		Pool:    pool.Clone(),
+		epoch:   epoch,
+		users:   users,
+		deps:    deps,
+		touched: make(map[string]bool),
+		deleted: make(map[string]PositionEntry),
+		src:     pool,
 	}
 }
 
@@ -85,14 +97,16 @@ func (d Deposit) Credit(a0, a1 u256.Int) (Deposit, error) {
 
 // AddDeposit credits a user's epoch deposit as the committee observes it
 // on-chain; a credit that would overflow fails with ErrDepositOverflow.
-func (e *Executor) AddDeposit(user string, amount0, amount1 u256.Int) (err error) {
-	d := e.Deposits[user]
-	if d == nil {
-		d = &Deposit{}
-		e.Deposits[user] = d
+func (e *Executor) AddDeposit(user string, amount0, amount1 u256.Int) error {
+	return e.deps.Add(e.users.Add(user), amount0, amount1)
+}
+
+// Deposit returns a user's epoch deposit and whether the user has one.
+func (e *Executor) Deposit(user string) (Deposit, bool) {
+	if d := e.deps.get(e.users.Lookup(user)); d != nil {
+		return *d, true
 	}
-	*d, err = d.Credit(amount0, amount1)
-	return err
+	return Deposit{}, false
 }
 
 // WithdrawDeposit debits a user's epoch deposit — the origin-chain half
@@ -100,7 +114,7 @@ func (e *Executor) AddDeposit(user string, amount0, amount1 u256.Int) (err error
 // state change) when the remaining deposit does not cover the amounts,
 // and ErrUnknownUser when the user never deposited.
 func (e *Executor) WithdrawDeposit(user string, amount0, amount1 u256.Int) error {
-	d := e.Deposits[user]
+	d := e.deps.get(e.users.Lookup(user))
 	if d == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownUser, user)
 	}
@@ -115,41 +129,40 @@ func (e *Executor) WithdrawDeposit(user string, amount0, amount1 u256.Int) error
 }
 
 // Apply validates and executes one transaction at the given sidechain
-// round. On error the transaction is rejected with no state change.
+// round, resolving its user by name onto ApplyIndexed. On error the
+// transaction is rejected with no state change.
 func (e *Executor) Apply(tx *Tx, round uint64) error {
+	return e.ApplyIndexed(tx, e.users.Lookup(tx.User), round)
+}
+
+// ApplyIndexed is Apply for a transaction whose user the executor's
+// table numbers u (NoUser: a user without a deposit).
+func (e *Executor) ApplyIndexed(tx *Tx, u uint32, round uint64) error {
 	if tx.DeadlineRound != 0 && round > tx.DeadlineRound {
-		e.Rejected++
 		return ErrDeadlineExceeded
 	}
-	var err error
 	switch tx.Kind {
 	case gasmodel.KindSwap:
-		err = e.applySwap(tx)
+		return e.applySwap(tx, u)
 	case gasmodel.KindMint:
-		err = e.applyMint(tx)
+		return e.applyMint(tx, u)
 	case gasmodel.KindBurn:
-		err = e.applyBurn(tx)
+		return e.applyBurn(tx, u)
 	case gasmodel.KindCollect:
-		err = e.applyCollect(tx)
-	default:
-		err = ErrUnsupportedKind
+		return e.applyCollect(tx, u)
 	}
-	if err != nil {
-		e.Rejected++
-	}
-	return err
+	return ErrUnsupportedKind
 }
 
-func (e *Executor) deposit(user string) (*Deposit, error) {
-	d := e.Deposits[user]
-	if d == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, user)
+func (e *Executor) deposit(tx *Tx, u uint32) (*Deposit, error) {
+	if d := e.deps.get(u); d != nil {
+		return d, nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("%w: %s", ErrUnknownUser, tx.User)
 }
 
-func (e *Executor) applySwap(tx *Tx) error {
-	d, err := e.deposit(tx.User)
+func (e *Executor) applySwap(tx *Tx, u uint32) error {
+	d, err := e.deposit(tx, u)
 	if err != nil {
 		return err
 	}
@@ -190,8 +203,8 @@ func (e *Executor) applySwap(tx *Tx) error {
 	return nil
 }
 
-func (e *Executor) applyMint(tx *Tx) error {
-	d, err := e.deposit(tx.User)
+func (e *Executor) applyMint(tx *Tx, u uint32) error {
+	d, err := e.deposit(tx, u)
 	if err != nil {
 		return err
 	}
@@ -234,8 +247,8 @@ func (e *Executor) applyMint(tx *Tx) error {
 	return nil
 }
 
-func (e *Executor) applyBurn(tx *Tx) error {
-	d, err := e.deposit(tx.User)
+func (e *Executor) applyBurn(tx *Tx, u uint32) error {
+	d, err := e.deposit(tx, u)
 	if err != nil {
 		return err
 	}
@@ -286,8 +299,8 @@ func (e *Executor) applyBurn(tx *Tx) error {
 	return nil
 }
 
-func (e *Executor) applyCollect(tx *Tx) error {
-	d, err := e.deposit(tx.User)
+func (e *Executor) applyCollect(tx *Tx, u uint32) error {
+	d, err := e.deposit(tx, u)
 	if err != nil {
 		return err
 	}
@@ -321,9 +334,7 @@ func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 		PoolReserve1: e.Pool.Reserve1,
 		NextGroupKey: nextGroupKey,
 	}
-	for user, d := range e.Deposits {
-		p.Payouts = append(p.Payouts, PayoutEntry{User: user, Amount0: d.Amount0, Amount1: d.Amount1})
-	}
+	p.Payouts = e.deps.Payouts(e.users)
 	for posID := range e.settled {
 		pos := e.Pool.Position(posID)
 		if pos == nil {
@@ -342,7 +353,7 @@ func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 	for _, del := range e.deleted {
 		p.Positions = append(p.Positions, del)
 	}
-	p.SortEntries()
+	slices.SortFunc(p.Positions, byID)
 	return p
 }
 
@@ -386,13 +397,5 @@ func (e *Executor) Settle() {
 	}
 	e.settled = include
 	e.src = nil
-}
-
-// TotalDeposits sums all deposit balances (conservation checks).
-func (e *Executor) TotalDeposits() (t0, t1 u256.Int) {
-	for _, d := range e.Deposits {
-		t0 = u256.Add(t0, d.Amount0)
-		t1 = u256.Add(t1, d.Amount1)
-	}
-	return t0, t1
+	e.users = &Users{e.users.names, e.users.index, e.users.sorted} // frozen: the table may grow under Summary
 }

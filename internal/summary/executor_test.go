@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"ammboost/internal/amm"
@@ -25,6 +26,30 @@ func dep(a0, a1 uint64) Deposit {
 	return Deposit{Amount0: u256.FromUint64(a0), Amount1: u256.FromUint64(a1)}
 }
 
+// depositOf returns user's deposit, zero when the user has none.
+func depositOf(ex *Executor, user string) Deposit {
+	d, _ := ex.Deposit(user)
+	return d
+}
+
+// depositsOf copies the executor's deposits out by user name.
+func depositsOf(ex *Executor) map[string]Deposit {
+	out := make(map[string]Deposit)
+	for _, p := range ex.deps.Payouts(ex.users) {
+		out[p.User] = Deposit{Amount0: p.Amount0, Amount1: p.Amount1}
+	}
+	return out
+}
+
+// totalDeposits sums the executor's deposit balances.
+func totalDeposits(ex *Executor) (t0, t1 u256.Int) {
+	for _, d := range ex.deps.rows {
+		t0 = u256.Add(t0, d.Amount0)
+		t1 = u256.Add(t1, d.Amount1)
+	}
+	return t0, t1
+}
+
 // seedLiquidity gives the pool a base position owned by "lp0" so swaps have
 // depth, funded outside the executor (pre-epoch state).
 func seedLiquidity(t *testing.T, p *amm.Pool) {
@@ -42,7 +67,7 @@ func TestSwapUpdatesDeposit(t *testing.T) {
 	if err := ex.Apply(tx, 1); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	d := ex.Deposits["alice"]
+	d := depositOf(ex, "alice")
 	if !d.Amount0.Eq(u256.FromUint64(5_000)) {
 		t.Errorf("deposit0 = %s, want 5000", d.Amount0)
 	}
@@ -70,9 +95,6 @@ func TestSwapRejectedWithoutDeposit(t *testing.T) {
 	if err := ex.Apply(tx2, 1); !errors.Is(err, ErrUnknownUser) {
 		t.Errorf("want ErrUnknownUser, got %v", err)
 	}
-	if ex.Rejected != 2 {
-		t.Errorf("Rejected = %d", ex.Rejected)
-	}
 }
 
 // TestDepositCreditOverflow: a credit that would carry a deposit past
@@ -89,14 +111,14 @@ func TestDepositCreditOverflow(t *testing.T) {
 	if err := ex.AddDeposit("whale", u256.One, u256.Zero); !errors.Is(err, ErrDepositOverflow) {
 		t.Errorf("second deposit: err = %v, want ErrDepositOverflow", err)
 	}
-	if d := ex.Deposits["whale"]; !d.Amount0.Eq(u256.Max) || !d.Amount1.IsZero() {
+	if d := depositOf(ex, "whale"); !d.Amount0.Eq(u256.Max) || !d.Amount1.IsZero() {
 		t.Errorf("whale deposit = %s/%s after a refused credit, want max/0", d.Amount0, d.Amount1)
 	}
 	if err := ex.AddDeposit("lp0", u256.Zero, u256.Sub(u256.Max, u256.FromUint64(1000))); err != nil {
 		t.Fatal(err)
 	}
 	pool := amm.AppendPool(nil, ex.Pool)
-	before := *ex.Deposits["lp0"]
+	before := depositOf(ex, "lp0")
 	for _, tx := range []*Tx{
 		{ID: "swap", Kind: gasmodel.KindSwap, User: "lp0", ZeroForOne: true, ExactIn: true, Amount: u256.FromUint64(1 << 20)},
 		{ID: "burn", Kind: gasmodel.KindBurn, User: "lp0", PosID: "seed", BurnFractionBps: 5000},
@@ -108,7 +130,7 @@ func TestDepositCreditOverflow(t *testing.T) {
 		if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) {
 			t.Errorf("%s: refused credit changed the pool", tx.ID)
 		}
-		if *ex.Deposits["lp0"] != before {
+		if depositOf(ex, "lp0") != before {
 			t.Errorf("%s: refused credit changed the deposit", tx.ID)
 		}
 	}
@@ -180,7 +202,7 @@ func TestSwapSlippageBoundRollsBack(t *testing.T) {
 			if !bytes.Equal(amm.AppendPool(nil, ex.Pool), before) {
 				t.Error("failed swap must leave the pool untouched")
 			}
-			if *ex.Deposits["alice"] != tc.deposit {
+			if depositOf(ex, "alice") != tc.deposit {
 				t.Error("failed swap must not touch the deposit")
 			}
 		})
@@ -225,7 +247,7 @@ func TestExactOutSwap(t *testing.T) {
 	if err := ex.Apply(tx, 1); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	d := ex.Deposits["alice"]
+	d := depositOf(ex, "alice")
 	if !d.Amount1.Eq(want) {
 		t.Errorf("received %s, want exactly %s", d.Amount1, want)
 	}
@@ -252,7 +274,7 @@ func TestMintBurnCollectLifecycle(t *testing.T) {
 	if pos == nil {
 		t.Fatal("position not created")
 	}
-	d := ex.Deposits["lp"]
+	d := depositOf(ex, "lp")
 	if !d.Amount0.Lt(u256.FromUint64(1_000_000)) || !d.Amount1.Lt(u256.FromUint64(1_000_000)) {
 		t.Error("mint should deduct from the deposit")
 	}
@@ -269,11 +291,11 @@ func TestMintBurnCollectLifecycle(t *testing.T) {
 	// Collect fees.
 	collect := &Tx{ID: "c1", Kind: gasmodel.KindCollect, User: "lp", PosID: posID,
 		Collect0: u256.Max, Collect1: u256.Max}
-	before0 := ex.Deposits["lp"].Amount0
+	before0 := depositOf(ex, "lp").Amount0
 	if err := ex.Apply(collect, 2); err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	if !ex.Deposits["lp"].Amount0.Gt(before0) {
+	if !depositOf(ex, "lp").Amount0.Gt(before0) {
 		t.Error("collect should credit fees to the deposit")
 	}
 
@@ -310,7 +332,7 @@ func TestMintInsufficientDepositUnwinds(t *testing.T) {
 	if ex.Pool.NumPositions() != positions {
 		t.Error("failed mint must not leave a position behind")
 	}
-	if !ex.Deposits["lp"].Amount0.Eq(u256.FromUint64(10)) {
+	if !depositOf(ex, "lp").Amount0.Eq(u256.FromUint64(10)) {
 		t.Error("failed mint must not touch the deposit")
 	}
 }
@@ -330,7 +352,7 @@ func TestMintOutOfRangeTickRejected(t *testing.T) {
 			t.Errorf("mint [%d, %d]: %v, want ErrInvalidTickRange", r[0], r[1], err)
 		}
 	}
-	if ex.Pool.NumPositions() != positions || !ex.Deposits["lp"].Amount0.Eq(u256.FromUint64(1_000_000)) {
+	if ex.Pool.NumPositions() != positions || !depositOf(ex, "lp").Amount0.Eq(u256.FromUint64(1_000_000)) {
 		t.Error("rejected mint touched the pool or the deposit")
 	}
 }
@@ -356,7 +378,7 @@ func TestConservation(t *testing.T) {
 		"lp":    dep(3_000_000, 3_000_000),
 	}
 	ex := NewExecutor(1, p, deposits)
-	d0, d1 := ex.TotalDeposits()
+	d0, d1 := totalDeposits(ex)
 	start0 := u256.Add(d0, ex.Pool.Reserve0)
 	start1 := u256.Add(d1, ex.Pool.Reserve1)
 
@@ -376,7 +398,7 @@ func TestConservation(t *testing.T) {
 			t.Fatalf("%s: %v", tx.ID, err)
 		}
 	}
-	d0, d1 = ex.TotalDeposits()
+	d0, d1 = totalDeposits(ex)
 	end0 := u256.Add(d0, ex.Pool.Reserve0)
 	end1 := u256.Add(d1, ex.Pool.Reserve1)
 	if !end0.Eq(start0) || !end1.Eq(start1) {
@@ -400,7 +422,7 @@ func TestSummaryPayoutsEqualDeposits(t *testing.T) {
 		t.Fatalf("payouts = %d, want one per user", len(sum.Payouts))
 	}
 	for _, e := range sum.Payouts {
-		d := ex.Deposits[e.User]
+		d := depositOf(ex, e.User)
 		if !e.Amount0.Eq(d.Amount0) || !e.Amount1.Eq(d.Amount1) {
 			t.Errorf("payout for %s = %s/%s, deposit %s/%s", e.User, e.Amount0, e.Amount1, d.Amount0, d.Amount1)
 		}
@@ -439,6 +461,46 @@ func TestSummaryDeterministicOrder(t *testing.T) {
 		if a.Payouts[i-1].User >= a.Payouts[i].User {
 			t.Error("payouts not sorted")
 		}
+	}
+}
+
+// TestPayoutsInIndexOrder: Summary lists payouts by walking the user
+// table's index order, and sorts only a table whose names were not added
+// in byte order. A node's table is sorted, so its payouts need no sort.
+func TestPayoutsInIndexOrder(t *testing.T) {
+	names := []string{"user-07", "user-01", "user-19", "user-03", "user-11"}
+	sorted := slices.Sorted(slices.Values(names))
+	p := newPool(t)
+	seedLiquidity(t, p)
+	users := NewUsers(sorted...)
+	var deps Ledger
+	for i, name := range names { // first credits land out of name order
+		if err := deps.Add(users.Lookup(name), u256.FromUint64(uint64(100+i)), u256.Zero); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := OpenExecutor(1, p, users, &deps).Summary(nil).Payouts
+	if len(got) != len(sorted) {
+		t.Fatalf("%d payouts, want %d", len(got), len(sorted))
+	}
+	for i, e := range got {
+		if e.User != sorted[i] {
+			t.Fatalf("payout %d is %s, want %s", i, e.User, sorted[i])
+		}
+	}
+
+	// The walk itself never sorts: a table that claims byte order emits
+	// its index order as it stands.
+	liar := &Users{names: []string{"b", "a"}, sorted: true}
+	var two Ledger
+	_ = two.Add(1, u256.One, u256.Zero)
+	_ = two.Add(0, u256.One, u256.Zero)
+	if got := two.Payouts(liar); got[0].User != "b" || got[1].User != "a" {
+		t.Errorf("payouts %s, %s: want index order b, a", got[0].User, got[1].User)
+	}
+	// A table built out of order is sorted by name at Summary.
+	if got := two.Payouts(NewUsers("b", "a")); got[0].User != "a" || got[1].User != "b" {
+		t.Errorf("payouts %s, %s on an unsorted table: want a, b", got[0].User, got[1].User)
 	}
 }
 
@@ -644,7 +706,7 @@ func FuzzApply(f *testing.F) {
 		})
 		total := func() (t0, t1 *big.Int) {
 			t0, t1 = ex.Pool.Reserve0.ToBig(), ex.Pool.Reserve1.ToBig()
-			for _, d := range ex.Deposits {
+			for _, d := range ex.deps.rows {
 				t0.Add(t0, d.Amount0.ToBig())
 				t1.Add(t1, d.Amount1.ToBig())
 			}
@@ -656,10 +718,7 @@ func FuzzApply(f *testing.F) {
 			tx := fuzzTx(i, data[:fuzzTxBytes])
 			data = data[fuzzTxBytes:]
 			pool := amm.AppendPool(nil, ex.Pool)
-			deposits := make(map[string]Deposit, len(ex.Deposits))
-			for u, d := range ex.Deposits {
-				deposits[u] = *d
-			}
+			deposits := depositsOf(ex)
 			if err := ex.Apply(&tx, 2); err != nil {
 				typed := false
 				for _, e := range applyErrors {
@@ -671,8 +730,8 @@ func FuzzApply(f *testing.F) {
 				if !bytes.Equal(amm.AppendPool(nil, ex.Pool), pool) {
 					t.Fatalf("tx %d %+v: rejection (%v) changed the pool", i, tx, err)
 				}
-				for u, d := range ex.Deposits {
-					if was, ok := deposits[u]; !ok || was != *d {
+				for u, d := range depositsOf(ex) {
+					if was, ok := deposits[u]; !ok || was != d {
 						t.Fatalf("tx %d %+v: rejection (%v) changed %s's deposit", i, tx, err, u)
 					}
 				}
@@ -731,7 +790,7 @@ func TestFullBurnOfEpochStartPosition(t *testing.T) {
 	if ex.Pool.Position("pos-a") != nil {
 		t.Error("a full burn left the position alive")
 	}
-	if d := ex.Deposits["alice"]; !d.Amount0.Eq(want0) || !d.Amount1.Eq(want1) {
+	if d := depositOf(ex, "alice"); !d.Amount0.Eq(want0) || !d.Amount1.Eq(want1) {
 		t.Errorf("full burn paid %s/%s, want principal and fees %s/%s", d.Amount0, d.Amount1, want0, want1)
 	}
 	var deleted bool

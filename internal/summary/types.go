@@ -275,6 +275,9 @@ func DerivePositionID(txID, owner string) string {
 // SortEntries puts payload entries into deterministic order (by user /
 // position ID) so that every committee member derives an identical digest.
 func (p *SyncPayload) SortEntries() {
-	slices.SortFunc(p.Payouts, func(a, b PayoutEntry) int { return strings.Compare(a.User, b.User) })
-	slices.SortFunc(p.Positions, func(a, b PositionEntry) int { return strings.Compare(a.ID, b.ID) })
+	slices.SortFunc(p.Payouts, byUser)
+	slices.SortFunc(p.Positions, byID)
 }
+
+func byUser(a, b PayoutEntry) int { return strings.Compare(a.User, b.User) }
+func byID(a, b PositionEntry) int { return strings.Compare(a.ID, b.ID) }
