@@ -44,7 +44,8 @@ type poolBank struct {
 	s *MultiSystem
 
 	// funded is one bitset per pool, of words uint64s each, marking the
-	// (user, pool) pairs deposited this epoch by user index.
+	// (user, pool) pairs deposited this epoch by user index: pools ×
+	// users bits, cleared each epoch.
 	funded []uint64
 	words  int
 	// pendingDeposits holds explicit SubmitDeposit credits that arrived

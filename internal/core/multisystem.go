@@ -30,6 +30,18 @@ var ErrMultiParity = errors.New("core: multi-pool state parity violated")
 // ErrDuplicateUser refuses a user list that names a user twice.
 var ErrDuplicateUser = errors.New("core: user listed twice")
 
+// sortedUsers returns users in byte order, the order the node numbers
+// them in, refusing a user listed twice (it would be granted twice).
+func sortedUsers(users []string) ([]string, error) {
+	sorted := slices.Sorted(slices.Values(users))
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateUser, sorted[i])
+		}
+	}
+	return sorted, nil
+}
+
 // ErrUnsupportedFault rejects a FaultPlan field the node's bank or
 // consensus fidelity does not implement (see chain.FaultPlan for
 // per-field support).
@@ -221,11 +233,11 @@ func newMultiSystem(shared *Shared, cfg chain.Config, users []string,
 	if err != nil {
 		return nil, err
 	}
-	// Users are numbered in byte order, so index order is payout order.
-	for _, u := range slices.Sorted(slices.Values(users)) {
-		if eng.Users().Lookup(u) != summary.NoUser {
-			return nil, fmt.Errorf("%w: %s", ErrDuplicateUser, u) // it would be granted twice
-		}
+	sorted, err := sortedUsers(users)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range sorted { // index order is payout order
 		eng.Users().Add(u)
 	}
 	s := &MultiSystem{

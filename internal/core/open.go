@@ -8,7 +8,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"ammboost/internal/amm"
@@ -69,8 +68,8 @@ func openFS(shared *Shared, fsys store.FS, dir string, cfg chain.Config) (chain.
 		return nil, fmt.Errorf("%w: StoreFsyncEvery %d (fsync batching)",
 			chain.ErrStoreUnsupported, cfg.StoreFsyncEvery)
 	}
-	if len(slices.Compact(slices.Sorted(slices.Values(cfg.Users)))) < len(cfg.Users) {
-		return nil, ErrDuplicateUser // refused before the store is created
+	if _, err := sortedUsers(cfg.Users); err != nil {
+		return nil, err // refused before the store is created
 	}
 	rec, w, err := store.Open(fsys, dir, DeploymentFingerprint(cfg))
 	if err != nil {

@@ -69,14 +69,13 @@ func (e *Engine) SealEpoch(nextGroupKey []byte) (*SealedEpoch, error) {
 	if !e.running {
 		return nil, ErrNoEpoch
 	}
-	users := *e.users
 	se := &SealedEpoch{
 		epoch:        e.epoch,
 		ids:          append([]string(nil), e.ids...),
 		pools:        make([]*amm.Pool, len(e.ids)),
 		execs:        e.execs,
 		pending:      e.pending,
-		users:        &users,
+		users:        e.users.Frozen(),
 		roots:        e.roots,
 		nextGroupKey: nextGroupKey,
 		numShards:    e.numShards,

@@ -53,6 +53,9 @@ type Executor struct {
 	// the epoch is settled); after Settle the executor never mutates the
 	// pool again.
 	settled map[string]bool
+
+	// Rejected counts the transactions Apply refused.
+	Rejected int
 }
 
 // NewExecutor snapshots the pool and deposits for an epoch, numbering
@@ -139,19 +142,26 @@ func (e *Executor) Apply(tx *Tx, round uint64) error {
 // table numbers u (NoUser: a user without a deposit).
 func (e *Executor) ApplyIndexed(tx *Tx, u uint32, round uint64) error {
 	if tx.DeadlineRound != 0 && round > tx.DeadlineRound {
+		e.Rejected++
 		return ErrDeadlineExceeded
 	}
+	var err error
 	switch tx.Kind {
 	case gasmodel.KindSwap:
-		return e.applySwap(tx, u)
+		err = e.applySwap(tx, u)
 	case gasmodel.KindMint:
-		return e.applyMint(tx, u)
+		err = e.applyMint(tx, u)
 	case gasmodel.KindBurn:
-		return e.applyBurn(tx, u)
+		err = e.applyBurn(tx, u)
 	case gasmodel.KindCollect:
-		return e.applyCollect(tx, u)
+		err = e.applyCollect(tx, u)
+	default:
+		err = ErrUnsupportedKind
 	}
-	return ErrUnsupportedKind
+	if err != nil {
+		e.Rejected++
+	}
+	return err
 }
 
 func (e *Executor) deposit(tx *Tx, u uint32) (*Deposit, error) {
@@ -397,5 +407,5 @@ func (e *Executor) Settle() {
 	}
 	e.settled = include
 	e.src = nil
-	e.users = &Users{e.users.names, e.users.index, e.users.sorted} // frozen: the table may grow under Summary
+	e.users = e.users.Frozen() // the table may grow under Summary
 }

@@ -95,6 +95,9 @@ func TestSwapRejectedWithoutDeposit(t *testing.T) {
 	if err := ex.Apply(tx2, 1); !errors.Is(err, ErrUnknownUser) {
 		t.Errorf("want ErrUnknownUser, got %v", err)
 	}
+	if ex.Rejected != 2 {
+		t.Errorf("Rejected = %d", ex.Rejected)
+	}
 }
 
 // TestDepositCreditOverflow: a credit that would carry a deposit past

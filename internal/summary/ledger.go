@@ -51,10 +51,19 @@ func (t *Users) Lookup(name string) uint32 {
 // Names returns the names in index order; the caller must not write it.
 func (t *Users) Names() []string { return t.names }
 
+// Frozen returns a view of the table as it stands: Add on the table
+// does not write it, so Names and payout lists may read it from another
+// goroutine. Lookup on the view stays unsafe while the table grows.
+func (t *Users) Frozen() *Users {
+	u := *t
+	return &u
+}
+
 // Ledger is one pool's epoch deposits by user index: one row per user
 // with a deposit, in the order their first credits landed, and
 // slot[u]-1 is user u's row (0: none). Both slices are pointer-free and
-// grow by doubling: no user's deposit is a heap object of its own.
+// grow by doubling: no user's deposit is a heap object of its own. rows
+// is O(depositing users); slot is O(highest depositing user index).
 type Ledger struct {
 	slot []int32
 	rows []Deposit
