@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ammboost/internal/chain"
 	"ammboost/internal/gasmodel"
@@ -494,5 +496,75 @@ func TestDepositReceipt(t *testing.T) {
 	}
 	if _, err := sys.SubmitDeposit("stranger", 3, u256.FromUint64(1), u256.FromUint64(1)); !errors.Is(err, chain.ErrUnfundedUser) {
 		t.Errorf("stranger deposit err = %v, want ErrUnfundedUser", err)
+	}
+}
+
+// TestReceiptLedgerReusesPrunedArrays pins the receipt ledger's memory
+// rule and its contents: a pruned epoch's array is cleared — it holds no
+// transaction or receipt — and a later epoch takes it over, and at its
+// checkpoint an epoch's ledger lists exactly the transactions its
+// meta-blocks included, in execution order, each stamped with its round.
+func TestReceiptLedgerReusesPrunedArrays(t *testing.T) {
+	const epochs = 10
+	cfg := recoveryCfg(23, 4, 2, 2)
+	sys, err := NewMultiSystem(cfg, recoveryUsers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	attachRecoveryTraffic(t, sys, 23, 40)
+	traffic := sys.OnEpochStart
+	sys.OnEpochStart = func(e uint64) { // and a burn of no position, which execution rejects
+		traffic(e)
+		tx := &summary.Tx{ID: fmt.Sprintf("rej-e%d", e), Kind: gasmodel.KindBurn, User: recoveryUsers()[0],
+			PoolID: sys.PoolIDs()[0], PosID: "no-such-position", BurnFractionBps: 5000}
+		if _, err := sys.Submit(context.Background(), tx); err != nil {
+			t.Errorf("submit %s: %v", tx.ID, err)
+		}
+	}
+	pruned := map[*queuedTx]bool{}
+	reused, checked := 0, 0
+	sys.bus.OnPublish(func(ev chain.Event) {
+		e := ev.Epoch
+		switch {
+		case ev.Type == chain.EventMetaBlock && ev.Round == 1:
+			if recs := sys.recsByEpoch[e]; cap(recs) > 0 && pruned[unsafe.SliceData(recs)] {
+				reused++
+			}
+		case ev.Type == chain.EventSummaryBlock:
+			recs := sys.recsByEpoch[e]
+			i := 0
+			for _, mb := range sys.ledger.MetaBlocks(e) {
+				for _, tx := range mb.Txs {
+					if i >= len(recs) || recs[i].tx != tx || recs[i].rc.Round != mb.Round ||
+						recs[i].rc.Epoch != e || recs[i].rc.Status != chain.StatusCheckpointed {
+						t.Fatalf("epoch %d: ledger entry %d is not round %d's %s", e, i, mb.Round, tx.ID)
+					}
+					i++
+				}
+			}
+			if i != len(recs) {
+				t.Errorf("epoch %d: ledger lists %d transactions, its meta-blocks %d", e, len(recs), i)
+			}
+			checked++
+		case ev.Type == chain.EventPruned:
+			spare := sys.spareRecs[:cap(sys.spareRecs)]
+			for _, q := range spare {
+				if q != (queuedTx{}) {
+					t.Fatalf("epoch %d: the spare ledger array still holds %s", e, q.tx.ID)
+				}
+			}
+			if len(spare) > 0 {
+				pruned[unsafe.SliceData(spare)] = true
+			}
+		}
+	})
+	rep, err := sys.Run(epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < epochs || reused == 0 || rep.Rejected == 0 {
+		t.Errorf("checked %d epochs, %d took over a pruned array, %d rejected; want %d, > 0, > 0",
+			checked, reused, rep.Rejected, epochs)
 	}
 }

@@ -62,8 +62,10 @@ type frontEnd struct {
 	arrivals *chain.ArrivalLog
 
 	// recsByEpoch is the receipt ledger: each epoch's executed
-	// transactions, in execution order, until the epoch prunes.
+	// transactions, in execution order, until the epoch prunes; spareRecs
+	// is a pruned epoch's array, cleared, for the next epoch to take over.
 	recsByEpoch map[uint64][]queuedTx
+	spareRecs   []queuedTx
 
 	// tr is the lifecycle tracer (nil = disabled). Tracing only reads the
 	// wall clock — roots and payload digests are bit-identical with
@@ -193,8 +195,13 @@ func (f *frontEnd) SubmitBatch(ctx context.Context, txs []*summary.Tx) (*chain.B
 		Errs:     make([]error, len(txs)),
 	}
 	slab := make([]chain.Receipt, len(txs))
-	entries := make([]ingest.Entry, 0, len(txs))
-	idx := make([]int, 0, len(txs))
+	// Admit keeps neither slice, so a batch of up to 64 stays on the stack.
+	var entryBuf [64]ingest.Entry
+	var idxBuf [64]int
+	entries, idx := entryBuf[:0], idxBuf[:0]
+	if len(txs) > len(entryBuf) {
+		entries, idx = make([]ingest.Entry, 0, len(txs)), make([]int, 0, len(txs))
+	}
 	for i, tx := range txs {
 		en, err := f.checkSubmit(tx, &slab[i])
 		if err != nil {
@@ -285,8 +292,8 @@ func (f *frontEnd) flushSubmitSpan(e uint64) {
 // visibility contract: a subscriber that observes the event may read the
 // epoch's receipts at that stage.
 
-// executed records round r's included transactions, whose meta-block was
-// appended at the virtual instant at.
+// executed stamps round r's included transactions, already on the
+// ledger, once their meta-block was appended at the virtual instant at.
 func (f *frontEnd) executed(e, r uint64, at time.Duration, included []queuedTx) {
 	for _, q := range included {
 		q.rc.Status = chain.StatusExecuted
@@ -294,11 +301,6 @@ func (f *frontEnd) executed(e, r uint64, at time.Duration, included []queuedTx) 
 		q.rc.Epoch = e
 		q.rc.Round = r
 	}
-	recs := f.recsByEpoch[e]
-	if recs == nil { // an epoch's first round reserves the last epoch's length
-		recs = make([]queuedTx, 0, max(len(f.recsByEpoch[e-1]), len(included)))
-	}
-	f.recsByEpoch[e] = append(recs, included...)
 }
 
 // checkpointed advances epoch e's receipts when its summary block mines.
@@ -325,11 +327,17 @@ func (f *frontEnd) synced(e uint64, at time.Duration) {
 }
 
 // pruned advances epoch e's receipts once its meta-blocks are pruned and
-// drops the epoch from the ledger.
+// drops the epoch from the ledger, keeping its array, cleared, as the
+// spare when it is the largest.
 func (f *frontEnd) pruned(e uint64, at time.Duration) {
-	for _, q := range f.recsByEpoch[e] {
+	recs := f.recsByEpoch[e]
+	for _, q := range recs {
 		q.rc.Status = chain.StatusPruned
 		q.rc.PrunedAt = at
 	}
 	delete(f.recsByEpoch, e)
+	if cap(recs) > cap(f.spareRecs) {
+		clear(recs)
+		f.spareRecs = recs[:0]
+	}
 }

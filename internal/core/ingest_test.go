@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,9 +24,9 @@ import (
 // and the occupancy snapshot; and the node's report reconciles exactly
 // with the client-side counts. Below the wall, with the round
 // boundaries' drains, admission allocates only what the caller gets
-// back: a Submit its receipt, a SubmitBatch its result, the result's
-// receipt and error slices, the receipts' one slab and the entries and
-// indices it admits.
+// back: a Submit its receipt, a SubmitBatch of up to 64 its result, the
+// result's receipt and error slices and the receipts' one slab; a larger
+// batch also its entry and index slices.
 func TestIngestSaturationTypedRejections(t *testing.T) {
 	cfg, _ := multiTestConfigs(7, 8, 4, 0)
 	cfg.IngestCapacity = 256
@@ -148,8 +149,91 @@ func TestIngestSaturationTypedRejections(t *testing.T) {
 		if got := testing.AllocsPerRun(10_000, func() { admit(1) }); got != 1 {
 			t.Errorf("Submit allocates %.2f times, want 1 (its receipt)", got)
 		}
-		if got := testing.AllocsPerRun(200, func() { admit(64) }); got != 6 {
-			t.Errorf("a 64-transaction SubmitBatch allocates %.2f times, want 6", got)
+		if got := testing.AllocsPerRun(200, func() { admit(64) }); got != 4 {
+			t.Errorf("a 64-transaction SubmitBatch allocates %.2f times, want 4", got)
+		}
+		if got := testing.AllocsPerRun(200, func() { admit(100) }); got != 6 {
+			t.Errorf("a 100-transaction SubmitBatch allocates %.2f times, want 6", got)
+		}
+	})
+
+	// A batch larger than the stack arrays takes the heap path: its
+	// per-entry outcomes and admission order are those of the same
+	// transactions offered as a 64-batch and the rest, invalid entries
+	// and the capacity wall included.
+	t.Run("heap-path-batch", func(t *testing.T) {
+		gen := workload.NewMulti(wcfg)
+		txs := make([]*summary.Tx, 100)
+		for i := range txs {
+			txs[i] = gen.Next()
+			bad := *txs[i]
+			switch i % 9 {
+			case 3:
+				bad.PoolID = "no-such-pool"
+				txs[i] = &bad
+			case 7:
+				bad.User = "no-such-user"
+				txs[i] = &bad
+			}
+		}
+		type outcome struct {
+			id  string
+			err error
+		}
+		offer := func(split int) ([]outcome, []string) {
+			cfg, _ := multiTestConfigs(7, 8, 2, 0)
+			cfg.IngestCapacity = 70 // the wall falls inside the second part
+			cfg.IngestMaxWait = -1
+			sys, err := NewMultiSystem(cfg, gen.Users())
+			if err != nil {
+				t.Fatalf("NewMultiSystem: %v", err)
+			}
+			defer sys.Close()
+			var out []outcome
+			for _, part := range [][]*summary.Tx{txs[:split], txs[split:]} {
+				res, err := sys.SubmitBatch(context.Background(), part)
+				if err != nil {
+					t.Fatalf("batch of %d: %v", len(part), err)
+				}
+				for i, rc := range res.Receipts {
+					o := outcome{err: res.Errs[i]}
+					if rc != nil {
+						o.id = rc.TxID
+					}
+					out = append(out, o)
+				}
+			}
+			var order []string
+			for _, en := range sys.ingest.Drain() {
+				order = append(order, en.Tx.ID)
+			}
+			return out, order
+		}
+		class := func(err error) error {
+			for _, c := range []error{chain.ErrUnknownPool, chain.ErrUnfundedUser, chain.ErrMempoolFull} {
+				if errors.Is(err, c) {
+					return c
+				}
+			}
+			return err
+		}
+		heap, heapOrder := offer(len(txs))
+		stack, stackOrder := offer(64)
+		full := 0
+		for i := range txs {
+			h, s := heap[i], stack[i]
+			if class(h.err) != class(s.err) {
+				t.Errorf("tx %d: heap path %v, stack path %v", i, h.err, s.err)
+			}
+			if h.id != s.id || (h.err == nil) != (h.id == txs[i].ID) {
+				t.Errorf("tx %d: receipts %q and %q, want %q", i, h.id, s.id, txs[i].ID)
+			}
+			if errors.Is(h.err, chain.ErrMempoolFull) {
+				full++
+			}
+		}
+		if full == 0 || !slices.Equal(heapOrder, stackOrder) || len(heapOrder) != 70 {
+			t.Errorf("%d refused at the wall; admitted %v, want %v (70)", full, heapOrder, stackOrder)
 		}
 	})
 }

@@ -748,13 +748,21 @@ func (s *MultiSystem) runRound(e, r uint64) {
 	}
 	s.Rejected += res.Rejected
 	// Included is a submission-order subsequence of the batch: walk both
-	// to split accepted entries from rejected ones.
-	included := make([]queuedTx, 0, len(res.Included))
+	// to split accepted entries, which go straight onto the epoch's
+	// receipt ledger, from rejected ones.
+	recs, ok := s.recsByEpoch[e]
+	if !ok { // the epoch's first round: take over the spare, or reserve the last epoch's length
+		recs, s.spareRecs = s.spareRecs, nil
+		if n := len(s.recsByEpoch[e-1]); cap(recs) < n {
+			recs = make([]queuedTx, 0, n)
+		}
+	}
+	start := len(recs)
 	includedBytes := 0
 	j := 0
 	for _, q := range batch {
 		if j < len(res.Included) && res.Included[j] == q.tx {
-			included = append(included, q)
+			recs = append(recs, q)
 			includedBytes += q.tx.Size()
 			j++
 			continue
@@ -764,6 +772,8 @@ func (s *MultiSystem) runRound(e, r uint64) {
 		q.rc.Epoch = e
 		q.rc.Round = r
 	}
+	s.recsByEpoch[e] = recs
+	included := recs[start:] // the epoch's next round appends only after this one completes
 
 	// A view-change storm of k consecutive silent leaders adds the
 	// detour before the promoted leader's proposal succeeds; the
@@ -1076,28 +1086,26 @@ func encodeEpochBlobs(sealed *engine.SealedEpoch, res *engine.EpochResult,
 }
 
 // persistEpoch issues epoch e's write to the store lane and returns it
-// (nil without a store): the lifecycle copies the epoch's receipt rows
-// and run counters, and the lane completes the pre-encoded snapshot
-// record with them, appends snapshot + sync-part records, and fsyncs
-// them. A failed write halts the node when a part of the epoch reaches
-// a block (the uplink's gate): continuing without durability would
-// break the recovery contract silently.
+// (nil without a store): the lifecycle completes the pre-encoded
+// snapshot record in place with the epoch's receipt rows and run
+// counters as they stand, and the lane appends snapshot + sync-part
+// records and fsyncs them. A failed write halts the node when a part of
+// the epoch reaches a block (the uplink's gate): continuing without
+// durability would break the recovery contract silently.
 func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *task {
 	if s.st == nil {
 		return nil
 	}
-	recs := s.receiptRows(e)
-	meta := store.RunMeta{
+	snap := s.appendReceiptSuffix(snapPrefix, e, store.RunMeta{
 		Rejected:       uint64(s.Rejected),
 		SyncsOK:        uint64(s.SyncsOK),
 		ViewChanges:    uint64(s.ViewChanges),
 		QueuePeak:      uint64(s.queuePeak),
 		EngineAccepted: uint64(s.eng.Accepted),
 		EngineRejected: uint64(s.eng.Rejected),
-	}
+	})
 	w := s.st
 	return s.storeLane.issue(false, func() error {
-		snap := store.AppendReceiptsAndMeta(snapPrefix, recs, meta)
 		if err := w.AppendEpoch(e, snap, partsBlob); err != nil {
 			return fmt.Errorf("%w: epoch %d: %v", chain.ErrStoreWrite, e, err)
 		}
@@ -1105,24 +1113,23 @@ func (s *MultiSystem) persistEpoch(e uint64, snapPrefix, partsBlob []byte) *task
 	})
 }
 
-// receiptRows copies epoch e's receipt table, as it stands, into the
-// rows its snapshot record persists.
-func (s *MultiSystem) receiptRows(e uint64) []store.ReceiptRecord {
-	epochRecs := s.recsByEpoch[e]
-	recs := make([]store.ReceiptRecord, len(epochRecs))
-	for i, q := range epochRecs {
-		recs[i] = store.ReceiptRecord{
-			TxID:           q.rc.TxID,
-			PoolID:         q.rc.PoolID,
-			Status:         uint8(q.rc.Status),
-			Epoch:          q.rc.Epoch,
-			Round:          q.rc.Round,
-			SubmittedAt:    int64(q.rc.SubmittedAt),
-			ExecutedAt:     int64(q.rc.ExecutedAt),
-			CheckpointedAt: int64(q.rc.CheckpointedAt),
+// appendReceiptSuffix appends epoch e's receipt table, encoded straight
+// from the ledger as it stands, and the run counters meta.
+func (s *MultiSystem) appendReceiptSuffix(snap []byte, e uint64, meta store.RunMeta) []byte {
+	recs := s.recsByEpoch[e]
+	return store.AppendReceiptRows(snap, len(recs), func(i int) store.ReceiptRecord {
+		rc := recs[i].rc
+		return store.ReceiptRecord{
+			TxID:           rc.TxID,
+			PoolID:         rc.PoolID,
+			Status:         uint8(rc.Status),
+			Epoch:          rc.Epoch,
+			Round:          rc.Round,
+			SubmittedAt:    int64(rc.SubmittedAt),
+			ExecutedAt:     int64(rc.ExecutedAt),
+			CheckpointedAt: int64(rc.CheckpointedAt),
 		}
-	}
-	return recs
+	}, meta)
 }
 
 // receiptSuffixLen is the exact length of epoch e's receipt table and

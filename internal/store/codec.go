@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"ammboost/internal/amm"
 	"ammboost/internal/binenc"
@@ -71,10 +73,10 @@ type EpochRecord struct {
 // including) the receipt table: epoch identity, the folded summary root,
 // every pool's root and payload digest, and the full state of the pools
 // touched this epoch. It runs on the node's commit lane, off the
-// simulator goroutine, so the node's store lane only appends the
-// receipt suffix and writes. The buffer is allocated once, with room for
-// suffixLen more bytes: ReceiptsAndMetaLen of the rows
-// AppendReceiptsAndMeta will add completes the record in place.
+// simulator goroutine, so the lifecycle only appends the receipt suffix.
+// The buffer is allocated once, with room for suffixLen more bytes:
+// ReceiptsAndMetaLen of the rows AppendReceiptRows will add completes the
+// record in place.
 func EncodeSnapshotPrefix(epoch uint64, summaryRoot [32]byte, poolIDs []string,
 	poolRoots, payloadDigests [][32]byte, activeIDs []string, active []*amm.Pool, suffixLen int) []byte {
 	size := 8 + 32 + 4 + poolsLen(activeIDs, active) + suffixLen
@@ -93,11 +95,24 @@ func EncodeSnapshotPrefix(epoch uint64, summaryRoot [32]byte, poolIDs []string,
 	return appendPools(buf, activeIDs, active)
 }
 
-// AppendReceiptsAndMeta completes a snapshot payload started by
-// EncodeSnapshotPrefix with the epoch's receipt-table rows and the run
-// counters.
-func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byte {
-	return appendMeta(appendReceipts(buf, recs), meta)
+// AppendReceiptRows completes a snapshot payload started by
+// EncodeSnapshotPrefix with the epoch's receipt table, rows row(0) to
+// row(n-1) encoded as row returns them, and the run counters: a caller
+// encodes its own receipt ledger with no copy in between.
+func AppendReceiptRows(buf []byte, n int, row func(i int) ReceiptRecord, meta RunMeta) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	for i := range n {
+		r := row(i)
+		buf = binenc.AppendString(buf, r.TxID)
+		buf = binenc.AppendString(buf, r.PoolID)
+		buf = append(buf, r.Status)
+		buf = binary.BigEndian.AppendUint64(buf, r.Epoch)
+		buf = binary.BigEndian.AppendUint64(buf, r.Round)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.SubmittedAt))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.ExecutedAt))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(r.CheckpointedAt))
+	}
+	return appendMeta(buf, meta)
 }
 
 // receiptRowLen is a receipt row's encoded length besides its TxID and
@@ -107,7 +122,7 @@ const receiptRowLen = 4 + 4 + 1 + 5*8
 // metaLen is RunMeta's encoded length: six u64 counters.
 const metaLen = 6 * 8
 
-// ReceiptsAndMetaLen is the exact length AppendReceiptsAndMeta adds for n
+// ReceiptsAndMetaLen is the exact length AppendReceiptRows adds for n
 // receipt rows whose TxIDs and PoolIDs total idBytes bytes.
 func ReceiptsAndMetaLen(n, idBytes int) int {
 	return 4 + n*receiptRowLen + idBytes + metaLen
@@ -183,26 +198,10 @@ func readCheckpoint(payload []byte, seed *fold) (*Checkpoint, error) {
 	}
 	if seed != nil {
 		seed.cursor = cp.Cursor
-		seed.pools = make(map[string][]byte, len(cp.Pools))
 		eachPool(payload[poolsAt:], func(id, entry []byte) { seed.pools[string(id)] = entry })
+		seed.ids = slices.Sorted(maps.Keys(seed.pools))
 	}
 	return cp, nil
-}
-
-// appendReceipts writes a receipt table: a row count, then each row.
-func appendReceipts(buf []byte, recs []ReceiptRecord) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, r := range recs {
-		buf = binenc.AppendString(buf, r.TxID)
-		buf = binenc.AppendString(buf, r.PoolID)
-		buf = append(buf, r.Status)
-		buf = binary.BigEndian.AppendUint64(buf, r.Epoch)
-		buf = binary.BigEndian.AppendUint64(buf, r.Round)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.SubmittedAt))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.ExecutedAt))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.CheckpointedAt))
-	}
-	return buf
 }
 
 func readReceipts(d *binenc.Cursor) []ReceiptRecord {

@@ -85,6 +85,17 @@ func encodeSnapshot(er *EpochRecord) []byte {
 	return AppendReceiptsAndMeta(prefix, er.Receipts, er.Meta)
 }
 
+// AppendReceiptsAndMeta is AppendReceiptRows over a slice of rows.
+func AppendReceiptsAndMeta(buf []byte, recs []ReceiptRecord, meta RunMeta) []byte {
+	return AppendReceiptRows(buf, len(recs), func(i int) ReceiptRecord { return recs[i] }, meta)
+}
+
+// appendReceipts writes a receipt table alone: a row count, then each row.
+func appendReceipts(buf []byte, recs []ReceiptRecord) []byte {
+	buf = AppendReceiptsAndMeta(buf, recs, RunMeta{})
+	return buf[:len(buf)-metaLen]
+}
+
 // receiptsAndMetaLen is ReceiptsAndMetaLen of recs.
 func receiptsAndMetaLen(recs []ReceiptRecord) int {
 	ids := 0

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"slices"
 
@@ -58,8 +60,9 @@ type Checkpoint struct {
 // any halt record — are copied bit-exact as the tail.
 //
 // The writer never reads its own log to do this: it keeps the next
-// checkpoint as encoded pieces (its fold), so the checkpoint is a
-// concatenation of byte views and nothing is decoded or re-encoded.
+// checkpoint as encoded pieces (its fold) and streams it into the temp
+// file as byte views: nothing is decoded or re-encoded, and only the
+// folded epochs' rows and the pool entries they changed are built.
 //
 // The rewrite is crash-atomic: the new image is built in a temp file,
 // fsynced, then renamed over the log. A crash at any byte leaves either
@@ -69,8 +72,8 @@ type Checkpoint struct {
 // Compact was never called. A stray temp file from a crashed compaction
 // is harmless — Open ignores it and the next Compact truncates it.
 //
-// Compact is the writer's one call that costs O(checkpoint), so a caller
-// may run it off its own path; the one-caller-at-a-time contract on
+// Compact is the writer's one call that writes O(checkpoint) bytes, so a
+// caller may run it off its own path; the one-caller-at-a-time contract on
 // Writer still holds, and the caller sees its error when it joins.
 func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	if w.err != nil {
@@ -95,20 +98,25 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 	}
 	sp := w.tr.Start(trace.StageStoreCompact, cursor)
 	defer sp.End()
-	checkpoint, next := w.fold.next(at, horizon, bank)
-	sp.Bytes = len(checkpoint)
+	cp := w.fold.next(at, horizon, bank)
 	var tail [][]byte
-	for i := range next.tail {
-		tail = next.tail[i].appendFrames(tail)
+	for i := at + 1; i < len(w.fold.tail); i++ {
+		tail = w.fold.tail[i].appendFrames(tail)
 	}
-	newSize, err := rewrite(w.fsys, w.path, w.fingerprint, headerFlagCheckpoint, checkpoint, tail...)
+	newSize, err := rewrite(w.fsys, w.path, w.fingerprint, headerFlagCheckpoint, cp, tail...)
+	sp.Bytes = cp.size
 	if err != nil {
 		return err
 	}
-
-	// The swap is published; advance the fold and move the live handle
-	// onto the new file.
-	w.fold = next
+	// The swap is published. Advance the fold past it: expired rows and
+	// folded records drop, and the built pieces join the rest. Then move
+	// the live handle onto the new file.
+	f := &w.fold
+	f.cursor, f.ids = cursor, cp.ids
+	clear(f.rows[:cp.keep])
+	f.rows = append(f.rows[cp.keep:], cp.rows...)
+	maps.Copy(f.pools, cp.pools)
+	f.tail = slices.Delete(f.tail, 0, at+1)
 	w.f.Close()
 	nf, err := w.fsys.OpenAppend(w.path, newSize)
 	if err != nil {
@@ -116,18 +124,19 @@ func (w *Writer) Compact(cursor, horizon uint64, bank []byte) error {
 		return err
 	}
 	w.f = nf
-	w.bw = bufio.NewWriterSize(nf, 1<<16)
+	w.bw.Reset(nf)
 	return nil
 }
 
 // fold is a writer's next checkpoint, kept encoded: the current
 // checkpoint's root-table rows and newest pool blobs, and every record
-// appended since. Each piece is a view — into the checkpoint payload the
-// last compaction wrote, the log Open read, or the payloads AppendEpoch
-// was handed — so the next checkpoint is a concatenation.
+// appended since. Each piece is a view — into the log Open read or the
+// payloads AppendEpoch was handed — or was built, one allocation each, by
+// the compaction that folded it, so the next checkpoint is a concatenation.
 type fold struct {
 	cursor uint64            // the checkpoint's cursor; 0 before the first one
 	rows   [][]byte          // its root-table rows, in epoch order
+	ids    []string          // its pool-set IDs, sorted
 	pools  map[string][]byte // newest pool-set entry (ID, blob) per touched pool
 	tail   []tailRecord      // records appended since, in log order
 }
@@ -213,78 +222,92 @@ func (f *fold) epoch() uint64 {
 	return f.cursor
 }
 
-// next builds the checkpoint that folds f.tail[:at+1] in, and the fold
-// that follows once it is written: its rows and pools become views into
-// the new checkpoint payload. f is left unchanged.
-func (f *fold) next(at int, horizon uint64, bank []byte) ([]byte, fold) {
-	folded, head := f.tail[:at+1], &f.tail[at]
-	pools := make(map[string][]byte, len(f.pools))
-	maps.Copy(pools, f.pools)
-	size := 8 + 8 + 4 + 4 + len(bank) + len(head.meta) + 4 + len(head.table) + 4
-	for _, row := range f.rows {
-		if rowEpoch(row) > horizon {
-			size += len(row)
-		}
-	}
-	for i := range folded {
-		r := &folded[i]
-		if r.epoch > horizon {
-			size += 44 + 32*int(binary.BigEndian.Uint32(r.table)) + len(r.receipts)
-		}
-		eachPool(r.pools, func(id, entry []byte) { pools[string(id)] = entry })
-	}
-	ids := slices.Sorted(maps.Keys(pools))
-	for _, id := range ids {
-		size += len(pools[id])
-	}
+// checkpoint is the record a compaction streams, as pieces: f's rows and
+// pool entries as they are, and what the folded epochs add, built.
+type checkpoint struct {
+	f       *fold
+	head    *tailRecord // the cursor epoch's record
+	horizon uint64
+	bank    []byte
+	keep    int               // f.rows[keep:] are above the horizon
+	rows    [][]byte          // the folded epochs' rows above the horizon
+	ids     []string          // every pool-set ID after the fold, sorted
+	pools   map[string][]byte // newest entry of each pool the folded epochs touched
+	size    int               // payload length, once written
+}
 
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint64(buf, head.epoch)
-	buf = binary.BigEndian.AppendUint64(buf, horizon)
-	buf = append(buf, head.parts...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(bank)))
-	buf = append(buf, bank...)
-	buf = append(buf, head.meta...)
-	buf = append(buf, 0, 0, 0, 0) // row count
-	countAt := len(buf) - 4
-	var rowAt []int
-	for _, row := range f.rows {
-		if rowEpoch(row) > horizon {
-			rowAt = append(rowAt, len(buf))
-			buf = append(buf, row...)
+// next plans the checkpoint that folds f.tail[:at+1] in. f is left
+// unchanged until the checkpoint is written.
+func (f *fold) next(at int, horizon uint64, bank []byte) *checkpoint {
+	c := &checkpoint{f: f, head: &f.tail[at], horizon: horizon, bank: bank,
+		keep: len(f.rows), pools: make(map[string][]byte)}
+	if i := slices.IndexFunc(f.rows, func(row []byte) bool { return rowEpoch(row) > horizon }); i >= 0 {
+		c.keep = i
+	}
+	for i := range f.tail[:at+1] {
+		if r := &f.tail[i]; r.epoch > horizon {
+			n := 44 + 32*int(binary.BigEndian.Uint32(r.table)) + len(r.receipts)
+			c.rows = append(c.rows, r.appendRow(make([]byte, 0, n)))
+		}
+		eachPool(f.tail[i].pools, func(id, entry []byte) { c.pools[string(id)] = entry })
+	}
+	c.ids = slices.Clip(f.ids) // so the first new ID copies
+	for id, entry := range c.pools {
+		c.pools[id] = bytes.Clone(entry)
+		if _, ok := f.pools[id]; !ok {
+			c.ids = append(c.ids, id)
 		}
 	}
-	for i := range folded {
-		if r := &folded[i]; r.epoch > horizon {
-			rowAt = append(rowAt, len(buf))
-			buf = r.appendRow(buf)
-		}
+	if len(c.ids) > len(f.ids) {
+		slices.Sort(c.ids)
 	}
-	binary.BigEndian.PutUint32(buf[countAt:], uint32(len(rowAt)))
-	rowAt = append(rowAt, len(buf))
-	buf = append(buf, head.table[:4]...)
-	eachTableRow(head.table, func(idRoot, _ []byte) { buf = append(buf, idRoot...) })
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
-	poolAt := make([]int, len(ids)+1)
-	for i, id := range ids {
-		poolAt[i] = len(buf)
-		buf = append(buf, pools[id]...)
-	}
-	poolAt[len(ids)] = len(buf)
+	return c
+}
 
-	next := fold{
-		cursor: head.epoch,
-		rows:   make([][]byte, len(rowAt)-1),
-		pools:  pools,
-		tail:   slices.Clone(f.tail[at+1:]),
+// each calls put with each piece of the checkpoint payload, in order.
+func (c *checkpoint) each(put func([]byte)) {
+	var word [24]byte
+	h := binary.BigEndian.AppendUint64(word[:0], c.head.epoch)
+	h = binary.BigEndian.AppendUint64(h, c.horizon)
+	h = append(h, c.head.parts...)
+	put(binary.BigEndian.AppendUint32(h, uint32(len(c.bank))))
+	put(c.bank)
+	put(c.head.meta)
+	kept := c.f.rows[c.keep:]
+	put(binary.BigEndian.AppendUint32(word[:0], uint32(len(kept)+len(c.rows))))
+	for _, rows := range [...][][]byte{kept, c.rows} {
+		for _, row := range rows {
+			put(row)
+		}
 	}
-	for i := range next.rows {
-		next.rows[i] = buf[rowAt[i]:rowAt[i+1]:rowAt[i+1]]
+	put(c.head.table[:4])
+	eachTableRow(c.head.table, func(idRoot, _ []byte) { put(idRoot) })
+	put(binary.BigEndian.AppendUint32(word[:0], uint32(len(c.ids))))
+	for _, id := range c.ids {
+		if entry, ok := c.pools[id]; ok {
+			put(entry)
+		} else {
+			put(c.f.pools[id])
+		}
 	}
-	for i, id := range ids {
-		pools[id] = buf[poolAt[i]:poolAt[i+1]:poolAt[i+1]]
-	}
-	return buf, next
+}
+
+// write streams the checkpoint's record frame to bw: one pass over the
+// pieces counts its length, a second writes them and folds the CRC. It
+// returns the frame's length; a write error sticks in bw.
+func (c *checkpoint) write(bw *bufio.Writer) int {
+	c.each(func(b []byte) { c.size += len(b) })
+	var word [5]byte
+	binary.BigEndian.PutUint32(word[:], uint32(1+c.size))
+	word[4] = recCheckpoint
+	bw.Write(word[:])
+	crc := crc32.Checksum(word[4:], crcTable)
+	c.each(func(b []byte) {
+		crc = crc32.Update(crc, crcTable, b)
+		bw.Write(b)
+	})
+	bw.Write(binary.BigEndian.AppendUint32(word[:0], crc))
+	return 9 + c.size
 }
 
 func rowEpoch(row []byte) uint64 { return binary.BigEndian.Uint64(row) }
@@ -339,7 +362,7 @@ func eachPool(set []byte, fn func(id, entry []byte)) {
 // renamed over the log. The header is this format version's with flags;
 // a nil checkpoint writes no checkpoint record; the tail pieces are
 // copied bit-exact, in order. It returns the new image's size.
-func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, checkpoint []byte, tail ...[]byte) (int64, error) {
+func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, cp *checkpoint, tail ...[]byte) (int64, error) {
 	tmp := path + ".compact"
 	tf, err := fsys.OpenAppend(tmp, 0)
 	if err != nil {
@@ -348,9 +371,8 @@ func rewrite(fsys FS, path string, fingerprint [32]byte, flags byte, checkpoint 
 	tw := newWriter(fsys, tmp, fingerprint, tf)
 	size := int64(headerFrameLen)
 	err = tw.appendRecord(recHeader, headerPayload(fingerprint, flags))
-	if err == nil && checkpoint != nil {
-		err = tw.appendRecord(recCheckpoint, checkpoint)
-		size += int64(9 + len(checkpoint))
+	if err == nil && cp != nil {
+		size += int64(cp.write(tw.bw))
 	}
 	for _, piece := range tail {
 		if err == nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -417,4 +419,61 @@ func FuzzCompact(f *testing.F) {
 		}
 		w.Close()
 	})
+}
+
+// sinkFS is a filesystem that keeps nothing: every file swallows its
+// writes, and it remembers how many bytes the newest compaction temp
+// file received.
+type sinkFS struct{ compacted int64 }
+
+func (*sinkFS) ReadFile(string) ([]byte, error) { return nil, fs.ErrNotExist }
+func (*sinkFS) Rename(string, string) error     { return nil }
+func (s *sinkFS) OpenAppend(name string, _ int64) (File, error) {
+	if strings.HasSuffix(name, ".compact") {
+		s.compacted = 0
+		return sinkFile{&s.compacted}, nil
+	}
+	return sinkFile{new(int64)}, nil
+}
+
+type sinkFile struct{ n *int64 }
+
+func (f sinkFile) Write(p []byte) (int, error) { *f.n += int64(len(p)); return len(p), nil }
+func (sinkFile) Sync() error                   { return nil }
+func (sinkFile) Close() error                  { return nil }
+
+// TestCompactAllocatesWhatItFolds: a compaction streams the checkpoint
+// and builds only what the folded epochs add, so the k-th compaction of
+// a long history — every root-table row retained — allocates under a
+// quarter of the checkpoint it writes, however long that history is.
+func TestCompactAllocatesWhatItFolds(t *testing.T) {
+	fsys := &sinkFS{}
+	_, w, err := Open(fsys, "", testFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	g := newFoldGen(t)
+	e := uint64(1)
+	for ; e <= 4000; e++ {
+		g.append(w, e, byte(e*5))
+	}
+	if err := w.Compact(e-1, 0, testBank(e-1)); err != nil {
+		t.Fatal(err)
+	}
+	for stop := e + 8; e < stop; e++ {
+		g.append(w, e, byte(e*5))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = w.Compact(e-1, 0, testBank(e-1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, alloc := fsys.compacted-headerFrameLen, after.TotalAlloc-before.TotalAlloc
+	t.Logf("compacting 8 epochs into a %d-byte checkpoint allocated %d bytes", size, alloc)
+	if size < 1<<20 || alloc >= uint64(size)/4 {
+		t.Errorf("compacting 8 epochs into a %d-byte checkpoint allocated %d bytes, want under a quarter", size, alloc)
+	}
 }

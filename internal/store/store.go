@@ -309,7 +309,7 @@ func Open(fsys FS, dir string, fingerprint [32]byte) (*Recovery, *Writer, error)
 		return create(fsys, path, fingerprint)
 	}
 
-	var seed fold
+	seed := fold{pools: map[string][]byte{}}
 	rec, validLen, err := scanLog(data, fingerprint, &seed)
 	if err != nil {
 		return nil, nil, err
@@ -370,6 +370,7 @@ func newWriter(fsys FS, path string, fingerprint [32]byte, f File) *Writer {
 	return &Writer{
 		f: f, bw: bufio.NewWriterSize(f, 1<<16),
 		fsys: fsys, path: path, fingerprint: fingerprint,
+		fold: fold{pools: map[string][]byte{}},
 	}
 }
 

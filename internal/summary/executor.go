@@ -345,6 +345,9 @@ func (e *Executor) Summary(nextGroupKey []byte) *SyncPayload {
 		NextGroupKey: nextGroupKey,
 	}
 	p.Payouts = e.deps.Payouts(e.users)
+	if n := len(e.settled) + len(e.deleted); n > 0 {
+		p.Positions = make([]PositionEntry, 0, n)
+	}
 	for posID := range e.settled {
 		pos := e.Pool.Position(posID)
 		if pos == nil {
