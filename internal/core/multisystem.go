@@ -987,8 +987,8 @@ func (s *MultiSystem) retireOldest() bool {
 		// Persist before the sync parts become externally visible: the
 		// snapshot and its sync-part log entry go to the store lane in
 		// epoch-retire order, and each part waits at block inclusion for
-		// the write to return (the blobs were encoded on the commit lane;
-		// the receipt suffix and the write run on the store lane).
+		// the write to return (the blobs were encoded on the commit lane,
+		// the receipt suffix is appended here, the write runs on the lane).
 		if s.uplink.submit(e, pkg.txs, s.persistEpoch(e, pkg.snapPrefix, pkg.partsBlob)) {
 			s.MassSyncs++
 		}
